@@ -169,7 +169,7 @@ fn main() {
     );
     // Design goal 2: run bodies write sequentially; space reuse allows
     // at most one head seek per run created (flushes + merge inputs).
-    let runs_created = end_stats.ops.flush.count + end_stats.merge.inputs as u64;
+    let runs_created = end_stats.ops.flush.count + end_stats.merge.inputs;
     assert!(
         max_random_writes <= runs_created,
         "random writes {max_random_writes} exceed runs created {runs_created}"

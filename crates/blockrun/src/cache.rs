@@ -50,49 +50,22 @@
 //! across recovery), so entries of a deleted run can never be wrongly
 //! served; they simply age out.
 //!
-//! Hit/miss/promotion/demotion/tier-2 counters live in
-//! [`masm_storage::stats::CacheStats`] so benchmarks report cache
-//! effectiveness alongside device I/O statistics.
+//! Every event is counted exactly once, in the
+//! [`masm_storage::stats::CacheStats`] recorder; [`BlockCache::stats`]
+//! is the one place the numbers are read from.
 
 use std::collections::{BTreeMap, HashMap};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use masm_storage::{CacheStats, CacheStatsSnapshot};
-use masm_telemetry::{Counter, Gauge, Registry, Unit};
 use parking_lot::Mutex;
 
 use crate::block::Entry;
 
-/// Registry-backed metric handles, bound once via
-/// [`BlockCache::bind_registry`]. The cache pushes its own counters at
-/// the point each event happens (hits and misses on `get`, insertions
-/// on admit); byte gauges refresh whenever [`BlockCache::stats`] runs.
-struct BoundMetrics {
-    hits: Arc<Counter>,
-    misses: Arc<Counter>,
-    tier2_hits: Arc<Counter>,
-    insertions: Arc<Counter>,
-    evictions: Arc<Counter>,
-    data_bytes: Arc<Gauge>,
-    meta_bytes: Arc<Gauge>,
-    tier2_bytes: Arc<Gauge>,
-}
-
-impl BoundMetrics {
-    fn new(registry: &Registry) -> Self {
-        let c = |name, help| registry.counter("cache", name, Unit::Ops, help);
-        let g = |name, help| registry.gauge("cache", name, Unit::Bytes, help);
-        BoundMetrics {
-            hits: c("hits", "tier-1 block cache hits"),
-            misses: c("misses", "block cache misses (device reads)"),
-            tier2_hits: c("tier2_hits", "victim-tier hits served by a decode"),
-            insertions: c("insertions", "tier-1 admissions"),
-            evictions: c("evictions", "tier-1 evictions"),
-            data_bytes: g("data_bytes", "resident decoded block bytes (tier 1)"),
-            meta_bytes: g("meta_bytes", "pinned run metadata bytes"),
-            tier2_bytes: g("tier2_bytes", "resident stored bytes (victim tier)"),
-        }
-    }
+/// Count one event in a [`CacheStats`] field.
+fn bump(counter: &AtomicU64) {
+    counter.fetch_add(1, Ordering::Relaxed);
 }
 
 /// Cache key: `(run_key, block_idx)`.
@@ -320,15 +293,11 @@ pub struct BlockCache {
     protected_per_shard: usize,
     tier2_per_shard: usize,
     policy: CachePolicy,
-    tick: std::sync::atomic::AtomicU64,
+    tick: AtomicU64,
+    /// Event counters, plus the one level kept as an atomic rather
+    /// than per shard: `meta_bytes`, the pinned run-metadata bytes
+    /// (see [`BlockCache::retain_meta_bytes`]).
     stats: CacheStats,
-    /// Pinned run-metadata bytes (zone maps + bloom filters) accounted
-    /// against this cache, kept separate from the evictable data
-    /// blocks — see [`BlockCache::retain_meta_bytes`].
-    meta_bytes: std::sync::atomic::AtomicUsize,
-    /// Registry-bound metric handles, set once by
-    /// [`BlockCache::bind_registry`].
-    bound: std::sync::OnceLock<BoundMetrics>,
 }
 
 impl std::fmt::Debug for BlockCache {
@@ -374,18 +343,9 @@ impl BlockCache {
             protected_per_shard: (capacity_per_shard as f64 * frac) as usize,
             tier2_per_shard: cfg.tier2_bytes / n_shards,
             policy: cfg.policy,
-            tick: std::sync::atomic::AtomicU64::new(0),
+            tick: AtomicU64::new(0),
             stats: CacheStats::default(),
-            meta_bytes: std::sync::atomic::AtomicUsize::new(0),
-            bound: std::sync::OnceLock::new(),
         }
-    }
-
-    /// Register this cache's counters and gauges with an engine metric
-    /// [`Registry`]. Idempotent; only the first registry wins (a cache
-    /// belongs to one engine).
-    pub fn bind_registry(&self, registry: &Registry) {
-        let _ = self.bound.get_or_init(|| BoundMetrics::new(registry));
     }
 
     /// The tier-1 replacement policy.
@@ -400,7 +360,7 @@ impl BlockCache {
     }
 
     fn next_tick(&self) -> u64 {
-        self.tick.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+        self.tick.fetch_add(1, Ordering::Relaxed)
     }
 
     /// Look up a block, counting a hit or miss. A tier-1 probation hit
@@ -415,24 +375,18 @@ impl BlockCache {
             if self.policy == CachePolicy::Slru && e.seg == Segment::Probation {
                 // reseat() re-ticks the entry, so no touch() is needed.
                 shard.reseat(key, Segment::Protected, tick);
-                self.stats.record_promotion();
+                bump(&self.stats.promotions);
                 self.rebalance_protected(&mut shard);
             } else {
                 shard.touch(key, tick);
             }
-            self.stats.record_hit();
-            if let Some(b) = self.bound.get() {
-                b.hits.incr();
-            }
+            bump(&self.stats.hits);
             return Some(block);
         }
         if let Some(victim) = shard.tier2_remove(key) {
             if let Some(entries) = victim.stored.decode() {
                 let entries: CachedBlock = Arc::new(entries);
-                self.stats.record_tier2_hit();
-                if let Some(b) = self.bound.get() {
-                    b.tier2_hits.incr();
-                }
+                bump(&self.stats.tier2_hits);
                 // Readmit to *probation*, not protected: a cyclic sweep
                 // served out of tier 2 must keep churning the probation
                 // segment rather than flooding protected and displacing
@@ -442,16 +396,13 @@ impl BlockCache {
                 // Readmission is a tier-1 insertion too — keeps the
                 // insertions/evictions pair honest for consumers
                 // estimating admission rates.
-                self.stats.record_insertion();
+                bump(&self.stats.insertions);
                 return Some(entries);
             }
             // Undecodable tier-2 bytes (cannot happen for bytes that
             // were CRC-verified at admission): drop the entry, miss.
         }
-        self.stats.record_miss();
-        if let Some(b) = self.bound.get() {
-            b.misses.incr();
-        }
+        bump(&self.stats.misses);
         None
     }
 
@@ -476,10 +427,7 @@ impl BlockCache {
     /// [`BlockCache::contains`] and goes straight to the device. Keeps
     /// hit/miss accounting truthful for scans.
     pub fn record_bypass_miss(&self) {
-        self.stats.record_miss();
-        if let Some(b) = self.bound.get() {
-            b.misses.incr();
-        }
+        bump(&self.stats.misses);
     }
 
     /// Whether an entry's stored copy is worth retaining for demotion:
@@ -523,13 +471,13 @@ impl BlockCache {
             // Reject before touching any resident copy under this key:
             // a block's content never changes, so what is cached stays
             // valid and must survive the rejection.
-            self.stats.record_rejected();
+            bump(&self.stats.rejected);
             return;
         }
         shard.remove(key);
         shard.tier2_remove(key);
         self.admit(&mut shard, key, block, stored, weight);
-        self.stats.record_insertion();
+        bump(&self.stats.insertions);
     }
 
     /// Place an entry of precomputed charge `weight` into the probation
@@ -547,14 +495,8 @@ impl BlockCache {
         while shard.t1_bytes() + weight > self.capacity_per_shard {
             let Some(victim) = shard.victim() else { break };
             let entry = shard.remove(victim).expect("victim is resident");
-            self.stats.record_eviction();
-            if let Some(b) = self.bound.get() {
-                b.evictions.incr();
-            }
+            bump(&self.stats.evictions);
             self.demote_to_tier2(shard, victim, entry);
-        }
-        if let Some(b) = self.bound.get() {
-            b.insertions.incr();
         }
         let tick = self.next_tick();
         let disk_len = stored.len() as u32;
@@ -585,7 +527,7 @@ impl BlockCache {
             };
             let key = *key;
             shard.reseat(key, Segment::Probation, self.next_tick());
-            self.stats.record_demotion();
+            bump(&self.stats.demotions);
         }
     }
 
@@ -602,7 +544,7 @@ impl BlockCache {
                 .expect("tier-2 bytes imply an entry")
                 .1;
             shard.tier2_remove(victim);
-            self.stats.record_tier2_eviction();
+            bump(&self.stats.tier2_evictions);
         }
         let tick = self.next_tick();
         shard.tier2_bytes += len;
@@ -614,7 +556,7 @@ impl BlockCache {
                 last_used: tick,
             },
         );
-        self.stats.record_tier2_insertion();
+        bump(&self.stats.tier2_insertions);
     }
 
     /// Approximate resident bytes charged to tier 1: the evictable
@@ -646,23 +588,25 @@ impl BlockCache {
     /// segment still leaves `meta_bytes` (and the protected segment)
     /// resident.
     pub fn retain_meta_bytes(&self, bytes: usize) {
-        self.meta_bytes
-            .fetch_add(bytes, std::sync::atomic::Ordering::Relaxed);
+        self.stats
+            .meta_bytes
+            .fetch_add(bytes as u64, Ordering::Relaxed);
     }
 
     /// Release metadata accounted by [`BlockCache::retain_meta_bytes`]
     /// (the run was deleted).
     pub fn release_meta_bytes(&self, bytes: usize) {
-        let _ = self.meta_bytes.fetch_update(
-            std::sync::atomic::Ordering::Relaxed,
-            std::sync::atomic::Ordering::Relaxed,
-            |v| Some(v.saturating_sub(bytes)),
-        );
+        let _ = self
+            .stats
+            .meta_bytes
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
+                Some(v.saturating_sub(bytes as u64))
+            });
     }
 
     /// Pinned metadata bytes currently accounted.
     pub fn meta_bytes(&self) -> usize {
-        self.meta_bytes.load(std::sync::atomic::Ordering::Relaxed)
+        self.stats.meta_bytes.load(Ordering::Relaxed) as usize
     }
 
     /// Counter snapshot, including per-segment and per-tier residency
@@ -681,14 +625,8 @@ impl BlockCache {
         snap.probation_bytes = prob as u64;
         snap.protected_bytes = prot as u64;
         snap.data_bytes = (prob + prot) as u64;
-        snap.meta_bytes = self.meta_bytes() as u64;
         snap.disk_bytes = disk;
         snap.tier2_bytes = t2 as u64;
-        if let Some(b) = self.bound.get() {
-            b.data_bytes.set(snap.data_bytes);
-            b.meta_bytes.set(snap.meta_bytes);
-            b.tier2_bytes.set(snap.tier2_bytes);
-        }
         snap
     }
 

@@ -18,7 +18,6 @@ use masm_pagestore::Key;
 
 use crate::error::{MasmError, MasmResult};
 
-pub use masm_blockrun::CachePolicy;
 pub use masm_codec::CodecChoice;
 
 /// How a sharded engine picks its key-range split points.
@@ -95,6 +94,10 @@ impl IndexGranularity {
     }
 }
 
+/// Upper bound on the async prefetch depth of merge and migration reads
+/// (see [`MasmConfig::merge_prefetch_depth`]).
+const MERGE_PREFETCH_CAP: usize = 16;
+
 /// Configuration of a [`crate::engine::MasmEngine`].
 #[derive(Debug, Clone)]
 pub struct MasmConfig {
@@ -117,11 +120,6 @@ pub struct MasmConfig {
     /// Byte offset of this engine's region on the shared SSD device.
     /// Several engines (one per table, §4.3) can divide one SSD.
     pub ssd_region_base: u64,
-    /// Upper bound on a run's data-block size in bytes (the block-run
-    /// read I/O unit; 64 KB by default, the paper's §4.1 SSD page). The
-    /// effective block size is the finer of this and
-    /// [`MasmConfig::index_granularity`].
-    pub block_bytes: usize,
     /// Bloom-filter budget per materialized run, in bits per key
     /// (10 ⇒ ≈0.8% false positives); 0 disables run bloom filters.
     pub bloom_bits_per_key: u32,
@@ -133,31 +131,15 @@ pub struct MasmConfig {
     /// `fig13_cpu_cost` benchmark measures per codec.
     pub codec: CodecChoice,
     /// Capacity of the shared block cache holding decoded run blocks,
-    /// in bytes (tier 1).
+    /// in bytes (tier 1; scan-resistant SLRU with the cache's default
+    /// 80 % protected segment).
     pub block_cache_bytes: usize,
-    /// Tier-1 replacement policy of the block cache.
-    /// [`CachePolicy::Slru`] (the default) segments each shard into
-    /// probation + protected so a one-shot table sweep larger than the
-    /// cache cannot displace the hot point-lookup set;
-    /// [`CachePolicy::Lru`] keeps the old single-list behavior as a
-    /// benchmark baseline.
-    pub cache_policy: CachePolicy,
-    /// Fraction of tier-1 capacity reserved for the protected segment
-    /// under [`CachePolicy::Slru`] (0.8 by default; ignored under
-    /// [`CachePolicy::Lru`]).
-    pub cache_protected_frac: f64,
     /// Capacity of the cache's compressed victim tier in **stored**
     /// (post-codec) bytes; 0 disables it. Tier-1 victims demote their
     /// compressed bytes here, so a re-reference costs one codec decode
     /// instead of a device read — the tier's effective block count is
     /// multiplied by the codec's compression ratio.
     pub cache_tier2_bytes: usize,
-    /// Upper bound on the per-scan async prefetch depth of merge and
-    /// migration reads. The merge planner drives the effective depth
-    /// from its fan-in (k input runs ⇒ k reads in flight, §3.7 overlap
-    /// at scale), clamped to this cap so a very wide merge cannot flood
-    /// the device queue.
-    pub merge_prefetch_cap: usize,
     /// Background worker threads. `0` (the default) keeps the engine's
     /// original inline execution: flushes and merges run on the caller's
     /// thread, deterministically. With `n > 0` the engine spawns `n`
@@ -195,14 +177,10 @@ impl Default for MasmConfig {
             migration_threshold: 0.9,
             merge_duplicates: true,
             ssd_region_base: 0,
-            block_bytes: 64 * 1024,
             bloom_bits_per_key: 10,
             codec: CodecChoice::Delta,
             block_cache_bytes: 8 * 1024 * 1024,
-            cache_policy: CachePolicy::Slru,
-            cache_protected_frac: 0.8,
             cache_tier2_bytes: 4 * 1024 * 1024,
-            merge_prefetch_cap: 16,
             background_workers: 0,
             worker_backlog_bytes: 0,
             device_queue_depth: 4,
@@ -217,23 +195,10 @@ impl MasmConfig {
         MasmConfig {
             ssd_page_size: 4096,
             ssd_capacity: 1024 * 4096, // 1024 pages => M = 32
-            alpha: 1.0,
             index_granularity: IndexGranularity::Bytes(1024),
-            migration_threshold: 0.9,
-            merge_duplicates: true,
-            ssd_region_base: 0,
-            block_bytes: 4096,
-            bloom_bits_per_key: 10,
-            codec: CodecChoice::Delta,
             block_cache_bytes: 2 * 1024 * 1024,
-            cache_policy: CachePolicy::Slru,
-            cache_protected_frac: 0.8,
             cache_tier2_bytes: 1024 * 1024,
-            merge_prefetch_cap: 8,
-            background_workers: 0,
-            worker_backlog_bytes: 0,
-            device_queue_depth: 4,
-            sharding: ShardingConfig::default(),
+            ..MasmConfig::default()
         }
     }
 
@@ -248,9 +213,12 @@ impl MasmConfig {
         }
     }
 
-    /// Effective prefetch depth for a merge of `fan_in` input runs.
+    /// Async prefetch depth of the merge and migration reads over
+    /// `fan_in` input runs: k runs ⇒ k reads in flight (§3.7 overlap at
+    /// scale), capped at 16 so a very wide merge cannot flood the
+    /// device queue.
     pub fn merge_prefetch_depth(&self, fan_in: usize) -> usize {
-        fan_in.clamp(1, self.merge_prefetch_cap.max(1))
+        fan_in.clamp(1, MERGE_PREFETCH_CAP)
     }
 
     /// Stable fingerprint of the fields that shape the *durable* layout:
@@ -273,7 +241,6 @@ impl MasmConfig {
         mix(self.ssd_page_size as u64);
         mix(self.ssd_capacity);
         mix(self.ssd_region_base);
-        mix(self.block_bytes as u64);
         mix(self.index_granularity.bytes());
         mix(self.bloom_bits_per_key as u64);
         mix(self.sharding.shards as u64);
@@ -339,13 +306,10 @@ impl MasmConfig {
         (self.ssd_capacity as f64 * self.migration_threshold) as u64
     }
 
-    /// Effective data-block size of materialized runs: the finer of the
-    /// run-index granularity and the [`MasmConfig::block_bytes`] cap,
-    /// never below the format's 64-byte minimum.
+    /// Data-block size of materialized runs: the run-index
+    /// granularity, never below the format's 64-byte minimum.
     pub fn effective_block_bytes(&self) -> usize {
-        (self.index_granularity.bytes() as usize)
-            .min(self.block_bytes)
-            .max(64)
+        (self.index_granularity.bytes() as usize).max(64)
     }
 
     /// Parameters handed to `masm-blockrun` when materializing a run.
@@ -357,13 +321,10 @@ impl MasmConfig {
         }
     }
 
-    /// Parameters of the engine's shared block cache: tier-1 capacity
-    /// and policy, protected-segment sizing, and the compressed victim
-    /// tier's budget.
+    /// Parameters of the engine's shared block cache: the tier-1 and
+    /// compressed-victim-tier budgets over the cache's defaults.
     pub fn cache_config(&self) -> masm_blockrun::BlockCacheConfig {
         masm_blockrun::BlockCacheConfig {
-            policy: self.cache_policy,
-            protected_frac: self.cache_protected_frac,
             tier2_bytes: self.cache_tier2_bytes,
             ..masm_blockrun::BlockCacheConfig::new(self.block_cache_bytes)
         }
@@ -428,22 +389,11 @@ impl MasmConfig {
                 "migration_threshold must be in [0,1]".into(),
             ));
         }
-        if self.block_bytes < 64 {
-            return Err(MasmError::Config("block_bytes must be ≥ 64".into()));
-        }
-        if self.merge_prefetch_cap == 0 {
-            return Err(MasmError::Config("merge_prefetch_cap must be ≥ 1".into()));
-        }
         if self.device_queue_depth == 0 {
             return Err(MasmError::Config("device_queue_depth must be ≥ 1".into()));
         }
         if self.background_workers > 64 {
             return Err(MasmError::Config("background_workers must be ≤ 64".into()));
-        }
-        if !(0.0..=1.0).contains(&self.cache_protected_frac) {
-            return Err(MasmError::Config(
-                "cache_protected_frac must be in [0,1]".into(),
-            ));
         }
         let sh = &self.sharding;
         if sh.shards == 0 || sh.shards > 64 {
@@ -546,11 +496,11 @@ mod tests {
     }
 
     #[test]
-    fn effective_block_size_is_finer_of_granularity_and_cap() {
+    fn effective_block_size_is_the_granularity_with_a_floor() {
         let mut c = MasmConfig::default();
-        assert_eq!(c.effective_block_bytes(), 4096, "fine granularity wins");
+        assert_eq!(c.effective_block_bytes(), 4096);
         c.index_granularity = IndexGranularity::Coarse;
-        assert_eq!(c.effective_block_bytes(), 65536, "cap applies");
+        assert_eq!(c.effective_block_bytes(), 65536);
         c.index_granularity = IndexGranularity::Bytes(16);
         assert_eq!(c.effective_block_bytes(), 64, "floor applies");
         assert_eq!(c.blockrun_config().bloom_bits_per_key, 10);
@@ -561,40 +511,21 @@ mod tests {
 
     #[test]
     fn merge_prefetch_depth_follows_fan_in_up_to_cap() {
-        let c = MasmConfig::small_for_tests(); // cap = 8
+        let c = MasmConfig::small_for_tests();
         assert_eq!(c.merge_prefetch_depth(0), 1);
         assert_eq!(c.merge_prefetch_depth(3), 3);
-        assert_eq!(c.merge_prefetch_depth(100), 8);
-        let bad = MasmConfig {
-            merge_prefetch_cap: 0,
-            ..MasmConfig::default()
-        };
-        assert!(bad.validate().is_err());
+        assert_eq!(c.merge_prefetch_depth(100), MERGE_PREFETCH_CAP);
     }
 
     #[test]
-    fn cache_config_carries_policy_and_tiers() {
+    fn cache_config_carries_both_tier_budgets() {
         let mut c = MasmConfig::default();
         let cc = c.cache_config();
-        assert_eq!(cc.policy, CachePolicy::Slru);
-        assert!((cc.protected_frac - 0.8).abs() < 1e-9);
+        assert_eq!(cc.policy, masm_blockrun::CachePolicy::Slru);
         assert_eq!(cc.capacity_bytes, c.block_cache_bytes);
         assert_eq!(cc.tier2_bytes, c.cache_tier2_bytes);
-        c.cache_policy = CachePolicy::Lru;
         c.cache_tier2_bytes = 0;
-        assert_eq!(c.cache_config().policy, CachePolicy::Lru);
         assert_eq!(c.cache_config().tier2_bytes, 0);
-        c.cache_protected_frac = 1.5;
-        assert!(c.validate().is_err(), "protected fraction out of range");
-    }
-
-    #[test]
-    fn validation_rejects_tiny_blocks() {
-        let c = MasmConfig {
-            block_bytes: 16,
-            ..MasmConfig::default()
-        };
-        assert!(c.validate().is_err());
     }
 
     #[test]

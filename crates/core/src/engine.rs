@@ -88,10 +88,6 @@ struct EngineMetrics {
     /// Epochs the oldest pinned query snapshot trails the engine's
     /// current epoch (0 when no query is active).
     epoch_lag: Arc<Gauge>,
-    merge_inputs: Arc<Counter>,
-    merge_blocks_moved: Arc<Counter>,
-    merge_blocks_merged: Arc<Counter>,
-    merge_bytes_decoded: Arc<Counter>,
     recovery: RecoveryCounters,
 }
 
@@ -111,7 +107,6 @@ impl EngineMetrics {
     fn new() -> Self {
         let registry = Registry::new();
         let h = |name, help| registry.histogram("op", name, Unit::VirtualNs, help);
-        let c = |name, unit, help| registry.counter("merge", name, unit, help);
         EngineMetrics {
             ingest: h(
                 "ingest",
@@ -128,10 +123,6 @@ impl EngineMetrics {
                 Unit::Ops,
                 "epochs the oldest pinned query snapshot trails the engine",
             ),
-            merge_inputs: c("inputs", Unit::Ops, "runs consumed by planned merges"),
-            merge_blocks_moved: c("blocks_moved", Unit::Ops, "blocks relinked verbatim"),
-            merge_blocks_merged: c("blocks_merged", Unit::Ops, "blocks decoded and re-encoded"),
-            merge_bytes_decoded: c("bytes_decoded", Unit::Bytes, "bytes decoded by merges"),
             recovery: {
                 let r = |name, unit, help| registry.counter("recovery", name, unit, help);
                 RecoveryCounters {
@@ -333,7 +324,9 @@ pub(crate) struct RecoveredRun {
 }
 
 /// Everything crash recovery needs from one shard's redo log: the
-/// record-level fold of the longest valid log prefix.
+/// record-level fold of the longest valid log prefix. The default is
+/// the empty log a fresh engine starts from.
+#[derive(Default)]
 pub(crate) struct ParsedWal {
     /// The shard manifest, when the log belongs to a sharded
     /// deployment (absent on standalone engines).
@@ -463,64 +456,25 @@ impl MasmEngine {
         shard_id: usize,
         spawn_workers: bool,
     ) -> MasmResult<Arc<Self>> {
-        cfg.validate()?;
-        let buffer = UpdateBuffer::new(cfg.update_buffer_bytes() as usize);
-        let mut runs = RunSet::new();
-        runs.set_space(SsdSpace::with_origin(cfg.ssd_region_base));
-        // The engine only ever appends runs from its region base; prime
-        // the head there so the very first run write on a *fresh* device
-        // is classified sequential (design goal 2: random_writes == 0).
-        // On a shared device that already has a head position this is a
-        // no-op — another engine's accounting must not be rewritten.
-        ssd.prime_head_position_if_unset(cfg.ssd_region_base);
-        let cache = Arc::new(BlockCache::with_config(cfg.cache_config()));
-        let engine = Arc::new(MasmEngine {
+        // A fresh engine is the recovery of an empty redo log: one
+        // construction path, one engine literal.
+        Self::recover_from_parsed(
             heap,
             ssd,
-            cfg,
+            wal_dev,
             schema,
-            cache,
+            cfg,
             oracle,
-            state: TrackedMutex::new(EngineState {
-                buffer,
-                runs,
-                sealed: Vec::new(),
-                next_batch: 0,
-                active_queries: BTreeMap::new(),
-                pinned_pages: 0,
-                retired_bytes: 0,
-                merging: false,
-                migrating: false,
-                scan_reservations: 0,
-            }),
-            quiesce: Condvar::new(),
-            wal: Wal::new(wal_dev, 0),
-            epoch: AtomicU64::new(0),
-            workers: OnceLock::new(),
             shard_id,
-            ingested_updates: AtomicU64::new(0),
-            ingested_bytes: AtomicU64::new(0),
-            commit_index: Mutex::new(std::collections::HashMap::new()),
-            last_merge: Mutex::new(None),
-            merge_totals: Mutex::new(MergeReport::default()),
-            compression_totals: Mutex::new(CompressionReport::default()),
-            metrics: EngineMetrics::new(),
-            tracer: OnceLock::new(),
-            compact_flow: AtomicU64::new(0),
-            migrate_flow: AtomicU64::new(0),
-        });
-        if spawn_workers {
-            Self::start_workers(&engine);
-        } else {
-            engine.cache.bind_registry(&engine.metrics.registry);
-        }
-        Ok(engine)
+            spawn_workers,
+            ParsedWal::default(),
+            None,
+        )
+        .map(|(engine, _)| engine)
     }
 
-    /// Wire subsystem metrics into the engine registry and, when
-    /// configured, spawn the background worker pool.
+    /// Spawn the background worker pool when one is configured.
     fn start_workers(engine: &Arc<Self>) {
-        engine.cache.bind_registry(&engine.metrics.registry);
         if engine.cfg.background_workers > 0 {
             let pool = WorkerPool::new(
                 engine.cfg.background_workers,
@@ -841,19 +795,15 @@ impl MasmEngine {
 
     fn record_merge(&self, report: MergeReport) {
         *self.last_merge.lock() = Some(report);
-        self.merge_totals.lock().absorb(&report);
-        self.metrics.merge_inputs.add(report.inputs as u64);
-        self.metrics.merge_blocks_moved.add(report.blocks_moved);
-        self.metrics.merge_blocks_merged.add(report.blocks_merged);
-        self.metrics.merge_bytes_decoded.add(report.bytes_decoded);
+        let mut totals = self.merge_totals.lock();
+        *totals = totals.merge(&report);
     }
 
     /// Fold a newly built (or recovered) run's codec accounting into
     /// the engine totals.
     fn record_compression(&self, run: &SortedRun) {
-        self.compression_totals
-            .lock()
-            .absorb(&run.meta.compression());
+        let mut totals = self.compression_totals.lock();
+        *totals = totals.merge(&run.meta.compression());
     }
 
     /// Pin a run's metadata footprint (zone maps + bloom) in the cache
@@ -945,28 +895,18 @@ impl MasmEngine {
             )
         };
         self.metrics.epoch_lag.set(epoch_lag);
-        let workers = match self.workers.get() {
-            Some(h) => {
-                let (queue_depth, backlog_bytes) = h.pool().depths();
-                let counters = h.pool().counters(self.shard_id);
-                WorkerStats {
-                    threads: h.pool().threads as u64,
-                    queue_depth,
-                    backlog_bytes,
-                    jobs_completed: counters.jobs_completed.get(),
-                    jobs_retried: counters.jobs_retried.get(),
-                    jobs_failed: counters.jobs_failed.get(),
-                    flushes: counters.flushes.get(),
-                    merges: counters.merges.get(),
-                    migrations: counters.migrations.get(),
-                    epoch_lag,
-                }
-            }
-            None => WorkerStats {
-                epoch_lag,
-                ..WorkerStats::default()
-            },
-        };
+        let mut workers = WorkerStats::default();
+        if let Some(h) = self.workers.get() {
+            // The job counters live in this shard's registry (family
+            // `worker`); the pool-wide levels are read off the pool,
+            // which registers its gauges with the first shard only.
+            self.metrics.registry.read_family("worker", &mut workers);
+            let (queue_depth, backlog_bytes) = h.pool().depths();
+            workers.threads = h.pool().threads as u64;
+            workers.queue_depth = queue_depth;
+            workers.backlog_bytes = backlog_bytes;
+        }
+        workers.epoch_lag = epoch_lag;
         let wal = self.wal.device().stats();
         EngineStats {
             at_ns: self.ssd.clock().now(),
@@ -2214,16 +2154,16 @@ impl MasmEngine {
     /// valid prefix; torn tails are truncated here, per [`Wal::replay`]).
     pub(crate) fn parse_wal(session: &SessionHandle, wal_dev: &SimDevice) -> MasmResult<ParsedWal> {
         let replay = Wal::replay(session, wal_dev)?;
+        // A crash-snapshot device carries no write-head position: prime
+        // it at the recovered append point so the first post-recovery
+        // append continues the sequential pattern instead of being
+        // charged as a seek.
+        wal_dev.prime_head_position_if_unset(replay.end_offset);
         let mut parsed = ParsedWal {
-            manifest: None,
-            live_runs: BTreeMap::new(),
-            pending: Vec::new(),
-            max_ts: 0,
-            unfinished_migration: false,
-            heap_events: Vec::new(),
             records_replayed: replay.records.len() as u64,
             end_offset: replay.end_offset,
             torn_bytes: replay.torn_bytes,
+            ..ParsedWal::default()
         };
         for rec in replay.records {
             match rec {
@@ -2300,7 +2240,8 @@ impl MasmEngine {
         Ok(parsed)
     }
 
-    /// Build a recovered engine from a parsed redo log. The heap must
+    /// Build an engine from a parsed redo log — the one construction
+    /// site; [`MasmEngine::build`] passes the empty log. The heap must
     /// already hold its recovered metadata (see [`apply_heap_events`] —
     /// applied per log by [`MasmEngine::recover_traced`], or merged
     /// across all logs by [`crate::ShardedEngine::recover`]). The
@@ -2340,14 +2281,12 @@ impl MasmEngine {
         let mut runs = RunSet::new();
         let mut high_water = 0u64;
         let mut live_bytes = 0u64;
-        let mut max_run_id = 0u64;
         let mut rebuilt: Vec<Arc<SortedRun>> = Vec::new();
         for (id, info) in &live_runs {
             let run = recover_run(&session, &ssd, *id, info.base, info.bytes, info.passes)?;
             max_ts = max_ts.max(run.max_ts);
             high_water = high_water.max(info.base + info.bytes);
             live_bytes += info.bytes;
-            max_run_id = max_run_id.max(*id);
             rebuilt.push(Arc::new(run));
         }
         runs.set_space(SsdSpace::with_state(
@@ -2358,16 +2297,20 @@ impl MasmEngine {
         for r in rebuilt {
             runs.add(r);
         }
-        runs.resume_ids_after(max_run_id);
+        if let Some(last) = live_runs.keys().next_back() {
+            runs.resume_ids_after(*last);
+        }
         let runs_recovered = runs.len();
 
-        // Crash-snapshot devices carry no write-head position. Prime
-        // both heads at the recovered append points so the first
-        // post-recovery write continues the sequential pattern instead
-        // of being charged as a seek (design goal 2: random_writes
-        // stays 0 across a crash).
+        // The engine only ever appends runs from its high-water mark
+        // (the region base when fresh); prime the head there so the
+        // first run write on a device without a head position — fresh,
+        // or a crash snapshot — is classified sequential (design goal
+        // 2: random_writes == 0, also across a crash). On a shared
+        // device that already has a head position this is a no-op —
+        // another engine's accounting must not be rewritten. (The WAL
+        // head is primed where the log was read, in `parse_wal`.)
         ssd.prime_head_position_if_unset(high_water.max(cfg.ssd_region_base));
-        wal_dev.prime_head_position_if_unset(end_offset);
 
         oracle.advance_past(max_ts);
 
@@ -2384,7 +2327,7 @@ impl MasmEngine {
         let mut compression = CompressionReport::default();
         for r in runs.runs() {
             cache.retain_meta_bytes(r.memory_bytes());
-            compression.absorb(&r.meta.compression());
+            compression = compression.merge(&r.meta.compression());
         }
 
         let engine = Arc::new(MasmEngine {
@@ -2427,8 +2370,6 @@ impl MasmEngine {
         }
         if spawn_workers {
             Self::start_workers(&engine);
-        } else {
-            engine.cache.bind_registry(&engine.metrics.registry);
         }
 
         let rc = &engine.metrics.recovery;
@@ -2986,7 +2927,7 @@ mod tests {
         let expect = scan_keys(&f, 0, u64::MAX);
 
         let report = f.engine.compact_runs(&f.session).unwrap();
-        assert_eq!(report.inputs, runs_before);
+        assert_eq!(report.inputs, runs_before as u64);
         assert!(
             report.blocks_merged > 0,
             "hammered keys overlap across runs: {report:?}"
@@ -3044,7 +2985,7 @@ mod tests {
         let report = f.engine.compact_runs(&f.session).unwrap();
         let delta = f.engine.ssd().stats().delta(&before);
 
-        assert_eq!(report.inputs, runs_before);
+        assert_eq!(report.inputs, runs_before as u64);
         assert_eq!(report.bytes_decoded, 0, "zero-decode: {report:?}");
         assert_eq!(report.blocks_merged, 0);
         assert!(report.blocks_moved > 0);

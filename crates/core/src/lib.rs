@@ -54,9 +54,7 @@ pub mod view;
 pub mod wal;
 pub(crate) mod worker;
 
-pub use config::{
-    CachePolicy, CodecChoice, IndexGranularity, MasmConfig, ShardingConfig, SplitPolicy,
-};
+pub use config::{CodecChoice, IndexGranularity, MasmConfig, ShardingConfig, SplitPolicy};
 pub use engine::{MasmEngine, MergeScan, RecoveryReport};
 // Re-exported so engine users consume `MasmEngine::stats()` without a
 // direct masm-telemetry dependency.

@@ -269,8 +269,8 @@ pub fn compact_block_runs(
     let depth = cfg.merge_prefetch_depth(plan.fan_in);
     let mut builder = RunBuilder::new(cfg.blockrun_config());
     let mut report = MergeReport {
-        inputs: inputs.len(),
-        fan_in: plan.fan_in,
+        inputs: inputs.len() as u64,
+        fan_in: plan.fan_in as u64,
         ..MergeReport::default()
     };
 

@@ -165,7 +165,7 @@ proptest! {
         let total_blocks: u64 = b.runs.iter().map(|r| r.meta.zones.len() as u64).sum();
         prop_assert_eq!(report.blocks_moved + report.blocks_merged, total_blocks);
         prop_assert_eq!(report.entries_out, b.all.len() as u64);
-        prop_assert_eq!(report.fan_in, b.runs.len());
+        prop_assert_eq!(report.fan_in, b.runs.len() as u64);
 
         // Moved blocks keep their CRCs verbatim.
         let crcs = input_crcs(&b);

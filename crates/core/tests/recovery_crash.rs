@@ -36,6 +36,7 @@ use masm_core::update::UpdateOp;
 use masm_core::{MasmEngine, ShardedEngine, ShardingConfig, SplitPolicy};
 use masm_pagestore::{HeapConfig, Key, Record, Schema, TableHeap};
 use masm_storage::{DeviceProfile, SessionHandle, SimClock, SimDevice};
+use masm_telemetry::{TraceConfig, Tracer};
 
 fn schema() -> Schema {
     Schema::synthetic_100b()
@@ -180,14 +181,55 @@ fn sharded_crash_under_load_loses_no_acked_update() {
 
     for (c, point) in crashes.into_iter().enumerate() {
         let heap = Arc::new(TableHeap::new(point.disk.clone(), HeapConfig::default()));
-        let (recovered, report) = ShardedEngine::recover(
+        // Rings large enough that a migration redo cannot overflow them.
+        let tracer = Arc::new(Tracer::new(TraceConfig {
+            ring_capacity: 1 << 16,
+            ..TraceConfig::default()
+        }));
+        let (recovered, report) = ShardedEngine::recover_traced(
             heap,
             point.ssds.clone(),
             point.wals.clone(),
             schema(),
             cfg.clone(),
+            Some(&tracer),
         )
         .unwrap_or_else(|e| panic!("crash point {c} failed to recover: {e}"));
+
+        // The flight recording carries the recovery on each shard's own
+        // track (pid = shard): one `recovery` span per shard, a
+        // torn-tail instant exactly where a tail was truncated, and one
+        // redo instant per re-driven migration.
+        let records = tracer.take_records();
+        let pids_of = |name: &str| -> Vec<u32> {
+            let mut pids: Vec<u32> = records
+                .iter()
+                .filter(|r| r.name == name)
+                .map(|r| r.track.pid)
+                .collect();
+            pids.sort_unstable();
+            pids
+        };
+        let shards_where = |f: &dyn Fn(&masm_core::RecoveryReport) -> bool| -> Vec<u32> {
+            (0..LANES as u32)
+                .filter(|&i| f(&report.per_shard[i as usize]))
+                .collect()
+        };
+        assert_eq!(pids_of("recovery"), shards_where(&|_| true), "crash {c}");
+        assert_eq!(
+            pids_of("recovery.torn_tail"),
+            shards_where(&|r| r.wal_torn_bytes > 0),
+            "crash {c}"
+        );
+        assert_eq!(
+            pids_of("recovery.migration_redo"),
+            shards_where(&|r| r.redid_migration),
+            "crash {c}"
+        );
+        assert_eq!(
+            pids_of("recovery.migration_redo").len(),
+            report.migrations_redriven
+        );
 
         // Every update acked before the snapshot is in the recovered
         // state (possibly superseded by a newer durable-but-unacked

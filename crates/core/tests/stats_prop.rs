@@ -73,12 +73,82 @@ fn assert_coherent(stats: &EngineStats) {
     // per new run, so the bound is one random write per run created
     // (flushes + merge outputs), exactly as the engine's own tests
     // state it.
-    let runs_created = stats.ops.flush.count + stats.merge.inputs as u64;
+    let runs_created = stats.ops.flush.count + stats.merge.inputs;
     assert!(
         stats.ssd.random_writes <= runs_created,
         "random writes {} exceed runs created {runs_created}",
         stats.ssd.random_writes
     );
+}
+
+/// The OpenMetrics export is the snapshot walked by `FIELDS`: after a
+/// workload that hits the cache and merges runs, every field of every
+/// snapshot family appears as exactly one sample carrying exactly the
+/// `EngineStats` value (nothing is mirrored into a second counter that
+/// could drift), next to the registry's histograms.
+#[test]
+fn openmetrics_samples_equal_the_snapshot_fields() {
+    let (engine, session) = fixture(300);
+    for round in 0..3u64 {
+        for key in 0..200u64 {
+            let patch = FieldPatch {
+                field: 0,
+                value: (key as u32).to_le_bytes().to_vec(),
+            };
+            engine
+                .apply_update(&session, key * 3 + round, UpdateOp::Modify(vec![patch]))
+                .unwrap();
+        }
+        engine.flush_buffer(&session).unwrap();
+    }
+    for _ in 0..2 {
+        assert!(engine.begin_scan(session.clone(), 0, 400).unwrap().count() > 0);
+    }
+    engine.compact_runs(&session).unwrap();
+    engine.get(&session, 7).unwrap();
+
+    let stats = engine.stats();
+    assert!(stats.cache.hits > 0 && stats.cache.misses > 0, "{stats:?}");
+    assert!(stats.merge.inputs > 0 && stats.compression.blocks > 0);
+    let text = stats.render_openmetrics(engine.metrics_registry());
+    let samples: Vec<(&str, u64)> = text
+        .lines()
+        .filter(|l| !l.starts_with('#'))
+        .filter_map(|l| l.rsplit_once(' '))
+        .filter_map(|(name, v)| Some((name, v.parse().ok()?)))
+        .collect();
+    let mut checked = 0;
+    // `workers` lives in the registry, as `worker_*`.
+    let families = stats
+        .families()
+        .into_iter()
+        .filter(|row| row.0 != "workers");
+    for (family, fields, values) in families {
+        for (f, value) in fields.iter().zip(values) {
+            let base = format!("{family}_{}", f.name);
+            let found: Vec<u64> = samples
+                .iter()
+                .filter(|(name, _)| {
+                    let name = name.strip_suffix("_total").unwrap_or(name);
+                    name == base
+                        || name.strip_suffix("_bytes") == Some(&base)
+                        || name.strip_suffix("_virtual_ns") == Some(&base)
+                })
+                .map(|&(_, v)| v)
+                .collect();
+            assert_eq!(found, vec![value], "sample for {family}.{}", f.name);
+            checked += 1;
+        }
+    }
+    assert_eq!(
+        checked,
+        3 + 3 + 16 + 8 + 10 + 12 + 12,
+        "every family walked"
+    );
+    assert!(text.contains("cache_hits_total ") && text.contains("merge_fan_in "));
+    assert!(text.contains("op_ingest_virtual_ns_count 600"));
+    assert!(text.contains("engine_epoch_lag "));
+    assert!(text.ends_with("# EOF\n"));
 }
 
 proptest! {

@@ -1,39 +1,16 @@
-//! Byte storage backends.
+//! Byte storage behind a simulated device.
 //!
-//! Backends store real bytes so the whole system is testable end-to-end:
-//! what MaSM writes to the simulated SSD is exactly what a later range
-//! scan merges back. Two implementations are provided:
-//!
-//! * [`MemBackend`] — a growable in-memory byte array (default for tests
-//!   and benchmarks; the timing model supplies all performance behaviour).
-//! * [`FileBackend`] — a real file, for experiments larger than RAM.
-
-use std::fs::{File, OpenOptions};
-use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
+//! The backend stores real bytes so the whole system is testable
+//! end-to-end: what MaSM writes to the simulated SSD is exactly what a
+//! later range scan merges back. [`MemBackend`] is a growable in-memory
+//! byte array; the timing model supplies all performance behaviour.
 
 use parking_lot::RwLock;
 
 use crate::error::{StorageError, StorageResult};
 
-/// Random-access byte storage.
-///
-/// Implementations must be safe for concurrent use; the simulated device
-/// layer serializes *timing*, not data access.
-pub trait StorageBackend: Send + Sync {
-    /// Read `buf.len()` bytes starting at `offset`.
-    fn read_at(&self, offset: u64, buf: &mut [u8]) -> StorageResult<()>;
-    /// Write `buf` starting at `offset`, growing the backend if needed.
-    fn write_at(&self, offset: u64, buf: &[u8]) -> StorageResult<()>;
-    /// Current size in bytes (high-water mark of writes).
-    fn len(&self) -> u64;
-    /// True when nothing has been written yet.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// Growable in-memory backend.
+/// Growable in-memory random-access byte storage, safe for concurrent
+/// use: the simulated device layer serializes *timing*, not data access.
 #[derive(Debug, Default)]
 pub struct MemBackend {
     data: RwLock<Vec<u8>>,
@@ -51,10 +28,9 @@ impl MemBackend {
             data: RwLock::new(vec![0u8; capacity as usize]),
         }
     }
-}
 
-impl StorageBackend for MemBackend {
-    fn read_at(&self, offset: u64, buf: &mut [u8]) -> StorageResult<()> {
+    /// Read `buf.len()` bytes starting at `offset`.
+    pub fn read_at(&self, offset: u64, buf: &mut [u8]) -> StorageResult<()> {
         let data = self.data.read();
         let end = offset + buf.len() as u64;
         if end > data.len() as u64 {
@@ -68,7 +44,8 @@ impl StorageBackend for MemBackend {
         Ok(())
     }
 
-    fn write_at(&self, offset: u64, buf: &[u8]) -> StorageResult<()> {
+    /// Write `buf` starting at `offset`, growing the backend if needed.
+    pub fn write_at(&self, offset: u64, buf: &[u8]) -> StorageResult<()> {
         let mut data = self.data.write();
         let end = (offset + buf.len() as u64) as usize;
         if end > data.len() {
@@ -78,79 +55,14 @@ impl StorageBackend for MemBackend {
         Ok(())
     }
 
-    fn len(&self) -> u64 {
+    /// Current size in bytes (high-water mark of writes).
+    pub fn len(&self) -> u64 {
         self.data.read().len() as u64
     }
-}
 
-/// File-backed storage using positional I/O.
-#[derive(Debug)]
-pub struct FileBackend {
-    file: File,
-    len: AtomicU64,
-}
-
-impl FileBackend {
-    /// Create (truncating) a file backend at `path`.
-    pub fn create<P: AsRef<Path>>(path: P) -> StorageResult<Self> {
-        let file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(path)?;
-        Ok(FileBackend {
-            file,
-            len: AtomicU64::new(0),
-        })
-    }
-
-    /// Open an existing file backend at `path`.
-    pub fn open<P: AsRef<Path>>(path: P) -> StorageResult<Self> {
-        let file = OpenOptions::new().read(true).write(true).open(path)?;
-        let len = file.metadata()?.len();
-        Ok(FileBackend {
-            file,
-            len: AtomicU64::new(len),
-        })
-    }
-}
-
-impl StorageBackend for FileBackend {
-    fn read_at(&self, offset: u64, buf: &mut [u8]) -> StorageResult<()> {
-        let capacity = self.len();
-        if offset + buf.len() as u64 > capacity {
-            return Err(StorageError::OutOfBounds {
-                offset,
-                len: buf.len() as u64,
-                capacity,
-            });
-        }
-        #[cfg(unix)]
-        {
-            use std::os::unix::fs::FileExt;
-            self.file.read_exact_at(buf, offset)?;
-        }
-        #[cfg(not(unix))]
-        {
-            compile_error!("FileBackend requires a unix platform");
-        }
-        Ok(())
-    }
-
-    fn write_at(&self, offset: u64, buf: &[u8]) -> StorageResult<()> {
-        #[cfg(unix)]
-        {
-            use std::os::unix::fs::FileExt;
-            self.file.write_all_at(buf, offset)?;
-        }
-        let end = offset + buf.len() as u64;
-        self.len.fetch_max(end, Ordering::AcqRel);
-        Ok(())
-    }
-
-    fn len(&self) -> u64 {
-        self.len.load(Ordering::Acquire)
+    /// True when nothing has been written yet.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
     }
 }
 
@@ -158,26 +70,14 @@ impl StorageBackend for FileBackend {
 mod tests {
     use super::*;
 
-    fn roundtrip(b: &dyn StorageBackend) {
+    #[test]
+    fn mem_roundtrip() {
+        let b = MemBackend::new();
         b.write_at(0, b"hello world").unwrap();
         let mut buf = [0u8; 5];
         b.read_at(6, &mut buf).unwrap();
         assert_eq!(&buf, b"world");
         assert_eq!(b.len(), 11);
-    }
-
-    #[test]
-    fn mem_roundtrip() {
-        roundtrip(&MemBackend::new());
-    }
-
-    #[test]
-    fn file_roundtrip() {
-        let dir = std::env::temp_dir().join("masm-storage-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("file-{}.bin", std::process::id()));
-        roundtrip(&FileBackend::create(&path).unwrap());
-        std::fs::remove_file(path).ok();
     }
 
     #[test]

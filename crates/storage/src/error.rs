@@ -14,7 +14,7 @@ pub enum StorageError {
         /// Device capacity in bytes.
         capacity: u64,
     },
-    /// Underlying OS-level I/O failure (file backend only).
+    /// Underlying OS-level I/O failure.
     Io(std::io::Error),
     /// The device was explicitly failed by fault injection.
     Faulted(&'static str),

@@ -10,8 +10,8 @@
 //! This crate substitutes the hardware with a **byte-accurate storage layer
 //! plus a calibrated device timing model**:
 //!
-//! * [`backend`] — real byte storage ([`MemBackend`], [`FileBackend`]); data
-//!   written is data read back, so all correctness properties are testable.
+//! * [`backend`] — real byte storage ([`MemBackend`]); data written is
+//!   data read back, so all correctness properties are testable.
 //! * [`device`] — [`DeviceProfile`]s turning an access (kind, offset,
 //!   length, sequentiality) into a duration in virtual nanoseconds, with
 //!   presets matching the paper's hardware constants.
@@ -38,7 +38,7 @@ pub mod sched;
 pub mod sim;
 pub mod stats;
 
-pub use backend::{FileBackend, MemBackend, StorageBackend};
+pub use backend::MemBackend;
 pub use clock::{Ns, SimClock};
 pub use device::{AccessKind, DeviceProfile};
 pub use error::{StorageError, StorageResult};
@@ -46,8 +46,8 @@ pub use lockcheck::{tracked_locks_held, LockToken, TrackedGuard, TrackedMutex};
 pub use sched::{IoSession, IoTicket, SessionHandle};
 pub use sim::SimDevice;
 pub use stats::{
-    CacheStats, CacheStatsSnapshot, CompressionReport, IoStats, IoStatsSnapshot, MergeReport,
-    WearStats,
+    BufferStats, CacheStats, CacheStatsSnapshot, CompressionReport, IoStats, IoStatsSnapshot,
+    MergeReport, RunSetStats, StatFamily, StatField, StatKind, Unit, WearStats, WorkerStats,
 };
 
 /// Number of bytes in one kibibyte.

@@ -1,6 +1,6 @@
 //! Simulated devices: byte storage + timing + statistics.
 //!
-//! A [`SimDevice`] binds a [`StorageBackend`] to a [`DeviceProfile`] and a
+//! A [`SimDevice`] binds a [`MemBackend`] to a [`DeviceProfile`] and a
 //! shared [`SimClock`]. It maintains a single *busy-until* horizon: requests
 //! from any number of actors serialize on the device, exactly like a real
 //! disk with one head (or one SATA link).
@@ -28,7 +28,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::backend::{MemBackend, StorageBackend};
+use crate::backend::MemBackend;
 use crate::clock::{Ns, SimClock};
 use crate::device::{AccessKind, DeviceProfile};
 use crate::error::{StorageError, StorageResult};
@@ -100,7 +100,7 @@ fn remove_tail(tails: &mut VecDeque<u64>, offset: u64) -> bool {
 /// Cloning is cheap (shared state); all methods take `&self`.
 #[derive(Clone)]
 pub struct SimDevice {
-    backend: Arc<dyn StorageBackend>,
+    backend: Arc<MemBackend>,
     profile: DeviceProfile,
     clock: SimClock,
     state: Arc<Mutex<DevState>>,
@@ -127,9 +127,9 @@ impl std::fmt::Debug for SimDevice {
 
 impl SimDevice {
     /// Create a device over `backend` with timing `profile` on `clock`.
-    pub fn new(backend: Arc<dyn StorageBackend>, profile: DeviceProfile, clock: SimClock) -> Self {
+    pub fn new(backend: MemBackend, profile: DeviceProfile, clock: SimClock) -> Self {
         SimDevice {
-            backend,
+            backend: Arc::new(backend),
             profile,
             clock,
             state: Arc::new(Mutex::new(DevState {
@@ -149,7 +149,7 @@ impl SimDevice {
 
     /// Convenience: in-memory device with the given profile.
     pub fn in_memory(profile: DeviceProfile, clock: SimClock) -> Self {
-        Self::new(Arc::new(crate::backend::MemBackend::new()), profile, clock)
+        Self::new(MemBackend::new(), profile, clock)
     }
 
     /// The timing profile of this device.
@@ -410,11 +410,7 @@ impl SimDevice {
             self.backend.read_at(0, &mut buf)?;
             backend.write_at(0, &buf)?;
         }
-        Ok(SimDevice::new(
-            Arc::new(backend),
-            self.profile.clone(),
-            clock,
-        ))
+        Ok(SimDevice::new(backend, self.profile.clone(), clock))
     }
 }
 

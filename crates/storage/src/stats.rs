@@ -1,50 +1,232 @@
-//! Per-device I/O statistics, SSD wear accounting, and shared cache
-//! counters.
+//! The statistics vocabulary: every `u64` statistics family of the
+//! workspace is declared **once** here — field name, aggregation
+//! [`StatKind`], [`Unit`], one-line help — through `stat_family!`.
+//! The declaration generates the plain `Copy` struct and its
+//! [`StatFamily`] impl; `delta`, `merge`, the JSON codec and the
+//! OpenMetrics rendering (in `masm-telemetry`) are written once,
+//! generically over [`StatFamily::FIELDS`].
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Mutable statistics accumulated by a [`crate::sim::SimDevice`].
+/// The unit a metric is reported in, stated explicitly so exported
+/// numbers are never ambiguous.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Unit {
+    /// A count of operations or events.
+    Ops,
+    /// Bytes.
+    Bytes,
+    /// Virtual nanoseconds on the shared simulated clock (wall-clock
+    /// nanoseconds when driven against real hardware).
+    VirtualNs,
+}
+
+impl Unit {
+    /// Stable lowercase label used in exported metric catalogs.
+    #[must_use]
+    pub fn label(&self) -> &'static str {
+        match self {
+            Unit::Ops => "ops",
+            Unit::Bytes => "bytes",
+            Unit::VirtualNs => "virtual-ns",
+        }
+    }
+}
+
+/// How one statistics field aggregates over time ([`StatFamily::delta`])
+/// and across shards ([`StatFamily::merge`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StatKind {
+    /// Monotone event count: `delta` subtracts, `merge` adds.
+    Counter,
+    /// Current level of a resource that shards hold disjointly (resident
+    /// bytes, touched blocks): `delta` carries the newer value, `merge`
+    /// adds.
+    Level,
+    /// High-water mark, or a level every shard reports for one shared
+    /// resource (the worker pool): `delta` carries the newer value,
+    /// `merge` takes the larger.
+    Peak,
+}
+
+/// Descriptor of one field of a [`StatFamily`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StatField {
+    /// Field name: the struct field, the JSON key, the metric name.
+    pub name: &'static str,
+    /// Aggregation rule.
+    pub kind: StatKind,
+    /// Unit of the value.
+    pub unit: Unit,
+    /// One-line description.
+    pub help: &'static str,
+}
+
+/// A statistics family: a `Copy` struct of `u64` fields with a static
+/// roster. Everything that must visit every field — delta, merge,
+/// serializers, exporters, tests — walks [`StatFamily::FIELDS`] instead
+/// of naming fields.
+pub trait StatFamily: Copy + Default {
+    /// The fields, in declaration (= serialization) order.
+    const FIELDS: &'static [StatField];
+
+    /// Value of field `i` of [`StatFamily::FIELDS`].
+    fn get(&self, i: usize) -> u64;
+
+    /// Set field `i` of [`StatFamily::FIELDS`].
+    fn set(&mut self, i: usize, v: u64);
+
+    /// `self − earlier` for two snapshots of one source: counters
+    /// subtract (a debug-build panic if `earlier` is in fact newer),
+    /// levels and peaks are carried from `self`.
+    #[must_use]
+    fn delta(&self, earlier: &Self) -> Self {
+        let mut out = *self;
+        for (i, f) in Self::FIELDS.iter().enumerate() {
+            if f.kind == StatKind::Counter {
+                out.set(i, self.get(i) - earlier.get(i));
+            }
+        }
+        out
+    }
+
+    /// Combine the snapshots of two disjoint sources (two shards, or a
+    /// running total and one more report): counters and levels add,
+    /// peaks take the larger. Associative and commutative.
+    #[must_use]
+    fn merge(&self, other: &Self) -> Self {
+        let mut out = *self;
+        for (i, f) in Self::FIELDS.iter().enumerate() {
+            let (a, b) = (self.get(i), other.get(i));
+            let merged = if f.kind == StatKind::Peak {
+                a.max(b)
+            } else {
+                a + b
+            };
+            out.set(i, merged);
+        }
+        out
+    }
+}
+
+/// Declare one statistics family: `Kind name: Unit = "help"` per field.
+/// `atomic Name` additionally generates the lock-free recorder twin
+/// (`AtomicU64` per field, `snapshot()`, and `reset()` of the counters).
+macro_rules! stat_family {
+    ($(#[$meta:meta])* pub struct $name:ident $(, atomic $atomic:ident)? {
+        $($(#[$fmeta:meta])* $kind:ident $field:ident : $unit:ident = $help:literal),* $(,)?
+    }) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct $name {
+            $(#[doc = $help] $(#[$fmeta])* pub $field: u64,)*
+        }
+
+        impl StatFamily for $name {
+            const FIELDS: &'static [StatField] = &[$(StatField {
+                name: stringify!($field),
+                kind: StatKind::$kind,
+                unit: Unit::$unit,
+                help: $help,
+            }),*];
+
+            fn get(&self, i: usize) -> u64 {
+                [$(self.$field),*][i]
+            }
+
+            fn set(&mut self, i: usize, v: u64) {
+                *[$(&mut self.$field),*][i] = v;
+            }
+        }
+
+        impl $name {
+            /// [`StatFamily::delta`], callable without the trait in scope.
+            #[must_use]
+            pub fn delta(&self, earlier: &Self) -> Self {
+                StatFamily::delta(self, earlier)
+            }
+
+            /// [`StatFamily::merge`], callable without the trait in scope.
+            #[must_use]
+            pub fn merge(&self, other: &Self) -> Self {
+                StatFamily::merge(self, other)
+            }
+        }
+
+        stat_family!(@atomic $name; $($atomic)?; $($kind $field)*);
+    };
+    (@atomic $name:ident; ; $($rest:tt)*) => {};
+    (@atomic $name:ident; $atomic:ident; $($kind:ident $field:ident)*) => {
+        #[doc = concat!("Lock-free recorder behind [`", stringify!($name), "`]: bump a")]
+        /// field with one relaxed `fetch_add` at the point the event
+        /// happens.
+        #[derive(Debug, Default)]
+        pub struct $atomic {
+            $(pub $field: AtomicU64,)*
+        }
+
+        impl $atomic {
+            /// Copyable summary for reporting.
+            pub fn snapshot(&self) -> $name {
+                $name { $($field: self.$field.load(Ordering::Relaxed),)* }
+            }
+
+            /// Zero the counters (levels and peaks are kept).
+            pub fn reset(&self) {
+                $(if StatKind::$kind == StatKind::Counter {
+                    self.$field.store(0, Ordering::Relaxed);
+                })*
+            }
+        }
+    };
+}
+
+stat_family! {
+    /// I/O statistics of one [`crate::sim::SimDevice`].
+    pub struct IoStatsSnapshot {
+        Counter read_ops: Ops = "read operations",
+        Counter write_ops: Ops = "write operations",
+        Counter bytes_read: Bytes = "bytes read",
+        Counter bytes_written: Bytes = "bytes written",
+        Counter sequential_ops: Ops = "operations that continued the previous access (no seek / setup penalty)",
+        Counter random_ops: Ops = "operations that paid the random-access setup cost",
+        /// MaSM design goal 2 is that this stays zero for the update-cache SSD.
+        Counter random_writes: Ops = "random write operations",
+        Counter busy_ns: VirtualNs = "time the device was busy",
+        /// 1 = strictly serial callers; >1 means some actor overlapped its I/O.
+        Peak max_queue_depth: Ops = "deepest submission queue: requests in flight at one submission instant, including the new one",
+        Counter queue_depth_sum: Ops = "sum of the observed queue depth over all operations",
+        Peak max_block_wear: Ops = "highest write count over any single erase block",
+        Level touched_blocks: Ops = "distinct erase blocks ever written",
+    }
+}
+
+impl IoStatsSnapshot {
+    /// Average write amplification relative to `logical_bytes` of intent.
+    #[must_use]
+    pub fn write_amplification(&self, logical_bytes: u64) -> f64 {
+        if logical_bytes == 0 {
+            return 0.0;
+        }
+        self.bytes_written as f64 / logical_bytes as f64
+    }
+}
+
+/// The statistics a [`crate::sim::SimDevice`] accumulates: the
+/// reportable [`IoStatsSnapshot`] itself plus the per-erase-block write
+/// counts behind its wear fields.
 #[derive(Debug, Default, Clone)]
 pub struct IoStats {
-    /// Number of read operations (unit: ops).
-    pub read_ops: u64,
-    /// Number of write operations (unit: ops).
-    pub write_ops: u64,
-    /// Bytes read (unit: bytes).
-    pub bytes_read: u64,
-    /// Bytes written (unit: bytes).
-    pub bytes_written: u64,
-    /// Read/write operations that continued the previous access
-    /// (no seek / setup penalty; unit: ops).
-    pub sequential_ops: u64,
-    /// Operations that paid the random-access setup cost (unit: ops).
-    pub random_ops: u64,
-    /// Random *write* operations specifically (MaSM design goal 2 is that
-    /// this stays zero for the update-cache SSD; unit: ops).
-    pub random_writes: u64,
-    /// Total virtual nanoseconds the device was busy (unit: virtual-ns).
-    pub busy_ns: u64,
-    /// Deepest submission queue observed: number of requests in flight
-    /// (still occupying the device) at any single submission instant,
-    /// including the new request (unit: ops). 1 = strictly serial
-    /// callers; >1 means some actor overlapped its I/O.
-    pub max_queue_depth: u64,
-    /// Σ of the observed queue depth over all operations (unit: ops);
-    /// divide by `total_ops` for the mean depth.
-    pub queue_depth_sum: u64,
-    /// Writes per erase block, for wear/endurance estimates. Private:
-    /// readers use the O(1) [`IoStats::wear_stats`] summary, maintained
-    /// incrementally below, instead of walking this map on every stats
-    /// read.
+    snap: IoStatsSnapshot,
+    /// Writes per erase block. Readers use the O(1) summaries kept in
+    /// lock step below, never a walk of this map.
     wear: HashMap<u64, u64>,
-    /// Running Σ of per-block write counts (unit: ops).
+    /// Running Σ of per-block write counts.
     wear_sum: u64,
     /// Running Σ of squared per-block write counts (for the coefficient
-    /// of variation, without touching the map at read time).
+    /// of variation).
     wear_sq_sum: u64,
-    /// Highest write count over any single erase block (unit: ops).
-    wear_max: u64,
 }
 
 impl IoStats {
@@ -58,92 +240,77 @@ impl IoStats {
         offset: u64,
         erase_block: u64,
     ) {
+        let s = &mut self.snap;
         match kind {
             crate::device::AccessKind::Read => {
-                self.read_ops += 1;
-                self.bytes_read += len;
+                s.read_ops += 1;
+                s.bytes_read += len;
             }
             crate::device::AccessKind::Write => {
-                self.write_ops += 1;
-                self.bytes_written += len;
+                s.write_ops += 1;
+                s.bytes_written += len;
                 if let Some(first) = offset.checked_div(erase_block) {
                     let last = (offset + len.max(1) - 1) / erase_block;
                     for blk in first..=last {
                         let w = self.wear.entry(blk).or_insert(0);
                         *w += 1;
-                        // Keep the O(1) summary in lock step: one block
-                        // going w-1 → w adds 1 to Σw and (2w-1) to Σw².
+                        // One block going w-1 → w adds 1 to Σw and
+                        // (2w-1) to Σw².
                         self.wear_sum += 1;
                         self.wear_sq_sum += 2 * *w - 1;
-                        self.wear_max = self.wear_max.max(*w);
+                        s.max_block_wear = s.max_block_wear.max(*w);
                     }
+                    s.touched_blocks = self.wear.len() as u64;
                 }
                 if !sequential {
-                    self.random_writes += 1;
+                    s.random_writes += 1;
                 }
             }
         }
         if sequential {
-            self.sequential_ops += 1;
+            s.sequential_ops += 1;
         } else {
-            self.random_ops += 1;
+            s.random_ops += 1;
         }
-        self.busy_ns += duration;
+        s.busy_ns += duration;
     }
 
     /// Record the submission-queue depth observed by one access.
     pub(crate) fn record_queue_depth(&mut self, depth: u64) {
-        self.max_queue_depth = self.max_queue_depth.max(depth);
-        self.queue_depth_sum += depth;
+        self.snap.max_queue_depth = self.snap.max_queue_depth.max(depth);
+        self.snap.queue_depth_sum += depth;
     }
 
-    /// Immutable snapshot for reporting. O(1): the wear fields come
-    /// from the running summary, not a map walk.
+    /// The statistics so far. O(1): no per-block map walk.
     #[must_use]
     pub fn snapshot(&self) -> IoStatsSnapshot {
-        IoStatsSnapshot {
-            read_ops: self.read_ops,
-            write_ops: self.write_ops,
-            bytes_read: self.bytes_read,
-            bytes_written: self.bytes_written,
-            sequential_ops: self.sequential_ops,
-            random_ops: self.random_ops,
-            random_writes: self.random_writes,
-            busy_ns: self.busy_ns,
-            max_queue_depth: self.max_queue_depth,
-            queue_depth_sum: self.queue_depth_sum,
-            max_block_wear: self.wear_max,
-            touched_blocks: self.wear.len() as u64,
-        }
+        self.snap
     }
 
-    /// O(1) wear/endurance summary, computed from the incrementally
-    /// maintained aggregates — the raw per-block histogram is never
-    /// cloned or iterated on the stats read path.
+    /// O(1) wear/endurance summary from the running aggregates.
     #[must_use]
     pub fn wear_stats(&self) -> WearStats {
-        let n = self.wear.len() as u64;
+        let n = self.snap.touched_blocks;
         if n == 0 {
             return WearStats::default();
         }
         let mean = self.wear_sum as f64 / n as f64;
         // Var = E[w²] − E[w]²; guard tiny negatives from f64 rounding.
         let var = (self.wear_sq_sum as f64 / n as f64 - mean * mean).max(0.0);
-        let cv = if mean > 0.0 { var.sqrt() / mean } else { 0.0 };
         WearStats {
-            max_writes_per_block: self.wear_max,
+            max_writes_per_block: self.snap.max_block_wear,
             mean_writes_per_block: mean,
             blocks_touched: n,
-            cv,
+            cv: if mean > 0.0 { var.sqrt() / mean } else { 0.0 },
         }
     }
 }
 
-/// O(1) summary of SSD erase-block wear, derived from running
-/// aggregates in [`IoStats`] (never from cloning the raw per-block
-/// map). A low [`WearStats::cv`] means writes are spread evenly —
-/// MaSM's sequential materialize/migrate pattern should keep it near
-/// zero, while in-place update schemes hammer hot blocks.
+/// O(1) summary of SSD erase-block wear. A low [`WearStats::cv`] means
+/// writes are spread evenly — MaSM's sequential materialize/migrate
+/// pattern should keep it near zero, while in-place update schemes
+/// hammer hot blocks. Hand-written rather than a [`StatFamily`]: two of
+/// its fields are `f64` moments.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct WearStats {
     /// Highest write count over any single erase block (unit: ops).
@@ -187,265 +354,31 @@ impl WearStats {
     }
 }
 
-/// Copyable summary of [`IoStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct IoStatsSnapshot {
-    /// Number of read operations.
-    pub read_ops: u64,
-    /// Number of write operations.
-    pub write_ops: u64,
-    /// Bytes read.
-    pub bytes_read: u64,
-    /// Bytes written.
-    pub bytes_written: u64,
-    /// Sequential operations.
-    pub sequential_ops: u64,
-    /// Random operations.
-    pub random_ops: u64,
-    /// Random write operations.
-    pub random_writes: u64,
-    /// Total busy time in virtual ns.
-    pub busy_ns: u64,
-    /// Deepest submission queue observed (requests in flight at one
-    /// submission instant, including the new one).
-    pub max_queue_depth: u64,
-    /// Σ of the observed queue depth over all operations.
-    pub queue_depth_sum: u64,
-    /// Highest write count over any single erase block.
-    pub max_block_wear: u64,
-    /// Number of distinct erase blocks ever written.
-    pub touched_blocks: u64,
-}
-
-impl IoStatsSnapshot {
-    /// Total operations of both kinds (unit: ops).
-    #[must_use]
-    pub fn total_ops(&self) -> u64 {
-        self.read_ops + self.write_ops
+stat_family! {
+    /// Counters and residency levels of a read cache sitting above a
+    /// device (the two-tier block cache of `masm-blockrun`).
+    pub struct CacheStatsSnapshot, atomic CacheStats {
+        Counter hits: Ops = "lookups served from tier 1 (decoded blocks)",
+        Counter misses: Ops = "lookups that went to the device",
+        Counter insertions: Ops = "entries inserted into tier 1",
+        Counter evictions: Ops = "entries evicted from tier 1",
+        Counter promotions: Ops = "probation → protected promotions (a block's second reference under SLRU)",
+        Counter demotions: Ops = "protected → probation demotions (the protected segment ran over its share)",
+        Counter rejected: Ops = "oversized blocks refused admission (larger than a whole shard)",
+        /// Each hit promotes the block back into tier 1, so this doubles
+        /// as the decode-on-promote counter.
+        Counter tier2_hits: Ops = "lookups served from the compressed victim tier: one codec decode, zero device reads",
+        Counter tier2_insertions: Ops = "tier-1 victims whose stored bytes were demoted into tier 2",
+        Counter tier2_evictions: Ops = "entries aged out of tier 2",
+        /// Always `probation_bytes + protected_bytes`.
+        Level data_bytes: Bytes = "bytes charged to tier 1: decoded blocks plus retained stored copies",
+        Level probation_bytes: Bytes = "bytes charged to the probation segment",
+        Level protected_bytes: Bytes = "bytes charged to the protected segment",
+        Level meta_bytes: Bytes = "pinned run metadata (zone maps, bloom filters), never evicted",
+        /// The gap to `data_bytes` is the codec's memory amplification.
+        Level disk_bytes: Bytes = "on-device (post-codec) size of the resident tier-1 blocks",
+        Level tier2_bytes: Bytes = "stored (post-codec) bytes resident in tier 2",
     }
-
-    /// Mean submission-queue depth over all operations (0 when idle;
-    /// 1.0 = strictly serial callers, >1 = overlapped I/O).
-    #[must_use]
-    pub fn mean_queue_depth(&self) -> f64 {
-        let total = self.total_ops();
-        if total == 0 {
-            return 0.0;
-        }
-        self.queue_depth_sum as f64 / total as f64
-    }
-
-    /// Average write amplification relative to `logical_bytes` of intent.
-    #[must_use]
-    pub fn write_amplification(&self, logical_bytes: u64) -> f64 {
-        if logical_bytes == 0 {
-            return 0.0;
-        }
-        self.bytes_written as f64 / logical_bytes as f64
-    }
-
-    /// Difference between two snapshots (self - earlier). The wear
-    /// fields are carried from `self` — they are levels, not counters.
-    #[must_use]
-    pub fn delta(&self, earlier: &IoStatsSnapshot) -> IoStatsSnapshot {
-        IoStatsSnapshot {
-            read_ops: self.read_ops - earlier.read_ops,
-            write_ops: self.write_ops - earlier.write_ops,
-            bytes_read: self.bytes_read - earlier.bytes_read,
-            bytes_written: self.bytes_written - earlier.bytes_written,
-            sequential_ops: self.sequential_ops - earlier.sequential_ops,
-            random_ops: self.random_ops - earlier.random_ops,
-            random_writes: self.random_writes - earlier.random_writes,
-            busy_ns: self.busy_ns - earlier.busy_ns,
-            max_queue_depth: self.max_queue_depth,
-            queue_depth_sum: self.queue_depth_sum - earlier.queue_depth_sum,
-            max_block_wear: self.max_block_wear,
-            touched_blocks: self.touched_blocks,
-        }
-    }
-
-    /// Combine snapshots of two *disjoint* devices (one shard's SSD
-    /// each): counters add; the high-water marks take the larger value;
-    /// `touched_blocks` adds because the devices share no erase blocks.
-    /// Associative and commutative.
-    #[must_use]
-    pub fn merge(&self, other: &IoStatsSnapshot) -> IoStatsSnapshot {
-        IoStatsSnapshot {
-            read_ops: self.read_ops + other.read_ops,
-            write_ops: self.write_ops + other.write_ops,
-            bytes_read: self.bytes_read + other.bytes_read,
-            bytes_written: self.bytes_written + other.bytes_written,
-            sequential_ops: self.sequential_ops + other.sequential_ops,
-            random_ops: self.random_ops + other.random_ops,
-            random_writes: self.random_writes + other.random_writes,
-            busy_ns: self.busy_ns + other.busy_ns,
-            max_queue_depth: self.max_queue_depth.max(other.max_queue_depth),
-            queue_depth_sum: self.queue_depth_sum + other.queue_depth_sum,
-            max_block_wear: self.max_block_wear.max(other.max_block_wear),
-            touched_blocks: self.touched_blocks + other.touched_blocks,
-        }
-    }
-}
-
-/// Shared counters for a read cache sitting above a device (e.g. the
-/// block cache of `masm-blockrun`). Lives here so benchmarks can report
-/// cache effectiveness next to the device [`IoStats`] they already
-/// collect.
-#[derive(Debug, Default)]
-pub struct CacheStats {
-    hits: AtomicU64,
-    misses: AtomicU64,
-    insertions: AtomicU64,
-    evictions: AtomicU64,
-    promotions: AtomicU64,
-    demotions: AtomicU64,
-    rejected: AtomicU64,
-    tier2_hits: AtomicU64,
-    tier2_insertions: AtomicU64,
-    tier2_evictions: AtomicU64,
-}
-
-impl CacheStats {
-    /// Record a lookup served from the cache.
-    pub fn record_hit(&self) {
-        self.hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record a lookup that had to go to the device.
-    pub fn record_miss(&self) {
-        self.misses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record an entry added to the cache.
-    pub fn record_insertion(&self) {
-        self.insertions.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record an entry evicted to make room.
-    pub fn record_eviction(&self) {
-        self.evictions.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record a probation → protected segment promotion (SLRU).
-    pub fn record_promotion(&self) {
-        self.promotions.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record a protected → probation segment demotion (SLRU).
-    pub fn record_demotion(&self) {
-        self.demotions.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record an oversized block refused admission.
-    pub fn record_rejected(&self) {
-        self.rejected.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record a lookup served from the compressed victim tier (one
-    /// codec decode, zero device reads).
-    pub fn record_tier2_hit(&self) {
-        self.tier2_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record a tier-1 victim demoted into the compressed victim tier.
-    pub fn record_tier2_insertion(&self) {
-        self.tier2_insertions.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record an entry aged out of the compressed victim tier.
-    pub fn record_tier2_eviction(&self) {
-        self.tier2_evictions.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Copyable summary for reporting.
-    pub fn snapshot(&self) -> CacheStatsSnapshot {
-        CacheStatsSnapshot {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            insertions: self.insertions.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            promotions: self.promotions.load(Ordering::Relaxed),
-            demotions: self.demotions.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
-            tier2_hits: self.tier2_hits.load(Ordering::Relaxed),
-            tier2_insertions: self.tier2_insertions.load(Ordering::Relaxed),
-            tier2_evictions: self.tier2_evictions.load(Ordering::Relaxed),
-            data_bytes: 0,
-            probation_bytes: 0,
-            protected_bytes: 0,
-            meta_bytes: 0,
-            disk_bytes: 0,
-            tier2_bytes: 0,
-        }
-    }
-
-    /// Zero all counters.
-    pub fn reset(&self) {
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-        self.insertions.store(0, Ordering::Relaxed);
-        self.evictions.store(0, Ordering::Relaxed);
-        self.promotions.store(0, Ordering::Relaxed);
-        self.demotions.store(0, Ordering::Relaxed);
-        self.rejected.store(0, Ordering::Relaxed);
-        self.tier2_hits.store(0, Ordering::Relaxed);
-        self.tier2_insertions.store(0, Ordering::Relaxed);
-        self.tier2_evictions.store(0, Ordering::Relaxed);
-    }
-}
-
-/// Copyable summary of [`CacheStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStatsSnapshot {
-    /// Lookups served from tier 1 (decoded blocks).
-    pub hits: u64,
-    /// Lookups that went to the device.
-    pub misses: u64,
-    /// Entries inserted into tier 1.
-    pub insertions: u64,
-    /// Entries evicted from tier 1.
-    pub evictions: u64,
-    /// Probation → protected promotions (a block's second reference
-    /// under the SLRU policy).
-    pub promotions: u64,
-    /// Protected → probation demotions (the protected segment ran over
-    /// its fraction of capacity).
-    pub demotions: u64,
-    /// Oversized blocks refused admission (larger than a whole shard).
-    pub rejected: u64,
-    /// Lookups served from tier 2 — the compressed victim tier — at the
-    /// cost of one codec decode and **zero** device reads. Each hit
-    /// promotes the block back into tier 1, so this doubles as the
-    /// decode-on-promote counter.
-    pub tier2_hits: u64,
-    /// Tier-1 victims whose stored (post-codec) bytes were demoted into
-    /// tier 2 instead of being dropped.
-    pub tier2_insertions: u64,
-    /// Entries aged out of tier 2.
-    pub tier2_evictions: u64,
-    /// Resident bytes charged to tier 1 — decoded data blocks plus,
-    /// when the victim tier is enabled, their retained stored copies
-    /// (always `probation_bytes + protected_bytes`).
-    pub data_bytes: u64,
-    /// Bytes charged to the probation segment (decoded blocks plus any
-    /// retained stored copies, like `data_bytes`).
-    pub probation_bytes: u64,
-    /// Bytes charged to the protected segment (decoded blocks plus any
-    /// retained stored copies, like `data_bytes`).
-    pub protected_bytes: u64,
-    /// Pinned metadata bytes (zone maps, bloom filters) accounted to
-    /// the cache but never evicted; kept separate so a one-shot sweep's
-    /// pressure on the data population is visible on its own.
-    pub meta_bytes: u64,
-    /// On-disk (post-codec, compressed) bytes of the resident tier-1
-    /// blocks. `data_bytes` is what the cache *spends* in memory;
-    /// `disk_bytes` is what the same blocks cost on the SSD — the gap
-    /// is the codec's memory amplification.
-    pub disk_bytes: u64,
-    /// Stored (post-codec) bytes resident in tier 2 — the victim tier
-    /// charges compressed size, which is how it multiplies effective
-    /// capacity by the codec's compression ratio.
-    pub tier2_bytes: u64,
 }
 
 impl CacheStatsSnapshot {
@@ -453,132 +386,49 @@ impl CacheStatsSnapshot {
     /// tier (0 when idle).
     #[must_use]
     pub fn hit_rate(&self) -> f64 {
-        let total = self.lookups();
-        if total == 0 {
-            return 0.0;
+        match self.lookups() {
+            0 => 0.0,
+            total => self.no_device_hits() as f64 / total as f64,
         }
-        self.no_device_hits() as f64 / total as f64
     }
 
-    /// Total lookups against the cache, however they were served:
-    /// tier-1 hits + tier-2 hits + misses (unit: ops).
+    /// Total lookups, however they were served: tier-1 hits + tier-2
+    /// hits + misses (unit: ops).
     #[must_use]
     pub fn lookups(&self) -> u64 {
         self.hits + self.tier2_hits + self.misses
     }
 
-    /// Blocks served without touching the device: tier-1 hits plus
-    /// tier-2 (decode-only) hits (unit: ops).
+    /// Lookups served without touching the device (unit: ops).
     #[must_use]
     pub fn no_device_hits(&self) -> u64 {
         self.hits + self.tier2_hits
     }
-
-    /// Difference between two snapshots (self - earlier). The resident
-    /// byte gauges are carried over from `self` — they are levels, not
-    /// counters.
-    #[must_use]
-    pub fn delta(&self, earlier: &CacheStatsSnapshot) -> CacheStatsSnapshot {
-        CacheStatsSnapshot {
-            hits: self.hits - earlier.hits,
-            misses: self.misses - earlier.misses,
-            insertions: self.insertions - earlier.insertions,
-            evictions: self.evictions - earlier.evictions,
-            promotions: self.promotions - earlier.promotions,
-            demotions: self.demotions - earlier.demotions,
-            rejected: self.rejected - earlier.rejected,
-            tier2_hits: self.tier2_hits - earlier.tier2_hits,
-            tier2_insertions: self.tier2_insertions - earlier.tier2_insertions,
-            tier2_evictions: self.tier2_evictions - earlier.tier2_evictions,
-            data_bytes: self.data_bytes,
-            probation_bytes: self.probation_bytes,
-            protected_bytes: self.protected_bytes,
-            meta_bytes: self.meta_bytes,
-            disk_bytes: self.disk_bytes,
-            tier2_bytes: self.tier2_bytes,
-        }
-    }
-
-    /// Combine snapshots of two *independent* caches (one shard's block
-    /// cache each): every field adds — the counters count disjoint
-    /// event streams and the byte gauges are disjoint resident sets, so
-    /// their sum is the machine-wide cache footprint. Associative and
-    /// commutative.
-    #[must_use]
-    pub fn merge(&self, other: &CacheStatsSnapshot) -> CacheStatsSnapshot {
-        CacheStatsSnapshot {
-            hits: self.hits + other.hits,
-            misses: self.misses + other.misses,
-            insertions: self.insertions + other.insertions,
-            evictions: self.evictions + other.evictions,
-            promotions: self.promotions + other.promotions,
-            demotions: self.demotions + other.demotions,
-            rejected: self.rejected + other.rejected,
-            tier2_hits: self.tier2_hits + other.tier2_hits,
-            tier2_insertions: self.tier2_insertions + other.tier2_insertions,
-            tier2_evictions: self.tier2_evictions + other.tier2_evictions,
-            data_bytes: self.data_bytes + other.data_bytes,
-            probation_bytes: self.probation_bytes + other.probation_bytes,
-            protected_bytes: self.protected_bytes + other.protected_bytes,
-            meta_bytes: self.meta_bytes + other.meta_bytes,
-            disk_bytes: self.disk_bytes + other.disk_bytes,
-            tier2_bytes: self.tier2_bytes + other.tier2_bytes,
-        }
-    }
 }
 
-/// Per-run (and cumulative) compression accounting for codec-bearing
-/// block runs: raw (decoded, flat) versus stored (on-disk, post-codec)
-/// data-block bytes, plus how many blocks each codec won. Lives here,
-/// next to [`IoStats`] and [`CacheStatsSnapshot`], so benchmarks report
-/// the CPU-vs-I/O compression trade alongside device statistics. The
-/// codec-count fields name the stable codec ids of `masm-codec`
-/// (0 = identity, 1 = delta, 2 = lz); this crate stays below the codec
-/// crate in the dependency order, so the mapping is by convention.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CompressionReport {
-    /// Runs accounted.
-    pub runs: u64,
-    /// Data blocks accounted.
-    pub blocks: u64,
-    /// Raw (flat, pre-codec) bytes of those blocks.
-    pub raw_bytes: u64,
-    /// Stored (on-disk, post-codec) bytes of those blocks.
-    pub stored_bytes: u64,
-    /// Blocks stored uncompressed (codec id 0).
-    pub blocks_identity: u64,
-    /// Blocks stored delta+varint-coded (codec id 1).
-    pub blocks_delta: u64,
-    /// Blocks stored LZ-coded (codec id 2).
-    pub blocks_lz: u64,
-    /// Trial encodes the adaptive selector actually ran (writer-side
-    /// CPU; zero for runs recovered from disk, whose writers are gone).
-    pub codec_trials: u64,
-    /// Trial encodes the sample-based selector *avoided* relative to
-    /// the trial-everything-per-block baseline — the selector's CPU
-    /// saving, reported by `fig13_cpu_cost`.
-    pub codec_trials_saved: u64,
-    /// LZ trials skipped because the byte-entropy probe classified the
-    /// payload as incompressible (a subset of `codec_trials_saved`).
-    pub lz_probes_skipped: u64,
+stat_family! {
+    /// Codec accounting of block runs (one run, or cumulative): raw
+    /// (flat) versus stored (post-codec) data-block bytes, and how many
+    /// blocks each codec won. The `blocks_*` fields name the stable
+    /// codec ids of `masm-codec` (0 = identity, 1 = delta, 2 = lz) by
+    /// convention — this crate sits below the codec crate.
+    pub struct CompressionReport {
+        Counter runs: Ops = "runs accounted",
+        Counter blocks: Ops = "data blocks accounted",
+        Counter raw_bytes: Bytes = "raw (flat, pre-codec) bytes of those blocks",
+        Counter stored_bytes: Bytes = "stored (on-device, post-codec) bytes of those blocks",
+        Counter blocks_identity: Ops = "blocks stored uncompressed",
+        Counter blocks_delta: Ops = "blocks stored delta+varint-coded",
+        Counter blocks_lz: Ops = "blocks stored LZ-coded",
+        /// Zero for runs recovered from disk, whose writers are gone.
+        Counter codec_trials: Ops = "trial encodes the adaptive selector ran",
+        Counter codec_trials_saved: Ops = "trial encodes avoided relative to trial-everything-per-block",
+        /// A subset of `codec_trials_saved`.
+        Counter lz_probes_skipped: Ops = "LZ trials skipped because the entropy probe judged the payload incompressible",
+    }
 }
 
 impl CompressionReport {
-    /// Fold another report into this one (cumulative engine statistics
-    /// across every run built).
-    pub fn absorb(&mut self, other: &CompressionReport) {
-        self.runs += other.runs;
-        self.blocks += other.blocks;
-        self.raw_bytes += other.raw_bytes;
-        self.stored_bytes += other.stored_bytes;
-        self.blocks_identity += other.blocks_identity;
-        self.blocks_delta += other.blocks_delta;
-        self.blocks_lz += other.blocks_lz;
-        self.codec_trials += other.codec_trials;
-        self.codec_trials_saved += other.codec_trials_saved;
-        self.lz_probes_skipped += other.lz_probes_skipped;
-    }
-
     /// Stored/raw byte ratio (1.0 = no compression, smaller is better;
     /// 1.0 when nothing was accounted).
     #[must_use]
@@ -588,107 +438,77 @@ impl CompressionReport {
         }
         self.stored_bytes as f64 / self.raw_bytes as f64
     }
-
-    /// Fraction of raw bytes the codecs saved (`1 − ratio`, floored at
-    /// zero for pathological growth).
-    #[must_use]
-    pub fn savings(&self) -> f64 {
-        (1.0 - self.ratio()).max(0.0)
-    }
-
-    /// Difference between two cumulative reports (self - earlier): what
-    /// was compressed in the interval.
-    #[must_use]
-    pub fn delta(&self, earlier: &CompressionReport) -> CompressionReport {
-        CompressionReport {
-            runs: self.runs - earlier.runs,
-            blocks: self.blocks - earlier.blocks,
-            raw_bytes: self.raw_bytes - earlier.raw_bytes,
-            stored_bytes: self.stored_bytes - earlier.stored_bytes,
-            blocks_identity: self.blocks_identity - earlier.blocks_identity,
-            blocks_delta: self.blocks_delta - earlier.blocks_delta,
-            blocks_lz: self.blocks_lz - earlier.blocks_lz,
-            codec_trials: self.codec_trials - earlier.codec_trials,
-            codec_trials_saved: self.codec_trials_saved - earlier.codec_trials_saved,
-            lz_probes_skipped: self.lz_probes_skipped - earlier.lz_probes_skipped,
-        }
-    }
 }
 
-/// Outcome of one planned run merge (compaction or 2-pass merge): how
-/// much of the work was *moved* (whole blocks relinked verbatim, CRC
-/// checked but never decoded) versus *merged* (decoded and folded
-/// through the k-way merge). Lives here, next to [`IoStats`], so
-/// benchmarks report merge efficiency alongside device I/O.
-///
-/// The headline property: on fully disjoint inputs `bytes_decoded == 0`
-/// — compaction cost is proportional to overlap, not input size.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MergeReport {
-    /// Input runs consumed by the merge.
-    pub inputs: usize,
-    /// Merge fan-in actually observed (inputs contributing blocks);
-    /// also the prefetch depth the executor keeps in flight.
-    pub fan_in: usize,
-    /// Data blocks relinked verbatim, without decoding.
-    pub blocks_moved: u64,
-    /// Data blocks decoded and fed through the k-way merge.
-    pub blocks_merged: u64,
-    /// Encoded bytes of the moved blocks.
-    pub bytes_moved: u64,
-    /// Encoded bytes that had to be decoded (the overlap cost).
-    pub bytes_decoded: u64,
-    /// Entries written to the output run.
-    pub entries_out: u64,
-    /// Peak number of update records resident in the merge pipeline at
-    /// once: the k-way heads, the pending fold record, and the output
-    /// builder's open block. Streaming compaction (§3.3) bounds this by
-    /// `fan_in + block_entries`, independent of `entries_out`; a
-    /// materializing merge would make it `entries_out`.
-    pub peak_merge_entries: u64,
+stat_family! {
+    /// Outcome of planned run merges (one compaction or 2-pass merge, or
+    /// cumulative): how much work was *moved* (whole blocks relinked
+    /// verbatim, CRC-checked but never decoded) versus *merged* (decoded
+    /// and folded through the k-way merge). On fully disjoint inputs
+    /// `bytes_decoded == 0` — compaction cost is proportional to
+    /// overlap, not input size.
+    pub struct MergeReport {
+        Counter inputs: Ops = "input runs consumed",
+        /// Also the prefetch depth the executor keeps in flight.
+        Peak fan_in: Ops = "widest merge: inputs contributing blocks",
+        Counter blocks_moved: Ops = "data blocks relinked verbatim, without decoding",
+        Counter blocks_merged: Ops = "data blocks decoded and fed through the k-way merge",
+        Counter bytes_moved: Bytes = "encoded bytes of the moved blocks",
+        Counter bytes_decoded: Bytes = "encoded bytes that had to be decoded (the overlap cost)",
+        Counter entries_out: Ops = "entries written to output runs",
+        /// Streaming compaction (§3.3) bounds this by `fan_in +
+        /// block_entries`, independent of `entries_out`.
+        Peak peak_merge_entries: Ops = "most update records resident in the merge pipeline at once",
+    }
 }
 
 impl MergeReport {
-    /// Fold another report into this one (for cumulative engine
-    /// statistics across many merges).
-    pub fn absorb(&mut self, other: &MergeReport) {
-        self.inputs += other.inputs;
-        self.fan_in = self.fan_in.max(other.fan_in);
-        self.blocks_moved += other.blocks_moved;
-        self.blocks_merged += other.blocks_merged;
-        self.bytes_moved += other.bytes_moved;
-        self.bytes_decoded += other.bytes_decoded;
-        self.entries_out += other.entries_out;
-        self.peak_merge_entries = self.peak_merge_entries.max(other.peak_merge_entries);
-    }
-
     /// Fraction of processed bytes that avoided decoding (1.0 = pure
     /// move, 0.0 = full decode; 0.0 when nothing was processed).
     #[must_use]
     pub fn move_ratio(&self) -> f64 {
-        let total = self.bytes_moved + self.bytes_decoded;
-        if total == 0 {
-            return 0.0;
+        match self.bytes_moved + self.bytes_decoded {
+            0 => 0.0,
+            total => self.bytes_moved as f64 / total as f64,
         }
-        self.bytes_moved as f64 / total as f64
     }
+}
 
-    /// Difference between two cumulative reports (self - earlier): the
-    /// merge work done in the interval. `fan_in` is carried from `self`
-    /// — it is a high-water mark, not a counter.
-    #[must_use]
-    pub fn delta(&self, earlier: &MergeReport) -> MergeReport {
-        MergeReport {
-            inputs: self.inputs - earlier.inputs,
-            fan_in: self.fan_in,
-            blocks_moved: self.blocks_moved - earlier.blocks_moved,
-            blocks_merged: self.blocks_merged - earlier.blocks_merged,
-            bytes_moved: self.bytes_moved - earlier.bytes_moved,
-            bytes_decoded: self.bytes_decoded - earlier.bytes_decoded,
-            entries_out: self.entries_out - earlier.entries_out,
-            // Like fan_in: a high-water mark, carried from `self`.
-            peak_merge_entries: self.peak_merge_entries,
-        }
+stat_family! {
+    /// Occupancy of the in-memory update buffer.
+    pub struct BufferStats {
+        Level updates: Ops = "buffered update records",
+        Level bytes: Bytes = "encoded bytes of the buffered updates",
+        Level capacity_bytes: Bytes = "buffer capacity, including stolen query pages",
+    }
+}
+
+stat_family! {
+    /// The materialized-run set.
+    pub struct RunSetStats {
+        Level count: Ops = "live materialized runs",
+        Level cached_bytes: Bytes = "SSD bytes occupied by live runs",
+        Level ssd_capacity_bytes: Bytes = "configured SSD update-cache capacity",
+    }
+}
+
+stat_family! {
+    /// Background worker-pool occupancy and lifetime counters; all zero
+    /// for an inline engine (`background_workers = 0`). The shards of
+    /// one engine share one pool, so the pool-wide levels are peaks.
+    pub struct WorkerStats {
+        Peak threads: Ops = "configured background worker threads",
+        Peak queue_depth: Ops = "jobs waiting in the backlog queue",
+        /// What the ingest backpressure gate bounds.
+        Peak backlog_bytes: Bytes = "bytes of sealed update batches awaiting a background flush",
+        Counter jobs_completed: Ops = "jobs completed",
+        Counter jobs_retried: Ops = "jobs retried after a transient failure",
+        Counter jobs_failed: Ops = "jobs abandoned after exhausting retries",
+        Counter flushes: Ops = "background flushes materialized",
+        Counter merges: Ops = "background merges completed",
+        Counter migrations: Ops = "background migrations completed",
+        /// 0 when no query is active.
+        Peak epoch_lag: Ops = "publish epochs the oldest pinned query snapshot trails the engine by",
     }
 }
 
@@ -762,112 +582,62 @@ mod tests {
         assert!(w.cv.abs() < 1e-9, "perfectly even wear");
     }
 
+    /// The three aggregation rules, on the one family that has all of
+    /// them (the all-families algebra is property-tested over `FIELDS`
+    /// in `masm-telemetry`).
     #[test]
-    fn delta_subtracts() {
+    fn kinds_drive_delta_and_merge() {
         let mut s = IoStats::default();
-        s.record(AccessKind::Read, 10, true, 5, 0, 0);
+        s.record(AccessKind::Write, 10, true, 5, 0, 4096);
+        s.record_queue_depth(2);
         let a = s.snapshot();
-        s.record(AccessKind::Read, 30, true, 5, 0, 0);
+        s.record(AccessKind::Write, 30, true, 5, 4096, 4096);
+        s.record_queue_depth(1);
         let b = s.snapshot();
         let d = b.delta(&a);
-        assert_eq!(d.read_ops, 1);
-        assert_eq!(d.bytes_read, 30);
+        assert_eq!((d.write_ops, d.bytes_written), (1, 30), "counters subtract");
+        assert_eq!(d.max_queue_depth, 2, "peak carried");
+        assert_eq!(d.touched_blocks, 2, "level carried");
+        let m = a.merge(&b);
+        assert_eq!(m.write_ops, 3, "counters add");
+        assert_eq!(m.touched_blocks, 3, "levels add");
+        assert_eq!(m.max_queue_depth, 2, "peaks take the larger");
+        assert_eq!(IoStatsSnapshot::FIELDS.len(), 12);
+        assert_eq!(b.get(3), b.bytes_written);
     }
 
     #[test]
-    fn cache_stats_roundtrip() {
+    fn cache_recorder_snapshots_and_resets_counters_only() {
         let s = CacheStats::default();
-        s.record_hit();
-        s.record_hit();
-        s.record_miss();
-        s.record_insertion();
-        s.record_eviction();
+        s.hits.fetch_add(2, Ordering::Relaxed);
+        s.misses.fetch_add(1, Ordering::Relaxed);
+        s.meta_bytes.fetch_add(64, Ordering::Relaxed);
         let snap = s.snapshot();
-        assert_eq!(snap.hits, 2);
-        assert_eq!(snap.misses, 1);
-        assert_eq!(snap.insertions, 1);
-        assert_eq!(snap.evictions, 1);
+        assert_eq!((snap.hits, snap.misses, snap.meta_bytes), (2, 1, 64));
         assert!((snap.hit_rate() - 2.0 / 3.0).abs() < 1e-9);
-        let later = {
-            s.record_miss();
-            s.snapshot()
-        };
-        assert_eq!(later.delta(&snap).misses, 1);
-        s.reset();
-        assert_eq!(s.snapshot(), CacheStatsSnapshot::default());
         assert_eq!(CacheStatsSnapshot::default().hit_rate(), 0.0);
+        s.reset();
+        let snap = s.snapshot();
+        assert_eq!((snap.hits, snap.misses), (0, 0));
+        assert_eq!(snap.meta_bytes, 64, "a level survives the counter reset");
     }
 
     #[test]
-    fn compression_report_absorb_ratio_and_savings() {
-        let mut total = CompressionReport::default();
-        assert_eq!(total.ratio(), 1.0, "idle report is neutral");
-        assert_eq!(total.savings(), 0.0);
-        total.absorb(&CompressionReport {
-            runs: 1,
-            blocks: 4,
-            raw_bytes: 1000,
-            stored_bytes: 600,
-            blocks_identity: 1,
-            blocks_delta: 2,
-            blocks_lz: 1,
-            codec_trials: 4,
-            codec_trials_saved: 4,
-            lz_probes_skipped: 1,
-        });
-        total.absorb(&CompressionReport {
-            runs: 1,
-            blocks: 2,
-            raw_bytes: 1000,
-            stored_bytes: 400,
-            blocks_lz: 2,
-            ..CompressionReport::default()
-        });
-        assert_eq!(total.runs, 2);
-        assert_eq!(total.blocks, 6);
-        assert_eq!(total.blocks_lz, 3);
-        assert_eq!(total.codec_trials, 4);
-        assert_eq!(total.codec_trials_saved, 4);
-        assert_eq!(total.lz_probes_skipped, 1);
-        assert!((total.ratio() - 0.5).abs() < 1e-9);
-        assert!((total.savings() - 0.5).abs() < 1e-9);
-        let grown = CompressionReport {
-            raw_bytes: 100,
-            stored_bytes: 120,
+    fn derived_ratios() {
+        assert_eq!(CompressionReport::default().ratio(), 1.0, "idle is neutral");
+        let half = CompressionReport {
+            raw_bytes: 2000,
+            stored_bytes: 1000,
             ..CompressionReport::default()
         };
-        assert_eq!(grown.savings(), 0.0, "growth floors at zero savings");
-    }
-
-    #[test]
-    fn merge_report_absorb_and_ratio() {
-        let mut total = MergeReport::default();
-        assert_eq!(total.move_ratio(), 0.0);
-        total.absorb(&MergeReport {
-            inputs: 2,
-            fan_in: 2,
-            blocks_moved: 3,
-            blocks_merged: 1,
-            bytes_moved: 300,
+        assert!((half.ratio() - 0.5).abs() < 1e-9);
+        assert_eq!(MergeReport::default().move_ratio(), 0.0);
+        let m = MergeReport {
+            bytes_moved: 400,
             bytes_decoded: 100,
-            entries_out: 40,
-            peak_merge_entries: 7,
-        });
-        total.absorb(&MergeReport {
-            inputs: 3,
-            fan_in: 3,
-            blocks_moved: 1,
-            blocks_merged: 0,
-            bytes_moved: 100,
-            bytes_decoded: 0,
-            entries_out: 10,
-            peak_merge_entries: 3,
-        });
-        assert_eq!(total.inputs, 5);
-        assert_eq!(total.fan_in, 3);
-        assert_eq!(total.blocks_moved, 4);
-        assert_eq!(total.entries_out, 50);
-        assert!((total.move_ratio() - 0.8).abs() < 1e-9);
+            ..MergeReport::default()
+        };
+        assert!((m.move_ratio() - 0.8).abs() < 1e-9);
     }
 
     #[test]

@@ -45,12 +45,10 @@ pub mod timeseries;
 pub mod trace;
 
 pub use json::JsonValue;
+pub use masm_storage::{BufferStats, RunSetStats, WorkerStats};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, Unit, HISTOGRAM_BUCKETS};
 pub use registry::{Metric, Registry};
-pub use stats::{
-    BufferStats, EngineStats, OpCountDelta, OpCountDeltas, OpLatencies, RunSetStats, StatsDelta,
-    WorkerStats,
-};
+pub use stats::{EngineStats, OpCountDelta, OpCountDeltas, OpLatencies, StatsDelta};
 pub use timer::Timer;
 pub use timeseries::{ClockSource, NdjsonWriter, TimeSeriesWriter, WallClock};
 pub use trace::{

@@ -4,30 +4,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// The unit a metric is reported in. Stated explicitly so exported
-/// numbers are never ambiguous (see the crate-level Units section).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Unit {
-    /// A count of operations or events.
-    Ops,
-    /// Bytes.
-    Bytes,
-    /// Virtual nanoseconds on the shared simulated clock (wall-clock
-    /// nanoseconds when driven against real hardware).
-    VirtualNs,
-}
-
-impl Unit {
-    /// Stable lowercase label used in exported metric catalogs.
-    #[must_use]
-    pub fn label(&self) -> &'static str {
-        match self {
-            Unit::Ops => "ops",
-            Unit::Bytes => "bytes",
-            Unit::VirtualNs => "virtual-ns",
-        }
-    }
-}
+pub use masm_storage::Unit;
 
 /// A monotonically increasing event count (unit: whatever its
 /// [`Registry`](crate::Registry) entry declares, typically ops or

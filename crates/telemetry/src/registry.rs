@@ -9,6 +9,8 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex, PoisonError};
 
+use masm_storage::StatFamily;
+
 use crate::metrics::{bucket_upper_bound, Counter, Gauge, Histogram, Unit};
 
 /// One registered metric, tagged with its kind.
@@ -170,6 +172,27 @@ impl Registry {
         self.len() == 0
     }
 
+    /// Copy this registry's `family.<field>` counters and gauges into
+    /// the same-named fields of `out`; fields with no registered metric
+    /// are left as they are.
+    pub fn read_family<F: StatFamily>(&self, family: &str, out: &mut F) {
+        let prefix = format!("{family}.");
+        let entries = self.entries.lock().unwrap_or_else(PoisonError::into_inner);
+        for (key, e) in entries.iter() {
+            let Some(name) = key.strip_prefix(&prefix) else {
+                continue;
+            };
+            let value = match &e.metric {
+                Metric::Counter(c) => c.get(),
+                Metric::Gauge(g) => g.get(),
+                Metric::Histogram(_) => continue,
+            };
+            if let Some(i) = F::FIELDS.iter().position(|f| f.name == name) {
+                out.set(i, value);
+            }
+        }
+    }
+
     /// Render every registered metric as Prometheus / OpenMetrics text
     /// exposition, ending with `# EOF`.
     ///
@@ -184,49 +207,71 @@ impl Registry {
     #[must_use]
     pub fn render_openmetrics(&self) -> String {
         let mut out = String::new();
-        self.for_each(|key, metric, unit, help| {
-            let mut name = key.replace('.', "_");
-            let suffix = match unit {
-                Unit::Ops => "",
-                Unit::Bytes => "_bytes",
-                Unit::VirtualNs => "_virtual_ns",
-            };
-            if !suffix.is_empty() && !name.ends_with(suffix) {
-                name.push_str(suffix);
-            }
-            if !help.is_empty() {
-                let _ = writeln!(out, "# HELP {name} {help}");
-            }
-            match metric {
-                Metric::Counter(c) => {
-                    let _ = writeln!(out, "# TYPE {name} counter");
-                    let _ = writeln!(out, "{name}_total {}", c.get());
-                }
-                Metric::Gauge(g) => {
-                    let _ = writeln!(out, "# TYPE {name} gauge");
-                    let _ = writeln!(out, "{name} {}", g.get());
-                }
-                Metric::Histogram(h) => {
-                    let s = h.snapshot();
-                    let _ = writeln!(out, "# TYPE {name} histogram");
-                    let top = s.buckets.iter().rposition(|&n| n > 0).map_or(0, |i| i + 1);
-                    let mut cumulative = 0u64;
-                    for (i, &n) in s.buckets.iter().enumerate().take(top) {
-                        cumulative += n;
-                        let _ = writeln!(
-                            out,
-                            "{name}_bucket{{le=\"{}\"}} {cumulative}",
-                            bucket_upper_bound(i)
-                        );
-                    }
-                    let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {}", s.count);
-                    let _ = writeln!(out, "{name}_sum {}", s.sum);
-                    let _ = writeln!(out, "{name}_count {}", s.count);
-                }
-            }
-        });
+        self.render_into(&mut out);
         out.push_str("# EOF\n");
         out
+    }
+
+    /// [`Registry::render_openmetrics`] without the `# EOF` trailer.
+    pub(crate) fn render_into(&self, out: &mut String) {
+        self.for_each(|key, metric, unit, help| match metric {
+            Metric::Counter(c) => write_sample(out, key, unit, help, true, c.get()),
+            Metric::Gauge(g) => write_sample(out, key, unit, help, false, g.get()),
+            Metric::Histogram(h) => {
+                let name = write_header(out, key, unit, help, "histogram");
+                let s = h.snapshot();
+                let top = s.buckets.iter().rposition(|&n| n > 0).map_or(0, |i| i + 1);
+                let mut cumulative = 0u64;
+                for (i, &n) in s.buckets.iter().enumerate().take(top) {
+                    cumulative += n;
+                    let _ = writeln!(
+                        out,
+                        "{name}_bucket{{le=\"{}\"}} {cumulative}",
+                        bucket_upper_bound(i)
+                    );
+                }
+                let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {}", s.count);
+                let _ = writeln!(out, "{name}_sum {}", s.sum);
+                let _ = writeln!(out, "{name}_count {}", s.count);
+            }
+        });
+    }
+}
+
+/// Write the `# HELP` / `# TYPE` lines of metric `key` (`family.name`)
+/// and return its exposition name.
+fn write_header(out: &mut String, key: &str, unit: Unit, help: &str, kind: &str) -> String {
+    let mut name = key.replace('.', "_");
+    let suffix = match unit {
+        Unit::Ops => "",
+        Unit::Bytes => "_bytes",
+        Unit::VirtualNs => "_virtual_ns",
+    };
+    if !name.ends_with(suffix) {
+        name.push_str(suffix);
+    }
+    if !help.is_empty() {
+        let _ = writeln!(out, "# HELP {name} {help}");
+    }
+    let _ = writeln!(out, "# TYPE {name} {kind}");
+    name
+}
+
+/// One counter (`_total` sample) or gauge in OpenMetrics text form.
+pub(crate) fn write_sample(
+    out: &mut String,
+    key: &str,
+    unit: Unit,
+    help: &str,
+    counter: bool,
+    value: u64,
+) {
+    if counter {
+        let name = write_header(out, key, unit, help, "counter");
+        let _ = writeln!(out, "{name}_total {value}");
+    } else {
+        let name = write_header(out, key, unit, help, "gauge");
+        let _ = writeln!(out, "{name} {value}");
     }
 }
 

@@ -2,152 +2,134 @@
 //! the monotonic difference between two snapshots.
 //!
 //! One `MasmEngine::stats()` call returns everything the paper's
-//! quantitative invariants need, composed from the per-subsystem
-//! reports that previously lived in four disconnected structs: cache
-//! ([`CacheStatsSnapshot`]), merge ([`MergeReport`]), compression
-//! ([`CompressionReport`]), device I/O + wear ([`IoStatsSnapshot`],
-//! [`WearStats`]), buffer occupancy, and per-operation latency
-//! histograms. `StatsDelta = now − prev` makes rates first-class:
-//! benches poll snapshots and report updates/s or bytes/s without
-//! re-plumbing counters by hand.
+//! quantitative invariants need, composed from the statistics families
+//! declared in [`masm_storage::stats`] (buffer, runs, cache, merge,
+//! compression, device I/O, workers) plus the SSD wear summary and the
+//! per-operation latency histograms. `StatsDelta = now − prev` makes
+//! rates first-class. The JSON codec and the OpenMetrics rendering are
+//! written once, over [`StatFamily::FIELDS`].
 
 use masm_storage::{
-    CacheStatsSnapshot, CompressionReport, IoStatsSnapshot, MergeReport, WearStats,
+    BufferStats, CacheStatsSnapshot, CompressionReport, IoStatsSnapshot, MergeReport, RunSetStats,
+    StatFamily, StatField, StatKind, WearStats, WorkerStats,
 };
 
 use crate::json::{JsonObj, JsonValue};
 use crate::metrics::HistogramSnapshot;
+use crate::registry::{write_sample, Registry};
 
-/// Occupancy of the in-memory update buffer at snapshot time.
+/// Count/sum delta of one latency family between two snapshots.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BufferStats {
-    /// Buffered update records (unit: ops).
-    pub updates: u64,
-    /// Encoded bytes of the buffered updates (unit: bytes).
-    pub bytes: u64,
-    /// Current buffer capacity, including stolen query pages
-    /// (unit: bytes).
-    pub capacity_bytes: u64,
-}
-
-impl BufferStats {
-    /// Combine per-shard buffer occupancies: every field adds — each
-    /// shard owns an independent buffer, so the sum is the machine-wide
-    /// buffered footprint.
-    #[must_use]
-    pub fn merge(&self, other: &BufferStats) -> BufferStats {
-        BufferStats {
-            updates: self.updates + other.updates,
-            bytes: self.bytes + other.bytes,
-            capacity_bytes: self.capacity_bytes + other.capacity_bytes,
-        }
-    }
-}
-
-/// The materialized-run set at snapshot time.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RunSetStats {
-    /// Live materialized runs (unit: ops).
+pub struct OpCountDelta {
+    /// Operations in the interval (unit: ops).
     pub count: u64,
-    /// SSD bytes occupied by live runs (unit: bytes).
-    pub cached_bytes: u64,
-    /// Configured SSD update-cache capacity (unit: bytes).
-    pub ssd_capacity_bytes: u64,
+    /// Total latency in the interval (unit: virtual-ns).
+    pub sum_ns: u64,
 }
 
-impl RunSetStats {
-    /// Combine per-shard run sets: counts, occupancy, and capacity all
-    /// add (shards hold disjoint runs on disjoint flash slices).
+impl OpCountDelta {
+    /// The histogram `sum` wraps mod 2⁶⁴ by its recording semantics, so
+    /// the interval sum is the wrapping difference.
+    fn between(earlier: &HistogramSnapshot, now: &HistogramSnapshot) -> Self {
+        OpCountDelta {
+            count: now.count - earlier.count,
+            sum_ns: now.sum.wrapping_sub(earlier.sum),
+        }
+    }
+
+    fn to_json(self) -> String {
+        let mut o = JsonObj::new();
+        o.u64("count", self.count).u64("sum_ns", self.sum_ns);
+        o.finish()
+    }
+
+    fn from_json(v: &JsonValue) -> Option<Self> {
+        Some(OpCountDelta {
+            count: v.get_u64("count")?,
+            sum_ns: v.get_u64("sum_ns")?,
+        })
+    }
+
+    /// Combine per-shard interval deltas (counts and latency sums add).
     #[must_use]
-    pub fn merge(&self, other: &RunSetStats) -> RunSetStats {
-        RunSetStats {
+    pub fn merge(&self, other: &OpCountDelta) -> OpCountDelta {
+        OpCountDelta {
             count: self.count + other.count,
-            cached_bytes: self.cached_bytes + other.cached_bytes,
-            ssd_capacity_bytes: self.ssd_capacity_bytes + other.ssd_capacity_bytes,
+            sum_ns: self.sum_ns.wrapping_add(other.sum_ns),
         }
     }
 }
 
-/// Background worker-pool occupancy and lifetime counters at snapshot
-/// time. All zero for an inline engine (`background_workers = 0`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WorkerStats {
-    /// Configured background worker threads (unit: ops).
-    pub threads: u64,
-    /// Jobs waiting in the backlog queue right now (gauge; unit: ops).
-    pub queue_depth: u64,
-    /// Bytes of sealed update batches awaiting a background flush
-    /// (gauge; unit: bytes). This is what the ingest backpressure gate
-    /// bounds.
-    pub backlog_bytes: u64,
-    /// Jobs completed since construction (unit: ops).
-    pub jobs_completed: u64,
-    /// Jobs retried after a transient failure (unit: ops).
-    pub jobs_retried: u64,
-    /// Jobs abandoned after exhausting retries (unit: ops).
-    pub jobs_failed: u64,
-    /// Background flushes materialized (unit: ops).
-    pub flushes: u64,
-    /// Background merges completed (unit: ops).
-    pub merges: u64,
-    /// Background migrations completed (unit: ops).
-    pub migrations: u64,
-    /// Timestamps issued since the oldest still-active query pinned its
-    /// snapshot (gauge): how far the engine's epoch has advanced past
-    /// its oldest reader. 0 when no query is active.
-    pub epoch_lag: u64,
-}
-
-/// Latency histograms for every public engine operation, recorded at
-/// the hot paths by [`crate::Timer`] guards. All samples are
-/// **virtual-ns**.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct OpLatencies {
-    /// One `apply_update` call (includes any flush it triggered).
-    pub ingest: HistogramSnapshot,
-    /// One point lookup (`get`).
-    pub get: HistogramSnapshot,
-    /// One record yielded by a merged range scan (`MergeScan::next`).
-    pub scan_next: HistogramSnapshot,
-    /// One buffer flush that materialized a run.
-    pub flush: HistogramSnapshot,
-    /// One full or partial migration.
-    pub migrate: HistogramSnapshot,
-    /// One block obtained by a run scan (cache hit ≈ 0, miss = device
-    /// wait), recorded inside `masm-blockrun`.
-    pub block_fetch: HistogramSnapshot,
-}
-
-impl OpLatencies {
-    /// Visit each histogram with its stable family name.
-    pub fn for_each(&self, mut f: impl FnMut(&'static str, &HistogramSnapshot)) {
-        f("ingest", &self.ingest);
-        f("get", &self.get);
-        f("scan_next", &self.scan_next);
-        f("flush", &self.flush);
-        f("migrate", &self.migrate);
-        f("block_fetch", &self.block_fetch);
-    }
-
-    /// Combine per-shard latency families bucket-wise (see
-    /// [`HistogramSnapshot::merge`]): the global histogram of the
-    /// union of both shards' samples.
-    #[must_use]
-    pub fn merge(&self, other: &OpLatencies) -> OpLatencies {
-        OpLatencies {
-            ingest: self.ingest.merge(&other.ingest),
-            get: self.get.merge(&other.get),
-            scan_next: self.scan_next.merge(&other.scan_next),
-            flush: self.flush.merge(&other.flush),
-            migrate: self.migrate.merge(&other.migrate),
-            block_fetch: self.block_fetch.merge(&other.block_fetch),
+/// Declare the public engine operations once: [`OpLatencies`] (one
+/// histogram each) and [`OpCountDeltas`] (one interval delta each).
+macro_rules! op_families {
+    ($($op:ident = $help:literal),* $(,)?) => {
+        /// Latency histograms for every public engine operation,
+        /// recorded at the hot paths by [`crate::Timer`] guards. All
+        /// samples are **virtual-ns**.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct OpLatencies {
+            $(#[doc = $help] pub $op: HistogramSnapshot,)*
         }
-    }
+
+        /// Per-operation count/sum deltas (fields mirror [`OpLatencies`]).
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct OpCountDeltas {
+            $(#[doc = $help] pub $op: OpCountDelta,)*
+        }
+
+        impl OpLatencies {
+            /// Visit each histogram with its stable family name.
+            pub fn for_each(&self, mut f: impl FnMut(&'static str, &HistogramSnapshot)) {
+                $(f(stringify!($op), &self.$op);)*
+            }
+
+            /// Combine per-shard latency families bucket-wise (see
+            /// [`HistogramSnapshot::merge`]).
+            #[must_use]
+            pub fn merge(&self, other: &OpLatencies) -> OpLatencies {
+                OpLatencies { $($op: self.$op.merge(&other.$op),)* }
+            }
+
+            fn delta(&self, earlier: &OpLatencies) -> OpCountDeltas {
+                OpCountDeltas { $($op: OpCountDelta::between(&earlier.$op, &self.$op),)* }
+            }
+        }
+
+        impl OpCountDeltas {
+            /// Combine per-shard interval deltas family-wise.
+            #[must_use]
+            pub fn merge(&self, other: &OpCountDeltas) -> OpCountDeltas {
+                OpCountDeltas { $($op: self.$op.merge(&other.$op),)* }
+            }
+
+            fn to_json(self) -> String {
+                let mut o = JsonObj::new();
+                $(o.raw(stringify!($op), &self.$op.to_json());)*
+                o.finish()
+            }
+
+            fn from_json(v: &JsonValue) -> Option<Self> {
+                Some(OpCountDeltas {
+                    $($op: OpCountDelta::from_json(v.get(stringify!($op))?)?,)*
+                })
+            }
+        }
+    };
 }
 
-/// The unified engine snapshot. All counter fields are cumulative since
-/// engine construction; gauges (buffer, runs, cache byte levels) are
-/// levels at `at_ns`.
+op_families! {
+    ingest = "One `apply_update` call (includes any flush it triggered).",
+    get = "One point lookup (`get`).",
+    scan_next = "One record yielded by a merged range scan (`MergeScan::next`).",
+    flush = "One buffer flush that materialized a run.",
+    migrate = "One full or partial migration.",
+    block_fetch = "One block obtained by a run scan (cache hit ≈ 0, miss = device wait).",
+}
+
+/// The unified engine snapshot. Counter fields are cumulative since
+/// engine construction; levels (buffer, runs, cache bytes) are as of
+/// `at_ns`.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EngineStats {
     /// Virtual time of the snapshot (unit: virtual-ns).
@@ -160,7 +142,7 @@ pub struct EngineStats {
     pub buffer: BufferStats,
     /// Materialized-run set occupancy.
     pub runs: RunSetStats,
-    /// Block-cache counters and byte gauges.
+    /// Block-cache counters and byte levels.
     pub cache: CacheStatsSnapshot,
     /// Cumulative planned-merge totals.
     pub merge: MergeReport,
@@ -178,6 +160,33 @@ pub struct EngineStats {
     pub ops: OpLatencies,
 }
 
+/// One [`StatFamily`] member of an [`EngineStats`]: its JSON key, its
+/// field roster, and the field values in roster order.
+pub type FamilyRow = (&'static str, &'static [StatField], Vec<u64>);
+
+/// A family as a JSON object: one key per field, in declaration order,
+/// then the `derived` ratios.
+fn family_json<F: StatFamily>(f: &F, derived: &[(&str, f64)]) -> String {
+    let mut o = JsonObj::new();
+    for (i, field) in F::FIELDS.iter().enumerate() {
+        o.u64(field.name, f.get(i));
+    }
+    for (key, v) in derived {
+        o.f64(key, *v);
+    }
+    o.finish()
+}
+
+/// Inverse of [`family_json`] (derived keys are ignored); `None` on any
+/// missing or mistyped field.
+fn family_from_json<F: StatFamily>(v: &JsonValue) -> Option<F> {
+    let mut out = F::default();
+    for (i, field) in F::FIELDS.iter().enumerate() {
+        out.set(i, v.get_u64(field.name)?);
+    }
+    Some(out)
+}
+
 fn hist_json(h: &HistogramSnapshot) -> String {
     let mut o = JsonObj::new();
     o.u64("count", h.count)
@@ -190,229 +199,13 @@ fn hist_json(h: &HistogramSnapshot) -> String {
     o.finish()
 }
 
-fn io_json(s: &IoStatsSnapshot) -> String {
-    let mut o = JsonObj::new();
-    o.u64("read_ops", s.read_ops)
-        .u64("write_ops", s.write_ops)
-        .u64("bytes_read", s.bytes_read)
-        .u64("bytes_written", s.bytes_written)
-        .u64("sequential_ops", s.sequential_ops)
-        .u64("random_ops", s.random_ops)
-        .u64("random_writes", s.random_writes)
-        .u64("busy_ns", s.busy_ns)
-        .u64("max_queue_depth", s.max_queue_depth)
-        .u64("queue_depth_sum", s.queue_depth_sum)
-        .u64("max_block_wear", s.max_block_wear)
-        .u64("touched_blocks", s.touched_blocks);
-    o.finish()
-}
-
-fn io_from_json(v: &JsonValue) -> Option<IoStatsSnapshot> {
-    Some(IoStatsSnapshot {
-        read_ops: v.get_u64("read_ops")?,
-        write_ops: v.get_u64("write_ops")?,
-        bytes_read: v.get_u64("bytes_read")?,
-        bytes_written: v.get_u64("bytes_written")?,
-        sequential_ops: v.get_u64("sequential_ops")?,
-        random_ops: v.get_u64("random_ops")?,
-        random_writes: v.get_u64("random_writes")?,
-        busy_ns: v.get_u64("busy_ns")?,
-        max_queue_depth: v.get_u64("max_queue_depth")?,
-        queue_depth_sum: v.get_u64("queue_depth_sum")?,
-        max_block_wear: v.get_u64("max_block_wear")?,
-        touched_blocks: v.get_u64("touched_blocks")?,
-    })
-}
-
-fn cache_json(c: &CacheStatsSnapshot) -> String {
-    let mut o = JsonObj::new();
-    o.u64("hits", c.hits)
-        .u64("misses", c.misses)
-        .u64("insertions", c.insertions)
-        .u64("evictions", c.evictions)
-        .u64("promotions", c.promotions)
-        .u64("demotions", c.demotions)
-        .u64("rejected", c.rejected)
-        .u64("tier2_hits", c.tier2_hits)
-        .u64("tier2_insertions", c.tier2_insertions)
-        .u64("tier2_evictions", c.tier2_evictions)
-        .u64("data_bytes", c.data_bytes)
-        .u64("probation_bytes", c.probation_bytes)
-        .u64("protected_bytes", c.protected_bytes)
-        .u64("meta_bytes", c.meta_bytes)
-        .u64("disk_bytes", c.disk_bytes)
-        .u64("tier2_bytes", c.tier2_bytes)
-        .f64("hit_rate", c.hit_rate());
-    o.finish()
-}
-
-fn cache_from_json(v: &JsonValue) -> Option<CacheStatsSnapshot> {
-    Some(CacheStatsSnapshot {
-        hits: v.get_u64("hits")?,
-        misses: v.get_u64("misses")?,
-        insertions: v.get_u64("insertions")?,
-        evictions: v.get_u64("evictions")?,
-        promotions: v.get_u64("promotions")?,
-        demotions: v.get_u64("demotions")?,
-        rejected: v.get_u64("rejected")?,
-        tier2_hits: v.get_u64("tier2_hits")?,
-        tier2_insertions: v.get_u64("tier2_insertions")?,
-        tier2_evictions: v.get_u64("tier2_evictions")?,
-        data_bytes: v.get_u64("data_bytes")?,
-        probation_bytes: v.get_u64("probation_bytes")?,
-        protected_bytes: v.get_u64("protected_bytes")?,
-        meta_bytes: v.get_u64("meta_bytes")?,
-        disk_bytes: v.get_u64("disk_bytes")?,
-        tier2_bytes: v.get_u64("tier2_bytes")?,
-    })
-}
-
-fn merge_json(m: &MergeReport) -> String {
-    let mut o = JsonObj::new();
-    o.u64("inputs", m.inputs as u64)
-        .u64("fan_in", m.fan_in as u64)
-        .u64("blocks_moved", m.blocks_moved)
-        .u64("blocks_merged", m.blocks_merged)
-        .u64("bytes_moved", m.bytes_moved)
-        .u64("bytes_decoded", m.bytes_decoded)
-        .u64("entries_out", m.entries_out)
-        .u64("peak_merge_entries", m.peak_merge_entries);
-    o.finish()
-}
-
-fn merge_from_json(v: &JsonValue) -> Option<MergeReport> {
-    Some(MergeReport {
-        inputs: v.get_u64("inputs")? as usize,
-        fan_in: v.get_u64("fan_in")? as usize,
-        blocks_moved: v.get_u64("blocks_moved")?,
-        blocks_merged: v.get_u64("blocks_merged")?,
-        bytes_moved: v.get_u64("bytes_moved")?,
-        bytes_decoded: v.get_u64("bytes_decoded")?,
-        entries_out: v.get_u64("entries_out")?,
-        peak_merge_entries: v.get_u64("peak_merge_entries")?,
-    })
-}
-
-fn compression_json(c: &CompressionReport) -> String {
-    let mut o = JsonObj::new();
-    o.u64("runs", c.runs)
-        .u64("blocks", c.blocks)
-        .u64("raw_bytes", c.raw_bytes)
-        .u64("stored_bytes", c.stored_bytes)
-        .u64("blocks_identity", c.blocks_identity)
-        .u64("blocks_delta", c.blocks_delta)
-        .u64("blocks_lz", c.blocks_lz)
-        .u64("codec_trials", c.codec_trials)
-        .u64("codec_trials_saved", c.codec_trials_saved)
-        .u64("lz_probes_skipped", c.lz_probes_skipped)
-        .f64("ratio", c.ratio());
-    o.finish()
-}
-
-fn compression_from_json(v: &JsonValue) -> Option<CompressionReport> {
-    Some(CompressionReport {
-        runs: v.get_u64("runs")?,
-        blocks: v.get_u64("blocks")?,
-        raw_bytes: v.get_u64("raw_bytes")?,
-        stored_bytes: v.get_u64("stored_bytes")?,
-        blocks_identity: v.get_u64("blocks_identity")?,
-        blocks_delta: v.get_u64("blocks_delta")?,
-        blocks_lz: v.get_u64("blocks_lz")?,
-        codec_trials: v.get_u64("codec_trials")?,
-        codec_trials_saved: v.get_u64("codec_trials_saved")?,
-        lz_probes_skipped: v.get_u64("lz_probes_skipped")?,
-    })
-}
-
-fn worker_json(w: &WorkerStats) -> String {
-    let mut o = JsonObj::new();
-    o.u64("threads", w.threads)
-        .u64("queue_depth", w.queue_depth)
-        .u64("backlog_bytes", w.backlog_bytes)
-        .u64("jobs_completed", w.jobs_completed)
-        .u64("jobs_retried", w.jobs_retried)
-        .u64("jobs_failed", w.jobs_failed)
-        .u64("flushes", w.flushes)
-        .u64("merges", w.merges)
-        .u64("migrations", w.migrations)
-        .u64("epoch_lag", w.epoch_lag);
-    o.finish()
-}
-
-fn worker_from_json(v: &JsonValue) -> Option<WorkerStats> {
-    Some(WorkerStats {
-        threads: v.get_u64("threads")?,
-        queue_depth: v.get_u64("queue_depth")?,
-        backlog_bytes: v.get_u64("backlog_bytes")?,
-        jobs_completed: v.get_u64("jobs_completed")?,
-        jobs_retried: v.get_u64("jobs_retried")?,
-        jobs_failed: v.get_u64("jobs_failed")?,
-        flushes: v.get_u64("flushes")?,
-        merges: v.get_u64("merges")?,
-        migrations: v.get_u64("migrations")?,
-        epoch_lag: v.get_u64("epoch_lag")?,
-    })
-}
-
-impl WorkerStats {
-    /// Difference between two snapshots (self − earlier). The gauges
-    /// (`threads`, `queue_depth`, `backlog_bytes`, `epoch_lag`) are
-    /// carried from `self`; the counters subtract.
-    #[must_use]
-    pub fn delta(&self, earlier: &WorkerStats) -> WorkerStats {
-        WorkerStats {
-            threads: self.threads,
-            queue_depth: self.queue_depth,
-            backlog_bytes: self.backlog_bytes,
-            jobs_completed: self.jobs_completed - earlier.jobs_completed,
-            jobs_retried: self.jobs_retried - earlier.jobs_retried,
-            jobs_failed: self.jobs_failed - earlier.jobs_failed,
-            flushes: self.flushes - earlier.flushes,
-            merges: self.merges - earlier.merges,
-            migrations: self.migrations - earlier.migrations,
-            epoch_lag: self.epoch_lag,
-        }
-    }
-
-    /// Combine per-shard worker views. The counters add (each shard's
-    /// jobs are counted by its own shard-tagged counters); the gauges
-    /// (`threads`, `queue_depth`, `backlog_bytes`) take the max — the
-    /// shards of one engine *share* one pool, so each reports the same
-    /// pool-wide level and summing would multiply it by the shard
-    /// count. `epoch_lag` takes the worst shard's lag.
-    #[must_use]
-    pub fn merge(&self, other: &WorkerStats) -> WorkerStats {
-        WorkerStats {
-            threads: self.threads.max(other.threads),
-            queue_depth: self.queue_depth.max(other.queue_depth),
-            backlog_bytes: self.backlog_bytes.max(other.backlog_bytes),
-            jobs_completed: self.jobs_completed + other.jobs_completed,
-            jobs_retried: self.jobs_retried + other.jobs_retried,
-            jobs_failed: self.jobs_failed + other.jobs_failed,
-            flushes: self.flushes + other.flushes,
-            merges: self.merges + other.merges,
-            migrations: self.migrations + other.migrations,
-            epoch_lag: self.epoch_lag.max(other.epoch_lag),
-        }
-    }
-}
-
-fn wear_json(w: &WearStats) -> String {
-    let mut o = JsonObj::new();
-    o.u64("max_writes_per_block", w.max_writes_per_block)
-        .f64("mean_writes_per_block", w.mean_writes_per_block)
-        .u64("blocks_touched", w.blocks_touched)
-        .f64("cv", w.cv);
-    o.finish()
-}
-
 impl EngineStats {
     /// One compact JSON object with every family nested under a stable
     /// key: `ingested`, `buffer`, `runs`, `cache`, `merge`,
-    /// `compression`, `ssd`, `ssd_wear`, `wal`, and `ops` (six latency
-    /// histograms). `random_writes` is additionally lifted to the top
-    /// level so the paper's zero-random-write invariant is greppable in
-    /// every NDJSON row.
+    /// `compression`, `ssd`, `ssd_wear`, `wal`, `workers`, and `ops`
+    /// (six latency histograms). `random_writes` is additionally lifted
+    /// to the top level so the paper's zero-random-write invariant is
+    /// greppable in every NDJSON row.
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut ops = JsonObj::new();
@@ -423,35 +216,81 @@ impl EngineStats {
         ingested
             .u64("updates", self.ingested_updates)
             .u64("bytes", self.ingested_bytes);
-        let mut buffer = JsonObj::new();
-        buffer
-            .u64("updates", self.buffer.updates)
-            .u64("bytes", self.buffer.bytes)
-            .u64("capacity_bytes", self.buffer.capacity_bytes);
-        let mut runs = JsonObj::new();
-        runs.u64("count", self.runs.count)
-            .u64("cached_bytes", self.runs.cached_bytes)
-            .u64("ssd_capacity_bytes", self.runs.ssd_capacity_bytes);
+        let mut wear = JsonObj::new();
+        wear.u64("max_writes_per_block", self.ssd_wear.max_writes_per_block)
+            .f64("mean_writes_per_block", self.ssd_wear.mean_writes_per_block)
+            .u64("blocks_touched", self.ssd_wear.blocks_touched)
+            .f64("cv", self.ssd_wear.cv);
         let mut o = JsonObj::new();
         o.u64("at_ns", self.at_ns)
             .u64("random_writes", self.ssd.random_writes)
             .raw("ingested", &ingested.finish())
-            .raw("buffer", &buffer.finish())
-            .raw("runs", &runs.finish())
-            .raw("cache", &cache_json(&self.cache))
-            .raw("merge", &merge_json(&self.merge))
-            .raw("compression", &compression_json(&self.compression))
-            .raw("ssd", &io_json(&self.ssd))
-            .raw("ssd_wear", &wear_json(&self.ssd_wear))
-            .raw("wal", &io_json(&self.wal))
-            .raw("workers", &worker_json(&self.workers))
+            .raw("buffer", &family_json(&self.buffer, &[]))
+            .raw("runs", &family_json(&self.runs, &[]))
+            .raw(
+                "cache",
+                &family_json(&self.cache, &[("hit_rate", self.cache.hit_rate())]),
+            )
+            .raw("merge", &family_json(&self.merge, &[]))
+            .raw(
+                "compression",
+                &family_json(&self.compression, &[("ratio", self.compression.ratio())]),
+            )
+            .raw("ssd", &family_json(&self.ssd, &[]))
+            .raw("ssd_wear", &wear.finish())
+            .raw("wal", &family_json(&self.wal, &[]))
+            .raw("workers", &family_json(&self.workers, &[]))
             .raw("ops", &ops.finish());
         o.finish()
     }
 
-    /// Monotonic difference `self − earlier`. Counter families
-    /// subtract; byte gauges (buffer, runs, cache levels) are *not*
-    /// carried into the delta — read them off the newer snapshot.
+    /// Every [`StatFamily`] member as `(JSON key, field roster, values)`
+    /// — how exporters, docs and tests walk the whole snapshot without
+    /// naming a field.
+    #[must_use]
+    pub fn families(&self) -> Vec<FamilyRow> {
+        fn row<F: StatFamily>(key: &'static str, f: &F) -> FamilyRow {
+            let values = (0..F::FIELDS.len()).map(|i| f.get(i)).collect();
+            (key, F::FIELDS, values)
+        }
+        vec![
+            row("buffer", &self.buffer),
+            row("runs", &self.runs),
+            row("cache", &self.cache),
+            row("merge", &self.merge),
+            row("compression", &self.compression),
+            row("ssd", &self.ssd),
+            row("wal", &self.wal),
+            row("workers", &self.workers),
+        ]
+    }
+
+    /// OpenMetrics text exposition of the whole engine: every family of
+    /// this snapshot as `<family>_<field>` samples (counters as
+    /// counters, levels and peaks as gauges), then every metric of
+    /// `registry`, which holds what a snapshot does not — the `op`
+    /// histograms and the `engine`, `worker`, `recovery`, `trace` and
+    /// `shard` families (so `workers` is left to it) — then `# EOF`.
+    #[must_use]
+    pub fn render_openmetrics(&self, registry: &Registry) -> String {
+        let mut out = String::new();
+        let in_snapshot = |row: &FamilyRow| row.0 != "workers";
+        for (family, fields, values) in self.families().into_iter().filter(in_snapshot) {
+            for (field, v) in fields.iter().zip(values) {
+                let key = format!("{family}.{}", field.name);
+                let counter = field.kind == StatKind::Counter;
+                write_sample(&mut out, &key, field.unit, field.help, counter, v);
+            }
+        }
+        registry.render_into(&mut out);
+        out.push_str("# EOF\n");
+        out
+    }
+
+    /// Monotonic difference `self − earlier`. Counters subtract; the
+    /// levels and peaks inside each family are carried from `self`; the
+    /// pure-level families (buffer, runs) are *not* carried into the
+    /// delta — read them off the newer snapshot.
     ///
     /// Panics (in debug builds) if `earlier` is actually newer: every
     /// cumulative counter must be monotone non-decreasing between two
@@ -468,25 +307,15 @@ impl EngineStats {
             ssd: self.ssd.delta(&earlier.ssd),
             wal: self.wal.delta(&earlier.wal),
             workers: self.workers.delta(&earlier.workers),
-            ops: OpCountDeltas {
-                ingest: OpCountDelta::between(&earlier.ops.ingest, &self.ops.ingest),
-                get: OpCountDelta::between(&earlier.ops.get, &self.ops.get),
-                scan_next: OpCountDelta::between(&earlier.ops.scan_next, &self.ops.scan_next),
-                flush: OpCountDelta::between(&earlier.ops.flush, &self.ops.flush),
-                migrate: OpCountDelta::between(&earlier.ops.migrate, &self.ops.migrate),
-                block_fetch: OpCountDelta::between(&earlier.ops.block_fetch, &self.ops.block_fetch),
-            },
+            ops: self.ops.delta(&earlier.ops),
         }
     }
 
     /// Combine two shards' snapshots into the global engine view: the
     /// snapshot a single engine covering both shards' work would have
-    /// produced. Counters and disjoint-resource gauges (buffer, runs,
-    /// cache bytes, flash capacity) add; high-water marks (`fan_in`,
-    /// queue depths, wear maxima) take the larger side; the wear
-    /// summary recombines exactly via moments
-    /// ([`WearStats::merge`](masm_storage::WearStats::merge)); worker
-    /// *pool* gauges take the max because shards share one pool.
+    /// produced. Every family merges by its fields' [`StatKind`]; the
+    /// wear summary recombines exactly via moments
+    /// ([`WearStats::merge`](masm_storage::WearStats::merge)).
     ///
     /// `merge` is associative and commutative, and commutes with
     /// [`EngineStats::delta`] when all snapshots are taken on one
@@ -495,10 +324,6 @@ impl EngineStats {
     /// summing per-shard deltas equals the delta of summed snapshots.
     #[must_use]
     pub fn merge(&self, other: &EngineStats) -> EngineStats {
-        let mut merge_totals = self.merge;
-        merge_totals.absorb(&other.merge);
-        let mut compression = self.compression;
-        compression.absorb(&other.compression);
         EngineStats {
             at_ns: self.at_ns.max(other.at_ns),
             ingested_updates: self.ingested_updates + other.ingested_updates,
@@ -506,8 +331,8 @@ impl EngineStats {
             buffer: self.buffer.merge(&other.buffer),
             runs: self.runs.merge(&other.runs),
             cache: self.cache.merge(&other.cache),
-            merge: merge_totals,
-            compression,
+            merge: self.merge.merge(&other.merge),
+            compression: self.compression.merge(&other.compression),
             ssd: self.ssd.merge(&other.ssd),
             ssd_wear: self.ssd_wear.merge(&other.ssd_wear),
             wal: self.wal.merge(&other.wal),
@@ -542,82 +367,11 @@ impl EngineStats {
     }
 }
 
-/// Count/sum delta of one latency family between two snapshots.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct OpCountDelta {
-    /// Operations in the interval (unit: ops).
-    pub count: u64,
-    /// Total latency in the interval (unit: virtual-ns).
-    pub sum_ns: u64,
-}
-
-impl OpCountDelta {
-    fn between(earlier: &HistogramSnapshot, now: &HistogramSnapshot) -> Self {
-        OpCountDelta {
-            count: now.count - earlier.count,
-            sum_ns: now.sum - earlier.sum,
-        }
-    }
-
-    fn to_json(self) -> String {
-        let mut o = JsonObj::new();
-        o.u64("count", self.count).u64("sum_ns", self.sum_ns);
-        o.finish()
-    }
-
-    fn from_json(v: &JsonValue) -> Option<Self> {
-        Some(OpCountDelta {
-            count: v.get_u64("count")?,
-            sum_ns: v.get_u64("sum_ns")?,
-        })
-    }
-
-    /// Combine per-shard interval deltas (counts and latency sums add).
-    #[must_use]
-    pub fn merge(&self, other: &OpCountDelta) -> OpCountDelta {
-        OpCountDelta {
-            count: self.count + other.count,
-            sum_ns: self.sum_ns.wrapping_add(other.sum_ns),
-        }
-    }
-}
-
-/// Per-operation count/sum deltas (fields mirror [`OpLatencies`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct OpCountDeltas {
-    /// `apply_update` calls.
-    pub ingest: OpCountDelta,
-    /// Point lookups.
-    pub get: OpCountDelta,
-    /// Scan records yielded.
-    pub scan_next: OpCountDelta,
-    /// Buffer flushes.
-    pub flush: OpCountDelta,
-    /// Migrations.
-    pub migrate: OpCountDelta,
-    /// Run-scan block fetches.
-    pub block_fetch: OpCountDelta,
-}
-
-impl OpCountDeltas {
-    /// Combine per-shard interval deltas family-wise.
-    #[must_use]
-    pub fn merge(&self, other: &OpCountDeltas) -> OpCountDeltas {
-        OpCountDeltas {
-            ingest: self.ingest.merge(&other.ingest),
-            get: self.get.merge(&other.get),
-            scan_next: self.scan_next.merge(&other.scan_next),
-            flush: self.flush.merge(&other.flush),
-            migrate: self.migrate.merge(&other.migrate),
-            block_fetch: self.block_fetch.merge(&other.block_fetch),
-        }
-    }
-}
-
 /// The monotonic difference between two [`EngineStats`] snapshots of
-/// one engine: every field is "what happened in the interval", so rates
-/// (e.g. [`StatsDelta::updates_per_sec`]) are first-class. Serializes
-/// to one JSON object and parses back exactly
+/// one engine: every counter is "what happened in the interval" (levels
+/// and peaks inside a family are carried from the newer snapshot), so
+/// rates (e.g. [`StatsDelta::updates_per_sec`]) are first-class.
+/// Serializes to one JSON object and parses back exactly
 /// ([`StatsDelta::from_json`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StatsDelta {
@@ -627,19 +381,17 @@ pub struct StatsDelta {
     pub ingested_updates: u64,
     /// Logical update bytes ingested (unit: bytes).
     pub ingested_bytes: u64,
-    /// Cache counter deltas (byte gauges carried from the newer
-    /// snapshot, as documented on [`CacheStatsSnapshot::delta`]).
+    /// Cache deltas.
     pub cache: CacheStatsSnapshot,
-    /// Merge-counter deltas (`fan_in` carried, it is a high-water mark).
+    /// Merge deltas.
     pub merge: MergeReport,
-    /// Compression-counter deltas.
+    /// Compression deltas.
     pub compression: CompressionReport,
-    /// SSD I/O deltas (wear fields carried, they are levels).
+    /// SSD I/O deltas.
     pub ssd: IoStatsSnapshot,
     /// WAL I/O deltas.
     pub wal: IoStatsSnapshot,
-    /// Worker-pool counter deltas (gauges carried, as documented on
-    /// [`WorkerStats::delta`]).
+    /// Worker-pool deltas.
     pub workers: WorkerStats,
     /// Per-operation count/latency-sum deltas.
     pub ops: OpCountDeltas,
@@ -657,23 +409,19 @@ impl StatsDelta {
     }
 
     /// Combine per-shard interval deltas into the global interval: the
-    /// same rules as [`EngineStats::merge`] applied to "what happened"
-    /// fields. `elapsed_ns` takes the max — per-shard snapshots of one
-    /// engine are cut on one shared clock, so the intervals coincide
-    /// and max (rather than sum) keeps rates honest.
+    /// same rules as [`EngineStats::merge`]. `elapsed_ns` takes the max
+    /// — per-shard snapshots of one engine are cut on one shared clock,
+    /// so the intervals coincide and max (rather than sum) keeps rates
+    /// honest.
     #[must_use]
     pub fn merge(&self, other: &StatsDelta) -> StatsDelta {
-        let mut merge_totals = self.merge;
-        merge_totals.absorb(&other.merge);
-        let mut compression = self.compression;
-        compression.absorb(&other.compression);
         StatsDelta {
             elapsed_ns: self.elapsed_ns.max(other.elapsed_ns),
             ingested_updates: self.ingested_updates + other.ingested_updates,
             ingested_bytes: self.ingested_bytes + other.ingested_bytes,
             cache: self.cache.merge(&other.cache),
-            merge: merge_totals,
-            compression,
+            merge: self.merge.merge(&other.merge),
+            compression: self.compression.merge(&other.compression),
             ssd: self.ssd.merge(&other.ssd),
             wal: self.wal.merge(&other.wal),
             workers: self.workers.merge(&other.workers),
@@ -681,38 +429,27 @@ impl StatsDelta {
         }
     }
 
-    /// SSD write bandwidth over the interval (unit: bytes per virtual
-    /// second).
-    #[must_use]
-    pub fn ssd_write_bytes_per_sec(&self) -> f64 {
-        if self.elapsed_ns == 0 {
-            return 0.0;
-        }
-        self.ssd.bytes_written as f64 * 1e9 / self.elapsed_ns as f64
-    }
-
     /// One compact JSON object; [`StatsDelta::from_json`] inverts it.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut ops = JsonObj::new();
-        ops.raw("ingest", &self.ops.ingest.to_json())
-            .raw("get", &self.ops.get.to_json())
-            .raw("scan_next", &self.ops.scan_next.to_json())
-            .raw("flush", &self.ops.flush.to_json())
-            .raw("migrate", &self.ops.migrate.to_json())
-            .raw("block_fetch", &self.ops.block_fetch.to_json());
         let mut o = JsonObj::new();
         o.u64("elapsed_ns", self.elapsed_ns)
             .u64("ingested_updates", self.ingested_updates)
             .u64("ingested_bytes", self.ingested_bytes)
             .f64("updates_per_sec", self.updates_per_sec())
-            .raw("cache", &cache_json(&self.cache))
-            .raw("merge", &merge_json(&self.merge))
-            .raw("compression", &compression_json(&self.compression))
-            .raw("ssd", &io_json(&self.ssd))
-            .raw("wal", &io_json(&self.wal))
-            .raw("workers", &worker_json(&self.workers))
-            .raw("ops", &ops.finish());
+            .raw(
+                "cache",
+                &family_json(&self.cache, &[("hit_rate", self.cache.hit_rate())]),
+            )
+            .raw("merge", &family_json(&self.merge, &[]))
+            .raw(
+                "compression",
+                &family_json(&self.compression, &[("ratio", self.compression.ratio())]),
+            )
+            .raw("ssd", &family_json(&self.ssd, &[]))
+            .raw("wal", &family_json(&self.wal, &[]))
+            .raw("workers", &family_json(&self.workers, &[]))
+            .raw("ops", &self.ops.to_json());
         o.finish()
     }
 
@@ -720,25 +457,17 @@ impl StatsDelta {
     /// `None` on any missing or mistyped field.
     #[must_use]
     pub fn from_json(v: &JsonValue) -> Option<StatsDelta> {
-        let ops = v.get("ops")?;
         Some(StatsDelta {
             elapsed_ns: v.get_u64("elapsed_ns")?,
             ingested_updates: v.get_u64("ingested_updates")?,
             ingested_bytes: v.get_u64("ingested_bytes")?,
-            cache: cache_from_json(v.get("cache")?)?,
-            merge: merge_from_json(v.get("merge")?)?,
-            compression: compression_from_json(v.get("compression")?)?,
-            ssd: io_from_json(v.get("ssd")?)?,
-            wal: io_from_json(v.get("wal")?)?,
-            workers: worker_from_json(v.get("workers")?)?,
-            ops: OpCountDeltas {
-                ingest: OpCountDelta::from_json(ops.get("ingest")?)?,
-                get: OpCountDelta::from_json(ops.get("get")?)?,
-                scan_next: OpCountDelta::from_json(ops.get("scan_next")?)?,
-                flush: OpCountDelta::from_json(ops.get("flush")?)?,
-                migrate: OpCountDelta::from_json(ops.get("migrate")?)?,
-                block_fetch: OpCountDelta::from_json(ops.get("block_fetch")?)?,
-            },
+            cache: family_from_json(v.get("cache")?)?,
+            merge: family_from_json(v.get("merge")?)?,
+            compression: family_from_json(v.get("compression")?)?,
+            ssd: family_from_json(v.get("ssd")?)?,
+            wal: family_from_json(v.get("wal")?)?,
+            workers: family_from_json(v.get("workers")?)?,
+            ops: OpCountDeltas::from_json(v.get("ops")?)?,
         })
     }
 }
@@ -749,120 +478,70 @@ mod tests {
     use crate::json::parse;
     use crate::metrics::Histogram;
 
+    /// A coherent snapshot that grows with `scale`: every family field
+    /// is `scale × (its index + 1)` except the cache's data-byte split,
+    /// which must add up.
     fn sample_stats(scale: u64) -> EngineStats {
+        fn fill<F: StatFamily>(scale: u64) -> F {
+            let mut f = F::default();
+            for i in 0..F::FIELDS.len() {
+                f.set(i, scale * (i as u64 + 1));
+            }
+            f
+        }
         let h = Histogram::new();
         for i in 0..scale {
             h.record(i * 100);
         }
         let hist = h.snapshot();
-        EngineStats {
+        let mut s = EngineStats {
             at_ns: 1_000_000 * scale,
             ingested_updates: 10 * scale,
             ingested_bytes: 1000 * scale,
-            buffer: BufferStats {
-                updates: 3,
-                bytes: 300,
-                capacity_bytes: 4096,
-            },
-            runs: RunSetStats {
-                count: 2,
-                cached_bytes: 8192,
-                ssd_capacity_bytes: 1 << 20,
-            },
-            cache: CacheStatsSnapshot {
-                hits: 5 * scale,
-                misses: scale,
-                data_bytes: 128,
-                probation_bytes: 100,
-                protected_bytes: 28,
-                ..CacheStatsSnapshot::default()
-            },
-            merge: MergeReport {
-                inputs: 2,
-                fan_in: 2,
-                blocks_moved: scale,
-                bytes_moved: 100 * scale,
-                ..MergeReport::default()
-            },
-            compression: CompressionReport {
-                runs: scale,
-                blocks: 4 * scale,
-                raw_bytes: 4000 * scale,
-                stored_bytes: 1500 * scale,
-                ..CompressionReport::default()
-            },
-            ssd: IoStatsSnapshot {
-                write_ops: 7 * scale,
-                bytes_written: 7000 * scale,
-                sequential_ops: 7 * scale,
-                busy_ns: 10_000 * scale,
-                ..IoStatsSnapshot::default()
-            },
+            buffer: fill(scale),
+            runs: fill(scale),
+            cache: fill(scale),
+            merge: fill(scale),
+            compression: fill(scale),
+            ssd: fill(scale),
             ssd_wear: WearStats {
                 max_writes_per_block: 3,
                 mean_writes_per_block: 1.5,
                 blocks_touched: 4,
                 cv: 0.3,
             },
-            wal: IoStatsSnapshot {
-                write_ops: 10 * scale,
-                bytes_written: 400 * scale,
-                ..IoStatsSnapshot::default()
-            },
-            workers: WorkerStats {
-                threads: 2,
-                jobs_completed: 3 * scale,
-                flushes: 2 * scale,
-                merges: scale,
-                ..WorkerStats::default()
-            },
-            ops: OpLatencies {
-                ingest: hist,
-                get: hist,
-                scan_next: hist,
-                flush: hist,
-                migrate: hist,
-                block_fetch: hist,
-            },
-        }
+            wal: fill(scale),
+            workers: fill(scale),
+            ops: OpLatencies::default(),
+        };
+        s.cache.data_bytes = s.cache.probation_bytes + s.cache.protected_bytes;
+        s.ops = OpLatencies {
+            ingest: hist,
+            get: hist,
+            ..s.ops
+        };
+        s
     }
 
     #[test]
     fn engine_stats_json_has_all_families() {
         let s = sample_stats(2);
         let v = parse(&s.to_json()).expect("EngineStats JSON parses");
-        for family in [
-            "ingested",
-            "buffer",
-            "runs",
-            "cache",
-            "merge",
-            "compression",
-            "ssd",
-            "ssd_wear",
-            "wal",
-            "workers",
-            "ops",
-        ] {
+        for (family, fields, values) in s.families() {
+            let obj = v.get(family).unwrap_or_else(|| panic!("missing {family}"));
+            for (f, value) in fields.iter().zip(values) {
+                assert_eq!(obj.get_u64(f.name), Some(value), "{family}.{}", f.name);
+            }
+        }
+        for family in ["ingested", "ssd_wear"] {
             assert!(v.get(family).is_some(), "missing family {family}");
         }
-        assert_eq!(
-            v.get_u64("random_writes"),
-            Some(0),
-            "top-level invariant field"
-        );
+        assert_eq!(v.get_u64("random_writes"), Some(s.ssd.random_writes));
         let ops = v.get("ops").unwrap();
-        for op in [
-            "ingest",
-            "get",
-            "scan_next",
-            "flush",
-            "migrate",
-            "block_fetch",
-        ] {
+        s.ops.for_each(|op, _| {
             let h = ops.get(op).unwrap_or_else(|| panic!("missing op {op}"));
             assert!(h.get_u64("p99").is_some());
-        }
+        });
     }
 
     #[test]
@@ -882,18 +561,19 @@ mod tests {
         assert_eq!(d.elapsed_ns, 2_000_000);
         assert!((d.updates_per_sec() - 10_000.0).abs() < 1e-6);
         assert_eq!(d.ops.ingest.count, 2);
-        assert!(d.ssd_write_bytes_per_sec() > 0.0);
     }
 
+    /// The latency `sum` wraps mod 2⁶⁴ by design; a delta across the
+    /// wrap must not panic and must still be the interval's sum.
     #[test]
-    fn stats_delta_roundtrips_through_json() {
-        let d = sample_stats(4).delta(&sample_stats(1));
-        let parsed = parse(&d.to_json()).expect("delta JSON parses");
-        let back = StatsDelta::from_json(&parsed).expect("delta reconstructs");
-        assert_eq!(d, back);
-        // Default (all-zero) deltas round-trip too.
-        let zero = StatsDelta::default();
-        let back = StatsDelta::from_json(&parse(&zero.to_json()).unwrap()).unwrap();
-        assert_eq!(zero, back);
+    fn delta_survives_a_wrapped_latency_sum() {
+        let mut earlier = EngineStats::default();
+        earlier.ops.get.count = 1;
+        earlier.ops.get.sum = u64::MAX - 5;
+        let mut now = earlier;
+        now.ops.get.count = 2;
+        now.ops.get.sum = earlier.ops.get.sum.wrapping_add(20);
+        let d = now.delta(&earlier);
+        assert_eq!((d.ops.get.count, d.ops.get.sum_ns), (1, 20));
     }
 }

@@ -1,12 +1,17 @@
 //! Property tests for the telemetry primitives: histogram invariants
-//! over arbitrary sample streams, quantile monotonicity, delta
-//! arithmetic, and exact JSON round-trips of [`StatsDelta`].
+//! over arbitrary sample streams, quantile monotonicity, the
+//! delta/merge algebra of every statistics family (driven by
+//! `StatFamily::FIELDS`, never by field names), and exact JSON
+//! round-trips of [`StatsDelta`].
 
 use proptest::prelude::*;
 
+use masm_storage::{
+    CacheStatsSnapshot, CompressionReport, IoStatsSnapshot, MergeReport, StatFamily,
+};
 use masm_telemetry::json::parse;
 use masm_telemetry::{
-    BufferStats, EngineStats, Histogram, HistogramSnapshot, OpLatencies, RunSetStats, StatsDelta,
+    BufferStats, EngineStats, Histogram, HistogramSnapshot, RunSetStats, StatsDelta, WorkerStats,
 };
 
 fn samples() -> impl Strategy<Value = Vec<u64>> {
@@ -31,51 +36,69 @@ fn snapshot_of(vals: &[u64]) -> HistogramSnapshot {
     h.snapshot()
 }
 
-/// A synthetic shard snapshot at `at` whose counter families are driven
-/// by `c` (8 independent knobs). Monotone in every element of `c`, so a
-/// later cut of the same shard is `stats_with(at_b, base + inc)`.
+/// A family whose field `i` is `vals[(salt + i) % vals.len()]`.
+fn family_of<F: StatFamily>(vals: &[u64], salt: usize) -> F {
+    let mut f = F::default();
+    for i in 0..F::FIELDS.len() {
+        f.set(i, vals[(salt + i) % vals.len()]);
+    }
+    f
+}
+
+/// A synthetic shard snapshot at `at` whose families are driven by the
+/// knobs `c`. Monotone in every element of `c`, so a later cut of the
+/// same shard is `stats_with(at_b, base + inc)`.
 fn stats_with(at: u64, c: &[u64]) -> EngineStats {
-    let mut s = EngineStats {
-        at_ns: at,
-        ingested_updates: c[0],
-        ingested_bytes: c[0] * 100,
-        buffer: BufferStats {
-            updates: c[1] % 64,
-            bytes: (c[1] % 64) * 100,
-            capacity_bytes: 4096,
-        },
-        runs: RunSetStats {
-            count: c[2] % 8,
-            cached_bytes: (c[2] % 8) * 1024,
-            ssd_capacity_bytes: 1 << 30,
-        },
-        ..EngineStats::default()
-    };
-    s.cache.hits = c[1];
-    s.cache.misses = c[2];
-    s.cache.data_bytes = c[1] % (1 << 20);
-    s.ssd.write_ops = c[3];
-    s.ssd.bytes_written = c[3] * 4096;
-    s.ssd.queue_depth_sum = c[3] / 2;
-    s.ssd.max_queue_depth = c[3] % 17;
-    s.wal.write_ops = c[4];
-    s.merge.blocks_moved = c[5];
-    s.merge.fan_in = (c[5] % 9) as usize;
-    s.compression.raw_bytes = c[6];
-    s.compression.stored_bytes = c[6] / 2;
-    s.workers.jobs_completed = c[7];
-    s.workers.flushes = c[7];
-    s.workers.queue_depth = c[7] % 7;
     let h = Histogram::new();
     for i in 0..(c[0].min(64)) {
         h.record(i * 13);
     }
+    let mut s = EngineStats {
+        at_ns: at,
+        ingested_updates: c[0],
+        ingested_bytes: c[0] * 100,
+        buffer: family_of(c, 0),
+        runs: family_of(c, 1),
+        cache: family_of(c, 2),
+        merge: family_of(c, 3),
+        compression: family_of(c, 4),
+        ssd: family_of(c, 5),
+        wal: family_of(c, 6),
+        workers: family_of(c, 7),
+        ..EngineStats::default()
+    };
     s.ops.ingest = h.snapshot();
     s
 }
 
+/// The algebra every family gets from its `FIELDS` kinds. `a` and `b`
+/// are two sources; `grow_*` what each added by a later cut.
+fn check_family_algebra<F: StatFamily + PartialEq + std::fmt::Debug>(
+    a: &[u64],
+    b: &[u64],
+    grow_a: &[u64],
+    grow_b: &[u64],
+) -> Result<(), TestCaseError> {
+    let later = |base: &[u64], grow: &[u64]| -> Vec<u64> {
+        base.iter().zip(grow).map(|(x, g)| x + g).collect()
+    };
+    let (a0, b0): (F, F) = (family_of(a, 0), family_of(b, 0));
+    let (a1, b1): (F, F) = (
+        family_of(&later(a, grow_a), 0),
+        family_of(&later(b, grow_b), 0),
+    );
+    prop_assert_eq!(a0.merge(&b0), b0.merge(&a0));
+    prop_assert_eq!(a0.merge(&b0).merge(&a1), a0.merge(&b0.merge(&a1)));
+    prop_assert_eq!(
+        a1.merge(&b1).delta(&a0.merge(&b0)),
+        a1.delta(&a0).merge(&b1.delta(&b0))
+    );
+    prop_assert_eq!(a1.delta(&F::default()), a1);
+    Ok(())
+}
+
 fn shard_counters() -> impl Strategy<Value = Vec<(Vec<u64>, Vec<u64>)>> {
-    let knobs = || proptest::collection::vec(0u64..(1 << 30), 8);
+    let knobs = || proptest::collection::vec(0u64..(1 << 30), 16);
     proptest::collection::vec((knobs(), knobs()), 1..5)
 }
 
@@ -125,57 +148,65 @@ proptest! {
         prop_assert_eq!(d.buckets, suffix.buckets);
     }
 
-    /// `StatsDelta` survives `to_json` → `parse` → `from_json` exactly,
-    /// for deltas built from arbitrary per-field values (all integer
-    /// fields stay below 2⁵³ in practice; the generator respects that).
+    /// Merge is commutative and associative and commutes with delta,
+    /// and a delta against zero is the identity — for all seven
+    /// families, by their declared field kinds alone.
     #[test]
-    fn stats_delta_roundtrips_json(
-        at in 1u64..(1 << 50),
-        updates in 0u64..(1 << 40),
-        bytes in 0u64..(1 << 45),
-        ops_counts in proptest::collection::vec(0u64..(1 << 30), 6),
+    fn every_family_obeys_its_field_kinds(
+        a in proptest::collection::vec(0u64..(1 << 40), 16),
+        b in proptest::collection::vec(0u64..(1 << 40), 16),
+        grow_a in proptest::collection::vec(0u64..(1 << 40), 16),
+        grow_b in proptest::collection::vec(0u64..(1 << 40), 16),
     ) {
-        let mut now = EngineStats {
-            at_ns: at,
-            ingested_updates: updates,
-            ingested_bytes: bytes,
-            buffer: BufferStats { updates: 1, bytes: 64, capacity_bytes: 4096 },
-            runs: RunSetStats { count: 1, cached_bytes: 1024, ssd_capacity_bytes: 1 << 30 },
-            ..EngineStats::default()
-        };
-        now.cache.hits = updates / 2;
-        now.cache.misses = updates / 7;
-        now.ssd.write_ops = updates / 3;
-        now.ssd.bytes_written = bytes / 2;
-        now.wal.write_ops = updates;
-        now.merge.blocks_moved = updates / 5;
-        now.compression.raw_bytes = bytes;
-        now.compression.stored_bytes = bytes / 3;
-        let hists: Vec<HistogramSnapshot> = ops_counts
-            .iter()
-            .map(|&n| {
-                let h = Histogram::new();
-                for i in 0..(n % 64) {
-                    h.record(i * 17);
-                }
-                h.snapshot()
-            })
-            .collect();
-        now.ops = OpLatencies {
-            ingest: hists[0],
-            get: hists[1],
-            scan_next: hists[2],
-            flush: hists[3],
-            migrate: hists[4],
-            block_fetch: hists[5],
-        };
+        check_family_algebra::<BufferStats>(&a, &b, &grow_a, &grow_b)?;
+        check_family_algebra::<RunSetStats>(&a, &b, &grow_a, &grow_b)?;
+        check_family_algebra::<CacheStatsSnapshot>(&a, &b, &grow_a, &grow_b)?;
+        check_family_algebra::<MergeReport>(&a, &b, &grow_a, &grow_b)?;
+        check_family_algebra::<CompressionReport>(&a, &b, &grow_a, &grow_b)?;
+        check_family_algebra::<IoStatsSnapshot>(&a, &b, &grow_a, &grow_b)?;
+        check_family_algebra::<WorkerStats>(&a, &b, &grow_a, &grow_b)?;
+    }
+
+    /// JSON is exact with every field of every family set to a distinct
+    /// value: `EngineStats::to_json` carries each field under its
+    /// `FIELDS` name, and `StatsDelta` survives `to_json` → `parse` →
+    /// `from_json` (all values stay below 2⁵³, as in practice).
+    #[test]
+    fn stats_json_is_exact_for_distinct_field_values(
+        at in 1u64..(1 << 50),
+        first in 1u64..(1 << 45),
+        ops_counts in proptest::collection::vec(0u64..64, 6),
+    ) {
+        // 128 distinct values: more than any family has fields, and the
+        // per-family salt shifts which field gets which.
+        let distinct: Vec<u64> = (0..128).map(|i| first + i).collect();
+        let mut now = stats_with(at, &distinct);
+        let mut hists = ops_counts.iter().map(|&n| {
+            let h = Histogram::new();
+            for i in 0..n {
+                h.record(i * 17);
+            }
+            h.snapshot()
+        });
+        now.ops.ingest = hists.next().unwrap();
+        now.ops.get = hists.next().unwrap();
+        now.ops.scan_next = hists.next().unwrap();
+        now.ops.flush = hists.next().unwrap();
+        now.ops.migrate = hists.next().unwrap();
+        now.ops.block_fetch = hists.next().unwrap();
+
+        let v = parse(&now.to_json()).expect("EngineStats JSON parses");
+        for (family, fields, values) in now.families() {
+            for (f, value) in fields.iter().zip(values) {
+                let got = v.get(family).and_then(|o| o.get_u64(f.name));
+                prop_assert_eq!(got, Some(value), "{}.{}", family, f.name);
+            }
+        }
+
         let d = now.delta(&EngineStats::default());
         let parsed = parse(&d.to_json()).expect("delta JSON parses");
         let back = StatsDelta::from_json(&parsed).expect("delta reconstructs");
         prop_assert_eq!(d, back);
-        // The full EngineStats JSON must always parse, too.
-        prop_assert!(parse(&now.to_json()).is_some());
-        prop_assert!(now.invariant_violations().is_empty());
     }
 
     /// Histogram merge is bucketwise addition, hence commutative and

@@ -5,9 +5,9 @@
 //!
 //! This is the observability tour: everything printed here comes from
 //! `MasmEngine::stats()` (one coherent snapshot, cheap enough to poll
-//! from a driver loop), `MasmEngine::metrics_registry()` (the metric
-//! catalog with units and help strings — also rendered as OpenMetrics
-//! text), and an installed [`masm_telemetry::Tracer`] whose flight
+//! from a driver loop; also rendered as OpenMetrics text),
+//! `MasmEngine::metrics_registry()` (the metrics a snapshot does not
+//! hold, with units and help strings), and an installed [`masm_telemetry::Tracer`] whose flight
 //! recording is summarized as the top-3 longest spans per operation
 //! and checked by an [`masm_telemetry::InvariantWatchdog`].
 //!
@@ -131,8 +131,9 @@ fn main() {
         )
         .expect("bulk load");
 
-    // The metric catalog: every registered metric with unit and help.
-    println!("metric catalog:");
+    // The registry's catalog: every registered metric with unit and
+    // help (the snapshot families describe themselves through `FIELDS`).
+    println!("registered metrics:");
     engine
         .metrics_registry()
         .for_each(|key, metric, unit, help| {
@@ -194,7 +195,7 @@ fn main() {
     );
     println!(
         "  ssd bandwidth   {:.1} MB/s written",
-        d.ssd_write_bytes_per_sec() / 1e6
+        d.ssd.bytes_written as f64 * 1e3 / d.elapsed_ns.max(1) as f64
     );
     println!(
         "  wal + ssd ops   {} writes",
@@ -221,9 +222,9 @@ fn main() {
     let violations = watchdog.poll(&end);
     assert!(violations.is_empty(), "invariants violated: {violations:?}");
 
-    // The registry also renders as OpenMetrics text (what a scraper
+    // Snapshot plus registry render as OpenMetrics text (what a scraper
     // would pull); show the shape without dumping all of it.
-    let exposition = engine.metrics_registry().render_openmetrics();
+    let exposition = end.render_openmetrics(engine.metrics_registry());
     println!(
         "\nOpenMetrics exposition: {} lines, {} bytes; first lines:",
         exposition.lines().count(),

@@ -8,6 +8,7 @@ use masm_core::update::UpdateOp;
 use masm_core::{MasmConfig, MasmEngine};
 use masm_pagestore::{HeapConfig, Key, Schema, TableHeap};
 use masm_storage::{DeviceProfile, SessionHandle, SimClock, SimDevice};
+use masm_telemetry::{RecordKind, TraceConfig, Tracer};
 use masm_workloads::synthetic::{SyntheticTable, UpdateMix, UpdateStreamGen};
 
 fn schema() -> Schema {
@@ -160,17 +161,39 @@ fn torn_wal_tail_is_truncated_and_salvaged() {
     // mid-append leaves behind.
     let len = d.wal.len();
     d.wal.write_at(0, len, &[200, 0, 0, 0, 0]).unwrap();
-    let heap = Arc::new(TableHeap::new(d.disk.clone(), HeapConfig::default()));
-    let (engine, report) = MasmEngine::recover(
-        heap,
-        d.ssd.clone(),
-        d.wal.clone(),
-        schema(),
-        MasmConfig::small_for_tests(),
-    )
-    .expect("torn tail must be truncated, not fatal");
+    let tracer = Arc::new(Tracer::new(TraceConfig::default()));
+    let recover_traced = || {
+        let heap = Arc::new(TableHeap::new(d.disk.clone(), HeapConfig::default()));
+        MasmEngine::recover_traced(
+            heap,
+            d.ssd.clone(),
+            d.wal.clone(),
+            schema(),
+            MasmConfig::small_for_tests(),
+            Some(Arc::clone(&tracer)),
+        )
+    };
+    let (engine, report) = recover_traced().expect("torn tail must be truncated, not fatal");
     assert_eq!(report.wal_torn_bytes, 5, "{report:?}");
     assert_eq!(report.updates_recovered, 1);
+    // The flight recorder saw the recovery itself: one `recovery` span
+    // carrying the replayed-record count and one torn-tail instant
+    // carrying the truncated bytes — and no migration redo.
+    let records = tracer.take_records();
+    let named = |name: &str| {
+        records
+            .iter()
+            .filter(|r| r.name == name)
+            .collect::<Vec<_>>()
+    };
+    let span = named("recovery");
+    assert_eq!(span.len(), 1, "{records:?}");
+    assert_eq!(span[0].kind, RecordKind::Span);
+    assert_eq!(span[0].arg, report.wal_records_replayed);
+    let torn = named("recovery.torn_tail");
+    assert_eq!(torn.len(), 1, "{records:?}");
+    assert_eq!((torn[0].kind, torn[0].arg), (RecordKind::Instant, 5));
+    assert!(named("recovery.migration_redo").is_empty());
     // The acknowledged pre-crash delete survived the truncation.
     let keys: Vec<Key> = engine
         .begin_scan(s.clone(), 0, 5)
@@ -179,10 +202,25 @@ fn torn_wal_tail_is_truncated_and_salvaged() {
         .collect();
     assert!(!keys.contains(&1), "recovered delete visible");
     // Appending past the truncated tail and crashing again replays
-    // cleanly: the garbage was buried by the new append point.
+    // cleanly: the garbage was buried by the new append point. This
+    // crash lands mid-migration (the heap device dies after
+    // `MigrationBegin` is logged), so recovery re-drives it.
     engine.apply_update(&s, 3, UpdateOp::Delete).unwrap();
+    d.disk.inject_write_fault();
+    assert!(engine.migrate(&s).is_err(), "heap writes are failing");
+    d.disk.clear_write_fault();
     drop(engine);
-    let engine = d.recover();
+    let (engine, report) = recover_traced().unwrap();
+    assert!(report.redid_migration, "{report:?}");
+    assert_eq!(report.wal_torn_bytes, 0, "{report:?}");
+    let records = tracer.take_records();
+    let redo: Vec<_> = records
+        .iter()
+        .filter(|r| r.name == "recovery.migration_redo")
+        .collect();
+    assert_eq!(redo.len(), 1, "{records:?}");
+    assert_eq!(redo[0].kind, RecordKind::Instant);
+    assert!(records.iter().all(|r| r.name != "recovery.torn_tail"));
     let keys: Vec<Key> = engine.begin_scan(s, 0, 5).unwrap().map(|r| r.key).collect();
     assert!(!keys.contains(&1) && !keys.contains(&3));
 }

@@ -218,7 +218,9 @@ impl LsmEngine {
         }
         drop(st);
         let merged = MergeUpdates::new(streams, self.schema.clone(), as_of);
-        let data = self.heap.scan_range(session, begin, end).with_ts();
+        // This baseline never rewrites the heap: every page's timestamp
+        // is still the bulk load's 0.
+        let data = self.heap.scan_range(session, begin, end).map(|r| (r, 0));
         Ok(MergeDataUpdates::new(data, merged, self.schema.clone()))
     }
 }

@@ -622,7 +622,10 @@ pub struct BlockRunScan {
     prefetch_depth: usize,
     /// In-flight reads, in ascending block order.
     pending: std::collections::VecDeque<(usize, IoTicket)>,
-    buffer: std::collections::VecDeque<Entry>,
+    /// The block being consumed (shared with the cache, never copied)
+    /// and the index range of its entries still to yield.
+    block: Option<CachedBlock>,
+    unread: std::ops::Range<usize>,
     bytes_read: u64,
     error: Option<BlockRunError>,
     /// Optional latency sink: one sample per block acquired, measuring
@@ -660,7 +663,8 @@ impl BlockRunScan {
             end_idx: range.end,
             prefetch_depth: 1,
             pending: std::collections::VecDeque::new(),
-            buffer: std::collections::VecDeque::new(),
+            block: None,
+            unread: 0..0,
             bytes_read: 0,
             error: None,
             fetch_hist: None,
@@ -786,7 +790,7 @@ impl BlockRunScan {
         }
     }
 
-    /// Load the next block into the buffer; false when exhausted.
+    /// Make the next block the current one; false when exhausted.
     fn refill(&mut self) -> bool {
         if self.error.is_some() || self.next_idx >= self.end_idx {
             return false;
@@ -864,14 +868,23 @@ impl BlockRunScan {
             }
         }
 
-        let start = entries.partition_point(|e| e.key < self.begin);
-        self.buffer.extend(
-            entries[start..]
-                .iter()
-                .take_while(|e| e.key <= self.end)
-                .cloned(),
-        );
+        self.unread = entries.partition_point(|e| e.key < self.begin)
+            ..entries.partition_point(|e| e.key <= self.end);
+        self.block = Some(entries);
         true
+    }
+
+    /// The next entry in `[begin, end]`, borrowed from its decoded
+    /// block. `None` at the end of the range or after an error
+    /// ([`BlockRunScan::error`]).
+    pub fn next_entry(&mut self) -> Option<&Entry> {
+        while self.unread.is_empty() {
+            if !self.refill() {
+                return None;
+            }
+        }
+        let block = self.block.as_ref().expect("refill loaded a block");
+        self.unread.next().map(|i| &block[i])
     }
 }
 
@@ -879,12 +892,7 @@ impl Iterator for BlockRunScan {
     type Item = Entry;
 
     fn next(&mut self) -> Option<Entry> {
-        while self.buffer.is_empty() {
-            if !self.refill() {
-                return None;
-            }
-        }
-        self.buffer.pop_front()
+        self.next_entry().cloned()
     }
 }
 

@@ -48,10 +48,10 @@ use std::sync::{Arc, OnceLock};
 use parking_lot::{Condvar, Mutex};
 
 use masm_blockrun::BlockCache;
-use masm_pagestore::{ChunkCommit, Key, Page, Record, Schema, TableHeap, TsRangeScan};
+use masm_pagestore::{ChunkCommit, Key, Page, RangeScan, Record, Schema, TableHeap};
 use masm_storage::{
     CacheStatsSnapshot, CompressionReport, IoSession, MergeReport, Ns, SessionHandle, SimDevice,
-    TrackedMutex,
+    StorageError, TrackedMutex,
 };
 use masm_telemetry::{
     current_tid, BufferStats, Counter, EngineStats, Gauge, Histogram, OpLatencies, Registry,
@@ -113,7 +113,10 @@ impl EngineMetrics {
                 "one apply_update call, including any flush it triggered",
             ),
             get: h("get", "one point lookup"),
-            scan_next: h("scan_next", "one record yielded by a merged range scan"),
+            scan_next: h(
+                "scan_next",
+                "merged range scan: count = records returned, samples = per-batch stall",
+            ),
             flush: h("flush", "one buffer flush materializing a 1-pass run"),
             migrate: h("migrate", "one full or partial migration"),
             block_fetch: h("block_fetch", "one block obtained by a query run scan"),
@@ -1564,7 +1567,7 @@ impl MasmEngine {
             streams.push(Box::new(private.into_iter()));
         }
 
-        let data = self.heap.scan_range(session.clone(), begin, end).with_ts();
+        let data = self.heap.scan_range(session.clone(), begin, end);
         let updates = MergeUpdates::new(streams, self.schema.clone(), query_ts);
         let join = MergeDataUpdates::new(data, updates, self.schema.clone());
         Ok(MergeScan {
@@ -1573,7 +1576,8 @@ impl MasmEngine {
             session,
             ts: query_ts,
             cpu_per_record: 0,
-            closed: false,
+            unreported: 0,
+            stall: 0,
         })
     }
 
@@ -2430,13 +2434,20 @@ impl MasmEngine {
 /// A merged range scan: the operator tree of Figure 6 rooted at
 /// `Merge_data_updates`, plus the bookkeeping that lets migration wait
 /// for earlier queries.
+///
+/// `next` pops from the join's buffer; everything with a lock or an
+/// atomic in it — session-clock reads, the `scan_next` histogram, the
+/// optional CPU charge — happens in `refill`, once per heap page.
 pub struct MergeScan {
-    inner: MergeDataUpdates<TsRangeScan, MergeUpdates>,
+    inner: MergeDataUpdates<RangeScan, MergeUpdates>,
     engine: Arc<MasmEngine>,
     session: SessionHandle,
     ts: Timestamp,
     cpu_per_record: u64,
-    closed: bool,
+    /// Records returned and session time spent in refills since
+    /// `scan_next` was last brought up to date.
+    unreported: u64,
+    stall: Ns,
 }
 
 impl MergeScan {
@@ -2450,35 +2461,64 @@ impl MergeScan {
         self.cpu_per_record = ns;
         self
     }
+
+    /// The heap read error that ended the scan early, if one did: the
+    /// records returned so far are right, but they are not all of them.
+    pub fn error(&self) -> Option<&StorageError> {
+        self.inner.error()
+    }
+
+    /// Bring `scan_next` up to date: one sample per record returned —
+    /// the first carries the stall that preceded it, the rest cost
+    /// nothing — so a scan dropped early reports exactly what it
+    /// returned.
+    fn report(&mut self) {
+        if self.unreported > 0 {
+            let hist = &self.engine.metrics.scan_next;
+            hist.record(self.stall);
+            hist.record_n(0, self.unreported - 1);
+            (self.unreported, self.stall) = (0, 0);
+        }
+    }
+
+    fn refill(&mut self) {
+        let start = self.session.now();
+        let (session, cpu) = (&self.session, self.cpu_per_record);
+        self.inner.refill(|| {
+            if cpu > 0 {
+                session.cpu(cpu);
+            }
+        });
+        let stall = self.session.now().saturating_sub(start);
+        if stall > 0 {
+            // The session clock only moves inside an I/O wait (or a CPU
+            // charge): the records before it are settled.
+            self.report();
+            self.stall += stall;
+        }
+    }
 }
 
 impl Iterator for MergeScan {
     type Item = Record;
 
     fn next(&mut self) -> Option<Record> {
-        let start = self.session.now();
-        let r = self.inner.next();
-        if r.is_some() {
-            if self.cpu_per_record > 0 {
-                self.session.cpu(self.cpu_per_record);
+        let record = match self.inner.pop() {
+            Some(record) => record,
+            None => {
+                self.refill();
+                self.inner.pop()?
             }
-            // Record only yielded records, so the histogram's count
-            // equals the number of records scans returned.
-            self.engine
-                .metrics
-                .scan_next
-                .record(self.session.now().saturating_sub(start));
-        }
-        r
+        };
+        self.unreported += 1;
+        Some(record)
     }
 }
 
 impl Drop for MergeScan {
     fn drop(&mut self) {
-        if !self.closed {
-            self.closed = true;
-            self.engine.finish_scan(self.ts);
-        }
+        self.report();
+        self.engine.finish_scan(self.ts);
     }
 }
 

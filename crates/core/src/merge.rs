@@ -12,7 +12,13 @@
 //! ```
 //!
 //! Rust iterators *are* Volcano operators (pull-based `next()`), so the
-//! tree is literally a composition of iterators here.
+//! tree is literally a composition of iterators here — with one
+//! difference from the textbook: the data edge carries **batches**. The
+//! join takes one heap page's records at a time and moves every run of
+//! them that no update touches in one loop, so nothing per-record
+//! (clock reads, histogram updates, locks) is left on the scan's
+//! `next()`, and a record is consumed while its page is still in the
+//! CPU cache.
 //!
 //! **Idempotence note.** `Merge_updates` folds all updates to the same
 //! key into one (e.g. delete + insert ⇒ replace). During migration a
@@ -30,12 +36,13 @@
 //! ranges.
 
 use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
 use std::collections::{BinaryHeap, VecDeque};
 use std::sync::Arc;
 
 use masm_blockrun::{BlockRunMeta, BloomFilter, MergePlanner, RunBuilder, Segment};
-use masm_pagestore::{Key, Record, Schema};
-use masm_storage::{IoTicket, MergeReport, SessionHandle, SimDevice};
+use masm_pagestore::{Key, RangeScan, Record, Schema};
+use masm_storage::{IoTicket, MergeReport, SessionHandle, SimDevice, StorageError};
 
 use crate::config::MasmConfig;
 use crate::error::MasmResult;
@@ -46,26 +53,33 @@ use crate::update::UpdateRecord;
 /// Type-erased sorted update stream (sorted by `(key, ts)`).
 pub type UpdateStream = Box<dyn Iterator<Item = UpdateRecord> + Send>;
 
-struct HeapEntry {
-    key: Key,
-    ts: Timestamp,
+/// The current update of one input, ordered by `(key, ts)` and then by
+/// input index — the merge order.
+struct Head {
+    update: UpdateRecord,
     src: usize,
 }
 
-impl PartialEq for HeapEntry {
-    fn eq(&self, other: &Self) -> bool {
-        (self.key, self.ts, self.src) == (other.key, other.ts, other.src)
+impl Head {
+    fn rank(&self) -> (Key, Timestamp, usize) {
+        (self.update.key, self.update.ts, self.src)
     }
 }
-impl Eq for HeapEntry {}
-impl PartialOrd for HeapEntry {
+
+impl PartialEq for Head {
+    fn eq(&self, other: &Self) -> bool {
+        self.rank() == other.rank()
+    }
+}
+impl Eq for Head {}
+impl PartialOrd for Head {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
-impl Ord for HeapEntry {
+impl Ord for Head {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.key, self.ts, self.src).cmp(&(other.key, other.ts, other.src))
+        self.rank().cmp(&other.rank())
     }
 }
 
@@ -75,38 +89,27 @@ impl Ord for HeapEntry {
 /// [`fold_duplicates`]).
 pub struct KWayUpdates {
     streams: Vec<UpdateStream>,
-    heads: Vec<Option<UpdateRecord>>,
-    heap: BinaryHeap<Reverse<HeapEntry>>,
+    /// Min-heap of every live input's current update.
+    heads: BinaryHeap<Reverse<Head>>,
 }
 
 impl KWayUpdates {
     /// Merge `streams`, each sorted by `(key, ts)`.
-    pub fn new(streams: Vec<UpdateStream>) -> Self {
-        let mut m = KWayUpdates {
-            heads: streams.iter().map(|_| None).collect(),
-            streams,
-            heap: BinaryHeap::new(),
-        };
-        for i in 0..m.streams.len() {
-            m.pull(i);
-        }
-        m
-    }
-
-    fn pull(&mut self, src: usize) {
-        if let Some(u) = self.streams[src].next() {
-            self.heap.push(Reverse(HeapEntry {
-                key: u.key,
-                ts: u.ts,
-                src,
-            }));
-            self.heads[src] = Some(u);
-        }
+    pub fn new(mut streams: Vec<UpdateStream>) -> Self {
+        let heads = streams
+            .iter_mut()
+            .enumerate()
+            .filter_map(|(src, stream)| {
+                let update = stream.next()?;
+                Some(Reverse(Head { update, src }))
+            })
+            .collect();
+        KWayUpdates { streams, heads }
     }
 
     /// Key of the next update without consuming it.
     pub fn peek_key(&self) -> Option<Key> {
-        self.heap.peek().map(|Reverse(e)| e.key)
+        self.heads.peek().map(|Reverse(head)| head.update.key)
     }
 }
 
@@ -114,10 +117,12 @@ impl Iterator for KWayUpdates {
     type Item = UpdateRecord;
 
     fn next(&mut self) -> Option<UpdateRecord> {
-        let Reverse(entry) = self.heap.pop()?;
-        let u = self.heads[entry.src].take().expect("head present");
-        self.pull(entry.src);
-        Some(u)
+        let mut top = self.heads.peek_mut()?;
+        Some(match self.streams[top.0.src].next() {
+            // Replace the top in place: one sift when `top` drops.
+            Some(next) => std::mem::replace(&mut top.0.update, next),
+            None => PeekMut::pop(top).0.update,
+        })
     }
 }
 
@@ -431,56 +436,147 @@ pub fn compact_block_runs(
 ///   (delete/modify of a non-existent record);
 /// * matching keys apply the update — unless the page's timestamp shows
 ///   the update was already migrated into the page (`u.ts ≤ page_ts`).
-pub struct MergeDataUpdates<D, U>
-where
-    D: Iterator<Item = (Record, u64)>,
-    U: Iterator<Item = UpdateRecord>,
-{
+///
+/// The join works on a batch of data at a time. Over a heap
+/// [`RangeScan`], [`MergeDataUpdates::refill`] joins one page with the
+/// updates that fall inside it and [`MergeDataUpdates::pop`] hands the
+/// results out; over a plain iterator of `(record, page timestamp)`
+/// pairs the join is itself an iterator that refills from a chunk of
+/// its input.
+pub struct MergeDataUpdates<D, U> {
     data: D,
-    updates: U,
-    schema: Schema,
-    peeked_data: Option<(Record, u64)>,
-    peeked_update: Option<UpdateRecord>,
-    /// Records produced so far.
-    produced: u64,
+    join: Join<U>,
+    /// Joined records not handed out yet.
+    out: VecDeque<Record>,
+    /// Both sides are exhausted, or the data side failed.
+    done: bool,
 }
 
-impl<D, U> MergeDataUpdates<D, U>
-where
-    D: Iterator<Item = (Record, u64)>,
-    U: Iterator<Item = UpdateRecord>,
-{
+/// The update side of the outer join, and the join itself.
+struct Join<U> {
+    updates: U,
+    schema: Schema,
+    /// The next update. It is pulled only once the data record it will
+    /// be compared with is in hand: the order in which the two sides
+    /// touch their devices is part of the simulated timeline.
+    next: Option<UpdateRecord>,
+}
+
+impl<U: Iterator<Item = UpdateRecord>> Join<U> {
+    fn peek_key(&mut self) -> Option<Key> {
+        if self.next.is_none() {
+            self.next = self.updates.next();
+        }
+        self.next.as_ref().map(|u| u.key)
+    }
+
+    /// Join a key-ordered batch of `(record, page timestamp)` pairs —
+    /// its first and the rest — with every update up to its last key.
+    fn batch(
+        &mut self,
+        (mut record, mut page_ts): (Record, u64),
+        mut rest: impl Iterator<Item = (Record, u64)>,
+        emit: &mut impl FnMut(Record),
+    ) {
+        loop {
+            let bound = self.peek_key();
+            // The run of records below the next update passes through.
+            while bound.is_none_or(|key| record.key < key) {
+                emit(record);
+                match rest.next() {
+                    Some(next) => (record, page_ts) = next,
+                    None => return,
+                }
+            }
+            let update = self.next.take().expect("peeked");
+            if update.key < record.key {
+                if let Some(inserted) = update.apply_to(None, &self.schema) {
+                    emit(inserted);
+                }
+                continue;
+            }
+            let joined = if update.ts > page_ts {
+                update.apply_to(Some(record), &self.schema)
+            } else {
+                // Already migrated into the page.
+                Some(record)
+            };
+            if let Some(joined) = joined {
+                emit(joined);
+            }
+            match rest.next() {
+                Some(next) => (record, page_ts) = next,
+                None => return,
+            }
+        }
+    }
+
+    /// The updates past the last data record.
+    fn tail(&mut self, emit: &mut impl FnMut(Record)) {
+        while let Some(update) = self.next.take().or_else(|| self.updates.next()) {
+            if let Some(inserted) = update.apply_to(None, &self.schema) {
+                emit(inserted);
+            }
+        }
+    }
+}
+
+impl<D, U> MergeDataUpdates<D, U> {
     /// Build the outer join.
     pub fn new(data: D, updates: U, schema: Schema) -> Self {
         MergeDataUpdates {
             data,
-            updates,
-            schema,
-            peeked_data: None,
-            peeked_update: None,
-            produced: 0,
+            join: Join {
+                updates,
+                schema,
+                next: None,
+            },
+            out: VecDeque::new(),
+            done: false,
         }
     }
 
-    fn peek_data(&mut self) -> Option<&(Record, u64)> {
-        if self.peeked_data.is_none() {
-            self.peeked_data = self.data.next();
-        }
-        self.peeked_data.as_ref()
-    }
-
-    fn peek_update(&mut self) -> Option<&UpdateRecord> {
-        if self.peeked_update.is_none() {
-            self.peeked_update = self.updates.next();
-        }
-        self.peeked_update.as_ref()
-    }
-
-    /// Records produced so far.
-    pub fn produced(&self) -> u64 {
-        self.produced
+    /// Hand out the next joined record, if one is buffered.
+    pub fn pop(&mut self) -> Option<Record> {
+        self.out.pop_front()
     }
 }
+
+impl<U: Iterator<Item = UpdateRecord>> MergeDataUpdates<RangeScan, U> {
+    /// Join heap pages with the updates that fall inside them until a
+    /// record is buffered or both sides are exhausted. The pages come
+    /// out of the I/O batch the heap scan holds in memory anyway, so a
+    /// refill reads no further ahead than the scan already did. `each`
+    /// runs after every record joined (the CPU-cost hook of Figure 13).
+    /// A heap read error ends the join; see [`MergeDataUpdates::error`].
+    pub fn refill(&mut self, mut each: impl FnMut()) {
+        while self.out.is_empty() && !self.done {
+            let mut emit = |record| {
+                self.out.push_back(record);
+                each();
+            };
+            if let Some(mut page) = self.data.next_batch() {
+                if let Some(first) = page.next() {
+                    self.join.batch(first, page, &mut emit);
+                }
+                continue;
+            }
+            self.done = true;
+            if self.data.error().is_none() {
+                self.join.tail(&mut emit);
+            }
+        }
+    }
+
+    /// The heap read error that cut the join short, if one did.
+    pub fn error(&self) -> Option<&StorageError> {
+        self.data.error()
+    }
+}
+
+/// Data records a join over a plain iterator takes per refill: about
+/// what a heap page holds.
+const JOIN_CHUNK: usize = 64;
 
 impl<D, U> Iterator for MergeDataUpdates<D, U>
 where
@@ -490,43 +586,17 @@ where
     type Item = Record;
 
     fn next(&mut self) -> Option<Record> {
-        loop {
-            let dk = self.peek_data().map(|(r, _)| r.key);
-            let uk = self.peek_update().map(|u| u.key);
-            let out = match (dk, uk) {
-                (None, None) => return None,
-                (Some(_), None) => {
-                    let (r, _) = self.peeked_data.take().expect("peeked");
-                    Some(r)
-                }
-                (None, Some(_)) => {
-                    let u = self.peeked_update.take().expect("peeked");
-                    u.apply_to(None, &self.schema)
-                }
-                (Some(d), Some(u_key)) => {
-                    if u_key < d {
-                        let u = self.peeked_update.take().expect("peeked");
-                        u.apply_to(None, &self.schema)
-                    } else if u_key > d {
-                        let (r, _) = self.peeked_data.take().expect("peeked");
-                        Some(r)
-                    } else {
-                        let (r, page_ts) = self.peeked_data.take().expect("peeked");
-                        let u = self.peeked_update.take().expect("peeked");
-                        if u.ts > page_ts {
-                            u.apply_to(Some(r), &self.schema)
-                        } else {
-                            // Already migrated into the page.
-                            Some(r)
-                        }
-                    }
-                }
-            };
-            if let Some(r) = out {
-                self.produced += 1;
-                return Some(r);
+        while self.out.is_empty() && !self.done {
+            let mut emit = |record| self.out.push_back(record);
+            if let Some(first) = self.data.next() {
+                let rest = self.data.by_ref().take(JOIN_CHUNK - 1);
+                self.join.batch(first, rest, &mut emit);
+            } else {
+                self.done = true;
+                self.join.tail(&mut emit);
             }
         }
+        self.out.pop_front()
     }
 }
 

@@ -95,7 +95,7 @@ pub(crate) fn to_entry(u: &UpdateRecord) -> Entry {
     Entry::new(u.key, u.ts, u.encode_value())
 }
 
-fn from_entry(run_id: u64, e: Entry) -> UpdateRecord {
+fn from_entry(run_id: u64, e: &Entry) -> UpdateRecord {
     UpdateRecord::decode_value(e.key, e.ts, &e.value)
         .unwrap_or_else(|| panic!("run {run_id}: undecodable entry for key {}", e.key))
 }
@@ -255,7 +255,7 @@ impl Iterator for RunScan {
     type Item = UpdateRecord;
 
     fn next(&mut self) -> Option<UpdateRecord> {
-        match self.inner.next() {
+        match self.inner.next_entry() {
             Some(e) => Some(from_entry(self.run.id, e)),
             None => {
                 if let Some(e) = self.inner.error() {
@@ -279,7 +279,7 @@ pub fn lookup_in_run(
 ) -> MasmResult<Vec<UpdateRecord>> {
     let entries =
         masm_blockrun::point_lookup(session, ssd, &run.meta, key, cache.map(|c| (c, run.id)))?;
-    Ok(entries.into_iter().map(|e| from_entry(run.id, e)).collect())
+    Ok(entries.iter().map(|e| from_entry(run.id, e)).collect())
 }
 
 /// Bump allocator for run space on the SSD.

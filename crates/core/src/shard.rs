@@ -35,7 +35,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use masm_pagestore::{Key, Record, Schema, TableHeap};
-use masm_storage::{SessionHandle, SimDevice};
+use masm_storage::{SessionHandle, SimDevice, StorageError};
 use masm_telemetry::json::JsonObj;
 use masm_telemetry::{current_tid, EngineStats, Registry, Tracer, TrackId, Unit};
 
@@ -774,6 +774,14 @@ impl ShardedScan {
     pub fn timestamp(&self) -> Timestamp {
         self.ts
     }
+
+    /// The heap read error that ended the scan early, if one did (see
+    /// [`MergeScan::error`]); the shards after the failed one are not
+    /// read.
+    #[must_use]
+    pub fn error(&self) -> Option<&StorageError> {
+        self.current.as_ref()?.error()
+    }
 }
 
 impl Iterator for ShardedScan {
@@ -784,6 +792,12 @@ impl Iterator for ShardedScan {
             if let Some(cur) = &mut self.current {
                 if let Some(record) = cur.next() {
                     return Some(record);
+                }
+                if cur.error().is_some() {
+                    // Keep the failed part for `error()`; the other
+                    // shards' pins have nothing left to protect.
+                    self.rest.clear();
+                    return None;
                 }
                 // Exhausted: drop it now so its shard's pin releases
                 // before we start the next shard.

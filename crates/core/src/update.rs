@@ -187,12 +187,13 @@ impl UpdateRecord {
     /// record the query should see (or `None` for a deletion).
     ///
     /// This is the per-record core of `Merge_data_updates`' outer join.
-    pub fn apply_to(&self, base: Option<Record>, schema: &Schema) -> Option<Record> {
-        match &self.op {
-            UpdateOp::Insert(p) | UpdateOp::Replace(p) => Some(Record::new(self.key, p.clone())),
+    /// It consumes the update: an insert's payload becomes the record's.
+    pub fn apply_to(self, base: Option<Record>, schema: &Schema) -> Option<Record> {
+        match self.op {
+            UpdateOp::Insert(p) | UpdateOp::Replace(p) => Some(Record::new(self.key, p)),
             UpdateOp::Delete => None,
             UpdateOp::Modify(patches) => base.map(|mut r| {
-                for p in patches {
+                for p in &patches {
                     schema.set(&mut r.payload, p.field as usize, &p.value);
                 }
                 r
@@ -373,7 +374,7 @@ mod tests {
                 value: 42u32.to_le_bytes().to_vec(),
             }]),
         );
-        let patched = modify.apply_to(Some(got), &s).unwrap();
+        let patched = modify.clone().apply_to(Some(got), &s).unwrap();
         assert_eq!(s.get_u32(&patched.payload, 0), 42);
         assert_eq!(s.get(&patched.payload, 1), b"aaaa");
         // Modify with no base record is a no-op.
@@ -481,8 +482,10 @@ mod tests {
                 let u2 = UpdateRecord::new(2, 9, o2.clone());
                 let merged = u1.merge_with_later(&u2, &s);
                 for base in [Some(Record::new(9, payload(0, b"base"))), None] {
-                    let direct = u2.apply_to(u1.apply_to(base.clone(), &s), &s);
-                    let via = merged.apply_to(base, &s);
+                    let direct = u2
+                        .clone()
+                        .apply_to(u1.clone().apply_to(base.clone(), &s), &s);
+                    let via = merged.clone().apply_to(base, &s);
                     assert_eq!(direct, via, "ops {o1:?} then {o2:?}");
                 }
             }

@@ -62,7 +62,7 @@ proptest! {
         // Sequential application.
         let mut seq = base.clone();
         for u in &chain {
-            seq = u.apply_to(seq, &s);
+            seq = u.clone().apply_to(seq, &s);
         }
         // Folded application.
         let mut folded = chain[0].clone();
@@ -94,10 +94,10 @@ proptest! {
             let base = Some(Record::new(key, vec![9u8; 8]));
             let mut seq = base.clone();
             for u in updates.iter().filter(|u| u.key == key) {
-                seq = u.apply_to(seq, &s);
+                seq = u.clone().apply_to(seq, &s);
             }
             let via = match folded.iter().find(|u| u.key == key) {
-                Some(u) => u.apply_to(base, &s),
+                Some(u) => u.clone().apply_to(base, &s),
                 None => base,
             };
             prop_assert_eq!(seq, via, "key {}", key);

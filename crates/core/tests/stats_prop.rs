@@ -47,7 +47,8 @@ enum Step {
     Ingest(u64, u32),
     Delete(u64),
     Get(u64),
-    Scan(u64, u64),
+    /// Scan `[a, b]`, walking away after at most this many records.
+    Scan(u64, u64, usize),
     Flush,
     Compact,
     Migrate,
@@ -58,7 +59,7 @@ fn step_strategy() -> impl Strategy<Value = Step> {
         4 => (0u64..600, any::<u32>()).prop_map(|(k, v)| Step::Ingest(k, v)),
         2 => (0u64..600).prop_map(Step::Delete),
         2 => (0u64..600).prop_map(Step::Get),
-        2 => (0u64..600, 0u64..100).prop_map(|(a, w)| Step::Scan(a, a + w)),
+        2 => (0u64..600, 0u64..100, 0usize..80).prop_map(|(a, w, k)| Step::Scan(a, a + w, k)),
         1 => Just(Step::Flush),
         1 => Just(Step::Compact),
         1 => Just(Step::Migrate),
@@ -170,6 +171,7 @@ proptest! {
         let mut ingests = 0u64;
         let mut gets = 0u64;
         let mut scanned = 0u64;
+        let mut scan_ns = 0u64;
         let mut migrations = 0u64;
         let mut mid: Option<EngineStats> = None;
 
@@ -196,9 +198,16 @@ proptest! {
                     engine.get(&session, key).unwrap();
                     gets += 1;
                 }
-                Step::Scan(a, b) => {
-                    let scan = engine.begin_scan(session.clone(), a, b).unwrap();
-                    scanned += scan.count() as u64;
+                Step::Scan(a, b, k) => {
+                    let mut scan = engine.begin_scan(session.clone(), a, b).unwrap();
+                    for _ in 0..k {
+                        let before = session.now();
+                        if scan.next().is_none() {
+                            break;
+                        }
+                        scanned += 1;
+                        scan_ns += session.now() - before;
+                    }
                 }
                 Step::Flush => engine.flush_buffer(&session).unwrap(),
                 Step::Compact => {
@@ -223,7 +232,10 @@ proptest! {
         prop_assert_eq!(end.ops.ingest.count, ingests);
         prop_assert_eq!(end.ingested_updates, ingests);
         prop_assert_eq!(end.ops.get.count, gets);
+        // ... also for scans dropped early, and the samples add up to
+        // the session time the returned records took.
         prop_assert_eq!(end.ops.scan_next.count, scanned);
+        prop_assert_eq!(end.ops.scan_next.sum, scan_ns);
         prop_assert_eq!(end.ops.migrate.count, migrations);
         // Every flush materialized a run; runs are only retired by
         // migration, never created any other way.

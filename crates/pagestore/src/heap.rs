@@ -16,16 +16,15 @@
 //!   already-committed chunks), and splice the page map. Peak extra space
 //!   is one chunk, not a full table copy.
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 
 use masm_storage::clock::Ns;
-use masm_storage::{IoTicket, SessionHandle, SimDevice, StorageResult, MIB};
+use masm_storage::{IoTicket, SessionHandle, SimDevice, StorageError, StorageResult, MIB};
 
 use crate::index::SparseIndex;
-use crate::page::Page;
+use crate::page::{Page, PageRef};
 use crate::record::{Key, Record};
 
 /// Tuning knobs of a table heap.
@@ -418,9 +417,12 @@ impl TableHeap {
 
 /// A record-level range scan with batched, prefetched reads.
 ///
-/// Yields records; [`RangeScan::next_with_ts`] additionally exposes the
-/// timestamp of the page each record came from, which MaSM's
-/// `Merge_data_updates` needs during in-place migration (§3.2).
+/// The scan holds the device buffer of one I/O batch at a time and
+/// decodes records straight out of it, a page at a time.
+/// [`RangeScan::next_batch`] hands over one page's records, each with
+/// the page's timestamp — MaSM's `Merge_data_updates` needs it during
+/// in-place migration (§3.2); the `Iterator` impl yields the same
+/// records one at a time.
 pub struct RangeScan {
     heap: Arc<TableHeap>,
     session: SessionHandle,
@@ -429,11 +431,14 @@ pub struct RangeScan {
     /// Key from which the next batch starts; `None` when exhausted.
     next_from: Option<Key>,
     pending: Option<PendingBatch>,
-    buffer: VecDeque<(Record, u64)>,
+    /// Device buffer of the current batch and the decode position in it.
+    data: Vec<u8>,
+    page_off: usize,
+    slot: usize,
     cpu_per_record: Ns,
-    started: bool,
     /// Pages read so far (for reporting).
     pages_read: u64,
+    error: Option<StorageError>,
 }
 
 struct PendingBatch {
@@ -453,14 +458,17 @@ impl RangeScan {
             end,
             next_from: Some(begin),
             pending: None,
-            buffer: VecDeque::new(),
+            data: Vec::new(),
+            page_off: 0,
+            slot: 0,
             cpu_per_record: 0,
-            started: false,
             pages_read: 0,
+            error: None,
         }
     }
 
-    /// Inject CPU cost per returned record (Figure 13's experiment).
+    /// Inject CPU cost per record the `Iterator` impl yields (Figure
+    /// 13's experiment).
     pub fn with_cpu_per_record(mut self, ns: Ns) -> Self {
         self.cpu_per_record = ns;
         self
@@ -471,39 +479,35 @@ impl RangeScan {
         self.pages_read
     }
 
-    /// Read the next record along with the timestamp of its page.
-    pub fn next_with_ts(&mut self) -> Option<(Record, u64)> {
-        self.started = true;
-        while self.buffer.is_empty() {
-            if !self.advance() {
-                return None;
-            }
-        }
-        if self.cpu_per_record > 0 {
-            self.session.cpu(self.cpu_per_record);
-        }
-        self.buffer.pop_front()
+    /// The device error that ended the scan early, if one did.
+    pub fn error(&self) -> Option<&StorageError> {
+        self.error.as_ref()
     }
 
-    /// Adapt into an iterator of `(record, page_timestamp)`.
-    pub fn with_ts(self) -> TsRangeScan {
-        TsRangeScan(self)
+    /// Hand over the records of the next page in key order, each with
+    /// the page's timestamp, decoded on demand from the device buffer;
+    /// when the buffer is used up, first wait for the next I/O batch
+    /// (prefetching the one after). What is left of the current page is
+    /// skipped. `None` at the end of the range or after a device error
+    /// ([`RangeScan::error`]).
+    pub fn next_batch(&mut self) -> Option<impl Iterator<Item = (Record, u64)> + '_> {
+        self.next_page()
+            .then(|| std::iter::from_fn(|| self.decode_next()))
     }
 
     /// Issue an async read for the batch starting at `from`. Performed
     /// under the heap's read lock so a concurrent rewrite cannot recycle
     /// the physical pages out from under us.
-    fn issue_batch(&self, from: Key) -> Option<PendingBatch> {
+    fn issue_batch(&self, from: Key) -> StorageResult<Option<PendingBatch>> {
         let heap = &self.heap;
         let st = heap.state.read();
-        if st.page_map.is_empty() {
-            return None;
-        }
-        let first = st.index.locate(from)?;
         // Last logical page overlapping the range.
-        let last_overlap = st.index.locate(self.end)?;
+        let (Some(first), Some(last_overlap)) = (st.index.locate(from), st.index.locate(self.end))
+        else {
+            return Ok(None);
+        };
         if first > last_overlap {
-            return None;
+            return Ok(None);
         }
         let page_size = heap.cfg.page_size as u64;
         let max_pages = (heap.cfg.scan_io / page_size).max(1) as usize;
@@ -515,57 +519,67 @@ impl RangeScan {
             last += 1;
         }
         let n = last - first + 1;
-        let ticket = self
-            .session
-            .read_async(&heap.dev, st.page_map[first], n as u64 * page_size)
-            .ok()?;
-        let next_from = if last < last_overlap {
-            Some(st.index.min_key(last + 1))
-        } else {
-            None
-        };
-        Some(PendingBatch {
+        let ticket =
+            self.session
+                .read_async(&heap.dev, st.page_map[first], n as u64 * page_size)?;
+        let next_from = (last < last_overlap).then(|| st.index.min_key(last + 1));
+        Ok(Some(PendingBatch {
             ticket,
             pages: n,
             next_from,
-        })
+        }))
     }
 
-    /// Wait for the pending batch, refill the buffer, and prefetch the
-    /// next batch.
+    /// Issue the read of the batch at `next_from`, if there is one. A
+    /// device error ends the scan and is kept for [`RangeScan::error`].
+    fn prefetch(&mut self) {
+        let Some(from) = self.next_from else { return };
+        match self.issue_batch(from) {
+            Ok(batch) => self.pending = batch,
+            Err(e) => self.error = Some(e),
+        }
+        if self.pending.is_none() {
+            self.next_from = None;
+        }
+    }
+
+    /// Wait for the pending batch, make it the current one, and prefetch
+    /// the next (overlapping its read with the decode of this one).
     fn advance(&mut self) -> bool {
         if self.pending.is_none() {
-            let Some(from) = self.next_from else {
-                return false;
-            };
-            self.pending = self.issue_batch(from);
-            if self.pending.is_none() {
-                self.next_from = None;
-                return false;
-            }
+            self.prefetch();
         }
-        let batch = self.pending.take().expect("pending batch");
+        let Some(batch) = self.pending.take() else {
+            return false;
+        };
         self.next_from = batch.next_from;
-        let data = self.session.wait(batch.ticket);
+        self.data = self.session.wait(batch.ticket);
+        (self.page_off, self.slot) = (0, 0);
         self.pages_read += batch.pages as u64;
-        // Prefetch the next batch before decoding this one (overlap).
-        if let Some(from) = self.next_from {
-            self.pending = self.issue_batch(from);
-            if self.pending.is_none() {
-                self.next_from = None;
-            }
-        }
-        let page_size = self.heap.cfg.page_size;
-        for chunk in data.chunks_exact(page_size) {
-            let page = Page::from_bytes(chunk.to_vec());
-            let ts = page.timestamp();
-            for r in page.records() {
-                if r.key >= self.begin && r.key <= self.end {
-                    self.buffer.push_back((r, ts));
-                }
-            }
-        }
+        self.prefetch();
         true
+    }
+
+    /// Step to the next page, waiting for the next I/O batch when the
+    /// device buffer is used up.
+    fn next_page(&mut self) -> bool {
+        let page_size = self.heap.cfg.page_size;
+        (self.page_off, self.slot) = (self.page_off + page_size, 0);
+        self.page_off + page_size <= self.data.len() || self.advance()
+    }
+
+    /// Decode the next in-range record of the current page.
+    fn decode_next(&mut self) -> Option<(Record, u64)> {
+        let page_size = self.heap.cfg.page_size;
+        let page = PageRef::new(self.data.get(self.page_off..self.page_off + page_size)?);
+        while self.slot < page.record_count() {
+            let i = self.slot;
+            self.slot += 1;
+            if (self.begin..=self.end).contains(&page.key_at(i)) {
+                return Some((page.record(i), page.timestamp()));
+            }
+        }
+        None
     }
 }
 
@@ -573,25 +587,17 @@ impl Iterator for RangeScan {
     type Item = Record;
 
     fn next(&mut self) -> Option<Record> {
-        self.next_with_ts().map(|(r, _)| r)
-    }
-}
-
-/// Iterator adapter yielding `(record, page_timestamp)`.
-pub struct TsRangeScan(RangeScan);
-
-impl TsRangeScan {
-    /// Pages read so far.
-    pub fn pages_read(&self) -> u64 {
-        self.0.pages_read()
-    }
-}
-
-impl Iterator for TsRangeScan {
-    type Item = (Record, u64);
-
-    fn next(&mut self) -> Option<(Record, u64)> {
-        self.0.next_with_ts()
+        loop {
+            if let Some((record, _)) = self.decode_next() {
+                if self.cpu_per_record > 0 {
+                    self.session.cpu(self.cpu_per_record);
+                }
+                return Some(record);
+            }
+            if !self.next_page() {
+                return None;
+            }
+        }
     }
 }
 
@@ -847,6 +853,47 @@ mod tests {
         // ~1282 pages -> with 1MB batches, ~6 reads, mostly sequential.
         assert!(stats.read_ops < 20, "{stats:?}");
         assert!(stats.sequential_ops + 1 >= stats.read_ops, "{stats:?}");
+    }
+
+    #[test]
+    fn batches_carry_page_timestamps_and_cover_the_range() {
+        let (heap, s) = heap_with(30_000);
+        let mut page = heap.read_page(&s, 0).unwrap();
+        page.set_timestamp(7);
+        heap.write_page(&s, 0, &page).unwrap();
+        let mut scan = heap.scan_range(s, 10, 50_000);
+        let mut got = Vec::new();
+        let mut batches = 0;
+        while let Some(batch) = scan.next_batch() {
+            got.extend(batch.map(|(r, ts)| (r.key, ts)));
+            batches += 1;
+        }
+        assert!(scan.error().is_none());
+        assert!(batches > 256, "one batch per page, {batches} batches");
+        let keys: Vec<Key> = got.iter().map(|&(k, _)| k).collect();
+        assert_eq!(keys, (5..=25_000).map(|i| i * 2).collect::<Vec<_>>());
+        let first_page_max = page.max_key().unwrap();
+        assert!(got
+            .iter()
+            .all(|&(k, ts)| ts == 7 * (k <= first_page_max) as u64));
+    }
+
+    #[test]
+    fn read_fault_ends_the_scan_with_an_error() {
+        let (heap, s) = heap_with(50_000);
+        let mut scan = heap.scan_range(s, 0, u64::MAX);
+        assert!(scan.next().is_some());
+        // The first batch is in hand and the second already read; the
+        // third cannot be.
+        heap.device().inject_read_fault();
+        let got = 1 + scan.by_ref().count();
+        assert!(
+            got < 50_000,
+            "a faulted device cannot serve the whole table"
+        );
+        assert!(got > 15_000, "both buffered batches are served: {got}");
+        assert!(matches!(scan.error(), Some(StorageError::Faulted(_))));
+        assert!(scan.next().is_none());
     }
 
     #[test]

@@ -26,8 +26,8 @@ pub mod page;
 pub mod record;
 pub mod schema;
 
-pub use heap::{ChunkCommit, HeapConfig, HeapRewriter, RangeScan, TableHeap, TsRangeScan};
+pub use heap::{ChunkCommit, HeapConfig, HeapRewriter, RangeScan, TableHeap};
 pub use index::SparseIndex;
-pub use page::Page;
+pub use page::{Page, PageRef};
 pub use record::{Key, Record};
 pub use schema::{Field, FieldType, Schema};

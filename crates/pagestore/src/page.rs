@@ -28,6 +28,54 @@ pub struct Page {
     data: Vec<u8>,
 }
 
+/// Read-only view of a slotted page over borrowed bytes: how a range
+/// scan decodes records straight out of its device buffer. [`Page`]'s
+/// own read accessors go through it.
+#[derive(Debug, Clone, Copy)]
+pub struct PageRef<'a> {
+    data: &'a [u8],
+}
+
+impl<'a> PageRef<'a> {
+    /// View raw bytes previously produced by [`Page::as_bytes`].
+    pub fn new(data: &'a [u8]) -> Self {
+        assert!(data.len() >= PAGE_HEADER);
+        PageRef { data }
+    }
+
+    /// Timestamp of the last update applied to this page.
+    #[inline]
+    pub fn timestamp(&self) -> u64 {
+        u64::from_le_bytes(self.data[0..8].try_into().unwrap())
+    }
+
+    /// Number of records stored.
+    #[inline]
+    pub fn record_count(&self) -> usize {
+        u16::from_le_bytes(self.data[8..10].try_into().unwrap()) as usize
+    }
+
+    #[inline]
+    fn slot_offset(&self, i: usize) -> usize {
+        let pos = self.data.len() - (i + 1) * SLOT_SIZE;
+        u16::from_le_bytes(self.data[pos..pos + SLOT_SIZE].try_into().unwrap()) as usize
+    }
+
+    /// Decode record `i`.
+    #[inline]
+    pub fn record(&self, i: usize) -> Record {
+        assert!(i < self.record_count(), "slot {i} out of range");
+        Record::decode(&self.data[self.slot_offset(i)..]).0
+    }
+
+    /// Key of record `i` without decoding the payload.
+    #[inline]
+    pub fn key_at(&self, i: usize) -> u64 {
+        let off = self.slot_offset(i);
+        u64::from_le_bytes(self.data[off..off + 8].try_into().unwrap())
+    }
+}
+
 impl Page {
     /// Create an empty page of `size` bytes.
     pub fn new(size: usize) -> Self {
@@ -59,9 +107,16 @@ impl Page {
         self.data.len()
     }
 
+    /// Borrowed read-only view of this page.
+    #[inline]
+    pub fn view(&self) -> PageRef<'_> {
+        PageRef { data: &self.data }
+    }
+
     /// Timestamp of the last update applied to this page.
+    #[inline]
     pub fn timestamp(&self) -> u64 {
-        u64::from_le_bytes(self.data[0..8].try_into().unwrap())
+        self.view().timestamp()
     }
 
     /// Set the last-applied-update timestamp.
@@ -70,8 +125,9 @@ impl Page {
     }
 
     /// Number of records stored.
+    #[inline]
     pub fn record_count(&self) -> usize {
-        u16::from_le_bytes(self.data[8..10].try_into().unwrap()) as usize
+        self.view().record_count()
     }
 
     fn set_record_count(&mut self, n: usize) {
@@ -84,11 +140,6 @@ impl Page {
 
     fn set_free_ptr(&mut self, p: usize) {
         self.data[10..12].copy_from_slice(&(p as u16).to_le_bytes());
-    }
-
-    fn slot_offset(&self, i: usize) -> usize {
-        let pos = self.data.len() - (i + 1) * SLOT_SIZE;
-        u16::from_le_bytes(self.data[pos..pos + SLOT_SIZE].try_into().unwrap()) as usize
     }
 
     fn set_slot_offset(&mut self, i: usize, off: usize) {
@@ -130,16 +181,15 @@ impl Page {
     }
 
     /// Decode record `i`.
+    #[inline]
     pub fn record(&self, i: usize) -> Record {
-        assert!(i < self.record_count(), "slot {i} out of range");
-        let off = self.slot_offset(i);
-        Record::decode(&self.data[off..]).0
+        self.view().record(i)
     }
 
     /// Key of record `i` without decoding the payload.
+    #[inline]
     pub fn key_at(&self, i: usize) -> u64 {
-        let off = self.slot_offset(i);
-        u64::from_le_bytes(self.data[off..off + 8].try_into().unwrap())
+        self.view().key_at(i)
     }
 
     /// Iterate over all records.
@@ -182,7 +232,7 @@ impl Page {
     /// Replace the payload of the record in slot `i` (same width only —
     /// fixed-width schemas guarantee this; used by in-place modify).
     pub fn overwrite_payload(&mut self, i: usize, payload: &[u8]) {
-        let off = self.slot_offset(i);
+        let off = self.view().slot_offset(i);
         let old = self.record(i);
         assert_eq!(
             old.payload.len(),

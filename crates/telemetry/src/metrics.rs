@@ -92,8 +92,9 @@ pub const HISTOGRAM_BUCKETS: usize = 64;
 /// A log₂-bucketed histogram of `u64` samples (for the engine: latency
 /// in virtual-ns). Recording is three relaxed atomic RMWs plus one
 /// `fetch_max` into a **fixed** `[AtomicU64; 64]` bucket array — a
-/// bounded constant with no allocation, cheap enough for per-record hot
-/// paths like scan-next.
+/// bounded constant with no allocation. Per-record hot paths keep even
+/// that off the record: they count locally and report a whole batch
+/// with [`Histogram::record_n`].
 #[derive(Debug)]
 pub struct Histogram {
     buckets: [AtomicU64; HISTOGRAM_BUCKETS],
@@ -142,9 +143,18 @@ impl Histogram {
 
     /// Record one sample. Constant-time, allocation-free.
     pub fn record(&self, v: u64) {
-        self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(v, Ordering::Relaxed);
+        self.record_n(v, 1);
+    }
+
+    /// Record `n` samples of value `v` for the price of one — exactly
+    /// what `n` calls of [`Histogram::record`] would leave behind.
+    pub fn record_n(&self, v: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
+        self.buckets[bucket_index(v)].fetch_add(n, Ordering::Relaxed);
+        self.count.fetch_add(n, Ordering::Relaxed);
+        self.sum.fetch_add(v.wrapping_mul(n), Ordering::Relaxed);
         self.max.fetch_max(v, Ordering::Relaxed);
     }
 
@@ -348,6 +358,19 @@ mod tests {
         assert!(s.p99() <= s.max);
         assert_eq!(s.quantile(1.0), 1000, "top quantile clamps to max");
         assert_eq!(HistogramSnapshot::default().p99(), 0);
+    }
+
+    #[test]
+    fn record_n_equals_n_records_bucket_for_bucket() {
+        let (batched, single) = (Histogram::new(), Histogram::new());
+        for (v, n) in [(0u64, 5u64), (7, 1), (7, 0), (4096, 300), (u64::MAX, 3)] {
+            batched.record_n(v, n);
+            for _ in 0..n {
+                single.record(v);
+            }
+        }
+        assert_eq!(batched.snapshot(), single.snapshot());
+        assert_eq!(batched.count(), 309);
     }
 
     #[test]

@@ -121,7 +121,7 @@ macro_rules! op_families {
 op_families! {
     ingest = "One `apply_update` call (includes any flush it triggered).",
     get = "One point lookup (`get`).",
-    scan_next = "One record yielded by a merged range scan (`MergeScan::next`).",
+    scan_next = "Merged range scan (`MergeScan`): count = records returned, samples = per-batch stall.",
     flush = "One buffer flush that materialized a run.",
     migrate = "One full or partial migration.",
     block_fetch = "One block obtained by a run scan (cache hit ≈ 0, miss = device wait).",

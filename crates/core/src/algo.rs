@@ -50,16 +50,6 @@ impl RunSet {
         self.runs.is_empty()
     }
 
-    /// Count of 1-pass runs (`K1`).
-    pub fn one_pass(&self) -> usize {
-        self.runs.iter().filter(|r| r.passes == 1).count()
-    }
-
-    /// Count of 2-pass runs (`K2`).
-    pub fn two_pass(&self) -> usize {
-        self.runs.iter().filter(|r| r.passes >= 2).count()
-    }
-
     /// Bytes of cached updates currently on the SSD.
     pub fn live_bytes(&self) -> u64 {
         self.space.live_bytes()
@@ -77,9 +67,15 @@ impl RunSet {
         self.next_id = self.next_id.max(last + 1);
     }
 
-    /// Reinstate allocator state during recovery.
-    pub fn set_space(&mut self, space: SsdSpace) {
-        self.space = space;
+    /// Recompute the allocator from the live runs (recovery, and the
+    /// quiesce rewind): the region from `origin` up to the highest live
+    /// extent stays allocated, everything else becomes reusable.
+    /// Returns the new high-water mark.
+    pub(crate) fn rewind_space(&mut self, origin: u64) -> u64 {
+        let high = self.runs.iter().map(|r| r.base + r.bytes).max();
+        let live = self.runs.iter().map(|r| r.bytes).sum();
+        self.space = SsdSpace::with_state(origin, high.unwrap_or(0), live);
+        self.space.high_water()
     }
 
     /// Allocate sequential SSD space for a run of `bytes`.

@@ -1,0 +1,193 @@
+//! The write path: bulk load, single updates, transaction commits.
+
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+
+use masm_pagestore::{Key, Record};
+use masm_storage::SessionHandle;
+use masm_telemetry::Timer;
+
+use super::MasmEngine;
+use crate::error::{MasmError, MasmResult};
+use crate::manifest::ShardManifest;
+use crate::ts::Timestamp;
+use crate::update::{UpdateOp, UpdateRecord};
+use crate::wal::WalRecord;
+
+impl MasmEngine {
+    /// Bulk-load the table (records sorted by key) and log the load so
+    /// the heap metadata is recoverable.
+    pub fn load_table(
+        &self,
+        session: &SessionHandle,
+        records: impl IntoIterator<Item = Record>,
+        fill: f64,
+    ) -> MasmResult<()> {
+        self.heap.bulk_load(session, records, fill)?;
+        self.log_heap_loaded(session, self.oracle.next())
+    }
+
+    /// Log the heap's current (bulk-loaded) metadata under heap-event
+    /// sequence `seq`. A sharded deployment broadcasts one load to
+    /// every shard's WAL under a single shared `seq`, so multi-log
+    /// replay applies it exactly once.
+    pub(crate) fn log_heap_loaded(&self, session: &SessionHandle, seq: u64) -> MasmResult<()> {
+        let (page_map, min_keys, record_count) = self.heap.metadata_snapshot();
+        let base = page_map.first().copied().unwrap_or(0);
+        self.wal.append(
+            session,
+            &WalRecord::HeapLoaded {
+                seq,
+                base,
+                page_size: self.heap.config().page_size as u32,
+                min_keys,
+                record_count,
+            },
+        )
+    }
+
+    /// Append the shard manifest to this shard's redo log (the first
+    /// record of every WAL in a sharded deployment).
+    pub(crate) fn log_manifest(
+        &self,
+        session: &SessionHandle,
+        manifest: &ShardManifest,
+    ) -> MasmResult<()> {
+        self.wal
+            .append(session, &WalRecord::Manifest(manifest.clone()))
+    }
+
+    /// Atomically commit a transaction's private writes under
+    /// first-committer-wins snapshot isolation (§3.6): if any written key
+    /// was committed by another transaction after `start_ts`, the commit
+    /// aborts with [`MasmError::Conflict`]. On success all writes carry
+    /// one fresh commit timestamp.
+    pub fn commit_writes(
+        self: &Arc<Self>,
+        session: &SessionHandle,
+        start_ts: Timestamp,
+        writes: Vec<(Key, UpdateOp)>,
+    ) -> MasmResult<Timestamp> {
+        let mut idx = self.commit_index.lock();
+        for (key, _) in &writes {
+            if idx.get(key).is_some_and(|&t| t > start_ts) {
+                return Err(MasmError::Conflict { key: *key });
+            }
+        }
+        let ts = self.oracle.next();
+        for (key, _) in &writes {
+            idx.insert(*key, ts);
+        }
+        drop(idx);
+        for (key, op) in writes {
+            self.apply_update_with_ts(session, UpdateRecord::new(ts, key, op))?;
+        }
+        Ok(ts)
+    }
+
+    /// Apply one well-formed update; returns its commit timestamp.
+    pub fn apply_update(
+        self: &Arc<Self>,
+        session: &SessionHandle,
+        key: Key,
+        op: UpdateOp,
+    ) -> MasmResult<Timestamp> {
+        self.ingest(session, Err((key, op)))
+    }
+
+    /// Apply an update that already carries its commit timestamp
+    /// (transaction commit path).
+    pub fn apply_update_with_ts(
+        self: &Arc<Self>,
+        session: &SessionHandle,
+        update: UpdateRecord,
+    ) -> MasmResult<()> {
+        self.ingest(session, Ok(update)).map(|_| ())
+    }
+
+    /// The shared ingest path. `pre` is either a pre-timestamped update
+    /// (transaction commit, which assigned its timestamp under the
+    /// commit index — a small pre-existing window where a concurrent
+    /// seal may race the push) or the raw (key, op), whose timestamp is
+    /// drawn *inside* the state lock so it can never land in a batch
+    /// already sealed with a smaller maximum timestamp.
+    fn ingest(
+        self: &Arc<Self>,
+        session: &SessionHandle,
+        pre: Result<UpdateRecord, (Key, UpdateOp)>,
+    ) -> MasmResult<Timestamp> {
+        let _t = Timer::start(&self.metrics.ingest, || session.now());
+        // Sampled hot-path span (1-in-2^shift); `None` costs one
+        // relaxed load + one relaxed fetch-add.
+        let _sp = self
+            .trace()
+            .and_then(|t| t.op_span("ingest", self.track(), || session.now()));
+        let background = self.live_pool().is_some();
+        let (update, sealed) = {
+            let mut st = self.state.lock();
+            let mut sealed = None;
+            if st.buffer.is_full() {
+                // MaSM-M (Fig. 8): steal an unused query page if one
+                // exists, otherwise seal the buffer for flushing.
+                let page = self.cfg.ssd_page_size;
+                let stolen = (st.buffer.capacity() - st.buffer.base_capacity()) / page;
+                let in_use = st.query_pages_pinned() + stolen as u64;
+                if self.cfg.alpha < 2.0 && in_use < self.cfg.query_pages() {
+                    st.buffer.steal_page(page);
+                } else if st.runs.live_bytes() + st.buffer.bytes() as u64 > self.cfg.ssd_capacity {
+                    return Err(MasmError::CacheFull {
+                        cached: st.runs.live_bytes(),
+                        capacity: self.cfg.ssd_capacity,
+                    });
+                } else {
+                    sealed = Some(st.seal(self, background));
+                }
+            }
+            let update = match pre {
+                Ok(u) => u,
+                Err((key, op)) => UpdateRecord::new(self.oracle.next(), key, op),
+            };
+            st.buffer.push(update.clone());
+            (update, sealed)
+        };
+        let ts = update.ts;
+        self.ingested_updates.fetch_add(1, Ordering::Relaxed);
+        self.ingested_bytes
+            .fetch_add(update.encoded_len() as u64, Ordering::Relaxed);
+        // The WAL write happens outside the state lock; appenders
+        // reserve disjoint offsets, so ordering across threads is
+        // whatever the offsets say — recovery filters buffer-resident
+        // updates by timestamp (`RunCreated.max_ts`), not log position.
+        self.wal.append(session, &WalRecord::Update(update))?;
+        if let Some(sealed) = sealed {
+            let t0 = session.now();
+            self.dispatch_flush(session, sealed, background)?;
+            if background {
+                let pool = self.workers.get().expect("background mode").pool();
+                let batch_id = sealed.0;
+                if let Some(t) = self.trace() {
+                    t.span_event("ingest.enqueue", self.track(), t0, 100, "batch", batch_id);
+                }
+                // Backpressure: wait until the un-flushed backlog drops
+                // under the limit, never doing the I/O ourselves. The
+                // stall span runs on the *global* clock — this lane's
+                // session cursor does not advance while it sleeps.
+                let stall_start = self.ssd.clock().now();
+                if pool.wait_for_space() {
+                    if let Some(t) = self.trace() {
+                        let end = self.ssd.clock().now();
+                        t.span_event(
+                            "backpressure.stall",
+                            self.track(),
+                            stall_start,
+                            end.saturating_sub(stall_start).max(1),
+                            "batch",
+                            batch_id,
+                        );
+                    }
+                }
+            }
+        }
+        Ok(ts)
+    }
+}

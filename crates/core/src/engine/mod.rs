@@ -1,0 +1,581 @@
+//! The MaSM engine: the storage-manager-level facade of §3.
+//!
+//! One engine manages one table: its clustered heap on the disk device,
+//! its SSD update cache (in-memory buffer + materialized sorted runs),
+//! its redo log, and the timestamp oracle that serializes individual
+//! queries and updates. It exposes exactly the surface the paper argues
+//! a DBMS needs ("MaSM can be implemented in the storage manager … it
+//! does not require modification to the buffer manager, query processor
+//! or query optimizer"):
+//!
+//! * [`MasmEngine::apply_update`] — ingest a well-formed update,
+//! * [`MasmEngine::begin_scan`] — a table range scan that transparently
+//!   merges cached updates (drop-in for `Table_range_scan`),
+//! * [`MasmEngine::migrate`] — in-place migration of cached updates,
+//! * [`MasmEngine::recover`] — crash recovery from the redo log.
+//!
+//! # The maintenance protocol
+//!
+//! The engine state sits behind a [`TrackedMutex`] that is **never**
+//! held across device I/O (the storage layer debug-asserts this). A
+//! query *pins*: one short lock hold registers its timestamp and
+//! clones the immutable `Arc`s it will read (runs, sealed batches, the
+//! matching buffer entries); dropping the query unpins. Everything
+//! that changes the run set — flush, compaction, migration — follows
+//! one path, written once in `state`:
+//!
+//! 1. **Claim**, under the lock. A flush claims one sealed batch (one
+//!    flusher per batch). A merge claims the merge slot: one merge at
+//!    a time, none while a migration is in flight. A migration claims
+//!    the migration slot: one at a time. A busy claim means somebody
+//!    else is doing the work — the caller returns, nothing queues.
+//! 2. **Work**, unlocked, against the `Arc`s the claim handed out:
+//!    build and write a run, rewrite heap chunks, append to the WAL.
+//! 3. **Install** a built run in place of the sealed batch or the input
+//!    runs it was made from, or **retire** the runs a migration has
+//!    applied: one critical section that bumps the epoch, so a query
+//!    snapshot holds exactly one of {batch, run} or {inputs, output}.
+//!    Withdrawn runs leave the visible set; their SSD extents do not.
+//! 4. **Drop the claim** — success, error and early return alike. The
+//!    drop clears the claim, *rewinds* the run allocator if the engine
+//!    has quiesced (no pinned query, no sealed batch, no claim: only
+//!    then can no snapshot still be reading a retired extent), and
+//!    wakes whoever waits on the state: a migration waiting for older
+//!    queries, a drain waiting for a worker's batch.
+//!
+//! With `background_workers > 0` a `worker::WorkerPool` runs the jobs
+//! off the ingest/scan path: ingest *seals* a full buffer into an
+//! immutable batch (visible to queries), enqueues its flush and only
+//! ever throttles on the bounded-backlog gate. With none (the default)
+//! the same jobs run inline and single-threaded runs are deterministic.
+//!
+//! # Migration and the stamping rule
+//!
+//! Migration is one function over a key span: [`MasmEngine::migrate`]
+//! passes the engine's own key range (the whole keyspace, or a shard's
+//! range of it), [`MasmEngine::migrate_range`] a sub-range. It rewrites
+//! the heap pages overlapping the span and applies every cached update
+//! whose key those pages own. Queries rely on §3.2's invariant — a
+//! page stamped *t* already contains every cached update ≤ *t* for the
+//! keys it covers — to skip such updates, so a rewritten chunk is
+//! stamped with the migration timestamp **only if every page of it
+//! lies wholly inside this engine's key range**: a page that straddles
+//! a shard boundary also covers keys whose updates another engine
+//! caches. Such a chunk keeps the smallest timestamp its input pages
+//! carried, which is truthful and costs nothing — every folded update
+//! is an idempotent state-setter (see `merge`'s idempotence note).
+//! Runs are retired, and the migration logged, only when the span is
+//! the engine's whole range.
+//!
+//! Not covered: two `HeapRewriter`s over one heap are not safe
+//! concurrently (their logical cursors shift under each other's
+//! splices), so shards sharing a heap must not migrate at the same
+//! time. `max_concurrent_migrations` defaults to 1 and nothing sets
+//! it higher.
+//!
+//! Files: `state` (the protocol; the only code that touches claims,
+//! pins and reservations), `ingest`, `read`, `maintain` (flush, merge,
+//! migration and the hand-off to the pool), `recover`.
+
+mod ingest;
+mod maintain;
+mod read;
+mod recover;
+mod state;
+#[cfg(test)]
+mod tests;
+
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
+
+use parking_lot::{Condvar, Mutex};
+
+use masm_blockrun::BlockCache;
+use masm_pagestore::{Key, Schema, TableHeap};
+use masm_storage::{
+    CacheStatsSnapshot, CompressionReport, MergeReport, Ns, SessionHandle, SimDevice, TrackedMutex,
+};
+use masm_telemetry::{
+    current_tid, BufferStats, Counter, EngineStats, Gauge, Histogram, OpLatencies, Registry,
+    RunSetStats, SpanGuard, Tracer, TrackId, Unit, WorkerStats,
+};
+
+use crate::config::MasmConfig;
+use crate::error::MasmResult;
+use crate::run::SortedRun;
+use crate::ts::{Timestamp, TimestampOracle};
+use crate::wal::Wal;
+use crate::worker::{WorkerHandle, WorkerPool};
+
+pub use read::MergeScan;
+pub(crate) use recover::{apply_heap_events, ParsedWal};
+use state::EngineState;
+
+/// The engine's metric families: a [`Registry`] for export plus direct
+/// `Arc<Histogram>` handles for the hot paths (registry lookup never
+/// happens per operation). All six histograms record **virtual-ns**.
+struct EngineMetrics {
+    registry: Registry,
+    ingest: Arc<Histogram>,
+    get: Arc<Histogram>,
+    scan_next: Arc<Histogram>,
+    flush: Arc<Histogram>,
+    migrate: Arc<Histogram>,
+    block_fetch: Arc<Histogram>,
+    /// Epochs the oldest pinned query snapshot trails the engine's
+    /// current epoch (0 when no query is active).
+    epoch_lag: Arc<Gauge>,
+    recovery: RecoveryCounters,
+}
+
+/// Crash-recovery counters (family `recovery`). Registered on every
+/// engine so `render_openmetrics` always exports the family; non-zero
+/// only on engines built by [`MasmEngine::recover`].
+struct RecoveryCounters {
+    records_replayed: Arc<Counter>,
+    updates_rebuilt: Arc<Counter>,
+    runs_recovered: Arc<Counter>,
+    torn_tail: Arc<Counter>,
+    torn_bytes: Arc<Counter>,
+    migrations_redriven: Arc<Counter>,
+}
+
+impl EngineMetrics {
+    fn new() -> Self {
+        let registry = Registry::new();
+        let h = |name, help| registry.histogram("op", name, Unit::VirtualNs, help);
+        EngineMetrics {
+            ingest: h(
+                "ingest",
+                "one apply_update call, including any flush it triggered",
+            ),
+            get: h("get", "one point lookup"),
+            scan_next: h(
+                "scan_next",
+                "merged range scan: count = records returned, samples = per-batch stall",
+            ),
+            flush: h("flush", "one buffer flush materializing a 1-pass run"),
+            migrate: h("migrate", "one full or partial migration"),
+            block_fetch: h("block_fetch", "one block obtained by a query run scan"),
+            epoch_lag: registry.gauge(
+                "engine",
+                "epoch_lag",
+                Unit::Ops,
+                "epochs the oldest pinned query snapshot trails the engine",
+            ),
+            recovery: {
+                let r = |name, unit, help| registry.counter("recovery", name, unit, help);
+                RecoveryCounters {
+                    records_replayed: r(
+                        "records_replayed",
+                        Unit::Ops,
+                        "WAL records replayed at recovery",
+                    ),
+                    updates_rebuilt: r(
+                        "updates_rebuilt",
+                        Unit::Ops,
+                        "updates restored into the in-memory buffer",
+                    ),
+                    runs_recovered: r(
+                        "runs_recovered",
+                        Unit::Ops,
+                        "materialized runs re-registered at recovery",
+                    ),
+                    torn_tail: r("torn_tail", Unit::Ops, "torn WAL tails truncated"),
+                    torn_bytes: r(
+                        "torn_bytes",
+                        Unit::Bytes,
+                        "WAL bytes discarded with torn tails",
+                    ),
+                    migrations_redriven: r(
+                        "migrations_redriven",
+                        Unit::Ops,
+                        "interrupted migrations re-driven to completion",
+                    ),
+                }
+            },
+            registry,
+        }
+    }
+
+    fn snapshot(&self) -> OpLatencies {
+        OpLatencies {
+            ingest: self.ingest.snapshot(),
+            get: self.get.snapshot(),
+            scan_next: self.scan_next.snapshot(),
+            flush: self.flush.snapshot(),
+            migrate: self.migrate.snapshot(),
+            block_fetch: self.block_fetch.snapshot(),
+        }
+    }
+}
+
+/// Outcome of one migration.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MigrationReport {
+    /// Migration timestamp `t`.
+    pub ts: Timestamp,
+    /// Number of runs migrated.
+    pub runs_migrated: usize,
+    /// Update records merged into the main data.
+    pub updates_applied: u64,
+    /// Data pages written back.
+    pub pages_written: u64,
+}
+
+/// Outcome of crash recovery.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RecoveryReport {
+    /// Updates restored into the in-memory buffer.
+    pub updates_recovered: u64,
+    /// Materialized runs re-registered.
+    pub runs_recovered: usize,
+    /// Whether an interrupted migration was re-driven to completion.
+    pub redid_migration: bool,
+    /// WAL records replayed from the longest valid log prefix.
+    pub wal_records_replayed: u64,
+    /// Bytes truncated from a torn WAL tail (0 = the log ended
+    /// cleanly).
+    pub wal_torn_bytes: u64,
+}
+
+/// The MaSM storage-manager engine for one table.
+pub struct MasmEngine {
+    heap: Arc<TableHeap>,
+    ssd: SimDevice,
+    cfg: MasmConfig,
+    schema: Schema,
+    /// Shared cache of decoded run blocks: every run scan of this
+    /// engine — queries, merges, migrations — goes through it, so hot
+    /// run pages are read off the SSD once.
+    cache: Arc<BlockCache>,
+    oracle: TimestampOracle,
+    /// The engine state lock. [`TrackedMutex`]: holding it across
+    /// device I/O is a debug-mode panic (lock-discipline audit).
+    state: TrackedMutex<EngineState>,
+    /// Rung whenever the state changes in a way someone may wait for.
+    quiesce: Condvar,
+    /// Redo log. Appends are internally synchronized (lock-free offset
+    /// reservation) — no engine lock is involved in logging.
+    wal: Wal,
+    /// Background worker pool, present when `background_workers > 0`.
+    workers: OnceLock<WorkerHandle>,
+    /// This engine's shard index in a sharded deployment (0 when the
+    /// engine stands alone). Tags every job handed to the shared pool.
+    shard_id: usize,
+    /// The inclusive key range this engine caches updates for: the
+    /// whole keyspace when it stands alone, its router range as a
+    /// shard. What [`MasmEngine::migrate`] migrates.
+    key_range: (Key, Key),
+    ingested_updates: AtomicU64,
+    ingested_bytes: AtomicU64,
+    /// Last commit timestamp per key, for first-committer-wins snapshot
+    /// isolation (§3.6). A production system would truncate this by the
+    /// oldest active transaction; we keep it simple.
+    commit_index: Mutex<std::collections::HashMap<Key, Timestamp>>,
+    /// Outcome of the most recent planned run merge (2-pass merge or
+    /// compaction).
+    last_merge: Mutex<Option<MergeReport>>,
+    /// Cumulative totals across every planned merge this engine ran.
+    merge_totals: Mutex<MergeReport>,
+    /// Cumulative codec accounting across every run this engine built
+    /// (or recovered): raw vs stored data-block bytes, blocks per codec.
+    compression_totals: Mutex<CompressionReport>,
+    /// Per-operation latency histograms + the metric registry behind
+    /// [`MasmEngine::stats`].
+    metrics: EngineMetrics,
+    /// Optional `masm-trace` flight recorder
+    /// ([`MasmEngine::install_tracer`]). When absent or disabled every
+    /// instrumentation site costs one load.
+    tracer: OnceLock<Arc<Tracer>>,
+    /// Flow id linking the most recently requested compact job to the
+    /// flush/scan that scheduled it (0 = none pending). Consumed when
+    /// the job runs.
+    compact_flow: AtomicU64,
+    /// Flow id linking the most recently requested migrate job to its
+    /// requester (0 = none pending).
+    migrate_flow: AtomicU64,
+}
+
+impl std::fmt::Debug for MasmEngine {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let st = self.state.lock();
+        f.debug_struct("MasmEngine")
+            .field("buffered_updates", &st.buffer.len())
+            .field("runs", &st.runs.len())
+            .field("cached_bytes", &st.runs.live_bytes())
+            .finish()
+    }
+}
+
+impl MasmEngine {
+    /// Create an engine over an existing (possibly empty) heap. A fresh
+    /// engine is the recovery of an empty redo log: one construction
+    /// path, one engine literal.
+    pub fn new(
+        heap: Arc<TableHeap>,
+        ssd: SimDevice,
+        wal_dev: SimDevice,
+        schema: Schema,
+        cfg: MasmConfig,
+    ) -> MasmResult<Arc<Self>> {
+        let (oracle, log) = (TimestampOracle::new(), ParsedWal::default());
+        let whole = (0, Key::MAX);
+        Self::recover_from_parsed(
+            heap, ssd, wal_dev, schema, cfg, oracle, 0, whole, true, log, None,
+        )
+        .map(|(engine, _)| engine)
+    }
+
+    /// Spawn the background worker pool when one is configured.
+    fn start_workers(engine: &Arc<Self>) {
+        if engine.cfg.background_workers > 0 {
+            let pool = WorkerPool::new(
+                engine.cfg.background_workers,
+                engine.cfg.effective_backlog_bytes(),
+                1,
+                &[&engine.metrics.registry],
+            );
+            let handle = WorkerHandle::spawn(std::slice::from_ref(engine), pool);
+            let _ = engine.workers.set(handle);
+        }
+    }
+
+    /// Install a shared worker handle built by a sharded deployment.
+    /// No-op if workers were already installed.
+    pub(crate) fn install_workers(&self, handle: WorkerHandle) {
+        let _ = self.workers.set(handle);
+    }
+
+    /// Install the `masm-trace` flight recorder. First installation
+    /// wins; the engine emits spans, instants, and flow links only
+    /// while a tracer is installed *and* enabled — otherwise every
+    /// instrumentation site costs one relaxed load.
+    pub fn install_tracer(&self, tracer: Arc<Tracer>) {
+        let _ = self.tracer.set(tracer);
+    }
+
+    /// The installed tracer while recording is on. `None` is the fast
+    /// path: one `OnceLock` load plus one relaxed atomic load.
+    #[inline]
+    pub(crate) fn trace(&self) -> Option<&Arc<Tracer>> {
+        self.tracer.get().filter(|t| t.enabled())
+    }
+
+    /// The installed tracer regardless of the enabled flag (scan
+    /// streams hold it for the lifetime of the query and re-check the
+    /// flag per event).
+    pub(crate) fn tracer_arc(&self) -> Option<Arc<Tracer>> {
+        self.tracer.get().cloned()
+    }
+
+    /// This engine's trace track: pid = shard, tid = calling thread.
+    pub(crate) fn track(&self) -> TrackId {
+        TrackId {
+            pid: self.shard_id as u32,
+            tid: current_tid(),
+        }
+    }
+
+    /// A drop-guard span on this engine's track, timed on `session`'s
+    /// clock, while recording is on.
+    fn trace_span(
+        &self,
+        name: &'static str,
+        session: &SessionHandle,
+    ) -> Option<SpanGuard<'_, impl Fn() -> u64>> {
+        self.trace().map(|t| {
+            let session = session.clone();
+            t.span(name, self.track(), move || session.now())
+        })
+    }
+
+    /// An instant on this engine's track, while recording is on.
+    pub(crate) fn trace_instant(
+        &self,
+        name: &'static str,
+        at: Ns,
+        arg_name: &'static str,
+        arg: u64,
+    ) {
+        if let Some(t) = self.trace() {
+            t.instant(name, self.track(), at, arg_name, arg);
+        }
+    }
+
+    /// Drain and join the background workers (no-op in inline mode).
+    /// Idempotent; queued jobs still execute before threads exit.
+    /// Dropping the engine without calling this only *signals* shutdown
+    /// — call it for deterministic teardown.
+    pub fn shutdown(&self) {
+        if let Some(h) = self.workers.get() {
+            h.join();
+        }
+    }
+
+    /// The worker handle while background mode is live. `None` once
+    /// shutdown has been signalled: a job enqueued past shutdown would
+    /// never run, so the engine reverts to the inline flush/merge paths
+    /// (same semantics as `background_workers = 0`).
+    fn live_pool(&self) -> Option<&WorkerHandle> {
+        self.workers.get().filter(|h| !h.pool().is_shutdown())
+    }
+
+    /// The table schema.
+    pub fn schema(&self) -> &Schema {
+        &self.schema
+    }
+
+    /// The engine configuration.
+    pub fn config(&self) -> &MasmConfig {
+        &self.cfg
+    }
+
+    /// The table heap.
+    pub fn heap(&self) -> &Arc<TableHeap> {
+        &self.heap
+    }
+
+    /// The SSD update-cache device (for statistics).
+    pub fn ssd(&self) -> &SimDevice {
+        &self.ssd
+    }
+
+    /// Hit/miss counters of the block cache, including the split
+    /// between evictable data-block bytes and pinned run-metadata bytes
+    /// (zone maps + bloom filters).
+    pub fn cache_stats(&self) -> CacheStatsSnapshot {
+        self.cache.stats()
+    }
+
+    /// Outcome of the most recent planned run merge (2-pass merge or
+    /// compaction), if any has run.
+    pub fn last_merge_report(&self) -> Option<MergeReport> {
+        *self.last_merge.lock()
+    }
+
+    /// Cumulative merge totals across the engine's lifetime.
+    pub fn merge_stats(&self) -> MergeReport {
+        *self.merge_totals.lock()
+    }
+
+    /// Cumulative codec accounting over every run this engine built or
+    /// recovered: raw vs stored data-block bytes and per-codec block
+    /// counts ([`CompressionReport::ratio`] is the on-disk compression
+    /// ratio the configured [`crate::config::CodecChoice`] achieved).
+    pub fn compression_stats(&self) -> CompressionReport {
+        *self.compression_totals.lock()
+    }
+
+    fn record_merge(&self, report: MergeReport) {
+        *self.last_merge.lock() = Some(report);
+        let mut totals = self.merge_totals.lock();
+        *totals = totals.merge(&report);
+    }
+
+    /// Fold a newly built (or recovered) run's codec accounting into
+    /// the engine totals.
+    fn record_compression(&self, run: &SortedRun) {
+        let mut totals = self.compression_totals.lock();
+        *totals = totals.merge(&run.meta.compression());
+    }
+
+    /// The timestamp oracle.
+    pub fn oracle(&self) -> &TimestampOracle {
+        &self.oracle
+    }
+
+    /// Bytes of cached updates on the SSD (live runs).
+    pub fn cached_bytes(&self) -> u64 {
+        self.state.lock().runs.live_bytes()
+    }
+
+    /// Number of live materialized runs.
+    pub fn run_count(&self) -> usize {
+        self.state.lock().runs.len()
+    }
+
+    /// Number of updates waiting in the in-memory buffer.
+    pub fn buffered_updates(&self) -> usize {
+        self.state.lock().buffer.len()
+    }
+
+    /// Whether cached updates have reached the migration threshold.
+    pub fn needs_migration(&self) -> bool {
+        let st = self.state.lock();
+        st.runs.needs_migration(&self.cfg)
+    }
+
+    /// Total updates ingested and their logical bytes (for
+    /// write-amplification accounting).
+    pub fn ingest_stats(&self) -> (u64, u64) {
+        (
+            self.ingested_updates.load(Ordering::Relaxed),
+            self.ingested_bytes.load(Ordering::Relaxed),
+        )
+    }
+
+    /// The unified engine snapshot: cache, merge, compression, device
+    /// I/O + wear summary, buffer and run-set occupancy, and the six
+    /// per-operation latency histograms — everything the paper's
+    /// quantitative invariants need, in one [`EngineStats`] value
+    /// (serializable via [`EngineStats::to_json`], differentiable via
+    /// [`EngineStats::delta`]).
+    ///
+    /// Cheap enough to poll from a driver loop: two short mutex holds
+    /// (engine state, WAL) plus atomic loads; the SSD wear summary is
+    /// O(1) — no per-block map is walked.
+    pub fn stats(&self) -> EngineStats {
+        let (buffer, runs, epoch_lag) = {
+            let st = self.state.lock();
+            (
+                BufferStats {
+                    updates: st.buffer.len() as u64,
+                    bytes: st.buffer.bytes() as u64,
+                    capacity_bytes: st.buffer.capacity() as u64,
+                },
+                RunSetStats {
+                    count: st.runs.len() as u64,
+                    cached_bytes: st.runs.live_bytes(),
+                    ssd_capacity_bytes: self.cfg.ssd_capacity,
+                },
+                st.epoch_lag(),
+            )
+        };
+        self.metrics.epoch_lag.set(epoch_lag);
+        let mut workers = WorkerStats::default();
+        if let Some(h) = self.workers.get() {
+            // The job counters live in this shard's registry (family
+            // `worker`); the pool-wide levels are read off the pool,
+            // which registers its gauges with the first shard only.
+            self.metrics.registry.read_family("worker", &mut workers);
+            let (queue_depth, backlog_bytes) = h.pool().depths();
+            workers.threads = h.pool().threads as u64;
+            workers.queue_depth = queue_depth;
+            workers.backlog_bytes = backlog_bytes;
+        }
+        workers.epoch_lag = epoch_lag;
+        let wal = self.wal.device().stats();
+        EngineStats {
+            at_ns: self.ssd.clock().now(),
+            ingested_updates: self.ingested_updates.load(Ordering::Relaxed),
+            ingested_bytes: self.ingested_bytes.load(Ordering::Relaxed),
+            buffer,
+            runs,
+            cache: self.cache.stats(),
+            merge: *self.merge_totals.lock(),
+            compression: *self.compression_totals.lock(),
+            ssd: self.ssd.stats(),
+            ssd_wear: self.ssd.wear_stats(),
+            wal,
+            workers,
+            ops: self.metrics.snapshot(),
+        }
+    }
+
+    /// The engine's metric registry (six `op.*` latency families), for
+    /// catalog-style export: walk it with [`Registry::for_each`].
+    pub fn metrics_registry(&self) -> &Registry {
+        &self.metrics.registry
+    }
+}

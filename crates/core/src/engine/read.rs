@@ -1,0 +1,280 @@
+//! The read path: merged range scans and point lookups over a pinned
+//! snapshot.
+
+use std::sync::Arc;
+
+use masm_pagestore::{Key, RangeScan, Record};
+use masm_storage::{Ns, SessionHandle, StorageError};
+use masm_telemetry::Timer;
+
+use super::MasmEngine;
+use crate::error::MasmResult;
+use crate::merge::{MergeDataUpdates, MergeUpdates, UpdateStream};
+use crate::run::{lookup_in_run, RunScan};
+use crate::ts::Timestamp;
+use crate::update::UpdateRecord;
+
+impl MasmEngine {
+    /// Open a merged range scan of `[begin, end]` as of a fresh query
+    /// timestamp. This replaces `Table_range_scan` in a query plan.
+    pub fn begin_scan(
+        self: &Arc<Self>,
+        session: SessionHandle,
+        begin: Key,
+        end: Key,
+    ) -> MasmResult<MergeScan> {
+        self.begin_scan_at(session, begin, end, None, Vec::new())
+    }
+
+    /// Open a merged range scan at an explicit timestamp (snapshot
+    /// isolation) with an optional private update overlay (a
+    /// transaction's own writes; §3.6).
+    pub fn begin_scan_at(
+        self: &Arc<Self>,
+        session: SessionHandle,
+        begin: Key,
+        end: Key,
+        as_of: Option<Timestamp>,
+        mut private: Vec<UpdateRecord>,
+    ) -> MasmResult<MergeScan> {
+        let _setup = self.trace_span("scan.setup", &session);
+        let background = self.live_pool().is_some();
+        let mut want_compaction = false;
+        let (query_ts, snapshot) = loop {
+            let mut st = self.state.lock();
+            // Fig. 8 scan setup, lines 1–4: flush a full buffer first. A
+            // full SSD is not fatal here — the scan simply reads the
+            // buffer through Mem_scan; the engine reports
+            // `needs_migration`. With a pool the flush is only
+            // requested: sealed batches are query-visible and this scan
+            // starts now.
+            if st.buffer.bytes() >= self.cfg.update_buffer_bytes() as usize
+                && st.runs.live_bytes() + st.buffer.bytes() as u64 <= self.cfg.ssd_capacity
+            {
+                let sealed = st.seal(self, background);
+                drop(st);
+                self.dispatch_flush(&session, sealed, background)?;
+                continue;
+            }
+            // Lines 5–8: cap the number of open runs by the query
+            // pages. In background mode the merge is requested, not
+            // awaited — the scan reads the still-live 1-pass runs.
+            if st.runs.len() > self.cfg.query_pages() as usize {
+                if background {
+                    want_compaction = true;
+                } else if let Some((claim, inputs)) =
+                    st.claim_merge(self, |runs| runs.plan_merge(&self.cfg))
+                {
+                    drop(st);
+                    self.merge_runs(&session, claim, inputs, self.cfg.merge_duplicates)?;
+                    continue;
+                }
+            }
+            let query_ts = as_of.unwrap_or_else(|| self.oracle.next());
+            break (query_ts, st.pin(query_ts, begin, end, true));
+        };
+        if want_compaction {
+            self.request_compaction(session.now());
+        }
+
+        let mut streams: Vec<UpdateStream> =
+            Vec::with_capacity(snapshot.runs.len() + snapshot.sealed.len() + 2);
+        for run in &snapshot.runs {
+            if run.max_key < begin || run.min_key > end {
+                continue;
+            }
+            let mut scan = RunScan::with_cache(
+                self.ssd.clone(),
+                session.clone(),
+                Arc::clone(run),
+                Some(Arc::clone(&self.cache)),
+                begin,
+                end,
+            )
+            .with_fetch_histogram(Arc::clone(&self.metrics.block_fetch));
+            if let Some(t) = self.tracer_arc() {
+                scan = scan.with_trace(t, self.shard_id as u32);
+            }
+            streams.push(Box::new(scan));
+        }
+        for batch in &snapshot.sealed {
+            let slice: Vec<UpdateRecord> = batch
+                .iter()
+                .filter(|u| u.key >= begin && u.key <= end)
+                .cloned()
+                .collect();
+            if !slice.is_empty() {
+                streams.push(Box::new(slice.into_iter()));
+            }
+        }
+        streams.push(Box::new(snapshot.mem.into_iter()));
+        if !private.is_empty() {
+            private.sort_by_key(|a| (a.key, a.ts));
+            private.retain(|u| u.key >= begin && u.key <= end);
+            streams.push(Box::new(private.into_iter()));
+        }
+
+        let data = self.heap.scan_range(session.clone(), begin, end);
+        let updates = MergeUpdates::new(streams, self.schema.clone(), query_ts);
+        let join = MergeDataUpdates::new(data, updates, self.schema.clone());
+        Ok(MergeScan {
+            inner: join,
+            engine: Arc::clone(self),
+            session,
+            ts: query_ts,
+            cpu_per_record: 0,
+            unreported: 0,
+            stall: 0,
+        })
+    }
+
+    /// Point lookup: the freshest visible version of `key`.
+    ///
+    /// Consults, in order, the in-memory update buffer, the
+    /// materialized runs — per-run bloom filters reject runs that
+    /// definitely lack the key with zero I/O, and needed blocks come
+    /// through the shared block cache — and finally the heap page
+    /// that would hold the key. All updates visible at the lookup's
+    /// timestamp are applied to the heap base record (page timestamps
+    /// skip updates a migration already folded in), so the result is
+    /// exactly what a [`MasmEngine::begin_scan`] of `[key, key]` would
+    /// return, at a fraction of the setup cost.
+    pub fn get(self: &Arc<Self>, session: &SessionHandle, key: Key) -> MasmResult<Option<Record>> {
+        let _t = Timer::start(&self.metrics.get, || session.now());
+        let _sp = self.trace().and_then(|t| {
+            let s = session.clone();
+            t.op_span("get", self.track(), move || s.now())
+        });
+        // Pinned as an active query, so a concurrent migration cannot
+        // retire the runs (and recycle their SSD space) mid-lookup.
+        let (ts, snapshot) = {
+            let mut st = self.state.lock();
+            let ts = self.oracle.next();
+            (ts, st.pin(ts, key, key, false))
+        };
+        let result = (|| {
+            let mut updates: Vec<UpdateRecord> = Vec::new();
+            for run in &snapshot.runs {
+                updates.extend(
+                    lookup_in_run(session, &self.ssd, run, Some(&self.cache), key)?
+                        .into_iter()
+                        .filter(|u| u.ts <= ts),
+                );
+            }
+            for batch in &snapshot.sealed {
+                updates.extend(batch.iter().filter(|u| u.key == key && u.ts <= ts).cloned());
+            }
+            updates.extend(snapshot.mem);
+            updates.sort_by_key(|u| u.ts);
+
+            let (base, page_ts) = match self.heap.locate(key) {
+                Some(logical) => {
+                    let page = self.heap.read_page(session, logical)?;
+                    let rec = page.records().find(|r| r.key == key);
+                    (rec, page.timestamp())
+                }
+                None => (None, 0),
+            };
+            let mut current = base;
+            for u in updates {
+                if u.ts > page_ts {
+                    current = u.apply_to(current, &self.schema);
+                }
+            }
+            Ok(current)
+        })();
+        self.unpin(ts);
+        result
+    }
+}
+
+/// A merged range scan: the operator tree of Figure 6 rooted at
+/// `Merge_data_updates`, plus the pin that lets migration wait for
+/// earlier queries.
+///
+/// `next` pops from the join's buffer; everything with a lock or an
+/// atomic in it — session-clock reads, the `scan_next` histogram, the
+/// optional CPU charge — happens in `refill`, once per heap page.
+pub struct MergeScan {
+    inner: MergeDataUpdates<RangeScan, MergeUpdates>,
+    engine: Arc<MasmEngine>,
+    session: SessionHandle,
+    ts: Timestamp,
+    cpu_per_record: u64,
+    /// Records returned and session time spent in refills since
+    /// `scan_next` was last brought up to date.
+    unreported: u64,
+    stall: Ns,
+}
+
+impl MergeScan {
+    /// This query's timestamp.
+    pub fn timestamp(&self) -> Timestamp {
+        self.ts
+    }
+
+    /// Inject CPU cost per returned record (Figure 13's experiment).
+    pub fn with_cpu_per_record(mut self, ns: u64) -> Self {
+        self.cpu_per_record = ns;
+        self
+    }
+
+    /// The heap read error that ended the scan early, if one did: the
+    /// records returned so far are right, but they are not all of them.
+    pub fn error(&self) -> Option<&StorageError> {
+        self.inner.error()
+    }
+
+    /// Bring `scan_next` up to date: one sample per record returned —
+    /// the first carries the stall that preceded it, the rest cost
+    /// nothing — so a scan dropped early reports exactly what it
+    /// returned.
+    fn report(&mut self) {
+        if self.unreported > 0 {
+            let hist = &self.engine.metrics.scan_next;
+            hist.record(self.stall);
+            hist.record_n(0, self.unreported - 1);
+            (self.unreported, self.stall) = (0, 0);
+        }
+    }
+
+    fn refill(&mut self) {
+        let start = self.session.now();
+        let (session, cpu) = (&self.session, self.cpu_per_record);
+        self.inner.refill(|| {
+            if cpu > 0 {
+                session.cpu(cpu);
+            }
+        });
+        let stall = self.session.now().saturating_sub(start);
+        if stall > 0 {
+            // The session clock only moves inside an I/O wait (or a CPU
+            // charge): the records before it are settled.
+            self.report();
+            self.stall += stall;
+        }
+    }
+}
+
+impl Iterator for MergeScan {
+    type Item = Record;
+
+    fn next(&mut self) -> Option<Record> {
+        let record = match self.inner.pop() {
+            Some(record) => record,
+            None => {
+                self.refill();
+                self.inner.pop()?
+            }
+        };
+        self.unreported += 1;
+        Some(record)
+    }
+}
+
+impl Drop for MergeScan {
+    fn drop(&mut self) {
+        self.report();
+        self.engine.unpin(self.ts);
+    }
+}

@@ -1,0 +1,431 @@
+//! Crash recovery: fold a redo log into the state an engine is built
+//! from. A fresh engine is the recovery of the empty log, so this is
+//! also the one construction site.
+
+use std::collections::BTreeMap;
+use std::sync::atomic::AtomicU64;
+use std::sync::{Arc, OnceLock};
+
+use parking_lot::{Condvar, Mutex};
+
+use masm_blockrun::BlockCache;
+use masm_pagestore::{ChunkCommit, Key, Schema, TableHeap};
+use masm_storage::{CompressionReport, MergeReport, SessionHandle, SimDevice, TrackedMutex};
+use masm_telemetry::Tracer;
+
+use super::state::EngineState;
+use super::{EngineMetrics, MasmEngine, RecoveryReport};
+use crate::algo::RunSet;
+use crate::config::MasmConfig;
+use crate::error::{MasmError, MasmResult};
+use crate::manifest::ShardManifest;
+use crate::membuf::UpdateBuffer;
+use crate::run::recover_run;
+use crate::ts::{Timestamp, TimestampOracle};
+use crate::update::UpdateRecord;
+use crate::wal::{Wal, WalRecord};
+
+/// One heap-metadata event parsed from a redo log. Sharded recovery
+/// merges the events of every shard's log into one globally ordered
+/// sequence (by `seq`, with cross-log duplicates removed) before
+/// touching the shared heap.
+#[derive(Debug, Clone)]
+pub(crate) enum HeapEvent {
+    /// A bulk load ([`WalRecord::HeapLoaded`]).
+    Load {
+        /// Global heap-event sequence number.
+        seq: u64,
+        /// Physical base offset of the load.
+        base: u64,
+        /// Page size used.
+        page_size: u32,
+        /// Minimum key per page.
+        min_keys: Vec<Key>,
+        /// Total records loaded.
+        record_count: u64,
+    },
+    /// A migration chunk splice ([`WalRecord::MapSplice`]).
+    Splice {
+        /// Global heap-event sequence number.
+        seq: u64,
+        /// The logged splice.
+        commit: ChunkCommit,
+    },
+}
+
+impl HeapEvent {
+    pub(crate) fn seq(&self) -> u64 {
+        match self {
+            HeapEvent::Load { seq, .. } | HeapEvent::Splice { seq, .. } => *seq,
+        }
+    }
+}
+
+/// Replay the heap-metadata events of one or more redo logs against a
+/// (fresh) table heap, in global `seq` order. Duplicates — the same
+/// bulk load broadcast to several shard WALs — collapse by `seq`.
+pub(crate) fn apply_heap_events(heap: &TableHeap, mut events: Vec<HeapEvent>) {
+    events.sort_by_key(HeapEvent::seq);
+    events.dedup_by_key(|e| e.seq());
+    for ev in events {
+        match ev {
+            HeapEvent::Load {
+                base,
+                page_size,
+                min_keys,
+                record_count,
+                ..
+            } => {
+                let page_map: Vec<u64> = (0..min_keys.len() as u64)
+                    .map(|i| base + i * page_size as u64)
+                    .collect();
+                let alloc_next = base + min_keys.len() as u64 * page_size as u64;
+                heap.restore(page_map, min_keys, record_count, alloc_next);
+            }
+            HeapEvent::Splice { commit, .. } => heap.apply_splice(&commit),
+        }
+    }
+}
+
+/// One materialized run named by the redo log as live at the crash.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RecoveredRun {
+    base: u64,
+    bytes: u64,
+    passes: u8,
+}
+
+/// Everything crash recovery needs from one shard's redo log: the
+/// record-level fold of the longest valid log prefix. The default is
+/// the empty log a fresh engine starts from.
+#[derive(Default)]
+pub(crate) struct ParsedWal {
+    /// The shard manifest, when the log belongs to a sharded
+    /// deployment (absent on standalone engines).
+    pub(crate) manifest: Option<ShardManifest>,
+    /// Runs created and not yet deleted, by run id.
+    pub(crate) live_runs: BTreeMap<u64, RecoveredRun>,
+    /// Logged updates not yet absorbed by any 1-pass run — the
+    /// in-memory buffer contents at the crash.
+    pub(crate) pending: Vec<UpdateRecord>,
+    /// Highest durable timestamp (updates, migration marks, and
+    /// heap-event seqs all draw from the one oracle).
+    pub(crate) max_ts: Timestamp,
+    /// A `MigrationBegin` without its `MigrationEnd`.
+    pub(crate) unfinished_migration: bool,
+    /// Heap loads and splices, in log order.
+    pub(crate) heap_events: Vec<HeapEvent>,
+    /// Records in the valid prefix.
+    pub(crate) records_replayed: u64,
+    /// Byte offset where the valid prefix ends (the recovered append
+    /// point).
+    pub(crate) end_offset: u64,
+    /// Bytes dropped beyond `end_offset` (torn tail; 0 = clean end).
+    pub(crate) torn_bytes: u64,
+}
+impl MasmEngine {
+    /// Rebuild an engine after a crash: heap metadata, run set, and the
+    /// in-memory update buffer come back from the redo log and the
+    /// (durable) SSD; an interrupted migration is re-driven to
+    /// completion (idempotent thanks to page timestamps). A torn WAL
+    /// tail — a record cut off mid-append by the crash — is truncated
+    /// and reported in [`RecoveryReport::wal_torn_bytes`]; corruption
+    /// anywhere *before* the tail stays a hard error.
+    pub fn recover(
+        heap: Arc<TableHeap>,
+        ssd: SimDevice,
+        wal_dev: SimDevice,
+        schema: Schema,
+        cfg: MasmConfig,
+    ) -> MasmResult<(Arc<Self>, RecoveryReport)> {
+        Self::recover_traced(heap, ssd, wal_dev, schema, cfg, None)
+    }
+
+    /// [`MasmEngine::recover`] with an optional flight recorder: the
+    /// tracer is installed before replay side effects begin, so the
+    /// recovery itself shows up as a `recovery` span (plus
+    /// `recovery.torn_tail` / `recovery.migration_redo` instants).
+    pub fn recover_traced(
+        heap: Arc<TableHeap>,
+        ssd: SimDevice,
+        wal_dev: SimDevice,
+        schema: Schema,
+        cfg: MasmConfig,
+        tracer: Option<Arc<Tracer>>,
+    ) -> MasmResult<(Arc<Self>, RecoveryReport)> {
+        cfg.validate()?;
+        let session = SessionHandle::fresh(ssd.clock().clone());
+        let mut parsed = Self::parse_wal(&session, &wal_dev)?;
+        apply_heap_events(&heap, std::mem::take(&mut parsed.heap_events));
+        let unfinished = parsed.unfinished_migration;
+        let (engine, mut report) = Self::recover_from_parsed(
+            heap,
+            ssd,
+            wal_dev,
+            schema,
+            cfg,
+            TimestampOracle::new(),
+            0,
+            (0, Key::MAX),
+            true,
+            parsed,
+            tracer,
+        )?;
+        if unfinished {
+            engine.migrate(&session)?;
+            engine.note_migration_redriven();
+            report.redid_migration = true;
+        }
+        Ok((engine, report))
+    }
+
+    /// Fold one redo log into its recovery-relevant state (the longest
+    /// valid prefix; torn tails are truncated here, per [`Wal::replay`]).
+    pub(crate) fn parse_wal(session: &SessionHandle, wal_dev: &SimDevice) -> MasmResult<ParsedWal> {
+        let replay = Wal::replay(session, wal_dev)?;
+        // A crash-snapshot device carries no write-head position: prime
+        // it at the recovered append point so the first post-recovery
+        // append continues the sequential pattern instead of being
+        // charged as a seek.
+        wal_dev.prime_head_position_if_unset(replay.end_offset);
+        let mut parsed = ParsedWal {
+            records_replayed: replay.records.len() as u64,
+            end_offset: replay.end_offset,
+            torn_bytes: replay.torn_bytes,
+            ..ParsedWal::default()
+        };
+        for rec in replay.records {
+            match rec {
+                WalRecord::Update(u) => {
+                    parsed.max_ts = parsed.max_ts.max(u.ts);
+                    parsed.pending.push(u);
+                }
+                WalRecord::RunCreated {
+                    id,
+                    base,
+                    bytes,
+                    passes,
+                    max_ts: run_max_ts,
+                    ..
+                } => {
+                    parsed.live_runs.insert(
+                        id,
+                        RecoveredRun {
+                            base,
+                            bytes,
+                            passes,
+                        },
+                    );
+                    if passes == 1 {
+                        // Updates at or below the run's max timestamp
+                        // are durable in the run; the rest were still
+                        // buffer-resident at the crash. A timestamp
+                        // filter (not log position) because concurrent
+                        // appenders interleave Update and RunCreated
+                        // records; re-applied duplicates are idempotent.
+                        parsed.pending.retain(|u| u.ts > run_max_ts);
+                    }
+                }
+                WalRecord::RunsDeleted(ids) => {
+                    for id in ids {
+                        parsed.live_runs.remove(&id);
+                    }
+                }
+                WalRecord::MigrationBegin { ts, .. } => {
+                    parsed.max_ts = parsed.max_ts.max(ts);
+                    parsed.unfinished_migration = true;
+                }
+                WalRecord::MigrationEnd { .. } => {
+                    parsed.unfinished_migration = false;
+                }
+                WalRecord::HeapLoaded {
+                    seq,
+                    base,
+                    page_size,
+                    min_keys,
+                    record_count,
+                } => {
+                    parsed.max_ts = parsed.max_ts.max(seq);
+                    parsed.heap_events.push(HeapEvent::Load {
+                        seq,
+                        base,
+                        page_size,
+                        min_keys,
+                        record_count,
+                    });
+                }
+                WalRecord::MapSplice { seq, commit } => {
+                    parsed.max_ts = parsed.max_ts.max(seq);
+                    parsed.heap_events.push(HeapEvent::Splice { seq, commit });
+                }
+                WalRecord::Manifest(m) => {
+                    if parsed.manifest.as_ref().is_some_and(|prev| *prev != m) {
+                        return Err(MasmError::Corrupt("conflicting manifests in one WAL"));
+                    }
+                    parsed.manifest = Some(m);
+                }
+            }
+        }
+        Ok(parsed)
+    }
+
+    /// Build an engine from a parsed redo log — the one construction
+    /// site; a fresh engine passes the empty log. A sharded deployment
+    /// injects a *cloned* oracle (one global timestamp order across
+    /// shards), the shard's index and key range, and
+    /// `spawn_workers = false` (it wires one shared pool across all
+    /// shards afterwards via [`MasmEngine::install_workers`]). The heap
+    /// must already hold its recovered metadata (see
+    /// [`apply_heap_events`] — applied per log by
+    /// [`MasmEngine::recover_traced`], or merged across all logs by
+    /// [`crate::ShardedEngine::recover`]). The shared `oracle` is
+    /// advanced past this log's durable maximum (order-independent, so
+    /// shards fold in any order). Does *not* re-drive an interrupted
+    /// migration — the caller owns that (and its cross-shard
+    /// staggering).
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn recover_from_parsed(
+        heap: Arc<TableHeap>,
+        ssd: SimDevice,
+        wal_dev: SimDevice,
+        schema: Schema,
+        cfg: MasmConfig,
+        oracle: TimestampOracle,
+        shard_id: usize,
+        key_range: (Key, Key),
+        spawn_workers: bool,
+        parsed: ParsedWal,
+        tracer: Option<Arc<Tracer>>,
+    ) -> MasmResult<(Arc<Self>, RecoveryReport)> {
+        cfg.validate()?;
+        let t0 = ssd.clock().now();
+        let session = SessionHandle::fresh(ssd.clock().clone());
+        let ParsedWal {
+            live_runs,
+            pending,
+            mut max_ts,
+            end_offset,
+            torn_bytes,
+            records_replayed,
+            ..
+        } = parsed;
+
+        // Re-open run metadata from the durable, checksummed block-run
+        // footers: zone maps, bloom filters, and key/timestamp bounds
+        // come back without decoding a single update record.
+        let mut runs = RunSet::new();
+        for (id, info) in &live_runs {
+            let run = recover_run(&session, &ssd, *id, info.base, info.bytes, info.passes)?;
+            max_ts = max_ts.max(run.max_ts);
+            runs.add(Arc::new(run));
+        }
+        let high_water = runs.rewind_space(cfg.ssd_region_base);
+        if let Some(last) = live_runs.keys().next_back() {
+            runs.resume_ids_after(*last);
+        }
+        let runs_recovered = runs.len();
+
+        // The engine only ever appends runs from its high-water mark
+        // (the region base when fresh); prime the head there so the
+        // first run write on a device without a head position — fresh,
+        // or a crash snapshot — is classified sequential (design goal
+        // 2: random_writes == 0, also across a crash). On a shared
+        // device that already has a head position this is a no-op —
+        // another engine's accounting must not be rewritten. (The WAL
+        // head is primed where the log was read, in `parse_wal`.)
+        ssd.prime_head_position_if_unset(high_water);
+
+        oracle.advance_past(max_ts);
+
+        let mut buffer = UpdateBuffer::new(cfg.update_buffer_bytes() as usize);
+        let updates_recovered = pending.len() as u64;
+        for u in pending {
+            buffer.push(u);
+        }
+
+        // Re-pin the recovered runs' metadata footprint in the cache
+        // accounting (zone maps + blooms live as long as the runs do),
+        // and rebuild the codec accounting from their zone maps.
+        let cache = Arc::new(BlockCache::with_config(cfg.cache_config()));
+        let mut compression = CompressionReport::default();
+        for r in runs.runs() {
+            cache.retain_meta_bytes(r.memory_bytes());
+            compression = compression.merge(&r.meta.compression());
+        }
+
+        let engine = Arc::new(MasmEngine {
+            heap,
+            ssd,
+            cache,
+            cfg,
+            schema,
+            oracle,
+            state: TrackedMutex::new(EngineState::new(buffer, runs)),
+            quiesce: Condvar::new(),
+            wal: Wal::new(wal_dev, end_offset),
+            workers: OnceLock::new(),
+            shard_id,
+            key_range,
+            ingested_updates: AtomicU64::new(0),
+            ingested_bytes: AtomicU64::new(0),
+            commit_index: Mutex::new(std::collections::HashMap::new()),
+            last_merge: Mutex::new(None),
+            merge_totals: Mutex::new(MergeReport::default()),
+            compression_totals: Mutex::new(compression),
+            metrics: EngineMetrics::new(),
+            tracer: OnceLock::new(),
+            compact_flow: AtomicU64::new(0),
+            migrate_flow: AtomicU64::new(0),
+        });
+        if let Some(t) = tracer {
+            engine.install_tracer(t);
+        }
+        if spawn_workers {
+            Self::start_workers(&engine);
+        }
+
+        let rc = &engine.metrics.recovery;
+        rc.records_replayed.add(records_replayed);
+        rc.updates_rebuilt.add(updates_recovered);
+        rc.runs_recovered.add(runs_recovered as u64);
+        let t1 = engine.ssd.clock().now();
+        if let Some(t) = engine.trace() {
+            let dur = (t1 - t0).max(1);
+            t.span_event(
+                "recovery",
+                engine.track(),
+                t0,
+                dur,
+                "records",
+                records_replayed,
+            );
+        }
+        if torn_bytes > 0 {
+            rc.torn_tail.add(1);
+            rc.torn_bytes.add(torn_bytes);
+            engine.trace_instant("recovery.torn_tail", t1, "bytes", torn_bytes);
+        }
+
+        let report = RecoveryReport {
+            updates_recovered,
+            runs_recovered,
+            redid_migration: false,
+            wal_records_replayed: records_replayed,
+            wal_torn_bytes: torn_bytes,
+        };
+        Ok((engine, report))
+    }
+
+    /// Record (counter + trace instant) that an interrupted migration
+    /// was re-driven to completion on this engine during recovery.
+    pub(crate) fn note_migration_redriven(&self) {
+        self.metrics.recovery.migrations_redriven.add(1);
+        let now = self.ssd.clock().now();
+        self.trace_instant(
+            "recovery.migration_redo",
+            now,
+            "shard",
+            self.shard_id as u64,
+        );
+    }
+}

@@ -1,0 +1,451 @@
+//! The engine's shared state and the protocol over it (see the module
+//! doc of [`super`]): query pins and scan reservations, the fold
+//! guard, sealing, claims, install and retire. The fields that encode
+//! the protocol are private to this file — everything else in the
+//! engine reaches them through the functions below.
+
+use std::collections::BTreeMap;
+use std::sync::Arc;
+
+use masm_blockrun::BlockCache;
+use masm_pagestore::Key;
+
+use super::MasmEngine;
+use crate::algo::RunSet;
+use crate::error::MasmResult;
+use crate::membuf::UpdateBuffer;
+use crate::merge::fold_duplicates;
+use crate::run::SortedRun;
+use crate::ts::Timestamp;
+use crate::update::UpdateRecord;
+
+/// Bookkeeping for one active query (scan or point lookup).
+#[derive(Debug, Clone, Copy)]
+struct QueryPin {
+    /// Query pages pinned (one per open run scan).
+    pages: u64,
+    /// The engine epoch the query's snapshot was taken at.
+    epoch: u64,
+}
+
+/// A full in-memory buffer, sealed into an immutable batch awaiting its
+/// flush. Sealed batches stay visible to queries (scans and gets read
+/// them alongside runs and the live buffer) and are removed only when
+/// their 1-pass run is installed.
+struct SealedBatch {
+    id: u64,
+    /// Logical bytes, for backlog accounting.
+    bytes: u64,
+    /// A worker (or inline caller) is currently flushing this batch.
+    claimed: bool,
+    /// Whether `bytes` was charged to the worker backlog gate.
+    enqueued: bool,
+    /// Sorted, deduplicated updates; shared with query snapshots.
+    updates: Arc<Vec<UpdateRecord>>,
+}
+
+pub(super) struct EngineState {
+    pub(super) buffer: UpdateBuffer,
+    pub(super) runs: RunSet,
+    /// Sealed batches awaiting their flush, oldest first.
+    sealed: Vec<SealedBatch>,
+    next_batch: u64,
+    /// Snapshot-publication counter: bumped by every install and retire.
+    epoch: u64,
+    /// Active query timestamps → pin bookkeeping.
+    active_queries: BTreeMap<Timestamp, QueryPin>,
+    /// Total pinned query pages across active scans.
+    pinned_pages: u64,
+    /// SSD bytes of runs retired since the allocator last rewound.
+    retired_bytes: u64,
+    /// A planned merge (2-pass merge or compaction) is in flight.
+    merging: bool,
+    migrating: bool,
+    /// Scans whose query timestamp is drawn (or about to be drawn) but
+    /// not yet registered in `active_queries`. A cross-shard scan draws
+    /// one timestamp and then pins each shard in turn; between the draw
+    /// and this shard's pin, the timestamp is invisible to the
+    /// active-query guards, so duplicate folding and the migration gate
+    /// must treat any pending reservation as "a query at an unknown
+    /// timestamp may still arrive" and stay conservative.
+    scan_reservations: u64,
+}
+
+/// Everything a query reads besides the heap: immutable `Arc`s and a
+/// copy of the matching buffer entries, taken under one lock hold.
+pub(super) struct Snapshot {
+    pub(super) runs: Vec<Arc<SortedRun>>,
+    /// Sealed batches: their updates are not yet in any run.
+    pub(super) sealed: Vec<Arc<Vec<UpdateRecord>>>,
+    pub(super) mem: Vec<UpdateRecord>,
+}
+
+/// What a newly built run takes the place of.
+#[derive(Clone, Copy)]
+pub(super) enum Replaced<'a> {
+    /// The sealed batch it was flushed from.
+    Batch(u64),
+    /// The runs it was merged from.
+    Runs(&'a [Arc<SortedRun>]),
+}
+
+impl EngineState {
+    pub(super) fn new(buffer: UpdateBuffer, runs: RunSet) -> Self {
+        EngineState {
+            buffer,
+            runs,
+            sealed: Vec::new(),
+            next_batch: 0,
+            epoch: 0,
+            active_queries: BTreeMap::new(),
+            pinned_pages: 0,
+            retired_bytes: 0,
+            merging: false,
+            migrating: false,
+            scan_reservations: 0,
+        }
+    }
+
+    /// Pin a query snapshot at `ts`: register the query (so no
+    /// migration stamps pages above it, no fold hides a version from
+    /// it, and no extent it reads is reused) and hand out what it
+    /// reads of `[begin, end]`. A scan pins one query page per run.
+    #[inline]
+    pub(super) fn pin(&mut self, ts: Timestamp, begin: Key, end: Key, scan: bool) -> Snapshot {
+        let runs = self.runs.runs().to_vec();
+        let pages = if scan { runs.len() as u64 } else { 0 };
+        self.active_queries.insert(
+            ts,
+            QueryPin {
+                pages,
+                epoch: self.epoch,
+            },
+        );
+        self.pinned_pages += pages;
+        Snapshot {
+            runs,
+            sealed: self.sealed.iter().map(|b| Arc::clone(&b.updates)).collect(),
+            mem: self.buffer.snapshot_range(begin, end, ts),
+        }
+    }
+
+    /// Query pages held by open scans.
+    #[inline]
+    pub(super) fn query_pages_pinned(&self) -> u64 {
+        self.pinned_pages
+    }
+
+    /// Epochs the oldest pinned query snapshot trails the current one
+    /// (0 when no query is active).
+    pub(super) fn epoch_lag(&self) -> u64 {
+        let oldest = self.active_queries.values().map(|p| p.epoch).min();
+        oldest.map_or(0, |oldest| self.epoch.saturating_sub(oldest))
+    }
+
+    /// The fold guard (§3.5 "Handling Skews"): two versions `t1 < t2`
+    /// of a key may fold only when no query timestamp `t1 < t ≤ t2` is
+    /// active. A pending reservation is a query at an unknown
+    /// timestamp: fold nothing until it resolves into a registered pin.
+    /// (A reservation arriving *after* the guard is taken is safe — its
+    /// timestamp is drawn later, hence above every update the guard is
+    /// asked about.)
+    pub(super) fn fold_guard(&self) -> impl Fn(Timestamp, Timestamp) -> bool {
+        let reserved = self.scan_reservations > 0;
+        let active: Vec<Timestamp> = self.active_queries.keys().copied().collect();
+        move |t1, t2| !reserved && !active.iter().any(|&t| t1 < t && t <= t2)
+    }
+
+    /// Seal the in-memory buffer into an immutable sealed batch
+    /// (sorted, optionally duplicate-folded) and return its id and
+    /// logical byte size.
+    pub(super) fn seal(&mut self, engine: &MasmEngine, charge_backlog: bool) -> (u64, u64) {
+        let mut updates = self.buffer.drain_sorted();
+        if engine.cfg.merge_duplicates {
+            updates = fold_duplicates(updates, &engine.schema, self.fold_guard());
+        }
+        let bytes: u64 = updates.iter().map(|u| u.encoded_len() as u64).sum();
+        let id = self.next_batch;
+        self.next_batch += 1;
+        self.sealed.push(SealedBatch {
+            id,
+            bytes,
+            claimed: false,
+            enqueued: charge_backlog,
+            updates: Arc::new(updates),
+        });
+        (id, bytes)
+    }
+
+    /// Claim the merge slot together with the inputs `plan` picks: one
+    /// merge at a time, and none while a migration is in flight (it is
+    /// about to retire every run). `None` when the slot is taken or
+    /// `plan` finds nothing to merge.
+    /// The lock this state sits under must be released before the
+    /// claim is dropped.
+    pub(super) fn claim_merge<'a>(
+        &mut self,
+        engine: &'a MasmEngine,
+        plan: impl FnOnce(&RunSet) -> Option<Vec<Arc<SortedRun>>>,
+    ) -> Option<(Claim<'a>, Vec<Arc<SortedRun>>)> {
+        if self.merging || self.migrating {
+            return None;
+        }
+        let inputs = plan(&self.runs)?;
+        self.merging = true;
+        let what = Claimed::Merge;
+        Some((Claim { engine, what }, inputs))
+    }
+
+    /// Whether the run set wants a compaction and a migration that
+    /// nobody has claimed yet.
+    pub(super) fn maintenance_due(&self, engine: &MasmEngine) -> (bool, bool) {
+        (
+            !self.merging && self.runs.plan_merge(&engine.cfg).is_some(),
+            !self.migrating && self.runs.needs_migration(&engine.cfg),
+        )
+    }
+
+    /// Install a built and logged run: publish it and withdraw what it
+    /// replaces in one critical section, so a query snapshot holds
+    /// exactly one of the two. Returns the backlog bytes a flushed
+    /// batch had charged to the worker pool.
+    pub(super) fn install(
+        &mut self,
+        run: SortedRun,
+        replaced: Replaced<'_>,
+        cache: &BlockCache,
+    ) -> Option<u64> {
+        cache.retain_meta_bytes(run.memory_bytes());
+        self.runs.add(Arc::new(run));
+        self.epoch += 1;
+        match replaced {
+            Replaced::Batch(id) => {
+                let pos = self.sealed.iter().position(|b| b.id == id);
+                let batch = self.sealed.remove(pos.expect("claimed batch still sealed"));
+                batch.enqueued.then_some(batch.bytes)
+            }
+            Replaced::Runs(inputs) => {
+                self.withdraw(inputs, cache);
+                None
+            }
+        }
+    }
+
+    /// Retire runs a migration has applied to the heap.
+    pub(super) fn retire(&mut self, runs: &[Arc<SortedRun>], cache: &BlockCache) {
+        self.withdraw(runs, cache);
+        self.epoch += 1;
+    }
+
+    /// Take `runs` out of the visible set. Their SSD extents are
+    /// retired, not freed — a pinned query snapshot may still be
+    /// reading them — and are recycled only at the quiesce rewind.
+    fn withdraw(&mut self, runs: &[Arc<SortedRun>], cache: &BlockCache) {
+        let ids: Vec<u64> = runs.iter().map(|r| r.id).collect();
+        // Release the metadata footprint (zone maps + blooms) of the
+        // runs that are still registered.
+        let live = self.runs.runs().iter().filter(|r| ids.contains(&r.id));
+        cache.release_meta_bytes(live.map(|r| r.memory_bytes()).sum());
+        self.runs.remove_ids(&ids);
+        self.retired_bytes += runs.iter().map(|r| r.bytes).sum::<u64>();
+    }
+
+    /// Recycle retired run extents once the engine quiesces: no active
+    /// query snapshot can still be reading a retired run, no sealed
+    /// batch has an extent allocation in flight, and no merge or
+    /// migration holds an unpublished extent. Until then the bump
+    /// allocator never reuses space, which is what makes lock-free
+    /// snapshot reads of retired runs safe.
+    #[inline]
+    fn maybe_rewind(&mut self, engine: &MasmEngine) {
+        if self.retired_bytes == 0
+            || !self.active_queries.is_empty()
+            || !self.sealed.is_empty()
+            || self.merging
+            || self.migrating
+        {
+            return;
+        }
+        // Emitting under the state lock is fine: the recorder is
+        // lock-free and never does I/O.
+        engine.trace_instant(
+            "epoch.retire",
+            engine.ssd.clock().now(),
+            "bytes",
+            self.retired_bytes,
+        );
+        self.retired_bytes = 0;
+        // Retired run space becomes reusable only now that no scan can
+        // touch it.
+        self.runs.rewind_space(engine.cfg.ssd_region_base);
+    }
+}
+
+/// What a [`Claim`] holds.
+enum Claimed {
+    Batch(u64),
+    Merge,
+    Migration,
+}
+
+/// Exclusive ownership of one maintenance job, taken under the state
+/// lock and held across the job's unlocked I/O. Dropping it — on
+/// success, on error, on an early return — releases the job, rewinds
+/// the run allocator if the engine has quiesced, and wakes everything
+/// waiting on the state, so no job writes an error arm of its own.
+pub(super) struct Claim<'a> {
+    engine: &'a MasmEngine,
+    what: Claimed,
+}
+
+impl Drop for Claim<'_> {
+    fn drop(&mut self) {
+        let mut st = self.engine.state.lock();
+        match self.what {
+            // The batch is gone when its run was installed; on an error
+            // a retry (or a migration's drain) can take it over.
+            Claimed::Batch(id) => {
+                if let Some(batch) = st.sealed.iter_mut().find(|b| b.id == id) {
+                    batch.claimed = false;
+                }
+            }
+            Claimed::Merge => st.merging = false,
+            Claimed::Migration => st.migrating = false,
+        }
+        st.maybe_rewind(self.engine);
+        drop(st);
+        self.engine.quiesce.notify_all();
+    }
+}
+
+impl MasmEngine {
+    /// Release the pin of the query at `ts`.
+    #[inline]
+    pub(super) fn unpin(&self, ts: Timestamp) {
+        let mut st = self.state.lock();
+        let pinned = st.active_queries.remove(&ts).map_or(0, |pin| pin.pages);
+        st.pinned_pages -= pinned.min(st.pinned_pages);
+        st.maybe_rewind(self);
+        drop(st);
+        self.quiesce.notify_all();
+    }
+
+    /// Announce a scan whose timestamp is not yet registered here.
+    ///
+    /// [`crate::ShardedEngine::scan_at`] draws one timestamp for all
+    /// shards and then pins them one by one; a shard whose pin has not
+    /// landed yet must not fold duplicate versions across the pending
+    /// timestamp (seal-time or merge-time `fold_duplicates` would keep
+    /// only the newer version, which the scan then filters out, exposing
+    /// an older one — a backwards read) or migrate past it (heap pages
+    /// stamped with a migration timestamp above the scan's mask the
+    /// updates it should see). While at least one reservation is
+    /// pending, duplicate folding keeps every version and the migration
+    /// gate waits.
+    pub(crate) fn reserve_scan(&self) {
+        self.state.lock().scan_reservations += 1;
+    }
+
+    /// Resolve a [`MasmEngine::reserve_scan`]: the scan's pin is now
+    /// registered (or the scan was abandoned), so the ordinary
+    /// per-timestamp guards take over.
+    pub(crate) fn release_scan_reservation(&self) {
+        let mut st = self.state.lock();
+        debug_assert!(st.scan_reservations > 0, "unbalanced scan reservation");
+        st.scan_reservations = st.scan_reservations.saturating_sub(1);
+        drop(st);
+        self.quiesce.notify_all();
+    }
+
+    /// Claim sealed batch `batch_id` for flushing and hand out its
+    /// updates. `None` when the batch is gone or someone else is
+    /// flushing it (a concurrent migration may have drained the queue).
+    pub(super) fn claim_batch(&self, batch_id: u64) -> Option<(Claim<'_>, Arc<Vec<UpdateRecord>>)> {
+        let mut st = self.state.lock();
+        let batch = st.sealed.iter_mut().find(|b| b.id == batch_id)?;
+        if std::mem::replace(&mut batch.claimed, true) {
+            return None;
+        }
+        let updates = Arc::clone(&batch.updates);
+        let what = Claimed::Batch(batch_id);
+        Some((Claim { engine: self, what }, updates))
+    }
+
+    /// Claim the migration slot; `None` while another migration runs.
+    pub(super) fn claim_migration(&self) -> Option<Claim<'_>> {
+        let mut st = self.state.lock();
+        if std::mem::replace(&mut st.migrating, true) {
+            return None;
+        }
+        let what = Claimed::Migration;
+        Some(Claim { engine: self, what })
+    }
+
+    /// A flush gave up on sealed batch `batch_id`: move its updates
+    /// back into the in-memory buffer (the WAL already holds them all)
+    /// so nothing is lost, queries keep seeing the data, and the next
+    /// flush retries them. A batch somebody else has claimed since is
+    /// theirs to flush or abandon.
+    pub(super) fn abandon_batch(&self, batch_id: u64) {
+        let released = {
+            let mut st = self.state.lock();
+            let unclaimed = |b: &SealedBatch| b.id == batch_id && !b.claimed;
+            let Some(pos) = st.sealed.iter().position(unclaimed) else {
+                return;
+            };
+            let batch = st.sealed.remove(pos);
+            for u in batch.updates.iter() {
+                st.buffer.push(u.clone());
+            }
+            batch.enqueued.then_some(batch.bytes)
+        };
+        if let (Some(bytes), Some(h)) = (released, self.workers.get()) {
+            h.pool().release_backlog(bytes);
+        }
+        self.quiesce.notify_all();
+    }
+
+    /// Drain buffered and sealed updates into runs (through `flush`) so
+    /// that every update earlier than the migration timestamp lives in
+    /// a run: migrated pages carry `mig_ts`, which must truthfully mean
+    /// "all updates with ts ≤ mig_ts are in this page". Returns the
+    /// migration timestamp and the runs to migrate, or `None` when
+    /// nothing is cached. Caller holds the migration claim.
+    pub(super) fn drain_into_runs(
+        &self,
+        mut flush: impl FnMut(u64) -> MasmResult<()>,
+    ) -> MasmResult<Option<(Timestamp, Vec<Arc<SortedRun>>)>> {
+        loop {
+            let mut st = self.state.lock();
+            let batch_id = if !st.buffer.is_empty() {
+                st.seal(self, false).0
+            } else if let Some(batch) = st.sealed.iter().find(|b| !b.claimed) {
+                batch.id
+            } else if !st.sealed.is_empty() {
+                // A worker owns the remaining batches; wait for it to
+                // install (or unclaim on error) and re-check.
+                self.quiesce.wait(st.inner_mut());
+                continue;
+            } else if st.runs.is_empty() {
+                return Ok(None);
+            } else {
+                return Ok(Some((self.oracle.next(), st.runs.runs().to_vec())));
+            };
+            drop(st);
+            flush(batch_id)?;
+        }
+    }
+
+    /// Wait for queries earlier than `ts` (§3.2: they must not observe
+    /// pages stamped with it), and for pending scan reservations —
+    /// their timestamps are unknown and may land below `ts`. Queries
+    /// arriving after `ts` run concurrently throughout — page
+    /// timestamps keep them correct, and the runs' SSD extents stay
+    /// allocated until the post-quiesce rewind.
+    pub(super) fn await_queries_before(&self, ts: Timestamp) {
+        let mut st = self.state.lock();
+        while st.scan_reservations > 0 || st.active_queries.keys().next().is_some_and(|&t| t < ts) {
+            self.quiesce.wait(st.inner_mut());
+        }
+    }
+}

@@ -44,13 +44,11 @@ pub mod manifest;
 pub mod membuf;
 pub mod merge;
 pub mod run;
-pub mod secondary;
 pub mod shard;
 pub mod theory;
 pub mod ts;
 pub mod txn;
 pub mod update;
-pub mod view;
 pub mod wal;
 pub(crate) mod worker;
 

@@ -305,17 +305,6 @@ impl SsdSpace {
         }
     }
 
-    /// An allocator whose region starts at `origin` (several engines can
-    /// then share one physical SSD, each with its own region — the
-    /// paper's per-table division of the flash space in §4.3).
-    pub fn with_origin(origin: u64) -> Self {
-        SsdSpace {
-            origin,
-            next: origin,
-            live: 0,
-        }
-    }
-
     /// Allocate `bytes` of sequential space.
     pub fn alloc(&mut self, bytes: u64) -> u64 {
         let off = self.next;

@@ -37,7 +37,7 @@ use std::sync::Arc;
 use masm_pagestore::{Key, Record, Schema, TableHeap};
 use masm_storage::{SessionHandle, SimDevice, StorageError};
 use masm_telemetry::json::JsonObj;
-use masm_telemetry::{current_tid, EngineStats, Registry, Tracer, TrackId, Unit};
+use masm_telemetry::{EngineStats, Registry, Tracer, Unit};
 
 use crate::config::{MasmConfig, ShardingConfig, SplitPolicy};
 use crate::engine::{
@@ -276,7 +276,7 @@ impl ShardedEngine {
         let oracle = TimestampOracle::new();
         let mut shards = Vec::with_capacity(n);
         for (shard_id, (ssd, wal)) in ssds.into_iter().zip(wals).enumerate() {
-            shards.push(MasmEngine::build(
+            let (engine, _) = MasmEngine::recover_from_parsed(
                 Arc::clone(&heap),
                 ssd,
                 wal,
@@ -284,8 +284,12 @@ impl ShardedEngine {
                 cfg.shard_config(shard_id)?,
                 oracle.clone(),
                 shard_id,
+                router.shard_range(shard_id),
                 false,
-            )?);
+                ParsedWal::default(),
+                None,
+            )?;
+            shards.push(engine);
         }
         // Durably describe the deployment before any data moves: one
         // manifest copy in every shard's WAL (each naming its own shard
@@ -323,7 +327,7 @@ impl ShardedEngine {
                 .iter()
                 .map(|e| e.config().effective_backlog_bytes())
                 .sum();
-            let registries: Vec<&Registry> = shards.iter().map(|e| e.registry()).collect();
+            let registries: Vec<&Registry> = shards.iter().map(|e| e.metrics_registry()).collect();
             let pool = WorkerPool::new(
                 cfg.background_workers,
                 backlog,
@@ -461,6 +465,7 @@ impl ShardedEngine {
                 cfg.shard_config(shard_id)?,
                 oracle.clone(),
                 shard_id,
+                router.shard_range(shard_id),
                 false,
                 p,
                 tracer.cloned(),
@@ -597,25 +602,15 @@ impl ShardedEngine {
                 hi >= begin && lo <= end
             })
             .collect();
-        let tracer = self
-            .shards
-            .first()
-            .and_then(|e| e.tracer_arc())
-            .filter(|t| t.enabled());
         for &shard in &overlapping {
-            self.shards[shard].reserve_scan();
-            if let Some(t) = &tracer {
-                t.instant(
-                    "scan.reserve",
-                    TrackId {
-                        pid: shard as u32,
-                        tid: current_tid(),
-                    },
-                    self.shards[shard].ssd().clock().now(),
-                    "shard",
-                    shard as u64,
-                );
-            }
+            let engine = &self.shards[shard];
+            engine.reserve_scan();
+            engine.trace_instant(
+                "scan.reserve",
+                engine.ssd().clock().now(),
+                "shard",
+                shard as u64,
+            );
         }
         let ts = as_of.unwrap_or_else(|| self.oracle.next());
         let mut parts = VecDeque::new();
@@ -627,30 +622,17 @@ impl ShardedEngine {
                 let session = SessionHandle::fresh(engine.ssd().clock().clone());
                 // The per-shard session is consumed by the scan, so the
                 // pin is timed on the shard's global device clock.
-                let t0 = tracer.as_ref().map(|_| engine.ssd().clock().now());
-                match engine.begin_scan_at(
-                    session,
-                    lo.max(begin),
-                    hi.min(end),
-                    Some(ts),
-                    Vec::new(),
-                ) {
+                let clock = engine.ssd().clock();
+                let mut span = engine
+                    .trace()
+                    .map(|t| t.span("scan.pin", engine.track(), || clock.now()));
+                if let Some(span) = &mut span {
+                    span.set_arg("ts", ts);
+                }
+                let (begin, end) = (lo.max(begin), hi.min(end));
+                match engine.begin_scan_at(session, begin, end, Some(ts), Vec::new()) {
                     Ok(scan) => parts.push_back(scan),
                     Err(e) => err = Some(e),
-                }
-                if let (Some(t), Some(t0)) = (&tracer, t0) {
-                    let t1 = engine.ssd().clock().now();
-                    t.span_event(
-                        "scan.pin",
-                        TrackId {
-                            pid: shard as u32,
-                            tid: current_tid(),
-                        },
-                        t0,
-                        t1.saturating_sub(t0).max(1),
-                        "ts",
-                        ts,
-                    );
                 }
             }
             // Pinned (or abandoned): the per-timestamp guards take over.

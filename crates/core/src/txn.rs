@@ -56,11 +56,6 @@ impl Transaction {
         self.writes.push((key, op));
     }
 
-    /// Number of staged writes.
-    pub fn write_count(&self) -> usize {
-        self.writes.len()
-    }
-
     /// Open a range scan that sees the snapshot **plus** this
     /// transaction's own staged writes (the private-buffer `Mem_scan` of
     /// §3.6).

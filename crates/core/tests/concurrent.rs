@@ -18,7 +18,7 @@ use masm_core::config::{IndexGranularity, MasmConfig};
 use masm_core::merge::compact_block_runs;
 use masm_core::run::{write_run, SortedRun};
 use masm_core::update::{UpdateOp, UpdateRecord};
-use masm_core::MasmEngine;
+use masm_core::{MasmEngine, MasmResult};
 use masm_pagestore::{HeapConfig, Record, Schema, TableHeap};
 use masm_storage::{DeviceProfile, SessionHandle, SimClock, SimDevice};
 use masm_telemetry::{RecordKind, TraceConfig, Tracer};
@@ -448,4 +448,85 @@ fn migration_fault_does_not_wedge() {
         1288,
         "value must survive migration"
     );
+}
+
+/// Every maintenance job releases its claim on its error path: a
+/// device write fault surfaces as `Err` and reads keep serving; once
+/// the fault clears the same call succeeds and every update ends up
+/// where the call was asked to put it — none stranded in a sealed
+/// batch that nothing retries.
+#[test]
+fn every_job_releases_its_claim_on_a_write_fault_and_succeeds_on_retry() {
+    type Call = fn(&Fixture) -> MasmResult<()>;
+    /// Re-apply values the keys already have until the buffer fills
+    /// and `apply_update` flushes it inline.
+    fn ingest_until_flush(f: &Fixture) -> MasmResult<()> {
+        let runs = f.engine.run_count();
+        for j in (0..64u32).cycle() {
+            let op = UpdateOp::Replace(payload(3000 + j));
+            f.engine.apply_update(&f.session, j as u64 * 2, op)?;
+            if f.engine.run_count() > runs {
+                break;
+            }
+        }
+        Ok(())
+    }
+    let flush: Call = |f| f.engine.flush_buffer(&f.session);
+    let compact: Call = |f| f.engine.compact_runs(&f.session).map(drop);
+    let migrate: Call = |f| f.engine.migrate(&f.session).map(drop);
+    let migrate_range: Call = |f| f.engine.migrate_range(&f.session, 0, 40).map(drop);
+    // (call, fault the SSD or else the disk, runs and buffered updates
+    // the successful retry leaves)
+    let cases = [
+        ("flush_buffer", flush, true, 3, Some(0)),
+        ("apply_update", ingest_until_flush, true, 3, None),
+        ("compact_runs", compact, true, 1, Some(64)),
+        // The SSD fails the drain's flush, the disk the rewrite.
+        ("migrate", migrate, true, 0, Some(0)),
+        ("migrate_range", migrate_range, false, 3, Some(0)),
+    ];
+    let s = schema();
+    for (name, call, fault_ssd, runs_after, buffered_after) in cases {
+        // Two runs and a part-filled buffer: every job has work to do.
+        let f = fixture(MasmConfig::small_for_tests(), 200);
+        for round in 1..=3u32 {
+            for j in 0..64u32 {
+                let op = UpdateOp::Replace(payload(1000 * round + j));
+                f.engine.apply_update(&f.session, j as u64 * 2, op).unwrap();
+            }
+            if round < 3 {
+                f.engine.flush_buffer(&f.session).unwrap();
+            }
+        }
+        let model: HashMap<u64, u32> = (0..200u32)
+            .map(|i| (i as u64 * 2, if i < 64 { 3000 + i } else { i }))
+            .collect();
+        let reads_equal_the_model = |when: &str| {
+            let got: HashMap<u64, u32> = f
+                .engine
+                .begin_scan(f.session.clone(), 0, u64::MAX)
+                .unwrap()
+                .map(|r| (r.key, s.get_u32(&r.payload, 0)))
+                .collect();
+            assert_eq!(got, model, "{name}: scan {when}");
+            for key in [0u64, 2, 40, 126, 128, 398] {
+                let got = f.engine.get(&f.session, key).unwrap();
+                let got = got.map(|r| s.get_u32(&r.payload, 0));
+                assert_eq!(got, model.get(&key).copied(), "{name}: get({key}) {when}");
+            }
+        };
+
+        let device = if fault_ssd { &f.ssd } else { &f.disk };
+        device.inject_write_fault();
+        assert!(call(&f).is_err(), "{name} must surface the write fault");
+        reads_equal_the_model("under the fault");
+
+        device.clear_write_fault();
+        call(&f).unwrap_or_else(|e| panic!("{name} after the fault cleared: {e}"));
+        assert_eq!(f.engine.run_count(), runs_after, "{name}: runs");
+        if let Some(buffered) = buffered_after {
+            assert_eq!(f.engine.buffered_updates(), buffered, "{name}: buffered");
+        }
+        reads_equal_the_model("after the retry");
+    }
 }

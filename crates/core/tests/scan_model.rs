@@ -1,14 +1,10 @@
-//! Differential test of the merged range scan: whatever mix of heap
-//! pages, runs, sealed batches, live buffer and private overlay holds
-//! the data, `begin_scan_at` must return what a `BTreeMap` of
-//! timestamped updates says it should — also when the consumer walks
-//! away mid-scan. Plus the read-fault contract: a scan cut short by the
-//! disk says so.
-//!
-//! `migrate_range` is left out of the steps on purpose: it stamps whole
-//! boundary pages with the migration timestamp while applying only the
-//! updates inside the range, which hides cached updates of the pages'
-//! other keys (ROADMAP item 3).
+//! Differential test of the read path: whatever mix of heap pages,
+//! runs, sealed batches, live buffer and private overlay holds the
+//! data, `begin_scan_at` and `get` must return what a `BTreeMap` of
+//! timestamped updates says they should — also when the consumer walks
+//! away mid-scan, and also when the keyspace is split over the shards
+//! of a `ShardedEngine` that migrate one at a time into a shared heap.
+//! Plus the read-fault contract: a scan cut short by the disk says so.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -80,6 +76,8 @@ enum Step {
     Flush,
     Compact,
     Migrate,
+    /// Partial migration of `[begin, begin + width]`.
+    MigrateRange(Key, Key),
 }
 
 fn step_strategy(keys: u64) -> impl Strategy<Value = Step> {
@@ -88,6 +86,7 @@ fn step_strategy(keys: u64) -> impl Strategy<Value = Step> {
         3 => Just(Step::Flush),
         1 => Just(Step::Compact),
         1 => Just(Step::Migrate),
+        2 => (0..keys, 0..keys).prop_map(|(begin, width)| Step::MigrateRange(begin, width)),
     ]
 }
 
@@ -142,6 +141,7 @@ proptest! {
         steps in proptest::collection::vec(step_strategy(900), 0..1500),
         private in proptest::collection::vec((0u64..900, op_strategy()), 0..6),
         (begin, width, past, take) in (0u64..900, 0u64..900, any::<bool>(), 0usize..1200),
+        probes in proptest::collection::vec(0u64..900, 0..8),
     ) {
         let mut cfg = MasmConfig::small_for_tests();
         // One worker: sealed batches wait for it, so scans meet them.
@@ -169,6 +169,10 @@ proptest! {
                 }
                 Step::Migrate => {
                     f.engine.migrate(&f.session).unwrap();
+                    exact_since.clear();
+                }
+                Step::MigrateRange(begin, width) => {
+                    f.engine.migrate_range(&f.session, begin, begin + width).unwrap();
                     exact_since.clear();
                 }
             }
@@ -206,7 +210,155 @@ proptest! {
             got.len() as u64,
             "a scan reports exactly the records it returned"
         );
+        if as_of.is_none() {
+            for key in probes {
+                let want = expected(base, &history, &[], (key, key), u64::MAX).pop();
+                prop_assert_eq!(f.engine.get(&f.session, key).unwrap(), want, "get({})", key);
+            }
+        }
         f.engine.shutdown();
+    }
+
+    /// The same steps through 1, 2 and 4 shards over one shared heap.
+    /// The splits fall inside heap pages and a rewrite chunk is two
+    /// pages, so shard migrations keep meeting pages and chunks that
+    /// straddle a boundary.
+    #[test]
+    fn sharded_reads_equal_the_model_and_the_single_shard(
+        (base, fold) in (0u64..400, any::<bool>()),
+        steps in proptest::collection::vec(step_strategy(900), 0..1200),
+        probes in proptest::collection::vec(0u64..900, 1..12),
+    ) {
+        let engines: Vec<Sharded> = [vec![], vec![451], vec![225, 451, 676]]
+            .into_iter()
+            .map(|splits| {
+                let mut cfg = MasmConfig::small_for_tests();
+                cfg.merge_duplicates = fold;
+                // `migrate_all` takes every shard that holds anything.
+                cfg.migration_threshold = 0.0;
+                sharded(cfg, splits, base, 2)
+            })
+            .collect();
+        let mut history: BTreeMap<Key, Vec<UpdateRecord>> = BTreeMap::new();
+        for step in steps {
+            for (i, f) in engines.iter().enumerate() {
+                match &step {
+                    Step::Update(key, op) => {
+                        let ts = f.engine.put(&f.session, *key, op.clone()).unwrap();
+                        if i == 0 {
+                            let update = UpdateRecord::new(ts, *key, op.clone());
+                            history.entry(*key).or_default().push(update);
+                        }
+                    }
+                    Step::Flush => f.engine.flush_all(&f.session).unwrap(),
+                    Step::Compact => {
+                        for shard in f.engine.shards() {
+                            shard.compact_runs(&f.session).unwrap();
+                        }
+                    }
+                    Step::Migrate => {
+                        f.engine.migrate_all(&f.session).unwrap();
+                    }
+                    Step::MigrateRange(begin, width) => {
+                        for shard in f.engine.shards() {
+                            shard.migrate_range(&f.session, *begin, begin + width).unwrap();
+                        }
+                    }
+                }
+            }
+        }
+
+        let want = expected(base, &history, &[], (0, Key::MAX), u64::MAX);
+        let single: Vec<Record> = engines[0].engine.scan(0, Key::MAX).unwrap().collect();
+        for f in &engines {
+            let shards = f.engine.shards().len();
+            let got: Vec<Record> = f.engine.scan(0, Key::MAX).unwrap().collect();
+            let differ = (0..got.len().max(want.len())).find(|&i| got.get(i) != want.get(i));
+            prop_assert!(
+                differ.is_none(),
+                "{} shards: scan differs from the model at {:?}: got {:?}, want {:?}",
+                shards, differ, differ.map(|i| got.get(i)), differ.map(|i| want.get(i))
+            );
+            prop_assert!(got == single, "{} shards differ from the single shard", shards);
+            for &key in &probes {
+                let want = expected(base, &history, &[], (key, key), u64::MAX).pop();
+                let got = f.engine.get(&f.session, key).unwrap();
+                prop_assert_eq!(got, want, "{} shards: get({})", shards, key);
+            }
+        }
+    }
+}
+
+struct Sharded {
+    engine: Arc<ShardedEngine>,
+    session: SessionHandle,
+    disk: SimDevice,
+}
+
+/// A `ShardedEngine` split at `splits` over a heap of `n_records`
+/// even keys, rewritten `chunk_pages` pages at a time.
+fn sharded(mut cfg: MasmConfig, splits: Vec<Key>, n_records: u64, chunk_pages: usize) -> Sharded {
+    let clock = SimClock::new();
+    cfg.sharding.shards = splits.len() + 1;
+    cfg.sharding.split_policy = masm_core::SplitPolicy::Explicit(splits);
+    let device = |profile| SimDevice::in_memory(profile, clock.clone());
+    let ssds = |n| (0..n).map(|_| device(DeviceProfile::ssd_x25e())).collect();
+    let disk = device(DeviceProfile::hdd_barracuda());
+    let heap_cfg = HeapConfig {
+        rewrite_chunk_pages: chunk_pages,
+        ..HeapConfig::default()
+    };
+    let engine = ShardedEngine::new(
+        Arc::new(TableHeap::new(disk.clone(), heap_cfg)),
+        ssds(cfg.sharding.shards),
+        ssds(cfg.sharding.shards),
+        schema(),
+        cfg,
+    )
+    .unwrap();
+    let session = SessionHandle::fresh(clock.clone());
+    engine
+        .load_table(
+            &session,
+            (0..n_records).map(|i| Record::new(i * 2, payload(i as u32))),
+            1.0,
+        )
+        .unwrap();
+    Sharded {
+        engine,
+        session,
+        disk,
+    }
+}
+
+/// A shard migrates its own key range: it reads and writes its share
+/// of the heap, not all of it, and leaves the other shards' cached
+/// updates readable.
+#[test]
+fn a_shard_migrates_only_its_own_pages() {
+    let n = 20_000u64;
+    let splits = vec![n / 2 + 1, n + 1, 3 * n / 2 + 1];
+    let f = sharded(MasmConfig::small_for_tests(), splits, n, 64);
+    for key in (0..2 * n).step_by(50) {
+        f.engine
+            .put(&f.session, key, UpdateOp::Replace(payload(7)))
+            .unwrap();
+    }
+    f.engine.flush_all(&f.session).unwrap();
+    let heap_bytes = f.engine.shards()[0].heap().data_bytes();
+
+    let before = f.disk.stats();
+    let report = f.engine.shards()[1].migrate(&f.session).unwrap();
+    let delta = f.disk.stats().delta(&before);
+    assert!(report.updates_applied > 0);
+    assert_eq!(f.engine.shards()[1].run_count(), 0);
+    assert!(
+        delta.bytes_read < heap_bytes / 3 && delta.bytes_written < heap_bytes / 3,
+        "a quarter of the keys is a quarter of the heap ({heap_bytes} bytes): {delta:?}"
+    );
+    for key in (0..2 * n).step_by(50) {
+        let got = f.engine.get(&f.session, key).unwrap().expect("loaded key");
+        assert_eq!(schema().get_u32(&got.payload, 0), 7, "key {key}");
     }
 }
 
@@ -234,34 +386,7 @@ fn heap_read_fault_mid_scan_is_visible() {
 
 #[test]
 fn sharded_scan_stops_at_the_failed_shard() {
-    let clock = SimClock::new();
-    let mut cfg = MasmConfig::small_for_tests();
-    cfg.sharding.shards = 2;
-    cfg.sharding.split_policy = masm_core::SplitPolicy::Explicit(vec![BIG]);
-    let device = |profile| SimDevice::in_memory(profile, clock.clone());
-    let disk = device(DeviceProfile::hdd_barracuda());
-    let engine = ShardedEngine::new(
-        Arc::new(TableHeap::new(disk.clone(), HeapConfig::default())),
-        vec![
-            device(DeviceProfile::ssd_x25e()),
-            device(DeviceProfile::ssd_x25e()),
-        ],
-        vec![
-            device(DeviceProfile::ssd_x25e()),
-            device(DeviceProfile::ssd_x25e()),
-        ],
-        schema(),
-        cfg,
-    )
-    .unwrap();
-    let session = SessionHandle::fresh(clock.clone());
-    engine
-        .load_table(
-            &session,
-            (0..BIG).map(|i| Record::new(i * 2, payload(i as u32))),
-            1.0,
-        )
-        .unwrap();
+    let Sharded { engine, disk, .. } = sharded(MasmConfig::small_for_tests(), vec![BIG], BIG, 1024);
     let mut scan = engine.scan(0, Key::MAX).unwrap();
     assert!(scan.next().is_some());
     disk.inject_read_fault();

@@ -155,22 +155,6 @@ impl TableHeap {
         self.num_pages() as u64 * self.cfg.page_size as u64
     }
 
-    /// Copy of the sparse primary-key index.
-    pub fn index_snapshot(&self) -> SparseIndex {
-        self.state.read().index.clone()
-    }
-
-    /// Smallest and largest key currently stored.
-    pub fn key_bounds(&self) -> Option<(Key, Key)> {
-        let st = self.state.read();
-        let first = *st.index.min_keys().first()?;
-        // The index only knows page minima; the true max requires the last
-        // page, so callers needing exactness should scan. For workload
-        // sizing, the last page's min key is a fine lower bound.
-        let last = *st.index.min_keys().last()?;
-        Some((first, last))
-    }
-
     /// Bulk-load sorted records, packing pages to `fill` (0 < fill ≤ 1) of
     /// capacity and writing them sequentially in `scan_io`-sized batches.
     pub fn bulk_load(
@@ -384,12 +368,6 @@ impl TableHeap {
             .max(commit.base_phys + commit.n_new as u64 * page_size);
     }
 
-    /// Current physical allocation high-water mark (durable metadata for
-    /// recovery).
-    pub fn alloc_high_water(&self) -> u64 {
-        self.alloc.lock().next
-    }
-
     /// The page map and index minimum keys (durable metadata snapshot).
     pub fn metadata_snapshot(&self) -> (Vec<u64>, Vec<Key>, u64) {
         let st = self.state.read();
@@ -402,16 +380,28 @@ impl TableHeap {
 
     /// Start a chunked rewrite (migration) pass over the whole heap.
     pub fn rewriter(&self, session: SessionHandle) -> HeapRewriter<'_> {
-        HeapRewriter::new(self, session, None)
+        self.rewriter_range(session, 0, Key::MAX)
     }
 
-    /// Start a chunked rewrite over only the logical pages overlapping
+    /// Start a chunked rewrite over the logical pages overlapping
     /// `[begin, end]` (partial migration, §3.5 "Improving Migration":
     /// "one can migrate a portion … of updates at a time to distribute
-    /// the cost across multiple operations").
+    /// the cost across multiple operations"). The pages own more keys
+    /// than `[begin, end]` — see [`HeapRewriter::key_span`].
     pub fn rewriter_range(&self, session: SessionHandle, begin: Key, end: Key) -> HeapRewriter<'_> {
-        let bounds = self.state.read().index.page_range(begin, end);
-        HeapRewriter::new(self, session, bounds)
+        let (cursor, end_cursor) = match self.state.read().index.page_range(begin, end) {
+            Some((first, last)) => (first, last + 1),
+            None => (0, 0),
+        };
+        HeapRewriter {
+            heap: self,
+            session,
+            cursor,
+            end_cursor,
+            outstanding: 0,
+            outstanding_records: 0,
+            records_written: 0,
+        }
     }
 }
 
@@ -637,9 +627,6 @@ pub struct HeapRewriter<'a> {
     cursor: usize,
     /// One past the last logical page to rewrite (tracks splices).
     end_cursor: usize,
-    /// Whether this rewrite covers the whole heap (affects `at_end`
-    /// semantics for the migration driver).
-    full: bool,
     /// Pages handed out by the last `next_chunk` (awaiting commit).
     outstanding: usize,
     /// Records contained in the outstanding chunk's old pages.
@@ -647,27 +634,9 @@ pub struct HeapRewriter<'a> {
     records_written: u64,
 }
 
-impl<'a> HeapRewriter<'a> {
-    fn new(heap: &'a TableHeap, session: SessionHandle, bounds: Option<(usize, usize)>) -> Self {
-        let map_len = heap.state.read().page_map.len();
-        let (cursor, end_cursor, full) = match bounds {
-            Some((first, last)) => (first, (last + 1).min(map_len), false),
-            None => (0, map_len, true),
-        };
-        HeapRewriter {
-            heap,
-            session,
-            cursor,
-            end_cursor,
-            full,
-            outstanding: 0,
-            outstanding_records: 0,
-            records_written: 0,
-        }
-    }
-
+impl HeapRewriter<'_> {
     /// Read the next chunk of old pages (sequential 1 MB-class read).
-    /// Returns `None` when the whole heap has been rewritten.
+    /// Returns `None` when every page of the rewrite has been handed out.
     pub fn next_chunk(&mut self) -> StorageResult<Option<Vec<Page>>> {
         assert_eq!(self.outstanding, 0, "commit_chunk before next_chunk");
         let heap = self.heap;
@@ -700,19 +669,30 @@ impl<'a> HeapRewriter<'a> {
         Ok(Some(pages))
     }
 
-    /// True when the chunk returned by the last `next_chunk` is the final
-    /// one **and** the rewrite covers the end of the heap (the migration
-    /// driver must fold any trailing inserts into it). Range rewrites
-    /// never report `at_end`: keys beyond the range belong to untouched
-    /// pages.
-    pub fn at_end(&self) -> bool {
-        self.full && self.cursor + self.outstanding >= self.heap.state.read().page_map.len()
-    }
-
-    /// True when the (possibly range-restricted) rewrite has consumed
-    /// all its pages.
-    pub fn is_exhausted(&self) -> bool {
-        self.cursor >= self.end_cursor
+    /// The key span owned by the pages of the chunk the last
+    /// `next_chunk` handed out — with no chunk outstanding, by all the
+    /// pages still to be rewritten: from the first page's minimum key
+    /// (0 for logical page 0) to just below the minimum key of the
+    /// page after the last (`Key::MAX` at the end of the heap). Every
+    /// key in the span locates to one of those pages and no key
+    /// outside it does, so these are exactly the keys whose updates a
+    /// rewrite of the pages can claim to have absorbed.
+    pub fn key_span(&self) -> (Key, Key) {
+        let st = self.heap.state.read();
+        let mins = st.index.min_keys();
+        let end = match self.outstanding {
+            0 => self.end_cursor,
+            n => self.cursor + n,
+        };
+        let lo = match self.cursor {
+            0 => 0,
+            first => mins.get(first).copied().unwrap_or(Key::MAX),
+        };
+        (
+            lo,
+            mins.get(end)
+                .map_or(Key::MAX, |&next| next.saturating_sub(1)),
+        )
     }
 
     /// Write `new_pages` in place of the pages returned by the last
@@ -1018,6 +998,44 @@ mod tests {
             bytes_after <= bytes_before + 2 * chunk_bytes,
             "before={bytes_before} after={bytes_after}"
         );
+    }
+
+    #[test]
+    fn key_span_is_what_the_pages_own() {
+        let clock = SimClock::new();
+        let dev = SimDevice::in_memory(DeviceProfile::hdd_barracuda(), clock.clone());
+        let cfg = HeapConfig {
+            rewrite_chunk_pages: 2,
+            ..HeapConfig::default()
+        };
+        let heap = TableHeap::new(dev, cfg);
+        let s = SessionHandle::fresh(clock);
+        heap.bulk_load(&s, (0..500).map(|i| Record::synthetic(i * 2, 92)), 1.0)
+            .unwrap();
+        let mins = heap.metadata_snapshot().1;
+        let last = mins.len() - 1;
+        assert!(last > 4);
+
+        // Before the first chunk: every page of the rewrite. The first
+        // and the last page reach to the ends of the keyspace.
+        let span = |begin, end| heap.rewriter_range(s.clone(), begin, end).key_span();
+        assert_eq!(heap.rewriter(s.clone()).key_span(), (0, Key::MAX));
+        assert_eq!(span(mins[3] + 1, mins[3] + 1), (mins[3], mins[4] - 1));
+        assert_eq!(span(5, mins[1]), (0, mins[2] - 1));
+        assert_eq!(span(mins[last] + 1, Key::MAX), (mins[last], Key::MAX));
+
+        // With a chunk handed out: that chunk's pages; the chunks tile
+        // the rewrite's span.
+        let mut rw = heap.rewriter_range(s.clone(), mins[1], mins[4]);
+        assert_eq!(rw.key_span(), (mins[1], mins[5] - 1));
+        let pages = rw.next_chunk().unwrap().unwrap();
+        assert_eq!(rw.key_span(), (mins[1], mins[3] - 1));
+        rw.commit_chunk(pages).unwrap();
+        let pages = rw.next_chunk().unwrap().unwrap();
+        assert_eq!(rw.key_span(), (mins[3], mins[5] - 1));
+        rw.commit_chunk(pages).unwrap();
+        assert!(rw.next_chunk().unwrap().is_none());
+        rw.finish();
     }
 
     #[test]

@@ -86,11 +86,6 @@ impl Schema {
         self.width
     }
 
-    /// Number of fields.
-    pub fn field_count(&self) -> usize {
-        self.fields.len()
-    }
-
     /// Field descriptor by index.
     pub fn field(&self, i: usize) -> &Field {
         &self.fields[i]

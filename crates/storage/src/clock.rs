@@ -13,10 +13,6 @@ pub type Ns = u64;
 
 /// One millisecond in virtual nanoseconds.
 pub const MILLIS: Ns = 1_000_000;
-/// One microsecond in virtual nanoseconds.
-pub const MICROS: Ns = 1_000;
-/// One second in virtual nanoseconds.
-pub const SECS: Ns = 1_000_000_000;
 
 /// A shared virtual clock.
 ///

@@ -89,20 +89,6 @@ impl IoSession {
         })
     }
 
-    /// Asynchronous write: issued at the cursor, which does **not** advance.
-    pub fn write_async(
-        &self,
-        dev: &SimDevice,
-        offset: u64,
-        data: &[u8],
-    ) -> StorageResult<IoTicket> {
-        let end = dev.write_at(self.now, offset, data)?;
-        Ok(IoTicket {
-            data: None,
-            completion: end,
-        })
-    }
-
     /// Await a ticket: the cursor advances to `max(now, completion)`, i.e.
     /// time already spent elsewhere overlaps with this operation.
     pub fn wait(&mut self, ticket: IoTicket) -> Vec<u8> {
@@ -115,12 +101,6 @@ impl IoSession {
     pub fn wait_done(&mut self, ticket: &IoTicket) {
         self.now = self.now.max(ticket.completion);
         self.clock.advance_to(self.now);
-    }
-
-    /// Synchronize the cursor forward to the global clock (e.g. after
-    /// blocking on another actor).
-    pub fn sync_to_clock(&mut self) {
-        self.now = self.now.max(self.clock.now());
     }
 
     /// Move the cursor to at least `t` (used when joining another actor's

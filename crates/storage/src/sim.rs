@@ -383,11 +383,6 @@ impl SimDevice {
         self.torn_write_keep.store(keep_bytes, Ordering::Release);
     }
 
-    /// Cancel a pending torn-write injection.
-    pub fn clear_torn_write(&self) {
-        self.torn_write_keep.store(NO_TORN_WRITE, Ordering::Release);
-    }
-
     /// Freeze the current durable contents into a fresh in-memory
     /// device: a crash image. Only bytes whose writes completed are
     /// visible (backend writes are atomic), the head position and

@@ -54,15 +54,21 @@ impl Entry {
     }
 }
 
+/// Bytes of a flat block's `count: u32` header.
+pub(crate) const COUNT_HEADER: usize = 4;
+/// Bytes of a flat entry's `key: u64 | ts: u64 | len: u32` header.
+pub(crate) const ENTRY_HEADER: usize = 8 + 8 + 4;
+
 /// Flat-encoded size of one entry: the 20-byte header plus its value.
 pub fn flat_entry_len(entry: &Entry) -> usize {
-    8 + 8 + 4 + entry.value.len()
+    ENTRY_HEADER + entry.value.len()
 }
 
 /// Encode `entries` (key-ordered) into one flat data block.
 pub fn encode_block(entries: &[Entry]) -> Vec<u8> {
     debug_assert!(entries.windows(2).all(|w| w[0].key <= w[1].key));
-    let mut out = Vec::with_capacity(4 + entries.iter().map(flat_entry_len).sum::<usize>());
+    let mut out =
+        Vec::with_capacity(COUNT_HEADER + entries.iter().map(flat_entry_len).sum::<usize>());
     out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
     for e in entries {
         debug_assert!(e.value.len() <= u32::MAX as usize);

@@ -11,8 +11,13 @@
 //! [`RunBuilder`] therefore accepts an arbitrary key-ordered interleave
 //! of
 //!
-//! * [`RunBuilder::append_entry`] — buffered into fixed-budget data
-//!   blocks exactly like `build_run`, and
+//! * [`RunBuilder::append`] — an entry written straight into the open
+//!   data block, which the builder keeps **as its flat encoding**
+//!   ([`crate::block`]'s layout): the caller hands over key, timestamp
+//!   and value length, and writes the value bytes into the block buffer
+//!   itself, so an entry is copied once on its way into a run and never
+//!   exists as an owned [`Entry`]. [`RunBuilder::append_entry`] is the
+//!   same call for a caller that already holds one; and
 //! * [`RunBuilder::append_raw_block`] — a verbatim encoded block plus
 //!   its original [`ZoneMap`]; the bytes are CRC-verified against the
 //!   zone's checksum (a corrupted move fails loudly) and stitched in
@@ -28,7 +33,7 @@
 //! filters, which is a valid over-approximation because the output's
 //! keys are a subset of the inputs' keys.
 
-use crate::block::{encode_block, flat_entry_len, Entry};
+use crate::block::{Entry, COUNT_HEADER, ENTRY_HEADER};
 use crate::bloom::BloomFilter;
 use crate::checksum::crc32;
 use crate::format::{
@@ -36,14 +41,29 @@ use crate::format::{
     VERSION, ZONE_MAP_LEN,
 };
 
+/// What the zone map needs to know about the open block, tracked as
+/// entries are written into it.
+#[derive(Debug, Clone, Copy)]
+struct OpenBlock {
+    count: u32,
+    first_key: u64,
+    last_key: u64,
+    min_ts: u64,
+    max_ts: u64,
+}
+
 /// Streaming builder of one block run; see the module docs.
 #[derive(Debug)]
 pub struct RunBuilder {
     cfg: BlockRunConfig,
     bytes: Vec<u8>,
     zones: Vec<ZoneMap>,
-    block: Vec<Entry>,
-    block_encoded: usize,
+    /// The open block as its flat encoding: a count header (patched at
+    /// flush) followed by the entries appended so far. Empty between
+    /// blocks.
+    block: Vec<u8>,
+    /// `Some` exactly while `block` holds at least one entry.
+    open: Option<OpenBlock>,
     /// Keys of every appended (decoded) entry, for the bloom filter.
     keys: Vec<u64>,
     raw_blocks: u64,
@@ -64,7 +84,7 @@ impl RunBuilder {
             bytes: Vec::new(),
             zones: Vec::new(),
             block: Vec::new(),
-            block_encoded: 4, // count header
+            open: None,
             keys: Vec::new(),
             raw_blocks: 0,
             raw_entries: 0,
@@ -74,54 +94,98 @@ impl RunBuilder {
 
     /// Largest key appended so far (across entries and raw blocks).
     fn last_key(&self) -> Option<u64> {
-        let blk = self.block.last().map(|e| e.key);
+        let blk = self.open.map(|b| b.last_key);
         blk.or(self.zones.last().map(|z| z.max_key))
     }
 
     fn flush_block(&mut self) {
-        if self.block.is_empty() {
+        let Some(open) = self.open.take() else {
             return;
-        }
-        // Encode the flat (raw) block, then run the configured codec;
-        // the zone entry records both sizes and the id of the codec
-        // that actually produced the stored bytes.
-        let flat = encode_block(&self.block);
-        let (codec_id, stored) = self.selector.encode_block(&flat);
+        };
+        // The flat (raw) block is already in hand; patch its count and
+        // run the configured codec. The zone entry records both sizes
+        // and the id of the codec that actually produced the stored
+        // bytes.
+        self.block[..COUNT_HEADER].copy_from_slice(&open.count.to_le_bytes());
+        let (codec_id, stored) = self.selector.encode_block(&self.block);
         self.zones.push(ZoneMap {
             offset: self.bytes.len() as u64,
             len: stored.len() as u32,
-            count: self.block.len() as u32,
-            min_key: self.block.first().expect("non-empty").key,
-            max_key: self.block.last().expect("non-empty").key,
-            min_ts: self.block.iter().map(|e| e.ts).min().expect("non-empty"),
-            max_ts: self.block.iter().map(|e| e.ts).max().expect("non-empty"),
+            count: open.count,
+            min_key: open.first_key,
+            max_key: open.last_key,
+            min_ts: open.min_ts,
+            max_ts: open.max_ts,
             crc: crc32(&stored),
-            raw_len: flat.len() as u32,
+            raw_len: self.block.len() as u32,
             codec_id,
         });
         self.bytes.extend_from_slice(&stored);
         self.block.clear();
-        self.block_encoded = 4;
     }
 
-    /// Append one decoded entry; entries must arrive in `(key, ts)`
-    /// order relative to everything appended before.
+    /// Append one entry whose value the caller writes in place: exactly
+    /// `value_len` bytes appended to the buffer `write_value` is handed
+    /// (the open block itself — nothing else may be done to it).
+    /// Entries must arrive in `(key, ts)` order relative to everything
+    /// appended before.
     ///
     /// The block budget applies to the **raw** (flat) encoding, so the
     /// zone count of a run — and with it the pinned metadata footprint
     /// — is identical whatever codec compresses the stored bytes.
-    pub fn append_entry(&mut self, e: Entry) {
+    pub fn append(
+        &mut self,
+        key: u64,
+        ts: u64,
+        value_len: usize,
+        write_value: impl FnOnce(&mut Vec<u8>),
+    ) {
         debug_assert!(
-            self.last_key().is_none_or(|k| k <= e.key),
+            self.last_key().is_none_or(|k| k <= key),
             "entries must be appended in key order"
         );
-        let add = flat_entry_len(&e);
-        if !self.block.is_empty() && self.block_encoded + add > self.cfg.block_bytes {
+        let len = u32::try_from(value_len).expect("entry value under 4 GiB");
+        if self.open.is_some() && self.block.len() + ENTRY_HEADER + value_len > self.cfg.block_bytes
+        {
             self.flush_block();
         }
-        self.block_encoded += add;
-        self.keys.push(e.key);
-        self.block.push(e);
+        let open = self.open.get_or_insert_with(|| {
+            self.block.extend_from_slice(&[0; COUNT_HEADER]);
+            OpenBlock {
+                count: 0,
+                first_key: key,
+                last_key: key,
+                min_ts: ts,
+                max_ts: ts,
+            }
+        });
+        open.count += 1;
+        open.last_key = key;
+        open.min_ts = open.min_ts.min(ts);
+        open.max_ts = open.max_ts.max(ts);
+        self.block.extend_from_slice(&key.to_le_bytes());
+        self.block.extend_from_slice(&ts.to_le_bytes());
+        self.block.extend_from_slice(&len.to_le_bytes());
+        let value_at = self.block.len();
+        write_value(&mut self.block);
+        assert_eq!(
+            self.block.len(),
+            value_at + value_len,
+            "write_value must append exactly the length it declared"
+        );
+        self.keys.push(key);
+    }
+
+    /// [`RunBuilder::append`] for an entry that already exists.
+    pub(crate) fn append_borrowed(&mut self, e: &Entry) {
+        self.append(e.key, e.ts, e.value.len(), |out| {
+            out.extend_from_slice(&e.value)
+        });
+    }
+
+    /// [`RunBuilder::append`] for an entry the caller owns.
+    pub fn append_entry(&mut self, e: Entry) {
+        self.append_borrowed(&e);
     }
 
     /// Append a verbatim encoded data block with its original zone
@@ -159,11 +223,11 @@ impl RunBuilder {
         self.raw_blocks
     }
 
-    /// Entries buffered in the currently open (un-encoded) block. The
+    /// Entries in the currently open (not yet compressed) block. The
     /// builder's only entry-granular in-memory state: streaming callers
     /// use this to assert their peak working set stays block-bounded.
     pub fn open_block_entries(&self) -> usize {
-        self.block.len()
+        self.open.map_or(0, |b| b.count as usize)
     }
 
     /// Entries appended so far (decoded entries + raw block counts).
@@ -268,6 +332,7 @@ impl RunBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block::{encode_block, flat_entry_len};
     use crate::format::{build_run, read_meta, write_built, BlockRunScan};
     use masm_storage::{DeviceProfile, SessionHandle, SimClock, SimDevice};
     use std::sync::Arc;
@@ -289,19 +354,107 @@ mod tests {
             .collect()
     }
 
+    /// Build `es` through [`build_run`] and check every data block on
+    /// the "device" against an oracle that shares no code with the
+    /// builder: the stored bytes, decoded through the zone's codec, are
+    /// [`encode_block`] of exactly the entries the zone claims, and the
+    /// zone's bounds are what that slice says.
+    fn assert_blocks_match_encode_block(cfg: &BlockRunConfig, es: &[Entry]) -> BlockRunMeta {
+        let (meta, bytes) = build_run(cfg, es);
+        let mut at = 0usize;
+        for (i, z) in meta.zones.iter().enumerate() {
+            let what = format!("{:?}, budget {}, zone {i}", cfg.codec, cfg.block_bytes);
+            let slice = &es[at..at + z.count as usize];
+            let stored = &bytes[z.offset as usize..(z.offset + z.len as u64) as usize];
+            assert_eq!(crc32(stored), z.crc, "{what}");
+            let flat = match z.codec_id {
+                masm_codec::IDENTITY => stored.to_vec(),
+                id => masm_codec::codec_for(id)
+                    .expect("known codec")
+                    .decode(stored, z.raw_len as usize)
+                    .expect("stored bytes decode"),
+            };
+            assert_eq!(flat, encode_block(slice), "{what}");
+            assert_eq!(z.raw_len as usize, flat.len(), "{what}");
+            let (first, last) = (&slice[0], &slice[slice.len() - 1]);
+            assert_eq!((z.min_key, z.max_key), (first.key, last.key), "{what}");
+            assert_eq!(
+                z.min_ts,
+                slice.iter().map(|e| e.ts).min().unwrap(),
+                "{what}"
+            );
+            assert_eq!(
+                z.max_ts,
+                slice.iter().map(|e| e.ts).max().unwrap(),
+                "{what}"
+            );
+            // Greedy fill: within budget unless one entry alone exceeds
+            // it, and the next entry would not have fitted.
+            assert!(flat.len() <= cfg.block_bytes || z.count == 1, "{what}");
+            at += slice.len();
+            if let Some(next) = es.get(at) {
+                assert!(
+                    flat.len() + flat_entry_len(next) > cfg.block_bytes,
+                    "{what}"
+                );
+            }
+        }
+        assert_eq!(at, es.len());
+        assert_eq!(meta.entry_count, es.len() as u64);
+        meta
+    }
+
     #[test]
     fn builder_matches_build_run_byte_for_byte() {
-        let es = entries(0..500);
-        let (want_meta, want_bytes) = build_run(&cfg(), &es);
-        let mut b = RunBuilder::new(cfg());
-        for e in &es {
-            b.append_entry(e.clone());
+        use masm_codec::CodecChoice;
+        for codec in CodecChoice::ALL {
+            for block_bytes in [128usize, 4 << 10, 64 << 10] {
+                let cfg = BlockRunConfig {
+                    block_bytes,
+                    codec,
+                    ..cfg()
+                };
+                // Timestamps out of step with the keys, so a block's
+                // min/max timestamp is not simply its first/last entry's.
+                let entry =
+                    |k: u64, len: usize| Entry::new(k, k * 7919 % 1009 + 1, vec![k as u8; len]);
+
+                // Mixed sizes over many blocks, empty values included.
+                let mixed: Vec<Entry> = (0..3000).map(|k| entry(k, (k % 37) as usize)).collect();
+                let meta = assert_blocks_match_encode_block(&cfg, &mixed);
+                assert!(meta.zones.len() > 1);
+
+                // One entry; an entry larger than the whole budget.
+                assert_blocks_match_encode_block(&cfg, &[entry(5, 3)]);
+                assert_blocks_match_encode_block(
+                    &cfg,
+                    &[entry(1, 0), entry(2, block_bytes), entry(3, 0)],
+                );
+
+                // Only empty values.
+                let empty: Vec<Entry> = (0..500).map(|k| entry(k, 0)).collect();
+                assert_blocks_match_encode_block(&cfg, &empty);
+
+                // Blocks filled to the last byte of the budget: the
+                // entry that would cross it opens the next block.
+                let len = (0..block_bytes)
+                    .find(|v| (block_bytes - COUNT_HEADER).is_multiple_of(ENTRY_HEADER + v))
+                    .expect("some value length divides the budget");
+                let per_block = (block_bytes - COUNT_HEADER) / (ENTRY_HEADER + len);
+                let full: Vec<Entry> = (0..3 * per_block as u64).map(|k| entry(k, len)).collect();
+                let meta = assert_blocks_match_encode_block(&cfg, &full);
+                assert_eq!(meta.zones.len(), 3);
+                assert!(meta.zones.iter().all(|z| z.raw_len as usize == block_bytes));
+            }
         }
-        let (meta, bytes) = b.finish();
-        assert_eq!(bytes, want_bytes);
-        assert_eq!(meta.zones, want_meta.zones);
-        assert_eq!(meta.bloom, want_meta.bloom);
-        assert_eq!(meta.entry_count, want_meta.entry_count);
+
+        // The owned-entry wrapper is the same append.
+        let es = entries(0..500);
+        let mut b = RunBuilder::new(cfg());
+        for e in es.iter().cloned() {
+            b.append_entry(e);
+        }
+        assert_eq!(b.finish().1, build_run(&cfg(), &es).1);
     }
 
     #[test]

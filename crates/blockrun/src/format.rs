@@ -336,7 +336,7 @@ pub fn build_run(cfg: &BlockRunConfig, entries: &[Entry]) -> (BlockRunMeta, Vec<
     );
     let mut builder = crate::builder::RunBuilder::new(cfg.clone());
     for e in entries {
-        builder.append_entry(e.clone());
+        builder.append_borrowed(e);
     }
     builder.finish()
 }

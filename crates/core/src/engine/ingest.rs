@@ -12,7 +12,7 @@ use crate::error::{MasmError, MasmResult};
 use crate::manifest::ShardManifest;
 use crate::ts::Timestamp;
 use crate::update::{UpdateOp, UpdateRecord};
-use crate::wal::WalRecord;
+use crate::wal::{put_update_frame, with_frame_scratch, WalRecord};
 
 impl MasmEngine {
     /// Bulk-load the table (records sorted by key) and log the load so
@@ -61,13 +61,18 @@ impl MasmEngine {
     /// first-committer-wins snapshot isolation (§3.6): if any written key
     /// was committed by another transaction after `start_ts`, the commit
     /// aborts with [`MasmError::Conflict`]. On success all writes carry
-    /// one fresh commit timestamp.
+    /// one fresh commit timestamp. A write the engine cannot represent
+    /// ([`MasmError::InvalidUpdate`]) refuses the whole commit before a
+    /// timestamp is drawn or the commit index touched.
     pub fn commit_writes(
         self: &Arc<Self>,
         session: &SessionHandle,
         start_ts: Timestamp,
         writes: Vec<(Key, UpdateOp)>,
     ) -> MasmResult<Timestamp> {
+        for (key, op) in &writes {
+            op.validate(*key, &self.schema)?;
+        }
         let mut idx = self.commit_index.lock();
         for (key, _) in &writes {
             if idx.get(key).is_some_and(|&t| t > start_ts) {
@@ -80,18 +85,22 @@ impl MasmEngine {
         }
         drop(idx);
         for (key, op) in writes {
-            self.apply_update_with_ts(session, UpdateRecord::new(ts, key, op))?;
+            self.ingest(session, Ok(UpdateRecord::new(ts, key, op)))?;
         }
         Ok(ts)
     }
 
-    /// Apply one well-formed update; returns its commit timestamp.
+    /// Apply one well-formed update; returns its commit timestamp. An
+    /// update the encoding cannot represent or the schema cannot apply
+    /// is refused with [`MasmError::InvalidUpdate`]: nothing is
+    /// buffered, logged or counted.
     pub fn apply_update(
         self: &Arc<Self>,
         session: &SessionHandle,
         key: Key,
         op: UpdateOp,
     ) -> MasmResult<Timestamp> {
+        op.validate(key, &self.schema)?;
         self.ingest(session, Err((key, op)))
     }
 
@@ -102,15 +111,24 @@ impl MasmEngine {
         session: &SessionHandle,
         update: UpdateRecord,
     ) -> MasmResult<()> {
+        update.op.validate(update.key, &self.schema)?;
         self.ingest(session, Ok(update)).map(|_| ())
     }
 
-    /// The shared ingest path. `pre` is either a pre-timestamped update
-    /// (transaction commit, which assigned its timestamp under the
-    /// commit index — a small pre-existing window where a concurrent
-    /// seal may race the push) or the raw (key, op), whose timestamp is
-    /// drawn *inside* the state lock so it can never land in a batch
-    /// already sealed with a smaller maximum timestamp.
+    /// The shared ingest path, behind the three doors that validate.
+    /// `pre` is either a pre-timestamped update (transaction commit,
+    /// which assigned its timestamp under the commit index — a small
+    /// pre-existing window where a concurrent seal may race the push)
+    /// or the raw (key, op), whose timestamp is drawn *inside* the
+    /// state lock so it can never land in a batch already sealed with a
+    /// smaller maximum timestamp.
+    ///
+    /// An update's bytes are copied once on the way in: its WAL frame
+    /// is encoded from a borrow into the thread's scratch buffer, then
+    /// the record itself *moves* into the update buffer. Under the
+    /// state lock that is one encode (and its CRC) into memory the
+    /// thread already owns — no allocation; the device write comes
+    /// after the lock is released.
     fn ingest(
         self: &Arc<Self>,
         session: &SessionHandle,
@@ -123,7 +141,7 @@ impl MasmEngine {
             .trace()
             .and_then(|t| t.op_span("ingest", self.track(), || session.now()));
         let background = self.live_pool().is_some();
-        let (update, sealed) = {
+        let (ts, sealed) = with_frame_scratch(|frame| {
             let mut st = self.state.lock();
             let mut sealed = None;
             if st.buffer.is_full() {
@@ -147,18 +165,20 @@ impl MasmEngine {
                 Ok(u) => u,
                 Err((key, op)) => UpdateRecord::new(self.oracle.next(), key, op),
             };
-            st.buffer.push(update.clone());
-            (update, sealed)
-        };
-        let ts = update.ts;
-        self.ingested_updates.fetch_add(1, Ordering::Relaxed);
-        self.ingested_bytes
-            .fetch_add(update.encoded_len() as u64, Ordering::Relaxed);
-        // The WAL write happens outside the state lock; appenders
-        // reserve disjoint offsets, so ordering across threads is
-        // whatever the offsets say — recovery filters buffer-resident
-        // updates by timestamp (`RunCreated.max_ts`), not log position.
-        self.wal.append(session, &WalRecord::Update(update))?;
+            let (ts, bytes) = (update.ts, update.encoded_len() as u64);
+            put_update_frame(&update, frame);
+            st.buffer.push(update);
+            drop(st);
+            self.ingested_updates.fetch_add(1, Ordering::Relaxed);
+            self.ingested_bytes.fetch_add(bytes, Ordering::Relaxed);
+            // The WAL write happens outside the state lock; appenders
+            // reserve disjoint offsets, so ordering across threads is
+            // whatever the offsets say — recovery filters
+            // buffer-resident updates by timestamp
+            // (`RunCreated.max_ts`), not log position.
+            self.wal.append_frame(session, frame)?;
+            Ok((ts, sealed))
+        })?;
         if let Some(sealed) = sealed {
             let t0 = session.now();
             self.dispatch_flush(session, sealed, background)?;

@@ -672,3 +672,122 @@ fn a_busy_claim_returns_and_its_drop_releases() {
     assert_eq!(f.engine.migrate(&f.session).unwrap().runs_migrated, 1);
     assert_eq!(f.engine.run_count(), 0);
 }
+
+/// `bad` is refused through every door with a typed error, leaves no
+/// trace (nothing buffered, logged or counted; no timestamp drawn, no
+/// commit-index entry), and a valid update to the same key afterwards
+/// is logged, replays, and answers scans and gets from a run.
+fn assert_refused_and_harmless(f: &Fixture, key: Key, bad: UpdateOp, then: UpdateOp) {
+    use crate::error::MasmError;
+    use crate::update::UpdateRecord;
+    use crate::wal::Wal;
+    use std::sync::atomic::Ordering;
+
+    let e = &f.engine;
+    // Log end, buffered and counted updates, the oracle, the commit index.
+    let trace = || {
+        (
+            e.wal.offset(),
+            e.buffered_updates(),
+            e.ingested_updates.load(Ordering::Relaxed),
+            e.oracle.last_issued(),
+            e.commit_index.lock().len(),
+        )
+    };
+    let before = trace();
+    let refused = |r: Result<(), MasmError>, door: &str| {
+        assert!(
+            matches!(r, Err(MasmError::InvalidUpdate { key: k, .. }) if k == key),
+            "{door}: {r:?}"
+        );
+        assert_eq!(trace(), before, "{door} left a trace");
+    };
+    refused(
+        e.apply_update(&f.session, key, bad.clone()).map(drop),
+        "apply_update",
+    );
+    refused(
+        e.apply_update_with_ts(&f.session, UpdateRecord::new(1, key, bad.clone())),
+        "apply_update_with_ts",
+    );
+    // One bad write refuses the whole commit, the good one included.
+    let writes = vec![(key + 2, UpdateOp::Delete), (key, bad)];
+    refused(
+        e.commit_writes(&f.session, e.oracle.last_issued(), writes)
+            .map(drop),
+        "commit_writes",
+    );
+
+    e.apply_update(&f.session, key, then).unwrap();
+    let replay = Wal::replay(&f.session, e.wal.device()).unwrap();
+    assert!(!replay.torn());
+    assert!(matches!(replay.records.last(), Some(WalRecord::Update(u)) if u.key == key));
+    e.flush_buffer(&f.session).unwrap();
+    assert_eq!(scan_keys(f, key, key), vec![key]);
+    assert!(e.get(&f.session, key).unwrap().is_some());
+}
+
+#[test]
+fn oversized_payload_is_refused_not_acknowledged() {
+    // `u16` length fields: at the parent this was acked, then replay
+    // failed with `Corrupt("WAL update length")` — every acked update
+    // lost — and a scan over the key panicked decoding the run entry.
+    let f = fixture(100);
+    let valid = UpdateOp::Insert(payload(7));
+    assert_refused_and_harmless(&f, 41, UpdateOp::Insert(vec![7; 70_000]), valid.clone());
+    let just_over = vec![7; u16::MAX as usize + 1];
+    assert_refused_and_harmless(&f, 43, UpdateOp::Replace(just_over), valid);
+}
+
+#[test]
+fn payload_of_another_width_than_the_schema_is_refused() {
+    use crate::update::FieldPatch;
+    // An acked `Insert(vec![])` poisons the key the same way: a later,
+    // valid `Modify` indexes past the short payload in `Schema::set`.
+    let f = fixture(100);
+    let valid = UpdateOp::Insert(payload(7));
+    assert_refused_and_harmless(&f, 41, UpdateOp::Insert(vec![]), valid.clone());
+    let mut long = payload(7);
+    long.push(0);
+    assert_refused_and_harmless(&f, 43, UpdateOp::Replace(long), valid);
+    let value = 5u32.to_le_bytes().to_vec();
+    let modify = UpdateOp::Modify(vec![FieldPatch { field: 0, value }]);
+    f.engine.apply_update(&f.session, 41, modify).unwrap();
+    let got = f.engine.get(&f.session, 41).unwrap().unwrap();
+    assert_eq!(f.engine.schema().get_u32(&got.payload, 0), 5);
+}
+
+#[test]
+fn modify_of_an_unknown_field_or_wrong_width_is_refused() {
+    use crate::update::FieldPatch;
+    // At the parent both were acked and then tripped `Schema::set`'s
+    // assertion in every later scan, get and migration of the key.
+    let f = fixture(100);
+    let patch = |field, value: Vec<u8>| UpdateOp::Modify(vec![FieldPatch { field, value }]);
+    let valid = patch(0, 5u32.to_le_bytes().to_vec());
+    assert_refused_and_harmless(&f, 40, patch(2, vec![0; 4]), valid.clone());
+    assert_refused_and_harmless(&f, 42, patch(0, vec![0; 3]), valid.clone());
+    // A bad patch anywhere in the list refuses the update.
+    let mixed = UpdateOp::Modify(vec![
+        FieldPatch {
+            field: 0,
+            value: vec![0; 4],
+        },
+        FieldPatch {
+            field: 1,
+            value: vec![0; 87],
+        },
+    ]);
+    assert_refused_and_harmless(&f, 44, mixed, valid);
+}
+
+#[test]
+fn more_patches_than_the_count_byte_holds_are_refused() {
+    use crate::update::FieldPatch;
+    let f = fixture(100);
+    let patches = |n: usize| {
+        let value = 1u32.to_le_bytes().to_vec();
+        UpdateOp::Modify(vec![FieldPatch { field: 0, value }; n])
+    };
+    assert_refused_and_harmless(&f, 40, patches(256), patches(255));
+}

@@ -29,6 +29,17 @@ pub enum MasmError {
     },
     /// Invalid configuration.
     Config(String),
+    /// An update refused at the door — nothing was buffered, logged or
+    /// counted: the run and log encoding cannot represent it (payload
+    /// over `u16::MAX` bytes, more than 255 field patches) or the
+    /// schema cannot apply it (a payload that is not the schema's width,
+    /// a patch for a field that does not exist, or of the wrong width).
+    InvalidUpdate {
+        /// Key the update was for.
+        key: u64,
+        /// What is wrong with it.
+        reason: &'static str,
+    },
 }
 
 impl fmt::Display for MasmError {
@@ -45,6 +56,9 @@ impl fmt::Display for MasmError {
             MasmError::Corrupt(what) => write!(f, "corrupt encoding: {what}"),
             MasmError::Conflict { key } => write!(f, "write-write conflict on key {key}"),
             MasmError::Config(msg) => write!(f, "invalid configuration: {msg}"),
+            MasmError::InvalidUpdate { key, reason } => {
+                write!(f, "invalid update for key {key}: {reason}")
+            }
         }
     }
 }

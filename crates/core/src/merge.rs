@@ -46,7 +46,7 @@ use masm_storage::{IoTicket, MergeReport, SessionHandle, SimDevice, StorageError
 
 use crate::config::MasmConfig;
 use crate::error::MasmResult;
-use crate::run::{to_entry, RunScan, SortedRun};
+use crate::run::{append_update, RunScan, SortedRun};
 use crate::ts::Timestamp;
 use crate::update::UpdateRecord;
 
@@ -400,7 +400,7 @@ pub fn compact_block_runs(
                             cur.merge_with_later(&next, schema)
                         }
                         Some(cur) => {
-                            builder.append_entry(to_entry(&cur));
+                            append_update(&mut builder, &cur);
                             next
                         }
                         None => next,
@@ -409,7 +409,7 @@ pub fn compact_block_runs(
                     report.peak_merge_entries = report.peak_merge_entries.max(live);
                 }
                 if let Some(cur) = pending {
-                    builder.append_entry(to_entry(&cur));
+                    append_update(&mut builder, &cur);
                 }
             }
         }

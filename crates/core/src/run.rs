@@ -24,7 +24,7 @@
 
 use std::sync::Arc;
 
-use masm_blockrun::{BlockCache, BlockRunMeta, BlockRunScan, Entry};
+use masm_blockrun::{BlockCache, BlockRunMeta, BlockRunScan, Entry, RunBuilder};
 use masm_pagestore::Key;
 use masm_storage::{SessionHandle, SimDevice};
 
@@ -91,8 +91,11 @@ impl SortedRun {
     }
 }
 
-pub(crate) fn to_entry(u: &UpdateRecord) -> Entry {
-    Entry::new(u.key, u.ts, u.encode_value())
+/// Append `u` to a run under construction: its operation is encoded
+/// straight into the builder's open block, the one copy an update's
+/// bytes make between the update buffer (or a merge) and the run.
+pub(crate) fn append_update(builder: &mut RunBuilder, u: &UpdateRecord) {
+    builder.append(u.key, u.ts, u.value_len(), |out| u.encode_value_into(out));
 }
 
 fn from_entry(run_id: u64, e: &Entry) -> UpdateRecord {
@@ -115,8 +118,11 @@ pub fn build_run(
     debug_assert!(updates
         .windows(2)
         .all(|w| (w[0].key, w[0].ts) <= (w[1].key, w[1].ts)));
-    let entries: Vec<Entry> = updates.iter().map(to_entry).collect();
-    let (meta, bytes) = masm_blockrun::build_run(&cfg.blockrun_config(), &entries);
+    let mut builder = RunBuilder::new(cfg.blockrun_config());
+    for u in updates {
+        append_update(&mut builder, u);
+    }
+    let (meta, bytes) = builder.finish();
     let mut run = SortedRun::from_meta(id, passes, meta);
     run.rebase(base);
     (run, bytes)

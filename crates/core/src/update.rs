@@ -8,6 +8,7 @@
 
 use masm_pagestore::{Key, Record, Schema};
 
+use crate::error::{MasmError, MasmResult};
 use crate::ts::Timestamp;
 
 /// A single-field patch inside a `modify` update.
@@ -41,6 +42,41 @@ impl UpdateOp {
             UpdateOp::Replace(_) => 3,
         }
     }
+
+    /// Check, before anything is buffered or logged, that the encoding
+    /// can represent this operation (a `u16` payload length, a `u8`
+    /// patch count — a longer one would be truncated on its way to the
+    /// log and the run, and read back as corruption) and that `schema`
+    /// can apply it (a payload has the schema's width, each patch names
+    /// an existing field and carries that field's width; [`Schema::set`]
+    /// panics otherwise). `key` only labels the error.
+    pub(crate) fn validate(&self, key: Key, schema: &Schema) -> MasmResult<()> {
+        let reason = match self {
+            UpdateOp::Delete => None,
+            UpdateOp::Insert(p) | UpdateOp::Replace(p) if p.len() > u16::MAX as usize => {
+                Some("payload longer than 65,535 bytes")
+            }
+            UpdateOp::Insert(p) | UpdateOp::Replace(p) => (p.len() != schema.payload_width())
+                .then_some("payload does not have the schema's width"),
+            UpdateOp::Modify(patches) if patches.len() > u8::MAX as usize => {
+                Some("more than 255 field patches")
+            }
+            UpdateOp::Modify(patches) => {
+                patches
+                    .iter()
+                    .find_map(|p| match schema.fields().get(p.field as usize) {
+                        None => Some("patch names a field the schema does not have"),
+                        Some(f) if f.ty.width() != p.value.len() => {
+                            Some("patch value does not have its field's width")
+                        }
+                        Some(_) => None,
+                    })
+            }
+        };
+        reason.map_or(Ok(()), |reason| {
+            Err(MasmError::InvalidUpdate { key, reason })
+        })
+    }
 }
 
 /// A timestamped, keyed update.
@@ -62,14 +98,19 @@ impl UpdateRecord {
 
     /// Encoded size in bytes (for buffer and SSD-page accounting).
     pub fn encoded_len(&self) -> usize {
-        let content = match &self.op {
+        8 + 8 + self.value_len()
+    }
+
+    /// Size of the operation part alone: what
+    /// [`UpdateRecord::encode_value_into`] appends.
+    pub(crate) fn value_len(&self) -> usize {
+        1 + match &self.op {
             UpdateOp::Insert(p) | UpdateOp::Replace(p) => 2 + p.len(),
             UpdateOp::Delete => 0,
             UpdateOp::Modify(patches) => {
                 1 + patches.iter().map(|p| 4 + p.value.len()).sum::<usize>()
             }
-        };
-        8 + 8 + 1 + content
+        }
     }
 
     /// Append the full `(ts, key, op)` encoding to `out`.
@@ -81,7 +122,9 @@ impl UpdateRecord {
 
     /// Append only the operation part (tag + content) to `out` — the
     /// *value* of a block-run entry, whose key and timestamp are stored
-    /// by the block format itself.
+    /// by the block format itself. The lengths fit their fields: the
+    /// engine refuses at the door any update they would not
+    /// (`MasmError::InvalidUpdate`).
     pub fn encode_value_into(&self, out: &mut Vec<u8>) {
         out.push(self.op.type_tag());
         match &self.op {
@@ -104,7 +147,7 @@ impl UpdateRecord {
 
     /// The operation part (tag + content) as owned bytes.
     pub fn encode_value(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.encoded_len() - 16);
+        let mut out = Vec::with_capacity(self.value_len());
         self.encode_value_into(&mut out);
         out
     }

@@ -41,7 +41,19 @@
 //! only once the log is hole-free up to the record's end (the group
 //! commit of a classical WAL): whatever was acknowledged is always in
 //! the contiguous valid prefix that replay recovers.
+//!
+//! # The cost of an append
+//!
+//! One append per update makes this the hottest code of the write path,
+//! so it allocates nothing and enters the kernel for nothing: the frame
+//! is encoded into a buffer the thread keeps between appends (per
+//! thread, not behind a lock — a shared buffer would serialise the very
+//! appenders the offset reservation keeps parallel), a completion that
+//! arrives in order advances the stable prefix directly (only
+//! out-of-order completions touch the heap), and waking waiters costs
+//! one atomic load when nobody waits (see the `parking_lot` shim).
 
+use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -58,6 +70,52 @@ use crate::update::UpdateRecord;
 
 /// Framing header bytes: `[u32 body_len][u32 crc][u8 tag]`.
 const HEADER: usize = 9;
+
+/// Tag of [`WalRecord::Update`].
+const UPDATE_TAG: u8 = 0;
+
+/// Append one complete frame to `out`: header, `tag`, whatever `body`
+/// writes, then `body_len` and the CRC of tag and body patched in. The
+/// one place a frame is laid out.
+fn put_frame(out: &mut Vec<u8>, tag: u8, body: impl FnOnce(&mut Vec<u8>)) {
+    let start = out.len();
+    out.extend_from_slice(&[0; HEADER - 1]); // body_len and crc, patched below
+    out.push(tag);
+    body(out);
+    let body_len = (out.len() - start - HEADER) as u32;
+    let crc = crc32(&out[start + 8..]);
+    out[start..start + 4].copy_from_slice(&body_len.to_le_bytes());
+    out[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
+}
+
+/// Append the frame of `WalRecord::Update(update)` to `out` from a
+/// borrow: the ingest path encodes it just before the update moves into
+/// the buffer, and hands the bytes to [`Wal::append_frame`] once the
+/// engine's state lock is released.
+pub(crate) fn put_update_frame(update: &UpdateRecord, out: &mut Vec<u8>) {
+    put_frame(out, UPDATE_TAG, |out| update.encode_into(out));
+}
+
+/// A frame buffer is kept for the thread's next append only up to this
+/// capacity (a bulk load's `HeapLoaded` frame can run to megabytes).
+const SCRATCH_KEEP_BYTES: usize = 64 << 10;
+
+thread_local! {
+    static FRAME_SCRATCH: Cell<Vec<u8>> = const { Cell::new(Vec::new()) };
+}
+
+/// Run `f` on this thread's reusable frame buffer, handed over empty.
+/// The buffer is *taken* for the call, so a nested use finds an empty
+/// `Vec` rather than a buffer in use.
+pub(crate) fn with_frame_scratch<R>(f: impl FnOnce(&mut Vec<u8>) -> R) -> R {
+    let mut buf = FRAME_SCRATCH.take();
+    buf.clear();
+    let result = f(&mut buf);
+    if buf.capacity() <= SCRATCH_KEEP_BYTES {
+        FRAME_SCRATCH.set(buf);
+    }
+    result
+}
 
 /// One redo-log record.
 #[derive(Debug, Clone, PartialEq)]
@@ -215,7 +273,7 @@ fn frame(buf: &[u8]) -> Framed<'_> {
 impl WalRecord {
     fn tag(&self) -> u8 {
         match self {
-            WalRecord::Update(_) => 0,
+            WalRecord::Update(_) => UPDATE_TAG,
             WalRecord::RunCreated { .. } => 1,
             WalRecord::RunsDeleted(_) => 2,
             WalRecord::MigrationBegin { .. } => 3,
@@ -229,12 +287,7 @@ impl WalRecord {
     /// Encode as `[u32 body_len][u32 crc][u8 tag][body]` (CRC over tag
     /// and body).
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        let len_pos = out.len();
-        out.extend_from_slice(&0u32.to_le_bytes()); // body_len placeholder
-        out.extend_from_slice(&0u32.to_le_bytes()); // crc placeholder
-        out.push(self.tag());
-        let body_start = out.len();
-        match self {
+        put_frame(out, self.tag(), |out| match self {
             WalRecord::Update(u) => u.encode_into(out),
             WalRecord::RunCreated {
                 id,
@@ -280,11 +333,7 @@ impl WalRecord {
                 put_u64s(out, &c.min_keys);
             }
             WalRecord::Manifest(m) => out.extend_from_slice(&m.encode()),
-        }
-        let body_len = (out.len() - body_start) as u32;
-        out[len_pos..len_pos + 4].copy_from_slice(&body_len.to_le_bytes());
-        let crc = crc32(&out[len_pos + 8..]);
-        out[len_pos + 4..len_pos + 8].copy_from_slice(&crc.to_le_bytes());
+        });
     }
 
     /// Decode a CRC-verified record body. The framing CRC has already
@@ -294,7 +343,7 @@ impl WalRecord {
         let body_len = body.len();
         let mut pos = 0usize;
         let rec = match tag {
-            0 => {
+            UPDATE_TAG => {
                 let (u, used) =
                     UpdateRecord::decode(body).ok_or(MasmError::Corrupt("WAL update"))?;
                 if used != body_len {
@@ -459,25 +508,41 @@ impl Wal {
     /// earlier reservation has also hit the device, so an acknowledged
     /// record can never sit behind a crash hole.
     pub fn append(&self, session: &SessionHandle, rec: &WalRecord) -> MasmResult<()> {
-        let mut buf = Vec::with_capacity(64);
-        rec.encode_into(&mut buf);
-        let off = self.offset.fetch_add(buf.len() as u64, Ordering::Relaxed);
-        let end = off + buf.len() as u64;
-        let wrote = session.write(&self.dev, off, &buf);
+        with_frame_scratch(|frame| {
+            rec.encode_into(frame);
+            self.append_frame(session, frame)
+        })
+    }
+
+    /// [`Wal::append`] for bytes that already are one complete frame
+    /// ([`WalRecord::encode_into`], [`put_update_frame`]): reserve the
+    /// byte range, write it, and return once the log is hole-free up to
+    /// its end.
+    pub(crate) fn append_frame(&self, session: &SessionHandle, frame: &[u8]) -> MasmResult<()> {
+        let off = self.offset.fetch_add(frame.len() as u64, Ordering::Relaxed);
+        let end = off + frame.len() as u64;
+        let wrote = session.write(&self.dev, off, frame);
         {
             // Mark the reservation complete even on a failed write (the
             // bytes are then absent or torn and recovery truncates
             // them): a skipped completion would wedge every later
             // appender behind a hole that will never fill.
             let mut tail = self.tail.lock();
-            tail.completed.push(Reverse((off, end)));
-            while tail
-                .completed
-                .peek()
-                .is_some_and(|Reverse((start, _))| *start <= tail.stable)
-            {
-                let Reverse((_, e)) = tail.completed.pop().expect("peeked");
-                tail.stable = tail.stable.max(e);
+            if off > tail.stable {
+                // Out of order: an earlier reservation is in flight.
+                tail.completed.push(Reverse((off, end)));
+            } else {
+                // In order — the only case a single appender ever sees:
+                // the prefix grows, and may now reach completions that
+                // were parked behind this one.
+                tail.stable = tail.stable.max(end);
+                while let Some(&Reverse((start, e))) = tail.completed.peek() {
+                    if start > tail.stable {
+                        break;
+                    }
+                    tail.completed.pop();
+                    tail.stable = tail.stable.max(e);
+                }
             }
             if wrote.is_ok() {
                 while tail.stable < end {
@@ -552,13 +617,23 @@ impl Wal {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::update::UpdateOp;
+    use crate::update::{FieldPatch, UpdateOp};
     use masm_storage::{DeviceProfile, SimClock};
 
     fn sample_records() -> Vec<WalRecord> {
+        let patch = |field, value: &[u8]| FieldPatch {
+            field,
+            value: value.to_vec(),
+        };
         vec![
             WalRecord::Update(UpdateRecord::new(3, 7, UpdateOp::Insert(vec![1, 2, 3]))),
             WalRecord::Update(UpdateRecord::new(4, 8, UpdateOp::Delete)),
+            WalRecord::Update(UpdateRecord::new(
+                5,
+                9,
+                UpdateOp::Modify(vec![patch(0, &[9, 9, 9, 9]), patch(1, b"")]),
+            )),
+            WalRecord::Update(UpdateRecord::new(6, 10, UpdateOp::Replace(vec![0xAB; 100]))),
             WalRecord::RunCreated {
                 id: 1,
                 base: 0,
@@ -660,6 +735,45 @@ mod tests {
     }
 
     #[test]
+    fn update_framed_from_a_borrow_is_logged_byte_for_byte_as_encode_into() {
+        // The ingest path never builds a `WalRecord`: it frames the
+        // borrowed update and appends the bytes. What lands on the
+        // device must be what `encode_into` defines.
+        for rec in sample_records() {
+            let WalRecord::Update(update) = &rec else {
+                continue;
+            };
+            let (dev, session, wal) = wal_fixture();
+            let mut frame = Vec::new();
+            put_update_frame(update, &mut frame);
+            wal.append_frame(&session, &frame).unwrap();
+            let mut want = Vec::new();
+            rec.encode_into(&mut want);
+            assert_eq!(session.read(&dev, 0, dev.len()).unwrap(), want, "{rec:?}");
+            assert_eq!(wal.stable_offset(), want.len() as u64);
+            assert_eq!(Wal::replay(&session, &dev).unwrap().records, vec![rec]);
+        }
+    }
+
+    #[test]
+    fn scratch_survives_nesting_and_drops_oversized_buffers() {
+        with_frame_scratch(|outer| {
+            outer.extend_from_slice(b"outer");
+            // A nested use gets an empty buffer of its own.
+            with_frame_scratch(|inner| {
+                assert!(inner.is_empty());
+                inner.extend_from_slice(b"inner");
+            });
+            assert_eq!(outer, b"outer");
+        });
+        with_frame_scratch(|buf| {
+            assert!(buf.is_empty(), "handed over empty");
+            buf.resize(SCRATCH_KEEP_BYTES + 1, 0);
+        });
+        with_frame_scratch(|buf| assert!(buf.capacity() <= SCRATCH_KEEP_BYTES));
+    }
+
+    #[test]
     fn replay_salvages_torn_tail_at_every_cut() {
         let (dev, session, wal) = wal_fixture();
         let records = sample_records();
@@ -718,23 +832,31 @@ mod tests {
 
     #[test]
     fn concurrent_appends_leave_no_holes() {
+        const THREADS: u64 = 8;
+        const APPENDS: u64 = 2_000;
+        // Mixed sizes (17 to ~320 bytes of body), so reservations of
+        // different lengths complete out of order.
+        let record = |t: u64, i: u64| {
+            let op = match i % 4 {
+                0 => UpdateOp::Delete,
+                1 => UpdateOp::Insert(vec![t as u8; (i % 300) as usize]),
+                2 => UpdateOp::Modify(vec![FieldPatch {
+                    field: (i % 7) as u16,
+                    value: vec![i as u8; (i % 9) as usize],
+                }]),
+                _ => UpdateOp::Replace(vec![i as u8; 100]),
+            };
+            WalRecord::Update(UpdateRecord::new(t * APPENDS + i + 1, t * APPENDS + i, op))
+        };
         let (dev, session, wal) = wal_fixture();
         let wal = std::sync::Arc::new(wal);
         std::thread::scope(|s| {
-            for t in 0..4u64 {
+            for t in 0..THREADS {
                 let wal = std::sync::Arc::clone(&wal);
                 let session = session.clone();
                 s.spawn(move || {
-                    for i in 0..50u64 {
-                        wal.append(
-                            &session,
-                            &WalRecord::Update(UpdateRecord::new(
-                                t * 1000 + i + 1,
-                                t * 1000 + i,
-                                UpdateOp::Delete,
-                            )),
-                        )
-                        .unwrap();
+                    for i in 0..APPENDS {
+                        wal.append(&session, &record(t, i)).unwrap();
                     }
                 });
             }
@@ -742,8 +864,24 @@ mod tests {
         // Acknowledged appends form a hole-free prefix covering the log.
         assert_eq!(wal.stable_offset(), wal.offset());
         let replay = Wal::replay(&session, &dev).unwrap();
-        assert_eq!(replay.records.len(), 200);
         assert!(!replay.torn());
+        assert_eq!(replay.end_offset, wal.offset());
+        // Exactly the appended records, each once (timestamps are
+        // unique, so sorting by them lines the two multisets up).
+        let ts = |r: &WalRecord| match r {
+            WalRecord::Update(u) => u.ts,
+            other => panic!("unexpected record {other:?}"),
+        };
+        let mut got = replay.records;
+        got.sort_by_key(ts);
+        let want: Vec<WalRecord> = (0..THREADS)
+            .flat_map(|t| (0..APPENDS).map(move |i| record(t, i)))
+            .collect();
+        assert_eq!(got.len(), want.len());
+        assert!(
+            got == want,
+            "replayed multiset differs from what was appended"
+        );
     }
 
     #[test]

@@ -1,11 +1,20 @@
-//! Allocation budget of the merged scan, on exact counts: a hot-cache
-//! scan allocates the payload of each record it returns, what decoding
-//! an update's operation takes, and a constant per block and per heap
-//! batch — no page copies, no entry clones, no payload clones. A
-//! binary of its own, because the counting allocator is process-wide.
+//! Allocation budgets of the two hot paths, on exact counts.
+//!
+//! * A hot-cache merged scan allocates the payload of each record it
+//!   returns, what decoding an update's operation takes, and a constant
+//!   per block and per heap batch — no page copies, no entry clones, no
+//!   payload clones.
+//! * Ingest allocates a constant per run block and per flush, nothing
+//!   per update: the update moves into the buffer, its WAL frame is
+//!   encoded into the thread's scratch, and the run is built straight
+//!   from the sorted updates into the flat block buffer.
+//!
+//! A binary of its own, because the counting allocator is process-wide;
+//! it counts per thread, so the two tests (each single-threaded, inline
+//! maintenance) can run side by side.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use std::sync::Arc;
 
 use masm_core::config::MasmConfig;
@@ -16,13 +25,24 @@ use masm_storage::{DeviceProfile, SessionHandle, SimClock, SimDevice};
 
 struct Counting;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialised and without a destructor: touching it never
+    // allocates, so the allocator may.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Allocations made by the calling thread so far.
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
 
 // SAFETY: every call is forwarded unchanged to the system allocator;
-// the counter is a statistic and publishes no other data.
+// the counter is a thread-local statistic.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // `try_with`: a thread's last frees and allocations may come
+        // after its thread-locals are gone.
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
         // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
@@ -36,11 +56,9 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-#[test]
-fn hot_scan_allocates_per_record_returned_and_per_update_decoded() {
-    const RECORDS: u64 = 40_000; // four 1 MiB heap batches
-    const UPDATES: u64 = 6_000;
-
+/// An engine with inline maintenance over a table of `records`
+/// even-keyed rows, plus the session that drives it.
+fn loaded_engine(cfg: MasmConfig, records: u64) -> (Arc<MasmEngine>, SessionHandle, Schema) {
     let schema = Schema::synthetic_100b();
     let clock = SimClock::new();
     let device = |profile| SimDevice::in_memory(profile, clock.clone());
@@ -48,10 +66,8 @@ fn hot_scan_allocates_per_record_returned_and_per_update_decoded() {
         device(DeviceProfile::hdd_barracuda()),
         HeapConfig::default(),
     ));
-    let mut cfg = MasmConfig::small_for_tests();
-    cfg.block_cache_bytes = 64 << 20; // every run block stays in tier 1
     let engine = MasmEngine::new(
-        Arc::clone(&heap),
+        heap,
         device(DeviceProfile::ssd_x25e()),
         device(DeviceProfile::ssd_x25e()),
         schema.clone(),
@@ -62,27 +78,42 @@ fn hot_scan_allocates_per_record_returned_and_per_update_decoded() {
     engine
         .load_table(
             &session,
-            (0..RECORDS).map(|i| Record::new(i * 2, schema.empty_payload())),
+            (0..records).map(|i| Record::new(i * 2, schema.empty_payload())),
             1.0,
         )
         .unwrap();
+    (engine, session, schema)
+}
 
-    // The benchmark's mix: a third each of inserts (odd keys), deletes
-    // and single-field modifies, spread over the table; every 1,000 a
-    // run of its own.
+/// Update `i` of the benchmark's mix: a third each of inserts (odd
+/// keys), deletes and single-field modifies, spread over the table.
+fn mixed_update(i: u64, records: u64, schema: &Schema) -> (Key, UpdateOp) {
+    let slot = i * 7919 % records;
+    match i % 3 {
+        0 => (slot * 2 + 1, UpdateOp::Insert(schema.empty_payload())),
+        1 => (slot * 2, UpdateOp::Delete),
+        _ => {
+            let value = (i as u32).to_le_bytes().to_vec();
+            (
+                slot * 2,
+                UpdateOp::Modify(vec![FieldPatch { field: 0, value }]),
+            )
+        }
+    }
+}
+
+#[test]
+fn hot_scan_allocates_per_record_returned_and_per_update_decoded() {
+    const RECORDS: u64 = 40_000; // four 1 MiB heap batches
+    const UPDATES: u64 = 6_000;
+
+    let mut cfg = MasmConfig::small_for_tests();
+    cfg.block_cache_bytes = 64 << 20; // every run block stays in tier 1
+    let (engine, session, schema) = loaded_engine(cfg, RECORDS);
+
+    // Every 1,000 updates a run of its own.
     for i in 0..UPDATES {
-        let slot = i * 7919 % RECORDS;
-        let (key, op) = match i % 3 {
-            0 => (slot * 2 + 1, UpdateOp::Insert(schema.empty_payload())),
-            1 => (slot * 2, UpdateOp::Delete),
-            _ => {
-                let value = (i as u32).to_le_bytes().to_vec();
-                (
-                    slot * 2,
-                    UpdateOp::Modify(vec![FieldPatch { field: 0, value }]),
-                )
-            }
-        };
+        let (key, op) = mixed_update(i, RECORDS, &schema);
         engine.apply_update(&session, key, op).unwrap();
         if i % 1_000 == 999 {
             engine.flush_buffer(&session).unwrap();
@@ -102,9 +133,9 @@ fn hot_scan_allocates_per_record_returned_and_per_update_decoded() {
     let blocks = engine.cache_stats().insertions;
     assert!(blocks > 0 && runs >= 6);
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     let returned = scan_all();
-    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let allocations = allocations() - before;
     assert_eq!(returned, warm);
     assert_eq!(engine.cache_stats().insertions, blocks, "the scan ran hot");
 
@@ -118,5 +149,43 @@ fn hot_scan_allocates_per_record_returned_and_per_update_decoded() {
     eprintln!(
         "{allocations} allocations, budget {budget}: {returned} records, {UPDATES} updates, \
          {blocks} blocks, {heap_batches} heap batches, {runs} runs"
+    );
+}
+
+#[test]
+fn ingest_allocates_per_block_and_per_flush_not_per_update() {
+    const RECORDS: u64 = 10_000;
+    const UPDATES: u64 = 20_000;
+
+    // The benchmark's geometry: 4 KiB blocks, inline maintenance.
+    let mut cfg = MasmConfig::small_for_tests();
+    cfg.index_granularity = masm_core::IndexGranularity::Fine;
+    let (engine, session, schema) = loaded_engine(cfg, RECORDS);
+
+    // Built (and the payloads allocated) before the count starts: the
+    // caller's operation is the one allocation an update owns, and the
+    // engine moves it.
+    let updates: Vec<(Key, UpdateOp)> = (0..UPDATES)
+        .map(|i| mixed_update(i, RECORDS, &schema))
+        .collect();
+
+    let before = allocations();
+    for (key, op) in updates {
+        engine.apply_update(&session, key, op).unwrap();
+    }
+    let allocations = allocations() - before;
+
+    let stats = engine.stats();
+    let flushes = stats.runs.count;
+    assert!(flushes >= 5, "{flushes} inline flushes");
+    assert!(
+        allocations * 4 <= UPDATES,
+        "{allocations} allocations for {UPDATES} updates through {flushes} flushes: \
+         more than 0.25 per update"
+    );
+    eprintln!(
+        "{allocations} allocations for {UPDATES} updates through {flushes} flushes \
+         ({:.3} per update)",
+        allocations as f64 / UPDATES as f64
     );
 }

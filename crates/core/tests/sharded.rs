@@ -249,6 +249,62 @@ fn sharded_matches_single_engine_oracle() {
     assert!(stats.per_shard.iter().all(|s| s.ingested_updates > 0));
 }
 
+/// A sharded `put` goes through the same door as `apply_update`: an
+/// update the encoding cannot represent is refused, not acknowledged.
+#[test]
+fn put_refuses_an_update_the_encoding_cannot_represent() {
+    use masm_core::wal::Wal;
+    use masm_core::MasmError;
+
+    // Built by hand (not `sharded_fixture`) to keep the log devices.
+    let mut cfg = MasmConfig::small_for_tests();
+    cfg.sharding = ShardingConfig {
+        shards: 2,
+        split_policy: SplitPolicy::Explicit(vec![100]),
+        max_concurrent_migrations: 1,
+    };
+    let clock = SimClock::new();
+    let device = |profile| SimDevice::in_memory(profile, clock.clone());
+    let heap = Arc::new(TableHeap::new(
+        device(DeviceProfile::hdd_barracuda()),
+        HeapConfig::default(),
+    ));
+    let ssds = vec![
+        device(DeviceProfile::ssd_x25e()),
+        device(DeviceProfile::ssd_x25e()),
+    ];
+    let wals = vec![
+        device(DeviceProfile::ssd_x25e()),
+        device(DeviceProfile::ssd_x25e()),
+    ];
+    let engine = ShardedEngine::new(heap, ssds, wals.clone(), schema(), cfg).unwrap();
+    let session = SessionHandle::fresh(clock.clone());
+    let records = (0..100u64).map(|i| Record::new(i * 2, payload(i as u32)));
+    engine.load_table(&session, records, 1.0).unwrap();
+
+    // Key 151 routes to shard 1. At the parent the put was acked, the
+    // shard's log no longer replayed, and the scan below panicked.
+    let log_end = wals[1].len();
+    let err = engine
+        .put(&session, 151, UpdateOp::Insert(vec![7; 70_000]))
+        .unwrap_err();
+    assert!(
+        matches!(err, MasmError::InvalidUpdate { key: 151, .. }),
+        "{err}"
+    );
+    assert_eq!(wals[1].len(), log_end, "nothing was logged");
+
+    engine
+        .put(&session, 151, UpdateOp::Insert(payload(9)))
+        .unwrap();
+    for wal in &wals {
+        assert!(!Wal::replay(&session, wal).unwrap().torn());
+    }
+    engine.flush_all(&session).unwrap();
+    let got: Vec<Key> = engine.scan(150, 152).unwrap().map(|r| r.key).collect();
+    assert_eq!(got, vec![150, 151, 152]);
+}
+
 /// Four ingest lanes hammer a 4-shard engine with a live shared worker
 /// pool while a scanner takes cross-shard snapshot scans; per-key
 /// values must never go backwards within a scan sequence, the final

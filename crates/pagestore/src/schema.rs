@@ -86,6 +86,11 @@ impl Schema {
         self.width
     }
 
+    /// All fields, in payload order.
+    pub fn fields(&self) -> &[Field] {
+        &self.fields
+    }
+
     /// Field descriptor by index.
     pub fn field(&self, i: usize) -> &Field {
         &self.fields[i]

@@ -40,7 +40,7 @@ use std::thread;
 
 use masm_bench::*;
 use masm_core::update::UpdateRecord;
-use masm_core::{ShardedEngine, ShardingConfig, SplitPolicy};
+use masm_core::ShardedEngine;
 use masm_pagestore::{HeapConfig, Key, Schema, TableHeap};
 use masm_storage::{DeviceProfile, SessionHandle, SimClock, SimDevice, MIB};
 use masm_telemetry::json::JsonObj;
@@ -121,6 +121,7 @@ fn recover_and_verify(
         point.wals.clone(),
         schema.clone(),
         cfg.clone(),
+        None,
     )
     .unwrap_or_else(|e| panic!("crash point '{}' failed to recover: {e}", point.label));
     let recovery_virtual_ns = clock.now() - t0;
@@ -185,11 +186,7 @@ fn main() {
     let mut cfg = scaled_masm_config(mb * MIB);
     cfg.ssd_capacity = cfg.ssd_capacity.max(4 * 64 * 4096);
     cfg.background_workers = 2;
-    cfg.sharding = ShardingConfig {
-        shards: LANES as usize,
-        split_policy: SplitPolicy::Explicit((1..LANES).map(|k| BASE + k * (1 << 20)).collect()),
-        max_concurrent_migrations: 1,
-    };
+    cfg.sharding.splits = (1..LANES).map(|k| BASE + k * (1 << 20)).collect();
 
     let clock = SimClock::new();
     let disk = SimDevice::in_memory(DeviceProfile::hdd_barracuda(), clock.clone());

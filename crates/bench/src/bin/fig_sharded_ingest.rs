@@ -15,8 +15,8 @@
 //! tenants (the SaaS deployment shape: one API server per tenant
 //! group), drawing zipfian-skewed keys within the block
 //! ([`masm_workloads::tenant::MultiTenantKeyGen`], θ = 0.6). The
-//! router splits the keyspace exactly at tenant-block boundaries
-//! ([`SplitPolicy::Explicit`]), so each lane's traffic flows to "its"
+//! split keys are exactly the tenant-block boundaries
+//! (`ShardingConfig::splits`), so each lane's traffic flows to "its"
 //! shard — writer keyspace locality is precisely the regime key-range
 //! sharding converts into parallelism. Throughput is measured in
 //! virtual time (updates per virtual second) at the moment the last
@@ -45,7 +45,7 @@ use std::thread;
 
 use masm_bench::*;
 use masm_core::update::UpdateRecord;
-use masm_core::{ShardedEngine, ShardingConfig, SplitPolicy};
+use masm_core::ShardedEngine;
 use masm_pagestore::{HeapConfig, Schema, TableHeap};
 use masm_storage::{DeviceProfile, IoSession, SessionHandle, SimClock, SimDevice, MIB};
 use masm_telemetry::json::{parse, JsonObj, JsonValue};
@@ -89,19 +89,15 @@ fn run(mb: u64, shards: usize, tracer: Option<&Arc<Tracer>>) -> RunResult {
     // Shard boundaries at tenant-block edges: shard k owns the tenant
     // groups [k·T/N, (k+1)·T/N). This is how an operator shards a
     // multi-tenant keyspace — on the tenant boundaries it already
-    // knows. (`SplitPolicy::Sampled` learns splits within one tenant
-    // of these from a key sample; the sharded-engine tests exercise
-    // that path. The timing sweep pins them exactly so each lane's
+    // knows. (`ShardRouter::from_sample` learns splits within one
+    // tenant of these from a key sample; the sharded-engine tests
+    // exercise it. The timing sweep pins them exactly so each lane's
     // traffic is fully shard-local.)
     let tenants = LANES * TENANTS_PER_LANE;
     let splits: Vec<masm_pagestore::Key> = (1..shards as u64)
         .map(|k| (k * tenants / shards as u64) << masm_workloads::tenant::TENANT_SHIFT)
         .collect();
-    cfg.sharding = ShardingConfig {
-        shards,
-        split_policy: SplitPolicy::Explicit(splits),
-        max_concurrent_migrations: 1,
-    };
+    cfg.sharding.splits = splits;
 
     let clock = SimClock::new();
     let disk = SimDevice::in_memory(DeviceProfile::hdd_barracuda(), clock.clone());

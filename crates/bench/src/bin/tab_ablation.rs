@@ -1,5 +1,5 @@
-//! Ablation study of MaSM's design choices (not a paper figure; DESIGN.md
-//! §5 calls these out):
+//! Ablation study of MaSM's design choices (not a paper figure; listed
+//! under `tab_*` in the README's "Paper figure index"):
 //!
 //! 1. **Run index granularity** — the mechanism behind Figure 9's
 //!    coarse/fine split, extended with "no index" (whole-run reads) to

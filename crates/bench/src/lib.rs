@@ -1,10 +1,10 @@
 //! # masm-bench — the experiment harness
 //!
-//! One binary per table/figure of the paper (see DESIGN.md §4 for the
-//! index). This library holds what they share: scaled experiment
-//! environments, the concurrent-updater driver that reproduces the
-//! paper's "online updates while queries run" setup, and plain-text
-//! table output.
+//! One binary per table/figure of the paper (the README's "Paper figure
+//! index" lists them). This library holds what they share: scaled
+//! experiment environments, the concurrent-updater driver that
+//! reproduces the paper's "online updates while queries run" setup, and
+//! plain-text table output.
 //!
 //! ## Scaling
 //!

@@ -20,46 +20,18 @@ use crate::error::{MasmError, MasmResult};
 
 pub use masm_codec::CodecChoice;
 
-/// How a sharded engine picks its key-range split points.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SplitPolicy {
-    /// Divide the full `u64` key space into equal-width ranges. Right
-    /// for uniformly distributed keys; skewed keys should use
-    /// [`SplitPolicy::Sampled`].
-    Uniform,
-    /// Learn split points from a key sample: each shard receives the
-    /// same number of *sampled* keys (quantile splits), so a zipfian
-    /// tenant distribution still spreads ingest load evenly.
-    Sampled(Vec<Key>),
-    /// Use exactly these split points (must be strictly ascending,
-    /// non-zero, and one fewer than the shard count).
-    Explicit(Vec<Key>),
-}
-
-/// Key-range sharding of one logical table over several MaSM engines
-/// (one per contiguous key range). `shards = 1` (the default) is the
-/// unsharded engine.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Key-range sharding of one logical table over several MaSM engines,
+/// one per contiguous key range. The topology *is* its split keys —
+/// the lower bounds of every shard but the first, exactly what a
+/// [`crate::ShardRouter`] routes by and a [`crate::ShardManifest`]
+/// stores: none (the default) is the unsharded engine, `n` keys make
+/// `n + 1` shards. [`crate::ShardRouter::uniform`] and
+/// [`crate::ShardRouter::from_sample`] compute split keys for callers
+/// that have no natural boundaries of their own.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ShardingConfig {
-    /// Number of contiguous key-range shards (1–64).
-    pub shards: usize,
-    /// How split points between shards are chosen.
-    pub split_policy: SplitPolicy,
-    /// At most this many shards migrate concurrently. Migration is the
-    /// heaviest maintenance job; staggering it keeps the scan tail
-    /// latency of an N-shard engine close to a single shard's instead
-    /// of N migrations deep.
-    pub max_concurrent_migrations: usize,
-}
-
-impl Default for ShardingConfig {
-    fn default() -> Self {
-        ShardingConfig {
-            shards: 1,
-            split_policy: SplitPolicy::Uniform,
-            max_concurrent_migrations: 1,
-        }
-    }
+    /// Strictly ascending, non-zero split keys (at most 63).
+    pub splits: Vec<Key>,
 }
 
 /// Granularity of the run's read-only index (§3.5 "Granularity of Run
@@ -243,7 +215,7 @@ impl MasmConfig {
         mix(self.ssd_region_base);
         mix(self.index_granularity.bytes());
         mix(self.bloom_bits_per_key as u64);
-        mix(self.sharding.shards as u64);
+        mix(self.sharding.splits.len() as u64 + 1);
         h
     }
 
@@ -337,20 +309,16 @@ impl MasmConfig {
     /// together never exceed what the unsharded config would use. The
     /// per-shard memory (`αM` with `M = √‖SSD‖/N`) shrinks with the
     /// per-shard flash slice exactly as the paper's formulas dictate.
-    /// The result is a valid `shards = 1` configuration or an error.
+    /// The result is a valid unsharded configuration or an error.
     pub fn shard_config(&self, shard_id: usize) -> MasmResult<MasmConfig> {
-        let n = self.sharding.shards;
+        let n = self.sharding.splits.len() + 1;
         if shard_id >= n {
             return Err(MasmError::Config(format!(
                 "shard_id {shard_id} out of range for {n} shards"
             )));
         }
         let mut cfg = self.clone();
-        cfg.sharding = ShardingConfig {
-            shards: 1,
-            split_policy: SplitPolicy::Uniform,
-            max_concurrent_migrations: self.sharding.max_concurrent_migrations,
-        };
+        cfg.sharding = ShardingConfig::default();
         let page = self.ssd_page_size as u64;
         let per = self.ssd_capacity / n as u64;
         cfg.ssd_capacity = per - per % page;
@@ -395,34 +363,17 @@ impl MasmConfig {
         if self.background_workers > 64 {
             return Err(MasmError::Config("background_workers must be ≤ 64".into()));
         }
-        let sh = &self.sharding;
-        if sh.shards == 0 || sh.shards > 64 {
-            return Err(MasmError::Config("shards must be in 1..=64".into()));
+        // The split-key rule lives with the router that routes by it.
+        let shards = crate::ShardRouter::from_splits(self.sharding.splits.clone())?.shards();
+        if shards > 64 {
+            return Err(MasmError::Config(format!(
+                "{shards} shards: at most 64 are supported"
+            )));
         }
-        if sh.max_concurrent_migrations == 0 {
-            return Err(MasmError::Config(
-                "max_concurrent_migrations must be ≥ 1".into(),
-            ));
-        }
-        if self.ssd_capacity / (sh.shards as u64) < (self.ssd_page_size as u64) * 4 {
+        if self.ssd_capacity / (shards as u64) < (self.ssd_page_size as u64) * 4 {
             return Err(MasmError::Config(
                 "ssd_capacity too small to divide across shards".into(),
             ));
-        }
-        if let SplitPolicy::Explicit(splits) = &sh.split_policy {
-            if splits.len() != sh.shards - 1 {
-                return Err(MasmError::Config(format!(
-                    "{} shards need exactly {} explicit split points, got {}",
-                    sh.shards,
-                    sh.shards - 1,
-                    splits.len()
-                )));
-            }
-            if splits.first().is_some_and(|&s| s == 0) || splits.windows(2).any(|w| w[0] >= w[1]) {
-                return Err(MasmError::Config(
-                    "explicit split points must be strictly ascending and non-zero".into(),
-                ));
-            }
         }
         Ok(())
     }
@@ -445,8 +396,14 @@ mod tests {
         layout.ssd_page_size *= 2;
         assert_ne!(base.fingerprint(), layout.fingerprint());
         let mut topo = base.clone();
-        topo.sharding.shards = 2;
+        topo.sharding.splits = vec![101_000, 102_000];
         assert_ne!(base.fingerprint(), topo.fingerprint());
+        // The durable format: a deployment written before the topology
+        // became its split keys still recovers (the fingerprint mixes
+        // the shard count, `splits.len() + 1`).
+        assert_eq!(base.fingerprint(), 0xdffd_2bec_8bbc_6ae2);
+        assert_eq!(topo.fingerprint(), 0xa207_9dda_75dd_d6a0);
+        assert_eq!(MasmConfig::default().fingerprint(), 0x34c8_e172_5a2c_6626);
     }
 
     #[test]
@@ -539,10 +496,10 @@ mod tests {
     #[test]
     fn shard_config_divides_budgets() {
         let mut c = MasmConfig::default();
-        c.sharding.shards = 4;
+        c.sharding.splits = vec![10, 20, 30];
         c.validate().unwrap();
         let s = c.shard_config(2).unwrap();
-        assert_eq!(s.sharding.shards, 1, "per-shard config is unsharded");
+        assert_eq!(s.sharding, ShardingConfig::default(), "unsharded");
         assert_eq!(s.ssd_capacity, masm_storage::GIB);
         assert_eq!(s.ssd_capacity % s.ssd_page_size as u64, 0);
         assert_eq!(s.block_cache_bytes, c.block_cache_bytes / 4);
@@ -560,27 +517,18 @@ mod tests {
     #[test]
     fn validation_rejects_bad_sharding() {
         let mut c = MasmConfig::default();
-        c.sharding.shards = 0;
-        assert!(c.validate().is_err());
-        c.sharding.shards = 65;
-        assert!(c.validate().is_err());
-        c.sharding.shards = 2;
-        c.sharding.max_concurrent_migrations = 0;
-        assert!(c.validate().is_err());
-        c.sharding.max_concurrent_migrations = 1;
-        c.sharding.split_policy = SplitPolicy::Explicit(vec![]);
-        assert!(c.validate().is_err(), "wrong split count");
-        c.sharding.split_policy = SplitPolicy::Explicit(vec![0]);
+        c.sharding.splits = (1..=64).collect();
+        assert!(c.validate().is_err(), "65 shards");
+        c.sharding.splits = vec![0];
         assert!(c.validate().is_err(), "zero split");
-        c.sharding.split_policy = SplitPolicy::Explicit(vec![1 << 32]);
+        c.sharding.splits = vec![1 << 32];
         assert!(c.validate().is_ok());
-        c.sharding.shards = 3;
-        c.sharding.split_policy = SplitPolicy::Explicit(vec![100, 100]);
+        c.sharding.splits = vec![100, 100];
         assert!(c.validate().is_err(), "splits must strictly ascend");
         // Dividing a tiny flash budget across shards must fail loudly.
         let mut tiny = MasmConfig::small_for_tests();
         tiny.ssd_capacity = 4 * 4096;
-        tiny.sharding.shards = 2;
+        tiny.sharding.splits = vec![7];
         assert!(tiny.validate().is_err());
     }
 }

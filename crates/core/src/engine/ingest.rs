@@ -104,18 +104,8 @@ impl MasmEngine {
         self.ingest(session, Err((key, op)))
     }
 
-    /// Apply an update that already carries its commit timestamp
-    /// (transaction commit path).
-    pub fn apply_update_with_ts(
-        self: &Arc<Self>,
-        session: &SessionHandle,
-        update: UpdateRecord,
-    ) -> MasmResult<()> {
-        update.op.validate(update.key, &self.schema)?;
-        self.ingest(session, Ok(update)).map(|_| ())
-    }
-
-    /// The shared ingest path, behind the three doors that validate.
+    /// The shared ingest path, behind the two doors that validate
+    /// ([`MasmEngine::apply_update`], [`MasmEngine::commit_writes`]).
     /// `pre` is either a pre-timestamped update (transaction commit,
     /// which assigned its timestamp under the commit index — a small
     /// pre-existing window where a concurrent seal may race the push)

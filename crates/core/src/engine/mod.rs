@@ -67,15 +67,18 @@
 //! Runs are retired, and the migration logged, only when the span is
 //! the engine's whole range.
 //!
-//! Not covered: two `HeapRewriter`s over one heap are not safe
-//! concurrently (their logical cursors shift under each other's
-//! splices), so shards sharing a heap must not migrate at the same
-//! time. `max_concurrent_migrations` defaults to 1 and nothing sets
-//! it higher.
+//! Invariant: **one rewriter per heap.** A `HeapRewriter` addresses
+//! pages by logical index, which another rewriter's splice shifts, so
+//! shards sharing a heap rewrite it one at a time. The heap enforces
+//! this itself (`TableHeap::rewriter_range` holds the heap's rewrite
+//! lock until the rewriter is finished or dropped): migrations of two
+//! shards may be *called* concurrently — inline, from the pool, from
+//! recovery — and the second one's rewrite waits for the first.
 //!
 //! Files: `state` (the protocol; the only code that touches claims,
 //! pins and reservations), `ingest`, `read`, `maintain` (flush, merge,
-//! migration and the hand-off to the pool), `recover`.
+//! migration and the hand-off to the pool), `recover` (`open`: the one
+//! path that builds engines — fresh or recovered, one shard or many).
 
 mod ingest;
 mod maintain;
@@ -101,14 +104,13 @@ use masm_telemetry::{
 };
 
 use crate::config::MasmConfig;
-use crate::error::MasmResult;
 use crate::run::SortedRun;
 use crate::ts::{Timestamp, TimestampOracle};
 use crate::wal::Wal;
-use crate::worker::{WorkerHandle, WorkerPool};
+use crate::worker::WorkerHandle;
 
 pub use read::MergeScan;
-pub(crate) use recover::{apply_heap_events, ParsedWal};
+pub(crate) use recover::{open, ParsedWal, ShardLog};
 use state::EngineState;
 
 /// The engine's metric families: a [`Registry`] for export plus direct
@@ -258,7 +260,8 @@ pub struct MasmEngine {
     /// Redo log. Appends are internally synchronized (lock-free offset
     /// reservation) — no engine lock is involved in logging.
     wal: Wal,
-    /// Background worker pool, present when `background_workers > 0`.
+    /// Background worker pool, present when `background_workers > 0`
+    /// (one handle, cloned into every shard of a deployment).
     workers: OnceLock<WorkerHandle>,
     /// This engine's shard index in a sharded deployment (0 when the
     /// engine stands alone). Tags every job handed to the shared pool.
@@ -273,9 +276,6 @@ pub struct MasmEngine {
     /// isolation (§3.6). A production system would truncate this by the
     /// oldest active transaction; we keep it simple.
     commit_index: Mutex<std::collections::HashMap<Key, Timestamp>>,
-    /// Outcome of the most recent planned run merge (2-pass merge or
-    /// compaction).
-    last_merge: Mutex<Option<MergeReport>>,
     /// Cumulative totals across every planned merge this engine ran.
     merge_totals: Mutex<MergeReport>,
     /// Cumulative codec accounting across every run this engine built
@@ -309,44 +309,6 @@ impl std::fmt::Debug for MasmEngine {
 }
 
 impl MasmEngine {
-    /// Create an engine over an existing (possibly empty) heap. A fresh
-    /// engine is the recovery of an empty redo log: one construction
-    /// path, one engine literal.
-    pub fn new(
-        heap: Arc<TableHeap>,
-        ssd: SimDevice,
-        wal_dev: SimDevice,
-        schema: Schema,
-        cfg: MasmConfig,
-    ) -> MasmResult<Arc<Self>> {
-        let (oracle, log) = (TimestampOracle::new(), ParsedWal::default());
-        let whole = (0, Key::MAX);
-        Self::recover_from_parsed(
-            heap, ssd, wal_dev, schema, cfg, oracle, 0, whole, true, log, None,
-        )
-        .map(|(engine, _)| engine)
-    }
-
-    /// Spawn the background worker pool when one is configured.
-    fn start_workers(engine: &Arc<Self>) {
-        if engine.cfg.background_workers > 0 {
-            let pool = WorkerPool::new(
-                engine.cfg.background_workers,
-                engine.cfg.effective_backlog_bytes(),
-                1,
-                &[&engine.metrics.registry],
-            );
-            let handle = WorkerHandle::spawn(std::slice::from_ref(engine), pool);
-            let _ = engine.workers.set(handle);
-        }
-    }
-
-    /// Install a shared worker handle built by a sharded deployment.
-    /// No-op if workers were already installed.
-    pub(crate) fn install_workers(&self, handle: WorkerHandle) {
-        let _ = self.workers.set(handle);
-    }
-
     /// Install the `masm-trace` flight recorder. First installation
     /// wins; the engine emits spans, instants, and flow links only
     /// while a tracer is installed *and* enabled — otherwise every
@@ -448,12 +410,6 @@ impl MasmEngine {
         self.cache.stats()
     }
 
-    /// Outcome of the most recent planned run merge (2-pass merge or
-    /// compaction), if any has run.
-    pub fn last_merge_report(&self) -> Option<MergeReport> {
-        *self.last_merge.lock()
-    }
-
     /// Cumulative merge totals across the engine's lifetime.
     pub fn merge_stats(&self) -> MergeReport {
         *self.merge_totals.lock()
@@ -468,7 +424,6 @@ impl MasmEngine {
     }
 
     fn record_merge(&self, report: MergeReport) {
-        *self.last_merge.lock() = Some(report);
         let mut totals = self.merge_totals.lock();
         *totals = totals.merge(&report);
     }

@@ -1,6 +1,7 @@
-//! Crash recovery: fold a redo log into the state an engine is built
-//! from. A fresh engine is the recovery of the empty log, so this is
-//! also the one construction site.
+//! Opening a table: fold each shard's redo log into the state its
+//! engine is built from. A fresh engine is the recovery of the empty
+//! log and a standalone engine is the one-shard case, so [`open`] is
+//! the one construction site and the one recovery path.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::AtomicU64;
@@ -11,7 +12,7 @@ use parking_lot::{Condvar, Mutex};
 use masm_blockrun::BlockCache;
 use masm_pagestore::{ChunkCommit, Key, Schema, TableHeap};
 use masm_storage::{CompressionReport, MergeReport, SessionHandle, SimDevice, TrackedMutex};
-use masm_telemetry::Tracer;
+use masm_telemetry::{Registry, Tracer};
 
 use super::state::EngineState;
 use super::{EngineMetrics, MasmEngine, RecoveryReport};
@@ -21,16 +22,18 @@ use crate::error::{MasmError, MasmResult};
 use crate::manifest::ShardManifest;
 use crate::membuf::UpdateBuffer;
 use crate::run::recover_run;
+use crate::shard::ShardRouter;
 use crate::ts::{Timestamp, TimestampOracle};
 use crate::update::UpdateRecord;
 use crate::wal::{Wal, WalRecord};
+use crate::worker::{WorkerHandle, WorkerPool};
 
-/// One heap-metadata event parsed from a redo log. Sharded recovery
-/// merges the events of every shard's log into one globally ordered
-/// sequence (by `seq`, with cross-log duplicates removed) before
-/// touching the shared heap.
+/// One heap-metadata event parsed from a redo log. [`open`] merges the
+/// events of every shard's log into one globally ordered sequence (by
+/// `seq`, with cross-log duplicates removed) before touching the
+/// shared heap.
 #[derive(Debug, Clone)]
-pub(crate) enum HeapEvent {
+enum HeapEvent {
     /// A bulk load ([`WalRecord::HeapLoaded`]).
     Load {
         /// Global heap-event sequence number.
@@ -54,7 +57,7 @@ pub(crate) enum HeapEvent {
 }
 
 impl HeapEvent {
-    pub(crate) fn seq(&self) -> u64 {
+    fn seq(&self) -> u64 {
         match self {
             HeapEvent::Load { seq, .. } | HeapEvent::Splice { seq, .. } => *seq,
         }
@@ -64,7 +67,7 @@ impl HeapEvent {
 /// Replay the heap-metadata events of one or more redo logs against a
 /// (fresh) table heap, in global `seq` order. Duplicates — the same
 /// bulk load broadcast to several shard WALs — collapse by `seq`.
-pub(crate) fn apply_heap_events(heap: &TableHeap, mut events: Vec<HeapEvent>) {
+fn apply_heap_events(heap: &TableHeap, mut events: Vec<HeapEvent>) {
     events.sort_by_key(HeapEvent::seq);
     events.dedup_by_key(|e| e.seq());
     for ev in events {
@@ -89,7 +92,7 @@ pub(crate) fn apply_heap_events(heap: &TableHeap, mut events: Vec<HeapEvent>) {
 
 /// One materialized run named by the redo log as live at the crash.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct RecoveredRun {
+struct RecoveredRun {
     base: u64,
     bytes: u64,
     passes: u8,
@@ -104,33 +107,166 @@ pub(crate) struct ParsedWal {
     /// deployment (absent on standalone engines).
     pub(crate) manifest: Option<ShardManifest>,
     /// Runs created and not yet deleted, by run id.
-    pub(crate) live_runs: BTreeMap<u64, RecoveredRun>,
+    live_runs: BTreeMap<u64, RecoveredRun>,
     /// Logged updates not yet absorbed by any 1-pass run — the
     /// in-memory buffer contents at the crash.
-    pub(crate) pending: Vec<UpdateRecord>,
+    pending: Vec<UpdateRecord>,
     /// Highest durable timestamp (updates, migration marks, and
     /// heap-event seqs all draw from the one oracle).
-    pub(crate) max_ts: Timestamp,
+    max_ts: Timestamp,
     /// A `MigrationBegin` without its `MigrationEnd`.
-    pub(crate) unfinished_migration: bool,
+    unfinished_migration: bool,
     /// Heap loads and splices, in log order.
-    pub(crate) heap_events: Vec<HeapEvent>,
+    heap_events: Vec<HeapEvent>,
     /// Records in the valid prefix.
-    pub(crate) records_replayed: u64,
+    records_replayed: u64,
     /// Byte offset where the valid prefix ends (the recovered append
     /// point).
-    pub(crate) end_offset: u64,
+    end_offset: u64,
     /// Bytes dropped beyond `end_offset` (torn tail; 0 = clean end).
-    pub(crate) torn_bytes: u64,
+    torn_bytes: u64,
 }
+
+/// One shard's share of [`open`]: its devices, its slice of the
+/// configuration and its parsed redo log.
+pub(crate) struct ShardLog {
+    pub(crate) ssd: SimDevice,
+    pub(crate) wal: SimDevice,
+    pub(crate) cfg: MasmConfig,
+    pub(crate) log: ParsedWal,
+}
+
+/// Open a table: one engine per shard of `router` over the shared
+/// `heap`, each built from its redo log — the one construction and
+/// recovery path behind [`MasmEngine::new`], [`MasmEngine::recover`],
+/// [`crate::ShardedEngine::new`] and [`crate::ShardedEngine::recover`].
+/// A fresh table is the recovery of empty logs; a standalone engine is
+/// the one-shard case.
+///
+/// In order: every log that carries a [`ShardManifest`] is checked
+/// against the topology it is being opened under, before anything is
+/// trusted or touched; the heap events of all logs are merged and
+/// applied; each engine is built from its log with a clone of one
+/// [`TimestampOracle`] (a single commit order across shards); one
+/// worker pool is wired over all of them; interrupted migrations are
+/// re-driven one after another.
+pub(crate) fn open(
+    heap: Arc<TableHeap>,
+    schema: Schema,
+    router: &ShardRouter,
+    tracer: Option<&Arc<Tracer>>,
+    mut shards: Vec<ShardLog>,
+) -> MasmResult<(Vec<Arc<MasmEngine>>, Vec<RecoveryReport>)> {
+    let n = router.shards();
+    if shards.len() != n {
+        return Err(MasmError::Config(format!(
+            "{n} shards were given {} redo logs",
+            shards.len()
+        )));
+    }
+    for (shard_id, shard) in shards.iter().enumerate() {
+        shard.cfg.validate()?;
+        // A log is opened only under the topology it was written for:
+        // its runs hold one key range's updates and its heap events
+        // are a share of the deployment's.
+        let Some(m) = &shard.log.manifest else {
+            continue;
+        };
+        if (m.shards as usize, m.shard_id as usize) != (n, shard_id)
+            || m.split_keys != router.split_points()
+        {
+            return Err(MasmError::Config(format!(
+                "the redo log's manifest names shard {} of {} (split keys {:?}); \
+                 it cannot be opened as shard {shard_id} of {n} (split keys {:?})",
+                m.shard_id,
+                m.shards,
+                m.split_keys,
+                router.split_points()
+            )));
+        }
+        if m.ssd_region_base != shard.cfg.ssd_region_base {
+            return Err(MasmError::Corrupt("manifest SSD region base mismatch"));
+        }
+    }
+
+    // One globally ordered heap replay across every log: loads and
+    // migration splices interleave by their shared sequence numbers,
+    // duplicates (broadcast loads) collapse.
+    let events = shards
+        .iter_mut()
+        .flat_map(|s| std::mem::take(&mut s.log.heap_events))
+        .collect();
+    apply_heap_events(&heap, events);
+
+    let oracle = TimestampOracle::new();
+    let (mut engines, mut reports) = (Vec::with_capacity(n), Vec::with_capacity(n));
+    for (shard_id, shard) in shards.into_iter().enumerate() {
+        let (engine, report) = MasmEngine::from_log(
+            Arc::clone(&heap),
+            schema.clone(),
+            oracle.clone(),
+            tracer,
+            shard_id,
+            router.shard_range(shard_id),
+            shard,
+        )?;
+        engines.push(engine);
+        reports.push(report);
+    }
+
+    // One pool serves every shard (the whole backlog budget, one set
+    // of counters per shard registry); none in inline mode.
+    let threads = engines[0].cfg.background_workers;
+    if threads > 0 {
+        let backlog = engines
+            .iter()
+            .map(|e| e.cfg.effective_backlog_bytes())
+            .sum();
+        let registries: Vec<&Registry> = engines.iter().map(|e| &e.metrics.registry).collect();
+        let handle = WorkerHandle::spawn(&engines, WorkerPool::new(threads, backlog, &registries));
+        for e in &engines {
+            let _ = e.workers.set(handle.clone());
+        }
+    }
+
+    // Re-drive interrupted migrations to completion (idempotent thanks
+    // to page timestamps), one after another: the shared heap admits
+    // one rewriter at a time.
+    for (engine, report) in engines.iter().zip(&reports) {
+        if report.redid_migration {
+            let session = SessionHandle::fresh(engine.ssd.clock().clone());
+            engine.migrate(&session)?;
+            engine.metrics.recovery.migrations_redriven.add(1);
+            let (now, shard) = (engine.ssd.clock().now(), engine.shard_id as u64);
+            engine.trace_instant("recovery.migration_redo", now, "shard", shard);
+        }
+    }
+    Ok((engines, reports))
+}
+
 impl MasmEngine {
+    /// Create an engine over an existing (possibly empty) heap: the
+    /// recovery of an empty redo log.
+    pub fn new(
+        heap: Arc<TableHeap>,
+        ssd: SimDevice,
+        wal_dev: SimDevice,
+        schema: Schema,
+        cfg: MasmConfig,
+    ) -> MasmResult<Arc<Self>> {
+        Self::open_one(heap, ssd, wal_dev, schema, cfg, ParsedWal::default(), None)
+            .map(|(engine, _)| engine)
+    }
+
     /// Rebuild an engine after a crash: heap metadata, run set, and the
     /// in-memory update buffer come back from the redo log and the
     /// (durable) SSD; an interrupted migration is re-driven to
     /// completion (idempotent thanks to page timestamps). A torn WAL
     /// tail — a record cut off mid-append by the crash — is truncated
     /// and reported in [`RecoveryReport::wal_torn_bytes`]; corruption
-    /// anywhere *before* the tail stays a hard error.
+    /// anywhere *before* the tail stays a hard error, and so does a log
+    /// that belongs to one shard of a sharded deployment (that is
+    /// [`crate::ShardedEngine::recover`]'s to open).
     pub fn recover(
         heap: Arc<TableHeap>,
         ssd: SimDevice,
@@ -153,30 +289,28 @@ impl MasmEngine {
         cfg: MasmConfig,
         tracer: Option<Arc<Tracer>>,
     ) -> MasmResult<(Arc<Self>, RecoveryReport)> {
-        cfg.validate()?;
-        let session = SessionHandle::fresh(ssd.clock().clone());
-        let mut parsed = Self::parse_wal(&session, &wal_dev)?;
-        apply_heap_events(&heap, std::mem::take(&mut parsed.heap_events));
-        let unfinished = parsed.unfinished_migration;
-        let (engine, mut report) = Self::recover_from_parsed(
-            heap,
-            ssd,
-            wal_dev,
-            schema,
-            cfg,
-            TimestampOracle::new(),
-            0,
-            (0, Key::MAX),
-            true,
-            parsed,
-            tracer,
-        )?;
-        if unfinished {
-            engine.migrate(&session)?;
-            engine.note_migration_redriven();
-            report.redid_migration = true;
-        }
-        Ok((engine, report))
+        let log = Self::parse_wal(&SessionHandle::fresh(ssd.clock().clone()), &wal_dev)?;
+        Self::open_one(heap, ssd, wal_dev, schema, cfg, log, tracer.as_ref())
+    }
+
+    /// [`open`] for a table that stands alone: one log, the whole
+    /// keyspace, `cfg` as given.
+    fn open_one(
+        heap: Arc<TableHeap>,
+        ssd: SimDevice,
+        wal: SimDevice,
+        schema: Schema,
+        cfg: MasmConfig,
+        log: ParsedWal,
+        tracer: Option<&Arc<Tracer>>,
+    ) -> MasmResult<(Arc<Self>, RecoveryReport)> {
+        let shard = ShardLog { ssd, wal, cfg, log };
+        let (mut engines, mut reports) =
+            open(heap, schema, &ShardRouter::default(), tracer, vec![shard])?;
+        Ok(engines
+            .pop()
+            .zip(reports.pop())
+            .expect("one log, one engine"))
     }
 
     /// Fold one redo log into its recovery-relevant state (the longest
@@ -269,58 +403,37 @@ impl MasmEngine {
         Ok(parsed)
     }
 
-    /// Build an engine from a parsed redo log — the one construction
-    /// site; a fresh engine passes the empty log. A sharded deployment
-    /// injects a *cloned* oracle (one global timestamp order across
-    /// shards), the shard's index and key range, and
-    /// `spawn_workers = false` (it wires one shared pool across all
-    /// shards afterwards via [`MasmEngine::install_workers`]). The heap
-    /// must already hold its recovered metadata (see
-    /// [`apply_heap_events`] — applied per log by
-    /// [`MasmEngine::recover_traced`], or merged across all logs by
-    /// [`crate::ShardedEngine::recover`]). The shared `oracle` is
-    /// advanced past this log's durable maximum (order-independent, so
-    /// shards fold in any order). Does *not* re-drive an interrupted
-    /// migration — the caller owns that (and its cross-shard
-    /// staggering).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn recover_from_parsed(
+    /// Build one engine from its parsed redo log — the one engine
+    /// literal. The heap already holds its recovered metadata and the
+    /// shared `oracle` is advanced past this log's durable maximum
+    /// (order-independent, so shards fold in any order). An interrupted
+    /// migration is reported (`redid_migration`), not yet re-driven:
+    /// [`open`] does that once every shard stands.
+    fn from_log(
         heap: Arc<TableHeap>,
-        ssd: SimDevice,
-        wal_dev: SimDevice,
         schema: Schema,
-        cfg: MasmConfig,
         oracle: TimestampOracle,
+        tracer: Option<&Arc<Tracer>>,
         shard_id: usize,
         key_range: (Key, Key),
-        spawn_workers: bool,
-        parsed: ParsedWal,
-        tracer: Option<Arc<Tracer>>,
+        shard: ShardLog,
     ) -> MasmResult<(Arc<Self>, RecoveryReport)> {
-        cfg.validate()?;
+        let ShardLog { ssd, wal, cfg, log } = shard;
         let t0 = ssd.clock().now();
         let session = SessionHandle::fresh(ssd.clock().clone());
-        let ParsedWal {
-            live_runs,
-            pending,
-            mut max_ts,
-            end_offset,
-            torn_bytes,
-            records_replayed,
-            ..
-        } = parsed;
+        let mut max_ts = log.max_ts;
 
         // Re-open run metadata from the durable, checksummed block-run
         // footers: zone maps, bloom filters, and key/timestamp bounds
         // come back without decoding a single update record.
         let mut runs = RunSet::new();
-        for (id, info) in &live_runs {
+        for (id, info) in &log.live_runs {
             let run = recover_run(&session, &ssd, *id, info.base, info.bytes, info.passes)?;
             max_ts = max_ts.max(run.max_ts);
             runs.add(Arc::new(run));
         }
         let high_water = runs.rewind_space(cfg.ssd_region_base);
-        if let Some(last) = live_runs.keys().next_back() {
+        if let Some(last) = log.live_runs.keys().next_back() {
             runs.resume_ids_after(*last);
         }
         let runs_recovered = runs.len();
@@ -338,8 +451,8 @@ impl MasmEngine {
         oracle.advance_past(max_ts);
 
         let mut buffer = UpdateBuffer::new(cfg.update_buffer_bytes() as usize);
-        let updates_recovered = pending.len() as u64;
-        for u in pending {
+        let updates_recovered = log.pending.len() as u64;
+        for u in log.pending {
             buffer.push(u);
         }
 
@@ -362,14 +475,13 @@ impl MasmEngine {
             oracle,
             state: TrackedMutex::new(EngineState::new(buffer, runs)),
             quiesce: Condvar::new(),
-            wal: Wal::new(wal_dev, end_offset),
+            wal: Wal::new(wal, log.end_offset),
             workers: OnceLock::new(),
             shard_id,
             key_range,
             ingested_updates: AtomicU64::new(0),
             ingested_bytes: AtomicU64::new(0),
             commit_index: Mutex::new(std::collections::HashMap::new()),
-            last_merge: Mutex::new(None),
             merge_totals: Mutex::new(MergeReport::default()),
             compression_totals: Mutex::new(compression),
             metrics: EngineMetrics::new(),
@@ -378,14 +490,11 @@ impl MasmEngine {
             migrate_flow: AtomicU64::new(0),
         });
         if let Some(t) = tracer {
-            engine.install_tracer(t);
-        }
-        if spawn_workers {
-            Self::start_workers(&engine);
+            engine.install_tracer(Arc::clone(t));
         }
 
         let rc = &engine.metrics.recovery;
-        rc.records_replayed.add(records_replayed);
+        rc.records_replayed.add(log.records_replayed);
         rc.updates_rebuilt.add(updates_recovered);
         rc.runs_recovered.add(runs_recovered as u64);
         let t1 = engine.ssd.clock().now();
@@ -397,35 +506,22 @@ impl MasmEngine {
                 t0,
                 dur,
                 "records",
-                records_replayed,
+                log.records_replayed,
             );
         }
-        if torn_bytes > 0 {
+        if log.torn_bytes > 0 {
             rc.torn_tail.add(1);
-            rc.torn_bytes.add(torn_bytes);
-            engine.trace_instant("recovery.torn_tail", t1, "bytes", torn_bytes);
+            rc.torn_bytes.add(log.torn_bytes);
+            engine.trace_instant("recovery.torn_tail", t1, "bytes", log.torn_bytes);
         }
 
         let report = RecoveryReport {
             updates_recovered,
             runs_recovered,
-            redid_migration: false,
-            wal_records_replayed: records_replayed,
-            wal_torn_bytes: torn_bytes,
+            redid_migration: log.unfinished_migration,
+            wal_records_replayed: log.records_replayed,
+            wal_torn_bytes: log.torn_bytes,
         };
         Ok((engine, report))
-    }
-
-    /// Record (counter + trace instant) that an interrupted migration
-    /// was re-driven to completion on this engine during recovery.
-    pub(crate) fn note_migration_redriven(&self) {
-        self.metrics.recovery.migrations_redriven.add(1);
-        let now = self.ssd.clock().now();
-        self.trace_instant(
-            "recovery.migration_redo",
-            now,
-            "shard",
-            self.shard_id as u64,
-        );
     }
 }

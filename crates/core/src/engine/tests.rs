@@ -445,6 +445,7 @@ fn compact_runs_collapses_duplicates() {
     assert!(runs_before >= 2, "need several runs");
     let bytes_before = f.engine.cached_bytes();
     let expect = scan_keys(&f, 0, u64::MAX);
+    let merges_before = f.engine.merge_stats();
 
     let report = f.engine.compact_runs(&f.session).unwrap();
     assert_eq!(report.inputs, runs_before as u64);
@@ -453,7 +454,7 @@ fn compact_runs_collapses_duplicates() {
         "hammered keys overlap across runs: {report:?}"
     );
     assert_eq!(f.engine.run_count(), 1, "single run remains");
-    assert_eq!(f.engine.last_merge_report(), Some(report));
+    assert_eq!(f.engine.merge_stats(), merges_before.merge(&report));
     assert!(
         f.engine.cached_bytes() < bytes_before / 4,
         "duplicates folded: {} -> {}",
@@ -679,7 +680,6 @@ fn a_busy_claim_returns_and_its_drop_releases() {
 /// is logged, replays, and answers scans and gets from a run.
 fn assert_refused_and_harmless(f: &Fixture, key: Key, bad: UpdateOp, then: UpdateOp) {
     use crate::error::MasmError;
-    use crate::update::UpdateRecord;
     use crate::wal::Wal;
     use std::sync::atomic::Ordering;
 
@@ -705,10 +705,6 @@ fn assert_refused_and_harmless(f: &Fixture, key: Key, bad: UpdateOp, then: Updat
     refused(
         e.apply_update(&f.session, key, bad.clone()).map(drop),
         "apply_update",
-    );
-    refused(
-        e.apply_update_with_ts(&f.session, UpdateRecord::new(1, key, bad.clone())),
-        "apply_update_with_ts",
     );
     // One bad write refuses the whole commit, the good one included.
     let writes = vec![(key + 2, UpdateOp::Delete), (key, bad)];

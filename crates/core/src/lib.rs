@@ -52,7 +52,7 @@ pub mod update;
 pub mod wal;
 pub(crate) mod worker;
 
-pub use config::{CodecChoice, IndexGranularity, MasmConfig, ShardingConfig, SplitPolicy};
+pub use config::{CodecChoice, IndexGranularity, MasmConfig, ShardingConfig};
 pub use engine::{MasmEngine, MergeScan, RecoveryReport};
 // Re-exported so engine users consume `MasmEngine::stats()` without a
 // direct masm-telemetry dependency.

@@ -37,8 +37,8 @@ pub struct ShardManifest {
     /// Which shard's WAL this copy lives in (`0..shards`).
     pub shard_id: u32,
     /// Router split points: lower bounds of shards `1..` (empty for a
-    /// single shard). Stored explicitly because sampled split policies
-    /// are not reproducible at recovery time.
+    /// single shard) — the topology itself, which recovery takes its
+    /// router from.
     pub split_keys: Vec<Key>,
     /// Byte offset of this shard's run region on its SSD device.
     pub ssd_region_base: u64,

@@ -27,9 +27,13 @@
 //!
 //! Maintenance is shared, not duplicated: all shards feed one
 //! `WorkerPool` with shard-tagged jobs. The pool staggers migrations
-//! (at most [`crate::config::ShardingConfig::max_concurrent_migrations`]
-//! shards migrate at once) so the scan-latency spike of an in-place
-//! migration is never multiplied by the shard count.
+//! (one shard migrates at a time — the shared heap admits one rewriter
+//! anyway) so the scan-latency spike of an in-place migration is never
+//! multiplied by the shard count.
+//!
+//! Construction is shared too: a `ShardedEngine` is what
+//! `engine::open` returns for N redo logs, plus the [`ShardManifest`]
+//! copies that let recovery check it is given the same deployment.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -39,15 +43,14 @@ use masm_storage::{SessionHandle, SimDevice, StorageError};
 use masm_telemetry::json::JsonObj;
 use masm_telemetry::{EngineStats, Registry, Tracer, Unit};
 
-use crate::config::{MasmConfig, ShardingConfig, SplitPolicy};
+use crate::config::MasmConfig;
 use crate::engine::{
-    apply_heap_events, MasmEngine, MergeScan, MigrationReport, ParsedWal, RecoveryReport,
+    open, MasmEngine, MergeScan, MigrationReport, ParsedWal, RecoveryReport, ShardLog,
 };
 use crate::error::{MasmError, MasmResult};
 use crate::manifest::ShardManifest;
 use crate::ts::{Timestamp, TimestampOracle};
 use crate::update::UpdateOp;
-use crate::worker::{WorkerHandle, WorkerPool};
 
 /// Partitions `u64` keyspace into `splits.len() + 1` contiguous ranges.
 ///
@@ -55,8 +58,9 @@ use crate::worker::{WorkerHandle, WorkerPool};
 /// strictly ascending and non-zero: shard `i` owns `[splits[i-1],
 /// splits[i])` (first shard starts at 0, last ends at `u64::MAX`
 /// inclusive). Routing is total — every `u64` maps to exactly one
-/// shard, including the boundary keys themselves.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// shard, including the boundary keys themselves. The default router
+/// has no splits: one shard owning the whole keyspace.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ShardRouter {
     splits: Vec<Key>,
 }
@@ -108,23 +112,6 @@ impl ShardRouter {
             ));
         }
         Ok(ShardRouter { splits })
-    }
-
-    /// Build the router a [`ShardingConfig`] describes.
-    pub fn from_config(cfg: &ShardingConfig) -> MasmResult<Self> {
-        let router = match &cfg.split_policy {
-            SplitPolicy::Uniform => Self::uniform(cfg.shards),
-            SplitPolicy::Sampled(sample) => Self::from_sample(cfg.shards, sample),
-            SplitPolicy::Explicit(splits) => Self::from_splits(splits.clone())?,
-        };
-        if router.shards() != cfg.shards {
-            return Err(MasmError::Config(format!(
-                "router has {} shards, config wants {}",
-                router.shards(),
-                cfg.shards
-            )));
-        }
-        Ok(router)
     }
 
     /// Number of shards.
@@ -234,8 +221,6 @@ impl ShardedRecoveryReport {
 pub struct ShardedEngine {
     router: ShardRouter,
     shards: Vec<Arc<MasmEngine>>,
-    oracle: TimestampOracle,
-    workers: Option<WorkerHandle>,
     /// Sharding-level metrics (the per-shard registries live in the
     /// shard engines).
     registry: Registry,
@@ -251,11 +236,11 @@ impl std::fmt::Debug for ShardedEngine {
 }
 
 impl ShardedEngine {
-    /// Build `cfg.sharding.shards` shard engines over a shared heap.
-    /// `ssds` and `wals` supply one device per shard (each shard's run
-    /// region and redo log are its own device queue — that independence
-    /// is where the ingest scaling comes from). Budgets in `cfg` are
-    /// totals and are divided per [`MasmConfig::shard_config`].
+    /// Build one shard engine per key range of `cfg.sharding` over a
+    /// shared heap. `ssds` and `wals` supply one device per shard (each
+    /// shard's run region and redo log are its own device queue — that
+    /// independence is where the ingest scaling comes from). Budgets in
+    /// `cfg` are totals and are divided per [`MasmConfig::shard_config`].
     pub fn new(
         heap: Arc<TableHeap>,
         ssds: Vec<SimDevice>,
@@ -264,7 +249,45 @@ impl ShardedEngine {
         cfg: MasmConfig,
     ) -> MasmResult<Arc<Self>> {
         cfg.validate()?;
-        let n = cfg.sharding.shards;
+        let router = ShardRouter::from_splits(cfg.sharding.splits.clone())?;
+        let logs = Self::shard_logs(&cfg, ssds, wals, |_| Ok(ParsedWal::default()))?;
+        let (shards, _) = open(heap, schema, &router, None, logs)?;
+        let registry = Registry::new();
+        let engine = ShardedEngine {
+            router,
+            shards,
+            registry,
+        };
+        // Durably describe the deployment before any data moves: one
+        // manifest copy in every shard's WAL (each naming its own shard
+        // id), so recovery can validate shard count, split keys, device
+        // order, and configuration compatibility from the logs alone.
+        let fingerprint = cfg.fingerprint();
+        for (shard_id, e) in engine.shards.iter().enumerate() {
+            let session = SessionHandle::fresh(e.ssd().clock().clone());
+            e.log_manifest(
+                &session,
+                &ShardManifest {
+                    shards: engine.shards.len() as u32,
+                    shard_id: shard_id as u32,
+                    split_keys: engine.router.split_points().to_vec(),
+                    ssd_region_base: e.config().ssd_region_base,
+                    config_fingerprint: fingerprint,
+                },
+            )?;
+        }
+        Ok(Arc::new(engine))
+    }
+
+    /// Pair each shard's devices with its slice of `cfg` and its redo
+    /// log (`log` parses it, or declares it empty).
+    fn shard_logs(
+        cfg: &MasmConfig,
+        ssds: Vec<SimDevice>,
+        wals: Vec<SimDevice>,
+        mut log: impl FnMut(&SimDevice) -> MasmResult<ParsedWal>,
+    ) -> MasmResult<Vec<ShardLog>> {
+        let n = cfg.sharding.splits.len() + 1;
         if ssds.len() != n || wals.len() != n {
             return Err(MasmError::Config(format!(
                 "{n} shards need {n} SSD and {n} WAL devices (got {} / {})",
@@ -272,105 +295,35 @@ impl ShardedEngine {
                 wals.len()
             )));
         }
-        let router = ShardRouter::from_config(&cfg.sharding)?;
-        let oracle = TimestampOracle::new();
-        let mut shards = Vec::with_capacity(n);
-        for (shard_id, (ssd, wal)) in ssds.into_iter().zip(wals).enumerate() {
-            let (engine, _) = MasmEngine::recover_from_parsed(
-                Arc::clone(&heap),
-                ssd,
-                wal,
-                schema.clone(),
-                cfg.shard_config(shard_id)?,
-                oracle.clone(),
-                shard_id,
-                router.shard_range(shard_id),
-                false,
-                ParsedWal::default(),
-                None,
-            )?;
-            shards.push(engine);
-        }
-        // Durably describe the deployment before any data moves: one
-        // manifest copy in every shard's WAL (each naming its own shard
-        // id), so recovery can validate shard count, split keys, device
-        // order, and configuration compatibility from the logs alone.
-        let fingerprint = cfg.fingerprint();
-        for (shard_id, e) in shards.iter().enumerate() {
-            let session = SessionHandle::fresh(e.ssd().clock().clone());
-            e.log_manifest(
-                &session,
-                &ShardManifest {
-                    shards: n as u32,
-                    shard_id: shard_id as u32,
-                    split_keys: router.split_points().to_vec(),
-                    ssd_region_base: e.config().ssd_region_base,
-                    config_fingerprint: fingerprint,
-                },
-            )?;
-        }
-        let workers = Self::wire_workers(&cfg, &shards);
-        Ok(Arc::new(ShardedEngine {
-            router,
-            shards,
-            oracle,
-            workers,
-            registry: Registry::new(),
-        }))
+        let devices = ssds.into_iter().zip(wals).enumerate();
+        devices
+            .map(|(shard_id, (ssd, wal))| {
+                Ok(ShardLog {
+                    cfg: cfg.shard_config(shard_id)?,
+                    log: log(&wal)?,
+                    ssd,
+                    wal,
+                })
+            })
+            .collect()
     }
 
-    /// Build the shared worker pool over `shards` and install it into
-    /// every shard engine (no-op returning `None` in inline mode).
-    fn wire_workers(cfg: &MasmConfig, shards: &[Arc<MasmEngine>]) -> Option<WorkerHandle> {
-        (cfg.background_workers > 0).then(|| {
-            let backlog: u64 = shards
-                .iter()
-                .map(|e| e.config().effective_backlog_bytes())
-                .sum();
-            let registries: Vec<&Registry> = shards.iter().map(|e| e.metrics_registry()).collect();
-            let pool = WorkerPool::new(
-                cfg.background_workers,
-                backlog,
-                cfg.sharding.max_concurrent_migrations,
-                &registries,
-            );
-            let handle = WorkerHandle::spawn(shards, pool);
-            for e in shards {
-                e.install_workers(handle.clone());
-            }
-            handle
-        })
-    }
-
-    /// Rebuild a sharded deployment after a crash.
-    ///
-    /// Every shard's redo log is replayed (torn tails truncated per
-    /// [`crate::wal::Wal::replay`]) and cross-validated against the
-    /// [`ShardManifest`] copies written at [`ShardedEngine::new`]:
-    /// shard count, split keys, per-device shard ids, SSD region bases,
-    /// and the configuration fingerprint must all agree, so a swapped,
-    /// missing, or stale device set is rejected before any run bytes
-    /// are trusted. Heap loads and migration splices from *all* logs
-    /// are merged into one globally ordered replay, the shared
-    /// timestamp oracle resumes past the maximum durable timestamp of
-    /// any shard, and interrupted migrations are re-driven to
-    /// completion at most
-    /// [`ShardingConfig::max_concurrent_migrations`] shards at a time —
-    /// the same stagger the worker pool applies in normal operation.
+    /// Rebuild a sharded deployment after a crash: [`MasmEngine::recover`]
+    /// over N redo logs instead of one (torn tails truncated, heap
+    /// loads and migration splices of *all* logs merged into one
+    /// globally ordered replay, one oracle resumed past the maximum
+    /// durable timestamp of any shard, interrupted migrations re-driven
+    /// one after another), plus the one step only N > 1 needs: every
+    /// log must carry the [`ShardManifest`] written at
+    /// [`ShardedEngine::new`], and shard count, split keys, per-device
+    /// shard ids, SSD region bases and the configuration fingerprint
+    /// must all agree — a swapped, missing, or stale device set is
+    /// rejected before any run bytes are trusted. The router comes from
+    /// the manifests' split keys, the durable record of the topology.
+    /// An optional flight recorder is installed into every shard engine
+    /// before replay (recovery spans and instants land on each shard's
+    /// own trace track).
     pub fn recover(
-        heap: Arc<TableHeap>,
-        ssds: Vec<SimDevice>,
-        wals: Vec<SimDevice>,
-        schema: Schema,
-        cfg: MasmConfig,
-    ) -> MasmResult<(Arc<Self>, ShardedRecoveryReport)> {
-        Self::recover_traced(heap, ssds, wals, schema, cfg, None)
-    }
-
-    /// [`ShardedEngine::recover`] with an optional flight recorder
-    /// installed into every recovered shard engine (recovery spans and
-    /// instants land on each shard's own trace track).
-    pub fn recover_traced(
         heap: Arc<TableHeap>,
         ssds: Vec<SimDevice>,
         wals: Vec<SimDevice>,
@@ -379,144 +332,41 @@ impl ShardedEngine {
         tracer: Option<&Arc<Tracer>>,
     ) -> MasmResult<(Arc<Self>, ShardedRecoveryReport)> {
         cfg.validate()?;
-        let n = cfg.sharding.shards;
-        if ssds.len() != n || wals.len() != n {
-            return Err(MasmError::Config(format!(
-                "{n} shards need {n} SSD and {n} WAL devices (got {} / {})",
-                ssds.len(),
-                wals.len()
-            )));
-        }
-
-        let mut parsed: Vec<ParsedWal> = Vec::with_capacity(n);
-        for wal in &wals {
-            let session = SessionHandle::fresh(wal.clock().clone());
-            parsed.push(MasmEngine::parse_wal(&session, wal)?);
-        }
-
-        // Cross-check all N manifest copies before trusting anything.
+        let logs = Self::shard_logs(&cfg, ssds, wals, |wal| {
+            MasmEngine::parse_wal(&SessionHandle::fresh(wal.clock().clone()), wal)
+        })?;
+        let manifests: Vec<&ShardManifest> = logs
+            .iter()
+            .map(|shard| shard.log.manifest.as_ref())
+            .map(|m| m.ok_or(MasmError::Corrupt("shard WAL has no manifest")))
+            .collect::<MasmResult<_>>()?;
         let fingerprint = cfg.fingerprint();
-        let mut split_keys: Option<Vec<Key>> = None;
-        for (i, p) in parsed.iter().enumerate() {
-            let m = p
-                .manifest
-                .as_ref()
-                .ok_or(MasmError::Corrupt("shard WAL has no manifest"))?;
-            if m.shards as usize != n {
-                return Err(MasmError::Config(format!(
-                    "manifest says {} shards, config says {n}",
-                    m.shards
-                )));
-            }
-            if m.shard_id as usize != i {
-                return Err(MasmError::Corrupt(
-                    "shard device order does not match manifest shard ids",
-                ));
-            }
-            if m.config_fingerprint != fingerprint {
-                return Err(MasmError::Config(
-                    "config fingerprint does not match the manifest: a layout-shaping \
-                     setting changed since this deployment was created"
-                        .into(),
-                ));
-            }
-            if m.ssd_region_base != cfg.shard_config(i)?.ssd_region_base {
-                return Err(MasmError::Corrupt("manifest SSD region base mismatch"));
-            }
-            match &split_keys {
-                None => split_keys = Some(m.split_keys.clone()),
-                Some(s) if *s != m.split_keys => {
-                    return Err(MasmError::Corrupt("shard manifests disagree on split keys"))
-                }
-                Some(_) => {}
-            }
-        }
-        // The manifest's explicit splits, not the config's policy: a
-        // sampled policy is not reproducible at recovery time.
-        let router = ShardRouter::from_splits(split_keys.expect("validated: n >= 1 shards"))?;
-        if router.shards() != n {
-            return Err(MasmError::Corrupt(
-                "manifest split keys do not match the shard count",
+        if manifests
+            .iter()
+            .any(|m| m.config_fingerprint != fingerprint)
+        {
+            return Err(MasmError::Config(
+                "config fingerprint does not match the manifest: a layout-shaping \
+                 setting changed since this deployment was created"
+                    .into(),
             ));
         }
-
-        // One globally ordered heap replay across every shard's log:
-        // loads and migration splices interleave by their shared
-        // sequence numbers, duplicates (broadcast loads) collapse.
-        let events = parsed
-            .iter_mut()
-            .flat_map(|p| std::mem::take(&mut p.heap_events))
-            .collect();
-        apply_heap_events(&heap, events);
-
-        let oracle = TimestampOracle::new();
-        let mut shards = Vec::with_capacity(n);
-        let mut per_shard: Vec<RecoveryReport> = Vec::with_capacity(n);
-        let mut redo: Vec<usize> = Vec::new();
-        for (shard_id, ((ssd, wal), p)) in ssds.into_iter().zip(wals).zip(parsed).enumerate() {
-            if p.unfinished_migration {
-                redo.push(shard_id);
-            }
-            let (engine, report) = MasmEngine::recover_from_parsed(
-                Arc::clone(&heap),
-                ssd,
-                wal,
-                schema.clone(),
-                cfg.shard_config(shard_id)?,
-                oracle.clone(),
-                shard_id,
-                router.shard_range(shard_id),
-                false,
-                p,
-                tracer.cloned(),
-            )?;
-            shards.push(engine);
-            per_shard.push(report);
-        }
-        let workers = Self::wire_workers(&cfg, &shards);
-
-        // Re-drive interrupted migrations, staggered exactly like the
-        // pool's migration gate: at most `max_concurrent_migrations`
-        // shards rewrite heap chunks at any moment.
-        for chunk in redo.chunks(cfg.sharding.max_concurrent_migrations) {
-            std::thread::scope(|scope| -> MasmResult<()> {
-                let handles: Vec<_> = chunk
-                    .iter()
-                    .map(|&shard| {
-                        let engine = &shards[shard];
-                        scope.spawn(move || -> MasmResult<()> {
-                            let session = SessionHandle::fresh(engine.ssd().clock().clone());
-                            engine.migrate(&session)?;
-                            engine.note_migration_redriven();
-                            Ok(())
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    h.join().expect("migration redo thread panicked")?;
-                }
-                Ok(())
-            })?;
-        }
-        for &shard in &redo {
-            per_shard[shard].redid_migration = true;
-        }
-
-        let engine = Arc::new(ShardedEngine {
+        let router = ShardRouter::from_splits(manifests[0].split_keys.clone())?;
+        let (shards, per_shard) = open(heap, schema, &router, tracer, logs)?;
+        let registry = Registry::new();
+        let engine = ShardedEngine {
             router,
             shards,
-            oracle,
-            workers,
-            registry: Registry::new(),
-        });
+            registry,
+        };
         if let Some(t) = tracer {
             t.bind_registry(&engine.registry);
         }
         let report = ShardedRecoveryReport {
+            migrations_redriven: per_shard.iter().filter(|r| r.redid_migration).count(),
             per_shard,
-            migrations_redriven: redo.len(),
         };
-        Ok((engine, report))
+        Ok((Arc::new(engine), report))
     }
 
     /// The router.
@@ -531,10 +381,10 @@ impl ShardedEngine {
         &self.shards
     }
 
-    /// The shared timestamp oracle.
+    /// The shared timestamp oracle (every shard holds a clone of it).
     #[must_use]
     pub fn oracle(&self) -> &TimestampOracle {
-        &self.oracle
+        self.shards[0].oracle()
     }
 
     /// Apply one update, routed by key; returns its commit timestamp.
@@ -560,7 +410,7 @@ impl ShardedEngine {
         fill: f64,
     ) -> MasmResult<()> {
         self.shards[0].heap().bulk_load(session, records, fill)?;
-        let seq = self.oracle.next();
+        let seq = self.oracle().next();
         for e in &self.shards {
             e.log_heap_loaded(session, seq)?;
         }
@@ -612,7 +462,7 @@ impl ShardedEngine {
                 shard as u64,
             );
         }
-        let ts = as_of.unwrap_or_else(|| self.oracle.next());
+        let ts = as_of.unwrap_or_else(|| self.oracle().next());
         let mut parts = VecDeque::new();
         let mut err = None;
         for &shard in &overlapping {
@@ -662,8 +512,8 @@ impl ShardedEngine {
         Ok(())
     }
 
-    /// Migrate every shard that needs it, sequentially (the inline
-    /// counterpart of the pool's staggering: never more than one
+    /// Migrate every shard that needs it, one after another (the
+    /// inline counterpart of the pool's staggering: never more than one
     /// migration's worth of heap traffic at a time).
     pub fn migrate_all(&self, session: &SessionHandle) -> MasmResult<Vec<MigrationReport>> {
         let mut reports = Vec::new();
@@ -724,11 +574,9 @@ impl ShardedEngine {
     }
 
     /// Drain and join the shared worker pool (no-op in inline mode;
-    /// idempotent).
+    /// idempotent): every shard holds a clone of the one handle.
     pub fn shutdown(&self) {
-        if let Some(h) = &self.workers {
-            h.join();
-        }
+        self.shards[0].shutdown();
     }
 }
 

@@ -22,12 +22,14 @@
 //!   one of each queued at a time (re-requested after completion if
 //!   still needed by [`crate::engine::MasmEngine`]'s maintenance
 //!   check).
-//! * **Migrations are staggered**: at most `max_concurrent_migrations`
-//!   migrate jobs run at once across all shards. A blocked migrate job
-//!   stays in the queue and workers take the next runnable job past it,
-//!   so flushes and compactions never starve behind a waiting
-//!   migration — and N shards never multiply the scan tail latency by
-//!   N concurrent migrations.
+//! * **Migrations are staggered**: one migrate job runs at a time
+//!   across all shards. This is scheduling, not safety — the shared
+//!   heap admits one rewriter at a time (`TableHeap::rewriter_range`),
+//!   so a second migration would only park its worker behind the first.
+//!   A blocked migrate job stays in the queue and workers take the next
+//!   runnable job past it, so flushes and compactions never starve
+//!   behind a waiting migration — and N shards never multiply the scan
+//!   tail latency by N concurrent migrations.
 //! * A failing job retries up to [`MAX_JOB_ATTEMPTS`] times; a flush
 //!   that exhausts its retries is *abandoned* — the engine moves the
 //!   sealed batch's updates back into the in-memory buffer so no data
@@ -94,8 +96,8 @@ struct PoolState {
     /// Per-shard dedup flags (indexed by `Job::shard`).
     compact_queued: Vec<bool>,
     migrate_queued: Vec<bool>,
-    /// Migrate jobs currently executing (staggering counter).
-    migrations_inflight: usize,
+    /// A migrate job is executing (the stagger).
+    migration_running: bool,
     shutdown: bool,
 }
 
@@ -145,20 +147,13 @@ pub(crate) struct WorkerPool {
     backlog_gauge: Arc<Gauge>,
     pub threads: usize,
     backlog_limit: u64,
-    /// At most this many migrate jobs execute concurrently.
-    migration_cap: usize,
 }
 
 impl WorkerPool {
     /// A pool serving one shard per registry in `registries` (a single
     /// registry for an unsharded engine). Pool-global gauges register
     /// into `registries[0]`.
-    pub fn new(
-        threads: usize,
-        backlog_limit: u64,
-        migration_cap: usize,
-        registries: &[&Registry],
-    ) -> Arc<Self> {
+    pub fn new(threads: usize, backlog_limit: u64, registries: &[&Registry]) -> Arc<Self> {
         assert!(!registries.is_empty(), "pool needs at least one shard");
         let shards = registries.len();
         let g = |name, unit, help| registries[0].gauge("worker", name, unit, help);
@@ -168,7 +163,7 @@ impl WorkerPool {
                 backlog_bytes: 0,
                 compact_queued: vec![false; shards],
                 migrate_queued: vec![false; shards],
-                migrations_inflight: 0,
+                migration_running: false,
                 shutdown: false,
             }),
             work: Condvar::new(),
@@ -182,7 +177,6 @@ impl WorkerPool {
             ),
             threads,
             backlog_limit,
-            migration_cap: migration_cap.max(1),
         };
         for r in registries {
             r.gauge("worker", "threads", Unit::Ops, "background worker threads")
@@ -272,9 +266,7 @@ impl WorkerPool {
     /// its staggering slot and wake a worker that may be parked behind
     /// a blocked migrate job.
     pub fn migration_finished(&self) {
-        let mut st = self.state.lock();
-        st.migrations_inflight = st.migrations_inflight.saturating_sub(1);
-        drop(st);
+        self.state.lock().migration_running = false;
         self.work.notify_all();
     }
 
@@ -325,24 +317,25 @@ impl WorkerPool {
     }
 
     /// Worker side: block for the next *runnable* job. Migrate jobs are
-    /// skipped (left in the queue) while `migration_cap` migrations are
-    /// already executing; a taken migrate job charges the staggering
-    /// counter, released by [`WorkerPool::migration_finished`]. `None`
+    /// skipped (left in the queue) while a migration is executing; a
+    /// taken migrate job sets the stagger flag, cleared by
+    /// [`WorkerPool::migration_finished`]. `None`
     /// means the queue is drained and shutdown was requested — exit the
     /// thread.
     fn next_job(&self) -> Option<Job> {
         let mut st = self.state.lock();
         loop {
-            let runnable = st.queue.iter().position(|j| {
-                !matches!(j.kind, JobKind::Migrate) || st.migrations_inflight < self.migration_cap
-            });
+            let runnable = st
+                .queue
+                .iter()
+                .position(|j| !(matches!(j.kind, JobKind::Migrate) && st.migration_running));
             if let Some(i) = runnable {
                 let job = st.queue.remove(i).expect("indexed job present");
                 match job.kind {
                     JobKind::Compact => st.compact_queued[job.shard] = false,
                     JobKind::Migrate => {
                         st.migrate_queued[job.shard] = false;
-                        st.migrations_inflight += 1;
+                        st.migration_running = true;
                     }
                     JobKind::Flush { .. } => {}
                 }
@@ -353,9 +346,9 @@ impl WorkerPool {
                 return None;
             }
             // Queue empty, or it holds only migrate jobs blocked on the
-            // stagger cap — an in-flight migration's completion rings
-            // `work`. During shutdown the drain still completes: blocked
-            // migrations imply migrations_inflight > 0, so a wake-up is
+            // stagger — the running migration's completion rings
+            // `work`. During shutdown the drain still completes: a
+            // blocked migration implies a running one, so a wake-up is
             // always coming.
             self.work.wait(st.inner_mut());
         }
@@ -451,15 +444,16 @@ fn worker_loop(engines: Vec<Weak<MasmEngine>>, pool: Arc<WorkerPool>) {
 mod tests {
     use super::*;
 
-    fn test_pool(migration_cap: usize, shards: usize) -> Arc<WorkerPool> {
+    fn test_pool(shards: usize) -> Arc<WorkerPool> {
         let registries: Vec<Registry> = (0..shards).map(|_| Registry::new()).collect();
         let refs: Vec<&Registry> = registries.iter().collect();
-        WorkerPool::new(0, 1 << 20, migration_cap, &refs)
+        WorkerPool::new(0, 1 << 20, &refs)
     }
 
+    /// The cap is one: the shared heap admits one rewriter.
     #[test]
     fn migrations_stagger_at_the_cap() {
-        let pool = test_pool(1, 3);
+        let pool = test_pool(3);
         pool.enqueue_migrate(0, 0);
         pool.enqueue_migrate(1, 0);
         pool.enqueue_compact(1, 0);
@@ -478,19 +472,16 @@ mod tests {
 
     #[test]
     fn migrate_dedup_is_per_shard() {
-        let pool = test_pool(2, 2);
+        let pool = test_pool(2);
         pool.enqueue_migrate(0, 0);
         pool.enqueue_migrate(0, 0);
         pool.enqueue_migrate(1, 0);
         assert_eq!(pool.depths().0, 2, "per-shard dedup, cross-shard not");
-        let a = pool.next_job().unwrap();
-        let b = pool.next_job().unwrap();
-        assert_eq!((a.shard, b.shard), (0, 1), "cap 2 admits both");
     }
 
     #[test]
     fn shutdown_drains_blocked_migrations() {
-        let pool = test_pool(1, 2);
+        let pool = test_pool(2);
         pool.enqueue_migrate(0, 0);
         pool.enqueue_migrate(1, 0);
         let first = pool.next_job().unwrap();

@@ -33,7 +33,7 @@ use proptest::prelude::*;
 
 use masm_core::config::MasmConfig;
 use masm_core::update::UpdateOp;
-use masm_core::{MasmEngine, ShardedEngine, ShardingConfig, SplitPolicy};
+use masm_core::{MasmEngine, MasmError, MasmResult, RecoveryReport, ShardedEngine};
 use masm_pagestore::{HeapConfig, Key, Record, Schema, TableHeap};
 use masm_storage::{DeviceProfile, SessionHandle, SimClock, SimDevice};
 use masm_telemetry::{TraceConfig, Tracer};
@@ -97,60 +97,112 @@ fn acked_floor(acks: &[AckLog], cut: &[usize]) -> HashMap<Key, u32> {
     floor
 }
 
-/// Three ingest lanes hammer a 3-shard engine with live background
-/// workers; the main thread pulls the plug at three load levels. Every
-/// crash point must recover with zero lost acked updates, zero random
-/// SSD writes, and a still-healthy engine afterwards.
-#[test]
-fn sharded_crash_under_load_loses_no_acked_update() {
+/// The table under torture, behind either door.
+enum Table {
+    Standalone(Arc<MasmEngine>),
+    Sharded(Arc<ShardedEngine>),
+}
+use Table::{Sharded, Standalone};
+
+impl Table {
+    /// Recover the table from a crash point through the matching
+    /// door; also the per-shard reports and the migrations re-driven.
+    fn recover(
+        cfg: &MasmConfig,
+        sharded: bool,
+        p: &CrashPoint,
+        tracer: &Arc<Tracer>,
+    ) -> MasmResult<(Table, Vec<RecoveryReport>, usize)> {
+        let heap = Arc::new(TableHeap::new(p.disk.clone(), HeapConfig::default()));
+        let (ssds, wals, cfg) = (p.ssds.clone(), p.wals.clone(), cfg.clone());
+        if sharded {
+            let (e, r) = ShardedEngine::recover(heap, ssds, wals, schema(), cfg, Some(tracer))?;
+            return Ok((Sharded(e), r.per_shard, r.migrations_redriven));
+        }
+        let (ssd, wal, tracer) = (ssds[0].clone(), wals[0].clone(), Arc::clone(tracer));
+        let (e, r) = MasmEngine::recover_traced(heap, ssd, wal, schema(), cfg, Some(tracer))?;
+        Ok((Standalone(e), vec![r], r.redid_migration as usize))
+    }
+
+    fn put(&self, session: &SessionHandle, key: Key, v: u32) {
+        let op = UpdateOp::Replace(payload(v));
+        match self {
+            Standalone(e) => e.apply_update(session, key, op),
+            Sharded(e) => e.put(session, key, op),
+        }
+        .unwrap();
+    }
+
+    /// `(key, value)` of every row from `BASE` up, in scan order.
+    fn rows(&self, session: &SessionHandle) -> Vec<(Key, u32)> {
+        let s = schema();
+        let row = |r: Record| (r.key, s.get_u32(&r.payload, 0));
+        match self {
+            Standalone(e) => {
+                let scan = e.begin_scan(session.clone(), BASE, u64::MAX);
+                scan.unwrap().map(row).collect()
+            }
+            Sharded(e) => e.scan(BASE, u64::MAX).unwrap().map(row).collect(),
+        }
+    }
+
+    /// The engines, by shard id (they share one worker pool).
+    fn shards(&self) -> &[Arc<MasmEngine>] {
+        match self {
+            Standalone(e) => std::slice::from_ref(e),
+            Sharded(e) => e.shards(),
+        }
+    }
+}
+
+/// Three ingest lanes hammer a table with live background workers — a
+/// standalone engine (`splits: None`) or one shard per lane — and the
+/// main thread pulls the plug at three load levels. Every crash point
+/// must recover with no acked update lost, no random SSD write, the
+/// same state when recovered twice, and a healthy engine afterwards.
+fn crash_under_load_loses_no_acked_update(splits: Option<Vec<Key>>) {
     const LANES: usize = 3;
     const PER_LANE: u32 = 1200;
     const KEYS_PER_LANE: u64 = 40;
 
     let mut cfg = MasmConfig::small_for_tests();
     cfg.background_workers = 2;
-    cfg.sharding = ShardingConfig {
-        shards: 3,
-        split_policy: SplitPolicy::Explicit(vec![101_000, 102_000]),
-        max_concurrent_migrations: 1,
-    };
+    let sharded = splits.is_some();
+    cfg.sharding.splits = splits.unwrap_or_default();
+    let shards = cfg.sharding.splits.len() + 1;
 
     let clock = SimClock::new();
-    let disk = SimDevice::in_memory(DeviceProfile::hdd_barracuda(), clock.clone());
+    let device = |profile| SimDevice::in_memory(profile, clock.clone());
+    let disk = device(DeviceProfile::hdd_barracuda());
+    let ssd = |_| device(DeviceProfile::ssd_x25e());
+    let ssds: Vec<SimDevice> = (0..shards).map(ssd).collect();
+    let wals: Vec<SimDevice> = (0..shards).map(ssd).collect();
     let heap = Arc::new(TableHeap::new(disk.clone(), HeapConfig::default()));
-    let ssds: Vec<SimDevice> = (0..LANES)
-        .map(|_| SimDevice::in_memory(DeviceProfile::ssd_x25e(), clock.clone()))
-        .collect();
-    let wals: Vec<SimDevice> = (0..LANES)
-        .map(|_| SimDevice::in_memory(DeviceProfile::ssd_x25e(), clock.clone()))
-        .collect();
-    let engine =
-        ShardedEngine::new(heap, ssds.clone(), wals.clone(), schema(), cfg.clone()).unwrap();
+    let (s, c) = (schema(), cfg.clone());
+    let table = Arc::new(if sharded {
+        Sharded(ShardedEngine::new(heap, ssds.clone(), wals.clone(), s, c).unwrap())
+    } else {
+        Standalone(MasmEngine::new(heap, ssds[0].clone(), wals[0].clone(), s, c).unwrap())
+    });
     let session = SessionHandle::fresh(clock.clone());
-    engine
-        .load_table(
-            &session,
-            (0..100u64).map(|i| Record::new(i * 2, payload(i as u32))),
-            1.0,
-        )
-        .unwrap();
+    let base = (0..100u64).map(|i| Record::new(i * 2, payload(i as u32)));
+    match &*table {
+        Standalone(e) => e.load_table(&session, base, 1.0).unwrap(),
+        Sharded(e) => e.load_table(&session, base, 1.0).unwrap(),
+    }
 
     let acks: Vec<AckLog> = (0..LANES)
         .map(|_| Arc::new(Mutex::new(Vec::new())))
         .collect();
     let mut lanes = Vec::new();
     for (lane, acked) in acks.iter().enumerate() {
-        let engine = Arc::clone(&engine);
-        let clock = clock.clone();
-        let acked = Arc::clone(acked);
+        let (table, clock, acked) = (Arc::clone(&table), clock.clone(), Arc::clone(acked));
         lanes.push(thread::spawn(move || {
             let session = SessionHandle::fresh(clock);
             for j in 0..PER_LANE {
                 // Lane k writes into shard k's key range.
-                let key = BASE + lane as u64 * 1000 + j as u64 % KEYS_PER_LANE;
-                engine
-                    .put(&session, key, UpdateOp::Replace(payload(j)))
-                    .unwrap();
+                let key = BASE + lane as u64 * 1000 + u64::from(j) % KEYS_PER_LANE;
+                table.put(&session, key, j);
                 // The put returned: its WAL record is durable. Recording
                 // the ack *after* the return means any crash snapshot
                 // taken after this push must contain the update.
@@ -177,77 +229,54 @@ fn sharded_crash_under_load_loses_no_acked_update() {
     for l in lanes {
         l.join().unwrap();
     }
-    engine.shutdown();
+    table.shards().iter().for_each(|e| e.shutdown());
 
     for (c, point) in crashes.into_iter().enumerate() {
-        let heap = Arc::new(TableHeap::new(point.disk.clone(), HeapConfig::default()));
         // Rings large enough that a migration redo cannot overflow them.
         let tracer = Arc::new(Tracer::new(TraceConfig {
             ring_capacity: 1 << 16,
             ..TraceConfig::default()
         }));
-        let (recovered, report) = ShardedEngine::recover_traced(
-            heap,
-            point.ssds.clone(),
-            point.wals.clone(),
-            schema(),
-            cfg.clone(),
-            Some(&tracer),
-        )
-        .unwrap_or_else(|e| panic!("crash point {c} failed to recover: {e}"));
+        let (recovered, reports, redriven) = Table::recover(&cfg, sharded, &point, &tracer)
+            .unwrap_or_else(|e| panic!("crash point {c} failed to recover: {e}"));
+        assert_eq!(reports.len(), shards);
+        assert!(
+            reports.iter().any(|r| r.wal_records_replayed > 0),
+            "crash {c}: nothing replayed?"
+        );
 
         // The flight recording carries the recovery on each shard's own
         // track (pid = shard): one `recovery` span per shard, a
         // torn-tail instant exactly where a tail was truncated, and one
         // redo instant per re-driven migration.
         let records = tracer.take_records();
-        let pids_of = |name: &str| -> Vec<u32> {
-            let mut pids: Vec<u32> = records
-                .iter()
-                .filter(|r| r.name == name)
-                .map(|r| r.track.pid)
-                .collect();
+        let on_shards = |name: &str, on: fn(&RecoveryReport) -> bool| {
+            let named = records.iter().filter(|r| r.name == name);
+            let mut pids: Vec<u32> = named.map(|r| r.track.pid).collect();
             pids.sort_unstable();
-            pids
+            let want: Vec<u32> = (0..shards as u32)
+                .filter(|&i| on(&reports[i as usize]))
+                .collect();
+            assert_eq!(pids, want, "crash {c}: {name}");
         };
-        let shards_where = |f: &dyn Fn(&masm_core::RecoveryReport) -> bool| -> Vec<u32> {
-            (0..LANES as u32)
-                .filter(|&i| f(&report.per_shard[i as usize]))
-                .collect()
-        };
-        assert_eq!(pids_of("recovery"), shards_where(&|_| true), "crash {c}");
-        assert_eq!(
-            pids_of("recovery.torn_tail"),
-            shards_where(&|r| r.wal_torn_bytes > 0),
-            "crash {c}"
-        );
-        assert_eq!(
-            pids_of("recovery.migration_redo"),
-            shards_where(&|r| r.redid_migration),
-            "crash {c}"
-        );
-        assert_eq!(
-            pids_of("recovery.migration_redo").len(),
-            report.migrations_redriven
-        );
+        on_shards("recovery", |_| true);
+        on_shards("recovery.torn_tail", |r| r.wal_torn_bytes > 0);
+        on_shards("recovery.migration_redo", |r| r.redid_migration);
+        let redone = reports.iter().filter(|r| r.redid_migration).count();
+        assert_eq!(redriven, redone, "crash {c}");
 
         // Every update acked before the snapshot is in the recovered
         // state (possibly superseded by a newer durable-but-unacked
         // value for the same key — never by an older one).
         let floor = acked_floor(&acks, &point.acked);
-        let s = schema();
-        let got: HashMap<Key, u32> = recovered
-            .scan(BASE, u64::MAX)
-            .unwrap()
-            .map(|r| (r.key, s.get_u32(&r.payload, 0)))
-            .collect();
+        let session = SessionHandle::fresh(point.disk.clock().clone());
+        let rows = recovered.rows(&session);
+        let got: HashMap<Key, u32> = rows.iter().copied().collect();
         for (key, min_j) in &floor {
-            let j = got
-                .get(key)
-                .unwrap_or_else(|| panic!("crash {c}: acked key {key} lost (acked value {min_j})"));
+            let j = got.get(key); // `None`: lost outright
             assert!(
-                j >= min_j,
-                "crash {c}: key {key} went backwards: acked {min_j}, recovered {j}"
+                j >= Some(min_j),
+                "crash {c}: key {key} went backwards: acked {min_j}, recovered {j:?}"
             );
         }
         // Whatever is there must be a value some lane actually wrote.
@@ -261,155 +290,49 @@ fn sharded_crash_under_load_loses_no_acked_update() {
             assert!(*j < PER_LANE);
         }
 
-        assert_eq!(report.per_shard.len(), LANES);
+        // Crash again immediately: recovering the devices the first
+        // recovery left behind reproduces the same state.
+        recovered.shards().iter().for_each(|e| e.shutdown());
+        drop(recovered);
+        let (recovered, _, _) = Table::recover(&cfg, sharded, &point, &tracer)
+            .unwrap_or_else(|e| panic!("crash point {c} failed to recover twice: {e}"));
+        assert_eq!(recovered.rows(&session), rows, "crash {c}: double recovery");
 
-        // The recovered engine is live: more ingest, a migration-level
-        // flush, a consistent scan — all with sequential-only SSD I/O
-        // on the snapshot devices (heads re-primed by recovery).
-        let session = SessionHandle::fresh(point.disk.clock().clone());
+        // The recovered engine is live: more ingest, a flush, a
+        // consistent scan — all with sequential-only SSD I/O on the
+        // snapshot devices (heads re-primed by recovery).
         for lane in 0..LANES as u64 {
             for j in 0..50u32 {
                 let key = BASE + lane * 1000 + u64::from(j) % KEYS_PER_LANE;
-                recovered
-                    .put(&session, key, UpdateOp::Replace(payload(PER_LANE + j)))
-                    .unwrap();
+                recovered.put(&session, key, PER_LANE + j);
             }
         }
-        recovered.flush_all(&session).unwrap();
-        let after: Vec<Key> = recovered
-            .scan(BASE, u64::MAX)
-            .unwrap()
-            .map(|r| r.key)
-            .collect();
+        for shard in recovered.shards() {
+            shard.flush_buffer(&session).unwrap();
+        }
+        let after = recovered.rows(&session);
         assert!(
-            after.windows(2).all(|w| w[0] < w[1]),
+            after.windows(2).all(|w| w[0].0 < w[1].0),
             "crash {c}: scan order"
         );
-        let stats = recovered.stats();
-        for (i, shard) in stats.per_shard.iter().enumerate() {
-            assert_eq!(
-                shard.ssd.random_writes, 0,
-                "crash {c}: random writes in recovered shard {i}"
-            );
+        for (i, shard) in recovered.shards().iter().enumerate() {
+            let random = shard.stats().ssd.random_writes;
+            assert_eq!(random, 0, "crash {c}: random writes in recovered shard {i}");
         }
-        recovered.shutdown();
+        recovered.shards().iter().for_each(|e| e.shutdown());
     }
 }
 
-/// The unsharded variant: two lanes on one engine with background
-/// workers, plug pulled twice, recovered via [`MasmEngine::recover`].
+/// One shard per lane, opened and recovered through `ShardedEngine`.
+#[test]
+fn sharded_crash_under_load_loses_no_acked_update() {
+    crash_under_load_loses_no_acked_update(Some(vec![101_000, 102_000]));
+}
+
+/// The same lanes on one engine: `MasmEngine::new` / `recover_traced`.
 #[test]
 fn unsharded_crash_under_load_loses_no_acked_update() {
-    const LANES: usize = 2;
-    const PER_LANE: u32 = 1000;
-    const KEYS_PER_LANE: u64 = 30;
-
-    let mut cfg = MasmConfig::small_for_tests();
-    cfg.background_workers = 2;
-
-    let clock = SimClock::new();
-    let disk = SimDevice::in_memory(DeviceProfile::hdd_barracuda(), clock.clone());
-    let ssd = SimDevice::in_memory(DeviceProfile::ssd_x25e(), clock.clone());
-    let wal = SimDevice::in_memory(DeviceProfile::ssd_x25e(), clock.clone());
-    let heap = Arc::new(TableHeap::new(disk.clone(), HeapConfig::default()));
-    let engine = MasmEngine::new(heap, ssd.clone(), wal.clone(), schema(), cfg.clone()).unwrap();
-    let session = SessionHandle::fresh(clock.clone());
-    engine
-        .load_table(
-            &session,
-            (0..100u64).map(|i| Record::new(i * 2, payload(i as u32))),
-            1.0,
-        )
-        .unwrap();
-
-    let acks: Vec<AckLog> = (0..LANES)
-        .map(|_| Arc::new(Mutex::new(Vec::new())))
-        .collect();
-    let mut lanes = Vec::new();
-    for (lane, acked) in acks.iter().enumerate() {
-        let engine = Arc::clone(&engine);
-        let clock = clock.clone();
-        let acked = Arc::clone(acked);
-        lanes.push(thread::spawn(move || {
-            let session = SessionHandle::fresh(clock);
-            for j in 0..PER_LANE {
-                let key = BASE + lane as u64 * 1000 + u64::from(j) % KEYS_PER_LANE;
-                engine
-                    .apply_update(&session, key, UpdateOp::Replace(payload(j)))
-                    .unwrap();
-                acked.lock().unwrap().push((key, j));
-            }
-        }));
-    }
-
-    let mut crashes: Vec<CrashPoint> = Vec::new();
-    for threshold in [400usize, 1500] {
-        loop {
-            let total: usize = acks.iter().map(|a| a.lock().unwrap().len()).sum();
-            if total >= threshold {
-                break;
-            }
-            thread::sleep(std::time::Duration::from_millis(1));
-        }
-        let cut: Vec<usize> = acks.iter().map(|a| a.lock().unwrap().len()).collect();
-        let mut point = crash_snapshot(
-            &disk,
-            std::slice::from_ref(&ssd),
-            std::slice::from_ref(&wal),
-        );
-        point.acked = cut;
-        crashes.push(point);
-    }
-    for l in lanes {
-        l.join().unwrap();
-    }
-    engine.shutdown();
-
-    for (c, point) in crashes.into_iter().enumerate() {
-        let heap = Arc::new(TableHeap::new(point.disk.clone(), HeapConfig::default()));
-        let (recovered, report) = MasmEngine::recover(
-            heap,
-            point.ssds[0].clone(),
-            point.wals[0].clone(),
-            schema(),
-            cfg.clone(),
-        )
-        .unwrap_or_else(|e| panic!("crash point {c} failed to recover: {e}"));
-
-        let floor = acked_floor(&acks, &point.acked);
-        let s = schema();
-        let session = SessionHandle::fresh(point.disk.clock().clone());
-        let got: HashMap<Key, u32> = recovered
-            .begin_scan(session.clone(), BASE, u64::MAX)
-            .unwrap()
-            .map(|r| (r.key, s.get_u32(&r.payload, 0)))
-            .collect();
-        for (key, min_j) in &floor {
-            let j = got
-                .get(key)
-                .unwrap_or_else(|| panic!("crash {c}: acked key {key} lost"));
-            assert!(j >= min_j, "crash {c}: key {key}: acked {min_j}, got {j}");
-        }
-        assert!(
-            report.wal_records_replayed > 0,
-            "crash {c}: nothing replayed?"
-        );
-
-        // Post-recovery ingest stays sequential on the snapshot devices.
-        for j in 0..80u32 {
-            let key = BASE + u64::from(j) % KEYS_PER_LANE;
-            recovered
-                .apply_update(&session, key, UpdateOp::Replace(payload(PER_LANE + j)))
-                .unwrap();
-        }
-        recovered.flush_buffer(&session).unwrap();
-        let stats = recovered.stats();
-        assert_eq!(
-            stats.ssd.random_writes, 0,
-            "crash {c}: random writes after recovery"
-        );
-        recovered.shutdown();
-    }
+    crash_under_load_loses_no_acked_update(None);
 }
 
 /// Golden pre-crash state for the WAL-prefix sweep: a serial workload
@@ -532,11 +455,7 @@ proptest! {
 #[test]
 fn manifest_validation_rejects_mismatched_deployments() {
     let mut cfg = MasmConfig::small_for_tests();
-    cfg.sharding = ShardingConfig {
-        shards: 2,
-        split_policy: SplitPolicy::Explicit(vec![1000]),
-        max_concurrent_migrations: 1,
-    };
+    cfg.sharding.splits = vec![1000];
     let clock = SimClock::new();
     let disk = SimDevice::in_memory(DeviceProfile::hdd_barracuda(), clock.clone());
     let heap = Arc::new(TableHeap::new(disk.clone(), HeapConfig::default()));
@@ -556,7 +475,7 @@ fn manifest_validation_rejects_mismatched_deployments() {
 
     let recover = |ssds: Vec<SimDevice>, wals: Vec<SimDevice>, cfg: MasmConfig| {
         let heap = Arc::new(TableHeap::new(disk.clone(), HeapConfig::default()));
-        ShardedEngine::recover(heap, ssds, wals, schema(), cfg)
+        ShardedEngine::recover(heap, ssds, wals, schema(), cfg, None)
     };
 
     // Swapped shard devices: each manifest names its true shard id.
@@ -598,7 +517,52 @@ fn sharded_recovery_requires_a_manifest() {
     drop(engine);
 
     let heap = Arc::new(TableHeap::new(disk, HeapConfig::default()));
-    let err = ShardedEngine::recover(heap, vec![ssd], vec![wal], schema(), cfg)
+    let err = ShardedEngine::recover(heap, vec![ssd], vec![wal], schema(), cfg, None)
         .expect_err("manifest-less WAL must be rejected");
     assert!(err.to_string().contains("manifest"), "{err}");
+}
+
+/// The converse: one shard's devices are not a table. Shard 0's log
+/// holds neither shard 1's runs nor the heap splices of shard 1's
+/// migrations, so opened alone it would serve stale pages and believe
+/// it owns the whole keyspace — at the parent `MasmEngine::recover`
+/// returned `Ok` here and key 150 read 75.
+#[test]
+fn a_shards_log_does_not_open_as_a_standalone_table() {
+    let mut cfg = MasmConfig::small_for_tests();
+    cfg.sharding.splits = vec![100];
+    let clock = SimClock::new();
+    let device = |profile| SimDevice::in_memory(profile, clock.clone());
+    let disk = device(DeviceProfile::hdd_barracuda());
+    let ssds: Vec<SimDevice> = (0..2).map(|_| device(DeviceProfile::ssd_x25e())).collect();
+    let wals: Vec<SimDevice> = (0..2).map(|_| device(DeviceProfile::ssd_x25e())).collect();
+    let heap = Arc::new(TableHeap::new(disk.clone(), HeapConfig::default()));
+    let engine =
+        ShardedEngine::new(heap, ssds.clone(), wals.clone(), schema(), cfg.clone()).unwrap();
+    let session = SessionHandle::fresh(clock);
+    let rows = (0..100u64).map(|i| Record::new(i * 2, payload(i as u32)));
+    engine.load_table(&session, rows, 1.0).unwrap();
+    engine
+        .put(&session, 150, UpdateOp::Replace(payload(2000)))
+        .unwrap();
+    engine.flush_all(&session).unwrap();
+    engine.shards()[1].migrate(&session).unwrap();
+    drop(engine);
+
+    let point = crash_snapshot(&disk, &ssds, &wals);
+    let heap = Arc::new(TableHeap::new(point.disk.clone(), HeapConfig::default()));
+    let (ssd, wal) = (point.ssds[0].clone(), point.wals[0].clone());
+    let mut standalone = cfg.clone();
+    standalone.sharding.splits.clear();
+    let err = MasmEngine::recover(Arc::clone(&heap), ssd, wal, schema(), standalone)
+        .expect_err("shard 0 of 2 is not a standalone table");
+    assert!(matches!(err, MasmError::Config(_)), "{err:?}");
+    assert!(err.to_string().contains("shard 0 of 2"), "{err}");
+    assert_eq!(heap.num_pages(), 0, "refused before any heap event");
+
+    let (recovered, _) =
+        ShardedEngine::recover(heap, point.ssds, point.wals, schema(), cfg, None).unwrap();
+    let session = SessionHandle::fresh(point.disk.clock().clone());
+    let got = recovered.get(&session, 150).unwrap().expect("key 150");
+    assert_eq!(schema().get_u32(&got.payload, 0), 2000);
 }

@@ -299,8 +299,8 @@ struct Sharded {
 /// even keys, rewritten `chunk_pages` pages at a time.
 fn sharded(mut cfg: MasmConfig, splits: Vec<Key>, n_records: u64, chunk_pages: usize) -> Sharded {
     let clock = SimClock::new();
-    cfg.sharding.shards = splits.len() + 1;
-    cfg.sharding.split_policy = masm_core::SplitPolicy::Explicit(splits);
+    let shards = splits.len() + 1;
+    cfg.sharding.splits = splits;
     let device = |profile| SimDevice::in_memory(profile, clock.clone());
     let ssds = |n| (0..n).map(|_| device(DeviceProfile::ssd_x25e())).collect();
     let disk = device(DeviceProfile::hdd_barracuda());
@@ -310,8 +310,8 @@ fn sharded(mut cfg: MasmConfig, splits: Vec<Key>, n_records: u64, chunk_pages: u
     };
     let engine = ShardedEngine::new(
         Arc::new(TableHeap::new(disk.clone(), heap_cfg)),
-        ssds(cfg.sharding.shards),
-        ssds(cfg.sharding.shards),
+        ssds(shards),
+        ssds(shards),
         schema(),
         cfg,
     )

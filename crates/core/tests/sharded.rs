@@ -1,7 +1,9 @@
 //! Sharded-engine integration tests: router totality under arbitrary
 //! splits, sharded-vs-single-engine oracle equality at arbitrary
-//! snapshot cuts, and a concurrent multi-lane stress against a live
-//! shared worker pool.
+//! snapshot cuts, "a standalone engine is the one-shard case" down to
+//! the device bytes, two shards migrating into the shared heap at
+//! once, and a concurrent multi-lane stress against a live shared
+//! worker pool.
 //!
 //! The oracle test is the correctness contract of the sharding layer:
 //! routing the same update stream through a [`ShardedEngine`] must be
@@ -17,8 +19,9 @@ use std::thread;
 use proptest::prelude::*;
 
 use masm_core::config::MasmConfig;
-use masm_core::update::UpdateOp;
-use masm_core::{MasmEngine, ShardRouter, ShardedEngine, ShardingConfig, SplitPolicy};
+use masm_core::update::{FieldPatch, UpdateOp};
+use masm_core::wal::{Wal, WalRecord};
+use masm_core::{MasmEngine, ShardRouter, ShardedEngine};
 use masm_pagestore::{HeapConfig, Key, Record, Schema, TableHeap};
 use masm_storage::{DeviceProfile, SessionHandle, SimClock, SimDevice};
 
@@ -43,7 +46,7 @@ fn sharded_fixture(cfg: MasmConfig, n_records: u64) -> ShardedFixture {
     let clock = SimClock::new();
     let disk = SimDevice::in_memory(DeviceProfile::hdd_barracuda(), clock.clone());
     let heap = Arc::new(TableHeap::new(disk, HeapConfig::default()));
-    let n = cfg.sharding.shards;
+    let n = cfg.sharding.splits.len() + 1;
     let ssds: Vec<SimDevice> = (0..n)
         .map(|_| SimDevice::in_memory(DeviceProfile::ssd_x25e(), clock.clone()))
         .collect();
@@ -136,11 +139,7 @@ fn sharded_matches_single_engine_oracle() {
     const KEYS: u64 = 400;
 
     let mut cfg = MasmConfig::small_for_tests();
-    cfg.sharding = ShardingConfig {
-        shards: 3,
-        split_policy: SplitPolicy::Explicit(vec![120, 300]),
-        max_concurrent_migrations: 1,
-    };
+    cfg.sharding.splits = vec![120, 300];
     let f = sharded_fixture(cfg, 150);
 
     let single_cfg = MasmConfig::small_for_tests();
@@ -249,6 +248,204 @@ fn sharded_matches_single_engine_oracle() {
     assert!(stats.per_shard.iter().all(|s| s.ingested_updates > 0));
 }
 
+/// A standalone engine *is* the one-shard case of the same code: the
+/// same seeded script — load, mixed updates through several flushes, a
+/// compaction, a migration, a crash and a recovery — through
+/// `MasmEngine` and through a `ShardedEngine` with no split keys yields
+/// the same rows at every scan, the same run set, and the same bytes on
+/// flash and in the redo log (which differ by the one manifest frame a
+/// deployment starts its log with).
+#[test]
+fn standalone_is_the_one_shard_case() {
+    /// One side of the comparison: its devices and a way to reopen them.
+    struct Side {
+        clock: SimClock,
+        disk: SimDevice,
+        ssd: SimDevice,
+        wal: SimDevice,
+    }
+    impl Side {
+        fn new() -> Side {
+            let clock = SimClock::new();
+            let device = |profile| SimDevice::in_memory(profile, clock.clone());
+            Side {
+                disk: device(DeviceProfile::hdd_barracuda()),
+                ssd: device(DeviceProfile::ssd_x25e()),
+                wal: device(DeviceProfile::ssd_x25e()),
+                clock,
+            }
+        }
+        fn heap(&self) -> Arc<TableHeap> {
+            Arc::new(TableHeap::new(self.disk.clone(), HeapConfig::default()))
+        }
+        fn session(&self) -> SessionHandle {
+            SessionHandle::fresh(self.clock.clone())
+        }
+        /// The devices as a crash leaves them (WAL, then SSD, then disk).
+        fn crash(&self) -> Side {
+            let clock = self.clock.clone();
+            Side {
+                wal: self.wal.snapshot(clock.clone()).unwrap(),
+                ssd: self.ssd.snapshot(clock.clone()).unwrap(),
+                disk: self.disk.snapshot(clock.clone()).unwrap(),
+                clock,
+            }
+        }
+        fn bytes(&self, dev: &SimDevice) -> Vec<u8> {
+            self.session().read(dev, 0, dev.len()).unwrap()
+        }
+    }
+    let cfg = MasmConfig::small_for_tests();
+    let (a, b) = (Side::new(), Side::new());
+    let mut one = MasmEngine::new(
+        a.heap(),
+        a.ssd.clone(),
+        a.wal.clone(),
+        schema(),
+        cfg.clone(),
+    )
+    .unwrap();
+    let (ssds, wals) = (vec![b.ssd.clone()], vec![b.wal.clone()]);
+    let mut many = ShardedEngine::new(b.heap(), ssds, wals, schema(), cfg.clone()).unwrap();
+    let (sa, sb) = (a.session(), b.session());
+
+    let rows = || (0..150u64).map(|i| Record::new(i * 2, payload(i as u32)));
+    one.load_table(&sa, rows(), 1.0).unwrap();
+    many.load_table(&sb, rows(), 1.0).unwrap();
+
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    let mut next = || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    // Flushed before it is scanned: a scan that meets a full buffer
+    // flushes it, and the sharded scan's reservation — it has no
+    // timestamp yet — keeps that flush from folding duplicates; the
+    // standalone scan has no such window.
+    let same_table = |one: &Arc<MasmEngine>, many: &Arc<ShardedEngine>, at: &str| {
+        let shard = &many.shards()[0];
+        assert_eq!(shard.buffered_updates(), one.buffered_updates(), "{at}");
+        one.flush_buffer(&sa).unwrap();
+        many.flush_all(&sb).unwrap();
+        let got: Vec<Record> = many.scan(0, Key::MAX).unwrap().collect();
+        let want: Vec<Record> = one.begin_scan(sa.clone(), 0, Key::MAX).unwrap().collect();
+        assert_eq!(got, want, "rows differ {at}");
+        assert_eq!(shard.run_count(), one.run_count(), "runs {at}");
+        let (cached, want) = (shard.cached_bytes(), one.cached_bytes());
+        assert_eq!(cached, want, "cached bytes {at}");
+    };
+    for j in 0..6000u32 {
+        let key: Key = next() % 400;
+        let op = match next() % 4 {
+            0 => UpdateOp::Insert(payload(j)),
+            1 => UpdateOp::Delete,
+            2 => UpdateOp::Modify(vec![FieldPatch {
+                field: 0,
+                value: j.to_le_bytes().to_vec(),
+            }]),
+            _ => UpdateOp::Replace(payload(j)),
+        };
+        let ts = one.apply_update(&sa, key, op.clone()).unwrap();
+        assert_eq!(many.put(&sb, key, op).unwrap(), ts, "update {j}");
+        match j {
+            999 | 1999 | 2999 => same_table(&one, &many, "at a flush"),
+            3999 => {
+                let report = one.compact_runs(&sa).unwrap();
+                assert!(report.inputs >= 3, "several flushes: {report:?}");
+                assert_eq!(many.shards()[0].compact_runs(&sb).unwrap(), report);
+                same_table(&one, &many, "after the compaction");
+            }
+            4999 => {
+                let report = one.migrate(&sa).unwrap();
+                assert!(report.updates_applied > 0);
+                assert_eq!(many.shards()[0].migrate(&sb).unwrap(), report);
+                same_table(&one, &many, "after the migration");
+            }
+            5499 => {
+                // Pull the plug with runs and a part-filled buffer, and
+                // carry on with what recovery brings back.
+                let (ca, cb) = (a.crash(), b.crash());
+                let (ssd, wal) = (ca.ssd.clone(), ca.wal.clone());
+                one = MasmEngine::recover(ca.heap(), ssd, wal, schema(), cfg.clone())
+                    .unwrap()
+                    .0;
+                let (ssds, wals) = (vec![cb.ssd.clone()], vec![cb.wal.clone()]);
+                many = ShardedEngine::recover(cb.heap(), ssds, wals, schema(), cfg.clone(), None)
+                    .unwrap()
+                    .0;
+                same_table(&one, &many, "after recovery");
+                assert_eq!(ca.bytes(&ca.ssd), cb.bytes(&cb.ssd), "flash after recovery");
+            }
+            _ => {}
+        }
+    }
+    same_table(&one, &many, "at the end");
+
+    // The pre-crash devices: the same bytes on flash, and in the log
+    // behind the deployment's manifest frame.
+    assert_eq!(a.bytes(&a.ssd), b.bytes(&b.ssd), "flash images");
+    let (log_a, log_b) = (a.bytes(&a.wal), b.bytes(&b.wal));
+    let manifest_frame = log_b.len() - log_a.len();
+    assert!(log_b[manifest_frame..] == log_a[..], "redo logs");
+    let first = Wal::replay(&sb, &b.wal).unwrap().records.swap_remove(0);
+    assert!(matches!(first, WalRecord::Manifest(m) if m.shards == 1 && m.split_keys.is_empty()));
+    assert_eq!(a.ssd.stats().random_writes, 0);
+    assert_eq!(b.ssd.stats().random_writes, 0);
+}
+
+/// Two shards' migrations called at the same moment from two threads:
+/// both rewrite the one shared heap, whose rewrite lock makes the
+/// second wait for the first, and the table equals the model after.
+#[test]
+fn two_shards_migrate_at_once() {
+    let mut cfg = MasmConfig::small_for_tests();
+    cfg.sharding.splits = vec![20_001];
+    let n = 20_000u64;
+    let f = sharded_fixture(cfg, n);
+    let mut model: HashMap<Key, u32> = (0..n).map(|i| (i * 2, i as u32)).collect();
+    for key in (1..2 * n).step_by(7) {
+        // Odd keys are gap inserts (the pages grow), even ones replace.
+        f.engine
+            .put(&f.session, key, UpdateOp::Replace(payload(7)))
+            .unwrap();
+        model.insert(key, 7);
+    }
+    f.engine.flush_all(&f.session).unwrap();
+
+    let start = Arc::new(std::sync::Barrier::new(2));
+    let migrations: Vec<_> = f
+        .engine
+        .shards()
+        .iter()
+        .map(|shard| {
+            let (shard, start, clock) = (Arc::clone(shard), Arc::clone(&start), f.clock.clone());
+            thread::spawn(move || {
+                let session = SessionHandle::fresh(clock);
+                start.wait();
+                let report = shard.migrate(&session).unwrap();
+                assert!(report.updates_applied > 0);
+            })
+        })
+        .collect();
+    for migration in migrations {
+        migration.join().unwrap();
+    }
+
+    assert!(f.engine.shards().iter().all(|e| e.run_count() == 0));
+    let s = schema();
+    let got: Vec<(Key, u32)> = f
+        .engine
+        .scan(0, Key::MAX)
+        .unwrap()
+        .map(|r| (r.key, s.get_u32(&r.payload, 0)))
+        .collect();
+    assert!(got.windows(2).all(|w| w[0].0 < w[1].0), "scan out of order");
+    assert_eq!(got.len(), model.len());
+    assert!(got.iter().all(|(k, v)| model.get(k) == Some(v)));
+}
+
 /// A sharded `put` goes through the same door as `apply_update`: an
 /// update the encoding cannot represent is refused, not acknowledged.
 #[test]
@@ -258,11 +455,7 @@ fn put_refuses_an_update_the_encoding_cannot_represent() {
 
     // Built by hand (not `sharded_fixture`) to keep the log devices.
     let mut cfg = MasmConfig::small_for_tests();
-    cfg.sharding = ShardingConfig {
-        shards: 2,
-        split_policy: SplitPolicy::Explicit(vec![100]),
-        max_concurrent_migrations: 1,
-    };
+    cfg.sharding.splits = vec![100];
     let clock = SimClock::new();
     let device = |profile| SimDevice::in_memory(profile, clock.clone());
     let heap = Arc::new(TableHeap::new(
@@ -320,11 +513,7 @@ fn stress_concurrent_sharded_ingest_scan() {
 
     let mut cfg = MasmConfig::small_for_tests();
     cfg.background_workers = 2;
-    cfg.sharding = ShardingConfig {
-        shards: 4,
-        split_policy: SplitPolicy::Explicit(vec![101_000, 102_000, 103_000]),
-        max_concurrent_migrations: 1,
-    };
+    cfg.sharding.splits = vec![101_000, 102_000, 103_000];
     let f = sharded_fixture(cfg, 100);
     let s = schema();
 

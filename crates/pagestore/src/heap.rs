@@ -14,11 +14,13 @@
 //!   chunk of old pages, let the caller merge updates into new pages,
 //!   write the new chunk sequentially (preferring physical slots freed by
 //!   already-committed chunks), and splice the page map. Peak extra space
-//!   is one chunk, not a full table copy.
+//!   is one chunk, not a full table copy. A heap admits **one rewriter
+//!   at a time**: a rewriter addresses pages by logical index, which
+//!   another rewriter's splice would shift under it.
 
 use std::sync::Arc;
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Mutex, MutexGuard, RwLock};
 
 use masm_storage::clock::Ns;
 use masm_storage::{IoTicket, SessionHandle, SimDevice, StorageError, StorageResult, MIB};
@@ -107,6 +109,14 @@ pub struct TableHeap {
     cfg: HeapConfig,
     state: RwLock<HeapState>,
     alloc: Mutex<Allocator>,
+    /// Held by the one live [`HeapRewriter`], from
+    /// [`TableHeap::rewriter_range`] to its `finish`/drop — the one
+    /// lock here that is *meant* to be held across device I/O (a whole
+    /// rewrite), hence a plain mutex and not a tracked one. A second
+    /// rewriter (another shard's migration over the shared heap) waits
+    /// for the first instead of splicing the page map at logical
+    /// indices the first one's splices have shifted.
+    rewrite: Mutex<()>,
 }
 
 impl std::fmt::Debug for TableHeap {
@@ -127,6 +137,7 @@ impl TableHeap {
             cfg,
             state: RwLock::new(HeapState::default()),
             alloc: Mutex::new(Allocator::default()),
+            rewrite: Mutex::new(()),
         }
     }
 
@@ -388,7 +399,11 @@ impl TableHeap {
     /// "one can migrate a portion … of updates at a time to distribute
     /// the cost across multiple operations"). The pages own more keys
     /// than `[begin, end]` — see [`HeapRewriter::key_span`].
+    ///
+    /// Blocks while another rewriter of this heap is live: the page
+    /// range is looked up only once this one has the heap to itself.
     pub fn rewriter_range(&self, session: SessionHandle, begin: Key, end: Key) -> HeapRewriter<'_> {
+        let exclusive = self.rewrite.lock();
         let (cursor, end_cursor) = match self.state.read().index.page_range(begin, end) {
             Some((first, last)) => (first, last + 1),
             None => (0, 0),
@@ -401,6 +416,7 @@ impl TableHeap {
             outstanding: 0,
             outstanding_records: 0,
             records_written: 0,
+            _exclusive: exclusive,
         }
     }
 }
@@ -632,6 +648,8 @@ pub struct HeapRewriter<'a> {
     /// Records contained in the outstanding chunk's old pages.
     outstanding_records: u64,
     records_written: u64,
+    /// The heap's rewrite lock, released when the rewriter goes.
+    _exclusive: MutexGuard<'a, ()>,
 }
 
 impl HeapRewriter<'_> {
@@ -1036,6 +1054,76 @@ mod tests {
         rw.commit_chunk(pages).unwrap();
         assert!(rw.next_chunk().unwrap().is_none());
         rw.finish();
+    }
+
+    /// Two rewriters over one heap — two shards migrating into it.
+    /// Splices shift logical page indices, so the second must not look
+    /// its range up, let alone commit, while the first is mid-chunk:
+    /// without the rewrite lock B's commits below move the pages A read
+    /// and A's commit lands on B's.
+    #[test]
+    fn a_second_rewriter_waits_for_the_first() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::mpsc;
+
+        let n = 20_000u64;
+        let (heap, s) = heap_with(n);
+        let pages_before = heap.num_pages();
+        let mid = n; // keys are 0, 2, … 2n − 2
+        let a_finished = Arc::new(AtomicBool::new(false));
+        let (at_the_door, arrived) = mpsc::channel();
+
+        let mut a = heap.rewriter_range(s.clone(), mid, Key::MAX);
+        let chunk = a.next_chunk().unwrap().unwrap();
+
+        // B rewrites the lower half onto twice as many pages.
+        let b = {
+            let (heap, s, a_finished) = (Arc::clone(&heap), s.clone(), Arc::clone(&a_finished));
+            std::thread::spawn(move || {
+                at_the_door.send(()).unwrap();
+                let mut b = heap.rewriter_range(s, 0, mid - 1);
+                assert!(
+                    a_finished.load(Ordering::SeqCst),
+                    "B got the heap while A was mid-chunk"
+                );
+                while let Some(pages) = b.next_chunk().unwrap() {
+                    let halves = pages.iter().flat_map(|p| {
+                        let records: Vec<Record> = p.records().collect();
+                        let (left, right) = records.split_at(records.len() / 2);
+                        [left.to_vec(), right.to_vec()]
+                    });
+                    let new_pages = halves
+                        .filter(|records| !records.is_empty())
+                        .map(|records| {
+                            let mut page = Page::new(heap.config().page_size);
+                            assert!(records.iter().all(|r| page.append(r)));
+                            page
+                        })
+                        .collect();
+                    b.commit_chunk(new_pages).unwrap();
+                }
+                b.finish();
+            })
+        };
+
+        // A commits the chunk it read, unchanged, then the rest.
+        arrived.recv().unwrap();
+        a.commit_chunk(chunk).unwrap();
+        while let Some(pages) = a.next_chunk().unwrap() {
+            a.commit_chunk(pages).unwrap();
+        }
+        a_finished.store(true, Ordering::SeqCst);
+        a.finish();
+        b.join().unwrap();
+
+        assert!(
+            heap.num_pages() > pages_before + pages_before / 3,
+            "B's rewrite is in the heap: {pages_before} -> {} pages",
+            heap.num_pages()
+        );
+        assert_eq!(heap.record_count(), n);
+        let got: Vec<Key> = heap.scan_range(s, 0, Key::MAX).map(|r| r.key).collect();
+        assert_eq!(got, (0..n).map(|i| i * 2).collect::<Vec<_>>());
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //!   bytes). We regenerate equivalent range-scan traces from scaled
 //!   tables with the same size proportions and query shapes — the
 //!   substitution preserves the I/O interference behaviour the
-//!   experiment measures (see DESIGN.md).
+//!   experiment measures (`fig03`/`fig04`/`fig14` in the README's
+//!   "Paper figure index").
 
 pub mod synthetic;
 pub mod tenant;

@@ -6,7 +6,7 @@
 //! updates randomly uniformly distributed across the entire table, with
 //! update types (insertion, deletion, or field modification) selected
 //! randomly." Sizes here are a scale knob; normalized results are
-//! scale-free (see DESIGN.md).
+//! scale-free (see "Scaling" in `masm-bench`'s crate docs).
 
 use masm_core::update::{FieldPatch, UpdateOp};
 use masm_pagestore::{Key, Record, Schema};

@@ -25,7 +25,7 @@ use std::sync::Arc;
 use masm_baselines::IuEngine;
 use masm_bench::{print_table, scale_mb};
 use masm_blockrun::{
-    point_lookup, write_run as write_block_run, BlockCache, BlockRunConfig, Entry,
+    point_lookup, write_run as write_block_run, BlockCache, BlockRunConfig, BloomFilter, Entry,
 };
 use masm_core::update::{UpdateOp, UpdateRecord};
 use masm_core::{CodecChoice, MasmConfig, MasmEngine};
@@ -194,15 +194,18 @@ fn main() {
             let start = session.now();
             let mut found = 0u64;
             for &p in &probes {
-                let hits = point_lookup(
+                let mut hit = false;
+                point_lookup(
                     &session,
                     &dev,
                     &meta,
                     p,
+                    BloomFilter::hashes_of(p),
                     cache.as_ref().map(|c| (c.as_ref(), 1u64)),
+                    |_| hit = true,
                 )
                 .expect("lookup");
-                found += (!hits.is_empty()) as u64;
+                found += hit as u64;
             }
             let stats = dev.stats();
             let cs = cache.as_ref().map(|c| c.stats()).unwrap_or_default();

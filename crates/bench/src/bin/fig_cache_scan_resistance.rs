@@ -23,7 +23,7 @@ use std::sync::Arc;
 use masm_bench::{print_table, scale_mb};
 use masm_blockrun::{
     point_lookup, write_run, BlockCache, BlockCacheConfig, BlockRunConfig, BlockRunScan,
-    CachePolicy, CodecChoice, Entry,
+    BloomFilter, CachePolicy, CodecChoice, Entry,
 };
 use masm_storage::{DeviceProfile, SessionHandle, SimClock, SimDevice, MIB};
 use masm_telemetry::json::{parse, JsonObj};
@@ -112,8 +112,13 @@ fn run_workload(
     };
     let hot_pass = |cache: &Arc<BlockCache>| {
         for &k in &hot_keys {
-            let found = point_lookup(&session, &dev, &meta, k, Some((cache, 1))).unwrap();
-            std::hint::black_box(found.len());
+            let mut found = 0usize;
+            let hashes = BloomFilter::hashes_of(k);
+            point_lookup(&session, &dev, &meta, k, hashes, Some((cache, 1)), |_| {
+                found += 1
+            })
+            .unwrap();
+            std::hint::black_box(found);
         }
     };
 

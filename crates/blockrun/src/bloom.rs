@@ -19,7 +19,34 @@ fn mix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// An immutable bloom filter over a run's key set.
+/// The two 64-bit mixes of a key that every filter derives its probe
+/// positions from. They do not depend on the filter, so a point lookup
+/// over many runs computes them once ([`BloomFilter::hashes_of`]) and
+/// probes each run's filter with [`BloomFilter::contains_hashed`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KeyHashes {
+    h1: u64,
+    h2: u64,
+}
+
+/// The `k` bit positions of a key in a filter of `n_bits` bits:
+/// `(h1 + i·h2) mod n_bits` for `i < k`, the reduction a mask because
+/// `n_bits` is a power of two.
+#[inline]
+fn probes(h: KeyHashes, k: u32, n_bits: u64) -> impl Iterator<Item = u64> {
+    let mask = n_bits - 1;
+    let mut g = h.h1;
+    (0..k).map(move |_| {
+        let bit = g & mask;
+        g = g.wrapping_add(h.h2);
+        bit
+    })
+}
+
+/// An immutable bloom filter over a run's key set. `n_bits` is always
+/// a power of two ≥ 64 ([`BloomFilter::build`] makes it one and
+/// [`BloomFilter::decode`] accepts nothing else), so reducing a hash to
+/// a bit position is a mask, and any two filters fold into one another.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BloomFilter {
     bits: Vec<u64>,
@@ -27,11 +54,14 @@ pub struct BloomFilter {
     k: u32,
 }
 
+/// Largest probe count a filter carries (`optimal_k`'s ceiling).
+const MAX_K: u32 = 30;
+
 impl BloomFilter {
     /// Number of hash probes for a given bits-per-key budget
     /// (`k_opt = bits_per_key · ln 2`).
     pub fn optimal_k(bits_per_key: u32) -> u32 {
-        ((bits_per_key as f64 * std::f64::consts::LN_2).round() as u32).clamp(1, 30)
+        ((bits_per_key as f64 * std::f64::consts::LN_2).round() as u32).clamp(1, MAX_K)
     }
 
     /// Theoretical false-positive rate for a bits-per-key budget.
@@ -57,28 +87,33 @@ impl BloomFilter {
             k: Self::optimal_k(bits_per_key),
         };
         for key in keys {
-            let (h1, h2) = filter.hashes(key);
-            for i in 0..filter.k as u64 {
-                let bit = h1.wrapping_add(i.wrapping_mul(h2)) % filter.n_bits;
+            for bit in probes(Self::hashes_of(key), filter.k, n_bits) {
                 filter.bits[(bit / 64) as usize] |= 1 << (bit % 64);
             }
         }
         filter
     }
 
-    fn hashes(&self, key: u64) -> (u64, u64) {
-        let h1 = mix64(key ^ 0x9E37_79B9_7F4A_7C15);
-        let h2 = mix64(key.wrapping_add(0x6A09_E667_F3BC_C909)) | 1;
-        (h1, h2)
+    /// Hash `key` for [`BloomFilter::contains_hashed`].
+    #[inline]
+    pub fn hashes_of(key: u64) -> KeyHashes {
+        KeyHashes {
+            h1: mix64(key ^ 0x9E37_79B9_7F4A_7C15),
+            h2: mix64(key.wrapping_add(0x6A09_E667_F3BC_C909)) | 1,
+        }
     }
 
     /// Whether `key` may be present (false ⇒ definitely absent).
+    #[inline]
     pub fn contains(&self, key: u64) -> bool {
-        let (h1, h2) = self.hashes(key);
-        (0..self.k as u64).all(|i| {
-            let bit = h1.wrapping_add(i.wrapping_mul(h2)) % self.n_bits;
-            self.bits[(bit / 64) as usize] & (1 << (bit % 64)) != 0
-        })
+        self.contains_hashed(Self::hashes_of(key))
+    }
+
+    /// [`BloomFilter::contains`] for a key hashed once up front.
+    #[inline]
+    pub fn contains_hashed(&self, hashes: KeyHashes) -> bool {
+        probes(hashes, self.k, self.n_bits)
+            .all(|bit| self.bits[(bit / 64) as usize] & (1 << (bit % 64)) != 0)
     }
 
     /// Size of the bit array in bytes.
@@ -103,14 +138,10 @@ impl BloomFilter {
     /// are powers of two, `h mod n/2 == (h mod n) mod n/2` — so every
     /// key the original accepts, the folded filter accepts too (no
     /// false negatives; the false-positive rate rises with the tighter
-    /// packing). `None` when either size is not a power of two or
-    /// `n_bits` exceeds the current size.
+    /// packing). `None` when `n_bits` is not a power of two ≥ 64 or
+    /// exceeds the current size.
     pub fn fold_to(&self, n_bits: u64) -> Option<BloomFilter> {
-        if !self.n_bits.is_power_of_two()
-            || !n_bits.is_power_of_two()
-            || n_bits > self.n_bits
-            || n_bits < 64
-        {
+        if !n_bits.is_power_of_two() || n_bits > self.n_bits || n_bits < 64 {
             return None;
         }
         let mut bits = self.bits.clone();
@@ -132,9 +163,8 @@ impl BloomFilter {
     /// Union: a filter accepting every key either input accepts, used
     /// by compaction to rebuild an output run's filter from its inputs'
     /// without re-reading any key (the output's key set is a subset of
-    /// the inputs' union). Mismatched power-of-two sizes fold down to
-    /// the smaller one first; `None` when the probe counts differ or
-    /// either size resists folding.
+    /// the inputs' union). Mismatched sizes fold down to the smaller
+    /// one first; `None` when the probe counts differ.
     pub fn union(&self, other: &BloomFilter) -> Option<BloomFilter> {
         if self.k != other.k {
             return None;
@@ -160,17 +190,20 @@ impl BloomFilter {
         out
     }
 
-    /// Deserialize a filter produced by [`BloomFilter::encode`].
+    /// Deserialize a filter produced by [`BloomFilter::encode`]. The
+    /// bytes come off a device: anything [`BloomFilter::build`] cannot
+    /// have produced — a bit count that is not a power of two ≥ 64, a
+    /// probe count outside `1..=30`, a bit array of another length — is
+    /// refused, so the mask reduction holds for every filter there is.
     pub fn decode(buf: &[u8]) -> Option<Self> {
         let (k, used) = get_varint(buf)?;
         let mut pos = used;
         let (n_bits, used) = get_varint(&buf[pos..])?;
         pos += used;
-        if n_bits == 0 || n_bits % 64 != 0 || k == 0 || k > 64 {
+        if !n_bits.is_power_of_two() || n_bits < 64 || k == 0 || k > MAX_K as u64 {
             return None;
         }
-        let n_words = (n_bits / 64) as usize;
-        if buf.len() != pos + n_words * 8 {
+        if (buf.len() - pos) as u64 != n_bits / 8 {
             return None;
         }
         let bits = buf[pos..]
@@ -228,6 +261,90 @@ mod tests {
         let enc = f.encode();
         assert!(BloomFilter::decode(&enc[..enc.len() - 1]).is_none());
         assert!(BloomFilter::decode(&[]).is_none());
+    }
+
+    #[test]
+    fn decode_accepts_only_what_build_can_produce() {
+        let encoded = |k: u64, n_bits: u64, words: usize| {
+            let mut out = Vec::new();
+            put_varint(&mut out, k);
+            put_varint(&mut out, n_bits);
+            out.resize(out.len() + words * 8, 0xFF);
+            out
+        };
+        for (k, n_bits) in [(1, 64), (7, 1024), (30, 128)] {
+            let f = BloomFilter::decode(&encoded(k, n_bits, n_bits as usize / 64)).unwrap();
+            assert!(f.contains(12_345), "an all-ones filter accepts anything");
+        }
+        // Multiples of 64 that are not powers of two, sizes below one
+        // word, and probe counts `optimal_k` never returns.
+        for (k, n_bits) in [
+            (7, 192),
+            (7, 640),
+            (7, 0),
+            (7, 32),
+            (0, 64),
+            (31, 64),
+            (64, 64),
+        ] {
+            let words = (n_bits as usize).div_ceil(64);
+            assert!(
+                BloomFilter::decode(&encoded(k, n_bits, words)).is_none(),
+                "k = {k}, n_bits = {n_bits}"
+            );
+        }
+        // A bit count the buffer cannot hold must not be allocated for.
+        assert!(BloomFilter::decode(&encoded(7, 1 << 62, 1)).is_none());
+    }
+
+    /// The filter as it was before the mask: `% n_bits` per probe.
+    fn reference_build(keys: &[u64], bits_per_key: u32) -> (Vec<u64>, u64, u32) {
+        let n_bits = (keys.len() as u64 * bits_per_key as u64)
+            .max(64)
+            .next_power_of_two();
+        let k = BloomFilter::optimal_k(bits_per_key);
+        let mut bits = vec![0u64; (n_bits / 64) as usize];
+        for &key in keys {
+            for bit in reference_probes(key, k, n_bits) {
+                bits[(bit / 64) as usize] |= 1 << (bit % 64);
+            }
+        }
+        (bits, n_bits, k)
+    }
+
+    fn reference_probes(key: u64, k: u32, n_bits: u64) -> impl Iterator<Item = u64> {
+        let h1 = mix64(key ^ 0x9E37_79B9_7F4A_7C15);
+        let h2 = mix64(key.wrapping_add(0x6A09_E667_F3BC_C909)) | 1;
+        (0..k as u64).map(move |i| h1.wrapping_add(i.wrapping_mul(h2)) % n_bits)
+    }
+
+    #[test]
+    fn mask_reduction_sets_and_tests_the_bits_modulo_did() {
+        // One key count per size `build` produces from 1 to 10^5 keys
+        // at 10 bits per key: 64 bits, then every power of two to 2^20.
+        let counts = [
+            1usize, 6, 12, 25, 51, 102, 204, 409, 819, 1638, 3276, 6553, 13_107,
+        ]
+        .into_iter()
+        .chain([26_214, 52_428, 100_000]);
+        let mut sizes = Vec::new();
+        for n in counts {
+            let keys: Vec<u64> = (0..n as u64).map(|i| mix64(i) >> 8).collect();
+            let filter = BloomFilter::build(keys.iter().copied(), 10);
+            let (bits, n_bits, k) = reference_build(&keys, 10);
+            assert_eq!((filter.n_bits, filter.k), (n_bits, k));
+            assert!(filter.bits == bits, "{n} keys: a bit moved");
+            sizes.push(n_bits);
+            for probe in (0..10_000u64).map(|i| mix64(i ^ 0xABCD) >> 8) {
+                let want = reference_probes(probe, k, n_bits)
+                    .all(|bit| bits[(bit / 64) as usize] & (1 << (bit % 64)) != 0);
+                assert_eq!(filter.contains(probe), want, "{n} keys, probe {probe}");
+                assert_eq!(filter.contains_hashed(BloomFilter::hashes_of(probe)), want);
+            }
+        }
+        let every_size: Vec<u64> = (6..=20).map(|shift| 1u64 << shift).collect();
+        sizes.dedup();
+        assert_eq!(sizes, every_size);
     }
 
     #[test]

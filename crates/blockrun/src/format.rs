@@ -44,7 +44,7 @@ use masm_codec::CodecChoice;
 use masm_storage::{CompressionReport, IoTicket, SessionHandle, SimDevice, StorageError};
 
 use crate::block::{decode_block, Entry};
-use crate::bloom::BloomFilter;
+use crate::bloom::{BloomFilter, KeyHashes};
 use crate::cache::{BlockCache, CachedBlock, StoredBlock};
 use crate::checksum::crc32;
 
@@ -260,13 +260,18 @@ impl BlockRunMeta {
         first..last.max(first)
     }
 
-    /// Whether `key` may be present: zone-map bounds first, then the
-    /// bloom filter when one exists. `false` means definitely absent.
-    pub fn might_contain(&self, key: u64) -> bool {
+    /// Whether `key` may be present: the run's key bounds first, then
+    /// the bloom filter when one exists. `false` means definitely
+    /// absent. `hashes` is [`BloomFilter::hashes_of`]`(key)` — the
+    /// caller's, so that probing many runs hashes the key once.
+    #[inline]
+    pub fn might_contain(&self, key: u64, hashes: KeyHashes) -> bool {
         if key < self.min_key || key > self.max_key {
             return false;
         }
-        self.bloom.as_ref().is_none_or(|b| b.contains(key))
+        self.bloom
+            .as_ref()
+            .is_none_or(|b| b.contains_hashed(hashes))
     }
 
     /// In-memory footprint of the zone maps + bloom filter (the run's
@@ -572,26 +577,34 @@ pub fn read_block(
     Ok(entries)
 }
 
-/// All entries for `key` in this run, in timestamp order. Costs zero
-/// I/O when the bloom filter (or key bounds) excludes the key, and zero
-/// *device* I/O when the needed blocks are cached.
+/// Show `visit` every entry for `key` in this run, in timestamp order,
+/// borrowed from its (cached) block: key bounds → bloom filter → the
+/// one or two blocks whose zone covers the key. Nothing is materialised
+/// — a miss costs no allocation, and zero I/O when the bounds or the
+/// filter exclude the key; a hit costs zero *device* I/O when its block
+/// is cached. `hashes` is [`BloomFilter::hashes_of`]`(key)`, computed by
+/// the caller so a lookup over many runs hashes once.
 pub fn point_lookup(
     session: &SessionHandle,
     dev: &SimDevice,
     meta: &BlockRunMeta,
     key: u64,
+    hashes: KeyHashes,
     cache: Option<(&BlockCache, u64)>,
-) -> BlockRunResult<Vec<Entry>> {
-    if !meta.might_contain(key) {
-        return Ok(Vec::new());
+    mut visit: impl FnMut(&Entry),
+) -> BlockRunResult<()> {
+    if !meta.might_contain(key, hashes) {
+        return Ok(());
     }
-    let mut out = Vec::new();
     for idx in meta.blocks_overlapping(key, key) {
         let block = read_block(session, dev, meta, idx, cache)?;
         let start = block.partition_point(|e| e.key < key);
-        out.extend(block[start..].iter().take_while(|e| e.key == key).cloned());
+        block[start..]
+            .iter()
+            .take_while(|e| e.key == key)
+            .for_each(&mut visit);
     }
-    Ok(out)
+    Ok(())
 }
 
 /// Streaming scan of one run restricted to `[begin, end]`.
@@ -1140,6 +1153,20 @@ mod tests {
         assert!(read_meta(&s, &dev, 0, meta.total_bytes).is_err());
     }
 
+    /// What the visitor of [`point_lookup`] is shown, collected.
+    fn lookup(
+        s: &SessionHandle,
+        dev: &SimDevice,
+        meta: &BlockRunMeta,
+        key: u64,
+        cache: Option<(&BlockCache, u64)>,
+    ) -> Vec<Entry> {
+        let mut found = Vec::new();
+        let hashes = BloomFilter::hashes_of(key);
+        point_lookup(s, dev, meta, key, hashes, cache, |e| found.push(e.clone())).unwrap();
+        found
+    }
+
     #[test]
     fn point_lookup_uses_bloom_to_skip_io() {
         let (dev, s) = setup();
@@ -1151,8 +1178,7 @@ mod tests {
         let mut io_free = 0;
         for probe in 0..200u64 {
             let before = dev.stats().read_ops;
-            let hits = point_lookup(&s, &dev, &meta, probe * 2 + 1, None).unwrap();
-            assert!(hits.is_empty());
+            assert!(lookup(&s, &dev, &meta, probe * 2 + 1, None).is_empty());
             if dev.stats().read_ops == before {
                 io_free += 1;
             }
@@ -1160,8 +1186,9 @@ mod tests {
         assert!(io_free > 180, "bloom skipped I/O for {io_free}/200 probes");
         // Present key: found with exactly one block read.
         let before = dev.stats().read_ops;
-        let found = point_lookup(&s, &dev, &meta, 500, None).unwrap();
+        let found = lookup(&s, &dev, &meta, 500, None);
         assert_eq!(found.len(), 1);
+        assert_eq!(found[0].key, 500);
         assert_eq!(dev.stats().read_ops - before, 1);
     }
 
@@ -1172,12 +1199,11 @@ mod tests {
         let meta = write_run(&s, &dev, 0, &small_cfg(), &entries(&keys)).unwrap();
         let cache = BlockCache::new(1 << 20);
         for k in [10u64, 500, 990] {
-            point_lookup(&s, &dev, &meta, k, Some((&cache, 1))).unwrap();
+            lookup(&s, &dev, &meta, k, Some((&cache, 1)));
         }
         let warm_start = dev.stats().read_ops;
         for k in [10u64, 500, 990] {
-            let found = point_lookup(&s, &dev, &meta, k, Some((&cache, 1))).unwrap();
-            assert_eq!(found.len(), 1);
+            assert_eq!(lookup(&s, &dev, &meta, k, Some((&cache, 1))).len(), 1);
         }
         assert_eq!(dev.stats().read_ops, warm_start, "zero device reads warm");
         assert!(cache.stats().hits >= 3);
@@ -1222,7 +1248,7 @@ mod tests {
         assert_eq!(meta.entry_count, 0);
         let back = read_meta(&s, &dev, 0, meta.total_bytes).unwrap();
         assert!(back.zones.is_empty());
-        assert!(!back.might_contain(0));
+        assert!(!back.might_contain(0, BloomFilter::hashes_of(0)));
         let got: Vec<Entry> =
             BlockRunScan::new(dev, s, Arc::new(back), None, 1, 0, u64::MAX).collect();
         assert!(got.is_empty());

@@ -57,7 +57,7 @@ pub mod format;
 pub mod plan;
 
 pub use block::Entry;
-pub use bloom::BloomFilter;
+pub use bloom::{BloomFilter, KeyHashes};
 pub use builder::RunBuilder;
 pub use cache::{BlockCache, BlockCacheConfig, BlockKey, CachePolicy, CachedBlock, StoredBlock};
 pub use checksum::crc32;

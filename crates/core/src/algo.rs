@@ -22,9 +22,13 @@ use crate::run::{SortedRun, SsdSpace};
 
 /// The set of live materialized sorted runs, ordered by minimum
 /// timestamp (creation order; 2-pass runs inherit their inputs' era).
+///
+/// The set is published as one shared slice, rebuilt when it changes
+/// (once per flush, merge or migration): a query pins all of it with
+/// one refcount bump ([`RunSet::shared`]) however many runs there are.
 #[derive(Debug, Default)]
 pub struct RunSet {
-    runs: Vec<Arc<SortedRun>>,
+    runs: Arc<[Arc<SortedRun>]>,
     space: SsdSpace,
     next_id: u64,
 }
@@ -38,6 +42,12 @@ impl RunSet {
     /// Live runs, earliest first.
     pub fn runs(&self) -> &[Arc<SortedRun>] {
         &self.runs
+    }
+
+    /// The live runs as a query snapshot holds them: immutable, and
+    /// unaffected by what is added or removed afterwards.
+    pub fn shared(&self) -> Arc<[Arc<SortedRun>]> {
+        Arc::clone(&self.runs)
     }
 
     /// Number of live runs.
@@ -93,22 +103,18 @@ impl RunSet {
 
     /// Register a freshly materialized run.
     pub fn add(&mut self, run: Arc<SortedRun>) {
-        self.runs.push(run);
-        self.runs.sort_by_key(|r| (r.min_ts, r.id));
+        let order = |r: &SortedRun| (r.min_ts, r.id);
+        let at = self.runs.partition_point(|r| order(r) < order(&run));
+        let (before, after) = self.runs.split_at(at);
+        self.runs = before.iter().chain([&run]).chain(after).cloned().collect();
     }
 
     /// Remove runs by id, releasing their SSD space.
     pub fn remove_ids(&mut self, ids: &[u64]) {
-        let mut freed = 0u64;
-        self.runs.retain(|r| {
-            if ids.contains(&r.id) {
-                freed += r.bytes;
-                false
-            } else {
-                true
-            }
-        });
-        self.space.free(freed);
+        let gone = |r: &&Arc<SortedRun>| ids.contains(&r.id);
+        self.space
+            .free(self.runs.iter().filter(gone).map(|r| r.bytes).sum());
+        self.runs = self.runs.iter().filter(|r| !gone(r)).cloned().collect();
     }
 
     /// The `N` earliest adjacent 1-pass runs to merge when the run count
@@ -169,6 +175,20 @@ mod tests {
         rs.add(dummy_run(3, 2, 5, 100));
         let ids: Vec<u64> = rs.runs().iter().map(|r| r.id).collect();
         assert_eq!(ids, vec![3, 1, 2]);
+    }
+
+    #[test]
+    fn a_shared_slice_is_a_snapshot() {
+        let mut rs = RunSet::new();
+        rs.add(dummy_run(1, 1, 10, 100));
+        rs.add(dummy_run(2, 1, 20, 100));
+        let pinned = rs.shared();
+        rs.add(dummy_run(3, 1, 5, 100));
+        rs.remove_ids(&[1]);
+        let ids = |runs: &[Arc<SortedRun>]| runs.iter().map(|r| r.id).collect::<Vec<_>>();
+        assert_eq!(ids(&pinned), vec![1, 2], "what was pinned stays as it was");
+        assert_eq!(ids(rs.runs()), vec![3, 2]);
+        assert_eq!(ids(&rs.shared()), vec![3, 2]);
     }
 
     #[test]

@@ -19,8 +19,9 @@
 //! The engine state sits behind a [`TrackedMutex`] that is **never**
 //! held across device I/O (the storage layer debug-asserts this). A
 //! query *pins*: one short lock hold registers its timestamp and
-//! clones the immutable `Arc`s it will read (runs, sealed batches, the
-//! matching buffer entries); dropping the query unpins. Everything
+//! clones the immutable `Arc`s it will read (the run set — one shared
+//! slice, one refcount — the sealed batches, the matching buffer
+//! entries); dropping the query unpins. Everything
 //! that changes the run set — flush, compaction, migration — follows
 //! one path, written once in `state`:
 //!
@@ -66,6 +67,21 @@
 //! is an idempotent state-setter (see `merge`'s idempotence note).
 //! Runs are retired, and the migration logged, only when the span is
 //! the engine's whole range.
+//!
+//! Invariant: **a page is resolved and read under one hold of the heap
+//! lock.** Migrations wait only for queries *older* than their
+//! timestamp; later ones run beside the rewrite, and every chunk it
+//! commits splices the page map — the logical index of every later
+//! page shifts, and the physical slots of the replaced pages go back
+//! to the allocator. So `key → logical page → physical offset → bytes`
+//! is one step: `get` reads its base record through
+//! `TableHeap::with_page_of` and a scan issues each batch under the
+//! heap's read lock, locating it by key. Resolve in one hold and read
+//! in another, and a commit in between hands the lookup a neighbour's
+//! page — a `None` for a record that exists — or an index past the
+//! end of the map. A `get` pins itself with a guard
+//! (`state::LookupPin`), so no way out of it, a panic included, leaves
+//! a query registered for a migration to wait on forever.
 //!
 //! Invariant: **one rewriter per heap.** A `HeapRewriter` addresses
 //! pages by logical index, which another rewriter's splice shifts, so

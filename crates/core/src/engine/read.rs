@@ -3,6 +3,7 @@
 
 use std::sync::Arc;
 
+use masm_blockrun::BloomFilter;
 use masm_pagestore::{Key, RangeScan, Record};
 use masm_storage::{Ns, SessionHandle, StorageError};
 use masm_telemetry::Timer;
@@ -79,7 +80,7 @@ impl MasmEngine {
 
         let mut streams: Vec<UpdateStream> =
             Vec::with_capacity(snapshot.runs.len() + snapshot.sealed.len() + 2);
-        for run in &snapshot.runs {
+        for run in snapshot.runs.iter() {
             if run.max_key < begin || run.min_key > end {
                 continue;
             }
@@ -97,14 +98,10 @@ impl MasmEngine {
             }
             streams.push(Box::new(scan));
         }
-        for batch in &snapshot.sealed {
-            let slice: Vec<UpdateRecord> = batch
-                .iter()
-                .filter(|u| u.key >= begin && u.key <= end)
-                .cloned()
-                .collect();
-            if !slice.is_empty() {
-                streams.push(Box::new(slice.into_iter()));
+        for batch in snapshot.sealed {
+            let in_range = key_range(&batch, begin, end);
+            if !in_range.is_empty() {
+                streams.push(Box::new(in_range.map(move |i| batch[i].clone())));
             }
         }
         streams.push(Box::new(snapshot.mem.into_iter()));
@@ -130,15 +127,20 @@ impl MasmEngine {
 
     /// Point lookup: the freshest visible version of `key`.
     ///
-    /// Consults, in order, the in-memory update buffer, the
-    /// materialized runs — per-run bloom filters reject runs that
-    /// definitely lack the key with zero I/O, and needed blocks come
-    /// through the shared block cache — and finally the heap page
-    /// that would hold the key. All updates visible at the lookup's
-    /// timestamp are applied to the heap base record (page timestamps
-    /// skip updates a migration already folded in), so the result is
-    /// exactly what a [`MasmEngine::begin_scan`] of `[key, key]` would
-    /// return, at a fraction of the setup cost.
+    /// Touches only what it returns. Each materialized run is asked in
+    /// three steps — its key fence, its bloom filter (the key hashed
+    /// once for all runs), and only then the one block whose zone
+    /// covers the key, through the shared block cache — and shows its
+    /// matches to a visitor, so a run without the key costs no I/O and
+    /// no allocation. Sealed batches are cut by binary search, the
+    /// in-memory buffer is filtered on its key column, and the heap
+    /// page that owns the key is probed **in place**
+    /// ([`masm_pagestore::TableHeap::with_page_of`]): a binary search
+    /// of its slot directory, one record decoded. All updates visible at the
+    /// lookup's timestamp are applied to the heap base record (page
+    /// timestamps skip updates a migration already folded in), so the
+    /// result is exactly what a [`MasmEngine::begin_scan`] of
+    /// `[key, key]` would return, at a fraction of the cost.
     pub fn get(self: &Arc<Self>, session: &SessionHandle, key: Key) -> MasmResult<Option<Record>> {
         let _t = Timer::start(&self.metrics.get, || session.now());
         let _sp = self.trace().and_then(|t| {
@@ -146,46 +148,50 @@ impl MasmEngine {
             t.op_span("get", self.track(), move || s.now())
         });
         // Pinned as an active query, so a concurrent migration cannot
-        // retire the runs (and recycle their SSD space) mid-lookup.
-        let (ts, snapshot) = {
-            let mut st = self.state.lock();
-            let ts = self.oracle.next();
-            (ts, st.pin(ts, key, key, false))
-        };
-        let result = (|| {
-            let mut updates: Vec<UpdateRecord> = Vec::new();
-            for run in &snapshot.runs {
-                updates.extend(
-                    lookup_in_run(session, &self.ssd, run, Some(&self.cache), key)?
-                        .into_iter()
-                        .filter(|u| u.ts <= ts),
-                );
-            }
-            for batch in &snapshot.sealed {
-                updates.extend(batch.iter().filter(|u| u.key == key && u.ts <= ts).cloned());
-            }
-            updates.extend(snapshot.mem);
-            updates.sort_by_key(|u| u.ts);
+        // retire the runs (and recycle their SSD space) mid-lookup; the
+        // guard unpins on every way out of here.
+        let (pin, snapshot) = self.pin_lookup(key);
+        let ts = pin.ts();
 
-            let (base, page_ts) = match self.heap.locate(key) {
-                Some(logical) => {
-                    let page = self.heap.read_page(session, logical)?;
-                    let rec = page.records().find(|r| r.key == key);
-                    (rec, page.timestamp())
+        let mut updates: Vec<UpdateRecord> = Vec::new();
+        let hashes = BloomFilter::hashes_of(key);
+        let (ssd, cache) = (&self.ssd, Some(&*self.cache));
+        for run in snapshot.runs.iter() {
+            lookup_in_run(session, ssd, run, cache, key, hashes, |u| {
+                if u.ts <= ts {
+                    updates.push(u);
                 }
-                None => (None, 0),
-            };
-            let mut current = base;
-            for u in updates {
-                if u.ts > page_ts {
-                    current = u.apply_to(current, &self.schema);
-                }
+            })?;
+        }
+        for batch in &snapshot.sealed {
+            let versions = batch[key_range(batch, key, key)].iter();
+            updates.extend(versions.filter(|u| u.ts <= ts).cloned());
+        }
+        updates.extend(snapshot.mem);
+        updates.sort_by_key(|u| u.ts);
+
+        // Page resolution and read are one step under one heap lock
+        // hold (see the module doc of `engine`).
+        let base = self.heap.with_page_of(session, key, |page| {
+            let record = page.find(key).ok().map(|slot| page.record(slot));
+            (record, page.timestamp())
+        })?;
+        let (mut current, page_ts) = base.unwrap_or((None, 0));
+        for u in updates {
+            if u.ts > page_ts {
+                current = u.apply_to(current, &self.schema);
             }
-            Ok(current)
-        })();
-        self.unpin(ts);
-        result
+        }
+        Ok(current)
     }
+}
+
+/// Where in a sealed batch — sorted by key, then timestamp — the
+/// updates with keys in `[begin, end]` lie.
+fn key_range(batch: &[UpdateRecord], begin: Key, end: Key) -> std::ops::Range<usize> {
+    let lo = batch.partition_point(|u| u.key < begin);
+    let len = batch[lo..].partition_point(|u| u.key <= end);
+    lo..lo + len
 }
 
 /// A merged range scan: the operator tree of Figure 6 rooted at

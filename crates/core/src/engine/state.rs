@@ -74,7 +74,8 @@ pub(super) struct EngineState {
 /// Everything a query reads besides the heap: immutable `Arc`s and a
 /// copy of the matching buffer entries, taken under one lock hold.
 pub(super) struct Snapshot {
-    pub(super) runs: Vec<Arc<SortedRun>>,
+    /// The run set as published at the pin: one shared slice.
+    pub(super) runs: Arc<[Arc<SortedRun>]>,
     /// Sealed batches: their updates are not yet in any run.
     pub(super) sealed: Vec<Arc<Vec<UpdateRecord>>>,
     pub(super) mem: Vec<UpdateRecord>,
@@ -112,7 +113,7 @@ impl EngineState {
     /// reads of `[begin, end]`. A scan pins one query page per run.
     #[inline]
     pub(super) fn pin(&mut self, ts: Timestamp, begin: Key, end: Key, scan: bool) -> Snapshot {
-        let runs = self.runs.runs().to_vec();
+        let runs = self.runs.shared();
         let pages = if scan { runs.len() as u64 } else { 0 };
         self.active_queries.insert(
             ts,
@@ -318,7 +319,38 @@ impl Drop for Claim<'_> {
     }
 }
 
+/// The pin of a point lookup, released when it drops: no way out of
+/// the lookup — a result, an error, a panic — can leave a query
+/// registered that nobody will unpin (a migration would wait for it
+/// forever). A scan's pin lives as long as its `MergeScan` instead.
+pub(super) struct LookupPin<'a> {
+    engine: &'a MasmEngine,
+    ts: Timestamp,
+}
+
+impl LookupPin<'_> {
+    /// The lookup's query timestamp.
+    pub(super) fn ts(&self) -> Timestamp {
+        self.ts
+    }
+}
+
+impl Drop for LookupPin<'_> {
+    fn drop(&mut self) {
+        self.engine.unpin(self.ts);
+    }
+}
+
 impl MasmEngine {
+    /// Draw a query timestamp and pin a point lookup of `key` at it.
+    #[inline]
+    pub(super) fn pin_lookup(&self, key: Key) -> (LookupPin<'_>, Snapshot) {
+        let mut st = self.state.lock();
+        let ts = self.oracle.next();
+        let snapshot = st.pin(ts, key, key, false);
+        (LookupPin { engine: self, ts }, snapshot)
+    }
+
     /// Release the pin of the query at `ts`.
     #[inline]
     pub(super) fn unpin(&self, ts: Timestamp) {

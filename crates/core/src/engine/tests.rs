@@ -5,8 +5,12 @@ use std::sync::Arc;
 use masm_pagestore::{HeapConfig, Key, Record, Schema, TableHeap};
 use masm_storage::{DeviceProfile, SessionHandle, SimClock, SimDevice};
 
+use masm_blockrun::{Entry, RunBuilder};
+
 use super::{MasmEngine, MigrationReport};
 use crate::config::MasmConfig;
+use crate::error::MasmError;
+use crate::run::{write_built, SortedRun};
 use crate::update::UpdateOp;
 use crate::wal::WalRecord;
 
@@ -610,6 +614,73 @@ fn get_consults_buffer_runs_bloom_and_heap() {
         let via_get = f.engine.get(&f.session, key).unwrap();
         assert_eq!(via_scan.first(), via_get.as_ref(), "key {key}");
     }
+}
+
+/// Run `f` on a thread of its own and fail if it is still running a
+/// minute later: a stranded pin shows as a `migrate` that waits on
+/// `quiesce` forever, which has to fail the test, not hang the job.
+fn within_a_minute<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (done, result) = std::sync::mpsc::channel();
+    let worker = std::thread::spawn(move || {
+        let _ = done.send(f());
+    });
+    match result.recv_timeout(std::time::Duration::from_secs(60)) {
+        Ok(value) => value,
+        Err(std::sync::mpsc::RecvTimeoutError::Timeout) => panic!("still waiting after 60 s"),
+        Err(_) => std::panic::resume_unwind(worker.join().expect_err("it sent nothing")),
+    }
+}
+
+/// Whichever way a `get` ends, it is no longer a registered query
+/// afterwards: a later migration (which waits for every earlier query)
+/// returns, and no snapshot is left trailing the epoch.
+#[test]
+fn no_exit_from_get_strands_its_pin() {
+    let f = fixture(200);
+    for i in 0..50u64 {
+        f.engine
+            .apply_update(&f.session, i * 2, UpdateOp::Replace(payload(7)))
+            .unwrap();
+    }
+    f.engine.flush_buffer(&f.session).unwrap();
+
+    // An error from the heap read.
+    f.engine.heap().device().inject_read_fault();
+    let err = f.engine.get(&f.session, 40).unwrap_err();
+    assert!(matches!(err, MasmError::Storage(_)), "{err}");
+    f.engine.heap().device().clear_read_fault();
+
+    // An error from a run: an entry for key 41 that passes its block's
+    // CRC and carries an operation tag nobody wrote.
+    let bad_run = {
+        let mut builder = RunBuilder::new(f.engine.cfg.blockrun_config());
+        builder.append_entry(Entry::new(41, f.engine.oracle.next(), vec![0x7F]));
+        let (meta, bytes) = builder.finish();
+        let mut st = f.engine.state.lock();
+        let mut run = SortedRun::from_meta(st.runs.next_id(), 1, meta);
+        run.rebase(st.runs.alloc_space(run.bytes));
+        drop(st);
+        write_built(&f.session, f.engine.ssd(), &run, &bytes).unwrap();
+        f.engine.state.lock().runs.add(Arc::new(run.clone()));
+        run.id
+    };
+    let err = f.engine.get(&f.session, 41).unwrap_err();
+    assert!(matches!(err, MasmError::Corrupt("run entry")), "{err}");
+    assert!(f.engine.get(&f.session, 40).unwrap().is_some());
+    // (A migration scans its runs whole, and the scan path still
+    // panics on such an entry: take the run away again.)
+    f.engine.state.lock().runs.remove_ids(&[bad_run]);
+
+    let (engine, session) = (Arc::clone(&f.engine), f.session.clone());
+    let report = within_a_minute(move || engine.migrate(&session).unwrap());
+    assert_eq!(report.runs_migrated, 1);
+    assert_eq!(
+        f.engine.stats().workers.epoch_lag,
+        0,
+        "no query left pinned"
+    );
+    let rec = f.engine.get(&f.session, 40).unwrap().expect("migrated");
+    assert_eq!(schema().get_u32(&rec.payload, 0), 7);
 }
 
 /// A partial migration rewrites whole pages, so it has to apply every

@@ -23,6 +23,9 @@ use crate::update::UpdateRecord;
 #[derive(Debug)]
 pub struct UpdateBuffer {
     entries: Vec<UpdateRecord>,
+    /// `entries[i].key`, packed: a query's snapshot filters on these 8
+    /// bytes per update and touches a 48-byte record only on a match.
+    keys: Vec<Key>,
     bytes: usize,
     capacity: usize,
     base_capacity: usize,
@@ -33,6 +36,7 @@ impl UpdateBuffer {
     pub fn new(capacity: usize) -> Self {
         UpdateBuffer {
             entries: Vec::new(),
+            keys: Vec::new(),
             bytes: 0,
             capacity,
             base_capacity: capacity,
@@ -45,6 +49,7 @@ impl UpdateBuffer {
     /// overflow on the next arrival).
     pub fn push(&mut self, u: UpdateRecord) {
         self.bytes += u.encoded_len();
+        self.keys.push(u.key);
         self.entries.push(u);
     }
 
@@ -101,12 +106,25 @@ impl UpdateBuffer {
     /// Sorted snapshot of updates overlapping `[begin, end]` with
     /// `ts ≤ as_of` — the `Mem_scan` input for one query.
     pub fn snapshot_range(&self, begin: Key, end: Key, as_of: Timestamp) -> Vec<UpdateRecord> {
-        let mut out: Vec<UpdateRecord> = self
-            .entries
-            .iter()
-            .filter(|u| u.key >= begin && u.key <= end && u.ts <= as_of)
-            .cloned()
-            .collect();
+        if end < begin {
+            return Vec::new();
+        }
+        // `begin ≤ k ≤ end` as one unsigned compare (`end - begin`
+        // cannot overflow, `k - begin` wraps keys below `begin` above
+        // any width): a branch-free pass over the key column, which is
+        // all a query that matches nothing — most point lookups — pays.
+        let width = end - begin;
+        let in_range = |k: Key| k.wrapping_sub(begin) <= width;
+        let matching = self.keys.iter().filter(|&&k| in_range(k)).count();
+        if matching == 0 {
+            return Vec::new();
+        }
+        let mut out = Vec::with_capacity(matching);
+        let rows = self.keys.iter().zip(&self.entries);
+        out.extend(
+            rows.filter(|&(&k, u)| in_range(k) && u.ts <= as_of)
+                .map(|(_, u)| u.clone()),
+        );
         out.sort_by_key(|a| (a.key, a.ts));
         out
     }
@@ -114,7 +132,11 @@ impl UpdateBuffer {
     /// Drain everything, sorted by `(key, ts)`, for materializing a
     /// sorted run. Also returns stolen capacity.
     pub fn drain_sorted(&mut self) -> Vec<UpdateRecord> {
-        let mut out = std::mem::take(&mut self.entries);
+        // The next fill is as large as this one: size its buffer once
+        // instead of growing it by doubling, as `keys` keeps its own.
+        let refill = Vec::with_capacity(self.entries.len());
+        let mut out = std::mem::replace(&mut self.entries, refill);
+        self.keys.clear();
         self.bytes = 0;
         self.return_stolen_pages();
         out.sort_by_key(|a| (a.key, a.ts));
@@ -184,6 +206,58 @@ mod tests {
         // Sorted by (key, ts).
         let keys: Vec<(Key, Timestamp)> = snap_all.iter().map(|u| (u.key, u.ts)).collect();
         assert_eq!(keys, vec![(10, 1), (20, 2), (20, 4), (30, 3)]);
+    }
+
+    #[test]
+    fn key_column_tracks_entries_and_snapshots_match_a_reference_filter() {
+        let in_step = |b: &UpdateBuffer| {
+            assert_eq!(b.keys.len(), b.entries.len());
+            assert!(b.keys.iter().zip(&b.entries).all(|(&k, u)| k == u.key));
+        };
+        let reference = |b: &UpdateBuffer, begin: Key, end: Key, as_of: Timestamp| {
+            let mut rows: Vec<UpdateRecord> = b
+                .entries
+                .iter()
+                .filter(|u| u.key >= begin && u.key <= end && u.ts <= as_of)
+                .cloned()
+                .collect();
+            rows.sort_by_key(|u| (u.key, u.ts));
+            rows
+        };
+        let mut b = UpdateBuffer::new(64);
+        for round in 0..3u64 {
+            let keys = [0, 7, 7, 40, Key::MAX - 1, Key::MAX, 3, Key::MAX, 40];
+            for (i, key) in keys.into_iter().enumerate() {
+                b.push(upd(round * 100 + i as u64 + 1, key));
+                in_step(&b);
+            }
+            b.steal_page(64);
+            in_step(&b);
+            let latest = round * 100 + 50;
+            let ranges = [
+                (7, 7),                   // a point with two versions
+                (8, 8),                   // a point with none
+                (Key::MAX, Key::MAX),     // the last key
+                (0, Key::MAX),            // everything
+                (4, 40),                  // a range
+                (41, Key::MAX - 2),       // an empty range
+                (Key::MAX - 1, Key::MAX), // a range ending at the last key
+                (40, 7),                  // begin > end
+            ];
+            for (begin, end) in ranges {
+                for as_of in [0, round * 100 + 3, latest] {
+                    assert_eq!(
+                        b.snapshot_range(begin, end, as_of),
+                        reference(&b, begin, end, as_of),
+                        "[{begin}, {end}] as of {as_of}"
+                    );
+                }
+            }
+            assert_eq!(b.snapshot_range(0, Key::MAX, latest).len(), keys.len());
+            assert_eq!(b.drain_sorted().len(), keys.len());
+            in_step(&b);
+            assert!(b.is_empty() && b.keys.is_empty());
+        }
     }
 
     #[test]

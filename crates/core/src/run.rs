@@ -24,12 +24,12 @@
 
 use std::sync::Arc;
 
-use masm_blockrun::{BlockCache, BlockRunMeta, BlockRunScan, Entry, RunBuilder};
+use masm_blockrun::{BlockCache, BlockRunMeta, BlockRunScan, Entry, KeyHashes, RunBuilder};
 use masm_pagestore::Key;
 use masm_storage::{SessionHandle, SimDevice};
 
 use crate::config::MasmConfig;
-use crate::error::MasmResult;
+use crate::error::{MasmError, MasmResult};
 use crate::ts::Timestamp;
 use crate::update::UpdateRecord;
 
@@ -273,19 +273,37 @@ impl Iterator for RunScan {
     }
 }
 
-/// All updates for `key` in `run`, oldest first — a bloom-guarded point
-/// lookup: zero I/O when the filter excludes the key, zero *device* I/O
-/// when the needed block is cached.
+/// Hand `visit` every update for `key` in `run`, oldest first — the
+/// per-run step of a point lookup: key fence → bloom filter → one block
+/// ([`masm_blockrun::point_lookup`]). A run that lacks the key costs no
+/// I/O (mostly) and no allocation; a hit is decoded once, from the
+/// cached block straight into the caller's hands. `hashes` is
+/// [`masm_blockrun::BloomFilter::hashes_of`]`(key)`, computed once for
+/// all runs.
+///
+/// An entry that does not decode is [`MasmError::Corrupt`]: these are
+/// bytes off a device, and a point lookup answers with a typed error.
 pub fn lookup_in_run(
     session: &SessionHandle,
     ssd: &SimDevice,
     run: &SortedRun,
     cache: Option<&BlockCache>,
     key: Key,
-) -> MasmResult<Vec<UpdateRecord>> {
-    let entries =
-        masm_blockrun::point_lookup(session, ssd, &run.meta, key, cache.map(|c| (c, run.id)))?;
-    Ok(entries.iter().map(|e| from_entry(run.id, e)).collect())
+    hashes: KeyHashes,
+    mut visit: impl FnMut(UpdateRecord),
+) -> MasmResult<()> {
+    let mut undecodable = false;
+    let cache = cache.map(|c| (c, run.id));
+    masm_blockrun::point_lookup(session, ssd, &run.meta, key, hashes, cache, |e| {
+        match UpdateRecord::decode_value(e.key, e.ts, &e.value) {
+            Some(update) => visit(update),
+            None => undecodable = true,
+        }
+    })?;
+    if undecodable {
+        return Err(MasmError::Corrupt("run entry"));
+    }
+    Ok(())
 }
 
 /// Bump allocator for run space on the SSD.
@@ -342,6 +360,7 @@ impl SsdSpace {
 mod tests {
     use super::*;
     use crate::update::{FieldPatch, UpdateOp};
+    use masm_blockrun::BloomFilter;
     use masm_storage::{DeviceProfile, SimClock};
 
     fn setup() -> (SimDevice, SessionHandle, MasmConfig) {
@@ -468,7 +487,13 @@ mod tests {
         let (ssd, s, cfg) = setup();
         let keys: Vec<Key> = (0..400).map(|i| i * 2).collect();
         let run = write_run(&s, &ssd, &cfg, 1, 0, 1, &updates(&keys)).unwrap();
-        let hit = lookup_in_run(&s, &ssd, &run, None, 200).unwrap();
+        let lookup = |key: Key| {
+            let mut found = Vec::new();
+            let hashes = BloomFilter::hashes_of(key);
+            lookup_in_run(&s, &ssd, &run, None, key, hashes, |u| found.push(u)).unwrap();
+            found
+        };
+        let hit = lookup(200);
         assert_eq!(hit.len(), 1);
         assert_eq!(hit[0].key, 200);
         // Absent keys mostly cost zero reads thanks to the bloom filter.
@@ -476,9 +501,7 @@ mod tests {
         let mut io_free = 0;
         for probe in 0..100u64 {
             let before = ssd.stats().read_ops;
-            assert!(lookup_in_run(&s, &ssd, &run, None, probe * 2 + 1)
-                .unwrap()
-                .is_empty());
+            assert!(lookup(probe * 2 + 1).is_empty());
             if ssd.stats().read_ops == before {
                 io_free += 1;
             }

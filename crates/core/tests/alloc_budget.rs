@@ -1,5 +1,8 @@
-//! Allocation budgets of the two hot paths, on exact counts.
+//! Allocation budgets of the three hot paths, on exact counts.
 //!
+//! * A point lookup allocates what it returns — the record's payload —
+//!   and what decoding an update that applies to the key takes: a run
+//!   that lacks the key, the heap page and the pin cost nothing.
 //! * A hot-cache merged scan allocates the payload of each record it
 //!   returns, what decoding an update's operation takes, and a constant
 //!   per block and per heap batch — no page copies, no entry clones, no
@@ -10,11 +13,12 @@
 //!   from the sorted updates into the flat block buffer.
 //!
 //! A binary of its own, because the counting allocator is process-wide;
-//! it counts per thread, so the two tests (each single-threaded, inline
+//! it counts per thread, so the tests (each single-threaded, inline
 //! maintenance) can run side by side.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use masm_core::config::MasmConfig;
@@ -102,16 +106,17 @@ fn mixed_update(i: u64, records: u64, schema: &Schema) -> (Key, UpdateOp) {
     }
 }
 
-#[test]
-fn hot_scan_allocates_per_record_returned_and_per_update_decoded() {
-    const RECORDS: u64 = 40_000; // four 1 MiB heap batches
-    const UPDATES: u64 = 6_000;
+const RECORDS: u64 = 40_000; // four 1 MiB heap batches
+const UPDATES: u64 = 6_000;
 
+/// The hot-cache fixture: `RECORDS` rows, `UPDATES` mixed updates in
+/// six runs of 1,000, an empty buffer, and — after one scan of
+/// everything, whose record count is returned — every run block in
+/// tier 1 of a cache big enough to keep them all.
+fn hot_engine() -> (Arc<MasmEngine>, SessionHandle, Schema, u64) {
     let mut cfg = MasmConfig::small_for_tests();
-    cfg.block_cache_bytes = 64 << 20; // every run block stays in tier 1
+    cfg.block_cache_bytes = 64 << 20;
     let (engine, session, schema) = loaded_engine(cfg, RECORDS);
-
-    // Every 1,000 updates a run of its own.
     for i in 0..UPDATES {
         let (key, op) = mixed_update(i, RECORDS, &schema);
         engine.apply_update(&session, key, op).unwrap();
@@ -121,17 +126,24 @@ fn hot_scan_allocates_per_record_returned_and_per_update_decoded() {
     }
     let stats = engine.stats();
     assert_eq!(stats.buffer.updates, 0, "every update is in a run");
-    let runs = stats.runs.count;
+    assert!(stats.runs.count >= 6);
+    let warm = engine.begin_scan(session.clone(), 0, Key::MAX).unwrap();
+    let records = warm.count() as u64;
+    assert!(engine.cache_stats().insertions > 0);
+    (engine, session, schema, records)
+}
 
+#[test]
+fn hot_scan_allocates_per_record_returned_and_per_update_decoded() {
+    let (engine, session, _, warm) = hot_engine();
+    let runs = engine.stats().runs.count;
+    let blocks = engine.cache_stats().insertions;
     let scan_all = || {
         engine
             .begin_scan(session.clone(), 0, Key::MAX)
             .unwrap()
             .count() as u64
     };
-    let warm = scan_all();
-    let blocks = engine.cache_stats().insertions;
-    assert!(blocks > 0 && runs >= 6);
 
     let before = allocations();
     let returned = scan_all();
@@ -150,6 +162,66 @@ fn hot_scan_allocates_per_record_returned_and_per_update_decoded() {
         "{allocations} allocations, budget {budget}: {returned} records, {UPDATES} updates, \
          {blocks} blocks, {heap_batches} heap batches, {runs} runs"
     );
+}
+
+#[test]
+fn get_allocates_only_what_it_returns() {
+    const GETS: u64 = 1_000;
+    let (engine, session, schema, _) = hot_engine();
+    let blocks = engine.cache_stats().insertions;
+    let updated: BTreeMap<Key, Vec<UpdateOp>> =
+        (0..UPDATES).fold(BTreeMap::new(), |mut by_key, i| {
+            let (key, op) = mixed_update(i, RECORDS, &schema);
+            by_key.entry(key).or_default().push(op);
+            by_key
+        });
+    let in_heap_untouched = (0..RECORDS)
+        .map(|i| i * 2)
+        .find(|k| !updated.contains_key(k));
+    let nowhere = (0..RECORDS)
+        .map(|i| i * 2 + 1)
+        .find(|k| !updated.contains_key(k));
+    let modified_once = updated
+        .iter()
+        .find_map(|(&key, ops)| matches!(ops[..], [UpdateOp::Modify(_)]).then_some(key));
+    let (in_heap_untouched, nowhere, modified_once) = (
+        in_heap_untouched.unwrap(),
+        nowhere.unwrap(),
+        modified_once.unwrap(),
+    );
+
+    // Allocations of `GETS` lookups of `key`, each answering `found`.
+    let allocations_of = |key: Key, found: bool| {
+        assert_eq!(engine.get(&session, key).unwrap().is_some(), found);
+        let before = allocations();
+        for _ in 0..GETS {
+            let record = engine.get(&session, key).unwrap();
+            assert_eq!(record.is_some(), found);
+        }
+        allocations() - before
+    };
+    for buffered in [false, true] {
+        // In the heap, no cached update: the payload of the record.
+        assert_eq!(allocations_of(in_heap_untouched, true), GETS);
+        // In no run, not in the heap: nothing at all — not for the pin,
+        // not for the runs that lack the key, not for the page.
+        assert_eq!(allocations_of(nowhere, false), 0);
+        if !buffered {
+            // From here on the buffer is not empty.
+            let value = 77u32.to_le_bytes().to_vec();
+            let op = UpdateOp::Modify(vec![FieldPatch { field: 0, value }]);
+            engine.apply_update(&session, modified_once, op).unwrap();
+        }
+    }
+    // One `Modify` in a run and one in the buffer, seven allocations:
+    // the payload (1); the list of updates to apply (1); the run's
+    // update decoded from its cached block — patch list and patch value
+    // (2); the buffer's snapshot (1) and its update cloned out of the
+    // buffer — patch list and patch value (2).
+    assert_eq!(allocations_of(modified_once, true), 7 * GETS);
+    let record = engine.get(&session, modified_once).unwrap().unwrap();
+    assert_eq!(schema.get_u32(&record.payload, 0), 77);
+    assert_eq!(engine.cache_stats().insertions, blocks, "the gets ran hot");
 }
 
 #[test]

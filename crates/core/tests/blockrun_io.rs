@@ -5,8 +5,9 @@
 
 use std::sync::Arc;
 
+use masm_blockrun::{BloomFilter, Entry, RunBuilder};
 use masm_core::config::{CodecChoice, MasmConfig};
-use masm_core::run::{lookup_in_run, write_run, RunScan};
+use masm_core::run::{lookup_in_run, write_built, write_run, RunScan, SortedRun};
 use masm_core::update::{FieldPatch, UpdateOp, UpdateRecord};
 use masm_core::{MasmEngine, MasmError};
 use masm_pagestore::{HeapConfig, Record, Schema, TableHeap};
@@ -128,7 +129,8 @@ fn corrupted_block_read_fails_with_checksum_error() {
 
     // Point lookup through the corrupted block: checksum error.
     let probe = zone.min_key;
-    let err = lookup_in_run(&session, &ssd, &run, None, probe).unwrap_err();
+    let hashes = BloomFilter::hashes_of(probe);
+    let err = lookup_in_run(&session, &ssd, &run, None, probe, hashes, |_| ()).unwrap_err();
     assert!(
         matches!(err, MasmError::BlockRun(_)),
         "expected checksum failure, got {err}"
@@ -145,6 +147,39 @@ fn corrupted_block_read_fails_with_checksum_error() {
         result.is_err(),
         "scan across corrupted block must not succeed"
     );
+}
+
+/// Run bytes come off a device. An entry whose checksum holds but whose
+/// value no update decodes from — an operation tag nobody wrote — is a
+/// typed error on the point path, not a panic, and the run's other
+/// keys still answer.
+#[test]
+fn undecodable_run_entry_is_a_typed_error_on_the_point_path() {
+    let clock = SimClock::new();
+    let ssd = SimDevice::in_memory(DeviceProfile::ssd_x25e(), clock.clone());
+    let session = SessionHandle::fresh(clock);
+    let cfg = MasmConfig::small_for_tests();
+
+    let good = UpdateRecord::new(1, 10, UpdateOp::Replace(payload(7)));
+    let mut builder = RunBuilder::new(cfg.blockrun_config());
+    builder.append_entry(Entry::new(good.key, good.ts, good.encode_value()));
+    builder.append_entry(Entry::new(20, 2, vec![0x7F, 1, 2, 3]));
+    builder.append_entry(Entry::new(30, 3, vec![1, 0xEE])); // a delete, then a stray byte
+    let (meta, bytes) = builder.finish();
+    let run = SortedRun::from_meta(1, 1, meta);
+    write_built(&session, &ssd, &run, &bytes).unwrap();
+
+    let lookup = |key: u64| {
+        let mut found = Vec::new();
+        let hashes = BloomFilter::hashes_of(key);
+        lookup_in_run(&session, &ssd, &run, None, key, hashes, |u| found.push(u)).map(|()| found)
+    };
+    assert_eq!(lookup(10).unwrap(), vec![good]);
+    assert!(lookup(11).unwrap().is_empty());
+    for key in [20, 30] {
+        let err = lookup(key).unwrap_err();
+        assert!(matches!(err, MasmError::Corrupt("run entry")), "{err}");
+    }
 }
 
 /// Acceptance: with `CodecChoice::Lz` the on-disk bytes of a run built

@@ -408,6 +408,69 @@ fn background_flush_fault_abandons_then_recovers() {
     assert_eq!(stats.ssd.random_writes, 0);
 }
 
+/// Run `f` on a thread of its own and fail if it is still running a
+/// minute later — a hang has to fail the test, not the CI job.
+fn within_a_minute<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (done, result) = std::sync::mpsc::channel();
+    let worker = thread::spawn(move || {
+        let _ = done.send(f());
+    });
+    match result.recv_timeout(std::time::Duration::from_secs(60)) {
+        Ok(value) => value,
+        Err(std::sync::mpsc::RecvTimeoutError::Timeout) => panic!("still running after 60 s"),
+        Err(_) => std::panic::resume_unwind(worker.join().expect_err("it sent nothing")),
+    }
+}
+
+/// A `get` that runs beside a migration (it drew its timestamp after
+/// the migration's, so the migration does not wait for it) finds the
+/// record it asks for. The table grows at the front in every round, so
+/// each chunk a migration commits shifts the logical index of every
+/// later page: a lookup that resolves `key → logical page` and
+/// `logical → physical` under two holds of the heap lock reads a
+/// neighbour's page in between (a `None` for a record that exists) or
+/// indexes past the end of the page map. The reader asks for one key
+/// near the end of the table that no update ever touches.
+#[test]
+fn get_of_an_untouched_record_during_growing_migrations() {
+    const RECORDS: u64 = 40_000;
+    const ROUNDS: u64 = 40;
+    const INSERTS: u64 = 400;
+    const UNTOUCHED: u64 = (RECORDS - 500) * 2;
+
+    let f = fixture(MasmConfig::small_for_tests(), RECORDS);
+    let (gets, missing) = within_a_minute(move || {
+        let migrating = std::sync::atomic::AtomicBool::new(true);
+        let start = std::sync::Barrier::new(2);
+        thread::scope(|scope| {
+            let reader = scope.spawn(|| {
+                let session = SessionHandle::fresh(f.clock.clone());
+                let (mut gets, mut missing) = (0u64, 0u64);
+                start.wait();
+                while migrating.load(std::sync::atomic::Ordering::SeqCst) {
+                    let found = f.engine.get(&session, UNTOUCHED).unwrap();
+                    gets += 1;
+                    missing += found.is_none() as u64;
+                }
+                (gets, missing)
+            });
+            start.wait();
+            for round in 0..ROUNDS {
+                for i in 0..INSERTS {
+                    let key = (round * INSERTS + i) * 2 + 1;
+                    let op = UpdateOp::Insert(payload(key as u32));
+                    f.engine.apply_update(&f.session, key, op).unwrap();
+                }
+                f.engine.migrate(&f.session).unwrap();
+            }
+            migrating.store(false, std::sync::atomic::Ordering::SeqCst);
+            reader.join().unwrap()
+        })
+    });
+    assert!(gets > 0);
+    assert_eq!(missing, 0, "of {gets} gets of a record that is there");
+}
+
 /// A migration failing mid-rewrite (heap write fault) must not wedge
 /// the engine: the `migrating` claim is released on the error path,
 /// scans keep serving the cached updates, and a retry after the fault

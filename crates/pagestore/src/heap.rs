@@ -10,6 +10,12 @@
 //!   asynchronous prefetch of the next batch, and locate batches **by
 //!   key**, so a concurrent chunk-wise rewrite cannot make a scan skip or
 //!   repeat records.
+//! * Point reads ([`TableHeap::with_page_of`]) resolve `key → logical
+//!   page → physical offset` and lend the page bytes to the caller's
+//!   closure **in place**, all under one hold of the heap's read lock
+//!   (and, while the closure runs, the device backend's): a rewrite
+//!   that commits a chunk between the look-ups cannot misdirect the
+//!   read, and nothing is copied. The closure must not block or do I/O.
 //! * [`HeapRewriter`] implements chunked copy-forward rewrite: read a
 //!   chunk of old pages, let the caller merge updates into new pages,
 //!   write the new chunk sequentially (preferring physical slots freed by
@@ -239,7 +245,36 @@ impl TableHeap {
         self.state.read().index.locate(key)
     }
 
-    /// Read one logical page (a random `page_size` I/O).
+    /// Run `f` over the page that owns `key` — one random `page_size`
+    /// read, the page bytes lent in place; `None` when the heap is
+    /// empty. `key → logical page → physical offset` and the read all
+    /// happen under **one** hold of the heap's read lock, so a
+    /// concurrent rewrite can neither splice the page map between the
+    /// two look-ups nor recycle the physical page before it is read
+    /// (a [`TableHeap::locate`] followed by a [`TableHeap::read_page`]
+    /// has both windows).
+    ///
+    /// `f` runs with the heap's read lock, the session and the device
+    /// backend's read lock held: it must not block, do I/O or call back
+    /// into this heap — look at the page, copy out what is needed,
+    /// return.
+    pub fn with_page_of<R>(
+        &self,
+        session: &SessionHandle,
+        key: Key,
+        f: impl FnOnce(PageRef<'_>) -> R,
+    ) -> StorageResult<Option<R>> {
+        let st = self.state.read();
+        let Some(logical) = st.index.locate(key) else {
+            return Ok(None);
+        };
+        let (phys, len) = (st.page_map[logical], self.cfg.page_size as u64);
+        let found = session.read_with(&self.dev, phys, len, |bytes| f(PageRef::new(bytes)))?;
+        Ok(Some(found))
+    }
+
+    /// Read one logical page (a random `page_size` I/O) into an owned,
+    /// mutable [`Page`] — for callers that rewrite it.
     pub fn read_page(&self, session: &SessionHandle, logical: usize) -> StorageResult<Page> {
         let st = self.state.read();
         let phys = st.page_map[logical];
@@ -1124,6 +1159,35 @@ mod tests {
         assert_eq!(heap.record_count(), n);
         let got: Vec<Key> = heap.scan_range(s, 0, Key::MAX).map(|r| r.key).collect();
         assert_eq!(got, (0..n).map(|i| i * 2).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn with_page_of_lends_the_owning_page_at_read_page_cost() {
+        let (owned, s_owned) = heap_with(1000);
+        let (lent, s_lent) = heap_with(1000);
+        for key in [0, 500, 501, 1998, 5000] {
+            let page = owned
+                .read_page(&s_owned, owned.locate(key).unwrap())
+                .unwrap();
+            let want = page.find(key).ok().map(|slot| page.record(slot));
+            let got = lent
+                .with_page_of(&s_lent, key, |p| {
+                    assert_eq!(p.timestamp(), page.timestamp());
+                    p.find(key).ok().map(|slot| p.record(slot))
+                })
+                .unwrap()
+                .expect("non-empty heap");
+            assert_eq!(got, want, "key {key}");
+            assert_eq!(got.is_some(), key % 2 == 0 && key < 2000);
+            assert_eq!(s_lent.now(), s_owned.now(), "same session time");
+        }
+        assert_eq!(lent.device().stats(), owned.device().stats());
+
+        let clock = SimClock::new();
+        let dev = SimDevice::in_memory(DeviceProfile::hdd_barracuda(), clock.clone());
+        let empty = TableHeap::new(dev, HeapConfig::default());
+        let looked = empty.with_page_of(&SessionHandle::fresh(clock), 7, |_| ());
+        assert_eq!(looked.unwrap(), None);
     }
 
     #[test]

@@ -74,6 +74,29 @@ impl<'a> PageRef<'a> {
         let off = self.slot_offset(i);
         u64::from_le_bytes(self.data[off..off + 8].try_into().unwrap())
     }
+
+    /// Binary-search the slot directory for `key`: `Ok(slot)` of its
+    /// first record if present, else `Err(slot)` where it would go. No
+    /// payload is decoded.
+    pub fn find(&self, key: u64) -> Result<usize, usize> {
+        let n = self.record_count();
+        let mut lo = 0usize;
+        let mut hi = n;
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            let k = self.key_at(mid);
+            if k < key {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        if lo < n && self.key_at(lo) == key {
+            Ok(lo)
+        } else {
+            Err(lo)
+        }
+    }
 }
 
 impl Page {
@@ -210,23 +233,7 @@ impl Page {
 
     /// Binary-search the page for `key`; `Ok(slot)` if present.
     pub fn find(&self, key: u64) -> Result<usize, usize> {
-        let n = self.record_count();
-        let mut lo = 0usize;
-        let mut hi = n;
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            let k = self.key_at(mid);
-            if k < key {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        if lo < n && self.key_at(lo) == key {
-            Ok(lo)
-        } else {
-            Err(lo)
-        }
+        self.view().find(key)
     }
 
     /// Replace the payload of the record in slot `i` (same width only —

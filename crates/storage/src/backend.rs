@@ -29,19 +29,29 @@ impl MemBackend {
         }
     }
 
+    /// Run `f` over the `len` bytes starting at `offset`, in place. The
+    /// backend's read lock is held while `f` runs: `f` must not write
+    /// to this backend (or ask for its length) and should be short.
+    pub fn read_with<R>(
+        &self,
+        offset: u64,
+        len: u64,
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> StorageResult<R> {
+        let data = self.data.read();
+        match offset.checked_add(len) {
+            Some(end) if end <= data.len() as u64 => Ok(f(&data[offset as usize..end as usize])),
+            _ => Err(StorageError::OutOfBounds {
+                offset,
+                len,
+                capacity: data.len() as u64,
+            }),
+        }
+    }
+
     /// Read `buf.len()` bytes starting at `offset`.
     pub fn read_at(&self, offset: u64, buf: &mut [u8]) -> StorageResult<()> {
-        let data = self.data.read();
-        let end = offset + buf.len() as u64;
-        if end > data.len() as u64 {
-            return Err(StorageError::OutOfBounds {
-                offset,
-                len: buf.len() as u64,
-                capacity: data.len() as u64,
-            });
-        }
-        buf.copy_from_slice(&data[offset as usize..end as usize]);
-        Ok(())
+        self.read_with(offset, buf.len() as u64, |bytes| buf.copy_from_slice(bytes))
     }
 
     /// Write `buf` starting at `offset`, growing the backend if needed.
@@ -101,6 +111,18 @@ mod tests {
         let mut buf = [0u8; 16];
         let err = b.read_at(0, &mut buf).unwrap_err();
         assert!(matches!(err, StorageError::OutOfBounds { .. }));
+    }
+
+    #[test]
+    fn read_with_lends_the_bytes_and_checks_bounds() {
+        let b = MemBackend::new();
+        b.write_at(0, b"hello world").unwrap();
+        assert_eq!(b.read_with(6, 5, |bytes| bytes.to_vec()).unwrap(), b"world");
+        assert_eq!(b.read_with(11, 0, |bytes| bytes.len()).unwrap(), 0);
+        for (offset, len) in [(7, 5), (12, 0), (u64::MAX, 2)] {
+            let err = b.read_with(offset, len, |_| ()).unwrap_err();
+            assert!(matches!(err, StorageError::OutOfBounds { .. }), "{err}");
+        }
     }
 
     #[test]

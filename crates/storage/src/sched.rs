@@ -66,11 +66,24 @@ impl IoSession {
         self.clock.advance_to(self.now);
     }
 
+    /// Synchronous read that lends the bytes to `f` instead of copying
+    /// them out ([`SimDevice::read_with`]): the cursor advances to the
+    /// completion time.
+    pub fn read_with<R>(
+        &mut self,
+        dev: &SimDevice,
+        offset: u64,
+        len: u64,
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> StorageResult<R> {
+        let (result, end) = dev.read_with(self.now, offset, len, f)?;
+        self.now = end;
+        Ok(result)
+    }
+
     /// Synchronous read: the cursor advances to the completion time.
     pub fn read(&mut self, dev: &SimDevice, offset: u64, len: u64) -> StorageResult<Vec<u8>> {
-        let (data, end) = dev.read_at(self.now, offset, len)?;
-        self.now = end;
-        Ok(data)
+        self.read_with(dev, offset, len, <[u8]>::to_vec)
     }
 
     /// Synchronous write: the cursor advances to the completion time.
@@ -145,6 +158,19 @@ impl SessionHandle {
     /// Synchronous read through the shared session.
     pub fn read(&self, dev: &SimDevice, offset: u64, len: u64) -> StorageResult<Vec<u8>> {
         self.inner.lock().read(dev, offset, len)
+    }
+
+    /// Synchronous borrowed read through the shared session. `f` runs
+    /// with the session and the device's backend locked: it must not
+    /// use either.
+    pub fn read_with<R>(
+        &self,
+        dev: &SimDevice,
+        offset: u64,
+        len: u64,
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> StorageResult<R> {
+        self.inner.lock().read_with(dev, offset, len, f)
     }
 
     /// Synchronous write through the shared session.

@@ -230,18 +230,34 @@ impl SimDevice {
         }
     }
 
-    /// Read `len` bytes at `offset`, submitted at virtual time `at`.
-    /// Returns the data and the completion time.
-    pub fn read_at(&self, at: Ns, offset: u64, len: u64) -> StorageResult<(Vec<u8>, Ns)> {
+    /// Read `len` bytes at `offset`, submitted at virtual time `at`,
+    /// and run `f` over them in place: the one read door — the same
+    /// fault checks, lock-discipline assert and device scheduling
+    /// whether the caller copies the bytes out ([`SimDevice::read_at`])
+    /// or only looks at them. Returns `f`'s result and the completion
+    /// time. `f` runs under the backend's read lock (see
+    /// [`MemBackend::read_with`]): it must not touch this device.
+    pub fn read_with<R>(
+        &self,
+        at: Ns,
+        offset: u64,
+        len: u64,
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> StorageResult<(R, Ns)> {
         assert_no_tracked_locks("read");
         self.check_fault()?;
         if self.read_faulted.load(Ordering::Acquire) {
             return Err(StorageError::Faulted("injected device read fault"));
         }
-        let mut buf = vec![0u8; len as usize];
-        self.backend.read_at(offset, &mut buf)?;
+        let result = self.backend.read_with(offset, len, f)?;
         let (_, end) = self.schedule(at, AccessKind::Read, offset, len);
-        Ok((buf, end))
+        Ok((result, end))
+    }
+
+    /// Read `len` bytes at `offset`, submitted at virtual time `at`.
+    /// Returns the data and the completion time.
+    pub fn read_at(&self, at: Ns, offset: u64, len: u64) -> StorageResult<(Vec<u8>, Ns)> {
+        self.read_with(at, offset, len, <[u8]>::to_vec)
     }
 
     /// Write `data` at `offset`, submitted at virtual time `at`.
@@ -503,6 +519,38 @@ mod tests {
         assert!(matches!(d.read_at(0, 0, 3), Err(StorageError::Faulted(_))));
         d.clear_fault();
         assert!(d.read_at(0, 0, 3).is_ok());
+    }
+
+    #[test]
+    fn borrowed_read_costs_and_fails_exactly_like_an_owned_one() {
+        let (owned, lent) = (ssd(), ssd());
+        for d in [&owned, &lent] {
+            d.write_at(0, 0, &vec![7u8; 64 * 1024]).unwrap();
+            d.reset_stats();
+        }
+        let at = owned.busy_until();
+        for (offset, len) in [(0, 4096), (4096, 4096), (40_960, 512), (0, 4096)] {
+            let (data, end) = owned.read_at(at, offset, len).unwrap();
+            let (sum, lent_end) = lent
+                .read_with(at, offset, len, |b| {
+                    b.iter().map(|&x| x as u64).sum::<u64>()
+                })
+                .unwrap();
+            assert_eq!(sum, data.iter().map(|&x| x as u64).sum::<u64>());
+            assert_eq!(lent_end, end, "same completion time");
+        }
+        assert_eq!(lent.stats(), owned.stats(), "same device accounting");
+        assert_eq!(lent.busy_until(), owned.busy_until());
+        // Out of bounds: an error, and nothing scheduled.
+        assert!(lent.read_with(at, 64 * 1024, 1, |_| ()).is_err());
+        assert_eq!(lent.stats(), owned.stats());
+        // Both fault switches reach the borrowed door; the closure never runs.
+        lent.inject_read_fault();
+        let lent_read = |d: &SimDevice| d.read_with(at, 0, 8, |_| panic!("read a faulted device"));
+        assert!(matches!(lent_read(&lent), Err(StorageError::Faulted(_))));
+        lent.clear_read_fault();
+        lent.inject_fault();
+        assert!(matches!(lent_read(&lent), Err(StorageError::Faulted(_))));
     }
 
     #[test]

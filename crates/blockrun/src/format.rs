@@ -729,9 +729,22 @@ impl BlockRunScan {
         self.bytes_read
     }
 
+    /// The run's cache keyspace, as given to [`BlockRunScan::new`].
+    pub fn run_key(&self) -> u64 {
+        self.run_key
+    }
+
     /// The first error encountered, if the scan stopped early.
     pub fn error(&self) -> Option<&BlockRunError> {
         self.error.as_ref()
+    }
+
+    /// End the scan here — it yields nothing more — and hand over the
+    /// error that had stopped it, if one had.
+    pub fn stop(&mut self) -> Option<BlockRunError> {
+        self.next_idx = self.end_idx;
+        self.unread = 0..0;
+        self.error.take()
     }
 
     /// Issue async reads until `prefetch_depth` are in flight, skipping

@@ -5,15 +5,15 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use masm_pagestore::{Key, Page, Record};
+use masm_pagestore::{Key, PageChunk, Record};
 use masm_storage::{IoSession, MergeReport, Ns, SessionHandle};
 use masm_telemetry::Timer;
 
 use super::state::{Claim, Replaced};
 use super::{MasmEngine, MigrationReport};
 use crate::error::{MasmError, MasmResult};
-use crate::merge::{compact_block_runs, MergeDataUpdates, MergeUpdates, UpdateStream};
-use crate::run::{build_run, write_built, RunScan, SortedRun};
+use crate::merge::{compact_block_runs, join_chunk, MergeUpdates, UpdateStream};
+use crate::run::{build_run, write_built, RunScan, ScanFailures, SortedRun};
 use crate::ts::Timestamp;
 use crate::wal::WalRecord;
 use crate::worker::{Job, JobKind, WorkerPool, MAX_JOB_ATTEMPTS};
@@ -463,11 +463,16 @@ impl MasmEngine {
             .filter(|r| r.max_key >= lo && r.min_key <= hi)
             .collect();
         let depth = self.cfg.merge_prefetch_depth(overlapping.len());
+        // A run scan that fails ends its stream and says so here; the
+        // slot is checked before anything joined against the streams
+        // is committed.
+        let failures = ScanFailures::default();
         let streams: Vec<UpdateStream> = overlapping
             .into_iter()
             .map(|r| {
                 let scan = RunScan::new(self.ssd.clone(), session.clone(), Arc::clone(r), lo, hi);
-                Box::new(scan.with_prefetch_depth(depth)) as UpdateStream
+                let scan = scan.with_prefetch_depth(depth);
+                Box::new(scan.reporting_to(failures.clone())) as UpdateStream
             })
             .collect();
         let mut updates = MergeUpdates::new(streams, self.schema.clone(), mig_ts).peekable();
@@ -486,6 +491,7 @@ impl MasmEngine {
                     u.apply_to(None, &self.schema)
                 })
                 .collect();
+            failures.check()?;
             if !records.is_empty() {
                 self.heap.bulk_load(session, records, 1.0)?;
                 self.log_heap_loaded(session, self.oracle.next())?;
@@ -494,7 +500,10 @@ impl MasmEngine {
             return Ok(report);
         }
 
-        let page_size = self.heap.config().page_size;
+        // One buffer in, one out: the chunk just read becomes the next
+        // output buffer, the one committed the rewriter's next read
+        // buffer.
+        let mut new_pages = PageChunk::new(self.heap.config().page_size);
         while let Some(old_pages) = rewriter.next_chunk()? {
             let (chunk_lo, chunk_hi) = rewriter.key_span();
             // The stamping rule: a chunk with a page that reaches
@@ -504,42 +513,27 @@ impl MasmEngine {
             let stamp = if self.key_range.0 <= chunk_lo && chunk_hi <= self.key_range.1 {
                 mig_ts
             } else {
-                old_pages.iter().map(Page::timestamp).min().unwrap_or(0)
+                old_pages.pages().map(|p| p.timestamp()).min().unwrap_or(0)
             };
-            let last_chunk = chunk_hi == hi;
-            let chunk_max = old_pages
-                .iter()
-                .filter_map(|p| p.max_key())
-                .max()
-                .unwrap_or(Key::MAX);
-
             // The outer join of Figure 6 again, over this chunk: its
             // records against the updates up to its last key (a gap
             // insert past it opens the next chunk). The last chunk
             // takes everything left — the run scans end at `hi`.
-            let data = old_pages.iter().flat_map(|page| {
-                let page_ts = page.timestamp();
-                page.records().map(move |record| (record, page_ts))
-            });
-            let due = std::iter::from_fn(|| updates.next_if(|u| last_chunk || u.key <= chunk_max))
-                .inspect(|_| report.updates_applied += 1);
-            let merged = MergeDataUpdates::new(data, due, self.schema.clone());
-
-            let mut new_pages: Vec<Page> = Vec::with_capacity(old_pages.len());
-            let mut cur = Page::new(page_size);
-            cur.set_timestamp(stamp);
-            for r in merged {
-                if !cur.fits(&r) {
-                    new_pages.push(std::mem::replace(&mut cur, Page::new(page_size)));
-                    cur.set_timestamp(stamp);
-                }
-                assert!(cur.append(&r), "record exceeds page size");
-            }
-            if cur.record_count() > 0 {
-                new_pages.push(cur);
-            }
+            new_pages.reset(stamp);
+            let last_chunk = chunk_hi == hi;
+            report.updates_applied += join_chunk(
+                &old_pages,
+                &mut updates,
+                last_chunk,
+                &self.schema,
+                &mut new_pages,
+            )?;
+            // A chunk joined against a stream that ended early must
+            // never be stamped: the chunks committed so far are right
+            // by their page timestamps, this one stays as it was.
+            failures.check()?;
             report.pages_written += new_pages.len() as u64;
-            let commit = rewriter.commit_chunk(new_pages)?;
+            let commit = rewriter.commit_chunk(std::mem::replace(&mut new_pages, old_pages))?;
             self.wal.append(
                 session,
                 &WalRecord::MapSplice {

@@ -68,6 +68,23 @@
 //! Runs are retired, and the migration logged, only when the span is
 //! the engine's whole range.
 //!
+//! **A chunk is committed only after its run scans reported no
+//! error.** A run scan that fails (a device error, a block that fails
+//! its checksum, an entry that does not decode) ends its stream like an
+//! exhausted one, so a chunk joined against it would be stamped while
+//! updates it owns are still missing — a wrong answer from then on.
+//! The scans of one migration share one error slot; the rewrite checks
+//! it after joining a chunk and before committing it. The chunks
+//! committed before the failure stand (each holds every update its
+//! stamp claims), the failing one is left as it was, the claim drops
+//! and a retry picks up from the page timestamps. A compaction checks
+//! its slot the same way before it hands back the run it built. The
+//! query path has no such door yet: a merged scan's run scan panics.
+//!
+//! A chunk moves as bytes: one buffer read, one buffer written, and a
+//! record no update touches is copied from one to the other encoded as
+//! it is (`merge::join_chunk`, [`masm_pagestore::PageChunk`]).
+//!
 //! Invariant: **a page is resolved and read under one hold of the heap
 //! lock.** Migrations wait only for queries *older* than their
 //! timestamp; later ones run beside the rewrite, and every chunk it

@@ -10,6 +10,8 @@ use std::sync::{Arc, OnceLock};
 use parking_lot::{Condvar, Mutex};
 
 use masm_blockrun::BlockCache;
+use masm_pagestore::page::max_record_len;
+use masm_pagestore::record::RECORD_HEADER;
 use masm_pagestore::{ChunkCommit, Key, Schema, TableHeap};
 use masm_storage::{CompressionReport, MergeReport, SessionHandle, SimDevice, TrackedMutex};
 use masm_telemetry::{Registry, Tracer};
@@ -143,9 +145,10 @@ pub(crate) struct ShardLog {
 /// A fresh table is the recovery of empty logs; a standalone engine is
 /// the one-shard case.
 ///
-/// In order: every log that carries a [`ShardManifest`] is checked
-/// against the topology it is being opened under, before anything is
-/// trusted or touched; the heap events of all logs are merged and
+/// In order: the schema's records must fit a heap page; every log that
+/// carries a [`ShardManifest`] is checked against the topology it is
+/// being opened under, before anything is trusted or touched; the heap
+/// events of all logs are merged and
 /// applied; each engine is built from its log with a clone of one
 /// [`TimestampOracle`] (a single commit order across shards); one
 /// worker pool is wired over all of them; interrupted migrations are
@@ -162,6 +165,19 @@ pub(crate) fn open(
         return Err(MasmError::Config(format!(
             "{n} shards were given {} redo logs",
             shards.len()
+        )));
+    }
+    // A record that fits no heap page could be inserted and logged but
+    // never migrated: refuse the table, not the migration.
+    let (page_size, record_len) = (
+        heap.config().page_size,
+        RECORD_HEADER + schema.payload_width(),
+    );
+    if record_len > max_record_len(page_size) {
+        return Err(MasmError::Config(format!(
+            "the schema's records take {record_len} encoded bytes; a {page_size}-byte heap page \
+             holds at most {}",
+            max_record_len(page_size)
         )));
     }
     for (shard_id, shard) in shards.iter().enumerate() {

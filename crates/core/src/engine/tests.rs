@@ -858,3 +858,56 @@ fn more_patches_than_the_count_byte_holds_are_refused() {
     };
     assert_refused_and_harmless(&f, 40, patches(256), patches(255));
 }
+
+/// A table whose records cannot fit a heap page is refused when it is
+/// opened: an insert into it could be acknowledged and logged, and then
+/// no migration — the recovery redo included — could ever place it.
+/// The widest record that does fit goes all the way round.
+#[test]
+fn a_record_wider_than_a_heap_page_is_refused_at_open() {
+    use masm_pagestore::{Field, FieldType};
+
+    let open = |width: u16| {
+        let clock = SimClock::new();
+        let device = |profile| SimDevice::in_memory(profile, clock.clone());
+        let heap = Arc::new(TableHeap::new(
+            device(DeviceProfile::hdd_barracuda()),
+            HeapConfig::default(),
+        ));
+        let schema = Schema::new(vec![Field::new("blob", FieldType::Bytes(width))]);
+        let ssd = device(DeviceProfile::ssd_x25e());
+        let wal = device(DeviceProfile::ssd_x25e());
+        let engine = MasmEngine::new(heap, ssd, wal, schema, MasmConfig::small_for_tests());
+        engine.map(|engine| (engine, SessionHandle::fresh(clock)))
+    };
+
+    match open(5000) {
+        Err(MasmError::Config(why)) => assert!(why.contains("at most 4078"), "{why}"),
+        other => panic!("a 5,000-byte record on 4 KiB pages: {:?}", other.map(drop)),
+    }
+    assert!(matches!(open(4069), Err(MasmError::Config(_))));
+
+    // 4,068 bytes of payload, the 10-byte record header and the 2-byte
+    // slot are exactly what a 4 KiB page has after its 16-byte header.
+    let (engine, session) = open(4068).unwrap();
+    for key in [30u64, 10, 20] {
+        let op = UpdateOp::Insert(vec![key as u8; 4068]);
+        engine.apply_update(&session, key, op).unwrap();
+    }
+    let report = engine.migrate(&session).unwrap();
+    assert_eq!((report.updates_applied, report.pages_written), (3, 3));
+    engine
+        .apply_update(&session, 20, UpdateOp::Replace(vec![0xFF; 4068]))
+        .unwrap();
+    engine.apply_update(&session, 10, UpdateOp::Delete).unwrap();
+    engine.migrate(&session).unwrap();
+    assert_eq!(engine.heap().num_pages(), 2);
+    let back: Vec<Record> = engine.begin_scan(session, 0, Key::MAX).unwrap().collect();
+    assert_eq!(
+        back,
+        [
+            Record::new(20, vec![0xFF; 4068]),
+            Record::new(30, vec![30; 4068])
+        ]
+    );
+}

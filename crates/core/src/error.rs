@@ -3,6 +3,7 @@
 use std::fmt;
 
 use masm_blockrun::BlockRunError;
+use masm_pagestore::RecordTooLarge;
 use masm_storage::StorageError;
 
 /// Errors surfaced by the MaSM engine.
@@ -87,6 +88,15 @@ impl From<BlockRunError> for MasmError {
             BlockRunError::Storage(s) => MasmError::Storage(s),
             other => MasmError::BlockRun(other),
         }
+    }
+}
+
+impl From<RecordTooLarge> for MasmError {
+    fn from(_: RecordTooLarge) -> Self {
+        // `open` refuses a schema whose records cannot fit a page and
+        // every update is checked against the schema at the door: only
+        // the bytes of a heap page can still claim such a record.
+        MasmError::Corrupt("heap record larger than a page")
     }
 }
 

@@ -38,17 +38,18 @@
 use std::cmp::Reverse;
 use std::collections::binary_heap::PeekMut;
 use std::collections::{BinaryHeap, VecDeque};
+use std::iter::Peekable;
 use std::sync::Arc;
 
 use masm_blockrun::{BlockRunMeta, BloomFilter, MergePlanner, RunBuilder, Segment};
-use masm_pagestore::{Key, RangeScan, Record, Schema};
+use masm_pagestore::{Key, PageChunk, RangeScan, Record, RecordTooLarge, Schema};
 use masm_storage::{IoTicket, MergeReport, SessionHandle, SimDevice, StorageError};
 
 use crate::config::MasmConfig;
 use crate::error::MasmResult;
-use crate::run::{append_update, RunScan, SortedRun};
+use crate::run::{append_update, RunScan, ScanFailures, SortedRun};
 use crate::ts::Timestamp;
-use crate::update::UpdateRecord;
+use crate::update::{UpdateOp, UpdateRecord};
 
 /// Type-erased sorted update stream (sorted by `(key, ts)`).
 pub type UpdateStream = Box<dyn Iterator<Item = UpdateRecord> + Send>;
@@ -273,6 +274,7 @@ pub fn compact_block_runs(
     let plan = MergePlanner::new(&metas).plan();
     let depth = cfg.merge_prefetch_depth(plan.fan_in);
     let mut builder = RunBuilder::new(cfg.blockrun_config());
+    let failures = ScanFailures::default();
     let mut report = MergeReport {
         inputs: inputs.len() as u64,
         fan_in: plan.fan_in as u64,
@@ -373,7 +375,8 @@ pub fn compact_block_runs(
                                 *min_key,
                                 *max_key,
                             )
-                            .with_prefetch_depth(depth),
+                            .with_prefetch_depth(depth)
+                            .reporting_to(failures.clone()),
                         ) as UpdateStream
                     })
                     .collect();
@@ -411,6 +414,10 @@ pub fn compact_block_runs(
                 if let Some(cur) = pending {
                     append_update(&mut builder, &cur);
                 }
+                // A scan that failed ended its stream early: a merge
+                // that lost updates must never reach the caller, who
+                // would install it in place of its inputs.
+                failures.check()?;
             }
         }
     }
@@ -600,11 +607,83 @@ where
     }
 }
 
+/// `Merge_data_updates` over one rewrite chunk, on borrowed pages: the
+/// join of [`MergeDataUpdates`] as a migration runs it, from the pages
+/// of `old` into the pages [`PageChunk`] packs in `out`.
+///
+/// The cases are the same — and so are the pages, byte for byte, that
+/// packing the records of a [`MergeDataUpdates`] over `old`'s records
+/// with [`masm_pagestore::Page::append`] would give — but **a record no
+/// update touches is never decoded**: per old page the slot directory
+/// is binary-searched, from the current slot, for the key of the next
+/// due update, and the run of records below it moves as its encoded
+/// bytes ([`PageChunk::push_run`]). A [`Record`] is materialized only
+/// where a `Modify` newer than the page's timestamp meets its record.
+///
+/// An update is *due* to this chunk when its key is at most the chunk's
+/// last key (a gap insert past it opens the next chunk); the last chunk
+/// of a rewrite takes everything left. `updates` is left with the first
+/// update that is not due peeked. Returns the number of updates
+/// consumed.
+pub(crate) fn join_chunk<U: Iterator<Item = UpdateRecord>>(
+    old: &PageChunk,
+    updates: &mut Peekable<U>,
+    last_chunk: bool,
+    schema: &Schema,
+    out: &mut PageChunk,
+) -> Result<u64, RecordTooLarge> {
+    let chunk_max = old.pages().filter_map(|p| p.max_key()).max();
+    let due = |u: &UpdateRecord| last_chunk || chunk_max.is_none_or(|max| u.key <= max);
+    let mut consumed = 0;
+    for page in old.pages() {
+        let (page_ts, records) = (page.timestamp(), page.record_count());
+        let mut slot = 0;
+        while slot < records {
+            // The run of records below the next due update moves as it is.
+            let next_key = updates.peek().filter(|u| due(u)).map(|u| u.key);
+            let bound = next_key.map_or(records, |key| page.lower_bound(slot, key));
+            out.push_run(page, slot..bound)?;
+            slot = bound;
+            if slot == records {
+                // The update, if there is one, is for a later page.
+                break;
+            }
+            let update = updates.next().expect("peeked");
+            consumed += 1;
+            if update.key < page.key_at(slot) {
+                if let Some(inserted) = update.apply_to(None, schema) {
+                    out.push(&inserted)?;
+                }
+                continue;
+            }
+            if update.ts <= page_ts {
+                // Already migrated into the page.
+                out.push_encoded(page.record_bytes(slot))?;
+            } else {
+                // Only a modify reads the record it meets.
+                let base = matches!(update.op, UpdateOp::Modify(_)).then(|| page.record(slot));
+                if let Some(joined) = update.apply_to(base, schema) {
+                    out.push(&joined)?;
+                }
+            }
+            slot += 1;
+        }
+    }
+    // The due updates past the last record.
+    while let Some(update) = updates.next_if(|u| due(u)) {
+        consumed += 1;
+        if let Some(inserted) = update.apply_to(None, schema) {
+            out.push(&inserted)?;
+        }
+    }
+    Ok(consumed)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::update::{FieldPatch, UpdateOp};
-    use masm_pagestore::{Field, FieldType};
+    use masm_pagestore::{Field, FieldType, Page};
 
     fn schema() -> Schema {
         Schema::new(vec![Field::new("v", FieldType::U32)])
@@ -767,6 +846,142 @@ mod tests {
         .map(|r| r.key)
         .collect();
         assert_eq!(out, vec![1, 2]);
+    }
+
+    /// Pages of 512 bytes take 13 records of the two-field schema.
+    const PAGE: usize = 512;
+    const FULL: usize = 13;
+
+    fn wide_schema() -> Schema {
+        Schema::new(vec![
+            Field::new("v", FieldType::U32),
+            Field::new("pad", FieldType::Bytes(20)),
+        ])
+    }
+
+    fn wide_payload(v: u32) -> Vec<u8> {
+        let mut p = v.to_le_bytes().to_vec();
+        p.extend([v as u8; 20]);
+        p
+    }
+
+    /// Pack `records` the way the migration loop did before
+    /// [`join_chunk`]: `Page::new`, the stamp, `append` until it does
+    /// not fit.
+    fn packed(records: impl IntoIterator<Item = Record>, stamp: u64) -> Vec<u8> {
+        let mut pages: Vec<Page> = Vec::new();
+        for r in records {
+            if !pages.last().is_some_and(|p| p.fits(&r)) {
+                pages.push(Page::new(PAGE));
+                pages.last_mut().unwrap().set_timestamp(stamp);
+            }
+            assert!(pages.last_mut().unwrap().append(&r));
+        }
+        pages.iter().flat_map(|p| p.as_bytes().to_vec()).collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig {
+            cases: 384,
+            ..proptest::ProptestConfig::default()
+        })]
+
+        /// The pages `join_chunk` packs are, byte for byte, the pages
+        /// packed from `MergeDataUpdates` over the decoded records, and
+        /// it consumes the same updates. Page `p` of the chunk holds
+        /// `fill` records at keys `1000 p + 10, 1000 p + 20, …`: the
+        /// keys between them, below the first and between two pages are
+        /// free for inserts. An update is placed by (page, slot, step):
+        /// on a record, in a gap of a page, in the gap between pages,
+        /// past the chunk's last record or past the chunk's last page.
+        /// Timestamps of pages and updates share one small range, so an
+        /// update is as often already in its page as not.
+        #[test]
+        fn join_chunk_packs_the_pages_of_the_record_join(
+            pages in proptest::collection::vec((1..=FULL, 0u64..=10), 1..=6),
+            ops in proptest::collection::vec(
+                ((0u64..8, 0u64..16, 0u64..3), 0u8..5, 1u64..=10, proptest::any::<u32>()),
+                0..48,
+            ),
+            wiped in 0usize..10,
+            stamp in 0u64..100,
+            last_chunk in proptest::any::<bool>(),
+        ) {
+            let schema = wide_schema();
+            let old: Vec<Page> = pages
+                .iter()
+                .enumerate()
+                .map(|(p, &(fill, page_ts))| {
+                    let mut page = Page::new(PAGE);
+                    page.set_timestamp(page_ts);
+                    for slot in 1..=fill as u64 {
+                        let key = 1000 * p as u64 + 10 * slot;
+                        assert!(page.append(&Record::new(key, wide_payload(key as u32))));
+                    }
+                    assert_eq!(page.fits(&Record::new(Key::MAX, wide_payload(0))), fill < FULL);
+                    page
+                })
+                .collect();
+
+            let mut updates: Vec<UpdateRecord> = ops
+                .into_iter()
+                .map(|((page, slot, step), kind, ts, v)| {
+                    let key = 1000 * page + 10 * slot + [0, 0, 5][step as usize];
+                    let patch = |field: u16, value: Vec<u8>| FieldPatch { field, value };
+                    let op = match kind {
+                        0 => UpdateOp::Insert(wide_payload(v)),
+                        1 => UpdateOp::Delete,
+                        2 => UpdateOp::Modify(vec![patch(0, v.to_le_bytes().to_vec())]),
+                        3 => UpdateOp::Replace(wide_payload(v)),
+                        _ => UpdateOp::Modify(vec![
+                            patch(0, v.to_le_bytes().to_vec()),
+                            patch(1, vec![v as u8; 20]),
+                        ]),
+                    };
+                    UpdateRecord::new(ts, key, op)
+                })
+                .collect();
+            // One page loses every record it has (to deletes newer than
+            // the page).
+            if let Some(page) = old.get(wiped) {
+                updates.retain(|u| !(page.min_key()..=page.max_key()).contains(&Some(u.key)));
+                updates.extend(page.records().map(|r| del(page.timestamp() + 1, r.key)));
+            }
+            // A folded stream: key order, one update per key.
+            updates.sort_by_key(|u| u.key);
+            updates.dedup_by_key(|u| u.key);
+
+            let chunk_max = old.last().unwrap().max_key().unwrap();
+            let due = updates
+                .iter()
+                .take_while(|u| last_chunk || u.key <= chunk_max)
+                .count();
+            let data = old.iter().flat_map(|page| {
+                let page_ts = page.timestamp();
+                page.records().map(move |record| (record, page_ts))
+            });
+            let joined =
+                MergeDataUpdates::new(data, updates[..due].iter().cloned(), schema.clone());
+            let want = packed(joined, stamp);
+
+            let chunk = PageChunk::from_bytes(
+                PAGE,
+                old.iter().flat_map(|p| p.as_bytes().to_vec()).collect(),
+            );
+            // A reused output buffer, with another chunk's pages in it.
+            let mut out = PageChunk::from_bytes(PAGE, vec![0xA5; 3 * PAGE]);
+            out.reset(stamp);
+            let mut stream = updates.clone().into_iter().peekable();
+            let consumed = join_chunk(&chunk, &mut stream, last_chunk, &schema, &mut out).unwrap();
+            proptest::prop_assert_eq!(consumed as usize, due);
+            proptest::prop_assert_eq!(stream.next(), updates.get(due).cloned());
+            proptest::prop_assert!(
+                out.as_bytes() == want,
+                "{} pages packed, {} wanted",
+                out.len(),
+                want.len() / PAGE
+            );
+        }
     }
 
     #[test]

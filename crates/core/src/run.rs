@@ -24,7 +24,9 @@
 
 use std::sync::Arc;
 
-use masm_blockrun::{BlockCache, BlockRunMeta, BlockRunScan, Entry, KeyHashes, RunBuilder};
+use parking_lot::Mutex;
+
+use masm_blockrun::{BlockCache, BlockRunMeta, BlockRunScan, KeyHashes, RunBuilder};
 use masm_pagestore::Key;
 use masm_storage::{SessionHandle, SimDevice};
 
@@ -96,11 +98,6 @@ impl SortedRun {
 /// bytes make between the update buffer (or a merge) and the run.
 pub(crate) fn append_update(builder: &mut RunBuilder, u: &UpdateRecord) {
     builder.append(u.key, u.ts, u.value_len(), |out| u.encode_value_into(out));
-}
-
-fn from_entry(run_id: u64, e: &Entry) -> UpdateRecord {
-    UpdateRecord::decode_value(e.key, e.ts, &e.value)
-        .unwrap_or_else(|| panic!("run {run_id}: undecodable entry for key {}", e.key))
 }
 
 /// Build the metadata and the full encoded byte stream of a run from its
@@ -180,13 +177,38 @@ pub fn recover_run(
 /// [`BlockCache`] when resident, otherwise from asynchronous SSD reads
 /// prefetched while the previous block decodes (§3.7's libaio overlap).
 ///
-/// A checksum failure mid-scan **panics** with the block-run error: a
-/// corrupted cached-update block means queries would silently lose
-/// updates, which is strictly worse than stopping. Callers that want a
-/// recoverable error use the `masm_blockrun` APIs directly.
+/// A scan that cannot go on — a device error, a block that fails its
+/// checksum, an entry that does not decode — **ends its stream**. What
+/// happens next depends on who opened it. A migration or a compaction
+/// gives its scans one shared error slot: the failure lands there, and
+/// the job checks the slot before it does anything that cannot be
+/// undone. A scan without a slot — the query path, which has no door
+/// for a run error yet — **panics** instead: a stream that ended early
+/// with nobody looking would make a query silently lose updates, which
+/// is strictly worse than stopping.
 pub struct RunScan {
     inner: BlockRunScan,
-    run: Arc<SortedRun>,
+    failures: Option<ScanFailures>,
+}
+
+/// The error slot shared by the run scans of one migration or one
+/// compaction. A failed scan ends its stream like an exhausted one;
+/// the first failure is kept here, and the job must
+/// [`ScanFailures::check`] after it has consumed the streams and before
+/// it commits anything built from them.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ScanFailures(Arc<Mutex<Option<MasmError>>>);
+
+impl ScanFailures {
+    fn report(&self, failure: MasmError) {
+        self.0.lock().get_or_insert(failure);
+    }
+
+    /// `Err` with the first failure a scan reported since the last
+    /// check: the streams consumed so far may have ended early.
+    pub(crate) fn check(&self) -> MasmResult<()> {
+        self.0.lock().take().map_or(Ok(()), Err)
+    }
 }
 
 impl RunScan {
@@ -219,7 +241,17 @@ impl RunScan {
             begin,
             end,
         );
-        RunScan { inner, run }
+        RunScan {
+            inner,
+            failures: None,
+        }
+    }
+
+    /// Report a failure of this scan to `failures` instead of
+    /// panicking; the stream just ends.
+    pub(crate) fn reporting_to(mut self, failures: ScanFailures) -> Self {
+        self.failures = Some(failures);
+        self
     }
 
     /// Keep up to `depth` async reads in flight (default 1). Merges and
@@ -250,26 +282,27 @@ impl RunScan {
     pub fn bytes_read(&self) -> u64 {
         self.inner.bytes_read()
     }
-
-    /// The run being scanned.
-    pub fn run(&self) -> &SortedRun {
-        &self.run
-    }
 }
 
 impl Iterator for RunScan {
     type Item = UpdateRecord;
 
     fn next(&mut self) -> Option<UpdateRecord> {
-        match self.inner.next_entry() {
-            Some(e) => Some(from_entry(self.run.id, e)),
-            None => {
-                if let Some(e) = self.inner.error() {
-                    panic!("run {} scan failed: {e}", self.run.id);
+        let failure = match self.inner.next_entry() {
+            Some(e) => match UpdateRecord::decode_value(e.key, e.ts, &e.value) {
+                Some(update) => return Some(update),
+                None => {
+                    self.inner.stop();
+                    MasmError::Corrupt("run entry")
                 }
-                None
-            }
+            },
+            None => MasmError::from(self.inner.stop()?),
+        };
+        match &self.failures {
+            Some(failures) => failures.report(failure),
+            None => panic!("scan of run {} failed: {failure}", self.inner.run_key()),
         }
+        None
     }
 }
 

@@ -1,4 +1,4 @@
-//! Allocation budgets of the three hot paths, on exact counts.
+//! Allocation budgets of the four hot paths, on exact counts.
 //!
 //! * A point lookup allocates what it returns — the record's payload —
 //!   and what decoding an update that applies to the key takes: a run
@@ -11,6 +11,10 @@
 //!   per update: the update moves into the buffer, its WAL frame is
 //!   encoded into the thread's scratch, and the run is built straight
 //!   from the sorted updates into the flat block buffer.
+//! * A migration allocates per update it applies and a constant per
+//!   rewrite chunk, nothing per heap record: a chunk is one buffer in
+//!   and one out, both reused, and a record no update touches moves
+//!   from one to the other as its encoded bytes.
 //!
 //! A binary of its own, because the counting allocator is process-wide;
 //! it counts per thread, so the tests (each single-threaded, inline
@@ -259,5 +263,49 @@ fn ingest_allocates_per_block_and_per_flush_not_per_update() {
         "{allocations} allocations for {UPDATES} updates through {flushes} flushes \
          ({:.3} per update)",
         allocations as f64 / UPDATES as f64
+    );
+}
+
+#[test]
+fn migration_allocates_per_update_not_per_record() {
+    const SMALL: u64 = 20_000; // 513 heap pages: one rewrite chunk
+    const LARGE: u64 = 80_000; // 2,052 heap pages: three
+    const UPDATES: u64 = 2_000;
+    // What one more chunk of untouched records may allocate: its read
+    // buffer's turn in the swap, the old physical offsets, the new
+    // minimum keys, the `MapSplice` frame, and a page-map, index or
+    // free-list growth step.
+    const PER_CHUNK: u64 = 8;
+
+    // The same updates — all to keys of the small table's range — into
+    // a table of `records`: allocations of the migration, and chunks.
+    let migrate = |records: u64| {
+        let (engine, session, schema) = loaded_engine(MasmConfig::small_for_tests(), records);
+        for i in 0..UPDATES {
+            let (key, op) = mixed_update(i, SMALL, &schema);
+            engine.apply_update(&session, key, op).unwrap();
+        }
+        engine.flush_buffer(&session).unwrap();
+        let pages = engine.heap().num_pages() as u64;
+        let before = allocations();
+        let report = engine.migrate(&session).unwrap();
+        let allocations = allocations() - before;
+        assert_eq!(report.updates_applied, UPDATES);
+        assert_eq!(engine.heap().record_count(), records);
+        (allocations, pages.div_ceil(1024))
+    };
+    let (small, small_chunks) = migrate(SMALL);
+    let (large, large_chunks) = migrate(LARGE);
+    assert_eq!((small_chunks, large_chunks), (1, 3));
+    let extra = large.abs_diff(small);
+    assert!(
+        extra <= PER_CHUNK * (large_chunks - small_chunks),
+        "{small} allocations to migrate {UPDATES} updates into {SMALL} records, {large} into \
+         {LARGE}: {extra} more for {} more records",
+        LARGE - SMALL
+    );
+    eprintln!(
+        "{small} allocations into {SMALL} records ({small_chunks} chunk), {large} into {LARGE} \
+         ({large_chunks} chunks)"
     );
 }

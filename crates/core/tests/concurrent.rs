@@ -18,7 +18,7 @@ use masm_core::config::{IndexGranularity, MasmConfig};
 use masm_core::merge::compact_block_runs;
 use masm_core::run::{write_run, SortedRun};
 use masm_core::update::{UpdateOp, UpdateRecord};
-use masm_core::{MasmEngine, MasmResult};
+use masm_core::{MasmEngine, MasmError, MasmResult};
 use masm_pagestore::{HeapConfig, Record, Schema, TableHeap};
 use masm_storage::{DeviceProfile, SessionHandle, SimClock, SimDevice};
 use masm_telemetry::{RecordKind, TraceConfig, Tracer};
@@ -43,11 +43,15 @@ struct Fixture {
 }
 
 fn fixture(cfg: MasmConfig, n_records: u64) -> Fixture {
+    fixture_on(HeapConfig::default(), cfg, n_records)
+}
+
+fn fixture_on(heap_cfg: HeapConfig, cfg: MasmConfig, n_records: u64) -> Fixture {
     let clock = SimClock::new();
     let disk = SimDevice::in_memory(DeviceProfile::hdd_barracuda(), clock.clone());
     let ssd = SimDevice::in_memory(DeviceProfile::ssd_x25e(), clock.clone());
     let wal_dev = SimDevice::in_memory(DeviceProfile::ssd_x25e(), clock.clone());
-    let heap = Arc::new(TableHeap::new(disk.clone(), HeapConfig::default()));
+    let heap = Arc::new(TableHeap::new(disk.clone(), heap_cfg));
     let engine = MasmEngine::new(heap, ssd.clone(), wal_dev, schema(), cfg).unwrap();
     let session = SessionHandle::fresh(clock.clone());
     if n_records > 0 {
@@ -592,4 +596,177 @@ fn every_job_releases_its_claim_on_a_write_fault_and_succeeds_on_retry() {
         }
         reads_equal_the_model("after the retry");
     }
+}
+
+/// `rounds` runs over the same 64 keys of a 200-record table (so a
+/// compaction has overlapping blocks to decode, not only blocks to
+/// move), and what a read of everything must return afterwards.
+fn overlapping_runs(f: &Fixture, rounds: u32) -> HashMap<u64, u32> {
+    for round in 1..=rounds {
+        for j in 0..64u32 {
+            let op = UpdateOp::Replace(payload(1000 * round + j));
+            f.engine.apply_update(&f.session, j as u64 * 2, op).unwrap();
+        }
+        f.engine.flush_buffer(&f.session).unwrap();
+    }
+    (0..200u32)
+        .map(|i| (i as u64 * 2, if i < 64 { 1000 * rounds + i } else { i }))
+        .collect()
+}
+
+fn scan_all(f: &Fixture) -> HashMap<u64, u32> {
+    let s = schema();
+    let scan = f.engine.begin_scan(f.session.clone(), 0, u64::MAX).unwrap();
+    scan.map(|r| (r.key, s.get_u32(&r.payload, 0))).collect()
+}
+
+/// Migration and compaction read their runs past the block cache, so
+/// with the flash device failing reads every block they want is an
+/// error. That error comes back from the call — it used to be a panic
+/// in `RunScan::next` — the claim is released, nothing half-merged is
+/// installed, `get` answers or reports the error, and once the device
+/// reads again the same calls succeed.
+#[test]
+fn flash_read_fault_during_maintenance_is_an_error_not_a_panic() {
+    let f = fixture(MasmConfig::small_for_tests(), 200);
+    let s = schema();
+    let model = overlapping_runs(&f, 3);
+
+    f.ssd.inject_read_fault();
+    let faulted = |result: MasmResult<()>, what: &str| match result {
+        Err(MasmError::Storage(_)) => {}
+        other => panic!("{what} under a flash read fault: {other:?}"),
+    };
+    faulted(f.engine.migrate(&f.session).map(drop), "migrate");
+    faulted(f.engine.compact_runs(&f.session).map(drop), "compact_runs");
+    faulted(
+        f.engine.migrate_range(&f.session, 0, 40).map(drop),
+        "migrate_range",
+    );
+    assert_eq!(f.engine.run_count(), 3, "nothing was installed or retired");
+    for key in [0u64, 2, 126, 128, 398] {
+        // No block of these runs was ever cached: the lookup of a key
+        // they may hold has to read one.
+        match f.engine.get(&f.session, key) {
+            Ok(found) => assert_eq!(
+                found.map(|r| s.get_u32(&r.payload, 0)),
+                model.get(&key).copied()
+            ),
+            Err(e) => assert!(matches!(e, MasmError::Storage(_)), "get({key}): {e}"),
+        }
+    }
+
+    f.ssd.clear_read_fault();
+    let report = f.engine.compact_runs(&f.session).unwrap();
+    assert_eq!((report.inputs, f.engine.run_count()), (3, 1));
+    assert_eq!(scan_all(&f), model, "after the compaction");
+    let report = f.engine.migrate(&f.session).unwrap();
+    assert_eq!((report.updates_applied, f.engine.run_count()), (64, 0));
+    assert_eq!(scan_all(&f), model, "after the migration");
+    assert_eq!(f.ssd.stats().random_writes, 0);
+}
+
+/// A run block that fails its checksum half-way through a migration:
+/// the chunks joined before it are committed and stamped, the chunk
+/// that met the truncated update stream is **not**, and the error comes
+/// back. With the block readable again the table reads as the model —
+/// committed pages skip by their timestamp what they already hold —
+/// and the retry finishes the job.
+#[test]
+fn a_corrupt_run_block_stops_a_migration_between_chunks() {
+    let heap_cfg = HeapConfig {
+        rewrite_chunk_pages: 2,
+        ..HeapConfig::default()
+    };
+    let f = fixture_on(heap_cfg, MasmConfig::small_for_tests(), 200);
+    assert_eq!(f.engine.heap().num_pages(), 6, "three chunks of two pages");
+    for i in 0..200u32 {
+        let op = UpdateOp::Replace(payload(5000 + i));
+        f.engine.apply_update(&f.session, i as u64 * 2, op).unwrap();
+    }
+    f.engine.flush_buffer(&f.session).unwrap();
+    let model: HashMap<u64, u32> = (0..200u32).map(|i| (i as u64 * 2, 5000 + i)).collect();
+
+    // One run from offset 0, most of it 1 KiB data blocks in key order:
+    // its middle byte is in the block with the middle keys.
+    assert_eq!(f.engine.run_count(), 1);
+    let middle = f.ssd.len() / 2;
+    let flip = |f: &Fixture| {
+        let (byte, _) = f.ssd.read_at(f.session.now(), middle, 1).unwrap();
+        f.ssd
+            .write_at(f.session.now(), middle, &[!byte[0]])
+            .unwrap();
+    };
+    flip(&f);
+    match f.engine.migrate(&f.session) {
+        Err(MasmError::BlockRun(_)) => {}
+        other => panic!("a migration over a corrupt block: {other:?}"),
+    }
+    let stamp = |page| {
+        f.engine
+            .heap()
+            .read_page(&f.session, page)
+            .unwrap()
+            .timestamp()
+    };
+    let pages = f.engine.heap().num_pages();
+    assert!(stamp(0) > 0, "the first chunk was committed");
+    assert_eq!(stamp(pages - 1), 0, "the last was not");
+    assert_eq!(f.engine.run_count(), 1, "the run is not retired");
+
+    flip(&f);
+    assert_eq!(scan_all(&f), model, "after the failed migration");
+    let report = f.engine.migrate(&f.session).unwrap();
+    assert_eq!((report.updates_applied, f.engine.run_count()), (200, 0));
+    assert_eq!(scan_all(&f), model, "after the retry");
+}
+
+/// The same fault met by a pool worker: the compaction job fails with
+/// an error, is retried and — the device still failing — given up,
+/// and the worker lives to run the next job. It used to panic, taking
+/// the pool's only thread (and the job's retry budget) with it.
+#[test]
+fn flash_read_fault_in_a_background_job_is_retried_and_the_worker_survives() {
+    let mut cfg = MasmConfig::small_for_tests();
+    cfg.background_workers = 1;
+    let f = fixture(cfg, 200);
+    // More runs than query pages: a compaction is due. Nothing asks
+    // for it yet — these flushes run on this thread.
+    let rounds = MasmConfig::small_for_tests().query_pages() as u32 + 1;
+    let mut model = overlapping_runs(&f, rounds);
+    assert_eq!(f.engine.stats().workers.jobs_completed, 0);
+
+    // Seal a batch: the worker flushes it (writes only), finds the
+    // compaction due and runs it against the failing device.
+    let seal_a_batch = |model: &mut HashMap<u64, u32>, base: u32| {
+        for j in 0..1500u32 {
+            let (key, value) = ((j % 64) as u64 * 2, base + j);
+            let op = UpdateOp::Replace(payload(value));
+            f.engine.apply_update(&f.session, key, op).unwrap();
+            model.insert(key, value);
+        }
+    };
+    f.ssd.inject_read_fault();
+    seal_a_batch(&mut model, 100_000);
+    let engine = Arc::clone(&f.engine);
+    let stats = within_a_minute(move || loop {
+        let stats = engine.stats();
+        if stats.workers.jobs_failed >= 1 {
+            break stats;
+        }
+        thread::yield_now();
+    });
+    assert!(stats.workers.jobs_retried >= 2, "{:?}", stats.workers);
+    assert_eq!(stats.workers.merges, 0, "no merge can have been installed");
+
+    // The pool still has its thread: the next batch is flushed by it.
+    f.ssd.clear_read_fault();
+    let flushes = stats.workers.flushes;
+    seal_a_batch(&mut model, 200_000);
+    f.engine.shutdown();
+    assert!(f.engine.stats().workers.flushes > flushes);
+    assert_eq!(scan_all(&f), model);
+    f.engine.migrate(&f.session).unwrap();
+    assert_eq!(f.engine.run_count(), 0);
+    assert_eq!(scan_all(&f), model);
 }

@@ -17,12 +17,17 @@
 //!   that commits a chunk between the look-ups cannot misdirect the
 //!   read, and nothing is copied. The closure must not block or do I/O.
 //! * [`HeapRewriter`] implements chunked copy-forward rewrite: read a
-//!   chunk of old pages, let the caller merge updates into new pages,
-//!   write the new chunk sequentially (preferring physical slots freed by
-//!   already-committed chunks), and splice the page map. Peak extra space
-//!   is one chunk, not a full table copy. A heap admits **one rewriter
-//!   at a time**: a rewriter addresses pages by logical index, which
-//!   another rewriter's splice would shift under it.
+//!   chunk of old pages into **one buffer** (a [`PageChunk`]: one device
+//!   read per physically contiguous extent, straight into it), let the
+//!   caller pack the merged records into another, write that one as it
+//!   is, sequentially (preferring physical slots freed by
+//!   already-committed chunks), and splice the page map and the index in
+//!   place. The buffer of a committed chunk is the next chunk's read
+//!   buffer, so a rewrite allocates its two chunk buffers once, however
+//!   long the table. Peak extra space is one chunk, not a full table
+//!   copy. A heap admits **one rewriter at a time**: a rewriter
+//!   addresses pages by logical index, which another rewriter's splice
+//!   would shift under it.
 
 use std::sync::Arc;
 
@@ -32,7 +37,7 @@ use masm_storage::clock::Ns;
 use masm_storage::{IoTicket, SessionHandle, SimDevice, StorageError, StorageResult, MIB};
 
 use crate::index::SparseIndex;
-use crate::page::{Page, PageRef};
+use crate::page::{Page, PageChunk, PageRef};
 use crate::record::{Key, Record};
 
 /// Tuning knobs of a table heap.
@@ -102,10 +107,31 @@ impl Allocator {
         offset
     }
 
-    fn free_pages(&mut self, offsets: impl IntoIterator<Item = u64>) {
-        self.free.extend(offsets);
-        self.free.sort_unstable();
-        self.free.dedup();
+    /// Give physical pages back: `offsets` is sorted and merged into
+    /// the sorted free list, from the back, in place. A page can be
+    /// free only once — a second free of it means two owners of one
+    /// physical page, and the next allocation would hand it to both.
+    fn free_pages(&mut self, mut offsets: Vec<u64>) {
+        offsets.sort_unstable();
+        let (mut old, mut new) = (self.free.len(), offsets.len());
+        self.free.resize(old + new, 0);
+        while new > 0 {
+            let at = old + new - 1;
+            if old > 0 && self.free[old - 1] >= offsets[new - 1] {
+                old -= 1;
+                self.free[at] = self.free[old];
+            } else {
+                new -= 1;
+                self.free[at] = offsets[new];
+            }
+            assert!(
+                self.free
+                    .get(at + 1)
+                    .is_none_or(|&above| self.free[at] < above),
+                "physical page {} freed twice",
+                self.free[at]
+            );
+        }
     }
 }
 
@@ -310,19 +336,10 @@ impl TableHeap {
         timestamp: u64,
     ) -> StorageResult<usize> {
         let page_size = self.cfg.page_size;
-        let mut new_pages: Vec<Page> = Vec::new();
-        let mut cur = Page::new(page_size);
-        cur.set_timestamp(timestamp);
-
+        let mut new_pages = PageChunk::new(page_size);
+        new_pages.reset(timestamp);
         for r in &records {
-            if !cur.fits(r) {
-                new_pages.push(std::mem::replace(&mut cur, Page::new(page_size)));
-                cur.set_timestamp(timestamp);
-            }
-            assert!(cur.append(r));
-        }
-        if cur.record_count() > 0 {
-            new_pages.push(cur);
+            new_pages.push(r).expect("record larger than page");
         }
 
         // Physical writes first, then map splice under the write lock.
@@ -346,25 +363,20 @@ impl TableHeap {
                 phys_slots.push(extra + (i * page_size) as u64);
             }
         }
-        for (p, &phys) in new_pages.iter().zip(&phys_slots) {
-            session.write(&self.dev, phys, p.as_bytes())?;
+        for (p, &phys) in new_pages
+            .as_bytes()
+            .chunks_exact(page_size)
+            .zip(&phys_slots)
+        {
+            session.write(&self.dev, phys, p)?;
         }
         let spans = new_pages.len();
-        if new_pages.is_empty() {
-            st.page_map.remove(logical);
-            let mut mins = st.index.min_keys().to_vec();
-            mins.remove(logical);
-            st.index = SparseIndex::new(mins);
-            self.alloc.lock().free_pages([old_phys]);
-        } else {
-            let mut mins = st.index.min_keys().to_vec();
-            st.page_map
-                .splice(logical..=logical, phys_slots.iter().copied());
-            mins.splice(
-                logical..=logical,
-                new_pages.iter().map(|p| p.min_key().unwrap()),
-            );
-            st.index = SparseIndex::new(mins);
+        let min_keys: Vec<Key> = new_pages.pages().filter_map(|p| p.min_key()).collect();
+        st.index.splice(logical..logical + 1, &min_keys);
+        st.page_map
+            .splice(logical..=logical, phys_slots[..spans].iter().copied());
+        if spans == 0 {
+            self.alloc.lock().free_pages(vec![old_phys]);
         }
         st.record_count = st.record_count - before_count + records.len() as u64;
         Ok(spans)
@@ -404,9 +416,7 @@ impl TableHeap {
         let range = commit.at..commit.at + commit.n_old;
         let new_phys = (0..commit.n_new).map(|i| commit.base_phys + i as u64 * page_size);
         st.page_map.splice(range.clone(), new_phys);
-        let mut mins = st.index.min_keys().to_vec();
-        mins.splice(range, commit.min_keys.iter().copied());
-        st.index = SparseIndex::new(mins);
+        st.index.splice(range, &commit.min_keys);
         st.record_count = (st.record_count as i64 + commit.record_delta) as u64;
         let mut alloc = self.alloc.lock();
         alloc.next = alloc
@@ -419,7 +429,7 @@ impl TableHeap {
         let st = self.state.read();
         (
             st.page_map.clone(),
-            st.index.min_keys().to_vec(),
+            Vec::from(st.index.min_keys()),
             st.record_count,
         )
     }
@@ -451,6 +461,7 @@ impl TableHeap {
             outstanding: 0,
             outstanding_records: 0,
             records_written: 0,
+            spare: PageChunk::new(self.cfg.page_size),
             _exclusive: exclusive,
         }
     }
@@ -661,13 +672,17 @@ pub struct ChunkCommit {
 }
 
 /// Chunked copy-forward rewriter (the I/O engine of MaSM's in-place
-/// migration). Usage:
+/// migration). A chunk is one buffer in and one buffer out:
 ///
 /// ```ignore
 /// let mut rw = heap.rewriter(session);
+/// let mut new_pages = PageChunk::new(page_size);
 /// while let Some(old_pages) = rw.next_chunk()? {
-///     let new_pages = merge(old_pages, updates);
-///     rw.commit_chunk(new_pages)?;
+///     new_pages.reset(stamp);
+///     merge(&old_pages, updates, &mut new_pages); // push / push_run
+///     // The rewriter keeps the committed buffer to read the next
+///     // chunk into; the one just read becomes the next output.
+///     rw.commit_chunk(std::mem::replace(&mut new_pages, old_pages))?;
 /// }
 /// rw.finish();
 /// ```
@@ -683,14 +698,18 @@ pub struct HeapRewriter<'a> {
     /// Records contained in the outstanding chunk's old pages.
     outstanding_records: u64,
     records_written: u64,
+    /// The buffer of the last chunk committed: the next one is read
+    /// into it.
+    spare: PageChunk,
     /// The heap's rewrite lock, released when the rewriter goes.
     _exclusive: MutexGuard<'a, ()>,
 }
 
 impl HeapRewriter<'_> {
-    /// Read the next chunk of old pages (sequential 1 MB-class read).
+    /// Read the next chunk of old pages (sequential 1 MB-class reads,
+    /// one per physically contiguous extent, all into one buffer).
     /// Returns `None` when every page of the rewrite has been handed out.
-    pub fn next_chunk(&mut self) -> StorageResult<Option<Vec<Page>>> {
+    pub fn next_chunk(&mut self) -> StorageResult<Option<PageChunk>> {
         assert_eq!(self.outstanding, 0, "commit_chunk before next_chunk");
         let heap = self.heap;
         let st = heap.state.read();
@@ -700,26 +719,24 @@ impl HeapRewriter<'_> {
         let page_size = heap.cfg.page_size as u64;
         let chunk_pages = heap.cfg.rewrite_chunk_pages.max(1);
         let end = (self.cursor + chunk_pages).min(self.end_cursor.min(st.page_map.len()));
-        // Read each physically-contiguous extent with one I/O.
-        let mut pages = Vec::with_capacity(end - self.cursor);
+        let mut chunk = std::mem::replace(&mut self.spare, PageChunk::new(heap.cfg.page_size));
+        let buf = chunk.read_buffer();
         let mut i = self.cursor;
         while i < end {
             let mut j = i;
             while j + 1 < end && st.page_map[j + 1] == st.page_map[j] + page_size {
                 j += 1;
             }
-            let n = j - i + 1;
-            let data = self
-                .session
-                .read(&heap.dev, st.page_map[i], n as u64 * page_size)?;
-            for chunk in data.chunks_exact(page_size as usize) {
-                pages.push(Page::from_bytes(chunk.to_vec()));
-            }
+            let len = (j - i + 1) as u64 * page_size;
+            self.session
+                .read_with(&heap.dev, st.page_map[i], len, |bytes| {
+                    buf.extend_from_slice(bytes)
+                })?;
             i = j + 1;
         }
         self.outstanding = end - self.cursor;
-        self.outstanding_records = pages.iter().map(|p| p.record_count() as u64).sum();
-        Ok(Some(pages))
+        self.outstanding_records = chunk.record_count();
+        Ok(Some(chunk))
     }
 
     /// The key span owned by the pages of the chunk the last
@@ -748,44 +765,38 @@ impl HeapRewriter<'_> {
         )
     }
 
-    /// Write `new_pages` in place of the pages returned by the last
-    /// `next_chunk`: sequential write into freed/fresh space, then splice
-    /// the page map and free the old slots. Returns the splice
-    /// description for durable logging.
-    pub fn commit_chunk(&mut self, new_pages: Vec<Page>) -> StorageResult<ChunkCommit> {
+    /// Write `new_pages`, as they are, in place of the pages returned by
+    /// the last `next_chunk`: one sequential write into freed/fresh
+    /// space, then splice the page map and the index and free the old
+    /// slots. Minimum keys and record counts come from the page
+    /// headers. Returns the splice description for durable logging.
+    pub fn commit_chunk(&mut self, new_pages: PageChunk) -> StorageResult<ChunkCommit> {
         let heap = self.heap;
         let page_size = heap.cfg.page_size as u64;
         let n_old = self.outstanding;
         assert!(n_old > 0, "next_chunk before commit_chunk");
+        assert_eq!(new_pages.page_size(), heap.cfg.page_size);
         let n_new = new_pages.len();
 
         // Allocate and write outside the state lock (fresh slots are not
         // visible to any reader yet).
         let base = heap.alloc.lock().alloc_contiguous(n_new, page_size);
-        let mut buf = Vec::with_capacity(n_new * page_size as usize);
-        for p in &new_pages {
-            debug_assert_eq!(p.size(), page_size as usize);
-            buf.extend_from_slice(p.as_bytes());
+        if !new_pages.is_empty() {
+            self.session.write(&heap.dev, base, new_pages.as_bytes())?;
         }
-        if !buf.is_empty() {
-            self.session.write(&heap.dev, base, &buf)?;
-        }
+        let new_min_keys: Vec<Key> = new_pages
+            .pages()
+            .map(|p| p.min_key().expect("empty page in commit_chunk"))
+            .collect();
+        let new_records = new_pages.record_count();
+        // next_chunk already read (and counted) the old pages.
+        let old_records = self.outstanding_records;
 
         let mut st = heap.state.write();
         let old_range = self.cursor..self.cursor + n_old;
-        let old_phys: Vec<u64> = st.page_map[old_range.clone()].to_vec();
         let new_phys = (0..n_new).map(|i| base + i as u64 * page_size);
-        // next_chunk already read (and counted) the old pages.
-        let old_records = self.outstanding_records;
-        st.page_map.splice(old_range.clone(), new_phys);
-        let mut mins = st.index.min_keys().to_vec();
-        let new_min_keys: Vec<Key> = new_pages
-            .iter()
-            .map(|p| p.min_key().expect("empty page in commit_chunk"))
-            .collect();
-        mins.splice(old_range, new_min_keys.iter().copied());
-        st.index = SparseIndex::new(mins);
-        let new_records: u64 = new_pages.iter().map(|p| p.record_count() as u64).sum();
+        let old_phys: Vec<u64> = st.page_map.splice(old_range.clone(), new_phys).collect();
+        st.index.splice(old_range, &new_min_keys);
         st.record_count = st.record_count - old_records + new_records;
         drop(st);
 
@@ -802,6 +813,7 @@ impl HeapRewriter<'_> {
         self.end_cursor = (self.end_cursor + n_new).saturating_sub(n_old);
         self.outstanding = 0;
         self.records_written += new_records;
+        self.spare = new_pages;
         Ok(commit)
     }
 
@@ -1001,9 +1013,9 @@ mod tests {
         let (heap, s) = heap_with(2000);
         // Drop every record with key % 4 == 0 and add odd keys: net growth.
         let mut rw = heap.rewriter(s.clone());
-        let page_size = heap.config().page_size;
+        let mut new_pages = PageChunk::new(heap.config().page_size);
         while let Some(pages) = rw.next_chunk().unwrap() {
-            let mut records: Vec<Record> = pages.iter().flat_map(|p| p.records()).collect();
+            let mut records: Vec<Record> = pages.pages().flat_map(|p| p.records()).collect();
             let lo = records.first().unwrap().key;
             let hi = records.last().unwrap().key;
             records.retain(|r| r.key % 4 != 0);
@@ -1013,18 +1025,12 @@ mod tests {
                 .collect();
             records.append(&mut inserts);
             records.sort_by_key(|r| r.key);
-            let mut new_pages = Vec::new();
-            let mut cur = Page::new(page_size);
+            new_pages.reset(0);
             for r in &records {
-                if !cur.fits(r) {
-                    new_pages.push(std::mem::replace(&mut cur, Page::new(page_size)));
-                }
-                assert!(cur.append(r));
+                new_pages.push(r).unwrap();
             }
-            if cur.record_count() > 0 {
-                new_pages.push(cur);
-            }
-            rw.commit_chunk(new_pages).unwrap();
+            rw.commit_chunk(std::mem::replace(&mut new_pages, pages))
+                .unwrap();
         }
         rw.finish();
         let got: Vec<Key> = heap.scan_range(s, 0, u64::MAX).map(|r| r.key).collect();
@@ -1051,6 +1057,46 @@ mod tests {
             bytes_after <= bytes_before + 2 * chunk_bytes,
             "before={bytes_before} after={bytes_after}"
         );
+    }
+
+    #[test]
+    fn allocator_reuses_freed_pages_in_address_order() {
+        const P: u64 = 4096;
+        let mut a = Allocator::default();
+        assert_eq!(a.alloc_contiguous(4, P), 0);
+        assert_eq!(a.alloc_contiguous(2, P), 4 * P);
+        // Freed out of order, in two calls: one sorted list.
+        a.free_pages(vec![3 * P, P]);
+        a.free_pages(vec![5 * P, 0, 2 * P]);
+        assert_eq!(a.free, [0, P, 2 * P, 3 * P, 5 * P]);
+        // The first contiguous run that is long enough, else fresh space.
+        assert_eq!(a.alloc_contiguous(3, P), 0);
+        assert_eq!(a.free, [3 * P, 5 * P]);
+        assert_eq!(a.alloc_contiguous(2, P), 6 * P, "3 and 5 are not adjacent");
+        assert_eq!(a.alloc_contiguous(1, P), 3 * P);
+        a.free_pages(vec![4 * P]);
+        assert_eq!(a.alloc_contiguous(2, P), 4 * P);
+        assert!(a.free.is_empty());
+        assert_eq!(a.next, 8 * P);
+        a.free_pages(Vec::new());
+        assert!(a.free.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "freed twice")]
+    fn a_double_free_is_caught_against_the_list() {
+        let mut a = Allocator::default();
+        a.alloc_contiguous(4, 4096);
+        a.free_pages(vec![4096, 8192]);
+        a.free_pages(vec![0, 8192]);
+    }
+
+    #[test]
+    #[should_panic(expected = "freed twice")]
+    fn a_double_free_is_caught_within_one_call() {
+        let mut a = Allocator::default();
+        a.alloc_contiguous(4, 4096);
+        a.free_pages(vec![8192, 0, 8192]);
     }
 
     #[test]
@@ -1121,21 +1167,23 @@ mod tests {
                     a_finished.load(Ordering::SeqCst),
                     "B got the heap while A was mid-chunk"
                 );
+                let page_size = heap.config().page_size;
                 while let Some(pages) = b.next_chunk().unwrap() {
-                    let halves = pages.iter().flat_map(|p| {
+                    let halves = pages.pages().flat_map(|p| {
                         let records: Vec<Record> = p.records().collect();
                         let (left, right) = records.split_at(records.len() / 2);
                         [left.to_vec(), right.to_vec()]
                     });
                     let new_pages = halves
                         .filter(|records| !records.is_empty())
-                        .map(|records| {
-                            let mut page = Page::new(heap.config().page_size);
+                        .flat_map(|records| {
+                            let mut page = Page::new(page_size);
                             assert!(records.iter().all(|r| page.append(r)));
-                            page
+                            page.into_bytes()
                         })
                         .collect();
-                    b.commit_chunk(new_pages).unwrap();
+                    b.commit_chunk(PageChunk::from_bytes(page_size, new_pages))
+                        .unwrap();
                 }
                 b.finish();
             })

@@ -62,6 +62,17 @@ impl SparseIndex {
         self.min_keys.push(min_key);
     }
 
+    /// Replace the minimum keys of the logical pages `pages` with
+    /// `min_keys` (fewer, as many or more), in place: what a rewrite
+    /// does to the index when it commits a chunk. Only the keys after
+    /// the replaced pages move, and only when the page count changes.
+    pub fn splice(&mut self, pages: std::ops::Range<usize>, min_keys: &[Key]) {
+        let seam = pages.start.saturating_sub(1)..pages.start + min_keys.len() + 1;
+        self.min_keys.splice(pages, min_keys.iter().copied());
+        let around = &self.min_keys[seam.start..seam.end.min(self.min_keys.len())];
+        debug_assert!(around.windows(2).all(|w| w[0] <= w[1]));
+    }
+
     /// All minimum keys (for snapshots).
     pub fn min_keys(&self) -> &[Key] {
         &self.min_keys
@@ -106,6 +117,50 @@ mod tests {
         assert_eq!(i.page_range(10, 5), None);
         assert_eq!(SparseIndex::default().page_range(0, 10), None);
         assert_eq!(SparseIndex::default().locate(5), None);
+    }
+
+    #[test]
+    fn splice_equals_copy_splice_rebuild() {
+        let mins: Vec<Key> = (0..10).map(|i| i * 100).collect();
+        let (first, last) = (0..2, 8..10);
+        // (pages replaced, their new minimum keys): the same number,
+        // more, fewer and none at all — at the front, in the middle
+        // and at the end.
+        let cases: [(std::ops::Range<usize>, Vec<Key>); 12] = [
+            (first.clone(), vec![0, 150]),
+            (first.clone(), vec![5, 10, 20, 199]),
+            (first.clone(), vec![120]),
+            (first, vec![]),
+            (4..6, vec![400, 500]),
+            (4..6, vec![401, 450, 480, 520, 599]),
+            (4..6, vec![455]),
+            (4..6, vec![]),
+            (last.clone(), vec![800, 950]),
+            (last.clone(), vec![810, 820, 5000]),
+            (last.clone(), vec![899]),
+            (last, vec![]),
+        ];
+        for (pages, keys) in cases {
+            let mut spliced = SparseIndex::new(mins.clone());
+            spliced.splice(pages.clone(), &keys);
+            let mut copy = mins.clone();
+            copy.splice(pages.clone(), keys.iter().copied());
+            let rebuilt = SparseIndex::new(copy);
+            assert_eq!(spliced, rebuilt, "{pages:?} -> {keys:?}");
+            for probe in (0..1100).step_by(7).chain([5000, Key::MAX]) {
+                assert_eq!(spliced.locate(probe), rebuilt.locate(probe));
+                assert_eq!(
+                    spliced.page_range(probe / 2, probe),
+                    rebuilt.page_range(probe / 2, probe)
+                );
+            }
+        }
+        let mut all = SparseIndex::new(mins);
+        all.splice(0..10, &[]);
+        assert!(all.is_empty());
+        assert_eq!(all.locate(5), None);
+        all.splice(0..0, &[7, 9]);
+        assert_eq!(all.min_keys(), [7, 9]);
     }
 
     #[test]

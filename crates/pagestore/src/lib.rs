@@ -13,12 +13,13 @@
 //!   individual attributes.
 //! * [`page`] — slotted pages whose header carries the timestamp of the
 //!   last update applied (the paper reuses the page LSN field for this;
-//!   §3.2 "Timestamps").
+//!   §3.2 "Timestamps"); a run of them in one buffer is a
+//!   [`PageChunk`], which also packs records into new pages in place.
 //! * [`index`] — the sparse primary-key index (smallest key per page).
 //! * [`heap`] — the clustered table heap: bulk load, 1 MB prefetching
 //!   range scans, 4 KB in-place page writes (for the in-place baseline),
 //!   and a chunked copy-forward rewriter used by MaSM's in-place
-//!   migration.
+//!   migration (one buffer read, one buffer written per chunk).
 
 pub mod heap;
 pub mod index;
@@ -28,6 +29,6 @@ pub mod schema;
 
 pub use heap::{ChunkCommit, HeapConfig, HeapRewriter, RangeScan, TableHeap};
 pub use index::SparseIndex;
-pub use page::{Page, PageRef};
+pub use page::{Page, PageChunk, PageRef, RecordTooLarge};
 pub use record::{Key, Record};
 pub use schema::{Field, FieldType, Schema};

@@ -22,6 +22,24 @@
 //! The on-disk block's CRC lives in its zone-map entry and covers the
 //! *stored* (post-codec) bytes, so integrity is checked before any
 //! codec or entry decoding starts.
+//!
+//! ## The decoded form: one buffer
+//!
+//! A block that has been read is kept as exactly those flat bytes — the
+//! buffer the codec stage returned, moved in, not copied — plus the
+//! offset of every entry header ([`FlatBlock`]):
+//!
+//! ```text
+//! bytes    count │ key ts len value… │ key ts len value… │ …
+//! offsets        ▲ 4                 ▲                   ▲ … ▲ bytes.len()
+//! ```
+//!
+//! Readers borrow [`EntryRef`]s out of it by index and binary-search
+//! its keys in place; nothing is allocated per entry. The owned
+//! [`Entry`] is the vocabulary of the *write* side ([`encode_block`],
+//! [`crate::format::build_run`]) and of tests; [`decode_block`] is the
+//! reference decoder the differential tests hold [`FlatBlock::parse`]
+//! against.
 
 // Varints moved to `masm-codec` with the delta encoding; re-exported
 // because the bloom filter header still uses them.
@@ -80,17 +98,26 @@ pub fn encode_block(entries: &[Entry]) -> Vec<u8> {
     out
 }
 
-/// Decode a flat data block produced by [`encode_block`]. Returns
-/// `None` on any structural inconsistency — truncation, trailing bytes,
-/// or out-of-order keys. (Callers verify the CRC and run the codec
-/// first, so a `None` here means a logic error or deliberate
+/// The entry count a flat block declares, if the block is long enough
+/// to hold that many 20-byte entry headers. Checked before anything is
+/// reserved for the entries: the count is four bytes off a device.
+fn declared_count(buf: &[u8]) -> Option<usize> {
+    let header = buf.get(..COUNT_HEADER)?;
+    let count = u32::from_le_bytes(header.try_into().ok()?) as usize;
+    (count <= (buf.len() - COUNT_HEADER) / ENTRY_HEADER).then_some(count)
+}
+
+/// Decode a flat data block produced by [`encode_block`] into owned
+/// entries — the **reference decoder**: the read path keeps blocks as
+/// [`FlatBlock`]s, and the differential tests hold the two to the same
+/// verdict on every input. Returns `None` on any structural
+/// inconsistency — truncation, a count the bytes cannot hold, trailing
+/// bytes, or out-of-order keys. (Callers verify the CRC and run the
+/// codec first, so a `None` here means a logic error or deliberate
 /// corruption.)
 pub fn decode_block(buf: &[u8]) -> Option<Vec<Entry>> {
-    if buf.len() < 4 {
-        return None;
-    }
-    let count = u32::from_le_bytes(buf[0..4].try_into().ok()?) as usize;
-    let mut pos = 4usize;
+    let count = declared_count(buf)?;
+    let mut pos = COUNT_HEADER;
     let mut out = Vec::with_capacity(count);
     let mut prev_key = 0u64;
     for _ in 0..count {
@@ -118,6 +145,144 @@ pub fn decode_block(buf: &[u8]) -> Option<Vec<Entry>> {
     (pos == buf.len()).then_some(out)
 }
 
+/// One entry of a [`FlatBlock`], borrowed from the block's buffer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EntryRef<'a> {
+    /// Primary key the entry applies to.
+    pub key: u64,
+    /// Commit timestamp.
+    pub ts: u64,
+    /// Opaque payload, in place.
+    pub value: &'a [u8],
+}
+
+impl EntryRef<'_> {
+    /// An owned copy (one allocation, for the value).
+    pub fn to_entry(&self) -> Entry {
+        Entry::new(self.key, self.ts, self.value.to_vec())
+    }
+}
+
+/// A decoded data block: the flat bytes of [`encode_block`]'s layout,
+/// validated once, plus the offset of every entry header. Entries are
+/// lent out of the buffer ([`FlatBlock::get`]); three allocations per
+/// block (buffer, offsets, the cache's `Arc`) whatever it holds.
+#[derive(Debug, PartialEq, Eq)]
+pub struct FlatBlock {
+    bytes: Vec<u8>,
+    /// Offset of each entry's header in `bytes`, then `bytes.len()`:
+    /// entry `i` spans `offsets[i]..offsets[i + 1]`.
+    offsets: Vec<u32>,
+    /// `Σ Entry::weight` of the entries, fixed at parse time.
+    weight: usize,
+}
+
+impl FlatBlock {
+    /// Take ownership of a flat block and index it, making every check
+    /// [`decode_block`] makes — truncation, a count the bytes cannot
+    /// hold, a value running past the end, trailing bytes, keys out of
+    /// order — in one pass. `None` where `decode_block` says `None`
+    /// (and for a buffer past 4 GiB, which no `u32` offset reaches).
+    pub fn parse(bytes: Vec<u8>) -> Option<FlatBlock> {
+        let count = declared_count(&bytes)?;
+        let end = u32::try_from(bytes.len()).ok()?;
+        let mut offsets = Vec::with_capacity(count + 1);
+        let mut pos = COUNT_HEADER;
+        let mut prev_key = 0u64;
+        for _ in 0..count {
+            let (header, rest) = bytes.get(pos..)?.split_first_chunk::<ENTRY_HEADER>()?;
+            let key = u64::from_le_bytes(header[..8].try_into().ok()?);
+            let len = u32::from_le_bytes(header[16..].try_into().ok()?) as usize;
+            if key < prev_key || rest.len() < len {
+                return None;
+            }
+            offsets.push(pos as u32);
+            pos += ENTRY_HEADER + len;
+            prev_key = key;
+        }
+        if pos != bytes.len() {
+            return None;
+        }
+        offsets.push(end);
+        let values = bytes.len() - COUNT_HEADER - count * ENTRY_HEADER;
+        Some(FlatBlock {
+            weight: count * std::mem::size_of::<Entry>() + values,
+            bytes,
+            offsets,
+        })
+    }
+
+    /// The block of owned, key-ordered `entries`: encode, then parse.
+    /// For callers that hold [`Entry`]s — tests and benchmarks; the
+    /// read path parses the codec's output and never builds entries.
+    ///
+    /// # Panics
+    /// If the entries are not ordered by key.
+    pub fn from_entries(entries: &[Entry]) -> FlatBlock {
+        FlatBlock::parse(encode_block(entries)).expect("entries are ordered by key")
+    }
+
+    /// Number of entries.
+    pub fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// Whether the block holds no entry.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// `Σ Entry::weight` over the entries — what the same block cost
+    /// the cache as a `Vec<Entry>`, and still what it is charged.
+    pub fn weight(&self) -> usize {
+        self.weight
+    }
+
+    #[inline]
+    fn key_at(&self, at: u32) -> u64 {
+        let at = at as usize;
+        u64::from_le_bytes(self.bytes[at..at + 8].try_into().expect("8 bytes"))
+    }
+
+    /// Key of entry `i`, without touching its value.
+    ///
+    /// # Panics
+    /// If `i >= self.len()`.
+    #[inline]
+    pub fn key(&self, i: usize) -> u64 {
+        self.key_at(self.offsets[..self.len()][i])
+    }
+
+    /// Entry `i`, borrowed.
+    ///
+    /// # Panics
+    /// If `i >= self.len()`.
+    #[inline]
+    pub fn get(&self, i: usize) -> EntryRef<'_> {
+        let entry = &self.bytes[self.offsets[i] as usize..self.offsets[i + 1] as usize];
+        let (header, value) = entry
+            .split_first_chunk::<ENTRY_HEADER>()
+            .expect("parse saw every header");
+        EntryRef {
+            key: u64::from_le_bytes(header[..8].try_into().expect("8 bytes")),
+            ts: u64::from_le_bytes(header[8..16].try_into().expect("8 bytes")),
+            value,
+        }
+    }
+
+    /// Every entry in order, borrowed.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = EntryRef<'_>> {
+        (0..self.len()).map(|i| self.get(i))
+    }
+
+    /// Index of the first entry whose key fails `pred` (`pred` must be
+    /// true for a prefix of the key-ordered entries): a binary search
+    /// that reads keys only.
+    pub fn partition_point(&self, pred: impl Fn(u64) -> bool) -> usize {
+        self.offsets[..self.len()].partition_point(|&at| pred(self.key_at(at)))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -128,24 +293,39 @@ mod tests {
             .collect()
     }
 
+    fn owned(block: &FlatBlock) -> Vec<Entry> {
+        block.iter().map(|e| e.to_entry()).collect()
+    }
+
+    /// Both decoders, which must agree: `Some(entries)` or `None`.
+    fn decode_both(buf: &[u8]) -> Option<Vec<Entry>> {
+        let reference = decode_block(buf);
+        let flat = FlatBlock::parse(buf.to_vec()).map(|b| owned(&b));
+        assert_eq!(
+            flat, reference,
+            "the flat block and the reference decoder disagree"
+        );
+        reference
+    }
+
     #[test]
     fn block_roundtrip() {
         let entries = sample(200);
         let block = encode_block(&entries);
-        assert_eq!(decode_block(&block).unwrap(), entries);
+        assert_eq!(decode_both(&block).unwrap(), entries);
     }
 
     #[test]
     fn empty_block_roundtrip() {
         let block = encode_block(&[]);
-        assert_eq!(decode_block(&block).unwrap(), Vec::<Entry>::new());
+        assert_eq!(decode_both(&block).unwrap(), Vec::<Entry>::new());
     }
 
     #[test]
     fn truncated_block_rejected() {
         let block = encode_block(&sample(20));
         for cut in [0, 3, block.len() / 2, block.len() - 1] {
-            assert!(decode_block(&block[..cut]).is_none(), "cut={cut}");
+            assert!(decode_both(&block[..cut]).is_none(), "cut={cut}");
         }
     }
 
@@ -153,7 +333,7 @@ mod tests {
     fn trailing_garbage_rejected() {
         let mut block = encode_block(&sample(5));
         block.push(0);
-        assert!(decode_block(&block).is_none());
+        assert!(decode_both(&block).is_none());
     }
 
     #[test]
@@ -165,7 +345,48 @@ mod tests {
         let k1: [u8; 8] = block[second..second + 8].try_into().unwrap();
         block[4..12].copy_from_slice(&k1);
         block[second..second + 8].copy_from_slice(&k0);
-        assert!(decode_block(&block).is_none());
+        assert!(decode_both(&block).is_none());
+    }
+
+    #[test]
+    fn hostile_entry_count_is_rejected_before_anything_is_reserved() {
+        // Four bytes that claim 4 G entries: at the parent this reserved
+        // 171 GB and aborted the process.
+        assert_eq!(decode_both(&[0xFF; 4]), None);
+        // 2^27 entries in a block that has room for one header.
+        let mut block = (1u32 << 27).to_le_bytes().to_vec();
+        block.extend_from_slice(&[0u8; ENTRY_HEADER]);
+        assert_eq!(decode_both(&block), None);
+        // One more than the entries present.
+        let mut block = encode_block(&sample(3));
+        block[..4].copy_from_slice(&4u32.to_le_bytes());
+        assert_eq!(decode_both(&block), None);
+        // And one fewer leaves trailing bytes.
+        block[..4].copy_from_slice(&2u32.to_le_bytes());
+        assert_eq!(decode_both(&block), None);
+    }
+
+    #[test]
+    fn flat_block_lends_what_was_encoded() {
+        let entries = sample(200);
+        let block = FlatBlock::parse(encode_block(&entries)).unwrap();
+        assert_eq!(block.len(), entries.len());
+        assert_eq!(owned(&block), entries);
+        for (i, e) in entries.iter().enumerate() {
+            assert_eq!(block.key(i), e.key);
+            assert_eq!(block.get(i).to_entry(), *e);
+        }
+        assert_eq!(
+            block.weight(),
+            entries.iter().map(Entry::weight).sum::<usize>(),
+            "the cache charge of the owned form"
+        );
+        assert_eq!(block.partition_point(|k| k < 30), 10);
+        assert_eq!(block.partition_point(|k| k <= 30), 11);
+        assert_eq!(block.partition_point(|_| true), 200);
+        let empty = FlatBlock::from_entries(&[]);
+        assert!(empty.is_empty());
+        assert_eq!((empty.weight(), empty.partition_point(|_| true)), (0, 0));
     }
 
     #[test]

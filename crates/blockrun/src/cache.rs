@@ -1,7 +1,8 @@
 //! Scan-resistant, two-tier sharded cache of run data blocks.
 //!
 //! Sits between run scans and the SSD. A block read off the device is
-//! CRC-verified, decoded once, and kept here so later queries touching
+//! CRC-verified, run back through its codec, indexed once, and kept
+//! here as that one flat buffer ([`FlatBlock`]) so later queries touching
 //! the same hot run pages skip the SSD entirely (warm point lookups
 //! issue *zero* device reads — asserted by tests and reported by the
 //! `fig09b_point_lookup` and `fig_cache_scan_resistance` benchmarks).
@@ -34,6 +35,19 @@
 //! [`CachePolicy::Lru`] keeps the old single-list behavior as a
 //! config-selectable baseline for benchmarks.
 //!
+//! ### What a block is charged
+//!
+//! The tier-1 budget is charged, per block, `Σ (size_of::<Entry>() +
+//! value.len()) + 64` — the weight the same block had when it was kept
+//! as a `Vec<Entry>`, computed once when the block is parsed
+//! ([`FlatBlock::weight`]) — plus the stored bytes when they are
+//! retained for tier 2. A flat block really occupies 24 bytes of header
+//! and offset per entry where 40 are charged, so the charge is an
+//! **upper bound** on what is resident and the cache stays inside its
+//! budget; keeping the number is what keeps admissions, evictions and
+//! therefore the device timeline what they were. Charging the true size
+//! changes residency: a change of its own.
+//!
 //! ## Tier 2 — compressed victim tier
 //!
 //! When enabled ([`BlockCacheConfig::tier2_bytes`] > 0), a tier-1
@@ -61,7 +75,7 @@ use std::sync::Arc;
 use masm_storage::{CacheStats, CacheStatsSnapshot};
 use parking_lot::Mutex;
 
-use crate::block::Entry;
+use crate::block::{Entry, FlatBlock};
 
 /// Count one event in a [`CacheStats`] field.
 fn bump(counter: &AtomicU64) {
@@ -71,8 +85,30 @@ fn bump(counter: &AtomicU64) {
 /// Cache key: `(run_key, block_idx)`.
 pub type BlockKey = (u64, u32);
 
-/// A decoded, CRC-verified data block.
-pub type CachedBlock = Arc<Vec<Entry>>;
+/// A decoded, CRC-verified data block: one flat buffer, shared between
+/// the cache and every reader borrowing entries from it.
+pub type CachedBlock = Arc<FlatBlock>;
+
+/// What [`BlockCache::insert`] accepts as the decoded form of a block.
+pub trait IntoCachedBlock {
+    /// The block in the form the cache keeps.
+    fn into_cached(self) -> CachedBlock;
+}
+
+impl IntoCachedBlock for CachedBlock {
+    fn into_cached(self) -> CachedBlock {
+        self
+    }
+}
+
+/// For callers that hold owned entries — benchmarks and tests: the
+/// entries are encoded and parsed again ([`FlatBlock::from_entries`]).
+/// No engine code path builds a `Vec<Entry>` to cache it.
+impl IntoCachedBlock for Arc<Vec<Entry>> {
+    fn into_cached(self) -> CachedBlock {
+        Arc::new(FlatBlock::from_entries(&self))
+    }
+}
 
 /// The stored (on-device, post-codec) form of a data block, as the read
 /// path saw it: CRC-verified bytes plus everything needed to decode
@@ -101,12 +137,12 @@ impl StoredBlock {
         self.bytes.is_empty()
     }
 
-    /// Decode back to entries, via the same codec-stage-then-flat-decode
+    /// Decode back to a block, via the same codec-stage-then-parse
     /// path device reads use ([`crate::format`]'s shared helper).
     /// `None` only if the bytes do not decode — impossible for bytes
     /// that were CRC-verified against their zone entry, so callers
     /// treat it as a plain miss.
-    fn decode(&self) -> Option<Vec<Entry>> {
+    fn decode(&self) -> Option<FlatBlock> {
         crate::format::decode_stored_bytes(&self.bytes, self.codec_id, self.raw_len as usize).ok()
     }
 }
@@ -384,20 +420,20 @@ impl BlockCache {
             return Some(block);
         }
         if let Some(victim) = shard.tier2_remove(key) {
-            if let Some(entries) = victim.stored.decode() {
-                let entries: CachedBlock = Arc::new(entries);
+            if let Some(block) = victim.stored.decode() {
+                let block: CachedBlock = Arc::new(block);
                 bump(&self.stats.tier2_hits);
                 // Readmit to *probation*, not protected: a cyclic sweep
                 // served out of tier 2 must keep churning the probation
                 // segment rather than flooding protected and displacing
                 // the hot set. A further tier-1 hit promotes as usual.
-                let weight = self.charge_of(&entries, &victim.stored);
-                self.admit(&mut shard, key, Arc::clone(&entries), victim.stored, weight);
+                let weight = self.charge_of(&block, &victim.stored);
+                self.admit(&mut shard, key, Arc::clone(&block), victim.stored, weight);
                 // Readmission is a tier-1 insertion too — keeps the
                 // insertions/evictions pair honest for consumers
                 // estimating admission rates.
                 bump(&self.stats.insertions);
-                return Some(entries);
+                return Some(block);
             }
             // Undecodable tier-2 bytes (cannot happen for bytes that
             // were CRC-verified at admission): drop the entry, miss.
@@ -438,22 +474,26 @@ impl BlockCache {
         self.tier2_per_shard > 0 && stored.len() <= self.tier2_per_shard
     }
 
-    /// The tier-1 capacity charge of one entry: the decoded in-memory
-    /// weight plus — when the stored copy is retained for free demotion
-    /// — the stored bytes too. Every byte of RAM the entry pins is
-    /// charged against the tier-1 budget; `capacity_bytes` is a real
-    /// bound either way.
-    fn charge_of(&self, block: &CachedBlock, stored: &StoredBlock) -> usize {
+    /// The tier-1 capacity charge of one entry: the block's weight as
+    /// fixed when it was parsed (see the module docs: an upper bound on
+    /// what it occupies) plus — when the stored copy is retained for
+    /// free demotion — the stored bytes too. Every byte of RAM the
+    /// entry pins is charged against the tier-1 budget;
+    /// `capacity_bytes` is a real bound either way.
+    fn charge_of(&self, block: &FlatBlock, stored: &StoredBlock) -> usize {
         let retained = if self.retains(stored) {
             stored.len()
         } else {
             0
         };
-        block.iter().map(Entry::weight).sum::<usize>() + 64 + retained
+        block.weight() + 64 + retained
     }
 
     /// Insert a freshly device-read, decoded block into the probation
     /// segment, evicting as needed.
+    ///
+    /// `block` is the decoded form the read path holds (a
+    /// [`CachedBlock`]) or anything [`IntoCachedBlock`] turns into it.
     ///
     /// Tier-1 capacity is charged by the block's **decoded** in-memory
     /// weight — a cache of decoded blocks occupies decoded bytes
@@ -464,7 +504,8 @@ impl BlockCache {
     /// the charge, keeping the budget an honest RAM bound. A block
     /// heavier than a whole shard is rejected outright (counted in
     /// `rejected`) instead of blowing the byte budget.
-    pub fn insert(&self, key: BlockKey, block: CachedBlock, stored: StoredBlock) {
+    pub fn insert(&self, key: BlockKey, block: impl IntoCachedBlock, stored: StoredBlock) {
+        let block = block.into_cached();
         let weight = self.charge_of(&block, &stored);
         let mut shard = self.shard_of(key).lock();
         if weight > self.capacity_per_shard {
@@ -647,14 +688,14 @@ impl BlockCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block::encode_block;
+    fn entries(n: usize) -> Vec<Entry> {
+        (0..n)
+            .map(|i| Entry::new(i as u64, 1, vec![0u8; 16]))
+            .collect()
+    }
 
     fn block(n: usize) -> CachedBlock {
-        Arc::new(
-            (0..n)
-                .map(|i| Entry::new(i as u64, 1, vec![0u8; 16]))
-                .collect(),
-        )
+        Arc::new(FlatBlock::from_entries(&entries(n)))
     }
 
     /// A stand-in stored form of `len` filler bytes: fine whenever the
@@ -670,7 +711,8 @@ mod tests {
     /// A *decodable* stored form: the identity-coded flat encoding of
     /// the block — what the read path would hand the cache.
     fn stored_of(block: &CachedBlock) -> StoredBlock {
-        let flat = encode_block(block);
+        let owned: Vec<Entry> = block.iter().map(|e| e.to_entry()).collect();
+        let flat = crate::block::encode_block(&owned);
         StoredBlock {
             raw_len: flat.len() as u32,
             bytes: Arc::new(flat),
@@ -678,8 +720,17 @@ mod tests {
         }
     }
 
+    /// The charge is what the block cost as owned entries.
     fn block_weight(n: usize) -> usize {
-        block(n).iter().map(Entry::weight).sum::<usize>() + 64
+        entries(n).iter().map(Entry::weight).sum::<usize>() + 64
+    }
+
+    #[test]
+    fn owned_entries_are_cached_as_the_flat_block_they_encode_to() {
+        let c = BlockCache::new(1 << 20);
+        c.insert((1, 0), Arc::new(entries(5)), filler(32));
+        assert_eq!(c.get((1, 0)).unwrap(), block(5));
+        assert_eq!(c.resident_bytes(), block_weight(5));
     }
 
     #[test]

@@ -43,7 +43,7 @@ use std::sync::Arc;
 use masm_codec::CodecChoice;
 use masm_storage::{CompressionReport, IoTicket, SessionHandle, SimDevice, StorageError};
 
-use crate::block::{decode_block, Entry};
+use crate::block::{Entry, EntryRef, FlatBlock};
 use crate::bloom::{BloomFilter, KeyHashes};
 use crate::cache::{BlockCache, CachedBlock, StoredBlock};
 use crate::checksum::crc32;
@@ -488,7 +488,7 @@ pub fn read_meta(
     })
 }
 
-/// Why stored block bytes failed to decode back to entries.
+/// Why stored block bytes failed to decode back to a block.
 pub(crate) enum StoredDecodeError {
     /// The codec id is not known to this build.
     UnknownCodec(u8),
@@ -499,33 +499,36 @@ pub(crate) enum StoredDecodeError {
 }
 
 /// Run (already verified) stored block bytes back through their codec
-/// and decode the flat entries — shared by the device read path
-/// ([`decode_verified_block`]) and the cache's tier-2 promotion
-/// ([`crate::cache::StoredBlock`]), so the two can never diverge.
+/// and index the flat bytes it returns, which become the block — shared
+/// by the device read path ([`decode_verified_block`]) and the cache's
+/// tier-2 promotion ([`crate::cache::StoredBlock`]), so the two can
+/// never diverge. Every codec, the identity included, answers for
+/// `raw_len`: a zone that lies about it is a corrupt payload.
 pub(crate) fn decode_stored_bytes(
     stored: &[u8],
     codec_id: u8,
     raw_len: usize,
-) -> Result<Vec<Entry>, StoredDecodeError> {
-    let decompressed;
-    let flat: &[u8] = if codec_id == masm_codec::IDENTITY {
-        stored
+) -> Result<FlatBlock, StoredDecodeError> {
+    let flat = if codec_id == masm_codec::IDENTITY {
+        if stored.len() != raw_len {
+            return Err(StoredDecodeError::CodecPayload);
+        }
+        stored.to_vec()
     } else {
         let codec =
             masm_codec::codec_for(codec_id).ok_or(StoredDecodeError::UnknownCodec(codec_id))?;
-        decompressed = codec
+        codec
             .decode(stored, raw_len)
-            .map_err(|_| StoredDecodeError::CodecPayload)?;
-        &decompressed
+            .map_err(|_| StoredDecodeError::CodecPayload)?
     };
-    decode_block(flat).ok_or(StoredDecodeError::Entries)
+    FlatBlock::parse(flat).ok_or(StoredDecodeError::Entries)
 }
 
 /// CRC-verify stored block bytes, run them back through the zone's
-/// codec, and decode the flat entries. The CRC covers the *stored*
+/// codec, and index the flat block. The CRC covers the *stored*
 /// bytes, so truncation or bit rot fails the checksum before any codec
 /// decode work (or its allocations) happens.
-fn decode_verified_block(stored: &[u8], zone: &ZoneMap, idx: usize) -> BlockRunResult<Vec<Entry>> {
+fn decode_verified_block(stored: &[u8], zone: &ZoneMap, idx: usize) -> BlockRunResult<FlatBlock> {
     if crc32(stored) != zone.crc {
         return Err(BlockRunError::ChecksumMismatch {
             region: "block",
@@ -560,13 +563,13 @@ pub fn read_block(
         }
     }
     let raw = session.read(dev, meta.base + zone.offset, zone.len as u64)?;
-    let entries = Arc::new(decode_verified_block(&raw, zone, idx)?);
+    let block = Arc::new(decode_verified_block(&raw, zone, idx)?);
     if let Some((cache, run_key)) = cache {
         // The stored bytes travel into the cache so a later tier-1
         // eviction can demote the compressed form to the victim tier.
         cache.insert(
             (run_key, idx as u32),
-            Arc::clone(&entries),
+            Arc::clone(&block),
             StoredBlock {
                 bytes: Arc::new(raw),
                 codec_id: zone.codec_id,
@@ -574,7 +577,7 @@ pub fn read_block(
             },
         );
     }
-    Ok(entries)
+    Ok(block)
 }
 
 /// Show `visit` every entry for `key` in this run, in timestamp order,
@@ -591,16 +594,16 @@ pub fn point_lookup(
     key: u64,
     hashes: KeyHashes,
     cache: Option<(&BlockCache, u64)>,
-    mut visit: impl FnMut(&Entry),
+    mut visit: impl FnMut(EntryRef<'_>),
 ) -> BlockRunResult<()> {
     if !meta.might_contain(key, hashes) {
         return Ok(());
     }
     for idx in meta.blocks_overlapping(key, key) {
         let block = read_block(session, dev, meta, idx, cache)?;
-        let start = block.partition_point(|e| e.key < key);
-        block[start..]
-            .iter()
+        let start = block.partition_point(|k| k < key);
+        (start..block.len())
+            .map(|i| block.get(i))
             .take_while(|e| e.key == key)
             .for_each(&mut visit);
     }
@@ -636,7 +639,8 @@ pub struct BlockRunScan {
     /// In-flight reads, in ascending block order.
     pending: std::collections::VecDeque<(usize, IoTicket)>,
     /// The block being consumed (shared with the cache, never copied)
-    /// and the index range of its entries still to yield.
+    /// and the index range of its entries still to yield: the part of
+    /// `[begin, end]` in it, cut by two binary searches of its keys.
     block: Option<CachedBlock>,
     unread: std::ops::Range<usize>,
     bytes_read: u64,
@@ -794,12 +798,12 @@ impl BlockRunScan {
     fn decode_and_cache(&mut self, raw: Vec<u8>, idx: usize) -> Option<CachedBlock> {
         let zone = self.meta.zones[idx];
         match decode_verified_block(&raw, &zone, idx) {
-            Ok(entries) => {
-                let entries = Arc::new(entries);
+            Ok(block) => {
+                let block = Arc::new(block);
                 if let Some(cache) = &self.cache {
                     cache.insert(
                         (self.run_key, idx as u32),
-                        Arc::clone(&entries),
+                        Arc::clone(&block),
                         StoredBlock {
                             bytes: Arc::new(raw),
                             codec_id: zone.codec_id,
@@ -807,7 +811,7 @@ impl BlockRunScan {
                         },
                     );
                 }
-                Some(entries)
+                Some(block)
             }
             Err(e) => {
                 self.error = Some(e);
@@ -826,7 +830,7 @@ impl BlockRunScan {
         let fetch_start =
             (self.fetch_hist.is_some() || self.tracer.is_some()).then(|| self.session.now());
 
-        let entries: CachedBlock = if self.pending.front().is_some_and(|(p, _)| *p == idx) {
+        let block: CachedBlock = if self.pending.front().is_some_and(|(p, _)| *p == idx) {
             // The block came from the device via prefetch, not from
             // `cache.get` — still a miss for the hit-rate accounting.
             let (_, ticket) = self.pending.pop_front().expect("front checked");
@@ -837,7 +841,7 @@ impl BlockRunScan {
             // Overlap: issue further reads before decoding this one.
             self.fill_prefetch();
             match self.decode_and_cache(raw, idx) {
-                Some(entries) => entries,
+                Some(block) => block,
                 None => return false,
             }
         } else {
@@ -864,7 +868,7 @@ impl BlockRunScan {
                             self.bytes_read += zone.len as u64;
                             self.fill_prefetch();
                             match self.decode_and_cache(raw, idx) {
-                                Some(entries) => entries,
+                                Some(block) => block,
                                 None => return false,
                             }
                         }
@@ -894,31 +898,34 @@ impl BlockRunScan {
             }
         }
 
-        self.unread = entries.partition_point(|e| e.key < self.begin)
-            ..entries.partition_point(|e| e.key <= self.end);
-        self.block = Some(entries);
+        self.unread = block.partition_point(|key| key < self.begin)
+            ..block.partition_point(|key| key <= self.end);
+        self.block = Some(block);
         true
     }
 
     /// The next entry in `[begin, end]`, borrowed from its decoded
     /// block. `None` at the end of the range or after an error
     /// ([`BlockRunScan::error`]).
-    pub fn next_entry(&mut self) -> Option<&Entry> {
+    pub fn next_entry(&mut self) -> Option<EntryRef<'_>> {
         while self.unread.is_empty() {
             if !self.refill() {
                 return None;
             }
         }
         let block = self.block.as_ref().expect("refill loaded a block");
-        self.unread.next().map(|i| &block[i])
+        self.unread.next().map(|i| block.get(i))
     }
 }
 
+/// The scan as owned entries, one allocation each — for callers that
+/// keep what they are handed; the engine reads through
+/// [`BlockRunScan::next_entry`].
 impl Iterator for BlockRunScan {
     type Item = Entry;
 
     fn next(&mut self) -> Option<Entry> {
-        self.next_entry().cloned()
+        self.next_entry().map(|e| e.to_entry())
     }
 }
 
@@ -1176,7 +1183,10 @@ mod tests {
     ) -> Vec<Entry> {
         let mut found = Vec::new();
         let hashes = BloomFilter::hashes_of(key);
-        point_lookup(s, dev, meta, key, hashes, cache, |e| found.push(e.clone())).unwrap();
+        point_lookup(s, dev, meta, key, hashes, cache, |e| {
+            found.push(e.to_entry())
+        })
+        .unwrap();
         found
     }
 
@@ -1400,6 +1410,94 @@ mod tests {
             ),
             "{err}"
         );
+    }
+
+    #[test]
+    fn identity_block_with_a_wrong_raw_len_is_corrupt() {
+        let (dev, s) = setup();
+        let cfg = BlockRunConfig {
+            codec: CodecChoice::Identity,
+            ..small_cfg()
+        };
+        let mut meta = write_run(&s, &dev, 0, &cfg, &entries(&[1, 2, 3, 4, 5])).unwrap();
+        assert!(read_block(&s, &dev, &meta, 0, None).is_ok());
+        // The zone lies about the raw length; the stored bytes (and so
+        // their CRC) are what was written. The other codecs' decoders
+        // refuse this, and so must the one that copies.
+        for lie in [meta.zones[0].raw_len - 1, meta.zones[0].raw_len + 1, 0] {
+            meta.zones[0].raw_len = lie;
+            let err = read_block(&s, &dev, &meta, 0, None).unwrap_err();
+            assert!(
+                matches!(err, BlockRunError::Corrupt("block codec payload")),
+                "raw_len {lie}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_key_straddling_a_block_boundary_is_fully_visited() {
+        let (dev, s) = setup();
+        // 30 versions of key 50 between two other keys: 28 bytes each
+        // in 128-byte blocks, so its versions span several blocks.
+        let mut es = vec![Entry::new(10, 1, vec![1; 8])];
+        es.extend((0..30).map(|v| Entry::new(50, 2 + v, vec![v as u8; 8])));
+        es.push(Entry::new(90, 40, vec![9; 8]));
+        let meta = Arc::new(write_run(&s, &dev, 0, &small_cfg(), &es).unwrap());
+        let holding = meta.blocks_overlapping(50, 50);
+        assert!(holding.len() >= 3, "key 50 lies in blocks {holding:?}");
+
+        let versions = &es[1..31];
+        assert_eq!(lookup(&s, &dev, &meta, 50, None), versions);
+        let cache = Arc::new(BlockCache::new(1 << 20));
+        for _ in 0..2 {
+            assert_eq!(lookup(&s, &dev, &meta, 50, Some((&cache, 1))), versions);
+            let scanned: Vec<Entry> = BlockRunScan::new(
+                dev.clone(),
+                s.clone(),
+                Arc::clone(&meta),
+                Some(Arc::clone(&cache)),
+                1,
+                50,
+                50,
+            )
+            .collect();
+            assert_eq!(scanned, versions);
+        }
+    }
+
+    #[test]
+    fn a_range_inside_one_block_yields_the_owned_filter() {
+        let (dev, s) = setup();
+        // Every key twice, so the cut also lands between equal keys.
+        let keys: Vec<u64> = (0..400).map(|i| i / 2 * 3).collect();
+        let es = entries(&keys);
+        let meta = Arc::new(write_run(&s, &dev, 0, &small_cfg(), &es).unwrap());
+        let zone = meta.zones[3];
+        assert!(zone.count >= 4 && zone.min_key < zone.max_key);
+        for (begin, end) in [
+            (zone.min_key + 1, zone.max_key - 1),
+            (zone.min_key + 3, zone.min_key + 3),
+            (zone.min_key + 1, zone.min_key + 2),
+            (zone.min_key, zone.max_key),
+        ] {
+            assert_eq!(meta.blocks_overlapping(begin, end).len(), 1);
+            let got: Vec<Entry> = BlockRunScan::new(
+                dev.clone(),
+                s.clone(),
+                Arc::clone(&meta),
+                None,
+                1,
+                begin,
+                end,
+            )
+            .collect();
+            let want: Vec<Entry> = es
+                .iter()
+                .filter(|e| (begin..=end).contains(&e.key))
+                .cloned()
+                .collect();
+            assert_eq!(got, want, "[{begin}, {end}]");
+        }
     }
 
     #[test]

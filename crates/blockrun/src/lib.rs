@@ -8,7 +8,11 @@
 //!
 //! * [`block`] — fixed-budget data blocks of flat-encoded entries; the
 //!   block is the read I/O unit (64 KB of raw entry bytes by default,
-//!   the paper's §4.1 SSD page).
+//!   the paper's §4.1 SSD page). A block that has been read stays those
+//!   flat bytes: [`FlatBlock`] is the buffer the codec returned plus an
+//!   offset per entry, and readers borrow [`EntryRef`]s out of it —
+//!   nothing is allocated per entry. The owned [`Entry`] is the write
+//!   side's vocabulary.
 //! * **codec stage** — every block is compressed through a pluggable
 //!   [`masm_codec::Codec`] (identity, the delta+varint encoding, an
 //!   LZ-style byte codec, or per-block adaptive selection); the winning
@@ -37,13 +41,14 @@
 //!   the execution half of the plan.
 //! * [`cache`] — a sharded, scan-resistant, two-tier [`BlockCache`]
 //!   shared by all scans of an engine: tier 1 holds decoded blocks
-//!   under a segmented (probation/protected) SLRU policy, so one-shot
-//!   sweeps cannot displace the hot set; tier 2 optionally holds
-//!   tier-1 victims' *stored* (post-codec) bytes, serving re-references
-//!   with one codec decode instead of a device read. Counters are
-//!   surfaced through [`masm_storage::stats::CacheStats`] so benchmarks
-//!   can report cache effectiveness. Warm lookups issue zero device
-//!   reads.
+//!   ([`CachedBlock`] = `Arc<FlatBlock>`, charged an upper bound of
+//!   what they occupy) under a segmented (probation/protected) SLRU
+//!   policy, so one-shot sweeps cannot displace the hot set; tier 2
+//!   optionally holds tier-1 victims' *stored* (post-codec) bytes,
+//!   serving re-references with one codec decode instead of a device
+//!   read. Counters are surfaced through
+//!   [`masm_storage::stats::CacheStats`] so benchmarks can report cache
+//!   effectiveness. Warm lookups issue zero device reads.
 //!
 //! `masm-core` materializes and scans all of its runs through this
 //! crate; see `masm_core::run` for the engine-facing wrapper.
@@ -56,10 +61,12 @@ pub mod checksum;
 pub mod format;
 pub mod plan;
 
-pub use block::Entry;
+pub use block::{Entry, EntryRef, FlatBlock};
 pub use bloom::{BloomFilter, KeyHashes};
 pub use builder::RunBuilder;
-pub use cache::{BlockCache, BlockCacheConfig, BlockKey, CachePolicy, CachedBlock, StoredBlock};
+pub use cache::{
+    BlockCache, BlockCacheConfig, BlockKey, CachePolicy, CachedBlock, IntoCachedBlock, StoredBlock,
+};
 pub use checksum::crc32;
 pub use format::{
     build_run, point_lookup, read_block, read_meta, write_built, write_run, BlockRunConfig,

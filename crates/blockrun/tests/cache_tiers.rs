@@ -6,7 +6,7 @@
 
 use masm_blockrun::{
     read_block, write_run, BlockCache, BlockCacheConfig, BlockRunConfig, CachePolicy, CodecChoice,
-    Entry,
+    Entry, FlatBlock,
 };
 use masm_storage::{DeviceProfile, SessionHandle, SimClock, SimDevice};
 
@@ -32,9 +32,10 @@ fn cfg(codec: CodecChoice) -> BlockRunConfig {
     }
 }
 
-/// Decoded in-memory weight of one cached block, as the cache charges it.
-fn weight_of(block: &[Entry]) -> usize {
-    block.iter().map(Entry::weight).sum::<usize>() + 64
+/// Decoded in-memory weight of one cached block, as the cache charges
+/// it: what its entries weigh as owned [`Entry`]s.
+fn weight_of(block: &FlatBlock) -> usize {
+    block.iter().map(|e| e.to_entry().weight()).sum::<usize>() + 64
 }
 
 #[test]

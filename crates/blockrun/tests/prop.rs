@@ -7,8 +7,8 @@ use proptest::prelude::*;
 
 use masm_blockrun::block::{decode_block, encode_block};
 use masm_blockrun::{
-    read_meta, write_run, BlockCache, BlockCacheConfig, BlockRunConfig, BlockRunScan, BloomFilter,
-    CachePolicy, CachedBlock, CodecChoice, Entry, StoredBlock,
+    read_block, read_meta, write_run, BlockCache, BlockCacheConfig, BlockRunConfig, BlockRunScan,
+    BloomFilter, CachePolicy, CachedBlock, CodecChoice, Entry, FlatBlock, StoredBlock,
 };
 use masm_codec::{codec_for, Codec, Delta, Identity, Lz};
 use masm_storage::{DeviceProfile, SessionHandle, SimClock, SimDevice};
@@ -37,6 +37,51 @@ fn to_sorted_entries(raw: Vec<(u64, u64, Vec<u8>)>) -> Vec<Entry> {
         .collect();
     entries.sort_by_key(|e| (e.key, e.ts));
     entries
+}
+
+/// Entries shaped to stress the flat block: empty values, a 64 KiB
+/// value now and then, and runs of one key with rising timestamps.
+fn shaped_entries() -> impl Strategy<Value = Vec<Entry>> {
+    let value = prop_oneof![
+        3 => Just(Vec::new()),
+        6 => proptest::collection::vec(any::<u8>(), 1..40),
+        1 => any::<u8>().prop_map(|b| vec![b; 64 << 10]),
+    ];
+    proptest::collection::vec((0u64..40, 1usize..6, value), 0..24).prop_map(|groups| {
+        let mut entries = Vec::new();
+        for (key, versions, value) in groups {
+            entries.extend((0..versions).map(|_| Entry::new(key, 0, value.clone())));
+        }
+        entries.sort_by_key(|e| e.key);
+        for (ts, e) in entries.iter_mut().enumerate() {
+            e.ts = ts as u64 + 1;
+        }
+        entries
+    })
+}
+
+/// The two decoders on one flat block — [`FlatBlock::parse`], which the
+/// read path keeps, and [`decode_block`], the reference: both refuse
+/// it, or both accept it and hold the same entries.
+fn decoders_agree(flat: &[u8]) -> Result<Option<Vec<Entry>>, TestCaseError> {
+    let reference = decode_block(flat);
+    let parsed = FlatBlock::parse(flat.to_vec());
+    let lent = parsed
+        .as_ref()
+        .map(|b| b.iter().map(|e| e.to_entry()).collect::<Vec<_>>());
+    prop_assert_eq!(&lent, &reference, "parse and decode_block disagree");
+    if let (Some(block), Some(entries)) = (&parsed, &reference) {
+        prop_assert_eq!(block.len(), entries.len());
+        prop_assert_eq!(
+            block.weight(),
+            entries.iter().map(Entry::weight).sum::<usize>(),
+            "the weight the cache charges is the owned entries' weight"
+        );
+        for (i, e) in entries.iter().enumerate() {
+            prop_assert_eq!(block.key(i), e.key);
+        }
+    }
+    Ok(reference)
 }
 
 fn small_cfg() -> BlockRunConfig {
@@ -78,6 +123,63 @@ proptest! {
         prop_assert!(enc.len() <= flat.len(), "adaptive never grows a block");
         let back = codec_for(id).unwrap().decode(&enc, flat.len()).unwrap();
         prop_assert_eq!(back, flat);
+    }
+
+    /// The flat block against the reference decoder, on what the writer
+    /// produces: it lends exactly the entries that were encoded, at the
+    /// weight they had as owned entries.
+    #[test]
+    fn flat_block_lends_exactly_what_was_encoded(entries in shaped_entries()) {
+        let flat = encode_block(&entries);
+        prop_assert_eq!(decoders_agree(&flat)?, Some(entries.clone()));
+        let block = FlatBlock::parse(flat).unwrap();
+        for key in 0..41 {
+            prop_assert_eq!(
+                block.partition_point(|k| k < key),
+                entries.partition_point(|e| e.key < key)
+            );
+        }
+    }
+
+    /// …and on what the writer would never produce: every truncation
+    /// and a mutation of every byte of a flat block is refused by both
+    /// decoders or accepted by both with equal entries, never a panic.
+    #[test]
+    fn flat_block_and_reference_decoder_agree_on_damaged_blocks(
+        raw in raw_entries(),
+        flip in 1u8..=255,
+    ) {
+        let mut entries = to_sorted_entries(raw);
+        entries.truncate(40);
+        let mut flat = encode_block(&entries);
+        for cut in 0..flat.len() {
+            prop_assert_eq!(decoders_agree(&flat[..cut])?, None, "cut at {}", cut);
+        }
+        for at in 0..flat.len() {
+            flat[at] ^= flip;
+            decoders_agree(&flat)?;
+            flat[at] ^= flip;
+        }
+    }
+
+    /// Whatever codec stored a block, the read path's block is the
+    /// reference decoding of that codec's output.
+    #[test]
+    fn read_block_is_the_reference_decoding_under_every_codec(
+        raw in raw_entries(),
+        codec_idx in 0usize..4,
+    ) {
+        let entries = to_sorted_entries(raw);
+        let (dev, s) = device();
+        let cfg = BlockRunConfig { codec: CodecChoice::ALL[codec_idx], ..small_cfg() };
+        let meta = write_run(&s, &dev, 0, &cfg, &entries).unwrap();
+        for (idx, z) in meta.zones.iter().enumerate() {
+            let (stored, _) = dev.read_at(0, z.offset, z.len as u64).unwrap();
+            let flat = codec_for(z.codec_id).unwrap().decode(&stored, z.raw_len as usize).unwrap();
+            let block = read_block(&s, &dev, &meta, idx, None).unwrap();
+            let lent: Vec<Entry> = block.iter().map(|e| e.to_entry()).collect();
+            prop_assert_eq!(Some(lent), decode_block(&flat), "block {}", idx);
+        }
     }
 
     /// Whole runs round-trip through the device under every codec
@@ -195,10 +297,10 @@ proptest! {
         let mut lookups = 0u64;
         for (idx, is_insert) in ops {
             if is_insert {
-                let block: CachedBlock = Arc::new(
-                    (0..4).map(|i| Entry::new(idx as u64 + i, 1, vec![idx as u8; 16])).collect(),
-                );
-                let flat = encode_block(&block);
+                let entries: Vec<Entry> =
+                    (0..4).map(|i| Entry::new(idx as u64 + i, 1, vec![idx as u8; 16])).collect();
+                let flat = encode_block(&entries);
+                let block: CachedBlock = Arc::new(FlatBlock::parse(flat.clone()).unwrap());
                 cache.insert((1, idx), block, StoredBlock {
                     raw_len: flat.len() as u32,
                     bytes: Arc::new(flat),
@@ -207,7 +309,7 @@ proptest! {
             } else {
                 lookups += 1;
                 if let Some(block) = cache.get((1, idx)) {
-                    prop_assert!(block.iter().all(|e| e.value == vec![idx as u8; 16]));
+                    prop_assert!(block.iter().all(|e| e.value == [idx as u8; 16]));
                 }
             }
             let s = cache.stats();

@@ -78,8 +78,10 @@
 //! committed before the failure stand (each holds every update its
 //! stamp claims), the failing one is left as it was, the claim drops
 //! and a retry picks up from the page timestamps. A compaction checks
-//! its slot the same way before it hands back the run it built. The
-//! query path has no such door yet: a merged scan's run scan panics.
+//! its slot the same way before it hands back the run it built, and a
+//! merged scan after every join step, before it hands out the step's
+//! records: a query cut short returns a prefix of the right answer and
+//! says why ([`MergeScan::error`]).
 //!
 //! A chunk moves as bytes: one buffer read, one buffer written, and a
 //! record no update touches is copied from one to the other encoded as

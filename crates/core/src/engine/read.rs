@@ -5,13 +5,13 @@ use std::sync::Arc;
 
 use masm_blockrun::BloomFilter;
 use masm_pagestore::{Key, RangeScan, Record};
-use masm_storage::{Ns, SessionHandle, StorageError};
+use masm_storage::{Ns, SessionHandle};
 use masm_telemetry::Timer;
 
 use super::MasmEngine;
-use crate::error::MasmResult;
+use crate::error::{MasmError, MasmResult};
 use crate::merge::{MergeDataUpdates, MergeUpdates, UpdateStream};
-use crate::run::{lookup_in_run, RunScan};
+use crate::run::{lookup_in_run, RunScan, ScanFailures};
 use crate::ts::Timestamp;
 use crate::update::UpdateRecord;
 
@@ -78,6 +78,7 @@ impl MasmEngine {
             self.request_compaction(session.now());
         }
 
+        let failures = ScanFailures::default();
         let mut streams: Vec<UpdateStream> =
             Vec::with_capacity(snapshot.runs.len() + snapshot.sealed.len() + 2);
         for run in snapshot.runs.iter() {
@@ -92,7 +93,8 @@ impl MasmEngine {
                 begin,
                 end,
             )
-            .with_fetch_histogram(Arc::clone(&self.metrics.block_fetch));
+            .with_fetch_histogram(Arc::clone(&self.metrics.block_fetch))
+            .reporting_to(failures.clone());
             if let Some(t) = self.tracer_arc() {
                 scan = scan.with_trace(t, self.shard_id as u32);
             }
@@ -116,6 +118,8 @@ impl MasmEngine {
         let join = MergeDataUpdates::new(data, updates, self.schema.clone());
         Ok(MergeScan {
             inner: join,
+            failures,
+            error: None,
             engine: Arc::clone(self),
             session,
             ts: query_ts,
@@ -203,6 +207,10 @@ fn key_range(batch: &[UpdateRecord], begin: Key, end: Key) -> std::ops::Range<us
 /// optional CPU charge — happens in `refill`, once per heap page.
 pub struct MergeScan {
     inner: MergeDataUpdates<RangeScan, MergeUpdates>,
+    /// Where this scan's run scans report a failure; see
+    /// [`MergeScan::error`].
+    failures: ScanFailures,
+    error: Option<MasmError>,
     engine: Arc<MasmEngine>,
     session: SessionHandle,
     ts: Timestamp,
@@ -225,10 +233,14 @@ impl MergeScan {
         self
     }
 
-    /// The heap read error that ended the scan early, if one did: the
+    /// The read error that ended the scan early, if one did: the
     /// records returned so far are right, but they are not all of them.
-    pub fn error(&self) -> Option<&StorageError> {
-        self.inner.error()
+    /// A heap read that failed is a [`MasmError::Storage`]; a run scan
+    /// that failed is what it reported — `Storage` for a device error,
+    /// `BlockRun` for a block that fails its checksum or does not
+    /// decode, `Corrupt("run entry")` for an update that does not.
+    pub fn error(&self) -> Option<&MasmError> {
+        self.error.as_ref()
     }
 
     /// Bring `scan_next` up to date: one sample per record returned —
@@ -252,6 +264,20 @@ impl MergeScan {
                 session.cpu(cpu);
             }
         });
+        if self.error.is_none() {
+            self.error = match self.failures.check() {
+                // A run scan failed during this join step and ended its
+                // stream: the step's records may have been joined
+                // against a truncated update side, so none is handed out.
+                Err(failure) => {
+                    self.inner.abort();
+                    Some(failure)
+                }
+                // `Some` only once the join has ended: the heap scan
+                // keeps its error while the join still guards on it.
+                Ok(()) => self.inner.take_error().map(MasmError::Storage),
+            };
+        }
         let stall = self.session.now().saturating_sub(start);
         if stall > 0 {
             // The session clock only moves inside an I/O wait (or a CPU

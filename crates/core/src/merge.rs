@@ -555,7 +555,8 @@ impl<U: Iterator<Item = UpdateRecord>> MergeDataUpdates<RangeScan, U> {
     /// out of the I/O batch the heap scan holds in memory anyway, so a
     /// refill reads no further ahead than the scan already did. `each`
     /// runs after every record joined (the CPU-cost hook of Figure 13).
-    /// A heap read error ends the join; see [`MergeDataUpdates::error`].
+    /// A heap read error ends the join; see
+    /// [`MergeDataUpdates::take_error`].
     pub fn refill(&mut self, mut each: impl FnMut()) {
         while self.out.is_empty() && !self.done {
             let mut emit = |record| {
@@ -575,9 +576,25 @@ impl<U: Iterator<Item = UpdateRecord>> MergeDataUpdates<RangeScan, U> {
         }
     }
 
-    /// The heap read error that cut the join short, if one did.
-    pub fn error(&self) -> Option<&StorageError> {
-        self.data.error()
+    /// The heap read error that cut the join short, if one did, handed
+    /// over once the join has ended. Until then it stays with the heap
+    /// scan — a failed prefetch is recorded while the pages before it
+    /// are still being joined, and `refill` must find it there when they
+    /// run out, or it would emit the updates past the gap as inserts.
+    pub fn take_error(&mut self) -> Option<StorageError> {
+        if self.done {
+            self.data.take_error()
+        } else {
+            None
+        }
+    }
+
+    /// End the join here and drop the records of the last
+    /// [`MergeDataUpdates::refill`] that were not handed out: the update
+    /// side failed under them.
+    pub fn abort(&mut self) {
+        self.out.clear();
+        self.done = true;
     }
 }
 

@@ -19,8 +19,11 @@
 //!   from `(base, bytes)` without decoding a single record.
 //!
 //! Scans go through the engine's shared [`BlockCache`]: a block read off
-//! the SSD is verified, decoded once, and served from memory afterwards
-//! — warm scans and point lookups issue zero device reads.
+//! the SSD is verified, run back through its codec, and kept as that
+//! one flat buffer plus an offset per entry
+//! ([`masm_blockrun::FlatBlock`]); [`RunScan`] and [`lookup_in_run`]
+//! decode each [`UpdateRecord`] straight from the bytes they borrow
+//! from it. Warm scans and point lookups issue zero device reads.
 
 use std::sync::Arc;
 
@@ -179,23 +182,26 @@ pub fn recover_run(
 ///
 /// A scan that cannot go on — a device error, a block that fails its
 /// checksum, an entry that does not decode — **ends its stream**. What
-/// happens next depends on who opened it. A migration or a compaction
-/// gives its scans one shared error slot: the failure lands there, and
-/// the job checks the slot before it does anything that cannot be
-/// undone. A scan without a slot — the query path, which has no door
-/// for a run error yet — **panics** instead: a stream that ended early
-/// with nobody looking would make a query silently lose updates, which
-/// is strictly worse than stopping.
+/// happens next depends on who opened it. Everything the engine opens
+/// — a query's scans, a migration's, a compaction's — shares one error
+/// slot per job: the failure lands there, and the job checks the slot
+/// before it hands out or commits anything built from the streams
+/// (`MergeScan::error` is where a query's ends up). A scan without a
+/// slot — `baselines::lsm`, unit tests and benchmarks, which open one
+/// through [`RunScan::new`] / [`RunScan::with_cache`] and have nowhere
+/// to look — **panics** instead: a stream that ended early with nobody
+/// looking would silently lose updates, which is strictly worse than
+/// stopping.
 pub struct RunScan {
     inner: BlockRunScan,
     failures: Option<ScanFailures>,
 }
 
-/// The error slot shared by the run scans of one migration or one
-/// compaction. A failed scan ends its stream like an exhausted one;
-/// the first failure is kept here, and the job must
+/// The error slot shared by the run scans of one query, one migration
+/// or one compaction. A failed scan ends its stream like an exhausted
+/// one; the first failure is kept here, and the job must
 /// [`ScanFailures::check`] after it has consumed the streams and before
-/// it commits anything built from them.
+/// it hands out or commits anything built from them.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ScanFailures(Arc<Mutex<Option<MasmError>>>);
 
@@ -289,7 +295,7 @@ impl Iterator for RunScan {
 
     fn next(&mut self) -> Option<UpdateRecord> {
         let failure = match self.inner.next_entry() {
-            Some(e) => match UpdateRecord::decode_value(e.key, e.ts, &e.value) {
+            Some(e) => match UpdateRecord::decode_value(e.key, e.ts, e.value) {
                 Some(update) => return Some(update),
                 None => {
                     self.inner.stop();
@@ -310,9 +316,9 @@ impl Iterator for RunScan {
 /// per-run step of a point lookup: key fence → bloom filter → one block
 /// ([`masm_blockrun::point_lookup`]). A run that lacks the key costs no
 /// I/O (mostly) and no allocation; a hit is decoded once, from the
-/// cached block straight into the caller's hands. `hashes` is
-/// [`masm_blockrun::BloomFilter::hashes_of`]`(key)`, computed once for
-/// all runs.
+/// bytes of the cached block straight into the caller's hands. `hashes`
+/// is [`masm_blockrun::BloomFilter::hashes_of`]`(key)`, computed once
+/// for all runs.
 ///
 /// An entry that does not decode is [`MasmError::Corrupt`]: these are
 /// bytes off a device, and a point lookup answers with a typed error.
@@ -328,7 +334,7 @@ pub fn lookup_in_run(
     let mut undecodable = false;
     let cache = cache.map(|c| (c, run.id));
     masm_blockrun::point_lookup(session, ssd, &run.meta, key, hashes, cache, |e| {
-        match UpdateRecord::decode_value(e.key, e.ts, &e.value) {
+        match UpdateRecord::decode_value(e.key, e.ts, e.value) {
             Some(update) => visit(update),
             None => undecodable = true,
         }

@@ -39,7 +39,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use masm_pagestore::{Key, Record, Schema, TableHeap};
-use masm_storage::{SessionHandle, SimDevice, StorageError};
+use masm_storage::{SessionHandle, SimDevice};
 use masm_telemetry::json::JsonObj;
 use masm_telemetry::{EngineStats, Registry, Tracer, Unit};
 
@@ -605,11 +605,11 @@ impl ShardedScan {
         self.ts
     }
 
-    /// The heap read error that ended the scan early, if one did (see
-    /// [`MergeScan::error`]); the shards after the failed one are not
-    /// read.
+    /// The read error — heap or run — that ended the scan early, if one
+    /// did (see [`MergeScan::error`]); the shards after the failed one
+    /// are not read.
     #[must_use]
-    pub fn error(&self) -> Option<&StorageError> {
+    pub fn error(&self) -> Option<&MasmError> {
         self.current.as_ref()?.error()
     }
 }

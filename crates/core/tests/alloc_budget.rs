@@ -1,4 +1,5 @@
-//! Allocation budgets of the four hot paths, on exact counts.
+//! Allocation budgets of the four hot paths and of a cold run block, on
+//! exact counts.
 //!
 //! * A point lookup allocates what it returns — the record's payload —
 //!   and what decoding an update that applies to the key takes: a run
@@ -15,6 +16,8 @@
 //!   rewrite chunk, nothing per heap record: a chunk is one buffer in
 //!   and one out, both reused, and a record no update touches moves
 //!   from one to the other as its encoded bytes.
+//! * A run block read cold is one buffer: what it costs to fetch and
+//!   index is a constant, whether it holds 70 updates or 1,200.
 //!
 //! A binary of its own, because the counting allocator is process-wide;
 //! it counts per thread, so the tests (each single-threaded, inline
@@ -25,9 +28,11 @@ use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use masm_blockrun::BloomFilter;
 use masm_core::config::MasmConfig;
-use masm_core::update::{FieldPatch, UpdateOp};
-use masm_core::MasmEngine;
+use masm_core::run::{lookup_in_run, write_run, RunScan};
+use masm_core::update::{FieldPatch, UpdateOp, UpdateRecord};
+use masm_core::{IndexGranularity, MasmEngine};
 use masm_pagestore::{HeapConfig, Key, Record, Schema, TableHeap};
 use masm_storage::{DeviceProfile, SessionHandle, SimClock, SimDevice};
 
@@ -235,7 +240,7 @@ fn ingest_allocates_per_block_and_per_flush_not_per_update() {
 
     // The benchmark's geometry: 4 KiB blocks, inline maintenance.
     let mut cfg = MasmConfig::small_for_tests();
-    cfg.index_granularity = masm_core::IndexGranularity::Fine;
+    cfg.index_granularity = IndexGranularity::Fine;
     let (engine, session, schema) = loaded_engine(cfg, RECORDS);
 
     // Built (and the payloads allocated) before the count starts: the
@@ -307,5 +312,91 @@ fn migration_allocates_per_update_not_per_record() {
     eprintln!(
         "{small} allocations into {SMALL} records ({small_chunks} chunk), {large} into {LARGE} \
          ({large_chunks} chunks)"
+    );
+}
+
+/// Nothing a cold read does to a run block allocates per entry: the
+/// block is the codec's buffer, an offset table and an `Arc`. The same
+/// updates in 4 KiB and in 64 KiB blocks — some 70 and some 1,200 to a
+/// block — cost the same per block, read uncached by a scan or by the
+/// point lookup of a key the bloom filter cannot rule out. As owned
+/// entries a block cost one more allocation per entry it held.
+#[test]
+fn a_cold_block_costs_three_allocations_not_one_per_entry() {
+    const UPDATES: u64 = 12_000;
+    // The stored bytes off the device, and the block: the buffer the
+    // codec decodes them into, its offsets, its `Arc`.
+    const PER_BLOCK: u64 = 4;
+    const PER_SCAN: u64 = 32;
+
+    let schema = Schema::synthetic_100b();
+    let mut updates: Vec<UpdateRecord> = (0..UPDATES)
+        .map(|i| {
+            let (key, op) = mixed_update(i, UPDATES, &schema);
+            // Keys that are multiples of four: the others are absent.
+            UpdateRecord::new(i + 1, key * 4, op)
+        })
+        .collect();
+    updates.sort_by_key(|u| (u.key, u.ts));
+    // What decoding the updates themselves takes, block or no block.
+    let decoding: u64 = updates
+        .iter()
+        .map(|u| match &u.op {
+            UpdateOp::Insert(_) | UpdateOp::Replace(_) => 1,
+            UpdateOp::Delete => 0,
+            UpdateOp::Modify(patches) => 1 + patches.len() as u64,
+        })
+        .sum();
+
+    let mut per_block_seen = Vec::new();
+    for granularity in [IndexGranularity::Fine, IndexGranularity::Coarse] {
+        let mut cfg = MasmConfig::small_for_tests();
+        cfg.index_granularity = granularity;
+        let clock = SimClock::new();
+        let ssd = SimDevice::in_memory(DeviceProfile::ssd_x25e(), clock.clone());
+        let session = SessionHandle::fresh(clock);
+        let run = Arc::new(write_run(&session, &ssd, &cfg, 1, 0, 1, &updates).unwrap());
+        let blocks = run.meta.zones.len() as u64;
+        let per_block = UPDATES / blocks;
+
+        let scan = RunScan::new(ssd.clone(), session.clone(), Arc::clone(&run), 0, Key::MAX);
+        let before = allocations();
+        let scanned = scan.count() as u64;
+        let scan_allocations = allocations() - before;
+        assert_eq!(scanned, UPDATES);
+        let overhead = scan_allocations - decoding;
+        assert!(
+            overhead <= PER_BLOCK * blocks + PER_SCAN,
+            "{granularity:?}: {scan_allocations} allocations to scan {UPDATES} updates in \
+             {blocks} blocks of ~{per_block}: {overhead} beyond the {decoding} of decoding them"
+        );
+
+        // An absent key inside the run's bounds that the filter lets
+        // through: the lookup reads its block, finds nothing.
+        let absent = (0..4 * UPDATES)
+            .filter(|k| k % 4 != 0)
+            .find(|&k| run.meta.might_contain(k, BloomFilter::hashes_of(k)))
+            .expect("a false positive among 36,000 absent keys");
+        let hashes = BloomFilter::hashes_of(absent);
+        let before = allocations();
+        lookup_in_run(&session, &ssd, &run, None, absent, hashes, |u| {
+            panic!("{absent} is absent, found {u:?}")
+        })
+        .unwrap();
+        let lookup_allocations = allocations() - before;
+        assert_eq!(
+            lookup_allocations, PER_BLOCK,
+            "{granularity:?}: a cold lookup in a block of ~{per_block}"
+        );
+        eprintln!(
+            "{granularity:?}: {blocks} blocks of ~{per_block}: scan {scan_allocations} \
+             allocations ({decoding} decoding, {overhead} beyond), cold lookup \
+             {lookup_allocations}"
+        );
+        per_block_seen.push(per_block);
+    }
+    assert!(
+        per_block_seen[1] > 10 * per_block_seen[0],
+        "updates to a block: {per_block_seen:?}"
     );
 }

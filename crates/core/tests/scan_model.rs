@@ -4,7 +4,9 @@
 //! timestamped updates says they should — also when the consumer walks
 //! away mid-scan, and also when the keyspace is split over the shards
 //! of a `ShardedEngine` that migrate one at a time into a shared heap.
-//! Plus the read-fault contract: a scan cut short by the disk says so.
+//! Plus the read-fault contract: a scan cut short by the disk — or by
+//! the flash device under its run scans — says so, returns a prefix of
+//! the right answer, and never panics.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -13,7 +15,7 @@ use proptest::prelude::*;
 
 use masm_core::config::MasmConfig;
 use masm_core::update::{FieldPatch, UpdateOp, UpdateRecord};
-use masm_core::{MasmEngine, ShardedEngine};
+use masm_core::{MasmEngine, MasmError, ShardedEngine};
 use masm_pagestore::{HeapConfig, Key, Record, Schema, TableHeap};
 use masm_storage::{DeviceProfile, SessionHandle, SimClock, SimDevice, StorageError};
 
@@ -375,10 +377,26 @@ fn heap_read_fault_mid_scan_is_visible() {
     assert!(scan.next().is_some());
     assert!(scan.error().is_none());
     f.disk.inject_read_fault();
-    let got = 1 + scan.by_ref().count() as u64;
-    assert!(got < BIG, "the table cannot have been read, got {got}");
+    // The read-ahead of the next batch fails while the pages of this one
+    // are still being handed out: the scan must remember it to the end.
+    let got: Vec<Record> = scan.by_ref().collect();
+    assert!(!got.is_empty(), "the batch already read is handed out");
     assert!(
-        matches!(scan.error(), Some(StorageError::Faulted(_))),
+        (got.len() as u64) < BIG - 1,
+        "the table cannot have been read, got {}",
+        got.len()
+    );
+    let mut model = (1..BIG).map(|i| Record::new(i * 2, payload(i as u32)));
+    assert!(
+        got.iter().all(|r| model.next().as_ref() == Some(r)),
+        "what a failed scan returned is a prefix of the answer: no insert \
+         past the pages that were never read"
+    );
+    assert!(
+        matches!(
+            scan.error(),
+            Some(MasmError::Storage(StorageError::Faulted(_)))
+        ),
         "a scan cut short by the disk must say so"
     );
     assert!(scan.next().is_none(), "and it stays ended");
@@ -396,4 +414,210 @@ fn sharded_scan_stops_at_the_failed_shard() {
         "shard 0 failed part-way, so shard 1 must not be read: got {got}"
     );
     assert!(scan.error().is_some());
+}
+
+/// Three runs of mixed updates spread over a table of `FLASH_BASE`
+/// records, nothing cached, nothing buffered: every update a query
+/// needs is a flash read away. Returns what a scan of everything must
+/// return. `put` applies one update and returns its timestamp, `flush`
+/// turns the buffer into a run.
+fn three_flash_runs(
+    mut put: impl FnMut(Key, UpdateOp) -> u64,
+    mut flush: impl FnMut(),
+) -> Vec<Record> {
+    let mut history: BTreeMap<Key, Vec<UpdateRecord>> = BTreeMap::new();
+    for i in 0..900u64 {
+        let slot = i * 7919 % FLASH_BASE;
+        let (key, op) = match i % 3 {
+            0 => (slot * 2 + 1, UpdateOp::Insert(payload(i as u32))),
+            1 => (slot * 2, UpdateOp::Delete),
+            _ => (slot * 2, UpdateOp::Replace(payload(i as u32))),
+        };
+        let ts = put(key, op.clone());
+        history
+            .entry(key)
+            .or_default()
+            .push(UpdateRecord::new(ts, key, op));
+        if i % 300 == 299 {
+            flush();
+        }
+    }
+    expected(FLASH_BASE, &history, &[], (0, Key::MAX), u64::MAX)
+}
+
+const FLASH_BASE: u64 = 4_000;
+
+/// No block cache to speak of (a block is heavier than a shard of it,
+/// and is refused): every scan reads its run blocks off the flash.
+fn uncached() -> MasmConfig {
+    MasmConfig {
+        block_cache_bytes: 0,
+        cache_tier2_bytes: 0,
+        ..MasmConfig::small_for_tests()
+    }
+}
+
+/// What a query does while `flash` fails reads, and after: before
+/// anything is read and with the scan part-way, it ends early without
+/// panicking, with a prefix of `want` and the fault as its error; with
+/// the device reading again a fresh scan returns `want`.
+fn query_under_a_flash_read_fault<S>(
+    flash: &SimDevice,
+    want: &[Record],
+    open: impl Fn() -> S,
+    error: impl Fn(&S) -> Option<&MasmError>,
+) where
+    S: Iterator<Item = Record>,
+{
+    let faulted =
+        |e: Option<&MasmError>| matches!(e, Some(MasmError::Storage(StorageError::Faulted(_))));
+    for already_read in [0, 500] {
+        let mut scan = open();
+        let mut got: Vec<Record> = scan.by_ref().take(already_read).collect();
+        assert!(error(&scan).is_none());
+        flash.inject_read_fault();
+        got.extend(scan.by_ref());
+        assert!(
+            got.len() >= already_read && got.len() < want.len(),
+            "{} of {} records after {already_read}",
+            got.len(),
+            want.len()
+        );
+        assert!(want.starts_with(&got), "a prefix of the right answer");
+        assert!(faulted(error(&scan)), "{:?}", error(&scan));
+        assert!(scan.next().is_none(), "and it stays ended");
+        flash.clear_read_fault();
+        drop(scan);
+
+        let mut scan = open();
+        let got: Vec<Record> = scan.by_ref().collect();
+        assert!(got == want, "with the device reading again");
+        assert!(error(&scan).is_none());
+    }
+}
+
+/// The run scans a query opens have an error slot: a flash device that
+/// fails reads ends the query with an error. It used to end the
+/// process — the last panic on the read path (`RunScan::next`).
+#[test]
+fn flash_read_fault_during_a_query_is_an_error_not_a_panic() {
+    let f = fixture(uncached(), FLASH_BASE);
+    let want = three_flash_runs(
+        |key, op| f.engine.apply_update(&f.session, key, op).unwrap(),
+        || f.engine.flush_buffer(&f.session).unwrap(),
+    );
+    assert_eq!(f.engine.run_count(), 3);
+    query_under_a_flash_read_fault(
+        f.engine.ssd(),
+        &want,
+        || f.engine.begin_scan(f.session.clone(), 0, Key::MAX).unwrap(),
+        |scan| scan.error(),
+    );
+    // Every one of those scans gave its pin back: a migration waits for
+    // the queries before it.
+    let report = f.engine.migrate(&f.session).unwrap();
+    assert_eq!((report.updates_applied, f.engine.run_count()), (900, 0));
+    assert_eq!(f.engine.cache_stats().insertions, 0, "nothing was cached");
+    let got: Vec<Record> = f
+        .engine
+        .begin_scan(f.session.clone(), 0, Key::MAX)
+        .unwrap()
+        .collect();
+    assert!(got == want, "after the migration");
+}
+
+#[test]
+fn a_corrupt_run_block_fails_the_query_with_a_checksum_error() {
+    let f = fixture(MasmConfig::small_for_tests(), FLASH_BASE);
+    let mut flushes = 0;
+    let want = three_flash_runs(
+        |key, op| f.engine.apply_update(&f.session, key, op).unwrap(),
+        // One run from offset 0, most of it 1 KiB data blocks in key
+        // order: its middle byte is in the block with the middle keys.
+        || {
+            flushes += 1;
+            if flushes == 3 {
+                f.engine.flush_buffer(&f.session).unwrap()
+            }
+        },
+    );
+    assert_eq!(f.engine.run_count(), 1);
+    let ssd = f.engine.ssd();
+    let middle = ssd.len() / 2;
+    let flip = || {
+        let (byte, _) = ssd.read_at(f.session.now(), middle, 1).unwrap();
+        ssd.write_at(f.session.now(), middle, &[!byte[0]]).unwrap();
+    };
+    flip();
+    let mut scan = f.engine.begin_scan(f.session.clone(), 0, Key::MAX).unwrap();
+    let got: Vec<Record> = scan.by_ref().collect();
+    assert!(!got.is_empty() && got.len() < want.len(), "{}", got.len());
+    assert!(want.starts_with(&got), "a prefix of the right answer");
+    assert!(
+        matches!(
+            scan.error(),
+            Some(MasmError::BlockRun(
+                masm_blockrun::BlockRunError::ChecksumMismatch { .. }
+            ))
+        ),
+        "{:?}",
+        scan.error()
+    );
+    drop(scan);
+
+    flip();
+    let mut scan = f.engine.begin_scan(f.session.clone(), 0, Key::MAX).unwrap();
+    let got: Vec<Record> = scan.by_ref().collect();
+    assert!(got == want && scan.error().is_none());
+    drop(scan);
+    f.engine.migrate(&f.session).unwrap();
+    assert_eq!(f.engine.run_count(), 0);
+}
+
+/// The same fault under a cross-shard scan: the failed shard's error is
+/// the scan's, and the shards after it are not read.
+#[test]
+fn sharded_scan_reports_a_flash_read_fault() {
+    let mut cfg = uncached();
+    cfg.migration_threshold = 0.0;
+    let f = sharded(cfg, vec![FLASH_BASE + 1], FLASH_BASE, 1024);
+    let want = three_flash_runs(
+        |key, op| f.engine.put(&f.session, key, op).unwrap(),
+        || f.engine.flush_all(&f.session).unwrap(),
+    );
+    // Shard 1's flash fails; shard 0's half of the table reads fine.
+    let flash = f.engine.shards()[1].ssd();
+    let shard0 = want.iter().filter(|r| r.key <= FLASH_BASE).count();
+    for already_read in [0, shard0 + 200] {
+        let mut scan = f.engine.scan(0, Key::MAX).unwrap();
+        let mut got: Vec<Record> = scan.by_ref().take(already_read).collect();
+        flash.inject_read_fault();
+        got.extend(scan.by_ref());
+        assert!(
+            got.len() >= shard0.max(already_read) && got.len() < want.len(),
+            "{} of {} records, {shard0} of them shard 0's",
+            got.len(),
+            want.len()
+        );
+        assert!(want.starts_with(&got), "a prefix of the right answer");
+        assert!(
+            matches!(
+                scan.error(),
+                Some(MasmError::Storage(StorageError::Faulted(_)))
+            ),
+            "{:?}",
+            scan.error()
+        );
+        flash.clear_read_fault();
+        drop(scan);
+        let mut scan = f.engine.scan(0, Key::MAX).unwrap();
+        let got: Vec<Record> = scan.by_ref().collect();
+        assert!(got == want && scan.error().is_none());
+    }
+    // Both shards' pins are back.
+    f.engine.migrate_all(&f.session).unwrap();
+    let runs: usize = f.engine.shards().iter().map(|e| e.run_count()).sum();
+    assert_eq!(runs, 0);
+    let got: Vec<Record> = f.engine.scan(0, Key::MAX).unwrap().collect();
+    assert!(got == want, "after the migrations");
 }

@@ -536,6 +536,12 @@ impl RangeScan {
         self.error.as_ref()
     }
 
+    /// Hand that error over to a caller that reports it as its own; the
+    /// scan stays ended.
+    pub fn take_error(&mut self) -> Option<StorageError> {
+        self.error.take()
+    }
+
     /// Hand over the records of the next page in key order, each with
     /// the page's timestamp, decoded on demand from the device buffer;
     /// when the buffer is used up, first wait for the next I/O batch

@@ -1,6 +1,5 @@
 //! The write path: bulk load, single updates, transaction commits.
 
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use masm_pagestore::{Key, Record};
@@ -93,7 +92,10 @@ impl MasmEngine {
     /// Apply one well-formed update; returns its commit timestamp. An
     /// update the encoding cannot represent or the schema cannot apply
     /// is refused with [`MasmError::InvalidUpdate`]: nothing is
-    /// buffered, logged or counted.
+    /// buffered, logged or counted. `Err` always means "not applied":
+    /// an update whose log append fails is taken back out of the
+    /// buffer, and the log accepts nothing further until the table is
+    /// recovered ([`MasmError::LogFailed`]).
     pub fn apply_update(
         self: &Arc<Self>,
         session: &SessionHandle,
@@ -155,18 +157,29 @@ impl MasmEngine {
                 Ok(u) => u,
                 Err((key, op)) => UpdateRecord::new(self.oracle.next(), key, op),
             };
-            let (ts, bytes) = (update.ts, update.encoded_len() as u64);
+            let (key, ts, bytes) = (update.key, update.ts, update.encoded_len() as u64);
             put_update_frame(&update, frame);
             st.buffer.push(update);
+            st.ingested_updates += 1;
+            st.ingested_bytes += bytes;
             drop(st);
-            self.ingested_updates.fetch_add(1, Ordering::Relaxed);
-            self.ingested_bytes.fetch_add(bytes, Ordering::Relaxed);
             // The WAL write happens outside the state lock; appenders
             // reserve disjoint offsets, so ordering across threads is
             // whatever the offsets say — recovery filters
             // buffer-resident updates by timestamp
             // (`RunCreated.max_ts`), not log position.
-            self.wal.append_frame(session, frame)?;
+            if let Err(e) = self.wal.append_frame(session, frame) {
+                // Not logged is not applied: take the update back out
+                // and un-count it. (A concurrent seal may have taken
+                // it along; the log refuses every later append, that
+                // batch's `RunCreated` included.)
+                let mut st = self.state.lock();
+                if st.buffer.take_back(key, ts) {
+                    st.ingested_updates -= 1;
+                    st.ingested_bytes -= bytes;
+                }
+                return Err(e);
+            }
             Ok((ts, sealed))
         })?;
         if let Some(sealed) = sealed {

@@ -123,7 +123,7 @@ mod state;
 #[cfg(test)]
 mod tests;
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::{Condvar, Mutex};
@@ -305,8 +305,6 @@ pub struct MasmEngine {
     /// whole keyspace when it stands alone, its router range as a
     /// shard. What [`MasmEngine::migrate`] migrates.
     key_range: (Key, Key),
-    ingested_updates: AtomicU64,
-    ingested_bytes: AtomicU64,
     /// Last commit timestamp per key, for first-committer-wins snapshot
     /// isolation (§3.6). A production system would truncate this by the
     /// oldest active transaction; we keep it simple.
@@ -499,10 +497,8 @@ impl MasmEngine {
     /// Total updates ingested and their logical bytes (for
     /// write-amplification accounting).
     pub fn ingest_stats(&self) -> (u64, u64) {
-        (
-            self.ingested_updates.load(Ordering::Relaxed),
-            self.ingested_bytes.load(Ordering::Relaxed),
-        )
+        let st = self.state.lock();
+        (st.ingested_updates, st.ingested_bytes)
     }
 
     /// The unified engine snapshot: cache, merge, compression, device
@@ -516,9 +512,11 @@ impl MasmEngine {
     /// (engine state, WAL) plus atomic loads; the SSD wear summary is
     /// O(1) — no per-block map is walked.
     pub fn stats(&self) -> EngineStats {
-        let (buffer, runs, epoch_lag) = {
+        let (ingested_updates, ingested_bytes, buffer, runs, epoch_lag) = {
             let st = self.state.lock();
             (
+                st.ingested_updates,
+                st.ingested_bytes,
                 BufferStats {
                     updates: st.buffer.len() as u64,
                     bytes: st.buffer.bytes() as u64,
@@ -548,8 +546,8 @@ impl MasmEngine {
         let wal = self.wal.device().stats();
         EngineStats {
             at_ns: self.ssd.clock().now(),
-            ingested_updates: self.ingested_updates.load(Ordering::Relaxed),
-            ingested_bytes: self.ingested_bytes.load(Ordering::Relaxed),
+            ingested_updates,
+            ingested_bytes,
             buffer,
             runs,
             cache: self.cache.stats(),

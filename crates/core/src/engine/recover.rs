@@ -495,8 +495,6 @@ impl MasmEngine {
             workers: OnceLock::new(),
             shard_id,
             key_range,
-            ingested_updates: AtomicU64::new(0),
-            ingested_bytes: AtomicU64::new(0),
             commit_index: Mutex::new(std::collections::HashMap::new()),
             merge_totals: Mutex::new(MergeReport::default()),
             compression_totals: Mutex::new(compression),

@@ -46,6 +46,12 @@ struct SealedBatch {
 
 pub(super) struct EngineState {
     pub(super) buffer: UpdateBuffer,
+    /// Updates accepted into `buffer` since the engine was opened, and
+    /// their encoded bytes (for write-amplification accounting):
+    /// counted where an update enters the buffer, under the lock that
+    /// hold already has.
+    pub(super) ingested_updates: u64,
+    pub(super) ingested_bytes: u64,
     pub(super) runs: RunSet,
     /// Sealed batches awaiting their flush, oldest first.
     sealed: Vec<SealedBatch>,
@@ -94,6 +100,8 @@ impl EngineState {
     pub(super) fn new(buffer: UpdateBuffer, runs: RunSet) -> Self {
         EngineState {
             buffer,
+            ingested_updates: 0,
+            ingested_bytes: 0,
             runs,
             sealed: Vec::new(),
             next_batch: 0,

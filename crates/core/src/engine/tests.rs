@@ -752,7 +752,6 @@ fn a_busy_claim_returns_and_its_drop_releases() {
 fn assert_refused_and_harmless(f: &Fixture, key: Key, bad: UpdateOp, then: UpdateOp) {
     use crate::error::MasmError;
     use crate::wal::Wal;
-    use std::sync::atomic::Ordering;
 
     let e = &f.engine;
     // Log end, buffered and counted updates, the oracle, the commit index.
@@ -760,7 +759,7 @@ fn assert_refused_and_harmless(f: &Fixture, key: Key, bad: UpdateOp, then: Updat
         (
             e.wal.offset(),
             e.buffered_updates(),
-            e.ingested_updates.load(Ordering::Relaxed),
+            e.ingest_stats(),
             e.oracle.last_issued(),
             e.commit_index.lock().len(),
         )

@@ -41,6 +41,15 @@ pub enum MasmError {
         /// What is wrong with it.
         reason: &'static str,
     },
+    /// The redo log refused an append because an earlier append to it
+    /// failed: the log may end in a hole there, and a record
+    /// acknowledged behind a hole would not survive a crash. Nothing
+    /// was logged; reads keep working; the table accepts writes again
+    /// once it is reopened through `recover`.
+    LogFailed {
+        /// Log offset of the first append that failed.
+        offset: u64,
+    },
 }
 
 impl fmt::Display for MasmError {
@@ -60,6 +69,10 @@ impl fmt::Display for MasmError {
             MasmError::InvalidUpdate { key, reason } => {
                 write!(f, "invalid update for key {key}: {reason}")
             }
+            MasmError::LogFailed { offset } => write!(
+                f,
+                "redo log failed at offset {offset}: no append is accepted until recovery"
+            ),
         }
     }
 }
@@ -119,6 +132,8 @@ mod tests {
             .to_string()
             .contains("run header"));
         assert!(MasmError::Conflict { key: 7 }.to_string().contains("key 7"));
+        let log_failed = MasmError::LogFailed { offset: 52 }.to_string();
+        assert!(log_failed.contains("offset 52"), "{log_failed}");
     }
 
     #[test]

@@ -13,11 +13,16 @@
 //! the only cost is a small transient copy, which we accept in exchange
 //! for clearly correct concurrency. The memory-footprint *accounting*
 //! still follows the paper's S/query-page budget.
+//!
+//! Sealing ([`UpdateBuffer::drain_sorted`]) orders the buffer by
+//! `(key, ts)` *stably* — one transaction's writes share a timestamp —
+//! by sorting a 24-byte `(key, ts, arrival)` rank per update and then
+//! moving each 48-byte record once, to its place.
 
 use masm_pagestore::Key;
 
 use crate::ts::Timestamp;
-use crate::update::UpdateRecord;
+use crate::update::{UpdateOp, UpdateRecord};
 
 /// Append-ordered buffer of recent updates with byte accounting.
 #[derive(Debug)]
@@ -129,25 +134,60 @@ impl UpdateBuffer {
         out
     }
 
+    /// Take the newest buffered update with this `(key, ts)` back out —
+    /// the update the caller pushed and then failed to log. `false`
+    /// when it is no longer here (a concurrent seal took it along).
+    pub fn take_back(&mut self, key: Key, ts: Timestamp) -> bool {
+        let Some(i) = self
+            .entries
+            .iter()
+            .rposition(|u| u.ts == ts && u.key == key)
+        else {
+            return false;
+        };
+        self.bytes -= self.entries.remove(i).encoded_len();
+        self.keys.remove(i);
+        true
+    }
+
     /// Drain everything, sorted by `(key, ts)`, for materializing a
     /// sorted run. Also returns stolen capacity.
+    ///
+    /// What is sorted is a 24-byte `(key, ts, arrival)` rank per update,
+    /// not the 48-byte records: the arrival index makes every rank
+    /// distinct, so the unstable sort yields the *stable* order — the
+    /// writes of one transaction share a timestamp and must keep their
+    /// arrival order — and each record then moves once, to its place.
+    /// Arrivals already in order (a bulk of ascending keys) are handed
+    /// back as they are.
     pub fn drain_sorted(&mut self) -> Vec<UpdateRecord> {
         // The next fill is as large as this one: size its buffer once
         // instead of growing it by doubling, as `keys` keeps its own.
         let refill = Vec::with_capacity(self.entries.len());
-        let mut out = std::mem::replace(&mut self.entries, refill);
+        let mut arrivals = std::mem::replace(&mut self.entries, refill);
         self.keys.clear();
         self.bytes = 0;
         self.return_stolen_pages();
-        out.sort_by_key(|a| (a.key, a.ts));
-        out
+        if arrivals.is_sorted_by_key(|u| (u.key, u.ts)) {
+            return arrivals;
+        }
+        let mut ranks: Vec<(Key, Timestamp, usize)> = arrivals
+            .iter()
+            .enumerate()
+            .map(|(arrival, u)| (u.key, u.ts, arrival))
+            .collect();
+        ranks.sort_unstable();
+        let hole = || UpdateRecord::new(0, 0, UpdateOp::Delete);
+        ranks
+            .iter()
+            .map(|&(_, _, arrival)| std::mem::replace(&mut arrivals[arrival], hole()))
+            .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::update::UpdateOp;
 
     fn upd(ts: Timestamp, key: Key) -> UpdateRecord {
         UpdateRecord::new(ts, key, UpdateOp::Delete)
@@ -280,5 +320,59 @@ mod tests {
         b.push(upd(2, 2));
         assert_eq!(b.min_ts(), Some(2));
         assert_eq!(b.max_ts(), Some(5));
+    }
+
+    #[test]
+    fn take_back_removes_the_newest_match_and_its_accounting() {
+        let mut b = UpdateBuffer::new(1000);
+        b.push(upd(1, 10));
+        b.push(UpdateRecord::new(2, 20, UpdateOp::Insert(vec![7; 5])));
+        b.push(upd(3, 10));
+        let bytes = b.bytes();
+        assert!(!b.take_back(20, 3), "no such (key, ts)");
+        assert!(b.take_back(20, 2));
+        assert_eq!(b.bytes(), bytes - (8 + 8 + 1 + 2 + 5));
+        assert_eq!(b.keys, vec![10, 10]);
+        assert_eq!(b.snapshot_range(0, 100, 9), vec![upd(1, 10), upd(3, 10)]);
+        assert!(b.take_back(10, 3) && b.take_back(10, 1) && !b.take_back(10, 1));
+        assert!(b.is_empty() && b.keys.is_empty());
+        assert_eq!(b.bytes(), 0);
+    }
+
+    proptest::proptest! {
+        /// `drain_sorted` is the stable sort by `(key, ts)` of the
+        /// arrivals: updates that share both — a transaction writing
+        /// one key twice — keep their arrival order (the payload tells
+        /// them apart here). Few keys and timestamps, so repeats are
+        /// the rule; arrivals random, ascending and descending.
+        #[test]
+        fn drain_sorted_is_the_stable_sort_of_the_arrivals(
+            pairs in proptest::collection::vec((0u64..12, 0u64..6), 0..200),
+            order in 0u8..3,
+        ) {
+            let mut pairs = pairs;
+            match order {
+                0 => {}
+                1 => pairs.sort_unstable(),
+                _ => pairs.sort_unstable_by(|a, b| b.cmp(a)),
+            }
+            let arrivals: Vec<UpdateRecord> = pairs
+                .iter()
+                .enumerate()
+                .map(|(i, &(key, ts))| {
+                    UpdateRecord::new(ts, key, UpdateOp::Insert((i as u32).to_le_bytes().to_vec()))
+                })
+                .collect();
+            let mut b = UpdateBuffer::new(64);
+            b.steal_page(64);
+            for u in &arrivals {
+                b.push(u.clone());
+            }
+            let mut want = arrivals;
+            want.sort_by_key(|u| (u.key, u.ts));
+            proptest::prop_assert_eq!(b.drain_sorted(), want);
+            proptest::prop_assert!(b.is_empty() && b.keys.is_empty());
+            proptest::prop_assert_eq!((b.bytes(), b.capacity()), (0, 64));
+        }
     }
 }

@@ -42,6 +42,22 @@
 //! commit of a classical WAL): whatever was acknowledged is always in
 //! the contiguous valid prefix that replay recovers.
 //!
+//! # A failed append fails the log
+//!
+//! An append reserves its byte range *before* the device write, so a
+//! write that fails leaves a hole (or a torn frame) at its reservation.
+//! Replay stops there — it cannot tell the hole from the end of the log
+//! — so nothing may ever be acknowledged behind it. The first failed
+//! append therefore makes the failure **sticky**: every later
+//! [`Wal::append`] is refused with [`MasmError::LogFailed`] naming that
+//! offset (one relaxed load per append decides it), and an append that
+//! was already in flight beyond the hole when it opened is refused
+//! after its write instead of acknowledged. An `Err` from `append`
+//! means "not durable, and the caller must undo it"; `Ok` keeps meaning
+//! "in the prefix replay recovers". The log accepts appends again only
+//! as a new [`Wal`] over the replayed prefix — the table reopened
+//! through recovery.
+//!
 //! # The cost of an append
 //!
 //! One append per update makes this the hottest code of the write path,
@@ -478,14 +494,23 @@ struct TailState {
 /// workers) therefore never hold an engine lock across the log I/O —
 /// they claim disjoint byte ranges and write them in parallel. An
 /// append returns only once the log is hole-free up to its record (see
-/// the module docs on durability of acknowledged appends).
+/// the module docs on durability of acknowledged appends), and never
+/// behind an append that failed.
 #[derive(Debug)]
 pub struct Wal {
     dev: SimDevice,
     offset: AtomicU64,
     tail: Mutex<TailState>,
     stable_cv: Condvar,
+    /// Offset of the lowest reservation whose write failed — the log
+    /// is not trustworthy from there on — or [`NOT_FAILED`]. What an
+    /// append checks before it reserves anything; written under the
+    /// tail lock.
+    failed_at: AtomicU64,
 }
+
+/// [`Wal::failed_at`] while no append has failed: above every offset.
+const NOT_FAILED: u64 = u64::MAX;
 
 impl Wal {
     /// Open a (fresh or recovered) log on `dev`, appending after
@@ -499,6 +524,7 @@ impl Wal {
                 completed: BinaryHeap::new(),
             }),
             stable_cv: Condvar::new(),
+            failed_at: AtomicU64::new(NOT_FAILED),
         }
     }
 
@@ -517,17 +543,25 @@ impl Wal {
     /// [`Wal::append`] for bytes that already are one complete frame
     /// ([`WalRecord::encode_into`], [`put_update_frame`]): reserve the
     /// byte range, write it, and return once the log is hole-free up to
-    /// its end.
+    /// its end. Refused with [`MasmError::LogFailed`], nothing
+    /// reserved, once any append has failed.
     pub(crate) fn append_frame(&self, session: &SessionHandle, frame: &[u8]) -> MasmResult<()> {
+        let failed = self.failed_at.load(Ordering::Relaxed);
+        if failed != NOT_FAILED {
+            return Err(MasmError::LogFailed { offset: failed });
+        }
         let off = self.offset.fetch_add(frame.len() as u64, Ordering::Relaxed);
         let end = off + frame.len() as u64;
         let wrote = session.write(&self.dev, off, frame);
-        {
+        let behind_a_hole = {
             // Mark the reservation complete even on a failed write (the
             // bytes are then absent or torn and recovery truncates
-            // them): a skipped completion would wedge every later
+            // them): a skipped completion would wedge every in-flight
             // appender behind a hole that will never fill.
             let mut tail = self.tail.lock();
+            if wrote.is_err() {
+                self.failed_at.fetch_min(off, Ordering::Relaxed);
+            }
             if off > tail.stable {
                 // Out of order: an earlier reservation is in flight.
                 tail.completed.push(Reverse((off, end)));
@@ -549,10 +583,17 @@ impl Wal {
                     self.stable_cv.wait(&mut tail);
                 }
             }
-        }
+            // This append passed the check above while a lower
+            // reservation was still in flight, and that one failed:
+            // the bytes are written, but replay will never reach them.
+            Some(self.failed_at.load(Ordering::Relaxed)).filter(|&hole| hole < off)
+        };
         self.stable_cv.notify_all();
         wrote?;
-        Ok(())
+        match behind_a_hole {
+            Some(offset) => Err(MasmError::LogFailed { offset }),
+            None => Ok(()),
+        }
     }
 
     /// Current end offset (reserved; may be ahead of the stable prefix
@@ -814,6 +855,35 @@ mod tests {
         assert_eq!(replay.records, vec![WalRecord::MigrationEnd { ts: 1 }]);
         assert_eq!(replay.end_offset, keep);
         assert!(replay.torn());
+    }
+
+    #[test]
+    fn a_failed_append_is_sticky_and_reserves_nothing_more() {
+        let (dev, session, wal) = wal_fixture();
+        let rec = |ts| WalRecord::MigrationEnd { ts };
+        wal.append(&session, &rec(1)).unwrap();
+        let hole = wal.offset();
+        dev.inject_write_fault();
+        let first = wal.append(&session, &rec(2)).unwrap_err();
+        assert!(matches!(first, MasmError::Storage(_)), "{first}");
+        dev.clear_write_fault();
+        let reserved = wal.offset();
+        for ts in 3..6 {
+            let refused = wal.append(&session, &rec(ts)).unwrap_err();
+            assert!(
+                matches!(refused, MasmError::LogFailed { offset } if offset == hole),
+                "{refused}"
+            );
+        }
+        assert_eq!(wal.offset(), reserved, "a refused append reserves nothing");
+        assert_eq!(dev.len(), hole, "and writes nothing");
+        let replay = Wal::replay(&session, &dev).unwrap();
+        assert_eq!(replay.records, vec![rec(1)]);
+        // Reopened over the replayed prefix, the log appends again.
+        let reopened = Wal::new(dev.clone(), replay.end_offset);
+        reopened.append(&session, &rec(6)).unwrap();
+        let replay = Wal::replay(&session, &dev).unwrap();
+        assert_eq!(replay.records, vec![rec(1), rec(6)]);
     }
 
     #[test]

@@ -29,22 +29,26 @@ impl MemBackend {
         }
     }
 
-    /// Run `f` over the `len` bytes starting at `offset`, in place. The
-    /// backend's read lock is held while `f` runs: `f` must not write
-    /// to this backend (or ask for its length) and should be short.
+    /// Run `f` over the `len` bytes starting at `offset`, in place, and
+    /// return its result with the backend's size — read under the lock
+    /// the access holds anyway, so the device's scheduler need not come
+    /// back for it. The backend's read lock is held while `f` runs: `f`
+    /// must not write to this backend (or ask for its length) and
+    /// should be short.
     pub fn read_with<R>(
         &self,
         offset: u64,
         len: u64,
         f: impl FnOnce(&[u8]) -> R,
-    ) -> StorageResult<R> {
+    ) -> StorageResult<(R, u64)> {
         let data = self.data.read();
+        let size = data.len() as u64;
         match offset.checked_add(len) {
-            Some(end) if end <= data.len() as u64 => Ok(f(&data[offset as usize..end as usize])),
+            Some(end) if end <= size => Ok((f(&data[offset as usize..end as usize]), size)),
             _ => Err(StorageError::OutOfBounds {
                 offset,
                 len,
-                capacity: data.len() as u64,
+                capacity: size,
             }),
         }
     }
@@ -52,17 +56,33 @@ impl MemBackend {
     /// Read `buf.len()` bytes starting at `offset`.
     pub fn read_at(&self, offset: u64, buf: &mut [u8]) -> StorageResult<()> {
         self.read_with(offset, buf.len() as u64, |bytes| buf.copy_from_slice(bytes))
+            .map(|_| ())
     }
 
-    /// Write `buf` starting at `offset`, growing the backend if needed.
-    pub fn write_at(&self, offset: u64, buf: &[u8]) -> StorageResult<()> {
+    /// Write `buf` starting at `offset`, growing the backend if needed;
+    /// returns the backend's size after the write (see
+    /// [`MemBackend::read_with`]). An extent that does not fit — the
+    /// end offset overflows, or the memory for it cannot be had — is
+    /// [`StorageError::OutOfBounds`], decided before anything changes.
+    pub fn write_at(&self, offset: u64, buf: &[u8]) -> StorageResult<u64> {
         let mut data = self.data.write();
-        let end = (offset + buf.len() as u64) as usize;
+        let out_of_bounds = |capacity: usize| StorageError::OutOfBounds {
+            offset,
+            len: buf.len() as u64,
+            capacity: capacity as u64,
+        };
+        let end = offset
+            .checked_add(buf.len() as u64)
+            .and_then(|end| usize::try_from(end).ok())
+            .ok_or_else(|| out_of_bounds(data.len()))?;
         if end > data.len() {
+            let grow = end - data.len();
+            data.try_reserve(grow)
+                .map_err(|_| out_of_bounds(data.len()))?;
             data.resize(end, 0);
         }
         data[offset as usize..end].copy_from_slice(buf);
-        Ok(())
+        Ok(data.len() as u64)
     }
 
     /// Current size in bytes (high-water mark of writes).
@@ -117,12 +137,33 @@ mod tests {
     fn read_with_lends_the_bytes_and_checks_bounds() {
         let b = MemBackend::new();
         b.write_at(0, b"hello world").unwrap();
-        assert_eq!(b.read_with(6, 5, |bytes| bytes.to_vec()).unwrap(), b"world");
-        assert_eq!(b.read_with(11, 0, |bytes| bytes.len()).unwrap(), 0);
+        let (bytes, size) = b.read_with(6, 5, |bytes| bytes.to_vec()).unwrap();
+        assert_eq!((bytes.as_slice(), size), (&b"world"[..], 11));
+        assert_eq!(b.read_with(11, 0, |bytes| bytes.len()).unwrap(), (0, 11));
         for (offset, len) in [(7, 5), (12, 0), (u64::MAX, 2)] {
             let err = b.read_with(offset, len, |_| ()).unwrap_err();
             assert!(matches!(err, StorageError::OutOfBounds { .. }), "{err}");
         }
+    }
+
+    #[test]
+    fn write_reports_the_size_and_refuses_an_extent_that_does_not_fit() {
+        let b = MemBackend::new();
+        assert_eq!(b.write_at(4, b"abcd").unwrap(), 8);
+        assert_eq!(
+            b.write_at(0, b"xy").unwrap(),
+            8,
+            "an overwrite does not grow"
+        );
+        // The end offset overflows `u64`, or no allocation can hold it.
+        for offset in [u64::MAX - 1, u64::MAX, 1 << 62] {
+            let err = b.write_at(offset, &[0; 4]).unwrap_err();
+            assert!(matches!(err, StorageError::OutOfBounds { .. }), "{err}");
+            assert_eq!(b.len(), 8, "nothing was resized");
+        }
+        let mut buf = [0u8; 8];
+        b.read_at(0, &mut buf).unwrap();
+        assert_eq!(&buf, b"xy\0\0abcd");
     }
 
     #[test]

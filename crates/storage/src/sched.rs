@@ -9,6 +9,18 @@
 //! to the completion time; asynchronous operations are *issued* at the
 //! cursor and produce an [`IoTicket`] that is awaited later, advancing the
 //! cursor only to `max(now, completion)` — the overlap.
+//!
+//! A [`SessionHandle`] shares one session among the operators of a plan.
+//! Its operations serialize on the session lock; **reading its cursor
+//! does not** — [`SessionHandle::now`] is one atomic load of the cursor
+//! as the last completed operation left it, which is what a stopwatch
+//! around an operation (`Timer`, a trace span, a scan's stall clock)
+//! wants and all it ever needed the lock for.
+
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+use parking_lot::Mutex;
 
 use crate::clock::{Ns, SimClock};
 use crate::error::StorageResult;
@@ -127,16 +139,31 @@ impl IoSession {
 /// A cloneable handle to a session shared by the operators of one query
 /// plan (Volcano-style trees pull from several children that all charge
 /// time to the same actor).
+///
+/// Reading the cursor takes no lock: every operation on the handle,
+/// while it still holds the session lock, leaves the cursor in an
+/// atomic beside it, and [`SessionHandle::now`] loads that.
 #[derive(Debug, Clone)]
 pub struct SessionHandle {
-    inner: std::sync::Arc<parking_lot::Mutex<IoSession>>,
+    inner: Arc<Shared>,
+}
+
+#[derive(Debug)]
+struct Shared {
+    session: Mutex<IoSession>,
+    /// `session.now()` as the last completed operation left it;
+    /// written only under the session lock.
+    now: AtomicU64,
 }
 
 impl SessionHandle {
     /// Wrap a session.
     pub fn new(session: IoSession) -> Self {
         SessionHandle {
-            inner: std::sync::Arc::new(parking_lot::Mutex::new(session)),
+            inner: Arc::new(Shared {
+                now: AtomicU64::new(session.now()),
+                session: Mutex::new(session),
+            }),
         }
     }
 
@@ -145,19 +172,26 @@ impl SessionHandle {
         Self::new(IoSession::new(clock))
     }
 
-    /// Current virtual time of the underlying session.
+    /// The session's cursor after the last operation completed on this
+    /// handle (or a clone of it) — one atomic load, never a wait for an
+    /// operation in flight on another thread. It never goes backwards:
+    /// no [`IoSession`] operation moves its cursor back, and the mirror
+    /// is written in session-lock order.
     pub fn now(&self) -> Ns {
-        self.inner.lock().now()
+        self.inner.now.load(Ordering::Acquire)
     }
 
     /// Run `f` with exclusive access to the session.
     pub fn with<R>(&self, f: impl FnOnce(&mut IoSession) -> R) -> R {
-        f(&mut self.inner.lock())
+        let mut session = self.inner.session.lock();
+        let result = f(&mut session);
+        self.inner.now.store(session.now(), Ordering::Release);
+        result
     }
 
     /// Synchronous read through the shared session.
     pub fn read(&self, dev: &SimDevice, offset: u64, len: u64) -> StorageResult<Vec<u8>> {
-        self.inner.lock().read(dev, offset, len)
+        self.with(|s| s.read(dev, offset, len))
     }
 
     /// Synchronous borrowed read through the shared session. `f` runs
@@ -170,32 +204,32 @@ impl SessionHandle {
         len: u64,
         f: impl FnOnce(&[u8]) -> R,
     ) -> StorageResult<R> {
-        self.inner.lock().read_with(dev, offset, len, f)
+        self.with(|s| s.read_with(dev, offset, len, f))
     }
 
     /// Synchronous write through the shared session.
     pub fn write(&self, dev: &SimDevice, offset: u64, data: &[u8]) -> StorageResult<()> {
-        self.inner.lock().write(dev, offset, data)
+        self.with(|s| s.write(dev, offset, data))
     }
 
     /// Asynchronous read issued at the shared session's cursor.
     pub fn read_async(&self, dev: &SimDevice, offset: u64, len: u64) -> StorageResult<IoTicket> {
-        self.inner.lock().read_async(dev, offset, len)
+        self.with(|s| s.read_async(dev, offset, len))
     }
 
     /// Await a ticket on the shared session.
     pub fn wait(&self, ticket: IoTicket) -> Vec<u8> {
-        self.inner.lock().wait(ticket)
+        self.with(|s| s.wait(ticket))
     }
 
     /// Model CPU work on the shared session.
     pub fn cpu(&self, ns: Ns) {
-        self.inner.lock().cpu(ns)
+        self.with(|s| s.cpu(ns))
     }
 
     /// Move the session cursor forward to at least `t`.
     pub fn join_at(&self, t: Ns) {
-        self.inner.lock().join_at(t)
+        self.with(|s| s.join_at(t))
     }
 }
 
@@ -317,5 +351,83 @@ mod tests {
             elapsed <= busy + 8 * 100_000 + 1_000_000,
             "elapsed={elapsed} busy={busy}"
         );
+    }
+
+    #[test]
+    fn handle_cursor_is_the_session_cursor_after_every_operation() {
+        let (clock, hdd, ssd) = setup();
+        ssd.write_at(0, 0, &vec![1u8; 64 * 1024]).unwrap();
+        let handle = SessionHandle::new(IoSession::at(clock, 1_000));
+        let clone = handle.clone();
+        let mut last = 0;
+        let mut in_step = |op: &str| {
+            let now = handle.now();
+            assert_eq!(now, handle.with(|s| s.now()), "after {op}");
+            assert_eq!(clone.now(), now, "clones share the cursor ({op})");
+            assert!(now >= last, "{op} moved the cursor back");
+            last = now;
+            now
+        };
+        assert_eq!(in_step("new"), 1_000);
+        handle.read(&ssd, 0, 4096).unwrap();
+        let after_read = in_step("read");
+        assert!(after_read > 1_000);
+        handle.read_with(&ssd, 4096, 512, |b| b.len()).unwrap();
+        assert!(in_step("read_with") > after_read);
+        clone.write(&hdd, 0, &[2u8; 4096]).unwrap();
+        let after_write = in_step("write");
+        let ticket = handle.read_async(&ssd, 8192, 4096).unwrap();
+        assert_eq!(in_step("read_async"), after_write, "issued, not awaited");
+        let done = ticket.completion();
+        handle.wait(ticket);
+        assert_eq!(in_step("wait"), after_write.max(done));
+        handle.cpu(750);
+        let after_cpu = in_step("cpu");
+        handle.join_at(after_cpu - 1);
+        assert_eq!(in_step("join_at (behind)"), after_cpu);
+        handle.join_at(after_cpu + 10);
+        assert_eq!(in_step("join_at (ahead)"), after_cpu + 10);
+        handle.with(|s| s.cpu(5));
+        assert_eq!(in_step("with"), after_cpu + 15);
+        // A failed operation leaves the cursor where it was.
+        assert!(handle.read(&ssd, 1 << 30, 8).is_err());
+        assert_eq!(in_step("failed read"), after_cpu + 15);
+    }
+
+    #[test]
+    fn a_polling_thread_never_sees_the_cursor_go_back() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let (clock, _, ssd) = setup();
+        ssd.write_at(0, 0, &vec![0u8; 256 * 1024]).unwrap();
+        let handle = SessionHandle::fresh(clock);
+        let (done, started) = (AtomicBool::new(false), std::sync::Barrier::new(2));
+        std::thread::scope(|s| {
+            let poller = s.spawn(|| {
+                started.wait();
+                let (mut last, mut polls) = (handle.now(), 0u64);
+                while !done.load(Ordering::Acquire) {
+                    let now = handle.now();
+                    assert!(now >= last, "cursor went from {last} back to {now}");
+                    last = now;
+                    polls += 1;
+                }
+                (last, polls)
+            });
+            started.wait();
+            for i in 0..20_000u64 {
+                match i % 4 {
+                    0 => handle.write(&ssd, (i % 64) * 4096, &[3u8; 512]).unwrap(),
+                    1 => drop(handle.read(&ssd, (i % 61) * 4096, 4096).unwrap()),
+                    2 => handle.cpu(10),
+                    _ => handle
+                        .wait(handle.read_async(&ssd, 0, 512).unwrap())
+                        .clear(),
+                }
+            }
+            done.store(true, Ordering::Release);
+            let (last, polls) = poller.join().unwrap();
+            assert!(polls > 0);
+            assert!(last <= handle.now());
+        });
     }
 }

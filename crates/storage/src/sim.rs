@@ -20,6 +20,24 @@
 //! were in flight when each new one arrived ([`IoStatsSnapshot::
 //! max_queue_depth`]), which is how parallel segment execution becomes
 //! observable.
+//!
+//! # What a device call costs, and what it may never change
+//!
+//! A read or write is the fault checks (atomic loads), the backend copy
+//! under the backend's lock, and **one critical section** on the device
+//! state: classify, price, queue, count, advance the clock. The backend
+//! hands its size back from under the lock the copy held, the
+//! seek-distance quotient is computed only for a profile that reads it
+//! (a [`crate::device::SeekModel`] pricing a random access — flash
+//! never does), erase-block wear is a vector indexed by block, and an
+//! appender continuing the newest stream tail moves it in place. None
+//! of that is visible: for any sequence of calls, every `(start,
+//! completion)`, every [`IoStatsSnapshot`] field, [`crate::WearStats`],
+//! `busy_until` and the clock are what the plain arithmetic gives —
+//! `tests/timeline.rs` keeps that arithmetic as a reference scheduler
+//! and holds the device to it step by step. An extent that does not
+//! fit the address space ([`StorageError::OutOfBounds`]) is refused
+//! before anything is resized, scheduled or counted.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -56,43 +74,48 @@ struct DevState {
 }
 
 impl DevState {
-    /// Classify an access and update the stream-tail state. Multi-stream
-    /// devices match writes against write tails only (flash cares about
-    /// write contiguity per stream) while reads may also continue a
-    /// write tail (reading back what was just appended), without
-    /// consuming it.
-    fn classify(&mut self, streams: usize, kind: AccessKind, offset: u64, len: u64) -> bool {
+    /// Classify an access ending at `end` and update the stream-tail
+    /// state. Multi-stream devices match writes against write tails
+    /// only (flash cares about write contiguity per stream) while reads
+    /// may also continue a write tail (reading back what was just
+    /// appended), without consuming it.
+    fn classify(&mut self, streams: usize, kind: AccessKind, offset: u64, end: u64) -> bool {
+        let continues_head = self.last_end == Some(offset);
+        self.last_end = Some(end);
         if streams == 0 {
-            let sequential = self.last_end == Some(offset);
-            self.last_end = Some(offset + len);
-            return sequential;
+            return continues_head;
         }
-        let sequential = match kind {
-            AccessKind::Write => remove_tail(&mut self.write_tails, offset),
-            AccessKind::Read => {
-                remove_tail(&mut self.read_tails, offset) || self.write_tails.contains(&offset)
-            }
-        };
         let (tails, cap) = match kind {
             AccessKind::Write => (&mut self.write_tails, streams),
             AccessKind::Read => (&mut self.read_tails, streams * 4),
         };
-        tails.push_back(offset + len);
+        if continue_tail(tails, offset, end) {
+            return true;
+        }
+        tails.push_back(end);
         while tails.len() > cap {
             tails.pop_front();
         }
-        self.last_end = Some(offset + len);
-        sequential
+        kind == AccessKind::Read && self.write_tails.contains(&offset)
     }
 }
 
-fn remove_tail(tails: &mut VecDeque<u64>, offset: u64) -> bool {
-    if let Some(pos) = tails.iter().position(|&t| t == offset) {
-        tails.remove(pos);
-        true
+/// Move the (oldest) stream tail at `offset`, if there is one, to `end`
+/// and make it the newest. An appender continuing the stream the device
+/// touched last — the redo log, a run writer — finds it at the back and
+/// updates it where it is: the deque ends exactly as `remove` +
+/// `push_back` would leave it.
+fn continue_tail(tails: &mut VecDeque<u64>, offset: u64, end: u64) -> bool {
+    let Some(pos) = tails.iter().position(|&t| t == offset) else {
+        return false;
+    };
+    if pos + 1 == tails.len() {
+        tails[pos] = end;
     } else {
-        false
+        tails.remove(pos);
+        tails.push_back(end);
     }
+    true
 }
 
 /// A simulated storage device.
@@ -172,20 +195,38 @@ impl SimDevice {
         self.backend.is_empty()
     }
 
-    /// Schedule an access starting no earlier than `at`; returns
-    /// `(start, completion)` in virtual time and updates statistics.
-    /// The device is occupied until `start + duration`; the returned
-    /// completion additionally includes the profile's extra latency for
-    /// random operations (which does not occupy the device — see
+    /// Schedule an access of `offset..end` starting no earlier than
+    /// `at`; returns `(start, completion)` in virtual time and updates
+    /// statistics — one critical section, the only one a device call
+    /// takes besides the backend's own. `backend_len` is the backend's
+    /// size as the access left it ([`MemBackend::write_at`],
+    /// [`MemBackend::read_with`]). The device is occupied until
+    /// `start + duration`; the returned completion additionally
+    /// includes the profile's extra latency for random operations
+    /// (which does not occupy the device — see
     /// [`DeviceProfile::rand_extra_latency`]).
-    fn schedule(&self, at: Ns, kind: AccessKind, offset: u64, len: u64) -> (Ns, Ns) {
+    fn schedule(
+        &self,
+        at: Ns,
+        kind: AccessKind,
+        offset: u64,
+        end: u64,
+        backend_len: u64,
+    ) -> (Ns, Ns) {
+        let len = end - offset;
         let mut st = self.state.lock();
-        let span = self.backend.len().max(offset + len).max(1);
-        let dist_frac = match st.last_end {
-            Some(last) => offset.abs_diff(last) as f64 / span as f64,
-            None => 0.532f64.powi(2), // no position yet: average seek
+        let last_end = st.last_end;
+        let sequential = st.classify(self.profile.queue_streams, kind, offset, end);
+        // The seek distance is read by a seek model pricing a random
+        // access and by nothing else: flash never computes it.
+        let dist_frac = if sequential || self.profile.seek_model.is_none() {
+            0.0
+        } else {
+            match last_end {
+                Some(last) => offset.abs_diff(last) as f64 / backend_len.max(end).max(1) as f64,
+                None => 0.532f64.powi(2), // no position yet: average seek
+            }
         };
-        let sequential = st.classify(self.profile.queue_streams, kind, offset, len);
         let duration = self
             .profile
             .duration_at_distance(kind, len, sequential, dist_frac);
@@ -249,8 +290,8 @@ impl SimDevice {
         if self.read_faulted.load(Ordering::Acquire) {
             return Err(StorageError::Faulted("injected device read fault"));
         }
-        let result = self.backend.read_with(offset, len, f)?;
-        let (_, end) = self.schedule(at, AccessKind::Read, offset, len);
+        let (result, backend_len) = self.backend.read_with(offset, len, f)?;
+        let (_, end) = self.schedule(at, AccessKind::Read, offset, offset + len, backend_len);
         Ok((result, end))
     }
 
@@ -268,20 +309,28 @@ impl SimDevice {
         if self.write_faulted.load(Ordering::Acquire) {
             return Err(StorageError::Faulted("injected device write fault"));
         }
-        let keep = self.torn_write_keep.swap(NO_TORN_WRITE, Ordering::AcqRel);
-        if keep != NO_TORN_WRITE {
-            // Crash mid-append: only the first `keep` bytes reach the
-            // medium, the device goes dark, and the caller sees the
-            // failure. Later recovery finds the torn record.
-            let k = (keep as usize).min(data.len());
-            if k > 0 {
-                self.backend.write_at(offset, &data[..k])?;
+        // Armed by a test, never on a running system: the swap that
+        // disarms it is paid only then.
+        if self.torn_write_keep.load(Ordering::Acquire) != NO_TORN_WRITE {
+            let keep = self.torn_write_keep.swap(NO_TORN_WRITE, Ordering::AcqRel);
+            if keep != NO_TORN_WRITE {
+                // Crash mid-append: only the first `keep` bytes reach
+                // the medium, the device goes dark, and the caller sees
+                // the failure. Later recovery finds the torn record.
+                let k = (keep as usize).min(data.len());
+                if k > 0 {
+                    self.backend.write_at(offset, &data[..k])?;
+                }
+                self.write_faulted.store(true, Ordering::Release);
+                return Err(StorageError::Faulted("injected torn write"));
             }
-            self.write_faulted.store(true, Ordering::Release);
-            return Err(StorageError::Faulted("injected torn write"));
         }
-        self.backend.write_at(offset, data)?;
-        let (_, end) = self.schedule(at, AccessKind::Write, offset, data.len() as u64);
+        // The backend refuses an extent that does not fit before
+        // anything is resized, scheduled or counted, so `offset + len`
+        // below cannot overflow.
+        let backend_len = self.backend.write_at(offset, data)?;
+        let end_offset = offset + data.len() as u64;
+        let (_, end) = self.schedule(at, AccessKind::Write, offset, end_offset, backend_len);
         Ok(end)
     }
 

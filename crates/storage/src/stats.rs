@@ -6,7 +6,6 @@
 //! OpenMetrics rendering (in `masm-telemetry`) are written once,
 //! generically over [`StatFamily::FIELDS`].
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The unit a metric is reported in, stated explicitly so exported
@@ -219,9 +218,11 @@ impl IoStatsSnapshot {
 #[derive(Debug, Default, Clone)]
 pub struct IoStats {
     snap: IoStatsSnapshot,
-    /// Writes per erase block. Readers use the O(1) summaries kept in
-    /// lock step below, never a walk of this map.
-    wear: HashMap<u64, u64>,
+    /// Writes per erase block, indexed by block number (it grows to
+    /// the highest block written: 8 bytes per erase block of backend,
+    /// and no hash on the write path). Readers use the O(1) summaries
+    /// kept in lock step below, never a walk of it.
+    wear: Vec<u64>,
     /// Running Σ of per-block write counts.
     wear_sum: u64,
     /// Running Σ of squared per-block write counts (for the coefficient
@@ -251,16 +252,18 @@ impl IoStats {
                 s.bytes_written += len;
                 if let Some(first) = offset.checked_div(erase_block) {
                     let last = (offset + len.max(1) - 1) / erase_block;
-                    for blk in first..=last {
-                        let w = self.wear.entry(blk).or_insert(0);
+                    if last as usize >= self.wear.len() {
+                        self.wear.resize(last as usize + 1, 0);
+                    }
+                    for w in &mut self.wear[first as usize..=last as usize] {
                         *w += 1;
                         // One block going w-1 → w adds 1 to Σw and
                         // (2w-1) to Σw².
                         self.wear_sum += 1;
                         self.wear_sq_sum += 2 * *w - 1;
                         s.max_block_wear = s.max_block_wear.max(*w);
+                        s.touched_blocks += u64::from(*w == 1);
                     }
-                    s.touched_blocks = self.wear.len() as u64;
                 }
                 if !sequential {
                     s.random_writes += 1;

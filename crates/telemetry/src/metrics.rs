@@ -1,6 +1,11 @@
 //! Atomic metric primitives: counters, gauges, and log₂-bucketed
 //! histograms with a fixed bucket array (no allocation on the record
 //! path).
+//!
+//! A [`Histogram`] sample is two atomic read-modify-writes: its bucket
+//! and the sum. The sample **count is derived** — it is the sum of the
+//! buckets, computed when a snapshot is taken — and the maximum is
+//! written only by a sample that raises it.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -90,15 +95,17 @@ impl Gauge {
 pub const HISTOGRAM_BUCKETS: usize = 64;
 
 /// A log₂-bucketed histogram of `u64` samples (for the engine: latency
-/// in virtual-ns). Recording is three relaxed atomic RMWs plus one
-/// `fetch_max` into a **fixed** `[AtomicU64; 64]` bucket array — a
-/// bounded constant with no allocation. Per-record hot paths keep even
-/// that off the record: they count locally and report a whole batch
-/// with [`Histogram::record_n`].
+/// in virtual-ns). Recording is two relaxed atomic RMWs — the sample's
+/// bucket in a **fixed** `[AtomicU64; 64]` array, and the sum — plus a
+/// load of the maximum, which is written (`fetch_max`) only by a sample
+/// that raises it: a bounded constant with no allocation. The sample
+/// count is not stored: it *is* the sum of the buckets, so a snapshot
+/// taken while other threads record can never disagree with its own
+/// buckets. Per-record hot paths keep even that off the record: they
+/// count locally and report a whole batch with [`Histogram::record_n`].
 #[derive(Debug)]
 pub struct Histogram {
     buckets: [AtomicU64; HISTOGRAM_BUCKETS],
-    count: AtomicU64,
     sum: AtomicU64,
     max: AtomicU64,
 }
@@ -107,7 +114,6 @@ impl Default for Histogram {
     fn default() -> Self {
         Histogram {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
             max: AtomicU64::new(0),
         }
@@ -153,23 +159,34 @@ impl Histogram {
             return;
         }
         self.buckets[bucket_index(v)].fetch_add(n, Ordering::Relaxed);
-        self.count.fetch_add(n, Ordering::Relaxed);
         self.sum.fetch_add(v.wrapping_mul(n), Ordering::Relaxed);
-        self.max.fetch_max(v, Ordering::Relaxed);
+        self.raise_max(v);
     }
 
-    /// Samples recorded so far (unit: ops).
+    /// `max = max(max, v)`. A maximum only grows, so a load that
+    /// already shows `v` or more settles it without a write.
+    fn raise_max(&self, v: u64) {
+        if self.max.load(Ordering::Relaxed) < v {
+            self.max.fetch_max(v, Ordering::Relaxed);
+        }
+    }
+
+    /// Samples recorded so far (unit: ops): the sum of the buckets.
     #[must_use]
     pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
+        let buckets = self.buckets.iter();
+        buckets.map(|b| b.load(Ordering::Relaxed)).sum()
     }
 
-    /// Copyable snapshot for reporting.
+    /// Copyable snapshot for reporting. `count` is the sum of the
+    /// buckets as they were read.
     #[must_use]
     pub fn snapshot(&self) -> HistogramSnapshot {
+        let buckets: [u64; HISTOGRAM_BUCKETS] =
+            std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed));
         HistogramSnapshot {
-            buckets: std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed)),
-            count: self.count.load(Ordering::Relaxed),
+            buckets,
+            count: buckets.iter().sum(),
             sum: self.sum.load(Ordering::Relaxed),
             max: self.max.load(Ordering::Relaxed),
         }
@@ -182,9 +199,8 @@ impl Histogram {
         for (b, &n) in self.buckets.iter().zip(other.buckets.iter()) {
             b.fetch_add(n, Ordering::Relaxed);
         }
-        self.count.fetch_add(other.count, Ordering::Relaxed);
         self.sum.fetch_add(other.sum, Ordering::Relaxed);
-        self.max.fetch_max(other.max, Ordering::Relaxed);
+        self.raise_max(other.max);
     }
 }
 
@@ -329,11 +345,11 @@ mod tests {
     #[test]
     fn record_path_is_a_fixed_array_no_allocation() {
         // The whole histogram is one inline struct: a fixed bucket
-        // array plus three scalars. If someone swaps the array for a
+        // array plus two scalars. If someone swaps the array for a
         // Vec/HashMap (allocating on record), this size pin fails.
         assert_eq!(
             std::mem::size_of::<Histogram>(),
-            (HISTOGRAM_BUCKETS + 3) * std::mem::size_of::<u64>()
+            (HISTOGRAM_BUCKETS + 2) * std::mem::size_of::<u64>()
         );
         // Extreme values stay in-bounds rather than growing anything.
         let h = Histogram::new();
@@ -406,5 +422,114 @@ mod tests {
         assert_eq!(d.sum, 25);
         assert_eq!(d.max, 20);
         assert_eq!(d.buckets.iter().sum::<u64>(), 2);
+    }
+
+    #[test]
+    fn a_snapshot_agrees_with_its_own_buckets_while_another_thread_records() {
+        use std::sync::atomic::AtomicBool;
+        let h = Histogram::new();
+        let (stop, started) = (AtomicBool::new(false), std::sync::Barrier::new(2));
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                started.wait();
+                let mut v = 1u64;
+                while !stop.load(Ordering::Relaxed) {
+                    h.record(v);
+                    h.record_n(v >> 3, 3);
+                    v = v.rotate_left(7) ^ 0x9E37_79B9;
+                }
+            });
+            started.wait();
+            let mut last = 0;
+            for _ in 0..2_000 {
+                let snap = h.snapshot();
+                assert_eq!(snap.count, snap.buckets.iter().sum::<u64>());
+                assert!(snap.count >= last, "the count never goes back");
+                last = snap.count;
+            }
+            stop.store(true, Ordering::Relaxed);
+        });
+        assert_eq!(h.count(), h.snapshot().buckets.iter().sum::<u64>());
+    }
+
+    /// `record`, `record_n`, `merge`, `delta` and the two renderings
+    /// over a fixed sample list, against what the histogram with a
+    /// stored `count` (and an unconditional `fetch_max`) produced.
+    #[test]
+    fn fixed_samples_render_byte_for_byte_as_before() {
+        let registry = crate::Registry::new();
+        let h = registry.histogram("op", "ingest", Unit::VirtualNs, "one apply_update call");
+        for v in [0u64, 1, 3, 4, 100, 1000] {
+            h.record(v);
+        }
+        let earlier = h.snapshot();
+        h.record_n(4096, 300);
+        h.record_n(7, 0);
+        let other = Histogram::new();
+        other.record(17);
+        other.record_n(70_000, 2);
+        h.merge(&other.snapshot());
+        let now = h.snapshot();
+
+        let mut buckets = [0u64; HISTOGRAM_BUCKETS];
+        for (i, n) in [(0, 1), (1, 1), (2, 1), (3, 1), (5, 1), (7, 1), (10, 1)] {
+            buckets[i] = n;
+        }
+        buckets[13] = 300;
+        buckets[17] = 2;
+        let want = HistogramSnapshot {
+            buckets,
+            count: 309,
+            sum: 1_369_925,
+            max: 70_000,
+        };
+        assert_eq!(now, want);
+        let delta = now.delta(&earlier);
+        assert_eq!(
+            (delta.count, delta.sum, delta.max),
+            (303, 1_368_817, 70_000)
+        );
+        assert_eq!(delta.buckets.iter().sum::<u64>(), 303);
+        let merged = now.merge(&earlier);
+        assert_eq!(
+            (merged.count, merged.sum, merged.max),
+            (315, 1_371_033, 70_000)
+        );
+
+        let stats = crate::EngineStats {
+            ops: crate::OpLatencies {
+                ingest: now,
+                get: delta,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let json = stats.to_json();
+        assert_eq!(
+            &json[json.find("\"ops\":").expect("ops key")..],
+            "\"ops\":{\
+             \"ingest\":{\"count\":309,\"sum\":1369925,\"max\":70000,\"p50\":8191,\"p95\":8191,\"p99\":8191,\"mean\":4433.414239},\
+             \"get\":{\"count\":303,\"sum\":1368817,\"max\":70000,\"p50\":8191,\"p95\":8191,\"p99\":8191,\"mean\":4517.547855},\
+             \"scan_next\":{\"count\":0,\"sum\":0,\"max\":0,\"p50\":0,\"p95\":0,\"p99\":0,\"mean\":0.000000},\
+             \"flush\":{\"count\":0,\"sum\":0,\"max\":0,\"p50\":0,\"p95\":0,\"p99\":0,\"mean\":0.000000},\
+             \"migrate\":{\"count\":0,\"sum\":0,\"max\":0,\"p50\":0,\"p95\":0,\"p99\":0,\"mean\":0.000000},\
+             \"block_fetch\":{\"count\":0,\"sum\":0,\"max\":0,\"p50\":0,\"p95\":0,\"p99\":0,\"mean\":0.000000}}}"
+        );
+        let cumulative = [
+            1, 2, 3, 4, 4, 5, 5, 6, 6, 6, 7, 7, 7, 307, 307, 307, 307, 309,
+        ];
+        let mut text = String::from(
+            "# HELP op_ingest_virtual_ns one apply_update call\n\
+             # TYPE op_ingest_virtual_ns histogram\n",
+        );
+        for (i, n) in cumulative.into_iter().enumerate() {
+            let le = bucket_upper_bound(i);
+            text += &format!("op_ingest_virtual_ns_bucket{{le=\"{le}\"}} {n}\n");
+        }
+        text += "op_ingest_virtual_ns_bucket{le=\"+Inf\"} 309\n\
+                 op_ingest_virtual_ns_sum 1369925\n\
+                 op_ingest_virtual_ns_count 309\n\
+                 # EOF\n";
+        assert_eq!(registry.render_openmetrics(), text);
     }
 }

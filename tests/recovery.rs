@@ -5,7 +5,7 @@
 use std::sync::Arc;
 
 use masm_core::update::UpdateOp;
-use masm_core::{MasmConfig, MasmEngine};
+use masm_core::{MasmConfig, MasmEngine, MasmError, ShardedEngine};
 use masm_pagestore::{HeapConfig, Key, Schema, TableHeap};
 use masm_storage::{DeviceProfile, SessionHandle, SimClock, SimDevice};
 use masm_telemetry::{RecordKind, TraceConfig, Tracer};
@@ -283,4 +283,142 @@ fn updates_arriving_after_recovery_coexist_with_recovered_state() {
         .collect();
     assert!(keys.contains(&1));
     assert!(!keys.contains(&2));
+}
+
+/// The frame of one logged `Delete`: a 9-byte header and a 17-byte body.
+const DELETE_FRAME: u64 = 26;
+
+/// One append to the log device fails — `break_log` arms the fault,
+/// the device is revived right after. Nothing may be acknowledged
+/// behind the failed frame: at the parent the three later deletes
+/// returned `Ok`, sat behind a hole in the log, and recovery dropped
+/// all three (while the refused delete of key 10 stayed applied).
+/// Returns what recovery reported as torn.
+fn nothing_is_acknowledged_behind_a_failed_append(break_log: impl Fn(&SimDevice)) -> u64 {
+    let d = Durable::new();
+    let s = d.session();
+    let engine = d.fresh_engine(100);
+    engine.apply_update(&s, 2, UpdateOp::Delete).unwrap();
+    let counted = engine.ingest_stats();
+    let log_end = d.wal.len();
+
+    break_log(&d.wal);
+    let failed = engine.apply_update(&s, 10, UpdateOp::Delete).unwrap_err();
+    assert!(matches!(failed, MasmError::Storage(_)), "{failed}");
+    d.wal.clear_write_fault();
+
+    // The log stays failed, naming where; `Err` means "not applied".
+    for key in [20, 30, 40] {
+        let refused = engine.apply_update(&s, key, UpdateOp::Delete);
+        assert!(
+            matches!(refused, Err(MasmError::LogFailed { offset }) if offset == log_end),
+            "delete of {key} after the failed append: {refused:?}"
+        );
+    }
+    let writes = vec![(50, UpdateOp::Delete), (52, UpdateOp::Delete)];
+    let start_ts = engine.oracle().last_issued();
+    let commit = engine.commit_writes(&s, start_ts, writes);
+    assert!(
+        matches!(commit, Err(MasmError::LogFailed { .. })),
+        "{commit:?}"
+    );
+    assert_eq!(
+        engine.ingest_stats(),
+        counted,
+        "a refused update is not counted"
+    );
+    assert_eq!(engine.buffered_updates(), 1);
+    // Reads keep working, and see none of the refused updates.
+    for key in [10, 20, 30, 40, 50, 52] {
+        assert!(engine.get(&s, key).unwrap().is_some(), "key {key}");
+    }
+    assert!(engine.get(&s, 2).unwrap().is_none());
+    assert_eq!(scan_all(&engine, &s).len(), 99);
+
+    // Crash. Everything acknowledged is there, nothing refused is.
+    drop(engine);
+    let heap = Arc::new(TableHeap::new(d.disk.clone(), HeapConfig::default()));
+    let cfg = MasmConfig::small_for_tests();
+    let (engine, report) =
+        MasmEngine::recover(heap, d.ssd.clone(), d.wal.clone(), schema(), cfg).unwrap();
+    assert_eq!(report.updates_recovered, 1, "{report:?}");
+    assert!(report.wal_torn_bytes < DELETE_FRAME, "{report:?}");
+    assert!(engine.get(&s, 2).unwrap().is_none());
+    assert_eq!(scan_all(&engine, &s).len(), 99);
+    // The reopened table takes writes again, durably.
+    engine.apply_update(&s, 20, UpdateOp::Delete).unwrap();
+    drop(engine);
+    let engine = d.recover();
+    assert!(engine.get(&s, 20).unwrap().is_none());
+    assert!(engine.get(&s, 10).unwrap().is_some());
+    assert_eq!(scan_all(&engine, &s).len(), 98);
+    report.wal_torn_bytes
+}
+
+#[test]
+fn a_failed_log_append_fails_the_log_until_recovery() {
+    let torn = nothing_is_acknowledged_behind_a_failed_append(SimDevice::inject_write_fault);
+    assert_eq!(torn, 0, "the refused frame never reached the device");
+}
+
+#[test]
+fn a_log_append_torn_at_any_byte_fails_the_log_until_recovery() {
+    for keep in 0..DELETE_FRAME {
+        let torn =
+            nothing_is_acknowledged_behind_a_failed_append(|wal| wal.inject_torn_write(keep));
+        assert_eq!(torn, keep, "only the torn frame's prefix is discarded");
+    }
+}
+
+#[test]
+fn a_failed_log_append_on_one_shard_fails_that_shard_only() {
+    let clock = SimClock::new();
+    let device = |p: DeviceProfile| SimDevice::in_memory(p, clock.clone());
+    let disk = device(DeviceProfile::hdd_barracuda());
+    let ssds = vec![
+        device(DeviceProfile::ssd_x25e()),
+        device(DeviceProfile::ssd_x25e()),
+    ];
+    let wals = vec![
+        device(DeviceProfile::ssd_x25e()),
+        device(DeviceProfile::ssd_x25e()),
+    ];
+    let mut cfg = MasmConfig::small_for_tests();
+    cfg.sharding.splits = vec![100];
+    let heap = Arc::new(TableHeap::new(disk.clone(), HeapConfig::default()));
+    let engine =
+        ShardedEngine::new(heap, ssds.clone(), wals.clone(), schema(), cfg.clone()).unwrap();
+    let s = SessionHandle::fresh(clock.clone());
+    engine
+        .load_table(&s, SyntheticTable::new(100).records(), 1.0)
+        .unwrap();
+    engine.put(&s, 150, UpdateOp::Delete).unwrap();
+    let log_end = wals[1].len();
+
+    // Keys from 100 up live on shard 1, whose log device now fails once.
+    wals[1].inject_write_fault();
+    assert!(engine.put(&s, 160, UpdateOp::Delete).is_err());
+    wals[1].clear_write_fault();
+    for key in [170, 180] {
+        let refused = engine.put(&s, key, UpdateOp::Delete);
+        assert!(
+            matches!(refused, Err(MasmError::LogFailed { offset }) if offset == log_end),
+            "put of {key} behind the failed append: {refused:?}"
+        );
+    }
+    // Shard 0 has a log of its own, in good order.
+    engine.put(&s, 20, UpdateOp::Delete).unwrap();
+    let present = |e: &ShardedEngine, key| e.get(&s, key).unwrap().is_some();
+    assert!([160, 170, 180].iter().all(|&k| present(&engine, k)));
+    assert!(!present(&engine, 150) && !present(&engine, 20));
+
+    drop(engine);
+    let heap = Arc::new(TableHeap::new(disk, HeapConfig::default()));
+    let (engine, report) = ShardedEngine::recover(heap, ssds, wals, schema(), cfg, None).unwrap();
+    assert_eq!(report.updates_recovered(), 2, "{report:?}");
+    assert!(report.per_shard.iter().all(|r| r.wal_torn_bytes == 0));
+    assert!([160, 170, 180].iter().all(|&k| present(&engine, k)));
+    assert!(!present(&engine, 150) && !present(&engine, 20));
+    engine.put(&s, 170, UpdateOp::Delete).unwrap();
+    assert!(!present(&engine, 170));
 }

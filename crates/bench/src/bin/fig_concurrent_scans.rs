@@ -194,8 +194,8 @@ fn assert_disabled_probe_is_cheap() {
     println!("disabled-tracer probe: {per_op:.2} ns/op (budget 100 ns)");
 }
 
-fn main() {
-    let mb = scale_mb();
+fn main() -> Result<(), String> {
+    let mb = scale_mb()?;
     let stw = run_mode(mb, "stop-the-world (workers=0)", 0, None);
     let bg = run_mode(mb, "background (workers=2)", 2, None);
 
@@ -210,13 +210,16 @@ fn main() {
             ]
         })
         .collect();
-    print_table(
-        &format!(
-            "Concurrent scans under sustained updates — scan latency (virtual ms; table {mb} \
-             MiB, {SCANS} scans of ~1% each)"
-        ),
-        &["mode", "scan p50 (ms)", "scan p99 (ms)", "random writes"],
-        &rows,
+    print!(
+        "{}",
+        Report::default().table(
+            &format!(
+                "Concurrent scans under sustained updates — scan latency (virtual ms; table {mb} \
+                 MiB, {SCANS} scans of ~1% each)"
+            ),
+            &["mode", "scan p50 (ms)", "scan p99 (ms)", "random writes"],
+            &rows,
+        )
     );
     println!(
         "\nshape: stop-the-world pays buffer flushes (and due merges) inline on the scan\n\
@@ -290,4 +293,5 @@ fn main() {
             ts.emitted, ts.dropped
         );
     }
+    Ok(())
 }

@@ -180,8 +180,8 @@ fn recover_and_verify(
     }
 }
 
-fn main() {
-    let mb = scale_mb();
+fn main() -> Result<(), String> {
+    let mb = scale_mb()?;
     let schema = Schema::synthetic_100b();
     let mut cfg = scaled_masm_config(mb * MIB);
     cfg.ssd_capacity = cfg.ssd_capacity.max(4 * 64 * 4096);
@@ -318,24 +318,27 @@ fn main() {
             ]
         })
         .collect();
-    print_table(
-        &format!(
-            "Crash recovery under load — {LANES}-shard engine, background workers, \
-             plug pulled mid-ingest (table scale {mb} MiB)"
-        ),
-        &[
-            "crash",
-            "acked",
-            "recovered",
-            "runs",
-            "replayed",
-            "torn",
-            "migr redo",
-            "recovery (s)",
-            "lost",
-            "random writes",
-        ],
-        &rows,
+    print!(
+        "{}",
+        Report::default().table(
+            &format!(
+                "Crash recovery under load — {LANES}-shard engine, background workers, \
+                 plug pulled mid-ingest (table scale {mb} MiB)"
+            ),
+            &[
+                "crash",
+                "acked",
+                "recovered",
+                "runs",
+                "replayed",
+                "torn",
+                "migr redo",
+                "recovery (s)",
+                "lost",
+                "random writes",
+            ],
+            &rows,
+        )
     );
     println!(
         "\nshape: recovery replays only the redo log (runs and heap pages come back from\n\
@@ -388,4 +391,5 @@ fn main() {
         torn.torn_bytes,
         torn.label
     );
+    Ok(())
 }

@@ -179,8 +179,8 @@ fn run(mb: u64, shards: usize, tracer: Option<&Arc<Tracer>>) -> RunResult {
     }
 }
 
-fn main() {
-    let mb = scale_mb();
+fn main() -> Result<(), String> {
+    let mb = scale_mb()?;
     let trace_out = std::env::var("MASM_TRACE_OUT").ok();
     let tracer = trace_out.as_ref().map(|_| {
         Arc::new(Tracer::new(TraceConfig {
@@ -210,21 +210,24 @@ fn main() {
             ]
         })
         .collect();
-    print_table(
-        &format!(
-            "Sharded ingest scaling — {LANES} concurrent lanes, zipfian multi-tenant keys \
-             (flash budget fixed; table scale {mb} MiB)"
-        ),
-        &[
-            "shards",
-            "updates",
-            "elapsed (s)",
-            "updates/s",
-            "speedup",
-            "random writes",
-            "imbalance",
-        ],
-        &rows,
+    print!(
+        "{}",
+        Report::default().table(
+            &format!(
+                "Sharded ingest scaling — {LANES} concurrent lanes, zipfian multi-tenant keys \
+                 (flash budget fixed; table scale {mb} MiB)"
+            ),
+            &[
+                "shards",
+                "updates",
+                "elapsed (s)",
+                "updates/s",
+                "speedup",
+                "random writes",
+                "imbalance",
+            ],
+            &rows,
+        )
     );
     println!(
         "\nshape: one shard serializes all lanes behind a single WAL/flash queue; N shards\n\
@@ -302,4 +305,5 @@ fn main() {
             ts.dropped
         );
     }
+    Ok(())
 }

@@ -7,10 +7,11 @@
 //! only `αM` memory pages for an `M²`-page cache, so doubling memory
 //! cuts migration overhead by 4× (§3.7).
 
-use masm_bench::print_table;
 use masm_core::theory::MigrationModel;
 
-fn main() {
+use crate::Report;
+
+pub fn run(_mb: u64) -> Report {
     let model = MigrationModel::paper_defaults();
     let reference = model.in_memory_overhead(16.0 * 1024.0 * 1024.0 * 1024.0);
 
@@ -30,7 +31,8 @@ fn main() {
             format!("{cache_gb:.1} GB"),
         ]);
     }
-    print_table(
+    let mut report = Report::default();
+    report.table(
         "Figure 1 — migration overhead vs memory (normalized to state-of-the-art @16GB)",
         &[
             "memory",
@@ -40,10 +42,11 @@ fn main() {
         ],
         &rows,
     );
-    println!(
-        "\npaper shape: prior curve halves per memory doubling; MaSM curve quarters.\n\
+    report.note(&format!(
+        "paper shape: prior curve halves per memory doubling; MaSM curve quarters.\n\
          §3.7 example: a 32 MB MaSM buffer matches the migration overhead of a 16 GB\n\
          in-memory cache (MaSM cache at 32 MB memory = {:.1} GB).",
         model.masm_cache_bytes(32.0 * 1024.0 * 1024.0, 1.0) / 1e9
-    );
+    ));
+    report
 }

@@ -6,13 +6,13 @@
 //! 1.6× on average — the *interference* between the sequential scans and
 //! the random updates, not just the second workload, is what hurts.
 
-use masm_bench::tpch_replay::{TpchEnv, TpchInPlaceUpdater};
-use masm_bench::*;
 use masm_storage::MIB;
 use masm_workloads::tpch::TPCH_QUERIES;
 
-fn main() {
-    let mb = scale_mb();
+use crate::tpch_replay::{TpchEnv, TpchInPlaceUpdater};
+use crate::{secs, Report};
+
+pub fn run(mb: u64) -> Report {
     let total_bytes = mb * MIB;
 
     let mut rows = Vec::new();
@@ -45,7 +45,8 @@ fn main() {
         ]);
     }
     let n = TPCH_QUERIES.len() as f64;
-    print_table(
+    let mut report = Report::default();
+    report.table(
         &format!("Figure 3 — TPC-H replay with in-place updates, row store ({mb} MiB of tables)"),
         &[
             "query",
@@ -55,11 +56,12 @@ fn main() {
         ],
         &rows,
     );
-    println!(
-        "\naverages: w/ updates {:.2}x, query+updates-offline {:.2}x (interference factor {:.2}x)\n\
+    report.note(&format!(
+        "averages: w/ updates {:.2}x, query+updates-offline {:.2}x (interference factor {:.2}x)\n\
          paper shape: 1.5-4.1x w/ updates (avg 2.2x); interference alone ~1.6x.",
         sum_with / n,
         sum_sum / n,
         sum_with / sum_sum
-    );
+    ));
+    report
 }

@@ -12,15 +12,15 @@
 //! its row-store bytes (a typical referenced-column fraction for TPC-H)
 //! while the updates stay identical.
 
-use masm_bench::tpch_replay::{TpchEnv, TpchInPlaceUpdater};
-use masm_bench::*;
 use masm_storage::MIB;
 use masm_workloads::tpch::TPCH_QUERIES;
 
+use crate::tpch_replay::{TpchEnv, TpchInPlaceUpdater};
+use crate::{secs, Report};
+
 const COLUMN_FRACTION: f64 = 0.35;
 
-fn main() {
-    let mb = scale_mb();
+pub fn run(mb: u64) -> Report {
     let total_bytes = mb * MIB;
 
     let mut rows = Vec::new();
@@ -42,7 +42,8 @@ fn main() {
             format!("{ratio:.2}x"),
         ]);
     }
-    print_table(
+    let mut report = Report::default();
+    report.table(
         &format!(
             "Figure 4 — TPC-H replay with emulated in-place updates, column store \
              ({mb} MiB of tables, {:.0}% column fraction)",
@@ -51,9 +52,10 @@ fn main() {
         &["query", "no-updates (s)", "w/ updates"],
         &rows,
     );
-    println!(
-        "\naverage: {:.2}x\npaper shape: 1.2-4.0x slowdowns, 2.6x on average — worse than the\n\
+    report.note(&format!(
+        "average: {:.2}x\npaper shape: 1.2-4.0x slowdowns, 2.6x on average — worse than the\n\
          row store because column scans are shorter relative to the same update traffic.",
         sum_with / TPCH_QUERIES.len() as f64
-    );
+    ));
+    report
 }

@@ -8,29 +8,17 @@
 //!   4 KB ranges (reads one full index cell per run);
 //! * MaSM w/ fine-grain index: ≤1.07× everywhere (4% at 4 KB ranges).
 //!
-//! Scaled: table = `MASM_BENCH_MB` MiB (default 64), cache 4% of the
-//! table, 50% full. Times are normalized to the same scan on a clean
-//! table.
+//! Scaled: table = `mb` MiB, cache 4% of the table, 50% full. Times are
+//! normalized to the same scan on a clean table.
 
-use masm_bench::*;
 use masm_core::IndexGranularity;
 use masm_storage::MIB;
 
-fn avg(ns: Vec<u64>) -> u64 {
-    ns.iter().sum::<u64>() / ns.len().max(1) as u64
-}
+use crate::{
+    mean_ns, range_ladder, ratio, size_label, time_scan_with_inplace_updates, Report, SyntheticEnv,
+};
 
-fn main() {
-    let mb = scale_mb();
-    let table_bytes = mb * MIB;
-    let sizes: Vec<u64> = vec![
-        4 * 1024,
-        100 * 1024,
-        MIB,
-        10 * MIB,
-        table_bytes / 2,
-        table_bytes,
-    ];
+pub fn run(mb: u64) -> Report {
     let reps = 5usize;
 
     // Baseline: clean table, no updates anywhere.
@@ -73,39 +61,25 @@ fn main() {
     let inplace_env = SyntheticEnv::new(mb);
 
     let mut rows = Vec::new();
-    for &size in &sizes {
+    for size in range_ladder(mb * MIB) {
         let count = if size <= MIB { reps * 2 } else { reps };
         let ranges = baseline.ranges(size, count);
-        let base = avg(ranges
-            .iter()
-            .map(|&(b, e)| baseline.time_pure_scan(b, e))
-            .collect());
-        let inplace = avg(ranges
-            .iter()
-            .enumerate()
-            .map(|(i, &(b, e))| time_scan_with_inplace_updates(&inplace_env, b, e, 100 + i as u64))
-            .collect());
-        let iu_t = avg(ranges
-            .iter()
-            .map(|&(b, e)| {
-                let session = iu_env.machine.session();
-                let start = session.now();
-                let n = iu
-                    .begin_scan(session.clone(), b, e, u64::MAX)
-                    .unwrap()
-                    .count();
-                std::hint::black_box(n);
-                session.now() - start
-            })
-            .collect());
-        let coarse = avg(ranges
-            .iter()
-            .map(|&(b, e)| masm_coarse.time_masm_scan(b, e))
-            .collect());
-        let fine = avg(ranges
-            .iter()
-            .map(|&(b, e)| masm_fine.time_masm_scan(b, e))
-            .collect());
+        let base = baseline.mean_pure_scan(&ranges);
+        let inplace = mean_ns(&ranges, |i, b, e| {
+            time_scan_with_inplace_updates(&inplace_env, b, e, 100 + i as u64)
+        });
+        let iu_t = mean_ns(&ranges, |_, b, e| {
+            let session = iu_env.machine.session();
+            let start = session.now();
+            let n = iu
+                .begin_scan(session.clone(), b, e, u64::MAX)
+                .unwrap()
+                .count();
+            std::hint::black_box(n);
+            session.now() - start
+        });
+        let coarse = masm_coarse.mean_masm_scan(&ranges);
+        let fine = masm_fine.mean_masm_scan(&ranges);
         rows.push(vec![
             size_label(size),
             ratio(inplace, base),
@@ -115,7 +89,8 @@ fn main() {
         ]);
     }
 
-    print_table(
+    let mut report = Report::default();
+    report.table(
         &format!(
             "Figure 9 — range scans with online updates, normalized to no-update scans \
              (table {mb} MiB, cache 50% full)"
@@ -123,8 +98,9 @@ fn main() {
         &["range", "in-place", "IU", "MaSM coarse", "MaSM fine"],
         &rows,
     );
-    println!(
-        "\npaper shape: in-place 1.7-3.7x (worst at small ranges); IU worst in the middle;\n\
-         MaSM coarse ~1x at large ranges, up to ~2.9x at 4KB; MaSM fine <=1.07x everywhere."
+    report.note(
+        "paper shape: in-place 1.7-3.7x (worst at small ranges); IU worst in the middle;\n\
+         MaSM coarse ~1x at large ranges, up to ~2.9x at 4KB; MaSM fine <=1.07x everywhere.",
     );
+    report
 }

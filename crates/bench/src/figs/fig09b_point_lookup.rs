@@ -17,13 +17,10 @@
 //! memory-vs-I/O trade §2.3 calls out. MaSM rows run with the codec off
 //! (identity) and on (lz) to show compression does not change lookup
 //! I/O (blocks decode after the same single read).
-//!
-//! Emits one JSON object (line prefixed `JSON:`) plus readable tables.
 
 use std::sync::Arc;
 
 use masm_baselines::IuEngine;
-use masm_bench::{print_table, scale_mb};
 use masm_blockrun::{
     point_lookup, write_run as write_block_run, BlockCache, BlockRunConfig, BloomFilter, Entry,
 };
@@ -32,9 +29,12 @@ use masm_core::{CodecChoice, MasmConfig, MasmEngine};
 use masm_pagestore::{HeapConfig, Record, Schema, TableHeap};
 use masm_storage::{DeviceProfile, Ns, SessionHandle, SimClock, SimDevice};
 
-/// The legacy run format this PR replaced: a flat byte stream of update
-/// records plus an in-memory sparse index (smallest key per fixed byte
-/// cell). Kept here, in the benchmark only, as the comparison baseline.
+use crate::{Machine, Report};
+
+/// The legacy run format the block runs replaced: a flat byte stream of
+/// update records plus an in-memory sparse index (smallest key per fixed
+/// byte cell). Kept here, in the benchmark only, as the comparison
+/// baseline.
 struct SparseRun {
     index: Vec<(u64, u64)>, // (first key, byte offset)
     total_bytes: u64,
@@ -102,20 +102,14 @@ impl SparseRun {
     }
 }
 
-struct Row {
-    scheme: &'static str,
-    phase: &'static str,
-    found: u64,
-    ssd_reads: u64,
-    bytes_read: u64,
-    avg_ns: f64,
-    cache_hits: u64,
-    cache_misses: u64,
+/// Mean virtual ns of `n` lookups that took `ns`, as a table cell.
+fn per_lookup(ns: Ns, n: usize) -> String {
+    format!("{:.0}", ns as f64 / n as f64)
 }
 
-fn main() {
-    // Scale entry count with the usual knob; lookups stay fixed.
-    let entries_n = (scale_mb() * 4096).max(50_000);
+pub fn run(mb: u64) -> Report {
+    // Scale entry count with the table scale; lookups stay fixed.
+    let entries_n = (mb * 4096).max(50_000);
     let lookups = 600u64;
 
     let updates: Vec<UpdateRecord> = (0..entries_n)
@@ -133,7 +127,8 @@ fn main() {
         })
         .collect();
 
-    let mut rows: Vec<Row> = Vec::new();
+    let mut rows: Vec<Vec<String>> = Vec::new();
+    let mut warm_ssd_reads = None;
 
     // --- Legacy sparse-index flat run -------------------------------
     {
@@ -148,16 +143,16 @@ fn main() {
             found += run.lookup(&session, &dev, p).is_some() as u64;
         }
         let stats = dev.stats();
-        rows.push(Row {
-            scheme: "sparse_index",
-            phase: "cold",
-            found,
-            ssd_reads: stats.read_ops,
-            bytes_read: stats.bytes_read,
-            avg_ns: (session.now() - start) as f64 / probes.len() as f64,
-            cache_hits: 0,
-            cache_misses: 0,
-        });
+        rows.push(vec![
+            "sparse_index".into(),
+            "cold".into(),
+            found.to_string(),
+            stats.read_ops.to_string(),
+            stats.bytes_read.to_string(),
+            per_lookup(session.now() - start, probes.len()),
+            "0".into(),
+            "0".into(),
+        ]);
     }
 
     // --- Block runs: bloom off/on, cache cold/warm ------------------
@@ -209,32 +204,26 @@ fn main() {
             }
             let stats = dev.stats();
             let cs = cache.as_ref().map(|c| c.stats()).unwrap_or_default();
-            rows.push(Row {
-                scheme,
-                phase,
-                found,
-                ssd_reads: stats.read_ops,
-                bytes_read: stats.bytes_read,
-                avg_ns: (session.now() - start) as f64 / probes.len() as f64,
-                cache_hits: cs.hits,
-                cache_misses: cs.misses,
-            });
+            if phase == "warm" {
+                warm_ssd_reads = Some(stats.read_ops);
+            }
+            rows.push(vec![
+                scheme.into(),
+                phase.into(),
+                found.to_string(),
+                stats.read_ops.to_string(),
+                stats.bytes_read.to_string(),
+                per_lookup(session.now() - start, probes.len()),
+                cs.hits.to_string(),
+                cs.misses.to_string(),
+            ]);
         }
     }
 
     // --- Engine level: MasmEngine::get vs the IU in-memory index -----
-    struct EngineRow {
-        scheme: &'static str,
-        codec: &'static str,
-        found: u64,
-        ssd_reads: u64,
-        bytes_read: u64,
-        avg_ns: f64,
-        /// MaSM: pinned run metadata (zone maps + blooms). IU: the
-        /// in-memory positional index over every cached update.
-        mem_bytes: u64,
-    }
-
+    // `mem_bytes` is, for MaSM, the pinned run metadata (zone maps +
+    // blooms); for IU, the in-memory positional index over every cached
+    // update.
     let schema = Schema::synthetic_100b();
     let payload = |v: u32| {
         let mut p = schema.empty_payload();
@@ -256,18 +245,16 @@ fn main() {
             }
         })
         .collect();
-    let mut engine_rows: Vec<EngineRow> = Vec::new();
+    let mut engine_rows: Vec<Vec<String>> = Vec::new();
 
     for codec in [CodecChoice::Identity, CodecChoice::Lz] {
-        let clock = SimClock::new();
-        let disk = SimDevice::in_memory(DeviceProfile::hdd_barracuda(), clock.clone());
-        let ssd = SimDevice::in_memory(DeviceProfile::ssd_x25e(), clock.clone());
-        let wal = SimDevice::in_memory(DeviceProfile::ssd_x25e(), clock.clone());
-        let heap = Arc::new(TableHeap::new(disk, HeapConfig::default()));
+        let m = Machine::new();
+        let heap = Arc::new(TableHeap::new(m.disk.clone(), HeapConfig::default()));
         let mut cfg = MasmConfig::small_for_tests();
         cfg.codec = codec;
-        let engine = MasmEngine::new(heap, ssd.clone(), wal, schema.clone(), cfg).expect("engine");
-        let session = SessionHandle::fresh(clock);
+        let (ssd, wal, schema) = (m.ssd.clone(), m.wal.clone(), schema.clone());
+        let engine = MasmEngine::new(heap, ssd, wal, schema, cfg).expect("engine");
+        let session = m.session();
         engine
             .load_table(
                 &session,
@@ -282,22 +269,22 @@ fn main() {
         }
         engine.flush_buffer(&session).expect("flush");
 
-        ssd.reset_stats();
+        m.ssd.reset_stats();
         let start = session.now();
         let mut found = 0u64;
         for &k in &eng_probes {
             found += engine.get(&session, k).expect("get").is_some() as u64;
         }
-        let stats = ssd.stats();
-        engine_rows.push(EngineRow {
-            scheme: "engine_masm_get",
-            codec: codec.name(),
-            found,
-            ssd_reads: stats.read_ops,
-            bytes_read: stats.bytes_read,
-            avg_ns: (session.now() - start) as f64 / eng_probes.len() as f64,
-            mem_bytes: engine.cache_stats().meta_bytes,
-        });
+        let stats = m.ssd.stats();
+        engine_rows.push(vec![
+            "engine_masm_get".into(),
+            codec.name().into(),
+            found.to_string(),
+            stats.read_ops.to_string(),
+            stats.bytes_read.to_string(),
+            per_lookup(session.now() - start, eng_probes.len()),
+            engine.cache_stats().meta_bytes.to_string(),
+        ]);
     }
 
     {
@@ -333,34 +320,19 @@ fn main() {
             found += hit.is_some() as u64;
         }
         let stats = ssd.stats();
-        engine_rows.push(EngineRow {
-            scheme: "engine_iu_scan",
-            codec: "none",
-            found,
-            ssd_reads: stats.read_ops,
-            bytes_read: stats.bytes_read,
-            avg_ns: (session.now() - start) as f64 / eng_probes.len() as f64,
-            mem_bytes: iu.index_memory_bytes(),
-        });
+        engine_rows.push(vec![
+            "engine_iu_scan".into(),
+            "none".into(),
+            found.to_string(),
+            stats.read_ops.to_string(),
+            stats.bytes_read.to_string(),
+            per_lookup(session.now() - start, eng_probes.len()),
+            iu.index_memory_bytes().to_string(),
+        ]);
     }
 
-    // --- Report ------------------------------------------------------
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.scheme.to_string(),
-                r.phase.to_string(),
-                r.found.to_string(),
-                r.ssd_reads.to_string(),
-                r.bytes_read.to_string(),
-                format!("{:.0}", r.avg_ns),
-                r.cache_hits.to_string(),
-                r.cache_misses.to_string(),
-            ]
-        })
-        .collect();
-    print_table(
+    let mut report = Report::default();
+    report.table(
         &format!(
             "Figure 9b — point lookups over one materialized run \
              ({entries_n} entries, {lookups} lookups, half absent)"
@@ -375,24 +347,9 @@ fn main() {
             "cache_hits",
             "cache_miss",
         ],
-        &table,
+        &rows,
     );
-
-    let engine_table: Vec<Vec<String>> = engine_rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.scheme.to_string(),
-                r.codec.to_string(),
-                r.found.to_string(),
-                r.ssd_reads.to_string(),
-                r.bytes_read.to_string(),
-                format!("{:.0}", r.avg_ns),
-                r.mem_bytes.to_string(),
-            ]
-        })
-        .collect();
-    print_table(
+    report.table(
         &format!(
             "Figure 9b (engine) — MasmEngine::get vs IU in-memory index \
              ({n_base} base records, {n_updates} cached updates, {eng_lookups} lookups, half absent)"
@@ -406,47 +363,13 @@ fn main() {
             "ns/lookup",
             "mem_bytes",
         ],
-        &engine_table,
+        &engine_rows,
     );
 
-    let mut json_rows: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "{{\"scheme\":\"{}\",\"phase\":\"{}\",\"found\":{},\"ssd_reads\":{},\
-                 \"bytes_read\":{},\"avg_ns_per_lookup\":{:.1},\"cache_hits\":{},\
-                 \"cache_misses\":{}}}",
-                r.scheme,
-                r.phase,
-                r.found,
-                r.ssd_reads,
-                r.bytes_read,
-                r.avg_ns,
-                r.cache_hits,
-                r.cache_misses
-            )
-        })
-        .collect();
-    json_rows.extend(engine_rows.iter().map(|r| {
-        format!(
-            "{{\"scheme\":\"{}\",\"codec\":\"{}\",\"found\":{},\"ssd_reads\":{},\
-             \"bytes_read\":{},\"avg_ns_per_lookup\":{:.1},\"mem_bytes\":{}}}",
-            r.scheme, r.codec, r.found, r.ssd_reads, r.bytes_read, r.avg_ns, r.mem_bytes
-        )
-    }));
-    println!(
-        "\nJSON:{{\"figure\":\"fig09b_point_lookup\",\"entries\":{entries_n},\
-         \"lookups\":{lookups},\"results\":[{}]}}",
-        json_rows.join(",")
-    );
-
-    let warm = rows
-        .iter()
-        .find(|r| r.scheme == "blockrun_bloom_on_cached" && r.phase == "warm")
-        .expect("warm row");
-    println!(
-        "\nexpected shape: bloom halves cold reads (absent keys cost zero I/O); \
+    report.note(&format!(
+        "expected shape: bloom halves cold reads (absent keys cost zero I/O); \
          warm cache serves every block from memory (ssd_reads == 0; got {}).",
-        warm.ssd_reads
-    );
+        warm_ssd_reads.expect("warm row")
+    ));
+    report
 }

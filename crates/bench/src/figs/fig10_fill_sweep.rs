@@ -6,24 +6,11 @@
 //! overheads." The same data read another way: doubling the flash space
 //! at constant fill has the same profile.
 
-use masm_bench::*;
 use masm_storage::MIB;
 
-fn avg(ns: Vec<u64>) -> u64 {
-    ns.iter().sum::<u64>() / ns.len().max(1) as u64
-}
+use crate::{range_ladder, ratio, size_label, Report, SyntheticEnv};
 
-fn main() {
-    let mb = scale_mb();
-    let table_bytes = mb * MIB;
-    let sizes: Vec<u64> = vec![
-        4 * 1024,
-        100 * 1024,
-        MIB,
-        10 * MIB,
-        table_bytes / 2,
-        table_bytes,
-    ];
+pub fn run(mb: u64) -> Report {
     let fills = [0.25, 0.50, 0.75, 0.99];
 
     let baseline = SyntheticEnv::new(mb);
@@ -39,28 +26,23 @@ fn main() {
         .collect();
 
     let mut rows = Vec::new();
-    for &size in &sizes {
+    for size in range_ladder(mb * MIB) {
         let ranges = baseline.ranges(size, 5);
-        let base = avg(ranges
-            .iter()
-            .map(|&(b, e)| baseline.time_pure_scan(b, e))
-            .collect());
+        let base = baseline.mean_pure_scan(&ranges);
         let mut row = vec![size_label(size)];
         for env in &envs {
-            let t = avg(ranges
-                .iter()
-                .map(|&(b, e)| env.time_masm_scan(b, e))
-                .collect());
-            row.push(ratio(t, base));
+            row.push(ratio(env.mean_masm_scan(&ranges), base));
         }
         rows.push(row);
     }
-    print_table(
+    let mut report = Report::default();
+    report.table(
         &format!(
             "Figure 10 — MaSM scans vs cache fill (table {mb} MiB, fine index, migration off)"
         ),
         &["range", "25% full", "50% full", "75% full", "99% full"],
         &rows,
     );
-    println!("\npaper shape: all cells within a few percent of 1.0x (<=1.07x at 4KB).");
+    report.note("paper shape: all cells within a few percent of 1.0x (<=1.07x at 4KB).");
+    report
 }

@@ -12,36 +12,28 @@
 //! the whole key space, so nearly all blocks must be decoded and
 //! merged) and *disjoint* (key-banded update batches — no two runs
 //! overlap, so every block is relinked verbatim and `bytes_decoded`
-//! stays 0). Emits one JSON object (line prefixed `JSON:`) so CI can
-//! watch `blocks_moved` / `bytes_decoded` for merge-path regressions.
+//! stays 0, which the figure asserts).
 
-use masm_bench::*;
 use masm_storage::{MergeReport, MIB};
 
-struct CompactionRow {
-    workload: &'static str,
-    runs_in: usize,
-    report: MergeReport,
-}
+use crate::{ratio, secs, Report, SyntheticEnv, UpdateOp};
+
+/// Runs in, and the compaction of them.
+type Compaction = (usize, MergeReport);
 
 /// Uniform random updates: runs overlap across the whole key space.
-fn compaction_overlapping(mb: u64) -> CompactionRow {
+fn compaction_overlapping(mb: u64) -> Compaction {
     let env = SyntheticEnv::new(mb);
     env.fill_cache(0.8, 7);
     let session = env.machine.session();
     env.engine.flush_buffer(&session).expect("flush");
     let runs_in = env.engine.run_count();
-    let report = env.engine.compact_runs(&session).expect("compaction");
-    CompactionRow {
-        workload: "overlapping",
-        runs_in,
-        report,
-    }
+    (runs_in, env.engine.compact_runs(&session).expect("compaction"))
 }
 
 /// Key-banded update batches: each run covers its own key band, so the
 /// planner moves every block without decoding a byte.
-fn compaction_disjoint(mb: u64) -> CompactionRow {
+fn compaction_disjoint(mb: u64) -> Compaction {
     let env = SyntheticEnv::new(mb);
     let session = env.machine.session();
     let bands = 6u64;
@@ -70,17 +62,10 @@ fn compaction_disjoint(mb: u64) -> CompactionRow {
         }
     }
     let runs_in = env.engine.run_count();
-    let report = env.engine.compact_runs(&session).expect("compaction");
-    CompactionRow {
-        workload: "disjoint",
-        runs_in,
-        report,
-    }
+    (runs_in, env.engine.compact_runs(&session).expect("compaction"))
 }
 
-fn main() {
-    let mb = scale_mb();
-
+pub fn run(mb: u64) -> Report {
     // Pure full-table scan.
     let baseline = SyntheticEnv::new(mb);
     let scan_ns = baseline.time_pure_scan(0, u64::MAX);
@@ -95,7 +80,8 @@ fn main() {
     let report = env.engine.migrate(&session).expect("migration");
     let mig_ns = session.now() - start;
 
-    print_table(
+    let mut out = Report::default();
+    out.table(
         &format!("Figure 11 — migration vs pure scan (table {mb} MiB, cache ~95% full)"),
         &["configuration", "virtual time (s)", "normalized"],
         &[
@@ -111,84 +97,58 @@ fn main() {
             ],
         ],
     );
-    println!(
-        "\nmigrated {} runs, applied {} updates, wrote {} pages ({} MiB).",
+    out.note(&format!(
+        "migrated {} runs, applied {} updates, wrote {} pages ({} MiB).\n\
+         paper shape: scan w/ migration ≈ 2.3x a pure scan.",
         report.runs_migrated,
         report.updates_applied,
         report.pages_written,
         report.pages_written * 4096 / MIB,
-    );
-    println!("paper shape: scan w/ migration ≈ 2.3x a pure scan.");
+    ));
 
     // --- Zero-decode compaction: overlapping vs disjoint runs --------
-    let rows = [compaction_overlapping(mb), compaction_disjoint(mb)];
-    print_table(
+    let rows = [
+        ("overlapping", compaction_overlapping(mb)),
+        ("disjoint", compaction_disjoint(mb)),
+    ];
+    out.table(
         "Compaction — layered merge planner (move vs merge)",
         &[
             "workload",
             "runs_in",
+            "fan_in",
             "blocks_moved",
             "blocks_merged",
             "bytes_moved",
             "bytes_decoded",
+            "entries_out",
             "move_ratio",
         ],
         &rows
             .iter()
-            .map(|r| {
+            .map(|(workload, (runs_in, r))| {
                 vec![
-                    r.workload.to_string(),
-                    r.runs_in.to_string(),
-                    r.report.blocks_moved.to_string(),
-                    r.report.blocks_merged.to_string(),
-                    r.report.bytes_moved.to_string(),
-                    r.report.bytes_decoded.to_string(),
-                    format!("{:.2}", r.report.move_ratio()),
+                    workload.to_string(),
+                    runs_in.to_string(),
+                    r.fan_in.to_string(),
+                    r.blocks_moved.to_string(),
+                    r.blocks_merged.to_string(),
+                    r.bytes_moved.to_string(),
+                    r.bytes_decoded.to_string(),
+                    r.entries_out.to_string(),
+                    format!("{:.2}", r.move_ratio()),
                 ]
             })
             .collect::<Vec<_>>(),
     );
-    let disjoint = &rows[1];
+    let (_, (_, disjoint)) = rows[1];
     assert_eq!(
-        disjoint.report.bytes_decoded, 0,
-        "disjoint-band compaction must decode nothing: {:?}",
-        disjoint.report
+        disjoint.bytes_decoded, 0,
+        "disjoint-band compaction must decode nothing: {disjoint:?}"
     );
-    println!(
-        "\nexpected shape: disjoint bands move 100% of blocks (bytes_decoded == 0); \
-         uniform updates decode nearly everything."
+    out.note(
+        "expected shape: disjoint bands move 100% of blocks (bytes_decoded == 0); \
+         uniform updates decode nearly everything.",
     );
-
-    let compaction_json: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "{{\"workload\":\"{}\",\"runs_in\":{},\"fan_in\":{},\"blocks_moved\":{},\
-                 \"blocks_merged\":{},\"bytes_moved\":{},\"bytes_decoded\":{},\
-                 \"entries_out\":{},\"move_ratio\":{:.4}}}",
-                r.workload,
-                r.runs_in,
-                r.report.fan_in,
-                r.report.blocks_moved,
-                r.report.blocks_merged,
-                r.report.bytes_moved,
-                r.report.bytes_decoded,
-                r.report.entries_out,
-                r.report.move_ratio(),
-            )
-        })
-        .collect();
-    println!(
-        "\nJSON:{{\"figure\":\"fig11_migration_cost\",\"table_mb\":{mb},\
-         \"scan_s\":{:.4},\"migration_s\":{:.4},\"migration_normalized\":{:.3},\
-         \"runs_migrated\":{},\"updates_applied\":{},\"pages_written\":{},\
-         \"compaction\":[{}]}}",
-        secs(scan_ns),
-        secs(mig_ns),
-        mig_ns as f64 / scan_ns.max(1) as f64,
-        report.runs_migrated,
-        report.updates_applied,
-        report.pages_written,
-        compaction_json.join(",")
-    );
+    out
 }

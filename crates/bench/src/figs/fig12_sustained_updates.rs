@@ -10,23 +10,22 @@
 //! fast as possible; every table scan migrates the accumulated half of
 //! the flash while the other half fills.
 //!
-//! Besides the summary table this binary exports an NDJSON time series
+//! Besides the summary table this figure exports an NDJSON time series
 //! for the canonical `MaSM C` configuration: one `TS:`-prefixed line
 //! per sample (sampled on a virtual-clock interval, plus a forced
 //! sample after every migration and at the end), each carrying the
 //! full [`masm_core::EngineStats`] snapshot, the delta since the
 //! previous row, and the `random_writes` invariant field at the top
-//! level. CI smoke-runs this binary and asserts the rows parse.
+//! level; every row is checked to parse back before it is reported.
 
-use masm_bench::*;
 use masm_core::EngineStats;
 use masm_telemetry::json::parse;
 use masm_telemetry::TimeSeriesWriter;
 use masm_workloads::synthetic::{UpdateMix, UpdateStreamGen};
 
-fn main() {
-    let mb = scale_mb();
+use crate::{secs, Report, SyntheticEnv};
 
+pub fn run(mb: u64) -> Report {
     let mut rows = Vec::new();
 
     // Raw random 4 KB writes on the disk.
@@ -41,7 +40,11 @@ fn main() {
             session.write(&env.machine.disk, off, &[0u8; 4096]).unwrap();
         }
         let rate = n as f64 / secs(session.now() - start);
-        rows.push(vec!["disk random writes".into(), format!("{rate:.0}")]);
+        rows.push(vec![
+            "disk random writes".into(),
+            format!("{rate:.0}"),
+            n.to_string(),
+        ]);
     }
 
     // Conventional in-place updates (read-modify-write), no queries.
@@ -68,7 +71,11 @@ fn main() {
             inplace.apply_update(&session, key, op, ts).unwrap();
         }
         let rate = n as f64 / secs(session.now() - start);
-        rows.push(vec!["in-place updates".into(), format!("{rate:.0}")]);
+        rows.push(vec![
+            "in-place updates".into(),
+            format!("{rate:.0}"),
+            n.to_string(),
+        ]);
     }
 
     // MaSM with three flash sizes (cache fraction ×0.5, ×1, ×2). The
@@ -115,38 +122,47 @@ fn main() {
         }
         let rate = applied as f64 / secs(session.now() - start);
         let cache_kb = env.engine.config().ssd_capacity / 1024;
+        let stats = env.engine.stats();
         rows.push(vec![
             format!("{label} ({cache_kb} KiB flash)"),
             format!("{rate:.0}"),
+            stats.ingested_updates.to_string(),
+            stats.ops.migrate.count.to_string(),
+            stats.ssd.random_writes.to_string(),
         ]);
         if let Some(ts) = ts {
             let buf = String::from_utf8(ts.into_inner().unwrap()).unwrap();
-            series = Some((buf.lines().map(str::to_owned).collect(), env.engine.stats()));
+            series = Some((buf.lines().map(str::to_owned).collect(), stats));
         }
     }
     let (ts_rows, end_stats) = series.expect("MaSM C run exports the time series");
 
-    print_table(
+    let mut report = Report::default();
+    report.table(
         &format!(
             "Figure 12 — sustained updates/second (virtual time; table {mb} MiB, scaled {}x \
              below the paper's 100 GB)",
             100 * 1024 / mb
         ),
-        &["scheme", "updates/s"],
+        &[
+            "scheme",
+            "updates/s",
+            "updates",
+            "migrations",
+            "random_writes",
+        ],
         &rows,
     );
-    println!(
-        "\npaper shape: disk random writes ~68/s; in-place ~48/s; MaSM orders of magnitude\n\
+    report.note(
+        "paper shape: disk random writes ~68/s; in-place ~48/s; MaSM orders of magnitude\n\
          higher and linear in the flash size (3472/6631/12498 at 2/4/8 GB).\n\
          note: absolute MaSM rates scale with table size (migration cost ∝ table bytes);\n\
-         the in-place rates are scale-free (bounded by disk IOPS, not table size)."
+         the in-place rates are scale-free (bounded by disk IOPS, not table size).",
     );
 
     // NDJSON time series of the MaSM C run, one `TS:` line per sample.
-    // Self-check each row before printing: it must parse back, carry
-    // the top-level `random_writes` invariant field, and embed the full
-    // stats object — the same assertions the CI smoke run greps for.
-    println!();
+    // Each row must parse back, carry the top-level `random_writes`
+    // invariant field, and embed the full stats object.
     let mut max_random_writes = 0u64;
     for line in &ts_rows {
         let row = parse(line).expect("TS row parses as JSON");
@@ -155,8 +171,8 @@ fn main() {
             .expect("TS row carries random_writes");
         max_random_writes = max_random_writes.max(rw);
         assert!(row.get("stats").is_some(), "TS row embeds the snapshot");
-        println!("TS:{line}");
     }
+    report.series(ts_rows.iter().map(String::as_str));
     assert!(
         ts_rows.len() >= 3,
         "time series must have >= 3 rows, got {}",
@@ -175,13 +191,5 @@ fn main() {
         "random writes {max_random_writes} exceed runs created {runs_created}"
     );
 
-    println!(
-        "\nJSON:{{\"figure\":\"fig12_sustained_updates\",\"table_mb\":{mb},\
-         \"ts_rows\":{},\"random_writes\":{},\"updates_ingested\":{},\
-         \"migrations\":{}}}",
-        ts_rows.len(),
-        end_stats.ssd.random_writes,
-        end_stats.ingested_updates,
-        end_stats.ops.migrate.count,
-    );
+    report
 }

@@ -11,15 +11,14 @@
 //! A second section sweeps the per-block codec (identity / delta / lz /
 //! adaptive): scan and merge (compaction) throughput per codec plus the
 //! achieved compression ratio — the same CPU-vs-I/O axis, with the CPU
-//! spent on decompression instead of injected work. Emits one JSON
-//! object (line prefixed `JSON:`); CI smoke-runs this binary at
-//! `MASM_BENCH_MB=8`.
+//! spent on decompression instead of injected work. The figure asserts
+//! that the adaptive selector's sampling saves trial encodes.
 
-use masm_bench::*;
 use masm_core::CodecChoice;
 
-fn main() {
-    let mb = scale_mb();
+use crate::{ratio, secs, Report, SyntheticEnv};
+
+pub fn run(mb: u64) -> Report {
     // The paper scans 10 GB of its 100 GB table: use 1/10 of ours.
     let baseline = SyntheticEnv::new(mb);
     let masm = SyntheticEnv::with_config_mutator(mb, |cfg| {
@@ -33,7 +32,6 @@ fn main() {
     let end = baseline.table.max_key();
 
     let mut rows = Vec::new();
-    let mut cpu_json = Vec::new();
     for tenth_us in [0u64, 5, 10, 15, 20, 25] {
         let cpu_ns = tenth_us * 100; // 0.0, 0.5, 1.0, 1.5, 2.0, 2.5 µs
         let pure = {
@@ -55,14 +53,9 @@ fn main() {
             format!("{:.3}", secs(with_masm)),
             ratio(with_masm, pure),
         ]);
-        cpu_json.push(format!(
-            "{{\"us_per_record\":{:.1},\"pure_s\":{:.4},\"masm_s\":{:.4}}}",
-            cpu_ns as f64 / 1000.0,
-            secs(pure),
-            secs(with_masm)
-        ));
     }
-    print_table(
+    let mut report = Report::default();
+    report.table(
         &format!("Figure 13 — injected CPU cost per record, full-table ranges ({mb} MiB)"),
         &["us/record", "scan w/o updates (s)", "MaSM (s)", "MaSM/pure"],
         &rows,
@@ -73,7 +66,6 @@ fn main() {
     // updates in the same flash budget), then one full merged scan and
     // one full compaction per codec.
     let mut codec_rows = Vec::new();
-    let mut codec_json = Vec::new();
     for choice in CodecChoice::ALL {
         let env = SyntheticEnv::with_config_mutator(mb, |cfg| {
             cfg.codec = choice;
@@ -88,50 +80,34 @@ fn main() {
         let scan_mbps = env.table_bytes as f64 / 1e6 / secs(t_scan);
 
         let merge_start = session.now();
-        let report = env.engine.compact_runs(&session).expect("compact");
+        let merge = env.engine.compact_runs(&session).expect("compact");
         let t_merge = (session.now() - merge_start).max(1);
-        let merge_bytes = report.bytes_moved + report.bytes_decoded;
+        let merge_bytes = merge.bytes_moved + merge.bytes_decoded;
         let merge_mbps = merge_bytes as f64 / 1e6 / secs(t_merge);
 
         // Selector CPU: fraction of the 2-trials-per-block adaptive
         // baseline the sample-based selector avoided (0 for fixed
         // codecs, which run no trials at all).
         let trial_baseline = comp.codec_trials + comp.codec_trials_saved;
-        let trials_saved_frac = if trial_baseline > 0 {
-            comp.codec_trials_saved as f64 / trial_baseline as f64
-        } else {
-            0.0
-        };
+        let trials_saved_frac = comp.codec_trials_saved as f64 / trial_baseline.max(1) as f64;
         codec_rows.push(vec![
             choice.name().to_string(),
+            comp.raw_bytes.to_string(),
+            comp.stored_bytes.to_string(),
             format!("{:.3}", comp.ratio()),
             updates_cached.to_string(),
             format!("{scan_mbps:.1}"),
             format!("{merge_mbps:.1}"),
-            report.inputs.to_string(),
-            report.bytes_decoded.to_string(),
-            format!("{:.0}%", trials_saved_frac * 100.0),
+            merge.inputs.to_string(),
+            merge.bytes_decoded.to_string(),
+            comp.codec_trials.to_string(),
+            format!(
+                "{} ({:.0}%)",
+                comp.codec_trials_saved,
+                trials_saved_frac * 100.0
+            ),
+            comp.lz_probes_skipped.to_string(),
         ]);
-        codec_json.push(format!(
-            "{{\"codec\":\"{}\",\"compression_ratio\":{:.4},\"raw_bytes\":{},\
-             \"stored_bytes\":{},\"updates_cached\":{},\"scan_mb_per_s\":{:.2},\
-             \"merge_mb_per_s\":{:.2},\"merge_inputs\":{},\"merge_bytes_decoded\":{},\
-             \"codec_trials\":{},\"codec_trials_saved\":{},\"lz_probes_skipped\":{},\
-             \"trials_saved_frac\":{:.4}}}",
-            choice.name(),
-            comp.ratio(),
-            comp.raw_bytes,
-            comp.stored_bytes,
-            updates_cached,
-            scan_mbps,
-            merge_mbps,
-            report.inputs,
-            report.bytes_decoded,
-            comp.codec_trials,
-            comp.codec_trials_saved,
-            comp.lz_probes_skipped,
-            trials_saved_frac
-        ));
         if choice == CodecChoice::Adaptive {
             assert!(
                 comp.codec_trials_saved > 0,
@@ -139,31 +115,30 @@ fn main() {
             );
         }
     }
-    print_table(
+    report.table(
         &format!("Figure 13b — per-codec scan/merge throughput ({mb} MiB table, cache 50% full)"),
         &[
             "codec",
+            "raw_bytes",
+            "stored_bytes",
             "stored/raw",
             "updates",
             "scan MB/s",
             "merge MB/s",
             "merge_in",
             "dec_bytes",
+            "trials",
             "trials_saved",
+            "lz_skipped",
         ],
         &codec_rows,
     );
 
-    println!(
-        "\nJSON:{{\"figure\":\"fig13_cpu_cost\",\"table_mb\":{mb},\
-         \"cpu_rows\":[{}],\"codec_rows\":[{}]}}",
-        cpu_json.join(","),
-        codec_json.join(",")
-    );
-    println!(
-        "\npaper shape: flat (I/O bound) until ~1.5us/record, then linear (CPU bound);\n\
+    report.note(
+        "paper shape: flat (I/O bound) until ~1.5us/record, then linear (CPU bound);\n\
          MaSM indistinguishable from the pure scan throughout. Codec sweep: delta/lz\n\
          shrink stored bytes (ratio < 1), buying more cached updates per flash byte\n\
-         for decode CPU the async I/O mostly hides."
+         for decode CPU the async I/O mostly hides.",
     );
+    report
 }

@@ -6,13 +6,13 @@
 //! essentially no I/O overhead, across queries that are themselves
 //! multiple concurrent range scans.
 
-use masm_bench::tpch_replay::{TpchEnv, TpchInPlaceUpdater, TpchMasm};
-use masm_bench::*;
 use masm_storage::MIB;
 use masm_workloads::tpch::TPCH_QUERIES;
 
-fn main() {
-    let mb = scale_mb();
+use crate::tpch_replay::{TpchEnv, TpchInPlaceUpdater, TpchMasm};
+use crate::{secs, Report};
+
+pub fn run(mb: u64) -> Report {
     let total_bytes = mb * MIB;
     // The paper uses 1 GB flash for ~30 GB of tables: 1/30.
     let flash = total_bytes / 30;
@@ -45,7 +45,8 @@ fn main() {
         ]);
     }
     let n = TPCH_QUERIES.len() as f64;
-    print_table(
+    let mut report = Report::default();
+    report.table(
         &format!(
             "Figure 14 — TPC-H replay: no updates vs in-place vs MaSM \
              ({mb} MiB of tables, flash = tables/30, 50% full, per-table caches)"
@@ -53,10 +54,11 @@ fn main() {
         &["query", "no-updates (s)", "w/ in-place", "w/ MaSM"],
         &rows,
     );
-    println!(
-        "\naverages: in-place {:.2}x, MaSM {:.2}x\n\
+    report.note(&format!(
+        "averages: in-place {:.2}x, MaSM {:.2}x\n\
          paper shape: in-place 1.6-2.2x; MaSM within ~1% of the no-update times.",
         sum_inplace / n,
         sum_masm / n
-    );
+    ));
+    report
 }

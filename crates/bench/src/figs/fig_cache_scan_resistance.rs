@@ -12,15 +12,13 @@
 //! with the LZ codec the same byte budget holds ~3× the blocks, so
 //! re-sweeps run entirely device-free.
 //!
-//! Emits one JSON object (line prefixed `JSON:`) with one row per
-//! policy × codec, and asserts the two acceptance bounds itself:
+//! Reports one row per policy × codec, and asserts the two acceptance
+//! bounds itself:
 //! SLRU ≥ 2× the LRU hot-set hit rate, and tier 2 (lz) serving ≥ 1.5×
-//! more blocks without device reads than tier 1 alone. CI smoke-runs
-//! this binary at `MASM_BENCH_MB=8`.
+//! more blocks without device reads than tier 1 alone.
 
 use std::sync::Arc;
 
-use masm_bench::{print_table, scale_mb};
 use masm_blockrun::{
     point_lookup, write_run, BlockCache, BlockCacheConfig, BlockRunConfig, BlockRunScan,
     BloomFilter, CachePolicy, CodecChoice, Entry,
@@ -28,6 +26,8 @@ use masm_blockrun::{
 use masm_storage::{DeviceProfile, SessionHandle, SimClock, SimDevice, MIB};
 use masm_telemetry::json::{parse, JsonObj};
 use masm_telemetry::NdjsonWriter;
+
+use crate::Report;
 
 /// One measured configuration.
 struct Row {
@@ -45,10 +45,7 @@ struct Row {
 
 impl Row {
     fn hot_hit_rate(&self) -> f64 {
-        if self.hot_accesses == 0 {
-            return 0.0;
-        }
-        self.hot_hits as f64 / self.hot_accesses as f64
+        self.hot_hits as f64 / self.hot_accesses.max(1) as f64
     }
 }
 
@@ -143,9 +140,9 @@ fn run_workload(
         hot_hits += round_hits;
         hot_accesses += round_lookups;
         sweep(&cache);
-        // One NDJSON time-series row per measured round, so the CI
-        // smoke output shows whether the hot set stays resident across
-        // sweeps or degrades round over round.
+        // One NDJSON time-series row per measured round, so the output
+        // shows whether the hot set stays resident across sweeps or
+        // degrades round over round.
         let mut row = JsonObj::new();
         row.str("policy", policy_label)
             .str("codec", codec.name())
@@ -171,8 +168,7 @@ fn run_workload(
     }
 }
 
-fn main() {
-    let mb = scale_mb();
+pub fn run(mb: u64) -> Report {
     let raw_bytes = mb * MIB;
 
     let mut rows = Vec::new();
@@ -196,14 +192,19 @@ fn main() {
                 r.policy.to_string(),
                 r.codec.name().to_string(),
                 format!("{:.3}", r.hot_hit_rate()),
+                r.hot_hits.to_string(),
+                r.hot_accesses.to_string(),
                 r.no_device_blocks.to_string(),
                 r.device_reads.to_string(),
                 r.tier2_hits.to_string(),
+                r.promotions.to_string(),
+                r.evictions.to_string(),
                 format!("{:.3}", r.compression_ratio),
             ]
         })
         .collect();
-    print_table(
+    let mut report = Report::default();
+    report.table(
         &format!(
             "Cache scan resistance — hot lookups vs cold sweeps > capacity ({mb} MiB run, \
              cache 1/4 of decoded size, {MEASURED_ROUNDS} measured rounds)"
@@ -212,55 +213,30 @@ fn main() {
             "policy",
             "codec",
             "hot_hit_rate",
+            "hot_hits",
+            "hot_lookups",
             "no_dev_blocks",
             "dev_reads",
             "tier2_hits",
+            "promotions",
+            "evictions",
             "stored/raw",
         ],
         &table,
     );
 
     // Per-round time series, one `TS:` line per measured round; each
-    // row is self-checked to parse before printing.
-    println!();
+    // row is checked to parse back before it is reported.
     let ts_expected = rows.len() as u64 * MEASURED_ROUNDS as u64;
     assert_eq!(ts.rows(), ts_expected, "one TS row per config x round");
     let buf = String::from_utf8(ts.into_inner().unwrap()).unwrap();
     for line in buf.lines() {
         let row = parse(line).expect("TS row parses as JSON");
         assert!(row.get("hot_lookups").is_some());
-        println!("TS:{line}");
     }
+    report.series(buf.lines());
 
-    let json_rows: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "{{\"policy\":\"{}\",\"codec\":\"{}\",\"hot_hit_rate\":{:.4},\
-                 \"hot_hits\":{},\"hot_accesses\":{},\"no_device_blocks\":{},\
-                 \"device_reads\":{},\"tier2_hits\":{},\"promotions\":{},\
-                 \"evictions\":{},\"compression_ratio\":{:.4}}}",
-                r.policy,
-                r.codec.name(),
-                r.hot_hit_rate(),
-                r.hot_hits,
-                r.hot_accesses,
-                r.no_device_blocks,
-                r.device_reads,
-                r.tier2_hits,
-                r.promotions,
-                r.evictions,
-                r.compression_ratio
-            )
-        })
-        .collect();
-    println!(
-        "\nJSON:{{\"figure\":\"fig_cache_scan_resistance\",\"table_mb\":{mb},\
-         \"rows\":[{}]}}",
-        json_rows.join(",")
-    );
-
-    // Acceptance bounds — regressions fail the CI smoke run.
+    // Acceptance bounds.
     let find = |policy: &str, codec: CodecChoice| {
         rows.iter()
             .find(|r| r.policy == policy && r.codec == codec)
@@ -285,9 +261,10 @@ fn main() {
         t2.no_device_blocks,
         t1_only.no_device_blocks
     );
-    println!(
-        "\nPASS: slru >= 2x lru hot-set hit rate on both codecs; \
+    report.note(&format!(
+        "PASS: slru >= 2x lru hot-set hit rate on both codecs; \
          slru+tier2 (lz) served {:.1}x the device-free blocks of tier 1 alone.",
         t2.no_device_blocks as f64 / t1_only.no_device_blocks.max(1) as f64
-    );
+    ));
+    report
 }

@@ -9,18 +9,16 @@
 //! 3. **The α spectrum** (§3.4) — query overhead stays flat while write
 //!    amplification falls as memory doubles.
 
-use masm_bench::*;
 use masm_core::IndexGranularity;
 use masm_storage::MIB;
 use masm_workloads::synthetic::{UpdateMix, UpdateStreamGen};
 
-fn avg(ns: Vec<u64>) -> u64 {
-    ns.iter().sum::<u64>() / ns.len().max(1) as u64
-}
+use crate::{ratio, Report, SyntheticEnv};
 
-fn main() {
-    let mb = scale_mb().min(32);
+pub fn run(mb: u64) -> Report {
+    let mb = mb.min(32);
     let baseline = SyntheticEnv::new(mb);
+    let mut report = Report::default();
 
     // --- 1. Index granularity ------------------------------------------
     let mut rows = Vec::new();
@@ -37,19 +35,12 @@ fn main() {
         let mut row = vec![label.to_string()];
         for &size in &[4 * 1024u64, MIB] {
             let ranges = baseline.ranges(size, 5);
-            let base = avg(ranges
-                .iter()
-                .map(|&(b, e)| baseline.time_pure_scan(b, e))
-                .collect());
-            let t = avg(ranges
-                .iter()
-                .map(|&(b, e)| env.time_masm_scan(b, e))
-                .collect());
-            row.push(ratio(t, base));
+            let base = baseline.mean_pure_scan(&ranges);
+            row.push(ratio(env.mean_masm_scan(&ranges), base));
         }
         rows.push(row);
     }
-    print_table(
+    report.table(
         "Ablation 1 — run index granularity (cache 50% full)",
         &["index", "4KB scan", "1MB scan"],
         &rows,
@@ -77,22 +68,15 @@ fn main() {
         }
         let cached_kb = env.engine.cached_bytes() / 1024;
         let ranges = baseline.ranges(MIB, 5);
-        let base = avg(ranges
-            .iter()
-            .map(|&(b, e)| baseline.time_pure_scan(b, e))
-            .collect());
-        let t = avg(ranges
-            .iter()
-            .map(|&(b, e)| env.time_masm_scan(b, e))
-            .collect());
+        let base = baseline.mean_pure_scan(&ranges);
         rows.push(vec![
             label.to_string(),
             format!("{ingested}"),
             format!("{cached_kb} KiB"),
-            ratio(t, base),
+            ratio(env.mean_masm_scan(&ranges), base),
         ]);
     }
-    print_table(
+    report.table(
         "Ablation 2 — duplicate folding, 10k Zipf(0.99) updates over 1k hot keys",
         &["variant", "ingested", "cached bytes", "1MB scan"],
         &rows,
@@ -118,29 +102,23 @@ fn main() {
         let amp = env.machine.ssd.stats().bytes_written as f64 / logical.max(1) as f64;
         let mem_kb = env.engine.config().total_memory_bytes() / 1024;
         let ranges = baseline.ranges(MIB, 5);
-        let base = avg(ranges
-            .iter()
-            .map(|&(b, e)| baseline.time_pure_scan(b, e))
-            .collect());
-        let t = avg(ranges
-            .iter()
-            .map(|&(b, e)| env.time_masm_scan(b, e))
-            .collect());
+        let base = baseline.mean_pure_scan(&ranges);
         rows.push(vec![
             format!("α = {alpha}"),
             format!("{mem_kb} KiB"),
             format!("{amp:.2}"),
-            ratio(t, base),
+            ratio(env.mean_masm_scan(&ranges), base),
         ]);
     }
-    print_table(
+    report.table(
         "Ablation 3 — MaSM-αM spectrum (memory vs SSD writes vs query overhead)",
         &["variant", "memory", "writes/updateB", "1MB scan"],
         &rows,
     );
-    println!(
-        "\ntakeaways: the run index is what keeps small scans cheap; folding shrinks\n\
+    report.note(
+        "takeaways: the run index is what keeps small scans cheap; folding shrinks\n\
          the cache by the duplicate factor under skew; α trades memory for SSD\n\
-         lifetime without touching query overhead."
+         lifetime without touching query overhead.",
     );
+    report
 }

@@ -6,10 +6,12 @@
 //! dominate small scans. "This shows the significance of MaSM's use of
 //! SSDs for the update cache."
 
-use masm_bench::*;
+use std::sync::Arc;
+
 use masm_pagestore::{HeapConfig, TableHeap};
 use masm_storage::{DeviceProfile, SimDevice, MIB};
-use std::sync::Arc;
+
+use crate::{ratio, scaled_masm_config, size_label, Machine, Report, SyntheticEnv};
 
 fn build(cache_profile: DeviceProfile, mb: u64) -> SyntheticEnv {
     // Assemble an env manually so the cache device profile is ours.
@@ -33,12 +35,7 @@ fn build(cache_profile: DeviceProfile, mb: u64) -> SyntheticEnv {
     }
 }
 
-fn avg(ns: Vec<u64>) -> u64 {
-    ns.iter().sum::<u64>() / ns.len().max(1) as u64
-}
-
-fn main() {
-    let mb = scale_mb();
+pub fn run(mb: u64) -> Report {
     let baseline = SyntheticEnv::new(mb);
 
     let ssd_env = build(DeviceProfile::ssd_x25e(), mb);
@@ -49,27 +46,20 @@ fn main() {
     let mut rows = Vec::new();
     for &size in &[MIB, 10 * MIB] {
         let ranges = baseline.ranges(size, 5);
-        let base = avg(ranges
-            .iter()
-            .map(|&(b, e)| baseline.time_pure_scan(b, e))
-            .collect());
-        let ssd = avg(ranges
-            .iter()
-            .map(|&(b, e)| ssd_env.time_masm_scan(b, e))
-            .collect());
-        let hdd = avg(ranges
-            .iter()
-            .map(|&(b, e)| hdd_env.time_masm_scan(b, e))
-            .collect());
+        let base = baseline.mean_pure_scan(&ranges);
+        let ssd = ssd_env.mean_masm_scan(&ranges);
+        let hdd = hdd_env.mean_masm_scan(&ranges);
         rows.push(vec![size_label(size), ratio(ssd, base), ratio(hdd, base)]);
     }
-    print_table(
+    let mut report = Report::default();
+    report.table(
         &format!("§4.2 — SSD vs HDD as the update cache (table {mb} MiB, cache 50% full)"),
         &["range", "MaSM w/ SSD cache", "MaSM w/ HDD cache"],
         &rows,
     );
-    println!(
-        "\npaper shape: HDD cache slows 1 MB scans ~28.8x and 10 MB scans ~4.7x;\n\
-         the SSD cache stays within a few percent of the pure scan."
+    report.note(
+        "paper shape: HDD cache slows 1 MB scans ~28.8x and 10 MB scans ~4.7x;\n\
+         the SSD cache stays within a few percent of the pure scan.",
     );
+    report
 }

@@ -7,13 +7,15 @@
 //! still writes each entry ≈17 times — "applying LSM on an SSD reduces
 //! its lifetime 17 fold (e.g., from 3 years to 2 months)".
 
+use std::sync::Arc;
+
 use masm_baselines::lsm::{LsmConfig, LsmEngine};
-use masm_bench::print_table;
 use masm_core::theory::{lsm_optimal_levels, lsm_writes_per_update};
 use masm_core::update::UpdateOp;
 use masm_pagestore::{HeapConfig, Record, Schema, TableHeap};
 use masm_storage::{DeviceProfile, SessionHandle, SimClock, SimDevice};
-use std::sync::Arc;
+
+use crate::Report;
 
 fn measured_amp(h: u32) -> f64 {
     let clock = SimClock::new();
@@ -40,7 +42,7 @@ fn measured_amp(h: u32) -> f64 {
     engine.write_amplification()
 }
 
-fn main() {
+pub fn run(_mb: u64) -> Report {
     // Analytic table at the paper's exact setting.
     let flash_pages = 65536u64; // 4 GB / 64 KB
     let mem_pages = 256u64; // 16 MB / 64 KB
@@ -50,25 +52,30 @@ fn main() {
         rows.push(vec![format!("h={h}"), format!("{analytic:.1}")]);
     }
     let (h_opt, w_opt) = lsm_optimal_levels(flash_pages, mem_pages);
-    print_table(
-        "LSM-IU writes per update — analytic (4 GB flash, 16 MB memory, §2.3)",
-        &["levels", "writes/update"],
-        &rows,
-    );
-    println!("optimal: h={h_opt} with {w_opt:.1} writes/update (paper: h=4, ≈17)");
+    let mut report = Report::default();
+    report
+        .table(
+            "LSM-IU writes per update — analytic (4 GB flash, 16 MB memory, §2.3)",
+            &["levels", "writes/update"],
+            &rows,
+        )
+        .line(&format!(
+            "optimal: h={h_opt} with {w_opt:.1} writes/update (paper: h=4, ≈17)"
+        ));
 
     // Measured on the simulated LSM at the same flash:memory ratio.
     let mut rows = Vec::new();
     for h in [1u32, 2, 4] {
         rows.push(vec![format!("h={h}"), format!("{:.1}", measured_amp(h))]);
     }
-    print_table(
+    report.table(
         "LSM-IU writes per update — measured (scaled, same flash:memory ratio)",
         &["levels", "bytes written / byte ingested"],
         &rows,
     );
-    println!(
-        "\npaper shape: h=1 ≈ 128 writes/update analytically; deeper trees write less,\n\
-         bottoming out ≈17 at h=4 — still an order of magnitude above MaSM's ≤2."
+    report.note(
+        "paper shape: h=1 ≈ 128 writes/update analytically; deeper trees write less,\n\
+         bottoming out ≈17 at h=4 — still an order of magnitude above MaSM's ≤2.",
     );
+    report
 }

@@ -6,13 +6,13 @@
 //! assumes every 1-pass run has the minimum size S; real streams flush
 //! larger runs, so the measured value is a lower bound on the bound.
 
-use masm_bench::*;
 use masm_core::theory::{masm_alpha_params, masm_alpha_writes_per_update};
 use masm_workloads::synthetic::{UpdateMix, UpdateStreamGen};
 
-fn measure(alpha: f64) -> (f64, u64) {
-    let mb = scale_mb().min(32);
-    let env = SyntheticEnv::with_config_mutator(mb, |cfg| {
+use crate::{Report, SyntheticEnv};
+
+fn measure(mb: u64, alpha: f64) -> (f64, u64) {
+    let env = SyntheticEnv::with_config_mutator(mb.min(32), |cfg| {
         cfg.alpha = alpha;
         cfg.migration_threshold = 1.0;
         // Measure raw writes: duplicate folding would shrink runs.
@@ -57,11 +57,11 @@ fn measure(alpha: f64) -> (f64, u64) {
     )
 }
 
-fn main() {
+pub fn run(mb: u64) -> Report {
     let mut rows = Vec::new();
     for &alpha in &[0.5f64, 0.75, 1.0, 1.5, 2.0] {
         let theory = masm_alpha_writes_per_update(alpha);
-        let (measured, m) = measure(alpha);
+        let (measured, m) = measure(mb, alpha);
         let (s, n) = masm_alpha_params(alpha, m);
         rows.push(vec![
             format!("{alpha:.2}"),
@@ -71,13 +71,15 @@ fn main() {
             format!("{measured:.2}"),
         ]);
     }
-    print_table(
+    let mut report = Report::default();
+    report.table(
         "Theorems 3.2/3.3 — SSD writes per update across the MaSM-αM spectrum",
         &["alpha", "S_opt", "N_opt", "theory (worst case)", "measured"],
         &rows,
     );
-    println!(
-        "\npaper shape: 2 − 0.25α² — MaSM-2M (α=2) ≈ 1.0 write/update, MaSM-M (α=1) ≈ 1.75;\n\
-         measured values sit at or below the worst-case bound, and fall as α grows."
+    report.note(
+        "paper shape: 2 − 0.25α² — MaSM-2M (α=2) ≈ 1.0 write/update, MaSM-M (α=1) ≈ 1.75;\n\
+         measured values sit at or below the worst-case bound, and fall as α grows.",
     );
+    report
 }

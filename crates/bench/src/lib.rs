@@ -1,10 +1,11 @@
 //! # masm-bench — the experiment harness
 //!
-//! One binary per table/figure of the paper (the README's "Paper figure
-//! index" lists them). This library holds what they share: scaled
-//! experiment environments, the concurrent-updater driver that
-//! reproduces the paper's "online updates while queries run" setup, and
-//! plain-text table output.
+//! One function per table/figure of the paper ([`figs`]; the README's
+//! "Paper figure index" lists them), all run by the `repro` binary, plus
+//! three binaries that drive real threads. This library holds what they
+//! share: scaled experiment environments, the concurrent-updater driver
+//! that reproduces the paper's "online updates while queries run" setup,
+//! and the one output format, [`Report`].
 //!
 //! ## Scaling
 //!
@@ -15,6 +16,8 @@
 //! (Figure 12) scale linearly and we report the scaled numbers plus the
 //! extrapolation.
 
+pub mod figs;
+mod report;
 pub mod tpch_replay;
 
 use std::sync::Arc;
@@ -25,13 +28,19 @@ use masm_storage::{DeviceProfile, IoSession, Ns, SessionHandle, SimClock, SimDev
 use masm_workloads::synthetic::{SyntheticTable, UpdateMix, UpdateStreamGen};
 
 pub use masm_core::update::UpdateOp;
+pub use report::Report;
 
-/// Table size in MiB (env `MASM_BENCH_MB`, default 64).
-pub fn scale_mb() -> u64 {
-    std::env::var("MASM_BENCH_MB")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(64)
+/// Table size in MiB: `MASM_BENCH_MB`, 64 when it is unset. Anything but
+/// a positive whole number is an error.
+pub fn scale_mb() -> Result<u64, String> {
+    match std::env::var("MASM_BENCH_MB") {
+        Err(std::env::VarError::NotPresent) => Ok(64),
+        value => value
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .filter(|&mb| mb > 0)
+            .ok_or_else(|| "MASM_BENCH_MB must be a positive whole number of MiB".to_string()),
+    }
 }
 
 /// The paper's cache:data ratio — 4 GB of flash for 100 GB of data.
@@ -85,7 +94,6 @@ pub fn scaled_masm_config(table_bytes: u64) -> MasmConfig {
         index_granularity: masm_core::IndexGranularity::Bytes(1024),
         migration_threshold: 0.9,
         merge_duplicates: true,
-        ssd_region_base: 0,
         ..MasmConfig::default()
     };
     // Round capacity to whole pages.
@@ -188,6 +196,16 @@ impl SyntheticEnv {
         let n = scan.count();
         std::hint::black_box(n);
         session.now() - start
+    }
+
+    /// Mean [`time_pure_scan`](Self::time_pure_scan) over `ranges`.
+    pub fn mean_pure_scan(&self, ranges: &[(Key, Key)]) -> Ns {
+        mean_ns(ranges, |_, b, e| self.time_pure_scan(b, e))
+    }
+
+    /// Mean [`time_masm_scan`](Self::time_masm_scan) over `ranges`.
+    pub fn mean_masm_scan(&self, ranges: &[(Key, Key)]) -> Ns {
+        mean_ns(ranges, |_, b, e| self.time_masm_scan(b, e))
     }
 
     /// Evenly spaced scan ranges of `bytes` each (returned as key
@@ -296,29 +314,29 @@ pub fn time_scan_with_inplace_updates(env: &SyntheticEnv, begin: Key, end: Key, 
     session.now() - start
 }
 
-/// Render a fixed-width table to stdout.
-pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
-    println!("\n=== {title} ===");
-    let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
-    for row in rows {
-        for (i, cell) in row.iter().enumerate() {
-            if i < widths.len() {
-                widths[i] = widths[i].max(cell.len());
-            }
-        }
-    }
-    let line = |cells: Vec<String>| {
-        let mut s = String::new();
-        for (i, c) in cells.iter().enumerate() {
-            s.push_str(&format!("{:>w$}  ", c, w = widths[i]));
-        }
-        println!("{}", s.trim_end());
-    };
-    line(headers.iter().map(|h| h.to_string()).collect());
-    line(widths.iter().map(|w| "-".repeat(*w)).collect());
-    for row in rows {
-        line(row.clone());
-    }
+/// Figure 9's range sizes for a table of `table_bytes`: one disk page,
+/// 100 KB, 1 MB and 10 MB where they are smaller than the table, then
+/// half the table and the whole table, ascending and without repeats.
+pub fn range_ladder(table_bytes: u64) -> Vec<u64> {
+    let mut sizes: Vec<u64> = [4 * 1024, 100 * 1024, MIB, 10 * MIB]
+        .into_iter()
+        .filter(|&size| size < table_bytes)
+        .chain([table_bytes / 2, table_bytes])
+        .collect();
+    sizes.sort_unstable();
+    sizes.dedup();
+    sizes
+}
+
+/// Mean virtual time of `scan(i, begin, end)` over `ranges` — the
+/// paper's "average over N ranges" of one range size.
+pub fn mean_ns(ranges: &[(Key, Key)], mut scan: impl FnMut(usize, Key, Key) -> Ns) -> Ns {
+    let total: Ns = ranges
+        .iter()
+        .enumerate()
+        .map(|(i, &(b, e))| scan(i, b, e))
+        .sum();
+    total / ranges.len().max(1) as u64
 }
 
 /// Format virtual nanoseconds as seconds.

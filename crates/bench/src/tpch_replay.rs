@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use masm_core::{MasmConfig, MasmEngine};
 use masm_pagestore::Key;
-use masm_storage::{IoSession, Ns, SessionHandle, SimClock};
+use masm_storage::{DeviceProfile, IoSession, Ns, SessionHandle, SimClock, SimDevice};
 use masm_workloads::tpch::{QueryProfile, Table, TpchTables, TpchUpdateGen};
 
 use crate::Machine;
@@ -36,10 +36,7 @@ impl TpchEnv {
     /// range (1.0 = row store; <1 emulates a column store reading only
     /// the referenced columns' bytes).
     pub fn time_query(&self, q: &QueryProfile, column_factor: f64) -> Ns {
-        let session = self.machine.session();
-        let start = session.now();
-        self.run_query(&session, q, column_factor, &mut |_| {});
-        session.now() - start
+        self.time_query_with(q, column_factor, &mut |_| {})
     }
 
     /// Time one query while `interleave` is invoked between record
@@ -52,19 +49,9 @@ impl TpchEnv {
     ) -> Ns {
         let session = self.machine.session();
         let start = session.now();
-        self.run_query(&session, q, column_factor, interleave);
-        session.now() - start
-    }
-
-    fn run_query(
-        &self,
-        session: &SessionHandle,
-        q: &QueryProfile,
-        column_factor: f64,
-        interleave: &mut dyn FnMut(Ns),
-    ) {
         for step in q.steps {
-            let (b, e) = self.scaled_range(step, column_factor);
+            let (b, e) = self.tables.key_range(step);
+            let e = b + ((e - b) as f64 * column_factor) as u64;
             let mut scan = self
                 .tables
                 .heap(step.table)
@@ -78,17 +65,7 @@ impl TpchEnv {
             }
             std::hint::black_box(n);
         }
-    }
-
-    /// Key range of a step scaled by `column_factor`.
-    pub fn scaled_range(
-        &self,
-        step: &masm_workloads::tpch::ScanStep,
-        column_factor: f64,
-    ) -> (Key, Key) {
-        let (b, e) = self.tables.key_range(step);
-        let span = ((e - b) as f64 * column_factor) as u64;
-        (b, b + span)
+        session.now() - start
     }
 }
 
@@ -133,25 +110,25 @@ impl TpchInPlaceUpdater {
     /// chain in flight at a time, as in §2.2).
     pub fn catch_up(&mut self, now: Ns) {
         while self.session.now() < now {
-            let (table, key, op) = match self.pending.pop_front() {
-                Some(next) => next,
-                None => {
-                    self.pending.extend(self.gen.next_group().ops);
-                    continue;
-                }
-            };
-            let handle = SessionHandle::new(self.session.clone());
-            let engine = match table {
-                Table::Orders => &self.orders,
-                _ => &self.lineitem,
-            };
-            // Skip updates that fail (e.g. page overflow on a full
-            // page) — the I/O was still charged.
-            let _ = engine.apply_update(&handle, key, op, self.next_ts);
-            self.next_ts += 1;
-            self.issued += 1;
-            self.session = IoSession::at(self.clock.clone(), handle.now());
+            match self.pending.pop_front() {
+                Some((table, key, op)) => self.apply(table, key, op),
+                None => self.pending.extend(self.gen.next_group().ops),
+            }
         }
+    }
+
+    /// Apply one update at the updater's cursor. One that fails (e.g.
+    /// page overflow on a full page) is skipped — its I/O was charged.
+    fn apply(&mut self, table: Table, key: Key, op: masm_core::update::UpdateOp) {
+        let handle = SessionHandle::new(self.session.clone());
+        let engine = match table {
+            Table::Orders => &self.orders,
+            _ => &self.lineitem,
+        };
+        let _ = engine.apply_update(&handle, key, op, self.next_ts);
+        self.next_ts += 1;
+        self.issued += 1;
+        self.session = IoSession::at(self.clock.clone(), handle.now());
     }
 
     /// Apply exactly `n` update operations back-to-back (for the
@@ -171,22 +148,15 @@ impl TpchInPlaceUpdater {
         ops.truncate(n as usize);
         ops.sort_by_key(|(t, k, _)| (matches!(t, Table::Orders), *k));
         for (table, key, op) in ops {
-            let handle = SessionHandle::new(self.session.clone());
-            let engine = match table {
-                Table::Orders => &self.orders,
-                _ => &self.lineitem,
-            };
-            let _ = engine.apply_update(&handle, key, op, self.next_ts);
-            self.next_ts += 1;
-            self.issued += 1;
-            self.session = IoSession::at(self.clock.clone(), handle.now());
+            self.apply(table, key, op);
         }
         self.session.now() - start
     }
 }
 
 /// The Figure-14 configuration: MaSM engines for orders and lineitem
-/// dividing one SSD, other tables scanned raw.
+/// dividing a flash budget, other tables scanned raw. Each engine has
+/// its own update-cache SSD and redo-log device on the machine's clock.
 pub struct TpchMasm {
     /// Engine over the orders table.
     pub orders: Arc<MasmEngine>,
@@ -202,7 +172,9 @@ impl TpchMasm {
         let page = 4096usize;
         let li_cap = (flash_bytes * 3 / 4 / page as u64) * page as u64;
         let ord_cap = (flash_bytes / 4 / page as u64) * page as u64;
-        let mk = |heap: &Arc<masm_pagestore::TableHeap>, cap: u64, base: u64| {
+        let mk = |heap: &Arc<masm_pagestore::TableHeap>, cap: u64| {
+            let device =
+                || SimDevice::in_memory(DeviceProfile::ssd_x25e(), env.machine.clock.clone());
             let cfg = MasmConfig {
                 ssd_page_size: page,
                 ssd_capacity: cap.max(64 * page as u64),
@@ -210,26 +182,26 @@ impl TpchMasm {
                 index_granularity: masm_core::IndexGranularity::Bytes(1024),
                 migration_threshold: 1.0,
                 merge_duplicates: true,
-                ssd_region_base: base,
                 ..MasmConfig::default()
             };
             MasmEngine::new(
                 Arc::clone(heap),
-                env.machine.ssd.clone(),
-                env.machine.wal.clone(),
+                device(),
+                device(),
                 env.tables.schema.clone(),
                 cfg,
             )
             .unwrap()
         };
         TpchMasm {
-            lineitem: mk(&env.tables.lineitem, li_cap, 0),
-            orders: mk(&env.tables.orders, ord_cap, li_cap),
+            lineitem: mk(&env.tables.lineitem, li_cap),
+            orders: mk(&env.tables.orders, ord_cap),
         }
     }
 
     /// Fill both caches to `fraction` of their capacity with correlated
-    /// update groups.
+    /// update groups; an engine that has reached its target is fed no
+    /// more of them.
     pub fn fill(&self, env: &TpchEnv, fraction: f64, seed: u64) {
         let session = env.machine.session();
         let mut gen = TpchUpdateGen::new(&env.tables, seed);
@@ -243,7 +215,9 @@ impl TpchMasm {
                     Table::Orders => &self.orders,
                     _ => &self.lineitem,
                 };
-                engine.apply_update(&session, key, op).unwrap();
+                if engine.cached_bytes() < target(engine) {
+                    engine.apply_update(&session, key, op).unwrap();
+                }
             }
         }
     }
@@ -274,5 +248,22 @@ impl TpchMasm {
             std::hint::black_box(n);
         }
         session.now() - start
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use masm_storage::MIB;
+
+    #[test]
+    fn fill_stops_each_engine_at_its_target() {
+        let env = TpchEnv::new(8 * MIB);
+        let masm = TpchMasm::new(&env, 8 * MIB / 30);
+        masm.fill(&env, 0.5, 21);
+        for engine in [&masm.orders, &masm.lineitem] {
+            let full = engine.cached_bytes() as f64 / engine.config().ssd_capacity as f64;
+            assert!((0.5..=1.0).contains(&full), "{full:.2} full");
+        }
     }
 }

@@ -4,8 +4,8 @@
 //! CRC-verified, run back through its codec, indexed once, and kept
 //! here as that one flat buffer ([`FlatBlock`]) so later queries touching
 //! the same hot run pages skip the SSD entirely (warm point lookups
-//! issue *zero* device reads — asserted by tests and reported by the
-//! `fig09b_point_lookup` and `fig_cache_scan_resistance` benchmarks).
+//! issue *zero* device reads — asserted by tests and reported by
+//! `repro fig09b_point_lookup` and `repro fig_cache_scan_resistance`).
 //! Sharding by key hash keeps lock hold times short under concurrent
 //! scans, the buffer-pool shape used by databases rather than one
 //! global LRU lock.

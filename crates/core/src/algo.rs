@@ -78,13 +78,13 @@ impl RunSet {
     }
 
     /// Recompute the allocator from the live runs (recovery, and the
-    /// quiesce rewind): the region from `origin` up to the highest live
+    /// quiesce rewind): the device from offset 0 up to the highest live
     /// extent stays allocated, everything else becomes reusable.
     /// Returns the new high-water mark.
-    pub(crate) fn rewind_space(&mut self, origin: u64) -> u64 {
+    pub(crate) fn rewind_space(&mut self) -> u64 {
         let high = self.runs.iter().map(|r| r.base + r.bytes).max();
         let live = self.runs.iter().map(|r| r.bytes).sum();
-        self.space = SsdSpace::with_state(origin, high.unwrap_or(0), live);
+        self.space = SsdSpace::with_state(high.unwrap_or(0), live);
         self.space.high_water()
     }
 

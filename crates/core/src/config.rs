@@ -89,9 +89,6 @@ pub struct MasmConfig {
     /// sorted run, when no concurrent query timestamp falls between them
     /// (§3.5 "Handling Skews").
     pub merge_duplicates: bool,
-    /// Byte offset of this engine's region on the shared SSD device.
-    /// Several engines (one per table, §4.3) can divide one SSD.
-    pub ssd_region_base: u64,
     /// Bloom-filter budget per materialized run, in bits per key
     /// (10 ⇒ ≈0.8% false positives); 0 disables run bloom filters.
     pub bloom_bits_per_key: u32,
@@ -99,8 +96,8 @@ pub struct MasmConfig {
     /// always use that codec; [`CodecChoice::Adaptive`] trial-encodes
     /// each block and keeps the smallest output. Compression multiplies
     /// the effective SSD update cache and cuts merge-read bandwidth at
-    /// the price of encode/decode CPU — the fig13-style trade the
-    /// `fig13_cpu_cost` benchmark measures per codec.
+    /// the price of encode/decode CPU — the trade `repro fig13_cpu_cost`
+    /// measures per codec.
     pub codec: CodecChoice,
     /// Capacity of the shared block cache holding decoded run blocks,
     /// in bytes (tier 1; scan-resistant SLRU with the cache's default
@@ -148,7 +145,6 @@ impl Default for MasmConfig {
             index_granularity: IndexGranularity::Fine,
             migration_threshold: 0.9,
             merge_duplicates: true,
-            ssd_region_base: 0,
             bloom_bits_per_key: 10,
             codec: CodecChoice::Delta,
             block_cache_bytes: 8 * 1024 * 1024,
@@ -212,7 +208,9 @@ impl MasmConfig {
         };
         mix(self.ssd_page_size as u64);
         mix(self.ssd_capacity);
-        mix(self.ssd_region_base);
+        // Where an SSD region offset was mixed in: fingerprints already
+        // written to redo logs must keep matching.
+        mix(0);
         mix(self.index_granularity.bytes());
         mix(self.bloom_bits_per_key as u64);
         mix(self.sharding.splits.len() as u64 + 1);

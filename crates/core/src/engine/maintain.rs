@@ -297,9 +297,13 @@ impl MasmEngine {
         // The run comes in built: the block format's encoded size
         // (compression, zone maps, bloom, footer) is only known after
         // building, and the extent must be allocated before the write.
-        let (id, base) = {
+        let (id, base, max_ts) = {
             let mut st = self.state.lock();
-            (st.runs.next_id(), st.runs.alloc_space(run.bytes))
+            let max_ts = match replaced {
+                Replaced::Batch(batch_id) => st.flushed_through(batch_id, run.max_ts),
+                Replaced::Runs(_) => run.max_ts,
+            };
+            (st.runs.next_id(), st.runs.alloc_space(run.bytes), max_ts)
         };
         run.id = id;
         run.rebase(base);
@@ -323,11 +327,7 @@ impl MasmEngine {
                     bytes: run.bytes,
                     count: run.count,
                     passes: run.passes,
-                    // For a flush also the largest timestamp of the
-                    // batch (folding keeps the later one): recovery
-                    // tells buffer-resident updates from flushed ones
-                    // by it.
-                    max_ts: run.max_ts,
+                    max_ts,
                 },
             )?;
             if let Replaced::Runs(inputs) = replaced {

@@ -200,9 +200,6 @@ pub(crate) fn open(
                 router.split_points()
             )));
         }
-        if m.ssd_region_base != shard.cfg.ssd_region_base {
-            return Err(MasmError::Corrupt("manifest SSD region base mismatch"));
-        }
     }
 
     // One globally ordered heap replay across every log: loads and
@@ -355,7 +352,7 @@ impl MasmEngine {
                     base,
                     bytes,
                     passes,
-                    max_ts: run_max_ts,
+                    max_ts: flushed_through,
                     ..
                 } => {
                     parsed.live_runs.insert(
@@ -367,13 +364,13 @@ impl MasmEngine {
                         },
                     );
                     if passes == 1 {
-                        // Updates at or below the run's max timestamp
-                        // are durable in the run; the rest were still
+                        // Updates at or below `flushed_through` are
+                        // durable in logged runs; the rest were still
                         // buffer-resident at the crash. A timestamp
                         // filter (not log position) because concurrent
                         // appenders interleave Update and RunCreated
                         // records; re-applied duplicates are idempotent.
-                        parsed.pending.retain(|u| u.ts > run_max_ts);
+                        parsed.pending.retain(|u| u.ts > flushed_through);
                     }
                 }
                 WalRecord::RunsDeleted(ids) => {
@@ -448,14 +445,14 @@ impl MasmEngine {
             max_ts = max_ts.max(run.max_ts);
             runs.add(Arc::new(run));
         }
-        let high_water = runs.rewind_space(cfg.ssd_region_base);
+        let high_water = runs.rewind_space();
         if let Some(last) = log.live_runs.keys().next_back() {
             runs.resume_ids_after(*last);
         }
         let runs_recovered = runs.len();
 
         // The engine only ever appends runs from its high-water mark
-        // (the region base when fresh); prime the head there so the
+        // (offset 0 when fresh); prime the head there so the
         // first run write on a device without a head position — fresh,
         // or a crash snapshot — is classified sequential (design goal
         // 2: random_writes == 0, also across a crash). On a shared
@@ -465,6 +462,12 @@ impl MasmEngine {
         ssd.prime_head_position_if_unset(high_water);
 
         oracle.advance_past(max_ts);
+
+        // Erase a torn tail before the log takes another append (see
+        // `WalReplay::torn_bytes`).
+        if log.torn_bytes > 0 {
+            session.write(&wal, log.end_offset, &vec![0; log.torn_bytes as usize])?;
+        }
 
         let mut buffer = UpdateBuffer::new(cfg.update_buffer_bytes() as usize);
         let updates_recovered = log.pending.len() as u64;

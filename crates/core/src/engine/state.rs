@@ -36,6 +36,8 @@ struct SealedBatch {
     id: u64,
     /// Logical bytes, for backlog accounting.
     bytes: u64,
+    /// Oldest timestamp sealed into it (before duplicate folding).
+    min_ts: Timestamp,
     /// A worker (or inline caller) is currently flushing this batch.
     claimed: bool,
     /// Whether `bytes` was charged to the worker backlog gate.
@@ -169,6 +171,7 @@ impl EngineState {
     /// logical byte size.
     pub(super) fn seal(&mut self, engine: &MasmEngine, charge_backlog: bool) -> (u64, u64) {
         let mut updates = self.buffer.drain_sorted();
+        let min_ts = updates.iter().map(|u| u.ts).min().unwrap_or(Timestamp::MAX);
         if engine.cfg.merge_duplicates {
             updates = fold_duplicates(updates, &engine.schema, self.fold_guard());
         }
@@ -178,11 +181,25 @@ impl EngineState {
         self.sealed.push(SealedBatch {
             id,
             bytes,
+            min_ts,
             claimed: false,
             enqueued: charge_backlog,
             updates: Arc::new(updates),
         });
         (id, bytes)
+    }
+
+    /// What the `RunCreated` of batch `batch_id`'s run logs as its
+    /// `max_ts`: the batch's newest timestamp, lowered below every
+    /// update that is in no logged run yet — in another sealed batch (an
+    /// older one whose flush is still in flight, or a failed flush's
+    /// updates sealed again) or back in the buffer. Recovery treats the
+    /// logged updates at or below it as flushed, so it may name only
+    /// updates that are.
+    pub(super) fn flushed_through(&self, batch_id: u64, max_ts: Timestamp) -> Timestamp {
+        let others = self.sealed.iter().filter(|b| b.id != batch_id);
+        let unflushed = others.map(|b| b.min_ts).chain(self.buffer.min_ts()).min();
+        unflushed.map_or(max_ts, |oldest| max_ts.min(oldest.saturating_sub(1)))
     }
 
     /// Claim the merge slot together with the inputs `plan` picks: one
@@ -286,7 +303,7 @@ impl EngineState {
         self.retired_bytes = 0;
         // Retired run space becomes reusable only now that no scan can
         // touch it.
-        self.runs.rewind_space(engine.cfg.ssd_region_base);
+        self.runs.rewind_space();
     }
 }
 

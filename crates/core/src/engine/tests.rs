@@ -910,3 +910,42 @@ fn a_record_wider_than_a_heap_page_is_refused_at_open() {
         ]
     );
 }
+
+/// Two sealed batches whose flushes finish out of order: the younger
+/// batch's run is logged while the older batch is still only in the
+/// redo log. A crash at that moment must not treat the older batch's
+/// updates as flushed — they are in no run yet.
+#[test]
+fn a_younger_batch_flushed_first_does_not_hide_an_older_one() {
+    let f = fixture(10);
+    let put = |keys: std::ops::Range<u64>, v: u32| {
+        for k in keys {
+            let op = UpdateOp::Replace(payload(v));
+            f.engine.apply_update(&f.session, k * 2 + 1, op).unwrap();
+        }
+    };
+    put(0..20, 1);
+    // The older batch: sealed, its flush not done.
+    f.engine.state.lock().seal(&f.engine, false);
+    put(20..40, 2);
+    let younger = f.engine.state.lock().seal(&f.engine, false);
+    f.engine.dispatch_flush(&f.session, younger, false).unwrap();
+
+    // Crash with the older batch unflushed.
+    let clock = SimClock::new();
+    let disk = f.engine.heap().device().snapshot(clock.clone()).unwrap();
+    let ssd = f.engine.ssd().snapshot(clock.clone()).unwrap();
+    let wal = f.engine.wal.device().snapshot(clock.clone()).unwrap();
+    let heap = Arc::new(TableHeap::new(disk, HeapConfig::default()));
+    let cfg = MasmConfig::small_for_tests();
+    let (recovered, report) = MasmEngine::recover(heap, ssd, wal, schema(), cfg).unwrap();
+    assert_eq!(report.runs_recovered, 1);
+    let session = SessionHandle::fresh(clock);
+    let got: Vec<Key> = recovered
+        .begin_scan(session, 1, u64::MAX)
+        .unwrap()
+        .map(|r| r.key)
+        .filter(|k| k % 2 == 1)
+        .collect();
+    assert_eq!(got, (0..40).map(|k| k * 2 + 1).collect::<Vec<_>>());
+}

@@ -5,8 +5,8 @@
 //! key range each one covers, and that the configuration it is being
 //! recovered under produces the same on-flash layout that was written.
 //! The [`ShardManifest`] carries exactly that — shard count, split keys,
-//! the shard's SSD region base, and a fingerprint of the layout-shaping
-//! configuration — and is appended (CRC-protected, once per shard, each
+//! and a fingerprint of the layout-shaping configuration — and is
+//! appended (CRC-protected, once per shard, each
 //! copy naming its own shard id) to every shard's redo log at
 //! [`crate::ShardedEngine::new`]. Logging a copy into *every* WAL means
 //! recovery needs no side-channel file: any one log identifies the
@@ -40,16 +40,16 @@ pub struct ShardManifest {
     /// single shard) — the topology itself, which recovery takes its
     /// router from.
     pub split_keys: Vec<Key>,
-    /// Byte offset of this shard's run region on its SSD device.
-    pub ssd_region_base: u64,
     /// [`crate::config::MasmConfig::fingerprint`] of the top-level
     /// configuration the deployment was built with.
     pub config_fingerprint: u64,
 }
 
 impl ShardManifest {
-    /// Encode as `[magic][version][shards][shard_id][region][fp]
-    /// [n_splits][splits…][crc32 of all prior bytes]`.
+    /// Encode as `[magic][version][shards][shard_id][0u64][fp]
+    /// [n_splits][splits…][crc32 of all prior bytes]`. The eight zero
+    /// bytes once held an SSD region offset; they keep the layout that
+    /// logs already on a device were written in.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(38 + 8 * self.split_keys.len());
@@ -57,7 +57,7 @@ impl ShardManifest {
         out.extend_from_slice(&MANIFEST_VERSION.to_le_bytes());
         out.extend_from_slice(&self.shards.to_le_bytes());
         out.extend_from_slice(&self.shard_id.to_le_bytes());
-        out.extend_from_slice(&self.ssd_region_base.to_le_bytes());
+        out.extend_from_slice(&0u64.to_le_bytes());
         out.extend_from_slice(&self.config_fingerprint.to_le_bytes());
         out.extend_from_slice(&(self.split_keys.len() as u32).to_le_bytes());
         for k in &self.split_keys {
@@ -104,7 +104,9 @@ impl ShardManifest {
         }
         let shards = take4(6)?;
         let shard_id = take4(10)?;
-        let ssd_region_base = take8(14)?;
+        if take8(14)? != 0 {
+            return Err(MasmError::Corrupt("manifest SSD region offset is not zero"));
+        }
         let config_fingerprint = take8(22)?;
         let n_splits = take4(30)? as usize;
         if body_len != 34 + 8 * n_splits {
@@ -118,7 +120,6 @@ impl ShardManifest {
             shards,
             shard_id,
             split_keys,
-            ssd_region_base,
             config_fingerprint,
         })
     }
@@ -133,7 +134,6 @@ mod tests {
             shards: 4,
             shard_id: 2,
             split_keys: vec![100, 5000, 70_000],
-            ssd_region_base: 4096,
             config_fingerprint: 0xDEAD_BEEF_CAFE_F00D,
         }
     }
@@ -146,7 +146,6 @@ mod tests {
             shards: 1,
             shard_id: 0,
             split_keys: vec![],
-            ssd_region_base: 0,
             config_fingerprint: 7,
         };
         assert_eq!(ShardManifest::decode(&empty.encode()).unwrap(), empty);
@@ -162,5 +161,18 @@ mod tests {
         // Truncating from the tail breaks the CRC framing too.
         let enc = sample().encode();
         assert!(ShardManifest::decode(&enc[..enc.len() - 1]).is_err());
+    }
+
+    #[test]
+    fn a_non_zero_region_offset_is_refused() {
+        let mut bytes = sample().encode();
+        bytes[14] = 1;
+        let body = bytes.len() - 4;
+        let crc = crc32(&bytes[..body]);
+        bytes[body..].copy_from_slice(&crc.to_le_bytes());
+        assert!(matches!(
+            ShardManifest::decode(&bytes),
+            Err(MasmError::Corrupt(_))
+        ));
     }
 }

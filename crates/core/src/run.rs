@@ -353,19 +353,14 @@ pub fn lookup_in_run(
 /// paper's circular reuse of the flash space.
 #[derive(Debug, Default, Clone)]
 pub struct SsdSpace {
-    origin: u64,
     next: u64,
     live: u64,
 }
 
 impl SsdSpace {
     /// Reconstruct allocator state during recovery.
-    pub fn with_state(origin: u64, next: u64, live: u64) -> Self {
-        SsdSpace {
-            origin,
-            next: next.max(origin),
-            live,
-        }
+    pub fn with_state(next: u64, live: u64) -> Self {
+        SsdSpace { next, live }
     }
 
     /// Allocate `bytes` of sequential space.
@@ -380,7 +375,7 @@ impl SsdSpace {
     pub fn free(&mut self, bytes: u64) {
         self.live = self.live.saturating_sub(bytes);
         if self.live == 0 {
-            self.next = self.origin;
+            self.next = 0;
         }
     }
 

@@ -271,7 +271,6 @@ impl ShardedEngine {
                     shards: engine.shards.len() as u32,
                     shard_id: shard_id as u32,
                     split_keys: engine.router.split_points().to_vec(),
-                    ssd_region_base: e.config().ssd_region_base,
                     config_fingerprint: fingerprint,
                 },
             )?;
@@ -316,9 +315,9 @@ impl ShardedEngine {
     /// one after another), plus the one step only N > 1 needs: every
     /// log must carry the [`ShardManifest`] written at
     /// [`ShardedEngine::new`], and shard count, split keys, per-device
-    /// shard ids, SSD region bases and the configuration fingerprint
-    /// must all agree — a swapped, missing, or stale device set is
-    /// rejected before any run bytes are trusted. The router comes from
+    /// shard ids and the configuration fingerprint must all agree — a
+    /// swapped, missing, or stale device set is rejected before any run
+    /// bytes are trusted. The router comes from
     /// the manifests' split keys, the durable record of the topology.
     /// An optional flight recorder is installed into every shard engine
     /// before replay (recovery spans and instants land on each shard's

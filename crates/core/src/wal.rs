@@ -150,12 +150,17 @@ pub enum WalRecord {
         count: u64,
         /// 1-pass or 2-pass.
         passes: u8,
-        /// Highest update timestamp contained in the run. Recovery uses
-        /// it to drop exactly the pending logged updates this run
-        /// absorbed (`ts ≤ max_ts`): with background flushes, Update
-        /// records for *newer* updates may be logged before the flush
-        /// worker appends its RunCreated, so "clear everything logged
-        /// so far" would lose them.
+        /// For a 1-pass run, the timestamp at or below which every
+        /// update is in a run logged no later than this record: the
+        /// run's newest update, lowered below any update that was still
+        /// outside a logged run when it was logged (an older sealed
+        /// batch whose flush was still in flight, or a failed flush's
+        /// updates back in the buffer). Recovery drops the pending
+        /// logged updates at or below it (`ts ≤ max_ts`): with
+        /// background flushes, Update records for *newer* updates may
+        /// be logged before the flush worker appends its RunCreated, so
+        /// "clear everything logged so far" would lose them. For a
+        /// 2-pass run, its newest update.
         max_ts: Timestamp,
     },
     /// Runs were deleted (after migration or a 2-pass merge).
@@ -463,8 +468,11 @@ pub struct WalReplay {
     /// [`Wal::new`] over the same device.
     pub end_offset: u64,
     /// Bytes discarded beyond `end_offset` because the tail was torn
-    /// (0 = the log ended cleanly). Truncation happens by overwrite:
-    /// the recovered log appends at `end_offset`, burying the garbage.
+    /// (0 = the log ended cleanly). They may hold whole frames — appends
+    /// that were in flight behind an unwritten reservation — so recovery
+    /// zeroes them before the log appends at `end_offset` again: an
+    /// append that ended where one of them starts would otherwise read
+    /// it back into the log.
     pub torn_bytes: u64,
 }
 
@@ -711,7 +719,6 @@ mod tests {
                 shards: 2,
                 shard_id: 1,
                 split_keys: vec![500],
-                ssd_region_base: 0,
                 config_fingerprint: 77,
             }),
         ]

@@ -88,7 +88,7 @@ fn synthetic_updates(n: u64) -> Vec<UpdateRecord> {
 
 /// Design goal 2, strictly: writing block runs and migrating them back
 /// into the main data issues **zero** random writes on the update-cache
-/// SSD. (The engine primes the device head at its region base, so even
+/// SSD. (The engine primes the device head at offset 0, so even
 /// the first run write counts as a sequential continuation.)
 #[test]
 fn block_run_writes_and_migration_issue_zero_random_ssd_writes() {

@@ -33,8 +33,7 @@
 //! Every metric states its unit in its rustdoc. The conventions:
 //! **ops** (a count of operations or events), **bytes**, and
 //! **virtual-ns** (nanoseconds of simulated time on the shared
-//! [`masm_storage::SimClock`]; wall-clock when a driver runs against
-//! real hardware).
+//! [`masm_storage::SimClock`]).
 
 pub mod json;
 pub mod metrics;
@@ -50,7 +49,7 @@ pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, Unit, HISTOGRAM_
 pub use registry::{Metric, Registry};
 pub use stats::{EngineStats, OpCountDelta, OpCountDeltas, OpLatencies, StatsDelta};
 pub use timer::Timer;
-pub use timeseries::{ClockSource, NdjsonWriter, TimeSeriesWriter, WallClock};
+pub use timeseries::{NdjsonWriter, TimeSeriesWriter};
 pub use trace::{
     current_tid, render_chrome_trace, InvariantWatchdog, RecordKind, SpanGuard, TraceConfig,
     TraceRecord, TraceStats, Tracer, TrackId,

@@ -2,60 +2,14 @@
 //! [`EngineStats`] snapshots on a (virtual-clock) interval.
 //!
 //! Sustained-load benches poll [`TimeSeriesWriter::poll`] from their
-//! driver loop; the writer decides — off the snapshot's own `at_ns`, so
-//! it works identically under simulated and wall-clock time — whether a
-//! new sample is due, and appends a row combining the level snapshot
+//! driver loop; the writer decides — off the snapshot's own `at_ns` —
+//! whether a new sample is due, and appends a row combining the level snapshot
 //! with the [`StatsDelta`](crate::StatsDelta) since the previous row.
 
 use std::io::{self, Write};
 
 use crate::json::JsonObj;
 use crate::stats::EngineStats;
-
-/// A source of "now" for time-series rows, in nanoseconds from an
-/// arbitrary origin. One trait covers both time domains the workspace
-/// runs in: the simulator's virtual [`masm_storage::SimClock`] and real
-/// wall time ([`WallClock`]), so the same driver loop exports NDJSON in
-/// either mode.
-pub trait ClockSource: std::fmt::Debug {
-    /// Nanoseconds since this source's origin.
-    fn now_ns(&self) -> u64;
-}
-
-impl ClockSource for masm_storage::SimClock {
-    fn now_ns(&self) -> u64 {
-        self.now()
-    }
-}
-
-/// Wall-clock [`ClockSource`]: nanoseconds since the instant it was
-/// created (monotonic, immune to system-time jumps).
-#[derive(Debug, Clone)]
-pub struct WallClock {
-    origin: std::time::Instant,
-}
-
-impl WallClock {
-    /// A clock whose origin is "now".
-    #[must_use]
-    pub fn start() -> Self {
-        WallClock {
-            origin: std::time::Instant::now(),
-        }
-    }
-}
-
-impl Default for WallClock {
-    fn default() -> Self {
-        Self::start()
-    }
-}
-
-impl ClockSource for WallClock {
-    fn now_ns(&self) -> u64 {
-        u64::try_from(self.origin.elapsed().as_nanos()).unwrap_or(u64::MAX)
-    }
-}
 
 /// Appends newline-delimited JSON rows to any [`Write`] sink and counts
 /// them. Rows are written verbatim plus a trailing `\n`; the caller is
@@ -123,10 +77,6 @@ pub struct TimeSeriesWriter<W: Write> {
     interval_ns: u64,
     next_ns: Option<u64>,
     prev: Option<EngineStats>,
-    /// Optional second time domain: when set, every row additionally
-    /// carries `wall_ns` read from this source at sample time, bridging
-    /// virtual-time series to real elapsed time.
-    clock: Option<Box<dyn ClockSource + Send>>,
 }
 
 impl<W: Write> TimeSeriesWriter<W> {
@@ -138,18 +88,7 @@ impl<W: Write> TimeSeriesWriter<W> {
             interval_ns: interval_ns.max(1),
             next_ns: None,
             prev: None,
-            clock: None,
         }
-    }
-
-    /// Stamp every row with `wall_ns` from `clock` (a [`WallClock`] for
-    /// real time, or any [`ClockSource`] — including a shared
-    /// `SimClock`, useful when rows are driven off stats snapshots whose
-    /// `at_ns` lags the global clock).
-    #[must_use]
-    pub fn with_clock(mut self, clock: impl ClockSource + Send + 'static) -> Self {
-        self.clock = Some(Box::new(clock));
-        self
     }
 
     /// Offer a snapshot; a row is appended only when the snapshot's
@@ -171,9 +110,6 @@ impl<W: Write> TimeSeriesWriter<W> {
         let mut o = JsonObj::new();
         o.u64("t_ns", stats.at_ns)
             .u64("random_writes", stats.ssd.random_writes);
-        if let Some(clock) = &self.clock {
-            o.u64("wall_ns", clock.now_ns());
-        }
         match &self.prev {
             Some(prev) => {
                 let d = stats.delta(prev);
@@ -198,12 +134,6 @@ impl<W: Write> TimeSeriesWriter<W> {
     #[must_use]
     pub fn rows(&self) -> u64 {
         self.out.rows()
-    }
-
-    /// The most recent sampled snapshot, if any.
-    #[must_use]
-    pub fn last_sample(&self) -> Option<&EngineStats> {
-        self.prev.as_ref()
     }
 
     /// Flush and return the underlying sink.
@@ -278,39 +208,10 @@ mod tests {
     }
 
     #[test]
-    fn wall_clock_stamps_rows_when_configured() {
-        // A SimClock is a ClockSource too — deterministic in tests.
-        let clock = masm_storage::SimClock::default();
-        clock.advance_by(42);
-        let mut ts = TimeSeriesWriter::new(Vec::new(), 100).with_clock(clock.clone());
-        ts.poll(&stats_at(0, 0)).unwrap();
-        clock.advance_by(58);
-        ts.sample(&stats_at(200, 2)).unwrap();
-        let buf = String::from_utf8(ts.into_inner().unwrap()).unwrap();
-        let rows: Vec<_> = buf.lines().map(|l| parse(l).expect("row parses")).collect();
-        assert_eq!(rows[0].get_u64("wall_ns"), Some(42));
-        assert_eq!(rows[1].get_u64("wall_ns"), Some(100));
-    }
-
-    #[test]
-    fn real_wall_clock_is_monotonic() {
-        let clock = WallClock::start();
-        let a = clock.now_ns();
-        let b = clock.now_ns();
-        assert!(b >= a);
-        let mut ts = TimeSeriesWriter::new(Vec::new(), 1).with_clock(clock);
-        ts.poll(&stats_at(0, 0)).unwrap();
-        let buf = String::from_utf8(ts.into_inner().unwrap()).unwrap();
-        let row = parse(buf.lines().next().unwrap()).unwrap();
-        assert!(row.get_u64("wall_ns").is_some());
-    }
-
-    #[test]
     fn forced_sample_ignores_interval() {
         let mut ts = TimeSeriesWriter::new(Vec::new(), 1_000_000);
         ts.poll(&stats_at(0, 0)).unwrap();
         ts.sample(&stats_at(10, 1)).unwrap();
         assert_eq!(ts.rows(), 2);
-        assert_eq!(ts.last_sample().unwrap().ingested_updates, 1);
     }
 }

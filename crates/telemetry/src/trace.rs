@@ -31,10 +31,9 @@
 //!   as one process lane per shard.
 //!
 //! Timestamps come from whatever clock the caller samples — the engine
-//! passes virtual [`crate::ClockSource`] time (session cursors or the
-//! shared high-water clock), wall-clock drivers pass
-//! [`crate::WallClock`] time. The export writes microsecond `ts`/`dur`
-//! fields as Chrome expects.
+//! passes virtual time (session cursors or the shared high-water
+//! clock). The export writes microsecond `ts`/`dur` fields as Chrome
+//! expects.
 
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};

@@ -12,8 +12,8 @@
 //!   bytes). We regenerate equivalent range-scan traces from scaled
 //!   tables with the same size proportions and query shapes — the
 //!   substitution preserves the I/O interference behaviour the
-//!   experiment measures (`fig03`/`fig04`/`fig14` in the README's
-//!   "Paper figure index").
+//!   experiment measures (`repro fig03_tpch_inplace_row`,
+//!   `fig04_tpch_inplace_col` and `fig14_tpch_masm`).
 
 pub mod synthetic;
 pub mod tenant;

@@ -11,8 +11,8 @@
 
 use masm_bench::{scale_mb, time_scan_with_inplace_updates, SyntheticEnv};
 
-fn main() {
-    let mb = scale_mb().min(32);
+fn main() -> Result<(), String> {
+    let mb = scale_mb()?.min(32);
     println!("building a {mb} MiB warehouse table (virtual devices)...");
 
     // Ideal: queries with no updates anywhere.
@@ -61,4 +61,5 @@ fn main() {
         "\nMaSM answers over fresh data at essentially the no-update speed;\n\
          in-place updates make the same query several times slower."
     );
+    Ok(())
 }

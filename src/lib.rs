@@ -10,7 +10,8 @@
 //! * [`masm_core`] — the MaSM engine itself.
 //! * [`masm_baselines`] — in-place / IU / LSM comparison schemes.
 //! * [`masm_workloads`] — synthetic, Zipf, and TPC-H-like generators.
-//! * [`masm_bench`] — the experiment harness.
+//! * [`masm_bench`] — the experiment harness: the paper's figures
+//!   behind the `repro` binary.
 
 pub use masm_baselines;
 pub use masm_bench;

@@ -4,7 +4,8 @@
 
 use std::sync::Arc;
 
-use masm_core::update::UpdateOp;
+use masm_core::update::{UpdateOp, UpdateRecord};
+use masm_core::wal::{Wal, WalRecord};
 use masm_core::{MasmConfig, MasmEngine, MasmError, ShardedEngine};
 use masm_pagestore::{HeapConfig, Key, Schema, TableHeap};
 use masm_storage::{DeviceProfile, SessionHandle, SimClock, SimDevice};
@@ -202,9 +203,9 @@ fn torn_wal_tail_is_truncated_and_salvaged() {
         .collect();
     assert!(!keys.contains(&1), "recovered delete visible");
     // Appending past the truncated tail and crashing again replays
-    // cleanly: the garbage was buried by the new append point. This
-    // crash lands mid-migration (the heap device dies after
-    // `MigrationBegin` is logged), so recovery re-drives it.
+    // cleanly: recovery erased the torn bytes. This crash lands
+    // mid-migration (the heap device dies after `MigrationBegin` is
+    // logged), so recovery re-drives it.
     engine.apply_update(&s, 3, UpdateOp::Delete).unwrap();
     d.disk.inject_write_fault();
     assert!(engine.migrate(&s).is_err(), "heap writes are failing");
@@ -223,6 +224,50 @@ fn torn_wal_tail_is_truncated_and_salvaged() {
     assert!(records.iter().all(|r| r.name != "recovery.torn_tail"));
     let keys: Vec<Key> = engine.begin_scan(s, 0, 5).unwrap().map(|r| r.key).collect();
     assert!(!keys.contains(&1) && !keys.contains(&3));
+}
+
+/// A torn tail can hold whole frames: appends that were in flight
+/// behind a reservation nobody wrote when the devices stopped. Recovery
+/// cuts the log at the unwritten reservation; an append after it that
+/// fills the hole exactly must not bring the frame behind it back.
+#[test]
+fn frames_beyond_a_torn_tail_never_come_back() {
+    let d = Durable::new();
+    let s = d.session();
+    let value = |v: u32| {
+        let mut p = schema().empty_payload();
+        schema().set_u32(&mut p, 0, v);
+        UpdateOp::Replace(p)
+    };
+    let engine = d.fresh_engine(100);
+    engine.apply_update(&s, 1, value(1)).unwrap();
+    drop(engine);
+    // One unwritten reservation (zeros) and a complete frame after it:
+    // an update of key 3 that was never acknowledged.
+    let stale = {
+        let dev = SimDevice::in_memory(DeviceProfile::ssd_x25e(), d.clock.clone());
+        let update = UpdateRecord::new(1_000, 3, value(99));
+        Wal::new(dev.clone(), 0)
+            .append(&s, &WalRecord::Update(update))
+            .unwrap();
+        dev.read_at(0, 0, dev.len()).unwrap().0
+    };
+    let hole = d.wal.len();
+    d.wal
+        .write_at(0, hole + stale.len() as u64, &stale)
+        .unwrap();
+
+    let engine = d.recover();
+    let key = |engine: &Arc<MasmEngine>, k: Key| engine.get(&s, k).unwrap().map(|r| r.payload);
+    assert_eq!(key(&engine, 3), None, "cut at the unwritten reservation");
+    // An update of the same size fills the hole: the log now ends
+    // exactly where the stale frame starts.
+    engine.apply_update(&s, 5, value(7)).unwrap();
+    assert_eq!(d.wal.len(), hole + 2 * stale.len() as u64);
+    drop(engine);
+    let engine = d.recover();
+    assert!(key(&engine, 5).is_some(), "the acknowledged update");
+    assert_eq!(key(&engine, 3), None, "a frame beyond the cut came back");
 }
 
 #[test]

@@ -3,18 +3,14 @@
 #
 #   tools/sim_identity.sh <rev>
 #
-# Builds `benchmark/` and `masm-bench` at <rev> (a throw-away
-# `git archive` copy) and in this checkout, then compares
+# Builds `benchmark/` at <rev> (a throw-away `git archive` copy) and in
+# this checkout, runs the four benchmark workloads once each at one seed
+# (SEED, default 1) and `--seconds 2`, and compares the seven
+# simulated-clock metrics, `attempted` and `failed`: one row per
+# workload and number. The paper's figures are held byte for byte by
+# `cargo test` instead (`crates/bench/tests/golden.rs`).
 #
-#   * the four benchmark workloads, once each at one seed (SEED,
-#     default 1) and `--seconds 2`: the seven simulated-clock metrics,
-#     `attempted` and `failed`, one row per workload and number;
-#   * the stdout of the four deterministic `fig*` binaries at
-#     `MASM_BENCH_MB=8`, byte for byte, one row per binary (the three
-#     threaded ones differ run to run and are not comparable).
-#
-# Exits non-zero if any number differs by one bit or any output by one
-# byte.
+# Exits non-zero if any number differs by one bit.
 set -euo pipefail
 
 rev="${1:?usage: tools/sim_identity.sh <rev>}"
@@ -24,20 +20,12 @@ trap 'rm -rf "$work"' EXIT
 mkdir "$work/base"
 git -C "$root" archive "$rev" | tar -x -C "$work/base"
 
-figs=(fig11_migration_cost fig12_sustained_updates fig13_cpu_cost fig_cache_scan_resistance)
-
 measure() { # <checkout> <label>
     cargo build --release --offline --quiet \
         --manifest-path "$1/benchmark/Cargo.toml" --target-dir "$work/target-$2"
     "$work/target-$2/release/masm-benchmark" --workload all --seed "${SEED:-1}" \
         --seconds 2 --trace 0 >"$work/$2.jsonl" 2>"$work/$2.err" ||
         { tail -n 20 "$work/$2.err" >&2; echo "the run at $2 failed" >&2; exit 1; }
-    cargo build --release --offline --quiet --manifest-path "$1/Cargo.toml" \
-        --target-dir "$work/target-$2" -p masm-bench "${figs[@]/#/--bin=}"
-    for fig in "${figs[@]}"; do
-        MASM_BENCH_MB=8 "$work/target-$2/release/$fig" >"$work/$2.$fig.out" 2>"$work/$2.err" ||
-            { tail -n 20 "$work/$2.err" >&2; echo "$fig at $2 failed" >&2; exit 1; }
-    done
 }
 measure "$work/base" base
 measure "$root" head
@@ -66,16 +54,3 @@ if differing:
     sys.exit(f"{differing} number(s) differ from {rev}")
 print(f"\nall {len(workloads) * (len(exact) + 2)} numbers identical to {rev}")
 PY
-
-differing=0
-printf '\n| binary (MASM_BENCH_MB=8) | stdout bytes | |\n|---|---:|---|\n'
-for fig in "${figs[@]}"; do
-    verdict=identical
-    cmp -s "$work/base.$fig.out" "$work/head.$fig.out" || { verdict=DIFFERS; differing=$((differing + 1)); }
-    printf '| `%s` | %s | %s |\n' "$fig" "$(wc -c <"$work/head.$fig.out")" "$verdict"
-done
-if [ "$differing" -gt 0 ]; then
-    echo "$differing fig binary output(s) differ from $rev" >&2
-    exit 1
-fi
-printf '\nall %s fig outputs byte-identical to %s\n' "${#figs[@]}" "$rev"

@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use masm_core::update::{UpdateOp, UpdateRecord};
 use masm_core::{MasmError, MasmResult};
-use masm_pagestore::{Key, Record, Schema, TableHeap};
+use masm_pagestore::{Key, Schema, TableHeap};
 use masm_storage::SessionHandle;
 
 /// An engine that applies every update directly to the main data.
@@ -40,7 +40,8 @@ impl InPlaceEngine {
         self.applied.load(std::sync::atomic::Ordering::Relaxed)
     }
 
-    /// Apply one update: random 4 KB read, modify, random 4 KB write.
+    /// Apply one update: random 4 KB read, modify, random 4 KB write
+    /// ([`TableHeap::edit_page_of`]).
     pub fn apply_update(
         &self,
         session: &SessionHandle,
@@ -48,28 +49,17 @@ impl InPlaceEngine {
         op: UpdateOp,
         timestamp: u64,
     ) -> MasmResult<()> {
-        let logical = self
-            .heap
-            .locate(key)
-            .ok_or(MasmError::Corrupt("in-place update on empty table"))?;
-        let page = self.heap.read_page(session, logical)?;
-        let mut records: Vec<Record> = page.records().collect();
         let update = UpdateRecord::new(timestamp, key, op);
-        match records.binary_search_by_key(&key, |r| r.key) {
-            Ok(i) => {
-                let base = records.remove(i);
-                if let Some(new) = update.apply_to(Some(base), &self.schema) {
-                    records.insert(i, new);
-                }
+        let edited = self.heap.edit_page_of(session, key, timestamp, |records| {
+            let (at, base) = match records.binary_search_by_key(&key, |r| r.key) {
+                Ok(i) => (i, Some(records.remove(i))),
+                Err(i) => (i, None),
+            };
+            if let Some(new) = update.apply_to(base, &self.schema) {
+                records.insert(at, new);
             }
-            Err(i) => {
-                if let Some(new) = update.apply_to(None, &self.schema) {
-                    records.insert(i, new);
-                }
-            }
-        }
-        self.heap
-            .replace_page_records(session, logical, records, timestamp)?;
+        })?;
+        edited.ok_or(MasmError::Corrupt("in-place update on empty table"))?;
         self.applied
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         Ok(())
@@ -80,7 +70,7 @@ impl InPlaceEngine {
 mod tests {
     use super::*;
     use masm_core::update::FieldPatch;
-    use masm_pagestore::HeapConfig;
+    use masm_pagestore::{HeapConfig, Record};
     use masm_storage::{DeviceProfile, SimClock, SimDevice};
 
     fn schema() -> Schema {
@@ -152,9 +142,20 @@ mod tests {
         }
         let stats = disk.stats();
         assert!(stats.random_ops >= 20, "{stats:?}");
-        // Read-modify-write: at least 2 I/Os per update (one extra read
-        // is bookkeeping-free in our heap).
+        // Read-modify-write: one page read and one page write per update.
         assert!(stats.read_ops >= 20 && stats.write_ops >= 20, "{stats:?}");
+    }
+
+    /// The page is read once: no second read to count its old records.
+    #[test]
+    fn an_update_reads_its_page_once() {
+        let (e, s) = setup(10_000);
+        let disk = e.heap().device().clone();
+        disk.reset_stats();
+        e.apply_update(&s, 9_998, UpdateOp::Replace(payload(1)), 1)
+            .unwrap();
+        let stats = disk.stats();
+        assert_eq!((stats.read_ops, stats.write_ops), (1, 1), "{stats:?}");
     }
 
     #[test]

@@ -15,8 +15,28 @@
 //! that the adaptive selector's sampling saves trial encodes.
 
 use masm_core::CodecChoice;
+use masm_pagestore::Record;
+use masm_storage::{Ns, SessionHandle};
 
 use crate::{ratio, secs, Report, SyntheticEnv};
+
+/// Virtual time a fresh session on `env` spends opening a scan with
+/// `open` and draining it, charging `cpu_ns` of query processing for
+/// each record as it arrives.
+fn drain_with_cpu<I: Iterator<Item = Record>>(
+    env: &SyntheticEnv,
+    cpu_ns: Ns,
+    open: impl FnOnce(SessionHandle) -> I,
+) -> Ns {
+    let session = env.machine.session();
+    let start = session.now();
+    for _ in open(session.clone()) {
+        if cpu_ns > 0 {
+            session.cpu(cpu_ns);
+        }
+    }
+    session.now() - start
+}
 
 pub fn run(mb: u64) -> Report {
     // The paper scans 10 GB of its 100 GB table: use 1/10 of ours.
@@ -34,19 +54,12 @@ pub fn run(mb: u64) -> Report {
     let mut rows = Vec::new();
     for tenth_us in [0u64, 5, 10, 15, 20, 25] {
         let cpu_ns = tenth_us * 100; // 0.0, 0.5, 1.0, 1.5, 2.0, 2.5 µs
-        let pure = {
-            let session = baseline.machine.session();
-            let start = session.now();
-            let n = baseline
-                .engine
-                .heap()
-                .scan_range(session.clone(), begin, end)
-                .with_cpu_per_record(cpu_ns)
-                .count();
-            std::hint::black_box(n);
-            session.now() - start
-        };
-        let with_masm = masm.time_masm_scan_cpu(begin, end, cpu_ns);
+        let pure = drain_with_cpu(&baseline, cpu_ns, |s| {
+            baseline.engine.heap().scan_range(s, begin, end)
+        });
+        let with_masm = drain_with_cpu(&masm, cpu_ns, |s| {
+            masm.engine.begin_scan(s, begin, end).expect("scan")
+        });
         rows.push(vec![
             format!("{:.1}", cpu_ns as f64 / 1000.0),
             format!("{:.3}", secs(pure)),

@@ -32,6 +32,8 @@ figures! {
     fig13_cpu_cost
     fig14_tpch_masm
     fig_cache_scan_resistance
+    fig_recovery
+    fig_sharded_ingest
     tab_ablation
     tab_hdd_cache
     tab_lsm_write_amp

@@ -2,10 +2,10 @@
 //!
 //! One function per table/figure of the paper ([`figs`]; the README's
 //! "Paper figure index" lists them), all run by the `repro` binary, plus
-//! three binaries that drive real threads. This library holds what they
-//! share: scaled experiment environments, the concurrent-updater driver
-//! that reproduces the paper's "online updates while queries run" setup,
-//! and the one output format, [`Report`].
+//! `fig_concurrent_scans`, which drives real threads. This library holds
+//! what they share: scaled experiment environments, the
+//! concurrent-updater driver that reproduces the paper's "online updates
+//! while queries run" setup, and the one output format, [`Report`].
 //!
 //! ## Scaling
 //!
@@ -181,19 +181,10 @@ impl SyntheticEnv {
 
     /// Time a MaSM merged scan of `[begin, end]`.
     pub fn time_masm_scan(&self, begin: Key, end: Key) -> Ns {
-        self.time_masm_scan_cpu(begin, end, 0)
-    }
-
-    /// Time a MaSM merged scan with injected CPU cost per record.
-    pub fn time_masm_scan_cpu(&self, begin: Key, end: Key, cpu_ns: u64) -> Ns {
         let session = self.machine.session();
         let start = session.now();
-        let scan = self
-            .engine
-            .begin_scan(session.clone(), begin, end)
-            .expect("scan")
-            .with_cpu_per_record(cpu_ns);
-        let n = scan.count();
+        let scan = self.engine.begin_scan(session.clone(), begin, end);
+        let n = scan.expect("scan").count();
         std::hint::black_box(n);
         session.now() - start
     }

@@ -123,7 +123,6 @@ impl MasmEngine {
             engine: Arc::clone(self),
             session,
             ts: query_ts,
-            cpu_per_record: 0,
             unreported: 0,
             stall: 0,
         })
@@ -203,8 +202,8 @@ fn key_range(batch: &[UpdateRecord], begin: Key, end: Key) -> std::ops::Range<us
 /// earlier queries.
 ///
 /// `next` pops from the join's buffer; everything with a lock or an
-/// atomic in it — session-clock reads, the `scan_next` histogram, the
-/// optional CPU charge — happens in `refill`, once per heap page.
+/// atomic in it — session-clock reads, the `scan_next` histogram —
+/// happens in `refill`, once per heap page.
 pub struct MergeScan {
     inner: MergeDataUpdates<RangeScan, MergeUpdates>,
     /// Where this scan's run scans report a failure; see
@@ -214,7 +213,6 @@ pub struct MergeScan {
     engine: Arc<MasmEngine>,
     session: SessionHandle,
     ts: Timestamp,
-    cpu_per_record: u64,
     /// Records returned and session time spent in refills since
     /// `scan_next` was last brought up to date.
     unreported: u64,
@@ -225,12 +223,6 @@ impl MergeScan {
     /// This query's timestamp.
     pub fn timestamp(&self) -> Timestamp {
         self.ts
-    }
-
-    /// Inject CPU cost per returned record (Figure 13's experiment).
-    pub fn with_cpu_per_record(mut self, ns: u64) -> Self {
-        self.cpu_per_record = ns;
-        self
     }
 
     /// The read error that ended the scan early, if one did: the
@@ -258,12 +250,7 @@ impl MergeScan {
 
     fn refill(&mut self) {
         let start = self.session.now();
-        let (session, cpu) = (&self.session, self.cpu_per_record);
-        self.inner.refill(|| {
-            if cpu > 0 {
-                session.cpu(cpu);
-            }
-        });
+        self.inner.refill();
         if self.error.is_none() {
             self.error = match self.failures.check() {
                 // A run scan failed during this join step and ended its
@@ -280,8 +267,8 @@ impl MergeScan {
         }
         let stall = self.session.now().saturating_sub(start);
         if stall > 0 {
-            // The session clock only moves inside an I/O wait (or a CPU
-            // charge): the records before it are settled.
+            // Inside a refill the session clock moves only while it
+            // waits for I/O: the records before it are settled.
             self.report();
             self.stall += stall;
         }

@@ -553,16 +553,11 @@ impl<U: Iterator<Item = UpdateRecord>> MergeDataUpdates<RangeScan, U> {
     /// Join heap pages with the updates that fall inside them until a
     /// record is buffered or both sides are exhausted. The pages come
     /// out of the I/O batch the heap scan holds in memory anyway, so a
-    /// refill reads no further ahead than the scan already did. `each`
-    /// runs after every record joined (the CPU-cost hook of Figure 13).
-    /// A heap read error ends the join; see
-    /// [`MergeDataUpdates::take_error`].
-    pub fn refill(&mut self, mut each: impl FnMut()) {
+    /// refill reads no further ahead than the scan already did. A heap
+    /// read error ends the join; see [`MergeDataUpdates::take_error`].
+    pub fn refill(&mut self) {
         while self.out.is_empty() && !self.done {
-            let mut emit = |record| {
-                self.out.push_back(record);
-                each();
-            };
+            let mut emit = |record| self.out.push_back(record);
             if let Some(mut page) = self.data.next_batch() {
                 if let Some(first) = page.next() {
                     self.join.batch(first, page, &mut emit);

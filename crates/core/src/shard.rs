@@ -10,7 +10,7 @@
 //! *each shard individually* preserves the paper's design goals — in
 //! particular design goal 2: every shard's SSD sees only sequential
 //! writes (`random_writes == 0` per shard, asserted by tests and the
-//! `fig_sharded_ingest` bench).
+//! `fig_sharded_ingest` figure).
 //!
 //! Consistency across shards comes from two shared pieces:
 //!
@@ -204,15 +204,6 @@ impl ShardedRecoveryReport {
     #[must_use]
     pub fn wal_torn_bytes(&self) -> u64 {
         self.per_shard.iter().map(|r| r.wal_torn_bytes).sum()
-    }
-
-    /// Shards whose redo log ended in a (truncated) torn tail.
-    #[must_use]
-    pub fn torn_tails(&self) -> usize {
-        self.per_shard
-            .iter()
-            .filter(|r| r.wal_torn_bytes > 0)
-            .count()
     }
 }
 

@@ -2,8 +2,8 @@
 //! splits, sharded-vs-single-engine oracle equality at arbitrary
 //! snapshot cuts, "a standalone engine is the one-shard case" down to
 //! the device bytes, two shards migrating into the shared heap at
-//! once, and a concurrent multi-lane stress against a live shared
-//! worker pool.
+//! once, a concurrent multi-lane stress against a live shared worker
+//! pool, and one flight recorder's per-shard tracks under that pool.
 //!
 //! The oracle test is the correctness contract of the sharding layer:
 //! routing the same update stream through a [`ShardedEngine`] must be
@@ -24,6 +24,8 @@ use masm_core::wal::{Wal, WalRecord};
 use masm_core::{MasmEngine, ShardRouter, ShardedEngine};
 use masm_pagestore::{HeapConfig, Key, Record, Schema, TableHeap};
 use masm_storage::{DeviceProfile, SessionHandle, SimClock, SimDevice};
+use masm_telemetry::json::{parse, JsonValue};
+use masm_telemetry::{TraceConfig, Tracer};
 
 fn schema() -> Schema {
     Schema::synthetic_100b()
@@ -601,4 +603,62 @@ fn stress_concurrent_sharded_ingest_scan() {
         "unexpected imbalance {}",
         stats.shard_imbalance
     );
+}
+
+/// A flight recorder installed through [`ShardedEngine::install_tracer`]
+/// gives every shard its own process track (`pid` = shard id), and the
+/// shared pool's flushes land on the track of the shard they flush:
+/// each carries a complete `job.flush` span and a `masm.flush` flow
+/// from the put that sealed the batch to that job.
+#[test]
+fn every_shard_flushes_on_its_own_trace_track() {
+    const SHARDS: u64 = 3;
+    let mut cfg = MasmConfig::small_for_tests();
+    cfg.background_workers = 2;
+    cfg.sharding.splits = (1..SHARDS).map(|k| k * 10_000).collect();
+    let f = sharded_fixture(cfg, 0);
+    let tracer = Arc::new(Tracer::new(TraceConfig {
+        ring_capacity: 1 << 15,
+        ..TraceConfig::default()
+    }));
+    f.engine.install_tracer(&tracer);
+    for j in 0..1500u32 {
+        for shard in 0..SHARDS {
+            let op = UpdateOp::Replace(payload(j));
+            f.engine
+                .put(&f.session, shard * 10_000 + u64::from(j), op)
+                .unwrap();
+        }
+    }
+    f.engine.shutdown();
+
+    let doc = parse(&tracer.export_chrome_trace()).expect("the trace is JSON");
+    let Some(JsonValue::Arr(events)) = doc.get("traceEvents") else {
+        panic!("the trace carries a traceEvents array");
+    };
+    let is = |e: &JsonValue, key: &str, want: &str| matches!(e.get(key), Some(JsonValue::Str(got)) if got == want);
+    for shard in 0..SHARDS {
+        let track: Vec<&JsonValue> = events
+            .iter()
+            .filter(|e| e.get_u64("pid") == Some(shard))
+            .collect();
+        let spans = track
+            .iter()
+            .filter(|e| is(e, "ph", "X") && is(e, "name", "job.flush"));
+        assert!(
+            spans.count() > 0,
+            "shard {shard}: no complete job.flush span"
+        );
+        let flow_ids = |phase| -> Vec<u64> {
+            let flows = track
+                .iter()
+                .filter(|e| is(e, "ph", phase) && is(e, "name", "masm.flush"));
+            flows.filter_map(|e| e.get_u64("id")).collect()
+        };
+        let (starts, finishes) = (flow_ids("s"), flow_ids("f"));
+        assert!(
+            starts.iter().any(|id| finishes.contains(id)),
+            "shard {shard}: no masm.flush flow resolves ({starts:?} / {finishes:?})"
+        );
+    }
 }

@@ -33,7 +33,6 @@ use std::sync::Arc;
 
 use parking_lot::{Mutex, MutexGuard, RwLock};
 
-use masm_storage::clock::Ns;
 use masm_storage::{IoTicket, SessionHandle, SimDevice, StorageError, StorageResult, MIB};
 
 use crate::index::SparseIndex;
@@ -266,19 +265,13 @@ impl TableHeap {
         Ok(())
     }
 
-    /// Logical page containing `key`, if the heap is non-empty.
-    pub fn locate(&self, key: Key) -> Option<usize> {
-        self.state.read().index.locate(key)
-    }
-
     /// Run `f` over the page that owns `key` — one random `page_size`
     /// read, the page bytes lent in place; `None` when the heap is
     /// empty. `key → logical page → physical offset` and the read all
     /// happen under **one** hold of the heap's read lock, so a
     /// concurrent rewrite can neither splice the page map between the
     /// two look-ups nor recycle the physical page before it is read
-    /// (a [`TableHeap::locate`] followed by a [`TableHeap::read_page`]
-    /// has both windows).
+    /// (a look-up in one hold and a read in the next has both windows).
     ///
     /// `f` runs with the heap's read lock, the session and the device
     /// backend's read lock held: it must not block, do I/O or call back
@@ -299,78 +292,57 @@ impl TableHeap {
         Ok(Some(found))
     }
 
-    /// Read one logical page (a random `page_size` I/O) into an owned,
-    /// mutable [`Page`] — for callers that rewrite it.
-    pub fn read_page(&self, session: &SessionHandle, logical: usize) -> StorageResult<Page> {
-        let st = self.state.read();
-        let phys = st.page_map[logical];
-        let bytes = session.read(&self.dev, phys, self.cfg.page_size as u64)?;
-        drop(st);
-        Ok(Page::from_bytes(bytes))
-    }
-
-    /// Write one logical page back in place (a random `page_size` I/O).
-    /// The page must keep the same logical position (its min key may
-    /// change only within the neighbouring pages' bounds).
-    pub fn write_page(
+    /// Read-modify-write of the page that owns `key` — one random
+    /// `page_size` read, then its writes; `None` when the heap is
+    /// empty. `edit` gets the page's records, in key order, and must
+    /// leave them in key order and within the neighbouring pages' key
+    /// bounds; they are written back stamped `timestamp`, in place,
+    /// split over fresh pages when they no longer fit, and the page is
+    /// dropped when none are left. Resolution, read and writes all
+    /// happen under **one** hold of the heap's write lock, so no
+    /// concurrent rewrite can move the page in between. This is the
+    /// in-place baseline's update (§2.2).
+    pub fn edit_page_of<R>(
         &self,
         session: &SessionHandle,
-        logical: usize,
-        page: &Page,
-    ) -> StorageResult<()> {
-        let st = self.state.read();
-        let phys = st.page_map[logical];
-        session.write(&self.dev, phys, page.as_bytes())?;
-        Ok(())
-    }
-
-    /// Replace the records of logical page `logical` with `records`
-    /// (sorted). Splits into additional pages if they no longer fit;
-    /// removes the page if `records` is empty. Used by the in-place
-    /// baseline. Returns the number of pages the content now spans.
-    pub fn replace_page_records(
-        &self,
-        session: &SessionHandle,
-        logical: usize,
-        records: Vec<Record>,
+        key: Key,
         timestamp: u64,
-    ) -> StorageResult<usize> {
+        edit: impl FnOnce(&mut Vec<Record>) -> R,
+    ) -> StorageResult<Option<R>> {
         let page_size = self.cfg.page_size;
+        let mut st = self.state.write();
+        let Some(logical) = st.index.locate(key) else {
+            return Ok(None);
+        };
+        let old_phys = st.page_map[logical];
+        let mut records: Vec<Record> =
+            session.read_with(&self.dev, old_phys, page_size as u64, |bytes| {
+                PageRef::new(bytes).records().collect()
+            })?;
+        let old_count = records.len() as u64;
+        let edited = edit(&mut records);
+
         let mut new_pages = PageChunk::new(page_size);
         new_pages.reset(timestamp);
         for r in &records {
             new_pages.push(r).expect("record larger than page");
         }
-
-        // Physical writes first, then map splice under the write lock.
-        let mut st = self.state.write();
-        let before_count = {
-            // Recompute old record count of this page for the delta: we
-            // need the old page; the caller just read it, but be safe and
-            // track via index only. Read it back (cheap; memory backend).
-            let phys = st.page_map[logical];
-            let (bytes, _) = self.dev.read_at(session.now(), phys, page_size as u64)?;
-            Page::from_bytes(bytes).record_count() as u64
-        };
-        let old_phys = st.page_map[logical];
+        let spans = new_pages.len();
         let mut phys_slots = vec![old_phys];
-        if new_pages.len() > 1 {
+        if spans > 1 {
             let extra = self
                 .alloc
                 .lock()
-                .alloc_contiguous(new_pages.len() - 1, page_size as u64);
-            for i in 0..new_pages.len() - 1 {
-                phys_slots.push(extra + (i * page_size) as u64);
-            }
+                .alloc_contiguous(spans - 1, page_size as u64);
+            phys_slots.extend((0..spans as u64 - 1).map(|i| extra + i * page_size as u64));
         }
-        for (p, &phys) in new_pages
+        for (page, &phys) in new_pages
             .as_bytes()
             .chunks_exact(page_size)
             .zip(&phys_slots)
         {
-            session.write(&self.dev, phys, p)?;
+            session.write(&self.dev, phys, page)?;
         }
-        let spans = new_pages.len();
         let min_keys: Vec<Key> = new_pages.pages().filter_map(|p| p.min_key()).collect();
         st.index.splice(logical..logical + 1, &min_keys);
         st.page_map
@@ -378,8 +350,8 @@ impl TableHeap {
         if spans == 0 {
             self.alloc.lock().free_pages(vec![old_phys]);
         }
-        st.record_count = st.record_count - before_count + records.len() as u64;
-        Ok(spans)
+        st.record_count = st.record_count - old_count + records.len() as u64;
+        Ok(Some(edited))
     }
 
     /// Start a record-granularity range scan of `[begin, end]`.
@@ -487,7 +459,6 @@ pub struct RangeScan {
     data: Vec<u8>,
     page_off: usize,
     slot: usize,
-    cpu_per_record: Ns,
     /// Pages read so far (for reporting).
     pages_read: u64,
     error: Option<StorageError>,
@@ -513,17 +484,9 @@ impl RangeScan {
             data: Vec::new(),
             page_off: 0,
             slot: 0,
-            cpu_per_record: 0,
             pages_read: 0,
             error: None,
         }
-    }
-
-    /// Inject CPU cost per record the `Iterator` impl yields (Figure
-    /// 13's experiment).
-    pub fn with_cpu_per_record(mut self, ns: Ns) -> Self {
-        self.cpu_per_record = ns;
-        self
     }
 
     /// Pages read so far.
@@ -647,9 +610,6 @@ impl Iterator for RangeScan {
     fn next(&mut self) -> Option<Record> {
         loop {
             if let Some((record, _)) = self.decode_next() {
-                if self.cpu_per_record > 0 {
-                    self.session.cpu(self.cpu_per_record);
-                }
                 return Some(record);
             }
             if !self.next_page() {
@@ -909,9 +869,8 @@ mod tests {
     #[test]
     fn batches_carry_page_timestamps_and_cover_the_range() {
         let (heap, s) = heap_with(30_000);
-        let mut page = heap.read_page(&s, 0).unwrap();
-        page.set_timestamp(7);
-        heap.write_page(&s, 0, &page).unwrap();
+        let first_page_max = heap.edit_page_of(&s, 0, 7, |records| records.last().unwrap().key);
+        let first_page_max = first_page_max.unwrap().unwrap();
         let mut scan = heap.scan_range(s, 10, 50_000);
         let mut got = Vec::new();
         let mut batches = 0;
@@ -923,7 +882,6 @@ mod tests {
         assert!(batches > 256, "one batch per page, {batches} batches");
         let keys: Vec<Key> = got.iter().map(|&(k, _)| k).collect();
         assert_eq!(keys, (5..=25_000).map(|i| i * 2).collect::<Vec<_>>());
-        let first_page_max = page.max_key().unwrap();
         assert!(got
             .iter()
             .all(|&(k, ts)| ts == 7 * (k <= first_page_max) as u64));
@@ -950,25 +908,23 @@ mod tests {
     #[test]
     fn read_write_page_roundtrip() {
         let (heap, s) = heap_with(100);
-        let mut page = heap.read_page(&s, 0).unwrap();
-        page.set_timestamp(42);
-        heap.write_page(&s, 0, &page).unwrap();
-        assert_eq!(heap.read_page(&s, 0).unwrap().timestamp(), 42);
+        assert_eq!(heap.edit_page_of(&s, 0, 42, |_| ()).unwrap(), Some(()));
+        let stamp = heap.with_page_of(&s, 0, |p| p.timestamp()).unwrap();
+        assert_eq!(stamp, Some(42));
     }
 
+    /// One read and one write, under one hold of the heap lock.
     #[test]
     fn replace_page_records_modify() {
         let (heap, s) = heap_with(100);
-        let page = heap.read_page(&s, 0).unwrap();
-        let mut records: Vec<Record> = page.records().collect();
-        records[0].payload = vec![0xFF; 92];
-        let spans = heap
-            .replace_page_records(&s, 0, records.clone(), 9)
-            .unwrap();
-        assert_eq!(spans, 1);
-        let back = heap.read_page(&s, 0).unwrap();
-        assert_eq!(back.record(0).payload, vec![0xFF; 92]);
-        assert_eq!(back.timestamp(), 9);
+        heap.device().reset_stats();
+        let edited = heap.edit_page_of(&s, 0, 9, |records| records[0].payload = vec![0xFF; 92]);
+        assert_eq!(edited.unwrap(), Some(()));
+        let stats = heap.device().stats();
+        assert_eq!((stats.read_ops, stats.write_ops), (1, 1), "{stats:?}");
+        let back = heap.with_page_of(&s, 0, |p| (p.record(0), p.timestamp()));
+        let (record, stamp) = back.unwrap().unwrap();
+        assert_eq!((record.payload, stamp), (vec![0xFF; 92], 9));
         assert_eq!(heap.record_count(), 100);
     }
 
@@ -976,24 +932,22 @@ mod tests {
     fn replace_page_records_split_on_insert() {
         let (heap, s) = heap_with(100);
         let pages_before = heap.num_pages();
-        let page = heap.read_page(&s, 0).unwrap();
-        let mut records: Vec<Record> = page.records().collect();
-        // Insert the odd keys inside this page's key range so the split
-        // pages stay within the neighbouring pages' bounds.
-        let max = page.max_key().unwrap();
-        let extra: Vec<Record> = (0..max)
-            .filter(|k| k % 2 == 1)
-            .map(|k| Record::synthetic(k, 92))
-            .collect();
-        records.extend(extra);
-        records.sort_by_key(|r| r.key);
-        let count = records.len() as u64;
-        let spans = heap.replace_page_records(&s, 0, records, 1).unwrap();
-        assert!(spans >= 2);
-        assert_eq!(heap.num_pages(), pages_before + spans - 1);
+        // Insert the odd keys inside the first page's key range so the
+        // split pages stay within the neighbouring pages' bounds.
+        let (old, new) = heap
+            .edit_page_of(&s, 0, 1, |records| {
+                let (old, max) = (records.len(), records.last().unwrap().key);
+                records.extend((1..max).step_by(2).map(|k| Record::synthetic(k, 92)));
+                records.sort_by_key(|r| r.key);
+                (old as u64, records.len() as u64)
+            })
+            .unwrap()
+            .unwrap();
+        assert!(heap.num_pages() > pages_before, "the page split");
+        assert_eq!(heap.record_count(), 100 - old + new);
         // All records still readable, in order.
         let got: Vec<Key> = heap.scan_range(s, 0, u64::MAX).map(|r| r.key).collect();
-        assert_eq!(got.len() as u64, 100 - page.record_count() as u64 + count);
+        assert_eq!(got.len() as u64, 100 - old + new);
         assert!(got.windows(2).all(|w| w[0] < w[1]));
     }
 
@@ -1219,10 +1173,12 @@ mod tests {
     fn with_page_of_lends_the_owning_page_at_read_page_cost() {
         let (owned, s_owned) = heap_with(1000);
         let (lent, s_lent) = heap_with(1000);
+        let (page_map, min_keys, _) = owned.metadata_snapshot();
         for key in [0, 500, 501, 1998, 5000] {
-            let page = owned
-                .read_page(&s_owned, owned.locate(key).unwrap())
-                .unwrap();
+            // The reference: a plain read of the page the index names.
+            let logical = min_keys.partition_point(|&min| min <= key) - 1;
+            let bytes = s_owned.read(owned.device(), page_map[logical], 4096);
+            let page = Page::from_bytes(bytes.unwrap());
             let want = page.find(key).ok().map(|slot| page.record(slot));
             let got = lent
                 .with_page_of(&s_lent, key, |p| {
@@ -1240,16 +1196,16 @@ mod tests {
         let clock = SimClock::new();
         let dev = SimDevice::in_memory(DeviceProfile::hdd_barracuda(), clock.clone());
         let empty = TableHeap::new(dev, HeapConfig::default());
-        let looked = empty.with_page_of(&SessionHandle::fresh(clock), 7, |_| ());
-        assert_eq!(looked.unwrap(), None);
+        let s = SessionHandle::fresh(clock);
+        assert_eq!(empty.with_page_of(&s, 7, |_| ()).unwrap(), None);
+        assert_eq!(empty.edit_page_of(&s, 7, 1, |_| ()).unwrap(), None);
     }
 
     #[test]
     fn locate_finds_key_page() {
         let (heap, s) = heap_with(1000);
-        let logical = heap.locate(500).unwrap();
-        let page = heap.read_page(&s, logical).unwrap();
-        assert!(page.min_key().unwrap() <= 500);
-        assert!(page.max_key().unwrap() >= 500);
+        let bounds = heap.with_page_of(&s, 500, |p| (p.min_key(), p.max_key()));
+        let (min, max) = bounds.unwrap().unwrap();
+        assert!(min.unwrap() <= 500 && max.unwrap() >= 500);
     }
 }

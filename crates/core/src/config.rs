@@ -124,11 +124,6 @@ pub struct MasmConfig {
     /// auto: 4× the update-buffer capacity. Ignored when
     /// [`MasmConfig::background_workers`] is 0.
     pub worker_backlog_bytes: u64,
-    /// Number of independent move-segment reads a merge keeps in flight
-    /// on the SSD (§3.7 overlap): a merge plan's `Move` segments are
-    /// independent I/O, so their chunk reads are pipelined up to this
-    /// depth. 1 restores strictly serial execution.
-    pub device_queue_depth: usize,
     /// Key-range sharding over several per-range MaSM engines. The
     /// single-engine budgets above are *totals*: a sharded engine
     /// divides flash capacity, cache tiers, and the flush backlog
@@ -151,7 +146,6 @@ impl Default for MasmConfig {
             cache_tier2_bytes: 4 * 1024 * 1024,
             background_workers: 0,
             worker_backlog_bytes: 0,
-            device_queue_depth: 4,
             sharding: ShardingConfig::default(),
         }
     }
@@ -354,9 +348,6 @@ impl MasmConfig {
             return Err(MasmError::Config(
                 "migration_threshold must be in [0,1]".into(),
             ));
-        }
-        if self.device_queue_depth == 0 {
-            return Err(MasmError::Config("device_queue_depth must be ≥ 1".into()));
         }
         if self.background_workers > 64 {
             return Err(MasmError::Config("background_workers must be ≤ 64".into()));

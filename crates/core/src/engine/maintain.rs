@@ -252,8 +252,8 @@ impl MasmEngine {
 
     /// The plan → execute merge pipeline: [`compact_block_runs`] plans
     /// move/merge segments from the inputs' zone maps, relinks
-    /// non-overlapping blocks verbatim (move chunks pipelined `async`
-    /// up to the configured device queue depth), and streams decodes of
+    /// non-overlapping blocks verbatim (move chunks pipelined `async`,
+    /// four in flight), and streams decodes of
     /// genuinely overlapping key ranges. The merge slot is released
     /// when `_claim` drops.
     pub(super) fn merge_runs(

@@ -667,18 +667,27 @@ fn no_exit_from_get_strands_its_pin() {
     let err = f.engine.get(&f.session, 41).unwrap_err();
     assert!(matches!(err, MasmError::Corrupt("run entry")), "{err}");
     assert!(f.engine.get(&f.session, 40).unwrap().is_some());
-    // (A migration scans its runs whole, and the scan path still
-    // panics on such an entry: take the run away again.)
-    f.engine.state.lock().runs.remove_ids(&[bad_run]);
 
-    let (engine, session) = (Arc::clone(&f.engine), f.session.clone());
-    let report = within_a_minute(move || engine.migrate(&session).unwrap());
-    assert_eq!(report.runs_migrated, 1);
-    assert_eq!(
-        f.engine.stats().workers.epoch_lag,
-        0,
-        "no query left pinned"
+    // A migration meets the same entry in its run scan, which reports
+    // it: the migration fails with it and leaves the run in place.
+    let migrate = || {
+        let (engine, session) = (Arc::clone(&f.engine), f.session.clone());
+        within_a_minute(move || engine.migrate(&session))
+    };
+    let err = migrate().unwrap_err();
+    assert!(matches!(err, MasmError::Corrupt("run entry")), "{err}");
+    let runs = f.engine.state.lock().runs.runs().to_vec();
+    assert!(
+        runs.iter().any(|r| r.id == bad_run),
+        "the run is left in place"
     );
+    let lag = || f.engine.stats().workers.epoch_lag;
+    assert_eq!(lag(), 0, "no query left pinned");
+
+    f.engine.state.lock().runs.remove_ids(&[bad_run]);
+    let report = migrate().unwrap();
+    assert_eq!(report.runs_migrated, 1);
+    assert_eq!(lag(), 0, "no query left pinned");
     let rec = f.engine.get(&f.session, 40).unwrap().expect("migrated");
     assert_eq!(schema().get_u32(&rec.payload, 0), 7);
 }

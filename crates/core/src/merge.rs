@@ -217,10 +217,14 @@ fn union_input_blooms(inputs: &[Arc<SortedRun>]) -> Option<BloomFilter> {
 /// block-aligned and at most this many bytes.
 const MOVE_READ_BYTES: u64 = 1 << 20;
 
+/// Independent *Move*-segment chunk reads a compaction keeps in flight
+/// on the SSD (§3.7 overlap).
+const DEVICE_QUEUE_DEPTH: usize = 4;
+
 /// One contiguous, block-aligned byte range of a *Move* segment.
 /// Chunks are precomputed for the whole plan so their reads can be
-/// issued asynchronously ahead of consumption, up to the configured
-/// device queue depth.
+/// issued asynchronously ahead of consumption, up to
+/// [`DEVICE_QUEUE_DEPTH`].
 #[derive(Debug, Clone, Copy)]
 struct MoveChunk {
     /// Input run index.
@@ -240,11 +244,10 @@ struct MoveChunk {
 /// zone maps alone. *Move* segments — blocks whose key range overlaps
 /// no other input — are copied as raw verified bytes (CRC checked,
 /// never delta-decoded) via [`RunBuilder::append_raw_block`]. Their
-/// chunked reads execute **in parallel**: up to
-/// [`MasmConfig::device_queue_depth`] chunk reads are kept in flight
-/// (issued ahead, across consecutive segments), and the builder
-/// consumes them strictly in plan order — the SSD overlaps the
-/// transfers while the output stays byte-identical to the serial
+/// chunked reads execute **in parallel**: up to four chunk reads are
+/// kept in flight (issued ahead, across consecutive segments), and
+/// `RunBuilder` consumes them strictly in plan order — the SSD overlaps
+/// the transfers while the output stays byte-identical to the serial
 /// execution. *Merge* segments are decoded through [`RunScan`]s (with
 /// the prefetch depth driven by the plan's fan-in, so a k-way merge
 /// keeps ≈k reads in flight) and **streamed** entry-at-a-time through
@@ -323,12 +326,11 @@ pub fn compact_block_runs(
     }
 
     // The move pipeline: chunk reads are issued asynchronously ahead of
-    // consumption, keeping up to `device_queue_depth` in flight — also
+    // consumption, keeping up to `DEVICE_QUEUE_DEPTH` in flight — also
     // across a merge segment, so the device overlaps the next move
     // segment's transfers with the merge's decode reads. Tickets are
     // awaited strictly in chunk order, so blocks reach the builder in
     // plan order regardless of completion order.
-    let queue_depth = cfg.device_queue_depth.max(1);
     let mut inflight: VecDeque<IoTicket> = VecDeque::new();
     let mut next_issue = 0usize;
 
@@ -337,7 +339,7 @@ pub fn compact_block_runs(
             Segment::Move { .. } => {
                 for ci in seg_chunks[seg_idx].clone() {
                     while next_issue <= ci
-                        || (inflight.len() < queue_depth && next_issue < chunks.len())
+                        || (inflight.len() < DEVICE_QUEUE_DEPTH && next_issue < chunks.len())
                     {
                         let c = chunks[next_issue];
                         inflight.push_back(session.read_async(ssd, c.offset, c.span)?);

@@ -331,12 +331,16 @@ mod tests {
         let engine2 = Arc::clone(&engine);
         let locks2 = Arc::clone(&locks);
         let session2 = session.clone();
+        let (began, begun) = std::sync::mpsc::channel();
         let handle = std::thread::spawn(move || {
             let mut b = LockingTransaction::begin(&engine2, &locks2);
+            began.send(()).unwrap();
             b.write(60, UpdateOp::Insert(payload(2)));
             b.commit(&session2).unwrap()
         });
-        std::thread::sleep(std::time::Duration::from_millis(20));
+        begun.recv().unwrap();
+        // However far B has got, A holds the key until it commits.
+        assert!(!locks.try_lock_exclusive(60));
         let ts_a = a.commit(&session).unwrap();
         let ts_b = handle.join().unwrap();
         assert!(ts_b > ts_a, "B serialized after A by the lock");

@@ -26,7 +26,6 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use masm_blockrun::BloomFilter;
@@ -34,9 +33,9 @@ use masm_core::config::MasmConfig;
 use masm_core::membuf::UpdateBuffer;
 use masm_core::run::{lookup_in_run, write_run, RunScan};
 use masm_core::update::{FieldPatch, UpdateOp, UpdateRecord};
-use masm_core::{IndexGranularity, MasmEngine};
-use masm_pagestore::{HeapConfig, Key, Record, Schema, TableHeap};
-use masm_storage::{DeviceProfile, SessionHandle, SimClock, SimDevice};
+use masm_core::IndexGranularity;
+use masm_model::{flash, payload, value, Model, Op, Table};
+use masm_pagestore::Key;
 
 struct Counting;
 
@@ -71,41 +70,20 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// An engine with inline maintenance over a table of `records`
-/// even-keyed rows, plus the session that drives it.
-fn loaded_engine(cfg: MasmConfig, records: u64) -> (Arc<MasmEngine>, SessionHandle, Schema) {
-    let schema = Schema::synthetic_100b();
-    let clock = SimClock::new();
-    let device = |profile| SimDevice::in_memory(profile, clock.clone());
-    let heap = Arc::new(TableHeap::new(
-        device(DeviceProfile::hdd_barracuda()),
-        HeapConfig::default(),
-    ));
-    let engine = MasmEngine::new(
-        heap,
-        device(DeviceProfile::ssd_x25e()),
-        device(DeviceProfile::ssd_x25e()),
-        schema.clone(),
-        cfg,
-    )
-    .unwrap();
-    let session = SessionHandle::fresh(clock.clone());
-    engine
-        .load_table(
-            &session,
-            (0..records).map(|i| Record::new(i * 2, schema.empty_payload())),
-            1.0,
-        )
-        .unwrap();
-    (engine, session, schema)
+/// A table with inline maintenance loaded with `records` rows, and its
+/// model.
+fn loaded(cfg: MasmConfig, records: u64) -> (Table, Model) {
+    let t = Table::new(cfg);
+    let model = t.load(records);
+    (t, model)
 }
 
 /// Update `i` of the benchmark's mix: a third each of inserts (odd
 /// keys), deletes and single-field modifies, spread over the table.
-fn mixed_update(i: u64, records: u64, schema: &Schema) -> (Key, UpdateOp) {
+fn mixed_update(i: u64, records: u64) -> (Key, UpdateOp) {
     let slot = i * 7919 % records;
     match i % 3 {
-        0 => (slot * 2 + 1, UpdateOp::Insert(schema.empty_payload())),
+        0 => (slot * 2 + 1, UpdateOp::Insert(payload(i as u32))),
         1 => (slot * 2, UpdateOp::Delete),
         _ => {
             let value = (i as u32).to_le_bytes().to_vec();
@@ -124,37 +102,32 @@ const UPDATES: u64 = 6_000;
 /// six runs of 1,000, an empty buffer, and — after one scan of
 /// everything, whose record count is returned — every run block in
 /// tier 1 of a cache big enough to keep them all.
-fn hot_engine() -> (Arc<MasmEngine>, SessionHandle, Schema, u64) {
+fn hot_table() -> (Table, Model, u64) {
     let mut cfg = MasmConfig::small_for_tests();
     cfg.block_cache_bytes = 64 << 20;
-    let (engine, session, schema) = loaded_engine(cfg, RECORDS);
+    let (mut t, mut model) = loaded(cfg, RECORDS);
     for i in 0..UPDATES {
-        let (key, op) = mixed_update(i, RECORDS, &schema);
-        engine.apply_update(&session, key, op).unwrap();
+        let (key, op) = mixed_update(i, RECORDS);
+        t.step(&mut model, &Op::Put(key, op));
         if i % 1_000 == 999 {
-            engine.flush_buffer(&session).unwrap();
+            t.flush().unwrap();
         }
     }
-    let stats = engine.stats();
+    let stats = t.stats();
     assert_eq!(stats.buffer.updates, 0, "every update is in a run");
     assert!(stats.runs.count >= 6);
-    let warm = engine.begin_scan(session.clone(), 0, Key::MAX).unwrap();
-    let records = warm.count() as u64;
-    assert!(engine.cache_stats().insertions > 0);
-    (engine, session, schema, records)
+    let records = t.rows(0, Key::MAX).len() as u64;
+    assert!(t.engine().cache_stats().insertions > 0);
+    (t, model, records)
 }
 
 #[test]
 fn hot_scan_allocates_per_record_returned_and_per_update_decoded() {
-    let (engine, session, _, warm) = hot_engine();
+    let (t, _, warm) = hot_table();
+    let engine = t.engine();
     let runs = engine.stats().runs.count;
     let blocks = engine.cache_stats().insertions;
-    let scan_all = || {
-        engine
-            .begin_scan(session.clone(), 0, Key::MAX)
-            .unwrap()
-            .count() as u64
-    };
+    let scan_all = || t.scan(0, Key::MAX).unwrap().count() as u64;
 
     let before = allocations();
     let returned = scan_all();
@@ -178,23 +151,14 @@ fn hot_scan_allocates_per_record_returned_and_per_update_decoded() {
 #[test]
 fn get_allocates_only_what_it_returns() {
     const GETS: u64 = 1_000;
-    let (engine, session, schema, _) = hot_engine();
+    let (t, model, _) = hot_table();
+    let (engine, session) = (t.engine(), &t.session);
     let blocks = engine.cache_stats().insertions;
-    let updated: BTreeMap<Key, Vec<UpdateOp>> =
-        (0..UPDATES).fold(BTreeMap::new(), |mut by_key, i| {
-            let (key, op) = mixed_update(i, RECORDS, &schema);
-            by_key.entry(key).or_default().push(op);
-            by_key
-        });
-    let in_heap_untouched = (0..RECORDS)
-        .map(|i| i * 2)
-        .find(|k| !updated.contains_key(k));
-    let nowhere = (0..RECORDS)
-        .map(|i| i * 2 + 1)
-        .find(|k| !updated.contains_key(k));
-    let modified_once = updated
-        .iter()
-        .find_map(|(&key, ops)| matches!(ops[..], [UpdateOp::Modify(_)]).then_some(key));
+    let untouched = |k: &Key| model.history(*k).is_empty();
+    let in_heap_untouched = (0..RECORDS).map(|i| i * 2).find(untouched);
+    let nowhere = (0..RECORDS).map(|i| i * 2 + 1).find(untouched);
+    let modified_once =
+        (0..2 * RECORDS).find(|&k| matches!(model.history(k), [(_, UpdateOp::Modify(_))]));
     let (in_heap_untouched, nowhere, modified_once) = (
         in_heap_untouched.unwrap(),
         nowhere.unwrap(),
@@ -203,10 +167,10 @@ fn get_allocates_only_what_it_returns() {
 
     // Allocations of `GETS` lookups of `key`, each answering `found`.
     let allocations_of = |key: Key, found: bool| {
-        assert_eq!(engine.get(&session, key).unwrap().is_some(), found);
+        assert_eq!(engine.get(session, key).unwrap().is_some(), found);
         let before = allocations();
         for _ in 0..GETS {
-            let record = engine.get(&session, key).unwrap();
+            let record = engine.get(session, key).unwrap();
             assert_eq!(record.is_some(), found);
         }
         allocations() - before
@@ -221,7 +185,7 @@ fn get_allocates_only_what_it_returns() {
             // From here on the buffer is not empty.
             let value = 77u32.to_le_bytes().to_vec();
             let op = UpdateOp::Modify(vec![FieldPatch { field: 0, value }]);
-            engine.apply_update(&session, modified_once, op).unwrap();
+            engine.apply_update(session, modified_once, op).unwrap();
         }
     }
     // One `Modify` in a run and one in the buffer, seven allocations:
@@ -230,8 +194,8 @@ fn get_allocates_only_what_it_returns() {
     // (2); the buffer's snapshot (1) and its update cloned out of the
     // buffer — patch list and patch value (2).
     assert_eq!(allocations_of(modified_once, true), 7 * GETS);
-    let record = engine.get(&session, modified_once).unwrap().unwrap();
-    assert_eq!(schema.get_u32(&record.payload, 0), 77);
+    let record = engine.get(session, modified_once).unwrap().unwrap();
+    assert_eq!(value(&record), 77);
     assert_eq!(engine.cache_stats().insertions, blocks, "the gets ran hot");
 }
 
@@ -243,22 +207,20 @@ fn ingest_allocates_per_block_and_per_flush_not_per_update() {
     // The benchmark's geometry: 4 KiB blocks, inline maintenance.
     let mut cfg = MasmConfig::small_for_tests();
     cfg.index_granularity = IndexGranularity::Fine;
-    let (engine, session, schema) = loaded_engine(cfg, RECORDS);
+    let (t, _) = loaded(cfg, RECORDS);
 
     // Built (and the payloads allocated) before the count starts: the
     // caller's operation is the one allocation an update owns, and the
     // engine moves it.
-    let updates: Vec<(Key, UpdateOp)> = (0..UPDATES)
-        .map(|i| mixed_update(i, RECORDS, &schema))
-        .collect();
+    let updates: Vec<(Key, UpdateOp)> = (0..UPDATES).map(|i| mixed_update(i, RECORDS)).collect();
 
     let before = allocations();
     for (key, op) in updates {
-        engine.apply_update(&session, key, op).unwrap();
+        t.put(key, op).unwrap();
     }
     let allocations = allocations() - before;
 
-    let stats = engine.stats();
+    let stats = t.stats();
     let flushes = stats.runs.count;
     assert!(flushes >= 5, "{flushes} inline flushes");
     assert!(
@@ -314,18 +276,19 @@ fn migration_allocates_per_update_not_per_record() {
     // The same updates — all to keys of the small table's range — into
     // a table of `records`: allocations of the migration, and chunks.
     let migrate = |records: u64| {
-        let (engine, session, schema) = loaded_engine(MasmConfig::small_for_tests(), records);
+        let (t, _) = loaded(MasmConfig::small_for_tests(), records);
         for i in 0..UPDATES {
-            let (key, op) = mixed_update(i, SMALL, &schema);
-            engine.apply_update(&session, key, op).unwrap();
+            let (key, op) = mixed_update(i, SMALL);
+            t.put(key, op).unwrap();
         }
-        engine.flush_buffer(&session).unwrap();
-        let pages = engine.heap().num_pages() as u64;
+        t.flush().unwrap();
+        let heap = t.engine().heap();
+        let pages = heap.num_pages() as u64;
         let before = allocations();
-        let report = engine.migrate(&session).unwrap();
+        let report = t.engine().migrate(&t.session).unwrap();
         let allocations = allocations() - before;
         assert_eq!(report.updates_applied, UPDATES);
-        assert_eq!(engine.heap().record_count(), records);
+        assert_eq!(heap.record_count(), records);
         (allocations, pages.div_ceil(1024))
     };
     let (small, small_chunks) = migrate(SMALL);
@@ -358,10 +321,9 @@ fn a_cold_block_costs_three_allocations_not_one_per_entry() {
     const PER_BLOCK: u64 = 4;
     const PER_SCAN: u64 = 32;
 
-    let schema = Schema::synthetic_100b();
     let mut updates: Vec<UpdateRecord> = (0..UPDATES)
         .map(|i| {
-            let (key, op) = mixed_update(i, UPDATES, &schema);
+            let (key, op) = mixed_update(i, UPDATES);
             // Keys that are multiples of four: the others are absent.
             UpdateRecord::new(i + 1, key * 4, op)
         })
@@ -381,9 +343,7 @@ fn a_cold_block_costs_three_allocations_not_one_per_entry() {
     for granularity in [IndexGranularity::Fine, IndexGranularity::Coarse] {
         let mut cfg = MasmConfig::small_for_tests();
         cfg.index_granularity = granularity;
-        let clock = SimClock::new();
-        let ssd = SimDevice::in_memory(DeviceProfile::ssd_x25e(), clock.clone());
-        let session = SessionHandle::fresh(clock);
+        let (ssd, session) = flash();
         let run = Arc::new(write_run(&session, &ssd, &cfg, 1, 0, 1, &updates).unwrap());
         let blocks = run.meta.zones.len() as u64;
         let per_block = UPDATES / blocks;

@@ -9,46 +9,15 @@ use masm_blockrun::{BloomFilter, Entry, RunBuilder};
 use masm_core::config::{CodecChoice, MasmConfig};
 use masm_core::run::{lookup_in_run, write_built, write_run, RunScan, SortedRun};
 use masm_core::update::{FieldPatch, UpdateOp, UpdateRecord};
-use masm_core::{MasmEngine, MasmError};
-use masm_pagestore::{HeapConfig, Record, Schema, TableHeap};
-use masm_storage::{DeviceProfile, SessionHandle, SimClock, SimDevice};
+use masm_core::MasmError;
+use masm_model::{flash, payload, Table};
+use masm_pagestore::Key;
 
-fn schema() -> Schema {
-    Schema::synthetic_100b()
-}
-
-fn payload(v: u32) -> Vec<u8> {
-    let s = schema();
-    let mut p = s.empty_payload();
-    s.set_u32(&mut p, 0, v);
-    p
-}
-
-struct Fixture {
-    engine: Arc<MasmEngine>,
-    session: SessionHandle,
-}
-
-fn fixture(n_records: u64) -> Fixture {
-    fixture_with(n_records, MasmConfig::small_for_tests())
-}
-
-fn fixture_with(n_records: u64, cfg: MasmConfig) -> Fixture {
-    let clock = SimClock::new();
-    let disk = SimDevice::in_memory(DeviceProfile::hdd_barracuda(), clock.clone());
-    let ssd = SimDevice::in_memory(DeviceProfile::ssd_x25e(), clock.clone());
-    let wal = SimDevice::in_memory(DeviceProfile::ssd_x25e(), clock.clone());
-    let heap = Arc::new(TableHeap::new(disk, HeapConfig::default()));
-    let engine = MasmEngine::new(heap, ssd, wal, schema(), cfg).unwrap();
-    let session = SessionHandle::fresh(clock);
-    engine
-        .load_table(
-            &session,
-            (0..n_records).map(|i| Record::new(i * 2, payload(i as u32))),
-            1.0,
-        )
-        .unwrap();
-    Fixture { engine, session }
+/// A standalone table of `rows` rows.
+fn table(cfg: MasmConfig, rows: u64) -> Table {
+    let t = Table::new(cfg);
+    t.load(rows);
+    t
 }
 
 /// §4.1-style synthetic update stream over a 100-byte-record table
@@ -92,18 +61,18 @@ fn synthetic_updates(n: u64) -> Vec<UpdateRecord> {
 /// the first run write counts as a sequential continuation.)
 #[test]
 fn block_run_writes_and_migration_issue_zero_random_ssd_writes() {
-    let f = fixture(500);
-    f.engine.ssd().reset_stats();
+    let t = table(MasmConfig::small_for_tests(), 500);
+    let ssd = &t.dev.ssds[0];
+    ssd.reset_stats();
     for i in 0..4000u64 {
-        f.engine
-            .apply_update(&f.session, i * 2 + 1, UpdateOp::Insert(payload(i as u32)))
+        t.put(i * 2 + 1, UpdateOp::Insert(payload(i as u32)))
             .unwrap();
     }
-    assert!(f.engine.run_count() > 1, "several runs materialized");
-    let report = f.engine.migrate(&f.session).unwrap();
+    assert!(t.engine().run_count() > 1, "several runs materialized");
+    let report = t.migrate().unwrap()[0];
     assert!(report.runs_migrated > 1);
 
-    let stats = f.engine.ssd().stats();
+    let stats = ssd.stats();
     assert!(stats.write_ops > 10, "{stats:?}");
     assert_eq!(stats.random_writes, 0, "{stats:?}");
 }
@@ -112,9 +81,7 @@ fn block_run_writes_and_migration_issue_zero_random_ssd_writes() {
 /// error — never as silently wrong update records.
 #[test]
 fn corrupted_block_read_fails_with_checksum_error() {
-    let clock = SimClock::new();
-    let ssd = SimDevice::in_memory(DeviceProfile::ssd_x25e(), clock.clone());
-    let session = SessionHandle::fresh(clock);
+    let (ssd, session) = flash();
     let cfg = MasmConfig::small_for_tests();
     let updates: Vec<UpdateRecord> = (0..2000u64)
         .map(|i| UpdateRecord::new(i + 1, i * 2, UpdateOp::Replace(payload(i as u32))))
@@ -155,9 +122,7 @@ fn corrupted_block_read_fails_with_checksum_error() {
 /// keys still answer.
 #[test]
 fn undecodable_run_entry_is_a_typed_error_on_the_point_path() {
-    let clock = SimClock::new();
-    let ssd = SimDevice::in_memory(DeviceProfile::ssd_x25e(), clock.clone());
-    let session = SessionHandle::fresh(clock);
+    let (ssd, session) = flash();
     let cfg = MasmConfig::small_for_tests();
 
     let good = UpdateRecord::new(1, 10, UpdateOp::Replace(payload(7)));
@@ -189,9 +154,7 @@ fn undecodable_run_entry_is_a_typed_error_on_the_point_path() {
 fn lz_codec_shrinks_synthetic_runs_at_least_20_percent() {
     let updates = synthetic_updates(20_000);
     let build = |codec: CodecChoice| {
-        let clock = SimClock::new();
-        let ssd = SimDevice::in_memory(DeviceProfile::ssd_x25e(), clock.clone());
-        let session = SessionHandle::fresh(clock);
+        let (ssd, session) = flash();
         let mut cfg = MasmConfig::small_for_tests();
         cfg.codec = codec;
         let run = write_run(&session, &ssd, &cfg, 1, 0, 1, &updates).unwrap();
@@ -231,80 +194,60 @@ fn lz_codec_shrinks_synthetic_runs_at_least_20_percent() {
 fn adaptive_codec_disjoint_compaction_stays_zero_decode_and_sequential() {
     let mut cfg = MasmConfig::small_for_tests();
     cfg.codec = CodecChoice::Adaptive;
-    let f = fixture_with(100, cfg);
+    let t = table(cfg, 100);
     for band in 0..4u64 {
         for i in 0..400u64 {
-            f.engine
-                .apply_update(
-                    &f.session,
-                    band * 100_000 + i * 2 + 1,
-                    UpdateOp::Insert(payload((band * 1000 + i) as u32)),
-                )
-                .unwrap();
+            let op = UpdateOp::Insert(payload((band * 1000 + i) as u32));
+            t.put(band * 100_000 + i * 2 + 1, op).unwrap();
         }
-        f.engine.flush_buffer(&f.session).unwrap();
+        t.flush().unwrap();
     }
-    assert!(f.engine.run_count() >= 4);
-    let comp_before = f.engine.compression_stats();
+    assert!(t.engine().run_count() >= 4);
+    let comp_before = t.engine().compression_stats();
     assert!(
         comp_before.stored_bytes < comp_before.raw_bytes,
         "adaptive saves on compressible inserts: {comp_before:?}"
     );
-    let expect: Vec<u64> = f
-        .engine
-        .begin_scan(f.session.clone(), 0, u64::MAX)
-        .unwrap()
-        .map(|r| r.key)
-        .collect();
+    let expect = t.rows(0, Key::MAX);
 
-    let before = f.engine.ssd().stats();
-    let report = f.engine.compact_runs(&f.session).unwrap();
-    let delta = f.engine.ssd().stats().delta(&before);
+    let before = t.dev.ssds[0].stats();
+    let report = t.compact().unwrap()[0];
+    let delta = t.dev.ssds[0].stats().delta(&before);
     assert_eq!(report.bytes_decoded, 0, "zero-decode: {report:?}");
     assert_eq!(report.blocks_merged, 0);
     assert!(report.blocks_moved > 0);
     assert_eq!(delta.random_writes, 0, "{delta:?}");
-    assert_eq!(f.engine.run_count(), 1);
-    let got: Vec<u64> = f
-        .engine
-        .begin_scan(f.session.clone(), 0, u64::MAX)
-        .unwrap()
-        .map(|r| r.key)
-        .collect();
-    assert_eq!(expect, got, "results unchanged after mixed-codec move");
+    assert_eq!(t.engine().run_count(), 1);
+    assert!(
+        expect == t.rows(0, Key::MAX),
+        "results unchanged after mixed-codec move"
+    );
 }
 
 /// Reading the same key ranges twice: the second pass is served entirely
 /// from the block cache — zero SSD reads — and the counters show it.
 #[test]
 fn warm_cache_scans_issue_zero_ssd_reads() {
-    let f = fixture(300);
+    let t = table(MasmConfig::small_for_tests(), 300);
     for i in 0..3000u64 {
-        f.engine
-            .apply_update(&f.session, i * 2 + 1, UpdateOp::Insert(payload(1)))
-            .unwrap();
+        t.put(i * 2 + 1, UpdateOp::Insert(payload(1))).unwrap();
     }
-    assert!(f.engine.run_count() > 0);
+    assert!(t.engine().run_count() > 0);
 
-    let scan_all = || {
-        f.engine
-            .begin_scan(f.session.clone(), 0, u64::MAX)
-            .unwrap()
-            .count()
-    };
-    let cold_n = scan_all();
-    let cold = f.engine.ssd().stats();
+    let ssd = &t.dev.ssds[0];
+    let cold_n = t.rows(0, Key::MAX).len();
+    let cold = ssd.stats();
     assert!(cold.read_ops > 0, "cold scan read the SSD");
 
-    let warm_n = scan_all();
-    let warm = f.engine.ssd().stats();
+    let warm_n = t.rows(0, Key::MAX).len();
+    let warm = ssd.stats();
     assert_eq!(cold_n, warm_n);
     assert_eq!(
         warm.read_ops, cold.read_ops,
         "warm scan issued SSD reads: {warm:?}"
     );
 
-    let cache = f.engine.cache_stats();
+    let cache = t.engine().cache_stats();
     assert!(cache.hits > 0, "{cache:?}");
     assert!(cache.hit_rate() > 0.0);
 }

@@ -17,10 +17,12 @@ use masm_core::config::{CodecChoice, IndexGranularity, MasmConfig};
 use masm_core::merge::{compact_block_runs, fold_duplicates};
 use masm_core::run::{write_built, write_run, RunScan, SortedRun};
 use masm_core::update::{UpdateOp, UpdateRecord};
+use masm_model::flash;
 use masm_pagestore::{Field, FieldType, Schema};
-use masm_storage::{DeviceProfile, SessionHandle, SimClock, SimDevice};
+use masm_storage::{SessionHandle, SimDevice};
 
-fn schema() -> Schema {
+/// The inputs' schema: their replaces carry one `u32`.
+fn u32_schema() -> Schema {
     Schema::new(vec![Field::new("v", FieldType::U32)])
 }
 
@@ -45,10 +47,7 @@ struct Built {
 /// key band so no two runs overlap; otherwise all runs share the same
 /// key space (same key in several runs, unique timestamps).
 fn build_runs(run_keys: &[std::collections::BTreeSet<u64>], disjoint: bool) -> Built {
-    let clock = SimClock::new();
-    let ssd = SimDevice::in_memory(DeviceProfile::ssd_x25e(), clock.clone());
-    ssd.prime_head_position(0);
-    let session = SessionHandle::fresh(clock);
+    let (ssd, session) = flash();
     let mut ts = 1u64;
     let mut all: Vec<UpdateRecord> = Vec::new();
     let mut runs = Vec::new();
@@ -94,7 +93,7 @@ fn compact_and_scan(
         &b.session,
         &b.ssd,
         &test_cfg(),
-        &schema(),
+        &u32_schema(),
         &b.runs,
         fold.then_some(&guard as &dyn Fn(u64, u64) -> bool),
     )
@@ -245,7 +244,7 @@ proptest! {
     ) {
         let b = build_runs(&run_keys, false);
         let (_, got, _) = compact_and_scan(&b, true);
-        let want = fold_duplicates(b.all.clone(), &schema(), |_, _| true);
+        let want = fold_duplicates(b.all.clone(), &u32_schema(), |_, _| true);
         prop_assert_eq!(got, want);
     }
 }

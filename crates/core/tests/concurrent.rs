@@ -2,15 +2,13 @@
 //! background flush/compaction, bounded streaming-merge memory,
 //! parallel move-segment execution, and worker fault recovery.
 //!
-//! The stress test is the serial-oracle check the concurrency work is
-//! judged by: N ingest lanes and M scanners run against a live worker
-//! pool, every scan must observe a consistent snapshot (per-key values
-//! never go backwards under monotonically increasing writes), the final
-//! state must equal the serial model exactly, the SSD must finish with
+//! The stress test is the check the concurrency work is judged by: N
+//! ingest lanes and M scanners run against a live worker pool, every
+//! scan must return the reference model as of its timestamp, the final
+//! state must be the model, the SSD must finish with
 //! `random_writes == 0` (design goal 2), and shutdown must join every
 //! worker with the queue drained.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::thread;
 
@@ -18,66 +16,17 @@ use masm_core::config::{IndexGranularity, MasmConfig};
 use masm_core::merge::compact_block_runs;
 use masm_core::run::{write_run, SortedRun};
 use masm_core::update::{UpdateOp, UpdateRecord};
-use masm_core::{MasmEngine, MasmError, MasmResult};
-use masm_pagestore::{HeapConfig, Record, Schema, TableHeap};
-use masm_storage::{DeviceProfile, SessionHandle, SimClock, SimDevice};
+use masm_core::{MasmError, MasmResult};
+use masm_model::{assert_rows, flash, payload, schema, Model, Op, Spec, Table};
+use masm_pagestore::Key;
+use masm_storage::{SessionHandle, SimDevice};
 use masm_telemetry::{RecordKind, TraceConfig, Tracer};
-
-fn schema() -> Schema {
-    Schema::synthetic_100b()
-}
-
-fn payload(v: u32) -> Vec<u8> {
-    let s = schema();
-    let mut p = s.empty_payload();
-    s.set_u32(&mut p, 0, v);
-    p
-}
-
-struct Fixture {
-    engine: Arc<MasmEngine>,
-    session: SessionHandle,
-    clock: SimClock,
-    ssd: SimDevice,
-    disk: SimDevice,
-}
-
-fn fixture(cfg: MasmConfig, n_records: u64) -> Fixture {
-    fixture_on(HeapConfig::default(), cfg, n_records)
-}
-
-fn fixture_on(heap_cfg: HeapConfig, cfg: MasmConfig, n_records: u64) -> Fixture {
-    let clock = SimClock::new();
-    let disk = SimDevice::in_memory(DeviceProfile::hdd_barracuda(), clock.clone());
-    let ssd = SimDevice::in_memory(DeviceProfile::ssd_x25e(), clock.clone());
-    let wal_dev = SimDevice::in_memory(DeviceProfile::ssd_x25e(), clock.clone());
-    let heap = Arc::new(TableHeap::new(disk.clone(), heap_cfg));
-    let engine = MasmEngine::new(heap, ssd.clone(), wal_dev, schema(), cfg).unwrap();
-    let session = SessionHandle::fresh(clock.clone());
-    if n_records > 0 {
-        engine
-            .load_table(
-                &session,
-                (0..n_records).map(|i| Record::new(i * 2, payload(i as u32))),
-                1.0,
-            )
-            .unwrap();
-    }
-    Fixture {
-        engine,
-        session,
-        clock,
-        ssd,
-        disk,
-    }
-}
 
 /// N ingest lanes write monotonically increasing values to their own
 /// key sets while M scanners read full snapshots and background
-/// workers flush and compact. Every scan must be snapshot-consistent
-/// (values never decrease across a scanner's successive, later-ts
-/// scans), and after joining everything the state must equal the
-/// serial model exactly.
+/// workers flush and compact. Every scan must be the model as of its
+/// timestamp, and after joining everything the state must be the
+/// model.
 ///
 /// The round also flight-records itself and checks the trace's causal
 /// chain. One assert is scheduling-dependent: an ingest lane only
@@ -113,8 +62,8 @@ fn stress_round() -> usize {
     // enqueue leaves the backlog over the limit, so ingest lanes
     // throttle whenever the worker has not already drained it.
     cfg.worker_backlog_bytes = 16 * 1024;
-    let f = fixture(cfg, 100);
-    let s = schema();
+    let t = Table::new(cfg);
+    let mut model = t.load(100);
 
     // Flight-record the whole run: the causal chain asserts at the end
     // need every ingest→flush link, so the rings are sized generously.
@@ -122,74 +71,62 @@ fn stress_round() -> usize {
         ring_capacity: 1 << 15,
         ..TraceConfig::default()
     }));
-    f.engine.install_tracer(Arc::clone(&tracer));
+    t.engine().install_tracer(Arc::clone(&tracer));
 
-    let mut ingesters = Vec::new();
-    for lane in 0..LANES {
-        let engine = Arc::clone(&f.engine);
-        let clock = f.clock.clone();
-        ingesters.push(thread::spawn(move || {
-            let session = SessionHandle::fresh(clock);
-            for j in 0..PER_LANE {
-                let key = BASE + lane * 1000 + (j % KEYS_PER_LANE) as u64;
-                engine
-                    .apply_update(&session, key, UpdateOp::Replace(payload(j)))
-                    .unwrap();
-            }
-        }));
-    }
-
-    let mut scanners = Vec::new();
-    for _ in 0..SCANNERS {
-        let engine = Arc::clone(&f.engine);
-        let clock = f.clock.clone();
-        let s = s.clone();
-        scanners.push(thread::spawn(move || {
-            let session = SessionHandle::fresh(clock);
-            let mut last: HashMap<u64, u32> = HashMap::new();
-            for _ in 0..SCANS {
-                let scan = engine.begin_scan(session.clone(), BASE, u64::MAX).unwrap();
-                for r in scan {
-                    let v = s.get_u32(&r.payload, 0);
-                    let prev = last.insert(r.key, v).unwrap_or(0);
-                    assert!(
-                        v >= prev,
-                        "key {} went backwards: {} -> {} (non-snapshot read)",
-                        r.key,
-                        prev,
-                        v
-                    );
-                }
-            }
-        }));
-    }
-
-    for t in ingesters {
-        t.join().unwrap();
-    }
-    for t in scanners {
-        t.join().unwrap();
-    }
+    let (puts, scans) = thread::scope(|scope| {
+        let ingesters: Vec<_> = (0..LANES)
+            .map(|lane| {
+                let t = &t;
+                scope.spawn(move || {
+                    let session = t.dev.session();
+                    let puts = (0..PER_LANE).map(|j| {
+                        let key = BASE + lane * 1000 + (j % KEYS_PER_LANE) as u64;
+                        let op = UpdateOp::Replace(payload(j));
+                        (t.put_on(&session, key, op.clone()).unwrap(), key, op)
+                    });
+                    puts.collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        let scanners: Vec<_> = (0..SCANNERS)
+            .map(|_| {
+                scope.spawn(|| {
+                    let session = t.dev.session();
+                    let scans = (0..SCANS).map(|_| {
+                        let scan = t.scan_at(&session, BASE, u64::MAX, None).unwrap();
+                        (scan.timestamp(), scan.collect::<Vec<_>>())
+                    });
+                    scans.collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        let puts: Vec<_> = ingesters
+            .into_iter()
+            .flat_map(|l| l.join().unwrap())
+            .collect();
+        let scans: Vec<_> = scanners
+            .into_iter()
+            .flat_map(|l| l.join().unwrap())
+            .collect();
+        (puts, scans)
+    });
     // Drain and join the pool; all sealed batches are flushed or still
     // query-visible, either way the final scan sees everything.
-    f.engine.shutdown();
-
-    // Serial model: last write per key.
-    let mut model: HashMap<u64, u32> = HashMap::new();
-    for lane in 0..LANES {
-        for j in 0..PER_LANE {
-            model.insert(BASE + lane * 1000 + (j % KEYS_PER_LANE) as u64, j);
-        }
+    t.shutdown();
+    for (ts, key, op) in puts {
+        model.apply(ts, key, op);
     }
-    let got: HashMap<u64, u32> = f
-        .engine
-        .begin_scan(f.session.clone(), BASE, u64::MAX)
-        .unwrap()
-        .map(|r| (r.key, s.get_u32(&r.payload, 0)))
-        .collect();
-    assert_eq!(got, model, "final state diverged from the serial oracle");
+    for (ts, rows) in &scans {
+        let want = model.scan(BASE, u64::MAX, *ts);
+        assert_rows(
+            rows,
+            &want,
+            format_args!("a scan at {ts} (non-snapshot read)"),
+        );
+    }
+    t.check(&model);
 
-    let stats = f.engine.stats();
+    let stats = t.stats();
     assert_eq!(stats.ssd.random_writes, 0, "design goal 2 violated");
     assert!(stats.workers.jobs_completed > 0, "no background job ran");
     assert!(stats.workers.flushes > 0, "no background flush ran");
@@ -254,24 +191,9 @@ fn stress_round() -> usize {
     stalls
 }
 
-fn run_device() -> (SimDevice, SessionHandle) {
-    let clock = SimClock::new();
-    let ssd = SimDevice::in_memory(DeviceProfile::ssd_x25e(), clock.clone());
-    ssd.prime_head_position(0);
-    (ssd, SessionHandle::fresh(clock))
-}
-
-fn replace(ts: u64, key: u64) -> UpdateRecord {
-    UpdateRecord::new(
-        ts,
-        key,
-        UpdateOp::Replace((ts as u32).to_le_bytes().to_vec()),
-    )
-}
-
-/// Build `n_runs` runs of `per_run` entries each. `stride` 1 packs the
-/// runs into disjoint key bands; `stride > 1` interleaves every run
-/// over the same band so compaction must merge-decode everything.
+/// Build `n_runs` runs of `per_run` entries each on `ssd`. Without
+/// `interleave` the runs pack into disjoint key bands; with it every
+/// run spans the same band, so compaction must merge-decode everything.
 fn build_runs(
     cfg: &MasmConfig,
     ssd: &SimDevice,
@@ -291,7 +213,7 @@ fn build_runs(
                 } else {
                     r * per_run * 2 + j
                 };
-                let u = replace(ts, key);
+                let u = UpdateRecord::new(ts, key, UpdateOp::Replace(payload(ts as u32)));
                 ts += 1;
                 u
             })
@@ -317,7 +239,7 @@ fn merge_test_cfg() -> MasmConfig {
 #[test]
 fn streaming_merge_bounds_peak_entries() {
     let cfg = merge_test_cfg();
-    let (ssd, session) = run_device();
+    let (ssd, session) = flash();
     let runs = build_runs(&cfg, &ssd, &session, 4, 300, true);
     let (_, _, report) = compact_block_runs(&session, &ssd, &cfg, &schema(), &runs, None).unwrap();
     assert_eq!(report.entries_out, 1200);
@@ -337,13 +259,11 @@ fn streaming_merge_bounds_peak_entries() {
 
 /// Disjoint inputs compile to pure Move segments; their chunk reads
 /// must be issued ahead asynchronously, which the device observes as
-/// queue depth > 1. With `device_queue_depth = 1` the same plan must
-/// stay strictly serial.
+/// queue depth > 1.
 #[test]
 fn parallel_move_segments_raise_device_queue_depth() {
-    let mut cfg = merge_test_cfg();
-    cfg.device_queue_depth = 4;
-    let (ssd, session) = run_device();
+    let cfg = merge_test_cfg();
+    let (ssd, session) = flash();
     let runs = build_runs(&cfg, &ssd, &session, 6, 200, false);
     let (_, _, report) = compact_block_runs(&session, &ssd, &cfg, &schema(), &runs, None).unwrap();
     assert_eq!(report.bytes_decoded, 0, "disjoint inputs must all move");
@@ -351,17 +271,6 @@ fn parallel_move_segments_raise_device_queue_depth() {
         ssd.stats().max_queue_depth >= 3,
         "expected overlapped move reads, max depth {}",
         ssd.stats().max_queue_depth
-    );
-
-    let mut serial_cfg = cfg.clone();
-    serial_cfg.device_queue_depth = 1;
-    let (ssd1, session1) = run_device();
-    let runs1 = build_runs(&serial_cfg, &ssd1, &session1, 6, 200, false);
-    compact_block_runs(&session1, &ssd1, &serial_cfg, &schema(), &runs1, None).unwrap();
-    assert_eq!(
-        ssd1.stats().max_queue_depth,
-        1,
-        "queue depth 1 must stay strictly serial"
     );
 }
 
@@ -374,42 +283,37 @@ fn parallel_move_segments_raise_device_queue_depth() {
 fn background_flush_fault_abandons_then_recovers() {
     let mut cfg = MasmConfig::small_for_tests();
     cfg.background_workers = 1;
-    let f = fixture(cfg, 0);
-    let s = schema();
+    let mut t = Table::new(cfg);
+    let mut model = Model::default();
 
-    f.ssd.inject_write_fault();
+    t.dev.ssds[0].inject_write_fault();
     // Enough updates to seal the buffer at least once, even after the
     // MaSM-M page-steal branch doubles its capacity (64 KiB base + up
     // to 16 stolen 4 KiB query pages ≈ 128 KiB; ~120 B per update).
     for j in 0..1500u32 {
-        let key = (j % 64) as u64;
-        f.engine
-            .apply_update(&f.session, key, UpdateOp::Replace(payload(j)))
-            .unwrap();
+        let op = UpdateOp::Replace(payload(j));
+        t.step(&mut model, &Op::Put((j % 64) as u64, op));
     }
     // Drain the queue: the flush job burns its retries and abandons.
-    f.engine.shutdown();
+    t.shutdown();
 
-    let stats = f.engine.stats();
+    let stats = t.stats();
     assert!(stats.workers.jobs_failed >= 1, "flush must be abandoned");
     assert_eq!(stats.workers.flushes, 0, "no run can materialize");
     assert_eq!(stats.runs.count, 0);
 
     // Reads keep serving out of the (restored) buffer.
     for key in 0..64u64 {
-        let rec = f.engine.get(&f.session, key).unwrap().expect("key present");
-        // Last j in 0..1500 with j % 64 == key.
-        let k = key as u32;
-        let want = k + 64 * ((1499 - k) / 64);
-        assert_eq!(s.get_u32(&rec.payload, 0), want);
+        t.step(&mut model, &Op::Get(key));
     }
 
     // Fault cleared: the inline flush path materializes the run.
-    f.ssd.clear_write_fault();
-    f.engine.flush_buffer(&f.session).unwrap();
-    let stats = f.engine.stats();
+    t.dev.ssds[0].clear_write_fault();
+    t.flush().unwrap();
+    let stats = t.stats();
     assert!(stats.runs.count >= 1, "flush after recovery must succeed");
     assert_eq!(stats.ssd.random_writes, 0);
+    t.check(&model);
 }
 
 /// Run `f` on a thread of its own and fail if it is still running a
@@ -442,17 +346,18 @@ fn get_of_an_untouched_record_during_growing_migrations() {
     const INSERTS: u64 = 400;
     const UNTOUCHED: u64 = (RECORDS - 500) * 2;
 
-    let f = fixture(MasmConfig::small_for_tests(), RECORDS);
+    let t = Table::new(MasmConfig::small_for_tests());
+    t.load(RECORDS);
     let (gets, missing) = within_a_minute(move || {
         let migrating = std::sync::atomic::AtomicBool::new(true);
         let start = std::sync::Barrier::new(2);
         thread::scope(|scope| {
             let reader = scope.spawn(|| {
-                let session = SessionHandle::fresh(f.clock.clone());
+                let session = t.dev.session();
                 let (mut gets, mut missing) = (0u64, 0u64);
                 start.wait();
                 while migrating.load(std::sync::atomic::Ordering::SeqCst) {
-                    let found = f.engine.get(&session, UNTOUCHED).unwrap();
+                    let found = t.get_on(&session, UNTOUCHED).unwrap();
                     gets += 1;
                     missing += found.is_none() as u64;
                 }
@@ -462,10 +367,9 @@ fn get_of_an_untouched_record_during_growing_migrations() {
             for round in 0..ROUNDS {
                 for i in 0..INSERTS {
                     let key = (round * INSERTS + i) * 2 + 1;
-                    let op = UpdateOp::Insert(payload(key as u32));
-                    f.engine.apply_update(&f.session, key, op).unwrap();
+                    t.put(key, UpdateOp::Insert(payload(key as u32))).unwrap();
                 }
-                f.engine.migrate(&f.session).unwrap();
+                t.migrate().unwrap();
             }
             migrating.store(false, std::sync::atomic::Ordering::SeqCst);
             reader.join().unwrap()
@@ -475,46 +379,53 @@ fn get_of_an_untouched_record_during_growing_migrations() {
     assert_eq!(missing, 0, "of {gets} gets of a record that is there");
 }
 
+/// Two [`overlapping_runs`] and a part-filled buffer over the same 64
+/// keys, so every job has work to do; and the model.
+fn two_runs_and_a_buffer(t: &mut Table) -> Model {
+    let mut model = overlapping_runs(t, 2);
+    for j in 0..64u32 {
+        let op = UpdateOp::Replace(payload(3000 + j));
+        t.step(&mut model, &Op::Put(j as u64 * 2, op));
+    }
+    model
+}
+
+/// Every read the fault tests hold to the model: a scan of everything,
+/// and lookups of updated, untouched and absent keys.
+fn reads(t: &Table, model: &Model, when: &str) {
+    t.check(model);
+    for key in [0u64, 2, 40, 126, 128, 398, 399] {
+        let got = t
+            .get(key)
+            .unwrap_or_else(|e| panic!("get({key}) {when}: {e}"));
+        assert_eq!(got, model.get(key), "get({key}) {when}");
+    }
+}
+
 /// A migration failing mid-rewrite (heap write fault) must not wedge
 /// the engine: the `migrating` claim is released on the error path,
 /// scans keep serving the cached updates, and a retry after the fault
 /// clears completes the migration.
 #[test]
 fn migration_fault_does_not_wedge() {
-    let cfg = MasmConfig::small_for_tests();
-    let f = fixture(cfg, 200);
-    let s = schema();
+    let mut t = Table::new(MasmConfig::small_for_tests());
+    let model = two_runs_and_a_buffer(&mut t);
+    t.flush().unwrap();
 
-    for j in 0..300u32 {
-        let key = (j % 32) as u64 * 2; // existing heap keys
-        f.engine
-            .apply_update(&f.session, key, UpdateOp::Replace(payload(1000 + j)))
-            .unwrap();
-    }
-    f.engine.flush_buffer(&f.session).unwrap();
-
-    f.disk.inject_write_fault();
+    t.dev.disk.inject_write_fault();
     assert!(
-        f.engine.migrate(&f.session).is_err(),
+        t.migrate().is_err(),
         "migration must surface the device fault"
     );
-
     // Reads keep serving: heap reads are unaffected and the cached
     // updates are still merged in.
-    let rec = f.engine.get(&f.session, 0).unwrap().expect("key 0");
-    assert_eq!(s.get_u32(&rec.payload, 0), 1288); // last j with j % 32 == 0
+    reads(&t, &model, "under the fault");
 
     // The claim was released: the retry completes.
-    f.disk.clear_write_fault();
-    f.engine.migrate(&f.session).unwrap();
-    let stats = f.engine.stats();
-    assert_eq!(stats.runs.count, 0, "migration must consume all runs");
-    let rec = f.engine.get(&f.session, 0).unwrap().expect("key 0");
-    assert_eq!(
-        s.get_u32(&rec.payload, 0),
-        1288,
-        "value must survive migration"
-    );
+    t.dev.disk.clear_write_fault();
+    t.migrate().unwrap();
+    assert_eq!(t.stats().runs.count, 0, "migration must consume all runs");
+    reads(&t, &model, "after the migration");
 }
 
 /// Every maintenance job releases its claim on its error path: a
@@ -524,24 +435,23 @@ fn migration_fault_does_not_wedge() {
 /// batch that nothing retries.
 #[test]
 fn every_job_releases_its_claim_on_a_write_fault_and_succeeds_on_retry() {
-    type Call = fn(&Fixture) -> MasmResult<()>;
+    type Call = fn(&Table) -> MasmResult<()>;
     /// Re-apply values the keys already have until the buffer fills
     /// and `apply_update` flushes it inline.
-    fn ingest_until_flush(f: &Fixture) -> MasmResult<()> {
-        let runs = f.engine.run_count();
+    fn ingest_until_flush(t: &Table) -> MasmResult<()> {
+        let runs = t.engine().run_count();
         for j in (0..64u32).cycle() {
-            let op = UpdateOp::Replace(payload(3000 + j));
-            f.engine.apply_update(&f.session, j as u64 * 2, op)?;
-            if f.engine.run_count() > runs {
+            t.put(j as u64 * 2, UpdateOp::Replace(payload(3000 + j)))?;
+            if t.engine().run_count() > runs {
                 break;
             }
         }
         Ok(())
     }
-    let flush: Call = |f| f.engine.flush_buffer(&f.session);
-    let compact: Call = |f| f.engine.compact_runs(&f.session).map(drop);
-    let migrate: Call = |f| f.engine.migrate(&f.session).map(drop);
-    let migrate_range: Call = |f| f.engine.migrate_range(&f.session, 0, 40).map(drop);
+    let flush: Call = |t| t.flush();
+    let compact: Call = |t| t.compact().map(drop);
+    let migrate: Call = |t| t.migrate().map(drop);
+    let migrate_range: Call = |t| t.migrate_range(0, 40).map(drop);
     // (call, fault the SSD or else the disk, runs and buffered updates
     // the successful retry leaves)
     let cases = [
@@ -552,72 +462,41 @@ fn every_job_releases_its_claim_on_a_write_fault_and_succeeds_on_retry() {
         ("migrate", migrate, true, 0, Some(0)),
         ("migrate_range", migrate_range, false, 3, Some(0)),
     ];
-    let s = schema();
     for (name, call, fault_ssd, runs_after, buffered_after) in cases {
-        // Two runs and a part-filled buffer: every job has work to do.
-        let f = fixture(MasmConfig::small_for_tests(), 200);
-        for round in 1..=3u32 {
-            for j in 0..64u32 {
-                let op = UpdateOp::Replace(payload(1000 * round + j));
-                f.engine.apply_update(&f.session, j as u64 * 2, op).unwrap();
-            }
-            if round < 3 {
-                f.engine.flush_buffer(&f.session).unwrap();
-            }
-        }
-        let model: HashMap<u64, u32> = (0..200u32)
-            .map(|i| (i as u64 * 2, if i < 64 { 3000 + i } else { i }))
-            .collect();
-        let reads_equal_the_model = |when: &str| {
-            let got: HashMap<u64, u32> = f
-                .engine
-                .begin_scan(f.session.clone(), 0, u64::MAX)
-                .unwrap()
-                .map(|r| (r.key, s.get_u32(&r.payload, 0)))
-                .collect();
-            assert_eq!(got, model, "{name}: scan {when}");
-            for key in [0u64, 2, 40, 126, 128, 398] {
-                let got = f.engine.get(&f.session, key).unwrap();
-                let got = got.map(|r| s.get_u32(&r.payload, 0));
-                assert_eq!(got, model.get(&key).copied(), "{name}: get({key}) {when}");
-            }
+        let mut t = Table::new(MasmConfig::small_for_tests());
+        let model = two_runs_and_a_buffer(&mut t);
+        let device = if fault_ssd {
+            t.dev.ssds[0].clone()
+        } else {
+            t.dev.disk.clone()
         };
-
-        let device = if fault_ssd { &f.ssd } else { &f.disk };
         device.inject_write_fault();
-        assert!(call(&f).is_err(), "{name} must surface the write fault");
-        reads_equal_the_model("under the fault");
+        assert!(call(&t).is_err(), "{name} must surface the write fault");
+        reads(&t, &model, &format!("{name} under the fault"));
 
         device.clear_write_fault();
-        call(&f).unwrap_or_else(|e| panic!("{name} after the fault cleared: {e}"));
-        assert_eq!(f.engine.run_count(), runs_after, "{name}: runs");
+        call(&t).unwrap_or_else(|e| panic!("{name} after the fault cleared: {e}"));
+        assert_eq!(t.engine().run_count(), runs_after, "{name}: runs");
         if let Some(buffered) = buffered_after {
-            assert_eq!(f.engine.buffered_updates(), buffered, "{name}: buffered");
+            assert_eq!(t.engine().buffered_updates(), buffered, "{name}: buffered");
         }
-        reads_equal_the_model("after the retry");
+        reads(&t, &model, &format!("{name} after the retry"));
     }
 }
 
-/// `rounds` runs over the same 64 keys of a 200-record table (so a
+/// `rounds` runs over the same 64 keys of a 200-row table (so a
 /// compaction has overlapping blocks to decode, not only blocks to
-/// move), and what a read of everything must return afterwards.
-fn overlapping_runs(f: &Fixture, rounds: u32) -> HashMap<u64, u32> {
+/// move), and the model of it.
+fn overlapping_runs(t: &mut Table, rounds: u32) -> Model {
+    let mut model = t.load(200);
     for round in 1..=rounds {
         for j in 0..64u32 {
             let op = UpdateOp::Replace(payload(1000 * round + j));
-            f.engine.apply_update(&f.session, j as u64 * 2, op).unwrap();
+            t.step(&mut model, &Op::Put(j as u64 * 2, op));
         }
-        f.engine.flush_buffer(&f.session).unwrap();
+        t.flush().unwrap();
     }
-    (0..200u32)
-        .map(|i| (i as u64 * 2, if i < 64 { 1000 * rounds + i } else { i }))
-        .collect()
-}
-
-fn scan_all(f: &Fixture) -> HashMap<u64, u32> {
-    let s = schema();
-    let scan = f.engine.begin_scan(f.session.clone(), 0, u64::MAX).unwrap();
-    scan.map(|r| (r.key, s.get_u32(&r.payload, 0))).collect()
+    model
 }
 
 /// Migration and compaction read their runs past the block cache, so
@@ -628,42 +507,40 @@ fn scan_all(f: &Fixture) -> HashMap<u64, u32> {
 /// reads again the same calls succeed.
 #[test]
 fn flash_read_fault_during_maintenance_is_an_error_not_a_panic() {
-    let f = fixture(MasmConfig::small_for_tests(), 200);
-    let s = schema();
-    let model = overlapping_runs(&f, 3);
+    let mut t = Table::new(MasmConfig::small_for_tests());
+    let model = overlapping_runs(&mut t, 3);
+    let ssd = t.dev.ssds[0].clone();
 
-    f.ssd.inject_read_fault();
+    ssd.inject_read_fault();
     let faulted = |result: MasmResult<()>, what: &str| match result {
         Err(MasmError::Storage(_)) => {}
         other => panic!("{what} under a flash read fault: {other:?}"),
     };
-    faulted(f.engine.migrate(&f.session).map(drop), "migrate");
-    faulted(f.engine.compact_runs(&f.session).map(drop), "compact_runs");
-    faulted(
-        f.engine.migrate_range(&f.session, 0, 40).map(drop),
-        "migrate_range",
+    faulted(t.migrate().map(drop), "migrate");
+    faulted(t.compact().map(drop), "compact_runs");
+    faulted(t.migrate_range(0, 40).map(drop), "migrate_range");
+    assert_eq!(
+        t.engine().run_count(),
+        3,
+        "nothing was installed or retired"
     );
-    assert_eq!(f.engine.run_count(), 3, "nothing was installed or retired");
     for key in [0u64, 2, 126, 128, 398] {
         // No block of these runs was ever cached: the lookup of a key
         // they may hold has to read one.
-        match f.engine.get(&f.session, key) {
-            Ok(found) => assert_eq!(
-                found.map(|r| s.get_u32(&r.payload, 0)),
-                model.get(&key).copied()
-            ),
+        match t.get(key) {
+            Ok(found) => assert_eq!(found, model.get(key), "get({key})"),
             Err(e) => assert!(matches!(e, MasmError::Storage(_)), "get({key}): {e}"),
         }
     }
 
-    f.ssd.clear_read_fault();
-    let report = f.engine.compact_runs(&f.session).unwrap();
-    assert_eq!((report.inputs, f.engine.run_count()), (3, 1));
-    assert_eq!(scan_all(&f), model, "after the compaction");
-    let report = f.engine.migrate(&f.session).unwrap();
-    assert_eq!((report.updates_applied, f.engine.run_count()), (64, 0));
-    assert_eq!(scan_all(&f), model, "after the migration");
-    assert_eq!(f.ssd.stats().random_writes, 0);
+    ssd.clear_read_fault();
+    let report = t.compact().unwrap()[0];
+    assert_eq!((report.inputs, t.engine().run_count()), (3, 1));
+    t.check(&model);
+    let report = t.migrate().unwrap()[0];
+    assert_eq!((report.updates_applied, t.engine().run_count()), (64, 0));
+    t.check(&model);
+    assert_eq!(ssd.stats().random_writes, 0);
 }
 
 /// A run block that fails its checksum half-way through a migration:
@@ -674,50 +551,51 @@ fn flash_read_fault_during_maintenance_is_an_error_not_a_panic() {
 /// and the retry finishes the job.
 #[test]
 fn a_corrupt_run_block_stops_a_migration_between_chunks() {
-    let heap_cfg = HeapConfig {
-        rewrite_chunk_pages: 2,
-        ..HeapConfig::default()
-    };
-    let f = fixture_on(heap_cfg, MasmConfig::small_for_tests(), 200);
-    assert_eq!(f.engine.heap().num_pages(), 6, "three chunks of two pages");
+    let mut spec = Spec::new(MasmConfig::small_for_tests(), false);
+    spec.heap.rewrite_chunk_pages = 2;
+    let mut t = spec.open();
+    let mut model = t.load(200);
+    assert_eq!(
+        t.engine().heap().num_pages(),
+        6,
+        "three chunks of two pages"
+    );
     for i in 0..200u32 {
         let op = UpdateOp::Replace(payload(5000 + i));
-        f.engine.apply_update(&f.session, i as u64 * 2, op).unwrap();
+        t.step(&mut model, &Op::Put(i as u64 * 2, op));
     }
-    f.engine.flush_buffer(&f.session).unwrap();
-    let model: HashMap<u64, u32> = (0..200u32).map(|i| (i as u64 * 2, 5000 + i)).collect();
+    t.flush().unwrap();
 
     // One run from offset 0, most of it 1 KiB data blocks in key order:
     // its middle byte is in the block with the middle keys.
-    assert_eq!(f.engine.run_count(), 1);
-    let middle = f.ssd.len() / 2;
-    let flip = |f: &Fixture| {
-        let (byte, _) = f.ssd.read_at(f.session.now(), middle, 1).unwrap();
-        f.ssd
-            .write_at(f.session.now(), middle, &[!byte[0]])
-            .unwrap();
+    assert_eq!(t.engine().run_count(), 1);
+    let (ssd, session) = (t.dev.ssds[0].clone(), t.session.clone());
+    let middle = ssd.len() / 2;
+    let flip = || {
+        let byte = session.read(&ssd, middle, 1).unwrap()[0];
+        ssd.write_at(session.now(), middle, &[!byte]).unwrap();
     };
-    flip(&f);
-    match f.engine.migrate(&f.session) {
+    flip();
+    match t.migrate() {
         Err(MasmError::BlockRun(_)) => {}
         other => panic!("a migration over a corrupt block: {other:?}"),
     }
-    let stamp = |key| {
-        let page_ts = f
-            .engine
+    let stamp = |key: Key| {
+        let page_ts = t
+            .engine()
             .heap()
-            .with_page_of(&f.session, key, |p| p.timestamp());
+            .with_page_of(&session, key, |p| p.timestamp());
         page_ts.unwrap().expect("a page")
     };
     assert!(stamp(0) > 0, "the first chunk was committed");
     assert_eq!(stamp(u64::MAX), 0, "the last was not");
-    assert_eq!(f.engine.run_count(), 1, "the run is not retired");
+    assert_eq!(t.engine().run_count(), 1, "the run is not retired");
 
-    flip(&f);
-    assert_eq!(scan_all(&f), model, "after the failed migration");
-    let report = f.engine.migrate(&f.session).unwrap();
-    assert_eq!((report.updates_applied, f.engine.run_count()), (200, 0));
-    assert_eq!(scan_all(&f), model, "after the retry");
+    flip();
+    t.check(&model);
+    let report = t.migrate().unwrap()[0];
+    assert_eq!((report.updates_applied, t.engine().run_count()), (200, 0));
+    t.check(&model);
 }
 
 /// The same fault met by a pool worker: the compaction job fails with
@@ -728,26 +606,25 @@ fn a_corrupt_run_block_stops_a_migration_between_chunks() {
 fn flash_read_fault_in_a_background_job_is_retried_and_the_worker_survives() {
     let mut cfg = MasmConfig::small_for_tests();
     cfg.background_workers = 1;
-    let f = fixture(cfg, 200);
+    let mut t = Table::new(cfg);
     // More runs than query pages: a compaction is due. Nothing asks
     // for it yet — these flushes run on this thread.
     let rounds = MasmConfig::small_for_tests().query_pages() as u32 + 1;
-    let mut model = overlapping_runs(&f, rounds);
-    assert_eq!(f.engine.stats().workers.jobs_completed, 0);
+    let mut model = overlapping_runs(&mut t, rounds);
+    assert_eq!(t.stats().workers.jobs_completed, 0);
 
     // Seal a batch: the worker flushes it (writes only), finds the
     // compaction due and runs it against the failing device.
-    let seal_a_batch = |model: &mut HashMap<u64, u32>, base: u32| {
+    let seal_a_batch = |t: &mut Table, model: &mut Model, base: u32| {
         for j in 0..1500u32 {
-            let (key, value) = ((j % 64) as u64 * 2, base + j);
-            let op = UpdateOp::Replace(payload(value));
-            f.engine.apply_update(&f.session, key, op).unwrap();
-            model.insert(key, value);
+            let op = UpdateOp::Replace(payload(base + j));
+            t.step(model, &Op::Put((j % 64) as u64 * 2, op));
         }
     };
-    f.ssd.inject_read_fault();
-    seal_a_batch(&mut model, 100_000);
-    let engine = Arc::clone(&f.engine);
+    let ssd = t.dev.ssds[0].clone();
+    ssd.inject_read_fault();
+    seal_a_batch(&mut t, &mut model, 100_000);
+    let engine = Arc::clone(t.engine());
     let stats = within_a_minute(move || loop {
         let stats = engine.stats();
         if stats.workers.jobs_failed >= 1 {
@@ -759,13 +636,13 @@ fn flash_read_fault_in_a_background_job_is_retried_and_the_worker_survives() {
     assert_eq!(stats.workers.merges, 0, "no merge can have been installed");
 
     // The pool still has its thread: the next batch is flushed by it.
-    f.ssd.clear_read_fault();
+    ssd.clear_read_fault();
     let flushes = stats.workers.flushes;
-    seal_a_batch(&mut model, 200_000);
-    f.engine.shutdown();
-    assert!(f.engine.stats().workers.flushes > flushes);
-    assert_eq!(scan_all(&f), model);
-    f.engine.migrate(&f.session).unwrap();
-    assert_eq!(f.engine.run_count(), 0);
-    assert_eq!(scan_all(&f), model);
+    seal_a_batch(&mut t, &mut model, 200_000);
+    t.shutdown();
+    assert!(t.stats().workers.flushes > flushes);
+    t.check(&model);
+    t.migrate().unwrap();
+    assert_eq!(t.engine().run_count(), 0);
+    t.check(&model);
 }

@@ -8,10 +8,11 @@ use masm_core::config::{IndexGranularity, MasmConfig};
 use masm_core::merge::{fold_duplicates, KWayUpdates, UpdateStream};
 use masm_core::run::{write_run, RunScan};
 use masm_core::update::{FieldPatch, UpdateOp, UpdateRecord};
+use masm_model::flash;
 use masm_pagestore::{Field, FieldType, Record, Schema};
-use masm_storage::{DeviceProfile, SessionHandle, SimClock, SimDevice};
 
-fn schema() -> Schema {
+/// A two-field, 8-byte schema: the updates below carry 8-byte payloads.
+fn small_schema() -> Schema {
     Schema::new(vec![
         Field::new("a", FieldType::U32),
         Field::new("b", FieldType::Bytes(4)),
@@ -50,7 +51,7 @@ proptest! {
         ops in proptest::collection::vec(op_strategy(), 1..8),
         base_present in any::<bool>(),
     ) {
-        let s = schema();
+        let s = small_schema();
         let key = 42u64;
         let chain: Vec<UpdateRecord> = ops
             .into_iter()
@@ -78,7 +79,7 @@ proptest! {
     fn fold_duplicates_preserves_semantics(
         raw in proptest::collection::vec((0u64..10, op_strategy()), 1..40)
     ) {
-        let s = schema();
+        let s = small_schema();
         let mut updates: Vec<UpdateRecord> = raw
             .into_iter()
             .enumerate()
@@ -113,9 +114,7 @@ proptest! {
         b in 0u64..2000,
     ) {
         let (begin, end) = (a.min(b), a.max(b));
-        let clock = SimClock::new();
-        let ssd = SimDevice::in_memory(DeviceProfile::ssd_x25e(), clock.clone());
-        let session = SessionHandle::fresh(clock);
+        let (ssd, session) = flash();
         let mut cfg = MasmConfig::small_for_tests();
         cfg.index_granularity = IndexGranularity::Bytes(96);
         let updates: Vec<UpdateRecord> = keys

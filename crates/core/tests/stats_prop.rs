@@ -3,68 +3,16 @@
 //! compactions, and migrations, the unified snapshot stays coherent —
 //! histogram counts equal operation counts, cache byte gauges add up,
 //! deltas are monotone, and `StatsDelta` round-trips through JSON.
-
-use std::sync::Arc;
+//!
+//! [`MasmEngine::stats`]: masm_core::MasmEngine::stats
 
 use proptest::prelude::*;
 
 use masm_core::config::MasmConfig;
 use masm_core::update::{FieldPatch, UpdateOp};
-use masm_core::{EngineStats, MasmEngine, StatsDelta};
-use masm_pagestore::{HeapConfig, Record, Schema, TableHeap};
-use masm_storage::{DeviceProfile, SessionHandle, SimClock, SimDevice};
+use masm_core::{EngineStats, StatsDelta};
+use masm_model::{op_strategy, Outcome, Table};
 use masm_telemetry::json::parse;
-
-fn fixture(n_records: u64) -> (Arc<MasmEngine>, SessionHandle) {
-    let schema = Schema::synthetic_100b();
-    let clock = SimClock::new();
-    let disk = SimDevice::in_memory(DeviceProfile::hdd_barracuda(), clock.clone());
-    let ssd = SimDevice::in_memory(DeviceProfile::ssd_x25e(), clock.clone());
-    let wal_dev = SimDevice::in_memory(DeviceProfile::ssd_x25e(), clock.clone());
-    let heap = Arc::new(TableHeap::new(disk, HeapConfig::default()));
-    let engine = MasmEngine::new(
-        heap,
-        ssd,
-        wal_dev,
-        schema.clone(),
-        MasmConfig::small_for_tests(),
-    )
-    .unwrap();
-    let session = SessionHandle::fresh(clock);
-    engine
-        .load_table(
-            &session,
-            (0..n_records).map(|i| Record::new(i * 2, schema.empty_payload())),
-            1.0,
-        )
-        .unwrap();
-    (engine, session)
-}
-
-/// One step of the random workload.
-#[derive(Debug, Clone)]
-enum Step {
-    Ingest(u64, u32),
-    Delete(u64),
-    Get(u64),
-    /// Scan `[a, b]`, walking away after at most this many records.
-    Scan(u64, u64, usize),
-    Flush,
-    Compact,
-    Migrate,
-}
-
-fn step_strategy() -> impl Strategy<Value = Step> {
-    prop_oneof![
-        4 => (0u64..600, any::<u32>()).prop_map(|(k, v)| Step::Ingest(k, v)),
-        2 => (0u64..600).prop_map(Step::Delete),
-        2 => (0u64..600).prop_map(Step::Get),
-        2 => (0u64..600, 0u64..100, 0usize..80).prop_map(|(a, w, k)| Step::Scan(a, a + w, k)),
-        1 => Just(Step::Flush),
-        1 => Just(Step::Compact),
-        1 => Just(Step::Migrate),
-    ]
-}
 
 fn assert_coherent(stats: &EngineStats) {
     let violations = stats.invariant_violations();
@@ -89,29 +37,29 @@ fn assert_coherent(stats: &EngineStats) {
 /// could drift), next to the registry's histograms.
 #[test]
 fn openmetrics_samples_equal_the_snapshot_fields() {
-    let (engine, session) = fixture(300);
+    let t = Table::new(MasmConfig::small_for_tests());
+    t.load(300);
     for round in 0..3u64 {
         for key in 0..200u64 {
             let patch = FieldPatch {
                 field: 0,
                 value: (key as u32).to_le_bytes().to_vec(),
             };
-            engine
-                .apply_update(&session, key * 3 + round, UpdateOp::Modify(vec![patch]))
+            t.put(key * 3 + round, UpdateOp::Modify(vec![patch]))
                 .unwrap();
         }
-        engine.flush_buffer(&session).unwrap();
+        t.flush().unwrap();
     }
     for _ in 0..2 {
-        assert!(engine.begin_scan(session.clone(), 0, 400).unwrap().count() > 0);
+        assert!(!t.rows(0, 400).is_empty());
     }
-    engine.compact_runs(&session).unwrap();
-    engine.get(&session, 7).unwrap();
+    t.compact().unwrap();
+    t.get(7).unwrap();
 
-    let stats = engine.stats();
+    let stats = t.stats();
     assert!(stats.cache.hits > 0 && stats.cache.misses > 0, "{stats:?}");
     assert!(stats.merge.inputs > 0 && stats.compression.blocks > 0);
-    let text = stats.render_openmetrics(engine.metrics_registry());
+    let text = stats.render_openmetrics(t.engine().metrics_registry());
     let samples: Vec<(&str, u64)> = text
         .lines()
         .filter(|l| !l.starts_with('#'))
@@ -161,71 +109,35 @@ proptest! {
     /// Execute a random interleaving and check every stats invariant.
     #[test]
     fn stats_are_coherent_under_interleaving(
-        steps in proptest::collection::vec(step_strategy(), 1..60),
+        ops in proptest::collection::vec(op_strategy(600), 1..60),
         mid_point in 0usize..60,
     ) {
-        let (engine, session) = fixture(300);
-        let baseline = engine.stats();
+        let mut t = Table::new(MasmConfig::small_for_tests());
+        let mut model = t.load(300);
+        let baseline = t.stats();
         prop_assert_eq!(baseline.ops.ingest.count, 0);
 
-        let mut ingests = 0u64;
-        let mut gets = 0u64;
-        let mut scanned = 0u64;
-        let mut scan_ns = 0u64;
-        let mut migrations = 0u64;
+        let (mut ingests, mut gets, mut scanned, mut scan_ns, mut migrations) = (0, 0, 0, 0, 0);
         let mut mid: Option<EngineStats> = None;
-
-        for (i, step) in steps.iter().enumerate() {
-            match *step {
-                Step::Ingest(key, v) => {
-                    engine
-                        .apply_update(
-                            &session,
-                            key,
-                            UpdateOp::Modify(vec![FieldPatch {
-                                field: 0,
-                                value: v.to_le_bytes().to_vec(),
-                            }]),
-                        )
-                        .unwrap();
-                    ingests += 1;
+        for (i, op) in ops.iter().enumerate() {
+            match t.step(&mut model, op) {
+                Outcome::Put(_) => ingests += 1,
+                Outcome::Get(_) => gets += 1,
+                Outcome::Scan { records, ns } => {
+                    scanned += records;
+                    scan_ns += ns;
                 }
-                Step::Delete(key) => {
-                    engine.apply_update(&session, key, UpdateOp::Delete).unwrap();
-                    ingests += 1;
+                Outcome::Migrate(reports) => {
+                    migrations += reports.iter().filter(|r| r.runs_migrated > 0).count() as u64;
                 }
-                Step::Get(key) => {
-                    engine.get(&session, key).unwrap();
-                    gets += 1;
-                }
-                Step::Scan(a, b, k) => {
-                    let mut scan = engine.begin_scan(session.clone(), a, b).unwrap();
-                    for _ in 0..k {
-                        let before = session.now();
-                        if scan.next().is_none() {
-                            break;
-                        }
-                        scanned += 1;
-                        scan_ns += session.now() - before;
-                    }
-                }
-                Step::Flush => engine.flush_buffer(&session).unwrap(),
-                Step::Compact => {
-                    engine.compact_runs(&session).unwrap();
-                }
-                Step::Migrate => {
-                    let report = engine.migrate(&session).unwrap();
-                    if report.runs_migrated > 0 {
-                        migrations += 1;
-                    }
-                }
+                _ => {}
             }
-            if i == mid_point.min(steps.len() - 1) {
-                mid = Some(engine.stats());
+            if i == mid_point.min(ops.len() - 1) {
+                mid = Some(t.stats());
             }
         }
 
-        let end = engine.stats();
+        let end = t.stats();
         assert_coherent(&end);
 
         // Histogram counts equal operation counts.

@@ -1,8 +1,7 @@
 //! # masm — umbrella crate for the MaSM reproduction workspace
 //!
-//! Re-exports the workspace crates so integration tests and examples can
-//! depend on one package. See the individual crates for the real
-//! documentation:
+//! Re-exports the workspace crates so the examples can depend on one
+//! package. See the individual crates for the real documentation:
 //!
 //! * [`masm_storage`] — simulated HDD/SSD devices with calibrated timing.
 //! * [`masm_pagestore`] — slotted-page clustered heap (the "main data").

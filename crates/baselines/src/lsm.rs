@@ -160,10 +160,11 @@ impl LsmEngine {
     ) -> MasmResult<()> {
         let mut streams: Vec<UpdateStream> = vec![Box::new(incoming.into_iter())];
         if let Some(existing) = st.levels[i].take() {
-            streams.push(Box::new(RunScan::new(
+            streams.push(Box::new(RunScan::with_cache(
                 self.ssd.clone(),
                 session.clone(),
                 existing,
+                None,
                 0,
                 Key::MAX,
             )));
@@ -208,10 +209,11 @@ impl LsmEngine {
         c0.sort_by_key(|a| (a.key, a.ts));
         streams.push(Box::new(c0.into_iter()));
         for level in st.levels.iter().flatten() {
-            streams.push(Box::new(RunScan::new(
+            streams.push(Box::new(RunScan::with_cache(
                 self.ssd.clone(),
                 session.clone(),
                 Arc::clone(level),
+                None,
                 begin,
                 end,
             )));

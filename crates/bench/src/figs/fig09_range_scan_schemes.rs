@@ -45,7 +45,7 @@ pub fn run(mb: u64) -> Report {
     );
     {
         let session = iu_env.machine.session();
-        let (masm_updates, _) = masm_fine.engine.ingest_stats();
+        let masm_updates = masm_fine.engine.stats().ingested_updates;
         let mut gen = masm_workloads::synthetic::UpdateStreamGen::uniform(
             iu_env.table.clone(),
             masm_workloads::synthetic::UpdateMix::default(),

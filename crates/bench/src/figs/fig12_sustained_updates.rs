@@ -95,7 +95,7 @@ pub fn run(mb: u64) -> Report {
         // Sample every mb x 2 ms of virtual time — a handful of rows
         // per fill-the-flash phase at any scale (the span between
         // migrations grows with the flash, which grows with `mb`).
-        let mut ts = (factor == 1.0).then(|| TimeSeriesWriter::new(Vec::new(), mb * 2_000_000));
+        let mut ts = (factor == 1.0).then(|| TimeSeriesWriter::new(mb * 2_000_000));
         let start = session.now();
         let mut applied = 0u64;
         let mut migrations = 0;
@@ -106,7 +106,7 @@ pub fn run(mb: u64) -> Report {
             if let Some(ts) = ts.as_mut() {
                 // Cheap when no sample is due; sampling itself is two
                 // short lock holds plus atomic loads.
-                ts.poll(&env.engine.stats()).unwrap();
+                ts.poll(&env.engine.stats());
             }
             if env.engine.needs_migration() {
                 // "Every table scan incurs the migration of updates":
@@ -116,7 +116,7 @@ pub fn run(mb: u64) -> Report {
                 if let Some(ts) = ts.as_mut() {
                     // A forced row after each migration captures the
                     // post-migration level drop even at coarse scales.
-                    ts.sample(&env.engine.stats()).unwrap();
+                    ts.sample(&env.engine.stats());
                 }
             }
         }
@@ -131,8 +131,7 @@ pub fn run(mb: u64) -> Report {
             stats.ssd.random_writes.to_string(),
         ]);
         if let Some(ts) = ts {
-            let buf = String::from_utf8(ts.into_inner().unwrap()).unwrap();
-            series = Some((buf.lines().map(str::to_owned).collect(), stats));
+            series = Some((ts.rows, stats));
         }
     }
     let (ts_rows, end_stats) = series.expect("MaSM C run exports the time series");

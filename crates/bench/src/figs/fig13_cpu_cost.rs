@@ -86,8 +86,8 @@ pub fn run(mb: u64) -> Report {
         });
         env.fill_cache(0.5, 42);
         let session = env.machine.session();
-        let comp = env.engine.compression_stats();
-        let updates_cached = env.engine.ingest_stats().0;
+        let stats = env.engine.stats();
+        let (comp, updates_cached) = (stats.compression, stats.ingested_updates);
 
         let t_scan = env.time_masm_scan(begin, end).max(1);
         let scan_mbps = env.table_bytes as f64 / 1e6 / secs(t_scan);

@@ -25,7 +25,6 @@ use masm_blockrun::{
 };
 use masm_storage::{DeviceProfile, SessionHandle, SimClock, SimDevice, MIB};
 use masm_telemetry::json::{parse, JsonObj};
-use masm_telemetry::NdjsonWriter;
 
 use crate::Report;
 
@@ -57,7 +56,7 @@ fn run_workload(
     tier2: bool,
     codec: CodecChoice,
     raw_bytes: u64,
-    ts: &mut NdjsonWriter<Vec<u8>>,
+    ts: &mut Vec<String>,
 ) -> Row {
     let clock = SimClock::new();
     let dev = SimDevice::in_memory(DeviceProfile::ssd_x25e(), clock.clone());
@@ -151,7 +150,7 @@ fn run_workload(
             .u64("hot_lookups", round_lookups)
             .u64("device_reads", dev.stats().read_ops - round_reads)
             .u64("tier2_hits", after.tier2_hits - before.tier2_hits);
-        ts.row(&row.finish()).unwrap();
+        ts.push(row.finish());
     }
     let stats = cache.stats();
     Row {
@@ -172,7 +171,7 @@ pub fn run(mb: u64) -> Report {
     let raw_bytes = mb * MIB;
 
     let mut rows = Vec::new();
-    let mut ts = NdjsonWriter::new(Vec::new());
+    let mut ts = Vec::new();
     for codec in [CodecChoice::Identity, CodecChoice::Lz] {
         for (label, policy, tier2) in [
             ("lru", CachePolicy::Lru, false),
@@ -227,14 +226,13 @@ pub fn run(mb: u64) -> Report {
 
     // Per-round time series, one `TS:` line per measured round; each
     // row is checked to parse back before it is reported.
-    let ts_expected = rows.len() as u64 * MEASURED_ROUNDS as u64;
-    assert_eq!(ts.rows(), ts_expected, "one TS row per config x round");
-    let buf = String::from_utf8(ts.into_inner().unwrap()).unwrap();
-    for line in buf.lines() {
+    let ts_expected = rows.len() * MEASURED_ROUNDS;
+    assert_eq!(ts.len(), ts_expected, "one TS row per config x round");
+    for line in &ts {
         let row = parse(line).expect("TS row parses as JSON");
         assert!(row.get("hot_lookups").is_some());
     }
-    report.series(buf.lines());
+    report.series(ts.iter().map(String::as_str));
 
     // Acceptance bounds.
     let find = |policy: &str, codec: CodecChoice| {

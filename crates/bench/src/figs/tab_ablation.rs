@@ -98,7 +98,7 @@ pub fn run(mb: u64) -> Report {
         // Force the run-budget merges that cost the extra writes.
         let session = env.machine.session();
         let _ = env.engine.begin_scan(session, 0, 10).unwrap().count();
-        let (_, logical) = env.engine.ingest_stats();
+        let logical = env.engine.stats().ingested_bytes;
         let amp = env.machine.ssd.stats().bytes_written as f64 / logical.max(1) as f64;
         let mem_kb = env.engine.config().total_memory_bytes() / 1024;
         let ranges = baseline.ranges(MIB, 5);

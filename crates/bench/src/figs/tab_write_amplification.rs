@@ -49,7 +49,7 @@ fn measure(mb: u64, alpha: f64) -> (f64, u64) {
         .begin_scan(session.clone(), 0, 10)
         .unwrap()
         .count();
-    let (_, logical) = env.engine.ingest_stats();
+    let logical = env.engine.stats().ingested_bytes;
     let written = env.machine.ssd.stats().bytes_written;
     (
         written as f64 / logical as f64,

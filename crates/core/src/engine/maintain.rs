@@ -135,22 +135,22 @@ impl MasmEngine {
         if matches!(job.kind, JobKind::Migrate) {
             pool.migration_finished();
         }
-        let counters = pool.counters(self.shard_id);
+        let counters = pool.recorder(self.shard_id);
         let job_at = job.at;
         match result {
             Ok(()) => {
-                counters.jobs_completed.incr();
+                counters.jobs_completed.fetch_add(1, Ordering::Relaxed);
                 self.maybe_schedule_maintenance(session.now());
             }
             Err(_) => {
                 job.attempts += 1;
                 let attempts = u64::from(job.attempts);
                 if job.attempts < MAX_JOB_ATTEMPTS {
-                    counters.jobs_retried.incr();
+                    counters.jobs_retried.fetch_add(1, Ordering::Relaxed);
                     self.trace_instant("job.retry", session.now(), "attempts", attempts);
                     pool.requeue(job);
                 } else {
-                    counters.jobs_failed.incr();
+                    counters.jobs_failed.fetch_add(1, Ordering::Relaxed);
                     self.trace_instant("job.abandon", session.now(), "attempts", attempts);
                     if let JobKind::Flush { batch_id } = job.kind {
                         self.abandon_batch(batch_id);
@@ -345,11 +345,12 @@ impl MasmEngine {
         self.record_compression(&run);
         let released = self.state.lock().install(run, replaced, &self.cache);
         if let Some(h) = self.workers.get() {
-            let counters = h.pool().counters(self.shard_id);
-            match replaced {
-                Replaced::Batch(_) => counters.flushes.incr(),
-                Replaced::Runs(_) => counters.merges.incr(),
-            }
+            let counters = h.pool().recorder(self.shard_id);
+            let counter = match replaced {
+                Replaced::Batch(_) => &counters.flushes,
+                Replaced::Runs(_) => &counters.merges,
+            };
+            counter.fetch_add(1, Ordering::Relaxed);
             if let Some(bytes) = released {
                 h.pool().release_backlog(bytes);
             }
@@ -431,7 +432,8 @@ impl MasmEngine {
             // old snapshot keep reading the retired runs safely.
             self.state.lock().retire(&runs, &self.cache);
             if let Some(h) = self.workers.get() {
-                h.pool().counters(self.shard_id).migrations.incr();
+                let migrations = &h.pool().recorder(self.shard_id).migrations;
+                migrations.fetch_add(1, Ordering::Relaxed);
             }
         }
         Ok(report)
@@ -470,7 +472,8 @@ impl MasmEngine {
         let streams: Vec<UpdateStream> = overlapping
             .into_iter()
             .map(|r| {
-                let scan = RunScan::new(self.ssd.clone(), session.clone(), Arc::clone(r), lo, hi);
+                let (ssd, run) = (self.ssd.clone(), Arc::clone(r));
+                let scan = RunScan::with_cache(ssd, session.clone(), run, None, lo, hi);
                 let scan = scan.with_prefetch_depth(depth);
                 Box::new(scan.reporting_to(failures.clone())) as UpdateStream
             })

@@ -134,8 +134,8 @@ use masm_storage::{
     CacheStatsSnapshot, CompressionReport, MergeReport, Ns, SessionHandle, SimDevice, TrackedMutex,
 };
 use masm_telemetry::{
-    current_tid, BufferStats, Counter, EngineStats, Gauge, Histogram, OpLatencies, Registry,
-    RunSetStats, SpanGuard, Tracer, TrackId, Unit, WorkerStats,
+    current_tid, BufferStats, EngineStats, Histogram, OpLatencies, RunSetStats, SpanGuard, Tracer,
+    TrackId, WorkerStats,
 };
 
 use crate::config::MasmConfig;
@@ -148,93 +148,20 @@ pub use read::MergeScan;
 pub(crate) use recover::{open, ParsedWal, ShardLog};
 use state::EngineState;
 
-/// The engine's metric families: a [`Registry`] for export plus direct
-/// `Arc<Histogram>` handles for the hot paths (registry lookup never
-/// happens per operation). All six histograms record **virtual-ns**.
+/// The engine's six per-operation latency histograms, all in
+/// **virtual-ns**. `block_fetch` is shared with every query run scan,
+/// hence its `Arc`.
+#[derive(Default)]
 struct EngineMetrics {
-    registry: Registry,
-    ingest: Arc<Histogram>,
-    get: Arc<Histogram>,
-    scan_next: Arc<Histogram>,
-    flush: Arc<Histogram>,
-    migrate: Arc<Histogram>,
+    ingest: Histogram,
+    get: Histogram,
+    scan_next: Histogram,
+    flush: Histogram,
+    migrate: Histogram,
     block_fetch: Arc<Histogram>,
-    /// Epochs the oldest pinned query snapshot trails the engine's
-    /// current epoch (0 when no query is active).
-    epoch_lag: Arc<Gauge>,
-    recovery: RecoveryCounters,
-}
-
-/// Crash-recovery counters (family `recovery`). Registered on every
-/// engine so `render_openmetrics` always exports the family; non-zero
-/// only on engines built by [`MasmEngine::recover`].
-struct RecoveryCounters {
-    records_replayed: Arc<Counter>,
-    updates_rebuilt: Arc<Counter>,
-    runs_recovered: Arc<Counter>,
-    torn_tail: Arc<Counter>,
-    torn_bytes: Arc<Counter>,
-    migrations_redriven: Arc<Counter>,
 }
 
 impl EngineMetrics {
-    fn new() -> Self {
-        let registry = Registry::new();
-        let h = |name, help| registry.histogram("op", name, Unit::VirtualNs, help);
-        EngineMetrics {
-            ingest: h(
-                "ingest",
-                "one apply_update call, including any flush it triggered",
-            ),
-            get: h("get", "one point lookup"),
-            scan_next: h(
-                "scan_next",
-                "merged range scan: count = records returned, samples = per-batch stall",
-            ),
-            flush: h("flush", "one buffer flush materializing a 1-pass run"),
-            migrate: h("migrate", "one full or partial migration"),
-            block_fetch: h("block_fetch", "one block obtained by a query run scan"),
-            epoch_lag: registry.gauge(
-                "engine",
-                "epoch_lag",
-                Unit::Ops,
-                "epochs the oldest pinned query snapshot trails the engine",
-            ),
-            recovery: {
-                let r = |name, unit, help| registry.counter("recovery", name, unit, help);
-                RecoveryCounters {
-                    records_replayed: r(
-                        "records_replayed",
-                        Unit::Ops,
-                        "WAL records replayed at recovery",
-                    ),
-                    updates_rebuilt: r(
-                        "updates_rebuilt",
-                        Unit::Ops,
-                        "updates restored into the in-memory buffer",
-                    ),
-                    runs_recovered: r(
-                        "runs_recovered",
-                        Unit::Ops,
-                        "materialized runs re-registered at recovery",
-                    ),
-                    torn_tail: r("torn_tail", Unit::Ops, "torn WAL tails truncated"),
-                    torn_bytes: r(
-                        "torn_bytes",
-                        Unit::Bytes,
-                        "WAL bytes discarded with torn tails",
-                    ),
-                    migrations_redriven: r(
-                        "migrations_redriven",
-                        Unit::Ops,
-                        "interrupted migrations re-driven to completion",
-                    ),
-                }
-            },
-            registry,
-        }
-    }
-
     fn snapshot(&self) -> OpLatencies {
         OpLatencies {
             ingest: self.ingest.snapshot(),
@@ -314,8 +241,7 @@ pub struct MasmEngine {
     /// Cumulative codec accounting across every run this engine built
     /// (or recovered): raw vs stored data-block bytes, blocks per codec.
     compression_totals: Mutex<CompressionReport>,
-    /// Per-operation latency histograms + the metric registry behind
-    /// [`MasmEngine::stats`].
+    /// Per-operation latency histograms behind [`MasmEngine::stats`].
     metrics: EngineMetrics,
     /// Optional `masm-trace` flight recorder
     /// ([`MasmEngine::install_tracer`]). When absent or disabled every
@@ -448,14 +374,6 @@ impl MasmEngine {
         *self.merge_totals.lock()
     }
 
-    /// Cumulative codec accounting over every run this engine built or
-    /// recovered: raw vs stored data-block bytes and per-codec block
-    /// counts ([`CompressionReport::ratio`] is the on-disk compression
-    /// ratio the configured [`crate::config::CodecChoice`] achieved).
-    pub fn compression_stats(&self) -> CompressionReport {
-        *self.compression_totals.lock()
-    }
-
     fn record_merge(&self, report: MergeReport) {
         let mut totals = self.merge_totals.lock();
         *totals = totals.merge(&report);
@@ -483,22 +401,10 @@ impl MasmEngine {
         self.state.lock().runs.len()
     }
 
-    /// Number of updates waiting in the in-memory buffer.
-    pub fn buffered_updates(&self) -> usize {
-        self.state.lock().buffer.len()
-    }
-
     /// Whether cached updates have reached the migration threshold.
     pub fn needs_migration(&self) -> bool {
         let st = self.state.lock();
         st.runs.needs_migration(&self.cfg)
-    }
-
-    /// Total updates ingested and their logical bytes (for
-    /// write-amplification accounting).
-    pub fn ingest_stats(&self) -> (u64, u64) {
-        let st = self.state.lock();
-        (st.ingested_updates, st.ingested_bytes)
     }
 
     /// The unified engine snapshot: cache, merge, compression, device
@@ -530,19 +436,25 @@ impl MasmEngine {
                 st.epoch_lag(),
             )
         };
-        self.metrics.epoch_lag.set(epoch_lag);
-        let mut workers = WorkerStats::default();
-        if let Some(h) = self.workers.get() {
-            // The job counters live in this shard's registry (family
-            // `worker`); the pool-wide levels are read off the pool,
-            // which registers its gauges with the first shard only.
-            self.metrics.registry.read_family("worker", &mut workers);
-            let (queue_depth, backlog_bytes) = h.pool().depths();
-            workers.threads = h.pool().threads as u64;
-            workers.queue_depth = queue_depth;
-            workers.backlog_bytes = backlog_bytes;
-        }
-        workers.epoch_lag = epoch_lag;
+        let workers = match self.workers.get() {
+            // The job counters are this shard's recorder; the pool-wide
+            // levels are read off the pool.
+            Some(h) => {
+                let pool = h.pool();
+                let (queue_depth, backlog_bytes) = pool.depths();
+                WorkerStats {
+                    threads: pool.threads as u64,
+                    queue_depth,
+                    backlog_bytes,
+                    epoch_lag,
+                    ..pool.recorder(self.shard_id).snapshot()
+                }
+            }
+            None => WorkerStats {
+                epoch_lag,
+                ..WorkerStats::default()
+            },
+        };
         let wal = self.wal.device().stats();
         EngineStats {
             at_ns: self.ssd.clock().now(),
@@ -559,11 +471,5 @@ impl MasmEngine {
             workers,
             ops: self.metrics.snapshot(),
         }
-    }
-
-    /// The engine's metric registry (six `op.*` latency families), for
-    /// catalog-style export: walk it with [`Registry::for_each`].
-    pub fn metrics_registry(&self) -> &Registry {
-        &self.metrics.registry
     }
 }

@@ -14,7 +14,7 @@ use masm_pagestore::page::max_record_len;
 use masm_pagestore::record::RECORD_HEADER;
 use masm_pagestore::{ChunkCommit, Key, Schema, TableHeap};
 use masm_storage::{CompressionReport, MergeReport, SessionHandle, SimDevice, TrackedMutex};
-use masm_telemetry::{Registry, Tracer};
+use masm_telemetry::Tracer;
 
 use super::state::EngineState;
 use super::{EngineMetrics, MasmEngine, RecoveryReport};
@@ -228,15 +228,15 @@ pub(crate) fn open(
     }
 
     // One pool serves every shard (the whole backlog budget, one set
-    // of counters per shard registry); none in inline mode.
+    // of job counters per shard); none in inline mode.
     let threads = engines[0].cfg.background_workers;
     if threads > 0 {
         let backlog = engines
             .iter()
             .map(|e| e.cfg.effective_backlog_bytes())
             .sum();
-        let registries: Vec<&Registry> = engines.iter().map(|e| &e.metrics.registry).collect();
-        let handle = WorkerHandle::spawn(&engines, WorkerPool::new(threads, backlog, &registries));
+        let pool = WorkerPool::new(threads, backlog, engines.len());
+        let handle = WorkerHandle::spawn(&engines, pool);
         for e in &engines {
             let _ = e.workers.set(handle.clone());
         }
@@ -249,7 +249,6 @@ pub(crate) fn open(
         if report.redid_migration {
             let session = SessionHandle::fresh(engine.ssd.clock().clone());
             engine.migrate(&session)?;
-            engine.metrics.recovery.migrations_redriven.add(1);
             let (now, shard) = (engine.ssd.clock().now(), engine.shard_id as u64);
             engine.trace_instant("recovery.migration_redo", now, "shard", shard);
         }
@@ -501,7 +500,7 @@ impl MasmEngine {
             commit_index: Mutex::new(std::collections::HashMap::new()),
             merge_totals: Mutex::new(MergeReport::default()),
             compression_totals: Mutex::new(compression),
-            metrics: EngineMetrics::new(),
+            metrics: EngineMetrics::default(),
             tracer: OnceLock::new(),
             compact_flow: AtomicU64::new(0),
             migrate_flow: AtomicU64::new(0),
@@ -510,10 +509,6 @@ impl MasmEngine {
             engine.install_tracer(Arc::clone(t));
         }
 
-        let rc = &engine.metrics.recovery;
-        rc.records_replayed.add(log.records_replayed);
-        rc.updates_rebuilt.add(updates_recovered);
-        rc.runs_recovered.add(runs_recovered as u64);
         let t1 = engine.ssd.clock().now();
         if let Some(t) = engine.trace() {
             let dur = (t1 - t0).max(1);
@@ -527,8 +522,6 @@ impl MasmEngine {
             );
         }
         if log.torn_bytes > 0 {
-            rc.torn_tail.add(1);
-            rc.torn_bytes.add(log.torn_bytes);
             engine.trace_instant("recovery.torn_tail", t1, "bytes", log.torn_bytes);
         }
 

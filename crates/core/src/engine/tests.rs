@@ -255,7 +255,7 @@ fn crash_recovery_restores_buffer_and_runs() {
         .unwrap()
         .map(|r| r.key)
         .collect::<Vec<_>>();
-    let buffered = engine.buffered_updates();
+    let buffered = engine.stats().buffer.updates;
     let runs = engine.run_count();
     assert!(buffered > 0 && runs > 0, "need both tiers for the test");
 
@@ -265,7 +265,7 @@ fn crash_recovery_restores_buffer_and_runs() {
     let heap2 = Arc::new(TableHeap::new(disk, HeapConfig::default()));
     let (engine2, report) =
         MasmEngine::recover(heap2, ssd, wal_dev, schema(), MasmConfig::small_for_tests()).unwrap();
-    assert_eq!(report.updates_recovered as usize, buffered);
+    assert_eq!(report.updates_recovered, buffered);
     assert_eq!(report.runs_recovered, runs);
     assert!(!report.redid_migration);
     let got: Vec<Key> = engine2
@@ -581,7 +581,7 @@ fn get_consults_buffer_runs_bloom_and_heap() {
         .apply_update(&f.session, 20, UpdateOp::Delete)
         .unwrap();
     f.engine.flush_buffer(&f.session).unwrap();
-    assert!(f.engine.run_count() > 0 && f.engine.buffered_updates() == 0);
+    assert!(f.engine.run_count() > 0 && f.engine.stats().buffer.updates == 0);
     let rec = f.engine.get(&f.session, 43).unwrap().expect("run hit");
     assert_eq!(schema().get_u32(&rec.payload, 0), 900);
     assert!(f.engine.get(&f.session, 20).unwrap().is_none(), "deleted");
@@ -590,7 +590,7 @@ fn get_consults_buffer_runs_bloom_and_heap() {
     f.engine
         .apply_update(&f.session, 43, UpdateOp::Replace(payload(901)))
         .unwrap();
-    assert!(f.engine.buffered_updates() > 0);
+    assert!(f.engine.stats().buffer.updates > 0);
     let rec = f.engine.get(&f.session, 43).unwrap().expect("buffer hit");
     assert_eq!(schema().get_u32(&rec.payload, 0), 901);
 
@@ -765,10 +765,11 @@ fn assert_refused_and_harmless(f: &Fixture, key: Key, bad: UpdateOp, then: Updat
     let e = &f.engine;
     // Log end, buffered and counted updates, the oracle, the commit index.
     let trace = || {
+        let stats = e.stats();
         (
             e.wal.offset(),
-            e.buffered_updates(),
-            e.ingest_stats(),
+            stats.buffer.updates,
+            (stats.ingested_updates, stats.ingested_bytes),
             e.oracle.last_issued(),
             e.commit_index.lock().len(),
         )

@@ -370,10 +370,11 @@ pub fn compact_block_runs(
                     .iter()
                     .map(|(run_idx, _)| {
                         Box::new(
-                            RunScan::new(
+                            RunScan::with_cache(
                                 ssd.clone(),
                                 session.clone(),
                                 Arc::clone(&inputs[*run_idx]),
+                                None,
                                 *min_key,
                                 *max_key,
                             )

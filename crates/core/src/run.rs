@@ -188,7 +188,7 @@ pub fn recover_run(
 /// before it hands out or commits anything built from the streams
 /// (`MergeScan::error` is where a query's ends up). A scan without a
 /// slot — `baselines::lsm`, unit tests and benchmarks, which open one
-/// through [`RunScan::new`] / [`RunScan::with_cache`] and have nowhere
+/// through [`RunScan::with_cache`] and have nowhere
 /// to look — **panics** instead: a stream that ended early with nobody
 /// looking would silently lose updates, which is strictly worse than
 /// stopping.
@@ -218,18 +218,8 @@ impl ScanFailures {
 }
 
 impl RunScan {
-    /// Open an uncached scan of `run` over `[begin, end]`.
-    pub fn new(
-        ssd: SimDevice,
-        session: SessionHandle,
-        run: Arc<SortedRun>,
-        begin: Key,
-        end: Key,
-    ) -> Self {
-        Self::with_cache(ssd, session, run, None, begin, end)
-    }
-
-    /// Open a scan served through `cache`.
+    /// Open a scan of `run` over `[begin, end]`, served through `cache`
+    /// (uncached when `None`).
     pub fn with_cache(
         ssd: SimDevice,
         session: SessionHandle,
@@ -423,7 +413,7 @@ mod tests {
         assert_eq!(run.max_key, 9);
         assert_eq!(run.min_ts, 1);
         assert_eq!(run.max_ts, 5);
-        let got: Vec<Key> = RunScan::new(ssd, s, Arc::new(run), 0, u64::MAX)
+        let got: Vec<Key> = RunScan::with_cache(ssd, s, Arc::new(run), None, 0, u64::MAX)
             .map(|u| u.key)
             .collect();
         assert_eq!(got, vec![1, 3, 5, 7, 9]);
@@ -446,7 +436,8 @@ mod tests {
             UpdateRecord::new(4, 8, UpdateOp::Replace(vec![9u8; 12])),
         ];
         let run = write_run(&s, &ssd, &cfg, 1, 0, 1, &us).unwrap();
-        let got: Vec<UpdateRecord> = RunScan::new(ssd, s, Arc::new(run), 0, u64::MAX).collect();
+        let got: Vec<UpdateRecord> =
+            RunScan::with_cache(ssd, s, Arc::new(run), None, 0, u64::MAX).collect();
         assert_eq!(got, us);
     }
 
@@ -458,7 +449,7 @@ mod tests {
         let us = updates(&keys);
         let run = Arc::new(write_run(&s, &ssd, &cfg, 1, 0, 1, &us).unwrap());
         assert!(run.meta.zones.len() > 10, "{} blocks", run.meta.zones.len());
-        let mut scan = RunScan::new(ssd.clone(), s.clone(), run.clone(), 100, 110);
+        let mut scan = RunScan::with_cache(ssd.clone(), s.clone(), run.clone(), None, 100, 110);
         let got: Vec<Key> = scan.by_ref().map(|u| u.key).collect();
         assert_eq!(got, vec![100, 102, 104, 106, 108, 110]);
         assert!(
@@ -474,7 +465,7 @@ mod tests {
         let (ssd, s, cfg) = setup();
         let us = updates(&[100, 200, 300]);
         let run = Arc::new(write_run(&s, &ssd, &cfg, 1, 0, 1, &us).unwrap());
-        let mut scan = RunScan::new(ssd, s, run, 400, 500);
+        let mut scan = RunScan::with_cache(ssd, s, run, None, 400, 500);
         assert!(scan.next().is_none());
         assert_eq!(scan.bytes_read(), 0);
     }
@@ -555,7 +546,7 @@ mod tests {
         assert_eq!(back.min_ts, run.min_ts);
         assert_eq!(back.max_ts, run.max_ts);
         assert_eq!(back.meta.zones, run.meta.zones);
-        let got: Vec<Key> = RunScan::new(ssd, s, Arc::new(back), 0, u64::MAX)
+        let got: Vec<Key> = RunScan::with_cache(ssd, s, Arc::new(back), None, 0, u64::MAX)
             .map(|u| u.key)
             .collect();
         assert_eq!(got, keys);

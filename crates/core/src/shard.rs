@@ -41,7 +41,7 @@ use std::sync::Arc;
 use masm_pagestore::{Key, Record, Schema, TableHeap};
 use masm_storage::{SessionHandle, SimDevice};
 use masm_telemetry::json::JsonObj;
-use masm_telemetry::{EngineStats, Registry, Tracer, Unit};
+use masm_telemetry::{EngineStats, Tracer};
 
 use crate::config::MasmConfig;
 use crate::engine::{
@@ -212,9 +212,6 @@ impl ShardedRecoveryReport {
 pub struct ShardedEngine {
     router: ShardRouter,
     shards: Vec<Arc<MasmEngine>>,
-    /// Sharding-level metrics (the per-shard registries live in the
-    /// shard engines).
-    registry: Registry,
 }
 
 impl std::fmt::Debug for ShardedEngine {
@@ -243,12 +240,7 @@ impl ShardedEngine {
         let router = ShardRouter::from_splits(cfg.sharding.splits.clone())?;
         let logs = Self::shard_logs(&cfg, ssds, wals, |_| Ok(ParsedWal::default()))?;
         let (shards, _) = open(heap, schema, &router, None, logs)?;
-        let registry = Registry::new();
-        let engine = ShardedEngine {
-            router,
-            shards,
-            registry,
-        };
+        let engine = ShardedEngine { router, shards };
         // Durably describe the deployment before any data moves: one
         // manifest copy in every shard's WAL (each naming its own shard
         // id), so recovery can validate shard count, split keys, device
@@ -343,15 +335,7 @@ impl ShardedEngine {
         }
         let router = ShardRouter::from_splits(manifests[0].split_keys.clone())?;
         let (shards, per_shard) = open(heap, schema, &router, tracer, logs)?;
-        let registry = Registry::new();
-        let engine = ShardedEngine {
-            router,
-            shards,
-            registry,
-        };
-        if let Some(t) = tracer {
-            t.bind_registry(&engine.registry);
-        }
+        let engine = ShardedEngine { router, shards };
         let report = ShardedRecoveryReport {
             migrations_redriven: per_shard.iter().filter(|r| r.redid_migration).count(),
             per_shard,
@@ -516,8 +500,7 @@ impl ShardedEngine {
     }
 
     /// Aggregate statistics: per-shard snapshots, their fold-merge, and
-    /// the ingest-balance gauge (also published to this engine's
-    /// registry as `shard/imbalance_permille`).
+    /// the ingest balance.
     #[must_use]
     pub fn stats(&self) -> ShardedStats {
         let per_shard: Vec<EngineStats> = self.shards.iter().map(|e| e.stats()).collect();
@@ -531,14 +514,6 @@ impl ShardedEngine {
             .unwrap_or(0) as f64;
         let mean = total.ingested_bytes as f64 / per_shard.len() as f64;
         let shard_imbalance = if mean > 0.0 { max / mean } else { 0.0 };
-        self.registry
-            .gauge(
-                "shard",
-                "imbalance_permille",
-                Unit::Ops,
-                "max/mean per-shard ingested bytes, x1000",
-            )
-            .set((shard_imbalance * 1000.0) as u64);
         ShardedStats {
             total,
             per_shard,
@@ -546,18 +521,10 @@ impl ShardedEngine {
         }
     }
 
-    /// The sharding-level metric registry.
-    #[must_use]
-    pub fn metrics_registry(&self) -> &Registry {
-        &self.registry
-    }
-
     /// Install one shared flight recorder across every shard engine
-    /// (each shard emits on its own process track, `pid == shard_id`)
-    /// and bind the tracer's accounting counters (`trace.*`) into this
-    /// engine's registry. Call once, before the workload starts.
+    /// (each shard emits on its own process track, `pid == shard_id`).
+    /// Call once, before the workload starts.
     pub fn install_tracer(&self, tracer: &Arc<Tracer>) {
-        tracer.bind_registry(&self.registry);
         for e in &self.shards {
             e.install_tracer(Arc::clone(tracer));
         }

@@ -11,8 +11,8 @@
 //!
 //! One pool serves every shard of a sharded engine: jobs are tagged
 //! with their shard, each shard has its own dedup flags and event
-//! counters (registered into that shard's metric registry), and the
-//! backlog/queue gauges stay pool-global.
+//! counters (a [`WorkerStatsRecorder`] per shard), and the backlog and
+//! queue depth stay pool-global.
 //!
 //! Scheduling rules:
 //!
@@ -49,8 +49,7 @@ use std::thread::JoinHandle;
 
 use parking_lot::Condvar;
 
-use masm_storage::{Ns, TrackedMutex};
-use masm_telemetry::{Counter, Gauge, Registry, Unit};
+use masm_storage::{Ns, TrackedMutex, WorkerStatsRecorder};
 
 use crate::engine::MasmEngine;
 
@@ -101,34 +100,6 @@ struct PoolState {
     shutdown: bool,
 }
 
-/// Registry-backed monotonic event counters, incremented by the workers
-/// themselves at the point each event happens (satellite rule: the
-/// subsystem pushes its own metrics; the engine only reads them). One
-/// set per shard, registered into that shard's registry, so per-shard
-/// `EngineStats` rows sum to the pool's true totals.
-pub(crate) struct WorkerCounters {
-    pub jobs_completed: Arc<Counter>,
-    pub jobs_retried: Arc<Counter>,
-    pub jobs_failed: Arc<Counter>,
-    pub flushes: Arc<Counter>,
-    pub merges: Arc<Counter>,
-    pub migrations: Arc<Counter>,
-}
-
-impl WorkerCounters {
-    fn new(registry: &Registry) -> Self {
-        let c = |name, help| registry.counter("worker", name, Unit::Ops, help);
-        WorkerCounters {
-            jobs_completed: c("jobs_completed", "background jobs that succeeded"),
-            jobs_retried: c("jobs_retried", "background jobs re-queued after an error"),
-            jobs_failed: c("jobs_failed", "background jobs abandoned after max retries"),
-            flushes: c("flushes", "1-pass runs materialized by workers"),
-            merges: c("merges", "2-pass merges executed by workers"),
-            migrations: c("migrations", "migrations executed by workers"),
-        }
-    }
-}
-
 /// Shared state of the worker pool. The engine holds it in a
 /// [`WorkerHandle`]; each worker thread holds its own `Arc`.
 pub(crate) struct WorkerPool {
@@ -138,26 +109,19 @@ pub(crate) struct WorkerPool {
     work: Condvar,
     /// Signalled when backlog bytes drop (flush completed or abandoned).
     space: Condvar,
-    /// Per-shard event counters (indexed by `Job::shard`).
-    counters: Vec<WorkerCounters>,
-    /// Gauge mirrors, owned by the pool and updated at every
-    /// transition. Registered in the first shard's registry; every
-    /// shard's `stats()` reads the same pool-global levels.
-    queue_depth: Arc<Gauge>,
-    backlog_gauge: Arc<Gauge>,
+    /// Per-shard job counters (indexed by `Job::shard`), bumped by the
+    /// workers at the point each event happens. Their level fields stay
+    /// zero: `stats()` reads those off the pool and the engine state.
+    recorders: Vec<WorkerStatsRecorder>,
     pub threads: usize,
     backlog_limit: u64,
 }
 
 impl WorkerPool {
-    /// A pool serving one shard per registry in `registries` (a single
-    /// registry for an unsharded engine). Pool-global gauges register
-    /// into `registries[0]`.
-    pub fn new(threads: usize, backlog_limit: u64, registries: &[&Registry]) -> Arc<Self> {
-        assert!(!registries.is_empty(), "pool needs at least one shard");
-        let shards = registries.len();
-        let g = |name, unit, help| registries[0].gauge("worker", name, unit, help);
-        let pool = WorkerPool {
+    /// A pool serving `shards` shards (one for an unsharded engine).
+    pub fn new(threads: usize, backlog_limit: u64, shards: usize) -> Arc<Self> {
+        assert!(shards > 0, "pool needs at least one shard");
+        Arc::new(WorkerPool {
             state: TrackedMutex::new(PoolState {
                 queue: VecDeque::new(),
                 backlog_bytes: 0,
@@ -168,26 +132,17 @@ impl WorkerPool {
             }),
             work: Condvar::new(),
             space: Condvar::new(),
-            counters: registries.iter().map(|r| WorkerCounters::new(r)).collect(),
-            queue_depth: g("queue_depth", Unit::Ops, "jobs waiting in the worker queue"),
-            backlog_gauge: g(
-                "backlog_bytes",
-                Unit::Bytes,
-                "sealed batch bytes awaiting background flush",
-            ),
+            recorders: (0..shards)
+                .map(|_| WorkerStatsRecorder::default())
+                .collect(),
             threads,
             backlog_limit,
-        };
-        for r in registries {
-            r.gauge("worker", "threads", Unit::Ops, "background worker threads")
-                .set(threads as u64);
-        }
-        Arc::new(pool)
+        })
     }
 
-    /// Shard `shard`'s event counters.
-    pub fn counters(&self, shard: usize) -> &WorkerCounters {
-        &self.counters[shard]
+    /// Shard `shard`'s job counters.
+    pub fn recorder(&self, shard: usize) -> &WorkerStatsRecorder {
+        &self.recorders[shard]
     }
 
     /// Enqueue a flush for shard `shard`'s sealed batch `batch_id`
@@ -203,8 +158,6 @@ impl WorkerPool {
             attempts: 0,
             at,
         });
-        self.queue_depth.set(st.queue.len() as u64);
-        self.backlog_gauge.set(st.backlog_bytes);
         drop(st);
         self.work.notify_one();
     }
@@ -243,7 +196,6 @@ impl WorkerPool {
             attempts: 0,
             at,
         });
-        self.queue_depth.set(st.queue.len() as u64);
         drop(st);
         self.work.notify_one();
     }
@@ -257,7 +209,6 @@ impl WorkerPool {
             JobKind::Flush { .. } => {}
         }
         st.queue.push_back(job);
-        self.queue_depth.set(st.queue.len() as u64);
         drop(st);
         self.work.notify_one();
     }
@@ -275,7 +226,6 @@ impl WorkerPool {
     pub fn release_backlog(&self, bytes: u64) {
         let mut st = self.state.lock();
         st.backlog_bytes = st.backlog_bytes.saturating_sub(bytes);
-        self.backlog_gauge.set(st.backlog_bytes);
         drop(st);
         self.space.notify_all();
     }
@@ -339,7 +289,6 @@ impl WorkerPool {
                     }
                     JobKind::Flush { .. } => {}
                 }
-                self.queue_depth.set(st.queue.len() as u64);
                 return Some(job);
             }
             if st.shutdown && st.queue.is_empty() {
@@ -444,16 +393,10 @@ fn worker_loop(engines: Vec<Weak<MasmEngine>>, pool: Arc<WorkerPool>) {
 mod tests {
     use super::*;
 
-    fn test_pool(shards: usize) -> Arc<WorkerPool> {
-        let registries: Vec<Registry> = (0..shards).map(|_| Registry::new()).collect();
-        let refs: Vec<&Registry> = registries.iter().collect();
-        WorkerPool::new(0, 1 << 20, &refs)
-    }
-
     /// The cap is one: the shared heap admits one rewriter.
     #[test]
     fn migrations_stagger_at_the_cap() {
-        let pool = test_pool(3);
+        let pool = WorkerPool::new(0, 1 << 20, 3);
         pool.enqueue_migrate(0, 0);
         pool.enqueue_migrate(1, 0);
         pool.enqueue_compact(1, 0);
@@ -472,7 +415,7 @@ mod tests {
 
     #[test]
     fn migrate_dedup_is_per_shard() {
-        let pool = test_pool(2);
+        let pool = WorkerPool::new(0, 1 << 20, 2);
         pool.enqueue_migrate(0, 0);
         pool.enqueue_migrate(0, 0);
         pool.enqueue_migrate(1, 0);
@@ -481,7 +424,7 @@ mod tests {
 
     #[test]
     fn shutdown_drains_blocked_migrations() {
-        let pool = test_pool(2);
+        let pool = WorkerPool::new(0, 1 << 20, 2);
         pool.enqueue_migrate(0, 0);
         pool.enqueue_migrate(1, 0);
         let first = pool.next_job().unwrap();

@@ -348,7 +348,14 @@ fn a_cold_block_costs_three_allocations_not_one_per_entry() {
         let blocks = run.meta.zones.len() as u64;
         let per_block = UPDATES / blocks;
 
-        let scan = RunScan::new(ssd.clone(), session.clone(), Arc::clone(&run), 0, Key::MAX);
+        let scan = RunScan::with_cache(
+            ssd.clone(),
+            session.clone(),
+            Arc::clone(&run),
+            None,
+            0,
+            Key::MAX,
+        );
         let before = allocations();
         let scanned = scan.count() as u64;
         let scan_allocations = allocations() - before;

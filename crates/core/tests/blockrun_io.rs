@@ -108,7 +108,15 @@ fn corrupted_block_read_fails_with_checksum_error() {
     // panics rather than yielding garbage).
     let run = Arc::new(run);
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        RunScan::new(ssd.clone(), session.clone(), Arc::clone(&run), 0, u64::MAX).count()
+        RunScan::with_cache(
+            ssd.clone(),
+            session.clone(),
+            Arc::clone(&run),
+            None,
+            0,
+            u64::MAX,
+        )
+        .count()
     }));
     assert!(
         result.is_err(),
@@ -159,7 +167,7 @@ fn lz_codec_shrinks_synthetic_runs_at_least_20_percent() {
         cfg.codec = codec;
         let run = write_run(&session, &ssd, &cfg, 1, 0, 1, &updates).unwrap();
         let got: Vec<UpdateRecord> =
-            RunScan::new(ssd, session, Arc::new(run.clone()), 0, u64::MAX).collect();
+            RunScan::with_cache(ssd, session, Arc::new(run.clone()), None, 0, u64::MAX).collect();
         assert_eq!(got, updates, "{codec:?} run must scan back identically");
         run
     };
@@ -203,7 +211,7 @@ fn adaptive_codec_disjoint_compaction_stays_zero_decode_and_sequential() {
         t.flush().unwrap();
     }
     assert!(t.engine().run_count() >= 4);
-    let comp_before = t.engine().compression_stats();
+    let comp_before = t.stats().compression;
     assert!(
         comp_before.stored_bytes < comp_before.raw_bytes,
         "adaptive saves on compressible inserts: {comp_before:?}"

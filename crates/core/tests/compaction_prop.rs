@@ -105,10 +105,11 @@ fn compact_and_scan(
     // sequential run write.
     b.ssd.prime_head_position(out.base);
     write_built(&b.session, &b.ssd, &out, &bytes).unwrap();
-    let got: Vec<UpdateRecord> = RunScan::new(
+    let got: Vec<UpdateRecord> = RunScan::with_cache(
         b.ssd.clone(),
         b.session.clone(),
         Arc::new(out.clone()),
+        None,
         0,
         u64::MAX,
     )

@@ -478,7 +478,7 @@ fn every_job_releases_its_claim_on_a_write_fault_and_succeeds_on_retry() {
         call(&t).unwrap_or_else(|e| panic!("{name} after the fault cleared: {e}"));
         assert_eq!(t.engine().run_count(), runs_after, "{name}: runs");
         if let Some(buffered) = buffered_after {
-            assert_eq!(t.engine().buffered_updates(), buffered, "{name}: buffered");
+            assert_eq!(t.stats().buffer.updates, buffered, "{name}: buffered");
         }
         reads(&t, &model, &format!("{name} after the retry"));
     }

@@ -123,7 +123,7 @@ proptest! {
             .map(|(i, &k)| UpdateRecord::new(i as u64 + 1, k, UpdateOp::Delete))
             .collect();
         let run = write_run(&session, &ssd, &cfg, 0, 0, 1, &updates).unwrap();
-        let got: Vec<u64> = RunScan::new(ssd, session, Arc::new(run), begin, end)
+        let got: Vec<u64> = RunScan::with_cache(ssd, session, Arc::new(run), None, begin, end)
             .map(|u| u.key)
             .collect();
         let want: Vec<u64> = keys.range(begin..=end).copied().collect();

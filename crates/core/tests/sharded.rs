@@ -181,7 +181,7 @@ fn standalone_is_the_one_shard_case() {
     // standalone scan has no such window.
     let same_table = |one: &Table, many: &Table, at: &str| {
         let (a, b) = (one.engine(), &many.shards()[0]);
-        assert_eq!(b.buffered_updates(), a.buffered_updates(), "{at}");
+        assert_eq!(b.stats().buffer.updates, a.stats().buffer.updates, "{at}");
         one.flush().unwrap();
         many.flush().unwrap();
         assert_rows(

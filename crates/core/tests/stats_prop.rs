@@ -11,7 +11,7 @@ use proptest::prelude::*;
 use masm_core::config::MasmConfig;
 use masm_core::update::{FieldPatch, UpdateOp};
 use masm_core::{EngineStats, StatsDelta};
-use masm_model::{op_strategy, Outcome, Table};
+use masm_model::{op_strategy, payload, Outcome, Table};
 use masm_telemetry::json::parse;
 
 fn assert_coherent(stats: &EngineStats) {
@@ -30,11 +30,51 @@ fn assert_coherent(stats: &EngineStats) {
     );
 }
 
-/// The OpenMetrics export is the snapshot walked by `FIELDS`: after a
-/// workload that hits the cache and merges runs, every field of every
-/// snapshot family appears as exactly one sample carrying exactly the
-/// `EngineStats` value (nothing is mirrored into a second counter that
-/// could drift), next to the registry's histograms.
+/// `(name, value)` of every sample line of an exposition.
+fn samples(text: &str) -> Vec<(&str, u64)> {
+    text.lines()
+        .filter(|l| !l.starts_with('#'))
+        .filter_map(|l| l.rsplit_once(' '))
+        .filter_map(|(name, v)| Some((name, v.parse().ok()?)))
+        .collect()
+}
+
+/// Render `stats` and check that every field of every family appears
+/// as exactly one sample carrying exactly the snapshot's value (nothing
+/// is mirrored into a second store that could drift); the exposition.
+fn exposition_of(stats: &EngineStats) -> String {
+    let text = stats.render_openmetrics();
+    let samples = samples(&text);
+    let mut checked = 0;
+    for (family, fields, values) in stats.families() {
+        for (f, value) in fields.iter().zip(values) {
+            let base = format!("{family}_{}", f.name);
+            let found: Vec<u64> = samples
+                .iter()
+                .filter(|(name, _)| {
+                    let name = name.strip_suffix("_total").unwrap_or(name);
+                    name == base
+                        || name.strip_suffix("_bytes") == Some(&base)
+                        || name.strip_suffix("_virtual_ns") == Some(&base)
+                })
+                .map(|&(_, v)| v)
+                .collect();
+            assert_eq!(found, vec![value], "sample for {family}.{}", f.name);
+            checked += 1;
+        }
+    }
+    assert_eq!(
+        checked,
+        3 + 3 + 16 + 8 + 10 + 12 + 12 + 10,
+        "every family walked"
+    );
+    assert!(text.ends_with("# EOF\n"));
+    text
+}
+
+/// The OpenMetrics export is the snapshot walked by `FIELDS`, after a
+/// workload that hits the cache and merges runs, followed by the op
+/// histograms.
 #[test]
 fn openmetrics_samples_equal_the_snapshot_fields() {
     let t = Table::new(MasmConfig::small_for_tests());
@@ -59,45 +99,53 @@ fn openmetrics_samples_equal_the_snapshot_fields() {
     let stats = t.stats();
     assert!(stats.cache.hits > 0 && stats.cache.misses > 0, "{stats:?}");
     assert!(stats.merge.inputs > 0 && stats.compression.blocks > 0);
-    let text = stats.render_openmetrics(t.engine().metrics_registry());
-    let samples: Vec<(&str, u64)> = text
-        .lines()
-        .filter(|l| !l.starts_with('#'))
-        .filter_map(|l| l.rsplit_once(' '))
-        .filter_map(|(name, v)| Some((name, v.parse().ok()?)))
+    let text = exposition_of(&stats);
+    assert!(text.contains("cache_hits_total ") && text.contains("merge_fan_in "));
+    assert!(text.contains("\nop_ingest_virtual_ns_count 600\n"));
+    assert!(text.contains("\nworkers_epoch_lag 0\n"));
+}
+
+/// A sharded engine's exposition is its summed snapshot's: the op
+/// histograms count every shard's work, and the `workers_*` samples are
+/// the pool's job counters summed over the shards.
+#[test]
+fn a_sharded_exposition_carries_the_histograms_and_the_worker_counters() {
+    let mut cfg = MasmConfig::small_for_tests();
+    cfg.background_workers = 1;
+    cfg.sharding.splits = vec![200, 400];
+    let t = Table::sharded(cfg);
+    t.load(300);
+    // Enough to fill each shard's buffer several times over, so sealed
+    // batches go to the pool.
+    let puts = 3000;
+    for i in 0..puts {
+        let op = UpdateOp::Replace(payload(i as u32));
+        t.put((i * 7) % 600, op).unwrap();
+    }
+    t.flush().unwrap();
+    t.compact().unwrap();
+    t.shutdown();
+
+    let stats = t.stats();
+    assert_eq!(t.sharded_engine().shards().len(), 3);
+    let workers = stats.workers;
+    assert!(
+        workers.flushes > 0 && workers.jobs_completed > 0,
+        "{workers:?}"
+    );
+    let text = exposition_of(&stats);
+    assert!(text.contains(&format!("\nop_ingest_virtual_ns_count {puts}\n")));
+    let exported: Vec<u64> = samples(&text)
+        .into_iter()
+        .filter(|(name, _)| name.starts_with("workers_"))
+        .map(|(_, v)| v)
         .collect();
-    let mut checked = 0;
-    // `workers` lives in the registry, as `worker_*`.
-    let families = stats
+    let (_, _, snapshot) = stats
         .families()
         .into_iter()
-        .filter(|row| row.0 != "workers");
-    for (family, fields, values) in families {
-        for (f, value) in fields.iter().zip(values) {
-            let base = format!("{family}_{}", f.name);
-            let found: Vec<u64> = samples
-                .iter()
-                .filter(|(name, _)| {
-                    let name = name.strip_suffix("_total").unwrap_or(name);
-                    name == base
-                        || name.strip_suffix("_bytes") == Some(&base)
-                        || name.strip_suffix("_virtual_ns") == Some(&base)
-                })
-                .map(|&(_, v)| v)
-                .collect();
-            assert_eq!(found, vec![value], "sample for {family}.{}", f.name);
-            checked += 1;
-        }
-    }
-    assert_eq!(
-        checked,
-        3 + 3 + 16 + 8 + 10 + 12 + 12,
-        "every family walked"
-    );
-    assert!(text.contains("cache_hits_total ") && text.contains("merge_fan_in "));
-    assert!(text.contains("op_ingest_virtual_ns_count 600"));
-    assert!(text.contains("engine_epoch_lag "));
-    assert!(text.ends_with("# EOF\n"));
+        .find(|r| r.0 == "workers")
+        .unwrap();
+    assert_eq!(exported, snapshot);
 }
 
 proptest! {

@@ -48,6 +48,7 @@ pub use sim::SimDevice;
 pub use stats::{
     BufferStats, CacheStats, CacheStatsSnapshot, CompressionReport, IoStats, IoStatsSnapshot,
     MergeReport, RunSetStats, StatFamily, StatField, StatKind, Unit, WearStats, WorkerStats,
+    WorkerStatsRecorder,
 };
 
 /// Number of bytes in one kibibyte.

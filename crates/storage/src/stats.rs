@@ -499,7 +499,10 @@ stat_family! {
     /// Background worker-pool occupancy and lifetime counters; all zero
     /// for an inline engine (`background_workers = 0`). The shards of
     /// one engine share one pool, so the pool-wide levels are peaks.
-    pub struct WorkerStats {
+    /// Each shard's workers bump the job counters of that shard's
+    /// [`WorkerStatsRecorder`]; the levels are read off the pool and
+    /// the engine state when a snapshot is taken.
+    pub struct WorkerStats, atomic WorkerStatsRecorder {
         Peak threads: Ops = "configured background worker threads",
         Peak queue_depth: Ops = "jobs waiting in the backlog queue",
         /// What the ingest backpressure gate bounds.

@@ -6,23 +6,23 @@
 //! ops dashboards all need the same numbers. This crate provides them
 //! in three layers:
 //!
-//! 1. **Metrics core** ([`metrics`], [`registry`], [`timer`]) — lock-free
-//!    atomic [`Counter`]s and [`Gauge`]s, log₂-bucketed latency
+//! 1. **Metrics core** ([`metrics`], [`timer`]) — log₂-bucketed latency
 //!    [`Histogram`]s with p50/p95/p99/max readout and a **fixed bucket
-//!    array** (no allocation on the record path), a [`Registry`] that
-//!    namespaces metric families, and a [`Timer`] guard that records
-//!    elapsed virtual nanoseconds into a histogram on drop. This layer
-//!    has no dependencies and is usable by any crate in the workspace.
+//!    array** (no allocation on the record path), and a [`Timer`] guard
+//!    that records elapsed virtual nanoseconds into a histogram on drop.
+//!    The counter families themselves are declared once in
+//!    [`masm_storage::stats`].
 //! 2. **Unified snapshots** ([`stats`]) — [`EngineStats`], the one
 //!    struct that composes cache, merge, compression, device I/O,
-//!    SSD-wear summary, buffer occupancy, and per-operation latency
-//!    histograms; [`StatsDelta`] (`now − prev`) makes rates
+//!    SSD-wear summary, buffer occupancy, worker pool, and
+//!    per-operation latency histograms: every engine number has its one
+//!    home there, and [`EngineStats::render_openmetrics`] renders all
+//!    of it in one walk. [`StatsDelta`] (`now − prev`) makes rates
 //!    first-class.
 //! 3. **Time-series export** ([`timeseries`]) — [`TimeSeriesWriter`]
-//!    polls snapshots on a virtual-clock interval and appends NDJSON
+//!    polls snapshots on a virtual-clock interval and collects NDJSON
 //!    rows (one JSON object per line), so sustained-load benches emit a
-//!    time series instead of a single summary row; [`NdjsonWriter`] is
-//!    the row-level building block for non-engine producers.
+//!    time series instead of a single summary row.
 //!
 //! JSON is hand-rolled ([`json`]) because the workspace is offline (no
 //! serde); the tiny writer/parser pair is enough for NDJSON rows and
@@ -37,7 +37,6 @@
 
 pub mod json;
 pub mod metrics;
-pub mod registry;
 pub mod stats;
 pub mod timer;
 pub mod timeseries;
@@ -45,11 +44,10 @@ pub mod trace;
 
 pub use json::JsonValue;
 pub use masm_storage::{BufferStats, RunSetStats, WorkerStats};
-pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, Unit, HISTOGRAM_BUCKETS};
-pub use registry::{Metric, Registry};
+pub use metrics::{Histogram, HistogramSnapshot, Unit, HISTOGRAM_BUCKETS};
 pub use stats::{EngineStats, OpCountDelta, OpCountDeltas, OpLatencies, StatsDelta};
 pub use timer::Timer;
-pub use timeseries::{NdjsonWriter, TimeSeriesWriter};
+pub use timeseries::TimeSeriesWriter;
 pub use trace::{
     current_tid, render_chrome_trace, InvariantWatchdog, RecordKind, SpanGuard, TraceConfig,
     TraceRecord, TraceStats, Tracer, TrackId,

@@ -1,6 +1,5 @@
-//! Atomic metric primitives: counters, gauges, and log₂-bucketed
-//! histograms with a fixed bucket array (no allocation on the record
-//! path).
+//! The latency primitive: log₂-bucketed histograms with a fixed bucket
+//! array (no allocation on the record path).
 //!
 //! A [`Histogram`] sample is two atomic read-modify-writes: its bucket
 //! and the sum. The sample **count is derived** — it is the sum of the
@@ -10,83 +9,6 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 pub use masm_storage::Unit;
-
-/// A monotonically increasing event count (unit: whatever its
-/// [`Registry`](crate::Registry) entry declares, typically ops or
-/// bytes). Lock-free; `&self` everywhere.
-#[derive(Debug, Default)]
-pub struct Counter {
-    value: AtomicU64,
-}
-
-impl Counter {
-    /// A counter at zero.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Add one.
-    pub fn incr(&self) {
-        self.add(1);
-    }
-
-    /// Add `n`.
-    pub fn add(&self, n: u64) {
-        self.value.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    #[must_use]
-    pub fn get(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
-    }
-}
-
-/// A level that can move both ways (resident bytes, open scans, …).
-#[derive(Debug, Default)]
-pub struct Gauge {
-    value: AtomicU64,
-}
-
-impl Gauge {
-    /// A gauge at zero.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Set the level.
-    pub fn set(&self, v: u64) {
-        self.value.store(v, Ordering::Relaxed);
-    }
-
-    /// Raise the level by `n`.
-    pub fn add(&self, n: u64) {
-        self.value.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Lower the level by `n` (saturating at zero).
-    pub fn sub(&self, n: u64) {
-        let mut cur = self.value.load(Ordering::Relaxed);
-        loop {
-            let next = cur.saturating_sub(n);
-            match self
-                .value
-                .compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed)
-            {
-                Ok(_) => return,
-                Err(actual) => cur = actual,
-            }
-        }
-    }
-
-    /// Current level.
-    #[must_use]
-    pub fn get(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
-    }
-}
 
 /// Number of buckets in every [`Histogram`]: bucket 0 holds exact
 /// zeros, bucket `i ≥ 1` holds values in `[2^(i-1), 2^i)`, and the last
@@ -315,21 +237,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counter_and_gauge_basics() {
-        let c = Counter::new();
-        c.incr();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-        let g = Gauge::new();
-        g.set(10);
-        g.add(5);
-        g.sub(3);
-        assert_eq!(g.get(), 12);
-        g.sub(100);
-        assert_eq!(g.get(), 0, "gauge saturates at zero");
-    }
-
-    #[test]
     fn bucket_mapping_covers_u64() {
         assert_eq!(bucket_index(0), 0);
         assert_eq!(bucket_index(1), 1);
@@ -457,8 +364,7 @@ mod tests {
     /// stored `count` (and an unconditional `fetch_max`) produced.
     #[test]
     fn fixed_samples_render_byte_for_byte_as_before() {
-        let registry = crate::Registry::new();
-        let h = registry.histogram("op", "ingest", Unit::VirtualNs, "one apply_update call");
+        let h = Histogram::new();
         for v in [0u64, 1, 3, 4, 100, 1000] {
             h.record(v);
         }
@@ -518,18 +424,22 @@ mod tests {
         let cumulative = [
             1, 2, 3, 4, 4, 5, 5, 6, 6, 6, 7, 7, 7, 307, 307, 307, 307, 309,
         ];
-        let mut text = String::from(
-            "# HELP op_ingest_virtual_ns one apply_update call\n\
-             # TYPE op_ingest_virtual_ns histogram\n",
-        );
+        let mut expected = String::new();
         for (i, n) in cumulative.into_iter().enumerate() {
             let le = bucket_upper_bound(i);
-            text += &format!("op_ingest_virtual_ns_bucket{{le=\"{le}\"}} {n}\n");
+            expected += &format!("op_ingest_virtual_ns_bucket{{le=\"{le}\"}} {n}\n");
         }
-        text += "op_ingest_virtual_ns_bucket{le=\"+Inf\"} 309\n\
+        expected += "op_ingest_virtual_ns_bucket{le=\"+Inf\"} 309\n\
                  op_ingest_virtual_ns_sum 1369925\n\
-                 op_ingest_virtual_ns_count 309\n\
-                 # EOF\n";
-        assert_eq!(registry.render_openmetrics(), text);
+                 op_ingest_virtual_ns_count 309\n";
+        let text = stats.render_openmetrics();
+        let ingest: String = text
+            .lines()
+            .filter(|l| l.starts_with("op_ingest_virtual_ns"))
+            .map(|l| format!("{l}\n"))
+            .collect();
+        assert_eq!(ingest, expected);
+        assert!(text.contains("# TYPE op_ingest_virtual_ns histogram\n"));
+        assert!(text.ends_with("op_block_fetch_virtual_ns_count 0\n# EOF\n"));
     }
 }

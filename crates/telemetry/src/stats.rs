@@ -9,14 +9,15 @@
 //! rates first-class. The JSON codec and the OpenMetrics rendering are
 //! written once, over [`StatFamily::FIELDS`].
 
+use std::fmt::Write as _;
+
 use masm_storage::{
     BufferStats, CacheStatsSnapshot, CompressionReport, IoStatsSnapshot, MergeReport, RunSetStats,
-    StatFamily, StatField, StatKind, WearStats, WorkerStats,
+    StatFamily, StatField, StatKind, Unit, WearStats, WorkerStats,
 };
 
 use crate::json::{JsonObj, JsonValue};
-use crate::metrics::HistogramSnapshot;
-use crate::registry::{write_sample, Registry};
+use crate::metrics::{bucket_upper_bound, HistogramSnapshot};
 
 /// Count/sum delta of one latency family between two snapshots.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -66,7 +67,8 @@ macro_rules! op_families {
     ($($op:ident = $help:literal),* $(,)?) => {
         /// Latency histograms for every public engine operation,
         /// recorded at the hot paths by [`crate::Timer`] guards. All
-        /// samples are **virtual-ns**.
+        /// samples are **virtual-ns**. Each field's doc line is also its
+        /// OpenMetrics help.
         #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
         pub struct OpLatencies {
             $(#[doc = $help] pub $op: HistogramSnapshot,)*
@@ -79,9 +81,13 @@ macro_rules! op_families {
         }
 
         impl OpLatencies {
-            /// Visit each histogram with its stable family name.
-            pub fn for_each(&self, mut f: impl FnMut(&'static str, &HistogramSnapshot)) {
-                $(f(stringify!($op), &self.$op);)*
+            /// Visit each histogram with its stable family name and its
+            /// one-line help.
+            pub fn for_each(
+                &self,
+                mut f: impl FnMut(&'static str, &'static str, &HistogramSnapshot),
+            ) {
+                $(f(stringify!($op), $help, &self.$op);)*
             }
 
             /// Combine per-shard latency families bucket-wise (see
@@ -119,12 +125,12 @@ macro_rules! op_families {
 }
 
 op_families! {
-    ingest = "One `apply_update` call (includes any flush it triggered).",
-    get = "One point lookup (`get`).",
-    scan_next = "Merged range scan (`MergeScan`): count = records returned, samples = per-batch stall.",
-    flush = "One buffer flush that materialized a run.",
-    migrate = "One full or partial migration.",
-    block_fetch = "One block obtained by a run scan (cache hit ≈ 0, miss = device wait).",
+    ingest = "one apply_update call, including any flush it triggered",
+    get = "one point lookup",
+    scan_next = "merged range scan: count = records returned, samples = per-batch stall",
+    flush = "one buffer flush materializing a 1-pass run",
+    migrate = "one full or partial migration",
+    block_fetch = "one block obtained by a query run scan",
 }
 
 /// The unified engine snapshot. Counter fields are cumulative since
@@ -187,6 +193,24 @@ fn family_from_json<F: StatFamily>(v: &JsonValue) -> Option<F> {
     Some(out)
 }
 
+/// Write the `# HELP` / `# TYPE` lines of metric `base` and return its
+/// exposition name: `base` plus its unit suffix (`_bytes`,
+/// `_virtual_ns`; `ops` adds none) unless it already ends in it.
+fn write_header(out: &mut String, base: &str, unit: Unit, help: &str, kind: &str) -> String {
+    let suffix = match unit {
+        Unit::Ops => "",
+        Unit::Bytes => "_bytes",
+        Unit::VirtualNs => "_virtual_ns",
+    };
+    let mut name = base.to_string();
+    if !name.ends_with(suffix) {
+        name.push_str(suffix);
+    }
+    let _ = writeln!(out, "# HELP {name} {help}");
+    let _ = writeln!(out, "# TYPE {name} {kind}");
+    name
+}
+
 fn hist_json(h: &HistogramSnapshot) -> String {
     let mut o = JsonObj::new();
     o.u64("count", h.count)
@@ -209,7 +233,7 @@ impl EngineStats {
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut ops = JsonObj::new();
-        self.ops.for_each(|name, h| {
+        self.ops.for_each(|name, _, h| {
             ops.raw(name, &hist_json(h));
         });
         let mut ingested = JsonObj::new();
@@ -265,24 +289,42 @@ impl EngineStats {
         ]
     }
 
-    /// OpenMetrics text exposition of the whole engine: every family of
-    /// this snapshot as `<family>_<field>` samples (counters as
-    /// counters, levels and peaks as gauges), then every metric of
-    /// `registry`, which holds what a snapshot does not — the `op`
-    /// histograms and the `engine`, `worker`, `recovery`, `trace` and
-    /// `shard` families (so `workers` is left to it) — then `# EOF`.
+    /// OpenMetrics text exposition of the whole engine, in one walk:
+    /// every family of [`EngineStats::families`] as `<family>_<field>`
+    /// samples (counters as counters with the conventional `_total`
+    /// sample suffix, levels and peaks as gauges), then the six
+    /// `op_<name>_virtual_ns` histograms as cumulative
+    /// `_bucket{le="…"}` series over the log₂ buckets (inclusive upper
+    /// bounds, trailing empty buckets elided) plus `_sum` / `_count`,
+    /// then `# EOF`. Deterministic for a given snapshot.
     #[must_use]
-    pub fn render_openmetrics(&self, registry: &Registry) -> String {
+    pub fn render_openmetrics(&self) -> String {
         let mut out = String::new();
-        let in_snapshot = |row: &FamilyRow| row.0 != "workers";
-        for (family, fields, values) in self.families().into_iter().filter(in_snapshot) {
+        for (family, fields, values) in self.families() {
             for (field, v) in fields.iter().zip(values) {
-                let key = format!("{family}.{}", field.name);
-                let counter = field.kind == StatKind::Counter;
-                write_sample(&mut out, &key, field.unit, field.help, counter, v);
+                let base = format!("{family}_{}", field.name);
+                let (kind, sample) = match field.kind {
+                    StatKind::Counter => ("counter", "_total"),
+                    StatKind::Level | StatKind::Peak => ("gauge", ""),
+                };
+                let name = write_header(&mut out, &base, field.unit, field.help, kind);
+                let _ = writeln!(out, "{name}{sample} {v}");
             }
         }
-        registry.render_into(&mut out);
+        self.ops.for_each(|op, help, h| {
+            let base = format!("op_{op}");
+            let name = write_header(&mut out, &base, Unit::VirtualNs, help, "histogram");
+            let top = h.buckets.iter().rposition(|&n| n > 0).map_or(0, |i| i + 1);
+            let mut cumulative = 0u64;
+            for (i, &n) in h.buckets.iter().enumerate().take(top) {
+                cumulative += n;
+                let le = bucket_upper_bound(i);
+                let _ = writeln!(out, "{name}_bucket{{le=\"{le}\"}} {cumulative}");
+            }
+            let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {}", h.count);
+            let _ = writeln!(out, "{name}_sum {}", h.sum);
+            let _ = writeln!(out, "{name}_count {}", h.count);
+        });
         out.push_str("# EOF\n");
         out
     }
@@ -352,7 +394,7 @@ impl EngineStats {
                 self.cache.data_bytes, self.cache.probation_bytes, self.cache.protected_bytes
             ));
         }
-        self.ops.for_each(|name, h| {
+        self.ops.for_each(|name, _, h| {
             if h.buckets.iter().sum::<u64>() != h.count {
                 v.push(format!("ops.{name}: bucket sum != count {}", h.count));
             }
@@ -538,7 +580,7 @@ mod tests {
         }
         assert_eq!(v.get_u64("random_writes"), Some(s.ssd.random_writes));
         let ops = v.get("ops").unwrap();
-        s.ops.for_each(|op, _| {
+        s.ops.for_each(|op, _, _| {
             let h = ops.get(op).unwrap_or_else(|| panic!("missing op {op}"));
             assert!(h.get_u64("p99").is_some());
         });

@@ -40,8 +40,6 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::json::JsonObj;
-use crate::metrics::{Counter, Unit};
-use crate::registry::Registry;
 use crate::stats::EngineStats;
 
 /// Number of ring buffers writers are striped over (by thread id).
@@ -253,6 +251,8 @@ pub struct TraceStats {
     pub drained: u64,
     /// Records currently waiting in the rings.
     pub retained: u64,
+    /// Invariant violations an [`InvariantWatchdog`] observed.
+    pub violations: u64,
 }
 
 impl TraceStats {
@@ -272,9 +272,9 @@ pub struct Tracer {
     op_mask: u64,
     op_counter: AtomicU64,
     next_flow: AtomicU64,
-    emitted: Arc<Counter>,
-    dropped: Arc<Counter>,
-    violations: Arc<Counter>,
+    emitted: AtomicU64,
+    dropped: AtomicU64,
+    violations: AtomicU64,
     drained: AtomicU64,
     /// Serializes consumers; the emit path never touches it.
     drain_lock: Mutex<()>,
@@ -307,9 +307,9 @@ impl Tracer {
             op_mask: (1u64 << cfg.op_sample_shift.min(63)) - 1,
             op_counter: AtomicU64::new(0),
             next_flow: AtomicU64::new(1),
-            emitted: Arc::new(Counter::new()),
-            dropped: Arc::new(Counter::new()),
-            violations: Arc::new(Counter::new()),
+            emitted: AtomicU64::new(0),
+            dropped: AtomicU64::new(0),
+            violations: AtomicU64::new(0),
             drained: AtomicU64::new(0),
             drain_lock: Mutex::new(()),
         }
@@ -339,49 +339,16 @@ impl Tracer {
         self.op_mask == 0 || (self.op_counter.fetch_add(1, Ordering::Relaxed) & self.op_mask) == 0
     }
 
-    /// The `trace.violations` counter ([`InvariantWatchdog`] bumps it).
-    #[must_use]
-    pub fn violations_counter(&self) -> &Arc<Counter> {
-        &self.violations
-    }
-
-    /// Register the `trace.*` counters (emitted / dropped /
-    /// violations) into `registry` so metric-catalog exports include
-    /// the recorder's own accounting.
-    pub fn bind_registry(&self, registry: &Registry) {
-        registry.attach_counter(
-            "trace",
-            "emitted",
-            Arc::clone(&self.emitted),
-            Unit::Ops,
-            "trace records offered to the ring buffers",
-        );
-        registry.attach_counter(
-            "trace",
-            "dropped",
-            Arc::clone(&self.dropped),
-            Unit::Ops,
-            "trace records dropped on ring overflow",
-        );
-        registry.attach_counter(
-            "trace",
-            "violations",
-            Arc::clone(&self.violations),
-            Unit::Ops,
-            "invariant violations observed by the watchdog",
-        );
-    }
-
     /// Emit one record (no-op when disabled). Lock-free and
     /// allocation-free; overflow is counted, not blocked on.
     pub fn emit(&self, rec: TraceRecord) {
         if !self.enabled() {
             return;
         }
-        self.emitted.incr();
+        self.emitted.fetch_add(1, Ordering::Relaxed);
         let ring = &self.rings[rec.track.tid as usize % TRACE_RINGS];
         if !ring.push(rec) {
-            self.dropped.incr();
+            self.dropped.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -536,10 +503,11 @@ impl Tracer {
     #[must_use]
     pub fn stats(&self) -> TraceStats {
         TraceStats {
-            emitted: self.emitted.get(),
-            dropped: self.dropped.get(),
+            emitted: self.emitted.load(Ordering::Relaxed),
+            dropped: self.dropped.load(Ordering::Relaxed),
             drained: self.drained.load(Ordering::Relaxed),
             retained: self.rings.iter().map(Ring::len).sum(),
+            violations: self.violations.load(Ordering::Relaxed),
         }
     }
 
@@ -741,15 +709,11 @@ impl InvariantWatchdog {
         }
         self.last_poll = Some(now);
         let violations = stats.invariant_violations();
+        let total = &self.tracer.violations;
         for _ in &violations {
-            self.tracer.violations_counter().incr();
-            self.tracer.instant(
-                "invariant.violation",
-                self.track,
-                now,
-                "total",
-                self.tracer.violations_counter().get(),
-            );
+            let seen = total.fetch_add(1, Ordering::Relaxed) + 1;
+            self.tracer
+                .instant("invariant.violation", self.track, now, "total", seen);
         }
         if stats.workers.epoch_lag > self.max_epoch_lag {
             self.tracer.instant(
@@ -764,7 +728,7 @@ impl InvariantWatchdog {
             "trace.violations",
             self.track,
             now,
-            self.tracer.violations_counter().get(),
+            total.load(Ordering::Relaxed),
         );
         violations
     }
@@ -1000,17 +964,17 @@ mod tests {
         };
         // A healthy snapshot: counter sample only, no violation.
         assert!(dog.poll(&stats).is_empty());
-        assert_eq!(t.violations_counter().get(), 0);
+        assert_eq!(t.stats().violations, 0);
         // Break the cache-accounting invariant.
         stats.at_ns = 2000;
         stats.cache.data_bytes = 1;
         let v = dog.poll(&stats);
         assert_eq!(v.len(), 1, "cache accounting violation expected: {v:?}");
-        assert_eq!(t.violations_counter().get(), 1);
+        assert_eq!(t.stats().violations, 1);
         // Within the interval: no re-poll even though still violated.
         stats.at_ns = 2500;
         assert!(dog.poll(&stats).is_empty());
-        assert_eq!(t.violations_counter().get(), 1);
+        assert_eq!(t.stats().violations, 1);
         // Past the interval + an epoch-lag alarm.
         stats.at_ns = 4000;
         stats.workers.epoch_lag = 9;

@@ -74,7 +74,7 @@ fn main() {
     println!(
         "before crash: {} records visible, {} updates in memory, {} runs on SSD",
         expected.len(),
-        engine.buffered_updates(),
+        engine.stats().buffer.updates,
         engine.run_count()
     );
 

@@ -3,13 +3,14 @@
 //! level gauges, per-operation latency percentiles, the SSD wear
 //! summary, and the throughput deltas between two snapshots.
 //!
-//! This is the observability tour: everything printed here comes from
-//! `MasmEngine::stats()` (one coherent snapshot, cheap enough to poll
-//! from a driver loop; also rendered as OpenMetrics text),
-//! `MasmEngine::metrics_registry()` (the metrics a snapshot does not
-//! hold, with units and help strings), and an installed [`masm_telemetry::Tracer`] whose flight
-//! recording is summarized as the top-3 longest spans per operation
-//! and checked by an [`masm_telemetry::InvariantWatchdog`].
+//! This is the observability tour: every engine number printed here
+//! comes from `MasmEngine::stats()` — one coherent snapshot, cheap
+//! enough to poll from a driver loop, whose metric catalog is its
+//! families' `FIELDS` plus the op histograms, and which renders as
+//! OpenMetrics text in one walk. The flight recording of an installed
+//! [`masm_telemetry::Tracer`] is summarized as the top-3 longest spans
+//! per operation, checked by an [`masm_telemetry::InvariantWatchdog`],
+//! and accounted for by `Tracer::stats()`.
 //!
 //! Run with: `cargo run --release --example metrics_dashboard`
 
@@ -19,10 +20,8 @@ use std::sync::Arc;
 use masm_core::update::{FieldPatch, UpdateOp};
 use masm_core::{EngineStats, MasmConfig, MasmEngine};
 use masm_pagestore::{HeapConfig, Record, Schema, TableHeap};
-use masm_storage::{DeviceProfile, SessionHandle, SimClock, SimDevice};
-use masm_telemetry::{
-    InvariantWatchdog, Metric, RecordKind, TraceConfig, TraceRecord, Tracer, TrackId,
-};
+use masm_storage::{DeviceProfile, SessionHandle, SimClock, SimDevice, StatKind};
+use masm_telemetry::{InvariantWatchdog, RecordKind, TraceConfig, TraceRecord, Tracer, TrackId};
 
 fn pct(num: u64, den: u64) -> f64 {
     if den == 0 {
@@ -82,7 +81,7 @@ fn render(title: &str, stats: &EngineStats) {
         "\n{:<12} {:>8} {:>10} {:>10} {:>10} {:>10}",
         "op (v-ns)", "count", "p50", "p95", "p99", "max"
     );
-    stats.ops.for_each(|name, h| {
+    stats.ops.for_each(|name, _, h| {
         println!(
             "{:<12} {:>8} {:>10} {:>10} {:>10} {:>10}",
             name,
@@ -119,7 +118,6 @@ fn main() {
         ring_capacity: 1 << 14,
         ..TraceConfig::default()
     }));
-    tracer.bind_registry(engine.metrics_registry());
     engine.install_tracer(Arc::clone(&tracer));
 
     let session = SessionHandle::fresh(clock.clone());
@@ -131,19 +129,25 @@ fn main() {
         )
         .expect("bulk load");
 
-    // The registry's catalog: every registered metric with unit and
-    // help (the snapshot families describe themselves through `FIELDS`).
-    println!("registered metrics:");
-    engine
-        .metrics_registry()
-        .for_each(|key, metric, unit, help| {
-            let kind = match metric {
-                Metric::Counter(_) => "counter",
-                Metric::Gauge(_) => "gauge",
-                Metric::Histogram(_) => "histogram",
+    // The metric catalog: every field of every snapshot family (each
+    // describes itself through `FIELDS`), then the op histograms.
+    println!("metric catalog:");
+    let catalog = EngineStats::default();
+    for (family, fields, _) in catalog.families() {
+        for f in fields {
+            let kind = match f.kind {
+                StatKind::Counter => "counter",
+                StatKind::Level => "level",
+                StatKind::Peak => "peak",
             };
-            println!("  {key:<16} {kind:<10} [{:<10}] {help}", unit.label());
-        });
+            let key = format!("{family}.{}", f.name);
+            println!("  {key:<32} {kind:<9} [{:<10}] {}", f.unit.label(), f.help);
+        }
+    }
+    catalog.ops.for_each(|op, help, _| {
+        let key = format!("op.{op}");
+        println!("  {key:<32} histogram [virtual-ns] {help}");
+    });
 
     // Phase 1: a burst of online updates with point reads and a scan.
     for i in 0..2_000u64 {
@@ -222,9 +226,9 @@ fn main() {
     let violations = watchdog.poll(&end);
     assert!(violations.is_empty(), "invariants violated: {violations:?}");
 
-    // Snapshot plus registry render as OpenMetrics text (what a scraper
-    // would pull); show the shape without dumping all of it.
-    let exposition = end.render_openmetrics(engine.metrics_registry());
+    // The snapshot renders as OpenMetrics text (what a scraper would
+    // pull); show the shape without dumping all of it.
+    let exposition = end.render_openmetrics();
     println!(
         "\nOpenMetrics exposition: {} lines, {} bytes; first lines:",
         exposition.lines().count(),
@@ -233,20 +237,28 @@ fn main() {
     for line in exposition.lines().take(5) {
         println!("  {line}");
     }
+    let ingest_count = format!("\nop_ingest_virtual_ns_count {}\n", end.ops.ingest.count);
+    assert!(
+        exposition.contains(&ingest_count),
+        "one walk renders the histograms too"
+    );
 
     // Drain the flight recording and show the top-3 longest spans per
     // operation — the causal view behind the percentile table above.
     let records = tracer.take_records();
-    let stats = tracer.stats();
     let mut by_name: BTreeMap<&str, Vec<&TraceRecord>> = BTreeMap::new();
     for r in records.iter().filter(|r| r.kind == RecordKind::Span) {
         by_name.entry(r.name).or_default().push(r);
     }
+    let trace = tracer.stats();
     println!(
-        "\ntrace: {} records emitted, {} retained after ring overflow ({} dropped)",
-        stats.emitted,
-        records.len(),
-        stats.dropped
+        "\ntrace: {} records emitted, {} drained, {} dropped on ring overflow, \
+         {} invariant violations",
+        trace.emitted, trace.drained, trace.dropped, trace.violations
+    );
+    assert!(
+        trace.consistent(),
+        "emitted == retained + drained + dropped"
     );
     println!("top-3 longest spans per operation (virtual ns):");
     for (name, spans) in &mut by_name {

@@ -14,26 +14,13 @@
 //! seals the buffer and enqueues; flushes, merges, and migrations all
 //! run on pool threads, so scan p99 tracks p50.
 //!
-//! Output: a summary table plus one `ROW:{json}` line per mode with
-//! the scan latency distribution (virtual ns) and the `random_writes`
-//! invariant. The binary asserts background mode improves scan p99 by
-//! at least 2x and that both modes keep `random_writes == 0` — the
-//! acceptance checks CI smoke-runs at `MASM_BENCH_MB=8`.
-//!
-//! Tracing hooks: the binary always re-runs background mode with a
-//! *disabled* flight recorder installed and asserts scan p99 within 2%
-//! of the untraced run (the pay-for-what-you-use contract), plus a
-//! micro-check that the disabled fast path costs nanoseconds per op.
-//! With `MASM_TRACE_OUT=<path>` it also runs background mode with
-//! tracing enabled, self-validates the exported Chrome trace (complete
-//! flush/compact/migrate job spans, an intact ingest→flush flow link),
-//! writes it to `<path>`, and prints a `TRACE:ok` line.
-
-use std::sync::Arc;
+//! Output: a summary table of the scan latency distribution (virtual
+//! ms) and the `random_writes` invariant per mode. The binary asserts
+//! that background mode improves scan p99 by at least 2x, that its
+//! workers flush, and that both modes keep `random_writes == 0` — the
+//! acceptance checks CI runs at `MASM_BENCH_MB=8`.
 
 use masm_bench::*;
-use masm_telemetry::json::{parse, JsonValue};
-use masm_telemetry::{TraceConfig, Tracer};
 use masm_workloads::synthetic::{UpdateMix, UpdateStreamGen};
 
 const SCANS: usize = 30;
@@ -51,21 +38,13 @@ fn percentile(sorted: &[u64], p: f64) -> u64 {
     sorted[idx]
 }
 
-fn run_mode(
-    mb: u64,
-    label: &'static str,
-    workers: usize,
-    tracer: Option<&Arc<Tracer>>,
-) -> ModeResult {
+fn run_mode(mb: u64, label: &'static str, workers: usize) -> ModeResult {
     let env = SyntheticEnv::with_config_mutator(mb, |cfg| {
         cfg.background_workers = workers;
         // Migrate at half-full flash (the Figure 12 setup) so several
         // migrations come due within the measurement window.
         cfg.migration_threshold = 0.5;
     });
-    if let Some(t) = tracer {
-        env.engine.install_tracer(Arc::clone(t));
-    }
     let cfg = env.engine.config().clone();
     let updater = env.machine.session();
     let mut gen = UpdateStreamGen::uniform(env.table.clone(), UpdateMix::default(), 31);
@@ -127,77 +106,10 @@ fn run_mode(
     }
 }
 
-/// Validate the exported Chrome trace end to end: parseable, at least
-/// one *complete* (`ph:"X"`) span per background job kind, and at
-/// least one ingest-side `masm.flush` flow start whose id resolves to
-/// a worker-side finish. Returns the event count.
-fn validate_chrome_trace(json_text: &str) -> usize {
-    let doc = parse(json_text).expect("trace export must be valid JSON");
-    let Some(JsonValue::Arr(events)) = doc.get("traceEvents") else {
-        panic!("trace export must carry a traceEvents array");
-    };
-    let field = |e: &JsonValue, k: &str| match e.get(k) {
-        Some(JsonValue::Str(s)) => s.clone(),
-        _ => String::new(),
-    };
-    let mut complete: std::collections::HashMap<String, usize> = std::collections::HashMap::new();
-    let mut flow_starts: Vec<u64> = Vec::new();
-    let mut flow_finishes: Vec<u64> = Vec::new();
-    for e in events {
-        let (ph, name) = (field(e, "ph"), field(e, "name"));
-        match ph.as_str() {
-            "X" => *complete.entry(name).or_insert(0) += 1,
-            "s" if name == "masm.flush" => flow_starts.push(e.get_u64("id").expect("flow id")),
-            "f" if name == "masm.flush" => flow_finishes.push(e.get_u64("id").expect("flow id")),
-            _ => {}
-        }
-    }
-    for job in ["job.flush", "job.compact", "job.migrate"] {
-        assert!(
-            complete.get(job).copied().unwrap_or(0) > 0,
-            "trace must contain a complete {job} span, got {complete:?}"
-        );
-    }
-    let linked = flow_starts
-        .iter()
-        .filter(|id| flow_finishes.contains(id))
-        .count();
-    assert!(
-        linked > 0,
-        "no ingest→flush flow link resolved ({} starts, {} finishes)",
-        flow_starts.len(),
-        flow_finishes.len()
-    );
-    events.len()
-}
-
-/// The disabled fast path is one relaxed load + branch; assert it stays
-/// in single-digit-nanoseconds territory so a lock or allocation can
-/// never sneak onto the per-update path.
-fn assert_disabled_probe_is_cheap() {
-    let t = Tracer::new(TraceConfig {
-        enabled: false,
-        ..TraceConfig::default()
-    });
-    const N: u32 = 1_000_000;
-    let start = std::time::Instant::now();
-    let mut acc = false;
-    for _ in 0..N {
-        acc ^= std::hint::black_box(&t).enabled();
-    }
-    std::hint::black_box(acc);
-    let per_op = start.elapsed().as_nanos() as f64 / f64::from(N);
-    assert!(
-        per_op < 100.0,
-        "disabled tracer probe costs {per_op:.1} ns/op; the budget is one relaxed load"
-    );
-    println!("disabled-tracer probe: {per_op:.2} ns/op (budget 100 ns)");
-}
-
 fn main() -> Result<(), String> {
     let mb = scale_mb()?;
-    let stw = run_mode(mb, "stop-the-world (workers=0)", 0, None);
-    let bg = run_mode(mb, "background (workers=2)", 2, None);
+    let stw = run_mode(mb, "stop-the-world (workers=0)", 0);
+    let bg = run_mode(mb, "background (workers=2)", 2);
 
     let rows: Vec<Vec<String>> = [&stw, &bg]
         .iter()
@@ -225,13 +137,6 @@ fn main() -> Result<(), String> {
         "\nshape: stop-the-world pays buffer flushes (and due merges) inline on the scan\n\
          path, spiking the tail; background workers keep p99 near p50."
     );
-    for r in [&stw, &bg] {
-        println!(
-            "ROW:{{\"mode\":\"{}\",\"scans\":{SCANS},\"scan_p50_ns\":{},\"scan_p99_ns\":{},\
-             \"random_writes\":{},\"background_flushes\":{}}}",
-            r.label, r.p50, r.p99, r.random_writes, r.flushes_background
-        );
-    }
 
     // Acceptance: background maintenance takes the flush/merge spikes
     // off the scan tail, and neither mode ever random-writes the SSD.
@@ -253,45 +158,5 @@ fn main() -> Result<(), String> {
         stw.p99 as f64 / 1e6,
         stw.p99 as f64 / bg.p99 as f64
     );
-
-    // Pay-for-what-you-use: an installed-but-disabled recorder must not
-    // move scan latency. Time is virtual, so the identical workload
-    // should land within 2% (in practice: exactly equal).
-    let off = Arc::new(Tracer::new(TraceConfig {
-        enabled: false,
-        ..TraceConfig::default()
-    }));
-    let bg_off = run_mode(mb, "background, tracer disabled", 2, Some(&off));
-    assert_eq!(off.stats().emitted, 0, "disabled tracer must emit nothing");
-    assert!(
-        bg_off.p99 * 100 <= bg.p99 * 102 && bg.p99 * 100 <= bg_off.p99 * 102,
-        "disabled tracing moved scan p99 by > 2%: {} vs {}",
-        bg_off.p99,
-        bg.p99
-    );
-    println!(
-        "tracing disabled: scan p99 {:.3} ms vs untraced {:.3} ms (within 2%)",
-        bg_off.p99 as f64 / 1e6,
-        bg.p99 as f64 / 1e6
-    );
-    assert_disabled_probe_is_cheap();
-
-    // Optional flight-recorded run: export, self-validate, persist.
-    if let Ok(path) = std::env::var("MASM_TRACE_OUT") {
-        let tracer = Arc::new(Tracer::new(TraceConfig {
-            ring_capacity: 1 << 15,
-            ..TraceConfig::default()
-        }));
-        let traced = run_mode(mb, "background, traced", 2, Some(&tracer));
-        assert_eq!(traced.random_writes, 0, "design goal 2 (traced)");
-        let json_text = tracer.export_chrome_trace();
-        let events = validate_chrome_trace(&json_text);
-        std::fs::write(&path, &json_text).expect("write trace file");
-        let ts = tracer.stats();
-        println!(
-            "TRACE:ok events={events} emitted={} dropped={} path={path}",
-            ts.emitted, ts.dropped
-        );
-    }
     Ok(())
 }

@@ -28,10 +28,10 @@
 //! ```
 //!
 //! New blocks enter *probation*; only a second reference promotes them
-//! to *protected* (capped at [`BlockCacheConfig::protected_frac`] of
-//! tier-1 capacity). A one-shot sequential sweep larger than the cache
-//! therefore churns through probation and never displaces the protected
-//! hot set — the scan-resistance the plain LRU lacked.
+//! to *protected* (capped at 80 % of tier-1 capacity). A one-shot
+//! sequential sweep larger than the cache therefore churns through
+//! probation and never displaces the protected hot set — the
+//! scan-resistance the plain LRU lacked.
 //! [`CachePolicy::Lru`] keeps the old single-list behavior as a
 //! config-selectable baseline for benchmarks.
 //!
@@ -178,11 +178,6 @@ pub struct BlockCacheConfig {
     pub shards: usize,
     /// Tier-1 replacement policy.
     pub policy: CachePolicy,
-    /// Fraction of tier-1 capacity reserved for the protected segment
-    /// under [`CachePolicy::Slru`] (clamped to `[0, 1]`; 0.8 by
-    /// default). The probation segment uses whatever the protected
-    /// population does not.
-    pub protected_frac: f64,
     /// Capacity of the compressed victim tier in **stored** bytes,
     /// across all shards (divided evenly per shard); 0 disables tier 2.
     /// A block whose stored bytes exceed the per-shard share is never
@@ -193,6 +188,11 @@ pub struct BlockCacheConfig {
 
 const DEFAULT_SHARDS: usize = 16;
 
+/// Fraction of tier-1 capacity reserved for the protected segment
+/// under [`CachePolicy::Slru`]. The probation segment uses whatever the
+/// protected population does not.
+const PROTECTED_FRAC: f64 = 0.8;
+
 impl BlockCacheConfig {
     /// Defaults for a tier-1 budget of `capacity_bytes`: SLRU with an
     /// 80% protected segment, victim tier disabled.
@@ -201,7 +201,6 @@ impl BlockCacheConfig {
             capacity_bytes,
             shards: DEFAULT_SHARDS,
             policy: CachePolicy::Slru,
-            protected_frac: 0.8,
             tier2_bytes: 0,
         }
     }
@@ -365,18 +364,17 @@ impl BlockCache {
         })
     }
 
-    /// A cache with explicit policy, segment sizing, and victim-tier
+    /// A cache with explicit shard count, policy and victim-tier
     /// capacity.
     pub fn with_config(cfg: BlockCacheConfig) -> Self {
         let n_shards = cfg.shards.max(1);
         let capacity_per_shard = (cfg.capacity_bytes / n_shards).max(1);
-        let frac = cfg.protected_frac.clamp(0.0, 1.0);
         BlockCache {
             shards: (0..n_shards)
                 .map(|_| Mutex::new(Shard::default()))
                 .collect(),
             capacity_per_shard,
-            protected_per_shard: (capacity_per_shard as f64 * frac) as usize,
+            protected_per_shard: (capacity_per_shard as f64 * PROTECTED_FRAC) as usize,
             tier2_per_shard: cfg.tier2_bytes / n_shards,
             policy: cfg.policy,
             tick: AtomicU64::new(0),
@@ -782,11 +780,7 @@ mod tests {
     #[test]
     fn slru_promotes_on_rereference_and_survives_sweep() {
         let per_block = block_weight(10);
-        let c = BlockCache::with_config(BlockCacheConfig {
-            shards: 1,
-            protected_frac: 0.5,
-            ..BlockCacheConfig::new(per_block * 4)
-        });
+        let c = BlockCache::with_shards(per_block * 4, 1);
         // Admit two hot blocks and re-reference them: both promoted.
         c.insert((1, 0), block(10), filler(64));
         c.insert((1, 1), block(10), filler(64));
@@ -808,12 +802,8 @@ mod tests {
     #[test]
     fn protected_overflow_demotes_lru_back_to_probation() {
         let per_block = block_weight(10);
-        // Protected fits exactly two blocks.
-        let c = BlockCache::with_config(BlockCacheConfig {
-            shards: 1,
-            protected_frac: 2.0 * per_block as f64 / (4 * per_block) as f64,
-            ..BlockCacheConfig::new(per_block * 4)
-        });
+        // Protected (80 % of three blocks) fits exactly two blocks.
+        let c = BlockCache::with_shards(per_block * 3, 1);
         for i in 0..3u32 {
             c.insert((1, i), block(10), filler(64));
             assert!(c.get((1, i)).is_some(), "promote {i}");

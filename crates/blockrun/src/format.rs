@@ -714,8 +714,8 @@ impl BlockRunScan {
     /// Emit `block.fetch` spans (one per block acquired, cache hits
     /// included at ≈0 duration) and `block.prefetch` instants (one per
     /// async read issued) to `tracer`, on process track `pid` (the
-    /// owning shard). The recorder is lock-free and drops on overflow,
-    /// so this adds no blocking to the scan path.
+    /// owning shard). An emit takes the recorder's one short lock and
+    /// drops on overflow, so the scan never waits on a consumer.
     pub fn with_trace(mut self, tracer: Arc<masm_telemetry::Tracer>, pid: u32) -> Self {
         self.tracer = Some((tracer, pid));
         self

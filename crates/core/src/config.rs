@@ -70,6 +70,11 @@ impl IndexGranularity {
 /// (see [`MasmConfig::merge_prefetch_depth`]).
 const MERGE_PREFETCH_CAP: usize = 16;
 
+/// Bloom-filter budget per materialized run, in bits per key (10 ⇒
+/// ≈0.8% false positives). It shapes the run format, so
+/// [`MasmConfig::fingerprint`] mixes it.
+const BLOOM_BITS_PER_KEY: u32 = 10;
+
 /// Configuration of a [`crate::engine::MasmEngine`].
 #[derive(Debug, Clone)]
 pub struct MasmConfig {
@@ -89,9 +94,6 @@ pub struct MasmConfig {
     /// sorted run, when no concurrent query timestamp falls between them
     /// (§3.5 "Handling Skews").
     pub merge_duplicates: bool,
-    /// Bloom-filter budget per materialized run, in bits per key
-    /// (10 ⇒ ≈0.8% false positives); 0 disables run bloom filters.
-    pub bloom_bits_per_key: u32,
     /// Per-block compression codec for materialized runs. Fixed choices
     /// always use that codec; [`CodecChoice::Adaptive`] trial-encodes
     /// each block and keeps the smallest output. Compression multiplies
@@ -140,7 +142,6 @@ impl Default for MasmConfig {
             index_granularity: IndexGranularity::Fine,
             migration_threshold: 0.9,
             merge_duplicates: true,
-            bloom_bits_per_key: 10,
             codec: CodecChoice::Delta,
             block_cache_bytes: 8 * 1024 * 1024,
             cache_tier2_bytes: 4 * 1024 * 1024,
@@ -206,7 +207,7 @@ impl MasmConfig {
         // written to redo logs must keep matching.
         mix(0);
         mix(self.index_granularity.bytes());
-        mix(self.bloom_bits_per_key as u64);
+        mix(BLOOM_BITS_PER_KEY as u64);
         mix(self.sharding.splits.len() as u64 + 1);
         h
     }
@@ -280,7 +281,7 @@ impl MasmConfig {
     pub fn blockrun_config(&self) -> masm_blockrun::BlockRunConfig {
         masm_blockrun::BlockRunConfig {
             block_bytes: self.effective_block_bytes(),
-            bloom_bits_per_key: self.bloom_bits_per_key,
+            bloom_bits_per_key: BLOOM_BITS_PER_KEY,
             codec: self.codec,
         }
     }

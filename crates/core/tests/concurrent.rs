@@ -17,9 +17,10 @@ use masm_core::merge::compact_block_runs;
 use masm_core::run::{write_run, SortedRun};
 use masm_core::update::{UpdateOp, UpdateRecord};
 use masm_core::{MasmError, MasmResult};
-use masm_model::{assert_rows, flash, payload, schema, Model, Op, Spec, Table};
+use masm_model::{assert_rows, flash, payload, schema, Lanes, Model, Op, Spec, Table};
 use masm_pagestore::Key;
 use masm_storage::{SessionHandle, SimDevice};
+use masm_telemetry::json::{parse, JsonValue};
 use masm_telemetry::{RecordKind, TraceConfig, Tracer};
 
 /// N ingest lanes write monotonically increasing values to their own
@@ -66,9 +67,9 @@ fn stress_round() -> usize {
     let mut model = t.load(100);
 
     // Flight-record the whole run: the causal chain asserts at the end
-    // need every ingest→flush link, so the rings are sized generously.
+    // need every ingest→flush link, so the queue is sized generously.
     let tracer = Arc::new(Tracer::new(TraceConfig {
-        ring_capacity: 1 << 15,
+        ring_capacity: 1 << 19,
         ..TraceConfig::default()
     }));
     t.engine().install_tracer(Arc::clone(&tracer));
@@ -189,6 +190,105 @@ fn stress_round() -> usize {
         );
     }
     stalls
+}
+
+/// A traced pool runs every job kind on its own: with one worker and a
+/// migration threshold above what 16 runs fill (so a compaction comes
+/// due first), puts alone drive flushes, compactions and migrations. The exported Chrome trace
+/// carries a complete span of each job, and a `masm.compact` and a
+/// `masm.migrate` flow from the actor that requested the job to the
+/// job itself.
+#[test]
+fn a_traced_pool_records_its_compactions_and_migrations() {
+    let mut cfg = MasmConfig::small_for_tests();
+    cfg.background_workers = 1;
+    cfg.migration_threshold = 0.6;
+    // Folding would shrink 17 runs of the same 1,000 keys to one, and
+    // the flash would never reach the migration threshold.
+    cfg.merge_duplicates = false;
+    let t = Table::new(cfg);
+    t.load(1000);
+    // Sampled ingest spans keep the trace small; job spans and flows
+    // are never sampled away.
+    let tracer = Arc::new(Tracer::new(TraceConfig {
+        op_sample_shift: 6,
+        ..TraceConfig::default()
+    }));
+    t.engine().install_tracer(Arc::clone(&tracer));
+    for j in 0..50_000u32 {
+        let op = UpdateOp::Replace(payload(j));
+        t.put(u64::from(j % 1000), op).unwrap();
+    }
+    t.shutdown();
+
+    let doc = parse(&tracer.export_chrome_trace()).expect("the trace is JSON");
+    assert_eq!(tracer.stats().dropped, 0);
+    let Some(JsonValue::Arr(events)) = doc.get("traceEvents") else {
+        panic!("the trace carries a traceEvents array");
+    };
+    let is = |e: &JsonValue, key: &str, want: &str| matches!(e.get(key), Some(JsonValue::Str(got)) if got == want);
+    for job in ["job.flush", "job.compact", "job.migrate"] {
+        assert!(
+            events
+                .iter()
+                .any(|e| is(e, "ph", "X") && is(e, "name", job)),
+            "no complete {job} span"
+        );
+    }
+    for flow in ["masm.compact", "masm.migrate"] {
+        let ids = |phase| -> Vec<u64> {
+            let flows = events
+                .iter()
+                .filter(|e| is(e, "ph", phase) && is(e, "name", flow));
+            flows.filter_map(|e| e.get_u64("id")).collect()
+        };
+        let (starts, finishes) = (ids("s"), ids("f"));
+        assert!(
+            starts.iter().any(|id| finishes.contains(id)),
+            "no {flow} flow resolves ({starts:?} / {finishes:?})"
+        );
+    }
+}
+
+/// Pay for what you use: one seeded schedule — two writers that also
+/// flush, compact and migrate, and two scanners — ends in
+/// byte-identical stats, virtual-time histograms included, on a table
+/// without a tracer and on one with a disabled tracer installed, and
+/// the disabled tracer records nothing.
+#[test]
+fn a_disabled_tracer_changes_no_number() {
+    // Puts `from..to`, with `every` step after each 300th.
+    let writer = |from: u32, to: u32, every: Op| {
+        (from..to).flat_map(move |i| {
+            let put = Op::Put(u64::from(i % 2_000), UpdateOp::Replace(payload(i)));
+            let step = (i % 300 == 299).then(|| every.clone());
+            std::iter::once(put).chain(step)
+        })
+    };
+    let run = |tracer: Option<&Arc<Tracer>>| {
+        let mut t = Table::new(MasmConfig::small_for_tests());
+        if let Some(tracer) = tracer {
+            t.engine().install_tracer(Arc::clone(tracer));
+        }
+        let mut model = t.load(1_000);
+        Lanes::new(7)
+            .ops(writer(0, 1_500, Op::Flush).chain([Op::Compact]))
+            .ops(writer(1_500, 3_000, Op::Compact).chain([Op::Migrate]))
+            .scans(0, Key::MAX, 3)
+            .scans(500, 1_500, 3)
+            .run(&mut t, &mut model);
+        t.check(&model);
+        t.stats()
+    };
+    let untraced = run(None);
+    assert!(untraced.merge.inputs > 0, "the schedule compacts");
+    assert!(untraced.ops.migrate.count > 0, "the schedule migrates");
+    let tracer = Arc::new(Tracer::new(TraceConfig {
+        enabled: false,
+        ..TraceConfig::default()
+    }));
+    assert_eq!(run(Some(&tracer)).to_json(), untraced.to_json());
+    assert_eq!(tracer.stats().emitted, 0);
 }
 
 /// Build `n_runs` runs of `per_run` entries each on `ssd`. Without

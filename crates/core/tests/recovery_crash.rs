@@ -29,7 +29,7 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 
-use masm_core::config::MasmConfig;
+use masm_core::config::{IndexGranularity, MasmConfig};
 use masm_core::ts::Timestamp;
 use masm_core::update::UpdateOp;
 use masm_core::{MasmEngine, MasmError, RecoveryReport};
@@ -116,9 +116,9 @@ fn crash_under_load_loses_no_acked_update(sharded: bool) {
 
     let shards = table.shards().len();
     for (c, (acked, image)) in crashes.into_iter().enumerate() {
-        // Rings large enough that a migration redo cannot overflow them.
+        // A queue large enough that a migration redo cannot overflow it.
         let tracer = Arc::new(Tracer::new(TraceConfig {
-            ring_capacity: 1 << 16,
+            ring_capacity: 1 << 20,
             ..TraceConfig::default()
         }));
         let recover = || {
@@ -300,7 +300,7 @@ fn manifest_validation_rejects_mismatched_deployments() {
 
     // A layout-shaping config change invalidates the fingerprint.
     let mut changed = spec.clone();
-    changed.cfg.bloom_bits_per_key += 1;
+    changed.cfg.index_granularity = IndexGranularity::Bytes(2048);
     let err = rejected(changed, dev.clone());
     assert!(err.contains("fingerprint"), "{err}");
 

@@ -412,7 +412,7 @@ fn every_shard_flushes_on_its_own_trace_track() {
     cfg.sharding.splits = (1..SHARDS).map(|k| k * 10_000).collect();
     let t = Table::sharded(cfg);
     let tracer = Arc::new(Tracer::new(TraceConfig {
-        ring_capacity: 1 << 15,
+        ring_capacity: 1 << 19,
         ..TraceConfig::default()
     }));
     t.sharded_engine().install_tracer(&tracer);

@@ -6,7 +6,7 @@
 //!   map, so MaSM's in-place migration can replace chunks of pages without
 //!   doubling storage (§3.2 "in-place migration", cases (i) and (ii)).
 //! * Range scans ([`TableHeap::scan_range`]) read batches of up to
-//!   [`HeapConfig::scan_io`] bytes (1 MB by default, matching §4.1) with
+//!   1 MiB (the I/O size of §4.1) with
 //!   asynchronous prefetch of the next batch, and locate batches **by
 //!   key**, so a concurrent chunk-wise rewrite cannot make a scan skip or
 //!   repeat records.
@@ -39,13 +39,14 @@ use crate::index::SparseIndex;
 use crate::page::{Page, PageChunk, PageRef};
 use crate::record::{Key, Record};
 
+/// I/O size of range scans and bulk loads (1 MB in §4.1).
+const SCAN_IO: u64 = MIB;
+
 /// Tuning knobs of a table heap.
 #[derive(Debug, Clone)]
 pub struct HeapConfig {
     /// Page size in bytes (the paper's disk pages are 4 KB).
     pub page_size: usize,
-    /// Preferred I/O size for range scans (1 MB in §4.1).
-    pub scan_io: u64,
     /// Pages per rewrite chunk during migration.
     pub rewrite_chunk_pages: usize,
 }
@@ -54,7 +55,6 @@ impl Default for HeapConfig {
     fn default() -> Self {
         HeapConfig {
             page_size: 4096,
-            scan_io: MIB,
             // 4 MiB chunks: large enough that the read/write head
             // alternation of a rewrite costs little relative to the
             // transfers (the paper's migration lands at ~2.3x a scan).
@@ -198,7 +198,7 @@ impl TableHeap {
     }
 
     /// Bulk-load sorted records, packing pages to `fill` (0 < fill ≤ 1) of
-    /// capacity and writing them sequentially in `scan_io`-sized batches.
+    /// capacity and writing them sequentially in 1 MiB batches.
     pub fn bulk_load(
         &self,
         session: &SessionHandle,
@@ -234,12 +234,12 @@ impl TableHeap {
             pages.push(cur);
         }
 
-        // Allocate one contiguous region and write in scan_io batches.
+        // Allocate one contiguous region and write in SCAN_IO batches.
         let base = self
             .alloc
             .lock()
             .alloc_contiguous(pages.len(), page_size as u64);
-        let mut batch: Vec<u8> = Vec::with_capacity(self.cfg.scan_io as usize);
+        let mut batch: Vec<u8> = Vec::with_capacity(SCAN_IO as usize);
         let mut batch_off = base;
         let mut map = Vec::with_capacity(pages.len());
         let mut index = SparseIndex::default();
@@ -247,7 +247,7 @@ impl TableHeap {
             map.push(base + (i * page_size) as u64);
             index.push(p.min_key().expect("non-empty page"));
             batch.extend_from_slice(p.as_bytes());
-            if batch.len() as u64 >= self.cfg.scan_io {
+            if batch.len() as u64 >= SCAN_IO {
                 session.write(&self.dev, batch_off, &batch)?;
                 batch_off += batch.len() as u64;
                 batch.clear();
@@ -531,7 +531,7 @@ impl RangeScan {
             return Ok(None);
         }
         let page_size = heap.cfg.page_size as u64;
-        let max_pages = (heap.cfg.scan_io / page_size).max(1) as usize;
+        let max_pages = (SCAN_IO / page_size).max(1) as usize;
         let mut last = first;
         while last < last_overlap
             && last - first + 1 < max_pages

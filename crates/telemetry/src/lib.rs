@@ -4,7 +4,7 @@
 //! zero random SSD writes, bounded migration cost, scan slowdown within
 //! a few percent — so the reproduction's benches, tests, and (future)
 //! ops dashboards all need the same numbers. This crate provides them
-//! in three layers:
+//! in four layers:
 //!
 //! 1. **Metrics core** ([`metrics`], [`timer`]) — log₂-bucketed latency
 //!    [`Histogram`]s with p50/p95/p99/max readout and a **fixed bucket
@@ -23,6 +23,10 @@
 //!    polls snapshots on a virtual-clock interval and collects NDJSON
 //!    rows (one JSON object per line), so sustained-load benches emit a
 //!    time series instead of a single summary row.
+//! 4. **Causal tracing** ([`trace`]) — [`Tracer`], a flight recorder:
+//!    fixed-size records go into one bounded, preallocated queue (an
+//!    emitter takes one short lock; a full queue drops the record and
+//!    counts it), exported as Chrome trace-event JSON for Perfetto.
 //!
 //! JSON is hand-rolled ([`json`]) because the workspace is offline (no
 //! serde); the tiny writer/parser pair is enough for NDJSON rows and

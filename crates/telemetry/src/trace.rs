@@ -1,11 +1,11 @@
-//! `masm-trace` — a lock-free flight recorder with Perfetto export.
+//! `masm-trace` — a bounded flight recorder with Perfetto export.
 //!
 //! The metrics layer answers *how much*; this module answers *why*: it
 //! records causally-linked spans and instant events across the engine's
 //! threads — ingest → backpressure stall → sealed batch → flush job →
-//! the compaction or migration it triggered — into bounded in-memory
-//! ring buffers, and exports them as Chrome trace-event JSON that opens
-//! directly in [Perfetto](https://ui.perfetto.dev) or
+//! the compaction or migration it triggered — into one bounded
+//! in-memory queue, and exports them as Chrome trace-event JSON that
+//! opens directly in [Perfetto](https://ui.perfetto.dev) or
 //! `chrome://tracing`.
 //!
 //! # Design
@@ -13,12 +13,13 @@
 //! * **Fixed-size records.** A [`TraceRecord`] is `Copy`, contains no
 //!   heap data (names are `&'static str`), and its exact size is pinned
 //!   by a test — the emit path allocates nothing, ever.
-//! * **Bounded rings, overflow counted.** Records land in one of
-//!   [`TRACE_RINGS`] bounded ring buffers (writers are striped by
-//!   thread id; claims are CAS-based and lock-free). A full ring
-//!   *drops* the record and counts it — emitters never block and never
-//!   overwrite unread data, so `emitted == retained + drained +
-//!   dropped` holds exactly ([`TraceStats`]).
+//! * **One bounded queue, overflow counted.** Records land in one queue
+//!   preallocated to [`TraceConfig::ring_capacity`] records; an emitter
+//!   takes one short lock to push. A full queue *drops* the record and
+//!   counts it — emitters never wait on a consumer and never overwrite
+//!   unread data, and the counters move under the same lock, so
+//!   `emitted == retained + drained + dropped` holds exactly
+//!   ([`TraceStats`]).
 //! * **Pay for what you use.** [`Tracer::enabled`] is one relaxed
 //!   atomic load; every instrumentation site checks it first, so a
 //!   disabled tracer costs one load per operation. Hot per-operation
@@ -35,15 +36,12 @@
 //! clock). The export writes microsecond `ts`/`dur` fields as Chrome
 //! expects.
 
-use std::cell::UnsafeCell;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::json::JsonObj;
 use crate::stats::EngineStats;
-
-/// Number of ring buffers writers are striped over (by thread id).
-pub const TRACE_RINGS: usize = 16;
 
 /// The kind of one [`TraceRecord`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,115 +90,6 @@ pub struct TraceRecord {
     pub arg: u64,
 }
 
-impl TraceRecord {
-    const EMPTY: TraceRecord = TraceRecord {
-        kind: RecordKind::Instant,
-        track: TrackId { pid: 0, tid: 0 },
-        name: "",
-        t_ns: 0,
-        dur_ns: 0,
-        flow: 0,
-        arg_name: "",
-        arg: 0,
-    };
-}
-
-/// One bounded ring: multi-producer (CAS claim), single consumer (the
-/// drain path holds [`Tracer`]'s drain lock). Producers that find the
-/// ring full return `false` instead of blocking or overwriting.
-struct Ring {
-    /// Next claim index (monotonic, not wrapped).
-    head: AtomicU64,
-    /// Next read index (monotonic; advanced only by the consumer).
-    tail: AtomicU64,
-    /// `seq == index + 1` marks a slot as published for that index.
-    slots: Box<[Slot]>,
-}
-
-struct Slot {
-    seq: AtomicU64,
-    rec: UnsafeCell<TraceRecord>,
-}
-
-// Slots are written only by the producer that CAS-claimed their index
-// and read only after the matching release-store of `seq` — the
-// acquire/release pair orders the record bytes, so no torn reads.
-unsafe impl Sync for Ring {}
-
-impl Ring {
-    fn new(capacity: usize) -> Ring {
-        let slots = (0..capacity.max(2))
-            .map(|_| Slot {
-                seq: AtomicU64::new(0),
-                rec: UnsafeCell::new(TraceRecord::EMPTY),
-            })
-            .collect();
-        Ring {
-            head: AtomicU64::new(0),
-            tail: AtomicU64::new(0),
-            slots,
-        }
-    }
-
-    fn capacity(&self) -> u64 {
-        self.slots.len() as u64
-    }
-
-    /// Lock-free bounded push: `false` when the ring is full (the
-    /// record is dropped, never blocking the emitter).
-    fn push(&self, rec: TraceRecord) -> bool {
-        loop {
-            let head = self.head.load(Ordering::Acquire);
-            let tail = self.tail.load(Ordering::Acquire);
-            if head.wrapping_sub(tail) >= self.capacity() {
-                return false;
-            }
-            if self
-                .head
-                .compare_exchange_weak(head, head + 1, Ordering::AcqRel, Ordering::Relaxed)
-                .is_ok()
-            {
-                let slot = &self.slots[(head % self.capacity()) as usize];
-                // Safety: this producer owns index `head` exclusively
-                // (the CAS), and the consumer cannot touch the slot
-                // until the release-store below publishes it.
-                unsafe { *slot.rec.get() = rec };
-                slot.seq.store(head + 1, Ordering::Release);
-                return true;
-            }
-        }
-    }
-
-    /// Single-consumer drain (caller holds the tracer's drain lock).
-    fn drain(&self, f: &mut impl FnMut(TraceRecord)) -> u64 {
-        let mut n = 0;
-        loop {
-            let tail = self.tail.load(Ordering::Acquire);
-            if tail == self.head.load(Ordering::Acquire) {
-                return n;
-            }
-            let slot = &self.slots[(tail % self.capacity()) as usize];
-            if slot.seq.load(Ordering::Acquire) != tail + 1 {
-                // Claimed but not yet published; the producer is mid-write.
-                std::hint::spin_loop();
-                continue;
-            }
-            // Safety: published (seq acquire above) and not yet consumed
-            // (tail advances only below, after the copy).
-            let rec = unsafe { *slot.rec.get() };
-            self.tail.store(tail + 1, Ordering::Release);
-            f(rec);
-            n += 1;
-        }
-    }
-
-    fn len(&self) -> u64 {
-        self.head
-            .load(Ordering::Acquire)
-            .saturating_sub(self.tail.load(Ordering::Acquire))
-    }
-}
-
 static NEXT_TID: AtomicU32 = AtomicU32::new(1);
 
 thread_local! {
@@ -217,9 +106,9 @@ pub fn current_tid() -> u32 {
 /// Tracer construction knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct TraceConfig {
-    /// Capacity of each of the [`TRACE_RINGS`] ring buffers, in
-    /// records. Overflow is counted ([`TraceStats::dropped`]), not
-    /// blocked on.
+    /// Capacity of the recorder's one queue, in records (preallocated
+    /// up front; 65,536 records of 80 bytes by default). Overflow is
+    /// counted ([`TraceStats::dropped`]), not blocked on.
     pub ring_capacity: usize,
     /// Sample hot per-operation spans 1-in-2^shift
     /// ([`Tracer::op_span`]); 0 records every operation. Lifecycle
@@ -232,7 +121,7 @@ pub struct TraceConfig {
 impl Default for TraceConfig {
     fn default() -> Self {
         TraceConfig {
-            ring_capacity: 4096,
+            ring_capacity: 1 << 16,
             op_sample_shift: 0,
             enabled: true,
         }
@@ -243,13 +132,13 @@ impl Default for TraceConfig {
 /// `emitted == retained + drained + dropped`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceStats {
-    /// Records offered to the rings while the tracer was enabled.
+    /// Records offered to the queue while the tracer was enabled.
     pub emitted: u64,
-    /// Records dropped because their ring was full.
+    /// Records dropped because the queue was full.
     pub dropped: u64,
     /// Records handed to a consumer by [`Tracer::drain`].
     pub drained: u64,
-    /// Records currently waiting in the rings.
+    /// Records currently waiting in the queue.
     pub retained: u64,
     /// Invariant violations an [`InvariantWatchdog`] observed.
     pub violations: u64,
@@ -263,11 +152,14 @@ impl TraceStats {
     }
 }
 
-/// The flight recorder: lock-free span/event emission into bounded
-/// rings, drained on demand and exported as Chrome trace-event JSON.
+/// The flight recorder: span/event emission into one bounded queue,
+/// drained on demand and exported as Chrome trace-event JSON.
 #[derive(Debug)]
 pub struct Tracer {
-    rings: Vec<Ring>,
+    /// Preallocated to `capacity` records, so a push never allocates.
+    /// `emitted`, `dropped` and `drained` move only while it is held.
+    queue: Mutex<VecDeque<TraceRecord>>,
+    capacity: usize,
     enabled: AtomicBool,
     op_mask: u64,
     op_counter: AtomicU64,
@@ -276,17 +168,6 @@ pub struct Tracer {
     dropped: AtomicU64,
     violations: AtomicU64,
     drained: AtomicU64,
-    /// Serializes consumers; the emit path never touches it.
-    drain_lock: Mutex<()>,
-}
-
-impl std::fmt::Debug for Ring {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Ring")
-            .field("capacity", &self.capacity())
-            .field("len", &self.len())
-            .finish()
-    }
 }
 
 impl Default for Tracer {
@@ -296,13 +177,12 @@ impl Default for Tracer {
 }
 
 impl Tracer {
-    /// Build a tracer with the given ring capacity and sampling knobs.
+    /// Build a tracer with the given queue capacity and sampling knobs.
     #[must_use]
     pub fn new(cfg: TraceConfig) -> Tracer {
         Tracer {
-            rings: (0..TRACE_RINGS)
-                .map(|_| Ring::new(cfg.ring_capacity))
-                .collect(),
+            queue: Mutex::new(VecDeque::with_capacity(cfg.ring_capacity)),
+            capacity: cfg.ring_capacity,
             enabled: AtomicBool::new(cfg.enabled),
             op_mask: (1u64 << cfg.op_sample_shift.min(63)) - 1,
             op_counter: AtomicU64::new(0),
@@ -311,8 +191,16 @@ impl Tracer {
             dropped: AtomicU64::new(0),
             violations: AtomicU64::new(0),
             drained: AtomicU64::new(0),
-            drain_lock: Mutex::new(()),
         }
+    }
+
+    /// The queue. A holder only pushes, counts or swaps the queue out,
+    /// none of which can leave it half-updated, so a poisoned lock is
+    /// still a valid queue.
+    fn queue(&self) -> MutexGuard<'_, VecDeque<TraceRecord>> {
+        self.queue
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     /// Whether recording is on — **one relaxed atomic load**; this is
@@ -339,15 +227,18 @@ impl Tracer {
         self.op_mask == 0 || (self.op_counter.fetch_add(1, Ordering::Relaxed) & self.op_mask) == 0
     }
 
-    /// Emit one record (no-op when disabled). Lock-free and
-    /// allocation-free; overflow is counted, not blocked on.
+    /// Emit one record (no-op when disabled). Allocation-free: one
+    /// short lock to push into the preallocated queue; overflow is
+    /// counted, not blocked on.
     pub fn emit(&self, rec: TraceRecord) {
         if !self.enabled() {
             return;
         }
+        let mut queue = self.queue();
         self.emitted.fetch_add(1, Ordering::Relaxed);
-        let ring = &self.rings[rec.track.tid as usize % TRACE_RINGS];
-        if !ring.push(rec) {
+        if queue.len() < self.capacity {
+            queue.push_back(rec);
+        } else {
             self.dropped.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -474,24 +365,26 @@ impl Tracer {
         Some(self.span(name, track, now))
     }
 
-    /// Drain every ring in thread-stripe order, handing each record to
-    /// `f`. Single-consumer (internally serialized); concurrent
-    /// emitters keep running lock-free.
-    pub fn drain(&self, mut f: impl FnMut(TraceRecord)) -> u64 {
-        let _guard = self
-            .drain_lock
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let mut n = 0;
-        for ring in &self.rings {
-            n += ring.drain(&mut f);
-        }
-        self.drained.fetch_add(n, Ordering::Relaxed);
+    /// Drain the queue in emission order, handing each record to `f`.
+    /// The queue is swapped for a fresh preallocated one under the
+    /// lock, and `f` runs after the lock is released, so emitters wait
+    /// on no consumer.
+    pub fn drain(&self, f: impl FnMut(TraceRecord)) -> u64 {
+        let fresh = VecDeque::with_capacity(self.capacity);
+        let records = {
+            let mut queue = self.queue();
+            let records = std::mem::replace(&mut *queue, fresh);
+            self.drained
+                .fetch_add(records.len() as u64, Ordering::Relaxed);
+            records
+        };
+        let n = records.len() as u64;
+        records.into_iter().for_each(f);
         n
     }
 
     /// Drain into a vector, sorted by event time (stable, so equal
-    /// timestamps keep emission-stripe order).
+    /// timestamps keep emission order).
     pub fn take_records(&self) -> Vec<TraceRecord> {
         let mut out = Vec::new();
         self.drain(|r| out.push(r));
@@ -499,14 +392,16 @@ impl Tracer {
         out
     }
 
-    /// Emission accounting (see [`TraceStats::consistent`]).
+    /// Emission accounting (see [`TraceStats::consistent`]), read under
+    /// the queue's lock so it is consistent at every instant.
     #[must_use]
     pub fn stats(&self) -> TraceStats {
+        let queue = self.queue();
         TraceStats {
             emitted: self.emitted.load(Ordering::Relaxed),
             dropped: self.dropped.load(Ordering::Relaxed),
             drained: self.drained.load(Ordering::Relaxed),
-            retained: self.rings.iter().map(Ring::len).sum(),
+            retained: queue.len() as u64,
             violations: self.violations.load(Ordering::Relaxed),
         }
     }
@@ -754,7 +649,7 @@ mod tests {
     #[test]
     fn record_is_fixed_size_no_allocation() {
         assert_eq!(std::mem::size_of::<TraceRecord>(), 80);
-        // Copy is what lets the ring hand records around by value.
+        // Copy is what lets the queue hand records around by value.
         fn assert_copy<T: Copy>() {}
         assert_copy::<TraceRecord>();
     }
@@ -782,7 +677,7 @@ mod tests {
             ring_capacity: 4,
             ..TraceConfig::default()
         });
-        // All records from one tid land in one 4-slot ring.
+        // Four records fit; the other sixteen are dropped and counted.
         for i in 0..20 {
             t.instant("e", track(0, 1), i, "", 0);
         }

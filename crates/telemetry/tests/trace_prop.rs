@@ -1,5 +1,5 @@
 //! Property tests for the `masm-trace` flight recorder: exact drop
-//! accounting under arbitrary ring capacities and writer counts, no
+//! accounting under arbitrary queue capacities and writer counts, no
 //! torn records under concurrency, span well-formedness (end ≥ start,
 //! parents open before children, children close within parents) for
 //! arbitrary nesting programs, and flow-id resolution.
@@ -40,7 +40,7 @@ fn steps() -> impl Strategy<Value = Vec<Step>> {
 
 proptest! {
     /// `emitted == retained + drained + dropped` holds exactly for any
-    /// ring capacity, writer count, and stream length — and once fully
+    /// queue capacity, writer count, and stream length — and once fully
     /// drained, `retained == 0` and nothing was double-counted.
     #[test]
     fn drop_accounting_is_exact(
@@ -137,7 +137,7 @@ proptest! {
 
         let records = t.take_records();
         let stats = t.stats();
-        prop_assert_eq!(stats.dropped, 0, "program must fit the ring");
+        prop_assert_eq!(stats.dropped, 0, "program must fit the queue");
         prop_assert!(stats.consistent());
 
         let spans: Vec<&TraceRecord> =

@@ -113,9 +113,9 @@ fn main() {
     .expect("valid config");
 
     // Flight-record the whole run. Everything emitted below lands in
-    // the tracer's lock-free rings; the summary at the end drains them.
+    // the tracer's one bounded queue; the summary at the end drains it.
     let tracer = Arc::new(Tracer::new(TraceConfig {
-        ring_capacity: 1 << 14,
+        ring_capacity: 1 << 18,
         ..TraceConfig::default()
     }));
     engine.install_tracer(Arc::clone(&tracer));
@@ -252,7 +252,7 @@ fn main() {
     }
     let trace = tracer.stats();
     println!(
-        "\ntrace: {} records emitted, {} drained, {} dropped on ring overflow, \
+        "\ntrace: {} records emitted, {} drained, {} dropped on overflow, \
          {} invariant violations",
         trace.emitted, trace.drained, trace.dropped, trace.violations
     );

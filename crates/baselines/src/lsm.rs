@@ -22,9 +22,9 @@ use masm_core::config::MasmConfig;
 use masm_core::merge::{
     fold_duplicates, KWayUpdates, MergeDataUpdates, MergeUpdates, UpdateStream,
 };
-use masm_core::run::{write_run, RunScan, SortedRun};
+use masm_core::run::{write_run, RunScan, ScanFailures, SortedRun};
 use masm_core::update::{UpdateOp, UpdateRecord};
-use masm_core::MasmResult;
+use masm_core::{MasmError, MasmResult};
 use masm_pagestore::{Key, Record, Schema, TableHeap};
 use masm_storage::{SessionHandle, SimDevice};
 
@@ -104,7 +104,7 @@ impl LsmEngine {
     }
 
     /// Updates ingested and their logical bytes.
-    pub fn ingest_stats(&self) -> (u64, u64) {
+    fn ingest_stats(&self) -> (u64, u64) {
         let st = self.state.lock();
         (st.ingested, st.ingested_bytes)
     }
@@ -142,62 +142,77 @@ impl LsmEngine {
         Ok(())
     }
 
+    /// Rolling propagation, modeled as full merges: C0 merges into
+    /// level 0, and the result on down while it overflows its level;
+    /// the deepest level reached is rewritten. Everything is read
+    /// before anything changes, so a failed read or write leaves C0
+    /// and every level as they were.
     fn flush_c0(&self, session: &SessionHandle, st: &mut LsmState) -> MasmResult<()> {
-        let mut updates = std::mem::take(&mut st.c0);
+        st.c0.sort_by_key(|a| (a.key, a.ts));
+        let mut merged = st.c0.clone();
+        let mut level = 0;
+        let bytes = loop {
+            merged = self.merge_into_level(session, st.levels[level].as_ref(), merged)?;
+            let bytes: u64 = merged.iter().map(|u| u.encoded_len() as u64).sum();
+            if bytes <= self.level_capacity(level) || level + 1 == st.levels.len() {
+                break bytes;
+            }
+            level += 1;
+        };
+        let run = if merged.is_empty() {
+            None
+        } else {
+            let (id, base) = (st.next_run_id, st.next_offset);
+            let run = write_run(session, &self.ssd, &self.cfg.run_cfg, id, base, 1, &merged)?;
+            st.next_run_id += 1;
+            st.next_offset += bytes;
+            Some(Arc::new(run))
+        };
+        st.c0.clear();
         st.c0_bytes = 0;
-        updates.sort_by_key(|a| (a.key, a.ts));
-        self.merge_into_level(session, st, 0, updates)
-    }
-
-    /// Merge `incoming` (sorted) into flash level `i`, rewriting the
-    /// level; cascade downward if it overflows.
-    fn merge_into_level(
-        &self,
-        session: &SessionHandle,
-        st: &mut LsmState,
-        i: usize,
-        incoming: Vec<UpdateRecord>,
-    ) -> MasmResult<()> {
-        let mut streams: Vec<UpdateStream> = vec![Box::new(incoming.into_iter())];
-        if let Some(existing) = st.levels[i].take() {
-            streams.push(Box::new(RunScan::with_cache(
-                self.ssd.clone(),
-                session.clone(),
-                existing,
-                None,
-                0,
-                Key::MAX,
-            )));
-        }
-        let merged: Vec<UpdateRecord> = KWayUpdates::new(streams).collect();
-        // LSM trees merge duplicate entries during propagation.
-        let merged = fold_duplicates(merged, &self.schema, |_, _| true);
-        if merged.is_empty() {
-            return Ok(());
-        }
-        let bytes: u64 = merged.iter().map(|u| u.encoded_len() as u64).sum();
-        if bytes > self.level_capacity(i) && i + 1 < st.levels.len() {
-            // Level overflows: propagate the whole content down.
-            return self.merge_into_level(session, st, i + 1, merged);
-        }
-        let id = st.next_run_id;
-        st.next_run_id += 1;
-        let base = st.next_offset;
-        st.next_offset += bytes;
-        let run = write_run(session, &self.ssd, &self.cfg.run_cfg, id, base, 1, &merged)?;
-        st.levels[i] = Some(Arc::new(run));
+        st.levels[..level].fill(None);
+        st.levels[level] = run;
         Ok(())
     }
 
+    /// `incoming` (sorted) merged with the updates of a level's `run`,
+    /// duplicates folded as LSM trees do during propagation. A read of
+    /// the run that fails is the error.
+    fn merge_into_level(
+        &self,
+        session: &SessionHandle,
+        run: Option<&Arc<SortedRun>>,
+        incoming: Vec<UpdateRecord>,
+    ) -> MasmResult<Vec<UpdateRecord>> {
+        let failures = ScanFailures::default();
+        let mut streams: Vec<UpdateStream> = vec![Box::new(incoming.into_iter())];
+        if let Some(run) = run {
+            let scan = RunScan::with_cache(
+                self.ssd.clone(),
+                session.clone(),
+                Arc::clone(run),
+                None,
+                0,
+                Key::MAX,
+            );
+            streams.push(Box::new(scan.reporting_to(failures.clone())));
+        }
+        let merged: Vec<UpdateRecord> = KWayUpdates::new(streams).collect();
+        failures.check()?;
+        Ok(fold_duplicates(merged, &self.schema, |_, _| true))
+    }
+
     /// Open a merged range scan: one index-guided run scan per level —
-    /// no per-entry random reads (LSM's strength).
+    /// no per-entry random reads (LSM's strength). A read that fails
+    /// ends the stream: its last item is the error, and nothing joined
+    /// against a truncated update side comes before it.
     pub fn begin_scan(
         &self,
         session: SessionHandle,
         begin: Key,
         end: Key,
         as_of: u64,
-    ) -> MasmResult<impl Iterator<Item = Record> + use<'_>> {
+    ) -> MasmResult<impl Iterator<Item = MasmResult<Record>>> {
         let st = self.state.lock();
         let mut streams: Vec<UpdateStream> = Vec::new();
         let mut c0: Vec<UpdateRecord> = st
@@ -208,28 +223,54 @@ impl LsmEngine {
             .collect();
         c0.sort_by_key(|a| (a.key, a.ts));
         streams.push(Box::new(c0.into_iter()));
+        let failures = ScanFailures::default();
         for level in st.levels.iter().flatten() {
-            streams.push(Box::new(RunScan::with_cache(
+            let scan = RunScan::with_cache(
                 self.ssd.clone(),
                 session.clone(),
                 Arc::clone(level),
                 None,
                 begin,
                 end,
-            )));
+            );
+            streams.push(Box::new(scan.reporting_to(failures.clone())));
         }
         drop(st);
         let merged = MergeUpdates::new(streams, self.schema.clone(), as_of);
-        // This baseline never rewrites the heap: every page's timestamp
-        // is still the bulk load's 0.
-        let data = self.heap.scan_range(session, begin, end).map(|r| (r, 0));
-        Ok(MergeDataUpdates::new(data, merged, self.schema.clone()))
+        let data = self.heap.scan_range(session, begin, end);
+        let mut join = MergeDataUpdates::new(data, merged, self.schema.clone());
+        let mut failed = false;
+        Ok(std::iter::from_fn(move || {
+            if let Some(record) = join.pop() {
+                return Some(Ok(record));
+            }
+            if failed {
+                return None;
+            }
+            join.refill();
+            // A run scan that failed during this join step ended its
+            // stream: none of the step's records is handed out.
+            let failure = match failures.check() {
+                Err(failure) => {
+                    join.abort();
+                    Some(failure)
+                }
+                Ok(()) => join.take_error().map(MasmError::Storage),
+            };
+            if let Some(failure) = failure {
+                failed = true;
+                return Some(Err(failure));
+            }
+            join.pop().map(Ok)
+        }))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
+
     use masm_pagestore::HeapConfig;
     use masm_storage::{DeviceProfile, SimClock};
 
@@ -242,6 +283,10 @@ mod tests {
         let mut p = s.empty_payload();
         s.set_u32(&mut p, 0, v);
         p
+    }
+
+    fn scan_all(e: &LsmEngine, s: &SessionHandle, begin: Key, end: Key) -> MasmResult<Vec<Record>> {
+        e.begin_scan(s.clone(), begin, end, u64::MAX)?.collect()
     }
 
     fn setup(n: u64, mem: usize, h: u32) -> (LsmEngine, SessionHandle) {
@@ -274,7 +319,7 @@ mod tests {
         let keys: Vec<Key> = e
             .begin_scan(s, 0, 50, u64::MAX)
             .unwrap()
-            .map(|r| r.key)
+            .map(|r| r.unwrap().key)
             .collect();
         assert!(keys.contains(&11), "insert visible after cascades");
         assert!(!keys.contains(&20), "delete visible after cascades");
@@ -321,7 +366,7 @@ mod tests {
         }
         let ssd = e.ssd.clone();
         ssd.reset_stats();
-        let n = e.begin_scan(s, 0, 4000, u64::MAX).unwrap().count();
+        let n = scan_all(&e, &s, 0, 4000).unwrap().len();
         assert!(n > 0);
         let stats = ssd.stats();
         // Block-granular span reads per level (one op per run block),
@@ -332,5 +377,85 @@ mod tests {
             stats.sequential_ops > stats.random_ops * 5,
             "span reads must be sequential: {stats:?}"
         );
+    }
+
+    /// An update stream over the bulk-loaded table's keys (even keys
+    /// below 1000; key `k`'s payload starts as `k / 2`), keeping the
+    /// latest value of each key as the model.
+    #[derive(Default)]
+    struct Replacer {
+        ts: u64,
+        model: BTreeMap<Key, u32>,
+    }
+
+    impl Replacer {
+        /// Replace keys until `done`; the first error is returned.
+        fn until(
+            &mut self,
+            e: &LsmEngine,
+            s: &SessionHandle,
+            done: impl Fn(&LsmState) -> bool,
+        ) -> MasmResult<()> {
+            while !done(&e.state.lock()) {
+                self.ts += 1;
+                let (key, v) = ((self.ts * 14) % 1000, self.ts as u32);
+                self.model.insert(key, v);
+                e.apply_update(s, key, UpdateOp::Replace(payload(v)), self.ts)?;
+            }
+            Ok(())
+        }
+
+        /// A full scan is the bulk load with the model's values.
+        fn check(&self, e: &LsmEngine, s: &SessionHandle) {
+            let rows = scan_all(e, s, 0, Key::MAX).unwrap();
+            assert_eq!(rows.len(), 500);
+            for r in rows {
+                let want = self.model.get(&r.key).copied();
+                let want = want.unwrap_or(r.key as u32 / 2);
+                assert_eq!(schema().get_u32(&r.payload, 0), want, "key {}", r.key);
+            }
+        }
+    }
+
+    #[test]
+    fn a_read_fault_in_a_level_merge_is_an_error_and_loses_nothing() {
+        let (e, s) = setup(500, 4096, 2);
+        let mut w = Replacer::default();
+        // Up to the first flush: level 0 is written, nothing is read.
+        w.until(&e, &s, |st| st.levels[0].is_some()).unwrap();
+        e.ssd.inject_read_fault();
+        // The next flush must read level 0 to merge into it.
+        let err = w.until(&e, &s, |_| false).unwrap_err();
+        assert!(
+            matches!(err, MasmError::Storage(_) | MasmError::BlockRun(_)),
+            "{err}"
+        );
+        // The failed flush changed nothing; a retried one merges it all.
+        assert_eq!(e.state.lock().next_run_id, 1);
+        e.ssd.clear_read_fault();
+        w.until(&e, &s, |st| st.next_run_id == 2).unwrap();
+        assert!(e.state.lock().c0.is_empty());
+        w.check(&e, &s);
+    }
+
+    #[test]
+    fn a_read_fault_ends_a_scan_with_the_error_after_a_correct_prefix() {
+        let (e, s) = setup(500, 4096, 2);
+        let mut w = Replacer::default();
+        w.until(&e, &s, |st| st.next_run_id == 3).unwrap();
+        w.check(&e, &s);
+        let want = scan_all(&e, &s, 0, Key::MAX).unwrap();
+        // Opened first: each level's first block is already read.
+        let scan = e.begin_scan(s.clone(), 0, Key::MAX, u64::MAX).unwrap();
+        e.ssd.inject_read_fault();
+        let got: Vec<MasmResult<Record>> = scan.collect();
+        let (last, prefix) = got.split_last().unwrap();
+        assert!(
+            matches!(last, Err(MasmError::Storage(_) | MasmError::BlockRun(_))),
+            "the stream ends with the error: {last:?}"
+        );
+        let prefix: Vec<&Record> = prefix.iter().map(|r| r.as_ref().unwrap()).collect();
+        assert!((1..want.len()).contains(&prefix.len()), "{}", prefix.len());
+        assert!(prefix.iter().zip(&want).all(|(got, want)| *got == want));
     }
 }

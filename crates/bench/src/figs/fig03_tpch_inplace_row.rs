@@ -9,7 +9,7 @@
 use masm_storage::MIB;
 use masm_workloads::tpch::TPCH_QUERIES;
 
-use crate::tpch_replay::{TpchEnv, TpchInPlaceUpdater};
+use crate::tpch_replay::TpchEnv;
 use crate::{secs, Report};
 
 pub fn run(mb: u64) -> Report {
@@ -24,13 +24,13 @@ pub fn run(mb: u64) -> Report {
         let no_updates = env.time_query(q, 1.0);
 
         let env2 = TpchEnv::new(total_bytes);
-        let mut updater = TpchInPlaceUpdater::new(&env2, 9);
+        let mut updater = env2.inplace_updater(9);
         let with_updates = env2.time_query_with(q, 1.0, &mut |now| updater.catch_up(now));
         let issued = updater.issued;
 
         // Same number of updates, applied alone (offline).
         let env3 = TpchEnv::new(total_bytes);
-        let mut offline = TpchInPlaceUpdater::new(&env3, 9);
+        let mut offline = env3.inplace_updater(9);
         let updates_alone = offline.apply_exactly(issued);
 
         let with_ratio = with_updates as f64 / no_updates as f64;

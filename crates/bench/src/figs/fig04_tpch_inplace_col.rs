@@ -15,7 +15,7 @@
 use masm_storage::MIB;
 use masm_workloads::tpch::TPCH_QUERIES;
 
-use crate::tpch_replay::{TpchEnv, TpchInPlaceUpdater};
+use crate::tpch_replay::TpchEnv;
 use crate::{secs, Report};
 
 const COLUMN_FRACTION: f64 = 0.35;
@@ -30,7 +30,7 @@ pub fn run(mb: u64) -> Report {
         let no_updates = env.time_query(q, COLUMN_FRACTION);
 
         let env2 = TpchEnv::new(total_bytes);
-        let mut updater = TpchInPlaceUpdater::new(&env2, 13);
+        let mut updater = env2.inplace_updater(13);
         let with_updates =
             env2.time_query_with(q, COLUMN_FRACTION, &mut |now| updater.catch_up(now));
 

@@ -9,7 +9,7 @@
 use masm_storage::MIB;
 use masm_workloads::tpch::TPCH_QUERIES;
 
-use crate::tpch_replay::{TpchEnv, TpchInPlaceUpdater, TpchMasm};
+use crate::tpch_replay::{TpchEnv, TpchMasm};
 use crate::{secs, Report};
 
 pub fn run(mb: u64) -> Report {
@@ -24,7 +24,7 @@ pub fn run(mb: u64) -> Report {
         let no_updates = env.time_query(q, 1.0);
 
         let env2 = TpchEnv::new(total_bytes);
-        let mut updater = TpchInPlaceUpdater::new(&env2, 21);
+        let mut updater = env2.inplace_updater(21);
         let inplace = env2.time_query_with(q, 1.0, &mut |now| updater.catch_up(now));
 
         // MaSM: flash 50% full at query start (§4.3).

@@ -35,7 +35,7 @@ use std::sync::Arc;
 
 use masm_core::{EngineStats, ShardedEngine, UpdateRecord};
 use masm_pagestore::{HeapConfig, Key, Schema, TableHeap};
-use masm_storage::{DeviceProfile, IoSession, SessionHandle, SimClock, SimDevice, MIB};
+use masm_storage::{DeviceProfile, SessionHandle, SimClock, SimDevice, MIB};
 use masm_workloads::tenant::{MultiTenantKeyGen, TENANT_SHIFT};
 
 use crate::{scaled_masm_config, secs, Report, UpdateOp};
@@ -89,7 +89,7 @@ fn sweep(mb: u64, shards: u64) -> (f64, Vec<String>) {
     let start = clock.now();
     let mut lanes: Vec<_> = (0..LANES)
         .map(|lane| {
-            let session = SessionHandle::new(IoSession::at(clock.clone(), start));
+            let session = SessionHandle::at(clock.clone(), start);
             (session, lane_keys(lane))
         })
         .collect();

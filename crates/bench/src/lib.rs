@@ -23,8 +23,8 @@ pub mod tpch_replay;
 use std::sync::Arc;
 
 use masm_core::{MasmConfig, MasmEngine};
-use masm_pagestore::{HeapConfig, Key, Schema, TableHeap};
-use masm_storage::{DeviceProfile, IoSession, Ns, SessionHandle, SimClock, SimDevice, MIB};
+use masm_pagestore::{HeapConfig, Key, TableHeap};
+use masm_storage::{DeviceProfile, Ns, SessionHandle, SimClock, SimDevice, MIB};
 use masm_workloads::synthetic::{SyntheticTable, UpdateMix, UpdateStreamGen};
 
 pub use masm_core::update::UpdateOp;
@@ -216,46 +216,35 @@ impl SyntheticEnv {
     }
 }
 
-/// Drives a saturated stream of random in-place updates concurrently
-/// with a scan session: whenever the updater falls behind the scanning
-/// actor in virtual time, it issues another random read-modify-write on
-/// the same disk — the §2.2 interference generator.
-pub struct ConcurrentInPlaceUpdater<'a> {
-    engine: masm_baselines::InPlaceEngine,
-    gen: UpdateStreamGen,
-    session: IoSession,
+/// A saturated in-place updater, the §2.2 interference generator. Like
+/// a single updater thread it keeps one read-modify-write chain in
+/// flight at a time, on a session of its own: whenever it falls behind
+/// the scanning actor in virtual time, it issues the next update of its
+/// stream on the same disk.
+pub struct InPlaceUpdater {
+    heaps: Vec<masm_baselines::InPlaceEngine>,
+    ops: Box<dyn Iterator<Item = (usize, Key, UpdateOp)>>,
+    session: SessionHandle,
     next_ts: u64,
-    /// Updates issued.
+    /// Update operations issued.
     pub issued: u64,
-    clock: &'a SimClock,
 }
 
-impl<'a> ConcurrentInPlaceUpdater<'a> {
-    /// Build an updater over `heap` (which it will mutate!).
+impl InPlaceUpdater {
+    /// An updater applying `ops` — each the index of the heap it edits,
+    /// a key and an operation — to `heaps` (which it mutates!), its
+    /// session starting at `clock`'s current time.
     pub fn new(
-        heap: Arc<TableHeap>,
-        schema: Schema,
-        table: SyntheticTable,
-        clock: &'a SimClock,
-        seed: u64,
+        heaps: Vec<masm_baselines::InPlaceEngine>,
+        ops: impl Iterator<Item = (usize, Key, UpdateOp)> + 'static,
+        clock: &SimClock,
     ) -> Self {
-        ConcurrentInPlaceUpdater {
-            engine: masm_baselines::InPlaceEngine::new(heap, schema),
-            // Modifications only: keeps the table size stable so the
-            // normalized comparison is apples-to-apples.
-            gen: UpdateStreamGen::uniform(
-                table,
-                masm_workloads::synthetic::UpdateMix {
-                    insert: 0.0,
-                    delete: 0.0,
-                    modify: 1.0,
-                },
-                seed,
-            ),
-            session: IoSession::new(clock.clone()),
+        InPlaceUpdater {
+            heaps,
+            ops: Box::new(ops),
+            session: SessionHandle::fresh(clock.clone()),
             next_ts: 1,
             issued: 0,
-            clock,
         }
     }
 
@@ -263,32 +252,56 @@ impl<'a> ConcurrentInPlaceUpdater<'a> {
     /// back-to-back until its own session time passes `now`.
     pub fn catch_up(&mut self, now: Ns) {
         while self.session.now() < now {
-            let (key, op) = self.gen.next_update();
-            let handle = SessionHandle::new(self.session.clone());
-            if self
-                .engine
-                .apply_update(&handle, key, op, self.next_ts)
-                .is_err()
-            {
-                break;
-            }
-            self.session = IoSession::at(self.clock.clone(), handle.now());
-            self.next_ts += 1;
-            self.issued += 1;
+            let Some(op) = self.ops.next() else { break };
+            self.apply(op);
         }
+    }
+
+    /// Apply one update at the updater's cursor. One that fails (e.g.
+    /// page overflow on a full page) is skipped — its I/O was charged.
+    fn apply(&mut self, (heap, key, op): (usize, Key, UpdateOp)) {
+        let _ = self.heaps[heap].apply_update(&self.session, key, op, self.next_ts);
+        self.next_ts += 1;
+        self.issued += 1;
+    }
+
+    /// Apply exactly the next `n` updates back-to-back (for the "query
+    /// only + update only" bar of Figure 3): returns elapsed.
+    ///
+    /// Offline application batches and elevator-sorts the updates by
+    /// heap and key (the I/O scheduler would do this for a deep queue
+    /// of independent writes), which is exactly why "query alone +
+    /// updates alone" is cheaper than running them concurrently: online
+    /// updates must apply one at a time, interleaved with the scan.
+    pub fn apply_exactly(&mut self, n: u64) -> Ns {
+        let start = self.session.now();
+        let mut ops: Vec<_> = self.ops.by_ref().take(n as usize).collect();
+        ops.sort_by_key(|&(heap, key, _)| (heap, key));
+        for op in ops {
+            self.apply(op);
+        }
+        self.session.now() - start
     }
 }
 
 /// Time a scan while a saturated in-place updater hammers the same disk.
 pub fn time_scan_with_inplace_updates(env: &SyntheticEnv, begin: Key, end: Key, seed: u64) -> Ns {
     let session = env.machine.session();
-    let mut updater = ConcurrentInPlaceUpdater::new(
-        Arc::clone(env.engine.heap()),
-        env.table.schema.clone(),
-        env.table.clone(),
-        &env.machine.clock,
-        seed,
-    );
+    // Modifications only: keeps the table size stable so the
+    // normalized comparison is apples-to-apples.
+    let modify = UpdateMix {
+        insert: 0.0,
+        delete: 0.0,
+        modify: 1.0,
+    };
+    let mut gen = UpdateStreamGen::uniform(env.table.clone(), modify, seed);
+    let heap =
+        masm_baselines::InPlaceEngine::new(Arc::clone(env.engine.heap()), env.table.schema.clone());
+    let ops = std::iter::repeat_with(move || {
+        let (key, op) = gen.next_update();
+        (0, key, op)
+    });
+    let mut updater = InPlaceUpdater::new(vec![heap], ops, &env.machine.clock);
     let start = session.now();
     // Lead with one update so even single-I/O scans queue behind update
     // traffic, as they would under a saturated concurrent updater.

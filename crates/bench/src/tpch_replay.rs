@@ -9,11 +9,11 @@
 use std::sync::Arc;
 
 use masm_core::{MasmConfig, MasmEngine};
-use masm_pagestore::Key;
-use masm_storage::{DeviceProfile, IoSession, Ns, SessionHandle, SimClock, SimDevice};
+use masm_pagestore::TableHeap;
+use masm_storage::{DeviceProfile, Ns, SimDevice};
 use masm_workloads::tpch::{QueryProfile, Table, TpchTables, TpchUpdateGen};
 
-use crate::Machine;
+use crate::{InPlaceUpdater, Machine};
 
 /// A TPC-H machine: tables on one disk, one SSD, one WAL device.
 pub struct TpchEnv {
@@ -67,90 +67,23 @@ impl TpchEnv {
         }
         session.now() - start
     }
-}
 
-/// A saturated in-place updater over the orders + lineitem heaps.
-pub struct TpchInPlaceUpdater {
-    orders: masm_baselines::InPlaceEngine,
-    lineitem: masm_baselines::InPlaceEngine,
-    gen: TpchUpdateGen,
-    /// Ops from the current group not yet issued (the updater is a
-    /// single thread: one I/O chain at a time).
-    pending: std::collections::VecDeque<(Table, Key, masm_core::update::UpdateOp)>,
-    session: IoSession,
-    clock: SimClock,
-    next_ts: u64,
-    /// Update operations issued (counting each sub-update).
-    pub issued: u64,
-}
-
-impl TpchInPlaceUpdater {
-    /// Build the updater (it mutates the heaps!).
-    pub fn new(env: &TpchEnv, seed: u64) -> TpchInPlaceUpdater {
-        TpchInPlaceUpdater {
-            orders: masm_baselines::InPlaceEngine::new(
-                Arc::clone(&env.tables.orders),
-                env.tables.schema.clone(),
-            ),
-            lineitem: masm_baselines::InPlaceEngine::new(
-                Arc::clone(&env.tables.lineitem),
-                env.tables.schema.clone(),
-            ),
-            gen: TpchUpdateGen::new(&env.tables, seed),
-            pending: std::collections::VecDeque::new(),
-            session: IoSession::new(env.machine.clock.clone()),
-            clock: env.machine.clock.clone(),
-            next_ts: 1,
-            issued: 0,
-        }
-    }
-
-    /// Issue single update operations until the updater's virtual time
-    /// passes `now` (a single updater thread keeps one read-modify-write
-    /// chain in flight at a time, as in §2.2).
-    pub fn catch_up(&mut self, now: Ns) {
-        while self.session.now() < now {
-            match self.pending.pop_front() {
-                Some((table, key, op)) => self.apply(table, key, op),
-                None => self.pending.extend(self.gen.next_group().ops),
-            }
-        }
-    }
-
-    /// Apply one update at the updater's cursor. One that fails (e.g.
-    /// page overflow on a full page) is skipped — its I/O was charged.
-    fn apply(&mut self, table: Table, key: Key, op: masm_core::update::UpdateOp) {
-        let handle = SessionHandle::new(self.session.clone());
-        let engine = match table {
-            Table::Orders => &self.orders,
-            _ => &self.lineitem,
+    /// A saturated in-place updater over the lineitem (heap 0) and
+    /// orders (heap 1) heaps, which it mutates, replaying the TPC-H
+    /// update groups of `seed` one operation at a time.
+    pub fn inplace_updater(&self, seed: u64) -> InPlaceUpdater {
+        let heap = |heap: &Arc<TableHeap>| {
+            masm_baselines::InPlaceEngine::new(Arc::clone(heap), self.tables.schema.clone())
         };
-        let _ = engine.apply_update(&handle, key, op, self.next_ts);
-        self.next_ts += 1;
-        self.issued += 1;
-        self.session = IoSession::at(self.clock.clone(), handle.now());
-    }
-
-    /// Apply exactly `n` update operations back-to-back (for the
-    /// "query only + update only" bar of Figure 3): returns elapsed.
-    ///
-    /// Offline application batches and elevator-sorts the updates by
-    /// key (the I/O scheduler would do this for a deep queue of
-    /// independent writes), which is exactly why "query alone + updates
-    /// alone" is cheaper than running them concurrently: online updates
-    /// must apply one at a time, interleaved with the scan.
-    pub fn apply_exactly(&mut self, n: u64) -> Ns {
-        let start = self.session.now();
-        let mut ops: Vec<(Table, Key, masm_core::update::UpdateOp)> = Vec::new();
-        while (ops.len() as u64) < n {
-            ops.extend(self.gen.next_group().ops);
-        }
-        ops.truncate(n as usize);
-        ops.sort_by_key(|(t, k, _)| (matches!(t, Table::Orders), *k));
-        for (table, key, op) in ops {
-            self.apply(table, key, op);
-        }
-        self.session.now() - start
+        let mut gen = TpchUpdateGen::new(&self.tables, seed);
+        let ops = std::iter::repeat_with(move || gen.next_group().ops)
+            .flatten()
+            .map(|(table, key, op)| (usize::from(matches!(table, Table::Orders)), key, op));
+        InPlaceUpdater::new(
+            vec![heap(&self.tables.lineitem), heap(&self.tables.orders)],
+            ops,
+            &self.machine.clock,
+        )
     }
 }
 

@@ -355,15 +355,6 @@ impl BlockCache {
         Self::with_config(BlockCacheConfig::new(capacity_bytes))
     }
 
-    /// A cache with an explicit shard count (power of two recommended)
-    /// and otherwise default configuration.
-    pub fn with_shards(capacity_bytes: usize, n_shards: usize) -> Self {
-        Self::with_config(BlockCacheConfig {
-            shards: n_shards,
-            ..BlockCacheConfig::new(capacity_bytes)
-        })
-    }
-
     /// A cache with explicit shard count, policy and victim-tier
     /// capacity.
     pub fn with_config(cfg: BlockCacheConfig) -> Self {
@@ -447,13 +438,6 @@ impl BlockCache {
     pub fn contains(&self, key: BlockKey) -> bool {
         let shard = self.shard_of(key).lock();
         shard.map.contains_key(&key) || shard.tier2.contains_key(&key)
-    }
-
-    /// Whether a block is resident in the victim tier specifically
-    /// (diagnostics; [`BlockCache::contains`] answers the usual
-    /// "do we need a device read" question across both tiers).
-    pub fn tier2_has(&self, key: BlockKey) -> bool {
-        self.shard_of(key).lock().tier2.contains_key(&key)
     }
 
     /// Record a miss for a block obtained without a [`BlockCache::get`]
@@ -598,27 +582,6 @@ impl BlockCache {
         bump(&self.stats.tier2_insertions);
     }
 
-    /// Approximate resident bytes charged to tier 1: the evictable
-    /// decoded **data** blocks, plus their retained stored copies when
-    /// the victim tier is enabled (pinned metadata is tracked
-    /// separately).
-    pub fn resident_bytes(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().t1_bytes()).sum()
-    }
-
-    /// On-disk (compressed) bytes of the resident tier-1 blocks — what
-    /// the same population costs on the SSD. The gap between this and
-    /// [`BlockCache::resident_bytes`] is the codec's memory
-    /// amplification.
-    pub fn resident_disk_bytes(&self) -> u64 {
-        self.shards.iter().map(|s| s.lock().disk_bytes).sum()
-    }
-
-    /// Stored (compressed) bytes resident in the victim tier.
-    pub fn tier2_resident_bytes(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().tier2_bytes).sum()
-    }
-
     /// Account `bytes` of pinned run metadata (zone maps + bloom
     /// filters) against this cache. Metadata never competes with data
     /// blocks for the LRU capacity — it is pinned for a run's lifetime
@@ -718,6 +681,14 @@ mod tests {
         }
     }
 
+    /// A cache of `n_shards` shards, otherwise default.
+    fn sharded(capacity_bytes: usize, n_shards: usize) -> BlockCache {
+        BlockCache::with_config(BlockCacheConfig {
+            shards: n_shards,
+            ..BlockCacheConfig::new(capacity_bytes)
+        })
+    }
+
     /// The charge is what the block cost as owned entries.
     fn block_weight(n: usize) -> usize {
         entries(n).iter().map(Entry::weight).sum::<usize>() + 64
@@ -728,7 +699,7 @@ mod tests {
         let c = BlockCache::new(1 << 20);
         c.insert((1, 0), Arc::new(entries(5)), filler(32));
         assert_eq!(c.get((1, 0)).unwrap(), block(5));
-        assert_eq!(c.resident_bytes(), block_weight(5));
+        assert_eq!(c.stats().data_bytes as usize, block_weight(5));
     }
 
     #[test]
@@ -780,7 +751,7 @@ mod tests {
     #[test]
     fn slru_promotes_on_rereference_and_survives_sweep() {
         let per_block = block_weight(10);
-        let c = BlockCache::with_shards(per_block * 4, 1);
+        let c = sharded(per_block * 4, 1);
         // Admit two hot blocks and re-reference them: both promoted.
         c.insert((1, 0), block(10), filler(64));
         c.insert((1, 1), block(10), filler(64));
@@ -803,7 +774,7 @@ mod tests {
     fn protected_overflow_demotes_lru_back_to_probation() {
         let per_block = block_weight(10);
         // Protected (80 % of three blocks) fits exactly two blocks.
-        let c = BlockCache::with_shards(per_block * 3, 1);
+        let c = sharded(per_block * 3, 1);
         for i in 0..3u32 {
             c.insert((1, i), block(10), filler(64));
             assert!(c.get((1, i)).is_some(), "promote {i}");
@@ -821,14 +792,14 @@ mod tests {
 
     #[test]
     fn oversized_block_is_rejected_not_admitted() {
-        let c = BlockCache::with_shards(block_weight(4), 1);
+        let c = sharded(block_weight(4), 1);
         c.insert((1, 0), block(1), filler(16));
-        let resident = c.resident_bytes();
+        let resident = c.stats().data_bytes;
         // A block heavier than the whole shard must not evict the world
         // and then blow the budget.
         c.insert((9, 9), block(100), filler(4096));
         assert!(!c.contains((9, 9)));
-        assert_eq!(c.resident_bytes(), resident, "population untouched");
+        assert_eq!(c.stats().data_bytes, resident, "population untouched");
         let s = c.stats();
         assert_eq!(s.rejected, 1);
         assert_eq!(s.evictions, 0, "rejection evicts nothing");
@@ -869,7 +840,17 @@ mod tests {
         assert_eq!(s.tier2_hits, 1);
         assert_eq!(s.hits, 0, "not a tier-1 hit");
         assert!(s.probation_bytes > 0, "readmitted into probation");
-        assert!(!c.tier2_has((1, 0)), "promoted out of tier 2");
+        // Out of tier 2: the one stored copy there is the victim its
+        // readmission displaced, and none aged out.
+        assert_eq!(
+            (
+                s.tier2_insertions,
+                s.tier2_evictions,
+                s.tier2_bytes as usize
+            ),
+            (2, 0, stored0.len()),
+            "promoted out of tier 2"
+        );
         // A second get is a plain tier-1 hit and earns protected status.
         assert!(c.get((1, 0)).is_some());
         let s = c.stats();
@@ -904,16 +885,16 @@ mod tests {
 
     #[test]
     fn reinsert_replaces_weight() {
-        let c = BlockCache::with_shards(1 << 20, 1);
+        let c = sharded(1 << 20, 1);
         c.insert((1, 0), block(10), filler(64));
-        let before = c.resident_bytes();
+        let before = c.stats().data_bytes;
         c.insert((1, 0), block(10), filler(64));
-        assert_eq!(c.resident_bytes(), before, "no double counting");
+        assert_eq!(c.stats().data_bytes, before, "no double counting");
     }
 
     #[test]
     fn meta_bytes_tracked_separately_from_data() {
-        let c = BlockCache::with_shards(4096, 1);
+        let c = sharded(4096, 1);
         c.retain_meta_bytes(1000);
         c.retain_meta_bytes(500);
         c.insert((1, 0), block(8), filler(40));
@@ -933,33 +914,29 @@ mod tests {
 
     #[test]
     fn disk_bytes_track_compressed_size_of_residents() {
-        let c = BlockCache::with_shards(1 << 20, 1);
+        let c = sharded(1 << 20, 1);
         c.insert((1, 0), block(10), filler(100));
         c.insert((1, 1), block(10), filler(40));
-        assert_eq!(c.resident_disk_bytes(), 140);
         assert_eq!(c.stats().disk_bytes, 140);
         // Capacity still charges decoded weight, not disk bytes.
-        assert!(c.resident_bytes() > 140);
+        assert!(c.stats().data_bytes > 140);
         // Re-insert replaces, eviction and clear release.
         c.insert((1, 0), block(10), filler(60));
-        assert_eq!(c.resident_disk_bytes(), 100);
+        assert_eq!(c.stats().disk_bytes, 100);
         c.clear();
-        assert_eq!(c.resident_disk_bytes(), 0);
+        assert_eq!(c.stats().disk_bytes, 0);
     }
 
     #[test]
     fn capacity_is_respected() {
-        let c = BlockCache::with_shards(4096, 4);
+        let c = sharded(4096, 4);
         for i in 0..200u32 {
             c.insert((1, i), block(8), filler(40));
         }
-        assert!(
-            c.resident_bytes() <= 4096 + 4 * 1024,
-            "{}",
-            c.resident_bytes()
-        );
+        let resident = c.stats().data_bytes;
+        assert!(resident <= 4096 + 4 * 1024, "{resident}");
         c.clear();
-        assert_eq!(c.resident_bytes(), 0);
+        assert_eq!(c.stats().data_bytes, 0);
     }
 
     #[test]
@@ -985,8 +962,6 @@ mod tests {
                 s.probation_bytes + s.protected_bytes,
                 "round {round}: tier-1 split accounts every byte"
             );
-            assert_eq!(s.data_bytes as usize, c.resident_bytes());
-            assert_eq!(s.tier2_bytes as usize, c.tier2_resident_bytes());
             assert!(s.data_bytes as usize <= per_block * 6 + 2 * per_block);
             assert!(s.tier2_bytes <= 4096);
         }

@@ -733,11 +733,6 @@ impl BlockRunScan {
         self.bytes_read
     }
 
-    /// The run's cache keyspace, as given to [`BlockRunScan::new`].
-    pub fn run_key(&self) -> u64 {
-        self.run_key
-    }
-
     /// The first error encountered, if the scan stopped early.
     pub fn error(&self) -> Option<&BlockRunError> {
         self.error.as_ref()

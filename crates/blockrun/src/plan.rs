@@ -89,13 +89,6 @@ pub struct MergePlan {
     pub bytes_to_decode: u64,
 }
 
-impl MergePlan {
-    /// Whether no block needs decoding (fully disjoint inputs).
-    pub fn is_pure_move(&self) -> bool {
-        self.blocks_merged == 0
-    }
-}
-
 /// Plans a k-way merge of block runs from their zone maps alone — no
 /// data block is touched.
 #[derive(Debug)]
@@ -237,7 +230,7 @@ mod tests {
         let a = meta_with_zones(&[(0, 9), (10, 19)]);
         let b = meta_with_zones(&[(100, 109), (110, 119)]);
         let plan = plan_of(&[&a, &b]);
-        assert!(plan.is_pure_move());
+        assert_eq!(plan.blocks_merged, 0);
         assert_eq!(plan.blocks_moved, 4);
         assert_eq!(plan.bytes_to_decode, 0);
         assert_eq!(plan.fan_in, 2);

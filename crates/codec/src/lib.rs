@@ -325,29 +325,20 @@ pub struct SelectorStats {
 #[derive(Debug)]
 pub struct AdaptiveSelector {
     choice: CodecChoice,
-    sample_every: usize,
     seen: usize,
     winner: u8,
     stats: SelectorStats,
 }
 
 impl AdaptiveSelector {
-    /// A selector for `choice` with the default sampling window.
+    /// A selector for `choice`.
     pub fn new(choice: CodecChoice) -> Self {
         AdaptiveSelector {
             choice,
-            sample_every: DEFAULT_SAMPLE_EVERY,
             seen: 0,
             winner: IDENTITY,
             stats: SelectorStats::default(),
         }
-    }
-
-    /// Override the sampling window (1 = full per-block trials, i.e.
-    /// the naive adaptive behavior with the entropy probe added).
-    pub fn with_sample_every(mut self, n: usize) -> Self {
-        self.sample_every = n.max(1);
-        self
     }
 
     /// Writer-side CPU accounting so far.
@@ -361,7 +352,7 @@ impl AdaptiveSelector {
         if self.choice != CodecChoice::Adaptive {
             return encode_with(self.choice, raw);
         }
-        let sample = self.seen.is_multiple_of(self.sample_every);
+        let sample = self.seen.is_multiple_of(DEFAULT_SAMPLE_EVERY);
         self.seen += 1;
         if sample {
             // Full selection, minus LZ when the probe says noise.
@@ -491,24 +482,24 @@ mod tests {
     #[test]
     fn sampled_selector_reuses_winner_and_saves_trials() {
         let raw: Vec<u8> = b"abcdefgh".repeat(100);
-        let mut sel = AdaptiveSelector::new(CodecChoice::Adaptive).with_sample_every(8);
-        for i in 0..16 {
+        let mut sel = AdaptiveSelector::new(CodecChoice::Adaptive);
+        for i in 0..2 * DEFAULT_SAMPLE_EVERY {
             let (id, enc) = sel.encode_block(&raw);
             assert!(enc.len() < raw.len(), "block {i} compressed");
             let back = codec_for(id).unwrap().decode(&enc, raw.len()).unwrap();
             assert_eq!(back, raw, "block {i} round-trips under recorded id");
         }
         let s = sel.stats();
-        // Two sample blocks ran (up to) two trials; fourteen reuse
+        // Two sample blocks ran (up to) two trials; the thirty reuse
         // blocks ran one targeted encode each.
-        assert!(s.trial_encodes <= 2 * 2 + 14);
+        assert!(s.trial_encodes <= 2 * 2 + 30);
         assert_eq!(
             s.trial_encodes + s.trials_saved,
-            2 * 16,
+            2 * 32,
             "every block accounts for the 2-trial baseline"
         );
         assert!(
-            s.trials_saved >= 14,
+            s.trials_saved >= 30,
             "sampling saved at least one per reuse"
         );
     }
@@ -516,8 +507,8 @@ mod tests {
     #[test]
     fn sampled_selector_skips_lz_on_noise_and_never_grows() {
         let raw = noise(2048);
-        let mut sel = AdaptiveSelector::new(CodecChoice::Adaptive).with_sample_every(4);
-        for _ in 0..8 {
+        let mut sel = AdaptiveSelector::new(CodecChoice::Adaptive);
+        for _ in 0..2 * DEFAULT_SAMPLE_EVERY {
             let (id, enc) = sel.encode_block(&raw);
             assert!(enc.len() <= raw.len(), "never grows");
             let back = codec_for(id).unwrap().decode(&enc, raw.len()).unwrap();

@@ -212,12 +212,6 @@ impl MasmConfig {
         h
     }
 
-    /// MaSM-2M variant of this configuration.
-    pub fn with_alpha(mut self, alpha: f64) -> Self {
-        self.alpha = alpha;
-        self
-    }
-
     /// SSD capacity in pages: `‖SSD‖`.
     pub fn ssd_pages(&self) -> u64 {
         self.ssd_capacity / self.ssd_page_size as u64
@@ -417,7 +411,10 @@ mod tests {
 
     #[test]
     fn masm_2m_never_needs_merges() {
-        let c = MasmConfig::default().with_alpha(2.0);
+        let c = MasmConfig {
+            alpha: 2.0,
+            ..MasmConfig::default()
+        };
         assert_eq!(c.total_memory_pages(), 512);
         assert_eq!(c.s_pages(), 256); // buffer of M pages
         assert_eq!(c.query_pages(), 256); // can hold all M runs
@@ -427,11 +424,15 @@ mod tests {
 
     #[test]
     fn validation_rejects_bad_alpha() {
-        assert!(MasmConfig::default().with_alpha(0.0).validate().is_err());
-        assert!(MasmConfig::default().with_alpha(2.5).validate().is_err());
+        let at_alpha = |alpha| MasmConfig {
+            alpha,
+            ..MasmConfig::default()
+        };
+        assert!(at_alpha(0.0).validate().is_err());
+        assert!(at_alpha(2.5).validate().is_err());
         // Below 2/M^(1/3) = 2/6.35 ≈ 0.315 for M=256.
-        assert!(MasmConfig::default().with_alpha(0.2).validate().is_err());
-        assert!(MasmConfig::default().with_alpha(0.4).validate().is_ok());
+        assert!(at_alpha(0.2).validate().is_err());
+        assert!(at_alpha(0.4).validate().is_ok());
         assert!(MasmConfig::default().validate().is_ok());
     }
 

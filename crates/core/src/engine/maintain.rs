@@ -6,7 +6,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use masm_pagestore::{Key, PageChunk, Record};
-use masm_storage::{IoSession, MergeReport, Ns, SessionHandle};
+use masm_storage::{MergeReport, Ns, SessionHandle};
 use masm_telemetry::Timer;
 
 use super::state::{Claim, Replaced};
@@ -105,7 +105,7 @@ impl MasmEngine {
     /// overlaps the foreground actors in virtual time; the device
     /// busy-horizon serializes it against same-shard traffic.
     pub(crate) fn run_job(self: &Arc<Self>, pool: &WorkerPool, mut job: Job) {
-        let session = SessionHandle::new(IoSession::at(self.ssd.clock().clone(), job.at));
+        let session = SessionHandle::at(self.ssd.clock().clone(), job.at);
         // Resolve the job's causal link before executing: the flush
         // flow id is deterministic from the batch, compact/migrate
         // flows were stashed by whoever requested the job. Consume the

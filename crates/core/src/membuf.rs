@@ -94,7 +94,7 @@ impl UpdateBuffer {
     }
 
     /// Reset capacity to the base S pages (after a flush).
-    pub fn return_stolen_pages(&mut self) {
+    fn return_stolen_pages(&mut self) {
         self.capacity = self.base_capacity;
     }
 

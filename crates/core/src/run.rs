@@ -181,20 +181,16 @@ pub fn recover_run(
 /// prefetched while the previous block decodes (§3.7's libaio overlap).
 ///
 /// A scan that cannot go on — a device error, a block that fails its
-/// checksum, an entry that does not decode — **ends its stream**. What
-/// happens next depends on who opened it. Everything the engine opens
-/// — a query's scans, a migration's, a compaction's — shares one error
-/// slot per job: the failure lands there, and the job checks the slot
+/// checksum, an entry that does not decode — **ends its stream** and
+/// reports the failure to its error slot; it never panics. Each scan
+/// opened by [`RunScan::with_cache`] has a slot of its own; the scans of
+/// one job — a query, a migration, a compaction, an LSM level merge —
+/// share one through [`RunScan::reporting_to`], and the job checks it
 /// before it hands out or commits anything built from the streams
-/// (`MergeScan::error` is where a query's ends up). A scan without a
-/// slot — `baselines::lsm`, unit tests and benchmarks, which open one
-/// through [`RunScan::with_cache`] and have nowhere
-/// to look — **panics** instead: a stream that ended early with nobody
-/// looking would silently lose updates, which is strictly worse than
-/// stopping.
+/// (`MergeScan::error` is where a query's ends up).
 pub struct RunScan {
     inner: BlockRunScan,
-    failures: Option<ScanFailures>,
+    failures: ScanFailures,
 }
 
 /// The error slot shared by the run scans of one query, one migration
@@ -203,7 +199,7 @@ pub struct RunScan {
 /// [`ScanFailures::check`] after it has consumed the streams and before
 /// it hands out or commits anything built from them.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct ScanFailures(Arc<Mutex<Option<MasmError>>>);
+pub struct ScanFailures(Arc<Mutex<Option<MasmError>>>);
 
 impl ScanFailures {
     fn report(&self, failure: MasmError) {
@@ -212,7 +208,7 @@ impl ScanFailures {
 
     /// `Err` with the first failure a scan reported since the last
     /// check: the streams consumed so far may have ended early.
-    pub(crate) fn check(&self) -> MasmResult<()> {
+    pub fn check(&self) -> MasmResult<()> {
         self.0.lock().take().map_or(Ok(()), Err)
     }
 }
@@ -239,14 +235,14 @@ impl RunScan {
         );
         RunScan {
             inner,
-            failures: None,
+            failures: ScanFailures::default(),
         }
     }
 
-    /// Report a failure of this scan to `failures` instead of
-    /// panicking; the stream just ends.
-    pub(crate) fn reporting_to(mut self, failures: ScanFailures) -> Self {
-        self.failures = Some(failures);
+    /// Report a failure of this scan to `failures`, a slot the caller
+    /// checks, instead of to a slot of its own.
+    pub fn reporting_to(mut self, failures: ScanFailures) -> Self {
+        self.failures = failures;
         self
     }
 
@@ -294,10 +290,7 @@ impl Iterator for RunScan {
             },
             None => MasmError::from(self.inner.stop()?),
         };
-        match &self.failures {
-            Some(failures) => failures.report(failure),
-            None => panic!("scan of run {} failed: {failure}", self.inner.run_key()),
-        }
+        self.failures.report(failure);
         None
     }
 }

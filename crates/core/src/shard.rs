@@ -40,7 +40,6 @@ use std::sync::Arc;
 
 use masm_pagestore::{Key, Record, Schema, TableHeap};
 use masm_storage::{SessionHandle, SimDevice};
-use masm_telemetry::json::JsonObj;
 use masm_telemetry::{EngineStats, Tracer};
 
 use crate::config::MasmConfig;
@@ -157,19 +156,6 @@ pub struct ShardedStats {
     /// Max over mean of per-shard ingested bytes (1.0 = perfectly
     /// balanced; 0.0 before any ingest).
     pub shard_imbalance: f64,
-}
-
-impl ShardedStats {
-    /// One NDJSON row for shard `i`: `{"shard_id":i,"stats":{…}}`. The
-    /// nested stats object keeps `random_writes` at its top level, so
-    /// the zero-random-writes invariant stays greppable per shard.
-    #[must_use]
-    pub fn shard_row(&self, shard: usize) -> String {
-        let mut o = JsonObj::new();
-        o.u64("shard_id", shard as u64)
-            .raw("stats", &self.per_shard[shard].to_json());
-        o.finish()
-    }
 }
 
 /// Aggregated outcome of [`ShardedEngine::recover`].

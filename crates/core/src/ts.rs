@@ -30,13 +30,6 @@ impl TimestampOracle {
         }
     }
 
-    /// Create an oracle that resumes after `last` (crash recovery).
-    pub fn resume_after(last: Timestamp) -> Self {
-        TimestampOracle {
-            next: Arc::new(AtomicU64::new(last + 1)),
-        }
-    }
-
     /// Draw the next timestamp.
     pub fn next(&self) -> Timestamp {
         self.next.fetch_add(1, Ordering::AcqRel).max(1)
@@ -67,12 +60,6 @@ mod tests {
         assert_eq!(o.next(), 1);
         assert_eq!(o.next(), 2);
         assert_eq!(o.last_issued(), 2);
-    }
-
-    #[test]
-    fn resume_after_continues() {
-        let o = TimestampOracle::resume_after(41);
-        assert_eq!(o.next(), 42);
     }
 
     #[test]

@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use masm_blockrun::{BloomFilter, Entry, RunBuilder};
 use masm_core::config::{CodecChoice, MasmConfig};
-use masm_core::run::{lookup_in_run, write_built, write_run, RunScan, SortedRun};
+use masm_core::run::{lookup_in_run, write_built, write_run, RunScan, ScanFailures, SortedRun};
 use masm_core::update::{FieldPatch, UpdateOp, UpdateRecord};
 use masm_core::MasmError;
 use masm_model::{flash, payload, Table};
@@ -104,23 +104,28 @@ fn corrupted_block_read_fails_with_checksum_error() {
     );
     assert!(err.to_string().contains("checksum"), "{err}");
 
-    // A streaming scan refuses to continue past the corruption (it
-    // panics rather than yielding garbage).
-    let run = Arc::new(run);
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        RunScan::with_cache(
-            ssd.clone(),
-            session.clone(),
-            Arc::clone(&run),
-            None,
-            0,
-            u64::MAX,
-        )
-        .count()
-    }));
+    // A streaming scan stops at the corruption: the updates before it,
+    // then the checksum error in its slot — never garbage.
+    let failures = ScanFailures::default();
+    let got: Vec<UpdateRecord> = RunScan::with_cache(
+        ssd.clone(),
+        session.clone(),
+        Arc::new(run),
+        None,
+        0,
+        u64::MAX,
+    )
+    .reporting_to(failures.clone())
+    .collect();
     assert!(
-        result.is_err(),
+        got.len() < updates.len(),
         "scan across corrupted block must not succeed"
+    );
+    assert_eq!(got[..], updates[..got.len()]);
+    let err = failures.check().unwrap_err();
+    assert!(
+        matches!(err, MasmError::BlockRun(_)) && err.to_string().contains("checksum"),
+        "expected checksum failure, got {err}"
     );
 }
 

@@ -377,10 +377,6 @@ fn stress_concurrent_sharded_ingest_scan() {
             shard.ssd.random_writes, 0,
             "design goal 2 violated in shard {i}"
         );
-        // The per-shard NDJSON row carries its shard id and invariant.
-        let row = stats.shard_row(i);
-        assert!(row.contains(&format!("\"shard_id\":{i}")), "{row}");
-        assert!(row.contains("\"random_writes\":0"), "{row}");
     }
     assert!(
         stats.total.workers.jobs_completed > 0,

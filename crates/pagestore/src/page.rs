@@ -330,19 +330,6 @@ impl Page {
     pub fn find(&self, key: Key) -> Result<usize, usize> {
         self.view().find(key)
     }
-
-    /// Replace the payload of the record in slot `i` (same width only —
-    /// fixed-width schemas guarantee this; used by in-place modify).
-    pub fn overwrite_payload(&mut self, i: usize, payload: &[u8]) {
-        let off = self.view().slot_offset(i);
-        assert_eq!(
-            self.view().encoded_len_at(off),
-            RECORD_HEADER + payload.len(),
-            "in-place overwrite requires equal width"
-        );
-        let start = off + RECORD_HEADER;
-        self.data[start..start + payload.len()].copy_from_slice(payload);
-    }
 }
 
 /// A run of whole slotted pages in one allocation: the unit a heap
@@ -595,16 +582,6 @@ mod tests {
         assert_eq!(p.find(25), Err(2));
         assert_eq!(p.find(5), Err(0));
         assert_eq!(p.find(99), Err(4));
-    }
-
-    #[test]
-    fn overwrite_payload_in_place() {
-        let mut p = page_with(&[10, 20, 30]);
-        let new_payload = vec![0xAB; 92];
-        p.overwrite_payload(1, &new_payload);
-        assert_eq!(p.record(1).payload, new_payload);
-        assert_eq!(p.record(0), Record::synthetic(10, 92));
-        assert_eq!(p.record(2), Record::synthetic(30, 92));
     }
 
     #[test]

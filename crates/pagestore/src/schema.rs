@@ -136,11 +136,6 @@ impl Schema {
         u64::from_le_bytes(self.get(payload, i).try_into().expect("u64 field"))
     }
 
-    /// Write field `i` as u64.
-    pub fn set_u64(&self, payload: &mut [u8], i: usize, v: u64) {
-        self.set(payload, i, &v.to_le_bytes());
-    }
-
     /// Read field `i` as f64.
     pub fn get_f64(&self, payload: &[u8], i: usize) -> f64 {
         f64::from_le_bytes(self.get(payload, i).try_into().expect("f64 field"))
@@ -178,7 +173,7 @@ mod tests {
         let s = schema();
         let mut p = s.empty_payload();
         s.set_u32(&mut p, 0, 0xDEAD_BEEF);
-        s.set_u64(&mut p, 1, 0x1122_3344_5566_7788);
+        s.set(&mut p, 1, &0x1122_3344_5566_7788u64.to_le_bytes());
         s.set(&mut p, 2, b"xyz");
         assert_eq!(s.get_u32(&p, 0), 0xDEAD_BEEF);
         assert_eq!(s.get_u64(&p, 1), 0x1122_3344_5566_7788);

@@ -18,7 +18,7 @@ pub const MILLIS: Ns = 1_000_000;
 ///
 /// The clock records the furthest point in virtual time that any actor or
 /// device has reached. Actors keep their own cursors (see
-/// [`crate::sched::IoSession`]) and publish progress here, so that global
+/// [`crate::sched::SessionHandle`]) and publish progress here, so that global
 /// measurements ("how long did the whole experiment take") are simply
 /// [`SimClock::now`] deltas.
 #[derive(Debug, Clone, Default)]
@@ -55,11 +55,6 @@ impl SimClock {
             }
         }
     }
-
-    /// Advance the high-water mark by `delta` and return the new time.
-    pub fn advance_by(&self, delta: Ns) -> Ns {
-        self.inner.fetch_add(delta, Ordering::AcqRel) + delta
-    }
 }
 
 #[cfg(test)]
@@ -78,14 +73,6 @@ mod tests {
         assert_eq!(c.advance_to(50), 100, "must not move backwards");
         assert_eq!(c.now(), 100);
         assert_eq!(c.advance_to(200), 200);
-    }
-
-    #[test]
-    fn advance_by_accumulates() {
-        let c = SimClock::new();
-        c.advance_by(10);
-        c.advance_by(15);
-        assert_eq!(c.now(), 25);
     }
 
     #[test]

@@ -93,9 +93,6 @@ pub struct DeviceProfile {
     /// Erase-block size in bytes used for wear accounting (SSDs). Zero
     /// disables wear tracking (HDDs).
     pub erase_block: u64,
-    /// Write endurance per cell (program/erase cycles) for lifetime
-    /// estimates; the paper uses 10^5 for enterprise SLC flash.
-    pub endurance_cycles: u64,
 }
 
 impl DeviceProfile {
@@ -119,7 +116,6 @@ impl DeviceProfile {
             }),
             queue_streams: 0,
             erase_block: 0,
-            endurance_cycles: u64::MAX,
         }
     }
 
@@ -145,7 +141,6 @@ impl DeviceProfile {
             // ten-channel controller.
             queue_streams: 8,
             erase_block: 256 * 1024,
-            endurance_cycles: 100_000,
         }
     }
 
@@ -183,12 +178,6 @@ impl DeviceProfile {
         };
         let transfer = (len as f64) / bw * 1e9;
         setup + transfer as Ns
-    }
-
-    /// Total bytes that can be written over the device's lifetime given a
-    /// capacity, assuming perfect wear leveling.
-    pub fn lifetime_write_bytes(&self, capacity: u64) -> u128 {
-        (capacity as u128) * (self.endurance_cycles as u128)
     }
 }
 
@@ -250,15 +239,6 @@ mod tests {
         let rand = p.duration(AccessKind::Write, 4096, false);
         let seq = p.duration(AccessKind::Write, 4096, true);
         assert!(rand > 5 * seq, "rand={rand} seq={seq}");
-    }
-
-    #[test]
-    fn lifetime_writes_match_paper_example() {
-        // §3.7: a 32 GB X25-E can support 3.2 PB of writes.
-        let p = DeviceProfile::ssd_x25e();
-        let total = p.lifetime_write_bytes(32 * crate::GIB);
-        let pb = total as f64 / 1e15;
-        assert!((3.0..4.0).contains(&pb), "got {pb} PB");
     }
 
     #[test]

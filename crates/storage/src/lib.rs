@@ -21,7 +21,7 @@
 //!   serialize and disturb each other's sequentiality — the exact
 //!   interference effect the paper measures), and records [`IoStats`]
 //!   including SSD wear counters.
-//! * [`sched`] — [`IoSession`], a per-actor time cursor with synchronous
+//! * [`sched`] — [`SessionHandle`], a per-actor time cursor with synchronous
 //!   and asynchronous (ticket-based) operations, modeling `libaio`-style
 //!   overlap of disk and SSD accesses.
 //!
@@ -43,7 +43,7 @@ pub use clock::{Ns, SimClock};
 pub use device::{AccessKind, DeviceProfile};
 pub use error::{StorageError, StorageResult};
 pub use lockcheck::{tracked_locks_held, LockToken, TrackedGuard, TrackedMutex};
-pub use sched::{IoSession, IoTicket, SessionHandle};
+pub use sched::{IoTicket, SessionHandle};
 pub use sim::SimDevice;
 pub use stats::{
     BufferStats, CacheStats, CacheStatsSnapshot, CompressionReport, IoStats, IoStatsSnapshot,

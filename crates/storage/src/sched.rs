@@ -3,19 +3,20 @@
 //! The paper's prototype uses `libaio` to overlap disk and SSD accesses
 //! (§4.1): while a range scan streams 1 MB reads off the disk, the
 //! corresponding reads of cached updates proceed on the SSD, and the scan
-//! only stalls if the SSD side falls behind. An [`IoSession`] reproduces
-//! this: it is a cursor in virtual time owned by one actor (a query, an
-//! updater, a migration thread). Synchronous operations advance the cursor
-//! to the completion time; asynchronous operations are *issued* at the
-//! cursor and produce an [`IoTicket`] that is awaited later, advancing the
-//! cursor only to `max(now, completion)` — the overlap.
+//! only stalls if the SSD side falls behind. A [`SessionHandle`]
+//! reproduces this: it is a cursor in virtual time owned by one actor (a
+//! query, an updater, a migration thread). Synchronous operations advance
+//! the cursor to the completion time; asynchronous operations are
+//! *issued* at the cursor and produce an [`IoTicket`] that is awaited
+//! later, advancing the cursor only to `max(now, completion)` — the
+//! overlap.
 //!
-//! A [`SessionHandle`] shares one session among the operators of a plan.
-//! Its operations serialize on the session lock; **reading its cursor
-//! does not** — [`SessionHandle::now`] is one atomic load of the cursor
-//! as the last completed operation left it, which is what a stopwatch
-//! around an operation (`Timer`, a trace span, a scan's stall clock)
-//! wants and all it ever needed the lock for.
+//! Clones of a handle share one cursor, so the operators of a plan
+//! charge their time to the same actor. Operations serialize on the
+//! cursor lock; **reading the cursor does not** — [`SessionHandle::now`]
+//! is one atomic load of the cursor as the last completed operation left
+//! it, which is what a stopwatch around an operation (`Timer`, a trace
+//! span, a scan's stall clock) wants and all it ever needed the lock for.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -32,7 +33,7 @@ use crate::sim::SimDevice;
 /// only the *time* of availability is deferred.
 #[derive(Debug)]
 pub struct IoTicket {
-    data: Option<Vec<u8>>,
+    data: Vec<u8>,
     completion: Ns,
 }
 
@@ -43,106 +44,13 @@ impl IoTicket {
     }
 }
 
-/// A per-actor virtual-time cursor issuing device operations.
-#[derive(Debug, Clone)]
-pub struct IoSession {
-    clock: SimClock,
-    now: Ns,
-}
-
-impl IoSession {
-    /// Start a session at the clock's current time.
-    pub fn new(clock: SimClock) -> Self {
-        let now = clock.now();
-        IoSession { clock, now }
-    }
-
-    /// Start a session at an explicit virtual time.
-    pub fn at(clock: SimClock, now: Ns) -> Self {
-        IoSession { clock, now }
-    }
-
-    /// The actor's current virtual time.
-    pub fn now(&self) -> Ns {
-        self.now
-    }
-
-    /// Elapsed virtual time since `start`.
-    pub fn elapsed_since(&self, start: Ns) -> Ns {
-        self.now.saturating_sub(start)
-    }
-
-    /// Model CPU work: advances the cursor without touching any device.
-    pub fn cpu(&mut self, ns: Ns) {
-        self.now += ns;
-        self.clock.advance_to(self.now);
-    }
-
-    /// Synchronous read that lends the bytes to `f` instead of copying
-    /// them out ([`SimDevice::read_with`]): the cursor advances to the
-    /// completion time.
-    pub fn read_with<R>(
-        &mut self,
-        dev: &SimDevice,
-        offset: u64,
-        len: u64,
-        f: impl FnOnce(&[u8]) -> R,
-    ) -> StorageResult<R> {
-        let (result, end) = dev.read_with(self.now, offset, len, f)?;
-        self.now = end;
-        Ok(result)
-    }
-
-    /// Synchronous read: the cursor advances to the completion time.
-    pub fn read(&mut self, dev: &SimDevice, offset: u64, len: u64) -> StorageResult<Vec<u8>> {
-        self.read_with(dev, offset, len, <[u8]>::to_vec)
-    }
-
-    /// Synchronous write: the cursor advances to the completion time.
-    pub fn write(&mut self, dev: &SimDevice, offset: u64, data: &[u8]) -> StorageResult<()> {
-        let end = dev.write_at(self.now, offset, data)?;
-        self.now = end;
-        Ok(())
-    }
-
-    /// Asynchronous read: issued at the cursor, which does **not** advance.
-    pub fn read_async(&self, dev: &SimDevice, offset: u64, len: u64) -> StorageResult<IoTicket> {
-        let (data, end) = dev.read_at(self.now, offset, len)?;
-        Ok(IoTicket {
-            data: Some(data),
-            completion: end,
-        })
-    }
-
-    /// Await a ticket: the cursor advances to `max(now, completion)`, i.e.
-    /// time already spent elsewhere overlaps with this operation.
-    pub fn wait(&mut self, ticket: IoTicket) -> Vec<u8> {
-        self.now = self.now.max(ticket.completion);
-        self.clock.advance_to(self.now);
-        ticket.data.unwrap_or_default()
-    }
-
-    /// Await only the *time* of a ticket, discarding data.
-    pub fn wait_done(&mut self, ticket: &IoTicket) {
-        self.now = self.now.max(ticket.completion);
-        self.clock.advance_to(self.now);
-    }
-
-    /// Move the cursor to at least `t` (used when joining another actor's
-    /// completion).
-    pub fn join_at(&mut self, t: Ns) {
-        self.now = self.now.max(t);
-        self.clock.advance_to(self.now);
-    }
-}
-
-/// A cloneable handle to a session shared by the operators of one query
-/// plan (Volcano-style trees pull from several children that all charge
-/// time to the same actor).
+/// A per-actor virtual-time cursor issuing device operations, shared by
+/// its clones (Volcano-style trees pull from several children that all
+/// charge time to the same actor).
 ///
-/// Reading the cursor takes no lock: every operation on the handle,
-/// while it still holds the session lock, leaves the cursor in an
-/// atomic beside it, and [`SessionHandle::now`] loads that.
+/// Reading the cursor takes no lock: every operation, while it still
+/// holds the cursor lock, leaves the cursor in an atomic beside it, and
+/// [`SessionHandle::now`] loads that.
 #[derive(Debug, Clone)]
 pub struct SessionHandle {
     inner: Arc<Shared>,
@@ -150,53 +58,59 @@ pub struct SessionHandle {
 
 #[derive(Debug)]
 struct Shared {
-    session: Mutex<IoSession>,
-    /// `session.now()` as the last completed operation left it;
-    /// written only under the session lock.
+    clock: SimClock,
+    /// The cursor; operations serialize on this lock.
+    cursor: Mutex<Ns>,
+    /// `*cursor` as the last completed operation left it; written only
+    /// under the cursor lock.
     now: AtomicU64,
 }
 
 impl SessionHandle {
-    /// Wrap a session.
-    pub fn new(session: IoSession) -> Self {
+    /// Start a session at the clock's current time.
+    pub fn fresh(clock: SimClock) -> Self {
+        let now = clock.now();
+        Self::at(clock, now)
+    }
+
+    /// Start a session with a cursor of its own at virtual time `t`.
+    pub fn at(clock: SimClock, t: Ns) -> Self {
         SessionHandle {
             inner: Arc::new(Shared {
-                now: AtomicU64::new(session.now()),
-                session: Mutex::new(session),
+                clock,
+                cursor: Mutex::new(t),
+                now: AtomicU64::new(t),
             }),
         }
     }
 
-    /// Start a fresh session on `clock` and wrap it.
-    pub fn fresh(clock: SimClock) -> Self {
-        Self::new(IoSession::new(clock))
-    }
-
-    /// The session's cursor after the last operation completed on this
-    /// handle (or a clone of it) — one atomic load, never a wait for an
-    /// operation in flight on another thread. It never goes backwards:
-    /// no [`IoSession`] operation moves its cursor back, and the mirror
-    /// is written in session-lock order.
+    /// The cursor after the last operation completed on this handle (or
+    /// a clone of it) — one atomic load, never a wait for an operation
+    /// in flight on another thread. It never goes backwards: no
+    /// operation moves the cursor back, and the mirror is written in
+    /// cursor-lock order.
     pub fn now(&self) -> Ns {
         self.inner.now.load(Ordering::Acquire)
     }
 
-    /// Run `f` with exclusive access to the session.
-    pub fn with<R>(&self, f: impl FnOnce(&mut IoSession) -> R) -> R {
-        let mut session = self.inner.session.lock();
-        let result = f(&mut session);
-        self.inner.now.store(session.now(), Ordering::Release);
+    /// Run `f` on the locked cursor and publish where it left it.
+    fn with<R>(&self, f: impl FnOnce(&mut Ns) -> R) -> R {
+        let mut cursor = self.inner.cursor.lock();
+        let result = f(&mut cursor);
+        self.inner.now.store(*cursor, Ordering::Release);
         result
     }
 
-    /// Synchronous read through the shared session.
-    pub fn read(&self, dev: &SimDevice, offset: u64, len: u64) -> StorageResult<Vec<u8>> {
-        self.with(|s| s.read(dev, offset, len))
+    /// Move the cursor to at least `t` and publish it on the clock.
+    fn advance(&self, cursor: &mut Ns, t: Ns) {
+        *cursor = (*cursor).max(t);
+        self.inner.clock.advance_to(*cursor);
     }
 
-    /// Synchronous borrowed read through the shared session. `f` runs
-    /// with the session and the device's backend locked: it must not
-    /// use either.
+    /// Synchronous read that lends the bytes to `f` instead of copying
+    /// them out ([`SimDevice::read_with`]): the cursor advances to the
+    /// completion time. `f` runs with the cursor and the device's
+    /// backend locked: it must not use either.
     pub fn read_with<R>(
         &self,
         dev: &SimDevice,
@@ -204,32 +118,44 @@ impl SessionHandle {
         len: u64,
         f: impl FnOnce(&[u8]) -> R,
     ) -> StorageResult<R> {
-        self.with(|s| s.read_with(dev, offset, len, f))
+        self.with(|cursor| {
+            let (result, end) = dev.read_with(*cursor, offset, len, f)?;
+            *cursor = end;
+            Ok(result)
+        })
     }
 
-    /// Synchronous write through the shared session.
+    /// Synchronous read: the cursor advances to the completion time.
+    pub fn read(&self, dev: &SimDevice, offset: u64, len: u64) -> StorageResult<Vec<u8>> {
+        self.read_with(dev, offset, len, <[u8]>::to_vec)
+    }
+
+    /// Synchronous write: the cursor advances to the completion time.
     pub fn write(&self, dev: &SimDevice, offset: u64, data: &[u8]) -> StorageResult<()> {
-        self.with(|s| s.write(dev, offset, data))
+        self.with(|cursor| {
+            *cursor = dev.write_at(*cursor, offset, data)?;
+            Ok(())
+        })
     }
 
-    /// Asynchronous read issued at the shared session's cursor.
+    /// Asynchronous read: issued at the cursor, which does **not** advance.
     pub fn read_async(&self, dev: &SimDevice, offset: u64, len: u64) -> StorageResult<IoTicket> {
-        self.with(|s| s.read_async(dev, offset, len))
+        self.with(|cursor| {
+            let (data, completion) = dev.read_at(*cursor, offset, len)?;
+            Ok(IoTicket { data, completion })
+        })
     }
 
-    /// Await a ticket on the shared session.
+    /// Await a ticket: the cursor advances to `max(now, completion)`, i.e.
+    /// time already spent elsewhere overlaps with this operation.
     pub fn wait(&self, ticket: IoTicket) -> Vec<u8> {
-        self.with(|s| s.wait(ticket))
+        self.with(|cursor| self.advance(cursor, ticket.completion));
+        ticket.data
     }
 
-    /// Model CPU work on the shared session.
+    /// Model CPU work: advances the cursor without touching any device.
     pub fn cpu(&self, ns: Ns) {
-        self.with(|s| s.cpu(ns))
-    }
-
-    /// Move the session cursor forward to at least `t`.
-    pub fn join_at(&self, t: Ns) {
-        self.with(|s| s.join_at(t))
+        self.with(|cursor| self.advance(cursor, *cursor + ns))
     }
 }
 
@@ -250,7 +176,7 @@ mod tests {
     fn sync_read_advances_cursor() {
         let (clock, hdd, _) = setup();
         hdd.write_at(0, 0, &vec![7u8; 4096]).unwrap();
-        let mut s = IoSession::at(clock, hdd.busy_until());
+        let s = SessionHandle::at(clock, hdd.busy_until());
         let before = s.now();
         let data = s.read(&hdd, 0, 4096).unwrap();
         assert_eq!(data.len(), 4096);
@@ -266,11 +192,11 @@ mod tests {
         let start = clock.now().max(hdd.busy_until()).max(ssd.busy_until());
 
         // Overlapped: issue SSD read async, do HDD read sync, then wait.
-        let mut s = IoSession::at(clock.clone(), start);
+        let s = SessionHandle::at(clock.clone(), start);
         let ticket = s.read_async(&ssd, 0, 4 * MIB).unwrap();
         s.read(&hdd, 0, 4 * MIB).unwrap();
         s.wait(ticket);
-        let overlapped = s.elapsed_since(start);
+        let overlapped = s.now() - start;
 
         // The HDD is the slower device; overlap must cost ~the HDD time.
         let hdd_only = DeviceProfile::hdd_barracuda().duration(
@@ -292,7 +218,7 @@ mod tests {
     #[test]
     fn cpu_time_advances_clock() {
         let (clock, _, _) = setup();
-        let mut s = IoSession::new(clock.clone());
+        let s = SessionHandle::fresh(clock.clone());
         s.cpu(1_000_000);
         assert_eq!(s.now(), 1_000_000);
         assert_eq!(clock.now(), 1_000_000);
@@ -302,27 +228,17 @@ mod tests {
     fn wait_done_preserves_order() {
         let (clock, _, ssd) = setup();
         ssd.write_at(0, 0, &vec![0u8; 128 * 1024]).unwrap();
-        let mut s = IoSession::at(clock, ssd.busy_until());
+        let s = SessionHandle::at(clock, ssd.busy_until());
         // Two *random* reads: completions are ordered by issue order.
         let t1 = s.read_async(&ssd, 0, 4096).unwrap();
         let t2 = s.read_async(&ssd, 65536, 4096).unwrap();
-        assert!(t2.completion() > t1.completion());
-        s.wait_done(&t2);
-        assert_eq!(s.now(), t2.completion());
+        let (c1, c2) = (t1.completion(), t2.completion());
+        assert!(c2 > c1);
+        s.wait(t2);
+        assert_eq!(s.now(), c2);
         // Waiting on the earlier ticket afterwards is a no-op in time.
-        let now = s.now();
-        s.wait_done(&t1);
-        assert_eq!(s.now(), now);
-    }
-
-    #[test]
-    fn join_at_moves_forward_only() {
-        let (clock, _, _) = setup();
-        let mut s = IoSession::at(clock, 100);
-        s.join_at(50);
-        assert_eq!(s.now(), 100);
-        s.join_at(500);
-        assert_eq!(s.now(), 500);
+        assert_eq!(s.wait(t1).len(), 4096);
+        assert_eq!(s.now(), c2);
     }
 
     #[test]
@@ -336,7 +252,7 @@ mod tests {
         }
         hdd.reset_stats();
         let start = hdd.busy_until();
-        let mut s = IoSession::at(clock, start);
+        let s = SessionHandle::at(clock, start);
         let mut pending = s.read_async(&hdd, 0, MIB).unwrap();
         for i in 1..8u64 {
             let next = s.read_async(&hdd, i * MIB, MIB).unwrap();
@@ -345,7 +261,7 @@ mod tests {
             pending = next;
         }
         s.wait(pending);
-        let elapsed = s.elapsed_since(start);
+        let elapsed = s.now() - start;
         let busy = hdd.stats().busy_ns;
         assert!(
             elapsed <= busy + 8 * 100_000 + 1_000_000,
@@ -357,41 +273,63 @@ mod tests {
     fn handle_cursor_is_the_session_cursor_after_every_operation() {
         let (clock, hdd, ssd) = setup();
         ssd.write_at(0, 0, &vec![1u8; 64 * 1024]).unwrap();
-        let handle = SessionHandle::new(IoSession::at(clock, 1_000));
+        let handle = SessionHandle::at(clock, 1_000);
         let clone = handle.clone();
         let mut last = 0;
         let mut in_step = |op: &str| {
             let now = handle.now();
-            assert_eq!(now, handle.with(|s| s.now()), "after {op}");
             assert_eq!(clone.now(), now, "clones share the cursor ({op})");
             assert!(now >= last, "{op} moved the cursor back");
             last = now;
             now
         };
-        assert_eq!(in_step("new"), 1_000);
+        assert_eq!(in_step("at"), 1_000);
         handle.read(&ssd, 0, 4096).unwrap();
         let after_read = in_step("read");
         assert!(after_read > 1_000);
-        handle.read_with(&ssd, 4096, 512, |b| b.len()).unwrap();
+        clone.read_with(&ssd, 4096, 512, |b| b.len()).unwrap();
         assert!(in_step("read_with") > after_read);
         clone.write(&hdd, 0, &[2u8; 4096]).unwrap();
         let after_write = in_step("write");
         let ticket = handle.read_async(&ssd, 8192, 4096).unwrap();
         assert_eq!(in_step("read_async"), after_write, "issued, not awaited");
         let done = ticket.completion();
-        handle.wait(ticket);
+        clone.wait(ticket);
         assert_eq!(in_step("wait"), after_write.max(done));
+        let after_wait = in_step("wait");
         handle.cpu(750);
-        let after_cpu = in_step("cpu");
-        handle.join_at(after_cpu - 1);
-        assert_eq!(in_step("join_at (behind)"), after_cpu);
-        handle.join_at(after_cpu + 10);
-        assert_eq!(in_step("join_at (ahead)"), after_cpu + 10);
-        handle.with(|s| s.cpu(5));
-        assert_eq!(in_step("with"), after_cpu + 15);
+        assert_eq!(in_step("cpu"), after_wait + 750);
         // A failed operation leaves the cursor where it was.
         assert!(handle.read(&ssd, 1 << 30, 8).is_err());
-        assert_eq!(in_step("failed read"), after_cpu + 15);
+        assert_eq!(in_step("failed read"), after_wait + 750);
+    }
+
+    #[test]
+    fn at_starts_an_independent_cursor_on_the_shared_clock() {
+        let (clock, hdd, ssd) = setup();
+        ssd.write_at(0, 0, &vec![1u8; 64 * 1024]).unwrap();
+        let start = clock.now().max(ssd.busy_until()).max(hdd.busy_until());
+        let a = SessionHandle::at(clock.clone(), start);
+        let b = SessionHandle::at(clock.clone(), start + 5_000_000);
+        assert_eq!((a.now(), b.now()), (start, start + 5_000_000));
+
+        // A read through `a` moves `a` and the clock, never `b`.
+        a.read(&ssd, 0, 4096).unwrap();
+        let a_now = a.now();
+        assert!(a_now > start);
+        assert_eq!(b.now(), start + 5_000_000);
+        assert_eq!(clock.now(), a_now, "`at` publishes nothing on the clock");
+
+        // A write through `b` moves `b` and the clock, never `a`.
+        b.write(&hdd, 0, &[3u8; 4096]).unwrap();
+        assert!(b.now() > start + 5_000_000);
+        assert_eq!(a.now(), a_now);
+        assert_eq!(clock.now(), b.now());
+
+        // CPU time on `a` publishes on the clock `b` shares.
+        a.cpu(b.now() - a.now() + 1);
+        assert_eq!(clock.now(), a.now());
+        assert!(a.now() > b.now());
     }
 
     #[test]

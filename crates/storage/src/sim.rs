@@ -127,7 +127,6 @@ pub struct SimDevice {
     profile: DeviceProfile,
     clock: SimClock,
     state: Arc<Mutex<DevState>>,
-    faulted: Arc<AtomicBool>,
     write_faulted: Arc<AtomicBool>,
     read_faulted: Arc<AtomicBool>,
     /// Pending torn-write injection: `u64::MAX` = none, otherwise the
@@ -163,7 +162,6 @@ impl SimDevice {
                 inflight: BinaryHeap::new(),
                 stats: IoStats::default(),
             })),
-            faulted: Arc::new(AtomicBool::new(false)),
             write_faulted: Arc::new(AtomicBool::new(false)),
             read_faulted: Arc::new(AtomicBool::new(false)),
             torn_write_keep: Arc::new(AtomicU64::new(NO_TORN_WRITE)),
@@ -263,14 +261,6 @@ impl SimDevice {
         (start, completion)
     }
 
-    fn check_fault(&self) -> StorageResult<()> {
-        if self.faulted.load(Ordering::Acquire) {
-            Err(StorageError::Faulted("injected device fault"))
-        } else {
-            Ok(())
-        }
-    }
-
     /// Read `len` bytes at `offset`, submitted at virtual time `at`,
     /// and run `f` over them in place: the one read door — the same
     /// fault checks, lock-discipline assert and device scheduling
@@ -286,7 +276,6 @@ impl SimDevice {
         f: impl FnOnce(&[u8]) -> R,
     ) -> StorageResult<(R, Ns)> {
         assert_no_tracked_locks("read");
-        self.check_fault()?;
         if self.read_faulted.load(Ordering::Acquire) {
             return Err(StorageError::Faulted("injected device read fault"));
         }
@@ -305,7 +294,6 @@ impl SimDevice {
     /// Returns the completion time.
     pub fn write_at(&self, at: Ns, offset: u64, data: &[u8]) -> StorageResult<Ns> {
         assert_no_tracked_locks("write");
-        self.check_fault()?;
         if self.write_faulted.load(Ordering::Acquire) {
             return Err(StorageError::Faulted("injected device write fault"));
         }
@@ -354,16 +342,6 @@ impl SimDevice {
         self.state.lock().busy_until
     }
 
-    /// Force the next access to be treated as random (e.g. after another
-    /// component used the device out-of-band). On multi-stream devices
-    /// this closes every open stream.
-    pub fn invalidate_head_position(&self) {
-        let mut st = self.state.lock();
-        st.last_end = None;
-        st.write_tails.clear();
-        st.read_tails.clear();
-    }
-
     /// Treat the next access at `offset` as a sequential continuation.
     ///
     /// A freshly created device has no head position, so its very first
@@ -401,17 +379,6 @@ impl SimDevice {
         } else if st.write_tails.is_empty() && st.last_end.is_none() {
             st.write_tails.push_back(offset);
         }
-    }
-
-    /// Fault injection: make all subsequent accesses fail until
-    /// [`SimDevice::clear_fault`].
-    pub fn inject_fault(&self) {
-        self.faulted.store(true, Ordering::Release);
-    }
-
-    /// Clear an injected fault.
-    pub fn clear_fault(&self) {
-        self.faulted.store(false, Ordering::Release);
     }
 
     /// Fault injection restricted to writes: reads keep succeeding.
@@ -564,10 +531,18 @@ mod tests {
     fn fault_injection_blocks_io() {
         let d = ssd();
         d.write_at(0, 0, &[1, 2, 3]).unwrap();
-        d.inject_fault();
+        d.inject_read_fault();
+        d.inject_write_fault();
         assert!(matches!(d.read_at(0, 0, 3), Err(StorageError::Faulted(_))));
-        d.clear_fault();
+        assert!(matches!(
+            d.write_at(0, 0, &[4]),
+            Err(StorageError::Faulted(_))
+        ));
+        d.clear_read_fault();
+        d.clear_write_fault();
         assert!(d.read_at(0, 0, 3).is_ok());
+        d.write_at(0, 0, &[4]).unwrap();
+        assert_eq!(d.read_at(0, 0, 3).unwrap().0, vec![4, 2, 3]);
     }
 
     #[test]
@@ -593,13 +568,19 @@ mod tests {
         // Out of bounds: an error, and nothing scheduled.
         assert!(lent.read_with(at, 64 * 1024, 1, |_| ()).is_err());
         assert_eq!(lent.stats(), owned.stats());
-        // Both fault switches reach the borrowed door; the closure never runs.
+        // The read fault switch reaches the borrowed door and the
+        // closure never runs; the write fault switch spares it.
         lent.inject_read_fault();
         let lent_read = |d: &SimDevice| d.read_with(at, 0, 8, |_| panic!("read a faulted device"));
         assert!(matches!(lent_read(&lent), Err(StorageError::Faulted(_))));
+        assert_eq!(
+            lent.stats(),
+            owned.stats(),
+            "a faulted read is not scheduled"
+        );
         lent.clear_read_fault();
-        lent.inject_fault();
-        assert!(matches!(lent_read(&lent), Err(StorageError::Faulted(_))));
+        lent.inject_write_fault();
+        assert_eq!(lent.read_with(at, 0, 8, <[u8]>::len).unwrap().0, 8);
     }
 
     #[test]
@@ -692,16 +673,5 @@ mod tests {
         d.write_at(d.busy_until(), 4096, &[0u8; 4096]).unwrap();
         let s = d.stats();
         assert_eq!(s.random_writes, 0, "{s:?}");
-    }
-
-    #[test]
-    fn invalidate_head_forces_random() {
-        let d = hdd();
-        let chunk = vec![0u8; 4096];
-        d.write_at(0, 0, &chunk).unwrap();
-        d.reset_stats();
-        d.invalidate_head_position();
-        d.write_at(d.busy_until(), 4096, &chunk).unwrap();
-        assert_eq!(d.stats().random_ops, 1);
     }
 }

@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 
-use masm_storage::{DeviceProfile, IoSession, SimClock, SimDevice};
+use masm_storage::{DeviceProfile, SessionHandle, SimClock, SimDevice};
 
 fn write_op() -> impl Strategy<Value = (u64, Vec<u8>)> {
     (
@@ -67,7 +67,7 @@ proptest! {
         hdd.reset_stats();
         ssd.reset_stats();
 
-        let mut session = IoSession::at(clock, start);
+        let session = SessionHandle::at(clock, start);
         let mut off = 0u64;
         for len in &lens {
             let ticket = session.read_async(&ssd, off, *len).unwrap();
@@ -75,7 +75,7 @@ proptest! {
             session.wait(ticket);
             off += len;
         }
-        let elapsed = session.elapsed_since(start);
+        let elapsed = session.now() - start;
         let hdd_busy = hdd.stats().busy_ns;
         let ssd_busy = ssd.stats().busy_ns;
         prop_assert!(elapsed >= hdd_busy.max(ssd_busy));

@@ -16,8 +16,8 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 
 use masm_storage::{
-    AccessKind, DeviceProfile, IoSession, IoStatsSnapshot, Ns, SimClock, SimDevice, StorageError,
-    WearStats,
+    AccessKind, DeviceProfile, IoStatsSnapshot, Ns, SessionHandle, SimClock, SimDevice,
+    StorageError, WearStats,
 };
 
 /// The parent's `IoStats`: the snapshot plus wear in a `HashMap`.
@@ -205,12 +205,6 @@ impl Reference {
         self.schedule(at, AccessKind::Read, offset, len).1
     }
 
-    fn invalidate_head_position(&mut self) {
-        self.last_end = None;
-        self.write_tails.clear();
-        self.read_tails.clear();
-    }
-
     fn prime_head_position(&mut self, offset: u64) {
         if self.profile.queue_streams == 0 {
             self.last_end = Some(offset);
@@ -261,7 +255,7 @@ fn run_script(profile: DeviceProfile, seed: u64, steps: usize) {
     let clock = SimClock::new();
     let dev = SimDevice::in_memory(profile.clone(), clock.clone());
     let mut model = Reference::new(profile.clone());
-    let mut session = IoSession::new(clock.clone());
+    let session = SessionHandle::fresh(clock.clone());
     let zeroes = vec![0u8; MAX_LEN as usize];
     let mut rng = Rng(seed);
     // More append streams than the device keeps tails for.
@@ -273,7 +267,10 @@ fn run_script(profile: DeviceProfile, seed: u64, steps: usize) {
     let mut seen = (false, false, false);
     let erase = profile.erase_block.max(4096);
 
-    // Something to read from the first step on.
+    // A fresh device has no head position: the one time priming "if
+    // unset" takes effect. Then something to read from the first step on.
+    model.prime_head_position_if_unset(0);
+    dev.prime_head_position_if_unset(0);
     model.write(session.now(), 0, 64 << 10);
     session.write(&dev, 0, &zeroes[..64 << 10]).unwrap();
 
@@ -385,11 +382,6 @@ fn run_script(profile: DeviceProfile, seed: u64, steps: usize) {
                 model.prime_head_position_if_unset(offset);
                 dev.prime_head_position_if_unset(offset);
                 "prime if unset"
-            }
-            95..=96 => {
-                model.invalidate_head_position();
-                dev.invalidate_head_position();
-                "invalidate"
             }
             97 => {
                 model.stats = RefStats::default();

@@ -146,11 +146,10 @@ impl JsonValue {
 /// trailing garbage — callers treat an unparseable row as a failure.
 #[must_use]
 pub fn parse(input: &str) -> Option<JsonValue> {
-    let bytes = input.as_bytes();
     let mut pos = 0usize;
-    let v = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos == bytes.len() {
+    let v = parse_value(input, &mut pos)?;
+    skip_ws(input.as_bytes(), &mut pos);
+    if pos == input.len() {
         Some(v)
     } else {
         None
@@ -163,12 +162,13 @@ fn skip_ws(b: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Option<JsonValue> {
+fn parse_value(s: &str, pos: &mut usize) -> Option<JsonValue> {
+    let b = s.as_bytes();
     skip_ws(b, pos);
     match *b.get(*pos)? {
-        b'{' => parse_obj(b, pos),
-        b'[' => parse_arr(b, pos),
-        b'"' => Some(JsonValue::Str(parse_string(b, pos)?)),
+        b'{' => parse_obj(s, pos),
+        b'[' => parse_arr(s, pos),
+        b'"' => Some(JsonValue::Str(parse_string(s, pos)?)),
         b't' => {
             expect(b, pos, "true")?;
             Some(JsonValue::Bool(true))
@@ -194,7 +194,8 @@ fn expect(b: &[u8], pos: &mut usize, lit: &str) -> Option<()> {
     }
 }
 
-fn parse_obj(b: &[u8], pos: &mut usize) -> Option<JsonValue> {
+fn parse_obj(s: &str, pos: &mut usize) -> Option<JsonValue> {
+    let b = s.as_bytes();
     *pos += 1; // '{'
     let mut map = BTreeMap::new();
     skip_ws(b, pos);
@@ -204,13 +205,13 @@ fn parse_obj(b: &[u8], pos: &mut usize) -> Option<JsonValue> {
     }
     loop {
         skip_ws(b, pos);
-        let key = parse_string(b, pos)?;
+        let key = parse_string(s, pos)?;
         skip_ws(b, pos);
         if b.get(*pos) != Some(&b':') {
             return None;
         }
         *pos += 1;
-        let val = parse_value(b, pos)?;
+        let val = parse_value(s, pos)?;
         map.insert(key, val);
         skip_ws(b, pos);
         match b.get(*pos)? {
@@ -224,7 +225,8 @@ fn parse_obj(b: &[u8], pos: &mut usize) -> Option<JsonValue> {
     }
 }
 
-fn parse_arr(b: &[u8], pos: &mut usize) -> Option<JsonValue> {
+fn parse_arr(s: &str, pos: &mut usize) -> Option<JsonValue> {
+    let b = s.as_bytes();
     *pos += 1; // '['
     let mut items = Vec::new();
     skip_ws(b, pos);
@@ -233,7 +235,7 @@ fn parse_arr(b: &[u8], pos: &mut usize) -> Option<JsonValue> {
         return Some(JsonValue::Arr(items));
     }
     loop {
-        items.push(parse_value(b, pos)?);
+        items.push(parse_value(s, pos)?);
         skip_ws(b, pos);
         match b.get(*pos)? {
             b',' => *pos += 1,
@@ -246,45 +248,43 @@ fn parse_arr(b: &[u8], pos: &mut usize) -> Option<JsonValue> {
     }
 }
 
-fn parse_string(b: &[u8], pos: &mut usize) -> Option<String> {
+/// A string literal, its escapes resolved. Each run of bytes up to the
+/// next `"` or `\` is copied as one slice: both are ASCII, so a run
+/// ends on a character boundary and the whole parse is linear.
+fn parse_string(s: &str, pos: &mut usize) -> Option<String> {
+    let b = s.as_bytes();
     if b.get(*pos) != Some(&b'"') {
         return None;
     }
     *pos += 1;
     let mut out = String::new();
     loop {
-        match *b.get(*pos)? {
-            b'"' => {
-                *pos += 1;
-                return Some(out);
-            }
-            b'\\' => {
-                *pos += 1;
-                match *b.get(*pos)? {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'/' => out.push('/'),
-                    b'n' => out.push('\n'),
-                    b'r' => out.push('\r'),
-                    b't' => out.push('\t'),
-                    b'u' => {
-                        let hex = std::str::from_utf8(b.get(*pos + 1..*pos + 5)?).ok()?;
-                        let code = u32::from_str_radix(hex, 16).ok()?;
-                        out.push(char::from_u32(code)?);
-                        *pos += 4;
-                    }
-                    _ => return None,
-                }
-                *pos += 1;
-            }
-            _ => {
-                // Consume one UTF-8 scalar from the remaining input.
-                let rest = std::str::from_utf8(&b[*pos..]).ok()?;
-                let c = rest.chars().next()?;
-                out.push(c);
-                *pos += c.len_utf8();
-            }
+        let run = b[*pos..].iter().position(|&c| c == b'"' || c == b'\\')?;
+        out.push_str(&s[*pos..*pos + run]);
+        *pos += run;
+        if b[*pos] == b'"' {
+            *pos += 1;
+            return Some(out);
         }
+        *pos += 1;
+        match *b.get(*pos)? {
+            b'"' => out.push('"'),
+            b'\\' => out.push('\\'),
+            b'/' => out.push('/'),
+            b'b' => out.push('\u{8}'),
+            b'f' => out.push('\u{c}'),
+            b'n' => out.push('\n'),
+            b'r' => out.push('\r'),
+            b't' => out.push('\t'),
+            b'u' => {
+                let hex = s.get(*pos + 1..*pos + 5)?;
+                let code = u32::from_str_radix(hex, 16).ok()?;
+                out.push(char::from_u32(code)?);
+                *pos += 4;
+            }
+            _ => return None,
+        }
+        *pos += 1;
     }
 }
 
@@ -318,6 +318,32 @@ mod tests {
             o.finish(),
             "{\"a\":1,\"b\":0.500000,\"c\":\"x\\\"y\",\"d\":[1,2]}"
         );
+    }
+
+    #[test]
+    fn strings_with_multibyte_characters_and_escapes_roundtrip() {
+        // Multi-byte characters right against every escape the writer
+        // emits, and against `\u` escapes of either case.
+        let text = "é\"ü\\中\n🦀\r\t\u{1}ß\u{1f}€";
+        let mut o = JsonObj::new();
+        o.str(text, text);
+        let v = parse(&o.finish()).expect("parses");
+        assert_eq!(v.get(text), Some(&JsonValue::Str(text.into())));
+
+        let escaped = r#""a\"\\\/\b\f\n\r\t\u00e9\u4E2D中\u0041z""#;
+        assert_eq!(
+            parse(escaped),
+            Some(JsonValue::Str("a\"\\/\u{8}\u{c}\n\r\té中中Az".into()))
+        );
+        for bad in [
+            r#""\x""#,
+            r#""\u12""#,
+            r#""\ud800""#,
+            r#""open"#,
+            r#""ends\"#,
+        ] {
+            assert_eq!(parse(bad), None, "{bad}");
+        }
     }
 
     #[test]

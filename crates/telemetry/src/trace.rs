@@ -20,10 +20,10 @@
 //!   unread data, and the counters move under the same lock, so
 //!   `emitted == retained + drained + dropped` holds exactly
 //!   ([`TraceStats`]).
-//! * **Pay for what you use.** [`Tracer::enabled`] is one relaxed
-//!   atomic load; every instrumentation site checks it first, so a
-//!   disabled tracer costs one load per operation. Hot per-operation
-//!   spans are additionally sampled 1-in-2^`op_sample_shift`.
+//! * **Pay for what you use.** [`Tracer::enabled`] is one field read,
+//!   fixed when the tracer is built; every instrumentation site checks
+//!   it first, so a disabled tracer costs one load per operation. Hot
+//!   per-operation spans are additionally sampled 1-in-2^`op_sample_shift`.
 //! * **Causal links.** Flow ids ([`Tracer::next_flow_id`]) connect a
 //!   producer-side [`Tracer::flow_start`] to a consumer-side
 //!   [`Tracer::flow_finish`] across threads; Perfetto draws the arrow
@@ -37,7 +37,7 @@
 //! expects.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::json::JsonObj;
@@ -114,7 +114,7 @@ pub struct TraceConfig {
     /// ([`Tracer::op_span`]); 0 records every operation. Lifecycle
     /// events (jobs, flows, instants) are never sampled away.
     pub op_sample_shift: u32,
-    /// Whether the tracer starts enabled.
+    /// Whether the tracer records at all (fixed for its lifetime).
     pub enabled: bool,
 }
 
@@ -160,7 +160,7 @@ pub struct Tracer {
     /// `emitted`, `dropped` and `drained` move only while it is held.
     queue: Mutex<VecDeque<TraceRecord>>,
     capacity: usize,
-    enabled: AtomicBool,
+    enabled: bool,
     op_mask: u64,
     op_counter: AtomicU64,
     next_flow: AtomicU64,
@@ -183,7 +183,7 @@ impl Tracer {
         Tracer {
             queue: Mutex::new(VecDeque::with_capacity(cfg.ring_capacity)),
             capacity: cfg.ring_capacity,
-            enabled: AtomicBool::new(cfg.enabled),
+            enabled: cfg.enabled,
             op_mask: (1u64 << cfg.op_sample_shift.min(63)) - 1,
             op_counter: AtomicU64::new(0),
             next_flow: AtomicU64::new(1),
@@ -203,17 +203,12 @@ impl Tracer {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// Whether recording is on — **one relaxed atomic load**; this is
-    /// the whole per-operation cost of a disabled tracer.
+    /// Whether recording is on — **one field read**; this is the
+    /// whole per-operation cost of a disabled tracer.
     #[inline]
     #[must_use]
     pub fn enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Turn recording on or off at runtime.
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
+        self.enabled
     }
 
     /// A fresh process-unique flow id (never 0).
@@ -554,6 +549,11 @@ pub fn render_chrome_trace(records: &[TraceRecord]) -> String {
     doc.finish()
 }
 
+/// Epoch-lag alarm threshold of [`InvariantWatchdog`]: a pinned query
+/// snapshot trailing the publish head by more than this many epochs
+/// emits an `epoch.lag` instant event.
+const MAX_EPOCH_LAG: u64 = 64;
+
 /// Polls [`EngineStats`] on a configurable interval (measured on the
 /// snapshot's own `at_ns`, so it behaves identically under simulated
 /// and wall-clock time, like [`crate::TimeSeriesWriter`]) and emits
@@ -565,7 +565,6 @@ pub struct InvariantWatchdog {
     tracer: Arc<Tracer>,
     track: TrackId,
     interval_ns: u64,
-    max_epoch_lag: u64,
     last_poll: Option<u64>,
 }
 
@@ -578,18 +577,8 @@ impl InvariantWatchdog {
             tracer,
             track,
             interval_ns,
-            max_epoch_lag: 64,
             last_poll: None,
         }
-    }
-
-    /// Epoch-lag alarm threshold (default 64): a pinned query snapshot
-    /// trailing the publish head by more than this many epochs emits an
-    /// `epoch.lag` instant event.
-    #[must_use]
-    pub fn with_max_epoch_lag(mut self, lag: u64) -> Self {
-        self.max_epoch_lag = lag;
-        self
     }
 
     /// Check one snapshot. Returns the violation messages found (empty
@@ -610,7 +599,7 @@ impl InvariantWatchdog {
             self.tracer
                 .instant("invariant.violation", self.track, now, "total", seen);
         }
-        if stats.workers.epoch_lag > self.max_epoch_lag {
+        if stats.workers.epoch_lag > MAX_EPOCH_LAG {
             self.tracer.instant(
                 "epoch.lag",
                 self.track,
@@ -666,9 +655,6 @@ mod tests {
         assert_eq!(s.emitted, 0);
         assert_eq!(s.retained, 0);
         assert!(s.consistent());
-        t.set_enabled(true);
-        t.instant("x", track(0, 1), 10, "", 0);
-        assert_eq!(t.stats().emitted, 1);
     }
 
     #[test]
@@ -706,7 +692,7 @@ mod tests {
             ..TraceConfig::default()
         }));
         let seen = Arc::new(Mutex::new(Vec::new()));
-        let stop = Arc::new(AtomicBool::new(false));
+        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
 
         let drainer = {
             let t = Arc::clone(&t);
@@ -807,6 +793,24 @@ mod tests {
     }
 
     #[test]
+    fn a_forty_thousand_record_export_parses() {
+        let t = Tracer::default();
+        for i in 0..40_000u64 {
+            let tr = track((i % 4) as u32, (i % 7) as u32);
+            t.span_event("job.flush", tr, i * 10, 5, "bytes", i);
+        }
+        let doc = parse(&t.export_chrome_trace()).expect("export must parse");
+        let Some(crate::json::JsonValue::Arr(events)) = doc.get("traceEvents") else {
+            panic!("traceEvents must be an array");
+        };
+        let spans = events
+            .iter()
+            .filter(|e| e.get("ph") == Some(&crate::json::JsonValue::Str("X".into())))
+            .count();
+        assert_eq!(spans, 40_000);
+    }
+
+    #[test]
     fn export_is_valid_chrome_trace_json() {
         let t = Tracer::default();
         let tr = track(2, 9);
@@ -851,8 +855,7 @@ mod tests {
     #[test]
     fn watchdog_emits_on_violation_and_respects_interval() {
         let t = Arc::new(Tracer::default());
-        let mut dog =
-            InvariantWatchdog::new(Arc::clone(&t), track(0, 1), 1000).with_max_epoch_lag(4);
+        let mut dog = InvariantWatchdog::new(Arc::clone(&t), track(0, 1), 1000);
         let mut stats = EngineStats {
             at_ns: 10,
             ..EngineStats::default()
@@ -872,13 +875,13 @@ mod tests {
         assert_eq!(t.stats().violations, 1);
         // Past the interval + an epoch-lag alarm.
         stats.at_ns = 4000;
-        stats.workers.epoch_lag = 9;
+        stats.workers.epoch_lag = MAX_EPOCH_LAG + 1;
         assert_eq!(dog.poll(&stats).len(), 1);
         let recs = t.take_records();
         assert!(recs.iter().any(|r| r.name == "invariant.violation"));
-        assert!(recs
-            .iter()
-            .any(|r| r.name == "epoch.lag" && r.arg == 9 && r.kind == RecordKind::Instant));
+        assert!(recs.iter().any(|r| r.name == "epoch.lag"
+            && r.arg == MAX_EPOCH_LAG + 1
+            && r.kind == RecordKind::Instant));
         assert!(recs
             .iter()
             .any(|r| r.name == "trace.violations" && r.kind == RecordKind::Counter));

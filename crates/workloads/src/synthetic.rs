@@ -89,17 +89,6 @@ impl Default for UpdateMix {
     }
 }
 
-impl UpdateMix {
-    /// Only insertions (the "write-once read-many" DW special case).
-    pub fn inserts_only() -> Self {
-        UpdateMix {
-            insert: 1.0,
-            delete: 0.0,
-            modify: 0.0,
-        }
-    }
-}
-
 /// Key distribution for the update stream.
 #[derive(Debug, Clone)]
 enum KeyDist {
@@ -194,6 +183,13 @@ impl Iterator for UpdateStreamGen {
 mod tests {
     use super::*;
 
+    /// Only insertions (the "write-once read-many" DW special case).
+    const INSERTS: UpdateMix = UpdateMix {
+        insert: 1.0,
+        delete: 0.0,
+        modify: 0.0,
+    };
+
     #[test]
     fn table_records_are_even_keyed_and_sized() {
         let t = SyntheticTable::new(100);
@@ -254,7 +250,7 @@ mod tests {
     #[test]
     fn zipf_stream_hits_hot_keys_more() {
         let t = SyntheticTable::new(10_000);
-        let gen = UpdateStreamGen::zipf(t, UpdateMix::inserts_only(), 0.99, 3);
+        let gen = UpdateStreamGen::zipf(t, INSERTS, 0.99, 3);
         let mut hot = 0u64;
         let mut total = 0u64;
         for (key, _) in gen.take(20_000) {
@@ -273,7 +269,7 @@ mod tests {
     #[test]
     fn inserts_only_mix() {
         let t = SyntheticTable::new(100);
-        let gen = UpdateStreamGen::uniform(t, UpdateMix::inserts_only(), 5);
+        let gen = UpdateStreamGen::uniform(t, INSERTS, 5);
         assert!(gen
             .take(100)
             .all(|(_, op)| matches!(op, UpdateOp::Insert(_))));

@@ -70,15 +70,6 @@ impl MultiTenantKeyGen {
         let local = self.rng.gen_range(0..self.keys_per_tenant);
         compose_key(tenant, local)
     }
-
-    /// A reproducible sample of `n` keys for router training, drawn
-    /// from a *forked* stream so consuming it does not perturb the
-    /// generator itself.
-    #[must_use]
-    pub fn sample_keys(&self, n: usize) -> Vec<Key> {
-        let mut fork = self.clone();
-        (0..n).map(|_| fork.next_key()).collect()
-    }
 }
 
 impl Iterator for MultiTenantKeyGen {
@@ -128,14 +119,5 @@ mod tests {
         );
         // Every key stays inside its tenant's local space.
         assert!(a.iter().all(|&k| split_key(k).1 < (1 << 16)));
-    }
-
-    #[test]
-    fn sample_does_not_advance_the_stream() {
-        let mut g = MultiTenantKeyGen::new(8, 1024, 0.5, 11);
-        let sample = g.sample_keys(100);
-        assert_eq!(sample, g.sample_keys(100), "sampling is idempotent");
-        let first = g.next_key();
-        assert_eq!(first, sample[0], "stream starts where the fork did");
     }
 }

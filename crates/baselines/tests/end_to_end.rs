@@ -34,8 +34,8 @@ fn all_schemes_agree_on_query_results() {
     masm.run(&mut model, &puts);
     let masm_out = masm.rows(0, Key::MAX);
 
-    let dev = Devices::new(1);
-    let iu = IuEngine::new(heap(&dev, ROWS, 1.0), dev.ssds[0].clone(), schema());
+    let dev = Devices::default();
+    let iu = IuEngine::new(heap(&dev, ROWS, 1.0), dev.ssd.clone(), schema());
     let s = dev.session();
     for (ts, (k, op)) in updates.iter().enumerate() {
         iu.apply_update(&s, *k, op.clone(), ts as u64 + 1).unwrap();
@@ -43,7 +43,7 @@ fn all_schemes_agree_on_query_results() {
     let iu_out: Vec<Record> = iu.begin_scan(s, 0, Key::MAX, u64::MAX).unwrap().collect();
 
     // In-place at fill 0.9, so inserts fit; content equality still holds.
-    let dev = Devices::new(1);
+    let dev = Devices::default();
     let heap = heap(&dev, ROWS, 0.9);
     let inplace = InPlaceEngine::new(Arc::clone(&heap), schema());
     let s = dev.session();

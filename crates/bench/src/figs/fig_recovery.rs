@@ -1,32 +1,31 @@
-//! Crash recovery under load: pull the plug on a sharded deployment
-//! mid-ingest and mid-migration, and measure what comes back.
+//! Crash recovery under load: pull the plug on an engine mid-ingest
+//! and mid-migration, and measure what comes back.
 //!
 //! The paper's §3.6 recovery argument is that MaSM only needs to
 //! rebuild the small in-memory update buffer from the redo log —
 //! materialized runs, the heap, and interrupted migrations all recover
 //! from non-volatile state plus idempotent redo. Three lanes ingest into
-//! a 3-shard engine over a small loaded table, one shard each, taking
-//! turns on one thread with one `put` each per turn; whenever a shard's
-//! cached updates reach the migration threshold the driver runs
-//! `migrate_all`. The stream is long enough for migrations to come due.
+//! one engine over a small loaded table, each into a key range of its
+//! own, taking turns on one thread with one `put` each per turn;
+//! whenever the cached updates reach the migration threshold the driver
+//! migrates. The stream is long enough for migrations to come due.
 //! Device snapshots ("the power cable") are taken at fixed points:
 //!
 //! * after ⅛, ½ and 9⁄10 of the stream;
-//! * inside the first migration: each migrating shard's WAL is cut
-//!   after its last `MapSplice`, before `RunsDeleted` and
-//!   `MigrationEnd`, so recovery finds the migration begun and not
-//!   finished and must re-drive it;
-//! * the torn tail: every WAL 3 bytes short at the end of the stream,
-//!   i.e. the plug pulled while each lane's last `put` was writing.
+//! * inside the first migration: the WAL is cut after the migration's
+//!   last `MapSplice`, before `RunsDeleted` and `MigrationEnd`, so
+//!   recovery finds the migration begun and not finished and must
+//!   re-drive it;
+//! * the torn tail: the WAL 3 bytes short at the end of the stream,
+//!   i.e. the plug pulled while the last `put` was writing.
 //!
-//! Snapshot ordering mirrors a real single-point-in-time crash: each
-//! shard's WAL is snapshotted before its SSD and the heap disk last, so
-//! a WAL record can only name payload bytes the other snapshots contain
-//! (the engine makes run bytes and heap pages durable before logging
-//! them).
+//! Snapshot ordering mirrors a real single-point-in-time crash: the WAL
+//! is snapshotted before the SSD and the heap disk last, so a WAL
+//! record can only name payload bytes the other snapshots contain (the
+//! engine makes run bytes and heap pages durable before logging them).
 //!
 //! For every crash point the figure recovers via
-//! [`masm_core::ShardedEngine::recover`] and asserts the recovery
+//! [`masm_core::MasmEngine::recover`] and asserts the recovery
 //! contract: no lost update — every `put` that returned before the cut
 //! is in a post-recovery scan — and zero random SSD writes through
 //! migration redo and fresh post-recovery ingest on the recovered
@@ -38,7 +37,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use masm_core::wal::WalRecord;
-use masm_core::{MasmConfig, ShardedEngine, UpdateRecord};
+use masm_core::{MasmConfig, MasmEngine, UpdateRecord};
 use masm_pagestore::{HeapConfig, Key, Record, Schema, TableHeap};
 use masm_storage::{DeviceProfile, SessionHandle, SimClock, SimDevice, MIB};
 
@@ -58,14 +57,14 @@ fn payload(schema: &Schema, v: u32) -> UpdateOp {
     UpdateOp::Replace(payload)
 }
 
-/// Crash images of the deployment, and how many puts each lane had
+/// Crash images of the devices, and how many puts each lane had
 /// returned before the plug was pulled.
 struct CrashPoint {
     label: &'static str,
     acked: u64,
     disk: SimDevice,
-    ssds: Vec<SimDevice>,
-    wals: Vec<SimDevice>,
+    ssd: SimDevice,
+    wal: SimDevice,
 }
 
 /// Where the first `RunsDeleted` after a `MigrationBegin` at or past
@@ -94,8 +93,8 @@ fn recover(point: &CrashPoint, cfg: &MasmConfig, schema: &Schema) -> Vec<String>
     let clock = point.disk.clock().clone();
     let t0 = clock.now();
     let heap = Arc::new(TableHeap::new(point.disk.clone(), HeapConfig::default()));
-    let (ssds, wals) = (point.ssds.clone(), point.wals.clone());
-    let (engine, report) = ShardedEngine::recover(heap, ssds, wals, schema.clone(), cfg.clone(), None)
+    let (ssd, wal) = (point.ssd.clone(), point.wal.clone());
+    let (engine, report) = MasmEngine::recover(heap, ssd, wal, schema.clone(), cfg.clone())
         .unwrap_or_else(|e| panic!("crash point '{label}' failed to recover: {e}"));
     let recovery_ns = clock.now() - t0;
 
@@ -107,8 +106,9 @@ fn recover(point: &CrashPoint, cfg: &MasmConfig, schema: &Schema) -> Vec<String>
             floor.insert(lane_key(lane, j), j as u32);
         }
     }
+    let session = SessionHandle::fresh(clock);
     let got: HashMap<Key, u32> = engine
-        .scan(BASE, Key::MAX)
+        .begin_scan(session.clone(), BASE, Key::MAX)
         .expect("post-recovery scan")
         .map(|r| (r.key, schema.get_u32(&r.payload, 0)))
         .collect();
@@ -119,32 +119,31 @@ fn recover(point: &CrashPoint, cfg: &MasmConfig, schema: &Schema) -> Vec<String>
 
     // The recovered engine stays live and sequential: fresh ingest on
     // every lane plus a full flush, on the devices recovery re-primed.
-    let session = SessionHandle::fresh(clock);
     for lane in 0..LANES {
         for j in 0..200 {
             let op = payload(schema, u32::MAX);
-            engine.put(&session, lane_key(lane, j), op).expect("post-recovery put");
+            engine.apply_update(&session, lane_key(lane, j), op).expect("post-recovery put");
         }
     }
-    engine.flush_all(&session).expect("post-recovery flush");
-    let random_writes: u64 = engine.stats().per_shard.iter().map(|s| s.ssd.random_writes).sum();
+    engine.flush_buffer(&session).expect("post-recovery flush");
+    let random_writes = engine.stats().ssd.random_writes;
 
     assert_eq!(lost, 0, "crash '{label}' lost acknowledged updates");
     assert_eq!(random_writes, 0, "crash '{label}' wrote randomly");
-    assert!(report.wal_records_replayed() > 0, "crash '{label}' replayed nothing");
-    let redone = report.migrations_redriven;
-    assert_eq!(redone > 0, label == "migrating", "crash '{label}' redid {redone}");
+    assert!(report.wal_records_replayed > 0, "crash '{label}' replayed nothing");
+    let redone = report.redid_migration;
+    assert_eq!(redone, label == "migrating", "crash '{label}' redid {redone}");
     if label == "torn_tail" {
-        assert!(report.wal_torn_bytes() > 0, "the torn point must truncate");
+        assert!(report.wal_torn_bytes > 0, "the torn point must truncate");
     }
     vec![
         label.to_string(),
         (point.acked * LANES).to_string(),
-        report.updates_recovered().to_string(),
-        report.runs_recovered().to_string(),
-        report.wal_records_replayed().to_string(),
-        report.wal_torn_bytes().to_string(),
-        redone.to_string(),
+        report.updates_recovered.to_string(),
+        report.runs_recovered.to_string(),
+        report.wal_records_replayed.to_string(),
+        report.wal_torn_bytes.to_string(),
+        u8::from(redone).to_string(),
         format!("{:.3}", secs(recovery_ns)),
         lost.to_string(),
         random_writes.to_string(),
@@ -155,16 +154,15 @@ pub fn run(mb: u64) -> Report {
     let schema = Schema::synthetic_100b();
     let mut cfg = scaled_masm_config(mb * MIB);
     cfg.ssd_capacity = cfg.ssd_capacity.max(4 * 64 * 4096);
-    cfg.sharding.splits = (1..LANES).map(|k| BASE + k * (1 << 20)).collect();
 
     let clock = SimClock::new();
     let device = |profile| SimDevice::in_memory(profile, clock.clone());
     let disk = device(DeviceProfile::hdd_barracuda());
-    let ssds: Vec<SimDevice> = (0..LANES).map(|_| device(DeviceProfile::ssd_x25e())).collect();
-    let wals: Vec<SimDevice> = (0..LANES).map(|_| device(DeviceProfile::ssd_x25e())).collect();
+    let ssd = device(DeviceProfile::ssd_x25e());
+    let wal = device(DeviceProfile::ssd_x25e());
     let heap = Arc::new(TableHeap::new(disk.clone(), HeapConfig::default()));
     let (s, c) = (schema.clone(), cfg.clone());
-    let engine = ShardedEngine::new(heap, ssds.clone(), wals.clone(), s, c).expect("sharded config");
+    let engine = MasmEngine::new(heap, ssd.clone(), wal.clone(), s, c).expect("a valid config");
     let session = SessionHandle::fresh(clock);
     // A table for the migrations to rewrite in place: per lane, the
     // keys just above the ones its updates touch.
@@ -173,27 +171,22 @@ pub fn run(mb: u64) -> Report {
         (first..first + KEYS_PER_LANE).map(|key| Record::new(key, schema.empty_payload()))
     });
     engine.load_table(&session, rows, 1.0).expect("bulk load");
-    let wal_lens = || wals.iter().map(SimDevice::len).collect::<Vec<_>>();
-    // Pull the plug: per shard the WAL (its first `wal_len[i]` bytes)
-    // before the SSD, the heap disk last.
-    let crash = |label, acked, wal_len: &[u64]| {
+    // Pull the plug: the WAL (its first `wal_len` bytes) before the
+    // SSD, the heap disk last.
+    let crash = |label, acked, wal_len| {
         let clock = SimClock::new();
-        let (mut snap_ssds, mut snap_wals) = (Vec::new(), Vec::new());
-        for ((ssd, wal), &len) in ssds.iter().zip(&wals).zip(wal_len) {
-            snap_wals.push(wal.snapshot_prefix(clock.clone(), len).expect("wal snapshot"));
-            snap_ssds.push(ssd.snapshot(clock.clone()).expect("ssd snapshot"));
-        }
+        let wal = wal.snapshot_prefix(clock.clone(), wal_len).expect("wal snapshot");
         CrashPoint {
             label,
             acked,
+            ssd: ssd.snapshot(clock.clone()).expect("ssd snapshot"),
+            wal,
             disk: disk.snapshot(clock).expect("disk snapshot"),
-            ssds: snap_ssds,
-            wals: snap_wals,
         }
     };
 
     // Twice the flash budget in raw update bytes: with duplicates
-    // folded, enough for every shard to come due for migration.
+    // folded, enough for migrations to come due.
     let probe = UpdateRecord::new(1, 0, payload(&schema, 0)).encoded_len() as u64;
     let per_lane = cfg.ssd_capacity * 2 / probe / LANES;
 
@@ -201,33 +194,31 @@ pub fn run(mb: u64) -> Report {
     let load_points = [(per_lane / 8, "early"), (per_lane / 2, "mid"), (per_lane * 9 / 10, "late")];
     for j in 0..per_lane {
         if let Some(&(_, label)) = load_points.iter().find(|(at, _)| *at == j) {
-            crashes.push(crash(label, j, &wal_lens()));
+            crashes.push(crash(label, j, wal.len()));
         }
         if engine.needs_migration() {
-            let before = wal_lens();
-            engine.migrate_all(&session).expect("migration");
+            let before = wal.len();
+            engine.migrate(&session).expect("migration");
             if !crashes.iter().any(|p| p.label == "migrating") {
-                let cuts = wals.iter().zip(&before);
-                let cut: Vec<u64> = cuts.map(|(wal, &from)| mid_migration_cut(wal, from)).collect();
-                crashes.push(crash("migrating", j, &cut));
+                crashes.push(crash("migrating", j, mid_migration_cut(&wal, before)));
             }
         }
         for lane in 0..LANES {
             let op = payload(&schema, j as u32);
-            engine.put(&session, lane_key(lane, j), op).expect("update");
+            engine.apply_update(&session, lane_key(lane, j), op).expect("update");
         }
     }
-    // Each WAL's last append is its lane's last put: cut mid-write, that
-    // put never returned.
-    let torn: Vec<u64> = wal_lens().iter().map(|len| len - 3).collect();
-    crashes.push(crash("torn_tail", per_lane - 1, &torn));
+    // The WAL's last append is the last lane's last put: cut mid-write,
+    // that put never returned (the floor holds every lane to its puts
+    // before the last).
+    crashes.push(crash("torn_tail", per_lane - 1, wal.len() - 3));
 
     let rows: Vec<Vec<String>> = crashes.iter().map(|p| recover(p, &cfg, &schema)).collect();
     let mut report = Report::default();
     report.table(
         &format!(
-            "Crash recovery under load — {LANES}-shard engine, plug pulled mid-ingest and \
-             mid-migration (table scale {mb} MiB)"
+            "Crash recovery under load — one engine, {LANES} key lanes, plug pulled mid-ingest \
+             and mid-migration (table scale {mb} MiB)"
         ),
         &[
             "crash",

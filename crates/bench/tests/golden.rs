@@ -59,7 +59,6 @@ golden! {
     fig14_tpch_masm
     fig_cache_scan_resistance
     fig_recovery
-    fig_sharded_ingest
     tab_ablation
     tab_hdd_cache
     tab_lsm_write_amp

@@ -649,10 +649,9 @@ pub struct BlockRunScan {
     /// the session-time stall (virtual-ns) to obtain it — ≈0 for cache
     /// hits, the device wait for misses.
     fetch_hist: Option<Arc<masm_telemetry::Histogram>>,
-    /// Optional flight recorder plus the process-track (shard) id to
-    /// emit under: one `block.fetch` span per block acquired and one
-    /// `block.prefetch` instant per async read issued.
-    tracer: Option<(Arc<masm_telemetry::Tracer>, u32)>,
+    /// Optional flight recorder: one `block.fetch` span per block
+    /// acquired and one `block.prefetch` instant per async read issued.
+    tracer: Option<Arc<masm_telemetry::Tracer>>,
 }
 
 impl BlockRunScan {
@@ -713,17 +712,17 @@ impl BlockRunScan {
 
     /// Emit `block.fetch` spans (one per block acquired, cache hits
     /// included at ≈0 duration) and `block.prefetch` instants (one per
-    /// async read issued) to `tracer`, on process track `pid` (the
-    /// owning shard). An emit takes the recorder's one short lock and
-    /// drops on overflow, so the scan never waits on a consumer.
-    pub fn with_trace(mut self, tracer: Arc<masm_telemetry::Tracer>, pid: u32) -> Self {
-        self.tracer = Some((tracer, pid));
+    /// async read issued) to `tracer`, on process track 0. An emit
+    /// takes the recorder's one short lock and drops on overflow, so
+    /// the scan never waits on a consumer.
+    pub fn with_trace(mut self, tracer: Arc<masm_telemetry::Tracer>) -> Self {
+        self.tracer = Some(tracer);
         self
     }
 
-    fn trace_track(&self, pid: u32) -> masm_telemetry::TrackId {
+    fn trace_track(&self) -> masm_telemetry::TrackId {
         masm_telemetry::TrackId {
-            pid,
+            pid: 0,
             tid: masm_telemetry::current_tid(),
         }
     }
@@ -768,10 +767,10 @@ impl BlockRunScan {
             {
                 Ok(ticket) => {
                     self.bytes_read += zone.len as u64;
-                    if let Some((t, pid)) = &self.tracer {
+                    if let Some(t) = &self.tracer {
                         t.instant(
                             "block.prefetch",
-                            self.trace_track(*pid),
+                            self.trace_track(),
                             self.session.now(),
                             "bytes",
                             zone.len as u64,
@@ -881,10 +880,10 @@ impl BlockRunScan {
             if let Some(hist) = &self.fetch_hist {
                 hist.record(stall);
             }
-            if let Some((t, pid)) = &self.tracer {
+            if let Some(t) = &self.tracer {
                 t.span_event(
                     "block.fetch",
-                    self.trace_track(*pid),
+                    self.trace_track(),
                     start,
                     stall,
                     "bytes",

@@ -14,25 +14,9 @@
 //! space (so `M = 256` pages = 16 MB of memory for MaSM-M), fine-grain
 //! run index (one entry per 4 KB of cached updates).
 
-use masm_pagestore::Key;
-
 use crate::error::{MasmError, MasmResult};
 
 pub use masm_codec::CodecChoice;
-
-/// Key-range sharding of one logical table over several MaSM engines,
-/// one per contiguous key range. The topology *is* its split keys —
-/// the lower bounds of every shard but the first, exactly what a
-/// [`crate::ShardRouter`] routes by and a [`crate::ShardManifest`]
-/// stores: none (the default) is the unsharded engine, `n` keys make
-/// `n + 1` shards. [`crate::ShardRouter::uniform`] and
-/// [`crate::ShardRouter::from_sample`] compute split keys for callers
-/// that have no natural boundaries of their own.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ShardingConfig {
-    /// Strictly ascending, non-zero split keys (at most 63).
-    pub splits: Vec<Key>,
-}
 
 /// Granularity of the run's read-only index (§3.5 "Granularity of Run
 /// Index").
@@ -71,8 +55,7 @@ impl IndexGranularity {
 const MERGE_PREFETCH_CAP: usize = 16;
 
 /// Bloom-filter budget per materialized run, in bits per key (10 ⇒
-/// ≈0.8% false positives). It shapes the run format, so
-/// [`MasmConfig::fingerprint`] mixes it.
+/// ≈0.8% false positives).
 const BLOOM_BITS_PER_KEY: u32 = 10;
 
 /// Configuration of a [`crate::engine::MasmEngine`].
@@ -126,11 +109,6 @@ pub struct MasmConfig {
     /// auto: 4× the update-buffer capacity. Ignored when
     /// [`MasmConfig::background_workers`] is 0.
     pub worker_backlog_bytes: u64,
-    /// Key-range sharding over several per-range MaSM engines. The
-    /// single-engine budgets above are *totals*: a sharded engine
-    /// divides flash capacity, cache tiers, and the flush backlog
-    /// evenly across shards (see [`MasmConfig::shard_config`]).
-    pub sharding: ShardingConfig,
 }
 
 impl Default for MasmConfig {
@@ -147,7 +125,6 @@ impl Default for MasmConfig {
             cache_tier2_bytes: 4 * 1024 * 1024,
             background_workers: 0,
             worker_backlog_bytes: 0,
-            sharding: ShardingConfig::default(),
         }
     }
 }
@@ -182,34 +159,6 @@ impl MasmConfig {
     /// device queue.
     pub fn merge_prefetch_depth(&self, fan_in: usize) -> usize {
         fan_in.clamp(1, MERGE_PREFETCH_CAP)
-    }
-
-    /// Stable fingerprint of the fields that shape the *durable* layout:
-    /// SSD page/region geometry, run block format knobs, and the shard
-    /// topology. Stored in the [`crate::ShardManifest`] and re-checked
-    /// at [`crate::ShardedEngine::recover`], so recovering with a
-    /// config whose on-flash layout disagrees with what was written is
-    /// rejected up front instead of misreading runs. Runtime-only knobs
-    /// (cache sizes, worker counts, α) deliberately do not participate:
-    /// they may change freely across restarts.
-    pub fn fingerprint(&self) -> u64 {
-        // FNV-1a, 64-bit: dependency-free and stable across builds.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
-        mix(self.ssd_page_size as u64);
-        mix(self.ssd_capacity);
-        // Where an SSD region offset was mixed in: fingerprints already
-        // written to redo logs must keep matching.
-        mix(0);
-        mix(self.index_granularity.bytes());
-        mix(BLOOM_BITS_PER_KEY as u64);
-        mix(self.sharding.splits.len() as u64 + 1);
-        h
     }
 
     /// SSD capacity in pages: `‖SSD‖`.
@@ -289,33 +238,6 @@ impl MasmConfig {
         }
     }
 
-    /// The configuration of shard `shard_id` under this config's
-    /// [`ShardingConfig`]. Shared budgets divide evenly: flash capacity
-    /// (rounded down to whole SSD pages), both block-cache tiers, and
-    /// the flush-backlog bound each get a `1/shards` slice, so N shards
-    /// together never exceed what the unsharded config would use. The
-    /// per-shard memory (`αM` with `M = √‖SSD‖/N`) shrinks with the
-    /// per-shard flash slice exactly as the paper's formulas dictate.
-    /// The result is a valid unsharded configuration or an error.
-    pub fn shard_config(&self, shard_id: usize) -> MasmResult<MasmConfig> {
-        let n = self.sharding.splits.len() + 1;
-        if shard_id >= n {
-            return Err(MasmError::Config(format!(
-                "shard_id {shard_id} out of range for {n} shards"
-            )));
-        }
-        let mut cfg = self.clone();
-        cfg.sharding = ShardingConfig::default();
-        let page = self.ssd_page_size as u64;
-        let per = self.ssd_capacity / n as u64;
-        cfg.ssd_capacity = per - per % page;
-        cfg.block_cache_bytes = self.block_cache_bytes / n;
-        cfg.cache_tier2_bytes = self.cache_tier2_bytes / n;
-        cfg.worker_backlog_bytes = self.worker_backlog_bytes / n as u64;
-        cfg.validate()?;
-        Ok(cfg)
-    }
-
     /// Validate invariants; call before constructing an engine.
     pub fn validate(&self) -> MasmResult<()> {
         if self.ssd_page_size < 1024 {
@@ -347,18 +269,6 @@ impl MasmConfig {
         if self.background_workers > 64 {
             return Err(MasmError::Config("background_workers must be ≤ 64".into()));
         }
-        // The split-key rule lives with the router that routes by it.
-        let shards = crate::ShardRouter::from_splits(self.sharding.splits.clone())?.shards();
-        if shards > 64 {
-            return Err(MasmError::Config(format!(
-                "{shards} shards: at most 64 are supported"
-            )));
-        }
-        if self.ssd_capacity / (shards as u64) < (self.ssd_page_size as u64) * 4 {
-            return Err(MasmError::Config(
-                "ssd_capacity too small to divide across shards".into(),
-            ));
-        }
         Ok(())
     }
 }
@@ -366,29 +276,6 @@ impl MasmConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fingerprint_tracks_layout_not_runtime_knobs() {
-        let base = MasmConfig::small_for_tests();
-        assert_eq!(base.fingerprint(), base.fingerprint());
-        let mut runtime = base.clone();
-        runtime.background_workers = 4;
-        runtime.block_cache_bytes *= 2;
-        runtime.alpha = 2.0;
-        assert_eq!(base.fingerprint(), runtime.fingerprint());
-        let mut layout = base.clone();
-        layout.ssd_page_size *= 2;
-        assert_ne!(base.fingerprint(), layout.fingerprint());
-        let mut topo = base.clone();
-        topo.sharding.splits = vec![101_000, 102_000];
-        assert_ne!(base.fingerprint(), topo.fingerprint());
-        // The durable format: a deployment written before the topology
-        // became its split keys still recovers (the fingerprint mixes
-        // the shard count, `splits.len() + 1`).
-        assert_eq!(base.fingerprint(), 0xdffd_2bec_8bbc_6ae2);
-        assert_eq!(topo.fingerprint(), 0xa207_9dda_75dd_d6a0);
-        assert_eq!(MasmConfig::default().fingerprint(), 0x34c8_e172_5a2c_6626);
-    }
 
     #[test]
     fn paper_defaults_give_16mb_memory() {
@@ -482,44 +369,5 @@ mod tests {
         c.validate().unwrap();
         assert_eq!(c.m_pages(), 32);
         assert_eq!(c.s_pages(), 16);
-    }
-
-    #[test]
-    fn shard_config_divides_budgets() {
-        let mut c = MasmConfig::default();
-        c.sharding.splits = vec![10, 20, 30];
-        c.validate().unwrap();
-        let s = c.shard_config(2).unwrap();
-        assert_eq!(s.sharding, ShardingConfig::default(), "unsharded");
-        assert_eq!(s.ssd_capacity, masm_storage::GIB);
-        assert_eq!(s.ssd_capacity % s.ssd_page_size as u64, 0);
-        assert_eq!(s.block_cache_bytes, c.block_cache_bytes / 4);
-        assert_eq!(s.cache_tier2_bytes, c.cache_tier2_bytes / 4);
-        // Per-shard memory shrinks with the flash slice: M = √(‖SSD‖/4).
-        assert_eq!(s.m_pages(), 128);
-        assert!(c.shard_config(4).is_err(), "shard_id out of range");
-        // Four shard slices never exceed the unsharded budget.
-        let total: u64 = (0..4)
-            .map(|i| c.shard_config(i).unwrap().ssd_capacity)
-            .sum();
-        assert!(total <= c.ssd_capacity);
-    }
-
-    #[test]
-    fn validation_rejects_bad_sharding() {
-        let mut c = MasmConfig::default();
-        c.sharding.splits = (1..=64).collect();
-        assert!(c.validate().is_err(), "65 shards");
-        c.sharding.splits = vec![0];
-        assert!(c.validate().is_err(), "zero split");
-        c.sharding.splits = vec![1 << 32];
-        assert!(c.validate().is_ok());
-        c.sharding.splits = vec![100, 100];
-        assert!(c.validate().is_err(), "splits must strictly ascend");
-        // Dividing a tiny flash budget across shards must fail loudly.
-        let mut tiny = MasmConfig::small_for_tests();
-        tiny.ssd_capacity = 4 * 4096;
-        tiny.sharding.splits = vec![7];
-        assert!(tiny.validate().is_err());
     }
 }

@@ -8,7 +8,6 @@ use masm_telemetry::Timer;
 
 use super::MasmEngine;
 use crate::error::{MasmError, MasmResult};
-use crate::manifest::ShardManifest;
 use crate::ts::Timestamp;
 use crate::update::{UpdateOp, UpdateRecord};
 use crate::wal::{put_update_frame, with_frame_scratch, WalRecord};
@@ -23,14 +22,13 @@ impl MasmEngine {
         fill: f64,
     ) -> MasmResult<()> {
         self.heap.bulk_load(session, records, fill)?;
-        self.log_heap_loaded(session, self.oracle.next())
+        self.log_heap_loaded(session)
     }
 
-    /// Log the heap's current (bulk-loaded) metadata under heap-event
-    /// sequence `seq`. A sharded deployment broadcasts one load to
-    /// every shard's WAL under a single shared `seq`, so multi-log
-    /// replay applies it exactly once.
-    pub(crate) fn log_heap_loaded(&self, session: &SessionHandle, seq: u64) -> MasmResult<()> {
+    /// Log the heap's current (bulk-loaded) metadata under a fresh
+    /// heap-event sequence number.
+    pub(super) fn log_heap_loaded(&self, session: &SessionHandle) -> MasmResult<()> {
+        let seq = self.oracle.next();
         let (page_map, min_keys, record_count) = self.heap.metadata_snapshot();
         let base = page_map.first().copied().unwrap_or(0);
         self.wal.append(
@@ -43,17 +41,6 @@ impl MasmEngine {
                 record_count,
             },
         )
-    }
-
-    /// Append the shard manifest to this shard's redo log (the first
-    /// record of every WAL in a sharded deployment).
-    pub(crate) fn log_manifest(
-        &self,
-        session: &SessionHandle,
-        manifest: &ShardManifest,
-    ) -> MasmResult<()> {
-        self.wal
-            .append(session, &WalRecord::Manifest(manifest.clone()))
     }
 
     /// Atomically commit a transaction's private writes under

@@ -20,11 +20,11 @@ use crate::worker::{Job, JobKind, WorkerPool, MAX_JOB_ATTEMPTS};
 
 impl MasmEngine {
     /// Deterministic flow id for sealed batch `batch_id`'s seal →
-    /// flush causal link. Shard-disambiguated and disjoint from
-    /// [`masm_telemetry::Tracer::next_flow_id`]'s counter range, so the
-    /// link can be emitted statelessly from both ends.
-    fn flush_flow(&self, batch_id: u64) -> u64 {
-        ((self.shard_id as u64 + 1) << 40) | batch_id
+    /// flush causal link. Disjoint from the counter range of
+    /// [`masm_telemetry::Tracer::next_flow_id`], so the link can be
+    /// emitted statelessly from both ends.
+    fn flush_flow(batch_id: u64) -> u64 {
+        (1 << 40) | batch_id
     }
 
     /// Hand the flush of a just-sealed batch (`sealed` is its id and
@@ -46,9 +46,9 @@ impl MasmEngine {
             t.instant("batch.seal", track, at, "bytes", bytes);
             // The causal origin of the flush job: Perfetto draws
             // seal → job.flush across threads.
-            t.flow_start("masm.flush", track, at, self.flush_flow(batch_id));
+            t.flow_start("masm.flush", track, at, Self::flush_flow(batch_id));
         }
-        pool.enqueue_flush(self.shard_id, batch_id, bytes, at);
+        pool.enqueue_flush(batch_id, bytes, at);
         Ok(())
     }
 
@@ -76,7 +76,7 @@ impl MasmEngine {
     pub(super) fn request_compaction(&self, at: Ns) {
         if let Some(h) = self.workers.get() {
             self.start_job_flow("masm.compact", &self.compact_flow, at);
-            h.pool().enqueue_compact(self.shard_id, at);
+            h.pool().enqueue_compact(at);
         }
     }
 
@@ -84,7 +84,7 @@ impl MasmEngine {
     fn request_migration(&self, at: Ns) {
         if let Some(h) = self.workers.get() {
             self.start_job_flow("masm.migrate", &self.migrate_flow, at);
-            h.pool().enqueue_migrate(self.shard_id, at);
+            h.pool().enqueue_migrate(at);
         }
     }
 
@@ -103,7 +103,7 @@ impl MasmEngine {
     /// Worker-side job dispatch (called from the pool's threads). The
     /// session starts at the job's *request* time, so background I/O
     /// overlaps the foreground actors in virtual time; the device
-    /// busy-horizon serializes it against same-shard traffic.
+    /// busy-horizon serializes it against the foreground's traffic.
     pub(crate) fn run_job(self: &Arc<Self>, pool: &WorkerPool, mut job: Job) {
         let session = SessionHandle::at(self.ssd.clock().clone(), job.at);
         // Resolve the job's causal link before executing: the flush
@@ -112,7 +112,7 @@ impl MasmEngine {
         // stash unconditionally so a stale id never leaks into the
         // next job of the same kind.
         let (job_name, flow_name, flow) = match job.kind {
-            JobKind::Flush { batch_id } => ("job.flush", "masm.flush", self.flush_flow(batch_id)),
+            JobKind::Flush { batch_id } => ("job.flush", "masm.flush", Self::flush_flow(batch_id)),
             JobKind::Compact => (
                 "job.compact",
                 "masm.compact",
@@ -135,7 +135,7 @@ impl MasmEngine {
         if matches!(job.kind, JobKind::Migrate) {
             pool.migration_finished();
         }
-        let counters = pool.recorder(self.shard_id);
+        let counters = &pool.recorder;
         let job_at = job.at;
         match result {
             Ok(()) => {
@@ -345,7 +345,7 @@ impl MasmEngine {
         self.record_compression(&run);
         let released = self.state.lock().install(run, replaced, &self.cache);
         if let Some(h) = self.workers.get() {
-            let counters = h.pool().recorder(self.shard_id);
+            let counters = &h.pool().recorder;
             let counter = match replaced {
                 Replaced::Batch(_) => &counters.flushes,
                 Replaced::Runs(_) => &counters.merges,
@@ -364,7 +364,7 @@ impl MasmEngine {
     /// queries arriving afterwards run concurrently and stay correct
     /// via page timestamps.
     pub fn migrate(self: &Arc<Self>, session: &SessionHandle) -> MasmResult<MigrationReport> {
-        self.migrate_span(session, self.key_range)
+        self.migrate_span(session, (0, Key::MAX))
     }
 
     /// Partial migration — §3.5 "Improving Migration": rewrite only the
@@ -397,10 +397,10 @@ impl MasmEngine {
         let Some((mig_ts, runs)) = drained else {
             return Ok(MigrationReport::default());
         };
-        // Only a migration of the engine's whole range has applied
-        // everything the runs hold: it alone retires them, and it alone
-        // is logged for crash-redo.
-        let whole = span.0 <= self.key_range.0 && self.key_range.1 <= span.1;
+        // Only a migration of every key has applied everything the runs
+        // hold: it alone retires them, and it alone is logged for
+        // crash-redo.
+        let whole = span == (0, Key::MAX);
         let run_ids: Vec<u64> = runs.iter().map(|r| r.id).collect();
         if whole {
             let begin = WalRecord::MigrationBegin {
@@ -432,7 +432,7 @@ impl MasmEngine {
             // old snapshot keep reading the retired runs safely.
             self.state.lock().retire(&runs, &self.cache);
             if let Some(h) = self.workers.get() {
-                let migrations = &h.pool().recorder(self.shard_id).migrations;
+                let migrations = &h.pool().recorder.migrations;
                 migrations.fetch_add(1, Ordering::Relaxed);
             }
         }
@@ -497,7 +497,7 @@ impl MasmEngine {
             failures.check()?;
             if !records.is_empty() {
                 self.heap.bulk_load(session, records, 1.0)?;
-                self.log_heap_loaded(session, self.oracle.next())?;
+                self.log_heap_loaded(session)?;
             }
             report.pages_written = self.heap.num_pages() as u64;
             return Ok(report);
@@ -508,21 +508,12 @@ impl MasmEngine {
         // buffer.
         let mut new_pages = PageChunk::new(self.heap.config().page_size);
         while let Some(old_pages) = rewriter.next_chunk()? {
-            let (chunk_lo, chunk_hi) = rewriter.key_span();
-            // The stamping rule: a chunk with a page that reaches
-            // outside this engine's key range also owns keys whose
-            // updates another engine caches, so it cannot claim
-            // `mig_ts`; the oldest stamp it carried stays truthful.
-            let stamp = if self.key_range.0 <= chunk_lo && chunk_hi <= self.key_range.1 {
-                mig_ts
-            } else {
-                old_pages.pages().map(|p| p.timestamp()).min().unwrap_or(0)
-            };
+            let chunk_hi = rewriter.key_span().1;
             // The outer join of Figure 6 again, over this chunk: its
             // records against the updates up to its last key (a gap
             // insert past it opens the next chunk). The last chunk
             // takes everything left — the run scans end at `hi`.
-            new_pages.reset(stamp);
+            new_pages.reset(mig_ts);
             let last_chunk = chunk_hi == hi;
             report.updates_applied += join_chunk(
                 &old_pages,

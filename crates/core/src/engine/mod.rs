@@ -50,23 +50,17 @@
 //! ever throttles on the bounded-backlog gate. With none (the default)
 //! the same jobs run inline and single-threaded runs are deterministic.
 //!
-//! # Migration and the stamping rule
+//! # Migration
 //!
 //! Migration is one function over a key span: [`MasmEngine::migrate`]
-//! passes the engine's own key range (the whole keyspace, or a shard's
-//! range of it), [`MasmEngine::migrate_range`] a sub-range. It rewrites
-//! the heap pages overlapping the span and applies every cached update
-//! whose key those pages own. Queries rely on §3.2's invariant — a
-//! page stamped *t* already contains every cached update ≤ *t* for the
-//! keys it covers — to skip such updates, so a rewritten chunk is
-//! stamped with the migration timestamp **only if every page of it
-//! lies wholly inside this engine's key range**: a page that straddles
-//! a shard boundary also covers keys whose updates another engine
-//! caches. Such a chunk keeps the smallest timestamp its input pages
-//! carried, which is truthful and costs nothing — every folded update
-//! is an idempotent state-setter (see `merge`'s idempotence note).
-//! Runs are retired, and the migration logged, only when the span is
-//! the engine's whole range.
+//! passes the whole keyspace, [`MasmEngine::migrate_range`] a
+//! sub-range. It rewrites the heap pages overlapping the span, applies
+//! every cached update whose key those pages own, and stamps each
+//! rewritten chunk with the migration timestamp. Queries rely on §3.2's
+//! invariant — a page stamped *t* already contains every cached update
+//! ≤ *t* for the keys it covers — to skip such updates. Runs are
+//! retired, and the migration logged, only when the span covers every
+//! key.
 //!
 //! **A chunk is committed only after its run scans reported no
 //! error.** A run scan that fails (a device error, a block that fails
@@ -103,17 +97,15 @@
 //! a query registered for a migration to wait on forever.
 //!
 //! Invariant: **one rewriter per heap.** A `HeapRewriter` addresses
-//! pages by logical index, which another rewriter's splice shifts, so
-//! shards sharing a heap rewrite it one at a time. The heap enforces
-//! this itself (`TableHeap::rewriter_range` holds the heap's rewrite
-//! lock until the rewriter is finished or dropped): migrations of two
-//! shards may be *called* concurrently — inline, from the pool, from
-//! recovery — and the second one's rewrite waits for the first.
+//! pages by logical index, which another rewriter's splice shifts. The
+//! migration claim already admits one migration at a time, and the heap
+//! enforces it as well (`TableHeap::rewriter_range` holds the heap's
+//! rewrite lock until the rewriter is finished or dropped).
 //!
-//! Files: `state` (the protocol; the only code that touches claims,
-//! pins and reservations), `ingest`, `read`, `maintain` (flush, merge,
-//! migration and the hand-off to the pool), `recover` (`open`: the one
-//! path that builds engines — fresh or recovered, one shard or many).
+//! Files: `state` (the protocol; the only code that touches claims
+//! and pins), `ingest`, `read`, `maintain` (flush, merge, migration and
+//! the hand-off to the pool), `recover` (`open`: the one path that
+//! builds an engine — fresh or recovered).
 
 mod ingest;
 mod maintain;
@@ -145,7 +137,6 @@ use crate::wal::Wal;
 use crate::worker::WorkerHandle;
 
 pub use read::MergeScan;
-pub(crate) use recover::{open, ParsedWal, ShardLog};
 use state::EngineState;
 
 /// The engine's six per-operation latency histograms, all in
@@ -222,16 +213,8 @@ pub struct MasmEngine {
     /// Redo log. Appends are internally synchronized (lock-free offset
     /// reservation) — no engine lock is involved in logging.
     wal: Wal,
-    /// Background worker pool, present when `background_workers > 0`
-    /// (one handle, cloned into every shard of a deployment).
+    /// Background worker pool, present when `background_workers > 0`.
     workers: OnceLock<WorkerHandle>,
-    /// This engine's shard index in a sharded deployment (0 when the
-    /// engine stands alone). Tags every job handed to the shared pool.
-    shard_id: usize,
-    /// The inclusive key range this engine caches updates for: the
-    /// whole keyspace when it stands alone, its router range as a
-    /// shard. What [`MasmEngine::migrate`] migrates.
-    key_range: (Key, Key),
     /// Last commit timestamp per key, for first-committer-wins snapshot
     /// isolation (§3.6). A production system would truncate this by the
     /// oldest active transaction; we keep it simple.
@@ -290,10 +273,10 @@ impl MasmEngine {
         self.tracer.get().cloned()
     }
 
-    /// This engine's trace track: pid = shard, tid = calling thread.
+    /// This engine's trace track: pid 0, tid = calling thread.
     pub(crate) fn track(&self) -> TrackId {
         TrackId {
-            pid: self.shard_id as u32,
+            pid: 0,
             tid: current_tid(),
         }
     }
@@ -437,8 +420,8 @@ impl MasmEngine {
             )
         };
         let workers = match self.workers.get() {
-            // The job counters are this shard's recorder; the pool-wide
-            // levels are read off the pool.
+            // The job counters are the pool's recorder; the levels are
+            // read off the pool.
             Some(h) => {
                 let pool = h.pool();
                 let (queue_depth, backlog_bytes) = pool.depths();
@@ -447,7 +430,7 @@ impl MasmEngine {
                     queue_depth,
                     backlog_bytes,
                     epoch_lag,
-                    ..pool.recorder(self.shard_id).snapshot()
+                    ..pool.recorder.snapshot()
                 }
             }
             None => WorkerStats {

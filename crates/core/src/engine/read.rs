@@ -96,7 +96,7 @@ impl MasmEngine {
             .with_fetch_histogram(Arc::clone(&self.metrics.block_fetch))
             .reporting_to(failures.clone());
             if let Some(t) = self.tracer_arc() {
-                scan = scan.with_trace(t, self.shard_id as u32);
+                scan = scan.with_trace(t);
             }
             streams.push(Box::new(scan));
         }

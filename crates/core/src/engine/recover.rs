@@ -1,7 +1,6 @@
-//! Opening a table: fold each shard's redo log into the state its
-//! engine is built from. A fresh engine is the recovery of the empty
-//! log and a standalone engine is the one-shard case, so [`open`] is
-//! the one construction site and the one recovery path.
+//! Opening a table: fold its redo log into the state the engine is
+//! built from. A fresh engine is the recovery of the empty log, so
+//! [`open`] is the one construction site and the one recovery path.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::AtomicU64;
@@ -21,25 +20,18 @@ use super::{EngineMetrics, MasmEngine, RecoveryReport};
 use crate::algo::RunSet;
 use crate::config::MasmConfig;
 use crate::error::{MasmError, MasmResult};
-use crate::manifest::ShardManifest;
 use crate::membuf::UpdateBuffer;
 use crate::run::recover_run;
-use crate::shard::ShardRouter;
 use crate::ts::{Timestamp, TimestampOracle};
 use crate::update::UpdateRecord;
 use crate::wal::{Wal, WalRecord};
 use crate::worker::{WorkerHandle, WorkerPool};
 
-/// One heap-metadata event parsed from a redo log. [`open`] merges the
-/// events of every shard's log into one globally ordered sequence (by
-/// `seq`, with cross-log duplicates removed) before touching the
-/// shared heap.
-#[derive(Debug, Clone)]
+/// One heap-metadata event parsed from the redo log, replayed in log
+/// order against the (fresh) table heap before the engine is built.
 enum HeapEvent {
     /// A bulk load ([`WalRecord::HeapLoaded`]).
     Load {
-        /// Global heap-event sequence number.
-        seq: u64,
         /// Physical base offset of the load.
         base: u64,
         /// Page size used.
@@ -50,28 +42,13 @@ enum HeapEvent {
         record_count: u64,
     },
     /// A migration chunk splice ([`WalRecord::MapSplice`]).
-    Splice {
-        /// Global heap-event sequence number.
-        seq: u64,
-        /// The logged splice.
-        commit: ChunkCommit,
-    },
+    Splice(ChunkCommit),
 }
 
-impl HeapEvent {
-    fn seq(&self) -> u64 {
-        match self {
-            HeapEvent::Load { seq, .. } | HeapEvent::Splice { seq, .. } => *seq,
-        }
-    }
-}
-
-/// Replay the heap-metadata events of one or more redo logs against a
-/// (fresh) table heap, in global `seq` order. Duplicates — the same
-/// bulk load broadcast to several shard WALs — collapse by `seq`.
-fn apply_heap_events(heap: &TableHeap, mut events: Vec<HeapEvent>) {
-    events.sort_by_key(HeapEvent::seq);
-    events.dedup_by_key(|e| e.seq());
+/// Replay the heap-metadata events of the redo log against a (fresh)
+/// table heap. A splice that does not fit the heap rebuilt so far is
+/// corruption, not a crash artefact: the log is refused.
+fn apply_heap_events(heap: &TableHeap, events: Vec<HeapEvent>) -> MasmResult<()> {
     for ev in events {
         match ev {
             HeapEvent::Load {
@@ -79,7 +56,6 @@ fn apply_heap_events(heap: &TableHeap, mut events: Vec<HeapEvent>) {
                 page_size,
                 min_keys,
                 record_count,
-                ..
             } => {
                 let page_map: Vec<u64> = (0..min_keys.len() as u64)
                     .map(|i| base + i * page_size as u64)
@@ -87,9 +63,10 @@ fn apply_heap_events(heap: &TableHeap, mut events: Vec<HeapEvent>) {
                 let alloc_next = base + min_keys.len() as u64 * page_size as u64;
                 heap.restore(page_map, min_keys, record_count, alloc_next);
             }
-            HeapEvent::Splice { commit, .. } => heap.apply_splice(&commit),
+            HeapEvent::Splice(commit) => heap.apply_splice(&commit).map_err(MasmError::Corrupt)?,
         }
     }
+    Ok(())
 }
 
 /// One materialized run named by the redo log as live at the crash.
@@ -100,14 +77,11 @@ struct RecoveredRun {
     passes: u8,
 }
 
-/// Everything crash recovery needs from one shard's redo log: the
+/// Everything crash recovery needs from the redo log: the
 /// record-level fold of the longest valid log prefix. The default is
 /// the empty log a fresh engine starts from.
 #[derive(Default)]
-pub(crate) struct ParsedWal {
-    /// The shard manifest, when the log belongs to a sharded
-    /// deployment (absent on standalone engines).
-    pub(crate) manifest: Option<ShardManifest>,
+struct ParsedWal {
     /// Runs created and not yet deleted, by run id.
     live_runs: BTreeMap<u64, RecoveredRun>,
     /// Logged updates not yet absorbed by any 1-pass run — the
@@ -129,133 +103,6 @@ pub(crate) struct ParsedWal {
     torn_bytes: u64,
 }
 
-/// One shard's share of [`open`]: its devices, its slice of the
-/// configuration and its parsed redo log.
-pub(crate) struct ShardLog {
-    pub(crate) ssd: SimDevice,
-    pub(crate) wal: SimDevice,
-    pub(crate) cfg: MasmConfig,
-    pub(crate) log: ParsedWal,
-}
-
-/// Open a table: one engine per shard of `router` over the shared
-/// `heap`, each built from its redo log — the one construction and
-/// recovery path behind [`MasmEngine::new`], [`MasmEngine::recover`],
-/// [`crate::ShardedEngine::new`] and [`crate::ShardedEngine::recover`].
-/// A fresh table is the recovery of empty logs; a standalone engine is
-/// the one-shard case.
-///
-/// In order: the schema's records must fit a heap page; every log that
-/// carries a [`ShardManifest`] is checked against the topology it is
-/// being opened under, before anything is trusted or touched; the heap
-/// events of all logs are merged and
-/// applied; each engine is built from its log with a clone of one
-/// [`TimestampOracle`] (a single commit order across shards); one
-/// worker pool is wired over all of them; interrupted migrations are
-/// re-driven one after another.
-pub(crate) fn open(
-    heap: Arc<TableHeap>,
-    schema: Schema,
-    router: &ShardRouter,
-    tracer: Option<&Arc<Tracer>>,
-    mut shards: Vec<ShardLog>,
-) -> MasmResult<(Vec<Arc<MasmEngine>>, Vec<RecoveryReport>)> {
-    let n = router.shards();
-    if shards.len() != n {
-        return Err(MasmError::Config(format!(
-            "{n} shards were given {} redo logs",
-            shards.len()
-        )));
-    }
-    // A record that fits no heap page could be inserted and logged but
-    // never migrated: refuse the table, not the migration.
-    let (page_size, record_len) = (
-        heap.config().page_size,
-        RECORD_HEADER + schema.payload_width(),
-    );
-    if record_len > max_record_len(page_size) {
-        return Err(MasmError::Config(format!(
-            "the schema's records take {record_len} encoded bytes; a {page_size}-byte heap page \
-             holds at most {}",
-            max_record_len(page_size)
-        )));
-    }
-    for (shard_id, shard) in shards.iter().enumerate() {
-        shard.cfg.validate()?;
-        // A log is opened only under the topology it was written for:
-        // its runs hold one key range's updates and its heap events
-        // are a share of the deployment's.
-        let Some(m) = &shard.log.manifest else {
-            continue;
-        };
-        if (m.shards as usize, m.shard_id as usize) != (n, shard_id)
-            || m.split_keys != router.split_points()
-        {
-            return Err(MasmError::Config(format!(
-                "the redo log's manifest names shard {} of {} (split keys {:?}); \
-                 it cannot be opened as shard {shard_id} of {n} (split keys {:?})",
-                m.shard_id,
-                m.shards,
-                m.split_keys,
-                router.split_points()
-            )));
-        }
-    }
-
-    // One globally ordered heap replay across every log: loads and
-    // migration splices interleave by their shared sequence numbers,
-    // duplicates (broadcast loads) collapse.
-    let events = shards
-        .iter_mut()
-        .flat_map(|s| std::mem::take(&mut s.log.heap_events))
-        .collect();
-    apply_heap_events(&heap, events);
-
-    let oracle = TimestampOracle::new();
-    let (mut engines, mut reports) = (Vec::with_capacity(n), Vec::with_capacity(n));
-    for (shard_id, shard) in shards.into_iter().enumerate() {
-        let (engine, report) = MasmEngine::from_log(
-            Arc::clone(&heap),
-            schema.clone(),
-            oracle.clone(),
-            tracer,
-            shard_id,
-            router.shard_range(shard_id),
-            shard,
-        )?;
-        engines.push(engine);
-        reports.push(report);
-    }
-
-    // One pool serves every shard (the whole backlog budget, one set
-    // of job counters per shard); none in inline mode.
-    let threads = engines[0].cfg.background_workers;
-    if threads > 0 {
-        let backlog = engines
-            .iter()
-            .map(|e| e.cfg.effective_backlog_bytes())
-            .sum();
-        let pool = WorkerPool::new(threads, backlog, engines.len());
-        let handle = WorkerHandle::spawn(&engines, pool);
-        for e in &engines {
-            let _ = e.workers.set(handle.clone());
-        }
-    }
-
-    // Re-drive interrupted migrations to completion (idempotent thanks
-    // to page timestamps), one after another: the shared heap admits
-    // one rewriter at a time.
-    for (engine, report) in engines.iter().zip(&reports) {
-        if report.redid_migration {
-            let session = SessionHandle::fresh(engine.ssd.clock().clone());
-            engine.migrate(&session)?;
-            let (now, shard) = (engine.ssd.clock().now(), engine.shard_id as u64);
-            engine.trace_instant("recovery.migration_redo", now, "shard", shard);
-        }
-    }
-    Ok((engines, reports))
-}
-
 impl MasmEngine {
     /// Create an engine over an existing (possibly empty) heap: the
     /// recovery of an empty redo log.
@@ -266,8 +113,7 @@ impl MasmEngine {
         schema: Schema,
         cfg: MasmConfig,
     ) -> MasmResult<Arc<Self>> {
-        Self::open_one(heap, ssd, wal_dev, schema, cfg, ParsedWal::default(), None)
-            .map(|(engine, _)| engine)
+        open(heap, ssd, wal_dev, schema, cfg, ParsedWal::default(), None).map(|(engine, _)| engine)
     }
 
     /// Rebuild an engine after a crash: heap metadata, run set, and the
@@ -276,9 +122,9 @@ impl MasmEngine {
     /// completion (idempotent thanks to page timestamps). A torn WAL
     /// tail — a record cut off mid-append by the crash — is truncated
     /// and reported in [`RecoveryReport::wal_torn_bytes`]; corruption
-    /// anywhere *before* the tail stays a hard error, and so does a log
-    /// that belongs to one shard of a sharded deployment (that is
-    /// [`crate::ShardedEngine::recover`]'s to open).
+    /// anywhere *before* the tail stays a hard error, and so does a
+    /// record no replay step can apply (an unknown tag, a heap splice
+    /// outside the heap).
     pub fn recover(
         heap: Arc<TableHeap>,
         ssd: SimDevice,
@@ -302,32 +148,12 @@ impl MasmEngine {
         tracer: Option<Arc<Tracer>>,
     ) -> MasmResult<(Arc<Self>, RecoveryReport)> {
         let log = Self::parse_wal(&SessionHandle::fresh(ssd.clock().clone()), &wal_dev)?;
-        Self::open_one(heap, ssd, wal_dev, schema, cfg, log, tracer.as_ref())
-    }
-
-    /// [`open`] for a table that stands alone: one log, the whole
-    /// keyspace, `cfg` as given.
-    fn open_one(
-        heap: Arc<TableHeap>,
-        ssd: SimDevice,
-        wal: SimDevice,
-        schema: Schema,
-        cfg: MasmConfig,
-        log: ParsedWal,
-        tracer: Option<&Arc<Tracer>>,
-    ) -> MasmResult<(Arc<Self>, RecoveryReport)> {
-        let shard = ShardLog { ssd, wal, cfg, log };
-        let (mut engines, mut reports) =
-            open(heap, schema, &ShardRouter::default(), tracer, vec![shard])?;
-        Ok(engines
-            .pop()
-            .zip(reports.pop())
-            .expect("one log, one engine"))
+        open(heap, ssd, wal_dev, schema, cfg, log, tracer.as_ref())
     }
 
     /// Fold one redo log into its recovery-relevant state (the longest
     /// valid prefix; torn tails are truncated here, per [`Wal::replay`]).
-    pub(crate) fn parse_wal(session: &SessionHandle, wal_dev: &SimDevice) -> MasmResult<ParsedWal> {
+    fn parse_wal(session: &SessionHandle, wal_dev: &SimDevice) -> MasmResult<ParsedWal> {
         let replay = Wal::replay(session, wal_dev)?;
         // A crash-snapshot device carries no write-head position: prime
         // it at the recovered append point so the first post-recovery
@@ -393,7 +219,6 @@ impl MasmEngine {
                 } => {
                     parsed.max_ts = parsed.max_ts.max(seq);
                     parsed.heap_events.push(HeapEvent::Load {
-                        seq,
                         base,
                         page_size,
                         min_keys,
@@ -402,136 +227,164 @@ impl MasmEngine {
                 }
                 WalRecord::MapSplice { seq, commit } => {
                     parsed.max_ts = parsed.max_ts.max(seq);
-                    parsed.heap_events.push(HeapEvent::Splice { seq, commit });
-                }
-                WalRecord::Manifest(m) => {
-                    if parsed.manifest.as_ref().is_some_and(|prev| *prev != m) {
-                        return Err(MasmError::Corrupt("conflicting manifests in one WAL"));
-                    }
-                    parsed.manifest = Some(m);
+                    parsed.heap_events.push(HeapEvent::Splice(commit));
                 }
             }
         }
         Ok(parsed)
     }
+}
 
-    /// Build one engine from its parsed redo log — the one engine
-    /// literal. The heap already holds its recovered metadata and the
-    /// shared `oracle` is advanced past this log's durable maximum
-    /// (order-independent, so shards fold in any order). An interrupted
-    /// migration is reported (`redid_migration`), not yet re-driven:
-    /// [`open`] does that once every shard stands.
-    fn from_log(
-        heap: Arc<TableHeap>,
-        schema: Schema,
-        oracle: TimestampOracle,
-        tracer: Option<&Arc<Tracer>>,
-        shard_id: usize,
-        key_range: (Key, Key),
-        shard: ShardLog,
-    ) -> MasmResult<(Arc<Self>, RecoveryReport)> {
-        let ShardLog { ssd, wal, cfg, log } = shard;
-        let t0 = ssd.clock().now();
-        let session = SessionHandle::fresh(ssd.clock().clone());
-        let mut max_ts = log.max_ts;
-
-        // Re-open run metadata from the durable, checksummed block-run
-        // footers: zone maps, bloom filters, and key/timestamp bounds
-        // come back without decoding a single update record.
-        let mut runs = RunSet::new();
-        for (id, info) in &log.live_runs {
-            let run = recover_run(&session, &ssd, *id, info.base, info.bytes, info.passes)?;
-            max_ts = max_ts.max(run.max_ts);
-            runs.add(Arc::new(run));
-        }
-        let high_water = runs.rewind_space();
-        if let Some(last) = log.live_runs.keys().next_back() {
-            runs.resume_ids_after(*last);
-        }
-        let runs_recovered = runs.len();
-
-        // The engine only ever appends runs from its high-water mark
-        // (offset 0 when fresh); prime the head there so the
-        // first run write on a device without a head position — fresh,
-        // or a crash snapshot — is classified sequential (design goal
-        // 2: random_writes == 0, also across a crash). On a shared
-        // device that already has a head position this is a no-op —
-        // another engine's accounting must not be rewritten. (The WAL
-        // head is primed where the log was read, in `parse_wal`.)
-        ssd.prime_head_position_if_unset(high_water);
-
-        oracle.advance_past(max_ts);
-
-        // Erase a torn tail before the log takes another append (see
-        // `WalReplay::torn_bytes`).
-        if log.torn_bytes > 0 {
-            session.write(&wal, log.end_offset, &vec![0; log.torn_bytes as usize])?;
-        }
-
-        let mut buffer = UpdateBuffer::new(cfg.update_buffer_bytes() as usize);
-        let updates_recovered = log.pending.len() as u64;
-        for u in log.pending {
-            buffer.push(u);
-        }
-
-        // Re-pin the recovered runs' metadata footprint in the cache
-        // accounting (zone maps + blooms live as long as the runs do),
-        // and rebuild the codec accounting from their zone maps.
-        let cache = Arc::new(BlockCache::with_config(cfg.cache_config()));
-        let mut compression = CompressionReport::default();
-        for r in runs.runs() {
-            cache.retain_meta_bytes(r.memory_bytes());
-            compression = compression.merge(&r.meta.compression());
-        }
-
-        let engine = Arc::new(MasmEngine {
-            heap,
-            ssd,
-            cache,
-            cfg,
-            schema,
-            oracle,
-            state: TrackedMutex::new(EngineState::new(buffer, runs)),
-            quiesce: Condvar::new(),
-            wal: Wal::new(wal, log.end_offset),
-            workers: OnceLock::new(),
-            shard_id,
-            key_range,
-            commit_index: Mutex::new(std::collections::HashMap::new()),
-            merge_totals: Mutex::new(MergeReport::default()),
-            compression_totals: Mutex::new(compression),
-            metrics: EngineMetrics::default(),
-            tracer: OnceLock::new(),
-            compact_flow: AtomicU64::new(0),
-            migrate_flow: AtomicU64::new(0),
-        });
-        if let Some(t) = tracer {
-            engine.install_tracer(Arc::clone(t));
-        }
-
-        let t1 = engine.ssd.clock().now();
-        if let Some(t) = engine.trace() {
-            let dur = (t1 - t0).max(1);
-            t.span_event(
-                "recovery",
-                engine.track(),
-                t0,
-                dur,
-                "records",
-                log.records_replayed,
-            );
-        }
-        if log.torn_bytes > 0 {
-            engine.trace_instant("recovery.torn_tail", t1, "bytes", log.torn_bytes);
-        }
-
-        let report = RecoveryReport {
-            updates_recovered,
-            runs_recovered,
-            redid_migration: log.unfinished_migration,
-            wal_records_replayed: log.records_replayed,
-            wal_torn_bytes: log.torn_bytes,
-        };
-        Ok((engine, report))
+/// Open a table from its parsed redo log — the one construction and
+/// recovery path behind [`MasmEngine::new`] and [`MasmEngine::recover`],
+/// and the one engine literal. A fresh table is the recovery of the
+/// empty log.
+///
+/// In order: the configuration must be valid and the schema's records
+/// must fit a heap page; the log's heap events are replayed; the run
+/// set, the oracle and the update buffer come back from the log and the
+/// runs' footers; the worker pool is spawned; an interrupted migration
+/// is re-driven.
+fn open(
+    heap: Arc<TableHeap>,
+    ssd: SimDevice,
+    wal: SimDevice,
+    schema: Schema,
+    cfg: MasmConfig,
+    mut log: ParsedWal,
+    tracer: Option<&Arc<Tracer>>,
+) -> MasmResult<(Arc<MasmEngine>, RecoveryReport)> {
+    // A record that fits no heap page could be inserted and logged but
+    // never migrated: refuse the table, not the migration.
+    let (page_size, record_len) = (
+        heap.config().page_size,
+        RECORD_HEADER + schema.payload_width(),
+    );
+    if record_len > max_record_len(page_size) {
+        return Err(MasmError::Config(format!(
+            "the schema's records take {record_len} encoded bytes; a {page_size}-byte heap page \
+             holds at most {}",
+            max_record_len(page_size)
+        )));
     }
+    cfg.validate()?;
+    apply_heap_events(&heap, std::mem::take(&mut log.heap_events))?;
+
+    let t0 = ssd.clock().now();
+    let session = SessionHandle::fresh(ssd.clock().clone());
+    let mut max_ts = log.max_ts;
+
+    // Re-open run metadata from the durable, checksummed block-run
+    // footers: zone maps, bloom filters, and key/timestamp bounds
+    // come back without decoding a single update record.
+    let mut runs = RunSet::new();
+    for (id, info) in &log.live_runs {
+        let run = recover_run(&session, &ssd, *id, info.base, info.bytes, info.passes)?;
+        max_ts = max_ts.max(run.max_ts);
+        runs.add(Arc::new(run));
+    }
+    let high_water = runs.rewind_space();
+    if let Some(last) = log.live_runs.keys().next_back() {
+        runs.resume_ids_after(*last);
+    }
+    let runs_recovered = runs.len();
+
+    // The engine only ever appends runs from its high-water mark
+    // (offset 0 when fresh); prime the head there so the
+    // first run write on a device without a head position — fresh,
+    // or a crash snapshot — is classified sequential (design goal
+    // 2: random_writes == 0, also across a crash). On a shared
+    // device that already has a head position this is a no-op —
+    // another engine's accounting must not be rewritten. (The WAL
+    // head is primed where the log was read, in `parse_wal`.)
+    ssd.prime_head_position_if_unset(high_water);
+
+    let oracle = TimestampOracle::new();
+    oracle.advance_past(max_ts);
+
+    // Erase a torn tail before the log takes another append (see
+    // `WalReplay::torn_bytes`).
+    if log.torn_bytes > 0 {
+        session.write(&wal, log.end_offset, &vec![0; log.torn_bytes as usize])?;
+    }
+
+    let mut buffer = UpdateBuffer::new(cfg.update_buffer_bytes() as usize);
+    let updates_recovered = log.pending.len() as u64;
+    for u in log.pending {
+        buffer.push(u);
+    }
+
+    // Re-pin the recovered runs' metadata footprint in the cache
+    // accounting (zone maps + blooms live as long as the runs do),
+    // and rebuild the codec accounting from their zone maps.
+    let cache = Arc::new(BlockCache::with_config(cfg.cache_config()));
+    let mut compression = CompressionReport::default();
+    for r in runs.runs() {
+        cache.retain_meta_bytes(r.memory_bytes());
+        compression = compression.merge(&r.meta.compression());
+    }
+
+    let engine = Arc::new(MasmEngine {
+        heap,
+        ssd,
+        cache,
+        cfg,
+        schema,
+        oracle,
+        state: TrackedMutex::new(EngineState::new(buffer, runs)),
+        quiesce: Condvar::new(),
+        wal: Wal::new(wal, log.end_offset),
+        workers: OnceLock::new(),
+        commit_index: Mutex::new(std::collections::HashMap::new()),
+        merge_totals: Mutex::new(MergeReport::default()),
+        compression_totals: Mutex::new(compression),
+        metrics: EngineMetrics::default(),
+        tracer: OnceLock::new(),
+        compact_flow: AtomicU64::new(0),
+        migrate_flow: AtomicU64::new(0),
+    });
+    if let Some(t) = tracer {
+        engine.install_tracer(Arc::clone(t));
+    }
+
+    let t1 = engine.ssd.clock().now();
+    if let Some(t) = engine.trace() {
+        let dur = (t1 - t0).max(1);
+        t.span_event(
+            "recovery",
+            engine.track(),
+            t0,
+            dur,
+            "records",
+            log.records_replayed,
+        );
+    }
+    if log.torn_bytes > 0 {
+        engine.trace_instant("recovery.torn_tail", t1, "bytes", log.torn_bytes);
+    }
+
+    // The background pool; none in inline mode.
+    let threads = engine.cfg.background_workers;
+    if threads > 0 {
+        let pool = WorkerPool::new(threads, engine.cfg.effective_backlog_bytes());
+        let _ = engine.workers.set(WorkerHandle::spawn(&engine, pool));
+    }
+
+    // Re-drive an interrupted migration to completion (idempotent
+    // thanks to page timestamps).
+    if log.unfinished_migration {
+        let session = SessionHandle::fresh(engine.ssd.clock().clone());
+        let redone = engine.migrate(&session)?;
+        let now = engine.ssd.clock().now();
+        engine.trace_instant("recovery.migration_redo", now, "ts", redone.ts);
+    }
+
+    let report = RecoveryReport {
+        updates_recovered,
+        runs_recovered,
+        redid_migration: log.unfinished_migration,
+        wal_records_replayed: log.records_replayed,
+        wal_torn_bytes: log.torn_bytes,
+    };
+    Ok((engine, report))
 }

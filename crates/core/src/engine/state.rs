@@ -1,8 +1,8 @@
 //! The engine's shared state and the protocol over it (see the module
-//! doc of [`super`]): query pins and scan reservations, the fold
-//! guard, sealing, claims, install and retire. The fields that encode
-//! the protocol are private to this file — everything else in the
-//! engine reaches them through the functions below.
+//! doc of [`super`]): query pins, the fold guard, sealing, claims,
+//! install and retire. The fields that encode the protocol are private
+//! to this file — everything else in the engine reaches them through
+//! the functions below.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -69,14 +69,6 @@ pub(super) struct EngineState {
     /// A planned merge (2-pass merge or compaction) is in flight.
     merging: bool,
     migrating: bool,
-    /// Scans whose query timestamp is drawn (or about to be drawn) but
-    /// not yet registered in `active_queries`. A cross-shard scan draws
-    /// one timestamp and then pins each shard in turn; between the draw
-    /// and this shard's pin, the timestamp is invisible to the
-    /// active-query guards, so duplicate folding and the migration gate
-    /// must treat any pending reservation as "a query at an unknown
-    /// timestamp may still arrive" and stay conservative.
-    scan_reservations: u64,
 }
 
 /// Everything a query reads besides the heap: immutable `Arc`s and a
@@ -113,7 +105,6 @@ impl EngineState {
             retired_bytes: 0,
             merging: false,
             migrating: false,
-            scan_reservations: 0,
         }
     }
 
@@ -155,15 +146,12 @@ impl EngineState {
 
     /// The fold guard (§3.5 "Handling Skews"): two versions `t1 < t2`
     /// of a key may fold only when no query timestamp `t1 < t ≤ t2` is
-    /// active. A pending reservation is a query at an unknown
-    /// timestamp: fold nothing until it resolves into a registered pin.
-    /// (A reservation arriving *after* the guard is taken is safe — its
-    /// timestamp is drawn later, hence above every update the guard is
-    /// asked about.)
+    /// active. (A query that draws a fresh timestamp *after* the guard
+    /// is taken is safe: it draws it under the state lock, later, hence
+    /// above every update the guard is asked about.)
     pub(super) fn fold_guard(&self) -> impl Fn(Timestamp, Timestamp) -> bool {
-        let reserved = self.scan_reservations > 0;
         let active: Vec<Timestamp> = self.active_queries.keys().copied().collect();
-        move |t1, t2| !reserved && !active.iter().any(|&t| t1 < t && t <= t2)
+        move |t1, t2| !active.iter().any(|&t| t1 < t && t <= t2)
     }
 
     /// Seal the in-memory buffer into an immutable sealed batch
@@ -387,33 +375,6 @@ impl MasmEngine {
         self.quiesce.notify_all();
     }
 
-    /// Announce a scan whose timestamp is not yet registered here.
-    ///
-    /// [`crate::ShardedEngine::scan_at`] draws one timestamp for all
-    /// shards and then pins them one by one; a shard whose pin has not
-    /// landed yet must not fold duplicate versions across the pending
-    /// timestamp (seal-time or merge-time `fold_duplicates` would keep
-    /// only the newer version, which the scan then filters out, exposing
-    /// an older one — a backwards read) or migrate past it (heap pages
-    /// stamped with a migration timestamp above the scan's mask the
-    /// updates it should see). While at least one reservation is
-    /// pending, duplicate folding keeps every version and the migration
-    /// gate waits.
-    pub(crate) fn reserve_scan(&self) {
-        self.state.lock().scan_reservations += 1;
-    }
-
-    /// Resolve a [`MasmEngine::reserve_scan`]: the scan's pin is now
-    /// registered (or the scan was abandoned), so the ordinary
-    /// per-timestamp guards take over.
-    pub(crate) fn release_scan_reservation(&self) {
-        let mut st = self.state.lock();
-        debug_assert!(st.scan_reservations > 0, "unbalanced scan reservation");
-        st.scan_reservations = st.scan_reservations.saturating_sub(1);
-        drop(st);
-        self.quiesce.notify_all();
-    }
-
     /// Claim sealed batch `batch_id` for flushing and hand out its
     /// updates. `None` when the batch is gone or someone else is
     /// flushing it (a concurrent migration may have drained the queue).
@@ -494,14 +455,13 @@ impl MasmEngine {
     }
 
     /// Wait for queries earlier than `ts` (§3.2: they must not observe
-    /// pages stamped with it), and for pending scan reservations —
-    /// their timestamps are unknown and may land below `ts`. Queries
-    /// arriving after `ts` run concurrently throughout — page
-    /// timestamps keep them correct, and the runs' SSD extents stay
-    /// allocated until the post-quiesce rewind.
+    /// pages stamped with it). Queries arriving after `ts` run
+    /// concurrently throughout — page timestamps keep them correct, and
+    /// the runs' SSD extents stay allocated until the post-quiesce
+    /// rewind.
     pub(super) fn await_queries_before(&self, ts: Timestamp) {
         let mut st = self.state.lock();
-        while st.scan_reservations > 0 || st.active_queries.keys().next().is_some_and(|&t| t < ts) {
+        while st.active_queries.keys().next().is_some_and(|&t| t < ts) {
             self.quiesce.wait(st.inner_mut());
         }
     }

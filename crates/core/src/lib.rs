@@ -32,19 +32,16 @@
 //!    snapshot-isolation private buffers, and lock-release visibility;
 //!    [`wal`] (CRC-framed records, stable-tail group commit, torn-tail
 //!    truncation) + [`engine::MasmEngine::recover`] rebuild the
-//!    in-memory buffer (and only it) after a crash, and
-//!    [`shard::ShardedEngine::recover`] replays every shard's WAL to
-//!    one consistent cut under [`manifest::ShardManifest`] validation.
+//!    in-memory buffer (and only it) after a crash, replaying the
+//!    table's one redo log.
 
 pub mod algo;
 pub mod config;
 pub mod engine;
 pub mod error;
-pub mod manifest;
 pub mod membuf;
 pub mod merge;
 pub mod run;
-pub mod shard;
 pub mod theory;
 pub mod ts;
 pub mod txn;
@@ -52,14 +49,12 @@ pub mod update;
 pub mod wal;
 pub(crate) mod worker;
 
-pub use config::{CodecChoice, IndexGranularity, MasmConfig, ShardingConfig};
+pub use config::{CodecChoice, IndexGranularity, MasmConfig};
 pub use engine::{MasmEngine, MergeScan, RecoveryReport};
+pub use error::{MasmError, MasmResult};
 // Re-exported so engine users consume `MasmEngine::stats()` without a
 // direct masm-telemetry dependency.
-pub use error::{MasmError, MasmResult};
-pub use manifest::ShardManifest;
 pub use masm_telemetry::{EngineStats, StatsDelta};
-pub use shard::{ShardRouter, ShardedEngine, ShardedRecoveryReport, ShardedScan, ShardedStats};
 pub use ts::TimestampOracle;
 pub use txn::Transaction;
 pub use update::{FieldPatch, UpdateOp, UpdateRecord};

@@ -262,11 +262,10 @@ impl RunScan {
     }
 
     /// Emit `block.fetch` spans and `block.prefetch` instants for this
-    /// scan to `tracer`, on process track `pid` (the owning shard) —
-    /// the engine wires its installed [`masm_telemetry::Tracer`]
-    /// through here.
-    pub fn with_trace(mut self, tracer: Arc<masm_telemetry::Tracer>, pid: u32) -> Self {
-        self.inner = self.inner.with_trace(tracer, pid);
+    /// scan to `tracer` — the engine wires its installed
+    /// [`masm_telemetry::Tracer`] through here.
+    pub fn with_trace(mut self, tracer: Arc<masm_telemetry::Tracer>) -> Self {
+        self.inner = self.inner.with_trace(tracer);
         self
     }
 

@@ -36,9 +36,7 @@ impl TimestampOracle {
     }
 
     /// Ensure the next timestamp is strictly greater than `ts`.
-    /// Monotonic (never moves the counter backwards), so sharded
-    /// recovery can fold per-shard durable maxima into one shared
-    /// oracle in any order.
+    /// Monotonic: never moves the counter backwards.
     pub fn advance_past(&self, ts: Timestamp) {
         self.next.fetch_max(ts + 1, Ordering::AcqRel);
     }

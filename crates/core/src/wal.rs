@@ -12,8 +12,7 @@
 //!   heap's logical→physical map survives a crash mid-migration (in a
 //!   production system this map lives in the catalog; logging the splice
 //!   is the equivalent durable channel),
-//! * the initial heap load, and
-//! * the shard manifest of a sharded deployment.
+//! * the initial heap load.
 //!
 //! Data-page contents are **not** logged during migration — redo simply
 //! re-runs the migration, and page timestamps make that idempotent.
@@ -80,7 +79,6 @@ use masm_storage::{SessionHandle, SimDevice};
 use parking_lot::{Condvar, Mutex};
 
 use crate::error::{MasmError, MasmResult};
-use crate::manifest::ShardManifest;
 use crate::ts::Timestamp;
 use crate::update::UpdateRecord;
 
@@ -179,11 +177,8 @@ pub enum WalRecord {
     },
     /// The heap was bulk-loaded contiguously at `base`.
     HeapLoaded {
-        /// Global heap-event sequence number (drawn from the timestamp
-        /// oracle). Orders loads and splices across the WALs of a
-        /// sharded deployment; a load broadcast to several shard WALs
-        /// carries the *same* seq in every copy, so multi-log replay
-        /// deduplicates it.
+        /// Heap-event sequence number, drawn from the timestamp oracle
+        /// (recovery resumes the oracle past it).
         seq: u64,
         /// Physical base offset.
         base: u64,
@@ -196,16 +191,12 @@ pub enum WalRecord {
     },
     /// A migration chunk committed a page-map splice.
     MapSplice {
-        /// Global heap-event sequence number (see
-        /// [`WalRecord::HeapLoaded::seq`]): sharded recovery replays
-        /// splices from all shard WALs in one global order.
+        /// Heap-event sequence number (see
+        /// [`WalRecord::HeapLoaded::seq`]).
         seq: u64,
         /// The logged splice.
         commit: ChunkCommit,
     },
-    /// The shard manifest of a sharded deployment (appended to every
-    /// shard's WAL at construction; see [`ShardManifest`]).
-    Manifest(ShardManifest),
 }
 
 fn put_u64s(out: &mut Vec<u8>, vals: &[u64]) {
@@ -301,7 +292,8 @@ impl WalRecord {
             WalRecord::MigrationEnd { .. } => 4,
             WalRecord::HeapLoaded { .. } => 5,
             WalRecord::MapSplice { .. } => 6,
-            WalRecord::Manifest(_) => 7,
+            // Tag 7 is retired: it framed a sharded deployment's manifest.
+            // Never reuse it, so such a log stays refused as corrupt.
         }
     }
 
@@ -353,7 +345,6 @@ impl WalRecord {
                 out.extend_from_slice(&c.record_delta.to_le_bytes());
                 put_u64s(out, &c.min_keys);
             }
-            WalRecord::Manifest(m) => out.extend_from_slice(&m.encode()),
         });
     }
 
@@ -439,7 +430,6 @@ impl WalRecord {
                     },
                 }
             }
-            7 => WalRecord::Manifest(ShardManifest::decode(body)?),
             _ => return Err(MasmError::Corrupt("unknown WAL tag")),
         };
         Ok(rec)
@@ -715,12 +705,6 @@ mod tests {
                     record_delta: -7,
                 },
             },
-            WalRecord::Manifest(ShardManifest {
-                shards: 2,
-                shard_id: 1,
-                split_keys: vec![500],
-                config_fingerprint: 77,
-            }),
         ]
     }
 

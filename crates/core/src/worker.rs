@@ -9,27 +9,22 @@
 //! gate ([`WorkerPool::wait_for_space`]) — ingest degrades to a wait,
 //! never to inline I/O.
 //!
-//! One pool serves every shard of a sharded engine: jobs are tagged
-//! with their shard, each shard has its own dedup flags and event
-//! counters (a [`WorkerStatsRecorder`] per shard), and the backlog and
-//! queue depth stay pool-global.
+//! One pool serves one engine: its job counters are one
+//! [`WorkerStatsRecorder`], bumped by the workers as events happen.
 //!
 //! Scheduling rules:
 //!
 //! * **Flush** jobs carry the id of one sealed batch. They are the only
-//!   job kind that can exist more than once per shard in the queue.
-//! * **Compact** and **Migrate** are deduplicated *per shard*: at most
-//!   one of each queued at a time (re-requested after completion if
-//!   still needed by [`crate::engine::MasmEngine`]'s maintenance
-//!   check).
-//! * **Migrations are staggered**: one migrate job runs at a time
-//!   across all shards. This is scheduling, not safety — the shared
-//!   heap admits one rewriter at a time (`TableHeap::rewriter_range`),
-//!   so a second migration would only park its worker behind the first.
-//!   A blocked migrate job stays in the queue and workers take the next
-//!   runnable job past it, so flushes and compactions never starve
-//!   behind a waiting migration — and N shards never multiply the scan
-//!   tail latency by N concurrent migrations.
+//!   job kind that can exist more than once in the queue.
+//! * **Compact** and **Migrate** are deduplicated: at most one of each
+//!   queued at a time (re-requested after completion if still needed by
+//!   [`crate::engine::MasmEngine`]'s maintenance check).
+//! * **Migrations are staggered**: one migrate job runs at a time. This
+//!   is scheduling, not safety — the engine admits one migration at a
+//!   time, so a second one requested while the first runs would only
+//!   park its worker behind it. A blocked migrate job stays in the
+//!   queue and workers take the next runnable job past it, so flushes
+//!   and compactions never starve behind a waiting migration.
 //! * A failing job retries up to [`MAX_JOB_ATTEMPTS`] times; a flush
 //!   that exhausts its retries is *abandoned* — the engine moves the
 //!   sealed batch's updates back into the in-memory buffer so no data
@@ -72,18 +67,12 @@ pub(crate) enum JobKind {
 
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Job {
-    /// Which shard's engine executes this job (0 for an unsharded
-    /// engine).
-    pub shard: usize,
     pub kind: JobKind,
     pub attempts: u32,
     /// Virtual time the job was requested. The worker session starts
     /// here, not at the global clock: background I/O then *overlaps*
     /// the actors that kept working after requesting it (the device
-    /// busy-horizon still serializes same-device access). Starting at
-    /// the global clock instead would push every shard's device horizon
-    /// to the system-wide maximum on each job, serializing independent
-    /// shards through the clock.
+    /// busy-horizon still serializes same-device access).
     pub at: Ns,
 }
 
@@ -92,9 +81,9 @@ struct PoolState {
     /// Bytes of sealed batches whose flush has not yet completed (the
     /// backpressure signal; includes batches currently being flushed).
     backlog_bytes: u64,
-    /// Per-shard dedup flags (indexed by `Job::shard`).
-    compact_queued: Vec<bool>,
-    migrate_queued: Vec<bool>,
+    /// Dedup flags: a compact / migrate job is queued.
+    compact_queued: bool,
+    migrate_queued: bool,
     /// A migrate job is executing (the stagger).
     migration_running: bool,
     shutdown: bool,
@@ -109,51 +98,43 @@ pub(crate) struct WorkerPool {
     work: Condvar,
     /// Signalled when backlog bytes drop (flush completed or abandoned).
     space: Condvar,
-    /// Per-shard job counters (indexed by `Job::shard`), bumped by the
-    /// workers at the point each event happens. Their level fields stay
-    /// zero: `stats()` reads those off the pool and the engine state.
-    recorders: Vec<WorkerStatsRecorder>,
+    /// The job counters, bumped by the workers at the point each event
+    /// happens. Their level fields stay zero: `stats()` reads those off
+    /// the pool and the engine state.
+    pub recorder: WorkerStatsRecorder,
     pub threads: usize,
     backlog_limit: u64,
 }
 
 impl WorkerPool {
-    /// A pool serving `shards` shards (one for an unsharded engine).
-    pub fn new(threads: usize, backlog_limit: u64, shards: usize) -> Arc<Self> {
-        assert!(shards > 0, "pool needs at least one shard");
+    /// A pool of `threads` workers whose flush backlog is bounded by
+    /// `backlog_limit` bytes.
+    pub fn new(threads: usize, backlog_limit: u64) -> Arc<Self> {
         Arc::new(WorkerPool {
             state: TrackedMutex::new(PoolState {
                 queue: VecDeque::new(),
                 backlog_bytes: 0,
-                compact_queued: vec![false; shards],
-                migrate_queued: vec![false; shards],
+                compact_queued: false,
+                migrate_queued: false,
                 migration_running: false,
                 shutdown: false,
             }),
             work: Condvar::new(),
             space: Condvar::new(),
-            recorders: (0..shards)
-                .map(|_| WorkerStatsRecorder::default())
-                .collect(),
+            recorder: WorkerStatsRecorder::default(),
             threads,
             backlog_limit,
         })
     }
 
-    /// Shard `shard`'s job counters.
-    pub fn recorder(&self, shard: usize) -> &WorkerStatsRecorder {
-        &self.recorders[shard]
-    }
-
-    /// Enqueue a flush for shard `shard`'s sealed batch `batch_id`
-    /// holding `bytes` of updates, requested at virtual time `at`.
-    /// Returns immediately; backpressure is a separate call so the
-    /// engine can release its state lock first.
-    pub fn enqueue_flush(&self, shard: usize, batch_id: u64, bytes: u64, at: Ns) {
+    /// Enqueue a flush of sealed batch `batch_id` holding `bytes` of
+    /// updates, requested at virtual time `at`. Returns immediately;
+    /// backpressure is a separate call so the engine can release its
+    /// state lock first.
+    pub fn enqueue_flush(&self, batch_id: u64, bytes: u64, at: Ns) {
         let mut st = self.state.lock();
         st.backlog_bytes += bytes;
         st.queue.push_back(Job {
-            shard,
             kind: JobKind::Flush { batch_id },
             attempts: 0,
             at,
@@ -162,19 +143,17 @@ impl WorkerPool {
         self.work.notify_one();
     }
 
-    /// Enqueue a compaction pass for `shard` unless one is already
-    /// queued there.
-    pub fn enqueue_compact(&self, shard: usize, at: Ns) {
-        self.enqueue_dedup(shard, JobKind::Compact, at);
+    /// Enqueue a compaction pass unless one is already queued.
+    pub fn enqueue_compact(&self, at: Ns) {
+        self.enqueue_dedup(JobKind::Compact, at);
     }
 
-    /// Enqueue a migration for `shard` unless one is already queued
-    /// there.
-    pub fn enqueue_migrate(&self, shard: usize, at: Ns) {
-        self.enqueue_dedup(shard, JobKind::Migrate, at);
+    /// Enqueue a migration unless one is already queued.
+    pub fn enqueue_migrate(&self, at: Ns) {
+        self.enqueue_dedup(JobKind::Migrate, at);
     }
 
-    fn enqueue_dedup(&self, shard: usize, kind: JobKind, at: Ns) {
+    fn enqueue_dedup(&self, kind: JobKind, at: Ns) {
         let mut st = self.state.lock();
         // Maintenance requested after shutdown can never run — drop it
         // rather than strand it in the queue (unlike flushes, compact /
@@ -183,15 +162,14 @@ impl WorkerPool {
             return;
         }
         let flag = match kind {
-            JobKind::Compact => &mut st.compact_queued[shard],
-            JobKind::Migrate => &mut st.migrate_queued[shard],
+            JobKind::Compact => &mut st.compact_queued,
+            JobKind::Migrate => &mut st.migrate_queued,
             JobKind::Flush { .. } => unreachable!("flush jobs are not deduplicated"),
         };
         if std::mem::replace(flag, true) {
             return;
         }
         st.queue.push_back(Job {
-            shard,
             kind,
             attempts: 0,
             at,
@@ -204,8 +182,8 @@ impl WorkerPool {
     pub fn requeue(&self, job: Job) {
         let mut st = self.state.lock();
         match job.kind {
-            JobKind::Compact => st.compact_queued[job.shard] = true,
-            JobKind::Migrate => st.migrate_queued[job.shard] = true,
+            JobKind::Compact => st.compact_queued = true,
+            JobKind::Migrate => st.migrate_queued = true,
             JobKind::Flush { .. } => {}
         }
         st.queue.push_back(job);
@@ -282,9 +260,9 @@ impl WorkerPool {
             if let Some(i) = runnable {
                 let job = st.queue.remove(i).expect("indexed job present");
                 match job.kind {
-                    JobKind::Compact => st.compact_queued[job.shard] = false,
+                    JobKind::Compact => st.compact_queued = false,
                     JobKind::Migrate => {
-                        st.migrate_queued[job.shard] = false;
+                        st.migrate_queued = false;
                         st.migration_running = true;
                     }
                     JobKind::Flush { .. } => {}
@@ -318,30 +296,28 @@ impl Drop for HandleInner {
     }
 }
 
-/// The engines' ownership handle: pool plus joinable thread handles.
-/// Cloneable so every shard of a sharded engine holds the same handle;
-/// shutdown is signalled when the last clone drops, and
-/// [`WorkerHandle::join`] is idempotent across clones.
+/// The engine's ownership handle: pool plus joinable thread handles.
+/// Shutdown is signalled when it drops, and [`WorkerHandle::join`] is
+/// idempotent.
 #[derive(Clone)]
 pub(crate) struct WorkerHandle {
     inner: Arc<HandleInner>,
 }
 
 impl WorkerHandle {
-    /// Spawn `pool.threads` workers over weak references to `engines`
-    /// (indexed by `Job::shard`). The weak links break the `Arc` cycle:
-    /// dropped engines stop producing jobs, workers fail the upgrade
-    /// and exit.
-    pub fn spawn(engines: &[Arc<MasmEngine>], pool: Arc<WorkerPool>) -> Self {
+    /// Spawn `pool.threads` workers over a weak reference to `engine`.
+    /// The weak link breaks the `Arc` cycle: a dropped engine stops
+    /// producing jobs, workers fail the upgrade and exit.
+    pub fn spawn(engine: &Arc<MasmEngine>, pool: Arc<WorkerPool>) -> Self {
         let threads = pool.threads;
         let mut joins = Vec::with_capacity(threads);
         for i in 0..threads {
-            let weaks: Vec<Weak<MasmEngine>> = engines.iter().map(Arc::downgrade).collect();
+            let weak = Arc::downgrade(engine);
             let pool = Arc::clone(&pool);
             joins.push(
                 std::thread::Builder::new()
                     .name(format!("masm-worker-{i}"))
-                    .spawn(move || worker_loop(weaks, pool))
+                    .spawn(move || worker_loop(weak, pool))
                     .expect("spawn worker thread"),
             );
         }
@@ -359,8 +335,7 @@ impl WorkerHandle {
         &self.inner.pool
     }
 
-    /// Signal shutdown and join every worker (idempotent, including
-    /// across clones of this handle).
+    /// Signal shutdown and join every worker (idempotent).
     pub fn join(&self) {
         self.inner.pool.shutdown();
         if self.inner.joined.swap(true, Ordering::AcqRel) {
@@ -373,13 +348,12 @@ impl WorkerHandle {
     }
 }
 
-fn worker_loop(engines: Vec<Weak<MasmEngine>>, pool: Arc<WorkerPool>) {
+fn worker_loop(engine: Weak<MasmEngine>, pool: Arc<WorkerPool>) {
     while let Some(job) = pool.next_job() {
-        let Some(engine) = engines.get(job.shard).and_then(Weak::upgrade) else {
-            // Engines are torn down together; a failed upgrade means
-            // the whole set is going away. Release any claimed
-            // migration slot so sibling workers are not starved while
-            // they drain.
+        let Some(engine) = engine.upgrade() else {
+            // The engine is going away. Release any claimed migration
+            // slot so sibling workers are not starved while they
+            // drain.
             if matches!(job.kind, JobKind::Migrate) {
                 pool.migration_finished();
             }
@@ -393,46 +367,53 @@ fn worker_loop(engines: Vec<Weak<MasmEngine>>, pool: Arc<WorkerPool>) {
 mod tests {
     use super::*;
 
-    /// The cap is one: the shared heap admits one rewriter.
+    /// The cap is one: a migration requested while another runs stays
+    /// queued, and the compaction behind it runs.
     #[test]
     fn migrations_stagger_at_the_cap() {
-        let pool = WorkerPool::new(0, 1 << 20, 3);
-        pool.enqueue_migrate(0, 0);
-        pool.enqueue_migrate(1, 0);
-        pool.enqueue_compact(1, 0);
-        // First migrate is handed out and charges the stagger slot.
+        let pool = WorkerPool::new(0, 1 << 20);
+        pool.enqueue_migrate(0);
+        // The first migrate is handed out and charges the stagger slot.
         let j0 = pool.next_job().unwrap();
-        assert_eq!((j0.shard, j0.kind), (0, JobKind::Migrate));
+        assert_eq!(j0.kind, JobKind::Migrate);
+        pool.enqueue_migrate(0);
+        pool.enqueue_compact(0);
         // The second migrate is blocked; the compact behind it runs.
         let j1 = pool.next_job().unwrap();
-        assert_eq!((j1.shard, j1.kind), (1, JobKind::Compact));
+        assert_eq!(j1.kind, JobKind::Compact);
+        assert_eq!(pool.depths().0, 1, "the migration stays queued");
         // Finishing the first migration unblocks the queued one.
         pool.migration_finished();
         let j2 = pool.next_job().unwrap();
-        assert_eq!((j2.shard, j2.kind), (1, JobKind::Migrate));
+        assert_eq!(j2.kind, JobKind::Migrate);
         assert_eq!(pool.depths().0, 0);
     }
 
     #[test]
-    fn migrate_dedup_is_per_shard() {
-        let pool = WorkerPool::new(0, 1 << 20, 2);
-        pool.enqueue_migrate(0, 0);
-        pool.enqueue_migrate(0, 0);
-        pool.enqueue_migrate(1, 0);
-        assert_eq!(pool.depths().0, 2, "per-shard dedup, cross-shard not");
+    fn a_queued_migration_is_not_queued_twice() {
+        let pool = WorkerPool::new(0, 1 << 20);
+        pool.enqueue_migrate(0);
+        pool.enqueue_migrate(0);
+        pool.enqueue_compact(0);
+        pool.enqueue_compact(0);
+        assert_eq!(pool.depths().0, 2, "one of each");
+        // Taken off the queue, a kind may be requested again.
+        assert_eq!(pool.next_job().unwrap().kind, JobKind::Migrate);
+        pool.enqueue_migrate(0);
+        assert_eq!(pool.depths().0, 2);
     }
 
     #[test]
     fn shutdown_drains_blocked_migrations() {
-        let pool = WorkerPool::new(0, 1 << 20, 2);
-        pool.enqueue_migrate(0, 0);
-        pool.enqueue_migrate(1, 0);
+        let pool = WorkerPool::new(0, 1 << 20);
+        pool.enqueue_migrate(0);
         let first = pool.next_job().unwrap();
         assert_eq!(first.kind, JobKind::Migrate);
+        pool.enqueue_migrate(0);
         pool.shutdown();
         // The blocked migrate still runs once the slot frees.
         pool.migration_finished();
-        assert_eq!(pool.next_job().unwrap().shard, 1);
+        assert_eq!(pool.next_job().unwrap().kind, JobKind::Migrate);
         pool.migration_finished();
         assert!(pool.next_job().is_none(), "drained + shutdown exits");
     }

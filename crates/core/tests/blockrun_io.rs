@@ -62,14 +62,14 @@ fn synthetic_updates(n: u64) -> Vec<UpdateRecord> {
 #[test]
 fn block_run_writes_and_migration_issue_zero_random_ssd_writes() {
     let t = table(MasmConfig::small_for_tests(), 500);
-    let ssd = &t.dev.ssds[0];
+    let ssd = &t.dev.ssd;
     ssd.reset_stats();
     for i in 0..4000u64 {
         t.put(i * 2 + 1, UpdateOp::Insert(payload(i as u32)))
             .unwrap();
     }
     assert!(t.engine().run_count() > 1, "several runs materialized");
-    let report = t.migrate().unwrap()[0];
+    let report = t.migrate().unwrap();
     assert!(report.runs_migrated > 1);
 
     let stats = ssd.stats();
@@ -223,9 +223,9 @@ fn adaptive_codec_disjoint_compaction_stays_zero_decode_and_sequential() {
     );
     let expect = t.rows(0, Key::MAX);
 
-    let before = t.dev.ssds[0].stats();
-    let report = t.compact().unwrap()[0];
-    let delta = t.dev.ssds[0].stats().delta(&before);
+    let before = t.dev.ssd.stats();
+    let report = t.compact().unwrap();
+    let delta = t.dev.ssd.stats().delta(&before);
     assert_eq!(report.bytes_decoded, 0, "zero-decode: {report:?}");
     assert_eq!(report.blocks_merged, 0);
     assert!(report.blocks_moved > 0);
@@ -247,7 +247,7 @@ fn warm_cache_scans_issue_zero_ssd_reads() {
     }
     assert!(t.engine().run_count() > 0);
 
-    let ssd = &t.dev.ssds[0];
+    let ssd = &t.dev.ssd;
     let cold_n = t.rows(0, Key::MAX).len();
     let cold = ssd.stats();
     assert!(cold.read_ops > 0, "cold scan read the SSD");

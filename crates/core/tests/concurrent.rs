@@ -194,10 +194,10 @@ fn stress_round() -> usize {
 
 /// A traced pool runs every job kind on its own: with one worker and a
 /// migration threshold above what 16 runs fill (so a compaction comes
-/// due first), puts alone drive flushes, compactions and migrations. The exported Chrome trace
-/// carries a complete span of each job, and a `masm.compact` and a
-/// `masm.migrate` flow from the actor that requested the job to the
-/// job itself.
+/// due first), puts alone drive flushes, compactions and migrations.
+/// The exported Chrome trace carries a complete span of each job, and a
+/// `masm.flush`, a `masm.compact` and a `masm.migrate` flow from the
+/// actor that sealed the batch or requested the job to the job itself.
 #[test]
 fn a_traced_pool_records_its_compactions_and_migrations() {
     let mut cfg = MasmConfig::small_for_tests();
@@ -235,7 +235,7 @@ fn a_traced_pool_records_its_compactions_and_migrations() {
             "no complete {job} span"
         );
     }
-    for flow in ["masm.compact", "masm.migrate"] {
+    for flow in ["masm.flush", "masm.compact", "masm.migrate"] {
         let ids = |phase| -> Vec<u64> {
             let flows = events
                 .iter()
@@ -386,7 +386,7 @@ fn background_flush_fault_abandons_then_recovers() {
     let mut t = Table::new(cfg);
     let mut model = Model::default();
 
-    t.dev.ssds[0].inject_write_fault();
+    t.dev.ssd.inject_write_fault();
     // Enough updates to seal the buffer at least once, even after the
     // MaSM-M page-steal branch doubles its capacity (64 KiB base + up
     // to 16 stolen 4 KiB query pages ≈ 128 KiB; ~120 B per update).
@@ -408,7 +408,7 @@ fn background_flush_fault_abandons_then_recovers() {
     }
 
     // Fault cleared: the inline flush path materializes the run.
-    t.dev.ssds[0].clear_write_fault();
+    t.dev.ssd.clear_write_fault();
     t.flush().unwrap();
     let stats = t.stats();
     assert!(stats.runs.count >= 1, "flush after recovery must succeed");
@@ -566,7 +566,7 @@ fn every_job_releases_its_claim_on_a_write_fault_and_succeeds_on_retry() {
         let mut t = Table::new(MasmConfig::small_for_tests());
         let model = two_runs_and_a_buffer(&mut t);
         let device = if fault_ssd {
-            t.dev.ssds[0].clone()
+            t.dev.ssd.clone()
         } else {
             t.dev.disk.clone()
         };
@@ -609,7 +609,7 @@ fn overlapping_runs(t: &mut Table, rounds: u32) -> Model {
 fn flash_read_fault_during_maintenance_is_an_error_not_a_panic() {
     let mut t = Table::new(MasmConfig::small_for_tests());
     let model = overlapping_runs(&mut t, 3);
-    let ssd = t.dev.ssds[0].clone();
+    let ssd = t.dev.ssd.clone();
 
     ssd.inject_read_fault();
     let faulted = |result: MasmResult<()>, what: &str| match result {
@@ -634,10 +634,10 @@ fn flash_read_fault_during_maintenance_is_an_error_not_a_panic() {
     }
 
     ssd.clear_read_fault();
-    let report = t.compact().unwrap()[0];
+    let report = t.compact().unwrap();
     assert_eq!((report.inputs, t.engine().run_count()), (3, 1));
     t.check(&model);
-    let report = t.migrate().unwrap()[0];
+    let report = t.migrate().unwrap();
     assert_eq!((report.updates_applied, t.engine().run_count()), (64, 0));
     t.check(&model);
     assert_eq!(ssd.stats().random_writes, 0);
@@ -651,7 +651,7 @@ fn flash_read_fault_during_maintenance_is_an_error_not_a_panic() {
 /// and the retry finishes the job.
 #[test]
 fn a_corrupt_run_block_stops_a_migration_between_chunks() {
-    let mut spec = Spec::new(MasmConfig::small_for_tests(), false);
+    let mut spec = Spec::new(MasmConfig::small_for_tests());
     spec.heap.rewrite_chunk_pages = 2;
     let mut t = spec.open();
     let mut model = t.load(200);
@@ -669,7 +669,7 @@ fn a_corrupt_run_block_stops_a_migration_between_chunks() {
     // One run from offset 0, most of it 1 KiB data blocks in key order:
     // its middle byte is in the block with the middle keys.
     assert_eq!(t.engine().run_count(), 1);
-    let (ssd, session) = (t.dev.ssds[0].clone(), t.session.clone());
+    let (ssd, session) = (t.dev.ssd.clone(), t.session.clone());
     let middle = ssd.len() / 2;
     let flip = || {
         let byte = session.read(&ssd, middle, 1).unwrap()[0];
@@ -693,7 +693,7 @@ fn a_corrupt_run_block_stops_a_migration_between_chunks() {
 
     flip();
     t.check(&model);
-    let report = t.migrate().unwrap()[0];
+    let report = t.migrate().unwrap();
     assert_eq!((report.updates_applied, t.engine().run_count()), (200, 0));
     t.check(&model);
 }
@@ -721,7 +721,7 @@ fn flash_read_fault_in_a_background_job_is_retried_and_the_worker_survives() {
             t.step(model, &Op::Put((j % 64) as u64 * 2, op));
         }
     };
-    let ssd = t.dev.ssds[0].clone();
+    let ssd = t.dev.ssd.clone();
     ssd.inject_read_fault();
     seal_a_batch(&mut t, &mut model, 100_000);
     let engine = Arc::clone(t.engine());

@@ -1,15 +1,17 @@
 //! Crash-recovery tests: the engine must come back from the redo log
 //! and the non-volatile SSD with zero lost or duplicated updates,
-//! across multiple crash points and crash-recover cycles, and refuse to
-//! acknowledge anything behind a failed log append.
+//! across multiple crash points and crash-recover cycles, refuse to
+//! acknowledge anything behind a failed log append, and refuse a log
+//! it cannot replay with a typed error, never a panic.
 
 use std::sync::Arc;
 
+use masm_blockrun::crc32;
 use masm_core::update::{UpdateOp, UpdateRecord};
 use masm_core::wal::{Wal, WalRecord};
-use masm_core::{MasmConfig, MasmError};
-use masm_model::{flash, payload, puts, Devices, Model, Op, Spec, Table};
-use masm_pagestore::Key;
+use masm_core::{MasmConfig, MasmEngine, MasmError};
+use masm_model::{flash, payload, puts, schema, Devices, Model, Op, Spec, Table};
+use masm_pagestore::{ChunkCommit, HeapConfig, Key, TableHeap};
 use masm_storage::SimDevice;
 use masm_telemetry::{RecordKind, TraceConfig, Tracer};
 
@@ -27,8 +29,8 @@ fn keys(t: &Table, begin: Key, end: Key) -> Vec<Key> {
 
 #[test]
 fn recovery_with_empty_wal_is_clean() {
-    let spec = Spec::new(MasmConfig::small_for_tests(), false);
-    let (t, _) = spec.recover(Devices::new(1), None).unwrap();
+    let spec = Spec::new(MasmConfig::small_for_tests());
+    let (t, _) = spec.recover(Devices::default(), None).unwrap();
     assert!(t.rows(0, Key::MAX).is_empty());
 }
 
@@ -77,13 +79,12 @@ fn torn_wal_tail_is_truncated_and_salvaged() {
     // Tear the log tail: append a half-written record whose length
     // prefix promises more bytes than exist — the shape a crash
     // mid-append leaves behind.
-    let wal = &t.dev.wals[0];
+    let wal = &t.dev.wal;
     wal.write_at(0, wal.len(), &[200, 0, 0, 0, 0]).unwrap();
     let tracer = Arc::new(Tracer::new(TraceConfig::default()));
-    let reports = t
+    let report = t
         .crash(Some(&tracer))
         .expect("torn tail must be truncated, not fatal");
-    let report = reports[0];
     assert_eq!(report.wal_torn_bytes, 5, "{report:?}");
     assert_eq!(report.updates_recovered, 1);
     // The flight recorder saw the recovery itself: one `recovery` span
@@ -114,7 +115,7 @@ fn torn_wal_tail_is_truncated_and_salvaged() {
     t.dev.disk.inject_write_fault();
     assert!(t.migrate().is_err(), "heap writes are failing");
     t.dev.disk.clear_write_fault();
-    let report = t.crash(Some(&tracer)).unwrap()[0];
+    let report = t.crash(Some(&tracer)).unwrap();
     assert!(report.redid_migration, "{report:?}");
     assert_eq!(report.wal_torn_bytes, 0, "{report:?}");
     let records = tracer.take_records();
@@ -148,8 +149,9 @@ fn frames_beyond_a_torn_tail_never_come_back() {
             .unwrap();
         session.read(&log, 0, log.len()).unwrap()
     };
-    let hole = t.dev.wals[0].len();
-    t.dev.wals[0]
+    let hole = t.dev.wal.len();
+    t.dev
+        .wal
         .write_at(0, hole + stale.len() as u64, &stale)
         .unwrap();
 
@@ -159,7 +161,7 @@ fn frames_beyond_a_torn_tail_never_come_back() {
     // An update of the same size fills the hole: the log now ends
     // exactly where the stale frame starts.
     t.put(5, value(7)).unwrap();
-    assert_eq!(t.dev.wals[0].len(), hole + 2 * stale.len() as u64);
+    assert_eq!(t.dev.wal.len(), hole + 2 * stale.len() as u64);
     t.crash(None).unwrap();
     assert!(present(&t, 5), "the acknowledged update");
     assert!(!present(&t, 3), "a frame beyond the cut came back");
@@ -173,7 +175,7 @@ fn midlog_wal_corruption_is_a_hard_error() {
     // Flip a byte in the *middle* of the log. Valid records follow the
     // damage, so this cannot be a torn tail — recovery must refuse to
     // silently drop acknowledged history.
-    let (wal, session) = (&t.dev.wals[0], &t.session);
+    let (wal, session) = (&t.dev.wal, &t.session);
     let byte = session.read(wal, 12, 1).unwrap()[0];
     wal.write_at(session.now(), 12, &[!byte]).unwrap();
     let err = t
@@ -217,12 +219,12 @@ fn nothing_is_acknowledged_behind_a_failed_append(break_log: impl Fn(&SimDevice)
     t.put(2, UpdateOp::Delete).unwrap();
     let engine = t.engine();
     let counted = engine.stats();
-    let log_end = t.dev.wals[0].len();
+    let log_end = t.dev.wal.len();
 
-    break_log(&t.dev.wals[0]);
+    break_log(&t.dev.wal);
     let failed = t.put(10, UpdateOp::Delete).unwrap_err();
     assert!(matches!(failed, MasmError::Storage(_)), "{failed}");
-    t.dev.wals[0].clear_write_fault();
+    t.dev.wal.clear_write_fault();
 
     // The log stays failed, naming where; `Err` means "not applied".
     for key in [20, 30, 40] {
@@ -254,7 +256,7 @@ fn nothing_is_acknowledged_behind_a_failed_append(break_log: impl Fn(&SimDevice)
     assert_eq!(t.rows(0, Key::MAX).len(), 99);
 
     // Crash. Everything acknowledged is there, nothing refused is.
-    let report = t.crash(None).unwrap()[0];
+    let report = t.crash(None).unwrap();
     assert_eq!(report.updates_recovered, 1, "{report:?}");
     assert!(report.wal_torn_bytes < DELETE_FRAME, "{report:?}");
     assert!(t.get(2).unwrap().is_none());
@@ -283,38 +285,63 @@ fn a_log_append_torn_at_any_byte_fails_the_log_until_recovery() {
     }
 }
 
+/// A splice the log names must fit the heap recovery is rebuilding: a
+/// CRC-valid `MapSplice` past the page map, with a key count that is
+/// not its page count, or taking more records than the heap holds is
+/// corruption. Once, the first of these panicked in the sparse index.
 #[test]
-fn a_failed_log_append_on_one_shard_fails_that_shard_only() {
-    let mut cfg = MasmConfig::small_for_tests();
-    cfg.sharding.splits = vec![100];
-    let mut t = Table::sharded(cfg);
-    t.load(100);
-    t.put(150, UpdateOp::Delete).unwrap();
-    let log_end = t.dev.wals[1].len();
-
-    // Keys from 100 up live on shard 1, whose log device now fails once.
-    t.dev.wals[1].inject_write_fault();
-    assert!(t.put(160, UpdateOp::Delete).is_err());
-    t.dev.wals[1].clear_write_fault();
-    for key in [170, 180] {
-        let refused = t.put(key, UpdateOp::Delete);
-        assert!(
-            matches!(refused, Err(MasmError::LogFailed { offset }) if offset == log_end),
-            "put of {key} behind the failed append: {refused:?}"
-        );
+fn a_splice_outside_the_heap_is_corrupt_not_a_panic() {
+    let splice = |at, n_old, n_new, min_keys, record_delta| ChunkCommit {
+        at,
+        n_old,
+        base_phys: 0,
+        n_new,
+        min_keys,
+        record_delta,
+    };
+    for commit in [
+        splice(1000, 5, 1, vec![0], 0),
+        splice(usize::MAX, 2, 1, vec![0], 0),
+        splice(0, 1, 2, vec![0], 0),
+        splice(0, 1, 1, vec![0], -1000),
+    ] {
+        let (t, _) = table(100);
+        let wal = Wal::new(t.dev.wal.clone(), t.dev.wal.len());
+        let seq = t.engine().oracle().next();
+        let splice = WalRecord::MapSplice {
+            seq,
+            commit: commit.clone(),
+        };
+        wal.append(&t.session, &splice).unwrap();
+        let Err(err) = t.spec.clone().recover(t.dev.crash(), None) else {
+            panic!("{commit:?} recovered");
+        };
+        assert!(matches!(err, MasmError::Corrupt(_)), "{commit:?}: {err}");
     }
-    // Shard 0 has a log of its own, in good order.
-    t.put(20, UpdateOp::Delete).unwrap();
-    let present = |t: &Table, key| t.get(key).unwrap().is_some();
-    assert!([160, 170, 180].iter().all(|&k| present(&t, k)));
-    assert!(!present(&t, 150) && !present(&t, 20));
+}
 
-    let reports = t.crash(None).unwrap();
-    let recovered: u64 = reports.iter().map(|r| r.updates_recovered).sum();
-    assert_eq!(recovered, 2, "{reports:?}");
-    assert!(reports.iter().all(|r| r.wal_torn_bytes == 0));
-    assert!([160, 170, 180].iter().all(|&k| present(&t, k)));
-    assert!(!present(&t, 150) && !present(&t, 20));
-    t.put(170, UpdateOp::Delete).unwrap();
-    assert!(!present(&t, 170));
+/// Tag 7 framed a sharded deployment's manifest, the first frame of
+/// each of its logs. The tag is retired, so such a log is refused as
+/// corrupt, before any heap event is replayed.
+#[test]
+fn a_log_with_a_retired_manifest_frame_is_refused() {
+    let (t, _) = table(100);
+    let body = b"MSMF";
+    let mut tagged = vec![7];
+    tagged.extend_from_slice(body);
+    let mut frame = (body.len() as u32).to_le_bytes().to_vec();
+    frame.extend_from_slice(&crc32(&tagged).to_le_bytes());
+    frame.extend_from_slice(&tagged);
+    let wal = &t.dev.wal;
+    wal.write_at(t.session.now(), wal.len(), &frame).unwrap();
+
+    let image = t.dev.crash();
+    let heap = Arc::new(TableHeap::new(image.disk.clone(), HeapConfig::default()));
+    let cfg = t.spec.cfg.clone();
+    let recovered = MasmEngine::recover(Arc::clone(&heap), image.ssd, image.wal, schema(), cfg);
+    let Err(err) = recovered else {
+        panic!("a log with a tag-7 frame recovered");
+    };
+    assert!(matches!(err, MasmError::Corrupt(_)), "{err}");
+    assert_eq!(heap.num_pages(), 0, "refused before any heap event");
 }

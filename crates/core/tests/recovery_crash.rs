@@ -16,8 +16,8 @@
 //! * recovery is idempotent: recovering, crashing immediately, and
 //!   recovering again yields the same state.
 //!
-//! The crash image is `Devices::crash`: per shard the WAL before the
-//! SSD, the heap disk last. The engine always makes payload bytes
+//! The crash image is `Devices::crash`: the WAL before the SSD, the
+//! heap disk last. The engine always makes payload bytes
 //! durable before appending the WAL record that names them (run bytes
 //! before `RunCreated`, heap pages before `MapSplice`), so a WAL-first
 //! image can name only payloads the later images contain — exactly the
@@ -29,12 +29,11 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 
-use masm_core::config::{IndexGranularity, MasmConfig};
+use masm_core::config::MasmConfig;
 use masm_core::ts::Timestamp;
 use masm_core::update::UpdateOp;
-use masm_core::{MasmEngine, MasmError, RecoveryReport};
 use masm_model::{payload, value, Devices, Op, Spec, Table};
-use masm_pagestore::{HeapConfig, Key, Record, TableHeap};
+use masm_pagestore::{Key, Record};
 use masm_telemetry::{TraceConfig, Tracer};
 
 const BASE: u64 = 100_000;
@@ -71,12 +70,13 @@ impl AckLog {
     }
 }
 
-/// Three ingest lanes hammer a table with live background workers — a
-/// standalone engine or one shard per lane — and the main thread pulls
-/// the plug at three load levels. Every crash point must recover with
-/// no acked update lost, no random SSD write, the same state when
-/// recovered twice, and a healthy engine afterwards.
-fn crash_under_load_loses_no_acked_update(sharded: bool) {
+/// Three ingest lanes hammer a table with live background workers, and
+/// the main thread pulls the plug at three load levels. Every crash
+/// point must recover with no acked update lost, no random SSD write,
+/// the same state when recovered twice, and a healthy engine
+/// afterwards.
+#[test]
+fn crash_under_load_loses_no_acked_update() {
     const LANES: u64 = 3;
     const PER_LANE: u32 = 1200;
     const KEYS_PER_LANE: u64 = 40;
@@ -84,11 +84,7 @@ fn crash_under_load_loses_no_acked_update(sharded: bool) {
 
     let mut cfg = MasmConfig::small_for_tests();
     cfg.background_workers = 2;
-    if sharded {
-        // Lane k writes into shard k's key range.
-        cfg.sharding.splits = vec![101_000, 102_000];
-    }
-    let table = Spec::new(cfg, sharded).open();
+    let table = Table::new(cfg);
     let mut model = table.load(100);
 
     let log = AckLog::default();
@@ -114,7 +110,6 @@ fn crash_under_load_loses_no_acked_update(sharded: bool) {
         model.apply(*ts, *key, op.clone());
     }
 
-    let shards = table.shards().len();
     for (c, (acked, image)) in crashes.into_iter().enumerate() {
         // A queue large enough that a migration redo cannot overflow it.
         let tracer = Arc::new(Tracer::new(TraceConfig {
@@ -126,30 +121,29 @@ fn crash_under_load_loses_no_acked_update(sharded: bool) {
             spec.recover(image.clone(), Some(&tracer))
                 .unwrap_or_else(|e| panic!("crash point {c} failed to recover: {e}"))
         };
-        let (recovered, reports) = recover();
-        assert_eq!(reports.len(), shards);
+        let (recovered, report) = recover();
         assert!(
-            reports.iter().any(|r| r.wal_records_replayed > 0),
+            report.wal_records_replayed > 0,
             "crash {c}: nothing replayed?"
         );
 
-        // The flight recording carries the recovery on each shard's own
-        // track (pid = shard): one `recovery` span per shard, a
-        // torn-tail instant exactly where a tail was truncated, and one
-        // redo instant per re-driven migration.
+        // The flight recording carries the recovery on the engine's
+        // track (pid 0): one `recovery` span, a torn-tail instant
+        // exactly when a tail was truncated, and a redo instant when a
+        // migration was re-driven.
         let records = tracer.take_records();
-        let on_shards = |name: &str, on: fn(&RecoveryReport) -> bool| {
-            let named = records.iter().filter(|r| r.name == name);
-            let mut pids: Vec<u32> = named.map(|r| r.track.pid).collect();
-            pids.sort_unstable();
-            let want: Vec<u32> = (0..shards as u32)
-                .filter(|&i| on(&reports[i as usize]))
+        let recorded = |name: &str, when: bool| {
+            let pids: Vec<u32> = records
+                .iter()
+                .filter(|r| r.name == name)
+                .map(|r| r.track.pid)
                 .collect();
+            let want = if when { vec![0] } else { vec![] };
             assert_eq!(pids, want, "crash {c}: {name}");
         };
-        on_shards("recovery", |_| true);
-        on_shards("recovery.torn_tail", |r| r.wal_torn_bytes > 0);
-        on_shards("recovery.migration_redo", |r| r.redid_migration);
+        recorded("recovery", true);
+        recorded("recovery.torn_tail", report.wal_torn_bytes > 0);
+        recorded("recovery.migration_redo", report.redid_migration);
 
         // Every update acked before the crash is in the recovered state,
         // possibly superseded by a newer durable-but-unacked one — never
@@ -186,24 +180,13 @@ fn crash_under_load_loses_no_acked_update(sharded: bool) {
             after.windows(2).all(|w| w[0].key < w[1].key),
             "crash {c}: scan order"
         );
-        for (i, shard) in recovered.shards().iter().enumerate() {
-            let random = shard.stats().ssd.random_writes;
-            assert_eq!(random, 0, "crash {c}: random writes in recovered shard {i}");
-        }
+        let random = recovered.stats().ssd.random_writes;
+        assert_eq!(
+            random, 0,
+            "crash {c}: random writes in the recovered engine"
+        );
         recovered.shutdown();
     }
-}
-
-/// One shard per lane, opened and recovered through `ShardedEngine`.
-#[test]
-fn sharded_crash_under_load_loses_no_acked_update() {
-    crash_under_load_loses_no_acked_update(true);
-}
-
-/// The same lanes on one engine: `MasmEngine::new` / `recover_traced`.
-#[test]
-fn unsharded_crash_under_load_loses_no_acked_update() {
-    crash_under_load_loses_no_acked_update(false);
 }
 
 /// The pre-crash state of the WAL-prefix sweep: a serial workload with
@@ -253,11 +236,11 @@ proptest! {
     #[test]
     fn recovery_at_every_wal_prefix_is_a_serial_prefix(frac in 0u64..=10_000) {
         let g = golden();
-        let cut = g.dev.wals[0].len() * frac / 10_000;
-        let image = g.dev.crash_with(|_| cut);
+        let cut = g.dev.wal.len() * frac / 10_000;
+        let image = g.dev.crash_with(cut);
         let recover = || g.spec.clone().recover(image.clone(), None);
-        let (t, reports) = recover().expect("every WAL prefix must recover");
-        prop_assert!(reports[0].wal_torn_bytes <= cut);
+        let (t, report) = recover().expect("every WAL prefix must recover");
+        prop_assert!(report.wal_torn_bytes <= cut);
         let got = t.rows(BASE, Key::MAX);
         prop_assert!(
             g.prefixes.contains(&got),
@@ -272,95 +255,4 @@ proptest! {
         let (again, _) = recover().expect("double recovery must succeed");
         prop_assert_eq!(got, again.rows(BASE, Key::MAX), "double recovery diverged at cut {}", cut);
     }
-}
-
-/// A 2-shard deployment's manifests pin shard identity and config: a
-/// swapped device set, a missing manifest, and a layout-shaping config
-/// change must all be rejected before any run bytes are trusted.
-#[test]
-fn manifest_validation_rejects_mismatched_deployments() {
-    let mut cfg = MasmConfig::small_for_tests();
-    cfg.sharding.splits = vec![1000];
-    let t = Table::sharded(cfg);
-    t.put(1, UpdateOp::Delete).unwrap();
-    t.put(2000, UpdateOp::Delete).unwrap();
-    let (spec, dev) = (t.spec.clone(), t.dev.clone());
-    drop(t);
-    let rejected = |spec: Spec, dev: Devices| match spec.recover(dev, None) {
-        Ok(_) => panic!("a mismatched deployment recovered"),
-        Err(e) => e.to_string(),
-    };
-
-    // Swapped shard devices: each manifest names its true shard id.
-    let mut swapped = dev.clone();
-    swapped.ssds.reverse();
-    swapped.wals.reverse();
-    let err = rejected(spec.clone(), swapped);
-    assert!(err.contains("manifest"), "{err}");
-
-    // A layout-shaping config change invalidates the fingerprint.
-    let mut changed = spec.clone();
-    changed.cfg.index_granularity = IndexGranularity::Bytes(2048);
-    let err = rejected(changed, dev.clone());
-    assert!(err.contains("fingerprint"), "{err}");
-
-    // The untouched set still recovers.
-    let (recovered, reports) = spec.recover(dev, None).unwrap();
-    assert_eq!(reports.len(), 2);
-    let updates: u64 = reports.iter().map(|r| r.updates_recovered).sum();
-    assert_eq!(updates, 2);
-    recovered.shutdown();
-}
-
-/// A WAL without a manifest (a standalone engine's log) cannot be
-/// recovered as a sharded deployment.
-#[test]
-fn sharded_recovery_requires_a_manifest() {
-    let t = Table::new(MasmConfig::small_for_tests());
-    t.put(7, UpdateOp::Delete).unwrap();
-    let spec = Spec {
-        sharded: true,
-        ..t.spec.clone()
-    };
-    let Err(err) = spec.recover(t.dev.clone(), None) else {
-        panic!("manifest-less WAL must be rejected");
-    };
-    assert!(err.to_string().contains("manifest"), "{err}");
-}
-
-/// The converse: one shard's devices are not a table. Shard 0's log
-/// holds neither shard 1's runs nor the heap splices of shard 1's
-/// migrations, so opened alone it would serve stale pages and believe
-/// it owns the whole keyspace — `MasmEngine::recover` once returned
-/// `Ok` here, and key 150 read 75.
-#[test]
-fn a_shards_log_does_not_open_as_a_standalone_table() {
-    let mut cfg = MasmConfig::small_for_tests();
-    cfg.sharding.splits = vec![100];
-    let t = Table::sharded(cfg.clone());
-    t.load(100);
-    t.put(150, UpdateOp::Replace(payload(2000))).unwrap();
-    t.flush().unwrap();
-    t.shards()[1].migrate(&t.session).unwrap();
-
-    let image = t.dev.crash();
-    let heap = Arc::new(TableHeap::new(image.disk.clone(), HeapConfig::default()));
-    let (ssd, wal) = (image.ssds[0].clone(), image.wals[0].clone());
-    let mut standalone = cfg;
-    standalone.sharding.splits.clear();
-    let err = MasmEngine::recover(
-        Arc::clone(&heap),
-        ssd,
-        wal,
-        masm_model::schema(),
-        standalone,
-    )
-    .expect_err("shard 0 of 2 is not a standalone table");
-    assert!(matches!(err, MasmError::Config(_)), "{err:?}");
-    assert!(err.to_string().contains("shard 0 of 2"), "{err}");
-    assert_eq!(heap.num_pages(), 0, "refused before any heap event");
-
-    let (recovered, _) = t.spec.clone().recover(image, None).unwrap();
-    let got = recovered.get(150).unwrap().expect("key 150");
-    assert_eq!(value(&got), 2000);
 }

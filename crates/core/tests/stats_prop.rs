@@ -105,18 +105,17 @@ fn openmetrics_samples_equal_the_snapshot_fields() {
     assert!(text.contains("\nworkers_epoch_lag 0\n"));
 }
 
-/// A sharded engine's exposition is its summed snapshot's: the op
-/// histograms count every shard's work, and the `workers_*` samples are
-/// the pool's job counters summed over the shards.
+/// An engine with a worker pool: the op histograms count the work
+/// done on the pool's threads too, and the `workers_*` samples are the
+/// pool's job counters.
 #[test]
-fn a_sharded_exposition_carries_the_histograms_and_the_worker_counters() {
+fn a_background_exposition_carries_the_histograms_and_the_worker_counters() {
     let mut cfg = MasmConfig::small_for_tests();
     cfg.background_workers = 1;
-    cfg.sharding.splits = vec![200, 400];
-    let t = Table::sharded(cfg);
+    let t = Table::new(cfg);
     t.load(300);
-    // Enough to fill each shard's buffer several times over, so sealed
-    // batches go to the pool.
+    // Enough to fill the buffer several times over, so sealed batches
+    // go to the pool.
     let puts = 3000;
     for i in 0..puts {
         let op = UpdateOp::Replace(payload(i as u32));
@@ -127,7 +126,6 @@ fn a_sharded_exposition_carries_the_histograms_and_the_worker_counters() {
     t.shutdown();
 
     let stats = t.stats();
-    assert_eq!(t.sharded_engine().shards().len(), 3);
     let workers = stats.workers;
     assert!(
         workers.flushes > 0 && workers.jobs_completed > 0,
@@ -175,9 +173,7 @@ proptest! {
                     scanned += records;
                     scan_ns += ns;
                 }
-                Outcome::Migrate(reports) => {
-                    migrations += reports.iter().filter(|r| r.runs_migrated > 0).count() as u64;
-                }
+                Outcome::Migrate(report) => migrations += u64::from(report.runs_migrated > 0),
                 _ => {}
             }
             if i == mid_point.min(ops.len() - 1) {

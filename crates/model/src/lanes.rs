@@ -3,12 +3,13 @@
 use std::collections::VecDeque;
 
 use masm_core::ts::Timestamp;
+use masm_core::MergeScan;
 use masm_pagestore::{Key, Record};
 use masm_storage::SessionHandle;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::{assert_rows, Model, Op, Outcome, Scan, Table};
+use crate::{assert_rows, Model, Op, Outcome, Table};
 
 /// Writers, scanners and maintenance as lanes that take turns on one
 /// thread, each on its own session, in an order a seed picks: an
@@ -50,7 +51,7 @@ pub enum Turn {
 
 /// A scanner's open scan and what it has returned so far.
 struct Open {
-    scan: Scan,
+    scan: MergeScan,
     begin: Key,
     end: Key,
     got: Vec<Record>,

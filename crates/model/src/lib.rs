@@ -6,9 +6,9 @@
 //!   says what a scan at timestamp *t* must return (§3.2: exactly the
 //!   updates ≤ *t*) and what a crash must recover to (§3.6: every
 //!   acknowledged update).
-//! * [`Table`] — the one fixture: a standalone engine or N shards over
-//!   fresh in-memory devices, behind one set of verbs, with a crash
-//!   image taken WAL → SSD → disk and recovery from it.
+//! * [`Table`] — the one fixture: an engine over fresh in-memory
+//!   devices, with a crash image taken WAL → SSD → disk and recovery
+//!   from it.
 //! * [`Op`] — the one step alphabet, its strategy ([`op_strategy`]) and
 //!   its runner ([`Table::step`], [`Table::run`]), which keeps the model
 //!   up to date and holds every read to it.
@@ -31,7 +31,7 @@ use masm_storage::{SessionHandle, SimDevice};
 pub use lanes::{Lanes, Turn};
 pub use model::Model;
 pub use op::{op_strategy, puts, update_strategy, Op, Outcome};
-pub use table::{Devices, Scan, Spec, Table};
+pub use table::{Devices, Spec, Table};
 
 /// The schema of every table here: the paper's 100-byte synthetic
 /// record (a `u32` measure and 88 filler bytes behind an 8-byte key).
@@ -62,10 +62,9 @@ pub fn rows(n: u64) -> impl Iterator<Item = Record> {
 /// offset 0, and a session on that clock: for tests that write runs
 /// without an engine.
 pub fn flash() -> (SimDevice, SessionHandle) {
-    let dev = Devices::new(1);
-    let ssd = dev.ssds[0].clone();
-    ssd.prime_head_position(0);
-    (ssd, dev.session())
+    let dev = Devices::default();
+    dev.ssd.prime_head_position(0);
+    (dev.ssd.clone(), dev.session())
 }
 
 /// Fail unless `got` equals `want`, naming `what` and the first record
@@ -89,13 +88,9 @@ mod tests {
     use masm_core::MasmConfig;
     use proptest::prelude::*;
 
-    /// A table of 150 rows through `door`, split at key 151 if sharded.
-    fn table(sharded: bool) -> (Table, Model) {
-        let mut cfg = MasmConfig::small_for_tests();
-        if sharded {
-            cfg.sharding.splits = vec![151];
-        }
-        let t = Spec::new(cfg, sharded).open();
+    /// A table of 150 rows.
+    fn table() -> (Table, Model) {
+        let t = Table::new(MasmConfig::small_for_tests());
         let model = t.load(150);
         (t, model)
     }
@@ -103,16 +98,14 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
 
-        /// Both doors, every step, crashes included: the runner holds
-        /// each read and each recovery to the model.
+        /// Every step, crashes included: the runner holds each read and
+        /// each recovery to the model.
         #[test]
-        fn either_door_is_the_model(
+        fn the_table_is_the_model(
             ops in proptest::collection::vec(prop_oneof![20 => op_strategy(400), 1 => Just(Op::Crash)], 1..300),
         ) {
-            for sharded in [false, true] {
-                let (mut t, mut model) = table(sharded);
-                t.run(&mut model, &ops);
-            }
+            let (mut t, mut model) = table();
+            t.run(&mut model, &ops);
         }
     }
 
@@ -121,7 +114,7 @@ mod tests {
     #[test]
     fn a_seed_replays_its_schedule() {
         let schedule = |seed: u64| {
-            let (mut t, mut model) = table(false);
+            let (mut t, mut model) = table();
             let maintenance = [Op::Flush, Op::MigrateRange(0, 99), Op::Compact, Op::Migrate];
             let lanes = Lanes::new(seed)
                 .ops(puts("writer", 400).take(600))

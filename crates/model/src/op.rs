@@ -48,12 +48,12 @@ pub enum Outcome {
     },
     /// A flush.
     Flush,
-    /// Per shard, the compaction's report.
-    Compact(Vec<MergeReport>),
-    /// Per migrating shard, the (partial) migration's report.
-    Migrate(Vec<MigrationReport>),
-    /// Per shard, what recovery reported.
-    Crash(Vec<RecoveryReport>),
+    /// The compaction's report.
+    Compact(MergeReport),
+    /// The (partial) migration's report.
+    Migrate(MigrationReport),
+    /// What recovery reported.
+    Crash(RecoveryReport),
 }
 
 /// An update: inserts, deletes, modifies of either field, replaces.
@@ -141,9 +141,9 @@ impl Table {
             Op::Compact => self.compact().map(Outcome::Compact),
             Op::Migrate => self.migrate().map(Outcome::Migrate),
             Op::MigrateRange(begin, end) => self.migrate_range(*begin, *end).map(Outcome::Migrate),
-            Op::Crash => self.crash(None).map(|reports| {
+            Op::Crash => self.crash(None).map(|report| {
                 self.check(model);
-                Outcome::Crash(reports)
+                Outcome::Crash(report)
             }),
         };
         done.unwrap_or_else(failed)

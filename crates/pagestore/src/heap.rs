@@ -144,9 +144,8 @@ pub struct TableHeap {
     /// [`TableHeap::rewriter_range`] to its `finish`/drop — the one
     /// lock here that is *meant* to be held across device I/O (a whole
     /// rewrite), hence a plain mutex and not a tracked one. A second
-    /// rewriter (another shard's migration over the shared heap) waits
-    /// for the first instead of splicing the page map at logical
-    /// indices the first one's splices have shifted.
+    /// rewriter waits for the first instead of splicing the page map at
+    /// logical indices the first one's splices have shifted.
     rewrite: Mutex<()>,
 }
 
@@ -381,19 +380,37 @@ impl TableHeap {
 
     /// Replay a logged chunk splice (crash recovery). Mirrors what
     /// [`HeapRewriter::commit_chunk`] did before the crash, without any
-    /// device I/O.
-    pub fn apply_splice(&self, commit: &ChunkCommit) {
+    /// device I/O. A splice that does not fit the heap as rebuilt so
+    /// far — a range past the page map, a key count that is not its
+    /// page count, a record count below zero — changes nothing and
+    /// says which check it failed.
+    pub fn apply_splice(&self, commit: &ChunkCommit) -> Result<(), &'static str> {
         let page_size = self.cfg.page_size as u64;
         let mut st = self.state.write();
-        let range = commit.at..commit.at + commit.n_old;
+        let end = commit.at.checked_add(commit.n_old);
+        let range = commit.at..end.ok_or("splice range overflows")?;
+        if range.end > st.page_map.len() {
+            return Err("splice range past the page map");
+        }
+        if commit.min_keys.len() != commit.n_new {
+            return Err("splice key count is not its page count");
+        }
+        let record_count = i64::try_from(st.record_count)
+            .ok()
+            .and_then(|n| n.checked_add(commit.record_delta))
+            .and_then(|n| u64::try_from(n).ok())
+            .ok_or("splice record count below zero")?;
+        let new_end = (commit.n_new as u64)
+            .checked_mul(page_size)
+            .and_then(|len| commit.base_phys.checked_add(len))
+            .ok_or("splice pages past the device")?;
         let new_phys = (0..commit.n_new).map(|i| commit.base_phys + i as u64 * page_size);
         st.page_map.splice(range.clone(), new_phys);
         st.index.splice(range, &commit.min_keys);
-        st.record_count = (st.record_count as i64 + commit.record_delta) as u64;
+        st.record_count = record_count;
         let mut alloc = self.alloc.lock();
-        alloc.next = alloc
-            .next
-            .max(commit.base_phys + commit.n_new as u64 * page_size);
+        alloc.next = alloc.next.max(new_end);
+        Ok(())
     }
 
     /// The page map and index minimum keys (durable metadata snapshot).
@@ -1097,7 +1114,7 @@ mod tests {
         rw.finish();
     }
 
-    /// Two rewriters over one heap — two shards migrating into it.
+    /// Two rewriters over one heap.
     /// Splices shift logical page indices, so the second must not look
     /// its range up, let alone commit, while the first is mid-chunk:
     /// without the rewrite lock B's commits below move the pages A read

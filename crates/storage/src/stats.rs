@@ -34,18 +34,18 @@ impl Unit {
 }
 
 /// How one statistics field aggregates over time ([`StatFamily::delta`])
-/// and across shards ([`StatFamily::merge`]).
+/// and across sources ([`StatFamily::merge`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StatKind {
     /// Monotone event count: `delta` subtracts, `merge` adds.
     Counter,
-    /// Current level of a resource that shards hold disjointly (resident
-    /// bytes, touched blocks): `delta` carries the newer value, `merge`
-    /// adds.
+    /// Current level of a resource that sources hold disjointly
+    /// (resident bytes, touched blocks): `delta` carries the newer
+    /// value, `merge` adds.
     Level,
-    /// High-water mark, or a level every shard reports for one shared
-    /// resource (the worker pool): `delta` carries the newer value,
-    /// `merge` takes the larger.
+    /// High-water mark, or a level of one shared resource (the worker
+    /// pool): `delta` carries the newer value, `merge` takes the
+    /// larger.
     Peak,
 }
 
@@ -90,9 +90,9 @@ pub trait StatFamily: Copy + Default {
         out
     }
 
-    /// Combine the snapshots of two disjoint sources (two shards, or a
-    /// running total and one more report): counters and levels add,
-    /// peaks take the larger. Associative and commutative.
+    /// Combine the snapshots of two disjoint sources (a running total
+    /// and one more report): counters and levels add, peaks take the
+    /// larger. Associative and commutative.
     #[must_use]
     fn merge(&self, other: &Self) -> Self {
         let mut out = *self;
@@ -327,36 +327,6 @@ pub struct WearStats {
     pub cv: f64,
 }
 
-impl WearStats {
-    /// Combine the wear summaries of two *disjoint* block populations
-    /// (per-shard SSDs). Exact, via the method of moments: each side's
-    /// `(mean, cv)` reconstructs `E[w]` and `E[w²]`, which are weighted
-    /// by block count and recombined — the same numbers a single
-    /// device covering both populations would report.
-    #[must_use]
-    pub fn merge(&self, other: &WearStats) -> WearStats {
-        let n = self.blocks_touched + other.blocks_touched;
-        if n == 0 {
-            return WearStats::default();
-        }
-        let (n1, n2) = (self.blocks_touched as f64, other.blocks_touched as f64);
-        let mean = (n1 * self.mean_writes_per_block + n2 * other.mean_writes_per_block) / n as f64;
-        let sq = |s: &WearStats| {
-            let m = s.mean_writes_per_block;
-            (s.cv * m).powi(2) + m * m
-        };
-        let e2 = (n1 * sq(self) + n2 * sq(other)) / n as f64;
-        let var = (e2 - mean * mean).max(0.0);
-        let cv = if mean > 0.0 { var.sqrt() / mean } else { 0.0 };
-        WearStats {
-            max_writes_per_block: self.max_writes_per_block.max(other.max_writes_per_block),
-            mean_writes_per_block: mean,
-            blocks_touched: n,
-            cv,
-        }
-    }
-}
-
 stat_family! {
     /// Counters and residency levels of a read cache sitting above a
     /// device (the two-tier block cache of `masm-blockrun`).
@@ -497,11 +467,10 @@ stat_family! {
 
 stat_family! {
     /// Background worker-pool occupancy and lifetime counters; all zero
-    /// for an inline engine (`background_workers = 0`). The shards of
-    /// one engine share one pool, so the pool-wide levels are peaks.
-    /// Each shard's workers bump the job counters of that shard's
-    /// [`WorkerStatsRecorder`]; the levels are read off the pool and
-    /// the engine state when a snapshot is taken.
+    /// for an inline engine (`background_workers = 0`). The workers
+    /// bump the job counters of the pool's [`WorkerStatsRecorder`]; the
+    /// levels are read off the pool and the engine state when a
+    /// snapshot is taken.
     pub struct WorkerStats, atomic WorkerStatsRecorder {
         Peak threads: Ops = "configured background worker threads",
         Peak queue_depth: Ops = "jobs waiting in the backlog queue",

@@ -113,17 +113,6 @@ impl Histogram {
             max: self.max.load(Ordering::Relaxed),
         }
     }
-
-    /// Fold another histogram's snapshot into this one (bucket-wise
-    /// add), as if its samples had been recorded here. With per-shard
-    /// histograms this is how a global latency family is assembled.
-    pub fn merge(&self, other: &HistogramSnapshot) {
-        for (b, &n) in self.buckets.iter().zip(other.buckets.iter()) {
-            b.fetch_add(n, Ordering::Relaxed);
-        }
-        self.sum.fetch_add(other.sum, Ordering::Relaxed);
-        self.raise_max(other.max);
-    }
 }
 
 /// Copyable summary of a [`Histogram`]. Sample unit is whatever the
@@ -214,22 +203,6 @@ impl HistogramSnapshot {
             max: self.max,
         }
     }
-
-    /// Combine two snapshots as if their streams had been recorded into
-    /// one histogram: buckets and counts add, the sum wraps (matching
-    /// its recording semantics), and `max` takes the larger high-water
-    /// mark. Associative and commutative, so summing per-shard
-    /// snapshots in any order yields the same global histogram — the
-    /// property the shard-aggregation proptest pins.
-    #[must_use]
-    pub fn merge(&self, other: &HistogramSnapshot) -> HistogramSnapshot {
-        HistogramSnapshot {
-            buckets: std::array::from_fn(|i| self.buckets[i] + other.buckets[i]),
-            count: self.count + other.count,
-            sum: self.sum.wrapping_add(other.sum),
-            max: self.max.max(other.max),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -297,26 +270,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_is_bucketwise_add() {
-        let h1 = Histogram::new();
-        let h2 = Histogram::new();
-        for v in [1u64, 100] {
-            h1.record(v);
-        }
-        for v in [2u64, 5000] {
-            h2.record(v);
-        }
-        let merged = h1.snapshot().merge(&h2.snapshot());
-        assert_eq!(merged.count, 4);
-        assert_eq!(merged.sum, 5103);
-        assert_eq!(merged.max, 5000);
-        assert_eq!(merged.buckets.iter().sum::<u64>(), 4);
-        // Folding into a live histogram matches snapshot-level merge.
-        h1.merge(&h2.snapshot());
-        assert_eq!(h1.snapshot(), merged);
-    }
-
-    #[test]
     fn snapshot_delta_subtracts_counts_keeps_max() {
         let h = Histogram::new();
         h.record(10);
@@ -359,7 +312,7 @@ mod tests {
         assert_eq!(h.count(), h.snapshot().buckets.iter().sum::<u64>());
     }
 
-    /// `record`, `record_n`, `merge`, `delta` and the two renderings
+    /// `record`, `record_n`, `delta` and the two renderings
     /// over a fixed sample list, against what the histogram with a
     /// stored `count` (and an unconditional `fetch_max`) produced.
     #[test]
@@ -371,10 +324,8 @@ mod tests {
         let earlier = h.snapshot();
         h.record_n(4096, 300);
         h.record_n(7, 0);
-        let other = Histogram::new();
-        other.record(17);
-        other.record_n(70_000, 2);
-        h.merge(&other.snapshot());
+        h.record(17);
+        h.record_n(70_000, 2);
         let now = h.snapshot();
 
         let mut buckets = [0u64; HISTOGRAM_BUCKETS];
@@ -396,11 +347,6 @@ mod tests {
             (303, 1_368_817, 70_000)
         );
         assert_eq!(delta.buckets.iter().sum::<u64>(), 303);
-        let merged = now.merge(&earlier);
-        assert_eq!(
-            (merged.count, merged.sum, merged.max),
-            (315, 1_371_033, 70_000)
-        );
 
         let stats = crate::EngineStats {
             ops: crate::OpLatencies {

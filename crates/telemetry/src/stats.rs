@@ -50,15 +50,6 @@ impl OpCountDelta {
             sum_ns: v.get_u64("sum_ns")?,
         })
     }
-
-    /// Combine per-shard interval deltas (counts and latency sums add).
-    #[must_use]
-    pub fn merge(&self, other: &OpCountDelta) -> OpCountDelta {
-        OpCountDelta {
-            count: self.count + other.count,
-            sum_ns: self.sum_ns.wrapping_add(other.sum_ns),
-        }
-    }
 }
 
 /// Declare the public engine operations once: [`OpLatencies`] (one
@@ -90,25 +81,12 @@ macro_rules! op_families {
                 $(f(stringify!($op), $help, &self.$op);)*
             }
 
-            /// Combine per-shard latency families bucket-wise (see
-            /// [`HistogramSnapshot::merge`]).
-            #[must_use]
-            pub fn merge(&self, other: &OpLatencies) -> OpLatencies {
-                OpLatencies { $($op: self.$op.merge(&other.$op),)* }
-            }
-
             fn delta(&self, earlier: &OpLatencies) -> OpCountDeltas {
                 OpCountDeltas { $($op: OpCountDelta::between(&earlier.$op, &self.$op),)* }
             }
         }
 
         impl OpCountDeltas {
-            /// Combine per-shard interval deltas family-wise.
-            #[must_use]
-            pub fn merge(&self, other: &OpCountDeltas) -> OpCountDeltas {
-                OpCountDeltas { $($op: self.$op.merge(&other.$op),)* }
-            }
-
             fn to_json(self) -> String {
                 let mut o = JsonObj::new();
                 $(o.raw(stringify!($op), &self.$op.to_json());)*
@@ -353,36 +331,6 @@ impl EngineStats {
         }
     }
 
-    /// Combine two shards' snapshots into the global engine view: the
-    /// snapshot a single engine covering both shards' work would have
-    /// produced. Every family merges by its fields' [`StatKind`]; the
-    /// wear summary recombines exactly via moments
-    /// ([`WearStats::merge`](masm_storage::WearStats::merge)).
-    ///
-    /// `merge` is associative and commutative, and commutes with
-    /// [`EngineStats::delta`] when all snapshots are taken on one
-    /// shared clock (`at_ns` equal across shards at each sampling
-    /// instant) — the property the aggregation proptest pins, so
-    /// summing per-shard deltas equals the delta of summed snapshots.
-    #[must_use]
-    pub fn merge(&self, other: &EngineStats) -> EngineStats {
-        EngineStats {
-            at_ns: self.at_ns.max(other.at_ns),
-            ingested_updates: self.ingested_updates + other.ingested_updates,
-            ingested_bytes: self.ingested_bytes + other.ingested_bytes,
-            buffer: self.buffer.merge(&other.buffer),
-            runs: self.runs.merge(&other.runs),
-            cache: self.cache.merge(&other.cache),
-            merge: self.merge.merge(&other.merge),
-            compression: self.compression.merge(&other.compression),
-            ssd: self.ssd.merge(&other.ssd),
-            ssd_wear: self.ssd_wear.merge(&other.ssd_wear),
-            wal: self.wal.merge(&other.wal),
-            workers: self.workers.merge(&other.workers),
-            ops: self.ops.merge(&other.ops),
-        }
-    }
-
     /// Internal-consistency checks shared by tests and benches. Returns
     /// human-readable violations; empty means the snapshot is coherent.
     #[must_use]
@@ -448,27 +396,6 @@ impl StatsDelta {
             return 0.0;
         }
         self.ingested_updates as f64 * 1e9 / self.elapsed_ns as f64
-    }
-
-    /// Combine per-shard interval deltas into the global interval: the
-    /// same rules as [`EngineStats::merge`]. `elapsed_ns` takes the max
-    /// — per-shard snapshots of one engine are cut on one shared clock,
-    /// so the intervals coincide and max (rather than sum) keeps rates
-    /// honest.
-    #[must_use]
-    pub fn merge(&self, other: &StatsDelta) -> StatsDelta {
-        StatsDelta {
-            elapsed_ns: self.elapsed_ns.max(other.elapsed_ns),
-            ingested_updates: self.ingested_updates + other.ingested_updates,
-            ingested_bytes: self.ingested_bytes + other.ingested_bytes,
-            cache: self.cache.merge(&other.cache),
-            merge: self.merge.merge(&other.merge),
-            compression: self.compression.merge(&other.compression),
-            ssd: self.ssd.merge(&other.ssd),
-            wal: self.wal.merge(&other.wal),
-            workers: self.workers.merge(&other.workers),
-            ops: self.ops.merge(&other.ops),
-        }
     }
 
     /// One compact JSON object; [`StatsDelta::from_json`] inverts it.

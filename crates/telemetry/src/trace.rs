@@ -27,9 +27,8 @@
 //! * **Causal links.** Flow ids ([`Tracer::next_flow_id`]) connect a
 //!   producer-side [`Tracer::flow_start`] to a consumer-side
 //!   [`Tracer::flow_finish`] across threads; Perfetto draws the arrow
-//!   between the enclosing slices. Track ids map `pid` = shard and
-//!   `tid` = OS thread ([`current_tid`]), so a sharded engine renders
-//!   as one process lane per shard.
+//!   between the enclosing slices. Track ids map `pid` = process lane
+//!   (0 for the engine) and `tid` = OS thread ([`current_tid`]).
 //!
 //! Timestamps come from whatever clock the caller samples — the engine
 //! passes virtual time (session cursors or the shared high-water
@@ -58,10 +57,11 @@ pub enum RecordKind {
     Counter,
 }
 
-/// Where an event renders: `pid` = shard, `tid` = worker/actor thread.
+/// Where an event renders: `pid` = process lane, `tid` = worker/actor
+/// thread.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TrackId {
-    /// Process lane: the shard id (0 for an unsharded engine).
+    /// Process lane (0 for the engine).
     pub pid: u32,
     /// Thread lane: a process-wide thread index ([`current_tid`]).
     pub tid: u32,
@@ -74,7 +74,7 @@ pub struct TrackId {
 pub struct TraceRecord {
     /// Event kind.
     pub kind: RecordKind,
-    /// Shard/thread lane.
+    /// Process/thread lane.
     pub track: TrackId,
     /// Event (or span) name; flow start/finish pairs share a name.
     pub name: &'static str,
@@ -569,8 +569,8 @@ pub struct InvariantWatchdog {
 }
 
 impl InvariantWatchdog {
-    /// A watchdog emitting on `tracer` under `track` (pid = the shard
-    /// being watched), polling at most once per `interval_ns`.
+    /// A watchdog emitting on `tracer` under `track`, polling at most
+    /// once per `interval_ns`.
     #[must_use]
     pub fn new(tracer: Arc<Tracer>, track: TrackId, interval_ns: u64) -> Self {
         InvariantWatchdog {

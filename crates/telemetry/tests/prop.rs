@@ -45,9 +45,8 @@ fn family_of<F: StatFamily>(vals: &[u64], salt: usize) -> F {
     f
 }
 
-/// A synthetic shard snapshot at `at` whose families are driven by the
-/// knobs `c`. Monotone in every element of `c`, so a later cut of the
-/// same shard is `stats_with(at_b, base + inc)`.
+/// A synthetic snapshot at `at` whose families are driven by the knobs
+/// `c`.
 fn stats_with(at: u64, c: &[u64]) -> EngineStats {
     let h = Histogram::new();
     for i in 0..(c[0].min(64)) {
@@ -95,11 +94,6 @@ fn check_family_algebra<F: StatFamily + PartialEq + std::fmt::Debug>(
     );
     prop_assert_eq!(a1.delta(&F::default()), a1);
     Ok(())
-}
-
-fn shard_counters() -> impl Strategy<Value = Vec<(Vec<u64>, Vec<u64>)>> {
-    let knobs = || proptest::collection::vec(0u64..(1 << 30), 16);
-    proptest::collection::vec((knobs(), knobs()), 1..5)
 }
 
 proptest! {
@@ -207,66 +201,5 @@ proptest! {
         let parsed = parse(&d.to_json()).expect("delta JSON parses");
         let back = StatsDelta::from_json(&parsed).expect("delta reconstructs");
         prop_assert_eq!(d, back);
-    }
-
-    /// Histogram merge is bucketwise addition, hence commutative and
-    /// associative — the algebra per-shard latency aggregation relies
-    /// on.
-    #[test]
-    fn histogram_merge_is_commutative_and_associative(
-        a in samples(), b in samples(), c in samples(),
-    ) {
-        let (sa, sb, sc) = (snapshot_of(&a), snapshot_of(&b), snapshot_of(&c));
-        prop_assert_eq!(sa.merge(&sb), sb.merge(&sa));
-        prop_assert_eq!(sa.merge(&sb).merge(&sc), sa.merge(&sb.merge(&sc)));
-        // Merging equals recording the concatenated stream (modulo
-        // nothing: buckets, count, sum, and max are all exact).
-        let all: Vec<u64> = a.iter().chain(&b).copied().collect();
-        prop_assert_eq!(sa.merge(&sb), snapshot_of(&all));
-    }
-
-    /// The sharded-stats aggregation identity: for per-shard snapshot
-    /// pairs (aᵢ, bᵢ) cut at the same two instants on one shared clock,
-    /// *delta of merges equals merge of deltas* —
-    /// `merge(b₀..bₙ).delta(merge(a₀..aₙ)) == merge(bᵢ.delta(aᵢ))`.
-    /// This is what lets `ShardedEngine::stats()` totals be differenced
-    /// across time exactly as a single engine's would be. Merge itself
-    /// is also checked commutative and associative.
-    #[test]
-    fn shard_merge_commutes_with_delta(
-        shards in shard_counters(),
-        at_a in 1u64..(1 << 40),
-        dt in 1u64..(1 << 30),
-    ) {
-        let at_b = at_a + dt;
-        let earlier: Vec<EngineStats> = shards
-            .iter()
-            .map(|(base, _)| stats_with(at_a, base))
-            .collect();
-        let later: Vec<EngineStats> = shards
-            .iter()
-            .map(|(base, inc)| {
-                let grown: Vec<u64> = base.iter().zip(inc).map(|(b, i)| b + i).collect();
-                stats_with(at_b, &grown)
-            })
-            .collect();
-        let merged_a = earlier[1..].iter().fold(earlier[0], |acc, s| acc.merge(s));
-        let merged_b = later[1..].iter().fold(later[0], |acc, s| acc.merge(s));
-        // Commutativity + associativity of the snapshot merge.
-        let reversed = earlier[..earlier.len() - 1]
-            .iter()
-            .rev()
-            .fold(*earlier.last().unwrap(), |acc, s| acc.merge(s));
-        prop_assert_eq!(merged_a, reversed);
-        // Sum-of-deltas == delta-of-sums.
-        let per_shard: Vec<StatsDelta> = later
-            .iter()
-            .zip(&earlier)
-            .map(|(b, a)| b.delta(a))
-            .collect();
-        let summed = per_shard[1..]
-            .iter()
-            .fold(per_shard[0], |acc, d| acc.merge(d));
-        prop_assert_eq!(merged_b.delta(&merged_a), summed);
     }
 }

@@ -16,11 +16,9 @@
 //!   `fig04_tpch_inplace_col` and `fig14_tpch_masm`).
 
 pub mod synthetic;
-pub mod tenant;
 pub mod tpch;
 pub mod zipf;
 
 pub use synthetic::{SyntheticTable, UpdateKind, UpdateMix, UpdateStreamGen};
-pub use tenant::{compose_key, split_key, MultiTenantKeyGen, TENANT_SHIFT};
 pub use tpch::{QueryProfile, TpchTables, TPCH_QUERIES};
 pub use zipf::Zipf;

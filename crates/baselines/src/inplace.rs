@@ -17,27 +17,12 @@ use masm_storage::SessionHandle;
 pub struct InPlaceEngine {
     heap: Arc<TableHeap>,
     schema: Schema,
-    applied: std::sync::atomic::AtomicU64,
 }
 
 impl InPlaceEngine {
     /// Wrap a heap.
     pub fn new(heap: Arc<TableHeap>, schema: Schema) -> Self {
-        InPlaceEngine {
-            heap,
-            schema,
-            applied: std::sync::atomic::AtomicU64::new(0),
-        }
-    }
-
-    /// The underlying heap (scans go straight to it — no merging needed).
-    pub fn heap(&self) -> &Arc<TableHeap> {
-        &self.heap
-    }
-
-    /// Updates applied so far.
-    pub fn applied(&self) -> u64 {
-        self.applied.load(std::sync::atomic::Ordering::Relaxed)
+        InPlaceEngine { heap, schema }
     }
 
     /// Apply one update: random 4 KB read, modify, random 4 KB write
@@ -60,8 +45,6 @@ impl InPlaceEngine {
             }
         })?;
         edited.ok_or(MasmError::Corrupt("in-place update on empty table"))?;
-        self.applied
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         Ok(())
     }
 }
@@ -100,10 +83,7 @@ mod tests {
     }
 
     fn scan_keys(e: &InPlaceEngine, s: &SessionHandle, a: Key, b: Key) -> Vec<Key> {
-        e.heap()
-            .scan_range(s.clone(), a, b)
-            .map(|r| r.key)
-            .collect()
+        e.heap.scan_range(s.clone(), a, b).map(|r| r.key).collect()
     }
 
     #[test]
@@ -125,15 +105,14 @@ mod tests {
         let keys = scan_keys(&e, &s, 0, 50);
         assert!(keys.contains(&11));
         assert!(!keys.contains(&20));
-        let rec = e.heap().scan_range(s, 30, 30).next().unwrap();
+        let rec = e.heap.scan_range(s, 30, 30).next().unwrap();
         assert_eq!(schema().get_u32(&rec.payload, 0), 303);
-        assert_eq!(e.applied(), 3);
     }
 
     #[test]
     fn updates_cost_random_disk_ios() {
         let (e, s) = setup(10_000);
-        let disk = e.heap().device().clone();
+        let disk = e.heap.device().clone();
         disk.reset_stats();
         // Spread updates across the table: every one is a seek.
         for i in 0..20u64 {
@@ -150,7 +129,7 @@ mod tests {
     #[test]
     fn an_update_reads_its_page_once() {
         let (e, s) = setup(10_000);
-        let disk = e.heap().device().clone();
+        let disk = e.heap.device().clone();
         disk.reset_stats();
         e.apply_update(&s, 9_998, UpdateOp::Replace(payload(1)), 1)
             .unwrap();

@@ -32,7 +32,6 @@ struct IuState {
     /// staging buffer so SSD writes stay sequential and page-sized).
     staged: Vec<u8>,
     staged_base: u64,
-    updates: u64,
 }
 
 /// The ideal-case Indexed-Updates engine.
@@ -55,19 +54,8 @@ impl IuEngine {
                 tail: 0,
                 staged: Vec::new(),
                 staged_base: 0,
-                updates: 0,
             }),
         }
-    }
-
-    /// The main-data heap.
-    pub fn heap(&self) -> &Arc<TableHeap> {
-        &self.heap
-    }
-
-    /// Number of cached updates.
-    pub fn cached_updates(&self) -> u64 {
-        self.state.lock().updates
     }
 
     /// Estimated memory footprint of the in-memory index, in bytes
@@ -95,7 +83,6 @@ impl IuEngine {
             .or_default()
             .push((offset, encoded.len() as u32));
         st.staged.extend_from_slice(&encoded);
-        st.updates += 1;
         // Flush full pages sequentially.
         while st.staged.len() as u64 >= IU_PAGE {
             let page: Vec<u8> = st.staged.drain(..IU_PAGE as usize).collect();
@@ -281,7 +268,6 @@ mod tests {
             e.apply_update(&s, i, UpdateOp::Delete, i + 1).unwrap();
         }
         assert!(e.index_memory_bytes() > before);
-        assert_eq!(e.cached_updates(), 100);
     }
 
     #[test]

@@ -25,4 +25,3 @@ pub mod lsm;
 
 pub use inplace::InPlaceEngine;
 pub use iu::IuEngine;
-pub use lsm::LsmEngine;

@@ -98,11 +98,6 @@ impl LsmEngine {
         }
     }
 
-    /// The main-data heap.
-    pub fn heap(&self) -> &Arc<TableHeap> {
-        &self.heap
-    }
-
     /// Updates ingested and their logical bytes.
     fn ingest_stats(&self) -> (u64, u64) {
         let st = self.state.lock();

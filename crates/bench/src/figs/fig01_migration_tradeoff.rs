@@ -11,7 +11,7 @@ use masm_core::theory::MigrationModel;
 
 use crate::Report;
 
-pub fn run(_mb: u64) -> Report {
+pub(crate) fn run(_mb: u64) -> Report {
     let model = MigrationModel::paper_defaults();
     let reference = model.in_memory_overhead(16.0 * 1024.0 * 1024.0 * 1024.0);
 

@@ -12,7 +12,7 @@ use masm_workloads::tpch::TPCH_QUERIES;
 use crate::tpch_replay::TpchEnv;
 use crate::{secs, Report};
 
-pub fn run(mb: u64) -> Report {
+pub(crate) fn run(mb: u64) -> Report {
     let total_bytes = mb * MIB;
 
     let mut rows = Vec::new();

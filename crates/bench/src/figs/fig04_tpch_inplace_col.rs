@@ -20,7 +20,7 @@ use crate::{secs, Report};
 
 const COLUMN_FRACTION: f64 = 0.35;
 
-pub fn run(mb: u64) -> Report {
+pub(crate) fn run(mb: u64) -> Report {
     let total_bytes = mb * MIB;
 
     let mut rows = Vec::new();

@@ -18,7 +18,7 @@ use crate::{
     mean_ns, range_ladder, ratio, size_label, time_scan_with_inplace_updates, Report, SyntheticEnv,
 };
 
-pub fn run(mb: u64) -> Report {
+pub(crate) fn run(mb: u64) -> Report {
     let reps = 5usize;
 
     // Baseline: clean table, no updates anywhere.

@@ -107,7 +107,7 @@ fn per_lookup(ns: Ns, n: usize) -> String {
     format!("{:.0}", ns as f64 / n as f64)
 }
 
-pub fn run(mb: u64) -> Report {
+pub(crate) fn run(mb: u64) -> Report {
     // Scale entry count with the table scale; lookups stay fixed.
     let entries_n = (mb * 4096).max(50_000);
     let lookups = 600u64;

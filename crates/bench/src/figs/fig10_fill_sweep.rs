@@ -10,7 +10,7 @@ use masm_storage::MIB;
 
 use crate::{range_ladder, ratio, size_label, Report, SyntheticEnv};
 
-pub fn run(mb: u64) -> Report {
+pub(crate) fn run(mb: u64) -> Report {
     let fills = [0.25, 0.50, 0.75, 0.99];
 
     let baseline = SyntheticEnv::new(mb);

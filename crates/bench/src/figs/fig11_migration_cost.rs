@@ -65,7 +65,7 @@ fn compaction_disjoint(mb: u64) -> Compaction {
     (runs_in, env.engine.compact_runs(&session).expect("compaction"))
 }
 
-pub fn run(mb: u64) -> Report {
+pub(crate) fn run(mb: u64) -> Report {
     // Pure full-table scan.
     let baseline = SyntheticEnv::new(mb);
     let scan_ns = baseline.time_pure_scan(0, u64::MAX);

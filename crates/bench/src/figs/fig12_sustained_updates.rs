@@ -25,7 +25,7 @@ use masm_workloads::synthetic::{UpdateMix, UpdateStreamGen};
 
 use crate::{secs, Report, SyntheticEnv};
 
-pub fn run(mb: u64) -> Report {
+pub(crate) fn run(mb: u64) -> Report {
     let mut rows = Vec::new();
 
     // Raw random 4 KB writes on the disk.

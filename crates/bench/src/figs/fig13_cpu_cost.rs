@@ -38,7 +38,7 @@ fn drain_with_cpu<I: Iterator<Item = Record>>(
     session.now() - start
 }
 
-pub fn run(mb: u64) -> Report {
+pub(crate) fn run(mb: u64) -> Report {
     // The paper scans 10 GB of its 100 GB table: use 1/10 of ours.
     let baseline = SyntheticEnv::new(mb);
     let masm = SyntheticEnv::with_config_mutator(mb, |cfg| {

@@ -12,7 +12,7 @@ use masm_workloads::tpch::TPCH_QUERIES;
 use crate::tpch_replay::{TpchEnv, TpchMasm};
 use crate::{secs, Report};
 
-pub fn run(mb: u64) -> Report {
+pub(crate) fn run(mb: u64) -> Report {
     let total_bytes = mb * MIB;
     // The paper uses 1 GB flash for ~30 GB of tables: 1/30.
     let flash = total_bytes / 30;

@@ -167,7 +167,7 @@ fn run_workload(
     }
 }
 
-pub fn run(mb: u64) -> Report {
+pub(crate) fn run(mb: u64) -> Report {
     let raw_bytes = mb * MIB;
 
     let mut rows = Vec::new();

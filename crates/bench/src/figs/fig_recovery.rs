@@ -150,7 +150,7 @@ fn recover(point: &CrashPoint, cfg: &MasmConfig, schema: &Schema) -> Vec<String>
     ]
 }
 
-pub fn run(mb: u64) -> Report {
+pub(crate) fn run(mb: u64) -> Report {
     let schema = Schema::synthetic_100b();
     let mut cfg = scaled_masm_config(mb * MIB);
     cfg.ssd_capacity = cfg.ssd_capacity.max(4 * 64 * 4096);

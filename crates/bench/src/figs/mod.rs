@@ -8,7 +8,7 @@
 use crate::Report;
 
 /// One figure: the table scale in MiB in, its output out.
-pub type Figure = fn(u64) -> Report;
+pub(crate) type Figure = fn(u64) -> Report;
 
 /// Declares each figure's module and lists it in [`FIGURES`].
 macro_rules! figures {

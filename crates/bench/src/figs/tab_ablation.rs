@@ -15,7 +15,7 @@ use masm_workloads::synthetic::{UpdateMix, UpdateStreamGen};
 
 use crate::{ratio, Report, SyntheticEnv};
 
-pub fn run(mb: u64) -> Report {
+pub(crate) fn run(mb: u64) -> Report {
     let mb = mb.min(32);
     let baseline = SyntheticEnv::new(mb);
     let mut report = Report::default();

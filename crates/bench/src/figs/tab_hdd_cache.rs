@@ -35,7 +35,7 @@ fn build(cache_profile: DeviceProfile, mb: u64) -> SyntheticEnv {
     }
 }
 
-pub fn run(mb: u64) -> Report {
+pub(crate) fn run(mb: u64) -> Report {
     let baseline = SyntheticEnv::new(mb);
 
     let ssd_env = build(DeviceProfile::ssd_x25e(), mb);

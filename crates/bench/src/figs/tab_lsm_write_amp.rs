@@ -42,7 +42,7 @@ fn measured_amp(h: u32) -> f64 {
     engine.write_amplification()
 }
 
-pub fn run(_mb: u64) -> Report {
+pub(crate) fn run(_mb: u64) -> Report {
     // Analytic table at the paper's exact setting.
     let flash_pages = 65536u64; // 4 GB / 64 KB
     let mem_pages = 256u64; // 16 MB / 64 KB

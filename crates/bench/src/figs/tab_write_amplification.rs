@@ -57,7 +57,7 @@ fn measure(mb: u64, alpha: f64) -> (f64, u64) {
     )
 }
 
-pub fn run(mb: u64) -> Report {
+pub(crate) fn run(mb: u64) -> Report {
     let mut rows = Vec::new();
     for &alpha in &[0.5f64, 0.75, 1.0, 1.5, 2.0] {
         let theory = masm_alpha_writes_per_update(alpha);

@@ -18,7 +18,7 @@
 
 pub mod figs;
 mod report;
-pub mod tpch_replay;
+pub(crate) mod tpch_replay;
 
 use std::sync::Arc;
 
@@ -44,7 +44,7 @@ pub fn scale_mb() -> Result<u64, String> {
 }
 
 /// The paper's cache:data ratio — 4 GB of flash for 100 GB of data.
-pub const CACHE_FRACTION: f64 = 0.04;
+pub(crate) const CACHE_FRACTION: f64 = 0.04;
 
 /// A fresh simulated machine: one HDD (main data), one SSD (update
 /// cache), one small SSD (WAL), all on a shared virtual clock.
@@ -61,7 +61,7 @@ pub struct Machine {
 
 impl Machine {
     /// Build the machine.
-    pub fn new() -> Machine {
+    pub(crate) fn new() -> Machine {
         let clock = SimClock::new();
         Machine {
             disk: SimDevice::in_memory(DeviceProfile::hdd_barracuda(), clock.clone()),
@@ -86,7 +86,7 @@ impl Default for Machine {
 /// A scaled MaSM configuration: cache = `CACHE_FRACTION` × table bytes,
 /// 4 KiB SSD pages (so M stays meaningful at laptop scale), fine-grain
 /// index.
-pub fn scaled_masm_config(table_bytes: u64) -> MasmConfig {
+pub(crate) fn scaled_masm_config(table_bytes: u64) -> MasmConfig {
     let mut cfg = MasmConfig {
         ssd_page_size: 4096,
         ssd_capacity: ((table_bytes as f64 * CACHE_FRACTION) as u64).max(64 * 4096),
@@ -190,12 +190,12 @@ impl SyntheticEnv {
     }
 
     /// Mean [`time_pure_scan`](Self::time_pure_scan) over `ranges`.
-    pub fn mean_pure_scan(&self, ranges: &[(Key, Key)]) -> Ns {
+    pub(crate) fn mean_pure_scan(&self, ranges: &[(Key, Key)]) -> Ns {
         mean_ns(ranges, |_, b, e| self.time_pure_scan(b, e))
     }
 
     /// Mean [`time_masm_scan`](Self::time_masm_scan) over `ranges`.
-    pub fn mean_masm_scan(&self, ranges: &[(Key, Key)]) -> Ns {
+    pub(crate) fn mean_masm_scan(&self, ranges: &[(Key, Key)]) -> Ns {
         mean_ns(ranges, |_, b, e| self.time_masm_scan(b, e))
     }
 
@@ -203,7 +203,7 @@ impl SyntheticEnv {
     /// ranges), following the paper's "randomly select 10 ranges for
     /// scans of 100MB or larger, and 100 ranges for smaller ranges"
     /// methodology (we use evenly spaced deterministic ranges).
-    pub fn ranges(&self, bytes: u64, count: usize) -> Vec<(Key, Key)> {
+    pub(crate) fn ranges(&self, bytes: u64, count: usize) -> Vec<(Key, Key)> {
         let records_per_range = (bytes / 100).max(1);
         let key_span = records_per_range * 2;
         let max_key = self.table.max_key();
@@ -221,7 +221,7 @@ impl SyntheticEnv {
 /// flight at a time, on a session of its own: whenever it falls behind
 /// the scanning actor in virtual time, it issues the next update of its
 /// stream on the same disk.
-pub struct InPlaceUpdater {
+pub(crate) struct InPlaceUpdater {
     heaps: Vec<masm_baselines::InPlaceEngine>,
     ops: Box<dyn Iterator<Item = (usize, Key, UpdateOp)>>,
     session: SessionHandle,
@@ -234,7 +234,7 @@ impl InPlaceUpdater {
     /// An updater applying `ops` — each the index of the heap it edits,
     /// a key and an operation — to `heaps` (which it mutates!), its
     /// session starting at `clock`'s current time.
-    pub fn new(
+    pub(crate) fn new(
         heaps: Vec<masm_baselines::InPlaceEngine>,
         ops: impl Iterator<Item = (usize, Key, UpdateOp)> + 'static,
         clock: &SimClock,
@@ -250,7 +250,7 @@ impl InPlaceUpdater {
 
     /// Catch the updater up to virtual time `now`: it issues updates
     /// back-to-back until its own session time passes `now`.
-    pub fn catch_up(&mut self, now: Ns) {
+    pub(crate) fn catch_up(&mut self, now: Ns) {
         while self.session.now() < now {
             let Some(op) = self.ops.next() else { break };
             self.apply(op);
@@ -273,7 +273,7 @@ impl InPlaceUpdater {
     /// of independent writes), which is exactly why "query alone +
     /// updates alone" is cheaper than running them concurrently: online
     /// updates must apply one at a time, interleaved with the scan.
-    pub fn apply_exactly(&mut self, n: u64) -> Ns {
+    pub(crate) fn apply_exactly(&mut self, n: u64) -> Ns {
         let start = self.session.now();
         let mut ops: Vec<_> = self.ops.by_ref().take(n as usize).collect();
         ops.sort_by_key(|&(heap, key, _)| (heap, key));
@@ -321,7 +321,7 @@ pub fn time_scan_with_inplace_updates(env: &SyntheticEnv, begin: Key, end: Key, 
 /// Figure 9's range sizes for a table of `table_bytes`: one disk page,
 /// 100 KB, 1 MB and 10 MB where they are smaller than the table, then
 /// half the table and the whole table, ascending and without repeats.
-pub fn range_ladder(table_bytes: u64) -> Vec<u64> {
+pub(crate) fn range_ladder(table_bytes: u64) -> Vec<u64> {
     let mut sizes: Vec<u64> = [4 * 1024, 100 * 1024, MIB, 10 * MIB]
         .into_iter()
         .filter(|&size| size < table_bytes)
@@ -334,7 +334,7 @@ pub fn range_ladder(table_bytes: u64) -> Vec<u64> {
 
 /// Mean virtual time of `scan(i, begin, end)` over `ranges` — the
 /// paper's "average over N ranges" of one range size.
-pub fn mean_ns(ranges: &[(Key, Key)], mut scan: impl FnMut(usize, Key, Key) -> Ns) -> Ns {
+pub(crate) fn mean_ns(ranges: &[(Key, Key)], mut scan: impl FnMut(usize, Key, Key) -> Ns) -> Ns {
     let total: Ns = ranges
         .iter()
         .enumerate()
@@ -344,17 +344,17 @@ pub fn mean_ns(ranges: &[(Key, Key)], mut scan: impl FnMut(usize, Key, Key) -> N
 }
 
 /// Format virtual nanoseconds as seconds.
-pub fn secs(ns: Ns) -> f64 {
+pub(crate) fn secs(ns: Ns) -> f64 {
     ns as f64 / 1e9
 }
 
 /// Format a ratio like "1.07x".
-pub fn ratio(num: Ns, den: Ns) -> String {
+pub(crate) fn ratio(num: Ns, den: Ns) -> String {
     format!("{:.2}x", num as f64 / den.max(1) as f64)
 }
 
 /// Human-readable byte size for range labels.
-pub fn size_label(bytes: u64) -> String {
+pub(crate) fn size_label(bytes: u64) -> String {
     if bytes >= MIB {
         format!("{}MB", bytes / MIB)
     } else if bytes >= 1024 {

@@ -32,20 +32,20 @@ impl Report {
     }
 
     /// A blank line, then `text`.
-    pub fn note(&mut self, text: &str) -> &mut Self {
+    pub(crate) fn note(&mut self, text: &str) -> &mut Self {
         self.0.push('\n');
         self.line(text)
     }
 
     /// `text` on the line(s) right after what came before.
-    pub fn line(&mut self, text: &str) -> &mut Self {
+    pub(crate) fn line(&mut self, text: &str) -> &mut Self {
         self.0.push_str(text);
         self.0.push('\n');
         self
     }
 
     /// A blank line, then one `TS:`-prefixed line per NDJSON row.
-    pub fn series<'a>(&mut self, rows: impl IntoIterator<Item = &'a str>) -> &mut Self {
+    pub(crate) fn series<'a>(&mut self, rows: impl IntoIterator<Item = &'a str>) -> &mut Self {
         self.0.push('\n');
         for row in rows {
             self.0.push_str("TS:");

@@ -16,7 +16,7 @@ use masm_workloads::tpch::{QueryProfile, Table, TpchTables, TpchUpdateGen};
 use crate::{InPlaceUpdater, Machine};
 
 /// A TPC-H machine: tables on one disk, one SSD, one WAL device.
-pub struct TpchEnv {
+pub(crate) struct TpchEnv {
     /// Simulated machine.
     pub machine: Machine,
     /// The replay tables.
@@ -25,7 +25,7 @@ pub struct TpchEnv {
 
 impl TpchEnv {
     /// Build tables totalling `total_bytes`.
-    pub fn new(total_bytes: u64) -> TpchEnv {
+    pub(crate) fn new(total_bytes: u64) -> TpchEnv {
         let machine = Machine::new();
         let session = machine.session();
         let tables = TpchTables::build(&machine.disk, &session, total_bytes).unwrap();
@@ -35,13 +35,13 @@ impl TpchEnv {
     /// Time one query with no updates. `column_factor` scales each scan
     /// range (1.0 = row store; <1 emulates a column store reading only
     /// the referenced columns' bytes).
-    pub fn time_query(&self, q: &QueryProfile, column_factor: f64) -> Ns {
+    pub(crate) fn time_query(&self, q: &QueryProfile, column_factor: f64) -> Ns {
         self.time_query_with(q, column_factor, &mut |_| {})
     }
 
     /// Time one query while `interleave` is invoked between record
     /// batches (the concurrent-updater hook).
-    pub fn time_query_with(
+    pub(crate) fn time_query_with(
         &self,
         q: &QueryProfile,
         column_factor: f64,
@@ -71,7 +71,7 @@ impl TpchEnv {
     /// A saturated in-place updater over the lineitem (heap 0) and
     /// orders (heap 1) heaps, which it mutates, replaying the TPC-H
     /// update groups of `seed` one operation at a time.
-    pub fn inplace_updater(&self, seed: u64) -> InPlaceUpdater {
+    pub(crate) fn inplace_updater(&self, seed: u64) -> InPlaceUpdater {
         let heap = |heap: &Arc<TableHeap>| {
             masm_baselines::InPlaceEngine::new(Arc::clone(heap), self.tables.schema.clone())
         };
@@ -90,7 +90,7 @@ impl TpchEnv {
 /// The Figure-14 configuration: MaSM engines for orders and lineitem
 /// dividing a flash budget, other tables scanned raw. Each engine has
 /// its own update-cache SSD and redo-log device on the machine's clock.
-pub struct TpchMasm {
+pub(crate) struct TpchMasm {
     /// Engine over the orders table.
     pub orders: Arc<MasmEngine>,
     /// Engine over the lineitem table.
@@ -101,7 +101,7 @@ impl TpchMasm {
     /// Build the two engines over `env`'s tables, dividing a flash space
     /// of `flash_bytes` between them (¼ orders, ¾ lineitem — matching
     /// their data sizes).
-    pub fn new(env: &TpchEnv, flash_bytes: u64) -> TpchMasm {
+    pub(crate) fn new(env: &TpchEnv, flash_bytes: u64) -> TpchMasm {
         let page = 4096usize;
         let li_cap = (flash_bytes * 3 / 4 / page as u64) * page as u64;
         let ord_cap = (flash_bytes / 4 / page as u64) * page as u64;
@@ -135,7 +135,7 @@ impl TpchMasm {
     /// Fill both caches to `fraction` of their capacity with correlated
     /// update groups; an engine that has reached its target is fed no
     /// more of them.
-    pub fn fill(&self, env: &TpchEnv, fraction: f64, seed: u64) {
+    pub(crate) fn fill(&self, env: &TpchEnv, fraction: f64, seed: u64) {
         let session = env.machine.session();
         let mut gen = TpchUpdateGen::new(&env.tables, seed);
         let target = |e: &Arc<MasmEngine>| (e.config().ssd_capacity as f64 * fraction) as u64;
@@ -156,7 +156,7 @@ impl TpchMasm {
     }
 
     /// Time one query with MaSM merging on orders/lineitem scans.
-    pub fn time_query(&self, env: &TpchEnv, q: &QueryProfile) -> Ns {
+    pub(crate) fn time_query(&self, env: &TpchEnv, q: &QueryProfile) -> Ns {
         let session = env.machine.session();
         let start = session.now();
         for step in q.steps {

@@ -78,7 +78,7 @@ pub(crate) const COUNT_HEADER: usize = 4;
 pub(crate) const ENTRY_HEADER: usize = 8 + 8 + 4;
 
 /// Flat-encoded size of one entry: the 20-byte header plus its value.
-pub fn flat_entry_len(entry: &Entry) -> usize {
+pub(crate) fn flat_entry_len(entry: &Entry) -> usize {
     ENTRY_HEADER + entry.value.len()
 }
 
@@ -165,7 +165,7 @@ impl EntryRef<'_> {
 
 /// A decoded data block: the flat bytes of [`encode_block`]'s layout,
 /// validated once, plus the offset of every entry header. Entries are
-/// lent out of the buffer ([`FlatBlock::get`]); three allocations per
+/// lent out of the buffer ([`FlatBlock::iter`]); three allocations per
 /// block (buffer, offsets, the cache's `Arc`) whatever it holds.
 #[derive(Debug, PartialEq, Eq)]
 pub struct FlatBlock {
@@ -218,7 +218,7 @@ impl FlatBlock {
     ///
     /// # Panics
     /// If the entries are not ordered by key.
-    pub fn from_entries(entries: &[Entry]) -> FlatBlock {
+    pub(crate) fn from_entries(entries: &[Entry]) -> FlatBlock {
         FlatBlock::parse(encode_block(entries)).expect("entries are ordered by key")
     }
 
@@ -258,7 +258,7 @@ impl FlatBlock {
     /// # Panics
     /// If `i >= self.len()`.
     #[inline]
-    pub fn get(&self, i: usize) -> EntryRef<'_> {
+    pub(crate) fn get(&self, i: usize) -> EntryRef<'_> {
         let entry = &self.bytes[self.offsets[i] as usize..self.offsets[i + 1] as usize];
         let (header, value) = entry
             .split_first_chunk::<ENTRY_HEADER>()

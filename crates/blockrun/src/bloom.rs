@@ -60,7 +60,7 @@ const MAX_K: u32 = 30;
 impl BloomFilter {
     /// Number of hash probes for a given bits-per-key budget
     /// (`k_opt = bits_per_key · ln 2`).
-    pub fn optimal_k(bits_per_key: u32) -> u32 {
+    pub(crate) fn optimal_k(bits_per_key: u32) -> u32 {
         ((bits_per_key as f64 * std::f64::consts::LN_2).round() as u32).clamp(1, MAX_K)
     }
 
@@ -74,7 +74,7 @@ impl BloomFilter {
     ///
     /// The bit count rounds up to a power of two so that filters of
     /// different sizes stay *foldable* into one another
-    /// ([`BloomFilter::fold_to`]) — compaction unions input filters of
+    /// ([`BloomFilter::union`]) — compaction unions input filters of
     /// unequal runs without re-reading any key.
     pub fn build(keys: impl IntoIterator<Item = u64>, bits_per_key: u32) -> Self {
         let keys: Vec<u64> = keys.into_iter().collect();
@@ -121,11 +121,6 @@ impl BloomFilter {
         self.bits.len() * 8
     }
 
-    /// Number of bits in the filter.
-    pub fn n_bits(&self) -> u64 {
-        self.n_bits
-    }
-
     /// Fraction of bits set (1.0 ⇒ saturated, every probe answers
     /// "maybe").
     pub fn fill_ratio(&self) -> f64 {
@@ -140,7 +135,7 @@ impl BloomFilter {
     /// false negatives; the false-positive rate rises with the tighter
     /// packing). `None` when `n_bits` is not a power of two ≥ 64 or
     /// exceeds the current size.
-    pub fn fold_to(&self, n_bits: u64) -> Option<BloomFilter> {
+    pub(crate) fn fold_to(&self, n_bits: u64) -> Option<BloomFilter> {
         if !n_bits.is_power_of_two() || n_bits > self.n_bits || n_bits < 64 {
             return None;
         }
@@ -358,7 +353,7 @@ mod tests {
         }
         // Different sizes fold to the smaller geometry and still union.
         let c = BloomFilter::build(9000..9010, 10);
-        assert!(c.n_bits() < a.n_bits());
+        assert!(c.n_bits < a.n_bits);
         let u = a.union(&c).expect("folds to the smaller size");
         for k in (0..1000).chain(9000..9010) {
             assert!(u.contains(k), "no false negatives for {k}");
@@ -372,12 +367,12 @@ mod tests {
     fn fold_preserves_membership() {
         let keys: Vec<u64> = (0..4000).map(|i| i * 11 + 3).collect();
         let f = BloomFilter::build(keys.iter().copied(), 10);
-        let folded = f.fold_to(f.n_bits() / 4).expect("power-of-two fold");
+        let folded = f.fold_to(f.n_bits / 4).expect("power-of-two fold");
         for &k in &keys {
             assert!(folded.contains(k), "no false negatives for {k}");
         }
         assert!(folded.fill_ratio() > f.fill_ratio());
-        assert!(f.fold_to(f.n_bits() * 2).is_none(), "cannot grow");
+        assert!(f.fold_to(f.n_bits * 2).is_none(), "cannot grow");
         assert!(f.fold_to(32).is_none(), "below the 64-bit floor");
     }
 

@@ -102,7 +102,7 @@ impl IntoCachedBlock for CachedBlock {
 }
 
 /// For callers that hold owned entries — benchmarks and tests: the
-/// entries are encoded and parsed again ([`FlatBlock::from_entries`]).
+/// entries are encoded and parsed again into a [`FlatBlock`].
 /// No engine code path builds a `Vec<Entry>` to cache it.
 impl IntoCachedBlock for Arc<Vec<Entry>> {
     fn into_cached(self) -> CachedBlock {
@@ -128,13 +128,8 @@ pub struct StoredBlock {
 impl StoredBlock {
     /// Stored length in bytes — the tier-2 capacity charge and the
     /// device-read cost of the block.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.bytes.len()
-    }
-
-    /// Whether the stored bytes are empty.
-    pub fn is_empty(&self) -> bool {
-        self.bytes.is_empty()
     }
 
     /// Decode back to a block, via the same codec-stage-then-parse
@@ -157,16 +152,6 @@ pub enum CachePolicy {
     /// re-reference. Scan-resistant (the default).
     #[default]
     Slru,
-}
-
-impl CachePolicy {
-    /// Benchmark/report label.
-    pub fn name(self) -> &'static str {
-        match self {
-            CachePolicy::Lru => "lru",
-            CachePolicy::Slru => "slru",
-        }
-    }
 }
 
 /// Construction parameters of a [`BlockCache`].
@@ -373,11 +358,6 @@ impl BlockCache {
         }
     }
 
-    /// The tier-1 replacement policy.
-    pub fn policy(&self) -> CachePolicy {
-        self.policy
-    }
-
     fn shard_of(&self, key: BlockKey) -> &Mutex<Shard> {
         let mut h = key.0 ^ (key.1 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         h = (h ^ (h >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -444,7 +424,7 @@ impl BlockCache {
     /// call — the async-prefetch read path, which checks residency with
     /// [`BlockCache::contains`] and goes straight to the device. Keeps
     /// hit/miss accounting truthful for scans.
-    pub fn record_bypass_miss(&self) {
+    pub(crate) fn record_bypass_miss(&self) {
         bump(&self.stats.misses);
     }
 
@@ -606,11 +586,6 @@ impl BlockCache {
             });
     }
 
-    /// Pinned metadata bytes currently accounted.
-    pub fn meta_bytes(&self) -> usize {
-        self.stats.meta_bytes.load(Ordering::Relaxed) as usize
-    }
-
     /// Counter snapshot, including per-segment and per-tier residency
     /// gauges, the data/metadata byte split, and the on-disk
     /// (compressed) size of the resident tier-1 blocks.
@@ -635,14 +610,6 @@ impl BlockCache {
     /// Zero the counters (resident blocks are kept).
     pub fn reset_stats(&self) {
         self.stats.reset();
-    }
-
-    /// Drop every cached block in both tiers (counters are kept).
-    pub fn clear(&self) {
-        for shard in &self.shards {
-            let mut s = shard.lock();
-            *s = Shard::default();
-        }
     }
 }
 
@@ -905,11 +872,15 @@ mod tests {
         for i in 1..100u32 {
             c.insert((1, i), block(8), filler(40));
         }
-        assert_eq!(c.meta_bytes(), 1500, "eviction never touches metadata");
+        assert_eq!(
+            c.stats().meta_bytes,
+            1500,
+            "eviction never touches metadata"
+        );
         c.release_meta_bytes(1500);
-        assert_eq!(c.meta_bytes(), 0);
+        assert_eq!(c.stats().meta_bytes, 0);
         c.release_meta_bytes(99); // saturates, never underflows
-        assert_eq!(c.meta_bytes(), 0);
+        assert_eq!(c.stats().meta_bytes, 0);
     }
 
     #[test]
@@ -920,11 +891,9 @@ mod tests {
         assert_eq!(c.stats().disk_bytes, 140);
         // Capacity still charges decoded weight, not disk bytes.
         assert!(c.stats().data_bytes > 140);
-        // Re-insert replaces, eviction and clear release.
+        // Re-insert replaces.
         c.insert((1, 0), block(10), filler(60));
         assert_eq!(c.stats().disk_bytes, 100);
-        c.clear();
-        assert_eq!(c.stats().disk_bytes, 0);
     }
 
     #[test]
@@ -935,8 +904,6 @@ mod tests {
         }
         let resident = c.stats().data_bytes;
         assert!(resident <= 4096 + 4 * 1024, "{resident}");
-        c.clear();
-        assert_eq!(c.stats().data_bytes, 0);
     }
 
     #[test]

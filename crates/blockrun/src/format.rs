@@ -30,7 +30,7 @@
 //!   lookups ([`crate::bloom::BloomFilter`]).
 //! * **Footer** — magic, version, region geometry, run-wide key/ts
 //!   bounds, the writer's default codec choice, and its own CRC; always
-//!   the trailing [`FOOTER_LEN`] bytes, so a reader needs only
+//!   the trailing `FOOTER_LEN` bytes, so a reader needs only
 //!   `(base, total_bytes)` to bootstrap.
 //!
 //! Everything is written front to back in one pass — the writer never
@@ -49,14 +49,14 @@ use crate::cache::{BlockCache, CachedBlock, StoredBlock};
 use crate::checksum::crc32;
 
 /// `b"MASMBRUN"` as a little-endian u64.
-pub const MAGIC: u64 = u64::from_le_bytes(*b"MASMBRUN");
+pub(crate) const MAGIC: u64 = u64::from_le_bytes(*b"MASMBRUN");
 /// Format version written into footers. Version 2 added the codec stage
 /// (per-zone codec id + raw length, footer default-codec field).
-pub const VERSION: u32 = 2;
+pub(crate) const VERSION: u32 = 2;
 /// Fixed footer size in bytes.
-pub const FOOTER_LEN: u64 = 96;
+pub(crate) const FOOTER_LEN: u64 = 96;
 /// Encoded size of one [`ZoneMap`] in the index block.
-pub const ZONE_MAP_LEN: usize = 57;
+pub(crate) const ZONE_MAP_LEN: usize = 57;
 
 /// Errors from reading or writing block runs.
 #[derive(Debug)]
@@ -619,7 +619,7 @@ pub fn point_lookup(
 /// in flight (1 by default; merges raise it to their fan-in via
 /// [`BlockRunScan::with_prefetch_depth`] so a k-way merge keeps ≈k
 /// reads queued per device). The iterator stops early on a checksum or
-/// device error, which is then available via [`BlockRunScan::error`].
+/// device error, which [`BlockRunScan::stop`] then hands over.
 pub struct BlockRunScan {
     dev: SimDevice,
     session: SessionHandle,
@@ -722,7 +722,6 @@ impl BlockRunScan {
 
     fn trace_track(&self) -> masm_telemetry::TrackId {
         masm_telemetry::TrackId {
-            pid: 0,
             tid: masm_telemetry::current_tid(),
         }
     }
@@ -730,11 +729,6 @@ impl BlockRunScan {
     /// Bytes actually read from the device (cache hits cost nothing).
     pub fn bytes_read(&self) -> u64 {
         self.bytes_read
-    }
-
-    /// The first error encountered, if the scan stopped early.
-    pub fn error(&self) -> Option<&BlockRunError> {
-        self.error.as_ref()
     }
 
     /// End the scan here — it yields nothing more — and hand over the
@@ -900,7 +894,7 @@ impl BlockRunScan {
 
     /// The next entry in `[begin, end]`, borrowed from its decoded
     /// block. `None` at the end of the range or after an error
-    /// ([`BlockRunScan::error`]).
+    /// ([`BlockRunScan::stop`]).
     pub fn next_entry(&mut self) -> Option<EntryRef<'_>> {
         while self.unread.is_empty() {
             if !self.refill() {
@@ -1152,7 +1146,7 @@ mod tests {
         let got: Vec<Entry> = scan.by_ref().collect();
         assert!(got.len() < keys.len());
         assert!(matches!(
-            scan.error(),
+            scan.stop(),
             Some(BlockRunError::ChecksumMismatch { .. })
         ));
     }

@@ -70,7 +70,7 @@ pub use cache::{
 pub use checksum::crc32;
 pub use format::{
     build_run, point_lookup, read_block, read_meta, write_built, write_run, BlockRunConfig,
-    BlockRunError, BlockRunMeta, BlockRunResult, BlockRunScan, ZoneMap, FOOTER_LEN, MAGIC, VERSION,
+    BlockRunError, BlockRunMeta, BlockRunResult, BlockRunScan, ZoneMap,
 };
 pub use masm_codec::CodecChoice;
 pub use plan::{MergePlan, MergePlanner, Segment};

@@ -61,16 +61,6 @@ pub enum Segment {
     },
 }
 
-impl Segment {
-    /// Number of data blocks covered by this segment.
-    pub fn block_count(&self) -> usize {
-        match self {
-            Segment::Move { blocks, .. } => blocks.len(),
-            Segment::Merge { parts, .. } => parts.iter().map(|(_, r)| r.len()).sum(),
-        }
-    }
-}
-
 /// The ordered partition of a k-way merge into move and merge segments,
 /// plus the aggregate counts executors report.
 #[derive(Debug, Clone, Default)]

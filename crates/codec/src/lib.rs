@@ -51,7 +51,7 @@ pub const DELTA: u8 = 1;
 pub const LZ: u8 = 2;
 /// Footer marker for adaptive selection. Never appears as a per-block
 /// codec id — each block records the codec that actually won.
-pub const ADAPTIVE: u8 = 3;
+pub(crate) const ADAPTIVE: u8 = 3;
 
 /// Errors from encoding or decoding a block through a codec.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -256,7 +256,7 @@ fn best_trial(raw: &[u8], try_lz: bool) -> Option<(u8, Vec<u8>)> {
 /// strided sample of at most ~1 KB — the cheap probe the sample-based
 /// selector uses to skip LZ trials on incompressible payloads. 0.0 for
 /// empty input; 8.0 is incompressible noise.
-pub fn entropy_bits_per_byte(bytes: &[u8]) -> f64 {
+pub(crate) fn entropy_bits_per_byte(bytes: &[u8]) -> f64 {
     if bytes.is_empty() {
         return 0.0;
     }
@@ -284,7 +284,7 @@ pub fn entropy_bits_per_byte(bytes: &[u8]) -> f64 {
 /// block as incompressible and skips the LZ trial. LZ needs repeats; a
 /// near-uniform byte histogram (≥ 7.2 of the possible 8 bits) means the
 /// trial would almost surely lose to the delta candidate or identity.
-pub const LZ_ENTROPY_SKIP_BITS: f64 = 7.2;
+pub(crate) const LZ_ENTROPY_SKIP_BITS: f64 = 7.2;
 
 /// How often the sample-based selector re-runs a full trial encode
 /// under [`CodecChoice::Adaptive`]: once per this many blocks (the
@@ -314,7 +314,7 @@ pub struct SelectorStats {
 /// a fixed choice. Run payloads are homogeneous in practice, so this
 /// selector trial-encodes only the first block of each window (with a
 /// byte-entropy probe that skips the LZ trial outright on
-/// incompressible payloads — [`LZ_ENTROPY_SKIP_BITS`]) and re-encodes
+/// incompressible payloads) and re-encodes
 /// the following blocks with the cached winner alone. Correctness
 /// guard: a reuse block whose winner output fails or comes out at least
 /// as large as the raw bytes falls back to identity, so the per-block

@@ -27,7 +27,7 @@ use crate::run::{SortedRun, SsdSpace};
 /// (once per flush, merge or migration): a query pins all of it with
 /// one refcount bump ([`RunSet::shared`]) however many runs there are.
 #[derive(Debug, Default)]
-pub struct RunSet {
+pub(crate) struct RunSet {
     runs: Arc<[Arc<SortedRun>]>,
     space: SsdSpace,
     next_id: u64,
@@ -35,45 +35,45 @@ pub struct RunSet {
 
 impl RunSet {
     /// Empty run set.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Live runs, earliest first.
-    pub fn runs(&self) -> &[Arc<SortedRun>] {
+    pub(crate) fn runs(&self) -> &[Arc<SortedRun>] {
         &self.runs
     }
 
     /// The live runs as a query snapshot holds them: immutable, and
     /// unaffected by what is added or removed afterwards.
-    pub fn shared(&self) -> Arc<[Arc<SortedRun>]> {
+    pub(crate) fn shared(&self) -> Arc<[Arc<SortedRun>]> {
         Arc::clone(&self.runs)
     }
 
     /// Number of live runs.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.runs.len()
     }
 
     /// True when no runs are live.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.runs.is_empty()
     }
 
     /// Bytes of cached updates currently on the SSD.
-    pub fn live_bytes(&self) -> u64 {
+    pub(crate) fn live_bytes(&self) -> u64 {
         self.space.live_bytes()
     }
 
     /// Draw the next run id.
-    pub fn next_id(&mut self) -> u64 {
+    pub(crate) fn next_id(&mut self) -> u64 {
         let id = self.next_id;
         self.next_id += 1;
         id
     }
 
     /// Resume the id sequence after recovery.
-    pub fn resume_ids_after(&mut self, last: u64) {
+    pub(crate) fn resume_ids_after(&mut self, last: u64) {
         self.next_id = self.next_id.max(last + 1);
     }
 
@@ -89,7 +89,7 @@ impl RunSet {
     }
 
     /// Allocate sequential SSD space for a run of `bytes`.
-    pub fn alloc_space(&mut self, bytes: u64) -> u64 {
+    pub(crate) fn alloc_space(&mut self, bytes: u64) -> u64 {
         self.space.alloc(bytes)
     }
 
@@ -97,12 +97,12 @@ impl RunSet {
     /// or write failed after its extent was allocated). The extent
     /// itself stays burned until the allocator rewinds at quiesce — the
     /// bump allocator never reuses space while readers may be pinned.
-    pub fn free_space(&mut self, bytes: u64) {
+    pub(crate) fn free_space(&mut self, bytes: u64) {
         self.space.free(bytes);
     }
 
     /// Register a freshly materialized run.
-    pub fn add(&mut self, run: Arc<SortedRun>) {
+    pub(crate) fn add(&mut self, run: Arc<SortedRun>) {
         let order = |r: &SortedRun| (r.min_ts, r.id);
         let at = self.runs.partition_point(|r| order(r) < order(&run));
         let (before, after) = self.runs.split_at(at);
@@ -110,7 +110,7 @@ impl RunSet {
     }
 
     /// Remove runs by id, releasing their SSD space.
-    pub fn remove_ids(&mut self, ids: &[u64]) {
+    pub(crate) fn remove_ids(&mut self, ids: &[u64]) {
         let gone = |r: &&Arc<SortedRun>| ids.contains(&r.id);
         self.space
             .free(self.runs.iter().filter(gone).map(|r| r.bytes).sum());
@@ -120,7 +120,7 @@ impl RunSet {
     /// The `N` earliest adjacent 1-pass runs to merge when the run count
     /// exceeds the query-page budget (Figure 8, Table Range Scan Setup
     /// lines 5–8). Returns `None` when no merge is needed or possible.
-    pub fn plan_merge(&self, cfg: &MasmConfig) -> Option<Vec<Arc<SortedRun>>> {
+    pub(crate) fn plan_merge(&self, cfg: &MasmConfig) -> Option<Vec<Arc<SortedRun>>> {
         let budget = cfg.query_pages() as usize;
         if self.runs.len() <= budget {
             return None;
@@ -137,7 +137,7 @@ impl RunSet {
     }
 
     /// Whether cached updates have reached the migration threshold.
-    pub fn needs_migration(&self, cfg: &MasmConfig) -> bool {
+    pub(crate) fn needs_migration(&self, cfg: &MasmConfig) -> bool {
         self.live_bytes() >= cfg.migration_trigger_bytes()
     }
 }

@@ -41,7 +41,7 @@ pub enum IndexGranularity {
 
 impl IndexGranularity {
     /// Bytes of cached updates covered by one index entry.
-    pub fn bytes(&self) -> u64 {
+    pub(crate) fn bytes(&self) -> u64 {
         match self {
             IndexGranularity::Coarse => 64 * 1024,
             IndexGranularity::Fine => 4 * 1024,
@@ -145,7 +145,7 @@ impl MasmConfig {
     /// Effective backpressure bound for the background-flush backlog
     /// (see [`MasmConfig::worker_backlog_bytes`]; 0 = 4× the update
     /// buffer).
-    pub fn effective_backlog_bytes(&self) -> u64 {
+    pub(crate) fn effective_backlog_bytes(&self) -> u64 {
         if self.worker_backlog_bytes > 0 {
             self.worker_backlog_bytes
         } else {
@@ -157,12 +157,12 @@ impl MasmConfig {
     /// `fan_in` input runs: k runs ⇒ k reads in flight (§3.7 overlap at
     /// scale), capped at 16 so a very wide merge cannot flood the
     /// device queue.
-    pub fn merge_prefetch_depth(&self, fan_in: usize) -> usize {
+    pub(crate) fn merge_prefetch_depth(&self, fan_in: usize) -> usize {
         fan_in.clamp(1, MERGE_PREFETCH_CAP)
     }
 
     /// SSD capacity in pages: `‖SSD‖`.
-    pub fn ssd_pages(&self) -> u64 {
+    pub(crate) fn ssd_pages(&self) -> u64 {
         self.ssd_capacity / self.ssd_page_size as u64
     }
 
@@ -173,7 +173,7 @@ impl MasmConfig {
     }
 
     /// Total memory pages `αM` available to this configuration.
-    pub fn total_memory_pages(&self) -> u64 {
+    pub(crate) fn total_memory_pages(&self) -> u64 {
         ((self.alpha * self.m_pages() as f64).round() as u64).max(2)
     }
 
@@ -184,7 +184,7 @@ impl MasmConfig {
 
     /// `S_opt = 0.5αM`: pages dedicated to buffering incoming updates
     /// (Theorem 3.3).
-    pub fn s_pages(&self) -> u64 {
+    pub(crate) fn s_pages(&self) -> u64 {
         (self.total_memory_pages() / 2).max(1)
     }
 
@@ -201,7 +201,7 @@ impl MasmConfig {
     /// `N_opt` of Theorem 3.3: how many earliest 1-pass runs merge into a
     /// 2-pass run, clamped to at least 2 so a merge always shrinks the
     /// run count.
-    pub fn n_merge(&self) -> u64 {
+    pub(crate) fn n_merge(&self) -> u64 {
         let m = self.m_pages() as f64;
         let a = self.alpha;
         let denom = (4.0 / (a * a)).floor().max(1.0);
@@ -216,7 +216,7 @@ impl MasmConfig {
 
     /// Data-block size of materialized runs: the run-index
     /// granularity, never below the format's 64-byte minimum.
-    pub fn effective_block_bytes(&self) -> usize {
+    pub(crate) fn effective_block_bytes(&self) -> usize {
         (self.index_granularity.bytes() as usize).max(64)
     }
 

@@ -80,7 +80,7 @@ impl MasmEngine {
         }
     }
 
-    /// Ask the pool for a migration (deduplicated and staggered there).
+    /// Ask the pool for a migration (deduplicated there).
     fn request_migration(&self, at: Ns) {
         if let Some(h) = self.workers.get() {
             self.start_job_flow("masm.migrate", &self.migrate_flow, at);
@@ -129,12 +129,6 @@ impl MasmEngine {
             JobKind::Compact => self.background_compact(&session),
             JobKind::Migrate => self.migrate(&session).map(|_| ()),
         };
-        // The migrate staggering slot is held for the *execution* only —
-        // release it before retry bookkeeping so a failed migration
-        // cannot deadlock the pool against its own requeued job.
-        if matches!(job.kind, JobKind::Migrate) {
-            pool.migration_finished();
-        }
         let counters = &pool.recorder;
         let job_at = job.at;
         match result {

@@ -273,12 +273,9 @@ impl MasmEngine {
         self.tracer.get().cloned()
     }
 
-    /// This engine's trace track: pid 0, tid = calling thread.
+    /// This engine's trace track: the calling thread's lane.
     pub(crate) fn track(&self) -> TrackId {
-        TrackId {
-            pid: 0,
-            tid: current_tid(),
-        }
+        TrackId { tid: current_tid() }
     }
 
     /// A drop-guard span on this engine's track, timed on `session`'s

@@ -13,6 +13,7 @@ use crate::error::MasmError;
 use crate::run::{write_built, SortedRun};
 use crate::update::UpdateOp;
 use crate::wal::WalRecord;
+use crate::worker::{Job, JobKind, WorkerPool};
 
 fn schema() -> Schema {
     Schema::synthetic_100b()
@@ -754,6 +755,52 @@ fn a_busy_claim_returns_and_its_drop_releases() {
     assert_eq!(f.engine.run_count(), 0);
 }
 
+/// A migrate job that runs while another migration holds the claim
+/// returns at once: nothing logged, written, merged or retired, and the
+/// job completes rather than retries. The claim alone keeps migrations
+/// one at a time; the worker pool does not schedule around it.
+#[test]
+fn a_migration_under_another_ones_claim_changes_nothing() {
+    let f = fixture(100);
+    for i in 0..50u64 {
+        f.engine
+            .apply_update(&f.session, i * 2, UpdateOp::Replace(payload(9)))
+            .unwrap();
+    }
+    f.engine.flush_buffer(&f.session).unwrap();
+    let claim = f.engine.claim_migration().expect("nothing is migrating");
+    let state = || {
+        let heap = f.engine.heap().device().stats().bytes_written;
+        let ssd = f.engine.ssd().stats().bytes_written;
+        (f.engine.wal.offset(), heap, ssd, f.engine.run_count())
+    };
+    let before = state();
+    let busy = f.engine.migrate(&f.session).unwrap();
+    assert_eq!(busy, MigrationReport::default(), "the direct door");
+    let pool = WorkerPool::new(0, 1 << 20);
+    let job = Job {
+        kind: JobKind::Migrate,
+        attempts: 0,
+        at: f.session.now(),
+    };
+    f.engine.run_job(&pool, job);
+    let stats = pool.recorder.snapshot();
+    assert_eq!(
+        (
+            stats.jobs_completed,
+            stats.jobs_retried,
+            stats.jobs_failed,
+            stats.migrations
+        ),
+        (1, 0, 0, 0)
+    );
+    assert_eq!(state(), before);
+    assert_eq!(pool.depths().0, 0, "nothing re-requested");
+
+    drop(claim);
+    assert_eq!(f.engine.migrate(&f.session).unwrap().runs_migrated, 1);
+}
+
 /// `bad` is refused through every door with a typed error, leaves no
 /// trace (nothing buffered, logged or counted; no timestamp drawn, no
 /// commit-index entry), and a valid update to the same key afterwards
@@ -796,7 +843,7 @@ fn assert_refused_and_harmless(f: &Fixture, key: Key, bad: UpdateOp, then: Updat
 
     e.apply_update(&f.session, key, then).unwrap();
     let replay = Wal::replay(&f.session, e.wal.device()).unwrap();
-    assert!(!replay.torn());
+    assert_eq!(replay.torn_bytes, 0);
     assert!(matches!(replay.records.last(), Some(WalRecord::Update(u)) if u.key == key));
     e.flush_buffer(&f.session).unwrap();
     assert_eq!(scan_keys(f, key, key), vec![key]);

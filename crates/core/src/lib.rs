@@ -20,7 +20,7 @@
 //! 2. **No random SSD writes** — runs are written strictly sequentially
 //!    ([`run::write_run`]); the `random_writes` counter of the simulated
 //!    SSD stays zero, and tests assert it.
-//! 3. **Few SSD writes per update** — [`algo`] implements MaSM-2M,
+//! 3. **Few SSD writes per update** — the run set implements MaSM-2M,
 //!    MaSM-M and MaSM-αM run-management policies with the optimal `S`,
 //!    `N` parameters of Theorems 3.2/3.3; [`theory`] has the closed
 //!    forms the measurements are checked against.
@@ -35,7 +35,7 @@
 //!    in-memory buffer (and only it) after a crash, replaying the
 //!    table's one redo log.
 
-pub mod algo;
+pub(crate) mod algo;
 pub mod config;
 pub mod engine;
 pub mod error;
@@ -55,6 +55,4 @@ pub use error::{MasmError, MasmResult};
 // Re-exported so engine users consume `MasmEngine::stats()` without a
 // direct masm-telemetry dependency.
 pub use masm_telemetry::{EngineStats, StatsDelta};
-pub use ts::TimestampOracle;
-pub use txn::Transaction;
 pub use update::{FieldPatch, UpdateOp, UpdateRecord};

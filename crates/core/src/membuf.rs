@@ -48,7 +48,7 @@ impl UpdateBuffer {
         }
     }
 
-    /// Append an update. The caller checks [`UpdateBuffer::is_full`]
+    /// Append an update. The caller checks whether the buffer is full
     /// first and flushes or steals pages as its policy dictates; the
     /// buffer itself never refuses (the paper appends then handles
     /// overflow on the next arrival).
@@ -59,7 +59,7 @@ impl UpdateBuffer {
     }
 
     /// Bytes currently buffered.
-    pub fn bytes(&self) -> usize {
+    pub(crate) fn bytes(&self) -> usize {
         self.bytes
     }
 
@@ -74,22 +74,22 @@ impl UpdateBuffer {
     }
 
     /// True when at (or beyond) capacity.
-    pub fn is_full(&self) -> bool {
+    pub(crate) fn is_full(&self) -> bool {
         self.bytes >= self.capacity
     }
 
     /// Current capacity in bytes.
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.capacity
     }
 
     /// Capacity without stolen pages.
-    pub fn base_capacity(&self) -> usize {
+    pub(crate) fn base_capacity(&self) -> usize {
         self.base_capacity
     }
 
     /// Extend capacity by one stolen query page (MaSM-M, Fig. 8).
-    pub fn steal_page(&mut self, page_bytes: usize) {
+    pub(crate) fn steal_page(&mut self, page_bytes: usize) {
         self.capacity += page_bytes;
     }
 
@@ -99,18 +99,18 @@ impl UpdateBuffer {
     }
 
     /// Smallest timestamp buffered, if any.
-    pub fn min_ts(&self) -> Option<Timestamp> {
+    pub(crate) fn min_ts(&self) -> Option<Timestamp> {
         self.entries.iter().map(|u| u.ts).min()
-    }
-
-    /// Largest timestamp buffered, if any.
-    pub fn max_ts(&self) -> Option<Timestamp> {
-        self.entries.iter().map(|u| u.ts).max()
     }
 
     /// Sorted snapshot of updates overlapping `[begin, end]` with
     /// `ts ≤ as_of` — the `Mem_scan` input for one query.
-    pub fn snapshot_range(&self, begin: Key, end: Key, as_of: Timestamp) -> Vec<UpdateRecord> {
+    pub(crate) fn snapshot_range(
+        &self,
+        begin: Key,
+        end: Key,
+        as_of: Timestamp,
+    ) -> Vec<UpdateRecord> {
         if end < begin {
             return Vec::new();
         }
@@ -137,7 +137,7 @@ impl UpdateBuffer {
     /// Take the newest buffered update with this `(key, ts)` back out —
     /// the update the caller pushed and then failed to log. `false`
     /// when it is no longer here (a concurrent seal took it along).
-    pub fn take_back(&mut self, key: Key, ts: Timestamp) -> bool {
+    pub(crate) fn take_back(&mut self, key: Key, ts: Timestamp) -> bool {
         let Some(i) = self
             .entries
             .iter()
@@ -319,7 +319,6 @@ mod tests {
         b.push(upd(5, 1));
         b.push(upd(2, 2));
         assert_eq!(b.min_ts(), Some(2));
-        assert_eq!(b.max_ts(), Some(5));
     }
 
     #[test]

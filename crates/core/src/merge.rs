@@ -109,7 +109,7 @@ impl KWayUpdates {
     }
 
     /// Key of the next update without consuming it.
-    pub fn peek_key(&self) -> Option<Key> {
+    pub(crate) fn peek_key(&self) -> Option<Key> {
         self.heads.peek().map(|Reverse(head)| head.update.key)
     }
 }

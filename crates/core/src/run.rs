@@ -84,7 +84,7 @@ impl SortedRun {
     }
 
     /// Move the run (not yet written) to its allocated device offset.
-    pub fn rebase(&mut self, base: u64) {
+    pub(crate) fn rebase(&mut self, base: u64) {
         self.base = base;
         Arc::make_mut(&mut self.meta).base = base;
     }
@@ -105,9 +105,9 @@ pub(crate) fn append_update(builder: &mut RunBuilder, u: &UpdateRecord) {
 
 /// Build the metadata and the full encoded byte stream of a run from its
 /// sorted updates, without touching any device. The returned run has
-/// base 0 — callers allocate space, [`SortedRun::rebase`], then write
+/// base 0 — callers allocate space, rebase it, then write
 /// with [`write_built`].
-pub fn build_run(
+pub(crate) fn build_run(
     cfg: &MasmConfig,
     id: u64,
     base: u64,
@@ -161,7 +161,7 @@ pub fn write_run(
 /// Re-open a run during crash recovery from its durable footer: the
 /// zone maps, bloom filter, and key/timestamp bounds all come back from
 /// the (checksummed) metadata regions — no record is decoded.
-pub fn recover_run(
+pub(crate) fn recover_run(
     session: &SessionHandle,
     ssd: &SimDevice,
     id: u64,
@@ -256,7 +256,7 @@ impl RunScan {
 
     /// Record per-block fetch stalls (virtual-ns) into `hist` — the
     /// engine wires its `op.block_fetch` histogram through here.
-    pub fn with_fetch_histogram(mut self, hist: Arc<masm_telemetry::Histogram>) -> Self {
+    pub(crate) fn with_fetch_histogram(mut self, hist: Arc<masm_telemetry::Histogram>) -> Self {
         self.inner = self.inner.with_fetch_histogram(hist);
         self
     }
@@ -264,7 +264,7 @@ impl RunScan {
     /// Emit `block.fetch` spans and `block.prefetch` instants for this
     /// scan to `tracer` — the engine wires its installed
     /// [`masm_telemetry::Tracer`] through here.
-    pub fn with_trace(mut self, tracer: Arc<masm_telemetry::Tracer>) -> Self {
+    pub(crate) fn with_trace(mut self, tracer: Arc<masm_telemetry::Tracer>) -> Self {
         self.inner = self.inner.with_trace(tracer);
         self
     }
@@ -334,19 +334,19 @@ pub fn lookup_in_run(
 /// counter suffices; when nothing is live the pointer rewinds — the
 /// paper's circular reuse of the flash space.
 #[derive(Debug, Default, Clone)]
-pub struct SsdSpace {
+pub(crate) struct SsdSpace {
     next: u64,
     live: u64,
 }
 
 impl SsdSpace {
     /// Reconstruct allocator state during recovery.
-    pub fn with_state(next: u64, live: u64) -> Self {
+    pub(crate) fn with_state(next: u64, live: u64) -> Self {
         SsdSpace { next, live }
     }
 
     /// Allocate `bytes` of sequential space.
-    pub fn alloc(&mut self, bytes: u64) -> u64 {
+    pub(crate) fn alloc(&mut self, bytes: u64) -> u64 {
         let off = self.next;
         self.next += bytes;
         self.live += bytes;
@@ -354,7 +354,7 @@ impl SsdSpace {
     }
 
     /// Release `bytes` (a deleted run). Rewinds when nothing is live.
-    pub fn free(&mut self, bytes: u64) {
+    pub(crate) fn free(&mut self, bytes: u64) {
         self.live = self.live.saturating_sub(bytes);
         if self.live == 0 {
             self.next = 0;
@@ -362,12 +362,12 @@ impl SsdSpace {
     }
 
     /// Bytes in live runs.
-    pub fn live_bytes(&self) -> u64 {
+    pub(crate) fn live_bytes(&self) -> u64 {
         self.live
     }
 
     /// High-water mark of allocated space.
-    pub fn high_water(&self) -> u64 {
+    pub(crate) fn high_water(&self) -> u64 {
         self.next
     }
 }

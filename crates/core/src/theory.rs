@@ -1,12 +1,6 @@
-//! Closed-form models from the paper: Theorems 3.2/3.3, the LSM
+//! Closed-form models from the paper: Theorem 3.3, the LSM
 //! write-amplification analysis of §2.3, and the migration-overhead
 //! trade-off behind Figure 1 and §3.7.
-
-/// Average SSD writes per update record for MaSM-M (Theorem 3.2):
-/// `1.75 + 2/M`.
-pub fn masm_m_writes_per_update(m_pages: u64) -> f64 {
-    1.75 + 2.0 / m_pages as f64
-}
 
 /// Average SSD writes per update record for MaSM-αM (Theorem 3.3):
 /// roughly `2 − 0.25 α²`.
@@ -71,7 +65,7 @@ impl MigrationModel {
     }
 
     /// Seconds of one full migration (scan + write back).
-    pub fn migration_seconds(&self) -> f64 {
+    pub(crate) fn migration_seconds(&self) -> f64 {
         2.0 * self.disk_bytes / self.disk_bw
     }
 
@@ -100,13 +94,6 @@ impl MigrationModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn theorem_3_2_value() {
-        // M = 256 (the paper's 4 GB flash / 64 KB pages).
-        let w = masm_m_writes_per_update(256);
-        assert!((w - 1.7578).abs() < 1e-3, "got {w}");
-    }
 
     #[test]
     fn theorem_3_3_endpoints() {

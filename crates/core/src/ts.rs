@@ -24,7 +24,7 @@ pub struct TimestampOracle {
 
 impl TimestampOracle {
     /// Create an oracle whose first timestamp is 1.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         TimestampOracle {
             next: Arc::new(AtomicU64::new(1)),
         }
@@ -37,7 +37,7 @@ impl TimestampOracle {
 
     /// Ensure the next timestamp is strictly greater than `ts`.
     /// Monotonic: never moves the counter backwards.
-    pub fn advance_past(&self, ts: Timestamp) {
+    pub(crate) fn advance_past(&self, ts: Timestamp) {
         self.next.fetch_max(ts + 1, Ordering::AcqRel);
     }
 

@@ -46,11 +46,6 @@ impl Transaction {
         }
     }
 
-    /// The transaction's snapshot timestamp.
-    pub fn start_ts(&self) -> Timestamp {
-        self.start_ts
-    }
-
     /// Stage a write in the private buffer.
     pub fn write(&mut self, key: Key, op: UpdateOp) {
         self.writes.push((key, op));
@@ -75,9 +70,6 @@ impl Transaction {
         self.engine
             .commit_writes(session, self.start_ts, self.writes)
     }
-
-    /// Abort: drop the private buffer.
-    pub fn abort(self) {}
 }
 
 /// A minimal exclusive-lock table for demonstrating lock-based schemes.
@@ -94,7 +86,7 @@ impl LockManager {
     }
 
     /// Acquire an exclusive lock on `key`, blocking until available.
-    pub fn lock_exclusive(&self, key: Key) {
+    pub(crate) fn lock_exclusive(&self, key: Key) {
         let mut held = self.held.lock();
         while held.contains(&key) {
             self.released.wait(&mut held);
@@ -102,13 +94,8 @@ impl LockManager {
         held.insert(key);
     }
 
-    /// Try to acquire without blocking.
-    pub fn try_lock_exclusive(&self, key: Key) -> bool {
-        self.held.lock().insert(key)
-    }
-
     /// Release a lock.
-    pub fn unlock(&self, key: Key) {
+    pub(crate) fn unlock(&self, key: Key) {
         self.held.lock().remove(&key);
         self.released.notify_all();
     }
@@ -156,14 +143,6 @@ impl LockingTransaction {
             self.locks.unlock(key);
         }
         Ok(last_ts)
-    }
-
-    /// Abort: discard writes, release locks.
-    pub fn abort(mut self) {
-        self.pending.clear();
-        for key in std::mem::take(&mut self.held) {
-            self.locks.unlock(key);
-        }
     }
 }
 
@@ -302,7 +281,7 @@ mod tests {
         let (engine, session) = setup();
         let mut txn = Transaction::begin(&engine);
         txn.write(7, UpdateOp::Insert(payload(1)));
-        txn.abort();
+        drop(txn); // an abort is a drop: the private buffer goes with it
         let keys: Vec<Key> = engine
             .begin_scan(session, 0, 10)
             .unwrap()
@@ -311,14 +290,18 @@ mod tests {
         assert!(!keys.contains(&7));
     }
 
+    fn held(locks: &LockManager, key: Key) -> bool {
+        locks.held.lock().contains(&key)
+    }
+
     #[test]
     fn lock_manager_excludes() {
         let lm = LockManager::new();
         lm.lock_exclusive(5);
-        assert!(!lm.try_lock_exclusive(5));
-        assert!(lm.try_lock_exclusive(6));
+        assert!(held(&lm, 5));
+        assert!(!held(&lm, 6));
         lm.unlock(5);
-        assert!(lm.try_lock_exclusive(5));
+        assert!(!held(&lm, 5));
     }
 
     #[test]
@@ -340,7 +323,7 @@ mod tests {
         });
         begun.recv().unwrap();
         // However far B has got, A holds the key until it commits.
-        assert!(!locks.try_lock_exclusive(60));
+        assert!(held(&locks, 60));
         let ts_a = a.commit(&session).unwrap();
         let ts_b = handle.join().unwrap();
         assert!(ts_b > ts_a, "B serialized after A by the lock");
@@ -358,6 +341,6 @@ mod tests {
             t.write(70, UpdateOp::Delete);
             // dropped without commit
         }
-        assert!(locks.try_lock_exclusive(70), "lock released on drop");
+        assert!(!held(&locks, 70), "lock released on drop");
     }
 }

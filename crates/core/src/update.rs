@@ -125,7 +125,7 @@ impl UpdateRecord {
     /// by the block format itself. The lengths fit their fields: the
     /// engine refuses at the door any update they would not
     /// (`MasmError::InvalidUpdate`).
-    pub fn encode_value_into(&self, out: &mut Vec<u8>) {
+    pub(crate) fn encode_value_into(&self, out: &mut Vec<u8>) {
         out.push(self.op.type_tag());
         match &self.op {
             UpdateOp::Insert(p) | UpdateOp::Replace(p) => {
@@ -221,7 +221,7 @@ impl UpdateRecord {
     /// Reassemble a record from block-run parts: the `(key, ts)` the
     /// block format stored plus the opaque value written by
     /// [`UpdateRecord::encode_value`]. Rejects trailing bytes.
-    pub fn decode_value(key: Key, ts: Timestamp, value: &[u8]) -> Option<UpdateRecord> {
+    pub(crate) fn decode_value(key: Key, ts: Timestamp, value: &[u8]) -> Option<UpdateRecord> {
         let (op, used) = Self::decode_op(value)?;
         (used == value.len()).then_some(UpdateRecord { ts, key, op })
     }

@@ -209,14 +209,15 @@ fn put_u64s(out: &mut Vec<u8>, vals: &[u64]) {
 fn get_u64s(buf: &[u8], pos: &mut usize) -> Option<Vec<u64>> {
     let n = u32::from_le_bytes(buf.get(*pos..*pos + 4)?.try_into().ok()?) as usize;
     *pos += 4;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(u64::from_le_bytes(
-            buf.get(*pos..*pos + 8)?.try_into().ok()?,
-        ));
-        *pos += 8;
-    }
-    Some(out)
+    // The count comes off the device: a body too short for it is
+    // refused before anything is reserved for it.
+    let ids = buf.get(*pos..)?.get(..n * 8)?;
+    *pos += ids.len();
+    Some(
+        ids.chunks_exact(8)
+            .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
+            .collect(),
+    )
 }
 
 fn get_u64(buf: &[u8], pos: &mut usize) -> Option<u64> {
@@ -299,7 +300,7 @@ impl WalRecord {
 
     /// Encode as `[u32 body_len][u32 crc][u8 tag][body]` (CRC over tag
     /// and body).
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
         put_frame(out, self.tag(), |out| match self {
             WalRecord::Update(u) => u.encode_into(out),
             WalRecord::RunCreated {
@@ -466,14 +467,6 @@ pub struct WalReplay {
     pub torn_bytes: u64,
 }
 
-impl WalReplay {
-    /// Whether a torn tail was truncated.
-    #[must_use]
-    pub fn torn(&self) -> bool {
-        self.torn_bytes > 0
-    }
-}
-
 /// Write-completion tracking behind [`Wal::append`]'s group commit:
 /// completed reservations merge into a contiguous stable prefix.
 #[derive(Debug)]
@@ -595,19 +588,15 @@ impl Wal {
     }
 
     /// Current end offset (reserved; may be ahead of the stable prefix
-    /// while appends are in flight).
-    pub fn offset(&self) -> u64 {
+    /// while appends are in flight). Tests read it to check what an
+    /// append reserved.
+    #[cfg(test)]
+    pub(crate) fn offset(&self) -> u64 {
         self.offset.load(Ordering::Relaxed)
     }
 
-    /// Offset up to which the log is hole-free (every returned
-    /// [`Wal::append`] is below this).
-    pub fn stable_offset(&self) -> u64 {
-        self.tail.lock().stable
-    }
-
     /// The underlying device.
-    pub fn device(&self) -> &SimDevice {
+    pub(crate) fn device(&self) -> &SimDevice {
         &self.dev
     }
 
@@ -762,8 +751,8 @@ mod tests {
         let replay = Wal::replay(&session, &dev).unwrap();
         assert_eq!(replay.records, records);
         assert_eq!(replay.end_offset, wal.offset());
-        assert_eq!(wal.stable_offset(), wal.offset());
-        assert!(!replay.torn());
+        assert_eq!(wal.tail.lock().stable, wal.offset());
+        assert_eq!(replay.torn_bytes, 0);
     }
 
     #[test]
@@ -782,7 +771,7 @@ mod tests {
             let mut want = Vec::new();
             rec.encode_into(&mut want);
             assert_eq!(session.read(&dev, 0, dev.len()).unwrap(), want, "{rec:?}");
-            assert_eq!(wal.stable_offset(), want.len() as u64);
+            assert_eq!(wal.tail.lock().stable, want.len() as u64);
             assert_eq!(Wal::replay(&session, &dev).unwrap().records, vec![rec]);
         }
     }
@@ -845,7 +834,7 @@ mod tests {
         let replay = Wal::replay(&session, &dev).unwrap();
         assert_eq!(replay.records, vec![WalRecord::MigrationEnd { ts: 1 }]);
         assert_eq!(replay.end_offset, keep);
-        assert!(replay.torn());
+        assert!(replay.torn_bytes > 0);
     }
 
     #[test]
@@ -875,6 +864,29 @@ mod tests {
         reopened.append(&session, &rec(6)).unwrap();
         let replay = Wal::replay(&session, &dev).unwrap();
         assert_eq!(replay.records, vec![rec(1), rec(6)]);
+    }
+
+    /// A CRC-valid frame whose id count claims `u32::MAX` ids and holds
+    /// none is corrupt, for every record kind that carries a list: the
+    /// decoder refuses it before reserving room for the ids.
+    #[test]
+    fn a_hostile_id_count_is_corrupt_not_an_allocation() {
+        // Tag and the fixed fields in front of the list.
+        for (tag, fixed) in [(2, 0), (3, 8), (5, 28), (6, 48)] {
+            let mut frame = Vec::new();
+            put_frame(&mut frame, tag, |out| {
+                out.resize(out.len() + fixed, 0);
+                out.extend_from_slice(&u32::MAX.to_le_bytes());
+            });
+            let corrupt = |r: MasmResult<_>| matches!(r, Err(MasmError::Corrupt(_)));
+            assert!(corrupt(WalRecord::decode(&frame).map(|_| ())), "tag {tag}");
+            let (dev, session, _) = wal_fixture();
+            dev.write_at(0, 0, &frame).unwrap();
+            assert!(
+                corrupt(Wal::replay(&session, &dev).map(|_| ())),
+                "tag {tag}"
+            );
+        }
     }
 
     #[test]
@@ -923,9 +935,9 @@ mod tests {
             }
         });
         // Acknowledged appends form a hole-free prefix covering the log.
-        assert_eq!(wal.stable_offset(), wal.offset());
+        assert_eq!(wal.tail.lock().stable, wal.offset());
         let replay = Wal::replay(&session, &dev).unwrap();
-        assert!(!replay.torn());
+        assert_eq!(replay.torn_bytes, 0);
         assert_eq!(replay.end_offset, wal.offset());
         // Exactly the appended records, each once (timestamps are
         // unique, so sorting by them lines the two multisets up).

@@ -18,13 +18,9 @@
 //!   job kind that can exist more than once in the queue.
 //! * **Compact** and **Migrate** are deduplicated: at most one of each
 //!   queued at a time (re-requested after completion if still needed by
-//!   [`crate::engine::MasmEngine`]'s maintenance check).
-//! * **Migrations are staggered**: one migrate job runs at a time. This
-//!   is scheduling, not safety — the engine admits one migration at a
-//!   time, so a second one requested while the first runs would only
-//!   park its worker behind it. A blocked migrate job stays in the
-//!   queue and workers take the next runnable job past it, so flushes
-//!   and compactions never starve behind a waiting migration.
+//!   [`crate::engine::MasmEngine`]'s maintenance check). Jobs leave the
+//!   queue in order; the engine admits one migration at a time, so a
+//!   migrate job that finds another one running returns at once.
 //! * A failing job retries up to [`MAX_JOB_ATTEMPTS`] times; a flush
 //!   that exhausts its retries is *abandoned* — the engine moves the
 //!   sealed batch's updates back into the in-memory buffer so no data
@@ -84,8 +80,6 @@ struct PoolState {
     /// Dedup flags: a compact / migrate job is queued.
     compact_queued: bool,
     migrate_queued: bool,
-    /// A migrate job is executing (the stagger).
-    migration_running: bool,
     shutdown: bool,
 }
 
@@ -93,8 +87,7 @@ struct PoolState {
 /// [`WorkerHandle`]; each worker thread holds its own `Arc`.
 pub(crate) struct WorkerPool {
     state: TrackedMutex<PoolState>,
-    /// Signalled when work is enqueued, a migration slot frees up, or
-    /// shutdown is requested.
+    /// Signalled when work is enqueued or shutdown is requested.
     work: Condvar,
     /// Signalled when backlog bytes drop (flush completed or abandoned).
     space: Condvar,
@@ -109,14 +102,13 @@ pub(crate) struct WorkerPool {
 impl WorkerPool {
     /// A pool of `threads` workers whose flush backlog is bounded by
     /// `backlog_limit` bytes.
-    pub fn new(threads: usize, backlog_limit: u64) -> Arc<Self> {
+    pub(crate) fn new(threads: usize, backlog_limit: u64) -> Arc<Self> {
         Arc::new(WorkerPool {
             state: TrackedMutex::new(PoolState {
                 queue: VecDeque::new(),
                 backlog_bytes: 0,
                 compact_queued: false,
                 migrate_queued: false,
-                migration_running: false,
                 shutdown: false,
             }),
             work: Condvar::new(),
@@ -131,7 +123,7 @@ impl WorkerPool {
     /// updates, requested at virtual time `at`. Returns immediately;
     /// backpressure is a separate call so the engine can release its
     /// state lock first.
-    pub fn enqueue_flush(&self, batch_id: u64, bytes: u64, at: Ns) {
+    pub(crate) fn enqueue_flush(&self, batch_id: u64, bytes: u64, at: Ns) {
         let mut st = self.state.lock();
         st.backlog_bytes += bytes;
         st.queue.push_back(Job {
@@ -144,12 +136,12 @@ impl WorkerPool {
     }
 
     /// Enqueue a compaction pass unless one is already queued.
-    pub fn enqueue_compact(&self, at: Ns) {
+    pub(crate) fn enqueue_compact(&self, at: Ns) {
         self.enqueue_dedup(JobKind::Compact, at);
     }
 
     /// Enqueue a migration unless one is already queued.
-    pub fn enqueue_migrate(&self, at: Ns) {
+    pub(crate) fn enqueue_migrate(&self, at: Ns) {
         self.enqueue_dedup(JobKind::Migrate, at);
     }
 
@@ -179,7 +171,7 @@ impl WorkerPool {
     }
 
     /// Re-queue a failed job for another attempt.
-    pub fn requeue(&self, job: Job) {
+    pub(crate) fn requeue(&self, job: Job) {
         let mut st = self.state.lock();
         match job.kind {
             JobKind::Compact => st.compact_queued = true,
@@ -191,17 +183,9 @@ impl WorkerPool {
         self.work.notify_one();
     }
 
-    /// A migrate job finished executing (success *or* failure): free
-    /// its staggering slot and wake a worker that may be parked behind
-    /// a blocked migrate job.
-    pub fn migration_finished(&self) {
-        self.state.lock().migration_running = false;
-        self.work.notify_all();
-    }
-
     /// Drop `bytes` from the flush backlog (flush completed or batch
     /// abandoned) and wake any ingest thread throttled on it.
-    pub fn release_backlog(&self, bytes: u64) {
+    pub(crate) fn release_backlog(&self, bytes: u64) {
         let mut st = self.state.lock();
         st.backlog_bytes = st.backlog_bytes.saturating_sub(bytes);
         drop(st);
@@ -214,7 +198,7 @@ impl WorkerPool {
     /// value reports whether the caller actually stalled (waited at
     /// least once), so tracing can record a `backpressure.stall` span
     /// only for real throttle events.
-    pub fn wait_for_space(&self) -> bool {
+    pub(crate) fn wait_for_space(&self) -> bool {
         let mut st = self.state.lock();
         let mut stalled = false;
         while st.backlog_bytes > self.backlog_limit && !st.shutdown {
@@ -225,7 +209,7 @@ impl WorkerPool {
     }
 
     /// Current (queue depth, backlog bytes).
-    pub fn depths(&self) -> (u64, u64) {
+    pub(crate) fn depths(&self) -> (u64, u64) {
         let st = self.state.lock();
         (st.queue.len() as u64, st.backlog_bytes)
     }
@@ -233,50 +217,33 @@ impl WorkerPool {
     /// Whether shutdown has been signalled. The engine reverts to the
     /// inline flush/merge paths once this is true: a job enqueued past
     /// shutdown would never run.
-    pub fn is_shutdown(&self) -> bool {
+    pub(crate) fn is_shutdown(&self) -> bool {
         self.state.lock().shutdown
     }
 
     /// Signal shutdown: workers drain the queue, then exit.
-    pub fn shutdown(&self) {
+    pub(crate) fn shutdown(&self) {
         self.state.lock().shutdown = true;
         self.work.notify_all();
         self.space.notify_all();
     }
 
-    /// Worker side: block for the next *runnable* job. Migrate jobs are
-    /// skipped (left in the queue) while a migration is executing; a
-    /// taken migrate job sets the stagger flag, cleared by
-    /// [`WorkerPool::migration_finished`]. `None`
-    /// means the queue is drained and shutdown was requested — exit the
-    /// thread.
+    /// Worker side: block for the next job. `None` means the queue is
+    /// drained and shutdown was requested — exit the thread.
     fn next_job(&self) -> Option<Job> {
         let mut st = self.state.lock();
         loop {
-            let runnable = st
-                .queue
-                .iter()
-                .position(|j| !(matches!(j.kind, JobKind::Migrate) && st.migration_running));
-            if let Some(i) = runnable {
-                let job = st.queue.remove(i).expect("indexed job present");
+            if let Some(job) = st.queue.pop_front() {
                 match job.kind {
                     JobKind::Compact => st.compact_queued = false,
-                    JobKind::Migrate => {
-                        st.migrate_queued = false;
-                        st.migration_running = true;
-                    }
+                    JobKind::Migrate => st.migrate_queued = false,
                     JobKind::Flush { .. } => {}
                 }
                 return Some(job);
             }
-            if st.shutdown && st.queue.is_empty() {
+            if st.shutdown {
                 return None;
             }
-            // Queue empty, or it holds only migrate jobs blocked on the
-            // stagger — the running migration's completion rings
-            // `work`. During shutdown the drain still completes: a
-            // blocked migration implies a running one, so a wake-up is
-            // always coming.
             self.work.wait(st.inner_mut());
         }
     }
@@ -308,7 +275,7 @@ impl WorkerHandle {
     /// Spawn `pool.threads` workers over a weak reference to `engine`.
     /// The weak link breaks the `Arc` cycle: a dropped engine stops
     /// producing jobs, workers fail the upgrade and exit.
-    pub fn spawn(engine: &Arc<MasmEngine>, pool: Arc<WorkerPool>) -> Self {
+    pub(crate) fn spawn(engine: &Arc<MasmEngine>, pool: Arc<WorkerPool>) -> Self {
         let threads = pool.threads;
         let mut joins = Vec::with_capacity(threads);
         for i in 0..threads {
@@ -331,12 +298,12 @@ impl WorkerHandle {
     }
 
     /// The shared pool.
-    pub fn pool(&self) -> &WorkerPool {
+    pub(crate) fn pool(&self) -> &WorkerPool {
         &self.inner.pool
     }
 
     /// Signal shutdown and join every worker (idempotent).
-    pub fn join(&self) {
+    pub(crate) fn join(&self) {
         self.inner.pool.shutdown();
         if self.inner.joined.swap(true, Ordering::AcqRel) {
             return;
@@ -350,13 +317,8 @@ impl WorkerHandle {
 
 fn worker_loop(engine: Weak<MasmEngine>, pool: Arc<WorkerPool>) {
     while let Some(job) = pool.next_job() {
+        // A failed upgrade: the engine is going away.
         let Some(engine) = engine.upgrade() else {
-            // The engine is going away. Release any claimed migration
-            // slot so sibling workers are not starved while they
-            // drain.
-            if matches!(job.kind, JobKind::Migrate) {
-                pool.migration_finished();
-            }
             return;
         };
         engine.run_job(&pool, job);
@@ -367,25 +329,18 @@ fn worker_loop(engine: Weak<MasmEngine>, pool: Arc<WorkerPool>) {
 mod tests {
     use super::*;
 
-    /// The cap is one: a migration requested while another runs stays
-    /// queued, and the compaction behind it runs.
+    /// A migration requested while another runs is handed out like any
+    /// job (the engine's claim turns it away), and the compaction
+    /// behind it runs.
     #[test]
     fn migrations_stagger_at_the_cap() {
         let pool = WorkerPool::new(0, 1 << 20);
         pool.enqueue_migrate(0);
-        // The first migrate is handed out and charges the stagger slot.
-        let j0 = pool.next_job().unwrap();
-        assert_eq!(j0.kind, JobKind::Migrate);
+        assert_eq!(pool.next_job().unwrap().kind, JobKind::Migrate);
         pool.enqueue_migrate(0);
         pool.enqueue_compact(0);
-        // The second migrate is blocked; the compact behind it runs.
-        let j1 = pool.next_job().unwrap();
-        assert_eq!(j1.kind, JobKind::Compact);
-        assert_eq!(pool.depths().0, 1, "the migration stays queued");
-        // Finishing the first migration unblocks the queued one.
-        pool.migration_finished();
-        let j2 = pool.next_job().unwrap();
-        assert_eq!(j2.kind, JobKind::Migrate);
+        assert_eq!(pool.next_job().unwrap().kind, JobKind::Migrate);
+        assert_eq!(pool.next_job().unwrap().kind, JobKind::Compact);
         assert_eq!(pool.depths().0, 0);
     }
 
@@ -411,10 +366,8 @@ mod tests {
         assert_eq!(first.kind, JobKind::Migrate);
         pool.enqueue_migrate(0);
         pool.shutdown();
-        // The blocked migrate still runs once the slot frees.
-        pool.migration_finished();
+        // The queued migrate still runs after shutdown is signalled.
         assert_eq!(pool.next_job().unwrap().kind, JobKind::Migrate);
-        pool.migration_finished();
         assert!(pool.next_job().is_none(), "drained + shutdown exits");
     }
 }

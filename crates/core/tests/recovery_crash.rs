@@ -34,7 +34,7 @@ use masm_core::ts::Timestamp;
 use masm_core::update::UpdateOp;
 use masm_model::{payload, value, Devices, Op, Spec, Table};
 use masm_pagestore::{Key, Record};
-use masm_telemetry::{TraceConfig, Tracer};
+use masm_telemetry::{current_tid, TraceConfig, Tracer, TrackId};
 
 const BASE: u64 = 100_000;
 
@@ -127,19 +127,20 @@ fn crash_under_load_loses_no_acked_update() {
             "crash {c}: nothing replayed?"
         );
 
-        // The flight recording carries the recovery on the engine's
-        // track (pid 0): one `recovery` span, a torn-tail instant
+        // The flight recording carries the recovery on the recovering
+        // thread's track: one `recovery` span, a torn-tail instant
         // exactly when a tail was truncated, and a redo instant when a
         // migration was re-driven.
         let records = tracer.take_records();
+        let here = TrackId { tid: current_tid() };
         let recorded = |name: &str, when: bool| {
-            let pids: Vec<u32> = records
+            let tracks: Vec<TrackId> = records
                 .iter()
                 .filter(|r| r.name == name)
-                .map(|r| r.track.pid)
+                .map(|r| r.track)
                 .collect();
-            let want = if when { vec![0] } else { vec![] };
-            assert_eq!(pids, want, "crash {c}: {name}");
+            let want = if when { vec![here] } else { vec![] };
+            assert_eq!(tracks, want, "crash {c}: {name}");
         };
         recorded("recovery", true);
         recorded("recovery.torn_tail", report.wal_torn_bytes > 0);

@@ -108,7 +108,8 @@ impl Lanes {
     }
 
     /// Run every lane to its end on `table`, which `model` describes:
-    /// steps go through [`Table::step_on`], and every scan is held to
+    /// steps go through the lane's own session as in [`Table::step`],
+    /// and every scan is held to
     /// `model` at its timestamp once it has ended. The trace: what each
     /// turn did.
     pub fn run(mut self, table: &mut Table, model: &mut Model) -> Vec<Turn> {

@@ -19,7 +19,7 @@ pub struct Model {
 
 impl Model {
     /// The model of a table loaded with `rows`.
-    pub fn new(rows: impl IntoIterator<Item = Record>) -> Model {
+    pub(crate) fn new(rows: impl IntoIterator<Item = Record>) -> Model {
         Model {
             base: rows.into_iter().map(|r| (r.key, r.payload)).collect(),
             history: BTreeMap::new(),

@@ -94,7 +94,9 @@ pub fn puts(seed: &str, keys: u64) -> impl Iterator<Item = Op> {
 }
 
 impl Table {
-    /// [`Table::step_on`] the table's own session.
+    /// Run `op` on the table's own session: a put goes into `model`
+    /// with its timestamp, a read must return what `model` says, and
+    /// what a crash recovers must be `model` too.
     pub fn step(&mut self, model: &mut Model, op: &Op) -> Outcome {
         let session = self.session.clone();
         self.step_on(model, &session, op)
@@ -103,7 +105,12 @@ impl Table {
     /// Run `op` on `session`: a put goes into `model` with its
     /// timestamp, a read must return what `model` says, and what a crash
     /// recovers must be `model` too. Any error fails the test.
-    pub fn step_on(&mut self, model: &mut Model, session: &SessionHandle, op: &Op) -> Outcome {
+    pub(crate) fn step_on(
+        &mut self,
+        model: &mut Model,
+        session: &SessionHandle,
+        op: &Op,
+    ) -> Outcome {
         let failed = |e: MasmError| -> Outcome { panic!("{op:?}: {e}") };
         let done = match op {
             Op::Put(key, update) => self.put_on(session, *key, update.clone()).map(|ts| {

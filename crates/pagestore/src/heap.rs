@@ -476,14 +476,11 @@ pub struct RangeScan {
     data: Vec<u8>,
     page_off: usize,
     slot: usize,
-    /// Pages read so far (for reporting).
-    pages_read: u64,
     error: Option<StorageError>,
 }
 
 struct PendingBatch {
     ticket: IoTicket,
-    pages: usize,
     /// First key of the page after the batch (None = batch reaches the end
     /// of the overlap range).
     next_from: Option<Key>,
@@ -501,14 +498,8 @@ impl RangeScan {
             data: Vec::new(),
             page_off: 0,
             slot: 0,
-            pages_read: 0,
             error: None,
         }
-    }
-
-    /// Pages read so far.
-    pub fn pages_read(&self) -> u64 {
-        self.pages_read
     }
 
     /// The device error that ended the scan early, if one did.
@@ -561,11 +552,7 @@ impl RangeScan {
             self.session
                 .read_async(&heap.dev, st.page_map[first], n as u64 * page_size)?;
         let next_from = (last < last_overlap).then(|| st.index.min_key(last + 1));
-        Ok(Some(PendingBatch {
-            ticket,
-            pages: n,
-            next_from,
-        }))
+        Ok(Some(PendingBatch { ticket, next_from }))
     }
 
     /// Issue the read of the batch at `next_from`, if there is one. A
@@ -593,7 +580,6 @@ impl RangeScan {
         self.next_from = batch.next_from;
         self.data = self.session.wait(batch.ticket);
         (self.page_off, self.slot) = (0, 0);
-        self.pages_read += batch.pages as u64;
         self.prefetch();
         true
     }
@@ -865,10 +851,11 @@ mod tests {
     #[test]
     fn scan_reads_only_overlapping_pages() {
         let (heap, s) = heap_with(10_000);
-        let mut scan = heap.scan_range(s, 5000, 5010);
-        let got: Vec<Key> = scan.by_ref().map(|r| r.key).collect();
+        heap.device().reset_stats();
+        let got: Vec<Key> = heap.scan_range(s, 5000, 5010).map(|r| r.key).collect();
         assert_eq!(got.len(), 6);
-        assert!(scan.pages_read() <= 2, "read {} pages", scan.pages_read());
+        let read = heap.device().stats().bytes_read;
+        assert!(read <= 2 * 4096, "read {read} bytes");
     }
 
     #[test]
@@ -1196,7 +1183,7 @@ mod tests {
             let logical = min_keys.partition_point(|&min| min <= key) - 1;
             let bytes = s_owned.read(owned.device(), page_map[logical], 4096);
             let page = Page::from_bytes(bytes.unwrap());
-            let want = page.find(key).ok().map(|slot| page.record(slot));
+            let want = page.find(key).ok().map(|slot| page.view().record(slot));
             let got = lent
                 .with_page_of(&s_lent, key, |p| {
                     assert_eq!(p.timestamp(), page.timestamp());

@@ -20,18 +20,8 @@ impl SparseIndex {
         SparseIndex { min_keys }
     }
 
-    /// Number of pages indexed.
-    pub fn len(&self) -> usize {
-        self.min_keys.len()
-    }
-
-    /// True when no pages are indexed.
-    pub fn is_empty(&self) -> bool {
-        self.min_keys.is_empty()
-    }
-
     /// Minimum key of logical page `p`.
-    pub fn min_key(&self, p: usize) -> Key {
+    pub(crate) fn min_key(&self, p: usize) -> Key {
         self.min_keys[p]
     }
 
@@ -47,7 +37,7 @@ impl SparseIndex {
     }
 
     /// Inclusive logical page range overlapping `[begin, end]`.
-    pub fn page_range(&self, begin: Key, end: Key) -> Option<(usize, usize)> {
+    pub(crate) fn page_range(&self, begin: Key, end: Key) -> Option<(usize, usize)> {
         if self.min_keys.is_empty() || end < begin {
             return None;
         }
@@ -57,7 +47,7 @@ impl SparseIndex {
     }
 
     /// Append a page's minimum key during bulk load.
-    pub fn push(&mut self, min_key: Key) {
+    pub(crate) fn push(&mut self, min_key: Key) {
         debug_assert!(self.min_keys.last().is_none_or(|&k| k <= min_key));
         self.min_keys.push(min_key);
     }
@@ -66,7 +56,7 @@ impl SparseIndex {
     /// `min_keys` (fewer, as many or more), in place: what a rewrite
     /// does to the index when it commits a chunk. Only the keys after
     /// the replaced pages move, and only when the page count changes.
-    pub fn splice(&mut self, pages: std::ops::Range<usize>, min_keys: &[Key]) {
+    pub(crate) fn splice(&mut self, pages: std::ops::Range<usize>, min_keys: &[Key]) {
         let seam = pages.start.saturating_sub(1)..pages.start + min_keys.len() + 1;
         self.min_keys.splice(pages, min_keys.iter().copied());
         let around = &self.min_keys[seam.start..seam.end.min(self.min_keys.len())];
@@ -74,7 +64,7 @@ impl SparseIndex {
     }
 
     /// All minimum keys (for snapshots).
-    pub fn min_keys(&self) -> &[Key] {
+    pub(crate) fn min_keys(&self) -> &[Key] {
         &self.min_keys
     }
 }
@@ -157,7 +147,7 @@ mod tests {
         }
         let mut all = SparseIndex::new(mins);
         all.splice(0..10, &[]);
-        assert!(all.is_empty());
+        assert!(all.min_keys().is_empty());
         assert_eq!(all.locate(5), None);
         all.splice(0..0, &[7, 9]);
         assert_eq!(all.min_keys(), [7, 9]);
@@ -169,7 +159,7 @@ mod tests {
         i.push(1);
         i.push(5);
         i.push(5);
-        assert_eq!(i.len(), 3);
+        assert_eq!(i.min_keys().len(), 3);
         assert_eq!(i.locate(5), Some(2));
     }
 }

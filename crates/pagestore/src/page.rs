@@ -28,9 +28,9 @@ use std::ops::Range;
 use crate::record::{Key, Record, RECORD_HEADER};
 
 /// Page header size in bytes.
-pub const PAGE_HEADER: usize = 16;
+pub(crate) const PAGE_HEADER: usize = 16;
 /// Bytes per slot directory entry.
-pub const SLOT_SIZE: usize = 2;
+pub(crate) const SLOT_SIZE: usize = 2;
 
 /// The longest encoded record (header and payload) a page of
 /// `page_size` bytes can hold: what is left of an empty page after its
@@ -107,7 +107,7 @@ pub struct PageRef<'a> {
 
 impl<'a> PageRef<'a> {
     /// View raw bytes previously produced by [`Page::as_bytes`].
-    pub fn new(data: &'a [u8]) -> Self {
+    pub(crate) fn new(data: &'a [u8]) -> Self {
         assert!(data.len() >= PAGE_HEADER);
         PageRef { data }
     }
@@ -151,7 +151,7 @@ impl<'a> PageRef<'a> {
     }
 
     /// The encoded bytes of record `i` — header and payload, as
-    /// [`Record::encode`] wrote them — bounds-checked against the page.
+    /// [`Record::encode_into`] writes them — bounds-checked against the page.
     #[inline]
     pub fn record_bytes(&self, i: usize) -> &'a [u8] {
         assert!(i < self.record_count(), "slot {i} out of range");
@@ -167,7 +167,7 @@ impl<'a> PageRef<'a> {
     }
 
     /// Decode every record, in slot order.
-    pub fn records(self) -> impl Iterator<Item = Record> + 'a {
+    pub(crate) fn records(self) -> impl Iterator<Item = Record> + 'a {
         (0..self.record_count()).map(move |i| self.record(i))
     }
 
@@ -179,7 +179,7 @@ impl<'a> PageRef<'a> {
     }
 
     /// Smallest key on the page, if any.
-    pub fn min_key(&self) -> Option<Key> {
+    pub(crate) fn min_key(&self) -> Option<Key> {
         (self.record_count() > 0).then(|| self.key_at(0))
     }
 
@@ -243,14 +243,9 @@ impl Page {
         self.data
     }
 
-    /// Page size in bytes.
-    pub fn size(&self) -> usize {
-        self.data.len()
-    }
-
     /// Borrowed read-only view of this page.
     #[inline]
-    pub fn view(&self) -> PageRef<'_> {
+    pub(crate) fn view(&self) -> PageRef<'_> {
         PageRef { data: &self.data }
     }
 
@@ -267,12 +262,12 @@ impl Page {
 
     /// Number of records stored.
     #[inline]
-    pub fn record_count(&self) -> usize {
+    pub(crate) fn record_count(&self) -> usize {
         self.view().record_count()
     }
 
     /// Free bytes remaining (accounting for the slot a new record needs).
-    pub fn free_space(&self) -> usize {
+    pub(crate) fn free_space(&self) -> usize {
         self.view().free_space()
     }
 
@@ -297,12 +292,6 @@ impl Page {
         record.encode(&mut self.data[off..off + len]);
         set_slot(&mut self.data, n, off);
         true
-    }
-
-    /// Decode record `i`.
-    #[inline]
-    pub fn record(&self, i: usize) -> Record {
-        self.view().record(i)
     }
 
     /// Key of record `i` without decoding the payload.
@@ -373,7 +362,7 @@ impl PageChunk {
     }
 
     /// Size of each page in bytes.
-    pub fn page_size(&self) -> usize {
+    pub(crate) fn page_size(&self) -> usize {
         self.page_size
     }
 
@@ -400,7 +389,7 @@ impl PageChunk {
     }
 
     /// Total records, from the page headers.
-    pub fn record_count(&self) -> u64 {
+    pub(crate) fn record_count(&self) -> u64 {
         self.pages().map(|p| p.record_count() as u64).sum()
     }
 
@@ -537,8 +526,8 @@ mod tests {
     fn append_and_read_back() {
         let p = page_with(&[1, 5, 9]);
         assert_eq!(p.record_count(), 3);
-        assert_eq!(p.record(0), Record::synthetic(1, 92));
-        assert_eq!(p.record(2), Record::synthetic(9, 92));
+        assert_eq!(p.view().record(0), Record::synthetic(1, 92));
+        assert_eq!(p.view().record(2), Record::synthetic(9, 92));
         assert_eq!(p.min_key(), Some(1));
         assert_eq!(p.max_key(), Some(9));
     }
@@ -571,7 +560,7 @@ mod tests {
         let q = Page::from_bytes(bytes);
         assert_eq!(q, p);
         assert_eq!(q.timestamp(), 777);
-        assert_eq!(q.record(1).key, 4);
+        assert_eq!(q.view().record(1).key, 4);
     }
 
     #[test]

@@ -37,7 +37,7 @@ impl Record {
     }
 
     /// Bytes needed to encode this record.
-    pub fn encoded_len(&self) -> usize {
+    pub(crate) fn encoded_len(&self) -> usize {
         RECORD_HEADER + self.payload.len()
     }
 
@@ -49,7 +49,7 @@ impl Record {
     }
 
     /// Encode into a slice; `buf` must be exactly `encoded_len` bytes.
-    pub fn encode(&self, buf: &mut [u8]) {
+    pub(crate) fn encode(&self, buf: &mut [u8]) {
         debug_assert_eq!(buf.len(), self.encoded_len());
         buf[..8].copy_from_slice(&self.key.to_le_bytes());
         buf[8..10].copy_from_slice(&(self.payload.len() as u16).to_le_bytes());
@@ -58,7 +58,7 @@ impl Record {
 
     /// Decode a record from the beginning of `buf`; returns it and the
     /// number of bytes consumed.
-    pub fn decode(buf: &[u8]) -> (Record, usize) {
+    pub(crate) fn decode(buf: &[u8]) -> (Record, usize) {
         let key = Key::from_le_bytes(buf[..8].try_into().expect("record header"));
         let len = u16::from_le_bytes(buf[8..10].try_into().expect("record header")) as usize;
         let payload = buf[10..10 + len].to_vec();

@@ -91,13 +91,8 @@ impl Schema {
         &self.fields
     }
 
-    /// Field descriptor by index.
-    pub fn field(&self, i: usize) -> &Field {
-        &self.fields[i]
-    }
-
     /// Byte range of field `i` within the payload.
-    pub fn field_range(&self, i: usize) -> std::ops::Range<usize> {
+    pub(crate) fn field_range(&self, i: usize) -> std::ops::Range<usize> {
         let start = self.offsets[i];
         start..start + self.fields[i].ty.width()
     }
@@ -129,16 +124,6 @@ impl Schema {
     /// Write field `i` as u32.
     pub fn set_u32(&self, payload: &mut [u8], i: usize, v: u32) {
         self.set(payload, i, &v.to_le_bytes());
-    }
-
-    /// Read field `i` as u64.
-    pub fn get_u64(&self, payload: &[u8], i: usize) -> u64 {
-        u64::from_le_bytes(self.get(payload, i).try_into().expect("u64 field"))
-    }
-
-    /// Read field `i` as f64.
-    pub fn get_f64(&self, payload: &[u8], i: usize) -> f64 {
-        f64::from_le_bytes(self.get(payload, i).try_into().expect("f64 field"))
     }
 
     /// A zeroed payload of the right width.
@@ -176,7 +161,7 @@ mod tests {
         s.set(&mut p, 1, &0x1122_3344_5566_7788u64.to_le_bytes());
         s.set(&mut p, 2, b"xyz");
         assert_eq!(s.get_u32(&p, 0), 0xDEAD_BEEF);
-        assert_eq!(s.get_u64(&p, 1), 0x1122_3344_5566_7788);
+        assert_eq!(s.get(&p, 1), 0x1122_3344_5566_7788u64.to_le_bytes());
         assert_eq!(s.get(&p, 2), b"xyz");
     }
 

@@ -12,21 +12,14 @@ use crate::error::{StorageError, StorageResult};
 /// Growable in-memory random-access byte storage, safe for concurrent
 /// use: the simulated device layer serializes *timing*, not data access.
 #[derive(Debug, Default)]
-pub struct MemBackend {
+pub(crate) struct MemBackend {
     data: RwLock<Vec<u8>>,
 }
 
 impl MemBackend {
     /// Create an empty in-memory backend.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
-    }
-
-    /// Create a backend pre-sized to `capacity` zero bytes.
-    pub fn with_capacity(capacity: u64) -> Self {
-        MemBackend {
-            data: RwLock::new(vec![0u8; capacity as usize]),
-        }
     }
 
     /// Run `f` over the `len` bytes starting at `offset`, in place, and
@@ -35,7 +28,7 @@ impl MemBackend {
     /// back for it. The backend's read lock is held while `f` runs: `f`
     /// must not write to this backend (or ask for its length) and
     /// should be short.
-    pub fn read_with<R>(
+    pub(crate) fn read_with<R>(
         &self,
         offset: u64,
         len: u64,
@@ -54,7 +47,7 @@ impl MemBackend {
     }
 
     /// Read `buf.len()` bytes starting at `offset`.
-    pub fn read_at(&self, offset: u64, buf: &mut [u8]) -> StorageResult<()> {
+    pub(crate) fn read_at(&self, offset: u64, buf: &mut [u8]) -> StorageResult<()> {
         self.read_with(offset, buf.len() as u64, |bytes| buf.copy_from_slice(bytes))
             .map(|_| ())
     }
@@ -64,7 +57,7 @@ impl MemBackend {
     /// [`MemBackend::read_with`]). An extent that does not fit — the
     /// end offset overflows, or the memory for it cannot be had — is
     /// [`StorageError::OutOfBounds`], decided before anything changes.
-    pub fn write_at(&self, offset: u64, buf: &[u8]) -> StorageResult<u64> {
+    pub(crate) fn write_at(&self, offset: u64, buf: &[u8]) -> StorageResult<u64> {
         let mut data = self.data.write();
         let out_of_bounds = |capacity: usize| StorageError::OutOfBounds {
             offset,
@@ -86,12 +79,12 @@ impl MemBackend {
     }
 
     /// Current size in bytes (high-water mark of writes).
-    pub fn len(&self) -> u64 {
+    pub(crate) fn len(&self) -> u64 {
         self.data.read().len() as u64
     }
 
     /// True when nothing has been written yet.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.len() == 0
     }
 }
@@ -99,6 +92,12 @@ impl MemBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn zeroed(len: usize) -> MemBackend {
+        let b = MemBackend::new();
+        b.write_at(0, &vec![0; len]).unwrap();
+        b
+    }
 
     #[test]
     fn mem_roundtrip() {
@@ -127,7 +126,7 @@ mod tests {
 
     #[test]
     fn mem_read_past_end_errors() {
-        let b = MemBackend::with_capacity(8);
+        let b = zeroed(8);
         let mut buf = [0u8; 16];
         let err = b.read_at(0, &mut buf).unwrap_err();
         assert!(matches!(err, StorageError::OutOfBounds { .. }));
@@ -168,7 +167,7 @@ mod tests {
 
     #[test]
     fn mem_overwrite_in_place() {
-        let b = MemBackend::with_capacity(16);
+        let b = zeroed(16);
         b.write_at(4, b"abcd").unwrap();
         b.write_at(6, b"XY").unwrap();
         let mut buf = [0u8; 4];
@@ -179,7 +178,7 @@ mod tests {
 
     #[test]
     fn concurrent_disjoint_writes() {
-        let b = std::sync::Arc::new(MemBackend::with_capacity(8 * 1024));
+        let b = std::sync::Arc::new(zeroed(8 * 1024));
         std::thread::scope(|s| {
             for i in 0..8u64 {
                 let b = b.clone();

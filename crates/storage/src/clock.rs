@@ -11,9 +11,6 @@ use std::sync::Arc;
 /// Virtual nanoseconds.
 pub type Ns = u64;
 
-/// One millisecond in virtual nanoseconds.
-pub const MILLIS: Ns = 1_000_000;
-
 /// A shared virtual clock.
 ///
 /// The clock records the furthest point in virtual time that any actor or
@@ -40,7 +37,7 @@ impl SimClock {
     /// Advance the high-water mark to at least `t`.
     ///
     /// Returns the post-update value. Never moves backwards.
-    pub fn advance_to(&self, t: Ns) -> Ns {
+    pub(crate) fn advance_to(&self, t: Ns) -> Ns {
         let mut cur = self.inner.load(Ordering::Relaxed);
         loop {
             if t <= cur {

@@ -149,7 +149,9 @@ impl DeviceProfile {
     ///
     /// `sequential` means the access starts exactly where the previous
     /// access to the device ended (same kind of head/channel continuation).
-    pub fn duration(&self, kind: AccessKind, len: u64, sequential: bool) -> Ns {
+    /// The calibration tests read the paper's device constants off it.
+    #[cfg(test)]
+    pub(crate) fn duration(&self, kind: AccessKind, len: u64, sequential: bool) -> Ns {
         // E[sqrt(|X-Y|)] for uniform X, Y is ~0.532.
         self.duration_at_distance(kind, len, sequential, 0.532f64.powi(2))
     }
@@ -184,7 +186,6 @@ impl DeviceProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::MILLIS;
     use crate::MIB;
 
     #[test]
@@ -199,7 +200,7 @@ mod tests {
     fn hdd_random_4k_is_about_12_7_ms() {
         let p = DeviceProfile::hdd_barracuda();
         let d = p.duration(AccessKind::Read, 4096, false);
-        assert!(d > 12 * MILLIS && d < 14 * MILLIS, "got {d}");
+        assert!(d > 12_000_000 && d < 14_000_000, "got {d}");
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //! This crate substitutes the hardware with a **byte-accurate storage layer
 //! plus a calibrated device timing model**:
 //!
-//! * [`backend`] — real byte storage ([`MemBackend`]); data written is
-//!   data read back, so all correctness properties are testable.
+//! * in-memory byte storage behind every device; data written is data
+//!   read back, so all correctness properties are testable.
 //! * [`device`] — [`DeviceProfile`]s turning an access (kind, offset,
 //!   length, sequentiality) into a duration in virtual nanoseconds, with
 //!   presets matching the paper's hardware constants.
@@ -19,9 +19,9 @@
 //! * [`sim`] — [`SimDevice`], which binds a backend to a profile, keeps a
 //!   busy-until horizon (so concurrent request streams to one device
 //!   serialize and disturb each other's sequentiality — the exact
-//!   interference effect the paper measures), and records [`IoStats`]
-//!   including SSD wear counters.
-//! * [`sched`] — [`SessionHandle`], a per-actor time cursor with synchronous
+//!   interference effect the paper measures), and records
+//!   [`IoStatsSnapshot`]s including SSD wear counters.
+//! * [`SessionHandle`] — a per-actor time cursor with synchronous
 //!   and asynchronous (ticket-based) operations, modeling `libaio`-style
 //!   overlap of disk and SSD accesses.
 //!
@@ -29,30 +29,29 @@
 //! milliseconds of wall-clock time while reproducing the relative
 //! performance the paper reports.
 
-pub mod backend;
+pub(crate) mod backend;
 pub mod clock;
 pub mod device;
 pub mod error;
-pub mod lockcheck;
-pub mod sched;
+pub(crate) mod lockcheck;
+pub(crate) mod sched;
 pub mod sim;
 pub mod stats;
 
-pub use backend::MemBackend;
 pub use clock::{Ns, SimClock};
 pub use device::{AccessKind, DeviceProfile};
 pub use error::{StorageError, StorageResult};
-pub use lockcheck::{tracked_locks_held, LockToken, TrackedGuard, TrackedMutex};
+pub use lockcheck::{TrackedGuard, TrackedMutex};
 pub use sched::{IoTicket, SessionHandle};
 pub use sim::SimDevice;
 pub use stats::{
-    BufferStats, CacheStats, CacheStatsSnapshot, CompressionReport, IoStats, IoStatsSnapshot,
-    MergeReport, RunSetStats, StatFamily, StatField, StatKind, Unit, WearStats, WorkerStats,
+    BufferStats, CacheStats, CacheStatsSnapshot, CompressionReport, IoStatsSnapshot, MergeReport,
+    RunSetStats, StatFamily, StatField, StatKind, Unit, WearStats, WorkerStats,
     WorkerStatsRecorder,
 };
 
 /// Number of bytes in one kibibyte.
-pub const KIB: u64 = 1024;
+pub(crate) const KIB: u64 = 1024;
 /// Number of bytes in one mebibyte.
 pub const MIB: u64 = 1024 * KIB;
 /// Number of bytes in one gibibyte.

@@ -26,14 +26,14 @@ thread_local! {
 /// critical section. Acquire it right after locking a tracked mutex and
 /// let it drop with the guard.
 #[derive(Debug)]
-pub struct LockToken {
+pub(crate) struct LockToken {
     _priv: (),
 }
 
 impl LockToken {
     /// Enter a tracked critical section on this thread.
     #[must_use]
-    pub fn acquire() -> Self {
+    pub(crate) fn acquire() -> Self {
         TRACKED_HELD.with(|c| c.set(c.get() + 1));
         LockToken { _priv: () }
     }
@@ -47,7 +47,7 @@ impl Drop for LockToken {
 
 /// Number of tracked critical sections the current thread is inside.
 #[must_use]
-pub fn tracked_locks_held() -> u32 {
+pub(crate) fn tracked_locks_held() -> u32 {
     TRACKED_HELD.with(Cell::get)
 }
 

@@ -108,7 +108,7 @@ impl SessionHandle {
     }
 
     /// Synchronous read that lends the bytes to `f` instead of copying
-    /// them out ([`SimDevice::read_with`]): the cursor advances to the
+    /// them out: the cursor advances to the
     /// completion time. `f` runs with the cursor and the device's
     /// backend locked: it must not use either.
     pub fn read_with<R>(

@@ -1,6 +1,6 @@
 //! Simulated devices: byte storage + timing + statistics.
 //!
-//! A [`SimDevice`] binds a [`MemBackend`] to a [`DeviceProfile`] and a
+//! A [`SimDevice`] binds in-memory bytes to a [`DeviceProfile`] and a
 //! shared [`SimClock`]. It maintains a single *busy-until* horizon: requests
 //! from any number of actors serialize on the device, exactly like a real
 //! disk with one head (or one SATA link).
@@ -149,7 +149,7 @@ impl std::fmt::Debug for SimDevice {
 
 impl SimDevice {
     /// Create a device over `backend` with timing `profile` on `clock`.
-    pub fn new(backend: MemBackend, profile: DeviceProfile, clock: SimClock) -> Self {
+    pub(crate) fn new(backend: MemBackend, profile: DeviceProfile, clock: SimClock) -> Self {
         SimDevice {
             backend: Arc::new(backend),
             profile,
@@ -171,11 +171,6 @@ impl SimDevice {
     /// Convenience: in-memory device with the given profile.
     pub fn in_memory(profile: DeviceProfile, clock: SimClock) -> Self {
         Self::new(MemBackend::new(), profile, clock)
-    }
-
-    /// The timing profile of this device.
-    pub fn profile(&self) -> &DeviceProfile {
-        &self.profile
     }
 
     /// The shared virtual clock.
@@ -268,7 +263,7 @@ impl SimDevice {
     /// or only looks at them. Returns `f`'s result and the completion
     /// time. `f` runs under the backend's read lock (see
     /// [`MemBackend::read_with`]): it must not touch this device.
-    pub fn read_with<R>(
+    pub(crate) fn read_with<R>(
         &self,
         at: Ns,
         offset: u64,
@@ -444,7 +439,6 @@ impl SimDevice {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::MILLIS;
 
     fn hdd() -> SimDevice {
         SimDevice::in_memory(DeviceProfile::hdd_barracuda(), SimClock::new())
@@ -469,7 +463,7 @@ mod tests {
         let t1 = d.write_at(0, 0, &chunk).unwrap();
         let t2 = d.write_at(t1, 64 * 1024, &chunk).unwrap();
         // Second write is sequential: its duration must be far below a seek.
-        assert!(t2 - t1 < 2 * MILLIS, "sequential write took {}ns", t2 - t1);
+        assert!(t2 - t1 < 2_000_000, "sequential write took {}ns", t2 - t1);
         let s = d.stats();
         assert_eq!(s.sequential_ops, 1);
         assert_eq!(s.random_ops, 1); // the first op had no predecessor

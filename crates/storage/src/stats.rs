@@ -216,7 +216,7 @@ impl IoStatsSnapshot {
 /// reportable [`IoStatsSnapshot`] itself plus the per-erase-block write
 /// counts behind its wear fields.
 #[derive(Debug, Default, Clone)]
-pub struct IoStats {
+pub(crate) struct IoStats {
     snap: IoStatsSnapshot,
     /// Writes per erase block, indexed by block number (it grows to
     /// the highest block written: 8 bytes per erase block of backend,
@@ -286,13 +286,13 @@ impl IoStats {
 
     /// The statistics so far. O(1): no per-block map walk.
     #[must_use]
-    pub fn snapshot(&self) -> IoStatsSnapshot {
+    pub(crate) fn snapshot(&self) -> IoStatsSnapshot {
         self.snap
     }
 
     /// O(1) wear/endurance summary from the running aggregates.
     #[must_use]
-    pub fn wear_stats(&self) -> WearStats {
+    pub(crate) fn wear_stats(&self) -> WearStats {
         let n = self.snap.touched_blocks;
         if n == 0 {
             return WearStats::default();

@@ -42,7 +42,7 @@ impl JsonObj {
 
     /// Add a float field (finite; NaN/inf are emitted as 0 to keep the
     /// row parseable).
-    pub fn f64(&mut self, key: &str, v: f64) -> &mut Self {
+    pub(crate) fn f64(&mut self, key: &str, v: f64) -> &mut Self {
         self.key(key);
         if v.is_finite() {
             self.buf.push_str(&format!("{v:.6}"));

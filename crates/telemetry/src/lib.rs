@@ -6,7 +6,7 @@
 //! ops dashboards all need the same numbers. This crate provides them
 //! in four layers:
 //!
-//! 1. **Metrics core** ([`metrics`], [`timer`]) — log₂-bucketed latency
+//! 1. **Metrics core** ([`metrics`]) — log₂-bucketed latency
 //!    [`Histogram`]s with p50/p95/p99/max readout and a **fixed bucket
 //!    array** (no allocation on the record path), and a [`Timer`] guard
 //!    that records elapsed virtual nanoseconds into a histogram on drop.
@@ -19,7 +19,7 @@
 //!    home there, and [`EngineStats::render_openmetrics`] renders all
 //!    of it in one walk. [`StatsDelta`] (`now − prev`) makes rates
 //!    first-class.
-//! 3. **Time-series export** ([`timeseries`]) — [`TimeSeriesWriter`]
+//! 3. **Time-series export** — [`TimeSeriesWriter`]
 //!    polls snapshots on a virtual-clock interval and collects NDJSON
 //!    rows (one JSON object per line), so sustained-load benches emit a
 //!    time series instead of a single summary row.
@@ -42,8 +42,8 @@
 pub mod json;
 pub mod metrics;
 pub mod stats;
-pub mod timer;
-pub mod timeseries;
+pub(crate) mod timer;
+pub(crate) mod timeseries;
 pub mod trace;
 
 pub use json::JsonValue;
@@ -53,6 +53,6 @@ pub use stats::{EngineStats, OpCountDelta, OpCountDeltas, OpLatencies, StatsDelt
 pub use timer::Timer;
 pub use timeseries::TimeSeriesWriter;
 pub use trace::{
-    current_tid, render_chrome_trace, InvariantWatchdog, RecordKind, SpanGuard, TraceConfig,
-    TraceRecord, TraceStats, Tracer, TrackId,
+    current_tid, InvariantWatchdog, RecordKind, SpanGuard, TraceConfig, TraceRecord, TraceStats,
+    Tracer, TrackId,
 };

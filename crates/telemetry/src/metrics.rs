@@ -93,13 +93,6 @@ impl Histogram {
         }
     }
 
-    /// Samples recorded so far (unit: ops): the sum of the buckets.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        let buckets = self.buckets.iter();
-        buckets.map(|b| b.load(Ordering::Relaxed)).sum()
-    }
-
     /// Copyable snapshot for reporting. `count` is the sum of the
     /// buckets as they were read.
     #[must_use]
@@ -145,7 +138,7 @@ impl Default for HistogramSnapshot {
 impl HistogramSnapshot {
     /// Mean sample value (0 when empty; sample unit).
     #[must_use]
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.count == 0 {
             return 0.0;
         }
@@ -235,7 +228,7 @@ mod tests {
         let h = Histogram::new();
         h.record(0);
         h.record(u64::MAX);
-        assert_eq!(h.count(), 2);
+        assert_eq!(h.snapshot().count, 2);
     }
 
     #[test]
@@ -266,7 +259,7 @@ mod tests {
             }
         }
         assert_eq!(batched.snapshot(), single.snapshot());
-        assert_eq!(batched.count(), 309);
+        assert_eq!(batched.snapshot().count, 309);
     }
 
     #[test]
@@ -309,7 +302,8 @@ mod tests {
             }
             stop.store(true, Ordering::Relaxed);
         });
-        assert_eq!(h.count(), h.snapshot().buckets.iter().sum::<u64>());
+        let snap = h.snapshot();
+        assert_eq!(snap.count, snap.buckets.iter().sum::<u64>());
     }
 
     /// `record`, `record_n`, `delta` and the two renderings

@@ -146,7 +146,7 @@ pub struct EngineStats {
 
 /// One [`StatFamily`] member of an [`EngineStats`]: its JSON key, its
 /// field roster, and the field values in roster order.
-pub type FamilyRow = (&'static str, &'static [StatField], Vec<u64>);
+pub(crate) type FamilyRow = (&'static str, &'static [StatField], Vec<u64>);
 
 /// A family as a JSON object: one key per field, in declaration order,
 /// then the `derived` ratios.
@@ -360,7 +360,7 @@ impl EngineStats {
 /// The monotonic difference between two [`EngineStats`] snapshots of
 /// one engine: every counter is "what happened in the interval" (levels
 /// and peaks inside a family are carried from the newer snapshot), so
-/// rates (e.g. [`StatsDelta::updates_per_sec`]) are first-class.
+/// rates are first-class.
 /// Serializes to one JSON object and parses back exactly
 /// ([`StatsDelta::from_json`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -391,7 +391,7 @@ impl StatsDelta {
     /// Update ingest rate over the interval (unit: ops per *virtual*
     /// second; 0 when the interval is empty).
     #[must_use]
-    pub fn updates_per_sec(&self) -> f64 {
+    pub(crate) fn updates_per_sec(&self) -> f64 {
         if self.elapsed_ns == 0 {
             return 0.0;
         }

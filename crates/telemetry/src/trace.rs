@@ -27,8 +27,9 @@
 //! * **Causal links.** Flow ids ([`Tracer::next_flow_id`]) connect a
 //!   producer-side [`Tracer::flow_start`] to a consumer-side
 //!   [`Tracer::flow_finish`] across threads; Perfetto draws the arrow
-//!   between the enclosing slices. Track ids map `pid` = process lane
-//!   (0 for the engine) and `tid` = OS thread ([`current_tid`]).
+//!   between the enclosing slices. Every event renders in one process
+//!   lane (pid 0, named `masm`); its track picks the thread lane
+//!   ([`current_tid`]).
 //!
 //! Timestamps come from whatever clock the caller samples — the engine
 //! passes virtual time (session cursors or the shared high-water
@@ -57,12 +58,10 @@ pub enum RecordKind {
     Counter,
 }
 
-/// Where an event renders: `pid` = process lane, `tid` = worker/actor
-/// thread.
+/// Where an event renders: the worker/actor thread lane of the one
+/// process lane.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TrackId {
-    /// Process lane (0 for the engine).
-    pub pid: u32,
     /// Thread lane: a process-wide thread index ([`current_tid`]).
     pub tid: u32,
 }
@@ -107,7 +106,7 @@ pub fn current_tid() -> u32 {
 #[derive(Debug, Clone, Copy)]
 pub struct TraceConfig {
     /// Capacity of the recorder's one queue, in records (preallocated
-    /// up front; 65,536 records of 80 bytes by default). Overflow is
+    /// up front; 65,536 records of 72 bytes by default). Overflow is
     /// counted ([`TraceStats::dropped`]), not blocked on.
     pub ring_capacity: usize,
     /// Sample hot per-operation spans 1-in-2^shift
@@ -218,7 +217,7 @@ impl Tracer {
 
     /// Whether this hot-path operation is in the 1-in-2^shift sample.
     #[inline]
-    pub fn sample_op(&self) -> bool {
+    pub(crate) fn sample_op(&self) -> bool {
         self.op_mask == 0 || (self.op_counter.fetch_add(1, Ordering::Relaxed) & self.op_mask) == 0
     }
 
@@ -312,7 +311,7 @@ impl Tracer {
     }
 
     /// A counter sample (renders as a counter track).
-    pub fn counter(&self, name: &'static str, track: TrackId, t_ns: u64, value: u64) {
+    pub(crate) fn counter(&self, name: &'static str, track: TrackId, t_ns: u64, value: u64) {
         self.emit(TraceRecord {
             kind: RecordKind::Counter,
             track,
@@ -401,8 +400,9 @@ impl Tracer {
         }
     }
 
-    /// Drain everything and render it as Chrome trace-event JSON (see
-    /// [`render_chrome_trace`]).
+    /// Drain everything and render it as Chrome trace-event JSON
+    /// (`{"traceEvents":[…]}`), openable in Perfetto /
+    /// `chrome://tracing`.
     #[must_use]
     pub fn export_chrome_trace(&self) -> String {
         render_chrome_trace(&self.take_records())
@@ -453,7 +453,7 @@ fn push_event(events: &mut Vec<String>, rec: &TraceRecord) {
                 .str("ph", "X")
                 .f64("ts", ts_us)
                 .f64("dur", rec.dur_ns as f64 / 1000.0)
-                .u64("pid", u64::from(rec.track.pid))
+                .u64("pid", 0)
                 .u64("tid", u64::from(rec.track.tid));
             if !rec.arg_name.is_empty() {
                 let mut args = JsonObj::new();
@@ -467,7 +467,7 @@ fn push_event(events: &mut Vec<String>, rec: &TraceRecord) {
                 .str("ph", "i")
                 .str("s", "t")
                 .f64("ts", ts_us)
-                .u64("pid", u64::from(rec.track.pid))
+                .u64("pid", 0)
                 .u64("tid", u64::from(rec.track.tid));
             if !rec.arg_name.is_empty() {
                 let mut args = JsonObj::new();
@@ -484,7 +484,7 @@ fn push_event(events: &mut Vec<String>, rec: &TraceRecord) {
             }
             o.u64("id", rec.flow)
                 .f64("ts", ts_us)
-                .u64("pid", u64::from(rec.track.pid))
+                .u64("pid", 0)
                 .u64("tid", u64::from(rec.track.tid));
         }
         RecordKind::Counter => {
@@ -493,7 +493,7 @@ fn push_event(events: &mut Vec<String>, rec: &TraceRecord) {
             o.str("name", rec.name)
                 .str("ph", "C")
                 .f64("ts", ts_us)
-                .u64("pid", u64::from(rec.track.pid))
+                .u64("pid", 0)
                 .raw("args", &args.finish());
         }
     }
@@ -502,41 +502,36 @@ fn push_event(events: &mut Vec<String>, rec: &TraceRecord) {
 
 /// Render drained records as a Chrome trace-event JSON document
 /// (`{"traceEvents":[…]}`), openable in Perfetto / `chrome://tracing`.
-/// Process (`shard-N`) and thread names are synthesized as metadata
-/// events for every track that appears.
+/// The one process (pid 0, `masm`) and every thread that appears get
+/// their names as metadata events.
 #[must_use]
-pub fn render_chrome_trace(records: &[TraceRecord]) -> String {
+pub(crate) fn render_chrome_trace(records: &[TraceRecord]) -> String {
     let mut events: Vec<String> = Vec::with_capacity(records.len() + 8);
-    let mut seen_pids: Vec<u32> = Vec::new();
-    let mut seen_tracks: Vec<TrackId> = Vec::new();
+    let mut seen_tids: Vec<u32> = Vec::new();
     for rec in records {
-        if !seen_pids.contains(&rec.track.pid) {
-            seen_pids.push(rec.track.pid);
-        }
-        if !seen_tracks.contains(&rec.track) {
-            seen_tracks.push(rec.track);
+        if !seen_tids.contains(&rec.track.tid) {
+            seen_tids.push(rec.track.tid);
         }
     }
-    seen_pids.sort_unstable();
-    seen_tracks.sort_unstable_by_key(|t| (t.pid, t.tid));
-    for pid in seen_pids {
+    seen_tids.sort_unstable();
+    if !records.is_empty() {
         let mut args = JsonObj::new();
-        args.str("name", &format!("shard-{pid}"));
+        args.str("name", "masm");
         let mut o = JsonObj::new();
         o.str("name", "process_name")
             .str("ph", "M")
-            .u64("pid", u64::from(pid))
+            .u64("pid", 0)
             .raw("args", &args.finish());
         events.push(o.finish());
     }
-    for track in seen_tracks {
+    for tid in seen_tids {
         let mut args = JsonObj::new();
-        args.str("name", &format!("thread-{}", track.tid));
+        args.str("name", &format!("thread-{tid}"));
         let mut o = JsonObj::new();
         o.str("name", "thread_name")
             .str("ph", "M")
-            .u64("pid", u64::from(track.pid))
-            .u64("tid", u64::from(track.tid))
+            .u64("pid", 0)
+            .u64("tid", u64::from(tid))
             .raw("args", &args.finish());
         events.push(o.finish());
     }
@@ -625,19 +620,19 @@ mod tests {
     use std::sync::atomic::AtomicU64;
     use std::thread;
 
-    fn track(pid: u32, tid: u32) -> TrackId {
-        TrackId { pid, tid }
+    fn track(tid: u32) -> TrackId {
+        TrackId { tid }
     }
 
     /// The emit path writes one fixed-size record — no heap data, no
     /// allocation. Two `&'static str` (two words each) + four u64
-    /// payload fields + the 8-byte track + the kind byte, padded to
-    /// 8-byte alignment: 80 bytes. If this grows, the flight recorder's
+    /// payload fields + the 4-byte track + the kind byte, padded to
+    /// 8-byte alignment: 72 bytes. If this grows, the flight recorder's
     /// memory bound and allocation-freeness both change: move the new
     /// state somewhere else.
     #[test]
     fn record_is_fixed_size_no_allocation() {
-        assert_eq!(std::mem::size_of::<TraceRecord>(), 80);
+        assert_eq!(std::mem::size_of::<TraceRecord>(), 72);
         // Copy is what lets the queue hand records around by value.
         fn assert_copy<T: Copy>() {}
         assert_copy::<TraceRecord>();
@@ -649,8 +644,8 @@ mod tests {
             enabled: false,
             ..TraceConfig::default()
         });
-        t.instant("x", track(0, 1), 10, "", 0);
-        drop(t.span("s", track(0, 1), || 5));
+        t.instant("x", track(1), 10, "", 0);
+        drop(t.span("s", track(1), || 5));
         let s = t.stats();
         assert_eq!(s.emitted, 0);
         assert_eq!(s.retained, 0);
@@ -665,7 +660,7 @@ mod tests {
         });
         // Four records fit; the other sixteen are dropped and counted.
         for i in 0..20 {
-            t.instant("e", track(0, 1), i, "", 0);
+            t.instant("e", track(1), i, "", 0);
         }
         let s = t.stats();
         assert_eq!(s.emitted, 20);
@@ -716,14 +711,13 @@ mod tests {
             .map(|w| {
                 let t = Arc::clone(&t);
                 thread::spawn(move || {
-                    let tid = current_tid();
                     for i in 0..PER_WRITER {
                         // Every field derived from (w, i): a torn record
                         // breaks the cross-field checks below.
                         let v = w * PER_WRITER + i;
                         t.emit(TraceRecord {
                             kind: RecordKind::Span,
-                            track: track(w as u32, tid),
+                            track: track(w as u32),
                             name: "stress",
                             t_ns: v,
                             dur_ns: v.wrapping_mul(3),
@@ -747,7 +741,7 @@ mod tests {
             assert_eq!(r.t_ns, r.arg, "torn record: t_ns vs arg");
             assert_eq!(r.dur_ns, r.arg.wrapping_mul(3), "torn record: dur");
             assert_eq!(r.flow, r.arg ^ 0xABCD, "torn record: flow");
-            assert_eq!(u64::from(r.track.pid), r.arg / PER_WRITER, "torn track");
+            assert_eq!(u64::from(r.track.tid), r.arg / PER_WRITER, "torn track");
         }
         let s = t.stats();
         assert_eq!(s.emitted, WRITERS * PER_WRITER);
@@ -766,7 +760,7 @@ mod tests {
         let t = Tracer::default();
         let clock = AtomicU64::new(100);
         let now = || clock.fetch_add(10, Ordering::Relaxed);
-        let tr = track(0, 7);
+        let tr = track(7);
         {
             let _outer = t.span("outer", tr, now);
             let _inner = t.span("inner", tr, now);
@@ -796,7 +790,7 @@ mod tests {
     fn a_forty_thousand_record_export_parses() {
         let t = Tracer::default();
         for i in 0..40_000u64 {
-            let tr = track((i % 4) as u32, (i % 7) as u32);
+            let tr = track((i % 7) as u32);
             t.span_event("job.flush", tr, i * 10, 5, "bytes", i);
         }
         let doc = parse(&t.export_chrome_trace()).expect("export must parse");
@@ -813,10 +807,10 @@ mod tests {
     #[test]
     fn export_is_valid_chrome_trace_json() {
         let t = Tracer::default();
-        let tr = track(2, 9);
+        let tr = track(9);
         let flow = t.next_flow_id();
         t.span_event("job.flush", tr, 1000, 500, "bytes", 4096);
-        t.flow_start("masm.flush", track(2, 3), 900, flow);
+        t.flow_start("masm.flush", track(3), 900, flow);
         t.flow_finish("masm.flush", tr, 1001, flow);
         t.instant("job.retry", tr, 1200, "attempts", 2);
         t.counter("trace.violations", tr, 1300, 1);
@@ -834,7 +828,18 @@ mod tests {
         };
         let spans: Vec<_> = events.iter().filter(|e| phase(e) == "X").collect();
         assert_eq!(spans.len(), 1);
-        assert_eq!(spans[0].get_u64("pid"), Some(2));
+        assert_eq!(spans[0].get_u64("pid"), Some(0));
+        let str_of = |e: &crate::json::JsonValue, key| match e.get(key) {
+            Some(crate::json::JsonValue::Str(s)) => s.clone(),
+            _ => String::new(),
+        };
+        let procs: Vec<_> = events
+            .iter()
+            .filter(|e| str_of(e, "name") == "process_name")
+            .collect();
+        assert_eq!(procs.len(), 1, "one process lane");
+        assert_eq!(procs[0].get_u64("pid"), Some(0));
+        assert_eq!(str_of(procs[0].get("args").unwrap(), "name"), "masm");
         assert_eq!(spans[0].get_u64("tid"), Some(9));
         assert_eq!(spans[0].get_f64("ts"), Some(1.0));
         assert_eq!(
@@ -855,7 +860,7 @@ mod tests {
     #[test]
     fn watchdog_emits_on_violation_and_respects_interval() {
         let t = Arc::new(Tracer::default());
-        let mut dog = InvariantWatchdog::new(Arc::clone(&t), track(0, 1), 1000);
+        let mut dog = InvariantWatchdog::new(Arc::clone(&t), track(1), 1000);
         let mut stats = EngineStats {
             at_ns: 10,
             ..EngineStats::default()

@@ -56,12 +56,11 @@ proptest! {
             .map(|w| {
                 let t = Arc::clone(&t);
                 thread::spawn(move || {
-                    let tid = masm_telemetry::current_tid();
                     for i in 0..per_writer {
                         let v = w * per_writer + i;
                         t.emit(TraceRecord {
                             kind: RecordKind::Instant,
-                            track: TrackId { pid: w as u32, tid },
+                            track: TrackId { tid: w as u32 },
                             name: "prop",
                             t_ns: v,
                             dur_ns: v.wrapping_mul(7),
@@ -96,7 +95,7 @@ proptest! {
             prop_assert_eq!(r.t_ns, r.arg);
             prop_assert_eq!(r.dur_ns, r.arg.wrapping_mul(7));
             prop_assert_eq!(r.flow, !r.arg);
-            prop_assert_eq!(u64::from(r.track.pid), r.arg / per_writer.max(1));
+            prop_assert_eq!(u64::from(r.track.tid), r.arg / per_writer.max(1));
             seen.push(r.arg);
         }
         seen.sort_unstable();
@@ -114,7 +113,7 @@ proptest! {
         let t = Tracer::default();
         let clock = AtomicU64::new(1);
         let now = || clock.fetch_add(1, Ordering::Relaxed);
-        let track = TrackId { pid: 0, tid: 1 };
+        let track = TrackId { tid: 1 };
         let mut stack = Vec::new();
         for step in &program {
             match step {
@@ -176,7 +175,7 @@ proptest! {
         let t = Tracer::default();
         let clock = AtomicU64::new(1);
         let now = || clock.fetch_add(1, Ordering::Relaxed);
-        let track = TrackId { pid: 3, tid: 2 };
+        let track = TrackId { tid: 2 };
         let mut stack = Vec::new();
         for step in &program {
             match step {

@@ -3,8 +3,8 @@
 //! * [`synthetic`] — the §4.1 synthetic setup: a table of 100-byte
 //!   records populated with even-numbered keys (odd keys are reserved
 //!   for insertions), plus a stream of well-formed updates with randomly
-//!   selected types, uniformly or Zipf distributed over the key space.
-//! * [`zipf`] — a Zipf(θ) key sampler for the skew experiments of §3.5.
+//!   selected types, uniformly or Zipf(θ) distributed over the key space
+//!   (the skew experiments of §3.5).
 //! * [`tpch`] — a TPC-H-*like* replay workload. The paper replays
 //!   `blktrace` I/O traces of 20 TPC-H queries (SF 30) captured on a
 //!   commercial row store; those traces reduce to multi-table range
@@ -17,8 +17,6 @@
 
 pub mod synthetic;
 pub mod tpch;
-pub mod zipf;
+pub(crate) mod zipf;
 
-pub use synthetic::{SyntheticTable, UpdateKind, UpdateMix, UpdateStreamGen};
-pub use tpch::{QueryProfile, TpchTables, TPCH_QUERIES};
-pub use zipf::Zipf;
+pub use synthetic::{SyntheticTable, UpdateMix, UpdateStreamGen};

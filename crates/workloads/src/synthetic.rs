@@ -57,17 +57,6 @@ impl SyntheticTable {
     }
 }
 
-/// Update kinds in the random mix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum UpdateKind {
-    /// Insert a fresh odd-keyed record.
-    Insert,
-    /// Delete an existing even-keyed record.
-    Delete,
-    /// Modify a field of an existing even-keyed record.
-    Modify,
-}
-
 /// Fractions of each update kind (must sum to 1).
 #[derive(Debug, Clone, Copy)]
 pub struct UpdateMix {
@@ -103,7 +92,6 @@ pub struct UpdateStreamGen {
     mix: UpdateMix,
     dist: KeyDist,
     rng: StdRng,
-    generated: u64,
 }
 
 impl UpdateStreamGen {
@@ -114,7 +102,6 @@ impl UpdateStreamGen {
             mix,
             dist: KeyDist::Uniform,
             rng: StdRng::seed_from_u64(seed),
-            generated: 0,
         }
     }
 
@@ -126,7 +113,6 @@ impl UpdateStreamGen {
             mix,
             dist: KeyDist::Zipf(Zipf::new(n, theta)),
             rng: StdRng::seed_from_u64(seed),
-            generated: 0,
         }
     }
 
@@ -137,22 +123,11 @@ impl UpdateStreamGen {
         }
     }
 
-    /// Number of updates generated so far.
-    pub fn generated(&self) -> u64 {
-        self.generated
-    }
-
-    /// The table this stream updates.
-    pub fn table(&self) -> &SyntheticTable {
-        &self.table
-    }
-
     /// Generate the next `(key, op)` pair.
     pub fn next_update(&mut self) -> (Key, UpdateOp) {
         let slot = self.pick_slot();
         let r: f64 = self.rng.gen();
         let schema = &self.table.schema;
-        self.generated += 1;
         if r < self.mix.insert {
             // Odd key adjacent to the chosen slot.
             let key = slot * 2 + 1;

@@ -8,19 +8,18 @@ use rand::Rng;
 
 /// A Zipf(θ) sampler over `1..=n`.
 #[derive(Debug, Clone)]
-pub struct Zipf {
+pub(crate) struct Zipf {
     n: u64,
     theta: f64,
     alpha: f64,
     zetan: f64,
     eta: f64,
-    zeta2: f64,
 }
 
 impl Zipf {
     /// Build a sampler over `1..=n` with skew `theta` in `(0, 1)`.
     /// θ → 0 approaches uniform; θ ≈ 0.99 is the YCSB default hot-spot.
-    pub fn new(n: u64, theta: f64) -> Self {
+    pub(crate) fn new(n: u64, theta: f64) -> Self {
         assert!(n > 0);
         assert!((0.0..1.0).contains(&theta), "theta must be in [0,1)");
         let zetan = Self::zeta(n, theta);
@@ -33,7 +32,6 @@ impl Zipf {
             alpha,
             zetan,
             eta,
-            zeta2,
         }
     }
 
@@ -50,7 +48,7 @@ impl Zipf {
     }
 
     /// Sample a rank in `1..=n` (rank 1 is the hottest).
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
+    pub(crate) fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
         let u: f64 = rng.gen();
         let uz = u * self.zetan;
         if uz < 1.0 {
@@ -61,16 +59,6 @@ impl Zipf {
         }
         let k = ((self.n as f64) * (self.eta * u - self.eta + 1.0).powf(self.alpha)) as u64;
         k.clamp(1, self.n)
-    }
-
-    /// The skew parameter θ.
-    pub fn theta(&self) -> f64 {
-        self.theta
-    }
-
-    /// Unused-field silencer with meaning: ζ(2,θ), exposed for tests.
-    pub fn zeta2(&self) -> f64 {
-        self.zeta2
     }
 }
 
@@ -131,6 +119,5 @@ mod tests {
             let k = z.sample(&mut rng);
             assert!((1..=1 << 30).contains(&k));
         }
-        assert!(z.zeta2() > 1.0);
     }
 }

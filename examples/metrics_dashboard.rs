@@ -218,7 +218,6 @@ fn main() {
     let mut watchdog = InvariantWatchdog::new(
         Arc::clone(&tracer),
         TrackId {
-            pid: 0,
             tid: masm_telemetry::current_tid(),
         },
         1_000_000,

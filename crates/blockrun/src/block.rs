@@ -41,9 +41,7 @@
 //! reference decoder the differential tests hold [`FlatBlock::parse`]
 //! against.
 
-// Varints moved to `masm-codec` with the delta encoding; re-exported
-// because the bloom filter header still uses them.
-pub use masm_codec::varint::{get_varint, put_varint};
+use masm_codec::bytes::Reader;
 
 /// One run entry: an opaque value filed under `(key, ts)`.
 ///
@@ -101,10 +99,16 @@ pub fn encode_block(entries: &[Entry]) -> Vec<u8> {
 /// The entry count a flat block declares, if the block is long enough
 /// to hold that many 20-byte entry headers. Checked before anything is
 /// reserved for the entries: the count is four bytes off a device.
-fn declared_count(buf: &[u8]) -> Option<usize> {
-    let header = buf.get(..COUNT_HEADER)?;
-    let count = u32::from_le_bytes(header.try_into().ok()?) as usize;
-    (count <= (buf.len() - COUNT_HEADER) / ENTRY_HEADER).then_some(count)
+fn declared_count(r: &mut Reader<'_>) -> Option<usize> {
+    let count = r.u32()? as usize;
+    (count <= r.remaining() / ENTRY_HEADER).then_some(count)
+}
+
+/// One flat entry's key, timestamp and value, borrowed.
+fn read_entry<'a>(r: &mut Reader<'a>) -> Option<EntryRef<'a>> {
+    let (key, ts, len) = (r.u64()?, r.u64()?, r.u32()?);
+    let value = r.take(len as usize)?;
+    Some(EntryRef { key, ts, value })
 }
 
 /// Decode a flat data block produced by [`encode_block`] into owned
@@ -116,33 +120,18 @@ fn declared_count(buf: &[u8]) -> Option<usize> {
 /// codec first, so a `None` here means a logic error or deliberate
 /// corruption.)
 pub fn decode_block(buf: &[u8]) -> Option<Vec<Entry>> {
-    let count = declared_count(buf)?;
-    let mut pos = COUNT_HEADER;
-    let mut out = Vec::with_capacity(count);
-    let mut prev_key = 0u64;
+    let mut r = Reader::new(buf);
+    let count = declared_count(&mut r)?;
+    let mut out: Vec<Entry> = Vec::with_capacity(count);
     for _ in 0..count {
-        if buf.len() < pos + 20 {
-            return None;
-        }
-        let key = u64::from_le_bytes(buf[pos..pos + 8].try_into().ok()?);
-        let ts = u64::from_le_bytes(buf[pos + 8..pos + 16].try_into().ok()?);
-        let len = u32::from_le_bytes(buf[pos + 16..pos + 20].try_into().ok()?) as usize;
-        pos += 20;
-        if buf.len() < pos + len {
-            return None;
-        }
-        if key < prev_key {
+        let e = read_entry(&mut r)?;
+        if out.last().is_some_and(|prev| e.key < prev.key) {
             return None; // blocks are key-ordered by construction
         }
-        out.push(Entry {
-            key,
-            ts,
-            value: buf[pos..pos + len].to_vec(),
-        });
-        pos += len;
-        prev_key = key;
+        out.push(e.to_entry());
     }
-    (pos == buf.len()).then_some(out)
+    r.finish()?;
+    Some(out)
 }
 
 /// One entry of a [`FlatBlock`], borrowed from the block's buffer.
@@ -184,25 +173,20 @@ impl FlatBlock {
     /// order — in one pass. `None` where `decode_block` says `None`
     /// (and for a buffer past 4 GiB, which no `u32` offset reaches).
     pub fn parse(bytes: Vec<u8>) -> Option<FlatBlock> {
-        let count = declared_count(&bytes)?;
         let end = u32::try_from(bytes.len()).ok()?;
+        let mut r = Reader::new(&bytes);
+        let count = declared_count(&mut r)?;
         let mut offsets = Vec::with_capacity(count + 1);
-        let mut pos = COUNT_HEADER;
         let mut prev_key = 0u64;
         for _ in 0..count {
-            let (header, rest) = bytes.get(pos..)?.split_first_chunk::<ENTRY_HEADER>()?;
-            let key = u64::from_le_bytes(header[..8].try_into().ok()?);
-            let len = u32::from_le_bytes(header[16..].try_into().ok()?) as usize;
-            if key < prev_key || rest.len() < len {
+            offsets.push(r.pos() as u32);
+            let key = read_entry(&mut r)?.key;
+            if key < prev_key {
                 return None;
             }
-            offsets.push(pos as u32);
-            pos += ENTRY_HEADER + len;
             prev_key = key;
         }
-        if pos != bytes.len() {
-            return None;
-        }
+        r.finish()?;
         offsets.push(end);
         let values = bytes.len() - COUNT_HEADER - count * ENTRY_HEADER;
         Some(FlatBlock {
@@ -339,12 +323,10 @@ mod tests {
     #[test]
     fn out_of_order_keys_rejected() {
         let mut block = encode_block(&sample(2));
-        // Swap the two keys in place (offsets 4 and 4+20+value).
-        let second = 4 + 20; // first entry has an empty value
-        let k0: [u8; 8] = block[4..12].try_into().unwrap();
-        let k1: [u8; 8] = block[second..second + 8].try_into().unwrap();
-        block[4..12].copy_from_slice(&k1);
-        block[second..second + 8].copy_from_slice(&k0);
+        // Swap the two keys in place (offsets 4 and 4+20+value; the
+        // first entry has an empty value).
+        let (first, second) = block.split_at_mut(4 + 20);
+        first[4..12].swap_with_slice(&mut second[..8]);
         assert!(decode_both(&block).is_none());
     }
 

@@ -11,7 +11,7 @@
 //! 64-bit mixes of the key (Kirsch–Mitzenmacher), which matches the
 //! false-positive behaviour of k independent hashes.
 
-use crate::block::{get_varint, put_varint};
+use masm_codec::bytes::{put_varint, Reader};
 
 fn mix64(mut x: u64) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -191,20 +191,13 @@ impl BloomFilter {
     /// probe count outside `1..=30`, a bit array of another length — is
     /// refused, so the mask reduction holds for every filter there is.
     pub fn decode(buf: &[u8]) -> Option<Self> {
-        let (k, used) = get_varint(buf)?;
-        let mut pos = used;
-        let (n_bits, used) = get_varint(&buf[pos..])?;
-        pos += used;
+        let mut r = Reader::new(buf);
+        let (k, n_bits) = (r.varint()?, r.varint()?);
         if !n_bits.is_power_of_two() || n_bits < 64 || k == 0 || k > MAX_K as u64 {
             return None;
         }
-        if (buf.len() - pos) as u64 != n_bits / 8 {
-            return None;
-        }
-        let bits = buf[pos..]
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk")))
-            .collect();
+        let bits = r.words((n_bits / 64) as usize)?;
+        r.finish()?;
         Some(BloomFilter {
             bits,
             n_bits,

@@ -33,12 +33,12 @@
 //! filters, which is a valid over-approximation because the output's
 //! keys are a subset of the inputs' keys.
 
+use masm_codec::bytes::{crc32, seal};
+
 use crate::block::{Entry, COUNT_HEADER, ENTRY_HEADER};
 use crate::bloom::BloomFilter;
-use crate::checksum::crc32;
 use crate::format::{
-    BlockRunConfig, BlockRunError, BlockRunMeta, BlockRunResult, ZoneMap, FOOTER_LEN, MAGIC,
-    VERSION, ZONE_MAP_LEN,
+    BlockRunConfig, BlockRunMeta, BlockRunResult, ZoneMap, FOOTER_LEN, MAGIC, VERSION, ZONE_MAP_LEN,
 };
 
 /// What the zone map needs to know about the open block, tracked as
@@ -194,15 +194,7 @@ impl RunBuilder {
     /// first; the moved block's keys must sort at or after everything
     /// appended so far.
     pub fn append_raw_block(&mut self, raw: &[u8], zone: &ZoneMap) -> BlockRunResult<()> {
-        if raw.len() != zone.len as usize {
-            return Err(BlockRunError::Corrupt("raw block length != zone length"));
-        }
-        if crc32(raw) != zone.crc {
-            return Err(BlockRunError::ChecksumMismatch {
-                region: "block",
-                index: self.zones.len() as u32,
-            });
-        }
+        zone.check(raw, self.zones.len())?;
         debug_assert!(
             self.last_key().is_none_or(|k| k <= zone.min_key),
             "raw blocks must be appended in key order"
@@ -263,8 +255,7 @@ impl RunBuilder {
         for z in &self.zones {
             z.encode_into(&mut index);
         }
-        let index_crc = crc32(&index);
-        index.extend_from_slice(&index_crc.to_le_bytes());
+        seal(&mut index, 0);
         let index_len = index.len() as u64;
         self.bytes.extend_from_slice(&index);
 
@@ -273,8 +264,7 @@ impl RunBuilder {
             Some(b) => {
                 let off = self.bytes.len() as u64;
                 let mut enc = b.encode();
-                let crc = crc32(&enc);
-                enc.extend_from_slice(&crc.to_le_bytes());
+                seal(&mut enc, 0);
                 self.bytes.extend_from_slice(&enc);
                 (off, enc.len() as u64)
             }
@@ -306,8 +296,7 @@ impl RunBuilder {
         footer.extend_from_slice(&min_ts.to_le_bytes());
         footer.extend_from_slice(&max_ts.to_le_bytes());
         footer.extend_from_slice(&(self.cfg.codec.as_id() as u32).to_le_bytes());
-        let crc = crc32(&footer);
-        footer.extend_from_slice(&crc.to_le_bytes());
+        seal(&mut footer, 0);
         debug_assert_eq!(footer.len() as u64, FOOTER_LEN);
         self.bytes.extend_from_slice(&footer);
 
@@ -333,7 +322,7 @@ impl RunBuilder {
 mod tests {
     use super::*;
     use crate::block::{encode_block, flat_entry_len};
-    use crate::format::{build_run, read_meta, write_built, BlockRunScan};
+    use crate::format::{build_run, read_meta, write_built, BlockRunError, BlockRunScan};
     use masm_storage::{DeviceProfile, SessionHandle, SimClock, SimDevice};
     use std::sync::Arc;
 

@@ -40,13 +40,13 @@
 use std::fmt;
 use std::sync::Arc;
 
+use masm_codec::bytes::{open, verify, Reader};
 use masm_codec::CodecChoice;
 use masm_storage::{CompressionReport, IoTicket, SessionHandle, SimDevice, StorageError};
 
 use crate::block::{Entry, EntryRef, FlatBlock};
 use crate::bloom::{BloomFilter, KeyHashes};
 use crate::cache::{BlockCache, CachedBlock, StoredBlock};
-use crate::checksum::crc32;
 
 /// `b"MASMBRUN"` as a little-endian u64.
 pub(crate) const MAGIC: u64 = u64::from_le_bytes(*b"MASMBRUN");
@@ -192,25 +192,53 @@ impl ZoneMap {
         out.push(self.codec_id);
     }
 
-    fn decode(buf: &[u8]) -> Option<ZoneMap> {
-        if buf.len() < ZONE_MAP_LEN {
-            return None;
-        }
-        let u64_at = |o: usize| u64::from_le_bytes(buf[o..o + 8].try_into().expect("8 bytes"));
-        let u32_at = |o: usize| u32::from_le_bytes(buf[o..o + 4].try_into().expect("4 bytes"));
+    fn read(r: &mut Reader<'_>) -> Option<ZoneMap> {
         Some(ZoneMap {
-            offset: u64_at(0),
-            len: u32_at(8),
-            count: u32_at(12),
-            min_key: u64_at(16),
-            max_key: u64_at(24),
-            min_ts: u64_at(32),
-            max_ts: u64_at(40),
-            crc: u32_at(48),
-            raw_len: u32_at(52),
-            codec_id: buf[56],
+            offset: r.u64()?,
+            len: r.u32()?,
+            count: r.u32()?,
+            min_key: r.u64()?,
+            max_key: r.u64()?,
+            min_ts: r.u64()?,
+            max_ts: r.u64()?,
+            crc: r.u32()?,
+            raw_len: r.u32()?,
+            codec_id: r.u8()?,
         })
     }
+
+    /// `stored`, if it is the block this zone describes: its stored
+    /// length, and the CRC over it — checked before any codec runs, so
+    /// truncation or bit rot never reaches a decoder. `index` names the
+    /// block in the error.
+    pub(crate) fn check<'a>(&self, stored: &'a [u8], index: usize) -> BlockRunResult<&'a [u8]> {
+        if stored.len() != self.len as usize {
+            return Err(BlockRunError::Corrupt("block length != zone length"));
+        }
+        verify(stored, self.crc).ok_or(BlockRunError::ChecksumMismatch {
+            region: "block",
+            index: index as u32,
+        })
+    }
+}
+
+/// Whether `zones` tile the data region `[0, data_bytes)` back to back
+/// and in key order, as compaction's move path (which slices blocks out
+/// of one read) and [`BlockRunMeta::blocks_overlapping`] assume.
+fn zones_tile(zones: &[ZoneMap], data_bytes: u64) -> bool {
+    let mut end = 0u64;
+    let mut prev_max = 0u64;
+    for z in zones {
+        if z.offset != end || z.min_key > z.max_key || z.min_key < prev_max {
+            return false;
+        }
+        let Some(next) = end.checked_add(z.len as u64) else {
+            return false;
+        };
+        end = next;
+        prev_max = z.max_key;
+    }
+    end == data_bytes
 }
 
 /// In-memory metadata of one block run: everything a reader needs to
@@ -386,71 +414,69 @@ pub fn write_run(
     Ok(meta)
 }
 
-fn verify_region(data: &[u8], region: &'static str, index: u32) -> Result<(), BlockRunError> {
-    if data.len() < 4 {
-        return Err(BlockRunError::Corrupt("region shorter than its CRC"));
-    }
-    let (body, crc_bytes) = data.split_at(data.len() - 4);
-    let stored = u32::from_le_bytes(crc_bytes.try_into().expect("4 bytes"));
-    if crc32(body) != stored {
-        return Err(BlockRunError::ChecksumMismatch { region, index });
-    }
-    Ok(())
+/// The body of a sealed metadata region (footer, index, bloom), or the
+/// checksum error naming it.
+fn open_region<'a>(data: &'a [u8], region: &'static str) -> BlockRunResult<&'a [u8]> {
+    open(data).ok_or(BlockRunError::ChecksumMismatch { region, index: 0 })
 }
 
 /// Load and verify a run's metadata from its footer, index block, and
 /// bloom block. Only `(base, total_bytes)` need to be known (they come
-/// from the engine's WAL).
+/// from the engine's WAL), and they are trusted no more than the bytes:
+/// every offset sum is checked, and a region or zone outside the run is
+/// [`BlockRunError::Corrupt`].
 pub fn read_meta(
     session: &SessionHandle,
     dev: &SimDevice,
     base: u64,
     total_bytes: u64,
 ) -> BlockRunResult<BlockRunMeta> {
+    const OUT_OF_BOUNDS: BlockRunError = BlockRunError::Corrupt("region out of bounds");
     if total_bytes < FOOTER_LEN {
         return Err(BlockRunError::Corrupt("run shorter than footer"));
     }
-    let footer = session.read(dev, base + total_bytes - FOOTER_LEN, FOOTER_LEN)?;
-    verify_region(&footer, "footer", 0)?;
-    let u64_at = |o: usize| u64::from_le_bytes(footer[o..o + 8].try_into().expect("8 bytes"));
-    let u32_at = |o: usize| u32::from_le_bytes(footer[o..o + 4].try_into().expect("4 bytes"));
-    if u64_at(0) != MAGIC {
+    let end = base.checked_add(total_bytes).ok_or(OUT_OF_BOUNDS)?;
+    let footer = session.read(dev, end - FOOTER_LEN, FOOTER_LEN)?;
+    let mut r = Reader::new(open_region(&footer, "footer")?);
+    if r.u64() != Some(MAGIC) {
         return Err(BlockRunError::Corrupt("bad magic"));
     }
-    if u32_at(8) != VERSION {
+    if r.u32() != Some(VERSION) {
         return Err(BlockRunError::Corrupt("unsupported version"));
     }
-    let block_count = u32_at(12) as usize;
-    let entry_count = u64_at(16);
-    let index_off = u64_at(24);
-    let index_len = u64_at(32);
-    let bloom_off = u64_at(40);
-    let bloom_len = u64_at(48);
-    let (min_key, max_key) = (u64_at(56), u64_at(64));
-    let (min_ts, max_ts) = (u64_at(72), u64_at(80));
-    let codec_raw = u32_at(88);
+    // The rest: block count, nine `u64` fields, the codec choice.
+    let (block_count, words, codec_raw) = (r.u32(), r.words(9), r.u32());
+    let (
+        Some(block_count),
+        Some(
+            &[entry_count, index_off, index_len, bloom_off, bloom_len, min_key, max_key, min_ts, max_ts],
+        ),
+        Some(codec_raw),
+        Some(()),
+    ) = (block_count, words.as_deref(), codec_raw, r.finish())
+    else {
+        return Err(BlockRunError::Corrupt("footer"));
+    };
     let default_codec = u8::try_from(codec_raw)
         .ok()
         .and_then(CodecChoice::from_id)
         .ok_or(BlockRunError::UnknownCodec { id: codec_raw })?;
 
-    if index_off + index_len > total_bytes || bloom_off + bloom_len > total_bytes {
-        return Err(BlockRunError::Corrupt("region out of bounds"));
+    let within = |off: u64, len: u64| off.checked_add(len).is_some_and(|e| e <= total_bytes);
+    if !within(index_off, index_len) || !within(bloom_off, bloom_len) {
+        return Err(OUT_OF_BOUNDS);
     }
+    // Both regions end inside the run, so `base + off` cannot overflow.
     let index = session.read(dev, base + index_off, index_len)?;
-    verify_region(&index, "index", 0)?;
-    if index.len() < 8 {
-        return Err(BlockRunError::Corrupt("index block too short"));
-    }
-    let n = u32::from_le_bytes(index[0..4].try_into().expect("4 bytes")) as usize;
-    if n != block_count || index.len() != 4 + n * ZONE_MAP_LEN + 4 {
-        return Err(BlockRunError::Corrupt("index block geometry"));
+    let mut r = Reader::new(open_region(&index, "index")?);
+    const INDEX: BlockRunError = BlockRunError::Corrupt("index block");
+    let n = r.u32().ok_or(INDEX)? as usize;
+    if n != block_count as usize || r.remaining() != n * ZONE_MAP_LEN {
+        return Err(INDEX);
     }
     let mut zones = Vec::with_capacity(n);
-    for i in 0..n {
-        let off = 4 + i * ZONE_MAP_LEN;
-        let zone = ZoneMap::decode(&index[off..off + ZONE_MAP_LEN])
-            .ok_or(BlockRunError::Corrupt("zone map"))?;
+    for _ in 0..n {
+        let zone = ZoneMap::read(&mut r).ok_or(INDEX)?;
         // Validate codec ids up front: a run naming a codec this build
         // lacks fails open here, typed, before any block is fetched.
         if masm_codec::codec_for(zone.codec_id).is_none() {
@@ -460,14 +486,14 @@ pub fn read_meta(
         }
         zones.push(zone);
     }
+    if !zones_tile(&zones, index_off) {
+        return Err(BlockRunError::Corrupt("zone layout"));
+    }
 
     let bloom = if bloom_len > 0 {
         let raw = session.read(dev, base + bloom_off, bloom_len)?;
-        verify_region(&raw, "bloom", 0)?;
-        Some(
-            BloomFilter::decode(&raw[..raw.len() - 4])
-                .ok_or(BlockRunError::Corrupt("bloom filter"))?,
-        )
+        let body = open_region(&raw, "bloom")?;
+        Some(BloomFilter::decode(body).ok_or(BlockRunError::Corrupt("bloom filter"))?)
     } else {
         None
     };
@@ -488,19 +514,9 @@ pub fn read_meta(
     })
 }
 
-/// Why stored block bytes failed to decode back to a block.
-pub(crate) enum StoredDecodeError {
-    /// The codec id is not known to this build.
-    UnknownCodec(u8),
-    /// The codec rejected the payload.
-    CodecPayload,
-    /// The flat entry layout was inconsistent.
-    Entries,
-}
-
 /// Run (already verified) stored block bytes back through their codec
 /// and index the flat bytes it returns, which become the block — shared
-/// by the device read path ([`decode_verified_block`]) and the cache's
+/// by the device read path ([`decode_device_block`]) and the cache's
 /// tier-2 promotion ([`crate::cache::StoredBlock`]), so the two can
 /// never diverge. Every codec, the identity included, answers for
 /// `raw_len`: a zone that lies about it is a corrupt payload.
@@ -508,38 +524,38 @@ pub(crate) fn decode_stored_bytes(
     stored: &[u8],
     codec_id: u8,
     raw_len: usize,
-) -> Result<FlatBlock, StoredDecodeError> {
-    let flat = if codec_id == masm_codec::IDENTITY {
-        if stored.len() != raw_len {
-            return Err(StoredDecodeError::CodecPayload);
-        }
-        stored.to_vec()
-    } else {
-        let codec =
-            masm_codec::codec_for(codec_id).ok_or(StoredDecodeError::UnknownCodec(codec_id))?;
-        codec
-            .decode(stored, raw_len)
-            .map_err(|_| StoredDecodeError::CodecPayload)?
-    };
-    FlatBlock::parse(flat).ok_or(StoredDecodeError::Entries)
+) -> BlockRunResult<FlatBlock> {
+    let codec = masm_codec::codec_for(codec_id).ok_or(BlockRunError::UnknownCodec {
+        id: codec_id as u32,
+    })?;
+    let flat = codec
+        .decode(stored, raw_len)
+        .map_err(|_| BlockRunError::Corrupt("block codec payload"))?;
+    FlatBlock::parse(flat).ok_or(BlockRunError::Corrupt("block entries"))
 }
 
-/// CRC-verify stored block bytes, run them back through the zone's
-/// codec, and index the flat block. The CRC covers the *stored*
-/// bytes, so truncation or bit rot fails the checksum before any codec
-/// decode work (or its allocations) happens.
-fn decode_verified_block(stored: &[u8], zone: &ZoneMap, idx: usize) -> BlockRunResult<FlatBlock> {
-    if crc32(stored) != zone.crc {
-        return Err(BlockRunError::ChecksumMismatch {
-            region: "block",
-            index: idx as u32,
-        });
+/// Block `idx` as read from the device: its stored bytes CRC-verified
+/// (before any codec decode work, or its allocations, happens), run
+/// back through the zone's codec, indexed, and — with a cache —
+/// inserted with the stored bytes, so a later tier-1 eviction can
+/// demote the compressed form to the victim tier.
+fn decode_device_block(
+    raw: Vec<u8>,
+    zone: &ZoneMap,
+    idx: usize,
+    cache: Option<(&BlockCache, u64)>,
+) -> BlockRunResult<CachedBlock> {
+    let flat = decode_stored_bytes(zone.check(&raw, idx)?, zone.codec_id, zone.raw_len as usize)?;
+    let block = Arc::new(flat);
+    if let Some((cache, run_key)) = cache {
+        let stored = StoredBlock {
+            bytes: Arc::new(raw),
+            codec_id: zone.codec_id,
+            raw_len: zone.raw_len,
+        };
+        cache.insert((run_key, idx as u32), Arc::clone(&block), stored);
     }
-    decode_stored_bytes(stored, zone.codec_id, zone.raw_len as usize).map_err(|e| match e {
-        StoredDecodeError::UnknownCodec(id) => BlockRunError::UnknownCodec { id: id as u32 },
-        StoredDecodeError::CodecPayload => BlockRunError::Corrupt("block codec payload"),
-        StoredDecodeError::Entries => BlockRunError::Corrupt("block entries"),
-    })
+    Ok(block)
 }
 
 /// Read data block `idx`, serving from `cache` when possible; a device
@@ -563,21 +579,7 @@ pub fn read_block(
         }
     }
     let raw = session.read(dev, meta.base + zone.offset, zone.len as u64)?;
-    let block = Arc::new(decode_verified_block(&raw, zone, idx)?);
-    if let Some((cache, run_key)) = cache {
-        // The stored bytes travel into the cache so a later tier-1
-        // eviction can demote the compressed form to the victim tier.
-        cache.insert(
-            (run_key, idx as u32),
-            Arc::clone(&block),
-            StoredBlock {
-                bytes: Arc::new(raw),
-                codec_id: zone.codec_id,
-                raw_len: zone.raw_len,
-            },
-        );
-    }
-    Ok(block)
+    decode_device_block(raw, zone, idx, cache)
 }
 
 /// Show `visit` every entry for `key` in this run, in timestamp order,
@@ -780,32 +782,37 @@ impl BlockRunScan {
         }
     }
 
-    /// Decode `raw` for block `idx`, populate the cache (decoded form
-    /// plus the stored bytes, for tier-2 demotion), and record the
-    /// result (or the error).
-    fn decode_and_cache(&mut self, raw: Vec<u8>, idx: usize) -> Option<CachedBlock> {
-        let zone = self.meta.zones[idx];
-        match decode_verified_block(&raw, &zone, idx) {
-            Ok(block) => {
-                let block = Arc::new(block);
-                if let Some(cache) = &self.cache {
-                    cache.insert(
-                        (self.run_key, idx as u32),
-                        Arc::clone(&block),
-                        StoredBlock {
-                            bytes: Arc::new(raw),
-                            codec_id: zone.codec_id,
-                            raw_len: zone.raw_len,
-                        },
-                    );
-                }
-                Some(block)
+    /// Block `idx`: from its prefetched read, from the cache, or — if
+    /// it was evicted since prefetch skipped it — from a synchronous
+    /// read; a block off the device is verified, decoded and cached.
+    fn fetch(&mut self, idx: usize) -> BlockRunResult<CachedBlock> {
+        let raw = if self.pending.front().is_some_and(|(p, _)| *p == idx) {
+            // The block came from the device via prefetch, not from
+            // `cache.get` — still a miss for the hit-rate accounting.
+            let (_, ticket) = self.pending.pop_front().expect("front checked");
+            if let Some(cache) = &self.cache {
+                cache.record_bypass_miss();
             }
-            Err(e) => {
-                self.error = Some(e);
-                None
-            }
-        }
+            self.session.wait(ticket)
+        } else if let Some(hit) = self
+            .cache
+            .as_ref()
+            .and_then(|c| c.get((self.run_key, idx as u32)))
+        {
+            self.fill_prefetch();
+            return Ok(hit);
+        } else {
+            let zone = self.meta.zones[idx];
+            let raw =
+                self.session
+                    .read(&self.dev, self.meta.base + zone.offset, zone.len as u64)?;
+            self.bytes_read += zone.len as u64;
+            raw
+        };
+        // Overlap: issue further reads before decoding this one.
+        self.fill_prefetch();
+        let cache = self.cache.as_deref().map(|c| (c, self.run_key));
+        decode_device_block(raw, &self.meta.zones[idx], idx, cache)
     }
 
     /// Make the next block the current one; false when exhausted.
@@ -818,54 +825,11 @@ impl BlockRunScan {
         let fetch_start =
             (self.fetch_hist.is_some() || self.tracer.is_some()).then(|| self.session.now());
 
-        let block: CachedBlock = if self.pending.front().is_some_and(|(p, _)| *p == idx) {
-            // The block came from the device via prefetch, not from
-            // `cache.get` — still a miss for the hit-rate accounting.
-            let (_, ticket) = self.pending.pop_front().expect("front checked");
-            if let Some(cache) = &self.cache {
-                cache.record_bypass_miss();
-            }
-            let raw = self.session.wait(ticket);
-            // Overlap: issue further reads before decoding this one.
-            self.fill_prefetch();
-            match self.decode_and_cache(raw, idx) {
-                Some(block) => block,
-                None => return false,
-            }
-        } else {
-            // Not in flight (it was cache-resident at prefetch time):
-            // serve from cache, falling back to a synchronous read if
-            // it was evicted in the meantime.
-            let cached = self
-                .cache
-                .as_ref()
-                .and_then(|c| c.get((self.run_key, idx as u32)));
-            match cached {
-                Some(hit) => {
-                    self.fill_prefetch();
-                    hit
-                }
-                None => {
-                    let zone = self.meta.zones[idx];
-                    match self.session.read(
-                        &self.dev,
-                        self.meta.base + zone.offset,
-                        zone.len as u64,
-                    ) {
-                        Ok(raw) => {
-                            self.bytes_read += zone.len as u64;
-                            self.fill_prefetch();
-                            match self.decode_and_cache(raw, idx) {
-                                Some(block) => block,
-                                None => return false,
-                            }
-                        }
-                        Err(e) => {
-                            self.error = Some(e.into());
-                            return false;
-                        }
-                    }
-                }
+        let block = match self.fetch(idx) {
+            Ok(block) => block,
+            Err(e) => {
+                self.error = Some(e);
+                return false;
             }
         };
 
@@ -920,6 +884,7 @@ impl Iterator for BlockRunScan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use masm_codec::bytes::seal;
     use masm_storage::{DeviceProfile, SimClock};
 
     fn setup() -> (SimDevice, SessionHandle) {
@@ -1323,21 +1288,33 @@ mod tests {
         }
     }
 
+    /// Rewrite the index block (or else the footer) of the run `meta`:
+    /// `patch` edits its body, and the CRC is sealed anew over the
+    /// result, so the reader must judge the fields themselves.
+    fn reseal(dev: &SimDevice, meta: &BlockRunMeta, index: bool, patch: impl FnOnce(&mut Vec<u8>)) {
+        let (off, len) = match index {
+            true => (
+                meta.data_bytes,
+                8 + (meta.zones.len() * ZONE_MAP_LEN) as u64,
+            ),
+            false => (meta.total_bytes - FOOTER_LEN, FOOTER_LEN),
+        };
+        let (mut region, _) = dev.read_at(0, off, len).unwrap();
+        region.truncate(region.len() - 4);
+        patch(&mut region);
+        seal(&mut region, 0);
+        dev.write_at(0, off, &region).unwrap();
+    }
+
     #[test]
     fn unknown_codec_in_footer_fails_open_with_typed_error() {
         let (dev, s) = setup();
         let meta = write_run(&s, &dev, 0, &small_cfg(), &entries(&[1, 2, 3])).unwrap();
-        // Rewrite the footer with a bogus default-codec id and a *valid*
-        // CRC: the reader must reject the codec id itself, typed, not
-        // trip over a checksum.
-        let footer_off = meta.total_bytes - FOOTER_LEN;
-        let (mut footer, _) = dev.read_at(0, footer_off, FOOTER_LEN).unwrap();
-        footer[88..92].copy_from_slice(&0xAAu32.to_le_bytes());
-        let body = footer.len() - 4;
-        let crc = crc32(&footer[..body]);
-        footer[body..].copy_from_slice(&crc.to_le_bytes());
-        dev.write_at(0, footer_off, &footer).unwrap();
-
+        // A bogus default-codec id under a *valid* CRC: the reader must
+        // reject the codec id itself, typed, not trip over a checksum.
+        reseal(&dev, &meta, false, |f| {
+            f[88..92].copy_from_slice(&0xAAu32.to_le_bytes())
+        });
         let err = read_meta(&s, &dev, 0, meta.total_bytes).unwrap_err();
         assert!(
             matches!(err, BlockRunError::UnknownCodec { id: 0xAA }),
@@ -1350,22 +1327,65 @@ mod tests {
         let (dev, s) = setup();
         let keys: Vec<u64> = (0..200).collect();
         let meta = write_run(&s, &dev, 0, &small_cfg(), &entries(&keys)).unwrap();
-        // Patch zone 1's codec id inside the index block and re-seal the
-        // index CRC.
-        let index_off = meta.data_bytes;
-        let index_len = 4 + meta.zones.len() * ZONE_MAP_LEN + 4;
-        let (mut index, _) = dev.read_at(0, index_off, index_len as u64).unwrap();
-        index[4 + ZONE_MAP_LEN + 56] = 0x77;
-        let body = index.len() - 4;
-        let crc = crc32(&index[..body]);
-        index[body..].copy_from_slice(&crc.to_le_bytes());
-        dev.write_at(0, index_off, &index).unwrap();
-
+        // Zone 1's codec id, patched inside a resealed index block.
+        reseal(&dev, &meta, true, |index| {
+            index[4 + ZONE_MAP_LEN + 56] = 0x77
+        });
         let err = read_meta(&s, &dev, 0, meta.total_bytes).unwrap_err();
         assert!(
             matches!(err, BlockRunError::UnknownCodec { id: 0x77 }),
             "{err}"
         );
+    }
+
+    /// Offsets from the log or a resealed footer whose sums overflow
+    /// are corrupt, not an arithmetic panic.
+    #[test]
+    fn offsets_that_overflow_are_corrupt() {
+        let (dev, s) = setup();
+        let corrupt = |r: BlockRunResult<_>| matches!(r, Err(BlockRunError::Corrupt(_)));
+        assert!(corrupt(read_meta(&s, &dev, u64::MAX - 10, 200)));
+        // The footer's `index_off`, then its `bloom_off`.
+        for at in [24, 40] {
+            let (dev, s) = setup();
+            let meta = write_run(&s, &dev, 0, &small_cfg(), &entries(&[1, 2, 3])).unwrap();
+            let huge = (u64::MAX - 3).to_le_bytes();
+            reseal(&dev, &meta, false, |f| f[at..at + 8].copy_from_slice(&huge));
+            assert!(corrupt(read_meta(&s, &dev, 0, meta.total_bytes)), "{at}");
+        }
+    }
+
+    /// Zone maps must tile the data region in key order: compaction
+    /// slices moved blocks out of one read by their offsets.
+    #[test]
+    fn zones_that_do_not_tile_the_data_region_in_key_order_are_corrupt() {
+        let keys: Vec<u64> = (0..200).collect();
+        let (dev, s) = setup();
+        let z = write_run(&s, &dev, 0, &small_cfg(), &entries(&keys))
+            .unwrap()
+            .zones;
+        let last = z.len() - 1;
+        // (zone, field offset in its map, byte width, new value).
+        for (i, at, width, v) in [
+            (1, 0, 8, u64::MAX - 2),              // zone 1 far outside the run
+            (0, 0, 8, z[0].len as u64),           // zone 0 not at 0
+            (1, 0, 8, z[1].offset - 1),           // zone 1 overlapping zone 0
+            (last, 8, 4, z[last].len as u64 - 1), // the last one short of the index
+            (1, 16, 8, z[1].max_key + 1),         // a min key above its max key
+            (2, 16, 8, z[1].max_key - 1),         // keys out of order
+        ] {
+            let (dev, s) = setup();
+            let meta = write_run(&s, &dev, 0, &small_cfg(), &entries(&keys)).unwrap();
+            let at = 4 + i * ZONE_MAP_LEN + at;
+            reseal(&dev, &meta, true, |ix| {
+                ix[at..at + width].copy_from_slice(&v.to_le_bytes()[..width])
+            });
+            let err = read_meta(&s, &dev, 0, meta.total_bytes).unwrap_err();
+            assert!(
+                matches!(err, BlockRunError::Corrupt("zone layout")),
+                "byte {at}: {err}"
+            );
+        }
     }
 
     #[test]

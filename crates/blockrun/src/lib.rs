@@ -18,11 +18,11 @@
 //!   LZ-style byte codec, or per-block adaptive selection); the winning
 //!   codec id and raw length live in the block's zone-map entry, so
 //!   moved blocks carry their codec verbatim through compaction.
-//! * [`checksum`] — CRC-32 on every block, the index, the bloom filter,
-//!   and the footer, so a corrupted SSD read fails loudly
-//!   ([`BlockRunError::ChecksumMismatch`]) instead of decoding garbage;
-//!   block CRCs cover the *stored* (post-codec) bytes, so a truncated
-//!   compressed block is rejected before any codec decode runs.
+//! * **integrity** — CRC-32 on every block, the index, the bloom filter,
+//!   and the footer ([`masm_codec::bytes`]), so a corrupted SSD read
+//!   fails loudly ([`BlockRunError::ChecksumMismatch`]) instead of
+//!   decoding garbage; block CRCs cover the *stored* (post-codec) bytes,
+//!   so a truncated compressed block is rejected before any codec runs.
 //! * [`format`](mod@format) — the run layout: data blocks, an index block of
 //!   [`ZoneMap`]s (first-key → offset plus min/max key and timestamp per
 //!   block, for pruning, plus `{codec_id, len, raw_len}` for the codec
@@ -57,7 +57,6 @@ pub mod block;
 pub mod bloom;
 pub mod builder;
 pub mod cache;
-pub mod checksum;
 pub mod format;
 pub mod plan;
 
@@ -67,7 +66,6 @@ pub use builder::RunBuilder;
 pub use cache::{
     BlockCache, BlockCacheConfig, BlockKey, CachePolicy, CachedBlock, IntoCachedBlock, StoredBlock,
 };
-pub use checksum::crc32;
 pub use format::{
     build_run, point_lookup, read_block, read_meta, write_built, write_run, BlockRunConfig,
     BlockRunError, BlockRunMeta, BlockRunResult, BlockRunScan, ZoneMap,

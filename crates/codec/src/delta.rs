@@ -18,11 +18,23 @@
 //! This is byte-for-byte the pre-codec on-disk block format, so the
 //! compression measured against it is an honest before/after.
 
-use crate::varint::{get_varint, put_varint};
+use crate::bytes::{put_varint, Reader};
 use crate::{Codec, CodecError, CodecResult, DELTA};
 
-/// Flat-layout bytes per entry before its variable-length value.
-const FLAT_ENTRY_HEADER: usize = 8 + 8 + 4;
+/// One flat entry: key, timestamp and the value, borrowed.
+fn flat_entry<'a>(r: &mut Reader<'a>) -> Option<(u64, u64, &'a [u8])> {
+    let (key, ts, len) = (r.u64()?, r.u64()?, r.u32()?);
+    Some((key, ts, r.take(len as usize)?))
+}
+
+/// One delta entry: key delta, timestamp and the value, borrowed.
+fn delta_entry<'a>(r: &mut Reader<'a>) -> Option<(u64, u64, &'a [u8])> {
+    let (delta, ts, len) = (r.varint()?, r.varint()?, r.varint()?);
+    if len > u32::MAX as u64 {
+        return None;
+    }
+    Some((delta, ts, r.take(len as usize)?))
+}
 
 /// The delta+varint codec; see the module docs.
 #[derive(Debug, Clone, Copy, Default)]
@@ -40,74 +52,42 @@ impl Codec for Delta {
     /// Flat block → delta block. Fails when `raw` is not a well-formed
     /// flat block with non-decreasing keys.
     fn encode(&self, raw: &[u8]) -> CodecResult<Vec<u8>> {
-        if raw.len() < 4 {
-            return Err(CodecError::Malformed("flat block shorter than its count"));
-        }
-        let count = u32::from_le_bytes(raw[0..4].try_into().expect("4 bytes")) as usize;
+        const MALFORMED: CodecError = CodecError::Malformed("flat block");
+        let mut r = Reader::new(raw);
+        let count = r.u32().ok_or(MALFORMED)?;
         let mut out = Vec::with_capacity(4 + raw.len() / 2);
-        out.extend_from_slice(&raw[0..4]);
-        let mut pos = 4usize;
+        out.extend_from_slice(&count.to_le_bytes());
         let mut prev_key = 0u64;
         for _ in 0..count {
-            if raw.len() < pos + FLAT_ENTRY_HEADER {
-                return Err(CodecError::Malformed("flat entry header truncated"));
-            }
-            let key = u64::from_le_bytes(raw[pos..pos + 8].try_into().expect("8 bytes"));
-            let ts = u64::from_le_bytes(raw[pos + 8..pos + 16].try_into().expect("8 bytes"));
-            let len = u32::from_le_bytes(raw[pos + 16..pos + 20].try_into().expect("4 bytes"));
-            pos += FLAT_ENTRY_HEADER;
-            let len = len as usize;
-            if raw.len() < pos + len {
-                return Err(CodecError::Malformed("flat entry value truncated"));
-            }
+            let (key, ts, value) = flat_entry(&mut r).ok_or(MALFORMED)?;
             if key < prev_key {
                 return Err(CodecError::Malformed("flat block keys not sorted"));
             }
             put_varint(&mut out, key - prev_key);
             put_varint(&mut out, ts);
-            put_varint(&mut out, len as u64);
-            out.extend_from_slice(&raw[pos..pos + len]);
-            pos += len;
+            put_varint(&mut out, value.len() as u64);
+            out.extend_from_slice(value);
             prev_key = key;
         }
-        if pos != raw.len() {
-            return Err(CodecError::Malformed("flat block trailing bytes"));
-        }
+        r.finish().ok_or(MALFORMED)?;
         Ok(out)
     }
 
     /// Delta block → flat block, validated against `raw_len`.
     fn decode(&self, encoded: &[u8], raw_len: usize) -> CodecResult<Vec<u8>> {
-        if encoded.len() < 4 {
-            return Err(CodecError::Malformed("delta block shorter than its count"));
-        }
-        let count = u32::from_le_bytes(encoded[0..4].try_into().expect("4 bytes")) as usize;
+        const MALFORMED: CodecError = CodecError::Malformed("delta block");
+        let mut r = Reader::new(encoded);
+        let count = r.u32().ok_or(MALFORMED)?;
         let mut out = Vec::with_capacity(raw_len);
-        out.extend_from_slice(&encoded[0..4]);
-        let mut pos = 4usize;
+        out.extend_from_slice(&count.to_le_bytes());
         let mut prev_key = 0u64;
         for _ in 0..count {
-            let (delta, used) =
-                get_varint(&encoded[pos..]).ok_or(CodecError::Malformed("key delta varint"))?;
-            pos += used;
-            let (ts, used) =
-                get_varint(&encoded[pos..]).ok_or(CodecError::Malformed("ts varint"))?;
-            pos += used;
-            let (len, used) =
-                get_varint(&encoded[pos..]).ok_or(CodecError::Malformed("value length varint"))?;
-            pos += used;
-            let len_usize = len as usize;
-            if len > u32::MAX as u64 || encoded.len() < pos + len_usize {
-                return Err(CodecError::Malformed("value truncated"));
-            }
-            let key = prev_key
-                .checked_add(delta)
-                .ok_or(CodecError::Malformed("key delta overflow"))?;
+            let (delta, ts, value) = delta_entry(&mut r).ok_or(MALFORMED)?;
+            let key = prev_key.checked_add(delta).ok_or(MALFORMED)?;
             out.extend_from_slice(&key.to_le_bytes());
             out.extend_from_slice(&ts.to_le_bytes());
-            out.extend_from_slice(&(len as u32).to_le_bytes());
-            out.extend_from_slice(&encoded[pos..pos + len_usize]);
-            pos += len_usize;
+            out.extend_from_slice(&(value.len() as u32).to_le_bytes());
+            out.extend_from_slice(value);
             prev_key = key;
             if out.len() > raw_len {
                 return Err(CodecError::LengthMismatch {
@@ -116,9 +96,7 @@ impl Codec for Delta {
                 });
             }
         }
-        if pos != encoded.len() {
-            return Err(CodecError::Malformed("delta block trailing bytes"));
-        }
+        r.finish().ok_or(MALFORMED)?;
         if out.len() != raw_len {
             return Err(CodecError::LengthMismatch {
                 expected: raw_len,

@@ -33,10 +33,14 @@
 //! never be reassigned. [`codec_for`] resolves an id back to its codec;
 //! an unknown id is a typed error at the call site, never a panic —
 //! forward compatibility for runs written by newer builds.
+//!
+//! [`bytes`] is the door every durable byte goes through: the CRC-32,
+//! sealed sections, varints, and the bounds-checked [`bytes::Reader`]
+//! the decoders here, the run format and the redo log parse with.
 
+pub mod bytes;
 pub mod delta;
 pub mod lz;
-pub mod varint;
 
 use std::fmt;
 

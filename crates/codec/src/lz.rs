@@ -26,6 +26,7 @@
 //! walk is depth-limited, so encoding is O(n · depth) worst case. Blocks
 //! are ≤ 64 KB in practice, comfortably inside the u16 offset window.
 
+use crate::bytes::Reader;
 use crate::{Codec, CodecError, CodecResult, LZ};
 
 const MIN_MATCH: usize = 4;
@@ -49,13 +50,13 @@ fn put_len_ext(out: &mut Vec<u8>, mut v: usize) {
     out.push(v as u8);
 }
 
-fn get_len_ext(buf: &[u8], pos: &mut usize) -> CodecResult<usize> {
+/// What every malformed LZ stream is.
+const MALFORMED: CodecError = CodecError::Malformed("lz stream");
+
+fn get_len_ext(r: &mut Reader<'_>) -> CodecResult<usize> {
     let mut total = 0usize;
     loop {
-        let b = *buf
-            .get(*pos)
-            .ok_or(CodecError::Malformed("length extension truncated"))?;
-        *pos += 1;
+        let b = r.u8().ok_or(MALFORMED)?;
         total += b as usize;
         if b != 255 {
             return Ok(total);
@@ -173,34 +174,23 @@ impl Codec for Lz {
 
     fn decode(&self, encoded: &[u8], raw_len: usize) -> CodecResult<Vec<u8>> {
         let mut out = Vec::with_capacity(raw_len);
-        let mut pos = 0usize;
-        while pos < encoded.len() {
-            let token = encoded[pos];
-            pos += 1;
+        let mut r = Reader::new(encoded);
+        while let Some(token) = r.u8() {
             let mut lit_len = (token >> 4) as usize;
             if lit_len == 15 {
-                lit_len += get_len_ext(encoded, &mut pos)?;
+                lit_len += get_len_ext(&mut r)?;
             }
-            if encoded.len() < pos + lit_len {
-                return Err(CodecError::Malformed("literals truncated"));
-            }
-            out.extend_from_slice(&encoded[pos..pos + lit_len]);
-            pos += lit_len;
-            if pos == encoded.len() {
+            out.extend_from_slice(r.take(lit_len).ok_or(MALFORMED)?);
+            if r.remaining() == 0 {
                 break; // final sequence: literals only
             }
-            if encoded.len() < pos + 2 {
-                return Err(CodecError::Malformed("match offset truncated"));
-            }
-            let offset =
-                u16::from_le_bytes(encoded[pos..pos + 2].try_into().expect("2 bytes")) as usize;
-            pos += 2;
+            let offset = r.u16().ok_or(MALFORMED)? as usize;
             if offset == 0 || offset > out.len() {
-                return Err(CodecError::Malformed("match offset out of range"));
+                return Err(MALFORMED); // no history that far back
             }
             let mut match_len = (token & 0x0F) as usize;
             if match_len == 15 {
-                match_len += get_len_ext(encoded, &mut pos)?;
+                match_len += get_len_ext(&mut r)?;
             }
             match_len += MIN_MATCH;
             if out.len() + match_len > raw_len {

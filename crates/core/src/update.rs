@@ -6,6 +6,7 @@
 //! updates never read existing DW data, which is what keeps them off the
 //! disk's critical path.
 
+use masm_codec::bytes::Reader;
 use masm_pagestore::{Key, Record, Schema};
 
 use crate::error::{MasmError, MasmResult};
@@ -152,78 +153,53 @@ impl UpdateRecord {
         out
     }
 
-    /// Decode an operation (tag + content) from the front of `buf`;
-    /// returns it and the bytes consumed.
-    fn decode_op(buf: &[u8]) -> Option<(UpdateOp, usize)> {
-        let tag = *buf.first()?;
-        let mut pos = 1usize;
-        let op = match tag {
-            0 | 3 => {
-                if buf.len() < pos + 2 {
-                    return None;
-                }
-                let len = u16::from_le_bytes(buf[pos..pos + 2].try_into().ok()?) as usize;
-                pos += 2;
-                if buf.len() < pos + len {
-                    return None;
-                }
-                let payload = buf[pos..pos + len].to_vec();
-                pos += len;
-                if tag == 0 {
-                    UpdateOp::Insert(payload)
-                } else {
-                    UpdateOp::Replace(payload)
-                }
-            }
+    /// Read an operation (tag + content).
+    fn read_op(r: &mut Reader<'_>) -> Option<UpdateOp> {
+        Some(match r.u8()? {
+            0 => UpdateOp::Insert(Self::read_payload(r)?),
             1 => UpdateOp::Delete,
             2 => {
-                if buf.len() < pos + 1 {
-                    return None;
-                }
-                let n = buf[pos] as usize;
-                pos += 1;
-                let mut patches = Vec::with_capacity(n);
+                let n = r.u8()?;
+                let mut patches = Vec::with_capacity(n as usize);
                 for _ in 0..n {
-                    if buf.len() < pos + 4 {
-                        return None;
-                    }
-                    let field = u16::from_le_bytes(buf[pos..pos + 2].try_into().ok()?);
-                    let len = u16::from_le_bytes(buf[pos + 2..pos + 4].try_into().ok()?) as usize;
-                    pos += 4;
-                    if buf.len() < pos + len {
-                        return None;
-                    }
-                    patches.push(FieldPatch {
-                        field,
-                        value: buf[pos..pos + len].to_vec(),
-                    });
-                    pos += len;
+                    let field = r.u16()?;
+                    let value = Self::read_payload(r)?;
+                    patches.push(FieldPatch { field, value });
                 }
                 UpdateOp::Modify(patches)
             }
+            3 => UpdateOp::Replace(Self::read_payload(r)?),
             _ => return None,
-        };
-        Some((op, pos))
+        })
+    }
+
+    /// A `u16` length, then that many bytes, owned.
+    fn read_payload(r: &mut Reader<'_>) -> Option<Vec<u8>> {
+        let len = r.u16()?;
+        Some(r.take(len as usize)?.to_vec())
+    }
+
+    /// Read one full `(ts, key, op)` record ([`UpdateRecord::encode_into`]).
+    pub(crate) fn read(r: &mut Reader<'_>) -> Option<UpdateRecord> {
+        let (ts, key) = (r.u64()?, r.u64()?);
+        Some(UpdateRecord::new(ts, key, Self::read_op(r)?))
     }
 
     /// Decode one record from the front of `buf`; returns it and the
     /// bytes consumed, or `None` if `buf` is truncated.
     pub fn decode(buf: &[u8]) -> Option<(UpdateRecord, usize)> {
-        if buf.len() < 17 {
-            return None;
-        }
-        let ts = Timestamp::from_le_bytes(buf[0..8].try_into().ok()?);
-        let key = Key::from_le_bytes(buf[8..16].try_into().ok()?);
-        let (op, used) = Self::decode_op(&buf[16..])?;
-        Some((UpdateRecord { ts, key, op }, 16 + used))
+        let mut r = Reader::new(buf);
+        Some((Self::read(&mut r)?, r.pos()))
     }
 
     /// Reassemble a record from block-run parts: the `(key, ts)` the
     /// block format stored plus the opaque value written by
     /// [`UpdateRecord::encode_value`]. Rejects trailing bytes.
     pub(crate) fn decode_value(key: Key, ts: Timestamp, value: &[u8]) -> Option<UpdateRecord> {
-        let (op, used) = Self::decode_op(value)?;
-        (used == value.len()).then_some(UpdateRecord { ts, key, op })
+        let mut r = Reader::new(value);
+        let op = Self::read_op(&mut r)?;
+        r.finish()?;
+        Some(UpdateRecord { ts, key, op })
     }
 
     /// Apply this update to an optional existing record, producing the

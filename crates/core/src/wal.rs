@@ -73,7 +73,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use masm_blockrun::crc32;
+use masm_codec::bytes::{crc32, put_u64s, verify, Reader};
 use masm_pagestore::{ChunkCommit, Key};
 use masm_storage::{SessionHandle, SimDevice};
 use parking_lot::{Condvar, Mutex};
@@ -199,33 +199,6 @@ pub enum WalRecord {
     },
 }
 
-fn put_u64s(out: &mut Vec<u8>, vals: &[u64]) {
-    out.extend_from_slice(&(vals.len() as u32).to_le_bytes());
-    for v in vals {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-}
-
-fn get_u64s(buf: &[u8], pos: &mut usize) -> Option<Vec<u64>> {
-    let n = u32::from_le_bytes(buf.get(*pos..*pos + 4)?.try_into().ok()?) as usize;
-    *pos += 4;
-    // The count comes off the device: a body too short for it is
-    // refused before anything is reserved for it.
-    let ids = buf.get(*pos..)?.get(..n * 8)?;
-    *pos += ids.len();
-    Some(
-        ids.chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-            .collect(),
-    )
-}
-
-fn get_u64(buf: &[u8], pos: &mut usize) -> Option<u64> {
-    let v = u64::from_le_bytes(buf.get(*pos..*pos + 8)?.try_into().ok()?);
-    *pos += 8;
-    Some(v)
-}
-
 /// One framing step of [`Wal::replay`].
 enum Framed<'a> {
     /// Clean end of the log (empty or zero padding to the end).
@@ -233,19 +206,14 @@ enum Framed<'a> {
     /// The buffer ends inside a record (or inside a header), or a zero
     /// hole is followed by more data: a torn tail.
     Torn,
-    /// A whole record extent is present but its CRC fails. `extent` is
-    /// the claimed record length, so the caller can check what follows.
-    BadCrc {
-        /// Claimed total record length (header + body).
-        extent: usize,
-    },
-    /// A CRC-valid record.
+    /// A whole record extent — `extent` bytes, header and body — is
+    /// present but its CRC fails; the caller checks what follows it.
+    BadCrc { extent: usize },
+    /// A CRC-valid record: its tag, its body, and the bytes it took
+    /// (header and body).
     Record {
-        /// Record tag.
         tag: u8,
-        /// Record body.
         body: &'a [u8],
-        /// Total bytes consumed (header + body).
         used: usize,
     },
 }
@@ -257,29 +225,24 @@ fn frame(buf: &[u8]) -> Framed<'_> {
     if buf.iter().all(|&b| b == 0) {
         return Framed::End;
     }
-    if buf.len() < HEADER {
+    let mut r = Reader::new(buf);
+    let (Some(body_len), Some(crc)) = (r.u32(), r.u32()) else {
         return Framed::Torn;
-    }
-    let body_len = u32::from_le_bytes(buf[0..4].try_into().unwrap()) as usize;
-    let crc = u32::from_le_bytes(buf[4..8].try_into().unwrap());
-    let tag = buf[8];
+    };
+    // The CRC covers the tag and the body.
+    let Some(tagged @ &[tag, ref body @ ..]) = r.take(1 + body_len as usize) else {
+        return Framed::Torn;
+    };
     if body_len == 0 && crc == 0 && tag == 0 {
         // A zero hole *followed by data*: an unwritten reservation in
         // front of records whose appends never returned. Everything
         // from here on was unacknowledged — torn tail.
         return Framed::Torn;
     }
-    let extent = HEADER + body_len;
-    if buf.len() < extent {
-        return Framed::Torn;
-    }
-    if crc32(&buf[8..extent]) != crc {
-        return Framed::BadCrc { extent };
-    }
-    Framed::Record {
-        tag,
-        body: &buf[HEADER..extent],
-        used: extent,
+    let used = r.pos();
+    match verify(tagged, crc) {
+        Some(_) => Framed::Record { tag, body, used },
+        None => Framed::BadCrc { extent: used },
     }
 }
 
@@ -350,90 +313,69 @@ impl WalRecord {
     }
 
     /// Decode a CRC-verified record body. The framing CRC has already
-    /// vouched for these bytes, so any failure here is real corruption
-    /// (or an unknown record version) — always a hard error.
+    /// vouched for these bytes, so any failure here — a field cut off,
+    /// a count the body cannot hold, a byte left over — is real
+    /// corruption (or an unknown record version): always a hard error,
+    /// named after the record kind.
     fn decode_body(tag: u8, body: &[u8]) -> MasmResult<WalRecord> {
-        let body_len = body.len();
-        let mut pos = 0usize;
-        let rec = match tag {
-            UPDATE_TAG => {
-                let (u, used) =
-                    UpdateRecord::decode(body).ok_or(MasmError::Corrupt("WAL update"))?;
-                if used != body_len {
-                    return Err(MasmError::Corrupt("WAL update length"));
-                }
-                WalRecord::Update(u)
-            }
+        const KINDS: [&str; 7] = [
+            "WAL Update",
+            "WAL RunCreated",
+            "WAL RunsDeleted",
+            "WAL MigrationBegin",
+            "WAL MigrationEnd",
+            "WAL HeapLoaded",
+            "WAL MapSplice",
+        ];
+        let kind = *KINDS
+            .get(tag as usize)
+            .ok_or(MasmError::Corrupt("unknown WAL tag"))?;
+        let mut r = Reader::new(body);
+        match (Self::read_body(tag, &mut r), r.finish()) {
+            (Some(rec), Some(())) => Ok(rec),
+            _ => Err(MasmError::Corrupt(kind)),
+        }
+    }
+
+    /// Read the body of a tag-`tag` record, in [`WalRecord::encode_into`]'s
+    /// field order.
+    fn read_body(tag: u8, r: &mut Reader<'_>) -> Option<WalRecord> {
+        Some(match tag {
+            UPDATE_TAG => WalRecord::Update(UpdateRecord::read(r)?),
             1 => WalRecord::RunCreated {
-                id: get_u64(body, &mut pos).ok_or(MasmError::Corrupt("run id"))?,
-                base: get_u64(body, &mut pos).ok_or(MasmError::Corrupt("run base"))?,
-                bytes: get_u64(body, &mut pos).ok_or(MasmError::Corrupt("run bytes"))?,
-                count: get_u64(body, &mut pos).ok_or(MasmError::Corrupt("run count"))?,
-                max_ts: get_u64(body, &mut pos).ok_or(MasmError::Corrupt("run max_ts"))?,
-                passes: *body.get(pos).ok_or(MasmError::Corrupt("run passes"))?,
+                id: r.u64()?,
+                base: r.u64()?,
+                bytes: r.u64()?,
+                count: r.u64()?,
+                max_ts: r.u64()?,
+                passes: r.u8()?,
             },
-            2 => WalRecord::RunsDeleted(
-                get_u64s(body, &mut pos).ok_or(MasmError::Corrupt("deleted ids"))?,
-            ),
+            2 => WalRecord::RunsDeleted(r.u64s()?),
             3 => WalRecord::MigrationBegin {
-                ts: get_u64(body, &mut pos).ok_or(MasmError::Corrupt("mig ts"))?,
-                run_ids: get_u64s(body, &mut pos).ok_or(MasmError::Corrupt("mig runs"))?,
+                ts: r.u64()?,
+                run_ids: r.u64s()?,
             },
-            4 => WalRecord::MigrationEnd {
-                ts: get_u64(body, &mut pos).ok_or(MasmError::Corrupt("mig end ts"))?,
+            4 => WalRecord::MigrationEnd { ts: r.u64()? },
+            5 => WalRecord::HeapLoaded {
+                seq: r.u64()?,
+                base: r.u64()?,
+                page_size: r.u32()?,
+                record_count: r.u64()?,
+                min_keys: r.u64s()?,
             },
-            5 => {
-                let seq = get_u64(body, &mut pos).ok_or(MasmError::Corrupt("load seq"))?;
-                let base = get_u64(body, &mut pos).ok_or(MasmError::Corrupt("load base"))?;
-                let page_size = u32::from_le_bytes(
-                    body.get(pos..pos + 4)
-                        .ok_or(MasmError::Corrupt("load psize"))?
-                        .try_into()
-                        .unwrap(),
-                );
-                pos += 4;
-                let record_count =
-                    get_u64(body, &mut pos).ok_or(MasmError::Corrupt("load count"))?;
-                let min_keys = get_u64s(body, &mut pos).ok_or(MasmError::Corrupt("load keys"))?;
-                WalRecord::HeapLoaded {
-                    seq,
-                    base,
-                    page_size,
-                    min_keys,
-                    record_count,
-                }
-            }
-            6 => {
-                let seq = get_u64(body, &mut pos).ok_or(MasmError::Corrupt("splice seq"))?;
-                let at = get_u64(body, &mut pos).ok_or(MasmError::Corrupt("splice at"))? as usize;
-                let n_old =
-                    get_u64(body, &mut pos).ok_or(MasmError::Corrupt("splice n_old"))? as usize;
-                let base_phys = get_u64(body, &mut pos).ok_or(MasmError::Corrupt("splice base"))?;
-                let n_new =
-                    get_u64(body, &mut pos).ok_or(MasmError::Corrupt("splice n_new"))? as usize;
-                let record_delta = i64::from_le_bytes(
-                    body.get(pos..pos + 8)
-                        .ok_or(MasmError::Corrupt("splice delta"))?
-                        .try_into()
-                        .unwrap(),
-                );
-                pos += 8;
-                let min_keys = get_u64s(body, &mut pos).ok_or(MasmError::Corrupt("splice keys"))?;
-                WalRecord::MapSplice {
-                    seq,
-                    commit: ChunkCommit {
-                        at,
-                        n_old,
-                        base_phys,
-                        n_new,
-                        min_keys,
-                        record_delta,
-                    },
-                }
-            }
-            _ => return Err(MasmError::Corrupt("unknown WAL tag")),
-        };
-        Ok(rec)
+            6 => WalRecord::MapSplice {
+                seq: r.u64()?,
+                commit: ChunkCommit {
+                    at: r.u64()? as usize,
+                    n_old: r.u64()? as usize,
+                    base_phys: r.u64()?,
+                    n_new: r.u64()? as usize,
+                    record_delta: r.i64()?,
+                    min_keys: r.u64s()?,
+                },
+            },
+            _ => return None,
+        })
     }
 
     /// Decode one record from the front of `buf`; returns it and the
@@ -722,16 +664,6 @@ mod tests {
         let mut buf = Vec::new();
         rec.encode_into(&mut buf);
         buf.truncate(buf.len() - 1);
-        assert!(WalRecord::decode(&buf).is_err());
-    }
-
-    #[test]
-    fn crc_catches_a_flipped_bit() {
-        let rec = WalRecord::MigrationEnd { ts: 7 };
-        let mut buf = Vec::new();
-        rec.encode_into(&mut buf);
-        let last = buf.len() - 1;
-        buf[last] ^= 0x01;
         assert!(WalRecord::decode(&buf).is_err());
     }
 

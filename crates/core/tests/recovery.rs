@@ -6,7 +6,8 @@
 
 use std::sync::Arc;
 
-use masm_blockrun::crc32;
+use masm_blockrun::BlockRunError;
+use masm_codec::bytes::seal;
 use masm_core::update::{UpdateOp, UpdateRecord};
 use masm_core::wal::{Wal, WalRecord};
 use masm_core::{MasmConfig, MasmEngine, MasmError};
@@ -326,12 +327,11 @@ fn a_splice_outside_the_heap_is_corrupt_not_a_panic() {
 #[test]
 fn a_log_with_a_retired_manifest_frame_is_refused() {
     let (t, _) = table(100);
-    let body = b"MSMF";
-    let mut tagged = vec![7];
-    tagged.extend_from_slice(body);
-    let mut frame = (body.len() as u32).to_le_bytes().to_vec();
-    frame.extend_from_slice(&crc32(&tagged).to_le_bytes());
-    frame.extend_from_slice(&tagged);
+    // `[body_len][crc][tag][body]`, the CRC over tag and body.
+    let mut sealed = b"\x07MSMF".to_vec();
+    seal(&mut sealed, 0);
+    let (tagged, crc) = sealed.split_at(sealed.len() - 4);
+    let frame = [&(tagged.len() as u32 - 1).to_le_bytes(), crc, tagged].concat();
     let wal = &t.dev.wal;
     wal.write_at(t.session.now(), wal.len(), &frame).unwrap();
 
@@ -344,4 +344,28 @@ fn a_log_with_a_retired_manifest_frame_is_refused() {
     };
     assert!(matches!(err, MasmError::Corrupt(_)), "{err}");
     assert_eq!(heap.num_pages(), 0, "refused before any heap event");
+}
+
+/// A CRC-valid `RunCreated` whose run would end past `u64::MAX` on the
+/// SSD: recovery refuses it, typed, instead of overflowing an offset.
+#[test]
+fn a_run_whose_offsets_overflow_is_corrupt_not_a_panic() {
+    let (t, _) = table(100);
+    let wal = Wal::new(t.dev.wal.clone(), t.dev.wal.len());
+    let run = WalRecord::RunCreated {
+        id: 1_000,
+        base: u64::MAX - 10,
+        bytes: 200,
+        count: 1,
+        passes: 1,
+        max_ts: 0,
+    };
+    wal.append(&t.session, &run).unwrap();
+    let Err(err) = t.spec.clone().recover(t.dev.crash(), None) else {
+        panic!("a run past the end of the address space recovered");
+    };
+    assert!(
+        matches!(&err, MasmError::BlockRun(BlockRunError::Corrupt(_))),
+        "{err}"
+    );
 }

@@ -1,11 +1,11 @@
 //! # masm-bench — the experiment harness
 //!
 //! One function per table/figure of the paper ([`figs`]; the README's
-//! "Paper figure index" lists them), all run by the `repro` binary, plus
-//! `fig_concurrent_scans`, which drives real threads. This library holds
-//! what they share: scaled experiment environments, the
-//! concurrent-updater driver that reproduces the paper's "online updates
-//! while queries run" setup, and the one output format, [`Report`].
+//! "Paper figure index" lists them), all run by the `repro` binary.
+//! This library holds what they share: scaled experiment environments,
+//! the concurrent-updater driver that reproduces the paper's "online
+//! updates while queries run" setup, and the one output format,
+//! [`Report`].
 //!
 //! ## Scaling
 //!
@@ -120,7 +120,7 @@ impl SyntheticEnv {
     }
 
     /// Build with a hook to adjust the MaSM configuration.
-    pub fn with_config_mutator(mb: u64, f: impl FnOnce(&mut MasmConfig)) -> SyntheticEnv {
+    pub(crate) fn with_config_mutator(mb: u64, f: impl FnOnce(&mut MasmConfig)) -> SyntheticEnv {
         let machine = Machine::new();
         let table_bytes = mb * MIB;
         let table = SyntheticTable::with_bytes(table_bytes);

@@ -13,6 +13,11 @@
 //! The experimental defaults match §4.1: 64 KB SSD I/O pages, 4 GB flash
 //! space (so `M = 256` pages = 16 MB of memory for MaSM-M), fine-grain
 //! run index (one entry per 4 KB of cached updates).
+//!
+//! Maintenance has no knobs: flush, compaction and migration run on the
+//! thread of the caller that needs them (see [`crate::engine`]). The
+//! `background_workers` field is a leftover name with one legal value,
+//! 0.
 
 use crate::error::{MasmError, MasmResult};
 
@@ -94,21 +99,12 @@ pub struct MasmConfig {
     /// instead of a device read — the tier's effective block count is
     /// multiplied by the codec's compression ratio.
     pub cache_tier2_bytes: usize,
-    /// Background worker threads. `0` (the default) keeps the engine's
-    /// original inline execution: flushes and merges run on the caller's
-    /// thread, deterministically. With `n > 0` the engine spawns `n`
-    /// worker threads that drain a backlog queue of flush / compaction /
-    /// migration jobs, so `apply_update` never pays a materialization
-    /// inline and scans never pay a merge at setup — callers only
-    /// throttle through the [`MasmConfig::worker_backlog_bytes`]
-    /// backpressure gate.
+    /// Must be 0: every flush, compaction and migration runs on the
+    /// thread of the caller that needs it. The field stays only because
+    /// the frozen benchmark crate sets it by name; the next change to
+    /// that crate deletes it. [`MasmConfig::validate`] refuses any
+    /// other value with [`MasmError::Config`].
     pub background_workers: usize,
-    /// Backpressure bound on the flush backlog: when the bytes of
-    /// sealed (drained-but-not-yet-materialized) update batches exceed
-    /// this, `apply_update` blocks until a worker catches up. `0` means
-    /// auto: 4× the update-buffer capacity. Ignored when
-    /// [`MasmConfig::background_workers`] is 0.
-    pub worker_backlog_bytes: u64,
 }
 
 impl Default for MasmConfig {
@@ -124,7 +120,6 @@ impl Default for MasmConfig {
             block_cache_bytes: 8 * 1024 * 1024,
             cache_tier2_bytes: 4 * 1024 * 1024,
             background_workers: 0,
-            worker_backlog_bytes: 0,
         }
     }
 }
@@ -139,17 +134,6 @@ impl MasmConfig {
             block_cache_bytes: 2 * 1024 * 1024,
             cache_tier2_bytes: 1024 * 1024,
             ..MasmConfig::default()
-        }
-    }
-
-    /// Effective backpressure bound for the background-flush backlog
-    /// (see [`MasmConfig::worker_backlog_bytes`]; 0 = 4× the update
-    /// buffer).
-    pub(crate) fn effective_backlog_bytes(&self) -> u64 {
-        if self.worker_backlog_bytes > 0 {
-            self.worker_backlog_bytes
-        } else {
-            4 * self.update_buffer_bytes()
         }
     }
 
@@ -189,7 +173,7 @@ impl MasmConfig {
     }
 
     /// Update-buffer capacity in bytes (`S · P`).
-    pub fn update_buffer_bytes(&self) -> u64 {
+    pub(crate) fn update_buffer_bytes(&self) -> u64 {
         self.s_pages() * self.ssd_page_size as u64
     }
 
@@ -266,8 +250,10 @@ impl MasmConfig {
                 "migration_threshold must be in [0,1]".into(),
             ));
         }
-        if self.background_workers > 64 {
-            return Err(MasmError::Config("background_workers must be ≤ 64".into()));
+        if self.background_workers != 0 {
+            return Err(MasmError::Config(
+                "background_workers must be 0: maintenance runs on the caller's thread".into(),
+            ));
         }
         Ok(())
     }
@@ -321,6 +307,21 @@ mod tests {
         assert!(at_alpha(0.2).validate().is_err());
         assert!(at_alpha(0.4).validate().is_ok());
         assert!(MasmConfig::default().validate().is_ok());
+    }
+
+    #[test]
+    fn validation_rejects_any_worker_count_but_zero() {
+        let workers = |background_workers| MasmConfig {
+            background_workers,
+            ..MasmConfig::small_for_tests()
+        };
+        assert!(workers(0).validate().is_ok());
+        for n in [1, 2, 64] {
+            assert!(
+                matches!(workers(n).validate(), Err(MasmError::Config(_))),
+                "{n} workers"
+            );
+        }
     }
 
     #[test]

@@ -3,9 +3,10 @@
 use std::sync::Arc;
 
 use masm_pagestore::{Key, Record};
-use masm_storage::SessionHandle;
+use masm_storage::{SessionHandle, TrackedGuard};
 use masm_telemetry::Timer;
 
+use super::state::EngineState;
 use super::MasmEngine;
 use crate::error::{MasmError, MasmResult};
 use crate::ts::Timestamp;
@@ -80,9 +81,10 @@ impl MasmEngine {
     /// update the encoding cannot represent or the schema cannot apply
     /// is refused with [`MasmError::InvalidUpdate`]: nothing is
     /// buffered, logged or counted. `Err` always means "not applied":
-    /// an update whose log append fails is taken back out of the
-    /// buffer, and the log accepts nothing further until the table is
-    /// recovered ([`MasmError::LogFailed`]).
+    /// a full buffer is flushed before the update is buffered, so a
+    /// failed flush refuses it; an update whose log append fails is
+    /// taken back out of the buffer, and the log accepts nothing
+    /// further until the table is recovered ([`MasmError::LogFailed`]).
     pub fn apply_update(
         self: &Arc<Self>,
         session: &SessionHandle,
@@ -119,27 +121,8 @@ impl MasmEngine {
         let _sp = self
             .trace()
             .and_then(|t| t.op_span("ingest", self.track(), || session.now()));
-        let background = self.live_pool().is_some();
-        let (ts, sealed) = with_frame_scratch(|frame| {
-            let mut st = self.state.lock();
-            let mut sealed = None;
-            if st.buffer.is_full() {
-                // MaSM-M (Fig. 8): steal an unused query page if one
-                // exists, otherwise seal the buffer for flushing.
-                let page = self.cfg.ssd_page_size;
-                let stolen = (st.buffer.capacity() - st.buffer.base_capacity()) / page;
-                let in_use = st.query_pages_pinned() + stolen as u64;
-                if self.cfg.alpha < 2.0 && in_use < self.cfg.query_pages() {
-                    st.buffer.steal_page(page);
-                } else if st.runs.live_bytes() + st.buffer.bytes() as u64 > self.cfg.ssd_capacity {
-                    return Err(MasmError::CacheFull {
-                        cached: st.runs.live_bytes(),
-                        capacity: self.cfg.ssd_capacity,
-                    });
-                } else {
-                    sealed = Some(st.seal(self, background));
-                }
-            }
+        let mut st = self.lock_with_room(session)?;
+        with_frame_scratch(|frame| {
             let update = match pre {
                 Ok(u) => u,
                 Err((key, op)) => UpdateRecord::new(self.oracle.next(), key, op),
@@ -167,37 +150,37 @@ impl MasmEngine {
                 }
                 return Err(e);
             }
-            Ok((ts, sealed))
-        })?;
-        if let Some(sealed) = sealed {
-            let t0 = session.now();
-            self.dispatch_flush(session, sealed, background)?;
-            if background {
-                let pool = self.workers.get().expect("background mode").pool();
-                let batch_id = sealed.0;
-                if let Some(t) = self.trace() {
-                    t.span_event("ingest.enqueue", self.track(), t0, 100, "batch", batch_id);
-                }
-                // Backpressure: wait until the un-flushed backlog drops
-                // under the limit, never doing the I/O ourselves. The
-                // stall span runs on the *global* clock — this lane's
-                // session cursor does not advance while it sleeps.
-                let stall_start = self.ssd.clock().now();
-                if pool.wait_for_space() {
-                    if let Some(t) = self.trace() {
-                        let end = self.ssd.clock().now();
-                        t.span_event(
-                            "backpressure.stall",
-                            self.track(),
-                            stall_start,
-                            end.saturating_sub(stall_start).max(1),
-                            "batch",
-                            batch_id,
-                        );
-                    }
-                }
+            Ok(ts)
+        })
+    }
+
+    /// The state, locked with room in the buffer for one more update.
+    /// A full buffer steals an unused query page if one exists (MaSM-M,
+    /// Fig. 8), or else is sealed and flushed here — before the update
+    /// that found it full exists, so a failed flush leaves that update
+    /// unapplied — and the buffer is checked again.
+    fn lock_with_room(&self, session: &SessionHandle) -> MasmResult<TrackedGuard<'_, EngineState>> {
+        loop {
+            let mut st = self.state.lock();
+            if !st.buffer.is_full() {
+                return Ok(st);
             }
+            let page = self.cfg.ssd_page_size;
+            let stolen = (st.buffer.capacity() - st.buffer.base_capacity()) / page;
+            let in_use = st.query_pages_pinned() + stolen as u64;
+            if self.cfg.alpha < 2.0 && in_use < self.cfg.query_pages() {
+                st.buffer.steal_page(page);
+                return Ok(st);
+            }
+            if st.runs.live_bytes() + st.buffer.bytes() as u64 > self.cfg.ssd_capacity {
+                return Err(MasmError::CacheFull {
+                    cached: st.runs.live_bytes(),
+                    capacity: self.cfg.ssd_capacity,
+                });
+            }
+            let batch_id = st.seal(self);
+            drop(st);
+            self.flush_here(session, batch_id)?;
         }
-        Ok(ts)
     }
 }

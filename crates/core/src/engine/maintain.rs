@@ -1,12 +1,10 @@
 //! Maintenance: flush, merge and migration — each one claim → work →
-//! install/retire pass of the protocol in [`super`] — and the hand-off
-//! of each job to the worker pool.
+//! install/retire pass of the protocol in [`super`].
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use masm_pagestore::{Key, PageChunk, Record};
-use masm_storage::{MergeReport, Ns, SessionHandle};
+use masm_storage::{MergeReport, SessionHandle};
 use masm_telemetry::Timer;
 
 use super::state::{Claim, Replaced};
@@ -16,159 +14,15 @@ use crate::merge::{compact_block_runs, join_chunk, MergeUpdates, UpdateStream};
 use crate::run::{build_run, write_built, RunScan, ScanFailures, SortedRun};
 use crate::ts::Timestamp;
 use crate::wal::WalRecord;
-use crate::worker::{Job, JobKind, WorkerPool, MAX_JOB_ATTEMPTS};
 
 impl MasmEngine {
-    /// Deterministic flow id for sealed batch `batch_id`'s seal →
-    /// flush causal link. Disjoint from the counter range of
-    /// [`masm_telemetry::Tracer::next_flow_id`], so the link can be
-    /// emitted statelessly from both ends.
-    fn flush_flow(batch_id: u64) -> u64 {
-        (1 << 40) | batch_id
-    }
-
-    /// Hand the flush of a just-sealed batch (`sealed` is its id and
-    /// byte size) to the pool, or — without a live pool — run it here.
-    /// `background` is what the batch was sealed under.
-    pub(super) fn dispatch_flush(
-        &self,
-        session: &SessionHandle,
-        (batch_id, bytes): (u64, u64),
-        background: bool,
-    ) -> MasmResult<()> {
-        if !background {
-            return self.flush_here(session, batch_id);
-        }
-        let pool = self.workers.get().expect("background mode").pool();
-        let at = session.now();
-        if let Some(t) = self.trace() {
-            let track = self.track();
-            t.instant("batch.seal", track, at, "bytes", bytes);
-            // The causal origin of the flush job: Perfetto draws
-            // seal → job.flush across threads.
-            t.flow_start("masm.flush", track, at, Self::flush_flow(batch_id));
-        }
-        pool.enqueue_flush(batch_id, bytes, at);
-        Ok(())
-    }
-
     /// Materialize sealed batch `batch_id` on the calling thread. On
     /// error the updates are still durable (WAL) and visible (a sealed
     /// batch is readable until abandoned); they go back to the buffer
     /// so the next flush retries them.
-    fn flush_here(&self, session: &SessionHandle, batch_id: u64) -> MasmResult<()> {
+    pub(super) fn flush_here(&self, session: &SessionHandle, batch_id: u64) -> MasmResult<()> {
         self.flush_batch(session, batch_id)
             .inspect_err(|_| self.abandon_batch(batch_id))
-    }
-
-    /// Start the causal link from a requester at `at` to the next
-    /// compact / migrate job, which picks the id up from `stash`.
-    fn start_job_flow(&self, name: &'static str, stash: &AtomicU64, at: Ns) {
-        if let Some(t) = self.trace() {
-            let flow = t.next_flow_id();
-            stash.store(flow, Ordering::Relaxed);
-            t.flow_start(name, self.track(), at, flow);
-        }
-    }
-
-    /// Ask the pool for a compaction pass (deduplicated there). `at` is
-    /// the requesting actor's virtual time.
-    pub(super) fn request_compaction(&self, at: Ns) {
-        if let Some(h) = self.workers.get() {
-            self.start_job_flow("masm.compact", &self.compact_flow, at);
-            h.pool().enqueue_compact(at);
-        }
-    }
-
-    /// Ask the pool for a migration (deduplicated there).
-    fn request_migration(&self, at: Ns) {
-        if let Some(h) = self.workers.get() {
-            self.start_job_flow("masm.migrate", &self.migrate_flow, at);
-            h.pool().enqueue_migrate(at);
-        }
-    }
-
-    /// Request compaction / migration if the run set warrants them
-    /// (checked after every completed job).
-    fn maybe_schedule_maintenance(&self, at: Ns) {
-        let (compact, migrate) = self.state.lock().maintenance_due(self);
-        if compact {
-            self.request_compaction(at);
-        }
-        if migrate {
-            self.request_migration(at);
-        }
-    }
-
-    /// Worker-side job dispatch (called from the pool's threads). The
-    /// session starts at the job's *request* time, so background I/O
-    /// overlaps the foreground actors in virtual time; the device
-    /// busy-horizon serializes it against the foreground's traffic.
-    pub(crate) fn run_job(self: &Arc<Self>, pool: &WorkerPool, mut job: Job) {
-        let session = SessionHandle::at(self.ssd.clock().clone(), job.at);
-        // Resolve the job's causal link before executing: the flush
-        // flow id is deterministic from the batch, compact/migrate
-        // flows were stashed by whoever requested the job. Consume the
-        // stash unconditionally so a stale id never leaks into the
-        // next job of the same kind.
-        let (job_name, flow_name, flow) = match job.kind {
-            JobKind::Flush { batch_id } => ("job.flush", "masm.flush", Self::flush_flow(batch_id)),
-            JobKind::Compact => (
-                "job.compact",
-                "masm.compact",
-                self.compact_flow.swap(0, Ordering::Relaxed),
-            ),
-            JobKind::Migrate => (
-                "job.migrate",
-                "masm.migrate",
-                self.migrate_flow.swap(0, Ordering::Relaxed),
-            ),
-        };
-        let result = match job.kind {
-            JobKind::Flush { batch_id } => self.flush_batch(&session, batch_id),
-            JobKind::Compact => self.background_compact(&session),
-            JobKind::Migrate => self.migrate(&session).map(|_| ()),
-        };
-        let counters = &pool.recorder;
-        let job_at = job.at;
-        match result {
-            Ok(()) => {
-                counters.jobs_completed.fetch_add(1, Ordering::Relaxed);
-                self.maybe_schedule_maintenance(session.now());
-            }
-            Err(_) => {
-                job.attempts += 1;
-                let attempts = u64::from(job.attempts);
-                if job.attempts < MAX_JOB_ATTEMPTS {
-                    counters.jobs_retried.fetch_add(1, Ordering::Relaxed);
-                    self.trace_instant("job.retry", session.now(), "attempts", attempts);
-                    pool.requeue(job);
-                } else {
-                    counters.jobs_failed.fetch_add(1, Ordering::Relaxed);
-                    self.trace_instant("job.abandon", session.now(), "attempts", attempts);
-                    if let JobKind::Flush { batch_id } = job.kind {
-                        self.abandon_batch(batch_id);
-                    }
-                }
-            }
-        }
-        // Emit the job span last so every event this job produced —
-        // the flow finish, retries, and any compact/migrate flow starts
-        // requested by `maybe_schedule_maintenance` — falls inside it.
-        if let Some(t) = self.trace() {
-            let track = self.track();
-            if flow != 0 {
-                t.flow_finish(flow_name, track, job_at, flow);
-            }
-            t.span_event(
-                job_name,
-                track,
-                job_at,
-                session.now().saturating_sub(job_at),
-                "attempts",
-                u64::from(job.attempts),
-            );
-        }
     }
 
     /// Materialize sealed batch `batch_id` as a 1-pass run; a no-op
@@ -186,9 +40,8 @@ impl MasmEngine {
         self.install_run(session, run, &encoded, Replaced::Batch(batch_id))
     }
 
-    /// Materialize any buffered updates as a 1-pass sorted run now,
-    /// synchronously (even in background mode). Public so callers
-    /// (benchmarks, tests, maintenance jobs) can cut a run at a
+    /// Materialize any buffered updates as a 1-pass sorted run now.
+    /// Public so callers (benchmarks, tests) can cut a run at a
     /// workload boundary instead of waiting for the buffer to fill; a
     /// no-op on an empty buffer.
     pub fn flush_buffer(&self, session: &SessionHandle) -> MasmResult<()> {
@@ -203,7 +56,7 @@ impl MasmEngine {
                     capacity: self.cfg.ssd_capacity,
                 });
             }
-            st.seal(self, false).0
+            st.seal(self)
         };
         self.flush_here(session, batch_id)
     }
@@ -227,20 +80,6 @@ impl MasmEngine {
         match claim {
             Some((claim, inputs)) => self.merge_runs(session, claim, inputs, true),
             None => Ok(MergeReport::default()),
-        }
-    }
-
-    /// Worker-side compaction: merge 1-pass runs down to the
-    /// query-page budget, one planned merge at a time.
-    fn background_compact(&self, session: &SessionHandle) -> MasmResult<()> {
-        loop {
-            let mut st = self.state.lock();
-            let claim = st.claim_merge(self, |runs| runs.plan_merge(&self.cfg));
-            drop(st);
-            let Some((claim, inputs)) = claim else {
-                return Ok(());
-            };
-            self.merge_runs(session, claim, inputs, self.cfg.merge_duplicates)?;
         }
     }
 
@@ -337,18 +176,7 @@ impl MasmEngine {
             return Err(e);
         }
         self.record_compression(&run);
-        let released = self.state.lock().install(run, replaced, &self.cache);
-        if let Some(h) = self.workers.get() {
-            let counters = &h.pool().recorder;
-            let counter = match replaced {
-                Replaced::Batch(_) => &counters.flushes,
-                Replaced::Runs(_) => &counters.merges,
-            };
-            counter.fetch_add(1, Ordering::Relaxed);
-            if let Some(bytes) = released {
-                h.pool().release_backlog(bytes);
-            }
-        }
+        self.state.lock().install(run, replaced, &self.cache);
         Ok(())
     }
 
@@ -425,10 +253,6 @@ impl MasmEngine {
             // Queries that started after `mig_ts` and still hold the
             // old snapshot keep reading the retired runs safely.
             self.state.lock().retire(&runs, &self.cache);
-            if let Some(h) = self.workers.get() {
-                let migrations = &h.pool().recorder.migrations;
-                migrations.fetch_add(1, Ordering::Relaxed);
-            }
         }
         Ok(report)
     }

@@ -42,13 +42,16 @@
 //!    has quiesced (no pinned query, no sealed batch, no claim: only
 //!    then can no snapshot still be reading a retired extent), and
 //!    wakes whoever waits on the state: a migration waiting for older
-//!    queries, a drain waiting for a worker's batch.
+//!    queries, a drain waiting for another caller's batch.
 //!
-//! With `background_workers > 0` a `worker::WorkerPool` runs the jobs
-//! off the ingest/scan path: ingest *seals* a full buffer into an
-//! immutable batch (visible to queries), enqueues its flush and only
-//! ever throttles on the bounded-backlog gate. With none (the default)
-//! the same jobs run inline and single-threaded runs are deterministic.
+//! Every job runs on the thread of the caller that needs it: ingest
+//! and scan setup flush a full buffer, scan setup merges runs past the
+//! query-page budget, and [`MasmEngine::migrate`] is called by whoever
+//! decides it is due. A full buffer is *sealed* into an immutable batch
+//! (visible to queries) before its flush, so another caller's scan that
+//! meets it mid-flush still reads it; and ingest flushes it before the
+//! update that found it full exists, so a failed flush leaves that
+//! update unapplied. Single-threaded runs are deterministic.
 //!
 //! # Migration
 //!
@@ -103,9 +106,9 @@
 //! rewrite lock until the rewriter is finished or dropped).
 //!
 //! Files: `state` (the protocol; the only code that touches claims
-//! and pins), `ingest`, `read`, `maintain` (flush, merge, migration and
-//! the hand-off to the pool), `recover` (`open`: the one path that
-//! builds an engine — fresh or recovered).
+//! and pins), `ingest`, `read`, `maintain` (flush, merge and
+//! migration), `recover` (`open`: the one path that builds an engine —
+//! fresh or recovered).
 
 mod ingest;
 mod maintain;
@@ -115,7 +118,6 @@ mod state;
 #[cfg(test)]
 mod tests;
 
-use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::{Condvar, Mutex};
@@ -127,14 +129,13 @@ use masm_storage::{
 };
 use masm_telemetry::{
     current_tid, BufferStats, EngineStats, Histogram, OpLatencies, RunSetStats, SpanGuard, Tracer,
-    TrackId, WorkerStats,
+    TrackId,
 };
 
 use crate::config::MasmConfig;
 use crate::run::SortedRun;
 use crate::ts::{Timestamp, TimestampOracle};
 use crate::wal::Wal;
-use crate::worker::WorkerHandle;
 
 pub use read::MergeScan;
 use state::EngineState;
@@ -213,8 +214,6 @@ pub struct MasmEngine {
     /// Redo log. Appends are internally synchronized (lock-free offset
     /// reservation) — no engine lock is involved in logging.
     wal: Wal,
-    /// Background worker pool, present when `background_workers > 0`.
-    workers: OnceLock<WorkerHandle>,
     /// Last commit timestamp per key, for first-committer-wins snapshot
     /// isolation (§3.6). A production system would truncate this by the
     /// oldest active transaction; we keep it simple.
@@ -230,13 +229,6 @@ pub struct MasmEngine {
     /// ([`MasmEngine::install_tracer`]). When absent or disabled every
     /// instrumentation site costs one load.
     tracer: OnceLock<Arc<Tracer>>,
-    /// Flow id linking the most recently requested compact job to the
-    /// flush/scan that scheduled it (0 = none pending). Consumed when
-    /// the job runs.
-    compact_flow: AtomicU64,
-    /// Flow id linking the most recently requested migrate job to its
-    /// requester (0 = none pending).
-    migrate_flow: AtomicU64,
 }
 
 impl std::fmt::Debug for MasmEngine {
@@ -252,8 +244,8 @@ impl std::fmt::Debug for MasmEngine {
 
 impl MasmEngine {
     /// Install the `masm-trace` flight recorder. First installation
-    /// wins; the engine emits spans, instants, and flow links only
-    /// while a tracer is installed *and* enabled — otherwise every
+    /// wins; the engine emits spans and instants only while a tracer
+    /// is installed *and* enabled — otherwise every
     /// instrumentation site costs one relaxed load.
     pub fn install_tracer(&self, tracer: Arc<Tracer>) {
         let _ = self.tracer.set(tracer);
@@ -302,24 +294,6 @@ impl MasmEngine {
         if let Some(t) = self.trace() {
             t.instant(name, self.track(), at, arg_name, arg);
         }
-    }
-
-    /// Drain and join the background workers (no-op in inline mode).
-    /// Idempotent; queued jobs still execute before threads exit.
-    /// Dropping the engine without calling this only *signals* shutdown
-    /// — call it for deterministic teardown.
-    pub fn shutdown(&self) {
-        if let Some(h) = self.workers.get() {
-            h.join();
-        }
-    }
-
-    /// The worker handle while background mode is live. `None` once
-    /// shutdown has been signalled: a job enqueued past shutdown would
-    /// never run, so the engine reverts to the inline flush/merge paths
-    /// (same semantics as `background_workers = 0`).
-    fn live_pool(&self) -> Option<&WorkerHandle> {
-        self.workers.get().filter(|h| !h.pool().is_shutdown())
     }
 
     /// The table schema.
@@ -398,7 +372,7 @@ impl MasmEngine {
     /// (engine state, WAL) plus atomic loads; the SSD wear summary is
     /// O(1) — no per-block map is walked.
     pub fn stats(&self) -> EngineStats {
-        let (ingested_updates, ingested_bytes, buffer, runs, epoch_lag) = {
+        let (ingested_updates, ingested_bytes, buffer, runs) = {
             let st = self.state.lock();
             (
                 st.ingested_updates,
@@ -412,28 +386,9 @@ impl MasmEngine {
                     count: st.runs.len() as u64,
                     cached_bytes: st.runs.live_bytes(),
                     ssd_capacity_bytes: self.cfg.ssd_capacity,
+                    epoch_lag: st.epoch_lag(),
                 },
-                st.epoch_lag(),
             )
-        };
-        let workers = match self.workers.get() {
-            // The job counters are the pool's recorder; the levels are
-            // read off the pool.
-            Some(h) => {
-                let pool = h.pool();
-                let (queue_depth, backlog_bytes) = pool.depths();
-                WorkerStats {
-                    threads: pool.threads as u64,
-                    queue_depth,
-                    backlog_bytes,
-                    epoch_lag,
-                    ..pool.recorder.snapshot()
-                }
-            }
-            None => WorkerStats {
-                epoch_lag,
-                ..WorkerStats::default()
-            },
         };
         let wal = self.wal.device().stats();
         EngineStats {
@@ -448,7 +403,6 @@ impl MasmEngine {
             ssd: self.ssd.stats(),
             ssd_wear: self.ssd.wear_stats(),
             wal,
-            workers,
             ops: self.metrics.snapshot(),
         }
     }

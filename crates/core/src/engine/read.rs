@@ -39,31 +39,23 @@ impl MasmEngine {
         mut private: Vec<UpdateRecord>,
     ) -> MasmResult<MergeScan> {
         let _setup = self.trace_span("scan.setup", &session);
-        let background = self.live_pool().is_some();
-        let mut want_compaction = false;
         let (query_ts, snapshot) = loop {
             let mut st = self.state.lock();
             // Fig. 8 scan setup, lines 1–4: flush a full buffer first. A
             // full SSD is not fatal here — the scan simply reads the
             // buffer through Mem_scan; the engine reports
-            // `needs_migration`. With a pool the flush is only
-            // requested: sealed batches are query-visible and this scan
-            // starts now.
+            // `needs_migration`.
             if st.buffer.bytes() >= self.cfg.update_buffer_bytes() as usize
                 && st.runs.live_bytes() + st.buffer.bytes() as u64 <= self.cfg.ssd_capacity
             {
-                let sealed = st.seal(self, background);
+                let batch_id = st.seal(self);
                 drop(st);
-                self.dispatch_flush(&session, sealed, background)?;
+                self.flush_here(&session, batch_id)?;
                 continue;
             }
-            // Lines 5–8: cap the number of open runs by the query
-            // pages. In background mode the merge is requested, not
-            // awaited — the scan reads the still-live 1-pass runs.
+            // Lines 5–8: cap the number of open runs by the query pages.
             if st.runs.len() > self.cfg.query_pages() as usize {
-                if background {
-                    want_compaction = true;
-                } else if let Some((claim, inputs)) =
+                if let Some((claim, inputs)) =
                     st.claim_merge(self, |runs| runs.plan_merge(&self.cfg))
                 {
                     drop(st);
@@ -74,9 +66,6 @@ impl MasmEngine {
             let query_ts = as_of.unwrap_or_else(|| self.oracle.next());
             break (query_ts, st.pin(query_ts, begin, end, true));
         };
-        if want_compaction {
-            self.request_compaction(session.now());
-        }
 
         let failures = ScanFailures::default();
         let mut streams: Vec<UpdateStream> =

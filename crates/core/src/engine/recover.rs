@@ -3,7 +3,6 @@
 //! [`open`] is the one construction site and the one recovery path.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::{Condvar, Mutex};
@@ -25,7 +24,6 @@ use crate::run::recover_run;
 use crate::ts::{Timestamp, TimestampOracle};
 use crate::update::UpdateRecord;
 use crate::wal::{Wal, WalRecord};
-use crate::worker::{WorkerHandle, WorkerPool};
 
 /// One heap-metadata event parsed from the redo log, replayed in log
 /// order against the (fresh) table heap before the engine is built.
@@ -243,8 +241,7 @@ impl MasmEngine {
 /// In order: the configuration must be valid and the schema's records
 /// must fit a heap page; the log's heap events are replayed; the run
 /// set, the oracle and the update buffer come back from the log and the
-/// runs' footers; the worker pool is spawned; an interrupted migration
-/// is re-driven.
+/// runs' footers; an interrupted migration is re-driven.
 fn open(
     heap: Arc<TableHeap>,
     ssd: SimDevice,
@@ -334,14 +331,11 @@ fn open(
         state: TrackedMutex::new(EngineState::new(buffer, runs)),
         quiesce: Condvar::new(),
         wal: Wal::new(wal, log.end_offset),
-        workers: OnceLock::new(),
         commit_index: Mutex::new(std::collections::HashMap::new()),
         merge_totals: Mutex::new(MergeReport::default()),
         compression_totals: Mutex::new(compression),
         metrics: EngineMetrics::default(),
         tracer: OnceLock::new(),
-        compact_flow: AtomicU64::new(0),
-        migrate_flow: AtomicU64::new(0),
     });
     if let Some(t) = tracer {
         engine.install_tracer(Arc::clone(t));
@@ -361,13 +355,6 @@ fn open(
     }
     if log.torn_bytes > 0 {
         engine.trace_instant("recovery.torn_tail", t1, "bytes", log.torn_bytes);
-    }
-
-    // The background pool; none in inline mode.
-    let threads = engine.cfg.background_workers;
-    if threads > 0 {
-        let pool = WorkerPool::new(threads, engine.cfg.effective_backlog_bytes());
-        let _ = engine.workers.set(WorkerHandle::spawn(&engine, pool));
     }
 
     // Re-drive an interrupted migration to completion (idempotent

@@ -34,14 +34,10 @@ struct QueryPin {
 /// their 1-pass run is installed.
 struct SealedBatch {
     id: u64,
-    /// Logical bytes, for backlog accounting.
-    bytes: u64,
     /// Oldest timestamp sealed into it (before duplicate folding).
     min_ts: Timestamp,
-    /// A worker (or inline caller) is currently flushing this batch.
+    /// A caller is currently flushing this batch.
     claimed: bool,
-    /// Whether `bytes` was charged to the worker backlog gate.
-    enqueued: bool,
     /// Sorted, deduplicated updates; shared with query snapshots.
     updates: Arc<Vec<UpdateRecord>>,
 }
@@ -155,26 +151,22 @@ impl EngineState {
     }
 
     /// Seal the in-memory buffer into an immutable sealed batch
-    /// (sorted, optionally duplicate-folded) and return its id and
-    /// logical byte size.
-    pub(super) fn seal(&mut self, engine: &MasmEngine, charge_backlog: bool) -> (u64, u64) {
+    /// (sorted, optionally duplicate-folded) and return its id.
+    pub(super) fn seal(&mut self, engine: &MasmEngine) -> u64 {
         let mut updates = self.buffer.drain_sorted();
         let min_ts = updates.iter().map(|u| u.ts).min().unwrap_or(Timestamp::MAX);
         if engine.cfg.merge_duplicates {
             updates = fold_duplicates(updates, &engine.schema, self.fold_guard());
         }
-        let bytes: u64 = updates.iter().map(|u| u.encoded_len() as u64).sum();
         let id = self.next_batch;
         self.next_batch += 1;
         self.sealed.push(SealedBatch {
             id,
-            bytes,
             min_ts,
             claimed: false,
-            enqueued: charge_backlog,
             updates: Arc::new(updates),
         });
-        (id, bytes)
+        id
     }
 
     /// What the `RunCreated` of batch `batch_id`'s run logs as its
@@ -210,38 +202,19 @@ impl EngineState {
         Some((Claim { engine, what }, inputs))
     }
 
-    /// Whether the run set wants a compaction and a migration that
-    /// nobody has claimed yet.
-    pub(super) fn maintenance_due(&self, engine: &MasmEngine) -> (bool, bool) {
-        (
-            !self.merging && self.runs.plan_merge(&engine.cfg).is_some(),
-            !self.migrating && self.runs.needs_migration(&engine.cfg),
-        )
-    }
-
     /// Install a built and logged run: publish it and withdraw what it
     /// replaces in one critical section, so a query snapshot holds
-    /// exactly one of the two. Returns the backlog bytes a flushed
-    /// batch had charged to the worker pool.
-    pub(super) fn install(
-        &mut self,
-        run: SortedRun,
-        replaced: Replaced<'_>,
-        cache: &BlockCache,
-    ) -> Option<u64> {
+    /// exactly one of the two.
+    pub(super) fn install(&mut self, run: SortedRun, replaced: Replaced<'_>, cache: &BlockCache) {
         cache.retain_meta_bytes(run.memory_bytes());
         self.runs.add(Arc::new(run));
         self.epoch += 1;
         match replaced {
             Replaced::Batch(id) => {
                 let pos = self.sealed.iter().position(|b| b.id == id);
-                let batch = self.sealed.remove(pos.expect("claimed batch still sealed"));
-                batch.enqueued.then_some(batch.bytes)
+                self.sealed.remove(pos.expect("claimed batch still sealed"));
             }
-            Replaced::Runs(inputs) => {
-                self.withdraw(inputs, cache);
-                None
-            }
+            Replaced::Runs(inputs) => self.withdraw(inputs, cache),
         }
     }
 
@@ -405,21 +378,16 @@ impl MasmEngine {
     /// flush retries them. A batch somebody else has claimed since is
     /// theirs to flush or abandon.
     pub(super) fn abandon_batch(&self, batch_id: u64) {
-        let released = {
-            let mut st = self.state.lock();
-            let unclaimed = |b: &SealedBatch| b.id == batch_id && !b.claimed;
-            let Some(pos) = st.sealed.iter().position(unclaimed) else {
-                return;
-            };
-            let batch = st.sealed.remove(pos);
-            for u in batch.updates.iter() {
-                st.buffer.push(u.clone());
-            }
-            batch.enqueued.then_some(batch.bytes)
+        let mut st = self.state.lock();
+        let unclaimed = |b: &SealedBatch| b.id == batch_id && !b.claimed;
+        let Some(pos) = st.sealed.iter().position(unclaimed) else {
+            return;
         };
-        if let (Some(bytes), Some(h)) = (released, self.workers.get()) {
-            h.pool().release_backlog(bytes);
+        let batch = st.sealed.remove(pos);
+        for u in batch.updates.iter() {
+            st.buffer.push(u.clone());
         }
+        drop(st);
         self.quiesce.notify_all();
     }
 
@@ -436,12 +404,13 @@ impl MasmEngine {
         loop {
             let mut st = self.state.lock();
             let batch_id = if !st.buffer.is_empty() {
-                st.seal(self, false).0
+                st.seal(self)
             } else if let Some(batch) = st.sealed.iter().find(|b| !b.claimed) {
                 batch.id
             } else if !st.sealed.is_empty() {
-                // A worker owns the remaining batches; wait for it to
-                // install (or unclaim on error) and re-check.
+                // Other callers are flushing the remaining batches; wait
+                // for them to install (or unclaim on error) and
+                // re-check.
                 self.quiesce.wait(st.inner_mut());
                 continue;
             } else if st.runs.is_empty() {

@@ -13,7 +13,6 @@ use crate::error::MasmError;
 use crate::run::{write_built, SortedRun};
 use crate::update::UpdateOp;
 use crate::wal::WalRecord;
-use crate::worker::{Job, JobKind, WorkerPool};
 
 fn schema() -> Schema {
     Schema::synthetic_100b()
@@ -682,7 +681,7 @@ fn no_exit_from_get_strands_its_pin() {
         runs.iter().any(|r| r.id == bad_run),
         "the run is left in place"
     );
-    let lag = || f.engine.stats().workers.epoch_lag;
+    let lag = || f.engine.stats().runs.epoch_lag;
     assert_eq!(lag(), 0, "no query left pinned");
 
     f.engine.state.lock().runs.remove_ids(&[bad_run]);
@@ -755,10 +754,9 @@ fn a_busy_claim_returns_and_its_drop_releases() {
     assert_eq!(f.engine.run_count(), 0);
 }
 
-/// A migrate job that runs while another migration holds the claim
-/// returns at once: nothing logged, written, merged or retired, and the
-/// job completes rather than retries. The claim alone keeps migrations
-/// one at a time; the worker pool does not schedule around it.
+/// A migration that runs while another one holds the claim returns at
+/// once: nothing logged, written, merged or retired. The claim alone
+/// keeps migrations one at a time.
 #[test]
 fn a_migration_under_another_ones_claim_changes_nothing() {
     let f = fixture(100);
@@ -776,26 +774,8 @@ fn a_migration_under_another_ones_claim_changes_nothing() {
     };
     let before = state();
     let busy = f.engine.migrate(&f.session).unwrap();
-    assert_eq!(busy, MigrationReport::default(), "the direct door");
-    let pool = WorkerPool::new(0, 1 << 20);
-    let job = Job {
-        kind: JobKind::Migrate,
-        attempts: 0,
-        at: f.session.now(),
-    };
-    f.engine.run_job(&pool, job);
-    let stats = pool.recorder.snapshot();
-    assert_eq!(
-        (
-            stats.jobs_completed,
-            stats.jobs_retried,
-            stats.jobs_failed,
-            stats.migrations
-        ),
-        (1, 0, 0, 0)
-    );
+    assert_eq!(busy, MigrationReport::default());
     assert_eq!(state(), before);
-    assert_eq!(pool.depths().0, 0, "nothing re-requested");
 
     drop(claim);
     assert_eq!(f.engine.migrate(&f.session).unwrap().runs_migrated, 1);
@@ -983,10 +963,10 @@ fn a_younger_batch_flushed_first_does_not_hide_an_older_one() {
     };
     put(0..20, 1);
     // The older batch: sealed, its flush not done.
-    f.engine.state.lock().seal(&f.engine, false);
+    f.engine.state.lock().seal(&f.engine);
     put(20..40, 2);
-    let younger = f.engine.state.lock().seal(&f.engine, false);
-    f.engine.dispatch_flush(&f.session, younger, false).unwrap();
+    let younger = f.engine.state.lock().seal(&f.engine);
+    f.engine.flush_here(&f.session, younger).unwrap();
 
     // Crash with the older batch unflushed.
     let clock = SimClock::new();
@@ -1005,4 +985,39 @@ fn a_younger_batch_flushed_first_does_not_hide_an_older_one() {
         .filter(|k| k % 2 == 1)
         .collect();
     assert_eq!(got, (0..40).map(|k| k * 2 + 1).collect::<Vec<_>>());
+}
+
+/// A batch another caller has sealed and is still flushing is read by
+/// every query that meets it: a `get` finds its updates, and a scan
+/// opened beside the flush reads them from its snapshot after the run
+/// that replaces the batch is installed.
+#[test]
+fn a_scan_meets_a_sealed_batch() {
+    let f = fixture(100);
+    let value = |r: &Record| schema().get_u32(&r.payload, 0);
+    for i in 0..20u32 {
+        let op = UpdateOp::Replace(payload(500 + i));
+        f.engine
+            .apply_update(&f.session, u64::from(i) * 2, op)
+            .unwrap();
+    }
+    let batch = f.engine.state.lock().seal(&f.engine);
+    let op = UpdateOp::Insert(payload(1));
+    f.engine.apply_update(&f.session, 1, op).unwrap();
+
+    let scan = f.engine.begin_scan(f.session.clone(), 0, 40).unwrap();
+    let got = f.engine.get(&f.session, 10).unwrap();
+    assert_eq!(got.as_ref().map(value), Some(505), "get of a sealed update");
+    f.engine.flush_here(&f.session, batch).unwrap();
+    assert_eq!(f.engine.run_count(), 1, "the batch is a run");
+
+    let mut want: Vec<(Key, u32)> = (0..20u32).map(|i| (u64::from(i) * 2, 500 + i)).collect();
+    want.insert(1, (1, 1));
+    want.push((40, 20));
+    let got: Vec<(Key, u32)> = scan.map(|r| (r.key, value(&r))).collect();
+    assert_eq!(got, want, "the scan opened beside the flush");
+    assert_eq!(
+        scan_keys(&f, 0, 40),
+        want.iter().map(|&(k, _)| k).collect::<Vec<_>>()
+    );
 }

@@ -47,7 +47,6 @@ pub mod ts;
 pub mod txn;
 pub mod update;
 pub mod wal;
-pub(crate) mod worker;
 
 pub use config::{CodecChoice, IndexGranularity, MasmConfig};
 pub use engine::{MasmEngine, MergeScan, RecoveryReport};

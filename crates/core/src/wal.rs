@@ -154,10 +154,10 @@ pub enum WalRecord {
         /// outside a logged run when it was logged (an older sealed
         /// batch whose flush was still in flight, or a failed flush's
         /// updates back in the buffer). Recovery drops the pending
-        /// logged updates at or below it (`ts ≤ max_ts`): with
-        /// background flushes, Update records for *newer* updates may
-        /// be logged before the flush worker appends its RunCreated, so
-        /// "clear everything logged so far" would lose them. For a
+        /// logged updates at or below it (`ts ≤ max_ts`): with callers
+        /// on several threads, Update records for *newer* updates may
+        /// be logged before the flushing caller appends its RunCreated,
+        /// so "clear everything logged so far" would lose them. For a
         /// 2-pass run, its newest update.
         max_ts: Timestamp,
     },
@@ -423,8 +423,8 @@ struct TailState {
 ///
 /// Appends take `&self`: the next write offset is an atomic that each
 /// append *reserves* with `fetch_add` before issuing the device write.
-/// Concurrent appenders (foreground ingest, background flush/migration
-/// workers) therefore never hold an engine lock across the log I/O —
+/// Concurrent appenders (ingest, flushes and migrations on several
+/// callers' threads) therefore never hold an engine lock across the log I/O —
 /// they claim disjoint byte ranges and write them in parallel. An
 /// append returns only once the log is hole-free up to its record (see
 /// the module docs on durability of acknowledged appends), and never

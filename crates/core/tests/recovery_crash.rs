@@ -70,8 +70,9 @@ impl AckLog {
     }
 }
 
-/// Three ingest lanes hammer a table with live background workers, and
-/// the main thread pulls the plug at three load levels. Every crash
+/// Three ingest lanes hammer a table, each flushing the buffers it
+/// fills on its own thread, and the main thread pulls the plug at three
+/// load levels. Every crash
 /// point must recover with no acked update lost, no random SSD write,
 /// the same state when recovered twice, and a healthy engine
 /// afterwards.
@@ -82,9 +83,7 @@ fn crash_under_load_loses_no_acked_update() {
     const KEYS_PER_LANE: u64 = 40;
     let key = |lane: u64, j: u32| BASE + lane * 1000 + u64::from(j) % KEYS_PER_LANE;
 
-    let mut cfg = MasmConfig::small_for_tests();
-    cfg.background_workers = 2;
-    let table = Table::new(cfg);
+    let table = Table::new(MasmConfig::small_for_tests());
     let mut model = table.load(100);
 
     let log = AckLog::default();
@@ -104,7 +103,6 @@ fn crash_under_load_loses_no_acked_update() {
         let crash = |threshold| (log.wait_for(threshold), table.dev.crash());
         [500, 1800, 3300].map(crash).into()
     });
-    table.shutdown();
     let acks = log.acks.into_inner().unwrap();
     for (ts, key, op) in &acks {
         model.apply(*ts, *key, op.clone());
@@ -157,7 +155,6 @@ fn crash_under_load_loses_no_acked_update() {
 
         // Crash again immediately: recovering the devices the first
         // recovery left behind reproduces the same state.
-        recovered.shutdown();
         drop(recovered);
         let (recovered, _) = recover();
         assert_eq!(
@@ -186,7 +183,6 @@ fn crash_under_load_loses_no_acked_update() {
             random, 0,
             "crash {c}: random writes in the recovered engine"
         );
-        recovered.shutdown();
     }
 }
 

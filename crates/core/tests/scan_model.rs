@@ -1,8 +1,10 @@
 //! Differential test of the read path: whatever mix of heap pages,
-//! runs, sealed batches, live buffer and private overlay holds the
-//! data, `begin_scan_at` and `get` must return what the reference model
-//! says they should — also when the consumer walks away mid-scan, and
-//! also when migrations rewrite the heap two pages at a time. Plus the
+//! runs, live buffer and private overlay holds the data,
+//! `begin_scan_at` and `get` must return what the reference model says
+//! they should — also when the consumer walks away mid-scan, and also
+//! when migrations rewrite the heap two pages at a time. (A sealed
+//! batch exists only while its flush runs; a scan that meets one is
+//! `engine/tests.rs::a_scan_meets_a_sealed_batch`.) Plus the
 //! read-fault contract: a scan cut short by the disk — or by the flash
 //! device under its run scans — says so, returns a prefix of the right
 //! answer, and never panics.
@@ -26,22 +28,18 @@ proptest! {
 
     #[test]
     fn merged_scan_equals_the_model(
-        (rows, background, fold, eager) in (0u64..400, any::<bool>(), any::<bool>(), any::<bool>()),
+        (rows, fold, small_chunks) in (0u64..400, any::<bool>(), any::<bool>()),
         ops in proptest::collection::vec(op_strategy(900), 0..1500),
         private in proptest::collection::vec((0u64..900, update_strategy()), 0..6),
         (begin, width, past, take) in (0u64..900, 0u64..900, any::<bool>(), 0usize..1200),
     ) {
         let mut cfg = MasmConfig::small_for_tests();
-        // One worker: sealed batches wait for it, so scans meet them.
-        cfg.background_workers = background as usize;
         // Unfolded runs keep every version: scans in the past are exact.
         cfg.merge_duplicates = fold;
-        // Eager migration: a worker migrates whenever anything is
-        // cached, and a rewrite chunk is two pages, so migrations keep
-        // meeting gap inserts at chunk boundaries.
+        // A rewrite chunk of two pages: migrations keep meeting gap
+        // inserts at chunk boundaries.
         let mut spec = Spec::new(cfg);
-        if eager {
-            spec.cfg.migration_threshold = 0.0;
+        if small_chunks {
             spec.heap.rewrite_chunk_pages = 2;
         }
         let mut t = spec.open();
@@ -60,8 +58,7 @@ proptest! {
         }
 
         let (end, engine) = (begin + width, t.engine());
-        // A worker's migration absorbs versions into the heap unseen.
-        let as_of = (past && !fold && !(background && eager))
+        let as_of = (past && !fold)
             .then(|| exact_since.get(take % exact_since.len().max(1)).copied())
             .flatten();
         let overlay: Vec<UpdateRecord> = {
@@ -75,8 +72,7 @@ proptest! {
         let want = model.scan_with(begin, end, as_of.unwrap_or(scan.timestamp()), &private);
         drop(scan);
         let what = format!(
-            "scan of [{begin}, {end}] as of {as_of:?} (background {background}, fold {fold}, \
-             eager {eager})"
+            "scan of [{begin}, {end}] as of {as_of:?} (fold {fold}, small chunks {small_chunks})"
         );
         assert_rows(&got, &want[..take.min(want.len())], what);
         prop_assert_eq!(
@@ -84,7 +80,6 @@ proptest! {
             got.len() as u64,
             "a scan reports exactly the records it returned"
         );
-        t.shutdown();
     }
 }
 

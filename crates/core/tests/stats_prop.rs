@@ -11,7 +11,7 @@ use proptest::prelude::*;
 use masm_core::config::MasmConfig;
 use masm_core::update::{FieldPatch, UpdateOp};
 use masm_core::{EngineStats, StatsDelta};
-use masm_model::{op_strategy, payload, Outcome, Table};
+use masm_model::{op_strategy, Outcome, Table};
 use masm_telemetry::json::parse;
 
 fn assert_coherent(stats: &EngineStats) {
@@ -65,7 +65,7 @@ fn exposition_of(stats: &EngineStats) -> String {
     }
     assert_eq!(
         checked,
-        3 + 3 + 16 + 8 + 10 + 12 + 12 + 10,
+        3 + 4 + 16 + 8 + 10 + 12 + 12,
         "every family walked"
     );
     assert!(text.ends_with("# EOF\n"));
@@ -102,48 +102,7 @@ fn openmetrics_samples_equal_the_snapshot_fields() {
     let text = exposition_of(&stats);
     assert!(text.contains("cache_hits_total ") && text.contains("merge_fan_in "));
     assert!(text.contains("\nop_ingest_virtual_ns_count 600\n"));
-    assert!(text.contains("\nworkers_epoch_lag 0\n"));
-}
-
-/// An engine with a worker pool: the op histograms count the work
-/// done on the pool's threads too, and the `workers_*` samples are the
-/// pool's job counters.
-#[test]
-fn a_background_exposition_carries_the_histograms_and_the_worker_counters() {
-    let mut cfg = MasmConfig::small_for_tests();
-    cfg.background_workers = 1;
-    let t = Table::new(cfg);
-    t.load(300);
-    // Enough to fill the buffer several times over, so sealed batches
-    // go to the pool.
-    let puts = 3000;
-    for i in 0..puts {
-        let op = UpdateOp::Replace(payload(i as u32));
-        t.put((i * 7) % 600, op).unwrap();
-    }
-    t.flush().unwrap();
-    t.compact().unwrap();
-    t.shutdown();
-
-    let stats = t.stats();
-    let workers = stats.workers;
-    assert!(
-        workers.flushes > 0 && workers.jobs_completed > 0,
-        "{workers:?}"
-    );
-    let text = exposition_of(&stats);
-    assert!(text.contains(&format!("\nop_ingest_virtual_ns_count {puts}\n")));
-    let exported: Vec<u64> = samples(&text)
-        .into_iter()
-        .filter(|(name, _)| name.starts_with("workers_"))
-        .map(|(_, v)| v)
-        .collect();
-    let (_, _, snapshot) = stats
-        .families()
-        .into_iter()
-        .find(|r| r.0 == "workers")
-        .unwrap();
-    assert_eq!(exported, snapshot);
+    assert!(text.contains("\nruns_epoch_lag 0\n"));
 }
 
 proptest! {

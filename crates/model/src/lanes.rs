@@ -13,9 +13,8 @@ use crate::{assert_rows, Model, Op, Outcome, Table};
 
 /// Writers, scanners and maintenance as lanes that take turns on one
 /// thread, each on its own session, in an order a seed picks: an
-/// interleaving is a seed, and a seed replays it. The table runs no
-/// worker pool, so a step that fills a buffer flushes it inline, on its
-/// own lane's session.
+/// interleaving is a seed, and a seed replays it. A step that fills a
+/// buffer flushes it on its own lane's session.
 ///
 /// A scanner's scan stays open across the turns of the other lanes. A
 /// migration waits for the queries older than it, and a crash ends
@@ -113,10 +112,6 @@ impl Lanes {
     /// `model` at its timestamp once it has ended. The trace: what each
     /// turn did.
     pub fn run(mut self, table: &mut Table, model: &mut Model) -> Vec<Turn> {
-        assert_eq!(
-            table.spec.cfg.background_workers, 0,
-            "lanes take turns on one thread: the table runs no worker pool"
-        );
         let sessions: Vec<SessionHandle> = self.lanes.iter().map(|_| table.dev.session()).collect();
         let mut open: Vec<Option<Open>> = self.lanes.iter().map(|_| None).collect();
         let mut rng = StdRng::seed_from_u64(self.seed);

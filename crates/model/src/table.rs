@@ -231,7 +231,6 @@ impl Table {
     pub fn crash(&mut self, tracer: Option<&Arc<Tracer>>) -> MasmResult<RecoveryReport> {
         let image = self.dev.crash();
         let (recovered, report) = self.spec.clone().recover(image, tracer)?;
-        self.shutdown();
         *self = recovered;
         Ok(report)
     }
@@ -239,10 +238,5 @@ impl Table {
     /// The engine's statistics.
     pub fn stats(&self) -> EngineStats {
         self.engine.stats()
-    }
-
-    /// Drain and join the worker pool, if there is one.
-    pub fn shutdown(&self) {
-        self.engine.shutdown();
     }
 }

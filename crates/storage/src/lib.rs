@@ -46,8 +46,7 @@ pub use sched::{IoTicket, SessionHandle};
 pub use sim::SimDevice;
 pub use stats::{
     BufferStats, CacheStats, CacheStatsSnapshot, CompressionReport, IoStatsSnapshot, MergeReport,
-    RunSetStats, StatFamily, StatField, StatKind, Unit, WearStats, WorkerStats,
-    WorkerStatsRecorder,
+    RunSetStats, StatFamily, StatField, StatKind, Unit, WearStats,
 };
 
 /// Number of bytes in one kibibyte.

@@ -13,8 +13,8 @@
 //! seek penalties: the central interference effect of the paper's §2.2.
 //! A multi-stream device (SSD under NCQ) instead tracks a bounded set
 //! of open stream *tails*; an access is sequential when it continues
-//! its own stream, so concurrent appenders (background flush workers,
-//! merge writers) keep their individual write patterns sequential.
+//! its own stream, so concurrent appenders (flushes and merges run by
+//! different callers) keep their individual write patterns sequential.
 //!
 //! The device also accounts its submission queue: how many requests
 //! were in flight when each new one arrived ([`IoStatsSnapshot::
@@ -379,7 +379,7 @@ impl SimDevice {
     /// Fault injection restricted to writes: reads keep succeeding.
     /// Models a device that has gone read-only (e.g. an SSD at end of
     /// life), and lets tests verify that queries keep being served while
-    /// background flush/migration work fails.
+    /// flushes and migrations fail.
     pub fn inject_write_fault(&self) {
         self.write_faulted.store(true, Ordering::Release);
     }

@@ -462,26 +462,6 @@ stat_family! {
         Level count: Ops = "live materialized runs",
         Level cached_bytes: Bytes = "SSD bytes occupied by live runs",
         Level ssd_capacity_bytes: Bytes = "configured SSD update-cache capacity",
-    }
-}
-
-stat_family! {
-    /// Background worker-pool occupancy and lifetime counters; all zero
-    /// for an inline engine (`background_workers = 0`). The workers
-    /// bump the job counters of the pool's [`WorkerStatsRecorder`]; the
-    /// levels are read off the pool and the engine state when a
-    /// snapshot is taken.
-    pub struct WorkerStats, atomic WorkerStatsRecorder {
-        Peak threads: Ops = "configured background worker threads",
-        Peak queue_depth: Ops = "jobs waiting in the backlog queue",
-        /// What the ingest backpressure gate bounds.
-        Peak backlog_bytes: Bytes = "bytes of sealed update batches awaiting a background flush",
-        Counter jobs_completed: Ops = "jobs completed",
-        Counter jobs_retried: Ops = "jobs retried after a transient failure",
-        Counter jobs_failed: Ops = "jobs abandoned after exhausting retries",
-        Counter flushes: Ops = "background flushes materialized",
-        Counter merges: Ops = "background merges completed",
-        Counter migrations: Ops = "background migrations completed",
         /// 0 when no query is active.
         Peak epoch_lag: Ops = "publish epochs the oldest pinned query snapshot trails the engine by",
     }

@@ -14,7 +14,7 @@
 //!    [`masm_storage::stats`].
 //! 2. **Unified snapshots** ([`stats`]) — [`EngineStats`], the one
 //!    struct that composes cache, merge, compression, device I/O,
-//!    SSD-wear summary, buffer occupancy, worker pool, and
+//!    SSD-wear summary, buffer and run-set occupancy, and
 //!    per-operation latency histograms: every engine number has its one
 //!    home there, and [`EngineStats::render_openmetrics`] renders all
 //!    of it in one walk. [`StatsDelta`] (`now − prev`) makes rates
@@ -23,7 +23,7 @@
 //!    polls snapshots on a virtual-clock interval and collects NDJSON
 //!    rows (one JSON object per line), so sustained-load benches emit a
 //!    time series instead of a single summary row.
-//! 4. **Causal tracing** ([`trace`]) — [`Tracer`], a flight recorder:
+//! 4. **Span tracing** ([`trace`]) — [`Tracer`], a flight recorder:
 //!    fixed-size records go into one bounded, preallocated queue (an
 //!    emitter takes one short lock; a full queue drops the record and
 //!    counts it), exported as Chrome trace-event JSON for Perfetto.
@@ -47,7 +47,7 @@ pub(crate) mod timeseries;
 pub mod trace;
 
 pub use json::JsonValue;
-pub use masm_storage::{BufferStats, RunSetStats, WorkerStats};
+pub use masm_storage::{BufferStats, RunSetStats};
 pub use metrics::{Histogram, HistogramSnapshot, Unit, HISTOGRAM_BUCKETS};
 pub use stats::{EngineStats, OpCountDelta, OpCountDeltas, OpLatencies, StatsDelta};
 pub use timer::Timer;

@@ -4,7 +4,7 @@
 //! One `MasmEngine::stats()` call returns everything the paper's
 //! quantitative invariants need, composed from the statistics families
 //! declared in [`masm_storage::stats`] (buffer, runs, cache, merge,
-//! compression, device I/O, workers) plus the SSD wear summary and the
+//! compression, device I/O) plus the SSD wear summary and the
 //! per-operation latency histograms. `StatsDelta = now − prev` makes
 //! rates first-class. The JSON codec and the OpenMetrics rendering are
 //! written once, over [`StatFamily::FIELDS`].
@@ -13,7 +13,7 @@ use std::fmt::Write as _;
 
 use masm_storage::{
     BufferStats, CacheStatsSnapshot, CompressionReport, IoStatsSnapshot, MergeReport, RunSetStats,
-    StatFamily, StatField, StatKind, Unit, WearStats, WorkerStats,
+    StatFamily, StatField, StatKind, Unit, WearStats,
 };
 
 use crate::json::{JsonObj, JsonValue};
@@ -138,8 +138,6 @@ pub struct EngineStats {
     pub ssd_wear: WearStats,
     /// WAL device I/O.
     pub wal: IoStatsSnapshot,
-    /// Background worker-pool occupancy and counters.
-    pub workers: WorkerStats,
     /// Per-operation latency histograms (virtual-ns).
     pub ops: OpLatencies,
 }
@@ -204,7 +202,7 @@ fn hist_json(h: &HistogramSnapshot) -> String {
 impl EngineStats {
     /// One compact JSON object with every family nested under a stable
     /// key: `ingested`, `buffer`, `runs`, `cache`, `merge`,
-    /// `compression`, `ssd`, `ssd_wear`, `wal`, `workers`, and `ops`
+    /// `compression`, `ssd`, `ssd_wear`, `wal` and `ops`
     /// (six latency histograms). `random_writes` is additionally lifted
     /// to the top level so the paper's zero-random-write invariant is
     /// greppable in every NDJSON row.
@@ -241,7 +239,6 @@ impl EngineStats {
             .raw("ssd", &family_json(&self.ssd, &[]))
             .raw("ssd_wear", &wear.finish())
             .raw("wal", &family_json(&self.wal, &[]))
-            .raw("workers", &family_json(&self.workers, &[]))
             .raw("ops", &ops.finish());
         o.finish()
     }
@@ -263,7 +260,6 @@ impl EngineStats {
             row("compression", &self.compression),
             row("ssd", &self.ssd),
             row("wal", &self.wal),
-            row("workers", &self.workers),
         ]
     }
 
@@ -326,7 +322,6 @@ impl EngineStats {
             compression: self.compression.delta(&earlier.compression),
             ssd: self.ssd.delta(&earlier.ssd),
             wal: self.wal.delta(&earlier.wal),
-            workers: self.workers.delta(&earlier.workers),
             ops: self.ops.delta(&earlier.ops),
         }
     }
@@ -381,8 +376,6 @@ pub struct StatsDelta {
     pub ssd: IoStatsSnapshot,
     /// WAL I/O deltas.
     pub wal: IoStatsSnapshot,
-    /// Worker-pool deltas.
-    pub workers: WorkerStats,
     /// Per-operation count/latency-sum deltas.
     pub ops: OpCountDeltas,
 }
@@ -417,7 +410,6 @@ impl StatsDelta {
             )
             .raw("ssd", &family_json(&self.ssd, &[]))
             .raw("wal", &family_json(&self.wal, &[]))
-            .raw("workers", &family_json(&self.workers, &[]))
             .raw("ops", &self.ops.to_json());
         o.finish()
     }
@@ -435,7 +427,6 @@ impl StatsDelta {
             compression: family_from_json(v.get("compression")?)?,
             ssd: family_from_json(v.get("ssd")?)?,
             wal: family_from_json(v.get("wal")?)?,
-            workers: family_from_json(v.get("workers")?)?,
             ops: OpCountDeltas::from_json(v.get("ops")?)?,
         })
     }
@@ -480,7 +471,6 @@ mod tests {
                 cv: 0.3,
             },
             wal: fill(scale),
-            workers: fill(scale),
             ops: OpLatencies::default(),
         };
         s.cache.data_bytes = s.cache.probation_bytes + s.cache.protected_bytes;

@@ -1,12 +1,13 @@
 //! `masm-trace` — a bounded flight recorder with Perfetto export.
 //!
 //! The metrics layer answers *how much*; this module answers *why*: it
-//! records causally-linked spans and instant events across the engine's
-//! threads — ingest → backpressure stall → sealed batch → flush job →
-//! the compaction or migration it triggered — into one bounded
+//! records spans and instant events on the threads of the engine's
+//! callers — an ingest, the flush it ran, the compaction a scan setup
+//! ran, a migration and the queries it waited for — into one bounded
 //! in-memory queue, and exports them as Chrome trace-event JSON that
 //! opens directly in [Perfetto](https://ui.perfetto.dev) or
-//! `chrome://tracing`.
+//! `chrome://tracing`. A span nests in the span of the call that ran
+//! it.
 //!
 //! # Design
 //!
@@ -24,11 +25,8 @@
 //!   fixed when the tracer is built; every instrumentation site checks
 //!   it first, so a disabled tracer costs one load per operation. Hot
 //!   per-operation spans are additionally sampled 1-in-2^`op_sample_shift`.
-//! * **Causal links.** Flow ids ([`Tracer::next_flow_id`]) connect a
-//!   producer-side [`Tracer::flow_start`] to a consumer-side
-//!   [`Tracer::flow_finish`] across threads; Perfetto draws the arrow
-//!   between the enclosing slices. Every event renders in one process
-//!   lane (pid 0, named `masm`); its track picks the thread lane
+//! * **One process lane.** Every event renders in one process lane
+//!   (pid 0, named `masm`); its track picks the thread lane
 //!   ([`current_tid`]).
 //!
 //! Timestamps come from whatever clock the caller samples — the engine
@@ -50,15 +48,11 @@ pub enum RecordKind {
     Span,
     /// A thread-scoped instant event (`ph:"i"`).
     Instant,
-    /// A flow origin (`ph:"s"`), bound to the enclosing span.
-    FlowStart,
-    /// A flow target (`ph:"f"`), bound to the enclosing span.
-    FlowFinish,
     /// A counter sample (`ph:"C"`).
     Counter,
 }
 
-/// Where an event renders: the worker/actor thread lane of the one
+/// Where an event renders: the caller's thread lane of the one
 /// process lane.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TrackId {
@@ -75,17 +69,15 @@ pub struct TraceRecord {
     pub kind: RecordKind,
     /// Process/thread lane.
     pub track: TrackId,
-    /// Event (or span) name; flow start/finish pairs share a name.
+    /// Event (or span) name.
     pub name: &'static str,
     /// Event time in clock nanoseconds (span start for [`RecordKind::Span`]).
     pub t_ns: u64,
     /// Span duration (0 for non-span records).
     pub dur_ns: u64,
-    /// Flow id linking a start/finish pair (0 = none).
-    pub flow: u64,
     /// Name of the numeric payload (`""` = none).
     pub arg_name: &'static str,
-    /// Numeric payload (bytes, attempts, lag, counter value, …).
+    /// Numeric payload (bytes, batch id, lag, counter value, …).
     pub arg: u64,
 }
 
@@ -106,12 +98,13 @@ pub fn current_tid() -> u32 {
 #[derive(Debug, Clone, Copy)]
 pub struct TraceConfig {
     /// Capacity of the recorder's one queue, in records (preallocated
-    /// up front; 65,536 records of 72 bytes by default). Overflow is
+    /// up front; 65,536 records of 64 bytes by default). Overflow is
     /// counted ([`TraceStats::dropped`]), not blocked on.
     pub ring_capacity: usize,
     /// Sample hot per-operation spans 1-in-2^shift
     /// ([`Tracer::op_span`]); 0 records every operation. Lifecycle
-    /// events (jobs, flows, instants) are never sampled away.
+    /// events (flushes, compactions, migrations, instants) are never
+    /// sampled away.
     pub op_sample_shift: u32,
     /// Whether the tracer records at all (fixed for its lifetime).
     pub enabled: bool,
@@ -162,7 +155,6 @@ pub struct Tracer {
     enabled: bool,
     op_mask: u64,
     op_counter: AtomicU64,
-    next_flow: AtomicU64,
     emitted: AtomicU64,
     dropped: AtomicU64,
     violations: AtomicU64,
@@ -185,7 +177,6 @@ impl Tracer {
             enabled: cfg.enabled,
             op_mask: (1u64 << cfg.op_sample_shift.min(63)) - 1,
             op_counter: AtomicU64::new(0),
-            next_flow: AtomicU64::new(1),
             emitted: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
             violations: AtomicU64::new(0),
@@ -208,11 +199,6 @@ impl Tracer {
     #[must_use]
     pub fn enabled(&self) -> bool {
         self.enabled
-    }
-
-    /// A fresh process-unique flow id (never 0).
-    pub fn next_flow_id(&self) -> u64 {
-        self.next_flow.fetch_add(1, Ordering::Relaxed)
     }
 
     /// Whether this hot-path operation is in the 1-in-2^shift sample.
@@ -253,7 +239,6 @@ impl Tracer {
             name,
             t_ns,
             dur_ns,
-            flow: 0,
             arg_name,
             arg,
         });
@@ -274,39 +259,8 @@ impl Tracer {
             name,
             t_ns,
             dur_ns: 0,
-            flow: 0,
             arg_name,
             arg,
-        });
-    }
-
-    /// A flow origin: Perfetto draws an arrow from the span enclosing
-    /// this event to the span enclosing the matching
-    /// [`Tracer::flow_finish`].
-    pub fn flow_start(&self, name: &'static str, track: TrackId, t_ns: u64, flow: u64) {
-        self.emit(TraceRecord {
-            kind: RecordKind::FlowStart,
-            track,
-            name,
-            t_ns,
-            dur_ns: 0,
-            flow,
-            arg_name: "",
-            arg: 0,
-        });
-    }
-
-    /// A flow target (see [`Tracer::flow_start`]).
-    pub fn flow_finish(&self, name: &'static str, track: TrackId, t_ns: u64, flow: u64) {
-        self.emit(TraceRecord {
-            kind: RecordKind::FlowFinish,
-            track,
-            name,
-            t_ns,
-            dur_ns: 0,
-            flow,
-            arg_name: "",
-            arg: 0,
         });
     }
 
@@ -318,7 +272,6 @@ impl Tracer {
             name,
             t_ns,
             dur_ns: 0,
-            flow: 0,
             arg_name: "value",
             arg: value,
         });
@@ -475,18 +428,6 @@ fn push_event(events: &mut Vec<String>, rec: &TraceRecord) {
                 o.raw("args", &args.finish());
             }
         }
-        RecordKind::FlowStart | RecordKind::FlowFinish => {
-            o.str("name", rec.name).str("cat", "flow");
-            if rec.kind == RecordKind::FlowStart {
-                o.str("ph", "s");
-            } else {
-                o.str("ph", "f").str("bp", "e");
-            }
-            o.u64("id", rec.flow)
-                .f64("ts", ts_us)
-                .u64("pid", 0)
-                .u64("tid", u64::from(rec.track.tid));
-        }
         RecordKind::Counter => {
             let mut args = JsonObj::new();
             args.u64(rec.arg_name, rec.arg);
@@ -594,14 +535,9 @@ impl InvariantWatchdog {
             self.tracer
                 .instant("invariant.violation", self.track, now, "total", seen);
         }
-        if stats.workers.epoch_lag > MAX_EPOCH_LAG {
-            self.tracer.instant(
-                "epoch.lag",
-                self.track,
-                now,
-                "epochs",
-                stats.workers.epoch_lag,
-            );
+        if stats.runs.epoch_lag > MAX_EPOCH_LAG {
+            self.tracer
+                .instant("epoch.lag", self.track, now, "epochs", stats.runs.epoch_lag);
         }
         self.tracer.counter(
             "trace.violations",
@@ -625,14 +561,14 @@ mod tests {
     }
 
     /// The emit path writes one fixed-size record — no heap data, no
-    /// allocation. Two `&'static str` (two words each) + four u64
+    /// allocation. Two `&'static str` (two words each) + three u64
     /// payload fields + the 4-byte track + the kind byte, padded to
-    /// 8-byte alignment: 72 bytes. If this grows, the flight recorder's
+    /// 8-byte alignment: 64 bytes. If this grows, the flight recorder's
     /// memory bound and allocation-freeness both change: move the new
     /// state somewhere else.
     #[test]
     fn record_is_fixed_size_no_allocation() {
-        assert_eq!(std::mem::size_of::<TraceRecord>(), 72);
+        assert_eq!(std::mem::size_of::<TraceRecord>(), 64);
         // Copy is what lets the queue hand records around by value.
         fn assert_copy<T: Copy>() {}
         assert_copy::<TraceRecord>();
@@ -721,7 +657,6 @@ mod tests {
                             name: "stress",
                             t_ns: v,
                             dur_ns: v.wrapping_mul(3),
-                            flow: v ^ 0xABCD,
                             arg_name: "v",
                             arg: v,
                         });
@@ -740,7 +675,6 @@ mod tests {
             assert_eq!(r.name, "stress");
             assert_eq!(r.t_ns, r.arg, "torn record: t_ns vs arg");
             assert_eq!(r.dur_ns, r.arg.wrapping_mul(3), "torn record: dur");
-            assert_eq!(r.flow, r.arg ^ 0xABCD, "torn record: flow");
             assert_eq!(u64::from(r.track.tid), r.arg / PER_WRITER, "torn track");
         }
         let s = t.stats();
@@ -791,7 +725,7 @@ mod tests {
         let t = Tracer::default();
         for i in 0..40_000u64 {
             let tr = track((i % 7) as u32);
-            t.span_event("job.flush", tr, i * 10, 5, "bytes", i);
+            t.span_event("flush", tr, i * 10, 5, "bytes", i);
         }
         let doc = parse(&t.export_chrome_trace()).expect("export must parse");
         let Some(crate::json::JsonValue::Arr(events)) = doc.get("traceEvents") else {
@@ -808,11 +742,8 @@ mod tests {
     fn export_is_valid_chrome_trace_json() {
         let t = Tracer::default();
         let tr = track(9);
-        let flow = t.next_flow_id();
-        t.span_event("job.flush", tr, 1000, 500, "bytes", 4096);
-        t.flow_start("masm.flush", track(3), 900, flow);
-        t.flow_finish("masm.flush", tr, 1001, flow);
-        t.instant("job.retry", tr, 1200, "attempts", 2);
+        t.span_event("flush", tr, 1000, 500, "bytes", 4096);
+        t.instant("epoch.retire", track(3), 1200, "bytes", 2);
         t.counter("trace.violations", tr, 1300, 1);
         let json = t.export_chrome_trace();
         let doc = parse(&json).expect("export must parse");
@@ -820,8 +751,8 @@ mod tests {
             Some(crate::json::JsonValue::Arr(a)) => a,
             other => panic!("traceEvents must be an array, got {other:?}"),
         };
-        // 1 process + 2 thread metadata + 5 records.
-        assert_eq!(events.len(), 8);
+        // 1 process + 2 thread metadata + 3 records.
+        assert_eq!(events.len(), 6);
         let phase = |e: &crate::json::JsonValue| match e.get("ph") {
             Some(crate::json::JsonValue::Str(s)) => s.clone(),
             _ => panic!("event without ph"),
@@ -846,12 +777,6 @@ mod tests {
             spans[0].get("args").and_then(|a| a.get_u64("bytes")),
             Some(4096)
         );
-        let s = events.iter().find(|e| phase(e) == "s").expect("flow start");
-        let f = events
-            .iter()
-            .find(|e| phase(e) == "f")
-            .expect("flow finish");
-        assert_eq!(s.get_u64("id"), f.get_u64("id"), "flow ids must resolve");
         assert!(events.iter().any(|e| phase(e) == "i"));
         assert!(events.iter().any(|e| phase(e) == "C"));
         assert!(events.iter().any(|e| phase(e) == "M"));
@@ -880,7 +805,7 @@ mod tests {
         assert_eq!(t.stats().violations, 1);
         // Past the interval + an epoch-lag alarm.
         stats.at_ns = 4000;
-        stats.workers.epoch_lag = MAX_EPOCH_LAG + 1;
+        stats.runs.epoch_lag = MAX_EPOCH_LAG + 1;
         assert_eq!(dog.poll(&stats).len(), 1);
         let recs = t.take_records();
         assert!(recs.iter().any(|r| r.name == "invariant.violation"));

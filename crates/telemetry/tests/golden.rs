@@ -44,7 +44,6 @@ fn sample(scale: u64) -> EngineStats {
             cv: 0.25,
         },
         wal: family(1700, scale),
-        workers: family(1800, scale),
         ..EngineStats::default()
     };
     s.ops.ingest = hist(0, scale);
@@ -83,7 +82,7 @@ fn readme_metric_catalog_matches_fields() {
             None => families.push((vec![key], fields)),
         }
     }
-    assert_eq!(families.len(), 7, "ssd and wal share one roster");
+    assert_eq!(families.len(), 6, "ssd and wal share one roster");
     let mut missing = String::new();
     for (keys, fields) in families {
         let keys: Vec<String> = keys.iter().map(|k| format!("`{k}`")).collect();

@@ -11,7 +11,7 @@ use masm_storage::{
 };
 use masm_telemetry::json::parse;
 use masm_telemetry::{
-    BufferStats, EngineStats, Histogram, HistogramSnapshot, RunSetStats, StatsDelta, WorkerStats,
+    BufferStats, EngineStats, Histogram, HistogramSnapshot, RunSetStats, StatsDelta,
 };
 
 fn samples() -> impl Strategy<Value = Vec<u64>> {
@@ -63,7 +63,6 @@ fn stats_with(at: u64, c: &[u64]) -> EngineStats {
         compression: family_of(c, 4),
         ssd: family_of(c, 5),
         wal: family_of(c, 6),
-        workers: family_of(c, 7),
         ..EngineStats::default()
     };
     s.ops.ingest = h.snapshot();
@@ -143,7 +142,7 @@ proptest! {
     }
 
     /// Merge is commutative and associative and commutes with delta,
-    /// and a delta against zero is the identity — for all seven
+    /// and a delta against zero is the identity — for all six
     /// families, by their declared field kinds alone.
     #[test]
     fn every_family_obeys_its_field_kinds(
@@ -158,7 +157,6 @@ proptest! {
         check_family_algebra::<MergeReport>(&a, &b, &grow_a, &grow_b)?;
         check_family_algebra::<CompressionReport>(&a, &b, &grow_a, &grow_b)?;
         check_family_algebra::<IoStatsSnapshot>(&a, &b, &grow_a, &grow_b)?;
-        check_family_algebra::<WorkerStats>(&a, &b, &grow_a, &grow_b)?;
     }
 
     /// JSON is exact with every field of every family set to a distinct

@@ -1,8 +1,8 @@
 //! Property tests for the `masm-trace` flight recorder: exact drop
 //! accounting under arbitrary queue capacities and writer counts, no
-//! torn records under concurrency, span well-formedness (end ≥ start,
-//! parents open before children, children close within parents) for
-//! arbitrary nesting programs, and flow-id resolution.
+//! torn records under concurrency, and span well-formedness (end ≥
+//! start, parents open before children, children close within parents)
+//! for arbitrary nesting programs.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -16,14 +16,12 @@ use masm_telemetry::trace::{RecordKind, TraceConfig, TraceRecord, Tracer, TrackI
 const SPAN_NAMES: [&str; 4] = ["alpha", "beta", "gamma", "delta"];
 
 /// One step of a synthetic tracing program (single track, monotonic
-/// clock): open a span, close the innermost, drop an instant, or emit
-/// a flow start/finish pair.
+/// clock): open a span, close the innermost, or drop an instant.
 #[derive(Debug, Clone, Copy)]
 enum Step {
     Open,
     Close,
     Instant,
-    Flow,
 }
 
 fn steps() -> impl Strategy<Value = Vec<Step>> {
@@ -32,7 +30,6 @@ fn steps() -> impl Strategy<Value = Vec<Step>> {
             2 => Just(Step::Open),
             2 => Just(Step::Close),
             1 => Just(Step::Instant),
-            1 => Just(Step::Flow),
         ],
         0..120,
     )
@@ -64,7 +61,6 @@ proptest! {
                             name: "prop",
                             t_ns: v,
                             dur_ns: v.wrapping_mul(7),
-                            flow: !v,
                             arg_name: "v",
                             arg: v,
                         });
@@ -94,7 +90,6 @@ proptest! {
             prop_assert_eq!(r.name, "prop");
             prop_assert_eq!(r.t_ns, r.arg);
             prop_assert_eq!(r.dur_ns, r.arg.wrapping_mul(7));
-            prop_assert_eq!(r.flow, !r.arg);
             prop_assert_eq!(u64::from(r.track.tid), r.arg / per_writer.max(1));
             seen.push(r.arg);
         }
@@ -106,10 +101,9 @@ proptest! {
     /// Spans produced by guard (stack) discipline on a monotonic clock
     /// are well-formed: durations are non-negative by construction,
     /// every parent opens strictly before its children, and children
-    /// close within their parent. Flow start/finish pairs resolve to
-    /// each other, start before finish.
+    /// close within their parent.
     #[test]
-    fn spans_are_well_formed_and_flows_resolve(program in steps()) {
+    fn spans_are_well_formed(program in steps()) {
         let t = Tracer::default();
         let clock = AtomicU64::new(1);
         let now = || clock.fetch_add(1, Ordering::Relaxed);
@@ -125,11 +119,6 @@ proptest! {
                     stack.pop();
                 }
                 Step::Instant => t.instant("tick", track, now(), "", 0),
-                Step::Flow => {
-                    let id = t.next_flow_id();
-                    t.flow_start("link", track, now(), id);
-                    t.flow_finish("link", track, now(), id);
-                }
             }
         }
         while stack.pop().is_some() {}
@@ -155,17 +144,6 @@ proptest! {
                 }
             }
         }
-
-        let starts: Vec<&TraceRecord> =
-            records.iter().filter(|r| r.kind == RecordKind::FlowStart).collect();
-        let finishes: Vec<&TraceRecord> =
-            records.iter().filter(|r| r.kind == RecordKind::FlowFinish).collect();
-        prop_assert_eq!(starts.len(), finishes.len());
-        for s in &starts {
-            let matched: Vec<_> = finishes.iter().filter(|f| f.flow == s.flow).collect();
-            prop_assert_eq!(matched.len(), 1, "flow id must resolve exactly once");
-            prop_assert!(matched[0].t_ns >= s.t_ns, "flow must finish after it starts");
-        }
     }
 
     /// Whatever the program emitted, the Chrome export is valid JSON
@@ -184,11 +162,6 @@ proptest! {
                     stack.pop();
                 }
                 Step::Instant => t.instant("i", track, now(), "n", 1),
-                Step::Flow => {
-                    let id = t.next_flow_id();
-                    t.flow_start("f", track, now(), id);
-                    t.flow_finish("f", track, now(), id);
-                }
             }
         }
         while stack.pop().is_some() {}

@@ -15,7 +15,9 @@ use crate::wal::{put_update_frame, with_frame_scratch, WalRecord};
 
 impl MasmEngine {
     /// Bulk-load the table (records sorted by key) and log the load so
-    /// the heap metadata is recoverable.
+    /// the heap metadata is recoverable. A table that already has heap
+    /// pages is refused with [`MasmError::TableNotEmpty`] before
+    /// anything is written or logged.
     pub fn load_table(
         &self,
         session: &SessionHandle,

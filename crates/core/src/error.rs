@@ -3,7 +3,7 @@
 use std::fmt;
 
 use masm_blockrun::BlockRunError;
-use masm_pagestore::RecordTooLarge;
+use masm_pagestore::{BulkLoadError, RecordTooLarge};
 use masm_storage::StorageError;
 
 /// Errors surfaced by the MaSM engine.
@@ -50,6 +50,12 @@ pub enum MasmError {
         /// Log offset of the first append that failed.
         offset: u64,
     },
+    /// A bulk load into a table that already has data: nothing was
+    /// written or logged.
+    TableNotEmpty {
+        /// Heap pages the table has.
+        pages: usize,
+    },
 }
 
 impl fmt::Display for MasmError {
@@ -73,6 +79,12 @@ impl fmt::Display for MasmError {
                 f,
                 "redo log failed at offset {offset}: no append is accepted until recovery"
             ),
+            MasmError::TableNotEmpty { pages } => {
+                write!(
+                    f,
+                    "the table already has {pages} heap pages: only an empty table loads"
+                )
+            }
         }
     }
 }
@@ -100,6 +112,15 @@ impl From<BlockRunError> for MasmError {
         match e {
             BlockRunError::Storage(s) => MasmError::Storage(s),
             other => MasmError::BlockRun(other),
+        }
+    }
+}
+
+impl From<BulkLoadError> for MasmError {
+    fn from(e: BulkLoadError) -> Self {
+        match e {
+            BulkLoadError::NotEmpty { pages } => MasmError::TableNotEmpty { pages },
+            BulkLoadError::Storage(e) => MasmError::Storage(e),
         }
     }
 }

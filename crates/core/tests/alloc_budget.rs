@@ -19,6 +19,10 @@
 //!   from one to the other as its encoded bytes.
 //! * A run block read cold is one buffer: what it costs to fetch and
 //!   index is a constant, whether it holds 70 updates or 1,200.
+//! * A bulk load streams the table through one reused 1 MiB page
+//!   buffer: its allocations do not grow with the pages it writes, and
+//!   what it holds at its peak is that buffer and the page map and
+//!   index, not the table.
 //!
 //! A binary of its own, because the counting allocator is process-wide;
 //! it counts per thread, so the tests (each single-threaded, inline
@@ -34,15 +38,21 @@ use masm_core::membuf::UpdateBuffer;
 use masm_core::run::{lookup_in_run, write_run, RunScan};
 use masm_core::update::{FieldPatch, UpdateOp, UpdateRecord};
 use masm_core::IndexGranularity;
-use masm_model::{flash, payload, value, Model, Op, Table};
-use masm_pagestore::Key;
+use masm_model::{flash, payload, rows, value, Model, Op, Table};
+use masm_pagestore::{HeapConfig, Key, Record, TableHeap};
+use masm_storage::{DeviceProfile, SessionHandle, SimClock, SimDevice};
 
 struct Counting;
 
 thread_local! {
-    // Const-initialised and without a destructor: touching it never
+    // Const-initialised and without a destructor: touching them never
     // allocates, so the allocator may.
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    // Bytes the thread allocated minus bytes it freed (memory freed by
+    // another thread than the one that allocated it can make it
+    // negative), and its high-water mark since `reset_peak`.
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+    static PEAK: Cell<i64> = const { Cell::new(0) };
 }
 
 /// Allocations made by the calling thread so far.
@@ -50,20 +60,53 @@ fn allocations() -> u64 {
     ALLOCATIONS.with(Cell::get)
 }
 
+/// Restart the calling thread's live-bytes high-water mark at what it
+/// has live now; that level.
+fn reset_peak() -> i64 {
+    let live = LIVE.with(Cell::get);
+    PEAK.with(|peak| peak.set(live));
+    live
+}
+
+/// The calling thread's live-bytes high-water mark since `reset_peak`.
+fn peak() -> i64 {
+    PEAK.with(Cell::get)
+}
+
+/// Count `bytes` more (or, negative, fewer) live on the calling thread.
+fn grow_live(bytes: i64) {
+    // `try_with`: a thread's last frees and allocations may come after
+    // its thread-locals are gone.
+    let _ = LIVE.try_with(|live| {
+        live.set(live.get() + bytes);
+        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
+    });
+}
+
 // SAFETY: every call is forwarded unchanged to the system allocator;
-// the counter is a thread-local statistic.
+// the counters are thread-local statistics.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        // `try_with`: a thread's last frees and allocations may come
-        // after its thread-locals are gone.
         let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        grow_live(layout.size() as i64);
         // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        grow_live(-(layout.size() as i64));
         // SAFETY: `ptr` came from `System.alloc` with this layout.
         unsafe { System.dealloc(ptr, layout) }
+    }
+
+    /// One allocation, as the default `realloc` (a fresh block, a copy,
+    /// a free) counts it; live bytes move by the difference in size.
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        grow_live(new_size as i64 - layout.size() as i64);
+        // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract;
+        // `ptr` came from this allocator, that is from `System`.
+        unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
 
@@ -395,4 +438,83 @@ fn a_cold_block_costs_three_allocations_not_one_per_entry() {
         per_block_seen[1] > 10 * per_block_seen[0],
         "updates to a block: {per_block_seen:?}"
     );
+}
+
+/// A heap on a fresh disk of its own, and a session on its clock.
+fn fresh_heap() -> (TableHeap, SessionHandle) {
+    let clock = SimClock::new();
+    let disk = SimDevice::in_memory(DeviceProfile::hdd_barracuda(), clock.clone());
+    (
+        TableHeap::new(disk, HeapConfig::default()),
+        SessionHandle::fresh(clock),
+    )
+}
+
+/// A bulk load packs into one reused 1 MiB page buffer: loading 4,103
+/// pages allocates what loading 513 does plus what each 1 MiB write and
+/// each growth step of the page map and the index take. Building every
+/// page before writing any took one allocation per page.
+#[test]
+fn a_bulk_load_allocates_per_write_not_per_page() {
+    const SMALL: u64 = 20_000; // 513 pages, 3 writes
+    const LARGE: u64 = 160_000; // 4,103 pages, 17 writes
+                                // What one more 1 MiB write may allocate, growth steps of the page
+                                // map and the index included.
+    const PER_WRITE: u64 = 1;
+
+    // Pre-built records: the allocations are the load's own.
+    let allocations_of = |records: u64| {
+        let (heap, session) = fresh_heap();
+        let table: Vec<Record> = rows(records).collect();
+        let before = allocations();
+        heap.bulk_load(&session, table, 1.0).unwrap();
+        let allocations = allocations() - before;
+        assert_eq!(heap.record_count(), records);
+        let writes = heap.device().stats().write_ops;
+        (allocations, heap.num_pages(), writes)
+    };
+    let (small, small_pages, small_writes) = allocations_of(SMALL);
+    let (large, large_pages, large_writes) = allocations_of(LARGE);
+    assert_eq!((small_pages, large_pages), (513, 4_103));
+    assert!(
+        large <= small + PER_WRITE * (large_writes - small_writes),
+        "{small} allocations to load {small_pages} pages in {small_writes} writes, {large} to \
+         load {large_pages} in {large_writes}"
+    );
+    eprintln!(
+        "{small} allocations for {small_pages} pages in {small_writes} writes, {large} for \
+         {large_pages} in {large_writes}"
+    );
+}
+
+/// What a bulk load holds at its peak is its 1 MiB page buffer, the
+/// page map and the index — not a second copy of the table beside the
+/// device's. The records are generated as the load takes them, and the
+/// disk already has room for the table (a first load wrote it), so it
+/// grows no further and the peak is the load's own.
+#[test]
+fn a_bulk_load_holds_one_batch_not_the_table() {
+    const RECORDS: u64 = 160_000; // 16 MiB of pages
+    const SCAN_IO: i64 = 1 << 20;
+
+    let (first, session) = fresh_heap();
+    first.bulk_load(&session, rows(RECORDS), 1.0).unwrap();
+    let disk = first.device().clone();
+    let table_bytes = disk.len();
+
+    let heap = TableHeap::new(disk.clone(), HeapConfig::default());
+    let start = reset_peak();
+    heap.bulk_load(&session, rows(RECORDS), 1.0).unwrap();
+    let held = peak() - start;
+    assert_eq!(
+        disk.len(),
+        table_bytes,
+        "the second load wrote over the first"
+    );
+    assert_eq!(heap.record_count(), RECORDS);
+    assert!(
+        held <= 2 * SCAN_IO,
+        "loading a {table_bytes}-byte table held {held} bytes at its peak"
+    );
+    eprintln!("{held} bytes held at the peak of a {table_bytes}-byte load");
 }

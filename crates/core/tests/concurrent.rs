@@ -26,15 +26,18 @@ use masm_telemetry::{RecordKind, TraceConfig, Tracer};
 
 /// N ingest lanes write monotonically increasing values to their own
 /// key sets while M scanners read full snapshots; whoever finds a full
-/// buffer flushes it. Every scan must be the model as of its
-/// timestamp, and after joining everything the state must be the
-/// model. The round flight-records itself: the accounting is exact,
-/// and the ingests and the flushes they ran are in it.
+/// buffer flushes it. The lanes write enough distinct keys (4,000, six
+/// times each) for some 25 flushes, past the 16 open runs at which a
+/// scan setup compacts, so a compaction runs too. Every scan must be
+/// the model as of its timestamp, and after joining everything the
+/// state must be the model. The round flight-records itself: the
+/// accounting is exact, and the ingests and the flushes they ran are
+/// in it.
 #[test]
 fn stress_concurrent_ingest_scan_compact() {
     const LANES: u64 = 4;
-    const PER_LANE: u32 = 2500;
-    const KEYS_PER_LANE: u32 = 50;
+    const PER_LANE: u32 = 6000;
+    const KEYS_PER_LANE: u32 = 1000;
     const SCANNERS: usize = 2;
     const SCANS: usize = 20;
     const BASE: u64 = 100_000;
@@ -102,6 +105,7 @@ fn stress_concurrent_ingest_scan_compact() {
     let stats = t.stats();
     assert_eq!(stats.ssd.random_writes, 0, "design goal 2 violated");
     assert!(stats.ops.flush.count > 0, "no flush ran");
+    assert!(stats.merge.inputs > 0, "no compaction ran");
 
     // ---- Flight-recorder asserts: exact accounting ----
     let records = tracer.take_records();

@@ -1,11 +1,12 @@
 //! End-to-end MaSM behaviour over update streams: scans of any range
 //! and after migration are the model, the migrated heap stands alone,
-//! flash writes stay sequential, every field can be modified, and the
-//! update cache refuses updates when full.
+//! flash writes stay sequential, every field can be modified, the
+//! update cache refuses updates when full, and a loaded table refuses a
+//! second load.
 
 use masm_core::update::{FieldPatch, UpdateOp};
 use masm_core::{MasmConfig, MasmError};
-use masm_model::{assert_rows, payload, puts, schema, Op, Table};
+use masm_model::{assert_rows, payload, puts, rows, schema, Op, Table};
 use masm_pagestore::{Key, Record};
 
 #[test]
@@ -104,4 +105,29 @@ fn update_cache_capacity_is_enforced() {
     t.migrate().unwrap();
     assert_eq!(t.engine().cached_bytes(), 0);
     t.put(1, UpdateOp::Delete).unwrap();
+}
+
+/// A second bulk load is refused before it writes a page or logs a
+/// thing: the disk, the redo log and the heap stay as the first load
+/// left them.
+#[test]
+fn a_second_load_is_refused_before_it_writes() {
+    let t = Table::new(MasmConfig::small_for_tests());
+    let model = t.load(2_000);
+    let heap = t.engine().heap();
+    let (disk, wal) = (t.dev.disk.len(), t.dev.wal.len());
+    let metadata = heap.metadata_snapshot();
+
+    let err = t
+        .engine()
+        .load_table(&t.session, rows(500), 1.0)
+        .unwrap_err();
+    let pages = metadata.0.len();
+    assert!(
+        matches!(err, MasmError::TableNotEmpty { pages: p } if p == pages),
+        "{err}"
+    );
+    assert_eq!((t.dev.disk.len(), t.dev.wal.len()), (disk, wal));
+    assert_eq!(heap.metadata_snapshot(), metadata);
+    t.check(&model);
 }

@@ -5,6 +5,10 @@
 //! * Logical pages are translated to physical byte offsets through a page
 //!   map, so MaSM's in-place migration can replace chunks of pages without
 //!   doubling storage (§3.2 "in-place migration", cases (i) and (ii)).
+//! * A bulk load ([`TableHeap::bulk_load`]) packs the sorted records
+//!   into **one reused buffer** (a [`PageChunk`] of 1 MiB) and writes
+//!   each batch as soon as it is full: the table is never held in
+//!   memory.
 //! * Range scans ([`TableHeap::scan_range`]) read batches of up to
 //!   1 MiB (the I/O size of §4.1) with
 //!   asynchronous prefetch of the next batch, and locate batches **by
@@ -36,7 +40,7 @@ use parking_lot::{Mutex, MutexGuard, RwLock};
 use masm_storage::{IoTicket, SessionHandle, SimDevice, StorageError, StorageResult, MIB};
 
 use crate::index::SparseIndex;
-use crate::page::{Page, PageChunk, PageRef};
+use crate::page::{PageChunk, PageRef};
 use crate::record::{Key, Record};
 
 /// I/O size of range scans and bulk loads (1 MB in §4.1).
@@ -101,6 +105,11 @@ impl Allocator {
                 }
             }
         }
+        self.fresh(n, page_size)
+    }
+
+    /// Allocate `n` page slots of fresh space at the end.
+    fn fresh(&mut self, n: usize, page_size: u64) -> u64 {
         let offset = self.next;
         self.next += n as u64 * page_size;
         offset
@@ -131,6 +140,47 @@ impl Allocator {
                 self.free[at]
             );
         }
+    }
+}
+
+/// Why [`TableHeap::bulk_load`] loaded nothing.
+#[derive(Debug)]
+pub enum BulkLoadError {
+    /// The heap already has pages; nothing was written.
+    NotEmpty {
+        /// Logical pages the heap has.
+        pages: usize,
+    },
+    /// A device write failed; the heap is still empty.
+    Storage(StorageError),
+}
+
+impl std::fmt::Display for BulkLoadError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            BulkLoadError::NotEmpty { pages } => {
+                write!(
+                    f,
+                    "bulk load into a heap of {pages} pages: only an empty heap loads"
+                )
+            }
+            BulkLoadError::Storage(e) => write!(f, "bulk load: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for BulkLoadError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            BulkLoadError::Storage(e) => Some(e),
+            BulkLoadError::NotEmpty { .. } => None,
+        }
+    }
+}
+
+impl From<StorageError> for BulkLoadError {
+    fn from(e: StorageError) -> Self {
+        BulkLoadError::Storage(e)
     }
 }
 
@@ -196,20 +246,38 @@ impl TableHeap {
         self.num_pages() as u64 * self.cfg.page_size as u64
     }
 
-    /// Bulk-load sorted records, packing pages to `fill` (0 < fill ≤ 1) of
-    /// capacity and writing them sequentially in 1 MiB batches.
+    /// Bulk-load sorted records into an empty heap, packing pages to
+    /// `fill` (0 < fill ≤ 1) of capacity. The records stream through
+    /// one reused [`PageChunk`] of `SCAN_IO` (1 MiB) — the buffer a
+    /// rewrite packs with — and each batch is written sequentially to
+    /// fresh space as soon as it is full, so the table is never held
+    /// in memory: a page is encoded once, in place, and copied once, to
+    /// the device. The pages form one contiguous extent, and the page
+    /// map and the index grow batch by batch.
+    ///
+    /// The heap's write lock is held throughout: a reader waits for the
+    /// whole table, and a load into a heap that already has pages is
+    /// refused ([`BulkLoadError::NotEmpty`]) before anything is written.
+    /// A failed write leaves the heap empty.
     pub fn bulk_load(
         &self,
         session: &SessionHandle,
         records: impl IntoIterator<Item = Record>,
         fill: f64,
-    ) -> StorageResult<()> {
+    ) -> Result<(), BulkLoadError> {
         assert!((0.0..=1.0).contains(&fill) && fill > 0.0);
         let page_size = self.cfg.page_size;
-        let target_bytes = ((page_size as f64) * fill) as usize;
-        let mut pages: Vec<Page> = Vec::new();
-        let mut cur = Page::new(page_size);
-        let mut used = 0usize;
+        let budget = ((page_size as f64) * fill) as usize;
+        let batch_pages = SCAN_IO.div_ceil(page_size as u64) as usize;
+        let mut st = self.state.write();
+        if !st.page_map.is_empty() {
+            return Err(BulkLoadError::NotEmpty {
+                pages: st.page_map.len(),
+            });
+        }
+        let mut batch =
+            PageChunk::from_bytes(page_size, Vec::with_capacity(batch_pages * page_size));
+        let (mut map, mut index) = (Vec::new(), SparseIndex::default());
         let mut count = 0u64;
         let mut last_key: Option<Key> = None;
         for r in records {
@@ -218,49 +286,44 @@ impl TableHeap {
                 "bulk_load requires sorted input"
             );
             last_key = Some(r.key);
-            let need = r.encoded_len() + crate::page::SLOT_SIZE;
-            if (used + need > target_bytes.min(page_size) || !cur.fits(&r))
-                && cur.record_count() > 0
-            {
-                pages.push(std::mem::replace(&mut cur, Page::new(page_size)));
-                used = 0;
+            if batch.len() == batch_pages && batch.opens_page(r.encoded_len(), budget) {
+                self.write_batch(session, &batch, &mut map, &mut index)?;
+                batch.reset(0);
             }
-            assert!(cur.append(&r), "record larger than page");
-            used += need;
+            batch
+                .push_within(&r, budget)
+                .expect("record larger than page");
             count += 1;
         }
-        if cur.record_count() > 0 {
-            pages.push(cur);
-        }
-
-        // Allocate one contiguous region and write in SCAN_IO batches.
-        let base = self
-            .alloc
-            .lock()
-            .alloc_contiguous(pages.len(), page_size as u64);
-        let mut batch: Vec<u8> = Vec::with_capacity(SCAN_IO as usize);
-        let mut batch_off = base;
-        let mut map = Vec::with_capacity(pages.len());
-        let mut index = SparseIndex::default();
-        for (i, p) in pages.iter().enumerate() {
-            map.push(base + (i * page_size) as u64);
-            index.push(p.min_key().expect("non-empty page"));
-            batch.extend_from_slice(p.as_bytes());
-            if batch.len() as u64 >= SCAN_IO {
-                session.write(&self.dev, batch_off, &batch)?;
-                batch_off += batch.len() as u64;
-                batch.clear();
-            }
-        }
         if !batch.is_empty() {
-            session.write(&self.dev, batch_off, &batch)?;
+            self.write_batch(session, &batch, &mut map, &mut index)?;
         }
-
-        let mut st = self.state.write();
-        assert!(st.page_map.is_empty(), "bulk_load on non-empty heap");
         st.page_map = map;
         st.index = index;
         st.record_count = count;
+        Ok(())
+    }
+
+    /// Write one batch of a bulk load to fresh space right behind the
+    /// batches before it, and add its pages to `map` and `index`.
+    fn write_batch(
+        &self,
+        session: &SessionHandle,
+        batch: &PageChunk,
+        map: &mut Vec<u64>,
+        index: &mut SparseIndex,
+    ) -> StorageResult<()> {
+        let page_size = self.cfg.page_size as u64;
+        let base = self.alloc.lock().fresh(batch.len(), page_size);
+        assert!(
+            map.last().is_none_or(|&last| last + page_size == base),
+            "a bulk load is one contiguous extent"
+        );
+        session.write(&self.dev, base, batch.as_bytes())?;
+        map.extend((0..batch.len() as u64).map(|i| base + i * page_size));
+        for page in batch.pages() {
+            index.push(page.min_key().expect("non-empty page"));
+        }
         Ok(())
     }
 
@@ -800,6 +863,7 @@ impl HeapRewriter<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::page::Page;
     use masm_storage::{DeviceProfile, SimClock};
 
     fn heap_with(n: u64) -> (Arc<TableHeap>, SessionHandle) {

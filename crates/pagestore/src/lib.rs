@@ -27,7 +27,7 @@ pub mod page;
 pub mod record;
 pub mod schema;
 
-pub use heap::{ChunkCommit, HeapConfig, HeapRewriter, RangeScan, TableHeap};
+pub use heap::{BulkLoadError, ChunkCommit, HeapConfig, HeapRewriter, RangeScan, TableHeap};
 pub use index::SparseIndex;
 pub use page::{Page, PageChunk, PageRef, RecordTooLarge};
 pub use record::{Key, Record};

@@ -329,7 +329,8 @@ impl Page {
 /// [`PageChunk::push`], [`PageChunk::push_encoded`] and
 /// [`PageChunk::push_run`] append records in key order, formatting
 /// pages **in place** at the end of the buffer; a new page is opened
-/// only when the next record does not fit the open one. Every page is
+/// only when the next record does not fit the open one (or, for a bulk
+/// load's packer, would take it past its fill budget). Every page is
 /// byte for byte what [`Page::new`], [`Page::set_timestamp`] and
 /// [`Page::append`] would have produced, whatever the buffer held
 /// before.
@@ -428,12 +429,33 @@ impl PageChunk {
         Ok(())
     }
 
+    /// Whether a record of `len` encoded bytes would open a new page
+    /// when pushed with [`PageChunk::push_within`]`(.., budget)`: no
+    /// page is open, the record does not fit the open one, or the open
+    /// page's records and slots would take more than `budget` bytes.
+    pub(crate) fn opens_page(&self, len: usize, budget: usize) -> bool {
+        let Some(start) = self.data.len().checked_sub(self.page_size) else {
+            return true;
+        };
+        let free = PageRef {
+            data: &self.data[start..],
+        }
+        .free_space();
+        let used = self.page_size - PAGE_HEADER - free;
+        free < len + SLOT_SIZE || used + len + SLOT_SIZE > budget
+    }
+
     /// Reserve `len` bytes and a slot for one more record, in the open
-    /// page if it fits and in a new page if not, and hand the bytes out
-    /// to be filled with the record's encoding.
-    fn reserve(&mut self, key: Key, len: usize) -> Result<&mut [u8], RecordTooLarge> {
-        let fits = |page: &mut [u8]| PageRef { data: page }.free_space() >= len + SLOT_SIZE;
-        if !self.open_page().is_some_and(fits) {
+    /// page if it takes them within `budget` ([`PageChunk::opens_page`])
+    /// and in a new page if not, and hand the bytes out to be filled
+    /// with the record's encoding.
+    fn reserve(
+        &mut self,
+        key: Key,
+        len: usize,
+        budget: usize,
+    ) -> Result<&mut [u8], RecordTooLarge> {
+        if self.opens_page(len, budget) {
             self.next_page(len)?;
         }
         let page = self.open_page().expect("a page is open");
@@ -450,7 +472,19 @@ impl PageChunk {
 
     /// Append `record`, encoded straight into its page.
     pub fn push(&mut self, record: &Record) -> Result<(), RecordTooLarge> {
-        record.encode(self.reserve(record.key, record.encoded_len())?);
+        self.push_within(record, self.page_size)
+    }
+
+    /// Append `record` like [`PageChunk::push`], but open a new page
+    /// once the open one's records and slots would take more than
+    /// `budget` bytes — a bulk load's fill factor. The first record of
+    /// a page is taken whatever its size.
+    pub(crate) fn push_within(
+        &mut self,
+        record: &Record,
+        budget: usize,
+    ) -> Result<(), RecordTooLarge> {
+        record.encode(self.reserve(record.key, record.encoded_len(), budget)?);
         Ok(())
     }
 
@@ -458,7 +492,8 @@ impl PageChunk {
     /// ([`PageRef::record_bytes`]): nothing is decoded.
     pub fn push_encoded(&mut self, encoded: &[u8]) -> Result<(), RecordTooLarge> {
         let key = Key::from_le_bytes(encoded[..8].try_into().expect("record header"));
-        self.reserve(key, encoded.len())?.copy_from_slice(encoded);
+        self.reserve(key, encoded.len(), self.page_size)?
+            .copy_from_slice(encoded);
         Ok(())
     }
 

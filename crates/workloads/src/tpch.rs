@@ -20,8 +20,8 @@
 use std::sync::Arc;
 
 use masm_core::update::UpdateOp;
-use masm_pagestore::{HeapConfig, Key, Record, Schema, TableHeap};
-use masm_storage::{SessionHandle, SimDevice, StorageResult};
+use masm_pagestore::{BulkLoadError, HeapConfig, Key, Record, Schema, TableHeap};
+use masm_storage::{SessionHandle, SimDevice};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -208,7 +208,7 @@ impl TpchTables {
         disk: &SimDevice,
         session: &SessionHandle,
         total_bytes: u64,
-    ) -> StorageResult<TpchTables> {
+    ) -> Result<TpchTables, BulkLoadError> {
         let schema = Schema::synthetic_100b();
         let proportions: [(Table, f64); 5] = [
             (Lineitem, 0.70),

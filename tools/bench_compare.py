@@ -25,7 +25,12 @@ second table, with no bound.
 Exits non-zero if an exact metric, `attempted` or `failed` differs for
 one seed, a run failed an operation or its correctness checks, or an
 end-to-end median is worse than `a`'s by more than its BENCHMARK.json
-bound. Without `--paired` the two recordings were not interleaved, so
+bound. Before the tables it prints each recording's run-queue wait
+(`env.runq_wait_ms`, the box-load calibration) run by run, and a "box
+loaded" line for each run whose wait is more than three times its
+recording's median: the wall-clock figures of such a run measure the
+box as much as the change. The line informs; it changes no verdict.
+Without `--paired` the two recordings were not interleaved, so
 the verdict is a screen: a "faster" claim is judged by
 `tools/paired_bench.sh`, which calls this with `--paired`.
 
@@ -51,6 +56,10 @@ EXACT = {"scan_sim_slowdown", "range_sim_slowdown", "range_sim_tail10_us",
          "sustained_sim_kupd_per_s", "flash_writes_per_update",
          "migrate_sim_x_scan", "recover_sim_ms"}
 DERIVED = "merged_over_clean"
+# Run-queue wait of the benchmark's calibration, and how far above its
+# recording's median a run's wait marks the box as loaded.
+RUNQ = "env.runq_wait_ms"
+LOADED_OVER_MEDIAN = 3
 
 
 def quartiles(values):
@@ -106,8 +115,30 @@ def collect(out, directory, rev, seeds, workloads):
         f.write("\n")
 
 
+def runq_waits(rec, label):
+    """Print `rec`'s run-queue wait run by run, and a "box loaded" line
+    for each run whose wait is above LOADED_OVER_MEDIAN times the median
+    of all of its runs."""
+    runs = [(w, seed, value)
+            for w, wr in rec["workloads"].items() if RUNQ in wr["metrics"]
+            for seed, value in zip(rec["seeds"], wr["metrics"][RUNQ]["values"])]
+    if not runs:
+        return
+    median = statistics.median(value for _, _, value in runs)
+    print(f"\n`{RUNQ}` of the {label} ({rec['rev']}), seeds {rec['seeds']}, median {median:.3g} ms:")
+    for w, wr in rec["workloads"].items():
+        if RUNQ in wr["metrics"]:
+            print(f"  {w}: " + " ".join(f"{value:.3g}" for value in wr["metrics"][RUNQ]["values"]))
+    for w, seed, value in runs:
+        if value > LOADED_OVER_MEDIAN * median:
+            print(f"box loaded: {label} {w} seed {seed} waited {value:.3g} ms in the run queue, "
+                  f"{value / median:.1f}x its recording's median")
+
+
 def compare(a, b, paired):
     rev, label_b = a["rev"], "here" if paired else f"at {b['rev']}"
+    runq_waits(a, "parent")
+    runq_waits(b, "change")
     decl = {m["name"]: m for m in BENCH["end_to_end"]}
     layers = {m["name"]: m for m in BENCH["per_layer"]}
     layers[DERIVED] = {"unit": "ratio", "better": "lower"}

@@ -8,11 +8,10 @@
 //! scan at every point, because the merge CPU cost is negligible next to
 //! either the I/O or the injected work.
 //!
-//! A second section sweeps the per-block codec (identity / delta / lz /
-//! adaptive): scan and merge (compaction) throughput per codec plus the
-//! achieved compression ratio — the same CPU-vs-I/O axis, with the CPU
-//! spent on decompression instead of injected work. The figure asserts
-//! that the adaptive selector's sampling saves trial encodes.
+//! A second section sweeps the run codec (identity / delta / lz): scan
+//! and merge (compaction) throughput per codec plus the achieved
+//! compression ratio — the same CPU-vs-I/O axis, with the CPU spent on
+//! decompression instead of injected work.
 
 use masm_core::CodecChoice;
 use masm_pagestore::Record;
@@ -98,11 +97,6 @@ pub(crate) fn run(mb: u64) -> Report {
         let merge_bytes = merge.bytes_moved + merge.bytes_decoded;
         let merge_mbps = merge_bytes as f64 / 1e6 / secs(t_merge);
 
-        // Selector CPU: fraction of the 2-trials-per-block adaptive
-        // baseline the sample-based selector avoided (0 for fixed
-        // codecs, which run no trials at all).
-        let trial_baseline = comp.codec_trials + comp.codec_trials_saved;
-        let trials_saved_frac = comp.codec_trials_saved as f64 / trial_baseline.max(1) as f64;
         codec_rows.push(vec![
             choice.name().to_string(),
             comp.raw_bytes.to_string(),
@@ -113,20 +107,7 @@ pub(crate) fn run(mb: u64) -> Report {
             format!("{merge_mbps:.1}"),
             merge.inputs.to_string(),
             merge.bytes_decoded.to_string(),
-            comp.codec_trials.to_string(),
-            format!(
-                "{} ({:.0}%)",
-                comp.codec_trials_saved,
-                trials_saved_frac * 100.0
-            ),
-            comp.lz_probes_skipped.to_string(),
         ]);
-        if choice == CodecChoice::Adaptive {
-            assert!(
-                comp.codec_trials_saved > 0,
-                "sample-based selection must save trial encodes"
-            );
-        }
     }
     report.table(
         &format!("Figure 13b — per-codec scan/merge throughput ({mb} MiB table, cache 50% full)"),
@@ -140,9 +121,6 @@ pub(crate) fn run(mb: u64) -> Report {
             "merge MB/s",
             "merge_in",
             "dec_bytes",
-            "trials",
-            "trials_saved",
-            "lz_skipped",
         ],
         &codec_rows,
     );

@@ -68,17 +68,12 @@ pub struct RunBuilder {
     keys: Vec<u64>,
     raw_blocks: u64,
     raw_entries: u64,
-    /// Sample-based codec selection for [`masm_codec::CodecChoice::Adaptive`]
-    /// (fixed choices pass through); its CPU accounting lands in the
-    /// finished run's [`BlockRunMeta::selector`].
-    selector: masm_codec::AdaptiveSelector,
 }
 
 impl RunBuilder {
     /// An empty builder.
     pub fn new(cfg: BlockRunConfig) -> Self {
         assert!(cfg.block_bytes >= 64, "block_bytes too small");
-        let selector = masm_codec::AdaptiveSelector::new(cfg.codec);
         RunBuilder {
             cfg,
             bytes: Vec::new(),
@@ -88,7 +83,6 @@ impl RunBuilder {
             keys: Vec::new(),
             raw_blocks: 0,
             raw_entries: 0,
-            selector,
         }
     }
 
@@ -107,7 +101,7 @@ impl RunBuilder {
         // and the id of the codec that actually produced the stored
         // bytes.
         self.block[..COUNT_HEADER].copy_from_slice(&open.count.to_le_bytes());
-        let (codec_id, stored) = self.selector.encode_block(&self.block);
+        let (codec_id, stored) = masm_codec::encode_with(self.cfg.codec, &self.block);
         self.zones.push(ZoneMap {
             offset: self.bytes.len() as u64,
             len: stored.len() as u32,
@@ -312,7 +306,6 @@ impl RunBuilder {
             zones: self.zones,
             bloom,
             default_codec: self.cfg.codec,
-            selector: self.selector.stats(),
         };
         (meta, self.bytes)
     }
@@ -549,36 +542,6 @@ mod tests {
             .collect();
         let want: Vec<u64> = (0..200).chain(1000..1200).chain(2000..2200).collect();
         assert_eq!(got, want);
-    }
-
-    #[test]
-    fn adaptive_builder_records_selector_savings() {
-        let mut b = RunBuilder::new(cfg_with(masm_codec::CodecChoice::Adaptive));
-        for e in entries(0..2000) {
-            b.append_entry(e);
-        }
-        let (meta, _) = b.finish();
-        assert!(
-            meta.zones.len() > masm_codec::DEFAULT_SAMPLE_EVERY,
-            "need several sampling windows ({} blocks)",
-            meta.zones.len()
-        );
-        let comp = meta.compression();
-        assert!(comp.codec_trials > 0);
-        assert!(comp.codec_trials_saved > 0, "sampling saved trial encodes");
-        assert_eq!(
-            comp.codec_trials + comp.codec_trials_saved,
-            2 * comp.blocks,
-            "every block accounts for the 2-trial baseline"
-        );
-        // Fixed codecs run no trials at all.
-        let mut fixed = RunBuilder::new(cfg());
-        for e in entries(0..200) {
-            fixed.append_entry(e);
-        }
-        let (meta, _) = fixed.finish();
-        assert_eq!(meta.compression().codec_trials, 0);
-        assert_eq!(meta.compression().codec_trials_saved, 0);
     }
 
     #[test]

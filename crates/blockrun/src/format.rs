@@ -126,10 +126,9 @@ pub struct BlockRunConfig {
     pub block_bytes: usize,
     /// Bloom-filter budget in bits per key; 0 disables the filter.
     pub bloom_bits_per_key: u32,
-    /// Per-block compression policy. Fixed choices always use that
-    /// codec; [`CodecChoice::Adaptive`] trial-encodes each block and
-    /// keeps the smallest output, recording the winner's id in the
-    /// block's zone-map entry.
+    /// The codec every data block is encoded with; each block's
+    /// zone-map entry records the id actually stored (identity where the
+    /// codec fails on the block, see [`masm_codec::encode_with`]).
     pub codec: CodecChoice,
 }
 
@@ -265,14 +264,10 @@ pub struct BlockRunMeta {
     pub zones: Vec<ZoneMap>,
     /// Optional per-run bloom filter over all keys.
     pub bloom: Option<BloomFilter>,
-    /// The codec policy the run was written with. Informational — each
-    /// block records the codec actually used in its zone entry (an
-    /// `Adaptive` writer mixes ids block by block).
+    /// The codec the run was written with. Informational — each block
+    /// records the codec actually used in its zone entry (a compacted
+    /// run that moved blocks verbatim mixes ids block by block).
     pub default_codec: CodecChoice,
-    /// Writer-side CPU accounting of the adaptive codec selector that
-    /// built this run. Not persisted — runs recovered from disk report
-    /// zeros (their writer's CPU was spent in another process).
-    pub selector: masm_codec::SelectorStats,
 }
 
 impl BlockRunMeta {
@@ -312,13 +307,10 @@ impl BlockRunMeta {
 
     /// Per-run compression accounting from the zone maps alone: raw
     /// (decoded) versus stored (on-disk) data-block bytes, and how many
-    /// blocks each codec won.
+    /// blocks each codec stored.
     pub fn compression(&self) -> CompressionReport {
         let mut report = CompressionReport {
             runs: 1,
-            codec_trials: self.selector.trial_encodes,
-            codec_trials_saved: self.selector.trials_saved,
-            lz_probes_skipped: self.selector.lz_skipped,
             ..CompressionReport::default()
         };
         for z in &self.zones {
@@ -350,7 +342,6 @@ impl BlockRunMeta {
             zones: Vec::new(),
             bloom: None,
             default_codec: CodecChoice::Identity,
-            selector: masm_codec::SelectorStats::default(),
         }
     }
 }
@@ -510,7 +501,6 @@ pub fn read_meta(
         zones,
         bloom,
         default_codec,
-        selector: masm_codec::SelectorStats::default(),
     })
 }
 
@@ -1260,9 +1250,6 @@ mod tests {
                 }
                 CodecChoice::Delta => assert_eq!(comp.blocks_delta, comp.blocks),
                 CodecChoice::Lz => assert_eq!(comp.blocks_lz, comp.blocks),
-                CodecChoice::Adaptive => {
-                    assert!(comp.stored_bytes <= comp.raw_bytes, "never grows")
-                }
             }
         }
     }
@@ -1270,7 +1257,7 @@ mod tests {
     #[test]
     fn compressed_codecs_shrink_stored_bytes() {
         let keys: Vec<u64> = (0..2000).collect();
-        for choice in [CodecChoice::Delta, CodecChoice::Lz, CodecChoice::Adaptive] {
+        for choice in [CodecChoice::Delta, CodecChoice::Lz] {
             let (dev, s) = setup();
             let cfg = BlockRunConfig {
                 codec: choice,
@@ -1308,18 +1295,21 @@ mod tests {
 
     #[test]
     fn unknown_codec_in_footer_fails_open_with_typed_error() {
-        let (dev, s) = setup();
-        let meta = write_run(&s, &dev, 0, &small_cfg(), &entries(&[1, 2, 3])).unwrap();
         // A bogus default-codec id under a *valid* CRC: the reader must
         // reject the codec id itself, typed, not trip over a checksum.
-        reseal(&dev, &meta, false, |f| {
-            f[88..92].copy_from_slice(&0xAAu32.to_le_bytes())
-        });
-        let err = read_meta(&s, &dev, 0, meta.total_bytes).unwrap_err();
-        assert!(
-            matches!(err, BlockRunError::UnknownCodec { id: 0xAA }),
-            "{err}"
-        );
+        // 3 is the first id past the three codecs.
+        for bogus in [3u32, 0xAA] {
+            let (dev, s) = setup();
+            let meta = write_run(&s, &dev, 0, &small_cfg(), &entries(&[1, 2, 3])).unwrap();
+            reseal(&dev, &meta, false, |f| {
+                f[88..92].copy_from_slice(&bogus.to_le_bytes())
+            });
+            let err = read_meta(&s, &dev, 0, meta.total_bytes).unwrap_err();
+            assert!(
+                matches!(err, BlockRunError::UnknownCodec { id } if id == bogus),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -15,8 +15,8 @@
 //!   side's vocabulary.
 //! * **codec stage** — every block is compressed through a pluggable
 //!   [`masm_codec::Codec`] (identity, the delta+varint encoding, an
-//!   LZ-style byte codec, or per-block adaptive selection); the winning
-//!   codec id and raw length live in the block's zone-map entry, so
+//!   LZ-style byte codec, one per run); the stored codec id and raw
+//!   length live in the block's zone-map entry, so
 //!   moved blocks carry their codec verbatim through compaction.
 //! * **integrity** — CRC-32 on every block, the index, the bloom filter,
 //!   and the footer ([`masm_codec::bytes`]), so a corrupted SSD read

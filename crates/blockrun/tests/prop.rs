@@ -118,11 +118,6 @@ proptest! {
             prop_assert_eq!(&back, &flat, "{} broke the bytes", codec.name());
             prop_assert_eq!(decode_block(&back).unwrap(), entries.clone());
         }
-        // The adaptive selection also round-trips under its recorded id.
-        let (id, enc) = masm_codec::encode_with(CodecChoice::Adaptive, &flat);
-        prop_assert!(enc.len() <= flat.len(), "adaptive never grows a block");
-        let back = codec_for(id).unwrap().decode(&enc, flat.len()).unwrap();
-        prop_assert_eq!(back, flat);
     }
 
     /// The flat block against the reference decoder, on what the writer
@@ -167,7 +162,7 @@ proptest! {
     #[test]
     fn read_block_is_the_reference_decoding_under_every_codec(
         raw in raw_entries(),
-        codec_idx in 0usize..4,
+        codec_idx in 0..CodecChoice::ALL.len(),
     ) {
         let entries = to_sorted_entries(raw);
         let (dev, s) = device();
@@ -185,7 +180,7 @@ proptest! {
     /// Whole runs round-trip through the device under every codec
     /// choice, and the zone maps agree on codec ids and raw sizes.
     #[test]
-    fn run_roundtrip_under_every_codec(raw in raw_entries(), codec_idx in 0usize..4) {
+    fn run_roundtrip_under_every_codec(raw in raw_entries(), codec_idx in 0..CodecChoice::ALL.len()) {
         let choice = CodecChoice::ALL[codec_idx];
         let entries = to_sorted_entries(raw);
         let (dev, s) = device();

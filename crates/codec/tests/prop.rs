@@ -1,7 +1,7 @@
 //! Property tests for the codec crate in isolation: `decode ∘ encode`
 //! is the identity for every codec over random flat entry blocks (and,
-//! for the byte codecs, over arbitrary byte strings), and the adaptive
-//! selector's winner always round-trips under its recorded id.
+//! for the byte codecs, over arbitrary byte strings), and `encode_with`
+//! stores every choice under the id it records.
 
 use proptest::prelude::*;
 
@@ -62,15 +62,17 @@ proptest! {
         }
     }
 
-    /// Adaptive selection never grows a block past identity, and its
-    /// winner decodes under the recorded id.
+    /// Every choice encodes a flat block with its own codec, and the
+    /// block decodes under the id `encode_with` records.
     #[test]
-    fn adaptive_winner_roundtrips(raw in entry_batches()) {
+    fn every_choice_roundtrips_under_its_recorded_id(raw in entry_batches()) {
         let flat = flat_block(raw);
-        let (id, enc) = encode_with(CodecChoice::Adaptive, &flat);
-        prop_assert!(enc.len() <= flat.len());
-        let codec = codec_for(id).unwrap();
-        prop_assert_eq!(codec.decode(&enc, flat.len()).unwrap(), flat);
+        for choice in CodecChoice::ALL {
+            let (id, enc) = encode_with(choice, &flat);
+            prop_assert_eq!(id, choice.as_id());
+            let codec = codec_for(id).unwrap();
+            prop_assert_eq!(codec.decode(&enc, flat.len()).unwrap(), flat.clone());
+        }
     }
 
     /// LZ decode never panics on arbitrary (mostly malformed) streams —

@@ -82,9 +82,8 @@ pub struct MasmConfig {
     /// sorted run, when no concurrent query timestamp falls between them
     /// (§3.5 "Handling Skews").
     pub merge_duplicates: bool,
-    /// Per-block compression codec for materialized runs. Fixed choices
-    /// always use that codec; [`CodecChoice::Adaptive`] trial-encodes
-    /// each block and keeps the smallest output. Compression multiplies
+    /// Compression codec for every block of a materialized run (one
+    /// codec per run, [`CodecChoice::Delta`] by default). Compression multiplies
     /// the effective SSD update cache and cuts merge-read bandwidth at
     /// the price of encode/decode CPU — the trade `repro fig13_cpu_cost`
     /// measures per codec.
@@ -341,8 +340,8 @@ mod tests {
         assert_eq!(c.effective_block_bytes(), 64, "floor applies");
         assert_eq!(c.blockrun_config().bloom_bits_per_key, 10);
         assert_eq!(c.blockrun_config().codec, CodecChoice::Delta);
-        c.codec = CodecChoice::Adaptive;
-        assert_eq!(c.blockrun_config().codec, CodecChoice::Adaptive);
+        c.codec = CodecChoice::Lz;
+        assert_eq!(c.blockrun_config().codec, CodecChoice::Lz);
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! (see [`masm_blockrun::format`]) with
 //!
 //! * fixed-budget data blocks of records compressed through the
-//!   configured codec (`masm-codec`: identity / delta+varint / LZ /
-//!   per-block adaptive; the raw block is the decode unit — 64 KB
+//!   configured codec (`masm-codec`: identity / delta+varint / LZ; the
+//!   raw block is the decode unit — 64 KB
 //!   default, 4 KB with the fine-grain index),
 //! * a per-block zone map (min/max key and timestamp) that replaces the
 //!   old sparse index and prunes blocks from scans,

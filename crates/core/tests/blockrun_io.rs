@@ -199,44 +199,6 @@ fn lz_codec_shrinks_synthetic_runs_at_least_20_percent() {
     assert_eq!(identity.memory_bytes(), lz.memory_bytes());
 }
 
-/// Disjoint-run compaction under `CodecChoice::Adaptive` (mixed
-/// per-block codec ids) still moves every block verbatim: zero bytes
-/// decoded, zero random SSD writes — the acceptance pairing of the
-/// codec subsystem with PR 2's zero-decode pipeline, at engine level.
-#[test]
-fn adaptive_codec_disjoint_compaction_stays_zero_decode_and_sequential() {
-    let mut cfg = MasmConfig::small_for_tests();
-    cfg.codec = CodecChoice::Adaptive;
-    let t = table(cfg, 100);
-    for band in 0..4u64 {
-        for i in 0..400u64 {
-            let op = UpdateOp::Insert(payload((band * 1000 + i) as u32));
-            t.put(band * 100_000 + i * 2 + 1, op).unwrap();
-        }
-        t.flush().unwrap();
-    }
-    assert!(t.engine().run_count() >= 4);
-    let comp_before = t.stats().compression;
-    assert!(
-        comp_before.stored_bytes < comp_before.raw_bytes,
-        "adaptive saves on compressible inserts: {comp_before:?}"
-    );
-    let expect = t.rows(0, Key::MAX);
-
-    let before = t.dev.ssd.stats();
-    let report = t.compact().unwrap();
-    let delta = t.dev.ssd.stats().delta(&before);
-    assert_eq!(report.bytes_decoded, 0, "zero-decode: {report:?}");
-    assert_eq!(report.blocks_merged, 0);
-    assert!(report.blocks_moved > 0);
-    assert_eq!(delta.random_writes, 0, "{delta:?}");
-    assert_eq!(t.engine().run_count(), 1);
-    assert!(
-        expect == t.rows(0, Key::MAX),
-        "results unchanged after mixed-codec move"
-    );
-}
-
 /// Reading the same key ranges twice: the second pass is served entirely
 /// from the block cache — zero SSD reads — and the counters show it.
 #[test]

@@ -4,7 +4,7 @@
 //! and every moved block's CRC must survive verbatim.
 //!
 //! Input runs are written under **mixed codecs** (each run cycles
-//! through identity / delta / lz / adaptive), so every property here
+//! through identity / delta / lz), so every property here
 //! also exercises the codec stage: moved blocks must carry their codec
 //! id, raw length, and CRC through compaction untouched.
 

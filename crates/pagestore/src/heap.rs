@@ -221,6 +221,20 @@ impl TableHeap {
         }
     }
 
+    /// The allocator, about to hand out space: its fresh space is first
+    /// raised behind every byte already on the device, so heaps that
+    /// share a disk (each starts at offset 0) never write into each
+    /// other's pages. Unless something else wrote the device (another
+    /// heap, or writes of the heap before a crash that its log never
+    /// recorded), `dev.len()` does not exceed `next` and placement does
+    /// not change.
+    fn allocator(&self) -> MutexGuard<'_, Allocator> {
+        let written = self.dev.len().next_multiple_of(self.cfg.page_size as u64);
+        let mut alloc = self.alloc.lock();
+        alloc.next = alloc.next.max(written);
+        alloc
+    }
+
     /// The underlying device.
     pub fn device(&self) -> &SimDevice {
         &self.dev
@@ -314,7 +328,7 @@ impl TableHeap {
         index: &mut SparseIndex,
     ) -> StorageResult<()> {
         let page_size = self.cfg.page_size as u64;
-        let base = self.alloc.lock().fresh(batch.len(), page_size);
+        let base = self.allocator().fresh(batch.len(), page_size);
         assert!(
             map.last().is_none_or(|&last| last + page_size == base),
             "a bulk load is one contiguous extent"
@@ -393,8 +407,7 @@ impl TableHeap {
         let mut phys_slots = vec![old_phys];
         if spans > 1 {
             let extra = self
-                .alloc
-                .lock()
+                .allocator()
                 .alloc_contiguous(spans - 1, page_size as u64);
             phys_slots.extend((0..spans as u64 - 1).map(|i| extra + i * page_size as u64));
         }
@@ -812,7 +825,7 @@ impl HeapRewriter<'_> {
 
         // Allocate and write outside the state lock (fresh slots are not
         // visible to any reader yet).
-        let base = heap.alloc.lock().alloc_contiguous(n_new, page_size);
+        let base = heap.allocator().alloc_contiguous(n_new, page_size);
         if !new_pages.is_empty() {
             self.session.write(&heap.dev, base, new_pages.as_bytes())?;
         }

@@ -43,8 +43,9 @@ pub enum StatKind {
     /// (resident bytes, touched blocks): `delta` carries the newer
     /// value, `merge` adds.
     Level,
-    /// High-water mark, or a level of one shared resource (the worker
-    /// pool): `delta` carries the newer value, `merge` takes the
+    /// High-water mark (`max_queue_depth`), or a level every source
+    /// sees of one shared resource (`epoch_lag`, one engine's publish
+    /// epoch): `delta` carries the newer value, `merge` takes the
     /// larger.
     Peak,
 }
@@ -382,7 +383,7 @@ impl CacheStatsSnapshot {
 stat_family! {
     /// Codec accounting of block runs (one run, or cumulative): raw
     /// (flat) versus stored (post-codec) data-block bytes, and how many
-    /// blocks each codec won. The `blocks_*` fields name the stable
+    /// blocks each codec stored. The `blocks_*` fields name the stable
     /// codec ids of `masm-codec` (0 = identity, 1 = delta, 2 = lz) by
     /// convention — this crate sits below the codec crate.
     pub struct CompressionReport {
@@ -393,11 +394,6 @@ stat_family! {
         Counter blocks_identity: Ops = "blocks stored uncompressed",
         Counter blocks_delta: Ops = "blocks stored delta+varint-coded",
         Counter blocks_lz: Ops = "blocks stored LZ-coded",
-        /// Zero for runs recovered from disk, whose writers are gone.
-        Counter codec_trials: Ops = "trial encodes the adaptive selector ran",
-        Counter codec_trials_saved: Ops = "trial encodes avoided relative to trial-everything-per-block",
-        /// A subset of `codec_trials_saved`.
-        Counter lz_probes_skipped: Ops = "LZ trials skipped because the entropy probe judged the payload incompressible",
     }
 }
 

@@ -357,6 +357,28 @@ mod tests {
         assert!(dom > 0.8, "lineitem+orders fraction {dom}");
     }
 
+    /// The five heaps share one disk: a full scan of each returns
+    /// exactly the keys loaded into it, so no bulk load wrote over the
+    /// pages of a table loaded before it.
+    #[test]
+    fn tables_sharing_a_disk_keep_their_own_records() {
+        let (t, s) = setup(8 << 20);
+        for table in [Lineitem, Orders, Customer, Part, Supplier] {
+            let heap = t.heap(table);
+            let got: Vec<Key> = heap
+                .scan_range(s.clone(), 0, Key::MAX)
+                .map(|r| r.key)
+                .collect();
+            let want: Vec<Key> = (0..heap.record_count()).map(|i| i * 2).collect();
+            assert!(
+                got == want,
+                "{table:?}: {} of {} keys",
+                got.len(),
+                want.len()
+            );
+        }
+    }
+
     #[test]
     fn all_twenty_queries_replay() {
         let (t, s) = setup(2_000_000);

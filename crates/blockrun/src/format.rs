@@ -607,11 +607,12 @@ pub fn point_lookup(
 /// Zone maps select the contiguous block range to visit; each needed
 /// block comes from the cache when resident, otherwise from an
 /// asynchronous device read issued while earlier blocks decode (the
-/// paper's §3.7 libaio overlap). Up to `prefetch_depth` reads are kept
-/// in flight (1 by default; merges raise it to their fan-in via
-/// [`BlockRunScan::with_prefetch_depth`] so a k-way merge keeps ≈k
-/// reads queued per device). The iterator stops early on a checksum or
-/// device error, which [`BlockRunScan::stop`] then hands over.
+/// paper's §3.7 libaio overlap). Up to `prefetch_depth` reads of this
+/// scan are kept in flight (1 by default; the engine's merges give each
+/// of their k scans a depth of min(k, 16) via
+/// [`BlockRunScan::with_prefetch_depth`], so a k-way merge keeps up to
+/// k·min(k, 16) reads queued). The iterator stops early on a checksum
+/// or device error, which [`BlockRunScan::stop`] then hands over.
 pub struct BlockRunScan {
     dev: SimDevice,
     session: SessionHandle,
@@ -846,17 +847,40 @@ impl BlockRunScan {
         true
     }
 
-    /// The next entry in `[begin, end]`, borrowed from its decoded
-    /// block. `None` at the end of the range or after an error
+    /// The current entry in `[begin, end]`, borrowed from its decoded
+    /// block and not consumed: the scan stays on it until
+    /// [`BlockRunScan::advance`]. The block it needs is fetched here.
+    /// `None` at the end of the range or after an error
     /// ([`BlockRunScan::stop`]).
-    pub fn next_entry(&mut self) -> Option<EntryRef<'_>> {
+    pub fn peek_entry(&mut self) -> Option<EntryRef<'_>> {
+        let i = self.current()?;
+        Some(self.block.as_ref()?.get(i))
+    }
+
+    /// Index of the current entry in the current block, fetching the
+    /// next block once this one is used up.
+    fn current(&mut self) -> Option<usize> {
         while self.unread.is_empty() {
             if !self.refill() {
                 return None;
             }
         }
-        let block = self.block.as_ref().expect("refill loaded a block");
-        self.unread.next().map(|i| block.get(i))
+        Some(self.unread.start)
+    }
+
+    /// Step past the current entry; the next block, if that empties
+    /// this one, is fetched by the next [`BlockRunScan::peek_entry`].
+    pub fn advance(&mut self) {
+        self.unread.next();
+    }
+
+    /// The next entry in `[begin, end]`, borrowed from its decoded
+    /// block: [`BlockRunScan::peek_entry`], then
+    /// [`BlockRunScan::advance`].
+    pub fn next_entry(&mut self) -> Option<EntryRef<'_>> {
+        let i = self.current()?;
+        self.advance();
+        Some(self.block.as_ref()?.get(i))
     }
 }
 

@@ -8,11 +8,17 @@
 //! CRC-valid body lies about a count or a length.
 //!
 //! The CRC-32 (IEEE 802.3, reflected 0xEDB88320) is on every byte of
-//! the write path and of every cold read, so its kernel is
-//! *slicing-by-8*: eight table lookups fold eight input bytes per step.
-//! It is local, portable safe Rust because the build environment cannot
-//! fetch a checksum crate; a hardware CRC32C would change the
-//! polynomial, and with it every run and log already written.
+//! the write path and of every cold read. On x86-64 with PCLMULQDQ and
+//! SSE4.1 (detected at run time) its kernel is the same polynomial,
+//! folded with carry-less multiplies: 64 bytes per step while four
+//! 128-bit lanes fold ahead, then 16 bytes per step into one lane, then
+//! a Barrett reduction to 32 bits (Gopal et al., "Fast CRC Computation
+//! for Generic Polynomials Using PCLMULQDQ Instruction", Intel, 2009).
+//! Everywhere else, and for inputs shorter than 64 bytes and the
+//! tail of a folded one, it is *slicing-by-8*: eight table lookups fold
+//! eight input bytes per step. Both give the same CRC for every input,
+//! so nothing already written changes. They are local code because the
+//! build environment cannot fetch a checksum crate.
 
 /// `TABLES[0]` is the classic byte-at-a-time table; `TABLES[k][b]` is
 /// the CRC of byte `b` followed by `k` zero bytes.
@@ -48,9 +54,31 @@ const fn make_tables() -> [[u32; 256]; 8] {
 
 static TABLES: [[u32; 256]; 8] = make_tables();
 
+/// Inputs from this many bytes on are folded with carry-less
+/// multiplies where the CPU has them; shorter ones (most WAL frames)
+/// go through the tables. Four 16-byte lanes are the least the fold
+/// starts from, and at 64 bytes it already takes 13 ns to the tables'
+/// 35 (0.05 against 0.75 ns a byte at 4 KiB; one core of a 2-vCPU
+/// Xeon VM).
+const FOLD_MIN: usize = 64;
+
 /// CRC-32 of `data`.
 pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
+    #[cfg(target_arch = "x86_64")]
+    if data.len() >= FOLD_MIN
+        && is_x86_feature_detected!("pclmulqdq")
+        && is_x86_feature_detected!("sse4.1")
+    {
+        // SAFETY: `fold::crc32_fold` needs PCLMULQDQ and SSE4.1, and the
+        // CPU was just found to have both.
+        let (crc, tail) = unsafe { fold::crc32_fold(0xFFFF_FFFF, data) };
+        return !crc32_slicing(crc, tail);
+    }
+    !crc32_slicing(0xFFFF_FFFF, data)
+}
+
+/// The CRC register `crc` advanced over `data`, eight bytes a step.
+fn crc32_slicing(mut crc: u32, data: &[u8]) -> u32 {
     let (words, tail) = data.as_chunks::<8>();
     for w in words {
         let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
@@ -66,7 +94,87 @@ pub fn crc32(data: &[u8]) -> u32 {
     for &b in tail {
         crc = (crc >> 8) ^ TABLES[0][((crc ^ b as u32) & 0xFF) as usize];
     }
-    !crc
+    crc
+}
+
+/// The folding kernel. Bit-reflected throughout: the lowest bit of the
+/// first byte is the highest power of x. The constants are x^n mod P
+/// (reflected, 33 bits) for the fold distances 4·128+64 and 4·128
+/// (`K1`, `K2`), 128+64 and 128 (`K3`, `K4`) and 64 (`K5`), then P
+/// itself and ⌊x^64 / P⌋ for the Barrett step.
+#[cfg(target_arch = "x86_64")]
+mod fold {
+    use std::arch::x86_64::{
+        __m128i, _mm_and_si128, _mm_clmulepi64_si128, _mm_cvtsi32_si128, _mm_extract_epi32,
+        _mm_set_epi32, _mm_set_epi64x, _mm_srli_si128, _mm_xor_si128,
+    };
+
+    const K1: i64 = 0x1_5444_2BD4;
+    const K2: i64 = 0x1_C6E4_1596;
+    const K3: i64 = 0x1_7519_97D0;
+    const K4: i64 = 0x0_CCAA_009E;
+    const K5: i64 = 0x1_63CD_6124;
+    const P: i64 = 0x1_DB71_0641;
+    const MU: i64 = 0x1_F701_1641;
+
+    /// The CRC register `crc` advanced over the whole 16-byte blocks of
+    /// `data` (at least four), and the bytes after them.
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    pub(super) fn crc32_fold(crc: u32, data: &[u8]) -> (u32, &[u8]) {
+        let (blocks, tail) = data.as_chunks::<16>();
+        let (first, rest) = blocks.split_at(4);
+        // Four lanes, the register folded into the first.
+        let mut lanes = [
+            load(first[0]),
+            load(first[1]),
+            load(first[2]),
+            load(first[3]),
+        ];
+        lanes[0] = _mm_xor_si128(lanes[0], _mm_cvtsi32_si128(crc as i32));
+        let by4 = _mm_set_epi64x(K2, K1);
+        let mut quads = rest.chunks_exact(4);
+        for quad in quads.by_ref() {
+            for (lane, block) in lanes.iter_mut().zip(quad) {
+                *lane = fold_into(*lane, load(*block), by4);
+            }
+        }
+        // The four lanes into one, then one block a step.
+        let by1 = _mm_set_epi64x(K4, K3);
+        let mut x = lanes[0];
+        for &lane in &lanes[1..] {
+            x = fold_into(x, lane, by1);
+        }
+        for block in quads.remainder() {
+            x = fold_into(x, load(*block), by1);
+        }
+        // 128 bits to 64, then Barrett's reduction to 32.
+        let low32 = _mm_set_epi32(0, 0, 0, -1);
+        let x = _mm_xor_si128(_mm_clmulepi64_si128::<0x10>(x, by1), _mm_srli_si128::<8>(x));
+        let x = _mm_xor_si128(
+            _mm_clmulepi64_si128::<0x00>(_mm_and_si128(x, low32), _mm_set_epi64x(0, K5)),
+            _mm_srli_si128::<4>(x),
+        );
+        let pmu = _mm_set_epi64x(MU, P);
+        let t1 = _mm_clmulepi64_si128::<0x10>(_mm_and_si128(x, low32), pmu);
+        let t2 = _mm_clmulepi64_si128::<0x00>(_mm_and_si128(t1, low32), pmu);
+        (_mm_extract_epi32::<1>(_mm_xor_si128(x, t2)) as u32, tail)
+    }
+
+    /// `acc` carried 128 bits (or, for `keys` = `by4`, 512) further
+    /// along the message and added to `next`.
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    fn fold_into(acc: __m128i, next: __m128i, keys: __m128i) -> __m128i {
+        let lo = _mm_clmulepi64_si128::<0x00>(acc, keys);
+        let hi = _mm_clmulepi64_si128::<0x11>(acc, keys);
+        _mm_xor_si128(_mm_xor_si128(next, lo), hi)
+    }
+
+    /// Sixteen bytes as one little-endian 128-bit lane.
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    fn load(block: [u8; 16]) -> __m128i {
+        let lane = u128::from_le_bytes(block);
+        _mm_set_epi64x((lane >> 64) as i64, lane as i64)
+    }
 }
 
 /// Seal `out[start..]`: append its CRC-32, making it a section that
@@ -258,13 +366,10 @@ mod tests {
         assert_eq!(crc32(&[0xFFu8; 32]), 0xFF6C_AB0B);
     }
 
-    #[test]
-    fn matches_the_bytewise_reference_at_every_length_and_offset() {
-        // SplitMix64 bytes: every length 0..=600 (the 8-byte steps, each
-        // tail length, WAL-frame and block sizes) at every start offset
-        // 0..8 (every alignment of the 8-byte loads).
+    /// `len` SplitMix64 bytes.
+    fn noise(len: usize) -> Vec<u8> {
         let mut x = 0x9E37_79B9_7F4A_7C15u64;
-        let buf: Vec<u8> = (0..608)
+        (0..len)
             .map(|_| {
                 x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
                 let mut z = x;
@@ -272,11 +377,41 @@ mod tests {
                 z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
                 (z ^ (z >> 31)) as u8
             })
-            .collect();
+            .collect()
+    }
+
+    #[test]
+    fn matches_the_bytewise_reference_at_every_length_and_offset() {
+        // Every length 0..=4,200 — below and at the folding threshold,
+        // one to four folding lanes, every block remainder and tail, a
+        // whole 4 KiB run block and past it — at every start offset
+        // 0..8, every alignment of the loads; then 8 KiB and 64 KiB.
+        let buf = noise(64 * 1024 + 8);
         for start in 0..8 {
-            for len in 0..=600 {
+            for len in 0..=4_200 {
                 let s = &buf[start..start + len];
                 assert_eq!(crc32(s), crc32_bytewise(s), "start {start} len {len}");
+            }
+            for len in [8 * 1024, 64 * 1024] {
+                let s = &buf[start..start + len];
+                assert_eq!(crc32(s), crc32_bytewise(s), "start {start} len {len}");
+            }
+        }
+    }
+
+    /// The tables alone, as a CPU without carry-less multiplies runs
+    /// every input, against the same reference.
+    #[test]
+    fn the_slicing_fallback_matches_the_bytewise_reference() {
+        let buf = noise(1_032);
+        for start in 0..8 {
+            for len in 0..=1_024 {
+                let s = &buf[start..start + len];
+                assert_eq!(
+                    !crc32_slicing(0xFFFF_FFFF, s),
+                    crc32_bytewise(s),
+                    "start {start} len {len}"
+                );
             }
         }
     }

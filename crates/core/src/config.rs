@@ -136,10 +136,12 @@ impl MasmConfig {
         }
     }
 
-    /// Async prefetch depth of the merge and migration reads over
-    /// `fan_in` input runs: k runs ⇒ k reads in flight (§3.7 overlap at
-    /// scale), capped at 16 so a very wide merge cannot flood the
-    /// device queue.
+    /// Async prefetch depth of *each* run scan of a merge or migration
+    /// over `fan_in` input runs: min(k, 16) for k runs, so the k scans
+    /// together keep up to k·min(k, 16) reads in flight (§3.7 overlap
+    /// at scale) — 864 reads of 4 KiB blocks, 3.4 MiB of buffers, for a
+    /// 54-run migration. The cap bounds one scan's queue, not the
+    /// merge's.
     pub(crate) fn merge_prefetch_depth(&self, fan_in: usize) -> usize {
         fan_in.clamp(1, MERGE_PREFETCH_CAP)
     }

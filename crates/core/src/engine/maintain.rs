@@ -10,9 +10,10 @@ use masm_telemetry::Timer;
 use super::state::{Claim, Replaced};
 use super::{MasmEngine, MigrationReport};
 use crate::error::{MasmError, MasmResult};
-use crate::merge::{compact_block_runs, join_chunk, MergeUpdates, UpdateStream};
+use crate::merge::{compact_block_runs, join_chunk, LentUpdates, RunMerge, RunUpdates};
 use crate::run::{build_run, write_built, RunScan, ScanFailures, SortedRun};
 use crate::ts::Timestamp;
+use crate::update::OpRef;
 use crate::wal::WalRecord;
 
 impl MasmEngine {
@@ -275,9 +276,10 @@ impl MasmEngine {
         // Migration reads bypass the block cache: the runs are retired
         // as soon as the migration completes, so inserting their blocks
         // would evict hot query blocks for entries that can never be hit
-        // again (run ids are not reused). Prefetch depth follows the
-        // migration fan-in so all k run scans keep the SSD queue full
-        // while the merged stream drains into the heap rewrite (§3.7).
+        // again (run ids are not reused). Each of the k run scans keeps
+        // up to min(k, 16) reads in flight, so together they keep the
+        // SSD queue full while the merged stream drains into the heap
+        // rewrite (§3.7).
         let overlapping: Vec<&Arc<SortedRun>> = runs
             .iter()
             .filter(|r| r.max_key >= lo && r.min_key <= hi)
@@ -287,16 +289,18 @@ impl MasmEngine {
         // slot is checked before anything joined against the streams
         // is committed.
         let failures = ScanFailures::default();
-        let streams: Vec<UpdateStream> = overlapping
+        let scans: Vec<RunScan> = overlapping
             .into_iter()
             .map(|r| {
                 let (ssd, run) = (self.ssd.clone(), Arc::clone(r));
                 let scan = RunScan::with_cache(ssd, session.clone(), run, None, lo, hi);
-                let scan = scan.with_prefetch_depth(depth);
-                Box::new(scan.reporting_to(failures.clone())) as UpdateStream
+                scan.with_prefetch_depth(depth)
+                    .reporting_to(failures.clone())
             })
             .collect();
-        let mut updates = MergeUpdates::new(streams, self.schema.clone(), mig_ts).peekable();
+        // The updates reach the pages as the bytes of their operations.
+        let merge = RunMerge::new(scans);
+        let mut updates = RunUpdates::new(merge, self.schema.clone(), mig_ts, failures.clone());
         let mut report = MigrationReport {
             ts: mig_ts,
             runs_migrated: runs.len(),
@@ -306,12 +310,16 @@ impl MasmEngine {
         if self.heap.num_pages() == 0 {
             // Empty table: materialize all insert/replace updates as a
             // fresh bulk load.
-            let records: Vec<Record> = updates
-                .filter_map(|u| {
-                    report.updates_applied += 1;
-                    u.apply_to(None, &self.schema)
-                })
-                .collect();
+            let mut records: Vec<Record> = Vec::new();
+            while let Some((key, _, value)) = updates.next_lent() {
+                report.updates_applied += 1;
+                match OpRef::parse(value).ok_or(MasmError::Corrupt("run entry"))? {
+                    OpRef::Insert(p) | OpRef::Replace(p) => {
+                        records.push(Record::new(key, p.to_vec()))
+                    }
+                    OpRef::Delete | OpRef::Modify(_) => {}
+                }
+            }
             failures.check()?;
             if !records.is_empty() {
                 self.heap.bulk_load(session, records, 1.0)?;

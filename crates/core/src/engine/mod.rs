@@ -82,7 +82,11 @@
 //!
 //! A chunk moves as bytes: one buffer read, one buffer written, and a
 //! record no update touches is copied from one to the other encoded as
-//! it is (`merge::join_chunk`, [`masm_pagestore::PageChunk`]).
+//! it is (`merge::join_chunk`, [`masm_pagestore::PageChunk`]). The
+//! updates reach the pages as bytes too: the run scans' loser-tree
+//! merge (`merge::RunMerge`) lends each entry's encoded operation, and
+//! the join packs an insert's payload or patches a copied record in
+//! place; only two visible versions of one key are decoded, to fold.
 //!
 //! Invariant: **a page is resolved and read under one hold of the heap
 //! lock.** Migrations wait only for queries *older* than their

@@ -36,7 +36,7 @@ use masm_storage::{SessionHandle, SimDevice};
 use crate::config::MasmConfig;
 use crate::error::{MasmError, MasmResult};
 use crate::ts::Timestamp;
-use crate::update::UpdateRecord;
+use crate::update::{OpRef, UpdateRecord};
 
 /// Metadata of one materialized sorted run.
 #[derive(Debug, Clone)]
@@ -202,7 +202,7 @@ pub struct RunScan {
 pub struct ScanFailures(Arc<Mutex<Option<MasmError>>>);
 
 impl ScanFailures {
-    fn report(&self, failure: MasmError) {
+    pub(crate) fn report(&self, failure: MasmError) {
         self.0.lock().get_or_insert(failure);
     }
 
@@ -246,9 +246,11 @@ impl RunScan {
         self
     }
 
-    /// Keep up to `depth` async reads in flight (default 1). Merges and
-    /// migrations set this to their fan-in so a k-way merge keeps ≈k
-    /// reads queued on the device (§3.7 overlap at scale).
+    /// Keep up to `depth` async reads of this scan in flight (default
+    /// 1). Merges and migrations give each of their k scans the depth
+    /// `MasmConfig::merge_prefetch_depth(k)`, so a k-way merge keeps
+    /// up to k·min(k, 16) reads queued on the device (§3.7 overlap at
+    /// scale).
     pub fn with_prefetch_depth(mut self, depth: usize) -> Self {
         self.inner = self.inner.with_prefetch_depth(depth);
         self
@@ -272,6 +274,44 @@ impl RunScan {
     /// Bytes this scan has read off the SSD (cache hits cost nothing).
     pub fn bytes_read(&self) -> u64 {
         self.inner.bytes_read()
+    }
+}
+
+/// Lending access, for the merges of whole runs
+/// ([`crate::merge::RunMerge`]): the current entry stays in its block
+/// until the merge takes its value.
+impl RunScan {
+    /// Key and timestamp of the current entry, fetching its block if
+    /// need be; `None` at the end of the range, or after a failure,
+    /// which goes to the scan's slot.
+    pub(crate) fn head(&mut self) -> Option<(Key, Timestamp)> {
+        match self.inner.peek_entry() {
+            Some(e) => Some((e.key, e.ts)),
+            None => {
+                if let Some(failure) = self.inner.stop() {
+                    self.failures.report(failure.into());
+                }
+                None
+            }
+        }
+    }
+
+    /// Copy the current entry's value into `value` and step past it. A
+    /// value that does not hold one operation ([`OpRef::parse`], what
+    /// [`UpdateRecord::decode_value`] rejects) ends the scan as
+    /// [`MasmError::Corrupt`] and answers `false`.
+    pub(crate) fn take_value_into(&mut self, value: &mut Vec<u8>) -> bool {
+        value.clear();
+        if let Some(e) = self.inner.peek_entry() {
+            value.extend_from_slice(e.value);
+        }
+        self.inner.advance();
+        if OpRef::parse(value).is_some() {
+            return true;
+        }
+        self.inner.stop();
+        self.failures.report(MasmError::Corrupt("run entry"));
+        false
     }
 }
 

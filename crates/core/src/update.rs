@@ -153,36 +153,10 @@ impl UpdateRecord {
         out
     }
 
-    /// Read an operation (tag + content).
-    fn read_op(r: &mut Reader<'_>) -> Option<UpdateOp> {
-        Some(match r.u8()? {
-            0 => UpdateOp::Insert(Self::read_payload(r)?),
-            1 => UpdateOp::Delete,
-            2 => {
-                let n = r.u8()?;
-                let mut patches = Vec::with_capacity(n as usize);
-                for _ in 0..n {
-                    let field = r.u16()?;
-                    let value = Self::read_payload(r)?;
-                    patches.push(FieldPatch { field, value });
-                }
-                UpdateOp::Modify(patches)
-            }
-            3 => UpdateOp::Replace(Self::read_payload(r)?),
-            _ => return None,
-        })
-    }
-
-    /// A `u16` length, then that many bytes, owned.
-    fn read_payload(r: &mut Reader<'_>) -> Option<Vec<u8>> {
-        let len = r.u16()?;
-        Some(r.take(len as usize)?.to_vec())
-    }
-
     /// Read one full `(ts, key, op)` record ([`UpdateRecord::encode_into`]).
     pub(crate) fn read(r: &mut Reader<'_>) -> Option<UpdateRecord> {
         let (ts, key) = (r.u64()?, r.u64()?);
-        Some(UpdateRecord::new(ts, key, Self::read_op(r)?))
+        Some(UpdateRecord::new(ts, key, OpRef::read(r)?.to_op()))
     }
 
     /// Decode one record from the front of `buf`; returns it and the
@@ -194,12 +168,10 @@ impl UpdateRecord {
 
     /// Reassemble a record from block-run parts: the `(key, ts)` the
     /// block format stored plus the opaque value written by
-    /// [`UpdateRecord::encode_value`]. Rejects trailing bytes.
+    /// [`UpdateRecord::encode_value`]. Rejects what [`OpRef::parse`]
+    /// rejects, trailing bytes included.
     pub(crate) fn decode_value(key: Key, ts: Timestamp, value: &[u8]) -> Option<UpdateRecord> {
-        let mut r = Reader::new(value);
-        let op = Self::read_op(&mut r)?;
-        r.finish()?;
-        Some(UpdateRecord { ts, key, op })
+        Some(UpdateRecord::new(ts, key, OpRef::parse(value)?.to_op()))
     }
 
     /// Apply this update to an optional existing record, producing the
@@ -223,10 +195,28 @@ impl UpdateRecord {
     /// Merge a later update into this one (same key, `self.ts <
     /// later.ts`). Produces the single update equivalent to applying both
     /// in order; the result carries the later timestamp (§3.2
-    /// `Merge_updates`, §3.5 "Handling Skews").
+    /// `Merge_updates`, §3.5 "Handling Skews"). Panics where a `modify`
+    /// folded into a payload names a field that payload does not hold
+    /// at the patch's width.
     pub fn merge_with_later(&self, later: &UpdateRecord, schema: &Schema) -> UpdateRecord {
+        self.fold(later, schema)
+            .expect("a modify folded into a payload fits the schema")
+    }
+
+    /// [`UpdateRecord::merge_with_later`], or `None` where a `modify`
+    /// folded into an insert's or a replace's payload names a field
+    /// that payload does not hold at the patch's width — for updates
+    /// read off a device, which nothing checked at the door.
+    pub(crate) fn fold(&self, later: &UpdateRecord, schema: &Schema) -> Option<UpdateRecord> {
         debug_assert_eq!(self.key, later.key);
         debug_assert!(self.ts <= later.ts);
+        let patched = |p: &Vec<u8>, patches: &[FieldPatch]| {
+            let mut payload = p.clone();
+            patches
+                .iter()
+                .all(|patch| schema.try_set(&mut payload, patch.field as usize, &patch.value))
+                .then_some(payload)
+        };
         let op = match (&self.op, &later.op) {
             // Later delete wins over anything.
             (_, UpdateOp::Delete) => UpdateOp::Delete,
@@ -237,18 +227,10 @@ impl UpdateRecord {
             (_, UpdateOp::Replace(p)) => UpdateOp::Replace(p.clone()),
             // Modify after a full-payload op folds into the payload.
             (UpdateOp::Insert(p), UpdateOp::Modify(patches)) => {
-                let mut payload = p.clone();
-                for patch in patches {
-                    schema.set(&mut payload, patch.field as usize, &patch.value);
-                }
-                UpdateOp::Insert(payload)
+                UpdateOp::Insert(patched(p, patches)?)
             }
             (UpdateOp::Replace(p), UpdateOp::Modify(patches)) => {
-                let mut payload = p.clone();
-                for patch in patches {
-                    schema.set(&mut payload, patch.field as usize, &patch.value);
-                }
-                UpdateOp::Replace(payload)
+                UpdateOp::Replace(patched(p, patches)?)
             }
             // Modify of a deleted key is a no-op; the delete stands.
             (UpdateOp::Delete, UpdateOp::Modify(_)) => UpdateOp::Delete,
@@ -266,10 +248,99 @@ impl UpdateRecord {
                 UpdateOp::Modify(merged)
             }
         };
-        UpdateRecord {
+        Some(UpdateRecord {
             ts: later.ts,
             key: self.key,
             op,
+        })
+    }
+}
+
+/// An operation read in place from its encoding (tag + content, what
+/// [`UpdateRecord::encode_value_into`] writes): the one parser of
+/// update encodings. [`UpdateRecord::decode_value`] and the WAL's
+/// record reader take an owned [`UpdateOp`] from it; a migration
+/// applies it to page bytes as it is.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum OpRef<'a> {
+    /// Insert a record with this payload.
+    Insert(&'a [u8]),
+    /// Delete the record.
+    Delete,
+    /// Patch these fields of the record.
+    Modify(Patches<'a>),
+    /// Replace the record with this payload.
+    Replace(&'a [u8]),
+}
+
+/// The field patches of a `modify`, in place: `(field, value)` pairs,
+/// already read once by [`OpRef::read`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Patches<'a> {
+    count: u8,
+    bytes: &'a [u8],
+}
+
+impl<'a> Iterator for Patches<'a> {
+    type Item = (u16, &'a [u8]);
+
+    fn next(&mut self) -> Option<(u16, &'a [u8])> {
+        let mut r = Reader::new(self.bytes);
+        let (field, value) = (r.u16()?, payload(&mut r)?);
+        self.bytes = &self.bytes[r.pos()..];
+        Some((field, value))
+    }
+}
+
+/// A `u16` length, then that many bytes.
+fn payload<'a>(r: &mut Reader<'a>) -> Option<&'a [u8]> {
+    let len = r.u16()?;
+    r.take(len as usize)
+}
+
+impl<'a> OpRef<'a> {
+    /// Read an operation from the front of `r`.
+    pub(crate) fn read(r: &mut Reader<'a>) -> Option<OpRef<'a>> {
+        Some(match r.u8()? {
+            0 => OpRef::Insert(payload(r)?),
+            1 => OpRef::Delete,
+            2 => {
+                let count = r.u8()?;
+                let mut patches = r.clone();
+                for _ in 0..count {
+                    r.u16()?;
+                    payload(r)?;
+                }
+                let bytes = patches.take(patches.remaining() - r.remaining())?;
+                OpRef::Modify(Patches { count, bytes })
+            }
+            3 => OpRef::Replace(payload(r)?),
+            _ => return None,
+        })
+    }
+
+    /// The operation a run entry's value holds, and nothing after it.
+    pub(crate) fn parse(value: &'a [u8]) -> Option<OpRef<'a>> {
+        let mut r = Reader::new(value);
+        let op = Self::read(&mut r)?;
+        r.finish()?;
+        Some(op)
+    }
+
+    /// The operation, owned.
+    pub(crate) fn to_op(self) -> UpdateOp {
+        match self {
+            OpRef::Insert(p) => UpdateOp::Insert(p.to_vec()),
+            OpRef::Delete => UpdateOp::Delete,
+            OpRef::Modify(patches) => {
+                let mut owned = Vec::with_capacity(patches.count as usize);
+                owned.extend(patches.map(|(field, value)| FieldPatch {
+                    field,
+                    value: value.to_vec(),
+                }));
+                UpdateOp::Modify(owned)
+            }
+            OpRef::Replace(p) => UpdateOp::Replace(p.to_vec()),
         }
     }
 }

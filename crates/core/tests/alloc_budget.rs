@@ -13,10 +13,13 @@
 //!   encoded into the thread's scratch, the seal sorts a rank per
 //!   update in one buffer, and the run is built straight from the
 //!   sorted updates into the flat block buffer.
-//! * A migration allocates per update it applies and a constant per
-//!   rewrite chunk, nothing per heap record: a chunk is one buffer in
-//!   and one out, both reused, and a record no update touches moves
-//!   from one to the other as its encoded bytes.
+//! * A migration allocates a constant per rewrite chunk, nothing per
+//!   heap record: a chunk is one buffer in and one out, both reused,
+//!   and a record no update touches moves from one to the other as its
+//!   encoded bytes. Its run side allocates per run block it reads and
+//!   per pair of versions of one key it folds, nothing per update: an
+//!   update's operation is copied out of its block into a reused buffer
+//!   and applied to the page bytes as it is.
 //! * A run block read cold is one buffer: what it costs to fetch and
 //!   index is a constant, whether it holds 70 updates or 1,200.
 //! * A bulk load streams the table through one reused 1 MiB page
@@ -347,6 +350,87 @@ fn migration_allocates_per_update_not_per_record() {
     eprintln!(
         "{small} allocations into {SMALL} records ({small_chunks} chunk), {large} into {LARGE} \
          ({large_chunks} chunks)"
+    );
+}
+
+/// The run side of a migration allocates per run block it reads and per
+/// pair of versions of one key it folds, not per update: an update's
+/// operation is copied out of its block into one of two reused buffers
+/// and applied to the page bytes as it is. Four times the updates —
+/// each key once, a tenth of them modified again in a later run — into
+/// the same table may add a constant per extra block, per extra run and
+/// per extra fold. Decoding an update took an allocation or two each,
+/// and a `Modify` one more for the record it met.
+#[test]
+fn migration_allocates_per_run_block_not_per_update() {
+    const RECORDS: u64 = 20_000; // 513 heap pages: one rewrite chunk
+    const UPDATES: u64 = 2_000;
+    // A cold block: its stored bytes, the codec's buffer, its offsets,
+    // its `Arc`, and a growth step of the scan's read queue.
+    const PER_BLOCK: u64 = 5;
+    // A run scan and its place in the merge.
+    const PER_RUN: u64 = 16;
+    // Two versions decoded, their fold, its encoding.
+    const PER_FOLD: u64 = 8;
+
+    // `updates` updates to distinct keys in runs of 1,000, then every
+    // tenth key modified again: allocations of the migration, run
+    // blocks it read, runs and folds.
+    let migrate = |updates: u64| {
+        let (t, _) = loaded(MasmConfig::small_for_tests(), RECORDS);
+        for i in 0..updates {
+            let (key, op) = mixed_update(i, RECORDS);
+            t.put(key, op).unwrap();
+            if i % 1_000 == 999 {
+                t.flush().unwrap();
+            }
+        }
+        t.flush().unwrap();
+        let mut again = 0;
+        for i in (0..updates).step_by(10) {
+            let (key, _) = mixed_update(i, RECORDS);
+            let value = (i as u32 + 1).to_le_bytes().to_vec();
+            t.put(key, UpdateOp::Modify(vec![FieldPatch { field: 0, value }]))
+                .unwrap();
+            again += 1;
+        }
+        t.flush().unwrap();
+        let engine = t.engine();
+        let runs = engine.stats().runs.count;
+        let reads = engine.ssd().stats().read_ops;
+        let before = allocations();
+        let report = engine.migrate(&t.session).unwrap();
+        let allocations = allocations() - before;
+        assert_eq!(
+            report.updates_applied, updates,
+            "every key folds to one update"
+        );
+        assert_eq!(
+            engine.heap().num_pages().div_ceil(1024),
+            1,
+            "one rewrite chunk"
+        );
+        let blocks = engine.ssd().stats().read_ops - reads;
+        (allocations, blocks, runs, again)
+    };
+    let (small, small_blocks, small_runs, small_folds) = migrate(UPDATES);
+    let (large, large_blocks, large_runs, large_folds) = migrate(4 * UPDATES);
+    let budget = small
+        + PER_BLOCK * (large_blocks - small_blocks)
+        + PER_RUN * (large_runs - small_runs)
+        + PER_FOLD * (large_folds - small_folds);
+    assert!(
+        large <= budget,
+        "{small} allocations to migrate {UPDATES} updates ({small_blocks} blocks, {small_runs} \
+         runs, {small_folds} folds), {large} for {} ({large_blocks} blocks, {large_runs} runs, \
+         {large_folds} folds): budget {budget}",
+        4 * UPDATES
+    );
+    eprintln!(
+        "{small} allocations for {UPDATES} updates ({small_blocks} blocks, {small_runs} runs, \
+         {small_folds} folds), {large} for {} ({large_blocks} blocks, {large_runs} runs, \
+         {large_folds} folds), budget {budget}",
+        4 * UPDATES
     );
 }
 

@@ -30,5 +30,5 @@ pub mod schema;
 pub use heap::{BulkLoadError, ChunkCommit, HeapConfig, HeapRewriter, RangeScan, TableHeap};
 pub use index::SparseIndex;
 pub use page::{Page, PageChunk, PageRef, RecordTooLarge};
-pub use record::{Key, Record};
+pub use record::{Key, Record, RECORD_HEADER};
 pub use schema::{Field, FieldType, Schema};

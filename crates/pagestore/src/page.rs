@@ -25,7 +25,7 @@
 use std::fmt;
 use std::ops::Range;
 
-use crate::record::{Key, Record, RECORD_HEADER};
+use crate::record::{encode_parts, Key, Record, RECORD_HEADER};
 
 /// Page header size in bytes.
 pub(crate) const PAGE_HEADER: usize = 16;
@@ -489,11 +489,21 @@ impl PageChunk {
     }
 
     /// Append a record given as its encoded bytes
-    /// ([`PageRef::record_bytes`]): nothing is decoded.
-    pub fn push_encoded(&mut self, encoded: &[u8]) -> Result<(), RecordTooLarge> {
+    /// ([`PageRef::record_bytes`]): nothing is decoded. Returns the
+    /// copy, in its page, for the caller to patch in place.
+    pub fn push_encoded(&mut self, encoded: &[u8]) -> Result<&mut [u8], RecordTooLarge> {
         let key = Key::from_le_bytes(encoded[..8].try_into().expect("record header"));
-        self.reserve(key, encoded.len(), self.page_size)?
-            .copy_from_slice(encoded);
+        let copy = self.reserve(key, encoded.len(), self.page_size)?;
+        copy.copy_from_slice(encoded);
+        Ok(copy)
+    }
+
+    /// Append the record of `key` with `payload`, encoded straight from
+    /// the two: the same page bytes as a [`PageChunk::push`] of
+    /// [`Record::new`]`(key, payload.to_vec())`, without the record.
+    pub fn push_payload(&mut self, key: Key, payload: &[u8]) -> Result<(), RecordTooLarge> {
+        let len = RECORD_HEADER + payload.len();
+        encode_parts(key, payload, self.reserve(key, len, self.page_size)?);
         Ok(())
     }
 

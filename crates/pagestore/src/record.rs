@@ -50,10 +50,7 @@ impl Record {
 
     /// Encode into a slice; `buf` must be exactly `encoded_len` bytes.
     pub(crate) fn encode(&self, buf: &mut [u8]) {
-        debug_assert_eq!(buf.len(), self.encoded_len());
-        buf[..8].copy_from_slice(&self.key.to_le_bytes());
-        buf[8..10].copy_from_slice(&(self.payload.len() as u16).to_le_bytes());
-        buf[10..].copy_from_slice(&self.payload);
+        encode_parts(self.key, &self.payload, buf);
     }
 
     /// Decode a record from the beginning of `buf`; returns it and the
@@ -64,6 +61,15 @@ impl Record {
         let payload = buf[10..10 + len].to_vec();
         (Record { key, payload }, RECORD_HEADER + len)
     }
+}
+
+/// Encode the record of `key` with `payload` into `buf`, which must be
+/// exactly [`RECORD_HEADER`] + `payload.len()` bytes.
+pub(crate) fn encode_parts(key: Key, payload: &[u8], buf: &mut [u8]) {
+    debug_assert_eq!(buf.len(), RECORD_HEADER + payload.len());
+    buf[..8].copy_from_slice(&key.to_le_bytes());
+    buf[8..10].copy_from_slice(&(payload.len() as u16).to_le_bytes());
+    buf[10..].copy_from_slice(payload);
 }
 
 #[cfg(test)]

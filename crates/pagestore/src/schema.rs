@@ -104,16 +104,30 @@ impl Schema {
 
     /// Overwrite field `i` of `payload` with `value` (must match width).
     pub fn set(&self, payload: &mut [u8], i: usize, value: &[u8]) {
-        let range = self.field_range(i);
-        assert_eq!(
+        assert!(
+            self.try_set(payload, i, value),
+            "field {i} width mismatch: {} bytes into a {}-byte payload",
             value.len(),
-            range.len(),
-            "field {} width mismatch: {} vs {}",
-            i,
-            value.len(),
-            range.len()
+            payload.len()
         );
-        payload[range].copy_from_slice(value);
+    }
+
+    /// Overwrite field `i` of `payload` with `value` when the schema
+    /// has that field, `value` has its width and `payload` holds it;
+    /// `false`, and nothing written, otherwise — where [`Schema::set`]
+    /// panics. For patches read off a device.
+    pub fn try_set(&self, payload: &mut [u8], i: usize, value: &[u8]) -> bool {
+        let Some(field) = self.fields.get(i) else {
+            return false;
+        };
+        let start = self.offsets[i];
+        match payload.get_mut(start..start + field.ty.width()) {
+            Some(dst) if dst.len() == value.len() => {
+                dst.copy_from_slice(value);
+                true
+            }
+            _ => false,
+        }
     }
 
     /// Read field `i` as u32 (must be a U32 field).

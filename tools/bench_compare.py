@@ -34,13 +34,20 @@ Without `--paired` the two recordings were not interleaved, so
 the verdict is a screen: a "faster" claim is judged by
 `tools/paired_bench.sh`, which calls this with `--paired`.
 
+Where a recording carries box readings (`tools/paired_bench.sh` takes
+them around each run: guest steal as a share of CPU time, 1-minute load
+before and after), each workload's table is followed by both sides'
+median readings. They inform; they change no verdict.
+
 `--collect` folds `<dir>/<workload>.trace0.jsonl` (and, when present,
 `<dir>/<workload>.trace1.jsonl`) — the benchmark's last stdout line of
 each run, one per seed in the order of `<seeds>` (comma-separated) —
 into the recording `out.json`, labelled `<rev>`. Where both traces were
 run it adds `merged_over_clean`: the untraced run's
 `scan_wall_ns_per_rec` over the traced run's
-`pagestore.heap.scan_ns_per_rec`, seed by seed.
+`pagestore.heap.scan_ns_per_rec`, seed by seed. A
+`<dir>/<workload>.box.jsonl` (one reading per run, in seed order) is
+kept as the workload's `box`.
 """
 
 import datetime
@@ -60,6 +67,8 @@ DERIVED = "merged_over_clean"
 # recording's median a run's wait marks the box as loaded.
 RUNQ = "env.runq_wait_ms"
 LOADED_OVER_MEDIAN = 3
+# Readings of the box taken around each run of a paired comparison.
+BOX = ("steal_pct", "load1_before", "load1_after")
 
 
 def quartiles(values):
@@ -110,6 +119,10 @@ def collect(out, directory, rev, seeds, workloads):
                 "two runs per seed: scan_wall_ns_per_rec (--trace 0) over "
                 "pagestore.heap.scan_ns_per_rec (--trace 1)")
         recording["workloads"][w] = {"runs": runs, "metrics": metrics}
+        box = os.path.join(directory, f"{w}.box.jsonl")
+        if os.path.exists(box):
+            rows = [json.loads(line) for line in open(box)]
+            recording["workloads"][w]["box"] = {key: [row[key] for row in rows] for key in BOX}
     with open(out, "w") as f:
         json.dump(recording, f, indent=1)
         f.write("\n")
@@ -178,6 +191,7 @@ def compare(a, b, paired):
             print("|---|---|---:|---:|---:|---:|---:|---:|---|")
             for name in shared:
                 metric_row(w, name, layers[name], wa["metrics"][name], wb["metrics"][name], rev, n, bad)
+        box_readings(wa, wb, rev)
     print()
     if bad:
         print("PAIRED RUN FAILED:" if paired else "COMPARISON FAILED:")
@@ -186,6 +200,16 @@ def compare(a, b, paired):
         sys.exit(1)
     print(f"every deterministic metric, `attempted` and `failed` identical to {rev} in every pair; "
           "no operation failed.")
+
+
+def box_readings(wa, wb, rev):
+    """Each side's median box readings over its runs of one workload."""
+    sides = [(label, wr["box"]) for label, wr in ((rev, wa), ("change", wb)) if "box" in wr]
+    for label, box in sides:
+        med = {key: statistics.median(box[key]) for key in BOX}
+        print(f"\nbox during the {label} runs (medians of {len(box['steal_pct'])}): guest steal "
+              f"{med['steal_pct']:.2f} % of CPU time, 1-minute load {med['load1_before']:.2f} before, "
+              f"{med['load1_after']:.2f} after")
 
 
 def metric_row(w, name, d, ma_, mb_, rev, n, bad):

@@ -11,7 +11,7 @@ use super::MasmEngine;
 use crate::error::{MasmError, MasmResult};
 use crate::ts::Timestamp;
 use crate::update::{UpdateOp, UpdateRecord};
-use crate::wal::{put_update_frame, with_frame_scratch, WalRecord};
+use crate::wal::{LogOrder, WalRecord};
 
 impl MasmEngine {
     /// Bulk-load the table (records sorted by key) and log the load so
@@ -29,12 +29,13 @@ impl MasmEngine {
     }
 
     /// Log the heap's current (bulk-loaded) metadata under a fresh
-    /// heap-event sequence number.
+    /// heap-event sequence number, drawn under the hold that logs it.
     pub(super) fn log_heap_loaded(&self, session: &SessionHandle) -> MasmResult<()> {
+        let mut order = self.wal.order();
         let seq = self.oracle.next();
         let (page_map, min_keys, record_count) = self.heap.metadata_snapshot();
         let base = page_map.first().copied().unwrap_or(0);
-        self.wal.append(
+        order.append(
             session,
             &WalRecord::HeapLoaded {
                 seq,
@@ -84,9 +85,10 @@ impl MasmEngine {
     /// is refused with [`MasmError::InvalidUpdate`]: nothing is
     /// buffered, logged or counted. `Err` always means "not applied":
     /// a full buffer is flushed before the update is buffered, so a
-    /// failed flush refuses it; an update whose log append fails is
-    /// taken back out of the buffer, and the log accepts nothing
-    /// further until the table is recovered ([`MasmError::LogFailed`]).
+    /// failed flush refuses it; an update is logged before any reader
+    /// can see it, so one whose log append fails was never visible, and
+    /// the log accepts nothing further until the table is recovered
+    /// ([`MasmError::LogFailed`]).
     pub fn apply_update(
         self: &Arc<Self>,
         session: &SessionHandle,
@@ -102,16 +104,18 @@ impl MasmEngine {
     /// `pre` is either a pre-timestamped update (transaction commit,
     /// which assigned its timestamp under the commit index — a small
     /// pre-existing window where a concurrent seal may race the push)
-    /// or the raw (key, op), whose timestamp is drawn *inside* the
-    /// state lock so it can never land in a batch already sealed with a
-    /// smaller maximum timestamp.
+    /// or the raw (key, op), whose timestamp is drawn here.
     ///
-    /// An update's bytes are copied once on the way in: its WAL frame
-    /// is encoded from a borrow into the thread's scratch buffer, then
-    /// the record itself *moves* into the update buffer. Under the
-    /// state lock that is one encode (and its CRC) into memory the
-    /// thread already owns — no allocation; the device write comes
-    /// after the lock is released.
+    /// Log first, then publish, in one hold of the log order: draw the
+    /// timestamp, write the update's frame (the state lock released),
+    /// and only once it is durable push the update into the buffer. A
+    /// reader draws its timestamp under the log order too, so it never
+    /// draws above an update that is drawn and not yet pushed, and it
+    /// never sees an update that is not logged. A failed append leaves
+    /// nothing to undo: nothing was pushed or counted. The update's
+    /// bytes are copied once on the way in: its frame is encoded from a
+    /// borrow into the log's buffer, then the record *moves* into the
+    /// update buffer.
     fn ingest(
         self: &Arc<Self>,
         session: &SessionHandle,
@@ -123,56 +127,44 @@ impl MasmEngine {
         let _sp = self
             .trace()
             .and_then(|t| t.op_span("ingest", self.track(), || session.now()));
-        let mut st = self.lock_with_room(session)?;
-        with_frame_scratch(|frame| {
-            let update = match pre {
-                Ok(u) => u,
-                Err((key, op)) => UpdateRecord::new(self.oracle.next(), key, op),
-            };
-            let (key, ts, bytes) = (update.key, update.ts, update.encoded_len() as u64);
-            put_update_frame(&update, frame);
-            st.buffer.push(update);
-            st.ingested_updates += 1;
-            st.ingested_bytes += bytes;
-            drop(st);
-            // The WAL write happens outside the state lock; appenders
-            // reserve disjoint offsets, so ordering across threads is
-            // whatever the offsets say — recovery filters
-            // buffer-resident updates by timestamp
-            // (`RunCreated.max_ts`), not log position.
-            if let Err(e) = self.wal.append_frame(session, frame) {
-                // Not logged is not applied: take the update back out
-                // and un-count it. (A concurrent seal may have taken
-                // it along; the log refuses every later append, that
-                // batch's `RunCreated` included.)
-                let mut st = self.state.lock();
-                if st.buffer.take_back(key, ts) {
-                    st.ingested_updates -= 1;
-                    st.ingested_bytes -= bytes;
-                }
-                return Err(e);
-            }
-            Ok(ts)
-        })
+        let (mut order, st) = self.lock_with_room(session)?;
+        let update = match pre {
+            Ok(u) => u,
+            Err((key, op)) => UpdateRecord::new(self.oracle.next(), key, op),
+        };
+        drop(st);
+        order.append_update(session, &update)?;
+        let (ts, bytes) = (update.ts, update.encoded_len() as u64);
+        let mut st = self.state.lock();
+        st.buffer.push(update);
+        st.ingested_updates += 1;
+        st.ingested_bytes += bytes;
+        Ok(ts)
     }
 
-    /// The state, locked with room in the buffer for one more update.
-    /// A full buffer steals an unused query page if one exists (MaSM-M,
-    /// Fig. 8), or else is sealed and flushed here — before the update
-    /// that found it full exists, so a failed flush leaves that update
-    /// unapplied — and the buffer is checked again.
-    fn lock_with_room(&self, session: &SessionHandle) -> MasmResult<TrackedGuard<'_, EngineState>> {
+    /// The log order, and under it the state locked with room in the
+    /// buffer for one more update. A full buffer steals an unused query
+    /// page if one exists (MaSM-M, Fig. 8), or else is sealed and
+    /// flushed here — before the update that found it full exists, so a
+    /// failed flush leaves that update unapplied — and the buffer is
+    /// checked again. The flush logs its run, so it runs with both
+    /// locks released.
+    fn lock_with_room(
+        &self,
+        session: &SessionHandle,
+    ) -> MasmResult<(LogOrder<'_>, TrackedGuard<'_, EngineState>)> {
         loop {
+            let order = self.wal.order();
             let mut st = self.state.lock();
             if !st.buffer.is_full() {
-                return Ok(st);
+                return Ok((order, st));
             }
             let page = self.cfg.ssd_page_size;
             let stolen = (st.buffer.capacity() - st.buffer.base_capacity()) / page;
             let in_use = st.query_pages_pinned() + stolen as u64;
             if self.cfg.alpha < 2.0 && in_use < self.cfg.query_pages() {
                 st.buffer.steal_page(page);
-                return Ok(st);
+                return Ok((order, st));
             }
             if st.runs.live_bytes() + st.buffer.bytes() as u64 > self.cfg.ssd_capacity {
                 return Err(MasmError::CacheFull {
@@ -181,7 +173,7 @@ impl MasmEngine {
                 });
             }
             let batch_id = st.seal(self);
-            drop(st);
+            drop((st, order));
             self.flush_here(session, batch_id)?;
         }
     }

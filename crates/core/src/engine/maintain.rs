@@ -354,13 +354,9 @@ impl MasmEngine {
             failures.check()?;
             report.pages_written += new_pages.len() as u64;
             let commit = rewriter.commit_chunk(std::mem::replace(&mut new_pages, old_pages))?;
-            self.wal.append(
-                session,
-                &WalRecord::MapSplice {
-                    seq: self.oracle.next(),
-                    commit,
-                },
-            )?;
+            let mut order = self.wal.order();
+            let seq = self.oracle.next();
+            order.append(session, &WalRecord::MapSplice { seq, commit })?;
         }
         rewriter.finish();
         Ok(report)

@@ -14,6 +14,18 @@
 //! * [`MasmEngine::migrate`] — in-place migration of cached updates,
 //! * [`MasmEngine::recover`] — crash recovery from the redo log.
 //!
+//! # Log first, then publish
+//!
+//! One order holds every timestamp: the redo log's lock (the *log
+//! order*, `Wal::order`). An update draws its timestamp, writes its
+//! frame and is pushed into the buffer inside one hold of it; a query
+//! or a migration draws its timestamp inside a hold of its own. So a
+//! reader never sees an update that is not logged (or whose append
+//! failed), and no timestamp is drawn above an update that is still on
+//! its way into the buffer — a migration cannot stamp a page above it.
+//! The lock order is log order, then state; a flush or a merge logs its
+//! run, so it runs with neither held.
+//!
 //! # The maintenance protocol
 //!
 //! The engine state sits behind a [`TrackedMutex`] that is **never**
@@ -215,8 +227,10 @@ pub struct MasmEngine {
     state: TrackedMutex<EngineState>,
     /// Rung whenever the state changes in a way someone may wait for.
     quiesce: Condvar,
-    /// Redo log. Appends are internally synchronized (lock-free offset
-    /// reservation) — no engine lock is involved in logging.
+    /// Redo log. Its lock is also the log order: an update's timestamp
+    /// is drawn, logged and published under one hold of it, and every
+    /// fresh read or migration timestamp is drawn under a hold. Taken
+    /// before `state`, never while holding it.
     wal: Wal,
     /// Last commit timestamp per key, for first-committer-wins snapshot
     /// isolation (§3.6). A production system would truncate this by the
@@ -347,6 +361,13 @@ impl MasmEngine {
     /// The timestamp oracle.
     pub fn oracle(&self) -> &TimestampOracle {
         &self.oracle
+    }
+
+    /// A fresh read timestamp, drawn under the log order: every update
+    /// at or below it is already in the buffer or a run.
+    pub(crate) fn read_ts(&self) -> Timestamp {
+        let _order = self.wal.order();
+        self.oracle.next()
     }
 
     /// Bytes of cached updates on the SSD (live runs).

@@ -40,6 +40,9 @@ impl MasmEngine {
     ) -> MasmResult<MergeScan> {
         let _setup = self.trace_span("scan.setup", &session);
         let (query_ts, snapshot) = loop {
+            // A fresh timestamp is drawn under the log order; the flush
+            // and the merge below log their runs, so they release it.
+            let order = as_of.is_none().then(|| self.wal.order());
             let mut st = self.state.lock();
             // Fig. 8 scan setup, lines 1–4: flush a full buffer first. A
             // full SSD is not fatal here — the scan simply reads the
@@ -49,7 +52,7 @@ impl MasmEngine {
                 && st.runs.live_bytes() + st.buffer.bytes() as u64 <= self.cfg.ssd_capacity
             {
                 let batch_id = st.seal(self);
-                drop(st);
+                drop((st, order));
                 self.flush_here(&session, batch_id)?;
                 continue;
             }
@@ -58,7 +61,7 @@ impl MasmEngine {
                 if let Some((claim, inputs)) =
                     st.claim_merge(self, |runs| runs.plan_merge(&self.cfg))
                 {
-                    drop(st);
+                    drop((st, order));
                     self.merge_runs(&session, claim, inputs, self.cfg.merge_duplicates)?;
                     continue;
                 }
@@ -103,8 +106,10 @@ impl MasmEngine {
         }
 
         let data = self.heap.scan_range(session.clone(), begin, end);
-        let updates = MergeUpdates::new(streams, self.schema.clone(), query_ts);
-        let join = MergeDataUpdates::new(data, updates, self.schema.clone());
+        let updates = MergeUpdates::new(streams, self.schema.clone(), query_ts)
+            .reporting_to(failures.clone());
+        let join = MergeDataUpdates::new(data, updates, self.schema.clone())
+            .reporting_to(failures.clone());
         Ok(MergeScan {
             inner: join,
             failures,
@@ -171,7 +176,8 @@ impl MasmEngine {
         let (mut current, page_ts) = base.unwrap_or((None, 0));
         for u in updates {
             if u.ts > page_ts {
-                current = u.apply_to(current, &self.schema);
+                let applied = u.try_apply_to(current, &self.schema);
+                current = applied.ok_or(MasmError::Corrupt("run entry"))?;
             }
         }
         Ok(current)
@@ -219,7 +225,8 @@ impl MergeScan {
     /// A heap read that failed is a [`MasmError::Storage`]; a run scan
     /// that failed is what it reported — `Storage` for a device error,
     /// `BlockRun` for a block that fails its checksum or does not
-    /// decode, `Corrupt("run entry")` for an update that does not.
+    /// decode, `Corrupt("run entry")` for an update that does not, or
+    /// that does not fit the record it patches.
     pub fn error(&self) -> Option<&MasmError> {
         self.error.as_ref()
     }

@@ -143,8 +143,9 @@ impl EngineState {
     /// The fold guard (§3.5 "Handling Skews"): two versions `t1 < t2`
     /// of a key may fold only when no query timestamp `t1 < t ≤ t2` is
     /// active. (A query that draws a fresh timestamp *after* the guard
-    /// is taken is safe: it draws it under the state lock, later, hence
-    /// above every update the guard is asked about.)
+    /// is taken is safe: it draws it under the log order, which no
+    /// update holds any more once it is in the buffer, hence above
+    /// every update the guard is asked about.)
     pub(super) fn fold_guard(&self) -> impl Fn(Timestamp, Timestamp) -> bool {
         let active: Vec<Timestamp> = self.active_queries.keys().copied().collect();
         move |t1, t2| !active.iter().any(|&t| t1 < t && t <= t2)
@@ -328,9 +329,11 @@ impl Drop for LookupPin<'_> {
 }
 
 impl MasmEngine {
-    /// Draw a query timestamp and pin a point lookup of `key` at it.
+    /// Draw a query timestamp under the log order and pin a point
+    /// lookup of `key` at it.
     #[inline]
     pub(super) fn pin_lookup(&self, key: Key) -> (LookupPin<'_>, Snapshot) {
+        let _order = self.wal.order();
         let mut st = self.state.lock();
         let ts = self.oracle.next();
         let snapshot = st.pin(ts, key, key, false);
@@ -396,12 +399,16 @@ impl MasmEngine {
     /// a run: migrated pages carry `mig_ts`, which must truthfully mean
     /// "all updates with ts ≤ mig_ts are in this page". Returns the
     /// migration timestamp and the runs to migrate, or `None` when
-    /// nothing is cached. Caller holds the migration claim.
+    /// nothing is cached. Caller holds the migration claim. The
+    /// timestamp is drawn under the log order, so no update is drawn
+    /// below it and still on its way into the buffer; the order is
+    /// released before a flush (which logs its run) or a wait.
     pub(super) fn drain_into_runs(
         &self,
         mut flush: impl FnMut(u64) -> MasmResult<()>,
     ) -> MasmResult<Option<(Timestamp, Vec<Arc<SortedRun>>)>> {
         loop {
+            let order = self.wal.order();
             let mut st = self.state.lock();
             let batch_id = if !st.buffer.is_empty() {
                 st.seal(self)
@@ -411,6 +418,7 @@ impl MasmEngine {
                 // Other callers are flushing the remaining batches; wait
                 // for them to install (or unclaim on error) and
                 // re-check.
+                drop(order);
                 self.quiesce.wait(st.inner_mut());
                 continue;
             } else if st.runs.is_empty() {
@@ -418,7 +426,7 @@ impl MasmEngine {
             } else {
                 return Ok(Some((self.oracle.next(), st.runs.runs().to_vec())));
             };
-            drop(st);
+            drop((st, order));
             flush(batch_id)?;
         }
     }

@@ -11,7 +11,7 @@ use super::{MasmEngine, MigrationReport};
 use crate::config::MasmConfig;
 use crate::error::MasmError;
 use crate::run::{write_built, SortedRun};
-use crate::update::UpdateOp;
+use crate::update::{FieldPatch, UpdateOp, UpdateRecord};
 use crate::wal::WalRecord;
 
 fn schema() -> Schema {
@@ -616,6 +616,68 @@ fn get_consults_buffer_runs_bloom_and_heap() {
     }
 }
 
+/// Write a run of `entries` (sorted by key, then timestamp) behind the
+/// engine's back and register it, as if flushed; its id.
+fn add_run(f: &Fixture, entries: impl IntoIterator<Item = Entry>) -> u64 {
+    let mut builder = RunBuilder::new(f.engine.cfg.blockrun_config());
+    for entry in entries {
+        builder.append_entry(entry);
+    }
+    let (meta, bytes) = builder.finish();
+    let mut st = f.engine.state.lock();
+    let mut run = SortedRun::from_meta(st.runs.next_id(), 1, meta);
+    run.rebase(st.runs.alloc_space(run.bytes));
+    drop(st);
+    write_built(&f.session, f.engine.ssd(), &run, &bytes).unwrap();
+    f.engine.state.lock().runs.add(Arc::new(run.clone()));
+    run.id
+}
+
+/// A run entry that passes its block's CRC and decodes, but whose
+/// `modify` names a field the schema lacks or carries the wrong width,
+/// is `Corrupt("run entry")` for a `get` and ends a merged scan with
+/// that error — never a panic. Key 40 (a heap record) gets a modify of
+/// field 99; key 41 an insert and a 3-byte modify of the 4-byte field
+/// 0, which the scan folds into the insert and `get` applies to it.
+#[test]
+fn a_run_entry_that_does_not_fit_its_record_is_corrupt_not_a_panic() {
+    let f = fixture(200);
+    let patch = |field, width| {
+        UpdateOp::Modify(vec![FieldPatch {
+            field,
+            value: vec![7; width],
+        }])
+    };
+    let updates = [
+        (40, patch(99, 4)),
+        (41, UpdateOp::Insert(payload(5))),
+        (41, patch(0, 3)),
+    ];
+    add_run(
+        &f,
+        updates.map(|(key, op)| {
+            let update = UpdateRecord::new(f.engine.oracle.next(), key, op);
+            Entry::new(key, update.ts, update.encode_value())
+        }),
+    );
+    for key in [40, 41] {
+        let err = f.engine.get(&f.session, key).unwrap_err();
+        assert!(
+            matches!(err, MasmError::Corrupt("run entry")),
+            "get({key}): {err}"
+        );
+        let mut scan = f.engine.begin_scan(f.session.clone(), key, key).unwrap();
+        assert_eq!(scan.by_ref().count(), 0, "scan of {key}");
+        let err = scan.error().expect("the scan says why it ended");
+        assert!(
+            matches!(err, MasmError::Corrupt("run entry")),
+            "scan of {key}: {err}"
+        );
+    }
+    assert!(f.engine.get(&f.session, 42).unwrap().is_some());
+    assert_eq!(scan_keys(&f, 42, 50), vec![42, 44, 46, 48, 50]);
+}
+
 /// Run `f` on a thread of its own and fail if it is still running a
 /// minute later: a stranded pin shows as a `migrate` that waits on
 /// `quiesce` forever, which has to fail the test, not hang the job.
@@ -652,18 +714,7 @@ fn no_exit_from_get_strands_its_pin() {
 
     // An error from a run: an entry for key 41 that passes its block's
     // CRC and carries an operation tag nobody wrote.
-    let bad_run = {
-        let mut builder = RunBuilder::new(f.engine.cfg.blockrun_config());
-        builder.append_entry(Entry::new(41, f.engine.oracle.next(), vec![0x7F]));
-        let (meta, bytes) = builder.finish();
-        let mut st = f.engine.state.lock();
-        let mut run = SortedRun::from_meta(st.runs.next_id(), 1, meta);
-        run.rebase(st.runs.alloc_space(run.bytes));
-        drop(st);
-        write_built(&f.session, f.engine.ssd(), &run, &bytes).unwrap();
-        f.engine.state.lock().runs.add(Arc::new(run.clone()));
-        run.id
-    };
+    let bad_run = add_run(&f, [Entry::new(41, f.engine.oracle.next(), vec![0x7F])]);
     let err = f.engine.get(&f.session, 41).unwrap_err();
     assert!(matches!(err, MasmError::Corrupt("run entry")), "{err}");
     assert!(f.engine.get(&f.session, 40).unwrap().is_some());

@@ -30,8 +30,8 @@
 //!    absorbed an update, so concurrent queries and crash-redo are safe.
 //! 5. **Correct ACID support** — [`txn`] provides timestamp ordering,
 //!    snapshot-isolation private buffers, and lock-release visibility;
-//!    [`wal`] (CRC-framed records, stable-tail group commit, torn-tail
-//!    truncation) + [`engine::MasmEngine::recover`] rebuild the
+//!    [`wal`] (CRC-framed records, one serialised log that orders every
+//!    timestamp, torn-tail truncation) + [`engine::MasmEngine::recover`] rebuild the
 //!    in-memory buffer (and only it) after a crash, replaying the
 //!    table's one redo log.
 

@@ -134,22 +134,6 @@ impl UpdateBuffer {
         out
     }
 
-    /// Take the newest buffered update with this `(key, ts)` back out —
-    /// the update the caller pushed and then failed to log. `false`
-    /// when it is no longer here (a concurrent seal took it along).
-    pub(crate) fn take_back(&mut self, key: Key, ts: Timestamp) -> bool {
-        let Some(i) = self
-            .entries
-            .iter()
-            .rposition(|u| u.ts == ts && u.key == key)
-        else {
-            return false;
-        };
-        self.bytes -= self.entries.remove(i).encoded_len();
-        self.keys.remove(i);
-        true
-    }
-
     /// Drain everything, sorted by `(key, ts)`, for materializing a
     /// sorted run. Also returns stolen capacity.
     ///
@@ -319,23 +303,6 @@ mod tests {
         b.push(upd(5, 1));
         b.push(upd(2, 2));
         assert_eq!(b.min_ts(), Some(2));
-    }
-
-    #[test]
-    fn take_back_removes_the_newest_match_and_its_accounting() {
-        let mut b = UpdateBuffer::new(1000);
-        b.push(upd(1, 10));
-        b.push(UpdateRecord::new(2, 20, UpdateOp::Insert(vec![7; 5])));
-        b.push(upd(3, 10));
-        let bytes = b.bytes();
-        assert!(!b.take_back(20, 3), "no such (key, ts)");
-        assert!(b.take_back(20, 2));
-        assert_eq!(b.bytes(), bytes - (8 + 8 + 1 + 2 + 5));
-        assert_eq!(b.keys, vec![10, 10]);
-        assert_eq!(b.snapshot_range(0, 100, 9), vec![upd(1, 10), upd(3, 10)]);
-        assert!(b.take_back(10, 3) && b.take_back(10, 1) && !b.take_back(10, 1));
-        assert!(b.is_empty() && b.keys.is_empty());
-        assert_eq!(b.bytes(), 0);
     }
 
     proptest::proptest! {

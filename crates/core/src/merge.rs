@@ -387,6 +387,8 @@ pub struct MergeUpdates {
     inner: KWayUpdates,
     schema: Schema,
     as_of: Timestamp,
+    /// Where a fold that does not fit is reported.
+    failures: ScanFailures,
 }
 
 impl MergeUpdates {
@@ -397,7 +399,17 @@ impl MergeUpdates {
             inner: KWayUpdates::new(streams),
             schema,
             as_of,
+            failures: ScanFailures::default(),
         }
+    }
+
+    /// Report a `modify` that does not fit the payload it folds into —
+    /// a run entry nothing checked at the door — to `failures` as
+    /// `Corrupt("run entry")`, instead of to a slot of its own; the
+    /// entry is dropped.
+    pub(crate) fn reporting_to(mut self, failures: ScanFailures) -> Self {
+        self.failures = failures;
+        self
     }
 }
 
@@ -418,7 +430,13 @@ impl Iterator for MergeUpdates {
                     continue;
                 }
                 merged = Some(match merged {
-                    Some(cur) => cur.merge_with_later(&nxt, &self.schema),
+                    Some(cur) => match cur.fold(&nxt, &self.schema) {
+                        Some(folded) => folded,
+                        None => {
+                            self.failures.report(MasmError::Corrupt("run entry"));
+                            cur
+                        }
+                    },
                     None => nxt,
                 });
             }
@@ -729,6 +747,8 @@ pub struct MergeDataUpdates<D, U> {
 struct Join<U> {
     updates: U,
     schema: Schema,
+    /// Where an update that does not fit its record is reported.
+    failures: ScanFailures,
     /// The next update. It is pulled only once the data record it will
     /// be compared with is in hand: the order in which the two sides
     /// touch their devices is part of the simulated timeline.
@@ -741,6 +761,15 @@ impl<U: Iterator<Item = UpdateRecord>> Join<U> {
             self.next = self.updates.next();
         }
         self.next.as_ref().map(|u| u.key)
+    }
+
+    /// `update` applied to `base`; an update that does not fit the
+    /// record is reported and yields nothing.
+    fn apply(&self, update: UpdateRecord, base: Option<Record>) -> Option<Record> {
+        update.try_apply_to(base, &self.schema).unwrap_or_else(|| {
+            self.failures.report(MasmError::Corrupt("run entry"));
+            None
+        })
     }
 
     /// Join a key-ordered batch of `(record, page timestamp)` pairs —
@@ -763,13 +792,13 @@ impl<U: Iterator<Item = UpdateRecord>> Join<U> {
             }
             let update = self.next.take().expect("peeked");
             if update.key < record.key {
-                if let Some(inserted) = update.apply_to(None, &self.schema) {
+                if let Some(inserted) = self.apply(update, None) {
                     emit(inserted);
                 }
                 continue;
             }
             let joined = if update.ts > page_ts {
-                update.apply_to(Some(record), &self.schema)
+                self.apply(update, Some(record))
             } else {
                 // Already migrated into the page.
                 Some(record)
@@ -787,7 +816,7 @@ impl<U: Iterator<Item = UpdateRecord>> Join<U> {
     /// The updates past the last data record.
     fn tail(&mut self, emit: &mut impl FnMut(Record)) {
         while let Some(update) = self.next.take().or_else(|| self.updates.next()) {
-            if let Some(inserted) = update.apply_to(None, &self.schema) {
+            if let Some(inserted) = self.apply(update, None) {
                 emit(inserted);
             }
         }
@@ -802,11 +831,20 @@ impl<D, U> MergeDataUpdates<D, U> {
             join: Join {
                 updates,
                 schema,
+                failures: ScanFailures::default(),
                 next: None,
             },
             out: VecDeque::new(),
             done: false,
         }
+    }
+
+    /// Report an update that does not fit the record it patches — a
+    /// run entry nothing checked at the door — to `failures` as
+    /// `Corrupt("run entry")`, instead of to a slot of its own.
+    pub(crate) fn reporting_to(mut self, failures: ScanFailures) -> Self {
+        self.join.failures = failures;
+        self
     }
 
     /// Hand out the next joined record, if one is buffered.

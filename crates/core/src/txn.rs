@@ -40,7 +40,7 @@ impl Transaction {
     /// Begin a transaction; reads will see the database as of now.
     pub fn begin(engine: &Arc<MasmEngine>) -> Self {
         Transaction {
-            start_ts: engine.oracle().next(),
+            start_ts: engine.read_ts(),
             engine: Arc::clone(engine),
             writes: Vec::new(),
         }

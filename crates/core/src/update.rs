@@ -179,17 +179,34 @@ impl UpdateRecord {
     ///
     /// This is the per-record core of `Merge_data_updates`' outer join.
     /// It consumes the update: an insert's payload becomes the record's.
+    /// Panics where a `modify` names a field the record does not hold
+    /// at the patch's width.
     pub fn apply_to(self, base: Option<Record>, schema: &Schema) -> Option<Record> {
-        match self.op {
+        self.try_apply_to(base, schema)
+            .expect("a modify fits the record it patches")
+    }
+
+    /// [`UpdateRecord::apply_to`], or `None` where a `modify` names a
+    /// field the record does not hold at the patch's width — for
+    /// updates read off a device, which nothing checked at the door.
+    pub(crate) fn try_apply_to(
+        self,
+        base: Option<Record>,
+        schema: &Schema,
+    ) -> Option<Option<Record>> {
+        Some(match self.op {
             UpdateOp::Insert(p) | UpdateOp::Replace(p) => Some(Record::new(self.key, p)),
             UpdateOp::Delete => None,
-            UpdateOp::Modify(patches) => base.map(|mut r| {
-                for p in &patches {
-                    schema.set(&mut r.payload, p.field as usize, &p.value);
+            UpdateOp::Modify(patches) => match base {
+                Some(mut r) => {
+                    let fits = patches
+                        .iter()
+                        .all(|p| schema.try_set(&mut r.payload, p.field as usize, &p.value));
+                    return fits.then_some(Some(r));
                 }
-                r
-            }),
-        }
+                None => None,
+            },
+        })
     }
 
     /// Merge a later update into this one (same key, `self.ts <

@@ -29,54 +29,45 @@
 //! log — valid data beyond the bad record — cannot be a torn tail and
 //! stays a hard error.
 //!
-//! # Durability of acknowledged appends
+//! # One order for the log
 //!
-//! Appends reserve disjoint byte ranges with an atomic `fetch_add` and
-//! write them in parallel, so a later record can physically land before
-//! an earlier one. If an append were acknowledged while an earlier
-//! reservation was still in flight, a crash in that window would leave
-//! a hole in front of an *acknowledged* record — and replay, which must
-//! stop at the hole, would lose it. [`Wal::append`] therefore returns
-//! only once the log is hole-free up to the record's end (the group
-//! commit of a classical WAL): whatever was acknowledged is always in
-//! the contiguous valid prefix that replay recovers.
+//! Appends are serialised: one lock owns the append point, and a frame
+//! is written at it and acknowledged before the next frame is encoded.
+//! The log therefore never has a hole in front of an acknowledged
+//! record, and replay's valid prefix is everything acknowledged.
+//!
+//! The same lock orders the engine. `Wal::order` hands out a hold of
+//! it (a `LogOrder`), and inside one hold the engine draws an
+//! update's timestamp, logs it and only then publishes it to readers,
+//! while readers and migrations draw their timestamps under a hold of
+//! their own. No timestamp is ever drawn above an update that was drawn
+//! but not yet published, and nothing a reader sees is unlogged. The
+//! lock order is *log → engine state*; the engine never holds its state
+//! lock across the device write.
 //!
 //! # A failed append fails the log
 //!
-//! An append reserves its byte range *before* the device write, so a
-//! write that fails leaves a hole (or a torn frame) at its reservation.
-//! Replay stops there — it cannot tell the hole from the end of the log
-//! — so nothing may ever be acknowledged behind it. The first failed
-//! append therefore makes the failure **sticky**: every later
-//! [`Wal::append`] is refused with [`MasmError::LogFailed`] naming that
-//! offset (one relaxed load per append decides it), and an append that
-//! was already in flight beyond the hole when it opened is refused
-//! after its write instead of acknowledged. An `Err` from `append`
-//! means "not durable, and the caller must undo it"; `Ok` keeps meaning
-//! "in the prefix replay recovers". The log accepts appends again only
-//! as a new [`Wal`] over the replayed prefix — the table reopened
-//! through recovery.
+//! A write that fails may leave a torn frame at the append point, and
+//! replay stops there. The first failed append therefore makes the
+//! failure **sticky**: every later append is refused with
+//! [`MasmError::LogFailed`] naming that offset, before it writes
+//! anything. An `Err` from an append means "not durable, and not
+//! applied"; `Ok` means "in the prefix replay recovers". The log
+//! accepts appends again only as a new [`Wal`] over the replayed
+//! prefix — the table reopened through recovery.
 //!
 //! # The cost of an append
 //!
 //! One append per update makes this the hottest code of the write path,
 //! so it allocates nothing and enters the kernel for nothing: the frame
-//! is encoded into a buffer the thread keeps between appends (per
-//! thread, not behind a lock — a shared buffer would serialise the very
-//! appenders the offset reservation keeps parallel), a completion that
-//! arrives in order advances the stable prefix directly (only
-//! out-of-order completions touch the heap), and waking waiters costs
-//! one atomic load when nobody waits (see the `parking_lot` shim).
-
-use std::cell::Cell;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicU64, Ordering};
+//! is encoded into a buffer the lock keeps between appends (up to
+//! 64 KiB; a bulk load's `HeapLoaded` frame can run to megabytes), and
+//! the append is one lock hold around the encode and the device write.
 
 use masm_codec::bytes::{crc32, put_u64s, verify, Reader};
 use masm_pagestore::{ChunkCommit, Key};
 use masm_storage::{SessionHandle, SimDevice};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Mutex, MutexGuard};
 
 use crate::error::{MasmError, MasmResult};
 use crate::ts::Timestamp;
@@ -102,34 +93,9 @@ fn put_frame(out: &mut Vec<u8>, tag: u8, body: impl FnOnce(&mut Vec<u8>)) {
     out[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
 }
 
-/// Append the frame of `WalRecord::Update(update)` to `out` from a
-/// borrow: the ingest path encodes it just before the update moves into
-/// the buffer, and hands the bytes to [`Wal::append_frame`] once the
-/// engine's state lock is released.
-pub(crate) fn put_update_frame(update: &UpdateRecord, out: &mut Vec<u8>) {
-    put_frame(out, UPDATE_TAG, |out| update.encode_into(out));
-}
-
-/// A frame buffer is kept for the thread's next append only up to this
+/// The frame buffer is kept for the next append only up to this
 /// capacity (a bulk load's `HeapLoaded` frame can run to megabytes).
 const SCRATCH_KEEP_BYTES: usize = 64 << 10;
-
-thread_local! {
-    static FRAME_SCRATCH: Cell<Vec<u8>> = const { Cell::new(Vec::new()) };
-}
-
-/// Run `f` on this thread's reusable frame buffer, handed over empty.
-/// The buffer is *taken* for the call, so a nested use finds an empty
-/// `Vec` rather than a buffer in use.
-pub(crate) fn with_frame_scratch<R>(f: impl FnOnce(&mut Vec<u8>) -> R) -> R {
-    let mut buf = FRAME_SCRATCH.take();
-    buf.clear();
-    let result = f(&mut buf);
-    if buf.capacity() <= SCRATCH_KEEP_BYTES {
-        FRAME_SCRATCH.set(buf);
-    }
-    result
-}
 
 /// One redo-log record.
 #[derive(Debug, Clone, PartialEq)]
@@ -234,9 +200,9 @@ fn frame(buf: &[u8]) -> Framed<'_> {
         return Framed::Torn;
     };
     if body_len == 0 && crc == 0 && tag == 0 {
-        // A zero hole *followed by data*: an unwritten reservation in
-        // front of records whose appends never returned. Everything
-        // from here on was unacknowledged — torn tail.
+        // A zero hole *followed by data*. A serialised log never
+        // acknowledges a frame behind a hole, so everything from here
+        // on was unacknowledged — torn tail.
         return Framed::Torn;
     }
     let used = r.pos();
@@ -401,49 +367,94 @@ pub struct WalReplay {
     /// [`Wal::new`] over the same device.
     pub end_offset: u64,
     /// Bytes discarded beyond `end_offset` because the tail was torn
-    /// (0 = the log ended cleanly). They may hold whole frames — appends
-    /// that were in flight behind an unwritten reservation — so recovery
-    /// zeroes them before the log appends at `end_offset` again: an
-    /// append that ended where one of them starts would otherwise read
-    /// it back into the log.
+    /// (0 = the log ended cleanly). They are what a failed or cut write
+    /// left behind, and an image may hold whole frames beyond a zero
+    /// hole too, so recovery zeroes them before the log appends at
+    /// `end_offset` again: an append that ended where one of them starts
+    /// would otherwise read it back into the log.
     pub torn_bytes: u64,
 }
 
-/// Write-completion tracking behind [`Wal::append`]'s group commit:
-/// completed reservations merge into a contiguous stable prefix.
+/// What the log lock guards: the append point, the sticky failure and
+/// the frame buffer.
 #[derive(Debug)]
-struct TailState {
-    /// The log is hole-free up to here.
-    stable: u64,
-    /// Completed `(start, end)` ranges not yet merged into `stable`.
-    completed: BinaryHeap<Reverse<(u64, u64)>>,
+struct Tail {
+    /// Where the next frame goes: the end of the acknowledged log.
+    offset: u64,
+    /// Offset of the append whose write failed, once one has: the log
+    /// is not trustworthy from there on.
+    failed_at: Option<u64>,
+    /// The frame being appended; kept between appends up to
+    /// [`SCRATCH_KEEP_BYTES`].
+    frame: Vec<u8>,
 }
 
 /// An append-only redo log on a simulated device.
 ///
-/// Appends take `&self`: the next write offset is an atomic that each
-/// append *reserves* with `fetch_add` before issuing the device write.
-/// Concurrent appenders (ingest, flushes and migrations on several
-/// callers' threads) therefore never hold an engine lock across the log I/O —
-/// they claim disjoint byte ranges and write them in parallel. An
-/// append returns only once the log is hole-free up to its record (see
-/// the module docs on durability of acknowledged appends), and never
-/// behind an append that failed.
+/// Appends take `&self` and are serialised by one lock; callers on
+/// several threads (ingest, flushes and migrations) queue on it, as
+/// they would on one log device. See the module docs for the order it
+/// gives the engine.
 #[derive(Debug)]
 pub struct Wal {
     dev: SimDevice,
-    offset: AtomicU64,
-    tail: Mutex<TailState>,
-    stable_cv: Condvar,
-    /// Offset of the lowest reservation whose write failed — the log
-    /// is not trustworthy from there on — or [`NOT_FAILED`]. What an
-    /// append checks before it reserves anything; written under the
-    /// tail lock.
-    failed_at: AtomicU64,
+    tail: Mutex<Tail>,
 }
 
-/// [`Wal::failed_at`] while no append has failed: above every offset.
-const NOT_FAILED: u64 = u64::MAX;
+/// A hold of the log lock: the log-order critical section. Appends
+/// through it are serialised with every other append, and whatever the
+/// holder does between them — drawing a timestamp, publishing an update
+/// — is ordered with them too. Taken before the engine's state lock,
+/// never while holding it.
+pub(crate) struct LogOrder<'a> {
+    dev: &'a SimDevice,
+    tail: MutexGuard<'a, Tail>,
+}
+
+impl LogOrder<'_> {
+    /// Append one record (a sequential device write charged to
+    /// `session`).
+    pub(crate) fn append(&mut self, session: &SessionHandle, rec: &WalRecord) -> MasmResult<()> {
+        self.append_with(session, |out| rec.encode_into(out))
+    }
+
+    /// Append `WalRecord::Update(update)`, framed from a borrow: the
+    /// ingest path logs an update before it moves into the buffer.
+    pub(crate) fn append_update(
+        &mut self,
+        session: &SessionHandle,
+        update: &UpdateRecord,
+    ) -> MasmResult<()> {
+        self.append_with(session, |out| {
+            put_frame(out, UPDATE_TAG, |out| update.encode_into(out))
+        })
+    }
+
+    /// Encode one frame into the kept buffer and write it at the append
+    /// point. Refused with [`MasmError::LogFailed`], nothing written,
+    /// once any append has failed.
+    fn append_with(
+        &mut self,
+        session: &SessionHandle,
+        encode: impl FnOnce(&mut Vec<u8>),
+    ) -> MasmResult<()> {
+        let tail = &mut *self.tail;
+        if let Some(offset) = tail.failed_at {
+            return Err(MasmError::LogFailed { offset });
+        }
+        tail.frame.clear();
+        encode(&mut tail.frame);
+        let wrote = session.write(self.dev, tail.offset, &tail.frame);
+        match wrote {
+            Ok(()) => tail.offset += tail.frame.len() as u64,
+            Err(_) => tail.failed_at = Some(tail.offset),
+        }
+        if tail.frame.capacity() > SCRATCH_KEEP_BYTES {
+            tail.frame = Vec::new();
+        }
+        Ok(wrote?)
+    }
+}
 
 impl Wal {
     /// Open a (fresh or recovered) log on `dev`, appending after
@@ -451,90 +462,36 @@ impl Wal {
     pub fn new(dev: SimDevice, offset: u64) -> Self {
         Wal {
             dev,
-            offset: AtomicU64::new(offset),
-            tail: Mutex::new(TailState {
-                stable: offset,
-                completed: BinaryHeap::new(),
+            tail: Mutex::new(Tail {
+                offset,
+                failed_at: None,
+                frame: Vec::new(),
             }),
-            stable_cv: Condvar::new(),
-            failed_at: AtomicU64::new(NOT_FAILED),
+        }
+    }
+
+    /// Take the log lock: appends through the hold are serialised with
+    /// every other, and so is what the holder does between them.
+    pub(crate) fn order(&self) -> LogOrder<'_> {
+        LogOrder {
+            dev: &self.dev,
+            tail: self.tail.lock(),
         }
     }
 
     /// Append one record (a sequential device write charged to
-    /// `session`). Lock-free range reservation, parallel writes; the
-    /// *return* is the group commit — it happens only once every
-    /// earlier reservation has also hit the device, so an acknowledged
-    /// record can never sit behind a crash hole.
+    /// `session`) under a hold of its own; returns once the record is
+    /// written, so an acknowledged record is always in the prefix
+    /// replay recovers.
     pub fn append(&self, session: &SessionHandle, rec: &WalRecord) -> MasmResult<()> {
-        with_frame_scratch(|frame| {
-            rec.encode_into(frame);
-            self.append_frame(session, frame)
-        })
+        self.order().append(session, rec)
     }
 
-    /// [`Wal::append`] for bytes that already are one complete frame
-    /// ([`WalRecord::encode_into`], [`put_update_frame`]): reserve the
-    /// byte range, write it, and return once the log is hole-free up to
-    /// its end. Refused with [`MasmError::LogFailed`], nothing
-    /// reserved, once any append has failed.
-    pub(crate) fn append_frame(&self, session: &SessionHandle, frame: &[u8]) -> MasmResult<()> {
-        let failed = self.failed_at.load(Ordering::Relaxed);
-        if failed != NOT_FAILED {
-            return Err(MasmError::LogFailed { offset: failed });
-        }
-        let off = self.offset.fetch_add(frame.len() as u64, Ordering::Relaxed);
-        let end = off + frame.len() as u64;
-        let wrote = session.write(&self.dev, off, frame);
-        let behind_a_hole = {
-            // Mark the reservation complete even on a failed write (the
-            // bytes are then absent or torn and recovery truncates
-            // them): a skipped completion would wedge every in-flight
-            // appender behind a hole that will never fill.
-            let mut tail = self.tail.lock();
-            if wrote.is_err() {
-                self.failed_at.fetch_min(off, Ordering::Relaxed);
-            }
-            if off > tail.stable {
-                // Out of order: an earlier reservation is in flight.
-                tail.completed.push(Reverse((off, end)));
-            } else {
-                // In order — the only case a single appender ever sees:
-                // the prefix grows, and may now reach completions that
-                // were parked behind this one.
-                tail.stable = tail.stable.max(end);
-                while let Some(&Reverse((start, e))) = tail.completed.peek() {
-                    if start > tail.stable {
-                        break;
-                    }
-                    tail.completed.pop();
-                    tail.stable = tail.stable.max(e);
-                }
-            }
-            if wrote.is_ok() {
-                while tail.stable < end {
-                    self.stable_cv.wait(&mut tail);
-                }
-            }
-            // This append passed the check above while a lower
-            // reservation was still in flight, and that one failed:
-            // the bytes are written, but replay will never reach them.
-            Some(self.failed_at.load(Ordering::Relaxed)).filter(|&hole| hole < off)
-        };
-        self.stable_cv.notify_all();
-        wrote?;
-        match behind_a_hole {
-            Some(offset) => Err(MasmError::LogFailed { offset }),
-            None => Ok(()),
-        }
-    }
-
-    /// Current end offset (reserved; may be ahead of the stable prefix
-    /// while appends are in flight). Tests read it to check what an
-    /// append reserved.
+    /// The end of the acknowledged log. Tests read it to check what an
+    /// append wrote.
     #[cfg(test)]
     pub(crate) fn offset(&self) -> u64 {
-        self.offset.load(Ordering::Relaxed)
+        self.tail.lock().offset
     }
 
     /// The underlying device.
@@ -683,47 +640,48 @@ mod tests {
         let replay = Wal::replay(&session, &dev).unwrap();
         assert_eq!(replay.records, records);
         assert_eq!(replay.end_offset, wal.offset());
-        assert_eq!(wal.tail.lock().stable, wal.offset());
+        assert_eq!(dev.len(), wal.offset());
         assert_eq!(replay.torn_bytes, 0);
     }
 
     #[test]
     fn update_framed_from_a_borrow_is_logged_byte_for_byte_as_encode_into() {
         // The ingest path never builds a `WalRecord`: it frames the
-        // borrowed update and appends the bytes. What lands on the
-        // device must be what `encode_into` defines.
+        // borrowed update. What lands on the device must be what
+        // `encode_into` defines.
         for rec in sample_records() {
             let WalRecord::Update(update) = &rec else {
                 continue;
             };
             let (dev, session, wal) = wal_fixture();
-            let mut frame = Vec::new();
-            put_update_frame(update, &mut frame);
-            wal.append_frame(&session, &frame).unwrap();
+            wal.order().append_update(&session, update).unwrap();
             let mut want = Vec::new();
             rec.encode_into(&mut want);
             assert_eq!(session.read(&dev, 0, dev.len()).unwrap(), want, "{rec:?}");
-            assert_eq!(wal.tail.lock().stable, want.len() as u64);
+            assert_eq!(wal.offset(), want.len() as u64);
             assert_eq!(Wal::replay(&session, &dev).unwrap().records, vec![rec]);
         }
     }
 
     #[test]
-    fn scratch_survives_nesting_and_drops_oversized_buffers() {
-        with_frame_scratch(|outer| {
-            outer.extend_from_slice(b"outer");
-            // A nested use gets an empty buffer of its own.
-            with_frame_scratch(|inner| {
-                assert!(inner.is_empty());
-                inner.extend_from_slice(b"inner");
-            });
-            assert_eq!(outer, b"outer");
-        });
-        with_frame_scratch(|buf| {
-            assert!(buf.is_empty(), "handed over empty");
-            buf.resize(SCRATCH_KEEP_BYTES + 1, 0);
-        });
-        with_frame_scratch(|buf| assert!(buf.capacity() <= SCRATCH_KEEP_BYTES));
+    fn the_frame_buffer_is_kept_between_appends_up_to_its_cap() {
+        let (_, session, wal) = wal_fixture();
+        let capacity = || wal.tail.lock().frame.capacity();
+        wal.append(&session, &WalRecord::MigrationEnd { ts: 1 })
+            .unwrap();
+        let kept = capacity();
+        assert!(kept > 0, "an ordinary frame's buffer is kept");
+        let load = WalRecord::HeapLoaded {
+            seq: 2,
+            base: 0,
+            page_size: 4096,
+            min_keys: (0..SCRATCH_KEEP_BYTES as u64 / 8 + 1).collect(),
+            record_count: 0,
+        };
+        wal.append(&session, &load).unwrap();
+        assert!(capacity() <= SCRATCH_KEEP_BYTES, "an oversized one is not");
+        let replay = Wal::replay(&session, &wal.dev).unwrap();
+        assert_eq!(replay.records[1], load);
     }
 
     #[test]
@@ -839,8 +797,8 @@ mod tests {
     fn concurrent_appends_leave_no_holes() {
         const THREADS: u64 = 8;
         const APPENDS: u64 = 2_000;
-        // Mixed sizes (17 to ~320 bytes of body), so reservations of
-        // different lengths complete out of order.
+        // Mixed sizes (17 to ~320 bytes of body) from eight threads
+        // queueing on the log lock.
         let record = |t: u64, i: u64| {
             let op = match i % 4 {
                 0 => UpdateOp::Delete,
@@ -867,7 +825,7 @@ mod tests {
             }
         });
         // Acknowledged appends form a hole-free prefix covering the log.
-        assert_eq!(wal.tail.lock().stable, wal.offset());
+        assert_eq!(dev.len(), wal.offset());
         let replay = Wal::replay(&session, &dev).unwrap();
         assert_eq!(replay.torn_bytes, 0);
         assert_eq!(replay.end_offset, wal.offset());

@@ -9,7 +9,7 @@
 //! final state must be the model, and the SSD must finish with
 //! `random_writes == 0` (design goal 2).
 
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 use std::thread;
 
@@ -18,7 +18,7 @@ use masm_core::merge::compact_block_runs;
 use masm_core::run::{write_run, SortedRun};
 use masm_core::update::{UpdateOp, UpdateRecord};
 use masm_core::{MasmError, MasmResult};
-use masm_model::{assert_rows, flash, payload, schema, Lanes, Model, Op, Spec, Table};
+use masm_model::{assert_rows, flash, payload, schema, value, Lanes, Model, Op, Spec, Table};
 use masm_pagestore::Key;
 use masm_storage::{SessionHandle, SimDevice};
 use masm_telemetry::json::{parse, JsonValue};
@@ -357,6 +357,122 @@ fn get_of_an_untouched_record_during_growing_migrations() {
     });
     assert!(gets > 0);
     assert_eq!(missing, 0, "of {gets} gets of a record that is there");
+}
+
+/// A reader never sees an update whose `apply_update` returned `Err`:
+/// an update is logged before any reader can see it, so one whose log
+/// append fails was never visible. On a fresh table per attempt, one
+/// thread spins on `get(10)` while the main thread arms one log write
+/// fault and replaces key 10. The window this closes is narrow: an
+/// update pushed before its frame was written was seen in about one
+/// attempt of a hundred, hence the attempts.
+#[test]
+fn a_reader_never_sees_an_update_whose_log_append_failed() {
+    const ATTEMPTS: u32 = 5_000;
+    const REFUSED: u32 = 777_777;
+    let seen = within_a_minute(|| {
+        let mut seen = 0u32;
+        for _ in 0..ATTEMPTS {
+            let t = Table::new(MasmConfig::small_for_tests());
+            t.load(100);
+            let (replacing, gets) = (AtomicBool::new(true), AtomicU32::new(0));
+            seen += thread::scope(|scope| {
+                let reader = scope.spawn(|| {
+                    let session = t.dev.session();
+                    let mut saw = false;
+                    while replacing.load(Ordering::SeqCst) {
+                        let got = t.get_on(&session, 10).unwrap();
+                        saw |= got.is_some_and(|r| value(&r) == REFUSED);
+                        gets.fetch_add(1, Ordering::SeqCst);
+                    }
+                    saw
+                });
+                // Replace once the reader is spinning.
+                while gets.load(Ordering::SeqCst) < 2 {
+                    thread::yield_now();
+                }
+                t.dev.wal.inject_write_fault();
+                let refused = t.put(10, UpdateOp::Replace(payload(REFUSED)));
+                replacing.store(false, Ordering::SeqCst);
+                assert!(refused.is_err(), "{refused:?}");
+                reader.join().unwrap() as u32
+            });
+        }
+        seen
+    });
+    assert_eq!(seen, 0, "attempts of {ATTEMPTS} that saw the refused value");
+}
+
+/// A migration never loses an update that was in flight: one thread
+/// inserts distinct keys between the loaded ones while another loops
+/// `migrate()`. A migration timestamp drawn above an update that is
+/// drawn but not yet in the buffer stamps the pages above it, and the
+/// page timestamps then hide it from `get` (a gap insert until the next
+/// migration absorbs it, any other update for good). So after each
+/// insert the inserting thread reads back that one and a few earlier
+/// ones; afterwards, and after a crash, `get` and a full scan return
+/// every acknowledged insert.
+#[test]
+fn a_migration_never_loses_an_update_that_was_in_flight() {
+    const INSERTS: u64 = 20_000;
+    // Which earlier inserts are read back after each one: a hidden
+    // insert stays hidden until the next migration absorbs it.
+    const BACK: [u64; 4] = [0, 32, 128, 512];
+    let inserted = |i: u64| (i * 2 + 1, i as u32);
+    let (mut t, unread, migrations) = within_a_minute(move || {
+        let t = Table::new(MasmConfig::small_for_tests());
+        t.load(INSERTS);
+        let inserting = AtomicBool::new(true);
+        let (unread, migrations) = thread::scope(|scope| {
+            let migrator = scope.spawn(|| {
+                let session = t.dev.session();
+                let mut migrations = 0u64;
+                while inserting.load(Ordering::SeqCst) {
+                    migrations += t.engine().migrate(&session).unwrap().runs_migrated as u64;
+                }
+                migrations
+            });
+            let mut unread = Vec::new();
+            for i in 0..INSERTS {
+                let (key, v) = inserted(i);
+                t.put(key, UpdateOp::Insert(payload(v))).unwrap();
+                for back in BACK.iter().filter_map(|&lag| i.checked_sub(lag)) {
+                    let (key, v) = inserted(back);
+                    if t.get(key).unwrap().map(|r| value(&r)) != Some(v) {
+                        unread.push(back);
+                    }
+                }
+            }
+            inserting.store(false, Ordering::SeqCst);
+            (unread, migrator.join().unwrap())
+        });
+        (t, unread, migrations)
+    });
+    assert!(migrations > 0, "no migration ran beside the inserts");
+    assert!(
+        unread.is_empty(),
+        "acknowledged, then not read back: {unread:?}"
+    );
+    let check = |t: &Table, when: &str| {
+        let lost: Vec<u64> = (0..INSERTS)
+            .filter(|&i| {
+                let (key, v) = inserted(i);
+                t.get(key).unwrap().map(|r| value(&r)) != Some(v)
+            })
+            .collect();
+        assert!(lost.is_empty(), "{when}: get misses inserts {lost:?}");
+        let rows = t.rows(0, Key::MAX);
+        let odd = rows.iter().filter(|r| r.key % 2 == 1);
+        assert!(
+            odd.map(|r| (r.key, value(r)))
+                .eq((0..INSERTS).map(inserted)),
+            "{when}: a full scan misses inserts"
+        );
+        assert_eq!(rows.len() as u64, 2 * INSERTS, "{when}: a full scan");
+    };
+    check(&t, "after the migrations");
+    t.crash(None).unwrap();
+    check(&t, "after a crash");
 }
 
 /// Two [`overlapping_runs`] and a part-filled buffer over the same 64

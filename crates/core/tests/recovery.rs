@@ -131,10 +131,9 @@ fn torn_wal_tail_is_truncated_and_salvaged() {
     assert!(!keys.contains(&1) && !keys.contains(&3));
 }
 
-/// A torn tail can hold whole frames: appends that were in flight
-/// behind a reservation nobody wrote when the devices stopped. Recovery
-/// cuts the log at the unwritten reservation; an append after it that
-/// fills the hole exactly must not bring the frame behind it back.
+/// A torn tail can hold whole frames beyond a zero hole. Recovery cuts
+/// the log at the hole; an append after it that fills the hole exactly
+/// must not bring the frame behind it back.
 #[test]
 fn frames_beyond_a_torn_tail_never_come_back() {
     let (mut t, _) = table(100);

@@ -3,9 +3,9 @@
 //! the plug"), recover from them, and verify the recovery contract:
 //!
 //! * every *acknowledged* update survives — an update whose `put`
-//!   returned before the crash is in the recovered state (the WAL's
-//!   stable-tail group commit guarantees its record is inside the
-//!   contiguous valid log prefix),
+//!   returned before the crash is in the recovered state (the WAL is
+//!   serialised and `put` returns only after its frame is written, so
+//!   its record is inside the contiguous valid log prefix),
 //! * recovery never panics and never loses acked data for *any* crash
 //!   point, including cuts through the middle of a WAL record (torn
 //!   tails are truncated, not fatal),

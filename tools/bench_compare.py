@@ -25,19 +25,18 @@ second table, with no bound.
 Exits non-zero if an exact metric, `attempted` or `failed` differs for
 one seed, a run failed an operation or its correctness checks, or an
 end-to-end median is worse than `a`'s by more than its BENCHMARK.json
-bound. Before the tables it prints each recording's run-queue wait
-(`env.runq_wait_ms`, the box-load calibration) run by run, and a "box
-loaded" line for each run whose wait is more than three times its
-recording's median: the wall-clock figures of such a run measure the
-box as much as the change. The line informs; it changes no verdict.
-Without `--paired` the two recordings were not interleaved, so
-the verdict is a screen: a "faster" claim is judged by
-`tools/paired_bench.sh`, which calls this with `--paired`.
-
-Where a recording carries box readings (`tools/paired_bench.sh` takes
-them around each run: guest steal as a share of CPU time, 1-minute load
-before and after), each workload's table is followed by both sides'
-median readings. They inform; they change no verdict.
+bound. Before the tables it prints each recording's runs one by one:
+the run-queue wait (`env.runq_wait_ms`, the box-load calibration of a
+`--trace 1` run) and the box readings taken around the run (guest steal
+as a share of CPU time, 1-minute load before and after;
+`tools/box_sample.sh`), and a "box loaded" line for each run whose wait
+or steal is more than three times its recording's median (a steal also
+at least STEAL_FLOOR_PCT, below which it is noise): the wall-clock
+figures of such a run measure the box as much as the change. Each
+workload's table is followed by both sides' median readings. They
+inform; they change no verdict. Without `--paired` the two recordings
+were not interleaved, so the verdict is a screen: a "faster" claim is
+judged by `tools/paired_bench.sh`, which calls this with `--paired`.
 
 `--collect` folds `<dir>/<workload>.trace0.jsonl` (and, when present,
 `<dir>/<workload>.trace1.jsonl`) — the benchmark's last stdout line of
@@ -46,8 +45,8 @@ into the recording `out.json`, labelled `<rev>`. Where both traces were
 run it adds `merged_over_clean`: the untraced run's
 `scan_wall_ns_per_rec` over the traced run's
 `pagestore.heap.scan_ns_per_rec`, seed by seed. A
-`<dir>/<workload>.box.jsonl` (one reading per run, in seed order) is
-kept as the workload's `box`.
+`<dir>/<workload>.box.trace<t>.jsonl` (one reading per run of
+`--trace <t>`, in seed order) is kept as each of those runs' `box`.
 """
 
 import datetime
@@ -64,9 +63,11 @@ EXACT = {"scan_sim_slowdown", "range_sim_slowdown", "range_sim_tail10_us",
          "migrate_sim_x_scan", "recover_sim_ms"}
 DERIVED = "merged_over_clean"
 # Run-queue wait of the benchmark's calibration, and how far above its
-# recording's median a run's wait marks the box as loaded.
+# recording's median a run's wait or steal marks the box as loaded.
 RUNQ = "env.runq_wait_ms"
 LOADED_OVER_MEDIAN = 3
+# A steal below this share of CPU time is noise, whatever the median.
+STEAL_FLOOR_PCT = 0.5
 # Readings of the box taken around each run of a paired comparison.
 BOX = ("steal_pct", "load1_before", "load1_after")
 
@@ -103,9 +104,16 @@ def collect(out, directory, rev, seeds, workloads):
             rows = [json.loads(line) for line in open(path)]
             assert len(rows) == len(seeds), f"{path}: {len(rows)} runs for {len(seeds)} seeds"
             by_trace[trace] = rows
-            for seed, row in zip(seeds, rows):
-                runs.append({"seed": seed, "trace": trace, "correct": row["correct"],
-                             "attempted": row["attempted"], "failed": row["failed"]})
+            box_path = os.path.join(directory, f"{w}.box.trace{trace}.jsonl")
+            boxes = ([json.loads(line) for line in open(box_path)] if os.path.exists(box_path)
+                     else [None] * len(rows))
+            assert len(boxes) == len(rows), f"{box_path}: {len(boxes)} readings for {len(rows)} runs"
+            for seed, row, box in zip(seeds, rows, boxes):
+                run = {"seed": seed, "trace": trace, "correct": row["correct"],
+                       "attempted": row["attempted"], "failed": row["failed"]}
+                if box is not None:
+                    run["box"] = {key: box[key] for key in BOX}
+                runs.append(run)
             for name in rows[0]["metrics"]:
                 if all(name in row["metrics"] for row in rows):
                     values = [row["metrics"][name]["value"] for row in rows]
@@ -119,39 +127,58 @@ def collect(out, directory, rev, seeds, workloads):
                 "two runs per seed: scan_wall_ns_per_rec (--trace 0) over "
                 "pagestore.heap.scan_ns_per_rec (--trace 1)")
         recording["workloads"][w] = {"runs": runs, "metrics": metrics}
-        box = os.path.join(directory, f"{w}.box.jsonl")
-        if os.path.exists(box):
-            rows = [json.loads(line) for line in open(box)]
-            recording["workloads"][w]["box"] = {key: [row[key] for row in rows] for key in BOX}
     with open(out, "w") as f:
         json.dump(recording, f, indent=1)
         f.write("\n")
 
 
-def runq_waits(rec, label):
-    """Print `rec`'s run-queue wait run by run, and a "box loaded" line
-    for each run whose wait is above LOADED_OVER_MEDIAN times the median
-    of all of its runs."""
-    runs = [(w, seed, value)
-            for w, wr in rec["workloads"].items() if RUNQ in wr["metrics"]
-            for seed, value in zip(rec["seeds"], wr["metrics"][RUNQ]["values"])]
+def box_runs(rec, label):
+    """Print `rec`'s runs one by one — the run-queue wait of a traced run
+    and the box readings taken around it — and a "box loaded" line for
+    each run whose wait or steal is above LOADED_OVER_MEDIAN times the
+    median of all of its recording's runs (a steal also at least
+    STEAL_FLOOR_PCT)."""
+    runs = []
+    for w, wr in rec["workloads"].items():
+        waits = dict(zip(rec["seeds"], wr["metrics"][RUNQ]["values"])) if RUNQ in wr["metrics"] else {}
+        for run in wr["runs"]:
+            wait = waits.get(run["seed"]) if run["trace"] == 1 else None
+            if wait is not None or "box" in run:
+                runs.append((w, run, wait))
     if not runs:
         return
-    median = statistics.median(value for _, _, value in runs)
-    print(f"\n`{RUNQ}` of the {label} ({rec['rev']}), seeds {rec['seeds']}, median {median:.3g} ms:")
-    for w, wr in rec["workloads"].items():
-        if RUNQ in wr["metrics"]:
-            print(f"  {w}: " + " ".join(f"{value:.3g}" for value in wr["metrics"][RUNQ]["values"]))
-    for w, seed, value in runs:
-        if value > LOADED_OVER_MEDIAN * median:
-            print(f"box loaded: {label} {w} seed {seed} waited {value:.3g} ms in the run queue, "
-                  f"{value / median:.1f}x its recording's median")
+    waits = [wait for _, _, wait in runs if wait is not None]
+    steals = [run["box"]["steal_pct"] for _, run, _ in runs if "box" in run]
+    median_wait = statistics.median(waits) if waits else None
+    median_steal = statistics.median(steals) if steals else None
+    medians = ([f"`{RUNQ}` {median_wait:.3g} ms"] if waits else []) + \
+        ([f"guest steal {median_steal:.3g} %"] if steals else [])
+    print(f"\nRuns of the {label} ({rec['rev']}), seeds {rec['seeds']}, medians {', '.join(medians)}:")
+    loaded = []
+    for w, run, wait in runs:
+        what = f"{w} seed {run['seed']}" + (", traced" if run["trace"] == 1 else "")
+        readings = [f"run-queue wait {wait:.3g} ms"] if wait is not None else []
+        if "box" in run:
+            box = run["box"]
+            readings.append(f"guest steal {box['steal_pct']:.3g} %, 1-minute load "
+                            f"{box['load1_before']:.2f} before, {box['load1_after']:.2f} after")
+            steal = box["steal_pct"]
+            if steal > LOADED_OVER_MEDIAN * median_steal and steal >= STEAL_FLOOR_PCT:
+                loaded.append(f"box loaded: {label} {what}: guest steal {steal:.3g} % of CPU time, "
+                              f"{steal / median_steal if median_steal else float('inf'):.1f}x its "
+                              "recording's median")
+        if wait is not None and wait > LOADED_OVER_MEDIAN * median_wait:
+            loaded.append(f"box loaded: {label} {what} waited {wait:.3g} ms in the run queue, "
+                          f"{wait / median_wait:.1f}x its recording's median")
+        print(f"  {what}: " + "; ".join(readings))
+    for line in loaded:
+        print(line)
 
 
 def compare(a, b, paired):
     rev, label_b = a["rev"], "here" if paired else f"at {b['rev']}"
-    runq_waits(a, "parent")
-    runq_waits(b, "change")
+    box_runs(a, "parent")
+    box_runs(b, "change")
     decl = {m["name"]: m for m in BENCH["end_to_end"]}
     layers = {m["name"]: m for m in BENCH["per_layer"]}
     layers[DERIVED] = {"unit": "ratio", "better": "lower"}
@@ -204,12 +231,13 @@ def compare(a, b, paired):
 
 def box_readings(wa, wb, rev):
     """Each side's median box readings over its runs of one workload."""
-    sides = [(label, wr["box"]) for label, wr in ((rev, wa), ("change", wb)) if "box" in wr]
-    for label, box in sides:
-        med = {key: statistics.median(box[key]) for key in BOX}
-        print(f"\nbox during the {label} runs (medians of {len(box['steal_pct'])}): guest steal "
-              f"{med['steal_pct']:.2f} % of CPU time, 1-minute load {med['load1_before']:.2f} before, "
-              f"{med['load1_after']:.2f} after")
+    for label, wr in ((rev, wa), ("change", wb)):
+        boxes = [run["box"] for run in wr["runs"] if "box" in run]
+        if boxes:
+            med = {key: statistics.median(box[key] for box in boxes) for key in BOX}
+            print(f"\nbox during the {label} runs (medians of {len(boxes)}): guest steal "
+                  f"{med['steal_pct']:.2f} % of CPU time, 1-minute load {med['load1_before']:.2f} before, "
+                  f"{med['load1_after']:.2f} after")
 
 
 def metric_row(w, name, d, ma_, mb_, rev, n, bad):

@@ -7,13 +7,15 @@
 # in a throw-away temporary directory), then runs each workload (default:
 # all four in BENCHMARK.json) for seeds 1..seeds at BENCHMARK.json's
 # `run_seconds`, once with `--trace 0` (the 14 end-to-end metrics) and
-# once with `--trace 1` (the per-layer metrics). `tools/bench_compare.py
+# once with `--trace 1` (the per-layer metrics), reading the box around
+# each run (`tools/box_sample.sh`: guest steal during the run, 1-minute
+# load before and after). `tools/bench_compare.py
 # --collect` folds the runs into the recording BENCH_OUT (default
 # `BENCH_<short rev>.json` at the repository root): the rev and whether
 # the tree had uncommitted changes, the date, `nproc`, the seeds,
 # `correct` / `attempted` / `failed` of every run, and per workload and
 # metric the value of each seed with its median and quartiles, plus the
-# derived `merged_over_clean` row. Compare two recordings with
+# derived `merged_over_clean` row; each run carries its box readings. Compare two recordings with
 # `tools/bench_compare.py a.json b.json`.
 #
 # A run that fails (non-zero exit, `correct` false or a failed
@@ -25,6 +27,8 @@ set -euo pipefail
 seeds="${1:-5}"
 shift || true
 root="$(git rev-parse --show-toplevel)"
+# shellcheck source=box_sample.sh
+. "$root/tools/box_sample.sh"
 workloads=("$@")
 if [ "${#workloads[@]}" -eq 0 ]; then
     mapfile -t workloads < <(python3 -c "
@@ -46,12 +50,14 @@ for w in "${workloads[@]}"; do
     for seed in $(seq 1 "$seeds"); do
         for trace in 0 1; do
             echo "$w seed $seed --trace $trace" >&2
+            box_begin
             "$work/target/release/masm-benchmark" --workload "$w" --seed "$seed" \
                 --seconds "$seconds" --trace "$trace" >"$work/run.out" 2>>"$work/$w.stderr" || {
                 tail -n 20 "$work/$w.stderr" >&2
                 echo "$w seed $seed --trace $trace failed" >&2
                 exit 1
             }
+            box_end "$work/$w.box.trace$trace.jsonl"
             tail -n 1 "$work/run.out" >>"$work/$w.trace$trace.jsonl"
         done
     done

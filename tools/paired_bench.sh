@@ -17,12 +17,11 @@
 # image; anything else is "no consistent direction". The arithmetic and
 # the verdict rules are `tools/bench_compare.py --paired`'s.
 #
-# Around each run it reads the box, without changing anything on it:
-# the guest steal (8th field of the `cpu` line of /proc/stat, as a share
-# of all CPU time that passed during the run) and the 1-minute load
-# average of /proc/loadavg before and after it. The comparison prints
-# each side's median readings beside its verdicts, so a quiet box and a
-# loaded one can be told apart.
+# Around each run it reads the box (`tools/box_sample.sh`: guest steal
+# during the run, 1-minute load before and after). The comparison prints
+# each side's median readings beside its verdicts, and each run's
+# readings with a "box loaded" flag, so a quiet box and a loaded one can
+# be told apart.
 #
 # Exits non-zero if a deterministic metric, `attempted` or `failed`
 # differs within a pair, a run fails an operation or its correctness
@@ -36,6 +35,8 @@ pairs="${2:-10}"
 shift
 shift || true
 root="$(git rev-parse --show-toplevel)"
+# shellcheck source=box_sample.sh
+. "$root/tools/box_sample.sh"
 workloads=("$@")
 if [ "${#workloads[@]}" -eq 0 ]; then
     mapfile -t workloads < <(python3 -c "
@@ -56,15 +57,6 @@ for side in base head; do
     cargo build --release --offline --quiet \
         --manifest-path "$src/benchmark/Cargo.toml" --target-dir "$work/target-$side"
 done
-# Steal and total jiffies of all CPUs so far (user .. steal; guest time
-# is already counted in user).
-cpu_jiffies() {
-    awk '/^cpu / { t = 0; for (i = 2; i <= 9; i++) t += $i; print $9, t }' /proc/stat
-}
-load1() {
-    cut -d' ' -f1 /proc/loadavg
-}
-
 mkdir "$out/base" "$out/head"
 for w in "${workloads[@]}"; do
     for i in $(seq 1 "$pairs"); do
@@ -72,15 +64,11 @@ for w in "${workloads[@]}"; do
         [ $((i % 2)) -eq 0 ] && order=(head base)
         for side in "${order[@]}"; do
             echo "pair $i of $w: $side" >&2
-            read -r steal0 total0 < <(cpu_jiffies)
-            before="$(load1)"
+            box_begin
             "$work/target-$side/release/masm-benchmark" --workload "$w" --seed "$i" \
                 --seconds "$seconds" --trace 0 2>>"$out/$w.$side.stderr" |
                 tail -n 1 >>"$out/$side/$w.trace0.jsonl"
-            read -r steal1 total1 < <(cpu_jiffies)
-            awk -v s=$((steal1 - steal0)) -v t=$((total1 - total0)) -v b="$before" -v a="$(load1)" \
-                'BEGIN { printf "{\"steal_pct\": %.3f, \"load1_before\": %s, \"load1_after\": %s}\n", (t > 0 ? 100 * s / t : 0), b, a }' \
-                >>"$out/$side/$w.box.jsonl"
+            box_end "$out/$side/$w.box.trace0.jsonl"
         done
     done
 done

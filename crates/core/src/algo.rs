@@ -18,18 +18,31 @@
 use std::sync::Arc;
 
 use crate::config::MasmConfig;
-use crate::run::{SortedRun, SsdSpace};
+use crate::run::SortedRun;
 
 /// The set of live materialized sorted runs, ordered by minimum
-/// timestamp (creation order; 2-pass runs inherit their inputs' era).
+/// timestamp (creation order; 2-pass runs inherit their inputs' era),
+/// and the bump allocator of their SSD space.
 ///
 /// The set is published as one shared slice, rebuilt when it changes
 /// (once per flush, merge or migration): a query pins all of it with
 /// one refcount bump ([`RunSet::shared`]) however many runs there are.
+///
+/// Runs are only deleted wholesale (after a migration, or when 1-pass
+/// runs are folded into a 2-pass run), so a bump pointer plus a
+/// live-byte count suffices. Removing a run lowers only the count: a
+/// pinned query snapshot may still be reading the run's extent, so the
+/// pointer moves back — the paper's circular reuse of the flash space —
+/// only in [`RunSet::rewind_space`], which the engine calls once it has
+/// quiesced (and recovery, before any query exists).
 #[derive(Debug, Default)]
 pub(crate) struct RunSet {
     runs: Arc<[Arc<SortedRun>]>,
-    space: SsdSpace,
+    /// Where the next run's extent starts: the high-water mark.
+    next_base: u64,
+    /// Bytes of the live runs (and of extents allocated to runs not
+    /// registered yet).
+    live_bytes: u64,
     next_id: u64,
 }
 
@@ -62,7 +75,7 @@ impl RunSet {
 
     /// Bytes of cached updates currently on the SSD.
     pub(crate) fn live_bytes(&self) -> u64 {
-        self.space.live_bytes()
+        self.live_bytes
     }
 
     /// Draw the next run id.
@@ -83,14 +96,18 @@ impl RunSet {
     /// Returns the new high-water mark.
     pub(crate) fn rewind_space(&mut self) -> u64 {
         let high = self.runs.iter().map(|r| r.base + r.bytes).max();
-        let live = self.runs.iter().map(|r| r.bytes).sum();
-        self.space = SsdSpace::with_state(high.unwrap_or(0), live);
-        self.space.high_water()
+        self.next_base = high.unwrap_or(0);
+        self.live_bytes = self.runs.iter().map(|r| r.bytes).sum();
+        self.next_base
     }
 
-    /// Allocate sequential SSD space for a run of `bytes`.
+    /// Allocate sequential SSD space for a run of `bytes`; returns its
+    /// base.
     pub(crate) fn alloc_space(&mut self, bytes: u64) -> u64 {
-        self.space.alloc(bytes)
+        let base = self.next_base;
+        self.next_base += bytes;
+        self.live_bytes += bytes;
+        base
     }
 
     /// Release `bytes` of allocated-but-unregistered space (a run build
@@ -98,7 +115,7 @@ impl RunSet {
     /// itself stays burned until the allocator rewinds at quiesce — the
     /// bump allocator never reuses space while readers may be pinned.
     pub(crate) fn free_space(&mut self, bytes: u64) {
-        self.space.free(bytes);
+        self.live_bytes = self.live_bytes.saturating_sub(bytes);
     }
 
     /// Register a freshly materialized run.
@@ -109,11 +126,11 @@ impl RunSet {
         self.runs = before.iter().chain([&run]).chain(after).cloned().collect();
     }
 
-    /// Remove runs by id, releasing their SSD space.
+    /// Remove runs by id, releasing their bytes from the live count;
+    /// their extents stay allocated until [`RunSet::rewind_space`].
     pub(crate) fn remove_ids(&mut self, ids: &[u64]) {
         let gone = |r: &&Arc<SortedRun>| ids.contains(&r.id);
-        self.space
-            .free(self.runs.iter().filter(gone).map(|r| r.bytes).sum());
+        self.free_space(self.runs.iter().filter(gone).map(|r| r.bytes).sum());
         self.runs = self.runs.iter().filter(|r| !gone(r)).cloned().collect();
     }
 
@@ -201,6 +218,9 @@ mod tests {
         rs.remove_ids(&[0]);
         assert_eq!(rs.live_bytes(), 0);
         assert!(rs.is_empty());
+        // A snapshot pinned before the removal may still read the
+        // extent: only the quiesce rewind lowers the high-water mark.
+        assert_eq!(rs.alloc_space(10), 100, "no rewind on removal");
     }
 
     #[test]

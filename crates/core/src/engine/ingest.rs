@@ -32,7 +32,7 @@ impl MasmEngine {
     /// heap-event sequence number, drawn under the hold that logs it.
     pub(super) fn log_heap_loaded(&self, session: &SessionHandle) -> MasmResult<()> {
         let mut order = self.wal.order();
-        let seq = self.oracle.next();
+        let seq = order.draw();
         let (page_map, min_keys, record_count) = self.heap.metadata_snapshot();
         let base = page_map.first().copied().unwrap_or(0);
         order.append(
@@ -51,7 +51,8 @@ impl MasmEngine {
     /// first-committer-wins snapshot isolation (§3.6): if any written key
     /// was committed by another transaction after `start_ts`, the commit
     /// aborts with [`MasmError::Conflict`]. On success all writes carry
-    /// one fresh commit timestamp. A write the engine cannot represent
+    /// one fresh commit timestamp, drawn under the log order like every
+    /// other. A write the engine cannot represent
     /// ([`MasmError::InvalidUpdate`]) refuses the whole commit before a
     /// timestamp is drawn or the commit index touched.
     pub fn commit_writes(
@@ -69,7 +70,7 @@ impl MasmEngine {
                 return Err(MasmError::Conflict { key: *key });
             }
         }
-        let ts = self.oracle.next();
+        let ts = self.wal.order().draw();
         for (key, _) in &writes {
             idx.insert(*key, ts);
         }
@@ -101,10 +102,11 @@ impl MasmEngine {
 
     /// The shared ingest path, behind the two doors that validate
     /// ([`MasmEngine::apply_update`], [`MasmEngine::commit_writes`]).
-    /// `pre` is either a pre-timestamped update (transaction commit,
-    /// which assigned its timestamp under the commit index — a small
-    /// pre-existing window where a concurrent seal may race the push)
-    /// or the raw (key, op), whose timestamp is drawn here.
+    /// `pre` is either a pre-timestamped update (a transaction commit,
+    /// which drew its timestamp under the commit index and the log
+    /// order, then released the order: until each write is pushed, a
+    /// reader may draw above a commit it does not yet see) or the raw
+    /// (key, op), whose timestamp is drawn here.
     ///
     /// Log first, then publish, in one hold of the log order: draw the
     /// timestamp, write the update's frame (the state lock released),
@@ -130,7 +132,7 @@ impl MasmEngine {
         let (mut order, st) = self.lock_with_room(session)?;
         let update = match pre {
             Ok(u) => u,
-            Err((key, op)) => UpdateRecord::new(self.oracle.next(), key, op),
+            Err((key, op)) => UpdateRecord::new(order.draw(), key, op),
         };
         drop(st);
         order.append_update(session, &update)?;
@@ -172,9 +174,9 @@ impl MasmEngine {
                     capacity: self.cfg.ssd_capacity,
                 });
             }
-            let batch_id = st.seal(self);
+            let sealed = st.seal(self);
             drop((st, order));
-            self.flush_here(session, batch_id)?;
+            self.flush_batch(session, sealed)?;
         }
     }
 }

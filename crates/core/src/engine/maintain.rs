@@ -13,32 +13,26 @@ use crate::error::{MasmError, MasmResult};
 use crate::merge::{compact_block_runs, join_chunk, LentUpdates, RunMerge, RunUpdates};
 use crate::run::{build_run, write_built, RunScan, ScanFailures, SortedRun};
 use crate::ts::Timestamp;
-use crate::update::OpRef;
+use crate::update::{OpRef, UpdateRecord};
 use crate::wal::WalRecord;
 
 impl MasmEngine {
-    /// Materialize sealed batch `batch_id` on the calling thread. On
-    /// error the updates are still durable (WAL) and visible (a sealed
-    /// batch is readable until abandoned); they go back to the buffer
-    /// so the next flush retries them.
-    pub(super) fn flush_here(&self, session: &SessionHandle, batch_id: u64) -> MasmResult<()> {
-        self.flush_batch(session, batch_id)
-            .inspect_err(|_| self.abandon_batch(batch_id))
-    }
-
-    /// Materialize sealed batch `batch_id` as a 1-pass run; a no-op
-    /// when the batch is gone or somebody else is flushing it.
-    fn flush_batch(&self, session: &SessionHandle, batch_id: u64) -> MasmResult<()> {
-        let Some((_claim, updates)) = self.claim_batch(batch_id) else {
-            return Ok(());
-        };
+    /// Materialize a sealed batch as a 1-pass run on the calling
+    /// thread. On error the updates are still durable (WAL), and the
+    /// batch's claim puts them back into the buffer as it drops, so
+    /// queries keep seeing them and the next flush retries them.
+    pub(super) fn flush_batch(
+        &self,
+        session: &SessionHandle,
+        (_claim, batch): (Claim<'_>, Arc<Vec<UpdateRecord>>),
+    ) -> MasmResult<()> {
         let _t = Timer::start(&self.metrics.flush, || session.now());
         let mut span = self.trace_span("flush", session);
         if let Some(span) = &mut span {
-            span.set_arg("batch", batch_id);
+            span.set_arg("updates", batch.len() as u64);
         }
-        let (run, encoded) = build_run(&self.cfg, 0, 0, 1, &updates);
-        self.install_run(session, run, &encoded, Replaced::Batch(batch_id))
+        let (run, encoded) = build_run(&self.cfg, 0, 0, 1, &batch);
+        self.install_run(session, run, &encoded, Replaced::Batch(&batch))
     }
 
     /// Materialize any buffered updates as a 1-pass sorted run now.
@@ -46,7 +40,7 @@ impl MasmEngine {
     /// workload boundary instead of waiting for the buffer to fill; a
     /// no-op on an empty buffer.
     pub fn flush_buffer(&self, session: &SessionHandle) -> MasmResult<()> {
-        let batch_id = {
+        let sealed = {
             let mut st = self.state.lock();
             if st.buffer.is_empty() {
                 return Ok(());
@@ -59,7 +53,7 @@ impl MasmEngine {
             }
             st.seal(self)
         };
-        self.flush_here(session, batch_id)
+        self.flush_batch(session, sealed)
     }
 
     /// §3.5 "Handling Skews": when duplicates abound, collapse every
@@ -134,7 +128,7 @@ impl MasmEngine {
         let (id, base, max_ts) = {
             let mut st = self.state.lock();
             let max_ts = match replaced {
-                Replaced::Batch(batch_id) => st.flushed_through(batch_id, run.max_ts),
+                Replaced::Batch(batch) => st.flushed_through(batch, run.max_ts),
                 Replaced::Runs(_) => run.max_ts,
             };
             (st.runs.next_id(), st.runs.alloc_space(run.bytes), max_ts)
@@ -216,8 +210,7 @@ impl MasmEngine {
             return Ok(MigrationReport::default());
         };
         let _sp = self.trace_span("migrate", session);
-        let drained = self.drain_into_runs(|batch_id| self.flush_here(session, batch_id))?;
-        let Some((mig_ts, runs)) = drained else {
+        let Some((mig_ts, runs)) = self.drain_into_runs(session)? else {
             return Ok(MigrationReport::default());
         };
         // Only a migration of every key has applied everything the runs
@@ -355,7 +348,7 @@ impl MasmEngine {
             report.pages_written += new_pages.len() as u64;
             let commit = rewriter.commit_chunk(std::mem::replace(&mut new_pages, old_pages))?;
             let mut order = self.wal.order();
-            let seq = self.oracle.next();
+            let seq = order.draw();
             order.append(session, &WalRecord::MapSplice { seq, commit })?;
         }
         rewriter.finish();

@@ -2,11 +2,11 @@
 //!
 //! One engine manages one table: its clustered heap on the disk device,
 //! its SSD update cache (in-memory buffer + materialized sorted runs),
-//! its redo log, and the timestamp oracle that serializes individual
-//! queries and updates. It exposes exactly the surface the paper argues
-//! a DBMS needs ("MaSM can be implemented in the storage manager … it
-//! does not require modification to the buffer manager, query processor
-//! or query optimizer"):
+//! and its redo log, whose lock draws the timestamps that serialize
+//! individual queries and updates. It exposes exactly the surface the
+//! paper argues a DBMS needs ("MaSM can be implemented in the storage
+//! manager … it does not require modification to the buffer manager,
+//! query processor or query optimizer"):
 //!
 //! * [`MasmEngine::apply_update`] — ingest a well-formed update,
 //! * [`MasmEngine::begin_scan`] — a table range scan that transparently
@@ -17,12 +17,14 @@
 //! # Log first, then publish
 //!
 //! One order holds every timestamp: the redo log's lock (the *log
-//! order*, `Wal::order`). An update draws its timestamp, writes its
-//! frame and is pushed into the buffer inside one hold of it; a query
-//! or a migration draws its timestamp inside a hold of its own. So a
-//! reader never sees an update that is not logged (or whose append
-//! failed), and no timestamp is drawn above an update that is still on
-//! its way into the buffer — a migration cannot stamp a page above it.
+//! order*, `Wal::order`), whose counter (`LogOrder::draw`) is the only
+//! source of timestamps. An update draws its timestamp, writes its
+//! frame and is pushed into the buffer inside one hold of it; a query,
+//! a migration or a transaction commit draws its timestamp inside a
+//! hold of its own. So a reader never sees an update that is not logged
+//! (or whose append failed), and no timestamp is drawn above an update
+//! that is still on its way into the buffer — a migration cannot stamp
+//! a page above it.
 //! The lock order is log order, then state; a flush or a merge logs its
 //! run, so it runs with neither held.
 //!
@@ -37,11 +39,13 @@
 //! that changes the run set — flush, compaction, migration — follows
 //! one path, written once in `state`:
 //!
-//! 1. **Claim**, under the lock. A flush claims one sealed batch (one
-//!    flusher per batch). A merge claims the merge slot: one merge at
-//!    a time, none while a migration is in flight. A migration claims
-//!    the migration slot: one at a time. A busy claim means somebody
-//!    else is doing the work — the caller returns, nothing queues.
+//! 1. **Claim**, under the lock. A flush's claim comes from its seal:
+//!    the caller that seals the buffer into a batch is handed the
+//!    batch's claim with its updates, and it alone flushes the batch.
+//!    A merge claims the merge slot: one merge at a time, none while a
+//!    migration is in flight. A migration claims the migration slot:
+//!    one at a time. A busy claim means somebody else is doing the
+//!    work — the caller returns, nothing queues.
 //! 2. **Work**, unlocked, against the `Arc`s the claim handed out:
 //!    build and write a run, rewrite heap chunks, append to the WAL.
 //! 3. **Install** a built run in place of the sealed batch or the input
@@ -50,11 +54,14 @@
 //!    snapshot holds exactly one of {batch, run} or {inputs, output}.
 //!    Withdrawn runs leave the visible set; their SSD extents do not.
 //! 4. **Drop the claim** — success, error and early return alike. The
-//!    drop clears the claim, *rewinds* the run allocator if the engine
-//!    has quiesced (no pinned query, no sealed batch, no claim: only
-//!    then can no snapshot still be reading a retired extent), and
-//!    wakes whoever waits on the state: a migration waiting for older
-//!    queries, a drain waiting for another caller's batch.
+//!    drop clears the claim (a batch whose run was never installed
+//!    goes back into the buffer: the log holds its updates, queries
+//!    keep seeing them, the next flush retries them), *rewinds* the
+//!    run allocator if the engine has quiesced (no pinned query, no
+//!    sealed batch, no claim: only then can no snapshot still be
+//!    reading a retired extent — nothing else moves the allocator
+//!    back), and wakes whoever waits on the state: a migration waiting
+//!    for older queries, a drain waiting for another caller's batch.
 //!
 //! Every job runs on the thread of the caller that needs it: ingest
 //! and scan setup flush a full buffer, scan setup merges runs past the
@@ -150,7 +157,7 @@ use masm_telemetry::{
 
 use crate::config::MasmConfig;
 use crate::run::SortedRun;
-use crate::ts::{Timestamp, TimestampOracle};
+use crate::ts::Timestamp;
 use crate::wal::Wal;
 
 pub use read::MergeScan;
@@ -221,16 +228,16 @@ pub struct MasmEngine {
     /// engine — queries, merges, migrations — goes through it, so hot
     /// run pages are read off the SSD once.
     cache: Arc<BlockCache>,
-    oracle: TimestampOracle,
     /// The engine state lock. [`TrackedMutex`]: holding it across
     /// device I/O is a debug-mode panic (lock-discipline audit).
     state: TrackedMutex<EngineState>,
     /// Rung whenever the state changes in a way someone may wait for.
     quiesce: Condvar,
-    /// Redo log. Its lock is also the log order: an update's timestamp
-    /// is drawn, logged and published under one hold of it, and every
-    /// fresh read or migration timestamp is drawn under a hold. Taken
-    /// before `state`, never while holding it.
+    /// Redo log. Its lock is also the log order, and it holds the
+    /// timestamp counter: an update's timestamp is drawn, logged and
+    /// published under one hold of it, and every other timestamp is
+    /// drawn under a hold. Taken before `state`, never while holding
+    /// it.
     wal: Wal,
     /// Last commit timestamp per key, for first-committer-wins snapshot
     /// isolation (§3.6). A production system would truncate this by the
@@ -358,16 +365,10 @@ impl MasmEngine {
         *totals = totals.merge(&run.meta.compression());
     }
 
-    /// The timestamp oracle.
-    pub fn oracle(&self) -> &TimestampOracle {
-        &self.oracle
-    }
-
     /// A fresh read timestamp, drawn under the log order: every update
     /// at or below it is already in the buffer or a run.
-    pub(crate) fn read_ts(&self) -> Timestamp {
-        let _order = self.wal.order();
-        self.oracle.next()
+    pub fn read_ts(&self) -> Timestamp {
+        self.wal.order().draw()
     }
 
     /// Bytes of cached updates on the SSD (live runs).

@@ -42,7 +42,7 @@ impl MasmEngine {
         let (query_ts, snapshot) = loop {
             // A fresh timestamp is drawn under the log order; the flush
             // and the merge below log their runs, so they release it.
-            let order = as_of.is_none().then(|| self.wal.order());
+            let mut order = as_of.is_none().then(|| self.wal.order());
             let mut st = self.state.lock();
             // Fig. 8 scan setup, lines 1–4: flush a full buffer first. A
             // full SSD is not fatal here — the scan simply reads the
@@ -51,9 +51,9 @@ impl MasmEngine {
             if st.buffer.bytes() >= self.cfg.update_buffer_bytes() as usize
                 && st.runs.live_bytes() + st.buffer.bytes() as u64 <= self.cfg.ssd_capacity
             {
-                let batch_id = st.seal(self);
+                let sealed = st.seal(self);
                 drop((st, order));
-                self.flush_here(&session, batch_id)?;
+                self.flush_batch(&session, sealed)?;
                 continue;
             }
             // Lines 5–8: cap the number of open runs by the query pages.
@@ -66,7 +66,8 @@ impl MasmEngine {
                     continue;
                 }
             }
-            let query_ts = as_of.unwrap_or_else(|| self.oracle.next());
+            let query_ts =
+                as_of.unwrap_or_else(|| order.as_mut().expect("held without `as_of`").draw());
             break (query_ts, st.pin(query_ts, begin, end, true));
         };
 

@@ -21,7 +21,7 @@ use crate::config::MasmConfig;
 use crate::error::{MasmError, MasmResult};
 use crate::membuf::UpdateBuffer;
 use crate::run::recover_run;
-use crate::ts::{Timestamp, TimestampOracle};
+use crate::ts::Timestamp;
 use crate::update::UpdateRecord;
 use crate::wal::{Wal, WalRecord};
 
@@ -86,7 +86,7 @@ struct ParsedWal {
     /// in-memory buffer contents at the crash.
     pending: Vec<UpdateRecord>,
     /// Highest durable timestamp (updates, migration marks, and
-    /// heap-event seqs all draw from the one oracle).
+    /// heap-event seqs all draw from the log order's one counter).
     max_ts: Timestamp,
     /// A `MigrationBegin` without its `MigrationEnd`.
     unfinished_migration: bool,
@@ -190,9 +190,10 @@ impl MasmEngine {
                         // Updates at or below `flushed_through` are
                         // durable in logged runs; the rest were still
                         // buffer-resident at the crash. A timestamp
-                        // filter (not log position) because concurrent
-                        // appenders interleave Update and RunCreated
-                        // records; re-applied duplicates are idempotent.
+                        // filter (not log position) because a flush
+                        // logs its RunCreated after the Update records
+                        // that arrived while it was building the run;
+                        // re-applied duplicates are idempotent.
                         parsed.pending.retain(|u| u.ts > flushed_through);
                     }
                 }
@@ -238,10 +239,12 @@ impl MasmEngine {
 /// and the one engine literal. A fresh table is the recovery of the
 /// empty log.
 ///
-/// In order: the configuration must be valid and the schema's records
-/// must fit a heap page; the log's heap events are replayed; the run
-/// set, the oracle and the update buffer come back from the log and the
-/// runs' footers; an interrupted migration is re-driven.
+/// In order: the configuration must be valid, the schema's records
+/// must fit a heap page, and every logged update still pending must be
+/// one the schema can apply (else the log is corrupt); the log's heap
+/// events are replayed; the run set, the timestamp counter and the
+/// update buffer come back from the log and the runs' footers; an
+/// interrupted migration is re-driven.
 fn open(
     heap: Arc<TableHeap>,
     ssd: SimDevice,
@@ -265,6 +268,13 @@ fn open(
         )));
     }
     cfg.validate()?;
+    // A CRC-valid frame can still hold an update no door would have
+    // accepted; in the buffer it would fail every read of its key and
+    // panic the flush that folds it.
+    for u in &log.pending {
+        u.op.validate(u.key, &schema)
+            .map_err(|_| MasmError::Corrupt("WAL Update"))?;
+    }
     apply_heap_events(&heap, std::mem::take(&mut log.heap_events))?;
 
     let t0 = ssd.clock().now();
@@ -296,13 +306,17 @@ fn open(
     // head is primed where the log was read, in `parse_wal`.)
     ssd.prime_head_position_if_unset(high_water);
 
-    let oracle = TimestampOracle::new();
-    oracle.advance_past(max_ts);
+    let wal = Wal::new(wal, log.end_offset);
+    wal.order().resume_past(max_ts);
 
     // Erase a torn tail before the log takes another append (see
     // `WalReplay::torn_bytes`).
     if log.torn_bytes > 0 {
-        session.write(&wal, log.end_offset, &vec![0; log.torn_bytes as usize])?;
+        session.write(
+            wal.device(),
+            log.end_offset,
+            &vec![0; log.torn_bytes as usize],
+        )?;
     }
 
     let mut buffer = UpdateBuffer::new(cfg.update_buffer_bytes() as usize);
@@ -327,10 +341,9 @@ fn open(
         cache,
         cfg,
         schema,
-        oracle,
         state: TrackedMutex::new(EngineState::new(buffer, runs)),
         quiesce: Condvar::new(),
-        wal: Wal::new(wal, log.end_offset),
+        wal,
         commit_index: Mutex::new(std::collections::HashMap::new()),
         merge_totals: Mutex::new(MergeReport::default()),
         compression_totals: Mutex::new(compression),

@@ -1,14 +1,15 @@
 //! The engine's shared state and the protocol over it (see the module
-//! doc of [`super`]): query pins, the fold guard, sealing, claims,
-//! install and retire. The fields that encode the protocol are private
-//! to this file — everything else in the engine reaches them through
-//! the functions below.
+//! doc of [`super`]): query pins, the fold guard, sealing (which hands
+//! out a flush's claim), claims, install and retire. The fields that
+//! encode the protocol are private to this file — everything else in
+//! the engine reaches them through the functions below.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use masm_blockrun::BlockCache;
 use masm_pagestore::Key;
+use masm_storage::SessionHandle;
 
 use super::MasmEngine;
 use crate::algo::RunSet;
@@ -29,16 +30,16 @@ struct QueryPin {
 }
 
 /// A full in-memory buffer, sealed into an immutable batch awaiting its
-/// flush. Sealed batches stay visible to queries (scans and gets read
-/// them alongside runs and the live buffer) and are removed only when
-/// their 1-pass run is installed.
+/// flush by the caller that sealed it. Sealed batches stay visible to
+/// queries (scans and gets read them alongside runs and the live
+/// buffer) and leave when their 1-pass run is installed, or when the
+/// flush's claim drops without one (back into the buffer).
 struct SealedBatch {
-    id: u64,
     /// Oldest timestamp sealed into it (before duplicate folding).
     min_ts: Timestamp,
-    /// A caller is currently flushing this batch.
-    claimed: bool,
-    /// Sorted, deduplicated updates; shared with query snapshots.
+    /// Sorted, deduplicated updates; shared with query snapshots, and
+    /// with the batch's claim and flush, which tell the batch by this
+    /// `Arc` (`Arc::ptr_eq`).
     updates: Arc<Vec<UpdateRecord>>,
 }
 
@@ -53,7 +54,6 @@ pub(super) struct EngineState {
     pub(super) runs: RunSet,
     /// Sealed batches awaiting their flush, oldest first.
     sealed: Vec<SealedBatch>,
-    next_batch: u64,
     /// Snapshot-publication counter: bumped by every install and retire.
     epoch: u64,
     /// Active query timestamps → pin bookkeeping.
@@ -81,7 +81,7 @@ pub(super) struct Snapshot {
 #[derive(Clone, Copy)]
 pub(super) enum Replaced<'a> {
     /// The sealed batch it was flushed from.
-    Batch(u64),
+    Batch(&'a Arc<Vec<UpdateRecord>>),
     /// The runs it was merged from.
     Runs(&'a [Arc<SortedRun>]),
 }
@@ -94,7 +94,6 @@ impl EngineState {
             ingested_bytes: 0,
             runs,
             sealed: Vec::new(),
-            next_batch: 0,
             epoch: 0,
             active_queries: BTreeMap::new(),
             pinned_pages: 0,
@@ -152,33 +151,50 @@ impl EngineState {
     }
 
     /// Seal the in-memory buffer into an immutable sealed batch
-    /// (sorted, optionally duplicate-folded) and return its id.
-    pub(super) fn seal(&mut self, engine: &MasmEngine) -> u64 {
+    /// (sorted, optionally duplicate-folded) and hand it to the caller
+    /// with its flush claim. The lock this state sits under must be
+    /// released before the claim is dropped.
+    pub(super) fn seal<'a>(
+        &mut self,
+        engine: &'a MasmEngine,
+    ) -> (Claim<'a>, Arc<Vec<UpdateRecord>>) {
         let mut updates = self.buffer.drain_sorted();
         let min_ts = updates.iter().map(|u| u.ts).min().unwrap_or(Timestamp::MAX);
         if engine.cfg.merge_duplicates {
             updates = fold_duplicates(updates, &engine.schema, self.fold_guard());
         }
-        let id = self.next_batch;
-        self.next_batch += 1;
+        let updates = Arc::new(updates);
         self.sealed.push(SealedBatch {
-            id,
             min_ts,
-            claimed: false,
-            updates: Arc::new(updates),
+            updates: Arc::clone(&updates),
         });
-        id
+        let what = Claimed::Batch(Arc::clone(&updates));
+        (Claim { engine, what }, updates)
     }
 
-    /// What the `RunCreated` of batch `batch_id`'s run logs as its
+    /// Where sealed batch `batch` sits, while it is sealed.
+    fn sealed_at(&self, batch: &Arc<Vec<UpdateRecord>>) -> Option<usize> {
+        self.sealed
+            .iter()
+            .position(|b| Arc::ptr_eq(&b.updates, batch))
+    }
+
+    /// What the `RunCreated` of sealed batch `batch`'s run logs as its
     /// `max_ts`: the batch's newest timestamp, lowered below every
     /// update that is in no logged run yet — in another sealed batch (an
     /// older one whose flush is still in flight, or a failed flush's
     /// updates sealed again) or back in the buffer. Recovery treats the
     /// logged updates at or below it as flushed, so it may name only
     /// updates that are.
-    pub(super) fn flushed_through(&self, batch_id: u64, max_ts: Timestamp) -> Timestamp {
-        let others = self.sealed.iter().filter(|b| b.id != batch_id);
+    pub(super) fn flushed_through(
+        &self,
+        batch: &Arc<Vec<UpdateRecord>>,
+        max_ts: Timestamp,
+    ) -> Timestamp {
+        let others = self
+            .sealed
+            .iter()
+            .filter(|b| !Arc::ptr_eq(&b.updates, batch));
         let unflushed = others.map(|b| b.min_ts).chain(self.buffer.min_ts()).min();
         unflushed.map_or(max_ts, |oldest| max_ts.min(oldest.saturating_sub(1)))
     }
@@ -211,9 +227,9 @@ impl EngineState {
         self.runs.add(Arc::new(run));
         self.epoch += 1;
         match replaced {
-            Replaced::Batch(id) => {
-                let pos = self.sealed.iter().position(|b| b.id == id);
-                self.sealed.remove(pos.expect("claimed batch still sealed"));
+            Replaced::Batch(batch) => {
+                let pos = self.sealed_at(batch).expect("claimed batch still sealed");
+                self.sealed.remove(pos);
             }
             Replaced::Runs(inputs) => self.withdraw(inputs, cache),
         }
@@ -271,7 +287,7 @@ impl EngineState {
 
 /// What a [`Claim`] holds.
 enum Claimed {
-    Batch(u64),
+    Batch(Arc<Vec<UpdateRecord>>),
     Merge,
     Migration,
 }
@@ -289,12 +305,17 @@ pub(super) struct Claim<'a> {
 impl Drop for Claim<'_> {
     fn drop(&mut self) {
         let mut st = self.engine.state.lock();
-        match self.what {
-            // The batch is gone when its run was installed; on an error
-            // a retry (or a migration's drain) can take it over.
-            Claimed::Batch(id) => {
-                if let Some(batch) = st.sealed.iter_mut().find(|b| b.id == id) {
-                    batch.claimed = false;
+        match &self.what {
+            // The batch is gone when its run was installed. Otherwise
+            // the flush gave up: its updates go back into the buffer
+            // (the log holds them all), so nothing is lost, queries
+            // keep seeing them, and the next flush retries them.
+            Claimed::Batch(batch) => {
+                if let Some(pos) = st.sealed_at(batch) {
+                    let batch = st.sealed.remove(pos);
+                    for u in batch.updates.iter() {
+                        st.buffer.push(u.clone());
+                    }
                 }
             }
             Claimed::Merge => st.merging = false,
@@ -333,9 +354,9 @@ impl MasmEngine {
     /// lookup of `key` at it.
     #[inline]
     pub(super) fn pin_lookup(&self, key: Key) -> (LookupPin<'_>, Snapshot) {
-        let _order = self.wal.order();
+        let mut order = self.wal.order();
         let mut st = self.state.lock();
-        let ts = self.oracle.next();
+        let ts = order.draw();
         let snapshot = st.pin(ts, key, key, false);
         (LookupPin { engine: self, ts }, snapshot)
     }
@@ -351,20 +372,6 @@ impl MasmEngine {
         self.quiesce.notify_all();
     }
 
-    /// Claim sealed batch `batch_id` for flushing and hand out its
-    /// updates. `None` when the batch is gone or someone else is
-    /// flushing it (a concurrent migration may have drained the queue).
-    pub(super) fn claim_batch(&self, batch_id: u64) -> Option<(Claim<'_>, Arc<Vec<UpdateRecord>>)> {
-        let mut st = self.state.lock();
-        let batch = st.sealed.iter_mut().find(|b| b.id == batch_id)?;
-        if std::mem::replace(&mut batch.claimed, true) {
-            return None;
-        }
-        let updates = Arc::clone(&batch.updates);
-        let what = Claimed::Batch(batch_id);
-        Some((Claim { engine: self, what }, updates))
-    }
-
     /// Claim the migration slot; `None` while another migration runs.
     pub(super) fn claim_migration(&self) -> Option<Claim<'_>> {
         let mut st = self.state.lock();
@@ -375,29 +382,10 @@ impl MasmEngine {
         Some(Claim { engine: self, what })
     }
 
-    /// A flush gave up on sealed batch `batch_id`: move its updates
-    /// back into the in-memory buffer (the WAL already holds them all)
-    /// so nothing is lost, queries keep seeing the data, and the next
-    /// flush retries them. A batch somebody else has claimed since is
-    /// theirs to flush or abandon.
-    pub(super) fn abandon_batch(&self, batch_id: u64) {
-        let mut st = self.state.lock();
-        let unclaimed = |b: &SealedBatch| b.id == batch_id && !b.claimed;
-        let Some(pos) = st.sealed.iter().position(unclaimed) else {
-            return;
-        };
-        let batch = st.sealed.remove(pos);
-        for u in batch.updates.iter() {
-            st.buffer.push(u.clone());
-        }
-        drop(st);
-        self.quiesce.notify_all();
-    }
-
-    /// Drain buffered and sealed updates into runs (through `flush`) so
-    /// that every update earlier than the migration timestamp lives in
-    /// a run: migrated pages carry `mig_ts`, which must truthfully mean
-    /// "all updates with ts ≤ mig_ts are in this page". Returns the
+    /// Drain buffered and sealed updates into runs so that every
+    /// update earlier than the migration timestamp lives in a run:
+    /// migrated pages carry `mig_ts`, which must truthfully mean "all
+    /// updates with ts ≤ mig_ts are in this page". Returns the
     /// migration timestamp and the runs to migrate, or `None` when
     /// nothing is cached. Caller holds the migration claim. The
     /// timestamp is drawn under the log order, so no update is drawn
@@ -405,29 +393,26 @@ impl MasmEngine {
     /// released before a flush (which logs its run) or a wait.
     pub(super) fn drain_into_runs(
         &self,
-        mut flush: impl FnMut(u64) -> MasmResult<()>,
+        session: &SessionHandle,
     ) -> MasmResult<Option<(Timestamp, Vec<Arc<SortedRun>>)>> {
         loop {
-            let order = self.wal.order();
+            let mut order = self.wal.order();
             let mut st = self.state.lock();
-            let batch_id = if !st.buffer.is_empty() {
-                st.seal(self)
-            } else if let Some(batch) = st.sealed.iter().find(|b| !b.claimed) {
-                batch.id
+            if !st.buffer.is_empty() {
+                let sealed = st.seal(self);
+                drop((st, order));
+                self.flush_batch(session, sealed)?;
             } else if !st.sealed.is_empty() {
                 // Other callers are flushing the remaining batches; wait
-                // for them to install (or unclaim on error) and
-                // re-check.
+                // for each to install its run (or put its updates back
+                // into the buffer) and re-check.
                 drop(order);
                 self.quiesce.wait(st.inner_mut());
-                continue;
             } else if st.runs.is_empty() {
                 return Ok(None);
             } else {
-                return Ok(Some((self.oracle.next(), st.runs.runs().to_vec())));
-            };
-            drop((st, order));
-            flush(batch_id)?;
+                return Ok(Some((order.draw(), st.runs.runs().to_vec())));
+            }
         }
     }
 

@@ -245,8 +245,9 @@ fn crash_recovery_restores_buffer_and_runs() {
             1.0,
         )
         .unwrap();
+    let mut last = 0;
     for i in 0..1200u64 {
-        engine
+        last = engine
             .apply_update(&session, i * 2 + 1, UpdateOp::Insert(payload(5)))
             .unwrap();
     }
@@ -268,6 +269,9 @@ fn crash_recovery_restores_buffer_and_runs() {
     assert_eq!(report.updates_recovered, buffered);
     assert_eq!(report.runs_recovered, runs);
     assert!(!report.redid_migration);
+    // Draws resume past the largest logged timestamp, the scan's
+    // (in no frame) drawn again.
+    assert_eq!(engine2.read_ts(), last + 1);
     let got: Vec<Key> = engine2
         .begin_scan(session, 0, u64::MAX)
         .unwrap()
@@ -321,7 +325,7 @@ fn crash_during_migration_is_redone() {
         .append(
             &session,
             &WalRecord::MigrationBegin {
-                ts: engine.oracle.next(),
+                ts: engine.read_ts(),
                 run_ids: ids,
             },
         )
@@ -656,7 +660,7 @@ fn a_run_entry_that_does_not_fit_its_record_is_corrupt_not_a_panic() {
     add_run(
         &f,
         updates.map(|(key, op)| {
-            let update = UpdateRecord::new(f.engine.oracle.next(), key, op);
+            let update = UpdateRecord::new(f.engine.read_ts(), key, op);
             Entry::new(key, update.ts, update.encode_value())
         }),
     );
@@ -676,6 +680,47 @@ fn a_run_entry_that_does_not_fit_its_record_is_corrupt_not_a_panic() {
     }
     assert!(f.engine.get(&f.session, 42).unwrap().is_some());
     assert_eq!(scan_keys(&f, 42, 50), vec![42, 44, 46, 48, 50]);
+}
+
+/// A query that draws its timestamp just after a migration drew its
+/// own pins the runs the migration retires, and the migration does not
+/// wait for it. The runs' extents stay allocated until the query ends,
+/// so it reads them intact after a later flush — one that would have
+/// reused their space had the retirement rewound the allocator.
+/// (`begin_scan_at` with an `as_of` above the migration's timestamp
+/// stands in for a query that drew it on another thread.)
+#[test]
+fn a_scan_pinned_above_a_migration_reads_its_runs_after_a_later_flush() {
+    let f = fixture(500);
+    for i in 0..1500u64 {
+        let op = UpdateOp::Insert(payload(7));
+        f.engine.apply_update(&f.session, i * 2 + 1, op).unwrap();
+    }
+    f.engine.flush_buffer(&f.session).unwrap();
+    let mut want: Vec<Record> = (0..500u32)
+        .map(|i| Record::new(u64::from(i) * 2, payload(i)))
+        .chain((0..1500u64).map(|i| Record::new(i * 2 + 1, payload(7))))
+        .collect();
+    want.sort_by_key(|r| r.key);
+
+    // The migration draws the next timestamp, the query the one after.
+    let as_of = f.engine.wal.order().last_drawn() + 2;
+    let mut scan = f
+        .engine
+        .begin_scan_at(f.session.clone(), 0, Key::MAX, Some(as_of), Vec::new())
+        .unwrap();
+    let report = f.engine.migrate(&f.session).unwrap();
+    assert!(report.runs_migrated > 0 && report.ts < as_of, "{report:?}");
+    assert_eq!(f.engine.run_count(), 0);
+    for i in 0..1500u64 {
+        let op = UpdateOp::Replace(payload(8));
+        f.engine.apply_update(&f.session, i * 2 + 1, op).unwrap();
+    }
+    f.engine.flush_buffer(&f.session).unwrap();
+
+    let got: Vec<Record> = scan.by_ref().collect();
+    assert!(scan.error().is_none(), "{:?}", scan.error());
+    assert!(got == want, "the pinned scan returned other rows");
 }
 
 /// Run `f` on a thread of its own and fail if it is still running a
@@ -714,7 +759,7 @@ fn no_exit_from_get_strands_its_pin() {
 
     // An error from a run: an entry for key 41 that passes its block's
     // CRC and carries an operation tag nobody wrote.
-    let bad_run = add_run(&f, [Entry::new(41, f.engine.oracle.next(), vec![0x7F])]);
+    let bad_run = add_run(&f, [Entry::new(41, f.engine.read_ts(), vec![0x7F])]);
     let err = f.engine.get(&f.session, 41).unwrap_err();
     assert!(matches!(err, MasmError::Corrupt("run entry")), "{err}");
     assert!(f.engine.get(&f.session, 40).unwrap().is_some());
@@ -841,14 +886,15 @@ fn assert_refused_and_harmless(f: &Fixture, key: Key, bad: UpdateOp, then: Updat
     use crate::wal::Wal;
 
     let e = &f.engine;
-    // Log end, buffered and counted updates, the oracle, the commit index.
+    // Log end, buffered and counted updates, the last timestamp drawn,
+    // the commit index.
     let trace = || {
-        let stats = e.stats();
+        let (stats, drawn) = (e.stats(), e.wal.order().last_drawn());
         (
             e.wal.offset(),
             stats.buffer.updates,
             (stats.ingested_updates, stats.ingested_bytes),
-            e.oracle.last_issued(),
+            drawn,
             e.commit_index.lock().len(),
         )
     };
@@ -866,9 +912,9 @@ fn assert_refused_and_harmless(f: &Fixture, key: Key, bad: UpdateOp, then: Updat
     );
     // One bad write refuses the whole commit, the good one included.
     let writes = vec![(key + 2, UpdateOp::Delete), (key, bad)];
+    let start_ts = e.wal.order().last_drawn();
     refused(
-        e.commit_writes(&f.session, e.oracle.last_issued(), writes)
-            .map(drop),
+        e.commit_writes(&f.session, start_ts, writes).map(drop),
         "commit_writes",
     );
 
@@ -1014,10 +1060,10 @@ fn a_younger_batch_flushed_first_does_not_hide_an_older_one() {
     };
     put(0..20, 1);
     // The older batch: sealed, its flush not done.
-    f.engine.state.lock().seal(&f.engine);
+    let _older = f.engine.state.lock().seal(&f.engine);
     put(20..40, 2);
     let younger = f.engine.state.lock().seal(&f.engine);
-    f.engine.flush_here(&f.session, younger).unwrap();
+    f.engine.flush_batch(&f.session, younger).unwrap();
 
     // Crash with the older batch unflushed.
     let clock = SimClock::new();
@@ -1059,7 +1105,7 @@ fn a_scan_meets_a_sealed_batch() {
     let scan = f.engine.begin_scan(f.session.clone(), 0, 40).unwrap();
     let got = f.engine.get(&f.session, 10).unwrap();
     assert_eq!(got.as_ref().map(value), Some(505), "get of a sealed update");
-    f.engine.flush_here(&f.session, batch).unwrap();
+    f.engine.flush_batch(&f.session, batch).unwrap();
     assert_eq!(f.engine.run_count(), 1, "the batch is a run");
 
     let mut want: Vec<(Key, u32)> = (0..20u32).map(|i| (u64::from(i) * 2, 500 + i)).collect();

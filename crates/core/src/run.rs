@@ -367,54 +367,10 @@ pub fn lookup_in_run(
     Ok(())
 }
 
-/// Bump allocator for run space on the SSD.
-///
-/// Runs are only deleted wholesale (after a migration, or when 1-pass
-/// runs are folded into a 2-pass run), so a bump pointer plus a live-byte
-/// counter suffices; when nothing is live the pointer rewinds — the
-/// paper's circular reuse of the flash space.
-#[derive(Debug, Default, Clone)]
-pub(crate) struct SsdSpace {
-    next: u64,
-    live: u64,
-}
-
-impl SsdSpace {
-    /// Reconstruct allocator state during recovery.
-    pub(crate) fn with_state(next: u64, live: u64) -> Self {
-        SsdSpace { next, live }
-    }
-
-    /// Allocate `bytes` of sequential space.
-    pub(crate) fn alloc(&mut self, bytes: u64) -> u64 {
-        let off = self.next;
-        self.next += bytes;
-        self.live += bytes;
-        off
-    }
-
-    /// Release `bytes` (a deleted run). Rewinds when nothing is live.
-    pub(crate) fn free(&mut self, bytes: u64) {
-        self.live = self.live.saturating_sub(bytes);
-        if self.live == 0 {
-            self.next = 0;
-        }
-    }
-
-    /// Bytes in live runs.
-    pub(crate) fn live_bytes(&self) -> u64 {
-        self.live
-    }
-
-    /// High-water mark of allocated space.
-    pub(crate) fn high_water(&self) -> u64 {
-        self.next
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algo::RunSet;
     use crate::update::{FieldPatch, UpdateOp};
     use masm_blockrun::BloomFilter;
     use masm_storage::{DeviceProfile, SimClock};
@@ -586,16 +542,21 @@ mod tests {
 
     #[test]
     fn ssd_space_rewinds_when_empty() {
-        let mut sp = SsdSpace::default();
-        let a = sp.alloc(100);
-        let b = sp.alloc(50);
-        assert_eq!(a, 0);
-        assert_eq!(b, 100);
-        assert_eq!(sp.live_bytes(), 150);
-        sp.free(100);
-        assert_eq!(sp.live_bytes(), 50);
-        sp.free(50);
-        assert_eq!(sp.live_bytes(), 0);
-        assert_eq!(sp.alloc(10), 0, "pointer rewound");
+        let (ssd, s, cfg) = setup();
+        let us = updates(&[1, 3, 5]);
+        let mut rs = RunSet::new();
+        let a = write_run(&s, &ssd, &cfg, 1, 0, 1, &us).unwrap();
+        assert_eq!(rs.alloc_space(a.bytes), 0);
+        let b = write_run(&s, &ssd, &cfg, 2, a.bytes, 1, &us).unwrap();
+        assert_eq!(rs.alloc_space(b.bytes), a.bytes);
+        let high = a.bytes + b.bytes;
+        rs.add(Arc::new(a));
+        rs.add(Arc::new(b));
+        rs.remove_ids(&[1]);
+        assert_eq!(rs.rewind_space(), high, "a live run keeps the mark");
+        rs.remove_ids(&[2]);
+        assert_eq!(rs.live_bytes(), 0);
+        assert_eq!(rs.rewind_space(), 0, "pointer rewound");
+        assert_eq!(rs.alloc_space(10), 0);
     }
 }

@@ -6,94 +6,46 @@
 //! individual queries and updates serializable (§3.6) and what lets
 //! in-place migration decide whether a data page has already absorbed an
 //! update.
-
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+//!
+//! Timestamps start at 1; 0 is reserved as "before everything" (freshly
+//! loaded data pages carry timestamp 0). The engine draws every one of
+//! them from one counter, under its redo log's lock (see
+//! [`crate::wal`], "One order for the log").
 
 /// Logical timestamp.
 pub type Timestamp = u64;
 
-/// A monotonically increasing timestamp dispenser.
-///
-/// Timestamps start at 1; 0 is reserved as "before everything" (freshly
-/// loaded data pages carry timestamp 0).
-#[derive(Debug, Clone, Default)]
-pub struct TimestampOracle {
-    next: Arc<AtomicU64>,
-}
-
-impl TimestampOracle {
-    /// Create an oracle whose first timestamp is 1.
-    pub(crate) fn new() -> Self {
-        TimestampOracle {
-            next: Arc::new(AtomicU64::new(1)),
-        }
-    }
-
-    /// Draw the next timestamp.
-    pub fn next(&self) -> Timestamp {
-        self.next.fetch_add(1, Ordering::AcqRel).max(1)
-    }
-
-    /// Ensure the next timestamp is strictly greater than `ts`.
-    /// Monotonic: never moves the counter backwards.
-    pub(crate) fn advance_past(&self, ts: Timestamp) {
-        self.next.fetch_max(ts + 1, Ordering::AcqRel);
-    }
-
-    /// The most recently issued timestamp (0 if none).
-    pub fn last_issued(&self) -> Timestamp {
-        self.next.load(Ordering::Acquire).saturating_sub(1)
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::wal::{Wal, WalRecord};
+    use masm_storage::{DeviceProfile, SessionHandle, SimClock, SimDevice};
+
+    fn wal() -> (SessionHandle, Wal) {
+        let clock = SimClock::new();
+        let dev = SimDevice::in_memory(DeviceProfile::ssd_x25e(), clock.clone());
+        (SessionHandle::fresh(clock), Wal::new(dev, 0))
+    }
 
     #[test]
     fn monotonic_from_one() {
-        let o = TimestampOracle::new();
-        assert_eq!(o.last_issued(), 0);
-        assert_eq!(o.next(), 1);
-        assert_eq!(o.next(), 2);
-        assert_eq!(o.last_issued(), 2);
+        let (session, wal) = wal();
+        assert_eq!(wal.order().last_drawn(), 0);
+        assert_eq!(wal.order().draw(), 1);
+        // Appends draw nothing.
+        wal.append(&session, &WalRecord::MigrationEnd { ts: 1 })
+            .unwrap();
+        assert_eq!(wal.order().draw(), 2);
+        assert_eq!(wal.order().last_drawn(), 2);
     }
 
     #[test]
     fn advance_past_is_monotonic() {
-        let o = TimestampOracle::new();
-        o.advance_past(10);
-        o.advance_past(3); // never backwards
-        assert_eq!(o.next(), 11);
-        o.advance_past(11); // no-op: 12 is already next
-        assert_eq!(o.next(), 12);
-    }
-
-    #[test]
-    fn clones_share_sequence() {
-        let a = TimestampOracle::new();
-        let b = a.clone();
-        assert_eq!(a.next(), 1);
-        assert_eq!(b.next(), 2);
-    }
-
-    #[test]
-    fn concurrent_draws_are_unique() {
-        let o = TimestampOracle::new();
-        let mut handles = Vec::new();
-        for _ in 0..4 {
-            let o = o.clone();
-            handles.push(std::thread::spawn(move || {
-                (0..1000).map(|_| o.next()).collect::<Vec<_>>()
-            }));
-        }
-        let mut all: Vec<u64> = handles
-            .into_iter()
-            .flat_map(|h| h.join().unwrap())
-            .collect();
-        all.sort_unstable();
-        all.dedup();
-        assert_eq!(all.len(), 4000);
+        let (_, wal) = wal();
+        let mut order = wal.order();
+        order.resume_past(10);
+        order.resume_past(3); // never backwards
+        assert_eq!(order.draw(), 11);
+        order.resume_past(11); // no-op: 12 is already next
+        assert_eq!(order.draw(), 12);
     }
 }

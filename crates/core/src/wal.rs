@@ -36,14 +36,19 @@
 //! The log therefore never has a hole in front of an acknowledged
 //! record, and replay's valid prefix is everything acknowledged.
 //!
-//! The same lock orders the engine. `Wal::order` hands out a hold of
-//! it (a `LogOrder`), and inside one hold the engine draws an
-//! update's timestamp, logs it and only then publishes it to readers,
-//! while readers and migrations draw their timestamps under a hold of
-//! their own. No timestamp is ever drawn above an update that was drawn
-//! but not yet published, and nothing a reader sees is unlogged. The
-//! lock order is *log → engine state*; the engine never holds its state
-//! lock across the device write.
+//! The same lock orders the engine, and it owns the engine's one
+//! timestamp counter (§3.2 "Timestamps"). `Wal::order` hands out a
+//! hold of it (a `LogOrder`), and `LogOrder::draw` is the only way to
+//! draw a timestamp: inside one hold the engine draws an update's
+//! timestamp, logs it and only then publishes it to readers, while
+//! readers, migrations, commits and heap events draw theirs under a
+//! hold of their own. No timestamp is ever drawn above an update that
+//! was drawn but not yet published, and nothing a reader sees is
+//! unlogged. Timestamps start at 1 (0 is "before everything": freshly
+//! loaded pages carry it); a recovered engine resumes the counter past
+//! the largest timestamp its log names. The lock order is *log →
+//! engine state*; the engine never holds its state lock across the
+//! device write.
 //!
 //! # A failed append fails the log
 //!
@@ -143,8 +148,8 @@ pub enum WalRecord {
     },
     /// The heap was bulk-loaded contiguously at `base`.
     HeapLoaded {
-        /// Heap-event sequence number, drawn from the timestamp oracle
-        /// (recovery resumes the oracle past it).
+        /// Heap-event sequence number, drawn from the log order's
+        /// timestamp counter (recovery resumes the counter past it).
         seq: u64,
         /// Physical base offset.
         base: u64,
@@ -375,8 +380,8 @@ pub struct WalReplay {
     pub torn_bytes: u64,
 }
 
-/// What the log lock guards: the append point, the sticky failure and
-/// the frame buffer.
+/// What the log lock guards: the append point, the sticky failure,
+/// the frame buffer and the timestamp counter.
 #[derive(Debug)]
 struct Tail {
     /// Where the next frame goes: the end of the acknowledged log.
@@ -387,6 +392,8 @@ struct Tail {
     /// The frame being appended; kept between appends up to
     /// [`SCRATCH_KEEP_BYTES`].
     frame: Vec<u8>,
+    /// The last timestamp drawn (0 before the first draw).
+    last_ts: Timestamp,
 }
 
 /// An append-only redo log on a simulated device.
@@ -412,6 +419,27 @@ pub(crate) struct LogOrder<'a> {
 }
 
 impl LogOrder<'_> {
+    /// Draw the next timestamp: above every timestamp drawn before,
+    /// and ordered with every append.
+    #[inline]
+    pub(crate) fn draw(&mut self) -> Timestamp {
+        self.tail.last_ts += 1;
+        self.tail.last_ts
+    }
+
+    /// Let the next draw be above `ts` (recovery: the largest
+    /// timestamp the log names). Never moves the counter back.
+    pub(crate) fn resume_past(&mut self, ts: Timestamp) {
+        self.tail.last_ts = self.tail.last_ts.max(ts);
+    }
+
+    /// The last timestamp drawn (0 if none). Tests read it to check
+    /// that a refused update drew none.
+    #[cfg(test)]
+    pub(crate) fn last_drawn(&self) -> Timestamp {
+        self.tail.last_ts
+    }
+
     /// Append one record (a sequential device write charged to
     /// `session`).
     pub(crate) fn append(&mut self, session: &SessionHandle, rec: &WalRecord) -> MasmResult<()> {
@@ -466,6 +494,7 @@ impl Wal {
                 offset,
                 failed_at: None,
                 frame: Vec::new(),
+                last_ts: 0,
             }),
         }
     }
@@ -682,6 +711,24 @@ mod tests {
         assert!(capacity() <= SCRATCH_KEEP_BYTES, "an oversized one is not");
         let replay = Wal::replay(&session, &wal.dev).unwrap();
         assert_eq!(replay.records[1], load);
+    }
+
+    #[test]
+    fn concurrent_draws_are_unique() {
+        let (_, _, wal) = wal_fixture();
+        let mut all: Vec<Timestamp> = std::thread::scope(|s| {
+            let threads: Vec<_> = (0..4)
+                .map(|_| s.spawn(|| (0..1000).map(|_| wal.order().draw()).collect::<Vec<_>>()))
+                .collect();
+            threads
+                .into_iter()
+                .flat_map(|t| t.join().unwrap())
+                .collect()
+        });
+        all.sort_unstable();
+        all.dedup();
+        assert_eq!(all.len(), 4000);
+        assert_eq!(all.last(), Some(&4000));
     }
 
     #[test]

@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use masm_blockrun::BlockRunError;
 use masm_codec::bytes::seal;
-use masm_core::update::{UpdateOp, UpdateRecord};
+use masm_core::update::{FieldPatch, UpdateOp, UpdateRecord};
 use masm_core::wal::{Wal, WalRecord};
 use masm_core::{MasmConfig, MasmEngine, MasmError};
 use masm_model::{flash, payload, puts, schema, Devices, Model, Op, Spec, Table};
@@ -235,7 +235,7 @@ fn nothing_is_acknowledged_behind_a_failed_append(break_log: impl Fn(&SimDevice)
         );
     }
     let writes = vec![(50, UpdateOp::Delete), (52, UpdateOp::Delete)];
-    let start_ts = engine.oracle().last_issued();
+    let start_ts = engine.read_ts();
     let commit = engine.commit_writes(&t.session, start_ts, writes);
     assert!(
         matches!(commit, Err(MasmError::LogFailed { .. })),
@@ -307,7 +307,7 @@ fn a_splice_outside_the_heap_is_corrupt_not_a_panic() {
     ] {
         let (t, _) = table(100);
         let wal = Wal::new(t.dev.wal.clone(), t.dev.wal.len());
-        let seq = t.engine().oracle().next();
+        let seq = t.engine().read_ts();
         let splice = WalRecord::MapSplice {
             seq,
             commit: commit.clone(),
@@ -318,6 +318,28 @@ fn a_splice_outside_the_heap_is_corrupt_not_a_panic() {
         };
         assert!(matches!(err, MasmError::Corrupt(_)), "{commit:?}: {err}");
     }
+}
+
+/// A CRC-valid `Update` frame the schema cannot apply — a `Modify` of
+/// a field the table does not have, logged after an insert of its key
+/// — is corruption: recovery refuses the log rather than buffer an
+/// update that fails every read of its key and panics the flush that
+/// folds it.
+#[test]
+fn a_logged_update_the_schema_cannot_apply_is_corrupt() {
+    let (t, _) = table(100);
+    t.put(1, UpdateOp::Insert(payload(1))).unwrap();
+    let wal = Wal::new(t.dev.wal.clone(), t.dev.wal.len());
+    let patch = FieldPatch {
+        field: 99,
+        value: vec![7; 4],
+    };
+    let update = UpdateRecord::new(t.engine().read_ts(), 1, UpdateOp::Modify(vec![patch]));
+    wal.append(&t.session, &WalRecord::Update(update)).unwrap();
+    let Err(err) = t.spec.clone().recover(t.dev.crash(), None) else {
+        panic!("a log with an update field 99 recovered");
+    };
+    assert!(matches!(err, MasmError::Corrupt("WAL Update")), "{err}");
 }
 
 /// Tag 7 framed a sharded deployment's manifest, the first frame of

@@ -62,7 +62,7 @@ proptest! {
             .then(|| exact_since.get(take % exact_since.len().max(1)).copied())
             .flatten();
         let overlay: Vec<UpdateRecord> = {
-            let ts = as_of.unwrap_or_else(|| engine.oracle().next());
+            let ts = as_of.unwrap_or_else(|| engine.read_ts());
             private.iter().map(|(k, op)| UpdateRecord::new(ts, *k, op.clone())).collect()
         };
         let before = engine.stats().ops.scan_next.count;

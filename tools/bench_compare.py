@@ -25,7 +25,18 @@ second table, with no bound.
 Exits non-zero if an exact metric, `attempted` or `failed` differs for
 one seed, a run failed an operation or its correctness checks, or an
 end-to-end median is worse than `a`'s by more than its BENCHMARK.json
-bound. Before the tables it prints each recording's runs one by one:
+bound.
+
+Without `--paired` the two recordings were not interleaved, and before
+anything else their boxes are compared: the median `env.runq_wait_ms`
+and the median guest steal over all of each recording's runs. If either
+differs by more than LOADED_OVER_MEDIAN times (a steal only when the
+larger of the two is at least STEAL_FLOOR_PCT, and only when both
+recordings hold steal readings), it prints "BOXES DIFFER" with both
+medians and exits with status 2: the wall-clock figures of the two
+would measure the boxes as much as the trees, so no verdict is given.
+
+Before the tables it prints each recording's runs one by one:
 the run-queue wait (`env.runq_wait_ms`, the box-load calibration of a
 `--trace 1` run) and the box readings taken around the run (guest steal
 as a share of CPU time, 1-minute load before and after;
@@ -132,12 +143,10 @@ def collect(out, directory, rev, seeds, workloads):
         f.write("\n")
 
 
-def box_runs(rec, label):
-    """Print `rec`'s runs one by one — the run-queue wait of a traced run
-    and the box readings taken around it — and a "box loaded" line for
-    each run whose wait or steal is above LOADED_OVER_MEDIAN times the
-    median of all of its recording's runs (a steal also at least
-    STEAL_FLOOR_PCT)."""
+def box_of(rec):
+    """`rec`'s runs that carry a box reading — (workload, run, run-queue
+    wait of a traced run or None) — and the median wait and guest steal
+    over them (None where no run has one)."""
     runs = []
     for w, wr in rec["workloads"].items():
         waits = dict(zip(rec["seeds"], wr["metrics"][RUNQ]["values"])) if RUNQ in wr["metrics"] else {}
@@ -145,14 +154,49 @@ def box_runs(rec, label):
             wait = waits.get(run["seed"]) if run["trace"] == 1 else None
             if wait is not None or "box" in run:
                 runs.append((w, run, wait))
-    if not runs:
-        return
     waits = [wait for _, _, wait in runs if wait is not None]
     steals = [run["box"]["steal_pct"] for _, run, _ in runs if "box" in run]
     median_wait = statistics.median(waits) if waits else None
     median_steal = statistics.median(steals) if steals else None
-    medians = ([f"`{RUNQ}` {median_wait:.3g} ms"] if waits else []) + \
-        ([f"guest steal {median_steal:.3g} %"] if steals else [])
+    return runs, median_wait, median_steal
+
+
+def boxes_differ(a, b):
+    """Refuse to screen two recordings taken on boxes that differ: print
+    "BOXES DIFFER" with both medians and exit with status 2 when their
+    median run-queue wait, or their median guest steal (the larger at
+    least STEAL_FLOOR_PCT), differ by more than LOADED_OVER_MEDIAN
+    times."""
+    (_, wait_a, steal_a), (_, wait_b, steal_b) = box_of(a), box_of(b)
+
+    def apart(x, y):
+        low, high = sorted((x, y))
+        return high > LOADED_OVER_MEDIAN * low
+
+    differ = []
+    if wait_a is not None and wait_b is not None and apart(wait_a, wait_b):
+        differ.append(f"median `{RUNQ}` {wait_a:.3g} ms at {a['rev']}, {wait_b:.3g} ms at {b['rev']}")
+    if (steal_a is not None and steal_b is not None and max(steal_a, steal_b) >= STEAL_FLOOR_PCT
+            and apart(steal_a, steal_b)):
+        differ.append(f"median guest steal {steal_a:.3g} % at {a['rev']}, {steal_b:.3g} % at {b['rev']}")
+    if differ:
+        print(f"BOXES DIFFER (more than {LOADED_OVER_MEDIAN}x apart): " + "; ".join(differ))
+        print("No wall-clock verdict: record both sides on one quiet box, or pair them with "
+              "tools/paired_bench.sh.")
+        sys.exit(2)
+
+
+def box_runs(rec, label):
+    """Print `rec`'s runs one by one — the run-queue wait of a traced run
+    and the box readings taken around it — and a "box loaded" line for
+    each run whose wait or steal is above LOADED_OVER_MEDIAN times the
+    median of all of its recording's runs (a steal also at least
+    STEAL_FLOOR_PCT)."""
+    runs, median_wait, median_steal = box_of(rec)
+    if not runs:
+        return
+    medians = ([f"`{RUNQ}` {median_wait:.3g} ms"] if median_wait is not None else []) + \
+        ([f"guest steal {median_steal:.3g} %"] if median_steal is not None else [])
     print(f"\nRuns of the {label} ({rec['rev']}), seeds {rec['seeds']}, medians {', '.join(medians)}:")
     loaded = []
     for w, run, wait in runs:
@@ -176,6 +220,8 @@ def box_runs(rec, label):
 
 
 def compare(a, b, paired):
+    if not paired:
+        boxes_differ(a, b)
     rev, label_b = a["rev"], "here" if paired else f"at {b['rev']}"
     box_runs(a, "parent")
     box_runs(b, "change")

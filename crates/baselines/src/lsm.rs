@@ -244,13 +244,13 @@ impl LsmEngine {
             }
             join.refill();
             // A run scan that failed during this join step ended its
-            // stream: none of the step's records is handed out.
-            let failure = match failures.check() {
-                Err(failure) => {
-                    join.abort();
-                    Some(failure)
-                }
-                Ok(()) => join.take_error().map(MasmError::Storage),
+            // stream: the step's record is not handed out. A step joins
+            // one record, so the flag is read here, not the lock.
+            let failure = if failures.failed() {
+                join.abort();
+                failures.check().err()
+            } else {
+                join.take_error().map(MasmError::Storage)
             };
             if let Some(failure) = failure {
                 failed = true;

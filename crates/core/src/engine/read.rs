@@ -6,11 +6,11 @@ use std::sync::Arc;
 use masm_blockrun::BloomFilter;
 use masm_pagestore::{Key, RangeScan, Record};
 use masm_storage::{Ns, SessionHandle};
-use masm_telemetry::Timer;
+use masm_telemetry::{Histogram, Timer};
 
 use super::MasmEngine;
 use crate::error::{MasmError, MasmResult};
-use crate::merge::{MergeDataUpdates, MergeUpdates, UpdateStream};
+use crate::merge::{Join, MemUpdates, QuerySource, RunMerge, RunUpdates, Watch};
 use crate::run::{lookup_in_run, RunScan, ScanFailures};
 use crate::ts::Timestamp;
 use crate::update::UpdateRecord;
@@ -72,8 +72,7 @@ impl MasmEngine {
         };
 
         let failures = ScanFailures::default();
-        let mut streams: Vec<UpdateStream> =
-            Vec::with_capacity(snapshot.runs.len() + snapshot.sealed.len() + 2);
+        let mut sources = Vec::with_capacity(snapshot.runs.len() + snapshot.sealed.len() + 2);
         for run in snapshot.runs.iter() {
             if run.max_key < begin || run.min_key > end {
                 continue;
@@ -91,35 +90,38 @@ impl MasmEngine {
             if let Some(t) = self.tracer_arc() {
                 scan = scan.with_trace(t);
             }
-            streams.push(Box::new(scan));
+            sources.push(QuerySource::Run(Box::new(scan)));
         }
         for batch in snapshot.sealed {
             let in_range = key_range(&batch, begin, end);
             if !in_range.is_empty() {
-                streams.push(Box::new(in_range.map(move |i| batch[i].clone())));
+                sources.push(QuerySource::Mem(MemUpdates::new(batch, in_range)));
             }
         }
-        streams.push(Box::new(snapshot.mem.into_iter()));
+        let mem = snapshot.mem.len();
+        sources.push(QuerySource::Mem(MemUpdates::new(
+            Arc::new(snapshot.mem),
+            0..mem,
+        )));
         if !private.is_empty() {
             private.sort_by_key(|a| (a.key, a.ts));
             private.retain(|u| u.key >= begin && u.key <= end);
-            streams.push(Box::new(private.into_iter()));
+            let n = private.len();
+            sources.push(QuerySource::Mem(MemUpdates::new(Arc::new(private), 0..n)));
         }
 
         let data = self.heap.scan_range(session.clone(), begin, end);
-        let updates = MergeUpdates::new(streams, self.schema.clone(), query_ts)
-            .reporting_to(failures.clone());
-        let join = MergeDataUpdates::new(data, updates, self.schema.clone())
-            .reporting_to(failures.clone());
+        let merge = RunMerge::new(sources);
+        let updates = RunUpdates::new(merge, self.schema.clone(), query_ts, failures.clone());
         Ok(MergeScan {
-            inner: join,
+            data,
+            join: Join::new(updates, self.schema.clone(), failures.clone()),
             failures,
             error: None,
             engine: Arc::clone(self),
-            session,
             ts: query_ts,
-            unreported: 0,
-            stall: 0,
+            pages: snapshot.runs.len() as u64,
+            stalls: Stalls::new(session),
         })
     }
 
@@ -197,22 +199,26 @@ fn key_range(batch: &[UpdateRecord], begin: Key, end: Key) -> std::ops::Range<us
 /// `Merge_data_updates`, plus the pin that lets migration wait for
 /// earlier queries.
 ///
-/// `next` pops from the join's buffer; everything with a lock or an
-/// atomic in it — session-clock reads, the `scan_next` histogram —
-/// happens in `refill`, once per heap page.
+/// `next` makes one join step: it decodes the next in-range record
+/// straight out of the heap scan's page buffer — one comparison with
+/// the next update's key lets it pass, no buffer of joined records is
+/// kept — and applies an update to it as the bytes of its operation,
+/// lent by the loser-tree merge of the run scans and the in-memory
+/// sources (`RunUpdates`). The session clock is read only around the
+/// steps that can wait for a device, a heap-page advance and an update
+/// pull; the error slot only after a pull, through its flag.
 pub struct MergeScan {
-    inner: MergeDataUpdates<RangeScan, MergeUpdates>,
+    data: RangeScan,
+    join: Join<RunUpdates<QuerySource>>,
     /// Where this scan's run scans report a failure; see
     /// [`MergeScan::error`].
     failures: ScanFailures,
     error: Option<MasmError>,
     engine: Arc<MasmEngine>,
-    session: SessionHandle,
     ts: Timestamp,
-    /// Records returned and session time spent in refills since
-    /// `scan_next` was last brought up to date.
-    unreported: u64,
-    stall: Ns,
+    /// Query pages this scan pinned.
+    pages: u64,
+    stalls: Stalls,
 }
 
 impl MergeScan {
@@ -231,66 +237,145 @@ impl MergeScan {
     pub fn error(&self) -> Option<&MasmError> {
         self.error.as_ref()
     }
-
-    /// Bring `scan_next` up to date: one sample per record returned —
-    /// the first carries the stall that preceded it, the rest cost
-    /// nothing — so a scan dropped early reports exactly what it
-    /// returned.
-    fn report(&mut self) {
-        if self.unreported > 0 {
-            let hist = &self.engine.metrics.scan_next;
-            hist.record(self.stall);
-            hist.record_n(0, self.unreported - 1);
-            (self.unreported, self.stall) = (0, 0);
-        }
-    }
-
-    fn refill(&mut self) {
-        let start = self.session.now();
-        self.inner.refill();
-        if self.error.is_none() {
-            self.error = match self.failures.check() {
-                // A run scan failed during this join step and ended its
-                // stream: the step's records may have been joined
-                // against a truncated update side, so none is handed out.
-                Err(failure) => {
-                    self.inner.abort();
-                    Some(failure)
-                }
-                // `Some` only once the join has ended: the heap scan
-                // keeps its error while the join still guards on it.
-                Ok(()) => self.inner.take_error().map(MasmError::Storage),
-            };
-        }
-        let stall = self.session.now().saturating_sub(start);
-        if stall > 0 {
-            // Inside a refill the session clock moves only while it
-            // waits for I/O: the records before it are settled.
-            self.report();
-            self.stall += stall;
-        }
-    }
 }
 
 impl Iterator for MergeScan {
     type Item = Record;
 
     fn next(&mut self) -> Option<Record> {
-        let record = match self.inner.pop() {
-            Some(record) => record,
-            None => {
-                self.refill();
-                self.inner.pop()?
+        if let Some(record) = self.join.pass(&mut self.data) {
+            self.stalls.open.1 += 1;
+            return Some(record);
+        }
+        self.stalls.begin();
+        match self.join.step(&mut self.data, &mut self.stalls) {
+            Some(record) => {
+                self.stalls.handed_out(&self.engine.metrics.scan_next);
+                Some(record)
             }
-        };
-        self.unreported += 1;
-        Some(record)
+            None => {
+                self.stalls.ended();
+                if self.error.is_none() {
+                    self.error = match self.failures.check() {
+                        Err(failure) => Some(failure),
+                        Ok(()) => self.data.take_error().map(MasmError::Storage),
+                    };
+                }
+                None
+            }
+        }
     }
 }
 
 impl Drop for MergeScan {
     fn drop(&mut self) {
-        self.report();
-        self.engine.unpin(self.ts);
+        self.stalls.finish(&self.engine.metrics.scan_next);
+        self.engine.unpin(self.ts, self.pages);
+    }
+}
+
+/// A merged scan's `scan_next` samples: one per record returned. The
+/// session time its heap-page advances and update pulls wait is summed
+/// per heap-page *window* — a page's advance and the pulls made while
+/// its records are joined — and a window's wait is carried by the first
+/// record returned after it; every other record costs nothing. So a
+/// scan dropped early reports exactly what it returned, and what the
+/// call that finds the end waits returns no record and is not reported.
+struct Stalls {
+    session: SessionHandle,
+    /// The open window: its wait so far, and the records returned out
+    /// of it.
+    open: (Ns, u64),
+    /// The open window as it was when the current call began.
+    at_call: (Ns, u64),
+    /// The windows the current call closed: the first, and the wait of
+    /// those after it, which returned nothing.
+    closed: Option<(Ns, u64)>,
+    later: Ns,
+    /// The sample being gathered: its wait and the records it covers.
+    pending: (Ns, u64),
+}
+
+impl Stalls {
+    fn new(session: SessionHandle) -> Self {
+        Stalls {
+            session,
+            open: (0, 0),
+            at_call: (0, 0),
+            closed: None,
+            later: 0,
+            pending: (0, 0),
+        }
+    }
+
+    fn timed<T>(&mut self, step: impl FnOnce() -> T) -> T {
+        let start = self.session.now();
+        let out = step();
+        self.open.0 += self.session.now().saturating_sub(start);
+        out
+    }
+
+    /// A call to `next` begins.
+    fn begin(&mut self) {
+        self.at_call = self.open;
+    }
+
+    /// The call returns a record: settle the windows it closed.
+    fn handed_out(&mut self, hist: &Histogram) {
+        if let Some(first) = self.closed.take() {
+            let later = std::mem::take(&mut self.later);
+            self.close(first, hist);
+            self.close((later, 0), hist);
+        }
+        self.open.1 += 1;
+    }
+
+    /// The call returns nothing: the join has ended, and the wait it
+    /// spent finding that out is not a record's.
+    fn ended(&mut self) {
+        (self.open, self.closed, self.later) = (self.at_call, None, 0);
+    }
+
+    /// A window that waited starts a new sample once the one gathered
+    /// covers a record.
+    fn close(&mut self, (stall, records): (Ns, u64), hist: &Histogram) {
+        if stall > 0 && self.pending.1 > 0 {
+            self.report(hist);
+        }
+        self.pending.0 += stall;
+        self.pending.1 += records;
+    }
+
+    fn report(&mut self, hist: &Histogram) {
+        let (stall, records) = std::mem::take(&mut self.pending);
+        if records > 0 {
+            hist.record(stall);
+            hist.record_n(0, records - 1);
+        }
+    }
+
+    /// The scan is dropped.
+    fn finish(&mut self, hist: &Histogram) {
+        let open = std::mem::take(&mut self.open);
+        self.close(open, hist);
+        self.report(hist);
+    }
+}
+
+impl Watch for Stalls {
+    fn page(&mut self, advance: impl FnOnce() -> bool) -> bool {
+        let window = std::mem::take(&mut self.open);
+        match self.closed {
+            None => self.closed = Some(window),
+            Some(_) => self.later += window.0,
+        }
+        self.timed(advance)
+    }
+
+    fn pull(
+        &mut self,
+        pull: impl FnOnce() -> Option<(Key, Timestamp)>,
+    ) -> Option<(Key, Timestamp)> {
+        self.timed(pull)
     }
 }

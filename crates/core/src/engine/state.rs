@@ -4,6 +4,7 @@
 //! encode the protocol are private to this file — everything else in
 //! the engine reaches them through the functions below.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -20,12 +21,15 @@ use crate::run::SortedRun;
 use crate::ts::Timestamp;
 use crate::update::UpdateRecord;
 
-/// Bookkeeping for one active query (scan or point lookup).
+/// Bookkeeping for the active queries (scans or point lookups) at one
+/// timestamp: two scans of one transaction share it.
 #[derive(Debug, Clone, Copy)]
 struct QueryPin {
-    /// Query pages pinned (one per open run scan).
+    /// Queries pinned at the timestamp.
+    queries: u64,
+    /// Query pages they pinned (one per open run scan).
     pages: u64,
-    /// The engine epoch the query's snapshot was taken at.
+    /// The engine epoch the oldest of their snapshots was taken at.
     epoch: u64,
 }
 
@@ -106,18 +110,19 @@ impl EngineState {
     /// Pin a query snapshot at `ts`: register the query (so no
     /// migration stamps pages above it, no fold hides a version from
     /// it, and no extent it reads is reused) and hand out what it
-    /// reads of `[begin, end]`. A scan pins one query page per run.
+    /// reads of `[begin, end]`. A scan pins one query page per run (as
+    /// many as its snapshot has runs); its unpin names them.
     #[inline]
     pub(super) fn pin(&mut self, ts: Timestamp, begin: Key, end: Key, scan: bool) -> Snapshot {
         let runs = self.runs.shared();
         let pages = if scan { runs.len() as u64 } else { 0 };
-        self.active_queries.insert(
-            ts,
-            QueryPin {
-                pages,
-                epoch: self.epoch,
-            },
-        );
+        let pin = self.active_queries.entry(ts).or_insert(QueryPin {
+            queries: 0,
+            pages: 0,
+            epoch: self.epoch,
+        });
+        pin.queries += 1;
+        pin.pages += pages;
         self.pinned_pages += pages;
         Snapshot {
             runs,
@@ -345,7 +350,7 @@ impl LookupPin<'_> {
 
 impl Drop for LookupPin<'_> {
     fn drop(&mut self) {
-        self.engine.unpin(self.ts);
+        self.engine.unpin(self.ts, 0);
     }
 }
 
@@ -361,12 +366,20 @@ impl MasmEngine {
         (LookupPin { engine: self, ts }, snapshot)
     }
 
-    /// Release the pin of the query at `ts`.
+    /// Release the pin of one query at `ts`, which pinned `pages`
+    /// query pages.
     #[inline]
-    pub(super) fn unpin(&self, ts: Timestamp) {
+    pub(super) fn unpin(&self, ts: Timestamp, pages: u64) {
         let mut st = self.state.lock();
-        let pinned = st.active_queries.remove(&ts).map_or(0, |pin| pin.pages);
-        st.pinned_pages -= pinned.min(st.pinned_pages);
+        if let Entry::Occupied(mut pin) = st.active_queries.entry(ts) {
+            let pin_of = pin.get_mut();
+            pin_of.queries -= 1;
+            pin_of.pages -= pages;
+            if pin_of.queries == 0 {
+                pin.remove();
+            }
+            st.pinned_pages -= pages;
+        }
         st.maybe_rewind(self);
         drop(st);
         self.quiesce.notify_all();

@@ -723,6 +723,55 @@ fn a_scan_pinned_above_a_migration_reads_its_runs_after_a_later_flush() {
     assert!(got == want, "the pinned scan returned other rows");
 }
 
+/// Two scans pinned at one timestamp — as two scans of one transaction
+/// are — each hold their pin: the first one's end leaves the second
+/// registered, so a flush after a migration does not overwrite the
+/// runs it still reads, and once both have ended no query page is left
+/// pinned.
+#[test]
+fn two_scans_pinned_at_one_timestamp_keep_their_runs_until_both_end() {
+    let f = fixture(500);
+    for i in 0..1500u64 {
+        let op = UpdateOp::Insert(payload(7));
+        f.engine.apply_update(&f.session, i * 2 + 1, op).unwrap();
+    }
+    f.engine.flush_buffer(&f.session).unwrap();
+    let mut want: Vec<Record> = (0..500u32)
+        .map(|i| Record::new(u64::from(i) * 2, payload(i)))
+        .chain((0..1500u64).map(|i| Record::new(i * 2 + 1, payload(7))))
+        .collect();
+    want.sort_by_key(|r| r.key);
+
+    // The migration draws the next timestamp, the queries the one after.
+    let as_of = f.engine.wal.order().last_drawn() + 2;
+    let scan_at = || {
+        f.engine
+            .begin_scan_at(f.session.clone(), 0, Key::MAX, Some(as_of), Vec::new())
+            .unwrap()
+    };
+    let (first, mut second) = (scan_at(), scan_at());
+    let pinned = f.engine.state.lock().query_pages_pinned();
+    assert!(
+        pinned > 0 && pinned.is_multiple_of(2),
+        "{pinned} pages pinned"
+    );
+    let report = f.engine.migrate(&f.session).unwrap();
+    assert!(report.runs_migrated > 0 && report.ts < as_of, "{report:?}");
+    drop(first);
+    assert_eq!(f.engine.state.lock().query_pages_pinned(), pinned / 2);
+    for i in 0..1500u64 {
+        let op = UpdateOp::Replace(payload(8));
+        f.engine.apply_update(&f.session, i * 2 + 1, op).unwrap();
+    }
+    f.engine.flush_buffer(&f.session).unwrap();
+
+    let got: Vec<Record> = second.by_ref().collect();
+    assert!(second.error().is_none(), "{:?}", second.error());
+    assert!(got == want, "the second scan returned other rows");
+    drop(second);
+    assert_eq!(f.engine.state.lock().query_pages_pinned(), 0);
+}
+
 /// Run `f` on a thread of its own and fail if it is still running a
 /// minute later: a stranded pin shows as a `migrate` that waits on
 /// `quiesce` forever, which has to fail the test, not hang the job.

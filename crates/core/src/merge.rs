@@ -12,13 +12,12 @@
 //! ```
 //!
 //! Rust iterators *are* Volcano operators (pull-based `next()`), so the
-//! tree is literally a composition of iterators here — with one
-//! difference from the textbook: the data edge carries **batches**. The
-//! join takes one heap page's records at a time and moves every run of
-//! them that no update touches in one loop, so nothing per-record
-//! (clock reads, histogram updates, locks) is left on the scan's
-//! `next()`, and a record is consumed while its page is still in the
-//! CPU cache.
+//! tree is literally a composition of iterators here. The join hands
+//! out **one record at a time** and keeps none: the next in-range record
+//! is decoded straight out of the heap scan's page buffer, and while its
+//! key is below the next update's it passes for one comparison — no
+//! clock read, no lock, no update touched (`Join::pass`). Only an
+//! update pull or a page advance takes the slow step (`Join::step`).
 //!
 //! **Idempotence note.** `Merge_updates` folds all updates to the same
 //! key into one (e.g. delete + insert ⇒ replace). During migration a
@@ -28,16 +27,20 @@
 //! paper relies on the same property for crash-redo of migrations.
 //!
 //! Every k-way merge plays one tournament, a `LoserTree` over the
-//! sources' `(key, ts)`. A query merges boxed update streams with it
-//! ([`KWayUpdates`], [`MergeUpdates`]). The jobs that read whole runs —
-//! a migration and the merge segments of a compaction — merge concrete
-//! [`RunScan`]s with it instead (`RunMerge`) and never build an
-//! [`UpdateRecord`] per entry: the winner's operation is copied, as the
-//! bytes of its run entry, into a reused buffer, a compaction appends
-//! those bytes to its output run, and a migration's `join_chunk`
-//! applies them to page bytes (`RunUpdates` folds a key's versions
-//! first). Only two visible versions of one key that must fold are
-//! decoded, folded and re-encoded (`fold_values`).
+//! sources' `(key, ts)`. The engine's jobs all merge with `RunMerge`
+//! and never build an [`UpdateRecord`] per entry: the winner's
+//! operation is copied, as the bytes of its run entry, into a reused
+//! buffer. A compaction appends those bytes to its output run, a
+//! migration's `join_chunk` applies them to page bytes, and a merged
+//! scan applies them to the record it hands out (`RunUpdates` folds a
+//! key's versions first). A migration and a compaction merge
+//! [`RunScan`]s only; a query's sources are its run scans, then its
+//! sealed batches, the buffer's snapshot and its private overlay
+//! (`QuerySource`), each in-memory update lending its operation
+//! encoded. Only two visible versions of one key that must fold are
+//! decoded, folded and re-encoded (`fold_values`). [`KWayUpdates`] and
+//! [`MergeUpdates`] play the same tournament over boxed streams of
+//! decoded updates, for the baselines.
 //!
 //! Run-to-run merges (2-pass materialization, §3.5 compaction) are
 //! planned first. [`compact_block_runs`] asks the
@@ -57,7 +60,7 @@ use crate::config::MasmConfig;
 use crate::error::{MasmError, MasmResult};
 use crate::run::{RunScan, ScanFailures, SortedRun};
 use crate::ts::Timestamp;
-use crate::update::{OpRef, UpdateRecord};
+use crate::update::{OpRef, UpdateOp, UpdateRecord};
 
 /// Type-erased sorted update stream (sorted by `(key, ts)`).
 pub type UpdateStream = Box<dyn Iterator<Item = UpdateRecord> + Send>;
@@ -216,21 +219,100 @@ impl Iterator for KWayUpdates {
     }
 }
 
-/// The k-way merge of whole run scans, lending: the same tournament and
-/// the same order as [`KWayUpdates`], over concrete [`RunScan`]s, and no
-/// [`UpdateRecord`] — an entry's value is copied, as the bytes of its
-/// encoded operation, into a buffer the caller reuses. The winner's
-/// value is taken and its scan advanced at the point [`KWayUpdates`]
-/// advances its stream, so every device read happens in the same order.
-pub(crate) struct RunMerge {
-    scans: Vec<RunScan>,
+/// A sorted source of entries that a [`RunMerge`] plays: a run scan
+/// (a migration's and a compaction's only kind), or, for a query,
+/// updates held in memory ([`QuerySource`]).
+pub(crate) trait MergeSource {
+    /// Key and timestamp of the current entry; `None` past the last, or
+    /// after a failure, which goes to the job's slot.
+    fn head(&mut self) -> Option<(Key, Timestamp)>;
+
+    /// Copy the current entry's encoded operation into `value` and step
+    /// past it; `false`, the failure reported, where it does not parse.
+    fn take_value_into(&mut self, value: &mut Vec<u8>) -> bool;
+}
+
+/// Updates held in memory — a sealed batch's cut, the buffer's
+/// snapshot, a transaction's own writes — as a merge source: sorted by
+/// `(key, ts)`, each lending its operation encoded into the merge's
+/// buffer ([`UpdateRecord::encode_value_into`]).
+pub(crate) struct MemUpdates {
+    updates: Arc<Vec<UpdateRecord>>,
+    /// The updates not taken yet.
+    rest: std::ops::Range<usize>,
+}
+
+impl MemUpdates {
+    /// The updates `range` of `updates`.
+    pub(crate) fn new(updates: Arc<Vec<UpdateRecord>>, range: std::ops::Range<usize>) -> Self {
+        MemUpdates {
+            updates,
+            rest: range,
+        }
+    }
+}
+
+impl MergeSource for MemUpdates {
+    #[inline]
+    fn head(&mut self) -> Option<(Key, Timestamp)> {
+        let u = self.updates[self.rest.clone()].first()?;
+        Some((u.key, u.ts))
+    }
+
+    #[inline]
+    fn take_value_into(&mut self, value: &mut Vec<u8>) -> bool {
+        value.clear();
+        if let Some(u) = self.updates[self.rest.clone()].first() {
+            u.encode_value_into(value);
+            self.rest.start += 1;
+        }
+        true
+    }
+}
+
+/// What a query merges: its run scans, then its sealed batches, the
+/// buffer's snapshot and its private overlay — in that order, which
+/// settles ties.
+pub(crate) enum QuerySource {
+    Run(Box<RunScan>),
+    Mem(MemUpdates),
+}
+
+impl MergeSource for QuerySource {
+    #[inline]
+    fn head(&mut self) -> Option<(Key, Timestamp)> {
+        match self {
+            QuerySource::Run(scan) => scan.head(),
+            QuerySource::Mem(mem) => mem.head(),
+        }
+    }
+
+    #[inline]
+    fn take_value_into(&mut self, value: &mut Vec<u8>) -> bool {
+        match self {
+            QuerySource::Run(scan) => scan.take_value_into(value),
+            QuerySource::Mem(mem) => mem.take_value_into(value),
+        }
+    }
+}
+
+/// The k-way merge of sorted sources, lending: the same tournament and
+/// the same order as [`KWayUpdates`], over concrete [`MergeSource`]s
+/// (a migration's and a compaction's are [`RunScan`]s, nothing else),
+/// and no [`UpdateRecord`] — an entry's value is copied, as the bytes
+/// of its encoded operation, into a buffer the caller reuses. The
+/// winner's value is taken and its source advanced at the point
+/// [`KWayUpdates`] advances its stream, so every device read happens in
+/// the same order.
+pub(crate) struct RunMerge<S = RunScan> {
+    scans: Vec<S>,
     tree: LoserTree,
 }
 
-impl RunMerge {
+impl<S: MergeSource> RunMerge<S> {
     /// Merge `scans`, fetching the first block of each, in order.
-    pub(crate) fn new(mut scans: Vec<RunScan>) -> Self {
-        let heads: Vec<Option<(Key, Timestamp)>> = scans.iter_mut().map(RunScan::head).collect();
+    pub(crate) fn new(mut scans: Vec<S>) -> Self {
+        let heads: Vec<Option<(Key, Timestamp)>> = scans.iter_mut().map(S::head).collect();
         RunMerge {
             tree: LoserTree::new(heads.into_iter()),
             scans,
@@ -294,16 +376,17 @@ pub(crate) trait LentUpdates {
     fn next_lent(&mut self) -> Option<(Key, Timestamp, &[u8])>;
 }
 
-/// `Merge_updates` over run scans, lending: the folded stream of
+/// `Merge_updates` over a [`RunMerge`], lending: the folded stream of
 /// [`MergeUpdates`] — every version of a key visible at `as_of` folded
-/// into one — out of a [`RunMerge`]. A key with one visible version
-/// (the common case) hands out that entry's bytes as they were copied
-/// out of its block; only two visible versions of one key build
-/// [`UpdateRecord`]s ([`fold_values`]). A fold that cannot be made
-/// reports [`MasmError::Corrupt`] to the job's slot and ends the
-/// stream.
-pub(crate) struct RunUpdates {
-    merge: RunMerge,
+/// into one. A key with one visible version (the common case) hands out
+/// that entry's bytes as they were copied out of its block; only two
+/// visible versions of one key build [`UpdateRecord`]s
+/// ([`fold_values`]). A fold that cannot be made reports
+/// [`MasmError::Corrupt`] to the job's slot and ends the stream. A
+/// migration joins it with page bytes ([`join_chunk`]), a query with
+/// records ([`JoinUpdates`]).
+pub(crate) struct RunUpdates<S = RunScan> {
+    merge: RunMerge<S>,
     schema: Schema,
     as_of: Timestamp,
     failures: ScanFailures,
@@ -315,11 +398,11 @@ pub(crate) struct RunUpdates {
     later: Vec<u8>,
 }
 
-impl RunUpdates {
+impl<S: MergeSource> RunUpdates<S> {
     /// Fold `merge`'s entries visible at `as_of`; a failure goes to
     /// `failures`, the slot its scans report to.
     pub(crate) fn new(
-        merge: RunMerge,
+        merge: RunMerge<S>,
         schema: Schema,
         as_of: Timestamp,
         failures: ScanFailures,
@@ -337,7 +420,7 @@ impl RunUpdates {
 
     /// Pull the next key's versions, all of them — the order in which
     /// [`MergeUpdates`] pulls them, and with it the device reads.
-    fn pull(&mut self) {
+    fn fill(&mut self) {
         while self.head.is_none() {
             let Some((key, ts)) = self.merge.pop_into(&mut self.value) else {
                 return;
@@ -368,27 +451,47 @@ impl RunUpdates {
     }
 }
 
-impl LentUpdates for RunUpdates {
+impl<S: MergeSource> LentUpdates for RunUpdates<S> {
     fn peek_key(&mut self) -> Option<Key> {
-        self.pull();
+        self.fill();
         self.head.map(|(key, _)| key)
     }
 
     fn next_lent(&mut self) -> Option<(Key, Timestamp, &[u8])> {
-        self.pull();
+        self.fill();
         let (key, ts) = self.head.take()?;
         Some((key, ts, &self.value))
     }
 }
 
+impl<S: MergeSource> JoinUpdates for RunUpdates<S> {
+    #[inline]
+    fn pull(&mut self) -> Option<(Key, Timestamp)> {
+        self.head = None;
+        self.fill();
+        self.head
+    }
+
+    #[inline]
+    fn apply(
+        &mut self,
+        key: Key,
+        base: Option<impl FnOnce() -> Record>,
+        schema: &Schema,
+    ) -> Option<Option<Record>> {
+        apply_to_record(key, OpRef::parse(&self.value)?, base, schema)
+    }
+}
+
 /// `Merge_updates`: k-way merge of sorted update streams, folding all
-/// updates to one key (visible at `as_of`) into a single update.
+/// updates to one key (visible at `as_of`) into a single update. A
+/// later version that does not fold into the earlier one (a `modify`
+/// its payload cannot take) is dropped: the engine's own merge reports
+/// it, and this merge's callers have no error slot to read.
 pub struct MergeUpdates {
     inner: KWayUpdates,
     schema: Schema,
     as_of: Timestamp,
-    /// Where a fold that does not fit is reported.
-    failures: ScanFailures,
 }
 
 impl MergeUpdates {
@@ -399,17 +502,7 @@ impl MergeUpdates {
             inner: KWayUpdates::new(streams),
             schema,
             as_of,
-            failures: ScanFailures::default(),
         }
-    }
-
-    /// Report a `modify` that does not fit the payload it folds into —
-    /// a run entry nothing checked at the door — to `failures` as
-    /// `Corrupt("run entry")`, instead of to a slot of its own; the
-    /// entry is dropped.
-    pub(crate) fn reporting_to(mut self, failures: ScanFailures) -> Self {
-        self.failures = failures;
-        self
     }
 }
 
@@ -430,13 +523,7 @@ impl Iterator for MergeUpdates {
                     continue;
                 }
                 merged = Some(match merged {
-                    Some(cur) => match cur.fold(&nxt, &self.schema) {
-                        Some(folded) => folded,
-                        None => {
-                            self.failures.report(MasmError::Corrupt("run entry"));
-                            cur
-                        }
-                    },
+                    Some(cur) => cur.fold(&nxt, &self.schema).unwrap_or(cur),
                     None => nxt,
                 });
             }
@@ -728,178 +815,419 @@ pub fn compact_block_runs(
 /// * matching keys apply the update — unless the page's timestamp shows
 ///   the update was already migrated into the page (`u.ts ≤ page_ts`).
 ///
-/// The join works on a batch of data at a time. Over a heap
-/// [`RangeScan`], [`MergeDataUpdates::refill`] joins one page with the
-/// updates that fall inside it and [`MergeDataUpdates::pop`] hands the
-/// results out; over a plain iterator of `(record, page timestamp)`
-/// pairs the join is itself an iterator that refills from a chunk of
-/// its input.
+/// The join hands out one record at a time and holds at most the one
+/// data record it is joining (the engine's merged scan runs the same
+/// step over update bytes). Over a plain iterator of `(record, page
+/// timestamp)` pairs it is itself an iterator. Over a heap
+/// [`RangeScan`], [`MergeDataUpdates::refill`] makes one join step and
+/// [`MergeDataUpdates::pop`] hands its record out, so a caller can
+/// check its run scans' error slot between the two.
 pub struct MergeDataUpdates<D, U> {
     data: D,
-    join: Join<U>,
-    /// Joined records not handed out yet.
-    out: VecDeque<Record>,
-    /// Both sides are exhausted, or the data side failed.
+    /// The record in hand, over a plain iterator.
+    held: Option<(Record, u64)>,
+    join: Join<Decoded<U>>,
+    /// The record of the last refill, not handed out yet.
+    out: Option<Record>,
+}
+
+/// The data side of the join, one record at a time.
+pub(crate) trait DataCursor {
+    /// Key and page timestamp of the next record, without taking it;
+    /// `None` once the data has ended. Moving to the next page goes
+    /// through `watch`.
+    fn peek(&mut self, watch: &mut impl Watch) -> Option<(Key, u64)>;
+
+    /// Take the record [`DataCursor::peek`] named, decoded.
+    fn take(&mut self) -> Record;
+
+    /// Take the next record of the current page, decoded, if its key is
+    /// below `limit`; `None`, and nothing moved, otherwise.
+    fn take_below(&mut self, limit: Key) -> Option<Record>;
+
+    /// Step past the record [`DataCursor::peek`] named.
+    fn skip(&mut self);
+
+    /// Whether the data ended on a read error rather than at its end.
+    fn failed(&self) -> bool;
+}
+
+impl DataCursor for RangeScan {
+    #[inline]
+    fn peek(&mut self, watch: &mut impl Watch) -> Option<(Key, u64)> {
+        loop {
+            if let Some(next) = self.peek_record() {
+                return Some(next);
+            }
+            if !watch.page(|| self.next_page()) {
+                return None;
+            }
+        }
+    }
+
+    #[inline]
+    fn take(&mut self) -> Record {
+        self.take_record()
+    }
+
+    #[inline]
+    fn take_below(&mut self, limit: Key) -> Option<Record> {
+        match self.peek_record() {
+            Some((key, _)) if key < limit => Some(self.take_record()),
+            _ => None,
+        }
+    }
+
+    #[inline]
+    fn skip(&mut self) {
+        self.skip_record()
+    }
+
+    fn failed(&self) -> bool {
+        self.error().is_some()
+    }
+}
+
+/// A plain iterator of `(record, page timestamp)` pairs as the join's
+/// data side: the pair it holds is the record in hand.
+struct Pairs<'a, D> {
+    pairs: &'a mut D,
+    held: &'a mut Option<(Record, u64)>,
+}
+
+impl<D: Iterator<Item = (Record, u64)>> DataCursor for Pairs<'_, D> {
+    fn peek(&mut self, _: &mut impl Watch) -> Option<(Key, u64)> {
+        if self.held.is_none() {
+            *self.held = self.pairs.next();
+        }
+        self.held
+            .as_ref()
+            .map(|(record, page_ts)| (record.key, *page_ts))
+    }
+
+    fn take(&mut self) -> Record {
+        self.held.take().expect("peeked").0
+    }
+
+    fn take_below(&mut self, limit: Key) -> Option<Record> {
+        let below = self.peek(&mut ())?.0 < limit;
+        below.then(|| self.take())
+    }
+
+    fn skip(&mut self) {
+        *self.held = None;
+    }
+
+    fn failed(&self) -> bool {
+        false
+    }
+}
+
+/// What watches the two steps of a join that can touch a device: a
+/// heap-page advance and an update pull. A merged scan times them.
+pub(crate) trait Watch {
+    /// Move the data side on to its next page.
+    fn page(&mut self, advance: impl FnOnce() -> bool) -> bool;
+
+    /// Pull the next update.
+    fn pull(&mut self, pull: impl FnOnce() -> Option<(Key, Timestamp)>)
+        -> Option<(Key, Timestamp)>;
+}
+
+/// Nobody watching.
+impl Watch for () {
+    fn page(&mut self, advance: impl FnOnce() -> bool) -> bool {
+        advance()
+    }
+
+    fn pull(
+        &mut self,
+        pull: impl FnOnce() -> Option<(Key, Timestamp)>,
+    ) -> Option<(Key, Timestamp)> {
+        pull()
+    }
+}
+
+/// The update side of the join: folded updates, one per key, in key
+/// order.
+pub(crate) trait JoinUpdates {
+    /// Pull the next update: its key and timestamp, `None` past the
+    /// last.
+    fn pull(&mut self) -> Option<(Key, Timestamp)>;
+
+    /// Apply the update pulled last to the record at its key — which
+    /// `base` decodes; `None` in a gap — and return what is left of the
+    /// record. `None` where the update does not parse, or does not fit
+    /// the record it patches: the join reports it and ends.
+    fn apply(
+        &mut self,
+        key: Key,
+        base: Option<impl FnOnce() -> Record>,
+        schema: &Schema,
+    ) -> Option<Option<Record>>;
+}
+
+/// Decoded updates as the join's update side, [`MergeDataUpdates`]'
+/// own. An update that does not fit the record it patches is dropped
+/// with that record, and the join goes on: the callers of
+/// [`MergeDataUpdates`] have no error slot to read it from.
+struct Decoded<U> {
+    updates: U,
+    pulled: Option<UpdateRecord>,
+}
+
+impl<U: Iterator<Item = UpdateRecord>> JoinUpdates for Decoded<U> {
+    fn pull(&mut self) -> Option<(Key, Timestamp)> {
+        self.pulled = self.updates.next();
+        self.pulled.as_ref().map(|u| (u.key, u.ts))
+    }
+
+    fn apply(
+        &mut self,
+        _: Key,
+        base: Option<impl FnOnce() -> Record>,
+        schema: &Schema,
+    ) -> Option<Option<Record>> {
+        let update = self.pulled.take().expect("pulled");
+        let base = match update.op {
+            UpdateOp::Modify(_) => base.map(|decode| decode()),
+            _ => None,
+        };
+        Some(update.try_apply_to(base, schema).flatten())
+    }
+}
+
+/// `op` at `key` applied to the record `base` decodes (none in a gap):
+/// [`UpdateRecord::try_apply_to`] on the bytes of the operation. Only a
+/// `modify` decodes the base record, and patches it in place; an insert
+/// or a replace builds its record from the payload bytes. `None` where
+/// a patch does not fit (where [`Schema::set`] would panic).
+fn apply_to_record(
+    key: Key,
+    op: OpRef<'_>,
+    base: Option<impl FnOnce() -> Record>,
+    schema: &Schema,
+) -> Option<Option<Record>> {
+    Some(match (op, base) {
+        (OpRef::Insert(payload) | OpRef::Replace(payload), _) => {
+            Some(Record::new(key, payload.to_vec()))
+        }
+        (OpRef::Modify(patches), Some(decode)) => {
+            let mut record = decode();
+            for (field, value) in patches {
+                if !schema.try_set(&mut record.payload, field as usize, value) {
+                    return None;
+                }
+            }
+            Some(record)
+        }
+        (OpRef::Delete, _) | (OpRef::Modify(_), None) => None,
+    })
+}
+
+/// The join step of [`MergeDataUpdates`] and of the engine's merged
+/// scan: the next joined record.
+pub(crate) struct Join<U> {
+    updates: U,
+    schema: Schema,
+    /// Where an update that does not fit its record is reported, and
+    /// what is read after every pull: a record compared against an
+    /// update stream that has failed is never handed out.
+    failures: ScanFailures,
+    /// The next update's key and timestamp (`None` past the last). It
+    /// is pulled only once the data record it will be compared with is
+    /// in hand: the order in which the two sides touch their devices is
+    /// part of the simulated timeline.
+    next: Option<(Key, Timestamp)>,
+    /// `next` has been applied; the next update is still to be pulled.
+    pull_due: bool,
+    /// Records below this key pass through: the next update's key,
+    /// `Key::MAX` past the last update, and 0 while an update is to be
+    /// pulled or once the join has ended.
+    limit: Key,
+    /// The data side has ended.
+    data_ended: bool,
+    /// The join has ended: both sides are exhausted, or a failure
+    /// stopped it.
     done: bool,
 }
 
-/// The update side of the outer join, and the join itself.
-struct Join<U> {
-    updates: U,
-    schema: Schema,
-    /// Where an update that does not fit its record is reported.
-    failures: ScanFailures,
-    /// The next update. It is pulled only once the data record it will
-    /// be compared with is in hand: the order in which the two sides
-    /// touch their devices is part of the simulated timeline.
-    next: Option<UpdateRecord>,
+impl<U> Join<U> {
+    /// The join of `updates` with a data side; a failure goes to
+    /// `failures`.
+    pub(crate) fn new(updates: U, schema: Schema, failures: ScanFailures) -> Self {
+        Join {
+            updates,
+            schema,
+            failures,
+            next: None,
+            pull_due: true,
+            limit: 0,
+            data_ended: false,
+            done: false,
+        }
+    }
+
+    /// End the join here.
+    pub(crate) fn end(&mut self) {
+        (self.done, self.limit) = (true, 0);
+    }
+
+    /// The next update is in hand: `next`.
+    fn pulled(&mut self, next: Option<(Key, Timestamp)>) {
+        self.next = next;
+        self.pull_due = false;
+        self.limit = next.map_or(Key::MAX, |(key, _)| key);
+    }
+
+    /// The update in hand has been applied.
+    fn applied(&mut self) {
+        (self.pull_due, self.limit) = (true, 0);
+    }
+
+    /// The next record of `data`, if it is below the next update: it
+    /// passes through, for one comparison, and the update side is not
+    /// touched.
+    #[inline]
+    pub(crate) fn pass(&mut self, data: &mut impl DataCursor) -> Option<Record> {
+        data.take_below(self.limit)
+    }
 }
 
-impl<U: Iterator<Item = UpdateRecord>> Join<U> {
-    fn peek_key(&mut self) -> Option<Key> {
-        if self.next.is_none() {
-            self.next = self.updates.next();
-        }
-        self.next.as_ref().map(|u| u.key)
-    }
-
-    /// `update` applied to `base`; an update that does not fit the
-    /// record is reported and yields nothing.
-    fn apply(&self, update: UpdateRecord, base: Option<Record>) -> Option<Record> {
-        update.try_apply_to(base, &self.schema).unwrap_or_else(|| {
-            self.failures.report(MasmError::Corrupt("run entry"));
-            None
-        })
-    }
-
-    /// Join a key-ordered batch of `(record, page timestamp)` pairs —
-    /// its first and the rest — with every update up to its last key.
-    fn batch(
+impl<U: JoinUpdates> Join<U> {
+    /// The next joined record out of `data`; `None` once the join has
+    /// ended. A run of records below the next update passes through
+    /// ([`Join::pass`]) and never touches the update side.
+    pub(crate) fn step(
         &mut self,
-        (mut record, mut page_ts): (Record, u64),
-        mut rest: impl Iterator<Item = (Record, u64)>,
-        emit: &mut impl FnMut(Record),
-    ) {
-        loop {
-            let bound = self.peek_key();
-            // The run of records below the next update passes through.
-            while bound.is_none_or(|key| record.key < key) {
-                emit(record);
-                match rest.next() {
-                    Some(next) => (record, page_ts) = next,
-                    None => return,
-                }
-            }
-            let update = self.next.take().expect("peeked");
-            if update.key < record.key {
-                if let Some(inserted) = self.apply(update, None) {
-                    emit(inserted);
-                }
-                continue;
-            }
-            let joined = if update.ts > page_ts {
-                self.apply(update, Some(record))
+        data: &mut impl DataCursor,
+        watch: &mut impl Watch,
+    ) -> Option<Record> {
+        if let Some(record) = self.pass(data) {
+            return Some(record);
+        }
+        while !self.done {
+            let record = if self.data_ended {
+                None
             } else {
-                // Already migrated into the page.
-                Some(record)
+                data.peek(watch)
             };
-            if let Some(joined) = joined {
-                emit(joined);
+            if record.is_none() {
+                self.data_ended = true;
+                if data.failed() {
+                    // A heap read failed: the updates past the gap
+                    // are no inserts.
+                    break;
+                }
             }
-            match rest.next() {
-                Some(next) => (record, page_ts) = next,
-                None => return,
+            if self.pull_due {
+                let next = watch.pull(|| self.updates.pull());
+                if self.failures.failed() {
+                    break;
+                }
+                self.pulled(next);
+            }
+            let joined = match (record, self.next) {
+                (None, None) => break,
+                (Some(_), None) => return Some(data.take()),
+                (Some((key, _)), Some((ukey, _))) if key < ukey => return Some(data.take()),
+                (Some((key, page_ts)), Some((ukey, ts))) if key == ukey => {
+                    self.applied();
+                    if ts <= page_ts {
+                        // Already migrated into the page.
+                        return Some(data.take());
+                    }
+                    let mut decoded = false;
+                    let base = || {
+                        decoded = true;
+                        data.take()
+                    };
+                    let joined = self.updates.apply(key, Some(base), &self.schema);
+                    if !decoded {
+                        data.skip();
+                    }
+                    joined
+                }
+                // An update below the next record, or past the last.
+                (_, Some((ukey, _))) => {
+                    self.applied();
+                    let no_base: Option<fn() -> Record> = None;
+                    self.updates.apply(ukey, no_base, &self.schema)
+                }
+            };
+            match joined {
+                Some(Some(record)) => return Some(record),
+                Some(None) => {}
+                None => {
+                    self.failures.report(MasmError::Corrupt("run entry"));
+                    break;
+                }
             }
         }
-    }
-
-    /// The updates past the last data record.
-    fn tail(&mut self, emit: &mut impl FnMut(Record)) {
-        while let Some(update) = self.next.take().or_else(|| self.updates.next()) {
-            if let Some(inserted) = self.apply(update, None) {
-                emit(inserted);
-            }
-        }
+        self.end();
+        None
     }
 }
 
 impl<D, U> MergeDataUpdates<D, U> {
     /// Build the outer join.
     pub fn new(data: D, updates: U, schema: Schema) -> Self {
+        let updates = Decoded {
+            updates,
+            pulled: None,
+        };
         MergeDataUpdates {
             data,
-            join: Join {
-                updates,
-                schema,
-                failures: ScanFailures::default(),
-                next: None,
-            },
-            out: VecDeque::new(),
-            done: false,
+            held: None,
+            join: Join::new(updates, schema, ScanFailures::default()),
+            out: None,
         }
     }
 
-    /// Report an update that does not fit the record it patches — a
-    /// run entry nothing checked at the door — to `failures` as
-    /// `Corrupt("run entry")`, instead of to a slot of its own.
-    pub(crate) fn reporting_to(mut self, failures: ScanFailures) -> Self {
-        self.join.failures = failures;
-        self
-    }
-
-    /// Hand out the next joined record, if one is buffered.
+    /// Hand out the record of the last [`MergeDataUpdates::refill`], if
+    /// it made one.
     pub fn pop(&mut self) -> Option<Record> {
-        self.out.pop_front()
+        self.out.take()
     }
 }
 
 impl<U: Iterator<Item = UpdateRecord>> MergeDataUpdates<RangeScan, U> {
-    /// Join heap pages with the updates that fall inside them until a
-    /// record is buffered or both sides are exhausted. The pages come
-    /// out of the I/O batch the heap scan holds in memory anyway, so a
-    /// refill reads no further ahead than the scan already did. A heap
-    /// read error ends the join; see [`MergeDataUpdates::take_error`].
+    /// Make one join step — heap pages are read as the step reaches
+    /// them, out of the I/O batch the heap scan holds in memory anyway —
+    /// unless its record has not been handed out yet. A step joins at
+    /// most one record, so a caller that checks its run scans' error
+    /// slot between a refill and its [`MergeDataUpdates::pop`] does so
+    /// once per record: [`ScanFailures::failed`] reads a flag, not the
+    /// lock. A heap read error ends the join; see
+    /// [`MergeDataUpdates::take_error`].
     pub fn refill(&mut self) {
-        while self.out.is_empty() && !self.done {
-            let mut emit = |record| self.out.push_back(record);
-            if let Some(mut page) = self.data.next_batch() {
-                if let Some(first) = page.next() {
-                    self.join.batch(first, page, &mut emit);
-                }
-                continue;
-            }
-            self.done = true;
-            if self.data.error().is_none() {
-                self.join.tail(&mut emit);
-            }
+        if self.out.is_none() {
+            self.out = self.join.step(&mut self.data, &mut ());
         }
     }
 
     /// The heap read error that cut the join short, if one did, handed
     /// over once the join has ended. Until then it stays with the heap
     /// scan — a failed prefetch is recorded while the pages before it
-    /// are still being joined, and `refill` must find it there when they
-    /// run out, or it would emit the updates past the gap as inserts.
+    /// are still being joined, and the join must find it there when
+    /// they run out, or it would emit the updates past the gap as
+    /// inserts.
     pub fn take_error(&mut self) -> Option<StorageError> {
-        if self.done {
+        if self.join.done {
             self.data.take_error()
         } else {
             None
         }
     }
 
-    /// End the join here and drop the records of the last
-    /// [`MergeDataUpdates::refill`] that were not handed out: the update
-    /// side failed under them.
+    /// End the join here and drop the record of the last
+    /// [`MergeDataUpdates::refill`] if it was not handed out: the update
+    /// side failed under it.
     pub fn abort(&mut self) {
-        self.out.clear();
-        self.done = true;
+        self.out = None;
+        self.join.end();
     }
 }
-
-/// Data records a join over a plain iterator takes per refill: about
-/// what a heap page holds.
-const JOIN_CHUNK: usize = 64;
 
 impl<D, U> Iterator for MergeDataUpdates<D, U>
 where
@@ -909,17 +1237,11 @@ where
     type Item = Record;
 
     fn next(&mut self) -> Option<Record> {
-        while self.out.is_empty() && !self.done {
-            let mut emit = |record| self.out.push_back(record);
-            if let Some(first) = self.data.next() {
-                let rest = self.data.by_ref().take(JOIN_CHUNK - 1);
-                self.join.batch(first, rest, &mut emit);
-            } else {
-                self.done = true;
-                self.join.tail(&mut emit);
-            }
-        }
-        self.out.pop_front()
+        let mut data = Pairs {
+            pairs: &mut self.data,
+            held: &mut self.held,
+        };
+        self.join.step(&mut data, &mut ())
     }
 }
 
@@ -1363,6 +1685,79 @@ mod tests {
         }
     }
 
+    /// One run of `entries` (sorted by key, then timestamp), on a
+    /// device of its own, as a query's run scan reporting to `failures`.
+    fn run_scan(entries: &[(Key, Timestamp, Vec<u8>)], failures: &ScanFailures) -> QuerySource {
+        let clock = masm_storage::SimClock::new();
+        let ssd = SimDevice::in_memory(masm_storage::DeviceProfile::ssd_x25e(), clock.clone());
+        let session = SessionHandle::fresh(clock);
+        let mut builder = RunBuilder::new(MasmConfig::small_for_tests().blockrun_config());
+        for (key, ts, value) in entries {
+            builder.append_entry(masm_blockrun::Entry::new(*key, *ts, value.clone()));
+        }
+        let (meta, bytes) = builder.finish();
+        let run = SortedRun::from_meta(1, 1, meta);
+        crate::run::write_built(&session, &ssd, &run, &bytes).unwrap();
+        let scan = RunScan::with_cache(ssd, session, Arc::new(run), None, 0, Key::MAX);
+        QuerySource::Run(Box::new(scan.reporting_to(failures.clone())))
+    }
+
+    /// Where the byte join of a merged scan stops, walking the keys of
+    /// every source in order: at the pull of a key one of whose versions
+    /// does not decode, or whose visible versions do not fold (`Pull`,
+    /// naming the last key before it that had a visible update), or at
+    /// the record a folded update does not fit (`Apply`).
+    #[derive(Debug, Clone, Copy)]
+    enum Cut {
+        Pull(Option<Key>),
+        Apply(Key),
+    }
+
+    fn first_cut(
+        entries: &[(Key, Timestamp, Vec<u8>)],
+        data: &[(Record, u64)],
+        as_of: Timestamp,
+        schema: &Schema,
+    ) -> Option<Cut> {
+        let mut by_key: std::collections::BTreeMap<Key, Vec<(Timestamp, &[u8])>> =
+            Default::default();
+        for (key, ts, value) in entries {
+            by_key.entry(*key).or_default().push((*ts, value));
+        }
+        let mut last_visible = None;
+        for (key, mut versions) in by_key {
+            versions.sort_by_key(|&(ts, _)| ts);
+            let decoded: Option<Vec<UpdateRecord>> = versions
+                .iter()
+                .map(|&(ts, value)| UpdateRecord::decode_value(key, ts, value))
+                .collect();
+            let Some(decoded) = decoded else {
+                return Some(Cut::Pull(last_visible));
+            };
+            let mut folded: Option<UpdateRecord> = None;
+            for u in decoded.into_iter().filter(|u| u.ts <= as_of) {
+                folded = match folded {
+                    None => Some(u),
+                    Some(earlier) => match earlier.fold(&u, schema) {
+                        Some(both) => Some(both),
+                        None => return Some(Cut::Pull(last_visible)),
+                    },
+                };
+            }
+            let Some(folded) = folded else {
+                continue;
+            };
+            if let Some((record, page_ts)) = data.iter().find(|(r, _)| r.key == key) {
+                let applies = folded.ts > *page_ts;
+                if applies && folded.try_apply_to(Some(record.clone()), schema).is_none() {
+                    return Some(Cut::Apply(key));
+                }
+            }
+            last_visible = Some(key);
+        }
+        None
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig {
             cases: 384,
@@ -1501,6 +1896,136 @@ mod tests {
                 None => proptest::prop_assert!(
                     matches!(got, Err(MasmError::Corrupt("run entry"))),
                     "{got:?}"
+                ),
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig {
+            cases: 1024,
+            ..proptest::ProptestConfig::default()
+        })]
+
+        /// The read-side twin of the test above: the join a merged scan
+        /// makes — heap records one at a time, updates lent as the bytes
+        /// of their operations by a `RunUpdates` over a `RunMerge` of
+        /// run scans and an in-memory source — hands out exactly the
+        /// records of `MergeDataUpdates` over the decoded records and
+        /// `MergeUpdates` over the decoded updates. Keys carry several
+        /// versions across three runs and the in-memory source; the
+        /// timestamps of pages, versions and the query share one small
+        /// range, so a version is as often invisible, or already in its
+        /// page, as not. Run entries are damaged as above (and the
+        /// in-memory source takes a damaged value where it still
+        /// decodes): where a version does not decode, visible versions
+        /// do not fold, or a folded update does not fit its record, the
+        /// join hands out the record join's records up to that point
+        /// (`first_cut`) and ends with `Corrupt("run entry")`. It never
+        /// panics.
+        #[test]
+        fn byte_join_hands_out_the_records_of_the_record_join(
+            pages in proptest::collection::vec((1..=FULL, 0u64..=10), 1..=4),
+            ops in proptest::collection::vec(
+                (((0u64..6, 0u64..16, 0u64..3), 0u8..5, 1u64..=20, proptest::any::<u32>()), 0usize..4),
+                0..48,
+            ),
+            damaged in proptest::collection::vec(
+                (
+                    0usize..64,
+                    (0u8..10, proptest::any::<u16>(), proptest::any::<u8>(),
+                     proptest::collection::vec(proptest::any::<u8>(), 0..24)),
+                ),
+                0..3,
+            ),
+            as_of in 0u64..=22,
+        ) {
+            let schema = wide_schema();
+            let data: Vec<(Record, u64)> = old_pages(&pages)
+                .iter()
+                .flat_map(|page| page.records().map(|r| (r, page.timestamp())).collect::<Vec<_>>())
+                .collect();
+            // One version per (key, timestamp); sources 0–2 are runs, 3
+            // the in-memory source.
+            let mut placed: Vec<(usize, UpdateRecord)> = ops
+                .into_iter()
+                .map(|(op, source)| (source, placed_update(op)))
+                .collect();
+            placed.sort_by_key(|(_, u)| (u.key, u.ts));
+            placed.dedup_by_key(|(_, u)| (u.key, u.ts));
+            let mut entries: Vec<(usize, Key, Timestamp, Vec<u8>)> = placed
+                .iter()
+                .map(|(source, u)| (*source, u.key, u.ts, u.encode_value()))
+                .collect();
+            for (at, how) in damaged {
+                if !entries.is_empty() {
+                    let n = entries.len();
+                    damage(&mut entries[at % n].3, how);
+                }
+            }
+            let mut mem: Vec<UpdateRecord> = Vec::new();
+            entries.retain(|(source, key, ts, value)| {
+                if *source < 3 {
+                    return true;
+                }
+                let original = placed.iter().find(|(_, u)| (u.key, u.ts) == (*key, *ts));
+                let decoded = UpdateRecord::decode_value(*key, *ts, value);
+                mem.push(decoded.unwrap_or_else(|| original.unwrap().1.clone()));
+                false
+            });
+
+            // The record join, over what decodes.
+            let mut streams: Vec<UpdateStream> = (0..3)
+                .map(|source| {
+                    let run: Vec<UpdateRecord> = entries
+                        .iter()
+                        .filter(|e| e.0 == source)
+                        .filter_map(|(_, key, ts, value)| UpdateRecord::decode_value(*key, *ts, value))
+                        .collect();
+                    stream(run)
+                })
+                .collect();
+            streams.push(stream(mem.clone()));
+            let merged = MergeUpdates::new(streams, schema.clone(), as_of);
+            let want: Vec<Record> =
+                MergeDataUpdates::new(data.clone().into_iter(), merged, schema.clone()).collect();
+            let mut all: Vec<(Key, Timestamp, Vec<u8>)> =
+                entries.iter().map(|(_, key, ts, value)| (*key, *ts, value.clone())).collect();
+            all.extend(mem.iter().map(|u| (u.key, u.ts, u.encode_value())));
+            let cut = first_cut(&all, &data, as_of, &schema);
+
+            // The byte join, in the source order of a query.
+            let failures = ScanFailures::default();
+            let mut sources: Vec<QuerySource> = (0..3)
+                .filter_map(|source| {
+                    let run: Vec<(Key, Timestamp, Vec<u8>)> = entries
+                        .iter()
+                        .filter(|e| e.0 == source)
+                        .map(|(_, key, ts, value)| (*key, *ts, value.clone()))
+                        .collect();
+                    (!run.is_empty()).then(|| run_scan(&run, &failures))
+                })
+                .collect();
+            let n = mem.len();
+            sources.push(QuerySource::Mem(MemUpdates::new(Arc::new(mem), 0..n)));
+            let updates = RunUpdates::new(RunMerge::new(sources), schema.clone(), as_of, failures.clone());
+            let mut join = Join::new(updates, schema.clone(), failures.clone());
+            let (mut pairs, mut held) = (data.into_iter(), None);
+            let mut cursor = Pairs { pairs: &mut pairs, held: &mut held };
+            let got: Vec<Record> = std::iter::from_fn(|| join.step(&mut cursor, &mut ())).collect();
+            let ended = failures.check();
+
+            let handed_out: Vec<Record> = match cut {
+                None => want,
+                Some(Cut::Pull(last)) => want.into_iter().filter(|r| Some(r.key) <= last).collect(),
+                Some(Cut::Apply(key)) => want.into_iter().filter(|r| r.key < key).collect(),
+            };
+            proptest::prop_assert_eq!(got, handed_out, "cut {:?}", cut);
+            match cut {
+                None => proptest::prop_assert!(ended.is_ok(), "{ended:?}"),
+                Some(_) => proptest::prop_assert!(
+                    matches!(ended, Err(MasmError::Corrupt("run entry"))),
+                    "{ended:?}"
                 ),
             }
         }

@@ -25,6 +25,7 @@
 //! decode each [`UpdateRecord`] straight from the bytes they borrow
 //! from it. Warm scans and point lookups issue zero device reads.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -35,6 +36,7 @@ use masm_storage::{SessionHandle, SimDevice};
 
 use crate::config::MasmConfig;
 use crate::error::{MasmError, MasmResult};
+use crate::merge::MergeSource;
 use crate::ts::Timestamp;
 use crate::update::{OpRef, UpdateRecord};
 
@@ -199,17 +201,36 @@ pub struct RunScan {
 /// [`ScanFailures::check`] after it has consumed the streams and before
 /// it hands out or commits anything built from them.
 #[derive(Debug, Clone, Default)]
-pub struct ScanFailures(Arc<Mutex<Option<MasmError>>>);
+pub struct ScanFailures(Arc<FailureSlot>);
+
+#[derive(Debug, Default)]
+struct FailureSlot {
+    first: Mutex<Option<MasmError>>,
+    /// Whether `first` holds a failure: what a merged scan reads after
+    /// every update it pulls, without the lock.
+    failed: AtomicBool,
+}
 
 impl ScanFailures {
     pub(crate) fn report(&self, failure: MasmError) {
-        self.0.lock().get_or_insert(failure);
+        let mut first = self.0.first.lock();
+        first.get_or_insert(failure);
+        self.0.failed.store(true, Ordering::Release);
+    }
+
+    /// Whether a failure has been reported since the last check: one
+    /// atomic load, for a job that asks after every record.
+    #[inline]
+    pub fn failed(&self) -> bool {
+        self.0.failed.load(Ordering::Acquire)
     }
 
     /// `Err` with the first failure a scan reported since the last
     /// check: the streams consumed so far may have ended early.
     pub fn check(&self) -> MasmResult<()> {
-        self.0.lock().take().map_or(Ok(()), Err)
+        let mut first = self.0.first.lock();
+        self.0.failed.store(false, Ordering::Release);
+        first.take().map_or(Ok(()), Err)
     }
 }
 
@@ -277,14 +298,15 @@ impl RunScan {
     }
 }
 
-/// Lending access, for the merges of whole runs
+/// Lending access, for the loser-tree merges
 /// ([`crate::merge::RunMerge`]): the current entry stays in its block
 /// until the merge takes its value.
-impl RunScan {
+impl MergeSource for RunScan {
     /// Key and timestamp of the current entry, fetching its block if
     /// need be; `None` at the end of the range, or after a failure,
     /// which goes to the scan's slot.
-    pub(crate) fn head(&mut self) -> Option<(Key, Timestamp)> {
+    #[inline]
+    fn head(&mut self) -> Option<(Key, Timestamp)> {
         match self.inner.peek_entry() {
             Some(e) => Some((e.key, e.ts)),
             None => {
@@ -300,7 +322,8 @@ impl RunScan {
     /// value that does not hold one operation ([`OpRef::parse`], what
     /// [`UpdateRecord::decode_value`] rejects) ends the scan as
     /// [`MasmError::Corrupt`] and answers `false`.
-    pub(crate) fn take_value_into(&mut self, value: &mut Vec<u8>) -> bool {
+    #[inline]
+    fn take_value_into(&mut self, value: &mut Vec<u8>) -> bool {
         value.clear();
         if let Some(e) = self.inner.peek_entry() {
             value.extend_from_slice(e.value);

@@ -5,8 +5,9 @@
 //!   and what decoding an update that applies to the key takes: a run
 //!   that lacks the key, the heap page and the pin cost nothing.
 //! * A hot-cache merged scan allocates the payload of each record it
-//!   returns, what decoding an update's operation takes, and a constant
-//!   per block and per heap batch — no page copies, no entry clones, no
+//!   returns and a constant per block, per heap batch and per run —
+//!   nothing per update it applies (an update reaches its record as the
+//!   bytes of its operation), no page copies, no entry clones, no
 //!   payload clones.
 //! * Ingest allocates a constant per run block and per flush, nothing
 //!   per update: the update moves into the buffer, its WAL frame is
@@ -191,6 +192,31 @@ fn hot_scan_allocates_per_record_returned_and_per_update_decoded() {
     eprintln!(
         "{allocations} allocations, budget {budget}: {returned} records, {UPDATES} updates, \
          {blocks} blocks, {heap_batches} heap batches, {runs} runs"
+    );
+}
+
+/// The same scan, budgeted without a term per update: an update
+/// reaches the record it applies to as the bytes of its operation, and
+/// only the record handed out is allocated.
+#[test]
+fn hot_scan_allocates_nothing_per_update_it_applies() {
+    let (t, _, warm) = hot_table();
+    let engine = t.engine();
+    let runs = engine.stats().runs.count;
+    let blocks = engine.cache_stats().insertions;
+
+    let before = allocations();
+    let returned = t.scan(0, Key::MAX).unwrap().count() as u64;
+    let allocations = allocations() - before;
+    assert_eq!(returned, warm);
+    assert_eq!(engine.cache_stats().insertions, blocks, "the scan ran hot");
+
+    let heap_batches = RECORDS * 102 / (1 << 20) + 1;
+    let budget = returned + 2 * blocks + 8 * heap_batches + 64 * runs + 256;
+    assert!(
+        allocations <= budget,
+        "{allocations} allocations for {returned} records returned and {UPDATES} updates \
+         ({blocks} blocks, {heap_batches} heap batches, {runs} runs): budget {budget}"
     );
 }
 

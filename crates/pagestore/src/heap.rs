@@ -535,16 +535,20 @@ impl TableHeap {
 /// A record-level range scan with batched, prefetched reads.
 ///
 /// The scan holds the device buffer of one I/O batch at a time and
-/// decodes records straight out of it, a page at a time.
-/// [`RangeScan::next_batch`] hands over one page's records, each with
-/// the page's timestamp — MaSM's `Merge_data_updates` needs it during
-/// in-place migration (§3.2); the `Iterator` impl yields the same
-/// records one at a time.
+/// decodes records straight out of it. Besides the `Iterator` impl it
+/// is a record cursor: [`RangeScan::peek_record`] names the next
+/// in-range record of the current page — its key and the page's
+/// timestamp, which MaSM's `Merge_data_updates` needs during in-place
+/// migration (§3.2) — without decoding it;
+/// [`RangeScan::take_record`] decodes it, [`RangeScan::skip_record`]
+/// steps past it, and [`RangeScan::next_page`] moves on to the next
+/// page, the one step that waits for the device.
 pub struct RangeScan {
     heap: Arc<TableHeap>,
     session: SessionHandle,
     begin: Key,
     end: Key,
+    page_size: usize,
     /// Key from which the next batch starts; `None` when exhausted.
     next_from: Option<Key>,
     pending: Option<PendingBatch>,
@@ -565,6 +569,7 @@ struct PendingBatch {
 impl RangeScan {
     fn new(heap: Arc<TableHeap>, session: SessionHandle, begin: Key, end: Key) -> Self {
         RangeScan {
+            page_size: heap.cfg.page_size,
             heap,
             session,
             begin,
@@ -589,15 +594,41 @@ impl RangeScan {
         self.error.take()
     }
 
-    /// Hand over the records of the next page in key order, each with
-    /// the page's timestamp, decoded on demand from the device buffer;
-    /// when the buffer is used up, first wait for the next I/O batch
-    /// (prefetching the one after). What is left of the current page is
-    /// skipped. `None` at the end of the range or after a device error
-    /// ([`RangeScan::error`]).
-    pub fn next_batch(&mut self) -> Option<impl Iterator<Item = (Record, u64)> + '_> {
-        self.next_page()
-            .then(|| std::iter::from_fn(|| self.decode_next()))
+    /// The next in-range record of the current page, without decoding
+    /// it: its key and the page's timestamp. `None` when the page has
+    /// no more (or before the first page): then
+    /// [`RangeScan::next_page`].
+    #[inline]
+    pub fn peek_record(&mut self) -> Option<(Key, u64)> {
+        let bytes = self
+            .data
+            .get(self.page_off..self.page_off + self.page_size)?;
+        let page = PageRef::new(bytes);
+        while self.slot < page.record_count() {
+            let key = page.key_at(self.slot);
+            if (self.begin..=self.end).contains(&key) {
+                return Some((key, page.timestamp()));
+            }
+            self.slot += 1;
+        }
+        None
+    }
+
+    /// Decode the record [`RangeScan::peek_record`] named, and step
+    /// past it.
+    #[inline]
+    pub fn take_record(&mut self) -> Record {
+        let page = PageRef::new(&self.data[self.page_off..self.page_off + self.page_size]);
+        let record = page.record(self.slot);
+        self.slot += 1;
+        record
+    }
+
+    /// Step past the record [`RangeScan::peek_record`] named without
+    /// decoding it.
+    #[inline]
+    pub fn skip_record(&mut self) {
+        self.slot += 1;
     }
 
     /// Issue an async read for the batch starting at `from`. Performed
@@ -660,26 +691,13 @@ impl RangeScan {
         true
     }
 
-    /// Step to the next page, waiting for the next I/O batch when the
-    /// device buffer is used up.
-    fn next_page(&mut self) -> bool {
-        let page_size = self.heap.cfg.page_size;
-        (self.page_off, self.slot) = (self.page_off + page_size, 0);
-        self.page_off + page_size <= self.data.len() || self.advance()
-    }
-
-    /// Decode the next in-range record of the current page.
-    fn decode_next(&mut self) -> Option<(Record, u64)> {
-        let page_size = self.heap.cfg.page_size;
-        let page = PageRef::new(self.data.get(self.page_off..self.page_off + page_size)?);
-        while self.slot < page.record_count() {
-            let i = self.slot;
-            self.slot += 1;
-            if (self.begin..=self.end).contains(&page.key_at(i)) {
-                return Some((page.record(i), page.timestamp()));
-            }
-        }
-        None
+    /// Step to the next page (what is left of the current one is
+    /// skipped), waiting for the next I/O batch — and prefetching the
+    /// one after — when the device buffer is used up. `false` at the end
+    /// of the range or after a device error ([`RangeScan::error`]).
+    pub fn next_page(&mut self) -> bool {
+        (self.page_off, self.slot) = (self.page_off + self.page_size, 0);
+        self.page_off + self.page_size <= self.data.len() || self.advance()
     }
 }
 
@@ -687,14 +705,12 @@ impl Iterator for RangeScan {
     type Item = Record;
 
     fn next(&mut self) -> Option<Record> {
-        loop {
-            if let Some((record, _)) = self.decode_next() {
-                return Some(record);
-            }
+        while self.peek_record().is_none() {
             if !self.next_page() {
                 return None;
             }
         }
+        Some(self.take_record())
     }
 }
 
@@ -954,13 +970,17 @@ mod tests {
         let first_page_max = first_page_max.unwrap().unwrap();
         let mut scan = heap.scan_range(s, 10, 50_000);
         let mut got = Vec::new();
-        let mut batches = 0;
-        while let Some(batch) = scan.next_batch() {
-            got.extend(batch.map(|(r, ts)| (r.key, ts)));
-            batches += 1;
+        let mut pages = 0;
+        while scan.next_page() {
+            while let Some((key, ts)) = scan.peek_record() {
+                let record = scan.take_record();
+                assert_eq!(record.key, key);
+                got.push((key, ts));
+            }
+            pages += 1;
         }
         assert!(scan.error().is_none());
-        assert!(batches > 256, "one batch per page, {batches} batches");
+        assert!(pages > 256, "{pages} pages");
         let keys: Vec<Key> = got.iter().map(|&(k, _)| k).collect();
         assert_eq!(keys, (5..=25_000).map(|i| i * 2).collect::<Vec<_>>());
         assert!(got

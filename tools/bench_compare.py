@@ -4,6 +4,7 @@
   tools/bench_compare.py a.json b.json
   tools/bench_compare.py --paired a.json b.json
   tools/bench_compare.py --collect out.json <dir> <rev> <seeds> <workload>...
+  tools/bench_compare.py --loaded rec.json
 
 A recording (`BENCH_*.json`, written by `tools/bench_record.sh`; see
 `--collect`) holds, per workload, every run's `correct` / `attempted` /
@@ -57,7 +58,15 @@ run it adds `merged_over_clean`: the untraced run's
 `scan_wall_ns_per_rec` over the traced run's
 `pagestore.heap.scan_ns_per_rec`, seed by seed. A
 `<dir>/<workload>.box.trace<t>.jsonl` (one reading per run of
-`--trace <t>`, in seed order) is kept as each of those runs' `box`.
+`--trace <t>`, in seed order) is kept as each of those runs' `box`. A
+run that was repeated (`tools/bench_record.sh` repeats a loaded one)
+counts with its last attempt; the earlier ones, lines `{"seed", "row",
+"box"}` of `<dir>/<workload>.earlier.trace<t>.jsonl` in attempt order,
+are kept as its `earlier` list (`correct`, `attempted`, `failed`, `box`
+and every metric's value), and no median reads them.
+
+`--loaded` prints `<workload> <seed> <trace>` for each run of the
+recording that the "box loaded" rule flags.
 """
 
 import datetime
@@ -119,11 +128,15 @@ def collect(out, directory, rev, seeds, workloads):
             boxes = ([json.loads(line) for line in open(box_path)] if os.path.exists(box_path)
                      else [None] * len(rows))
             assert len(boxes) == len(rows), f"{box_path}: {len(boxes)} readings for {len(rows)} runs"
+            earlier_path = os.path.join(directory, f"{w}.earlier.trace{trace}.jsonl")
+            earlier = ([json.loads(line) for line in open(earlier_path)]
+                       if os.path.exists(earlier_path) else [])
             for seed, row, box in zip(seeds, rows, boxes):
-                run = {"seed": seed, "trace": trace, "correct": row["correct"],
-                       "attempted": row["attempted"], "failed": row["failed"]}
-                if box is not None:
-                    run["box"] = {key: box[key] for key in BOX}
+                run = {"seed": seed, "trace": trace, **attempt(row, box)}
+                repeated = [attempt(e["row"], e["box"], metrics=True)
+                            for e in earlier if e["seed"] == seed]
+                if repeated:
+                    run["earlier"] = repeated
                 runs.append(run)
             for name in rows[0]["metrics"]:
                 if all(name in row["metrics"] for row in rows):
@@ -141,6 +154,17 @@ def collect(out, directory, rev, seeds, workloads):
     with open(out, "w") as f:
         json.dump(recording, f, indent=1)
         f.write("\n")
+
+
+def attempt(row, box, metrics=False):
+    """One attempt of a run: its checks, its box readings and, for an
+    attempt that a later one replaced, every metric's value."""
+    run = {"correct": row["correct"], "attempted": row["attempted"], "failed": row["failed"]}
+    if box is not None:
+        run["box"] = {key: box[key] for key in BOX}
+    if metrics:
+        run["metrics"] = {name: m["value"] for name, m in row["metrics"].items()}
+    return run
 
 
 def box_of(rec):
@@ -186,6 +210,30 @@ def boxes_differ(a, b):
         sys.exit(2)
 
 
+def loaded(run, wait, median_wait, median_steal):
+    """Why the box was loaded during `run` — its wait or steal above
+    LOADED_OVER_MEDIAN times its recording's median (a steal also at
+    least STEAL_FLOOR_PCT) — or an empty list."""
+    why = []
+    steal = run["box"]["steal_pct"] if "box" in run else None
+    if steal is not None and steal > LOADED_OVER_MEDIAN * median_steal and steal >= STEAL_FLOOR_PCT:
+        why.append(f"guest steal {steal:.3g} % of CPU time, "
+                   f"{steal / median_steal if median_steal else float('inf'):.1f}x its recording's median")
+    if wait is not None and wait > LOADED_OVER_MEDIAN * median_wait:
+        why.append(f"waited {wait:.3g} ms in the run queue, {wait / median_wait:.1f}x its "
+                   "recording's median")
+    return why
+
+
+def loaded_runs(rec):
+    """Print `<workload> <seed> <trace>` for each run of `rec` that was
+    loaded: what `tools/bench_record.sh` runs again."""
+    runs, median_wait, median_steal = box_of(rec)
+    for w, run, wait in runs:
+        if loaded(run, wait, median_wait, median_steal):
+            print(w, run["seed"], run["trace"])
+
+
 def box_runs(rec, label):
     """Print `rec`'s runs one by one — the run-queue wait of a traced run
     and the box readings taken around it — and a "box loaded" line for
@@ -198,7 +246,7 @@ def box_runs(rec, label):
     medians = ([f"`{RUNQ}` {median_wait:.3g} ms"] if median_wait is not None else []) + \
         ([f"guest steal {median_steal:.3g} %"] if median_steal is not None else [])
     print(f"\nRuns of the {label} ({rec['rev']}), seeds {rec['seeds']}, medians {', '.join(medians)}:")
-    loaded = []
+    flagged = []
     for w, run, wait in runs:
         what = f"{w} seed {run['seed']}" + (", traced" if run["trace"] == 1 else "")
         readings = [f"run-queue wait {wait:.3g} ms"] if wait is not None else []
@@ -206,16 +254,12 @@ def box_runs(rec, label):
             box = run["box"]
             readings.append(f"guest steal {box['steal_pct']:.3g} %, 1-minute load "
                             f"{box['load1_before']:.2f} before, {box['load1_after']:.2f} after")
-            steal = box["steal_pct"]
-            if steal > LOADED_OVER_MEDIAN * median_steal and steal >= STEAL_FLOOR_PCT:
-                loaded.append(f"box loaded: {label} {what}: guest steal {steal:.3g} % of CPU time, "
-                              f"{steal / median_steal if median_steal else float('inf'):.1f}x its "
-                              "recording's median")
-        if wait is not None and wait > LOADED_OVER_MEDIAN * median_wait:
-            loaded.append(f"box loaded: {label} {what} waited {wait:.3g} ms in the run queue, "
-                          f"{wait / median_wait:.1f}x its recording's median")
+        if run.get("earlier"):
+            readings.append(f"last of {len(run['earlier']) + 1} attempts")
+        flagged.extend(f"box loaded: {label} {what}: {why}"
+                       for why in loaded(run, wait, median_wait, median_steal))
         print(f"  {what}: " + "; ".join(readings))
-    for line in loaded:
+    for line in flagged:
         print(line)
 
 
@@ -322,6 +366,8 @@ def metric_row(w, name, d, ma_, mb_, rev, n, bad):
 def main(args):
     if args[:1] == ["--collect"] and len(args) >= 6:
         collect(args[1], args[2], args[3], args[4], args[5:])
+    elif args[:1] == ["--loaded"] and len(args) == 2:
+        loaded_runs(json.load(open(args[1])))
     elif len(args) == 2 or (len(args) == 3 and args[0] == "--paired"):
         a, b = (json.load(open(path)) for path in args[-2:])
         compare(a, b, paired=args[0] == "--paired")
